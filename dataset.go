@@ -842,21 +842,69 @@ func (d *Dataset[V]) StreamParallel(fn func(Tuple[V]) bool) error {
 	if fn == nil {
 		return fmt.Errorf("stark: streamParallel: nil consumer")
 	}
+	return d.StreamParallelContext(context.Background(), fn)
+}
+
+// StreamParallelContext is StreamParallel with cooperative
+// cancellation: once ctx is done no further partition window is
+// computed and the stream returns ctx.Err().
+func (d *Dataset[V]) StreamParallelContext(ctx context.Context, fn func(Tuple[V]) bool) error {
+	if fn == nil {
+		return fmt.Errorf("stark: streamParallelContext: nil consumer")
+	}
+	return d.streamPhase(func(ds *engine.Dataset[Tuple[V]], visit []int) (rows int64, err error) {
+		err = ds.StreamPartitionsParallelContext(ctx, visit, 0, func(kv Tuple[V]) bool {
+			rows++
+			return fn(kv)
+		})
+		return rows, err
+	})
+}
+
+// StreamEncodedContext is StreamParallelContext for consumers that
+// serialise the result: every partition task appends the encoding of
+// its rows (enc: append kv to dst, return the grown slice) to one
+// buffer as they leave the fused pipeline, and sink receives each
+// partition's bytes and row count sequentially, in partition order.
+// The rows are never materialised and the encoding runs on all
+// executors, so enc is called from several goroutines at once. A
+// chunk is only valid until sink returns; sink returning false stops
+// the stream and an enc error fails it, both before any further window
+// is computed. This is the action behind the query service's NDJSON
+// endpoint, which writes each chunk to the socket with one Write and
+// aborts the scan when the client hangs up or the request deadline
+// fires.
+func (d *Dataset[V]) StreamEncodedContext(ctx context.Context,
+	enc func(dst []byte, kv Tuple[V]) ([]byte, error), sink func(chunk []byte, rows int64) bool) error {
+	if enc == nil || sink == nil {
+		return fmt.Errorf("stark: streamEncodedContext: nil encoder or consumer")
+	}
+	return d.streamPhase(func(ds *engine.Dataset[Tuple[V]], visit []int) (rows int64, err error) {
+		err = ds.StreamPartitionsEncodedContext(ctx, visit, 0, enc, func(chunk []byte, n int) bool {
+			rows += int64(n)
+			return sink(chunk, int64(n))
+		})
+		return rows, err
+	})
+}
+
+// streamPhase compiles the chain and hands its engine dataset and the
+// partitions to visit to run, one of the engine's windowed parallel
+// streams, recording the "stream" phase with the rows run delivered.
+func (d *Dataset[V]) streamPhase(run func(ds *engine.Dataset[Tuple[V]], visit []int) (int64, error)) error {
 	c, err := d.compiled()
 	if err != nil {
 		return err
 	}
+	visit := c.visit
+	if visit == nil {
+		visit = make([]int, c.ds.NumPartitions())
+		for i := range visit {
+			visit[i] = i
+		}
+	}
 	m := d.beginPhase()
-	var rows int64
-	counted := func(kv Tuple[V]) bool {
-		rows++
-		return fn(kv)
-	}
-	if c.visit != nil {
-		err = c.ds.StreamPartitionsParallel(c.visit, 0, counted)
-	} else {
-		err = c.ds.StreamParallel(counted)
-	}
+	rows, err := run(c.ds, visit)
 	d.endPhase("stream", m, rows)
 	return err
 }

@@ -46,6 +46,10 @@
 //     hundred-million-row chain touches a few dozen records;
 //   - Stream drives rows sequentially, in partition order, into a
 //     consumer (the web front end encodes GeoJSON straight off it);
+//     StreamParallel computes the partitions in parallel windows and
+//     still delivers in order; StreamEncodedContext moves the
+//     consumer's encoder into the partition tasks and delivers one
+//     chunk of bytes per partition, so no slice of rows is ever built;
 //   - Collect materialises, but runs the whole fused chain into a
 //     single output slice per partition.
 //
@@ -195,10 +199,16 @@
 // partitioner recipe, index mode and statistics), an LRU result cache
 // keyed by fingerprint with a byte budget, an admission-controlled
 // worker pool (bounded slots, bounded deadline-limited queue, HTTP
-// 429/503 on overload), and NDJSON streaming straight off the fused
-// pipelines via Dataset.StreamParallelContext, which cancels the scan
-// when the client disconnects. A cache hit is served from stored
-// bytes with zero engine work. A "join" clause on /api/v1/query
+// 429/503 on overload), and NDJSON streaming via
+// Dataset.StreamEncodedContext, which cancels the scan when the
+// client disconnects. The reply contract of /api/v1/query: one
+// feature per line with sorted keys, byte for byte what json.Marshal
+// makes of the map form (an append encoder writes it, a fuzzed test
+// holds it to that oracle); rows in partition order, each partition
+// encoded inside its own task and written with one Write; then one
+// summary line, absent when the stream was aborted. A cache hit is
+// served from the very bytes the miss streamed, with zero engine
+// work. A "join" clause on /api/v1/query
 // joins the (optionally filtered) dataset against another catalog
 // dataset with any strategy hint and streams the pairs; join results
 // bypass the cache, since each run materialises a fresh result

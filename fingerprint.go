@@ -11,7 +11,6 @@ package stark
 // internal/server keys its LRU result cache on it.
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -101,35 +100,4 @@ func (d *Dataset[V]) Fingerprint() (string, error) {
 		fmt.Fprintf(&b, "|%s %s dist=%g", p.info.Kind, p.q, p.info.Expand)
 	}
 	return plan.Fingerprint(b.String()), nil
-}
-
-// StreamParallelContext is StreamParallel with cooperative
-// cancellation: once ctx is done no further partition window is
-// computed and the stream returns ctx.Err(). This is the action
-// behind the query service's NDJSON endpoint, which aborts the scan
-// when the client hangs up or the request deadline fires.
-func (d *Dataset[V]) StreamParallelContext(ctx context.Context, fn func(Tuple[V]) bool) error {
-	if fn == nil {
-		return fmt.Errorf("stark: streamParallelContext: nil consumer")
-	}
-	c, err := d.compiled()
-	if err != nil {
-		return err
-	}
-	visit := c.visit
-	if visit == nil {
-		visit = make([]int, c.ds.NumPartitions())
-		for i := range visit {
-			visit[i] = i
-		}
-	}
-	m := d.beginPhase()
-	var rows int64
-	counted := func(kv Tuple[V]) bool {
-		rows++
-		return fn(kv)
-	}
-	err = c.ds.StreamPartitionsParallelContext(ctx, visit, 0, counted)
-	d.endPhase("stream", m, rows)
-	return err
 }

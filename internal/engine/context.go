@@ -192,26 +192,46 @@ func (c *Context) runJob(rec *Recorder, parts []int, task func(p int) error) err
 		rec.TasksLaunched(1)
 		return runTask(parts[0], task)
 	}
+	// Fork-join with the caller as one of the workers: tasks are claimed
+	// from a shared counter by the calling goroutine and by up to
+	// parallelism-1 helpers, and the job is over when every task has
+	// finished, not when every helper has (one that starts after the last
+	// claim finds the counter spent and returns without touching task).
+	// A helper the scheduler is slow to start therefore costs nothing but
+	// the parallelism it would have added (the caller claims its share),
+	// a job of short tasks is done before a second thread has woken up,
+	// and the caller never parks while there is work it could do itself.
+	// The job's wall time then depends far less on how quickly the OS
+	// wakes an idle thread, which on a shared box varies by an order of
+	// magnitude.
 	var (
-		wg       sync.WaitGroup
+		next     atomic.Int64
+		pending  sync.WaitGroup
 		firstErr error
 		errOnce  sync.Once
 	)
-	for _, p := range parts {
-		rec.TasksLaunched(1)
-		wg.Add(1)
-		c.sem <- struct{}{}
-		go func(p int) {
-			defer func() {
-				<-c.sem
-				wg.Done()
-			}()
-			if err := runTask(p, task); err != nil {
+	pending.Add(len(parts))
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(parts) {
+				return
+			}
+			c.sem <- struct{}{}
+			rec.TasksLaunched(1)
+			err := runTask(parts[i], task)
+			<-c.sem
+			if err != nil {
 				errOnce.Do(func() { firstErr = err })
 			}
-		}(p)
+			pending.Done()
+		}
 	}
-	wg.Wait()
+	for h := min(len(parts), c.parallelism) - 1; h > 0; h-- {
+		go work()
+	}
+	work()
+	pending.Wait()
 	return firstErr
 }
 

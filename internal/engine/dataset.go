@@ -748,72 +748,131 @@ func (d *Dataset[T]) StreamPartitions(parts []int, fn func(T) bool) error {
 	return nil
 }
 
-// StreamParallel is StreamPartitionsParallel over every partition
-// with the default window width.
-func (d *Dataset[T]) StreamParallel(fn func(T) bool) error {
-	return d.StreamPartitionsParallel(allPartitions(d.numPart), 0, fn)
-}
-
-// StreamPartitionsParallel delivers the rows of the listed partitions
-// to fn sequentially, in the given partition order, while computing
-// the partitions in parallel: partitions are processed in windows of
-// `width` (<= 0 selects the context parallelism), each window's
-// pipelines run as one parallel job, and the buffered results are
-// replayed in order. Compared to StreamPartitions this trades bounded
-// buffering (at most one window of partitions) for partition-parallel
-// compute — the right default for network consumers whose per-row
-// cost is small relative to the scan. fn returning false stops the
-// stream; windows past the current one are never computed.
-func (d *Dataset[T]) StreamPartitionsParallel(parts []int, width int, fn func(T) bool) error {
-	return d.StreamPartitionsParallelContext(nil, parts, width, fn)
-}
-
-// StreamPartitionsParallelContext is StreamPartitionsParallel with
-// cooperative cancellation: once ctx is done no further window is
+// StreamPartitionsParallelContext delivers the rows of the listed
+// partitions to fn sequentially, in the given partition order, while
+// computing the partitions in parallel: partitions are processed in
+// windows of `width` (<= 0 selects the context parallelism), each
+// window's pipelines run as one parallel job, and the buffered results
+// are replayed in order. Compared to StreamPartitions this trades
+// bounded buffering (at most one window of partitions) for
+// partition-parallel compute — the right default for network consumers
+// whose per-row cost is small relative to the scan. fn returning false
+// stops the stream; windows past the current one are never computed.
+// Cancellation is cooperative: once ctx is done no further window is
 // computed, no further row is delivered, and the stream returns
 // ctx.Err() — the hook a server uses to stop a scan when the client
 // hangs up or a deadline fires. A nil ctx streams to completion.
 func (d *Dataset[T]) StreamPartitionsParallelContext(ctx context.Context, parts []int, width int, fn func(T) bool) error {
+	return streamWindows(ctx, d, parts, width, d.ComputePartition, func(rows []T) bool {
+		for _, v := range rows {
+			if !fn(v) {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// StreamPartitionsEncodedContext is StreamPartitionsParallelContext
+// for consumers that want bytes, not rows: each partition task folds
+// its rows through enc (append the encoding of v to dst, return the
+// grown slice) straight off the fused pipeline into one buffer, so no
+// slice of rows is materialised and the encoding runs on every
+// executor instead of on the consumer's goroutine (enc must be safe
+// for concurrent calls). sink receives each partition's bytes and row
+// count sequentially, in the given partition order; partitions without
+// rows are skipped. The chunk is recycled as soon as sink returns —
+// copy what must outlive the call. sink returning false stops the
+// stream, an enc error fails it, and cancellation works as in
+// StreamPartitionsParallelContext; in all three cases windows past the
+// current one are never computed.
+func (d *Dataset[T]) StreamPartitionsEncodedContext(ctx context.Context, parts []int, width int,
+	enc func(dst []byte, v T) ([]byte, error), sink func(chunk []byte, rows int) bool) error {
+	type encoded struct {
+		buf  *[]byte
+		rows int
+	}
+	return streamWindows(ctx, d, parts, width, func(p int) (encoded, error) {
+		out := encoded{buf: chunkPool.Get().(*[]byte)}
+		buf := (*out.buf)[:0]
+		var encErr error
+		err := d.EachPartition(p, func(v T) bool {
+			if buf, encErr = enc(buf, v); encErr != nil {
+				return false
+			}
+			out.rows++
+			return true
+		})
+		*out.buf = buf
+		if err == nil {
+			err = encErr
+		}
+		if err != nil {
+			putChunk(out.buf)
+			return encoded{}, err
+		}
+		return out, nil
+	}, func(e encoded) bool {
+		more := e.rows == 0 || sink(*e.buf, e.rows)
+		putChunk(e.buf)
+		return more
+	})
+}
+
+// chunkPool recycles the per-partition buffers of encoded streams. A
+// buffer that grew past maxPooledChunk is left to the collector, so one
+// huge partition does not pin its encoding for the life of the process.
+var chunkPool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledChunk = 4 << 20
+
+func putChunk(b *[]byte) {
+	if cap(*b) <= maxPooledChunk {
+		chunkPool.Put(b)
+	}
+}
+
+// streamWindows is the one windowed streaming loop behind the parallel
+// stream actions: parts are processed in windows of width (<= 0
+// selects the context parallelism), each window runs task once per
+// partition as one parallel job charged to d's recorder, and the
+// results go to deliver sequentially, in partition order. deliver
+// returning false ends the stream; later windows are never computed.
+// Once a non-nil ctx is done no further window is computed, nothing
+// more is delivered, and the stream returns ctx.Err().
+func streamWindows[T, R any](ctx context.Context, d *Dataset[T], parts []int, width int,
+	task func(p int) (R, error), deliver func(R) bool) error {
 	if width <= 0 {
 		width = d.ctx.parallelism
 	}
+	results := make([]R, width)
+	idxs := allPartitions(width)
 	for start := 0; start < len(parts); start += width {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		end := start + width
-		if end > len(parts) {
-			end = len(parts)
-		}
-		window := parts[start:end]
-		results := make([][]T, len(window))
-		idxs := make([]int, len(window))
-		for i := range idxs {
-			idxs[i] = i
-		}
-		err := d.ctx.RunJobRecorder(ctx, d.recorder(), idxs, func(i int) error {
-			out, err := d.ComputePartition(window[i])
+		window := parts[start:min(start+width, len(parts))]
+		err := d.ctx.RunJobRecorder(ctx, d.recorder(), idxs[:len(window)], func(i int) error {
+			r, err := task(window[i])
 			if err != nil {
 				return err
 			}
-			results[i] = out
+			results[i] = r
 			return nil
 		})
 		if err != nil {
 			return err
 		}
-		for _, rows := range results {
+		for _, r := range results[:len(window)] {
 			if ctx != nil {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
 			}
-			for _, v := range rows {
-				if !fn(v) {
-					return nil
-				}
+			if !deliver(r) {
+				return nil
 			}
 		}
 	}

@@ -3,10 +3,12 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func intRange(n int) []int {
@@ -243,6 +245,74 @@ func TestTaskPanicBecomesError(t *testing.T) {
 	})
 	if _, err := d.Collect(); err == nil {
 		t.Error("panic must surface as error")
+	}
+}
+
+// TestRunJobCallerWorks pins the fork-join shape of a job: every task
+// runs exactly once, never more than Parallelism at a time, the
+// calling goroutine is one of the workers (a job needs no second
+// goroutine to finish), and two tasks of one job do overlap when the
+// context has two executors.
+func TestRunJobCallerWorks(t *testing.T) {
+	for _, par := range []int{1, 2, 4} {
+		ctx := NewContext(par)
+		const n = 64
+		var ran [n]atomic.Int32
+		var inFlight, peak atomic.Int32
+		err := ctx.RunJob(intRange(n), func(i int) error {
+			now := inFlight.Add(1)
+			for old := peak.Load(); now > old && !peak.CompareAndSwap(old, now); old = peak.Load() {
+			}
+			ran[i].Add(1)
+			inFlight.Add(-1)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range ran {
+			if got := ran[i].Load(); got != 1 {
+				t.Fatalf("parallelism %d: task %d ran %d times", par, i, got)
+			}
+		}
+		if int(peak.Load()) > par {
+			t.Errorf("parallelism %d: %d tasks in flight", par, peak.Load())
+		}
+		if got := ctx.Metrics().Snapshot().TasksLaunched; got != n {
+			t.Errorf("parallelism %d: TasksLaunched = %d, want %d", par, got, n)
+		}
+	}
+
+	// With one executor there are no helpers: the caller runs every
+	// task itself, in order.
+	var order []int
+	if err := NewContext(1).RunJob(intRange(5), func(i int) error {
+		order = append(order, i) // no lock: one goroutine only, -race would object otherwise
+		return nil
+	}); err != nil || !slices.Equal(order, intRange(5)) {
+		t.Errorf("serial job ran %v (err %v)", order, err)
+	}
+
+	// Two tasks that each wait for the other only finish if they run at
+	// the same time.
+	meet := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		done <- NewContext(2).RunJob(intRange(2), func(int) error {
+			select {
+			case meet <- struct{}{}:
+			case <-meet:
+			}
+			return nil
+		})
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("two tasks of a two-executor job did not overlap")
 	}
 }
 

@@ -1,9 +1,13 @@
 package engine
 
 import (
+	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -485,10 +489,10 @@ func TestFusedChainAllocations(t *testing.T) {
 	}
 }
 
-// TestStreamPartitionsParallel checks the windowed-parallel ordered
+// TestStreamPartitionsParallelContext checks the windowed-parallel ordered
 // stream: same rows and order as the sequential Stream, early stop
 // honoured, later windows never computed.
-func TestStreamPartitionsParallel(t *testing.T) {
+func TestStreamPartitionsParallelContext(t *testing.T) {
 	ctx := NewContext(3)
 	d := fusedChain(Parallelize(ctx, intRange(500), 10))
 
@@ -496,7 +500,7 @@ func TestStreamPartitionsParallel(t *testing.T) {
 	if err := d.Stream(func(v int) bool { seq = append(seq, v); return true }); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.StreamPartitionsParallel(allPartitions(d.NumPartitions()), 0, func(v int) bool {
+	if err := d.StreamPartitionsParallelContext(context.Background(), allPartitions(d.NumPartitions()), 0, func(v int) bool {
 		par = append(par, v)
 		return true
 	}); err != nil {
@@ -509,7 +513,7 @@ func TestStreamPartitionsParallel(t *testing.T) {
 	// Early stop: windows past the consumer's stop are never computed.
 	src, pulled := countingSource(ctx, 1000, 10) // 10 partitions of 100
 	n := 0
-	if err := src.StreamPartitionsParallel(allPartitions(10), 2, func(int) bool {
+	if err := src.StreamPartitionsParallelContext(context.Background(), allPartitions(10), 2, func(int) bool {
 		n++
 		return n < 50
 	}); err != nil {
@@ -522,4 +526,153 @@ func TestStreamPartitionsParallel(t *testing.T) {
 	if got := pulled.Load(); got != 200 {
 		t.Errorf("pulled %d source elements, want 200 (one window)", got)
 	}
+}
+
+// appendInt is the test encoder: one decimal per line.
+func appendInt(dst []byte, v int) ([]byte, error) {
+	return append(strconv.AppendInt(dst, int64(v), 10), '\n'), nil
+}
+
+// TestStreamPartitionsEncoded checks the encoded form of the windowed
+// stream against the row form it shares its loop with: the same rows in
+// the same order, row counts per chunk, empty partitions skipped, and
+// the same stop, failure and cancellation behaviour — each of them
+// before any further window is computed.
+func TestStreamPartitionsEncoded(t *testing.T) {
+	ctx := NewContext(3)
+	d := fusedChain(Parallelize(ctx, intRange(500), 10))
+	parts := allPartitions(d.NumPartitions())
+
+	var want []byte
+	if err := d.StreamPartitionsParallelContext(context.Background(), parts, 0, func(v int) bool {
+		want, _ = appendInt(want, v)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var got []byte
+	rows := 0
+	if err := d.StreamPartitionsEncodedContext(context.Background(), parts, 0, appendInt, func(chunk []byte, n int) bool {
+		if n == 0 || len(chunk) == 0 {
+			t.Errorf("empty chunk delivered (%d rows, %d bytes)", n, len(chunk))
+		}
+		if lines := bytes.Count(chunk, []byte("\n")); lines != n {
+			t.Errorf("chunk holds %d lines, reported %d rows", lines, n)
+		}
+		got = append(got, chunk...) // chunks are recycled after the call
+		rows += n
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("encoded stream differs from the row stream (%d vs %d bytes)", len(got), len(want))
+	}
+	if rows != bytes.Count(want, []byte("\n")) {
+		t.Fatalf("encoded stream reported %d rows, want %d", rows, bytes.Count(want, []byte("\n")))
+	}
+
+	// Only partitions 3 and 7 hold rows: two chunks, in that order.
+	sparse := NewStream(ctx, "sparse", 10, func(p int, yield func(int) bool) error {
+		if p == 3 || p == 7 {
+			yield(p)
+		}
+		return nil
+	})
+	var chunks []string
+	if err := sparse.StreamPartitionsEncodedContext(context.Background(), allPartitions(10), 4, appendInt, func(chunk []byte, n int) bool {
+		chunks = append(chunks, string(chunk))
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(chunks, []string{"3\n", "7\n"}) {
+		t.Fatalf("sparse stream delivered %q", chunks)
+	}
+
+	// sink false: the first window (2 partitions × 100) is all that runs.
+	src, pulled := countingSource(ctx, 1000, 10)
+	calls := 0
+	if err := src.StreamPartitionsEncodedContext(context.Background(), allPartitions(10), 2, appendInt, func([]byte, int) bool {
+		calls++
+		return false
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 || pulled.Load() != 200 {
+		t.Errorf("after sink returned false: %d sink calls, %d elements pulled, want 1 and 200", calls, pulled.Load())
+	}
+
+	// An encoder error fails the stream with that error, stops its own
+	// partition mid-stream, and nothing is delivered.
+	src, pulled = countingSource(ctx, 1000, 10)
+	boom := errors.New("unencodable")
+	err := src.StreamPartitionsEncodedContext(context.Background(), allPartitions(10), 2, func(dst []byte, v int) ([]byte, error) {
+		if v == 150 {
+			return dst, boom
+		}
+		return appendInt(dst, v)
+	}, func([]byte, int) bool {
+		t.Error("sink called although the window failed")
+		return true
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("stream returned %v, want the encoder's error", err)
+	}
+	if got := pulled.Load(); got != 100+51 {
+		t.Errorf("pulled %d source elements, want 151 (partition 0 whole, partition 1 up to the failing row)", got)
+	}
+
+	// Cancellation between windows: the sink cancels while it holds the
+	// first chunk; the stream returns ctx.Err() and pulls nothing more.
+	src, pulled = countingSource(ctx, 1000, 10)
+	cctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	calls = 0
+	err = src.StreamPartitionsEncodedContext(cctx, allPartitions(10), 2, appendInt, func([]byte, int) bool {
+		calls++
+		cancel()
+		return true
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled stream returned %v, want context.Canceled", err)
+	}
+	if calls != 1 || pulled.Load() != 200 {
+		t.Errorf("after cancel: %d sink calls, %d elements pulled, want 1 and 200", calls, pulled.Load())
+	}
+}
+
+// TestStreamPartitionsEncodedConcurrent runs encoded streams from many
+// goroutines at once: they share the chunk pool, and a recycled buffer
+// must never reach two sinks.
+func TestStreamPartitionsEncodedConcurrent(t *testing.T) {
+	ctx := NewContext(4)
+	d := fusedChain(Parallelize(ctx, intRange(2000), 16))
+	parts := allPartitions(d.NumPartitions())
+	var want []byte
+	if err := d.Stream(func(v int) bool { want, _ = appendInt(want, v); return true }); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				var got []byte
+				if err := d.StreamPartitionsEncodedContext(context.Background(), parts, 0, appendInt, func(chunk []byte, _ int) bool {
+					got = append(got, chunk...)
+					return true
+				}); err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("concurrent encoded stream returned %d bytes, want %d", len(got), len(want))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -82,16 +82,29 @@ func (p Point) IsEmpty() bool { return math.IsNaN(p.X) || math.IsNaN(p.Y) }
 // Equal reports exact coordinate equality.
 func (p Point) Equal(q Point) bool { return p.X == q.X && p.Y == q.Y }
 
+// envelopeOf returns the minimum bounding rectangle of pts. Geometries
+// are immutable, so every constructor calls it once and Envelope()
+// answers from the stored value: the predicates ask for both
+// envelopes of every pair they test.
+func envelopeOf(pts []Point) Envelope {
+	env := EmptyEnvelope()
+	for _, p := range pts {
+		env = env.ExpandToPoint(p.X, p.Y)
+	}
+	return env
+}
+
 // MultiPoint is a collection of points.
 type MultiPoint struct {
 	pts []Point
+	env Envelope // of pts; meaningful only when pts is non-empty
 }
 
 // NewMultiPoint copies pts into a new MultiPoint.
 func NewMultiPoint(pts []Point) MultiPoint {
 	cp := make([]Point, len(pts))
 	copy(cp, pts)
-	return MultiPoint{pts: cp}
+	return MultiPoint{pts: cp, env: envelopeOf(cp)}
 }
 
 // Kind implements Geometry.
@@ -106,13 +119,12 @@ func (m MultiPoint) PointAt(i int) Point { return m.pts[i] }
 // IsEmpty implements Geometry.
 func (m MultiPoint) IsEmpty() bool { return len(m.pts) == 0 }
 
-// Envelope implements Geometry.
+// Envelope implements Geometry; computed once at construction.
 func (m MultiPoint) Envelope() Envelope {
-	env := EmptyEnvelope()
-	for _, p := range m.pts {
-		env = env.ExpandToPoint(p.X, p.Y)
+	if len(m.pts) == 0 {
+		return EmptyEnvelope()
 	}
-	return env
+	return m.env
 }
 
 // Centroid implements Geometry: the arithmetic mean of the members.
@@ -132,6 +144,12 @@ func (m MultiPoint) Centroid() Point {
 // LineString is an ordered sequence of at least two coordinates.
 type LineString struct {
 	pts []Point
+	env Envelope // of pts; meaningful only when pts is non-empty
+}
+
+// newLineString wraps pts (not copied) with its envelope.
+func newLineString(pts []Point) LineString {
+	return LineString{pts: pts, env: envelopeOf(pts)}
 }
 
 // NewLineString copies pts into a new LineString. It returns an error
@@ -142,7 +160,7 @@ func NewLineString(pts []Point) (LineString, error) {
 	}
 	cp := make([]Point, len(pts))
 	copy(cp, pts)
-	return LineString{pts: cp}, nil
+	return newLineString(cp), nil
 }
 
 // MustLineString is NewLineString but panics on error; intended for
@@ -176,13 +194,12 @@ func (l LineString) Length() float64 {
 	return sum
 }
 
-// Envelope implements Geometry.
+// Envelope implements Geometry; computed once at construction.
 func (l LineString) Envelope() Envelope {
-	env := EmptyEnvelope()
-	for _, p := range l.pts {
-		env = env.ExpandToPoint(p.X, p.Y)
+	if len(l.pts) == 0 {
+		return EmptyEnvelope()
 	}
-	return env
+	return l.env
 }
 
 // Centroid implements Geometry: the length-weighted centroid of the
@@ -221,6 +238,10 @@ func (l LineString) IsClosed() bool {
 type Polygon struct {
 	shell Ring
 	holes []Ring
+	// env is the shell's envelope and rect says the polygon is exactly
+	// that envelope (see isRectangle); both are set by newPolygon.
+	env  Envelope
+	rect bool
 }
 
 // Ring is a closed linear ring: at least four points where the first
@@ -267,7 +288,47 @@ func (r Ring) SignedArea() float64 {
 func NewPolygon(shell Ring, holes ...Ring) Polygon {
 	hs := make([]Ring, len(holes))
 	copy(hs, holes)
-	return Polygon{shell: shell, holes: hs}
+	return newPolygon(shell, hs)
+}
+
+// newPolygon wraps the rings (not copied) with the shell's envelope
+// and the rectangle flag.
+func newPolygon(shell Ring, holes []Ring) Polygon {
+	env := envelopeOf(shell.pts)
+	return Polygon{
+		shell: shell, holes: holes, env: env,
+		rect: len(holes) == 0 && isRectangle(shell.pts, env),
+	}
+}
+
+// isRectangle reports whether the closed ring pts is an axis-aligned
+// rectangle of positive width and height: five vertices whose edges
+// alternate between horizontal and vertical, in either orientation.
+// For such a ring PolygonContainsPoint classifies a point exactly as
+// the closed/open envelope tests do (see classifyPoint), given that
+// the edge lengths are finite: an edge of infinite length turns the
+// orientation test's 0 × ∞ into NaN and the boundary goes undetected,
+// so those rings stay on the general path.
+func isRectangle(pts []Point, env Envelope) bool {
+	if len(pts) != 5 {
+		return false
+	}
+	if math.IsInf(env.MaxX-env.MinX, 0) || math.IsInf(env.MaxY-env.MinY, 0) {
+		return false
+	}
+	horizontal := pts[0].Y == pts[1].Y
+	for i := 1; i < 5; i++ {
+		a, b := pts[i-1], pts[i]
+		if horizontal {
+			if a.Y != b.Y || a.X == b.X {
+				return false
+			}
+		} else if a.X != b.X || a.Y == b.Y {
+			return false
+		}
+		horizontal = !horizontal
+	}
+	return true
 }
 
 // NewPolygonFromPoints builds a hole-free polygon from shell points.
@@ -313,13 +374,13 @@ func (p Polygon) Area() float64 {
 	return a
 }
 
-// Envelope implements Geometry (the holes cannot extend the shell).
+// Envelope implements Geometry (the holes cannot extend the shell);
+// computed once at construction.
 func (p Polygon) Envelope() Envelope {
-	env := EmptyEnvelope()
-	for _, pt := range p.shell.pts {
-		env = env.ExpandToPoint(pt.X, pt.Y)
+	if len(p.shell.pts) == 0 {
+		return EmptyEnvelope()
 	}
-	return env
+	return p.env
 }
 
 // Centroid implements Geometry: the area-weighted centroid accounting

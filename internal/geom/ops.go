@@ -25,7 +25,7 @@ func Simplify(l LineString, tolerance float64) LineString {
 			out = append(out, l.pts[i])
 		}
 	}
-	return LineString{pts: out}
+	return newLineString(out)
 }
 
 func douglasPeucker(pts []Point, lo, hi int, tol float64, keep []bool) {
@@ -59,7 +59,7 @@ func SimplifyPolygon(p Polygon, tolerance float64) Polygon {
 			holes = append(holes, sh)
 		}
 	}
-	return Polygon{shell: shell, holes: holes}
+	return newPolygon(shell, holes)
 }
 
 func simplifyRing(r Ring, tol float64) Ring {
@@ -118,7 +118,7 @@ func ClipPolygon(p Polygon, window Envelope) (Polygon, bool) {
 			}
 		}
 	}
-	return Polygon{shell: sr, holes: holes}, true
+	return newPolygon(sr, holes), true
 }
 
 // clipRing clips a closed ring (first == last vertex) against the
@@ -186,7 +186,7 @@ func ClipLineString(l LineString, w Envelope) []LineString {
 	var run []Point
 	flush := func() {
 		if len(run) >= 2 {
-			out = append(out, LineString{pts: append([]Point(nil), run...)})
+			out = append(out, newLineString(append([]Point(nil), run...)))
 		}
 		run = nil
 	}

@@ -60,9 +60,30 @@ func intersectsPoint(p Point, g Geometry) bool {
 		}
 		return false
 	case Polygon:
-		return PolygonContainsPoint(b, p) >= 0
+		return classifyPoint(b, p) >= 0
 	}
 	return false
+}
+
+// classifyPoint is PolygonContainsPoint for the point arms of the
+// predicates: +1 strict interior, 0 boundary, -1 exterior. A polygon
+// flagged as an axis-aligned rectangle at construction is its own
+// envelope, so the closed envelope test decides inside-or-boundary and
+// the open one the interior, with the same result as the ring walk for
+// every point (NaN ordinates fail every comparison and come out
+// exterior on both paths).
+func classifyPoint(poly Polygon, p Point) int {
+	if !poly.rect {
+		return PolygonContainsPoint(poly, p)
+	}
+	e := poly.env
+	switch {
+	case p.X > e.MinX && p.X < e.MaxX && p.Y > e.MinY && p.Y < e.MaxY:
+		return 1
+	case p.X >= e.MinX && p.X <= e.MaxX && p.Y >= e.MinY && p.Y <= e.MaxY:
+		return 0
+	}
+	return -1
 }
 
 func intersectsLine(l LineString, g Geometry) bool {
@@ -228,10 +249,10 @@ func Contains(g1, g2 Geometry) bool {
 	}
 	switch b := g2.(type) {
 	case Point:
-		return PolygonContainsPoint(poly, b) == 1
+		return classifyPoint(poly, b) == 1
 	case MultiPoint:
 		for _, q := range b.pts {
-			if PolygonContainsPoint(poly, q) == 1 {
+			if classifyPoint(poly, q) == 1 {
 				return true
 			}
 		}
@@ -262,7 +283,7 @@ func Contains(g1, g2 Geometry) bool {
 // covered.
 func polygonCovers(poly Polygon, g Geometry, allowBoundary bool) bool {
 	inOK := func(p Point) bool {
-		c := PolygonContainsPoint(poly, p)
+		c := classifyPoint(poly, p)
 		if allowBoundary {
 			return c >= 0
 		}

@@ -12,24 +12,24 @@ package server
 //	GET    /api/service           cache + admission statistics
 //
 // /api/v1/query responds with application/x-ndjson: one GeoJSON
-// feature per line, pulled straight off the engine's fused partition
-// pipelines, followed by a single summary line
+// feature per line, encoded inside the engine's partition tasks as the
+// rows leave the fused pipelines (encode.go fixes the bytes of a line)
+// and written one partition at a time, in partition order, followed by
+// a single summary line
 //
 //	{"summary":{"dataset":...,"count":N,"cache":"hit|miss","fingerprint":...}}
 //
 // Results are cached under the chain's plan fingerprint: a repeated
-// identical query is served from the stored bytes without scheduling
-// any engine work (the X-Stark-Cache header says which path served
-// the response). Cache misses pass through admission control; hits
-// bypass it.
+// identical query is served from the stored bytes — the very bytes the
+// miss streamed — without scheduling any engine work (the
+// X-Stark-Cache header says which path served the response). Cache
+// misses pass through admission control; hits bypass it.
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"net/http"
 	"runtime"
 	"strings"
@@ -176,7 +176,7 @@ func (s *Server) acquireAdmission(w http.ResponseWriter, r *http.Request) bool {
 		httpError(w, http.StatusServiceUnavailable, "queue deadline exceeded: %v", err)
 	default:
 		// Client went away while queued; nothing useful to write.
-		log.Printf("server: admission aborted: %v", err)
+		s.logAbort(r, "admission aborted", 0, err)
 	}
 	return false
 }
@@ -205,49 +205,69 @@ func (s *Server) handleJoinQuery(w http.ResponseWriter, r *http.Request, req Ser
 		httpError(w, http.StatusInternalServerError, "join failed: %v", err)
 		return
 	}
+	streamAndSummarise(s, w, r, chain, encodePair, ndjsonSummary{
+		Dataset: entry.spec.Name, Cache: "bypass", Strategy: rep.Strategy.String(),
+	}, req.Trace, false)
+}
+
+// encodeEvent and encodePair are the line encoders of the two reply
+// kinds: an event, and a join pair as the left record's feature with
+// the right record folded into the properties.
+func encodeEvent(dst []byte, kv stark.Tuple[workload.Event]) ([]byte, error) {
+	return appendFeature(dst, kv.Key, kv.Value, nil)
+}
+
+func encodePair(dst []byte, kv stark.Tuple[joinRow]) ([]byte, error) {
+	return appendFeature(dst, kv.Key, kv.Value.Left, &kv.Value.Right)
+}
+
+// streamAndSummarise writes the NDJSON reply of an executed chain: the
+// lines enc makes of its rows, one Write per partition chunk, then the
+// summary line. sum arrives without Count and Trace; its Cache value
+// is also the X-Stark-Cache header. With cacheable set the body is
+// collected on the way and stored under sum.Fingerprint, unless it
+// outgrows the cache's per-entry budget. The status line is committed
+// before the first row, so an abort (client gone, deadline, encoder
+// error) can only be logged and leave the stream without a summary
+// line.
+func streamAndSummarise[V any](s *Server, w http.ResponseWriter, r *http.Request, chain *stark.Dataset[V],
+	enc func([]byte, stark.Tuple[V]) ([]byte, error), sum ndjsonSummary, trace, cacheable bool) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Stark-Cache", "bypass")
+	w.Header().Set("X-Stark-Cache", sum.Cache)
 	var (
-		count  int64
-		rowErr error
+		body     []byte
+		writeErr error
 	)
-	err := chain.StreamParallelContext(r.Context(), func(kv stark.Tuple[joinRow]) bool {
-		f := feature(stark.NewTuple(kv.Key, kv.Value.Left), nil, nil)
-		f["properties"].(map[string]interface{})["right"] = map[string]interface{}{
-			"id":       kv.Value.Right.ID,
-			"category": kv.Value.Right.Category,
-			"time":     kv.Value.Right.Time,
-		}
-		line, err := json.Marshal(f)
-		if err != nil {
-			rowErr = err
+	err := chain.StreamEncodedContext(r.Context(), enc, func(chunk []byte, n int64) bool {
+		if _, writeErr = w.Write(chunk); writeErr != nil {
 			return false
 		}
-		line = append(line, '\n')
-		if _, err := w.Write(line); err != nil {
-			rowErr = err
-			return false
+		sum.Count += n
+		if cacheable {
+			if int64(len(body)+len(chunk)) > s.cache.MaxEntryBytes() {
+				cacheable, body = false, nil
+			} else {
+				body = append(body, chunk...) // the chunk is recycled after this call
+			}
 		}
-		count++
 		return true
 	})
 	if err == nil {
-		err = rowErr
+		err = writeErr
 	}
 	if err != nil {
-		log.Printf("server: aborting join NDJSON stream after %d rows: %v", count, err)
+		s.logAbort(r, "aborting NDJSON stream", sum.Count, err)
 		return
 	}
-	sum := ndjsonSummary{
-		Dataset: entry.spec.Name, Count: count, Cache: "bypass",
-		Strategy: rep.Strategy.String(),
-	}
-	trace := chain.Trace()
-	annotate(r, "", traceSummary(trace))
-	if req.Trace {
-		sum.Trace = trace
+	t := chain.Trace()
+	annotate(r, sum.Fingerprint, traceSummary(t))
+	if trace {
+		sum.Trace = t
 	}
 	writeSummaryLine(w, sum)
+	if cacheable {
+		s.cache.Put(sum.Fingerprint, body, sum.Count) // Put takes ownership of body
+	}
 }
 
 // resolveDataset returns the catalog entry a service request
@@ -321,7 +341,7 @@ func (s *Server) handleServiceStats(w http.ResponseWriter, r *http.Request) {
 		durability = s.dur.status()
 	}
 	writeJSON(w, map[string]interface{}{
-		"durability":   durability,
+		"durability":     durability,
 		"cache":          s.cache.Stats(),
 		"admission":      s.adm.Stats(),
 		"datasets":       len(s.catalog.List()),
@@ -362,7 +382,7 @@ func (s *Server) handleQueryV1(w http.ResponseWriter, r *http.Request) {
 	}
 	if fpErr == nil && !req.Trace {
 		if body, rows, hit := s.cache.Get(fp); hit {
-			s.writeNDJSON(w, body, ndjsonSummary{
+			s.writeNDJSON(w, r, body, ndjsonSummary{
 				Dataset: entry.spec.Name, Count: rows, Cache: "hit", Fingerprint: fp,
 			})
 			return
@@ -381,58 +401,9 @@ func (s *Server) handleQueryV1(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Stark-Cache", "miss")
-	var (
-		buf       bytes.Buffer
-		cacheable = fpErr == nil && !req.Trace
-		count     int64
-		rowErr    error
-	)
-	err = chain.StreamParallelContext(r.Context(), func(kv stark.Tuple[workload.Event]) bool {
-		line, err := json.Marshal(feature(kv, nil, nil))
-		if err != nil {
-			rowErr = err
-			return false
-		}
-		line = append(line, '\n')
-		if _, err := w.Write(line); err != nil {
-			rowErr = err
-			return false
-		}
-		if cacheable {
-			if int64(buf.Len()+len(line)) > s.cache.MaxEntryBytes() {
-				cacheable = false
-				buf = bytes.Buffer{}
-			} else {
-				buf.Write(line)
-			}
-		}
-		count++
-		return true
-	})
-	if err == nil {
-		err = rowErr
-	}
-	if err != nil {
-		// The status line is committed; an abort can only be reported
-		// by logging and leaving the stream without a summary line.
-		log.Printf("server: aborting NDJSON stream after %d rows: %v", count, err)
-		return
-	}
-	sum := ndjsonSummary{
-		Dataset: entry.spec.Name, Count: count, Cache: "miss", Fingerprint: fp,
-	}
-	trace := chain.Trace()
-	annotate(r, fp, traceSummary(trace))
-	if req.Trace {
-		sum.Trace = trace
-	}
-	writeSummaryLine(w, sum)
-	if cacheable {
-		// buf is dead after this call; Put takes ownership.
-		s.cache.Put(fp, buf.Bytes(), count)
-	}
+	streamAndSummarise(s, w, r, chain, encodeEvent, ndjsonSummary{
+		Dataset: entry.spec.Name, Cache: "miss", Fingerprint: fp,
+	}, req.Trace, fpErr == nil && !req.Trace)
 }
 
 // traceSummary condenses a trace into the one-line form the
@@ -465,11 +436,11 @@ func writeSummaryLine(w io.Writer, sum ndjsonSummary) {
 }
 
 // writeNDJSON serves a cached body plus a fresh summary line.
-func (s *Server) writeNDJSON(w http.ResponseWriter, body []byte, sum ndjsonSummary) {
+func (s *Server) writeNDJSON(w http.ResponseWriter, r *http.Request, body []byte, sum ndjsonSummary) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Stark-Cache", sum.Cache)
 	if _, err := w.Write(body); err != nil {
-		log.Printf("server: aborting cached NDJSON stream: %v", err)
+		s.logAbort(r, "aborting cached NDJSON stream", 0, err)
 		return
 	}
 	writeSummaryLine(w, sum)

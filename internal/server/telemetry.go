@@ -154,9 +154,16 @@ func routeLabel(path string) string {
 // the middleware's access and slow-query log lines can carry query
 // identity (fingerprint) and execution shape (trace summary).
 type reqInfo struct {
+	id int64 // the X-Request-Id; fixed before the handler runs
+
 	mu          sync.Mutex
 	fingerprint string
 	trace       string
+	// aborted marks a reply that stopped short of its end after rows
+	// rows: the status line was long committed, so the access log is the
+	// only place that can say the 200 is not a whole answer.
+	aborted bool
+	rows    int64
 }
 
 func (ri *reqInfo) set(fingerprint, trace string) {
@@ -173,13 +180,27 @@ func (ri *reqInfo) set(fingerprint, trace string) {
 	ri.mu.Unlock()
 }
 
-func (ri *reqInfo) get() (fingerprint, trace string) {
+func (ri *reqInfo) get() (fingerprint, trace string, aborted bool, rows int64) {
 	if ri == nil {
-		return "", ""
+		return "", "", false, 0
 	}
 	ri.mu.Lock()
 	defer ri.mu.Unlock()
-	return ri.fingerprint, ri.trace
+	return ri.fingerprint, ri.trace, ri.aborted, ri.rows
+}
+
+// logAbort reports through the service logger that the reply to r
+// stopped short after rows rows, and marks the request so its access
+// log record says so too.
+func (s *Server) logAbort(r *http.Request, msg string, rows int64, err error) {
+	var id int64
+	if ri, ok := r.Context().Value(reqInfoKey{}).(*reqInfo); ok {
+		id = ri.id
+		ri.mu.Lock()
+		ri.aborted, ri.rows = true, rows
+		ri.mu.Unlock()
+	}
+	s.tel.logger.Warn(msg, slog.Int64("req_id", id), slog.Int64("rows", rows), slog.Any("err", err))
 }
 
 type reqInfoKey struct{}
@@ -246,7 +267,7 @@ func (s *Server) instrument(w http.ResponseWriter, r *http.Request) {
 	t.inFlight.Add(1)
 	defer t.inFlight.Add(-1)
 
-	ri := &reqInfo{}
+	ri := &reqInfo{id: id}
 	r = r.WithContext(contextWithReqInfo(r, ri))
 	w.Header().Set("X-Request-Id", fmt.Sprintf("%d", id))
 	sw := &statusWriter{ResponseWriter: w}
@@ -260,7 +281,7 @@ func (s *Server) instrument(w http.ResponseWriter, r *http.Request) {
 	if sw.code == 0 {
 		sw.code = http.StatusOK
 	}
-	fingerprint, trace := ri.get()
+	fingerprint, trace, aborted, rows := ri.get()
 	attrs := []any{
 		slog.Int64("req_id", id),
 		slog.String("method", r.Method),
@@ -271,6 +292,9 @@ func (s *Server) instrument(w http.ResponseWriter, r *http.Request) {
 	}
 	if fingerprint != "" {
 		attrs = append(attrs, slog.String("fingerprint", fingerprint))
+	}
+	if aborted {
+		attrs = append(attrs, slog.Bool("aborted", true), slog.Int64("rows", rows))
 	}
 	t.logger.Debug("request", attrs...)
 	if t.slowMs > 0 && dur >= time.Duration(t.slowMs)*time.Millisecond {
