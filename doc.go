@@ -121,7 +121,11 @@
 // postings so even one-shot queries price the probe without build
 // cost; MutableDataset.SetAttrFields maintains generation-tagged
 // postings incrementally across mutations, so live snapshots probe
-// without rebuilding. Typed predicates render canonically
+// without rebuilding: a partition allocates one entry per record
+// version and files it under every field, and each field keeps its
+// distinct values in order in chunks of at most 64 behind a directory,
+// so an insert is two binary searches and a shift inside one chunk
+// however large the partition. Typed predicates render canonically
 // (fare>f:40; IN sets sorted and deduplicated) and therefore
 // fingerprint and result-cache — opaque FilterValues closures are
 // refused with the offending operator's position in the chain. The
@@ -249,7 +253,8 @@
 // dead entries outweigh live ones, invisibly to pinned snapshots.
 // The server exposes the whole lifecycle over HTTP: register with
 // "mutable": true, POST NDJSON mutation batches to /api/v1/ingest
-// (one request = one atomic batch = one generation; a bad line
+// (one request = one atomic batch = one generation; a bad line,
+// which includes one holding anything after its one JSON object,
 // rejects the whole batch), DELETE single records by ID, and read
 // generation-fresh statistics from the catalog endpoints. The
 // `mutation` bench experiment measures ingest throughput, the

@@ -1,25 +1,26 @@
 package live
 
-// Generation-tagged attribute postings for mutable datasets. Each
-// partition keeps, per registered field, the distinct field values
-// sorted ascending with the list of entries carrying each value —
-// the mutable counterpart of attr.Index. Entries carry the same
-// addGen/delGen tags as the tree entries, so a snapshot pinned at
-// generation g probes exactly the records it would see scanning:
-// inserts from later batches are invisible, deletes from later
-// batches still show.
+// Generation-tagged attribute postings for mutable datasets — the
+// mutable counterpart of attr.Index. A partition allocates one entry
+// per record version and files that one pointer under every registered
+// field; each field keeps its distinct values in ascending order, cut
+// into bounded chunks behind a directory, so a new value shifts one
+// chunk and never the partition. Entries carry the same addGen/delGen
+// tags as the tree entries, so a snapshot pinned at generation g probes
+// exactly the records it would see scanning: inserts from later
+// batches are invisible, deletes from later batches still show.
 //
 // Concurrency follows the tree's contract: one writer at a time
-// (serialised by the dataset mutex) mutates in place — appends an
-// entry, tombstones one — under the partition's write latch, readers
-// probe under the read latch. Tombstone space is reclaimed by
-// rebuilding a partition's postings wholesale and swapping the
-// pointer into the writer's working set; published views keep the old
-// object, so pinned snapshots never lose a tombstoned entry they can
-// still see.
+// (serialised by the dataset mutex) mutates in place — files an entry,
+// tombstones one — under the partition's write latch, readers probe
+// under the read latch. Tombstone space is reclaimed by rebuilding a
+// partition's postings wholesale and swapping the pointer into the
+// writer's working set; published views keep the old object, so pinned
+// snapshots never lose a tombstoned entry they can still see.
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -28,7 +29,9 @@ import (
 	"stark/internal/stobject"
 )
 
-// postEntry is one record's appearance in a field's postings list.
+// postEntry is one record version. An insert allocates exactly one
+// and hands the pointer to the postings of every registered field, so
+// a version is tombstoned once however many fields index it.
 type postEntry[V any] struct {
 	id     int64
 	key    stobject.STObject
@@ -41,88 +44,128 @@ func (e *postEntry[V]) visibleAt(gen uint64) bool {
 	return e.addGen <= gen && (e.delGen == 0 || e.delGen > gen)
 }
 
-// fieldPostings is one partition's postings over one field. byID is
-// writer-only; everything else is read under the owning partAttrs
-// latch.
+// chunkCap bounds a chunk of a field's postings. An insert shifts at
+// most one chunk, so the constant trades the bytes moved per new value
+// against the length of the directory searched first.
+const chunkCap = 64
+
+// slot is one distinct field value with the entries carrying it, in
+// insertion order.
+type slot[V any] struct {
+	val  attr.Value
+	list []*postEntry[V]
+}
+
+// fieldPostings is one partition's postings over one field: the
+// distinct values in ascending order, cut into chunks of at most
+// chunkCap slots. A lookup binary-searches the chunks by their last
+// value and then the chunk it lands in; a new value shifts only that
+// chunk, and a chunk that overflows splits in half. Chunks are never
+// empty: values leave only when attrVacuum rebuilds the partition.
 type fieldPostings[V any] struct {
-	field string
-	get   func(V) attr.Value
-	vals  []attr.Value        // distinct values, sorted ascending
-	lists [][]*postEntry[V]   // lists[i] holds the entries valued vals[i]
-	byID  map[int64]*postEntry[V]
-	live  int
-	dead  int
+	field  string
+	get    func(V) attr.Value
+	chunks [][]slot[V]
 }
 
-func newFieldPostings[V any](f attr.Field[V]) *fieldPostings[V] {
-	return &fieldPostings[V]{field: f.Name, get: f.Get, byID: make(map[int64]*postEntry[V])}
-}
+// pos addresses a slot: chunk c, slot i within it. The position one
+// past the last slot is {len(chunks), 0}.
+type pos struct{ c, i int }
 
-func (fp *fieldPostings[V]) firstGE(v attr.Value) int {
-	return sort.Search(len(fp.vals), func(i int) bool { return fp.vals[i].Compare(v) >= 0 })
-}
+func (fp *fieldPostings[V]) end() pos { return pos{len(fp.chunks), 0} }
 
-func (fp *fieldPostings[V]) firstGT(v attr.Value) int {
-	return sort.Search(len(fp.vals), func(i int) bool { return fp.vals[i].Compare(v) > 0 })
-}
-
-// insert files one record under its field value, creating the value's
-// list when it is new.
-func (fp *fieldPostings[V]) insert(id int64, key stobject.STObject, val V, gen uint64) {
-	v := fp.get(val)
-	e := &postEntry[V]{id: id, key: key, val: val, addGen: gen}
-	i := fp.firstGE(v)
-	if i < len(fp.vals) && fp.vals[i].Compare(v) == 0 {
-		fp.lists[i] = append(fp.lists[i], e)
-	} else {
-		fp.vals = append(fp.vals, attr.Value{})
-		copy(fp.vals[i+1:], fp.vals[i:])
-		fp.vals[i] = v
-		fp.lists = append(fp.lists, nil)
-		copy(fp.lists[i+1:], fp.lists[i:])
-		fp.lists[i] = []*postEntry[V]{e}
+// seek returns the position of the first value >= v, or of the first
+// value > v when strict.
+func (fp *fieldPostings[V]) seek(v attr.Value, strict bool) pos {
+	past := func(x attr.Value) bool {
+		c := x.Compare(v)
+		return c > 0 || (c == 0 && !strict)
 	}
-	fp.byID[id] = e
-	fp.live++
+	c := sort.Search(len(fp.chunks), func(c int) bool {
+		ch := fp.chunks[c]
+		return past(ch[len(ch)-1].val)
+	})
+	if c == len(fp.chunks) {
+		return fp.end()
+	}
+	ch := fp.chunks[c]
+	return pos{c, sort.Search(len(ch), func(i int) bool { return past(ch[i].val) })}
 }
 
-// tombstone marks the live entry with the given ID deleted at gen.
-func (fp *fieldPostings[V]) tombstone(id int64, gen uint64) {
-	e, ok := fp.byID[id]
-	if !ok {
+// insert files e under its field value, creating the value's slot when
+// it is new.
+func (fp *fieldPostings[V]) insert(e *postEntry[V]) {
+	v := fp.get(e.val)
+	at := fp.seek(v, false)
+	if at.c == len(fp.chunks) {
+		// Greater than every value held: extend the last chunk.
+		if at.c == 0 {
+			fp.chunks = append(fp.chunks, make([]slot[V], 0, chunkCap+1))
+		}
+		at.c = len(fp.chunks) - 1
+		at.i = len(fp.chunks[at.c])
+	} else if s := &fp.chunks[at.c][at.i]; s.val.Compare(v) == 0 {
+		s.list = append(s.list, e)
 		return
 	}
-	e.delGen = gen
-	delete(fp.byID, id)
-	fp.live--
-	fp.dead++
+	ch := slices.Insert(fp.chunks[at.c], at.i, slot[V]{val: v, list: []*postEntry[V]{e}})
+	if len(ch) > chunkCap {
+		mid := len(ch) / 2
+		upper := make([]slot[V], len(ch)-mid, chunkCap+1)
+		copy(upper, ch[mid:])
+		clear(ch[mid:])
+		ch = ch[:mid]
+		fp.chunks = slices.Insert(fp.chunks, at.c+1, upper)
+	}
+	fp.chunks[at.c] = ch
 }
 
-// spans resolves p to half-open ranges over the sorted distinct
+// spans resolves p to half-open position ranges over the ordered
 // values, one per OpIn set member, at most one otherwise.
-func (fp *fieldPostings[V]) spans(p attr.Pred) [][2]int {
-	n := len(fp.vals)
+func (fp *fieldPostings[V]) spans(p attr.Pred) [][2]pos {
+	first, end := pos{}, fp.end()
 	switch p.Op {
 	case attr.OpEq:
-		return [][2]int{{fp.firstGE(p.Lo), fp.firstGT(p.Lo)}}
+		return [][2]pos{{fp.seek(p.Lo, false), fp.seek(p.Lo, true)}}
 	case attr.OpLt:
-		return [][2]int{{0, fp.firstGE(p.Lo)}}
+		return [][2]pos{{first, fp.seek(p.Lo, false)}}
 	case attr.OpLe:
-		return [][2]int{{0, fp.firstGT(p.Lo)}}
+		return [][2]pos{{first, fp.seek(p.Lo, true)}}
 	case attr.OpGt:
-		return [][2]int{{fp.firstGT(p.Lo), n}}
+		return [][2]pos{{fp.seek(p.Lo, true), end}}
 	case attr.OpGe:
-		return [][2]int{{fp.firstGE(p.Lo), n}}
+		return [][2]pos{{fp.seek(p.Lo, false), end}}
 	case attr.OpBetween:
-		return [][2]int{{fp.firstGE(p.Lo), fp.firstGT(p.Hi)}}
+		return [][2]pos{{fp.seek(p.Lo, false), fp.seek(p.Hi, true)}}
 	case attr.OpIn:
-		spans := make([][2]int, 0, len(p.Set))
+		spans := make([][2]pos, 0, len(p.Set))
 		for _, v := range p.Set {
-			spans = append(spans, [2]int{fp.firstGE(v), fp.firstGT(v)})
+			spans = append(spans, [2]pos{fp.seek(v, false), fp.seek(v, true)})
 		}
 		return spans
 	}
 	return nil
+}
+
+// walk streams the slots of [from, to) in value order, stopping early
+// when yield returns false.
+func (fp *fieldPostings[V]) walk(from, to pos, yield func(s *slot[V]) bool) bool {
+	for c := from.c; c < len(fp.chunks) && c <= to.c; c++ {
+		ch := fp.chunks[c]
+		lo, hi := 0, len(ch)
+		if c == from.c {
+			lo = from.i
+		}
+		if c == to.c {
+			hi = to.i
+		}
+		for i := lo; i < hi; i++ {
+			if !yield(&ch[i]) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // probe streams every entry matching p and visible at gen, returning
@@ -131,73 +174,173 @@ func (fp *fieldPostings[V]) spans(p attr.Pred) [][2]int {
 func (fp *fieldPostings[V]) probe(p attr.Pred, gen uint64, yield func(e *postEntry[V]) bool) int {
 	candidates := 0
 	for _, sp := range fp.spans(p) {
-		for _, list := range fp.lists[sp[0]:sp[1]] {
-			candidates += len(list)
-			for _, e := range list {
-				if !e.visibleAt(gen) {
-					continue
-				}
-				if !yield(e) {
-					return candidates
+		more := fp.walk(sp[0], sp[1], func(s *slot[V]) bool {
+			candidates += len(s.list)
+			for _, e := range s.list {
+				if e.visibleAt(gen) && !yield(e) {
+					return false
 				}
 			}
+			return true
+		})
+		if !more {
+			break
 		}
 	}
 	return candidates
 }
 
-// rebuild returns fresh postings holding only the live entries.
-func (fp *fieldPostings[V]) rebuild(f attr.Field[V]) *fieldPostings[V] {
-	nf := newFieldPostings(f)
-	for _, list := range fp.lists {
-		for _, e := range list {
-			if e.delGen == 0 {
-				nf.insert(e.id, e.key, e.val, e.addGen)
+// partAttrs holds one partition's postings behind a read-write latch.
+// The single writer mutates under the write latch; snapshot probes
+// read under the read latch; generation tags keep pinned reads
+// repeatable despite the shared structure. fields itself — which
+// fields exist, in registration order — is immutable once the
+// partAttrs is published (SetAttrFields and attrVacuum build a new
+// one), so it is read without the latch. byID, live and dead are
+// writer-only.
+type partAttrs[V any] struct {
+	mu     sync.RWMutex
+	fields []*fieldPostings[V]
+	byID   map[int64]*postEntry[V] // the live version of each record
+	live   int
+	dead   int // tombstones awaiting vacuum
+}
+
+func newPartAttrs[V any](fields []attr.Field[V]) *partAttrs[V] {
+	pa := &partAttrs[V]{byID: make(map[int64]*postEntry[V])}
+	for _, f := range fields {
+		pa.fields = append(pa.fields, &fieldPostings[V]{field: f.Name, get: f.Get})
+	}
+	return pa
+}
+
+// field returns the postings of the named field, nil when it is not
+// registered.
+func (pa *partAttrs[V]) field(name string) *fieldPostings[V] {
+	for _, fp := range pa.fields {
+		if fp.field == name {
+			return fp
+		}
+	}
+	return nil
+}
+
+// insert files one record version under every field. The writer calls
+// it under the write latch once the partAttrs is published.
+func (pa *partAttrs[V]) insert(id int64, key stobject.STObject, val V, gen uint64) {
+	e := &postEntry[V]{id: id, key: key, val: val, addGen: gen}
+	for _, fp := range pa.fields {
+		fp.insert(e)
+	}
+	pa.byID[id] = e
+	pa.live++
+}
+
+// tombstone marks the live version of id deleted at gen.
+func (pa *partAttrs[V]) tombstone(id int64, gen uint64) {
+	e, ok := pa.byID[id]
+	if !ok {
+		return
+	}
+	e.delGen = gen
+	delete(pa.byID, id)
+	pa.live--
+	pa.dead++
+}
+
+// check verifies the structure against its own invariants and against
+// the partition's tree: chunks non-empty and within capacity, values
+// strictly ascending across the whole field, every entry filed under
+// the value its payload projects to, every live entry the one byID
+// holds and present exactly once per field, tombstones stamped after
+// their insert, live and dead equal to what a walk counts, and the
+// live ids equal to the tree's. Writer-side (caller holds d.mu); cheap
+// enough to run after every batch of a test.
+func (pa *partAttrs[V]) check(t *tree[V]) error {
+	if pa.live != len(pa.byID) {
+		return fmt.Errorf("live = %d, byID holds %d", pa.live, len(pa.byID))
+	}
+	if pa.live != t.live || len(t.owners) != t.live {
+		return fmt.Errorf("postings live = %d, tree live = %d with %d owners", pa.live, t.live, len(t.owners))
+	}
+	for id := range pa.byID {
+		if _, ok := t.owners[id]; !ok {
+			return fmt.Errorf("id %d live in the postings, not in the tree", id)
+		}
+	}
+	for _, fp := range pa.fields {
+		if err := fp.check(pa); err != nil {
+			return fmt.Errorf("field %q: %w", fp.field, err)
+		}
+	}
+	return nil
+}
+
+func (fp *fieldPostings[V]) check(pa *partAttrs[V]) error {
+	var prev *attr.Value
+	live := make(map[*postEntry[V]]struct{}, pa.live)
+	dead := 0
+	for c, ch := range fp.chunks {
+		if len(ch) == 0 || len(ch) > chunkCap {
+			return fmt.Errorf("chunk %d of %d holds %d slots (capacity %d)", c, len(fp.chunks), len(ch), chunkCap)
+		}
+		for i := range ch {
+			s := &ch[i]
+			if prev != nil && prev.Compare(s.val) >= 0 {
+				return fmt.Errorf("chunk %d slot %d: %s does not ascend from %s", c, i, s.val, *prev)
+			}
+			prev = &s.val
+			if len(s.list) == 0 {
+				return fmt.Errorf("chunk %d slot %d: %s has no entries", c, i, s.val)
+			}
+			for _, e := range s.list {
+				if v := fp.get(e.val); v.Compare(s.val) != 0 {
+					return fmt.Errorf("id %d valued %s filed under %s", e.id, v, s.val)
+				}
+				switch {
+				case e.delGen != 0 && e.addGen >= e.delGen:
+					return fmt.Errorf("id %d: added at %d, tombstoned at %d", e.id, e.addGen, e.delGen)
+				case e.delGen != 0:
+					dead++
+				case pa.byID[e.id] != e:
+					return fmt.Errorf("id %d: live entry is not the one byID holds", e.id)
+				default:
+					if _, twice := live[e]; twice {
+						return fmt.Errorf("id %d filed twice", e.id)
+					}
+					live[e] = struct{}{}
+				}
 			}
 		}
 	}
-	return nf
-}
-
-// partAttrs holds one partition's field postings behind a read-write
-// latch. The single writer mutates under the write latch; snapshot
-// probes read under the read latch; generation tags keep pinned reads
-// repeatable despite the shared structure.
-type partAttrs[V any] struct {
-	mu     sync.RWMutex
-	fields map[string]*fieldPostings[V]
+	if len(live) != pa.live || dead != pa.dead {
+		return fmt.Errorf("walk counts %d live, %d dead; counters say %d, %d", len(live), dead, pa.live, pa.dead)
+	}
+	return nil
 }
 
 // ---- Dataset writer side (caller holds d.mu) ----
 
 // SetAttrFields registers the payload fields whose postings the
-// dataset maintains across batches, backfilling them from the records
-// already live. Calling it again replaces the field set (existing
-// fields keep their postings; removed ones are dropped; new ones are
-// backfilled). Snapshots taken before the call do not see the new
-// fields — their probes fall back to scans.
+// dataset maintains across batches, building them from the records
+// already live. Calling it again replaces the field set; an empty set
+// drops the postings. Snapshots taken before the call do not see the
+// new fields — their probes fall back to scans.
 func (d *Dataset[V]) SetAttrFields(fields []attr.Field[V]) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.attrFields = append([]attr.Field[V](nil), fields...)
 	gen := d.view.Load().gen
-	for p := range d.trees {
-		old := d.attrs[p]
-		pa := &partAttrs[V]{fields: make(map[string]*fieldPostings[V], len(fields))}
-		for _, f := range fields {
-			if old != nil {
-				if fp, ok := old.fields[f.Name]; ok {
-					pa.fields[f.Name] = fp
-					continue
-				}
-			}
-			fp := newFieldPostings(f)
-			d.trees[p].search(everything, gen, true, func(e Entry[V]) bool {
-				fp.insert(e.ID, e.Key, e.Value, e.addGen)
-				return true
-			})
-			pa.fields[f.Name] = fp
+	for p, t := range d.trees {
+		if len(fields) == 0 {
+			d.attrs[p] = nil
+			continue
 		}
+		pa := newPartAttrs(fields)
+		t.search(everything, gen, true, func(e Entry[V]) bool {
+			pa.insert(e.ID, e.Key, e.Value, e.addGen)
+			return true
+		})
 		d.attrs[p] = pa
 	}
 	d.publish(gen)
@@ -211,9 +354,7 @@ func (d *Dataset[V]) attrInsert(p int, rec Record[V], gen uint64) {
 		return
 	}
 	pa.mu.Lock()
-	for _, fp := range pa.fields {
-		fp.insert(rec.ID, rec.Key, rec.Value, gen)
-	}
+	pa.insert(rec.ID, rec.Key, rec.Value, gen)
 	pa.mu.Unlock()
 }
 
@@ -224,37 +365,31 @@ func (d *Dataset[V]) attrDelete(p int, id int64, gen uint64) {
 		return
 	}
 	pa.mu.Lock()
-	for _, fp := range pa.fields {
-		fp.tombstone(id, gen)
-	}
+	pa.tombstone(id, gen)
 	pa.mu.Unlock()
 }
 
 // attrVacuum rebuilds partitions whose postings carry more tombstones
 // than live entries (past the shared floor), pointer-swapping the new
 // object into the writer's working set so pinned snapshots keep the
-// old one.
+// old one. Live versions are re-allocated, not shared: the old object
+// stays readable under its own latch.
 func (d *Dataset[V]) attrVacuum() {
 	for p, pa := range d.attrs {
-		if pa == nil {
+		if pa == nil || pa.dead < vacuumFloor || pa.dead <= pa.live {
 			continue
 		}
-		needs := false
-		for _, fp := range pa.fields {
-			if fp.dead >= vacuumFloor && fp.dead > fp.live {
-				needs = true
-				break
+		np := newPartAttrs(d.attrFields)
+		// Every field files the same entries; the first lends its order.
+		fp := pa.fields[0]
+		fp.walk(pos{}, fp.end(), func(s *slot[V]) bool {
+			for _, e := range s.list {
+				if e.delGen == 0 {
+					np.insert(e.id, e.key, e.val, e.addGen)
+				}
 			}
-		}
-		if !needs {
-			continue
-		}
-		np := &partAttrs[V]{fields: make(map[string]*fieldPostings[V], len(pa.fields))}
-		for _, f := range d.attrFields {
-			if fp, ok := pa.fields[f.Name]; ok {
-				np.fields[f.Name] = fp.rebuild(f)
-			}
-		}
+			return true
+		})
 		d.attrs[p] = np
 	}
 }
@@ -265,13 +400,7 @@ func (d *Dataset[V]) attrVacuum() {
 // the named field.
 func (s *Snapshot[V]) HasAttrField(name string) bool {
 	for _, pa := range s.v.attrs {
-		if pa == nil {
-			return false
-		}
-		pa.mu.RLock()
-		_, ok := pa.fields[name]
-		pa.mu.RUnlock()
-		if !ok {
+		if pa == nil || pa.field(name) == nil {
 			return false
 		}
 	}
@@ -305,16 +434,15 @@ func (s *Snapshot[V]) AttrProbeRecorder(
 		if pa == nil {
 			return fmt.Errorf("live: no attribute postings for partition %d (SetAttrFields first)", part)
 		}
-		pa.mu.RLock()
-		fp, ok := pa.fields[p.Field]
-		if !ok {
-			pa.mu.RUnlock()
+		fp := pa.field(p.Field)
+		if fp == nil {
 			return fmt.Errorf("live: no attribute postings for field %q (SetAttrFields first)", p.Field)
 		}
 		// Candidates are copied out under the read latch; refinement
 		// runs on the copies so arbitrary predicate work never holds
 		// the latch.
 		var cands []engine.Pair[stobject.STObject, V]
+		pa.mu.RLock()
 		candidates := fp.probe(p, v.gen, func(e *postEntry[V]) bool {
 			cands = append(cands, engine.NewPair(e.key, e.val))
 			return true

@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -55,8 +56,10 @@ type mutationLine struct {
 // decodeMutation parses one NDJSON line into a live mutation op. It
 // is the ingest decoder's trust boundary — everything after it deals
 // in validated ops — and the fuzz target FuzzDecodeMutation holds it
-// to: never panic, and never emit an op with an empty geometry unless
-// the op is a delete.
+// to: never panic, never emit an op with an empty geometry unless the
+// op is a delete, and never accept a line that holds anything after
+// its one JSON value (a second mutation there would be dropped while
+// the batch answers 200).
 func decodeMutation(line []byte) (stark.LiveOp[workload.Event], error) {
 	var zero stark.LiveOp[workload.Event]
 	var m mutationLine
@@ -64,6 +67,9 @@ func decodeMutation(line []byte) (stark.LiveOp[workload.Event], error) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&m); err != nil {
 		return zero, fmt.Errorf("bad JSON: %v", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return zero, errors.New("trailing data")
 	}
 	return m.toOp()
 }

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -134,20 +136,26 @@ func TestIngestRejectsAndLimits(t *testing.T) {
 	for name, tc := range map[string]struct {
 		body string
 		code int
+		msg  string // expected in the error text, when set
 	}{
-		"malformed JSON":      {`{"op":"insert","id":1`, http.StatusBadRequest},
-		"missing id":          {`{"op":"insert","wkt":"POINT (1 1)"}`, http.StatusBadRequest},
-		"bad wkt":             {`{"op":"insert","id":99,"wkt":"POINT (a b)"}`, http.StatusBadRequest},
-		"unknown op":          {`{"op":"replace","id":99,"wkt":"POINT (1 1)"}`, http.StatusBadRequest},
-		"insert of live id":   {`{"op":"insert","id":0,"wkt":"POINT (1 1)"}`, http.StatusBadRequest},
-		"duplicate in batch":  {"{\"id\":70,\"wkt\":\"POINT (1 1)\"}\n{\"id\":70,\"wkt\":\"POINT (2 2)\"}", http.StatusBadRequest},
-		"delete with payload": {`{"op":"delete","id":0,"wkt":"POINT (1 1)"}`, http.StatusBadRequest},
-		"empty batch":         {"\n\n", http.StatusBadRequest},
-		"oversized line":      {`{"op":"insert","id":99,"category":"` + strings.Repeat("x", maxIngestLineBytes) + `"}`, http.StatusRequestEntityTooLarge},
+		"malformed JSON":      {`{"op":"insert","id":1`, http.StatusBadRequest, ""},
+		"missing id":          {`{"op":"insert","wkt":"POINT (1 1)"}`, http.StatusBadRequest, ""},
+		"bad wkt":             {`{"op":"insert","id":99,"wkt":"POINT (a b)"}`, http.StatusBadRequest, ""},
+		"unknown op":          {`{"op":"replace","id":99,"wkt":"POINT (1 1)"}`, http.StatusBadRequest, ""},
+		"insert of live id":   {`{"op":"insert","id":0,"wkt":"POINT (1 1)"}`, http.StatusBadRequest, ""},
+		"duplicate in batch":  {"{\"id\":70,\"wkt\":\"POINT (1 1)\"}\n{\"id\":70,\"wkt\":\"POINT (2 2)\"}", http.StatusBadRequest, ""},
+		"delete with payload": {`{"op":"delete","id":0,"wkt":"POINT (1 1)"}`, http.StatusBadRequest, ""},
+		"two ops on one line": {"{\"op\":\"delete\",\"id\":3}\n" + `{"op":"delete","id":1}{"op":"delete","id":2}`, http.StatusBadRequest, "line 2: trailing data (batch rejected, nothing applied)"},
+		"junk after the op":   {`{"op":"delete","id":1} x`, http.StatusBadRequest, "line 1: trailing data (batch rejected, nothing applied)"},
+		"empty batch":         {"\n\n", http.StatusBadRequest, ""},
+		"oversized line":      {`{"op":"insert","id":99,"category":"` + strings.Repeat("x", maxIngestLineBytes) + `"}`, http.StatusRequestEntityTooLarge, ""},
 	} {
 		rec := ingestNDJSON(t, s, "", tc.body)
 		if rec.Code != tc.code {
 			t.Errorf("%s: status = %d, want %d (%s)", name, rec.Code, tc.code, rec.Body.String())
+		}
+		if !strings.Contains(rec.Body.String(), tc.msg) {
+			t.Errorf("%s: error %s does not say %q", name, rec.Body.String(), tc.msg)
 		}
 	}
 	if g := entry.mds.Generation(); g != genBefore {
@@ -452,8 +460,8 @@ func seedEventsRange(lo, hi int) []workload.Event {
 
 // FuzzDecodeMutation holds the ingest decoder to its contract: never
 // panic on arbitrary input, and never emit a malformed op — a nil
-// error means a well-formed kind, and a non-delete op carries a
-// non-empty geometry.
+// error means a well-formed kind, a non-delete op carries a non-empty
+// geometry, and the line held exactly one JSON value.
 func FuzzDecodeMutation(f *testing.F) {
 	f.Add([]byte(`{"op":"insert","id":1,"category":"a","time":5,"wkt":"POINT (1 2)"}`))
 	f.Add([]byte(`{"op":"upsert","id":-9223372036854775808,"wkt":"POINT (0 0)"}`))
@@ -466,10 +474,20 @@ func FuzzDecodeMutation(f *testing.F) {
 	f.Add([]byte(``))
 	f.Add([]byte(`{"id":1e400}`))
 	f.Add([]byte(`{"id":1,"wkt":"POINT (1 2)","extra":true}`))
+	f.Add([]byte(`{"op":"delete","id":1}{"op":"delete","id":2}`))
+	f.Add([]byte(`{"op":"delete","id":1} ]`))
 	f.Fuzz(func(t *testing.T, line []byte) {
 		op, err := decodeMutation(line)
 		if err != nil {
 			return
+		}
+		dec := json.NewDecoder(bytes.NewReader(line))
+		var v json.RawMessage
+		if err := dec.Decode(&v); err != nil {
+			t.Fatalf("accepted %q, which is not JSON: %v", line, err)
+		}
+		if err := dec.Decode(&v); err != io.EOF {
+			t.Fatalf("accepted %q, which holds more than one JSON value", line)
 		}
 		switch op.Kind {
 		case live.OpDelete:
