@@ -59,24 +59,44 @@ type state[V any] struct {
 	// base is the EXPLAIN lineage of everything below the pending
 	// filters.
 	base *plan.Node
-	// liveProbe, when set, probes the concurrent R-link trees of a
-	// mutable-dataset snapshot (see MutableDataset.Snapshot): the
-	// planner treats the chain as already indexed and answers filters
-	// straight from the live trees instead of building a transient
-	// R-tree over the streamed rows. It describes the UNFILTERED
-	// snapshot, so flush drops it as soon as a predicate is folded
-	// into the lineage. The refine callback sees the payload too, so
-	// typed attribute predicates can refine candidates inline.
-	liveProbe func(rec *engine.Recorder, pruneEnv geom.Envelope, refine func(key STObject, v V) bool, visit []int) ([]Tuple[V], error)
-	// liveAttrProbe, when set, answers an attribute-first probe from
-	// the generation-tagged field postings a mutable dataset maintains
-	// across mutation batches. Like liveProbe it describes the
-	// unfiltered snapshot and is dropped by flush.
-	liveAttrProbe func(rec *engine.Recorder, pred attr.Pred, refine func(key STObject, v V) bool, visit []int) ([]Tuple[V], error)
-	// liveAttrHas reports whether the snapshot maintains postings for
-	// a field; the planner treats fields it returns false for as
-	// unindexed and compileAttr falls back to the sidecar build.
-	liveAttrHas func(field string) bool
+	// live, when set, fills in the probe source from the concurrent
+	// R-link trees and generation-tagged postings of a mutable-dataset
+	// snapshot (see MutableDataset.Snapshot) instead of from sds and
+	// idx. It describes the UNFILTERED snapshot, so flush drops it as
+	// soon as a predicate is folded into the lineage.
+	live func(rec *engine.Recorder) probeSource[V]
+}
+
+// probeSource is the index side of a chain as compile sees it,
+// whatever holds it: per-partition trees to probe with an envelope and
+// per-partition postings to enumerate by attribute value. Both probes
+// are lazy streams over the dataset's own partitions; keep sees the
+// whole record, so the exact spatial predicates and the typed
+// attribute checks refine candidates in one pass.
+type probeSource[V any] struct {
+	// trees is nil while no partition trees exist; the planner then
+	// prices building them.
+	trees func(env geom.Envelope, keep func(Tuple[V]) bool) *engine.Dataset[Tuple[V]]
+	// hasPostings reports whether postings over the field exist
+	// already; the planner prices building the others, which postings
+	// does in the dataset's sidecar on first use.
+	hasPostings func(field string) bool
+	postings    func(first attr.Pred, keep func(Tuple[V]) bool) (*engine.Dataset[Tuple[V]], error)
+}
+
+// source returns the chain's probe source, charging probes to rec: the
+// one a live snapshot fills in, or the partition trees of idx and the
+// sidecar postings of sds (both already recorder views, see
+// withRecorder).
+func (st *state[V]) source(rec *engine.Recorder) probeSource[V] {
+	if st.live != nil {
+		return st.live(rec)
+	}
+	src := probeSource[V]{hasPostings: st.sds.HasAttrIndex, postings: st.sds.AttrFilter}
+	if st.idx != nil {
+		src.trees = st.idx.Probe
+	}
+	return src
 }
 
 // withRecorder returns the state with recorder views of its spatial
@@ -230,11 +250,7 @@ func (d *Dataset[V]) PartitionBy(p Partitioner) *Dataset[V] {
 		collected := false
 		sp, err := p.build(func() ([]STObject, error) {
 			var err error
-			if visit, ok := st.prunedVisit(d.ctx.Recorder()); ok {
-				rows, err = st.sds.Dataset().CollectPartitions(visit)
-			} else {
-				rows, err = st.sds.Collect()
-			}
+			rows, err = st.sds.Dataset().CollectPartitions(st.prunedVisit(d.ctx.Recorder()))
 			if err != nil {
 				return nil, err
 			}
@@ -413,19 +429,18 @@ func vertexCount(g Geometry) int {
 // flush folds the pending scan filters into the lineage in caller
 // order — the pre-planner execution strategy, used by every consumer
 // that needs the concrete filtered dataset (repartitioning, payload
-// transforms, joins, clustering) rather than a plannable scan. An
-// existing index is probed eagerly, exactly as Where executed before
-// the planner existed.
+// transforms, joins, clustering) rather than a plannable scan. Those
+// consumers read the result more than once, so an existing index is
+// probed here and the rows kept (core's Filter: the lazy probe,
+// collected over the partitions the envelope touches).
 func (st state[V]) flush(ctx *Context) (state[V], error) {
 	pending := st.pending
 	st.pending = nil
 	if len(pending) > 0 {
-		// The probe hooks describe the unfiltered snapshot; once a
-		// predicate folds into the lineage they would answer with too
+		// The live probe source describes the unfiltered snapshot; once
+		// a predicate folds into the lineage it would answer with too
 		// many rows.
-		st.liveProbe = nil
-		st.liveAttrProbe = nil
-		st.liveAttrHas = nil
+		st.live = nil
 	}
 	for _, p := range pending {
 		if p.attr != nil {
@@ -649,88 +664,86 @@ func (st *state[V]) enumerateViaIndex() bool {
 }
 
 // prunedVisit returns the partitions an action must visit once the
-// pending filter envelopes are applied, or ok=false when no pruning
+// pending filter envelopes are applied: all of them when no pruning
 // applies.
-func (st *state[V]) prunedVisit(rec *engine.Recorder) (visit []int, ok bool) {
-	sp := st.sds.Partitioner()
-	if sp == nil || len(st.pruneEnvs) == 0 {
-		return nil, false
+func (st *state[V]) prunedVisit(rec *engine.Recorder) []int {
+	visit := engine.AllPartitions(st.sds.NumPartitions())
+	if sp := st.sds.Partitioner(); sp != nil && len(st.pruneEnvs) > 0 {
+		visit = touching(sp, visit, st.pruneEnvs)
+		if pruned := st.sds.NumPartitions() - len(visit); pruned > 0 {
+			rec.TasksSkipped(int64(pruned))
+		}
 	}
-	n := st.sds.NumPartitions()
-	for i := 0; i < n; i++ {
-		ext := sp.Extent(i)
+	return visit
+}
+
+// touching returns the partitions of visit whose extent intersects
+// every one of envs: a partition whose extent misses a filter's
+// pruning envelope cannot contribute to the result.
+func touching(sp SpatialPartitioner, visit []int, envs []geom.Envelope) []int {
+	kept := make([]int, 0, len(visit))
+	for _, p := range visit {
+		ext := sp.Extent(p)
 		hit := true
-		for _, env := range st.pruneEnvs {
+		for _, env := range envs {
 			if !ext.Intersects(env) {
 				hit = false
 				break
 			}
 		}
 		if hit {
-			visit = append(visit, i)
+			kept = append(kept, p)
 		}
 	}
-	if pruned := n - len(visit); pruned > 0 {
-		rec.TasksSkipped(int64(pruned))
+	return kept
+}
+
+// runPhase is the one way an action executes: it compiles the chain
+// (once per Dataset), hands the engine dataset and the partitions to
+// visit to run, and records the phase under name with the rows run
+// reports.
+func (d *Dataset[V]) runPhase(name string, run func(ds *engine.Dataset[Tuple[V]], visit []int) (int64, error)) error {
+	c, err := d.compiled()
+	if err != nil {
+		return err
 	}
-	return visit, true
+	m := d.beginPhase()
+	rows, err := run(c.ds, c.visit)
+	d.endPhase(name, m, rows)
+	return err
 }
 
 // Collect materialises the query result.
 func (d *Dataset[V]) Collect() ([]Tuple[V], error) {
-	c, err := d.compiled()
-	if err != nil {
-		return nil, err
-	}
-	m := d.beginPhase()
 	var out []Tuple[V]
-	if c.visit != nil {
-		out, err = c.ds.CollectPartitions(c.visit)
-	} else {
-		out, err = c.ds.Collect()
-	}
-	d.endPhase("collect", m, int64(len(out)))
+	err := d.runPhase("collect", func(ds *engine.Dataset[Tuple[V]], visit []int) (_ int64, err error) {
+		out, err = ds.CollectPartitions(visit)
+		return int64(len(out)), err
+	})
 	return out, err
 }
 
 // Count returns the number of result records.
 func (d *Dataset[V]) Count() (int64, error) {
-	c, err := d.compiled()
-	if err != nil {
-		return 0, err
-	}
-	m := d.beginPhase()
 	var n int64
-	if c.visit != nil {
-		n, err = c.ds.CountPartitions(c.visit)
-	} else {
-		n, err = c.ds.Count()
-	}
-	d.endPhase("count", m, n)
+	err := d.runPhase("count", func(ds *engine.Dataset[Tuple[V]], visit []int) (_ int64, err error) {
+		n, err = ds.CountPartitions(visit)
+		return n, err
+	})
 	return n, err
 }
 
 // Take returns up to n result records, scanning partitions in order.
-// The scan is fused and short-circuiting: partition pipelines stop
-// mid-stream once n records are gathered, partitions pruned by
-// pending filters are never touched, and later partitions are not
-// scheduled at all.
+// The scan is fused and short-circuiting: partition pipelines — index
+// probes included — stop mid-stream once n records are gathered,
+// partitions pruned by pending filters are never touched, and later
+// partitions are not scheduled at all.
 func (d *Dataset[V]) Take(n int) ([]Tuple[V], error) {
-	c, err := d.compiled()
-	if err != nil {
-		return nil, err
-	}
-	if n <= 0 {
-		return nil, nil
-	}
-	m := d.beginPhase()
 	var out []Tuple[V]
-	if c.visit != nil {
-		out, err = c.ds.TakePartitions(c.visit, n)
-	} else {
-		out, err = c.ds.Take(n)
-	}
-	d.endPhase("take", m, int64(len(out)))
+	err := d.runPhase("take", func(ds *engine.Dataset[Tuple[V]], visit []int) (_ int64, err error) {
+		out, err = ds.TakePartitions(visit, n)
+		return int64(len(out)), err
+	})
 	return out, err
 }
 
@@ -753,14 +766,12 @@ func (d *Dataset[V]) Exists(pred func(Tuple[V]) bool) (bool, error) {
 	if pred == nil {
 		return false, fmt.Errorf("stark: exists: nil predicate")
 	}
-	c, err := d.compiled()
-	if err != nil {
-		return false, err
-	}
-	if c.visit != nil {
-		return c.ds.ExistsPartitions(c.visit, pred)
-	}
-	return c.ds.Exists(pred)
+	var found bool
+	err := d.runPhase("exists", func(ds *engine.Dataset[Tuple[V]], visit []int) (_ int64, err error) {
+		found, err = ds.ExistsPartitions(visit, pred)
+		return 0, err
+	})
+	return found, err
 }
 
 // Reduce combines all result records with f, streaming each partition
@@ -768,18 +779,18 @@ func (d *Dataset[V]) Exists(pred func(Tuple[V]) bool) (bool, error) {
 // Pruned partitions are skipped. f must be associative and
 // commutative.
 func (d *Dataset[V]) Reduce(f func(a, b Tuple[V]) Tuple[V]) (Tuple[V], bool, error) {
-	var zero Tuple[V]
+	var (
+		acc Tuple[V]
+		ok  bool
+	)
 	if f == nil {
-		return zero, false, fmt.Errorf("stark: reduce: nil reducer")
+		return acc, false, fmt.Errorf("stark: reduce: nil reducer")
 	}
-	c, err := d.compiled()
-	if err != nil {
-		return zero, false, err
-	}
-	if c.visit != nil {
-		return c.ds.ReducePartitions(c.visit, f)
-	}
-	return c.ds.Reduce(f)
+	err := d.runPhase("reduce", func(ds *engine.Dataset[Tuple[V]], visit []int) (_ int64, err error) {
+		acc, ok, err = ds.ReducePartitions(visit, f)
+		return 0, err
+	})
+	return acc, ok, err
 }
 
 // Foreach runs fn on every result record, partition-parallel,
@@ -789,18 +800,9 @@ func (d *Dataset[V]) Foreach(fn func(Tuple[V])) error {
 	if fn == nil {
 		return fmt.Errorf("stark: foreach: nil fn")
 	}
-	c, err := d.compiled()
-	if err != nil {
-		return err
-	}
-	m := d.beginPhase()
-	if c.visit != nil {
-		err = c.ds.ForeachPartitions(c.visit, fn)
-	} else {
-		err = c.ds.Foreach(fn)
-	}
-	d.endPhase("foreach", m, 0)
-	return err
+	return d.runPhase("foreach", func(ds *engine.Dataset[Tuple[V]], visit []int) (int64, error) {
+		return 0, ds.ForeachPartitions(visit, fn)
+	})
 }
 
 // Stream drives every result record through fn sequentially, in
@@ -813,23 +815,13 @@ func (d *Dataset[V]) Stream(fn func(Tuple[V]) bool) error {
 	if fn == nil {
 		return fmt.Errorf("stark: stream: nil consumer")
 	}
-	c, err := d.compiled()
-	if err != nil {
-		return err
-	}
-	m := d.beginPhase()
-	var rows int64
-	counted := func(kv Tuple[V]) bool {
-		rows++
-		return fn(kv)
-	}
-	if c.visit != nil {
-		err = c.ds.StreamPartitions(c.visit, counted)
-	} else {
-		err = c.ds.Stream(counted)
-	}
-	d.endPhase("stream", m, rows)
-	return err
+	return d.runPhase("stream", func(ds *engine.Dataset[Tuple[V]], visit []int) (rows int64, err error) {
+		err = ds.StreamPartitions(visit, func(kv Tuple[V]) bool {
+			rows++
+			return fn(kv)
+		})
+		return rows, err
+	})
 }
 
 // StreamParallel is Stream with partition-parallel compute: rows
@@ -852,7 +844,7 @@ func (d *Dataset[V]) StreamParallelContext(ctx context.Context, fn func(Tuple[V]
 	if fn == nil {
 		return fmt.Errorf("stark: streamParallelContext: nil consumer")
 	}
-	return d.streamPhase(func(ds *engine.Dataset[Tuple[V]], visit []int) (rows int64, err error) {
+	return d.runPhase("stream", func(ds *engine.Dataset[Tuple[V]], visit []int) (rows int64, err error) {
 		err = ds.StreamPartitionsParallelContext(ctx, visit, 0, func(kv Tuple[V]) bool {
 			rows++
 			return fn(kv)
@@ -879,34 +871,13 @@ func (d *Dataset[V]) StreamEncodedContext(ctx context.Context,
 	if enc == nil || sink == nil {
 		return fmt.Errorf("stark: streamEncodedContext: nil encoder or consumer")
 	}
-	return d.streamPhase(func(ds *engine.Dataset[Tuple[V]], visit []int) (rows int64, err error) {
+	return d.runPhase("stream", func(ds *engine.Dataset[Tuple[V]], visit []int) (rows int64, err error) {
 		err = ds.StreamPartitionsEncodedContext(ctx, visit, 0, enc, func(chunk []byte, n int) bool {
 			rows += int64(n)
 			return sink(chunk, int64(n))
 		})
 		return rows, err
 	})
-}
-
-// streamPhase compiles the chain and hands its engine dataset and the
-// partitions to visit to run, one of the engine's windowed parallel
-// streams, recording the "stream" phase with the rows run delivered.
-func (d *Dataset[V]) streamPhase(run func(ds *engine.Dataset[Tuple[V]], visit []int) (int64, error)) error {
-	c, err := d.compiled()
-	if err != nil {
-		return err
-	}
-	visit := c.visit
-	if visit == nil {
-		visit = make([]int, c.ds.NumPartitions())
-		for i := range visit {
-			visit[i] = i
-		}
-	}
-	m := d.beginPhase()
-	rows, err := run(c.ds, visit)
-	d.endPhase("stream", m, rows)
-	return err
 }
 
 // NumPartitions resolves the chain and returns the partition count.

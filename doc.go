@@ -80,6 +80,16 @@
 //     whichever is cheaper; a dataset that already carries trees is
 //     always probed.
 //
+// Compiling only plans. Whichever access path wins — scan, tree probe,
+// columnar kernels, postings probe — is a lazy stream over the
+// dataset's own partitions plus the list of partitions to visit, and
+// the action drives it: Take(1) on an indexed chain probes one
+// partition and stops refining at the first match, a cancelled stream
+// probes no further window, and a second action on the same Dataset
+// runs the plan again. What can be known before the first row (an
+// unknown field, a missing schema, postings a snapshot does not hold)
+// still fails at compile, so Run() reports it.
+//
 // # Columnar scan engine
 //
 // Dataset.Columnar builds a per-partition struct-of-arrays sidecar —
@@ -345,8 +355,11 @@
 //   - internal/live      — the mutable-dataset substrate: concurrent
 //     R-link trees, generation-tagged visibility, snapshots and
 //     batch application;
-//   - internal/core      — the eager operator layer the DSL drives
-//     (filters, joins, kNN, the indexing modes, DBSCAN entry point);
+//   - internal/core      — the operator layer the DSL drives: every
+//     filter access path (fused scan, tree probe, columnar kernels,
+//     postings probe and intersection) as a lazy stream over the
+//     dataset's partitions, plus joins, kNN, the indexing modes and
+//     the DBSCAN entry point;
 //   - internal/stats     — one-pass dataset statistics for the
 //     planner (per-partition MBRs, counts, temporal extents, grid
 //     histogram);

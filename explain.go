@@ -6,8 +6,12 @@ package stark
 // compiles them: statistics are collected in one streaming pass
 // (cached per dataset), predicates are reordered most selective
 // first, partitions are pruned from the collected per-partition MBRs
-// and temporal extents, and a cost model picks the fused scan or a
-// live R-tree probe. Explain renders the resulting plan — with
+// and temporal extents, and a cost model picks one access path — the
+// fused scan, a tree probe, the columnar kernels, a postings probe or
+// the postings/kernel intersection. Compile only plans: every path is
+// a lazy stream over the dataset's own partitions plus the list of
+// partitions to visit, and nothing is scanned or probed until the
+// action drives it. Explain renders the resulting plan — with
 // estimated and, after execution, actual cardinalities — and
 // Optimize(false) opts a chain out of all of it.
 
@@ -38,9 +42,10 @@ type PartitionStats = stats.PartitionStats
 // and the server's /api/explain endpoint).
 type PlanNode = plan.Node
 
-// compiled is the executable form of a resolved chain: the engine
-// dataset to drive, the partitions to visit (nil = all), and the
-// EXPLAIN tree describing the decisions taken.
+// compiled is the executable form of a resolved chain: the lazy engine
+// dataset to drive, the partitions to visit (always set; actions run
+// over exactly these), and the EXPLAIN tree describing the decisions
+// taken.
 type compiled[V any] struct {
 	ds    *engine.Dataset[Tuple[V]]
 	visit []int
@@ -73,7 +78,7 @@ func (d *Dataset[V]) compiled() (compiled[V], error) {
 		}
 		rec := d.jobRecorder()
 		m := d.beginPhase()
-		d.comp, d.compErr = compileState(d.ctx, rec, st.withRecorder(rec))
+		d.comp, d.compErr = compile(d.ctx, rec, st.withRecorder(rec))
 		if d.compErr == nil {
 			d.comp.ds = d.comp.ds.WithRecorder(rec)
 		}
@@ -82,38 +87,45 @@ func (d *Dataset[V]) compiled() (compiled[V], error) {
 	return d.comp, d.compErr
 }
 
-// compileState turns a resolved state into an executable plan,
-// charging planning metrics (pruned partitions, eager index probes)
-// to rec.
-func compileState[V any](ctx *Context, rec *engine.Recorder, st state[V]) (compiled[V], error) {
+// compile turns a resolved state into an executable plan: it plans
+// once, picks one access path and returns its lazy stream with the
+// partitions to visit. Planning metrics (pruned partitions) are
+// charged to rec; the probes and scans charge it when an action runs
+// them. The attribute access path is the planner's choice too:
+//
+//   - AttrInline: the spatial access path (fused scan, tree probe or
+//     columnar kernels) runs as usual, with the compiled attribute
+//     checks fused in as cheap typed compares;
+//   - AttrIndexProbe: the most selective attribute predicate's
+//     per-partition postings enumerate candidates, everything else
+//     refines them;
+//   - AttrIntersect: attribute postings bitsets are ANDed with the
+//     columnar kernels' survivor bitset before exact refinement.
+//
+// Every compiled attribute predicate counts its evaluations, so
+// Explain can attach actual selectivities to the AttrScan/AttrIndex
+// nodes after execution.
+func compile[V any](ctx *Context, rec *engine.Recorder, st state[V]) (compiled[V], error) {
 	if len(st.pending) == 0 {
 		if st.enumerateViaIndex() {
-			return compiled[V]{ds: st.idx.Flat(), root: st.base}, nil
+			return compiled[V]{ds: st.idx.Flat(), visit: engine.AllPartitions(st.idx.NumPartitions()), root: st.base}, nil
 		}
-		if visit, ok := st.prunedVisit(rec); ok {
-			return compiled[V]{ds: st.sds.Dataset(), visit: visit, root: st.base}, nil
-		}
-		return compiled[V]{ds: st.sds.Dataset(), root: st.base}, nil
+		return compiled[V]{ds: st.sds.Dataset(), visit: st.prunedVisit(rec), root: st.base}, nil
 	}
 
 	// Split the pendings: spatial predicates feed the planner's
 	// spatio-temporal cost model, typed attribute predicates its
 	// attribute access-path choice.
-	var spatial, attrPend []pendingPred
+	var spatial []pendingPred
+	var preds []plan.Pred
+	var attrPreds []attr.Pred
 	for _, p := range st.pending {
 		if p.attr != nil {
-			attrPend = append(attrPend, p)
+			attrPreds = append(attrPreds, *p.attr)
 		} else {
 			spatial = append(spatial, p)
+			preds = append(preds, p.info)
 		}
-	}
-	preds := make([]plan.Pred, len(spatial))
-	for i, p := range spatial {
-		preds[i] = p.info
-	}
-	attrPreds := make([]attr.Pred, len(attrPend))
-	for i, p := range attrPend {
-		attrPreds[i] = *p.attr
 	}
 
 	if st.noOpt {
@@ -131,9 +143,12 @@ func compileState[V any](ctx *Context, rec *engine.Recorder, st state[V]) (compi
 			}
 		}
 		fl.base = node
-		return compileState(ctx, rec, fl)
+		return compile(ctx, rec, fl)
 	}
 
+	// Compile the attribute predicates against the schema.
+	acts := make([]*attrActual, len(attrPreds))
+	matchers := make([]func(V) bool, len(attrPreds))
 	if len(attrPreds) > 0 {
 		if st.schema == nil {
 			return compiled[V]{}, fmt.Errorf("stark: plan: attribute filter without a schema (WithSchema must precede it)")
@@ -143,177 +158,6 @@ func compileState[V any](ctx *Context, rec *engine.Recorder, st state[V]) (compi
 		// most) and the postings sidecar can build.
 		st.sds.SetSchema(st.schema)
 	}
-
-	sum, err := st.sds.Stats(0)
-	if err != nil {
-		return compiled[V]{}, fmt.Errorf("stark: plan: stats: %w", err)
-	}
-	attrIndexed := len(attrPreds) > 0
-	for _, ap := range attrPreds {
-		if st.liveAttrProbe != nil {
-			if st.liveAttrHas == nil || st.liveAttrHas(ap.Field) {
-				continue
-			}
-		} else if st.sds.HasAttrIndex(ap.Field) {
-			continue
-		}
-		attrIndexed = false
-		break
-	}
-	dec := plan.PlanFilter(sum, preds, plan.FilterOptions{
-		// A mutable-dataset snapshot counts as already indexed: its
-		// concurrent partition trees exist and probing them is free of
-		// build cost, exactly like a persistent index.
-		AlreadyIndexed: st.idx != nil || st.liveProbe != nil,
-		IndexOrder:     st.autoIndexOrder(),
-		Columnar:       st.sds.HasColumnar(),
-		Attr:           attrPreds,
-		AttrIndexed:    attrIndexed,
-	})
-
-	// Partitioner-extent pruning composes with stats pruning: both
-	// are safe over-approximations of where matches can live, so the
-	// visit list is their intersection.
-	visit := dec.Visit
-	if sp := st.sds.Partitioner(); sp != nil {
-		envs := make([]geom.Envelope, 0, len(preds)+len(st.pruneEnvs))
-		for _, p := range preds {
-			envs = append(envs, p.PruneEnv())
-		}
-		envs = append(envs, st.pruneEnvs...)
-		kept := visit[:0:0]
-		for _, pi := range visit {
-			ext := sp.Extent(pi)
-			hit := true
-			for _, env := range envs {
-				if !ext.Intersects(env) {
-					hit = false
-					break
-				}
-			}
-			if hit {
-				kept = append(kept, pi)
-			}
-		}
-		visit = kept
-	}
-	dec.Visit = visit
-	dec.Pruned = st.sds.NumPartitions() - len(visit)
-	dec.InputRows = sum.RowsIn(visit)
-	if dec.Pruned > 0 {
-		rec.TasksSkipped(int64(dec.Pruned))
-	}
-
-	if len(attrPreds) > 0 {
-		return compileAttr(ctx, rec, st, spatial, attrPreds, preds, dec, visit)
-	}
-
-	if dec.UseColumnar {
-		// Columnar kernel scan: the coarse envelope/interval kernels
-		// sweep the sidecar columns in planned predicate order, and only
-		// the surviving rows are refined with the exact predicates.
-		kps := make([]core.KernelPred, len(dec.Order))
-		for i, pi := range dec.Order {
-			kps[i] = kernelPred(st.pending[pi])
-		}
-		colDS := st.sds.ColumnarFilter(kps)
-		if colDS == nil {
-			return compiled[V]{}, fmt.Errorf("stark: plan: columnar sidecar vanished")
-		}
-		scan := plan.ColumnarScanNode(st.sds.NumPartitions(), dec.InputRows, st.sds.ColumnarHilbert(), st.base)
-		root := plan.FilterNode(dec, preds, false, scan)
-		return compiled[V]{ds: colDS, visit: visit, root: root}, nil
-	}
-
-	root := plan.FilterNode(dec, preds, st.idx != nil || st.liveProbe != nil, st.base)
-
-	if st.idx != nil || st.liveProbe != nil || dec.UseIndex {
-		// Index probe: an existing index (persistent trees or the
-		// concurrent trees of a mutable-dataset snapshot) is reused;
-		// otherwise a live R-tree is built because the cost model
-		// priced build+probe below the scan. The trees are probed with
-		// the most selective predicate's envelope and candidates are
-		// refined with every predicate, cheapest-surviving order.
-		idx := st.idx
-		if idx == nil && st.liveProbe == nil {
-			live, err := st.sds.LiveIndex(dec.IndexOrder, nil)
-			if err != nil {
-				return compiled[V]{}, fmt.Errorf("stark: plan: live index: %w", err)
-			}
-			idx = live
-		}
-		ordered := make([]pendingPred, len(dec.Order))
-		for i, pi := range dec.Order {
-			ordered[i] = st.pending[pi]
-		}
-		refineAll := func(key, _ STObject) bool {
-			for _, p := range ordered {
-				if !p.pred(key, p.q) {
-					return false
-				}
-			}
-			return true
-		}
-		first := ordered[0]
-		before := rec.Snapshot()
-		var rows []Tuple[V]
-		var err error
-		if st.liveProbe != nil {
-			rows, err = st.liveProbe(rec, first.info.PruneEnv(), func(key STObject, _ V) bool {
-				return refineAll(key, first.q)
-			}, visit)
-		} else {
-			rows, err = idx.FilterPartitions(first.q, first.info.PruneEnv(), refineAll, visit)
-		}
-		if err != nil {
-			return compiled[V]{}, fmt.Errorf("stark: plan: index probe: %w", err)
-		}
-		after := rec.Snapshot()
-		root.ActRows = int64(len(rows))
-		root.Prop("probe: index_probes=%d candidates_refined=%d",
-			after.IndexProbes-before.IndexProbes,
-			after.CandidatesRefined-before.CandidatesRefined)
-		return compiled[V]{ds: engine.Parallelize(ctx, rows, 0), root: root}, nil
-	}
-
-	// Fused scan in planned predicate order.
-	cur := st.sds
-	for _, pi := range dec.Order {
-		p := spatial[pi]
-		cur = cur.Where(p.q, p.pred)
-	}
-	return compiled[V]{ds: cur.Dataset(), visit: visit, root: root}, nil
-}
-
-// attrDetail joins attribute predicates into a Filter node detail for
-// plans with no spatial predicate at all.
-func attrDetail(preds []attr.Pred) string {
-	details := make([]string, len(preds))
-	for i, p := range preds {
-		details[i] = p.String()
-	}
-	return strings.Join(details, " AND ")
-}
-
-// compileAttr turns a planned filter with typed attribute predicates
-// into its executable form, dispatching on the planner's chosen
-// attribute access path:
-//
-//   - AttrInline: the spatial access path (fused scan, R-tree probe or
-//     columnar kernels) runs as usual, with the compiled attribute
-//     checks fused in as cheap typed compares;
-//   - AttrIndexProbe: the most selective attribute predicate's
-//     per-partition postings enumerate candidates, everything else
-//     refines them;
-//   - AttrIntersect: attribute postings bitsets are ANDed with the
-//     columnar kernels' survivor bitset before exact refinement.
-//
-// Every compiled attribute predicate counts its evaluations, so
-// Explain can attach actual selectivities to the AttrScan/AttrIndex
-// nodes after execution.
-func compileAttr[V any](ctx *Context, rec *engine.Recorder, st state[V], spatial []pendingPred, attrPreds []attr.Pred, preds []plan.Pred, dec plan.FilterDecision, visit []int) (compiled[V], error) {
-	acts := make([]*attrActual, len(attrPreds))
-	matchers := make([]func(V) bool, len(attrPreds))
 	for i, ap := range attrPreds {
 		fld, ok := st.schema.Field(ap.Field)
 		if !ok {
@@ -331,6 +175,45 @@ func compileAttr[V any](ctx *Context, rec *engine.Recorder, st state[V], spatial
 			return false
 		}
 	}
+
+	sum, err := st.sds.Stats(0)
+	if err != nil {
+		return compiled[V]{}, fmt.Errorf("stark: plan: stats: %w", err)
+	}
+	src := st.source(rec)
+	// Existing trees — persistent ones or the concurrent trees of a
+	// mutable-dataset snapshot — are free of build cost.
+	indexed := src.trees != nil
+	attrIndexed := len(attrPreds) > 0
+	for _, ap := range attrPreds {
+		attrIndexed = attrIndexed && src.hasPostings(ap.Field)
+	}
+	dec := plan.PlanFilter(sum, preds, plan.FilterOptions{
+		AlreadyIndexed: indexed,
+		IndexOrder:     st.autoIndexOrder(),
+		Columnar:       st.sds.HasColumnar(),
+		Attr:           attrPreds,
+		AttrIndexed:    attrIndexed,
+	})
+
+	// Partitioner-extent pruning composes with stats pruning: both
+	// are safe over-approximations of where matches can live, so the
+	// visit list is their intersection.
+	visit := dec.Visit
+	if sp := st.sds.Partitioner(); sp != nil {
+		envs := make([]geom.Envelope, 0, len(preds)+len(st.pruneEnvs))
+		for _, p := range preds {
+			envs = append(envs, p.PruneEnv())
+		}
+		visit = touching(sp, visit, append(envs, st.pruneEnvs...))
+	}
+	dec.Visit = visit
+	dec.Pruned = st.sds.NumPartitions() - len(visit)
+	dec.InputRows = sum.RowsIn(visit)
+	if dec.Pruned > 0 {
+		rec.TasksSkipped(int64(dec.Pruned))
+	}
+
 	// attrAll evaluates every attribute predicate in planned order
 	// (most selective first, so later checks see fewer records).
 	attrAll := func(v V) bool {
@@ -340,19 +223,6 @@ func compileAttr[V any](ctx *Context, rec *engine.Recorder, st state[V], spatial
 			}
 		}
 		return true
-	}
-	// newRoot builds the filter node with the attribute annotations:
-	// the access-path prop plus one AttrIndex/AttrScan child per
-	// predicate.
-	newRoot := func(child *plan.Node, alreadyIndexed bool) *plan.Node {
-		root := plan.FilterNode(dec, preds, alreadyIndexed, child)
-		if len(preds) == 0 {
-			root.Detail = attrDetail(attrPreds)
-		}
-		if p := dec.AttrProp(); p != "" {
-			root.Prop("%s", p)
-		}
-		return root.Add(plan.AttrNodes(dec, attrPreds)...)
 	}
 	// refineSpatial evaluates every spatial predicate exactly, planned
 	// order.
@@ -365,13 +235,37 @@ func compileAttr[V any](ctx *Context, rec *engine.Recorder, st state[V], spatial
 		}
 		return true
 	}
+	// done wraps the chosen stream with the filter node and its
+	// attribute annotations: the access-path prop plus one
+	// AttrIndex/AttrScan child per predicate.
+	done := func(ds *engine.Dataset[Tuple[V]], child *plan.Node, alreadyIndexed bool) (compiled[V], error) {
+		root := plan.FilterNode(dec, preds, alreadyIndexed, child)
+		if len(preds) == 0 {
+			root.Detail = attrDetail(attrPreds)
+		}
+		if p := dec.AttrProp(); p != "" {
+			root.Prop("%s", p)
+		}
+		root.Add(plan.AttrNodes(dec, attrPreds)...)
+		return compiled[V]{ds: ds, visit: visit, root: root, attrActs: acts}, nil
+	}
+	// columnar compiles the spatial predicates into their kernel form,
+	// planned order, under the columnar scan node.
+	columnar := func() ([]core.KernelPred, *plan.Node) {
+		kps := make([]core.KernelPred, len(dec.Order))
+		for i, pi := range dec.Order {
+			kps[i] = kernelPred(spatial[pi])
+		}
+		return kps, plan.ColumnarScanNode(st.sds.NumPartitions(), dec.InputRows, st.sds.ColumnarHilbert(), st.base)
+	}
 
-	switch dec.AttrStrategy {
-	case plan.AttrIndexProbe:
-		first := attrPreds[dec.AttrFirst]
+	switch {
+	case dec.AttrStrategy == plan.AttrIndexProbe:
+		// Attribute-first: the most selective attribute predicate's
+		// postings enumerate candidates, everything else refines them.
 		driver := acts[dec.AttrFirst]
 		driver.probe = true
-		keep := func(kv Tuple[V]) bool {
+		ds, err := src.postings(attrPreds[dec.AttrFirst], func(kv Tuple[V]) bool {
 			driver.passed.Add(1)
 			for _, i := range dec.AttrOrder {
 				if i != dec.AttrFirst && !matchers[i](kv.Value) {
@@ -379,105 +273,75 @@ func compileAttr[V any](ctx *Context, rec *engine.Recorder, st state[V], spatial
 				}
 			}
 			return refineSpatial(kv.Key)
-		}
-		root := newRoot(st.base, false)
-		if st.liveAttrProbe != nil && (st.liveAttrHas == nil || st.liveAttrHas(first.Field)) {
-			// The mutable dataset maintains generation-tagged field
-			// postings across batches; probe them eagerly like the
-			// spatial live probe.
-			before := rec.Snapshot()
-			rows, err := st.liveAttrProbe(rec, first, func(key STObject, v V) bool {
-				return keep(Tuple[V]{Key: key, Value: v})
-			}, visit)
-			if err != nil {
-				return compiled[V]{}, fmt.Errorf("stark: plan: attr probe: %w", err)
-			}
-			after := rec.Snapshot()
-			root.ActRows = int64(len(rows))
-			root.Prop("probe: index_probes=%d candidates_refined=%d",
-				after.IndexProbes-before.IndexProbes,
-				after.CandidatesRefined-before.CandidatesRefined)
-			return compiled[V]{ds: engine.Parallelize(ctx, rows, 0), root: root, attrActs: acts}, nil
-		}
-		ds, err := st.sds.AttrFilter(first, keep)
+		})
 		if err != nil {
 			return compiled[V]{}, fmt.Errorf("stark: plan: attr index: %w", err)
 		}
-		return compiled[V]{ds: ds, visit: visit, root: root, attrActs: acts}, nil
+		return done(ds, st.base, false)
 
-	case plan.AttrIntersect:
-		kps := make([]core.KernelPred, len(dec.Order))
-		for i, pi := range dec.Order {
-			kps[i] = kernelPred(spatial[pi])
-		}
-		colDS, err := st.sds.ColumnarFilterIntersect(kps, attrPreds)
+	case dec.AttrStrategy == plan.AttrIntersect:
+		kps, scan := columnar()
+		ds, err := st.sds.ColumnarFilterIntersect(kps, attrPreds)
 		if err != nil {
 			return compiled[V]{}, fmt.Errorf("stark: plan: attr intersect: %w", err)
 		}
-		scan := plan.ColumnarScanNode(st.sds.NumPartitions(), dec.InputRows, st.sds.ColumnarHilbert(), st.base)
-		root := newRoot(scan, false)
-		return compiled[V]{ds: colDS, visit: visit, root: root, attrActs: acts}, nil
-	}
+		return done(ds, scan, false)
 
-	// AttrInline over whichever spatial access path won.
-	if dec.UseColumnar {
-		kps := make([]core.KernelPred, len(dec.Order))
-		for i, pi := range dec.Order {
-			kps[i] = kernelPred(spatial[pi])
-		}
-		colDS := st.sds.ColumnarFilter(kps)
-		if colDS == nil {
+	case dec.UseColumnar:
+		// Columnar kernel scan: the coarse envelope/interval kernels
+		// sweep the sidecar columns in planned predicate order, and only
+		// the surviving rows are refined with the exact predicates.
+		kps, scan := columnar()
+		ds := st.sds.ColumnarFilter(kps)
+		if ds == nil {
 			return compiled[V]{}, fmt.Errorf("stark: plan: columnar sidecar vanished")
 		}
-		filtered := colDS.Filter(func(kv Tuple[V]) bool { return attrAll(kv.Value) })
-		scan := plan.ColumnarScanNode(st.sds.NumPartitions(), dec.InputRows, st.sds.ColumnarHilbert(), st.base)
-		root := newRoot(scan, false)
-		return compiled[V]{ds: filtered, visit: visit, root: root, attrActs: acts}, nil
-	}
+		if len(attrPreds) > 0 {
+			ds = ds.Filter(func(kv Tuple[V]) bool { return attrAll(kv.Value) })
+		}
+		return done(ds, scan, false)
 
-	if len(spatial) > 0 && (st.idx != nil || st.liveProbe != nil || dec.UseIndex) {
-		idx := st.idx
-		if idx == nil && st.liveProbe == nil {
+	case len(spatial) > 0 && (indexed || dec.UseIndex):
+		// Tree probe: existing trees are reused; otherwise a live R-tree
+		// is built inside each partition task because the cost model
+		// priced build+probe below the scan. The trees are probed with
+		// the most selective predicate's envelope and candidates are
+		// refined with every predicate, cheapest-surviving order.
+		probe := src.trees
+		if probe == nil {
 			live, err := st.sds.LiveIndex(dec.IndexOrder, nil)
 			if err != nil {
 				return compiled[V]{}, fmt.Errorf("stark: plan: live index: %w", err)
 			}
-			idx = live
+			probe = live.Probe
 		}
-		first := spatial[dec.Order[0]]
-		root := newRoot(st.base, st.idx != nil || st.liveProbe != nil)
-		before := rec.Snapshot()
-		var rows []Tuple[V]
-		var err error
-		if st.liveProbe != nil {
-			rows, err = st.liveProbe(rec, first.info.PruneEnv(), func(key STObject, v V) bool {
-				return attrAll(v) && refineSpatial(key)
-			}, visit)
-		} else {
-			rows, err = idx.FilterPartitionsRows(first.q, first.info.PruneEnv(), func(kv Tuple[V]) bool {
-				return attrAll(kv.Value) && refineSpatial(kv.Key)
-			}, visit)
-		}
-		if err != nil {
-			return compiled[V]{}, fmt.Errorf("stark: plan: index probe: %w", err)
-		}
-		after := rec.Snapshot()
-		root.ActRows = int64(len(rows))
-		root.Prop("probe: index_probes=%d candidates_refined=%d",
-			after.IndexProbes-before.IndexProbes,
-			after.CandidatesRefined-before.CandidatesRefined)
-		return compiled[V]{ds: engine.Parallelize(ctx, rows, 0), root: root, attrActs: acts}, nil
+		ds := probe(spatial[dec.Order[0]].info.PruneEnv(), func(kv Tuple[V]) bool {
+			return attrAll(kv.Value) && refineSpatial(kv.Key)
+		})
+		return done(ds, st.base, indexed)
 	}
 
-	// Fused scan: the cheap typed attribute compares run first, the
-	// spatial cascade on their survivors.
-	cur := st.sds.WhereRows(func(_ STObject, v V) bool { return attrAll(v) })
+	// Fused scan in planned predicate order: the cheap typed attribute
+	// compares run first, the spatial cascade on their survivors.
+	cur := st.sds
+	if len(attrPreds) > 0 {
+		cur = cur.WhereRows(func(_ STObject, v V) bool { return attrAll(v) })
+	}
 	for _, pi := range dec.Order {
 		p := spatial[pi]
 		cur = cur.Where(p.q, p.pred)
 	}
-	root := newRoot(st.base, false)
-	return compiled[V]{ds: cur.Dataset(), visit: visit, root: root, attrActs: acts}, nil
+	return done(cur.Dataset(), st.base, false)
+}
+
+// attrDetail joins attribute predicates into a Filter node detail for
+// plans with no spatial predicate at all.
+func attrDetail(preds []attr.Pred) string {
+	details := make([]string, len(preds))
+	for i, p := range preds {
+		details[i] = p.String()
+	}
+	return strings.Join(details, " AND ")
 }
 
 // kernelPred compiles one pending predicate into its columnar form:
@@ -554,12 +418,7 @@ func (d *Dataset[V]) ExplainNode() (*PlanNode, error) {
 	}
 	rec := d.jobRecorder()
 	before := rec.Snapshot()
-	var n int64
-	if c.visit != nil {
-		n, err = c.ds.CountPartitions(c.visit)
-	} else {
-		n, err = c.ds.Count()
-	}
+	n, err := c.ds.CountPartitions(c.visit)
 	if err != nil {
 		return nil, fmt.Errorf("stark: explain: %w", err)
 	}

@@ -328,7 +328,7 @@ func IndexModes(cfg Config) ([]IndexModeRow, error) {
 		var n int64
 		dur, err := timed(func() error {
 			for r := 0; r < reps; r++ {
-				hits, err := ds.Intersects(q)
+				hits, err := ds.Filter(q, q.Envelope(), stobject.Intersects)
 				if err != nil {
 					return err
 				}
@@ -347,7 +347,7 @@ func IndexModes(cfg Config) ([]IndexModeRow, error) {
 				if err != nil {
 					return err
 				}
-				hits, err := live.Intersects(q)
+				hits, err := live.Filter(q, q.Envelope(), stobject.Intersects)
 				if err != nil {
 					return err
 				}
@@ -362,7 +362,7 @@ func IndexModes(cfg Config) ([]IndexModeRow, error) {
 
 		dur, err = timed(func() error {
 			for r := 0; r < reps; r++ {
-				hits, err := persistent.Intersects(q)
+				hits, err := persistent.Filter(q, q.Envelope(), stobject.Intersects)
 				if err != nil {
 					return err
 				}
@@ -415,7 +415,8 @@ func STFilter(cfg Config) ([]STFilterRow, error) {
 	var rows []STFilterRow
 	var n int64
 	dur, err := timed(func() error {
-		hits, err := dsSpatial.ContainedBy(stobject.New(box))
+		qs := stobject.New(box)
+		hits, err := dsSpatial.Filter(qs, qs.Envelope(), stobject.ContainedBy)
 		if err != nil {
 			return err
 		}
@@ -429,7 +430,7 @@ func STFilter(cfg Config) ([]STFilterRow, error) {
 
 	q := stobject.NewWithInterval(box, temporal.MustInterval(0, 250_000))
 	dur, err = timed(func() error {
-		hits, err := ds.ContainedBy(q)
+		hits, err := ds.Filter(q, q.Envelope(), stobject.ContainedBy)
 		if err != nil {
 			return err
 		}
@@ -798,7 +799,8 @@ func PersistIndexRoundTrip(cfg Config) (build, reload time.Duration, err error) 
 		if err != nil {
 			return err
 		}
-		_, err = loaded.Intersects(stobject.New(geom.NewEnvelope(400, 400, 600, 600).ToPolygon()))
+		q := stobject.New(geom.NewEnvelope(400, 400, 600, 600).ToPolygon())
+		_, err = loaded.Filter(q, q.Envelope(), stobject.Intersects)
 		return err
 	})
 	return build, reload, err

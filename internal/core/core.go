@@ -6,9 +6,9 @@
 // RDD[(STObject, V)], Go code wraps explicitly:
 //
 //	events := core.Wrap(pairs)                  // RDD[(STObject, V)] → SpatialDataset
-//	hits, _ := events.ContainedBy(query)        // spatio-temporal filter
+//	inside := events.WhereContainedBy(query)    // spatio-temporal filter, lazy
 //	idx, _ := events.LiveIndex(5, partitioner)  // live indexing, order 5
-//	hits2, _ := idx.Intersects(query)
+//	hits, _ := idx.Filter(query, query.Envelope(), stobject.Intersects)
 //
 // Operators honour spatial partitioning when present: a filter first
 // prunes partitions whose extent cannot overlap the query envelope
@@ -241,11 +241,7 @@ func (s *SpatialDataset[V]) Schema() *attr.Schema[V] {
 // Without a partitioner every partition is visited.
 func (s *SpatialDataset[V]) relevantPartitions(q geom.Envelope) []int {
 	if s.sp == nil {
-		parts := make([]int, s.ds.NumPartitions())
-		for i := range parts {
-			parts[i] = i
-		}
-		return parts
+		return engine.AllPartitions(s.ds.NumPartitions())
 	}
 	visit := partition.PruneByEnvelope(s.sp, q)
 	pruned := s.ds.NumPartitions() - len(visit)

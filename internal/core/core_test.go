@@ -178,9 +178,9 @@ func TestFilterScanMatchesBruteForce(t *testing.T) {
 		run  func() ([]Tuple[int], error)
 		pred stobject.Predicate
 	}{
-		{"intersects", func() ([]Tuple[int], error) { return s.Intersects(q) }, stobject.Intersects},
-		{"containedBy", func() ([]Tuple[int], error) { return s.ContainedBy(q) }, stobject.ContainedBy},
-		{"coveredBy", func() ([]Tuple[int], error) { return s.CoveredBy(q) }, stobject.CoveredBy},
+		{"intersects", func() ([]Tuple[int], error) { return s.Filter(q, q.Envelope(), stobject.Intersects) }, stobject.Intersects},
+		{"containedBy", func() ([]Tuple[int], error) { return s.Filter(q, q.Envelope(), stobject.ContainedBy) }, stobject.ContainedBy},
+		{"coveredBy", func() ([]Tuple[int], error) { return s.Filter(q, q.Envelope(), stobject.CoveredBy) }, stobject.CoveredBy},
 	} {
 		got, err := tc.run()
 		if err != nil {
@@ -205,7 +205,7 @@ func TestContainsFilter(t *testing.T) {
 	}
 	s := Wrap(engine.Parallelize(ctx, tuples, 2))
 	q := stobject.MustFromWKT("POINT (5 5)")
-	got, err := s.Contains(q)
+	got, err := s.Filter(q, q.Envelope(), stobject.Contains)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestFilterWithPartitionPruning(t *testing.T) {
 	}
 	ctx.Metrics().Reset()
 	q := queryPolygon(10, 10, 20, 20) // small box → prune most of 16 cells
-	got, err := ps.Intersects(q)
+	got, err := ps.Filter(q, q.Envelope(), stobject.Intersects)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,6 +242,16 @@ func TestFilterWithPartitionPruning(t *testing.T) {
 	if snap.ElementsScanned >= 2000 {
 		t.Errorf("scanned %d elements; pruning should cut this below the full 2000", snap.ElementsScanned)
 	}
+}
+
+// withinDistance filters s (scanned or indexed) by distance to q: the
+// pruning envelope must be grown by maxDist, because an object within
+// distance of q can live in a partition whose extent does not touch q
+// itself.
+func withinDistance(s interface {
+	Filter(stobject.STObject, geom.Envelope, stobject.Predicate) ([]Tuple[int], error)
+}, q stobject.STObject, maxDist float64, df geom.DistanceFunc) ([]Tuple[int], error) {
+	return s.Filter(q, q.Envelope().ExpandBy(maxDist), stobject.WithinDistancePredicate(maxDist, df))
 }
 
 func TestWithinDistanceAcrossPartitionBorders(t *testing.T) {
@@ -259,7 +269,7 @@ func TestWithinDistanceAcrossPartitionBorders(t *testing.T) {
 	}
 	// Grid cells are 25 wide; query at a cell border.
 	q := stobject.MustFromWKT("POINT (25 25)")
-	got, err := ps.WithinDistance(q, 5, nil)
+	got, err := withinDistance(ps, q, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,15 +290,15 @@ func TestWithinDistanceCustomFunction(t *testing.T) {
 	}
 	s := Wrap(engine.Parallelize(ctx, tuples, 1))
 	q := stobject.MustFromWKT("POINT (0 0)")
-	got, err := s.WithinDistance(q, 5, nil)
+	got, err := withinDistance(s, q, 5, nil)
 	if err != nil || len(got) != 1 {
 		t.Fatalf("euclidean got %d err=%v", len(got), err)
 	}
-	got, err = s.WithinDistance(q, 6.5, geom.Manhattan)
+	got, err = withinDistance(s, q, 6.5, geom.Manhattan)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("manhattan(6.5) got %d err=%v", len(got), err)
 	}
-	got, err = s.WithinDistance(q, 7, geom.Manhattan)
+	got, err = withinDistance(s, q, 7, geom.Manhattan)
 	if err != nil || len(got) != 1 {
 		t.Fatalf("manhattan(7) got %d err=%v", len(got), err)
 	}
@@ -302,7 +312,7 @@ func TestSpatioTemporalFilter(t *testing.T) {
 	q := stobject.NewWithInterval(
 		geom.NewEnvelope(20, 20, 60, 60).ToPolygon(),
 		temporal.MustInterval(100, 400))
-	got, err := s.ContainedBy(q)
+	got, err := s.Filter(q, q.Envelope(), stobject.ContainedBy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +326,7 @@ func TestSpatioTemporalFilter(t *testing.T) {
 	// The same spatial query without time matches nothing (mixed
 	// semantics).
 	qNoTime := queryPolygon(20, 20, 60, 60)
-	got, err = s.ContainedBy(qNoTime)
+	got, err = s.Filter(qNoTime, qNoTime.Envelope(), stobject.ContainedBy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +369,8 @@ func TestMetricsElementsScanned(t *testing.T) {
 	ctx := engine.NewContext(2)
 	s, _ := makeDataset(t, ctx, 300, 3, 10)
 	ctx.Metrics().Reset()
-	if _, err := s.Intersects(queryPolygon(0, 0, 100, 100)); err != nil {
+	q := queryPolygon(0, 0, 100, 100)
+	if _, err := s.Filter(q, q.Envelope(), stobject.Intersects); err != nil {
 		t.Fatal(err)
 	}
 	if got := ctx.Metrics().Snapshot().ElementsScanned; got != 300 {
@@ -379,7 +390,7 @@ func ExampleWrap() {
 	qry := stobject.NewWithInterval(
 		geom.NewEnvelope(10, 45, 15, 55).ToPolygon(),
 		temporal.MustInterval(0, 200))
-	hits, _ := ds.ContainedBy(qry)
+	hits, _ := ds.Filter(qry, qry.Envelope(), stobject.ContainedBy)
 	for _, h := range hits {
 		fmt.Println(h.Value)
 	}

@@ -6,7 +6,7 @@ import (
 	"stark/internal/stobject"
 )
 
-// This file implements the scan-based (non-indexed) filter operators:
+// This file implements the scan-based (non-indexed) filter operator:
 // every record of every relevant partition is checked against the
 // full spatio-temporal predicate. The check is fused into the
 // partition pipeline — records stream through the predicate without
@@ -34,45 +34,6 @@ func scanFiltered[V any](s *SpatialDataset[V], q stobject.STObject, pred stobjec
 			return err
 		})
 	return out.WithRecorder(s.rec)
-}
-
-// filterScan runs pred(record.Key, q) over the partitions relevant
-// for the query envelope and collects the matches.
-func (s *SpatialDataset[V]) filterScan(q stobject.STObject, pred stobject.Predicate) ([]Tuple[V], error) {
-	return scanFiltered(s, q, pred).CollectPartitions(s.relevantPartitions(q.Envelope()))
-}
-
-// Intersects returns the records whose key intersects q in the
-// combined spatio-temporal semantics.
-func (s *SpatialDataset[V]) Intersects(q stobject.STObject) ([]Tuple[V], error) {
-	return s.filterScan(q, stobject.Intersects)
-}
-
-// Contains returns the records whose key completely contains q.
-func (s *SpatialDataset[V]) Contains(q stobject.STObject) ([]Tuple[V], error) {
-	return s.filterScan(q, stobject.Contains)
-}
-
-// ContainedBy returns the records whose key is completely contained
-// by q — the paper's events.containedBy(qry) example.
-func (s *SpatialDataset[V]) ContainedBy(q stobject.STObject) ([]Tuple[V], error) {
-	return s.filterScan(q, stobject.ContainedBy)
-}
-
-// CoveredBy is ContainedBy with boundary tolerance.
-func (s *SpatialDataset[V]) CoveredBy(q stobject.STObject) ([]Tuple[V], error) {
-	return s.filterScan(q, stobject.CoveredBy)
-}
-
-// WithinDistance returns the records whose key lies within maxDist of
-// q under the distance function df (nil selects the exact planar
-// geometry distance). The paper highlights that df is pluggable.
-func (s *SpatialDataset[V]) WithinDistance(q stobject.STObject, maxDist float64, df geom.DistanceFunc) ([]Tuple[V], error) {
-	pred := stobject.WithinDistancePredicate(maxDist, df)
-	// The pruning envelope must be grown by maxDist: an object
-	// within distance of q can live in a partition whose extent does
-	// not touch q itself.
-	return scanFiltered(s, q, pred).CollectPartitions(s.relevantPartitions(q.Envelope().ExpandBy(maxDist)))
 }
 
 // Filter applies an arbitrary spatio-temporal predicate against q,

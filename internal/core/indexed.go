@@ -127,11 +127,7 @@ func (s *IndexedDataset[V]) NumPartitions() int { return s.parts.NumPartitions()
 // relevantPartitions mirrors SpatialDataset.relevantPartitions.
 func (s *IndexedDataset[V]) relevantPartitions(q geom.Envelope) []int {
 	if s.sp == nil {
-		parts := make([]int, s.parts.NumPartitions())
-		for i := range parts {
-			parts[i] = i
-		}
-		return parts
+		return engine.AllPartitions(s.parts.NumPartitions())
 	}
 	var visit []int
 	for i := 0; i < s.sp.NumPartitions(); i++ {
@@ -145,82 +141,48 @@ func (s *IndexedDataset[V]) relevantPartitions(q geom.Envelope) []int {
 	return visit
 }
 
-// filterIndexed probes each relevant partition tree with the query
-// envelope and refines the candidates with the exact predicate —
-// including the temporal component, which is evaluated during the
-// candidate pruning step exactly as the paper describes.
-func (s *IndexedDataset[V]) filterIndexed(q stobject.STObject, pruneEnv geom.Envelope, pred stobject.Predicate) ([]Tuple[V], error) {
-	return s.FilterPartitions(q, pruneEnv, pred, nil)
-}
-
-// FilterPartitions is Filter restricted to an explicit visit list —
-// the entry point of the cost-based planner, which prunes partitions
-// from collected statistics instead of partitioner extents. visit nil
-// selects the partitioner-pruned default.
-func (s *IndexedDataset[V]) FilterPartitions(q stobject.STObject, pruneEnv geom.Envelope, pred stobject.Predicate, visit []int) ([]Tuple[V], error) {
-	return s.FilterPartitionsRows(q, pruneEnv, func(kv Tuple[V]) bool { return pred(kv.Key, q) }, visit)
-}
-
-// FilterPartitionsRows is FilterPartitions with a payload-aware
-// candidate check: keep sees the whole record, so typed attribute
-// predicates can refine index candidates inline alongside the exact
-// spatial predicates.
-func (s *IndexedDataset[V]) FilterPartitionsRows(q stobject.STObject, pruneEnv geom.Envelope, keep func(kv Tuple[V]) bool, visit []int) ([]Tuple[V], error) {
-	rec := s.recorder()
-	qEnv := q.Envelope()
-	if !pruneEnv.IsEmpty() {
-		qEnv = pruneEnv
-	}
-	results := engine.MapPartitions(s.parts, func(_ int, in []IndexedPartition[V]) ([]Tuple[V], error) {
-		var out []Tuple[V]
-		for _, ip := range in {
-			rec.IndexProbes(1)
-			candidates := ip.Tree.Query(qEnv, nil)
-			rec.CandidatesRefined(int64(len(candidates)))
-			for _, id := range candidates {
-				kv := ip.Items[id]
-				if keep(kv) {
-					out = append(out, kv)
+// Probe returns the index probe as a lazy stream over the dataset's
+// own partitions: partition p queries its tree with env and yields the
+// candidates that pass keep — the exact spatio-temporal predicate,
+// whose temporal component is thereby evaluated during candidate
+// pruning exactly as the paper describes, plus whatever else the
+// caller refines with. Nothing runs until an action drives the stream
+// over a visit list, and a consumer that stops early stops the
+// refinement. Each partition probed charges one IndexProbes and every
+// candidate tested one CandidatesRefined.
+func (s *IndexedDataset[V]) Probe(env geom.Envelope, keep func(kv Tuple[V]) bool) *engine.Dataset[Tuple[V]] {
+	rec, parts := s.recorder(), s.parts
+	out := engine.NewStream(s.Context(), parts.Name()+".probe", parts.NumPartitions(),
+		func(p int, yield func(Tuple[V]) bool) error {
+			return parts.EachPartition(p, func(ip IndexedPartition[V]) bool {
+				rec.IndexProbes(1)
+				var refined int64
+				more := true
+				for _, id := range ip.Tree.Query(env, nil) {
+					refined++
+					if kv := ip.Items[id]; keep(kv) && !yield(kv) {
+						more = false
+						break
+					}
 				}
-			}
-		}
-		return out, nil
-	})
-	if visit == nil {
-		visit = s.relevantPartitions(qEnv)
-	}
-	return results.CollectPartitions(visit)
+				rec.CandidatesRefined(refined)
+				return more
+			})
+		})
+	return out.WithRecorder(s.rec)
 }
 
 // Filter probes the index with pruneEnv (or q's envelope when empty)
-// and refines the candidates with an arbitrary spatio-temporal
-// predicate — the generic entry point the named operators below
-// specialise, exported so higher layers can dispatch uniformly.
+// over the partitions whose extent it touches, refines the candidates
+// with an arbitrary spatio-temporal predicate and collects the
+// matches.
 func (s *IndexedDataset[V]) Filter(q stobject.STObject, pruneEnv geom.Envelope, pred stobject.Predicate) ([]Tuple[V], error) {
-	return s.filterIndexed(q, pruneEnv, pred)
-}
-
-// Intersects returns the records intersecting q (index-accelerated).
-func (s *IndexedDataset[V]) Intersects(q stobject.STObject) ([]Tuple[V], error) {
-	return s.filterIndexed(q, geom.EmptyEnvelope(), stobject.Intersects)
-}
-
-// Contains returns the records containing q (index-accelerated).
-func (s *IndexedDataset[V]) Contains(q stobject.STObject) ([]Tuple[V], error) {
-	return s.filterIndexed(q, geom.EmptyEnvelope(), stobject.Contains)
-}
-
-// ContainedBy returns the records contained by q (index-accelerated).
-func (s *IndexedDataset[V]) ContainedBy(q stobject.STObject) ([]Tuple[V], error) {
-	return s.filterIndexed(q, geom.EmptyEnvelope(), stobject.ContainedBy)
-}
-
-// WithinDistance returns the records within maxDist of q. The index
-// is probed with the query envelope expanded by maxDist, then
-// candidates are refined with the exact distance predicate.
-func (s *IndexedDataset[V]) WithinDistance(q stobject.STObject, maxDist float64, df geom.DistanceFunc) ([]Tuple[V], error) {
-	return s.filterIndexed(q, q.Envelope().ExpandBy(maxDist),
-		stobject.WithinDistancePredicate(maxDist, df))
+	env := q.Envelope()
+	if !pruneEnv.IsEmpty() {
+		env = pruneEnv
+	}
+	keep := func(kv Tuple[V]) bool { return pred(kv.Key, q) }
+	return s.Probe(env, keep).CollectPartitions(s.relevantPartitions(env))
 }
 
 // Flat returns the records as a lazily flattened engine dataset,

@@ -22,7 +22,7 @@ func TestLiveIndexFilterMatchesScan(t *testing.T) {
 		t.Errorf("order = %d", idx.Order())
 	}
 	q := queryPolygon(15, 25, 55, 65)
-	got, err := idx.Intersects(q)
+	got, err := idx.Filter(q, q.Envelope(), stobject.Intersects)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,14 +31,14 @@ func TestLiveIndexFilterMatchesScan(t *testing.T) {
 		t.Fatalf("indexed intersects: got %d, want %d", len(got), len(want))
 	}
 	// All filter variants.
-	got, err = idx.ContainedBy(q)
+	got, err = idx.Filter(q, q.Envelope(), stobject.ContainedBy)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sameIDs(gotIDs(got), bruteFilter(tuples, q, stobject.ContainedBy)) {
 		t.Error("indexed containedBy mismatch")
 	}
-	got, err = idx.WithinDistance(stobject.MustFromWKT("POINT (50 50)"), 10, nil)
+	got, err = withinDistance(idx, stobject.MustFromWKT("POINT (50 50)"), 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestLiveIndexWithRepartitioning(t *testing.T) {
 	}
 	q := queryPolygon(10, 10, 30, 30)
 	ctx.Metrics().Reset()
-	got, err := idx.Intersects(q)
+	got, err := idx.Filter(q, q.Envelope(), stobject.Intersects)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestPersistentIndexRoundTrip(t *testing.T) {
 		t.Errorf("loaded order = %d", loaded.Order())
 	}
 	q := queryPolygon(30, 30, 70, 70)
-	got, err := loaded.Intersects(q)
+	got, err := loaded.Filter(q, q.Envelope(), stobject.Intersects)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestIndexedTemporalRefinement(t *testing.T) {
 	q := stobject.NewWithInterval(
 		geom.NewEnvelope(0, 0, 10, 10).ToPolygon(),
 		temporal.MustInterval(0, 200))
-	got, err := idx.ContainedBy(q)
+	got, err := idx.Filter(q, q.Envelope(), stobject.ContainedBy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestIndexReusedAcrossQueries(t *testing.T) {
 	q := queryPolygon(10, 10, 90, 50)
 	want := bruteFilter(tuples, q, stobject.Intersects)
 	for i := 0; i < 3; i++ {
-		got, err := idx.Intersects(q)
+		got, err := idx.Filter(q, q.Envelope(), stobject.Intersects)
 		if err != nil {
 			t.Fatal(err)
 		}

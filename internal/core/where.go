@@ -6,10 +6,9 @@ import (
 	"stark/internal/stobject"
 )
 
-// This file provides the lazy, dataset-returning counterparts of the
-// eager filter actions in filter.go. Where* methods return a new
-// SpatialDataset whose partitions are filtered on compute, so
-// pipelines can chain further operators (joins, clustering, kNN)
+// This file provides the lazy, dataset-returning filters. Where*
+// methods return a new SpatialDataset whose partitions are filtered
+// on compute, so pipelines can chain further operators (joins, clustering, kNN)
 // without materialising intermediate results — the RDD style of the
 // original DSL. The spatial partitioner is preserved: a filter never
 // moves a record out of its partition, so partition extents remain

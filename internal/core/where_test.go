@@ -59,7 +59,7 @@ func TestWherePreservesPartitioner(t *testing.T) {
 	// Downstream pruned query still correct.
 	ctx.Metrics().Reset()
 	q := queryPolygon(40, 40, 60, 60)
-	hits, err := filtered.Intersects(q)
+	hits, err := filtered.Filter(q, q.Envelope(), stobject.Intersects)
 	if err != nil {
 		t.Fatal(err)
 	}

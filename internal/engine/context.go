@@ -247,8 +247,8 @@ func runTask(p int, task func(p int) error) (err error) {
 	return task(p)
 }
 
-// allPartitions returns [0, 1, ..., n-1].
-func allPartitions(n int) []int {
+// AllPartitions returns [0, 1, ..., n-1].
+func AllPartitions(n int) []int {
 	parts := make([]int, n)
 	for i := range parts {
 		parts[i] = i

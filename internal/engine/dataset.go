@@ -512,7 +512,7 @@ func (d *Dataset[T]) Coalesce(n int) *Dataset[T] {
 // Collect materialises every partition (in parallel) and returns the
 // concatenated elements in partition order.
 func (d *Dataset[T]) Collect() ([]T, error) {
-	return d.CollectPartitions(allPartitions(d.numPart))
+	return d.CollectPartitions(AllPartitions(d.numPart))
 }
 
 // CollectPartitions materialises only the listed partitions. Spatial
@@ -549,7 +549,7 @@ func (d *Dataset[T]) CollectPartitions(parts []int) ([]T, error) {
 // elements stream through the fused pipeline and only a counter
 // survives.
 func (d *Dataset[T]) Count() (int64, error) {
-	return d.CountPartitions(allPartitions(d.numPart))
+	return d.CountPartitions(AllPartitions(d.numPart))
 }
 
 // CountPartitions counts the elements of only the listed partitions —
@@ -575,7 +575,7 @@ func (d *Dataset[T]) CountPartitions(parts []int) (int64, error) {
 // through a local accumulator; it returns false when the dataset is
 // empty. f must be associative and commutative, as in Spark.
 func (d *Dataset[T]) Reduce(f func(a, b T) T) (T, bool, error) {
-	return d.ReducePartitions(allPartitions(d.numPart), f)
+	return d.ReducePartitions(AllPartitions(d.numPart), f)
 }
 
 // ReducePartitions is Reduce restricted to the listed partitions —
@@ -620,7 +620,7 @@ func (d *Dataset[T]) ReducePartitions(parts []int, f func(a, b T) T) (T, bool, e
 // Foreach runs fn on every element, partition-parallel, streaming —
 // no partition is materialised.
 func (d *Dataset[T]) Foreach(fn func(T)) error {
-	return d.ForeachPartitions(allPartitions(d.numPart), fn)
+	return d.ForeachPartitions(AllPartitions(d.numPart), fn)
 }
 
 // ForeachPartitions is Foreach restricted to the listed partitions —
@@ -640,7 +640,7 @@ func (d *Dataset[T]) ForeachPartitions(parts []int, fn func(T)) error {
 // partition's pipeline stops mid-stream and no further partition is
 // touched.
 func (d *Dataset[T]) Take(n int) ([]T, error) {
-	return d.TakePartitions(allPartitions(d.numPart), n)
+	return d.TakePartitions(AllPartitions(d.numPart), n)
 }
 
 // TakePartitions is Take restricted to the listed partitions, in the
@@ -695,7 +695,7 @@ func (d *Dataset[T]) First() (T, bool, error) {
 // scanned in parallel; every task stops mid-stream as soon as one
 // finds a match.
 func (d *Dataset[T]) Exists(pred func(T) bool) (bool, error) {
-	return d.ExistsPartitions(allPartitions(d.numPart), pred)
+	return d.ExistsPartitions(AllPartitions(d.numPart), pred)
 }
 
 // ExistsPartitions is Exists restricted to the listed partitions,
@@ -723,7 +723,7 @@ func (d *Dataset[T]) ExistsPartitions(parts []int, pred func(T) bool) (bool, err
 // whole scan. This is the entry point for consumers that need ordered
 // streaming output (e.g. encoding rows onto a network socket).
 func (d *Dataset[T]) Stream(fn func(T) bool) error {
-	return d.StreamPartitions(allPartitions(d.numPart), fn)
+	return d.StreamPartitions(AllPartitions(d.numPart), fn)
 }
 
 // StreamPartitions is Stream restricted to the listed partitions, in
@@ -846,7 +846,7 @@ func streamWindows[T, R any](ctx context.Context, d *Dataset[T], parts []int, wi
 		width = d.ctx.parallelism
 	}
 	results := make([]R, width)
-	idxs := allPartitions(width)
+	idxs := AllPartitions(width)
 	for start := 0; start < len(parts); start += width {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
@@ -884,7 +884,7 @@ func streamWindows[T, R any](ctx context.Context, d *Dataset[T], parts []int, wi
 // reports.
 func (d *Dataset[T]) PartitionSizes() ([]int, error) {
 	sizes := make([]int, d.numPart)
-	err := d.ctx.runJob(d.recorder(), allPartitions(d.numPart), func(p int) error {
+	err := d.ctx.runJob(d.recorder(), AllPartitions(d.numPart), func(p int) error {
 		n := 0
 		if err := d.EachPartition(p, func(T) bool {
 			n++

@@ -500,7 +500,7 @@ func TestStreamPartitionsParallelContext(t *testing.T) {
 	if err := d.Stream(func(v int) bool { seq = append(seq, v); return true }); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.StreamPartitionsParallelContext(context.Background(), allPartitions(d.NumPartitions()), 0, func(v int) bool {
+	if err := d.StreamPartitionsParallelContext(context.Background(), AllPartitions(d.NumPartitions()), 0, func(v int) bool {
 		par = append(par, v)
 		return true
 	}); err != nil {
@@ -513,7 +513,7 @@ func TestStreamPartitionsParallelContext(t *testing.T) {
 	// Early stop: windows past the consumer's stop are never computed.
 	src, pulled := countingSource(ctx, 1000, 10) // 10 partitions of 100
 	n := 0
-	if err := src.StreamPartitionsParallelContext(context.Background(), allPartitions(10), 2, func(int) bool {
+	if err := src.StreamPartitionsParallelContext(context.Background(), AllPartitions(10), 2, func(int) bool {
 		n++
 		return n < 50
 	}); err != nil {
@@ -541,7 +541,7 @@ func appendInt(dst []byte, v int) ([]byte, error) {
 func TestStreamPartitionsEncoded(t *testing.T) {
 	ctx := NewContext(3)
 	d := fusedChain(Parallelize(ctx, intRange(500), 10))
-	parts := allPartitions(d.NumPartitions())
+	parts := AllPartitions(d.NumPartitions())
 
 	var want []byte
 	if err := d.StreamPartitionsParallelContext(context.Background(), parts, 0, func(v int) bool {
@@ -580,7 +580,7 @@ func TestStreamPartitionsEncoded(t *testing.T) {
 		return nil
 	})
 	var chunks []string
-	if err := sparse.StreamPartitionsEncodedContext(context.Background(), allPartitions(10), 4, appendInt, func(chunk []byte, n int) bool {
+	if err := sparse.StreamPartitionsEncodedContext(context.Background(), AllPartitions(10), 4, appendInt, func(chunk []byte, n int) bool {
 		chunks = append(chunks, string(chunk))
 		return true
 	}); err != nil {
@@ -593,7 +593,7 @@ func TestStreamPartitionsEncoded(t *testing.T) {
 	// sink false: the first window (2 partitions × 100) is all that runs.
 	src, pulled := countingSource(ctx, 1000, 10)
 	calls := 0
-	if err := src.StreamPartitionsEncodedContext(context.Background(), allPartitions(10), 2, appendInt, func([]byte, int) bool {
+	if err := src.StreamPartitionsEncodedContext(context.Background(), AllPartitions(10), 2, appendInt, func([]byte, int) bool {
 		calls++
 		return false
 	}); err != nil {
@@ -607,7 +607,7 @@ func TestStreamPartitionsEncoded(t *testing.T) {
 	// partition mid-stream, and nothing is delivered.
 	src, pulled = countingSource(ctx, 1000, 10)
 	boom := errors.New("unencodable")
-	err := src.StreamPartitionsEncodedContext(context.Background(), allPartitions(10), 2, func(dst []byte, v int) ([]byte, error) {
+	err := src.StreamPartitionsEncodedContext(context.Background(), AllPartitions(10), 2, func(dst []byte, v int) ([]byte, error) {
 		if v == 150 {
 			return dst, boom
 		}
@@ -629,7 +629,7 @@ func TestStreamPartitionsEncoded(t *testing.T) {
 	cctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	calls = 0
-	err = src.StreamPartitionsEncodedContext(cctx, allPartitions(10), 2, appendInt, func([]byte, int) bool {
+	err = src.StreamPartitionsEncodedContext(cctx, AllPartitions(10), 2, appendInt, func([]byte, int) bool {
 		calls++
 		cancel()
 		return true
@@ -648,7 +648,7 @@ func TestStreamPartitionsEncoded(t *testing.T) {
 func TestStreamPartitionsEncodedConcurrent(t *testing.T) {
 	ctx := NewContext(4)
 	d := fusedChain(Parallelize(ctx, intRange(2000), 16))
-	parts := allPartitions(d.NumPartitions())
+	parts := AllPartitions(d.NumPartitions())
 	var want []byte
 	if err := d.Stream(func(v int) bool { want, _ = appendInt(want, v); return true }); err != nil {
 		t.Fatal(err)

@@ -51,7 +51,7 @@ func Aggregate[T, A any](d *Dataset[T], zero A, seqOp func(A, T) A, combOp func(
 		mu  sync.Mutex
 		acc = zero
 	)
-	err := d.ctx.runJob(d.recorder(), allPartitions(d.numPart), func(p int) error {
+	err := d.ctx.runJob(d.recorder(), AllPartitions(d.numPart), func(p int) error {
 		local := zero
 		if err := d.EachPartition(p, func(v T) bool {
 			local = seqOp(local, v)

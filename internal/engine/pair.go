@@ -47,7 +47,7 @@ func PartitionBy[K, V any](d *Dataset[Pair[K, V]], part Partitioner[K]) (*Datase
 	buckets := make([][]Pair[K, V], n)
 	var mu sync.Mutex
 
-	err := d.ctx.runJob(d.recorder(), allPartitions(d.numPart), func(p int) error {
+	err := d.ctx.runJob(d.recorder(), AllPartitions(d.numPart), func(p int) error {
 		// Route straight off the fused pipeline into local buckets
 		// (no input slice), then merge under one lock per source task.
 		local := make([][]Pair[K, V], n)
@@ -158,7 +158,7 @@ func ReduceByKey[K comparable, V any](d *Dataset[Pair[K, V]], hash func(K) int, 
 func CountByKey[K comparable, V any](d *Dataset[Pair[K, V]]) (map[K]int64, error) {
 	var mu sync.Mutex
 	counts := make(map[K]int64)
-	err := d.ctx.runJob(d.recorder(), allPartitions(d.numPart), func(p int) error {
+	err := d.ctx.runJob(d.recorder(), AllPartitions(d.numPart), func(p int) error {
 		local := make(map[K]int64)
 		if err := d.EachPartition(p, func(kv Pair[K, V]) bool {
 			local[kv.Key]++
@@ -190,7 +190,7 @@ func CartesianPartitions[A, B, R any](a *Dataset[A], b *Dataset[B], fn func(pa [
 		}
 	}
 	results := make([][]R, len(tasks))
-	idxs := allPartitions(len(tasks))
+	idxs := AllPartitions(len(tasks))
 	err := a.ctx.runJob(a.recorder(), idxs, func(t int) error {
 		pa, err := a.ComputePartition(tasks[t].i)
 		if err != nil {

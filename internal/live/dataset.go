@@ -448,57 +448,34 @@ func (s *Snapshot[V]) Tuples() *engine.Dataset[engine.Pair[stobject.STObject, V]
 	})
 }
 
-// FilterPartitions probes the live trees of the given partitions with
-// the prune envelope, refines candidates with the exact predicate,
-// and returns the surviving tuples per visited partition (aligned
-// with visit). It is the live counterpart of the persistent
-// LiveIndex probe path and charges the same engine metrics.
-func (s *Snapshot[V]) FilterPartitions(
-	pruneEnv geom.Envelope,
-	refine func(key stobject.STObject, value V) bool,
-	visit []int,
-) ([][]engine.Pair[stobject.STObject, V], error) {
-	return s.FilterPartitionsRecorder(nil, pruneEnv, refine, visit)
-}
-
-// FilterPartitionsRecorder is FilterPartitions charging its probe
-// metrics to rec instead of the context totals — the query service
-// uses it to attribute live-tree probes to the requesting job. A nil
-// rec selects the context's root recorder.
-func (s *Snapshot[V]) FilterPartitionsRecorder(
+// Probe returns the R-link tree probe as a lazy stream shaped like
+// Tuples: partition p searches its tree with env under the pinned
+// generation and yields the candidates that pass keep. Candidates are
+// copied out of a leaf under its read latch and refined and yielded
+// after its release, and a consumer that stops early stops the
+// search. It is the live counterpart of the persistent index probe
+// and charges the same metrics to rec (nil selects the context's root
+// recorder): one index probe per partition searched, every candidate
+// tested as a candidate refined.
+func (s *Snapshot[V]) Probe(
 	rec *engine.Recorder,
-	pruneEnv geom.Envelope,
-	refine func(key stobject.STObject, value V) bool,
-	visit []int,
-) ([][]engine.Pair[stobject.STObject, V], error) {
+	env geom.Envelope,
+	keep func(kv engine.Pair[stobject.STObject, V]) bool,
+) *engine.Dataset[engine.Pair[stobject.STObject, V]] {
 	v := s.v
-	rows := make([][]engine.Pair[stobject.STObject, V], len(visit))
 	if rec == nil {
 		rec = s.d.ctx.Recorder()
 	}
-	tasks := make([]int, len(visit))
-	for i := range visit {
-		tasks[i] = i
-	}
-	err := s.d.ctx.RunJobRecorder(nil, rec, tasks, func(i int) error {
-		p := visit[i]
-		var out []engine.Pair[stobject.STObject, V]
-		var probed, refined int64
-		v.trees[p].search(pruneEnv, v.gen, false, func(e Entry[V]) bool {
+	name := fmt.Sprintf("%s@g%d.probe", s.d.name, v.gen)
+	return engine.NewStream(s.d.ctx, name, len(v.trees), func(p int, yield func(engine.Pair[stobject.STObject, V]) bool) error {
+		var refined int64
+		v.trees[p].search(env, v.gen, false, func(e Entry[V]) bool {
 			refined++
-			if refine(e.Key, e.Value) {
-				out = append(out, engine.NewPair(e.Key, e.Value))
-			}
-			return true
+			kv := engine.NewPair(e.Key, e.Value)
+			return !keep(kv) || yield(kv)
 		})
-		probed++
-		rec.IndexProbes(probed)
+		rec.IndexProbes(1)
 		rec.CandidatesRefined(refined)
-		rows[i] = out
 		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
+	}).WithRecorder(rec)
 }

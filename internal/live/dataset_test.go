@@ -216,7 +216,7 @@ func TestIncrementalStatsMatchCollect(t *testing.T) {
 	}
 }
 
-func TestFilterPartitionsMatchesBruteForce(t *testing.T) {
+func TestProbeMatchesBruteForce(t *testing.T) {
 	ctx := engine.NewContext(4)
 	sp := gridOver(t, 3)
 	d := NewDataset[int](ctx, "t", sp, 6)
@@ -240,18 +240,16 @@ func TestFilterPartitionsMatchesBruteForce(t *testing.T) {
 	for i := range visit {
 		visit[i] = i
 	}
-	rows, err := snap.FilterPartitions(q, func(key stobject.STObject, _ int) bool {
-		c := key.Centroid()
+	rows, err := snap.Probe(nil, q, func(kv engine.Pair[stobject.STObject, int]) bool {
+		c := kv.Key.Centroid()
 		return q.ContainsPoint(c.X, c.Y)
-	}, visit)
+	}).CollectPartitions(visit)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got []int64
-	for _, part := range rows {
-		for _, kv := range part {
-			got = append(got, int64(kv.Value))
-		}
+	for _, kv := range rows {
+		got = append(got, int64(kv.Value))
 	}
 	var want []int64
 	for id, r := range recs {
@@ -268,6 +266,22 @@ func TestFilterPartitionsMatchesBruteForce(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("probe result diverges at %d: %d != %d", i, got[i], want[i])
 		}
+	}
+
+	// The probe is a stream: a consumer that stops after one row stops
+	// the search with it.
+	all, one := ctx.NewJobRecorder(), ctx.NewJobRecorder()
+	keep := func(engine.Pair[stobject.STObject, int]) bool { return true }
+	if _, err := snap.Probe(all, q, keep).CollectPartitions(visit); err != nil {
+		t.Fatal(err)
+	}
+	if rows, err := snap.Probe(one, q, keep).TakePartitions(visit, 1); err != nil || len(rows) != 1 {
+		t.Fatalf("take(1) over the probe: %d rows, err %v", len(rows), err)
+	}
+	full, head := all.Snapshot(), one.Snapshot()
+	if full.IndexProbes != int64(len(visit)) || head.IndexProbes != 1 || head.CandidatesRefined >= full.CandidatesRefined {
+		t.Errorf("take(1) probed %d partitions and refined %d candidates; collect %d and %d",
+			head.IndexProbes, head.CandidatesRefined, full.IndexProbes, full.CandidatesRefined)
 	}
 }
 
@@ -339,16 +353,12 @@ func TestHammerSnapshotIsolation(t *testing.T) {
 					for i := range visit {
 						visit[i] = i
 					}
-					rows, err := snap.FilterPartitions(everything, func(stobject.STObject, int) bool { return true }, visit)
+					rows, err := snap.Probe(nil, everything, func(engine.Pair[stobject.STObject, int]) bool { return true }).CollectPartitions(visit)
 					if err != nil {
 						errCh <- err
 						return
 					}
-					got := 0
-					for _, part := range rows {
-						got += len(part)
-					}
-					if got != want {
+					if got := len(rows); got != want {
 						errCh <- fmt.Errorf("gen %d: probe saw %d records, want %d", g, got, want)
 						return
 					}

@@ -407,60 +407,44 @@ func (s *Snapshot[V]) HasAttrField(name string) bool {
 	return len(s.v.attrs) > 0
 }
 
-// AttrProbeRecorder probes the pinned view's postings for p over the
-// visited partitions, refines each candidate with the payload-aware
-// predicate, and returns the survivors per visited partition (aligned
-// with visit). Probe metrics are charged to rec (nil selects the
-// context's root recorder): one index probe per partition, the
-// postings candidates as candidates refined.
-func (s *Snapshot[V]) AttrProbeRecorder(
+// AttrProbe returns the postings probe as a lazy stream shaped like
+// Tuples: partition part enumerates the entries matching p and visible
+// at the pinned generation and yields those that pass keep. The
+// candidates are copied out under the partition's read latch; keep and
+// yield run on the copies after its release, so arbitrary predicate
+// work never holds the latch. A view without postings for p's field
+// fails here, before any row. Probe metrics are charged to rec (nil
+// selects the context's root recorder): one index probe per partition,
+// the postings candidates as candidates refined.
+func (s *Snapshot[V]) AttrProbe(
 	rec *engine.Recorder,
 	p attr.Pred,
-	refine func(key stobject.STObject, value V) bool,
-	visit []int,
-) ([][]engine.Pair[stobject.STObject, V], error) {
+	keep func(kv engine.Pair[stobject.STObject, V]) bool,
+) (*engine.Dataset[engine.Pair[stobject.STObject, V]], error) {
+	if !s.HasAttrField(p.Field) {
+		return nil, fmt.Errorf("live: no attribute postings for field %q (SetAttrFields first)", p.Field)
+	}
 	v := s.v
-	rows := make([][]engine.Pair[stobject.STObject, V], len(visit))
 	if rec == nil {
 		rec = s.d.ctx.Recorder()
 	}
-	tasks := make([]int, len(visit))
-	for i := range visit {
-		tasks[i] = i
-	}
-	err := s.d.ctx.RunJobRecorder(nil, rec, tasks, func(i int) error {
-		part := visit[i]
+	name := fmt.Sprintf("%s@g%d.attrProbe", s.d.name, v.gen)
+	return engine.NewStream(s.d.ctx, name, len(v.attrs), func(part int, yield func(engine.Pair[stobject.STObject, V]) bool) error {
 		pa := v.attrs[part]
-		if pa == nil {
-			return fmt.Errorf("live: no attribute postings for partition %d (SetAttrFields first)", part)
-		}
-		fp := pa.field(p.Field)
-		if fp == nil {
-			return fmt.Errorf("live: no attribute postings for field %q (SetAttrFields first)", p.Field)
-		}
-		// Candidates are copied out under the read latch; refinement
-		// runs on the copies so arbitrary predicate work never holds
-		// the latch.
 		var cands []engine.Pair[stobject.STObject, V]
 		pa.mu.RLock()
-		candidates := fp.probe(p, v.gen, func(e *postEntry[V]) bool {
+		candidates := pa.field(p.Field).probe(p, v.gen, func(e *postEntry[V]) bool {
 			cands = append(cands, engine.NewPair(e.key, e.val))
 			return true
 		})
 		pa.mu.RUnlock()
-		var out []engine.Pair[stobject.STObject, V]
-		for _, kv := range cands {
-			if refine(kv.Key, kv.Value) {
-				out = append(out, kv)
-			}
-		}
 		rec.IndexProbes(1)
 		rec.CandidatesRefined(int64(candidates))
-		rows[i] = out
+		for _, kv := range cands {
+			if keep(kv) && !yield(kv) {
+				break
+			}
+		}
 		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
+	}).WithRecorder(rec), nil
 }

@@ -52,15 +52,17 @@ func probeIDs(t testing.TB, s *Snapshot[reading], p attr.Pred) []int64 {
 	for i := range visit {
 		visit[i] = i
 	}
-	parts, err := s.AttrProbeRecorder(nil, p, func(stobject.STObject, reading) bool { return true }, visit)
+	probe, err := s.AttrProbe(nil, p, func(engine.Pair[stobject.STObject, reading]) bool { return true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := probe.CollectPartitions(visit)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ids []int64
-	for _, rows := range parts {
-		for _, kv := range rows {
-			ids = append(ids, kv.Value.ID)
-		}
+	for _, kv := range rows {
+		ids = append(ids, kv.Value.ID)
 	}
 	slices.Sort(ids)
 	return ids
@@ -272,6 +274,18 @@ func TestPostingsDifferentialBattery(t *testing.T) {
 	}
 	checkPostings(t, r)
 	compare(r.Snapshot(), fields...)
+
+	// A view that holds no postings for the field says so when the probe
+	// is built, before any partition runs: an unregistered field, and
+	// any field once the set is dropped.
+	keep := func(engine.Pair[stobject.STObject, reading]) bool { return true }
+	if _, err := r.Snapshot().AttrProbe(nil, attr.Pred{Field: "id", Op: attr.OpEq, Lo: attr.Int64(1)}, keep); err == nil {
+		t.Error("probe of an unregistered field was built")
+	}
+	r.SetAttrFields(nil)
+	if _, err := r.Snapshot().AttrProbe(nil, attr.Pred{Field: "cat", Op: attr.OpEq, Lo: attr.String("cat-1")}, keep); err == nil {
+		t.Error("probe was built after the fields were dropped")
+	}
 }
 
 // TestPostingsCheckCatchesDamage makes sure the invariant checker is

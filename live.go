@@ -210,28 +210,22 @@ func newLiveView[V any](ctx *Context, name string, order int, snap *live.Snapsho
 		// maintained summary is seeded into the stats cache up front.
 		sds.SeedStats(snap.Stats())
 		base := plan.LiveScanNode(name, snap.Gen(), snap.NumPartitions(), order, snap.Count())
-		probe := func(rec *engine.Recorder, pruneEnv geom.Envelope, refine func(key STObject, v V) bool, visit []int) ([]Tuple[V], error) {
-			parts, err := snap.FilterPartitionsRecorder(rec, pruneEnv, refine, visit)
-			if err != nil {
-				return nil, err
+		source := func(rec *engine.Recorder) probeSource[V] {
+			return probeSource[V]{
+				trees: func(env geom.Envelope, keep func(Tuple[V]) bool) *engine.Dataset[Tuple[V]] {
+					return snap.Probe(rec, env, keep)
+				},
+				hasPostings: snap.HasAttrField,
+				postings: func(first attr.Pred, keep func(Tuple[V]) bool) (*engine.Dataset[Tuple[V]], error) {
+					if !snap.HasAttrField(first.Field) {
+						// Not a maintained field: the sidecar postings of
+						// this generation's view, built on first use.
+						return sds.WithRecorder(rec).AttrFilter(first, keep)
+					}
+					return snap.AttrProbe(rec, first, keep)
+				},
 			}
-			var rows []Tuple[V]
-			for _, p := range parts {
-				rows = append(rows, p...)
-			}
-			return rows, nil
 		}
-		attrProbe := func(rec *engine.Recorder, pred attr.Pred, refine func(key STObject, v V) bool, visit []int) ([]Tuple[V], error) {
-			parts, err := snap.AttrProbeRecorder(rec, pred, refine, visit)
-			if err != nil {
-				return nil, err
-			}
-			var rows []Tuple[V]
-			for _, p := range parts {
-				rows = append(rows, p...)
-			}
-			return rows, nil
-		}
-		return state[V]{sds: sds, base: base, liveProbe: probe, liveAttrProbe: attrProbe, liveAttrHas: snap.HasAttrField}, nil
+		return state[V]{sds: sds, base: base, live: source}, nil
 	})
 }

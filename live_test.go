@@ -1,10 +1,15 @@
 package stark
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"strings"
 	"testing"
+
+	"stark/internal/attr"
+	"stark/internal/engine"
+	"stark/internal/live"
 )
 
 func livePoint(x, y float64) STObject { return NewSTObject(NewPoint(x, y)) }
@@ -236,5 +241,84 @@ func TestMutableDatasetEmptyAndChaining(t *testing.T) {
 	}
 	if md.Generation() != 1 || md.Count() != 50 {
 		t.Fatalf("rejected batch mutated state: gen=%d count=%d", md.Generation(), md.Count())
+	}
+}
+
+// TestPlanErrorsSurfaceAtRun: the query service commits its status line
+// after Run(), so whatever can be known before the first row must fail
+// there, on a static and on a live dataset, and the stream that follows
+// must report the same error without calling the encoder or the sink.
+// (A columnar sidecar cannot be made to vanish: nothing ever clears
+// one, so that check of compile's has no row here.)
+func TestPlanErrorsSurfaceAtRun(t *testing.T) {
+	ctx := NewContext(2)
+	schema := NewAttrSchema[int]().Int64("v", func(v int) int64 { return int64(v) })
+	other := NewAttrSchema[int]().Int64("w", func(v int) int64 { return int64(v) })
+	rng := rand.New(rand.NewSource(18))
+	tuples := make([]Tuple[int], 2000)
+	recs := make([]LiveRecord[int], len(tuples))
+	for i := range tuples {
+		tuples[i] = NewTuple(livePoint(rng.Float64()*100, rng.Float64()*100), i)
+		recs[i] = LiveRecord[int]{ID: int64(i), Key: tuples[i].Key, Value: i}
+	}
+	static := Parallelize(ctx, tuples, 2)
+	md := NewMutableDataset[int](ctx, "errs", liveGrid(t, 2), 8)
+	if _, err := md.Insert(recs...); err != nil {
+		t.Fatal(err)
+	}
+	// A live view whose source promises postings the pinned generation
+	// does not hold: the planner takes the postings probe and the
+	// snapshot refuses to build it.
+	raw := live.NewDataset[int](ctx, "raw", nil, 8)
+	ops := make([]LiveOp[int], len(recs))
+	for i, r := range recs {
+		ops[i] = LiveInsert(r.ID, r.Key, r.Value)
+	}
+	if _, err := raw.Apply(ops); err != nil {
+		t.Fatal(err)
+	}
+	snap := raw.Snapshot()
+	promised := newLiveView(ctx, "raw", raw.Order(), snap).chain("promise", func(st state[int]) (state[int], error) {
+		st.live = func(rec *engine.Recorder) probeSource[int] {
+			return probeSource[int]{
+				hasPostings: func(string) bool { return true },
+				postings: func(first attr.Pred, keep func(Tuple[int]) bool) (*engine.Dataset[Tuple[int]], error) {
+					return snap.AttrProbe(rec, first, keep)
+				},
+			}
+		}
+		return st, nil
+	})
+
+	for _, tc := range []struct {
+		name string
+		d    *Dataset[int]
+		want string
+	}{
+		{"static/unknown field", static.WithSchema(schema).FilterEq("w", 1), `"w"`},
+		{"static/no schema", static.FilterEq("v", 1), "schema"},
+		{"static/field gone from the schema", static.WithSchema(schema).FilterEq("v", 1).WithSchema(other), `no field "v" in schema`},
+		{"live/unknown field", md.Snapshot().WithSchema(schema).FilterEq("w", 1), `"w"`},
+		{"live/no schema", md.Snapshot().FilterEq("v", 1), "schema"},
+		{"live/field gone from the schema", md.Snapshot().WithSchema(schema).FilterEq("v", 1).WithSchema(other), `no field "v" in schema`},
+		{"live/no postings for the driving field", promised.WithSchema(schema).FilterEq("v", 1), `no attribute postings for field "v"`},
+	} {
+		err := tc.d.Run()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Run() = %v, want an error naming %s", tc.name, err, tc.want)
+			continue
+		}
+		streamErr := tc.d.StreamEncodedContext(context.Background(),
+			func(dst []byte, _ Tuple[int]) ([]byte, error) {
+				t.Errorf("%s: encoder called after Run() failed", tc.name)
+				return dst, nil
+			},
+			func([]byte, int64) bool {
+				t.Errorf("%s: sink called after Run() failed", tc.name)
+				return false
+			})
+		if streamErr == nil || streamErr.Error() != err.Error() {
+			t.Errorf("%s: stream failed with %v, Run() with %v", tc.name, streamErr, err)
+		}
 	}
 }

@@ -250,20 +250,60 @@ func TestPartitionPruningAtAction(t *testing.T) {
 }
 
 // TestStreamingActions exercises the streaming / short-circuiting
-// action surface of the DSL: Exists, First, Reduce, Stream and Take
-// must agree with Collect on the same chain — with and without a
-// spatial partitioner (i.e. with partition pruning pending).
+// action surface of the DSL: Count, Exists, First, Reduce, Stream and
+// Take must agree with Collect on the same chain — with and without a
+// spatial partitioner (i.e. with partition pruning pending), through
+// persistent partition trees and through the concurrent trees of a
+// mutable-dataset snapshot — and every action must leave exactly one
+// phase in the chain's trace. On the two indexed layouts the probes
+// run inside the action, so Take(1) probes one partition and refines
+// fewer candidates than Collect.
 func TestStreamingActions(t *testing.T) {
 	ctx := stark.NewContext(4)
 	tuples := apiSpatialTuples(t, 3_000)
 	q := stark.NewSTObject(stark.NewEnvelope(100, 100, 700, 700).ToPolygon())
 
-	for _, mode := range []string{"plain", "partitioned"} {
+	keys := make([]stark.STObject, len(tuples))
+	recs := make([]stark.LiveRecord[int], len(tuples))
+	for i, kv := range tuples {
+		keys[i] = kv.Key
+		recs[i] = stark.LiveRecord[int]{ID: int64(i), Key: kv.Key, Value: kv.Value}
+	}
+	sp, err := stark.Grid(4).Build(keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	md := stark.NewMutableDataset[int](ctx, "streaming-live", sp, 8)
+	if _, err := md.Insert(recs...); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, mode := range []string{"plain", "partitioned", "indexed", "live"} {
 		ds := stark.Parallelize(ctx, tuples, 6)
-		if mode == "partitioned" {
+		switch mode {
+		case "partitioned":
 			ds = ds.PartitionBy(stark.Grid(4))
+		case "indexed":
+			ds = ds.PartitionBy(stark.Grid(4)).Index(stark.Persistent(8))
+		case "live":
+			ds = md.Snapshot()
 		}
 		filtered := ds.Intersects(q)
+
+		// Planning is its own phase; each action then adds one.
+		if err := filtered.Run(); err != nil {
+			t.Fatal(err)
+		}
+		phases := 1
+		onePhase := func(name string) {
+			t.Helper()
+			kids := filtered.Trace().Children
+			if len(kids) != phases+1 || kids[len(kids)-1].Op != name {
+				t.Errorf("%s: %d phases after %s (last %q), want %d ending in it",
+					mode, len(kids), name, kids[len(kids)-1].Op, phases+1)
+			}
+			phases = len(kids)
+		}
 
 		want, err := filtered.Collect()
 		if err != nil {
@@ -271,6 +311,33 @@ func TestStreamingActions(t *testing.T) {
 		}
 		if len(want) == 0 {
 			t.Fatal("degenerate query")
+		}
+		onePhase("collect")
+
+		// A second action on the same Dataset runs the lazy plan again.
+		n64, err := filtered.Count()
+		if err != nil || n64 != int64(len(want)) {
+			t.Errorf("%s: count after collect = %d err=%v, want %d", mode, n64, err, len(want))
+		}
+		onePhase("count")
+
+		if mode == "indexed" || mode == "live" {
+			all, one := ds.Intersects(q), ds.Intersects(q)
+			if _, err := all.Collect(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := one.Take(1); err != nil {
+				t.Fatal(err)
+			}
+			full, head := all.Trace(), one.Trace()
+			if head.Counter("index_probes") > 1 || full.Counter("index_probes") < 2 {
+				t.Errorf("%s: take(1) probed %d partitions, collect %d; want at most 1 and several",
+					mode, head.Counter("index_probes"), full.Counter("index_probes"))
+			}
+			if head.Counter("candidates_refined") >= full.Counter("candidates_refined") {
+				t.Errorf("%s: take(1) refined %d candidates, collect %d; want fewer",
+					mode, head.Counter("candidates_refined"), full.Counter("candidates_refined"))
+			}
 		}
 
 		// Stream sees exactly the Collect rows, in partition order.
@@ -289,6 +356,7 @@ func TestStreamingActions(t *testing.T) {
 				t.Fatalf("%s: stream row %d differs from collect", mode, i)
 			}
 		}
+		onePhase("stream")
 
 		// Early stop.
 		n := 0
@@ -301,6 +369,7 @@ func TestStreamingActions(t *testing.T) {
 		if n != 7 {
 			t.Errorf("%s: stream stop saw %d rows, want 7", mode, n)
 		}
+		onePhase("stream")
 
 		// First matches the head of Collect.
 		first, ok, err := filtered.First()
@@ -310,6 +379,7 @@ func TestStreamingActions(t *testing.T) {
 		if first.Value != want[0].Value {
 			t.Errorf("%s: first = %v, want %v", mode, first.Value, want[0].Value)
 		}
+		onePhase("take")
 
 		// Take short-circuits but returns the same prefix.
 		head, err := filtered.Take(5)
@@ -324,16 +394,19 @@ func TestStreamingActions(t *testing.T) {
 				t.Errorf("%s: take row %d differs from collect", mode, i)
 			}
 		}
+		onePhase("take")
 
 		// Exists: a present payload and an impossible one.
 		found, err := filtered.Exists(func(kv stark.Tuple[int]) bool { return kv.Value == want[0].Value })
 		if err != nil || !found {
 			t.Errorf("%s: exists(present) = %v err=%v", mode, found, err)
 		}
+		onePhase("exists")
 		found, err = filtered.Exists(func(kv stark.Tuple[int]) bool { return kv.Value < 0 })
 		if err != nil || found {
 			t.Errorf("%s: exists(absent) = %v err=%v", mode, found, err)
 		}
+		onePhase("exists")
 
 		// Reduce streams to the same sum Collect gives.
 		wantSum := 0
@@ -350,6 +423,16 @@ func TestStreamingActions(t *testing.T) {
 		if total.Value != wantSum {
 			t.Errorf("%s: reduce sum = %d, want %d", mode, total.Value, wantSum)
 		}
+		onePhase("reduce")
+
+		if err := filtered.Foreach(func(stark.Tuple[int]) {}); err != nil {
+			t.Fatal(err)
+		}
+		onePhase("foreach")
+		if err := filtered.StreamParallel(func(stark.Tuple[int]) bool { return true }); err != nil {
+			t.Fatal(err)
+		}
+		onePhase("stream")
 	}
 }
 

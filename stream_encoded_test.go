@@ -45,23 +45,48 @@ func TestStreamEncodedAgreesWithStreamParallelAcrossLayouts(t *testing.T) {
 	if _, err := md.Insert(recs...); err != nil {
 		t.Fatal(err)
 	}
-	layouts := []struct {
-		name string
-		base *stark.Dataset[int]
-	}{
-		{"plain", stark.Parallelize(ctx, tuples, 5)},
-		{"grid", stark.Parallelize(ctx, tuples, 5).PartitionBy(stark.Grid(4))},
-		{"bsp", stark.Parallelize(ctx, tuples, 5).PartitionBy(stark.BSP(150))},
-		{"grid+index", stark.Parallelize(ctx, tuples, 5).PartitionBy(stark.Grid(4)).Index(stark.Persistent(8))},
-		{"grid+columnar", stark.Parallelize(ctx, tuples, 5).PartitionBy(stark.Grid(4)).Columnar()},
-		{"live-snapshot", md.Snapshot()},
+	// The last two layouts answer an attribute predicate from postings
+	// (the sidecar's, prebuilt, and the ones the mutable dataset
+	// maintains), so both postings probes stream here too. They hold
+	// one partition: at 900 rows the planner prices a postings probe
+	// per partition above the scan of more.
+	schema := stark.NewAttrSchema[int]().Int64("bucket", func(v int) int64 { return int64(v % 30) })
+	one, err := stark.Grid(1).Build([]stark.STObject{
+		stark.NewSTObject(stark.NewPoint(0, 0)),
+		stark.NewSTObject(stark.NewPoint(1000, 1000)),
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	total := 0
+	mdAttr := stark.NewMutableDataset[int](ctx, "encoded-live-attr", one, 8)
+	mdAttr.SetAttrFields(schema)
+	if _, err := mdAttr.Insert(recs...); err != nil {
+		t.Fatal(err)
+	}
+	layouts := []struct {
+		name     string
+		base     *stark.Dataset[int]
+		postings bool
+	}{
+		{"plain", stark.Parallelize(ctx, tuples, 5), false},
+		{"grid", stark.Parallelize(ctx, tuples, 5).PartitionBy(stark.Grid(4)), false},
+		{"bsp", stark.Parallelize(ctx, tuples, 5).PartitionBy(stark.BSP(150)), false},
+		{"grid+index", stark.Parallelize(ctx, tuples, 5).PartitionBy(stark.Grid(4)).Index(stark.Persistent(8)), false},
+		{"grid+columnar", stark.Parallelize(ctx, tuples, 5).PartitionBy(stark.Grid(4)).Columnar(), false},
+		{"live-snapshot", md.Snapshot(), false},
+		{"grid+index+schema", stark.Parallelize(ctx, tuples, 5).PartitionBy(stark.Grid(1)).Index(stark.Persistent(8)).
+			WithSchema(schema).AttrIndex("bucket").FilterEq("bucket", 3), true},
+		{"live+attr-fields", mdAttr.Snapshot().WithSchema(schema).FilterEq("bucket", 3), true},
+	}
+	total, unfiltered := 0, 0
 	for _, layout := range layouts {
+		if !layout.postings {
+			unfiltered++
+		}
 		for trial := 0; trial < 4; trial++ {
 			chain := func() *stark.Dataset[int] {
 				if trial == 0 {
-					return layout.base // no predicate: every partition, every row
+					return layout.base // no spatial predicate: every partition
 				}
 				x, y := float64(trial)*150, float64(trial)*120
 				q, err := stark.FromWKT(fmt.Sprintf("POLYGON ((%g %g, %g %g, %g %g, %g %g, %g %g))",
@@ -110,10 +135,16 @@ func TestStreamEncodedAgreesWithStreamParallelAcrossLayouts(t *testing.T) {
 						layout.name, trial, c, a.Counter(c), b.Counter(c))
 				}
 			}
+			// Without a spatial predicate the only probe there is is the
+			// postings probe.
+			if layout.postings && trial == 0 && (wantRows == 0 || b.Counter("index_probes") == 0 || b.Counter("elements_scanned") != 0) {
+				t.Errorf("%s: %d rows after %d probes and %d rows scanned; the postings probe did not answer",
+					layout.name, wantRows, b.Counter("index_probes"), b.Counter("elements_scanned"))
+			}
 			total += int(wantRows)
 		}
 	}
-	if total < len(layouts)*len(tuples) {
+	if total < unfiltered*len(tuples) {
 		t.Fatalf("only %d rows streamed; the comparison is vacuous", total)
 	}
 }
@@ -144,6 +175,40 @@ func TestStreamEncodedStops(t *testing.T) {
 	})
 	if !errors.Is(err, context.Canceled) || delivered != 25 {
 		t.Errorf("cancel mid-stream: error %v after %d rows, want context.Canceled after 25", err, delivered)
+	}
+
+	// The same cancellation over partition trees: the probes run inside
+	// the windows, so the two partitions of the second window are never
+	// probed.
+	keys := make([]stark.STObject, 100)
+	recs := make([]stark.LiveRecord[int], 100)
+	for i := range recs {
+		keys[i] = pointAt(float64(i%10), float64(i/10))
+		recs[i] = stark.LiveRecord[int]{ID: int64(i), Key: keys[i], Value: i}
+	}
+	sp, err := stark.Grid(2).Build(keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	md := stark.NewMutableDataset[int](ctx, "stops-live", sp, 8)
+	if _, err := md.Insert(recs...); err != nil {
+		t.Fatal(err)
+	}
+	everything := stark.NewSTObject(stark.NewEnvelope(-1, -1, 11, 11).ToPolygon())
+	for name, indexed := range map[string]*stark.Dataset[int]{
+		"persistent": base.Index(stark.Persistent(4)).Intersects(everything),
+		"live":       md.Snapshot().Intersects(everything),
+	} {
+		cctx, cancel := context.WithCancel(context.Background())
+		err := indexed.StreamEncodedContext(cctx, appendRow, func([]byte, int64) bool {
+			cancel()
+			return true
+		})
+		if probes := indexed.Trace().Counter("index_probes"); !errors.Is(err, context.Canceled) || probes != 2 {
+			t.Errorf("%s: cancel after the first chunk: error %v after %d of 4 partitions probed, want context.Canceled after 2",
+				name, err, probes)
+		}
+		cancel()
 	}
 
 	delivered = 0
