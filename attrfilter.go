@@ -58,7 +58,7 @@ func (d *Dataset[V]) AttrIndex(fields ...string) *Dataset[V] {
 		if st.schema == nil {
 			return state[V]{}, fmt.Errorf("no attribute schema registered (WithSchema must precede AttrIndex)")
 		}
-		st, err := st.flush(d.ctx)
+		st, err := st.flush()
 		if err != nil {
 			return state[V]{}, err
 		}

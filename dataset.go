@@ -45,6 +45,10 @@ type state[V any] struct {
 	// whose extent misses any of them cannot contribute to the
 	// result, so actions skip it (the paper's partition pruning).
 	pruneEnvs []geom.Envelope
+	// visit, when non-nil, lists the only partitions that can hold
+	// records (a join's probe partitions the build side can reach);
+	// pruneEnvs prune it further. nil means all of them.
+	visit []int
 	// pending are the scan filters not yet folded into the lineage.
 	// Record-enumerating actions hand them to the cost-based planner
 	// (predicate reordering, stats-based pruning, index-mode choice);
@@ -148,8 +152,8 @@ type Dataset[V any] struct {
 	compErr     error
 
 	// flushOnce memoises the caller-order fold of pending filters, so
-	// consumers that need the concrete filtered dataset (joins, kNN,
-	// Stats) never execute an eager index probe or filter fold twice.
+	// the consumers that need the concrete filtered dataset (joins, kNN,
+	// Stats) all see one instance and share its statistics cache.
 	flushOnce sync.Once
 	flushed   state[V]
 	flushErr  error
@@ -238,7 +242,7 @@ func (d *Dataset[V]) Context() *Context { return d.ctx }
 // either order.
 func (d *Dataset[V]) PartitionBy(p Partitioner) *Dataset[V] {
 	return d.chain("partitionBy", func(st state[V]) (state[V], error) {
-		st, err := st.flush(d.ctx)
+		st, err := st.flush()
 		if err != nil {
 			return state[V]{}, err
 		}
@@ -275,7 +279,7 @@ func (d *Dataset[V]) PartitionBy(p Partitioner) *Dataset[V] {
 		node := plan.NewNode("Partition", p.String()).
 			Prop("partitions=%d", parted.NumPartitions()).
 			Add(st.base)
-		return applyMode(d.ctx, state[V]{sds: parted, mode: st.mode, noOpt: st.noOpt, schema: st.schema, base: node})
+		return applyMode(state[V]{sds: parted, mode: st.mode, noOpt: st.noOpt, schema: st.schema, base: node})
 	})
 }
 
@@ -289,18 +293,18 @@ func (d *Dataset[V]) Index(m IndexMode) *Dataset[V] {
 		if err := m.validate(); err != nil {
 			return state[V]{}, err
 		}
-		st, err := st.flush(d.ctx)
+		st, err := st.flush()
 		if err != nil {
 			return state[V]{}, err
 		}
 		st.mode = m
 		st.base = plan.NewNode("Index", m.String()).Add(st.base)
-		return applyMode(d.ctx, st)
+		return applyMode(st)
 	})
 }
 
 // applyMode (re)builds the partition indexes demanded by st.mode.
-func applyMode[V any](ctx *Context, st state[V]) (state[V], error) {
+func applyMode[V any](st state[V]) (state[V], error) {
 	switch st.mode.kind {
 	case modeNone:
 		st.idx = nil
@@ -324,7 +328,7 @@ func applyMode[V any](ctx *Context, st state[V]) (state[V], error) {
 // repeated actions on the same chain compute each partition once.
 func (d *Dataset[V]) Cache() *Dataset[V] {
 	return d.chain("cache", func(st state[V]) (state[V], error) {
-		st, err := st.flush(d.ctx)
+		st, err := st.flush()
 		if err != nil {
 			return state[V]{}, err
 		}
@@ -354,7 +358,7 @@ func (d *Dataset[V]) Columnar() *Dataset[V] { return d.ColumnarLayout(true) }
 // catalog does this lazily per generation).
 func (d *Dataset[V]) ColumnarLayout(hilbertSort bool) *Dataset[V] {
 	return d.chain("columnar", func(st state[V]) (state[V], error) {
-		st, err := st.flush(d.ctx)
+		st, err := st.flush()
 		if err != nil {
 			return state[V]{}, err
 		}
@@ -429,11 +433,12 @@ func vertexCount(g Geometry) int {
 // flush folds the pending scan filters into the lineage in caller
 // order — the pre-planner execution strategy, used by every consumer
 // that needs the concrete filtered dataset (repartitioning, payload
-// transforms, joins, clustering) rather than a plannable scan. Those
-// consumers read the result more than once, so an existing index is
-// probed here and the rows kept (core's Filter: the lazy probe,
-// collected over the partitions the envelope touches).
-func (st state[V]) flush(ctx *Context) (state[V], error) {
+// transforms, joins, clustering) rather than a plannable scan. It only
+// extends the lineage and runs no job: a filter becomes a fused scan
+// stage, or a lazy probe of the partition trees when the chain holds
+// an index, and either way the dataset keeps its partitions and
+// partitioner and the filter's envelope joins pruneEnvs.
+func (st state[V]) flush() (state[V], error) {
 	pending := st.pending
 	st.pending = nil
 	if len(pending) > 0 {
@@ -465,30 +470,24 @@ func (st state[V]) flush(ctx *Context) (state[V], error) {
 			continue
 		}
 		pruneEnv := p.info.PruneEnv()
+		node := plan.NewNode("Filter", p.info.String()).Add(st.base)
 		if st.idx != nil {
-			// Indexed probe + exact refinement. The result is a plain
-			// in-memory dataset: like the Scala DSL, an indexed
-			// operator yields an unindexed RDD.
-			rows, err := st.idx.Filter(p.q, pruneEnv, p.pred)
+			// Indexed probe + exact refinement. Like the Scala DSL, an
+			// indexed operator yields an unindexed RDD.
+			probed, err := core.WrapPartitioned(st.idx.Probe(pruneEnv, func(kv Tuple[V]) bool {
+				return p.pred(kv.Key, p.q)
+			}), st.sds.Partitioner())
 			if err != nil {
 				return state[V]{}, fmt.Errorf("stark: %s: %w", p.name, err)
 			}
-			node := plan.NewNode("Filter", p.info.String()).
-				Prop("index=probe (existing partition trees)").
-				Add(st.base)
-			node.ActRows = int64(len(rows))
-			st = state[V]{
-				sds:    core.Wrap(engine.Parallelize(ctx, rows, 0)),
-				noOpt:  st.noOpt,
-				schema: st.schema,
-				base:   node,
-			}
-			continue
+			st.sds, st.idx = probed, nil
+			node.Prop("index=probe (existing partition trees)")
+		} else {
+			st.sds = st.sds.Where(p.q, p.pred)
 		}
-		st.sds = st.sds.Where(p.q, p.pred)
 		st.pruneEnvs = append(st.pruneEnvs[:len(st.pruneEnvs):len(st.pruneEnvs)], pruneEnv)
 		st.mode = NoIndexing
-		st.base = plan.NewNode("Filter", p.info.String()).Add(st.base)
+		st.base = node
 	}
 	return st, nil
 }
@@ -532,7 +531,7 @@ func (d *Dataset[V]) FilterValues(keep func(V) bool) *Dataset[V] {
 		if keep == nil {
 			return state[V]{}, fmt.Errorf("nil filter")
 		}
-		st, err := st.flush(d.ctx)
+		st, err := st.flush()
 		if err != nil {
 			return state[V]{}, err
 		}
@@ -557,7 +556,7 @@ func (d *Dataset[V]) Sample(fraction float64, seed int64) *Dataset[V] {
 		if fraction < 0 || fraction > 1 {
 			return state[V]{}, fmt.Errorf("fraction %v outside [0, 1]", fraction)
 		}
-		st, err := st.flush(d.ctx)
+		st, err := st.flush()
 		if err != nil {
 			return state[V]{}, err
 		}
@@ -582,12 +581,13 @@ func MapValues[V, W any](d *Dataset[V], f func(V) W) *Dataset[W] {
 		if err != nil {
 			return state[W]{}, err
 		}
-		st, err = st.flush(d.ctx)
+		st, err = st.flush()
 		if err != nil {
 			return state[W]{}, err
 		}
 		return state[W]{
 			sds:       core.MapDatasetValues(st.sds, f),
+			visit:     st.visit,
 			pruneEnvs: st.pruneEnvs,
 			noOpt:     st.noOpt,
 			base:      plan.NewNode("MapValues", "").Add(st.base),
@@ -600,12 +600,13 @@ func MapValues[V, W any](d *Dataset[V], f func(V) W) *Dataset[W] {
 // not respect the old layout. Repartition afterwards if needed.
 func ReKey[V any](d *Dataset[V], f func(key STObject, v V) STObject) *Dataset[V] {
 	return d.chain("reKey", func(st state[V]) (state[V], error) {
-		st, err := st.flush(d.ctx)
+		st, err := st.flush()
 		if err != nil {
 			return state[V]{}, err
 		}
 		return state[V]{
 			sds:    core.ReKey(st.sds, f),
+			visit:  st.visit,
 			noOpt:  st.noOpt,
 			schema: st.schema,
 			base:   plan.NewNode("ReKey", "").Add(st.base),
@@ -622,10 +623,9 @@ func (d *Dataset[V]) force() (state[V], error) {
 
 // forceFlushed resolves the chain and folds any pending scan filters
 // into the lineage in caller order — for consumers that need the
-// concrete filtered dataset rather than a plannable scan. The fold is
-// memoised: an indexed chain probes its R-trees at most once no
-// matter how many consumers flush, and the flushed dataset instance
-// is stable so its statistics cache can hit.
+// concrete filtered dataset rather than a plannable scan. The fold
+// runs no job (see flush) and is memoised, so the flushed dataset
+// instance is stable and its statistics cache can hit.
 func (d *Dataset[V]) forceFlushed() (state[V], error) {
 	d.flushOnce.Do(func() {
 		st, err := d.resolve()
@@ -634,7 +634,7 @@ func (d *Dataset[V]) forceFlushed() (state[V], error) {
 			return
 		}
 		rec := d.jobRecorder()
-		d.flushed, d.flushErr = st.withRecorder(rec).flush(d.ctx)
+		d.flushed, d.flushErr = st.withRecorder(rec).flush()
 		if d.flushErr == nil {
 			d.flushed = d.flushed.withRecorder(rec)
 		}
@@ -663,16 +663,18 @@ func (st *state[V]) enumerateViaIndex() bool {
 	return st.idx != nil && st.mode.kind == modePersistent
 }
 
-// prunedVisit returns the partitions an action must visit once the
-// pending filter envelopes are applied: all of them when no pruning
-// applies.
+// prunedVisit returns the partitions an action must visit: st.visit
+// (all of them when unset) less those a folded filter envelope rules
+// out.
 func (st *state[V]) prunedVisit(rec *engine.Recorder) []int {
-	visit := engine.AllPartitions(st.sds.NumPartitions())
+	visit := st.visit
+	if visit == nil {
+		visit = engine.AllPartitions(st.sds.NumPartitions())
+	}
 	if sp := st.sds.Partitioner(); sp != nil && len(st.pruneEnvs) > 0 {
-		visit = touching(sp, visit, st.pruneEnvs)
-		if pruned := st.sds.NumPartitions() - len(visit); pruned > 0 {
-			rec.TasksSkipped(int64(pruned))
-		}
+		kept := touching(sp, visit, st.pruneEnvs)
+		rec.TasksSkipped(int64(len(visit) - len(kept)))
+		visit = kept
 	}
 	return visit
 }
@@ -880,7 +882,9 @@ func (d *Dataset[V]) StreamEncodedContext(ctx context.Context,
 	})
 }
 
-// NumPartitions resolves the chain and returns the partition count.
+// NumPartitions resolves the chain and returns the partition count. A
+// filter never changes it: a chain filtered through an index reports
+// the dataset's own layout, like one filtered by a scan.
 func (d *Dataset[V]) NumPartitions() (int, error) {
 	st, err := d.forceFlushed()
 	if err != nil {
@@ -890,7 +894,8 @@ func (d *Dataset[V]) NumPartitions() (int, error) {
 }
 
 // Partitioner resolves the chain and returns the spatial partitioner,
-// or nil when the data is not spatially partitioned.
+// or nil when the data is not spatially partitioned. Filters keep it,
+// whether they scan or probe an index.
 func (d *Dataset[V]) Partitioner() (SpatialPartitioner, error) {
 	st, err := d.forceFlushed()
 	if err != nil {

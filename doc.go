@@ -145,29 +145,37 @@
 //
 // # Join execution
 //
-// Join picks one of three physical strategies per join, costed from
-// both sides' statistics (JoinOptions.Strategy forces one; JoinAuto,
-// the default, lets the model choose — read the verdict back via
-// JoinOptions.Report):
+// A join is a transformation like the filters. Resolving the chain
+// (Run is enough) plans it: one of three physical strategies and the
+// build side, costed from both inputs' statistics over the partitions
+// their own filters leave to visit (JoinOptions.Strategy forces one;
+// JoinAuto, the default, lets the model choose — read the verdict back
+// via JoinOptions.Report). An action then joins: every task streams
+// one probe partition through its fused pipeline, once, against the
+// build slots the strategy assigns it — rows of the build side plus a
+// live R-tree, loaded behind a sync.Once by the first task that needs
+// them — and yields pairs as they are found. Take and a cancelled
+// stream stop probing; memory is bounded by the build side, the pairs
+// are never materialised. What a slot holds:
 //
 //   - JoinBroadcast: a side whose estimated cardinality fits the
-//     broadcast row budget is materialised once into a single live
-//     R-tree; the other side's fused pipelines stream against it,
-//     one task per stream partition, no pair enumeration. Stream
-//     partitions that cannot reach the broadcast envelope are
-//     skipped.
+//     broadcast row budget is one slot, materialised once into a
+//     single live R-tree that every probe partition streams against,
+//     no pair enumeration. Probe partitions that cannot reach the
+//     broadcast envelope are skipped.
 //   - JoinCoPartition: when the sides are partitioned differently
 //     (or one is unpartitioned), the smaller side is replicated onto
 //     the larger side's SpatialPartitioner by extent overlap
-//     (expanded by the probe distance), so every task joins exactly
-//     one aligned partition pair.
-//   - JoinPairs: the paper's partitioned join — pairs enumerated,
-//     disjoint extents pruned, the right partition of each surviving
-//     pair materialised and indexed exactly once behind a shared
-//     sync.Once slot that is released when its last task completes.
+//     (expanded by the probe distance), so every probe partition
+//     probes exactly its aligned bucket.
+//   - JoinPairs: the paper's partitioned join — one slot per build
+//     partition, probed by the probe partitions whose extent reaches
+//     it, disjoint extents pruned; each build partition is
+//     materialised and indexed exactly once, however many probe
+//     partitions and actions share it.
 //
-// Under JoinAuto the executor builds the smaller input (swapping
-// sides internally and swapping result rows back); a forced strategy
+// Under JoinAuto the smaller input is the build side (rows stay
+// left-keyed whichever side that is); a forced strategy
 // skips planning and builds the right input as given — force
 // JoinBroadcast with the side to materialise on the right. EXPLAIN
 // renders the decision as Join[broadcast|copartition|pairs] with
@@ -224,9 +232,9 @@
 // served from the very bytes the miss streamed, with zero engine
 // work. A "join" clause on /api/v1/query
 // joins the (optionally filtered) dataset against another catalog
-// dataset with any strategy hint and streams the pairs; join results
-// bypass the cache, since each run materialises a fresh result
-// dataset whose fingerprint could never repeat. cmd/starkd is the
+// dataset with any strategy hint and streams the pairs as they are
+// found; join results bypass the cache, since each request builds a
+// fresh join operator whose fingerprint could never repeat. cmd/starkd is the
 // executable; stark-bench's `service` experiment measures p50/p99
 // latency and hit rate through real HTTP, and its `join` experiment
 // sweeps strategy × layout × selectivity into BENCH_join.json.
@@ -358,8 +366,9 @@
 //   - internal/core      — the operator layer the DSL drives: every
 //     filter access path (fused scan, tree probe, columnar kernels,
 //     postings probe and intersection) as a lazy stream over the
-//     dataset's partitions, plus joins, kNN, the indexing modes and
-//     the DBSCAN entry point;
+//     dataset's partitions, the join as one lazy operator over two
+//     such streams, plus kNN, the indexing modes and the DBSCAN entry
+//     point;
 //   - internal/stats     — one-pass dataset statistics for the
 //     planner (per-partition MBRs, counts, temporal extents, grid
 //     histogram);

@@ -71,14 +71,16 @@ type attrActual struct {
 // exactly once.
 func (d *Dataset[V]) compiled() (compiled[V], error) {
 	d.compileOnce.Do(func() {
+		// Resolving is part of the phase: that is where a join is planned
+		// (statistics of both inputs, strategy, visit list).
+		rec := d.jobRecorder()
+		m := d.beginPhase()
 		st, err := d.resolve()
 		if err != nil {
 			d.compErr = err
 			return
 		}
-		rec := d.jobRecorder()
-		m := d.beginPhase()
-		d.comp, d.compErr = compile(d.ctx, rec, st.withRecorder(rec))
+		d.comp, d.compErr = compile(rec, st.withRecorder(rec))
 		if d.compErr == nil {
 			d.comp.ds = d.comp.ds.WithRecorder(rec)
 		}
@@ -105,7 +107,7 @@ func (d *Dataset[V]) compiled() (compiled[V], error) {
 // Every compiled attribute predicate counts its evaluations, so
 // Explain can attach actual selectivities to the AttrScan/AttrIndex
 // nodes after execution.
-func compile[V any](ctx *Context, rec *engine.Recorder, st state[V]) (compiled[V], error) {
+func compile[V any](rec *engine.Recorder, st state[V]) (compiled[V], error) {
 	if len(st.pending) == 0 {
 		if st.enumerateViaIndex() {
 			return compiled[V]{ds: st.idx.Flat(), visit: engine.AllPartitions(st.idx.NumPartitions()), root: st.base}, nil
@@ -131,7 +133,7 @@ func compile[V any](ctx *Context, rec *engine.Recorder, st state[V]) (compiled[V
 	if st.noOpt {
 		// Optimizer off: fold in caller order; pruning falls back to
 		// partitioner extents (the pre-planner behaviour).
-		fl, err := st.flush(ctx)
+		fl, err := st.flush()
 		if err != nil {
 			return compiled[V]{}, err
 		}
@@ -143,7 +145,7 @@ func compile[V any](ctx *Context, rec *engine.Recorder, st state[V]) (compiled[V
 			}
 		}
 		fl.base = node
-		return compile(ctx, rec, fl)
+		return compile(rec, fl)
 	}
 
 	// Compile the attribute predicates against the schema.
@@ -176,7 +178,7 @@ func compile[V any](ctx *Context, rec *engine.Recorder, st state[V]) (compiled[V
 		}
 	}
 
-	sum, err := st.sds.Stats(0)
+	sum, err := st.sds.Stats(st.visit)
 	if err != nil {
 		return compiled[V]{}, fmt.Errorf("stark: plan: stats: %w", err)
 	}
@@ -502,5 +504,5 @@ func (d *Dataset[V]) Stats() (*DatasetStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	return st.sds.Stats(0)
+	return st.sds.Stats(st.prunedVisit(d.jobRecorder()))
 }

@@ -96,7 +96,7 @@ func (d *Dataset[V]) SaveIndex(fs *DFS, pathPrefix string) error {
 // errors (missing files, partition mismatch) surface at the action.
 func LoadIndex[V any](d *Dataset[V], fs *DFS, pathPrefix string) *Dataset[V] {
 	return d.chain("loadIndex", func(st state[V]) (state[V], error) {
-		st, err := st.flush(d.ctx)
+		st, err := st.flush()
 		if err != nil {
 			return state[V]{}, err
 		}

@@ -655,15 +655,11 @@ func JoinPredicates(cfg Config) ([]JoinPredicateRow, error) {
 	var rows []JoinPredicateRow
 	for _, p := range preds {
 		var n int64
-		dur, err := timed(func() error {
-			out, err := core.Join(left, right, core.JoinOptions{
+		dur, err := timed(func() (err error) {
+			n, err = core.JoinCount(left, right, core.JoinOptions{
 				Predicate: p.pred, IndexOrder: -1, ProbeExpansion: p.expand,
 			})
-			if err != nil {
-				return err
-			}
-			n = int64(len(out))
-			return nil
+			return err
 		})
 		if err != nil {
 			return nil, fmt.Errorf("bench: join %s: %w", p.name, err)

@@ -6,7 +6,7 @@
 // RDD[(STObject, V)], Go code wraps explicitly:
 //
 //	events := core.Wrap(pairs)                  // RDD[(STObject, V)] → SpatialDataset
-//	inside := events.WhereContainedBy(query)    // spatio-temporal filter, lazy
+//	inside := events.Where(query, stobject.ContainedBy) // spatio-temporal filter, lazy
 //	idx, _ := events.LiveIndex(5, partitioner)  // live indexing, order 5
 //	hits, _ := idx.Filter(query, query.Envelope(), stobject.Intersects)
 //
@@ -58,12 +58,11 @@ type SpatialDataset[V any] struct {
 // a fresh aux, so a summary or sidecar can never describe a stale
 // layout: repartitioning or filtering invalidates by construction.
 type spatialAux[V any] struct {
-	// statsCache memoises planner statistics per grid resolution.
-	// statsSeeded marks summaries handed in by SeedStats (mutable
-	// snapshots): they lack per-field statistics but must never trigger
-	// a rescan.
+	// stats memoises the planner statistics. statsSeeded marks a
+	// summary handed in by SeedStats (mutable snapshots): it lacks
+	// per-field statistics but must never trigger a rescan.
 	statsMu     sync.Mutex
-	statsCache  map[int]*stats.Summary
+	stats       *stats.Summary
 	statsSeeded bool
 
 	// col is the columnar sidecar built by BuildColumnar.
@@ -169,52 +168,45 @@ func (a spAdapter) PartitionFor(o stobject.STObject) int { return a.sp.Partition
 // Stats returns the planner statistics of the dataset — per-partition
 // MBRs, counts, temporal extents and the spatial histogram — computed
 // in one streaming pass on first use and cached on this dataset
-// instance. gridN <= 0 selects stats.DefaultGridSize.
-func (s *SpatialDataset[V]) Stats(gridN int) (*stats.Summary, error) {
-	if gridN <= 0 {
-		gridN = stats.DefaultGridSize
-	}
+// instance. visit lists the partitions that can hold records (nil:
+// all), the pruning the dataset's own filters left behind: the pass
+// skips every other partition and summarises it as empty, which it is.
+func (s *SpatialDataset[V]) Stats(visit []int) (*stats.Summary, error) {
 	var fields []attr.Field[V]
-	if sch := s.Schema(); sch != nil {
-		fields = sch.Fields()
+	s.aux.attrMu.Lock()
+	if s.aux.schema != nil {
+		fields = s.aux.schema.Fields()
 	}
+	s.aux.attrMu.Unlock()
 	s.aux.statsMu.Lock()
 	defer s.aux.statsMu.Unlock()
-	if sum, ok := s.aux.statsCache[gridN]; ok {
-		// A summary collected before the schema was registered lacks
-		// per-field statistics; recollect so attribute predicates get
-		// real selectivities — unless the summary was seeded (a mutable
-		// snapshot's incrementally maintained stats must never trigger
-		// a rescan; attr selectivities fall back to defaults there).
-		if len(fields) == 0 || sum.Fields != nil || s.aux.statsSeeded {
-			return sum, nil
-		}
+	// A summary collected before the schema was registered lacks
+	// per-field statistics; recollect so attribute predicates get real
+	// selectivities — unless the summary was seeded (a mutable
+	// snapshot's incrementally maintained stats must never trigger a
+	// rescan; attr selectivities fall back to defaults there).
+	if sum := s.aux.stats; sum != nil && (len(fields) == 0 || sum.Fields != nil || s.aux.statsSeeded) {
+		return sum, nil
 	}
-	sum, err := stats.CollectFields(s.ds, gridN, fields)
+	sum, err := stats.CollectFields(s.ds, visit, 0, fields)
 	if err != nil {
 		return nil, err
 	}
-	if s.aux.statsCache == nil {
-		s.aux.statsCache = make(map[int]*stats.Summary, 1)
-	}
-	s.aux.statsCache[gridN] = sum
+	s.aux.stats = sum
 	return sum, nil
 }
 
-// SeedStats primes the statistics cache with a pre-computed summary
-// (stored under the default grid resolution). Mutable datasets use it
-// to hand their incrementally maintained statistics to the planner,
-// so compiling a query against a snapshot never rescans the data.
+// SeedStats primes the statistics cache with a pre-computed summary.
+// Mutable datasets use it to hand their incrementally maintained
+// statistics to the planner, so compiling a query against a snapshot
+// never rescans the data.
 func (s *SpatialDataset[V]) SeedStats(sum *stats.Summary) {
 	if sum == nil {
 		return
 	}
 	s.aux.statsMu.Lock()
 	defer s.aux.statsMu.Unlock()
-	if s.aux.statsCache == nil {
-		s.aux.statsCache = make(map[int]*stats.Summary, 1)
-	}
-	s.aux.statsCache[stats.DefaultGridSize] = sum
+	s.aux.stats = sum
 	s.aux.statsSeeded = true
 }
 
@@ -227,13 +219,6 @@ func (s *SpatialDataset[V]) SetSchema(sch *attr.Schema[V]) {
 	s.aux.attrMu.Lock()
 	s.aux.schema = sch
 	s.aux.attrMu.Unlock()
-}
-
-// Schema returns the registered attribute schema, or nil.
-func (s *SpatialDataset[V]) Schema() *attr.Schema[V] {
-	s.aux.attrMu.Lock()
-	defer s.aux.attrMu.Unlock()
-	return s.aux.schema
 }
 
 // relevantPartitions returns the partitions a query with the given

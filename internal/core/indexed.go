@@ -23,7 +23,9 @@ import (
 //     be saved to the simulated HDFS and re-attached in later runs.
 
 // IndexedPartition is one partition of an IndexedDataset: the records
-// plus an R-tree over their envelopes (entry ID = slice position).
+// plus an R-tree over their envelopes (entry ID = slice position). A
+// join's build slot loads into one too, with a nil Tree when the join
+// does not index or the slot has no records.
 type IndexedPartition[V any] struct {
 	Items []Tuple[V]
 	Tree  *index.RTree

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"stark/internal/engine"
 	"stark/internal/geom"
 	"stark/internal/index"
 	"stark/internal/partition"
@@ -16,25 +17,33 @@ import (
 // two datasets of (STObject, V) records and a predicate; the result
 // holds every pair of records whose keys satisfy it.
 //
-// Execution runs one of three physical strategies, chosen by the
-// cost model in internal/plan from internal/stats statistics (the
-// default, JoinAuto) or forced via JoinOptions.Strategy:
+// The join is a transformation like the filters: JoinStream plans it —
+// strategy, orientation, the probe partitions worth visiting and the
+// build slots each of them probes — and returns a lazy dataset whose
+// partitions are the probe side's. Nothing is joined until an action
+// drives that stream. A task streams its probe partition once off the
+// fused pipeline and tests every record against its build slots; a
+// slot holds rows of the build side plus an R-tree over them and is
+// loaded by the first task that needs it, on that task's executor, so
+// an action that stops early builds only what it touched. The
+// strategy, chosen by the cost model in internal/plan from
+// internal/stats statistics (JoinAuto, the default) or forced via
+// JoinOptions.Strategy, decides what a slot holds:
 //
-//   - broadcast: the smaller side is materialised once into a single
-//     live R-tree and the other side's fused partition pipelines
-//     stream against it — no partition-pair enumeration at all;
-//   - copartition: the smaller side is replicated onto the other
-//     side's SpatialPartitioner via extent overlap (the Replicating
-//     assignment), so each task joins exactly one aligned pair;
-//   - pairs: the paper's partitioned join — (left, right) partition
-//     pairs are enumerated, pairs with disjoint extents are pruned
-//     (the strategy Figure 4 measures), and the right partition of
-//     each surviving pair is indexed with a live R-tree.
+//   - broadcast: one slot, the whole build side, shared by every probe
+//     partition the build envelope can reach;
+//   - copartition: the build side is replicated onto the probe side's
+//     SpatialPartitioner via extent overlap (the Replicating
+//     assignment) and each probe partition probes its aligned bucket;
+//   - pairs: the paper's partitioned join — one slot per build
+//     partition, probed by the probe partitions whose extent reaches
+//     it; pairs with disjoint extents are pruned (the strategy Figure
+//     4 measures).
 //
-// In every strategy the probe side is never materialised: records
-// stream off their fused partition pipeline straight into the probe
-// loop. Setting IndexOrder to 0 disables the trees and falls back to
-// nested loops (the behaviour of the SpatialSpark baseline).
+// The pairs are never materialised by the join; the build side of
+// broadcast and copartition is (that is the join's build phase).
+// Setting IndexOrder to 0 disables the trees and falls back to nested
+// loops (the behaviour of the SpatialSpark baseline).
 
 // JoinStrategy selects the physical join execution strategy; see
 // plan.JoinStrategy for the semantics of each value.
@@ -48,12 +57,12 @@ const (
 	JoinCoPartition = plan.JoinCoPartition
 )
 
-// JoinedPair is one join result row.
-type JoinedPair[V, W any] struct {
-	LeftKey  stobject.STObject
-	LeftVal  V
+// JoinRow is one join result row: the right record folded into the
+// left record's payload. The row's key is the left key.
+type JoinRow[V, W any] struct {
+	Left     V
 	RightKey stobject.STObject
-	RightVal W
+	Right    W
 }
 
 // JoinOptions configures a spatial join.
@@ -90,27 +99,34 @@ type JoinOptions struct {
 	Report *JoinReport
 }
 
-// JoinReport describes how a join actually executed.
+// JoinReport describes how a join executes. Strategy, Decision,
+// Swapped, Tasks, TotalPairs and PairsPruned are settled when the join
+// is planned; TreesBuilt, Shuffled and BuildRows grow (atomically)
+// while actions load build slots, each slot once however many actions
+// run, so read them after the action of interest. They stay plain
+// int64s (updated through sync/atomic) so that a report remains a value
+// callers can copy and compare.
 type JoinReport struct {
-	// Strategy is the strategy that ran (never JoinAuto).
+	// Strategy is the strategy that runs (never JoinAuto).
 	Strategy JoinStrategy
 	// Decision is the cost model's verdict; nil when the strategy was
 	// forced and no planning ran.
 	Decision *plan.JoinDecision
-	// Swapped reports that the executor swapped the inputs internally
-	// (and swapped every result row back).
+	// Swapped reports that the build side is the left input (every
+	// result row is still left-keyed).
 	Swapped bool
-	// Tasks is the number of scheduled join tasks; TotalPairs the
-	// size of the naive L×R enumeration the strategy avoided or
-	// pruned.
+	// Tasks is the number of (probe partition, build slot) probes
+	// planned — surviving partition pairs under pairs, visited probe
+	// partitions otherwise; TotalPairs the size of the naive L×R
+	// enumeration the strategy avoids or prunes.
 	Tasks      int
 	TotalPairs int
-	// PairsPruned counts partition pairs skipped by extent pruning
-	// (pairs strategy only).
+	// PairsPruned counts the partition pairs of that enumeration the
+	// inputs' own pruning and the extent test skip (pairs strategy
+	// only).
 	PairsPruned int
-	// TreesBuilt counts live R-tree builds; with the once-per-
-	// partition slot cache this is at most one per distinct build
-	// partition.
+	// TreesBuilt counts live R-tree builds: at most one per build
+	// slot.
 	TreesBuilt int64
 	// Shuffled counts records replicated by the copartition shuffle.
 	Shuffled int64
@@ -119,37 +135,53 @@ type JoinReport struct {
 	BuildRows int64
 }
 
-// Summary renders the actual execution counters on one line — the
-// "actual:" EXPLAIN annotation.
-func (r *JoinReport) Summary() string {
-	return fmt.Sprintf("strategy=%s tasks=%d of %d enumerable pairs, pairs_pruned=%d trees_built=%d shuffled=%d build_rows=%d",
-		r.Strategy, r.Tasks, r.TotalPairs, r.PairsPruned, r.TreesBuilt, r.Shuffled, r.BuildRows)
+// PlanNode builds the EXPLAIN node of the join the report describes:
+// the cost-model decision (when the strategy was chosen automatically)
+// and, rendered when the tree is cloned for display, the actual
+// execution counters.
+func (r *JoinReport) PlanNode(pred plan.Pred, left, right *plan.Node) *plan.Node {
+	dec := r.Decision
+	if dec == nil {
+		// Forced strategy: no cost-model verdict to render.
+		dec = &plan.JoinDecision{Strategy: r.Strategy, BuildRight: !r.Swapped, EstRows: -1}
+	}
+	node := plan.JoinNode(*dec, pred, r.Swapped, left, right)
+	node.Actual = func() string {
+		return fmt.Sprintf("strategy=%s tasks=%d of %d enumerable pairs, pairs_pruned=%d trees_built=%d shuffled=%d build_rows=%d",
+			r.Strategy, r.Tasks, r.TotalPairs, r.PairsPruned, atomic.LoadInt64(&r.TreesBuilt),
+			atomic.LoadInt64(&r.Shuffled), atomic.LoadInt64(&r.BuildRows))
+	}
+	return node
 }
 
-// joinRun is the shared execution core of Join and JoinCount: it
-// resolves the strategy (consulting the cost model on JoinAuto),
-// normalises the orientation so the build side is on the right, and
-// dispatches to the strategy executor. Every matching (left, right)
-// record pair streams into the per-task sink produced by
-// makeSink(numTasks). Sinks are indexed by task, and each task is
-// owned by exactly one goroutine, so sinks need no locking as long
-// as they only touch their task's slot.
-func joinRun[V, W any](l *SpatialDataset[V], r *SpatialDataset[W], opts JoinOptions,
-	makeSink func(numTasks int) func(t int, lkv Tuple[V], rkv Tuple[W])) error {
-	pred := opts.Predicate
-	if pred == nil {
-		pred = stobject.Intersects
+// JoinStream plans the spatio-temporal join of l and r and returns it
+// as a lazy dataset of left-keyed rows plus the partitions of it worth
+// visiting; no pair is computed until an action drives the stream.
+// lvisit and rvisit list the input partitions that can hold records
+// (nil: all) — the pruning the inputs' own filters left behind — and
+// neither the statistics pass nor the join touches any other. The
+// strategy comes from the cost model on JoinAuto, the orientation is
+// normalised so one input is the build side, and opts.Report is filled
+// as described on JoinReport.
+func JoinStream[V, W any](l *SpatialDataset[V], lvisit []int, r *SpatialDataset[W], rvisit []int,
+	opts JoinOptions) (*engine.Dataset[Tuple[JoinRow[V, W]]], []int, error) {
+	if opts.Predicate == nil {
+		opts.Predicate = stobject.Intersects
 	}
-	order := opts.IndexOrder
-	if order < 0 {
-		order = index.DefaultOrder
+	if opts.IndexOrder < 0 {
+		opts.IndexOrder = index.DefaultOrder
 	}
-
+	if opts.Report == nil {
+		opts.Report = &JoinReport{}
+	}
 	rep := opts.Report
-	if rep == nil {
-		rep = &JoinReport{}
-	}
 	*rep = JoinReport{TotalPairs: l.ds.NumPartitions() * r.ds.NumPartitions()}
+	if lvisit == nil {
+		lvisit = engine.AllPartitions(l.ds.NumPartitions())
+	}
+	if rvisit == nil {
+		rvisit = engine.AllPartitions(r.ds.NumPartitions())
+	}
 
 	strategy := opts.Strategy
 	buildRight := true
@@ -157,28 +189,28 @@ func joinRun[V, W any](l *SpatialDataset[V], r *SpatialDataset[W], opts JoinOpti
 		strategy = JoinPairs
 	}
 	if strategy == JoinAuto {
-		ls, err := l.Stats(0)
+		ls, err := l.Stats(lvisit)
 		if err != nil {
-			return fmt.Errorf("core: join stats (left): %w", err)
+			return nil, nil, fmt.Errorf("core: join stats (left): %w", err)
 		}
-		rs, err := r.Stats(0)
+		rs, err := r.Stats(rvisit)
 		if err != nil {
-			return fmt.Errorf("core: join stats (right): %w", err)
+			return nil, nil, fmt.Errorf("core: join stats (right): %w", err)
 		}
 		dec := plan.PlanJoinStrategy(plan.JoinPlanInput{
-			Left:            ls,
-			Right:           rs,
-			Expand:          opts.ProbeExpansion,
-			LeftPartitioned: l.sp != nil,
+			Left:             ls,
+			Right:            rs,
+			Expand:           opts.ProbeExpansion,
+			LeftPartitioned:  l.sp != nil,
 			RightPartitioned: r.sp != nil,
-			SamePartitioner: l.sp != nil && l.sp == r.sp,
-			BroadcastBudget: opts.BroadcastBudget,
+			SamePartitioner:  l.sp != nil && l.sp == r.sp,
+			BroadcastBudget:  opts.BroadcastBudget,
 		})
 		rep.Decision = &dec
 		strategy = dec.Strategy
 		buildRight = dec.BuildRight
 	}
-	// Co-partitioning needs a stationary partitioner on the stream
+	// Co-partitioning needs a stationary partitioner on the probe
 	// side; reorient towards one, or fall back to pairs.
 	if strategy == JoinCoPartition {
 		switch {
@@ -192,464 +224,238 @@ func joinRun[V, W any](l *SpatialDataset[V], r *SpatialDataset[W], opts JoinOpti
 	}
 	rep.Strategy = strategy
 
+	row := func(lkv Tuple[V], rkv Tuple[W]) Tuple[JoinRow[V, W]] {
+		return engine.NewPair(lkv.Key, JoinRow[V, W]{Left: lkv.Value, RightKey: rkv.Key, Right: rkv.Value})
+	}
 	if buildRight {
-		return joinExec(l, r, pred, order, opts, strategy, rep, makeSink)
+		return joinStream(l, lvisit, r, rvisit, opts, row)
 	}
-	// The build side is the left input: run the executor with the
-	// inputs (and the predicate's operands) swapped, and swap every
-	// emitted row back so the caller sees the original orientation.
+	// The build side is the left input: probe with the right one under
+	// the converse predicate, and put every row back in the caller's
+	// orientation.
 	rep.Swapped = true
-	conv := func(a, b stobject.STObject) bool { return pred(b, a) }
-	return joinExec(r, l, conv, order, opts, strategy, rep,
-		func(numTasks int) func(t int, a Tuple[W], b Tuple[V]) {
-			sink := makeSink(numTasks)
-			return func(t int, a Tuple[W], b Tuple[V]) { sink(t, b, a) }
-		})
+	pred := opts.Predicate
+	opts.Predicate = func(a, b stobject.STObject) bool { return pred(b, a) }
+	return joinStream(r, rvisit, l, lvisit, opts,
+		func(rkv Tuple[W], lkv Tuple[V]) Tuple[JoinRow[V, W]] { return row(lkv, rkv) })
 }
 
-// joinExec dispatches to the strategy executor; the build side is
-// always the right input here.
-func joinExec[V, W any](l *SpatialDataset[V], r *SpatialDataset[W], pred stobject.Predicate,
-	order int, opts JoinOptions, strategy JoinStrategy, rep *JoinReport,
-	makeSink func(numTasks int) func(t int, lkv Tuple[V], rkv Tuple[W])) error {
-	switch strategy {
-	case JoinBroadcast:
-		return joinBroadcast(l, r, pred, order, opts.ProbeExpansion, rep, makeSink)
-	case JoinCoPartition:
-		return joinCoPartition(l, r, pred, order, opts.ProbeExpansion, rep, makeSink)
-	default:
-		return joinPairs(l, r, pred, order, opts, rep, makeSink)
-	}
-}
+// buildSlot is the loader of one unit of the build side: rows plus,
+// when the join indexes and there are any, an R-tree over them. The
+// load runs once, in the first task that calls the slot; the others
+// wait for it and share the result.
+type buildSlot[B any] func() (IndexedPartition[B], error)
 
-// joinBroadcast materialises the right side once into a single
-// R-tree and streams every left partition against it — one task per
-// left partition, no pair enumeration. Left partitions whose extent
-// cannot reach the broadcast envelope are pruned.
-func joinBroadcast[V, W any](l *SpatialDataset[V], r *SpatialDataset[W], pred stobject.Predicate,
-	order int, expand float64, rep *JoinReport,
-	makeSink func(numTasks int) func(t int, lkv Tuple[V], rkv Tuple[W])) error {
-	right, err := r.ds.Collect()
-	if err != nil {
-		return err
-	}
-	rep.BuildRows = int64(len(right))
-	ctx := l.Context()
-	rec := l.recorder()
-
-	benv := geom.EmptyEnvelope()
-	for _, kv := range right {
-		benv = benv.ExpandToInclude(kv.Key.Envelope())
-	}
-	probeReach := benv.ExpandBy(expand)
-	var tasks []int
-	pruned := 0
-	for li := 0; li < l.ds.NumPartitions(); li++ {
-		if len(right) == 0 {
-			pruned++
-			continue
+// newBuildSlot returns the slot over the rows fetch returns; a tree is
+// built when order > 0 and counted in built.
+func newBuildSlot[B any](order int, built *int64, fetch func() ([]Tuple[B], error)) buildSlot[B] {
+	return sync.OnceValues(func() (IndexedPartition[B], error) {
+		items, err := fetch()
+		if err != nil || len(items) == 0 || order == 0 {
+			return IndexedPartition[B]{Items: items}, err
 		}
-		if l.sp != nil {
-			ext := l.sp.Extent(li)
-			if ext.IsEmpty() || !ext.Intersects(probeReach) {
-				pruned++
-				continue
-			}
-		}
-		tasks = append(tasks, li)
-	}
-	if pruned > 0 {
-		rec.TasksSkipped(int64(pruned))
-	}
-	rep.Tasks = len(tasks)
-	sink := makeSink(len(tasks))
-	if len(tasks) == 0 {
-		return nil
-	}
-
-	var tree *index.RTree
-	if order > 0 {
-		tree = index.New(order)
-		for i, kv := range right {
-			_ = tree.Insert(kv.Key.Envelope(), int32(i))
-		}
-		tree.Build()
-		rep.TreesBuilt = 1
-	}
-
-	taskIdx := make([]int, len(tasks))
-	for i := range taskIdx {
-		taskIdx[i] = i
-	}
-	return ctx.RunJobRecorder(nil, rec, taskIdx, func(t int) error {
-		li := tasks[t]
-		if tree == nil {
-			// Nested loop against the broadcast slice.
-			var nLeft int64
-			err := l.ds.EachPartition(li, func(lkv Tuple[V]) bool {
-				nLeft++
-				for _, rkv := range right {
-					if pred(lkv.Key, rkv.Key) {
-						sink(t, lkv, rkv)
-					}
-				}
-				return true
-			})
-			rec.ElementsScanned(nLeft * int64(len(right)))
-			return err
-		}
-		var (
-			candBuf         []int32
-			probes, refined int64
-		)
-		err := l.ds.EachPartition(li, func(lkv Tuple[V]) bool {
-			probes++
-			candBuf = tree.Query(lkv.Key.Envelope().ExpandBy(expand), candBuf[:0])
-			refined += int64(len(candBuf))
-			for _, id := range candBuf {
-				rkv := right[id]
-				if pred(lkv.Key, rkv.Key) {
-					sink(t, lkv, rkv)
-				}
-			}
-			return true
-		})
-		rec.IndexProbes(probes)
-		rec.CandidatesRefined(refined)
-		return err
+		atomic.AddInt64(built, 1)
+		return buildIndexedPartition(items, order), nil
 	})
 }
 
-// joinCoPartition replicates the right side onto the left side's
-// spatial partitioner (extent-overlap assignment via the Replicating
-// contract) and then joins each left partition against exactly its
-// aligned bucket — one task per target partition holding any right
-// records. The caller guarantees l.sp != nil.
-func joinCoPartition[V, W any](l *SpatialDataset[V], r *SpatialDataset[W], pred stobject.Predicate,
-	order int, expand float64, rep *JoinReport,
-	makeSink func(numTasks int) func(t int, lkv Tuple[V], rkv Tuple[W])) error {
-	ctx := l.Context()
-	rec := l.recorder()
-	n := l.ds.NumPartitions()
+// joinStream is the join operator proper, with the build side settled
+// (strategy and orientation are in opts.Report): it assigns every
+// visited probe partition the build slots its strategy gives it, keeps
+// the probe partitions that have any, and returns the stream whose
+// partition p probes slotsOf[p] with the records of probe partition p.
+// row makes the result row of a matching (probe, build) record pair.
+func joinStream[P, B, R any](probe *SpatialDataset[P], pvisit []int, build *SpatialDataset[B], bvisit []int,
+	opts JoinOptions, row func(Tuple[P], Tuple[B]) R) (*engine.Dataset[R], []int, error) {
+	pred, order, expand, rep := opts.Predicate, opts.IndexOrder, opts.ProbeExpansion, opts.Report
+	rec := probe.recorder()
+	slotsOf := make([][]buildSlot[B], probe.ds.NumPartitions())
+	visit := make([]int, 0, len(pvisit))
+	perProbe := 1 // build slots a probe partition has before pruning
 
-	right, err := r.ds.Collect()
-	if err != nil {
-		return err
-	}
-	rep.BuildRows = int64(len(right))
-
-	// Overlap assignment is O(|right| × targets); run it as chunked
-	// tasks on the pool with chunk-local buckets, merged below, so
-	// the shuffle is not a sequential prefix of the join.
-	assigner := partition.OverlapAssigner{SP: l.sp, Expand: expand}
-	chunks := ctx.Parallelism()
-	if chunks > len(right) {
-		chunks = len(right)
-	}
-	partial := make([][][]Tuple[W], chunks)
-	var shuffled atomic.Int64
-	if chunks > 0 {
-		chunkIdx := make([]int, chunks)
-		for i := range chunkIdx {
-			chunkIdx[i] = i
-		}
-		size := (len(right) + chunks - 1) / chunks
-		if err := ctx.RunJobRecorder(nil, rec, chunkIdx, func(c int) error {
-			lo := c * size
-			hi := lo + size
-			if hi > len(right) {
-				hi = len(right)
-			}
-			local := make([][]Tuple[W], n)
-			var moved int64
-			for _, kv := range right[lo:hi] {
-				for _, li := range assigner.PartitionsFor(kv.Key) {
-					local[li] = append(local[li], kv)
-					moved++
-				}
-			}
-			partial[c] = local
-			shuffled.Add(moved)
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	buckets := make([][]Tuple[W], n)
-	for li := 0; li < n; li++ {
-		for _, local := range partial {
-			buckets[li] = append(buckets[li], local[li]...)
-		}
-	}
-	rec.ShuffledRecords(shuffled.Load())
-	rep.Shuffled = shuffled.Load()
-
-	var tasks []int
-	pruned := 0
-	for li := 0; li < n; li++ {
-		if len(buckets[li]) == 0 {
-			pruned++ // no aligned right records: nothing can match
-			continue
-		}
-		tasks = append(tasks, li)
-	}
-	if pruned > 0 {
-		rec.TasksSkipped(int64(pruned))
-	}
-	rep.Tasks = len(tasks)
-	sink := makeSink(len(tasks))
-	if len(tasks) == 0 {
-		return nil
-	}
-
-	var treesBuilt atomic.Int64
-	taskIdx := make([]int, len(tasks))
-	for i := range taskIdx {
-		taskIdx[i] = i
-	}
-	err = ctx.RunJobRecorder(nil, rec, taskIdx, func(t int) error {
-		li := tasks[t]
-		bucket := buckets[li]
-		if order == 0 {
-			var nLeft int64
-			err := l.ds.EachPartition(li, func(lkv Tuple[V]) bool {
-				nLeft++
-				for _, rkv := range bucket {
-					if pred(lkv.Key, rkv.Key) {
-						sink(t, lkv, rkv)
-					}
-				}
-				return true
-			})
-			rec.ElementsScanned(nLeft * int64(len(bucket)))
-			return err
-		}
-		// The bucket tree is built lazily on the first probe, so a
-		// task whose left stream turns out empty never pays the build.
-		var (
-			tree            *index.RTree
-			candBuf         []int32
-			probes, refined int64
-		)
-		err := l.ds.EachPartition(li, func(lkv Tuple[V]) bool {
-			if tree == nil {
-				tree = index.New(order)
-				for i, kv := range bucket {
-					_ = tree.Insert(kv.Key.Envelope(), int32(i))
-				}
-				tree.Build()
-				treesBuilt.Add(1)
-			}
-			probes++
-			candBuf = tree.Query(lkv.Key.Envelope().ExpandBy(expand), candBuf[:0])
-			refined += int64(len(candBuf))
-			for _, id := range candBuf {
-				rkv := bucket[id]
-				if pred(lkv.Key, rkv.Key) {
-					sink(t, lkv, rkv)
-				}
-			}
-			return true
-		})
-		rec.IndexProbes(probes)
-		rec.CandidatesRefined(refined)
-		return err
-	})
-	rep.TreesBuilt = treesBuilt.Load()
-	return err
-}
-
-// rightSlot shares one right partition's materialised records and
-// live R-tree between every pairs-strategy task that probes it. The
-// sync.Once closes the check-then-act window that used to let two
-// concurrently-missing tasks both build the same tree, and the
-// refcount drops the records and tree as soon as the last task
-// needing the partition completes — instead of retaining every tree
-// until the join ends.
-type rightSlot[W any] struct {
-	once      sync.Once
-	items     []Tuple[W]
-	tree      *index.RTree
-	err       error
-	remaining atomic.Int32
-}
-
-// load materialises the partition and (order > 0, non-empty) builds
-// its tree, exactly once.
-func (s *rightSlot[W]) load(r *SpatialDataset[W], ri, order int, treesBuilt *atomic.Int64) ([]Tuple[W], *index.RTree, error) {
-	s.once.Do(func() {
-		s.items, s.err = r.ds.ComputePartition(ri)
-		if s.err != nil || len(s.items) == 0 || order == 0 {
-			return
-		}
-		t := index.New(order)
-		for i, kv := range s.items {
-			_ = t.Insert(kv.Key.Envelope(), int32(i))
-		}
-		t.Build()
-		s.tree = t
-		treesBuilt.Add(1)
-	})
-	return s.items, s.tree, s.err
-}
-
-// release drops the slot's data once no remaining task needs it. The
-// atomic counter orders every reader's release before the final
-// decrement, so the nil writes cannot race a read.
-func (s *rightSlot[W]) release() {
-	if s.remaining.Add(-1) == 0 {
-		s.items, s.tree = nil, nil
-	}
-}
-
-// joinPairs is the pruned partition-pair strategy: enumerate (left,
-// right) partition pairs, skip pairs whose extents are disjoint, and
-// within each surviving pair probe the right partition's shared live
-// R-tree with the streaming left records. Pairs are enumerated
-// right-major so tasks sharing a right partition run close together
-// and the shared slot is released early.
-func joinPairs[V, W any](l *SpatialDataset[V], r *SpatialDataset[W], pred stobject.Predicate,
-	order int, opts JoinOptions, rep *JoinReport,
-	makeSink func(numTasks int) func(t int, lkv Tuple[V], rkv Tuple[W])) error {
-	type task struct{ li, ri int }
-	var tasks []task
-	prune := !opts.DisablePruning && l.sp != nil && r.sp != nil
-	pruned := 0
-	for ri := 0; ri < r.ds.NumPartitions(); ri++ {
-		for li := 0; li < l.ds.NumPartitions(); li++ {
+	if rep.Strategy == JoinPairs {
+		// One slot per build partition, shared by the probe partitions
+		// whose extent reaches it.
+		perProbe = len(bvisit)
+		prune := !opts.DisablePruning && probe.sp != nil && build.sp != nil
+		slots := make([]buildSlot[B], build.ds.NumPartitions())
+		for _, p := range pvisit {
+			var reach geom.Envelope
 			if prune {
-				le := l.sp.Extent(li).ExpandBy(opts.ProbeExpansion)
-				if !le.Intersects(r.sp.Extent(ri)) {
-					pruned++
+				reach = probe.sp.Extent(p).ExpandBy(expand)
+			}
+			for _, b := range bvisit {
+				if prune && !reach.Intersects(build.sp.Extent(b)) {
 					continue
 				}
+				if slots[b] == nil {
+					slots[b] = newBuildSlot(order, &rep.TreesBuilt, func() ([]Tuple[B], error) { return build.ds.ComputePartition(b) })
+				}
+				slotsOf[p] = append(slotsOf[p], slots[b])
 			}
-			tasks = append(tasks, task{li, ri})
 		}
-	}
-	ctx := l.Context()
-	rec := l.recorder()
-	if pruned > 0 {
-		rec.TasksSkipped(int64(pruned))
-	}
-	rep.Tasks = len(tasks)
-	rep.PairsPruned = pruned
-	sink := makeSink(len(tasks))
-
-	var treesBuilt atomic.Int64
-	slots := make(map[int]*rightSlot[W])
-	for _, tk := range tasks {
-		s := slots[tk.ri]
-		if s == nil {
-			s = &rightSlot[W]{}
-			slots[tk.ri] = s
+	} else {
+		// Broadcast and copartition materialise the visited build
+		// partitions once — one after the other: a slot loads inside a
+		// task, and a nested job would wait for the executors the tasks
+		// waiting for the slot hold.
+		collect := func() ([]Tuple[B], error) {
+			var rows []Tuple[B]
+			for _, b := range bvisit {
+				part, err := build.ds.ComputePartition(b)
+				if err != nil {
+					return nil, err
+				}
+				rows = append(rows, part...)
+			}
+			atomic.AddInt64(&rep.BuildRows, int64(len(rows)))
+			return rows, nil
 		}
-		s.remaining.Add(1)
-	}
-
-	taskIdx := make([]int, len(tasks))
-	for i := range taskIdx {
-		taskIdx[i] = i
-	}
-	err := ctx.RunJobRecorder(nil, rec, taskIdx, func(t int) error {
-		li, ri := tasks[t].li, tasks[t].ri
-		s := slots[ri]
-		defer s.release()
-		// The slot loads lazily on the first left record, so a task
-		// whose left stream turns out empty never pays the
-		// materialisation or the tree build.
-		var (
-			right           []Tuple[W]
-			tree            *index.RTree
-			loaded          bool
-			loadErr         error
-			candBuf         []int32
-			probes, refined int64
-			nLeft           int64
-		)
-		err := l.ds.EachPartition(li, func(lkv Tuple[V]) bool {
-			if !loaded {
-				loaded = true
-				right, tree, loadErr = s.load(r, ri, order, &treesBuilt)
-			}
-			if loadErr != nil || len(right) == 0 {
-				return false
-			}
-			if tree == nil {
-				// Nested loop: every pair is checked exactly.
-				nLeft++
-				for _, rkv := range right {
-					if pred(lkv.Key, rkv.Key) {
-						sink(t, lkv, rkv)
+		var slotFor func(p int) buildSlot[B]
+		if rep.Strategy == JoinBroadcast {
+			whole := newBuildSlot(order, &rep.TreesBuilt, collect)
+			slotFor = func(int) buildSlot[B] { return whole }
+		} else {
+			// The copartition shuffle: every build row goes to each probe
+			// partition whose extent its expanded envelope overlaps.
+			shuffle := sync.OnceValues(func() ([][]Tuple[B], error) {
+				rows, err := collect()
+				if err != nil {
+					return nil, err
+				}
+				assigner := partition.OverlapAssigner{SP: probe.sp, Expand: expand}
+				buckets := make([][]Tuple[B], len(slotsOf))
+				var moved int64
+				for _, kv := range rows {
+					for _, p := range assigner.PartitionsFor(kv.Key) {
+						buckets[p] = append(buckets[p], kv)
+						moved++
 					}
 				}
-				return true
+				rec.ShuffledRecords(moved)
+				atomic.AddInt64(&rep.Shuffled, moved)
+				return buckets, nil
+			})
+			slotFor = func(p int) buildSlot[B] {
+				return newBuildSlot(order, &rep.TreesBuilt, func() ([]Tuple[B], error) {
+					buckets, err := shuffle()
+					if err != nil {
+						return nil, err
+					}
+					return buckets[p], nil
+				})
 			}
-			probes++
-			candBuf = tree.Query(lkv.Key.Envelope().ExpandBy(opts.ProbeExpansion), candBuf[:0])
-			refined += int64(len(candBuf))
-			for _, id := range candBuf {
-				rkv := right[id]
-				if pred(lkv.Key, rkv.Key) {
-					sink(t, lkv, rkv)
-				}
-			}
-			return true
-		})
-		if loadErr != nil {
-			return loadErr
 		}
+		// A probe partition the build envelope cannot reach has nothing
+		// to probe.
+		sum, err := build.Stats(bvisit)
 		if err != nil {
+			return nil, nil, fmt.Errorf("core: join stats (build side): %w", err)
+		}
+		reach := sum.MBR.ExpandBy(expand)
+		for _, p := range pvisit {
+			if sum.Count > 0 && (probe.sp == nil || probe.sp.Extent(p).Intersects(reach)) {
+				slotsOf[p] = []buildSlot[B]{slotFor(p)}
+			}
+		}
+	}
+	for _, p := range pvisit {
+		if len(slotsOf[p]) > 0 {
+			visit = append(visit, p)
+			rep.Tasks += len(slotsOf[p])
+		}
+	}
+	if rep.Strategy == JoinPairs {
+		rep.PairsPruned = rep.TotalPairs - rep.Tasks
+	}
+	rec.TasksSkipped(int64(len(pvisit)*perProbe - rep.Tasks))
+
+	out := engine.NewStream(probe.Context(), probe.ds.Name()+".join", len(slotsOf),
+		func(p int, yield func(R) bool) error {
+			slots := slotsOf[p]
+			if len(slots) == 0 {
+				return nil // pruned: the probe partition is not even streamed
+			}
+			var (
+				cand                     []int32
+				scanned, probes, refined int64
+				loadErr                  error
+			)
+			err := probe.ds.EachPartition(p, func(pkv Tuple[P]) bool {
+				// Slots load on the first probe record, so a task whose
+				// probe stream turns out empty pays for no build; one
+				// whose slots all turn out empty stops streaming.
+				live := false
+				for _, load := range slots {
+					s, err := load()
+					if err != nil {
+						loadErr = err
+						return false
+					}
+					if len(s.Items) == 0 {
+						continue
+					}
+					live = true
+					if s.Tree == nil {
+						// Nested loop: every pair is checked exactly.
+						scanned += int64(len(s.Items))
+						for _, bkv := range s.Items {
+							if pred(pkv.Key, bkv.Key) && !yield(row(pkv, bkv)) {
+								return false
+							}
+						}
+						continue
+					}
+					probes++
+					cand = s.Tree.Query(pkv.Key.Envelope().ExpandBy(expand), cand[:0])
+					refined += int64(len(cand))
+					for _, id := range cand {
+						if bkv := s.Items[id]; pred(pkv.Key, bkv.Key) && !yield(row(pkv, bkv)) {
+							return false
+						}
+					}
+				}
+				return live
+			})
+			rec.ElementsScanned(scanned)
+			rec.IndexProbes(probes)
+			rec.CandidatesRefined(refined)
+			if loadErr != nil {
+				return loadErr
+			}
 			return err
-		}
-		if nLeft > 0 {
-			rec.ElementsScanned(nLeft * int64(len(right)))
-		}
-		rec.IndexProbes(probes)
-		rec.CandidatesRefined(refined)
-		return nil
-	})
-	rep.TreesBuilt = treesBuilt.Load()
-	return err
+		})
+	return out.WithRecorder(probe.rec), visit, nil
 }
 
-// Join computes the spatio-temporal join of l and r.
-func Join[V, W any](l *SpatialDataset[V], r *SpatialDataset[W], opts JoinOptions) ([]JoinedPair[V, W], error) {
-	var results [][]JoinedPair[V, W]
-	err := joinRun(l, r, opts, func(numTasks int) func(int, Tuple[V], Tuple[W]) {
-		results = make([][]JoinedPair[V, W], numTasks)
-		return func(t int, lkv Tuple[V], rkv Tuple[W]) {
-			results[t] = append(results[t], JoinedPair[V, W]{
-				LeftKey: lkv.Key, LeftVal: lkv.Value,
-				RightKey: rkv.Key, RightVal: rkv.Value,
-			})
-		}
-	})
+// Join computes the spatio-temporal join of l and r: Collect over
+// JoinStream.
+func Join[V, W any](l *SpatialDataset[V], r *SpatialDataset[W], opts JoinOptions) ([]Tuple[JoinRow[V, W]], error) {
+	ds, visit, err := JoinStream(l, nil, r, nil, opts)
 	if err != nil {
 		return nil, err
 	}
-	var all []JoinedPair[V, W]
-	for _, r := range results {
-		all = append(all, r...)
-	}
-	return all, nil
+	return ds.CollectPartitions(visit)
 }
 
-// SelfJoin joins the dataset with itself — the workload of the
-// paper's Figure 4 micro-benchmark. The result includes the identity
-// pairs (every record matches itself under Intersects), matching the
-// semantics of rdd.join(rdd).
-func SelfJoin[V any](s *SpatialDataset[V], opts JoinOptions) ([]JoinedPair[V, V], error) {
-	return Join(s, s, opts)
+// JoinCount is Join restricted to counting: matching pairs stream into
+// a counter and no result row outlives its yield — the benchmark
+// action pays the probe and refinement cost only.
+func JoinCount[V, W any](l *SpatialDataset[V], r *SpatialDataset[W], opts JoinOptions) (int64, error) {
+	ds, visit, err := JoinStream(l, nil, r, nil, opts)
+	if err != nil {
+		return 0, err
+	}
+	return ds.CountPartitions(visit)
 }
 
 // SelfJoinWithinDistanceCount counts the unordered within-eps pairs
 // (including self pairs) of the dataset — the exact workload and
 // result convention of the paper's Figure 4 micro-benchmark. Compared
-// to SelfJoin it exploits the symmetry of the self join (only
+// to Join(s, s) it exploits the symmetry of the self join (only
 // partition pairs li <= ri are processed), streams counts instead of
-// materialising result rows, reuses one live R-tree per partition,
-// and prunes partition pairs by extent when the dataset is spatially
+// result rows, shares one build slot per partition, and prunes
+// partition pairs by extent when the dataset is spatially
 // partitioned. order <= 0 selects the default R-tree order.
 func SelfJoinWithinDistanceCount[V any](s *SpatialDataset[V], eps float64, order int) (int64, error) {
 	if order <= 0 {
@@ -673,114 +479,67 @@ func SelfJoinWithinDistanceCount[V any](s *SpatialDataset[V], eps float64, order
 	}
 	ctx := s.Context()
 	rec := s.recorder()
-	if pruned > 0 {
-		rec.TasksSkipped(int64(pruned))
-	}
+	rec.TasksSkipped(int64(pruned))
 
-	// Shared per-partition slots: materialisation and tree build run
-	// once under sync.Once, and the refcount releases each partition
-	// as soon as its last task completes.
-	var treesBuilt atomic.Int64
-	slots := make(map[int]*rightSlot[V])
-	for _, tk := range tasks {
-		sl := slots[tk.ri]
-		if sl == nil {
-			sl = &rightSlot[V]{}
-			slots[tk.ri] = sl
-		}
-		sl.remaining.Add(1)
+	slots := make([]buildSlot[V], n)
+	for ri := range slots {
+		slots[ri] = newBuildSlot(order, new(int64), func() ([]Tuple[V], error) { return s.ds.ComputePartition(ri) })
 	}
 
 	var total atomic.Int64
-	taskIdx := make([]int, len(tasks))
-	for i := range taskIdx {
-		taskIdx[i] = i
-	}
-	err := ctx.RunJobRecorder(nil, rec, taskIdx, func(t int) error {
+	err := ctx.RunJobRecorder(nil, rec, engine.AllPartitions(len(tasks)), func(t int) error {
 		li, ri := tasks[t].li, tasks[t].ri
-		sl := slots[ri]
-		defer sl.release()
 		same := li == ri
 		var (
-			right           []Tuple[V]
-			tree            *index.RTree
-			loaded          bool
+			right           IndexedPartition[V]
 			loadErr         error
 			local           int64
 			buf             []int32
 			probes, refined int64
 		)
-		load := func() bool {
-			if !loaded {
-				loaded = true
-				right, tree, loadErr = sl.load(s, ri, order, &treesBuilt)
+		probe := func(i int, lkv Tuple[V]) bool {
+			if right.Tree == nil {
+				// Lazy load: a cross-partition task whose left stream is
+				// empty never pays materialisation or build.
+				if right, loadErr = slots[ri](); right.Tree == nil {
+					return false
+				}
 			}
-			return loadErr == nil && len(right) > 0
-		}
-		probe := func(i int, lkv Tuple[V]) {
 			probes++
-			buf = tree.Query(lkv.Key.Envelope().ExpandBy(eps), buf[:0])
+			buf = right.Tree.Query(lkv.Key.Envelope().ExpandBy(eps), buf[:0])
 			refined += int64(len(buf))
 			for _, j := range buf {
 				if same && int(j) < i {
 					continue // count unordered pairs once
 				}
-				if lkv.Key.WithinDistance(right[j].Key, eps, nil) {
+				if lkv.Key.WithinDistance(right.Items[j].Key, eps, nil) {
 					local++
 				}
 			}
+			return true
 		}
+		var err error
 		if same {
-			// The left partition is the already-materialised right.
-			if !load() {
-				return loadErr
-			}
-			for i, lkv := range right {
-				probe(i, lkv)
+			// The left partition is the slot's own rows.
+			if right, loadErr = slots[ri](); right.Tree != nil {
+				for i, lkv := range right.Items {
+					probe(i, lkv)
+				}
 			}
 		} else {
 			i := 0
-			if err := s.ds.EachPartition(li, func(lkv Tuple[V]) bool {
-				// Lazy load: a cross-partition task whose left stream
-				// is empty never pays materialisation or build.
-				if !load() {
-					return false
-				}
-				probe(i, lkv)
+			err = s.ds.EachPartition(li, func(lkv Tuple[V]) bool {
 				i++
-				return true
-			}); err != nil {
-				return err
-			}
-			if loadErr != nil {
-				return loadErr
-			}
+				return probe(i-1, lkv)
+			})
+		}
+		if err == nil {
+			err = loadErr
 		}
 		rec.IndexProbes(probes)
 		rec.CandidatesRefined(refined)
 		total.Add(local)
-		return nil
+		return err
 	})
 	return total.Load(), err
-}
-
-// JoinCount is Join restricted to counting: matching pairs stream
-// into a per-task counter and no JoinedPair row is ever built — the
-// benchmark action pays the probe and refinement cost only.
-func JoinCount[V, W any](l *SpatialDataset[V], r *SpatialDataset[W], opts JoinOptions) (int64, error) {
-	var counts []int64
-	err := joinRun(l, r, opts, func(numTasks int) func(int, Tuple[V], Tuple[W]) {
-		counts = make([]int64, numTasks)
-		return func(t int, _ Tuple[V], _ Tuple[W]) {
-			counts[t]++
-		}
-	})
-	if err != nil {
-		return 0, err
-	}
-	var total int64
-	for _, c := range counts {
-		total += c
-	}
-	return total, nil
 }

@@ -36,10 +36,10 @@ func sortPairs(p [][2]int) {
 	})
 }
 
-func joinedPairs(res []JoinedPair[int, int]) [][2]int {
+func joinedPairs(res []Tuple[JoinRow[int, int]]) [][2]int {
 	out := make([][2]int, len(res))
 	for i, jp := range res {
-		out[i] = [2]int{jp.LeftVal, jp.RightVal}
+		out[i] = [2]int{jp.Value.Left, jp.Value.Right}
 	}
 	sortPairs(out)
 	return out
@@ -150,7 +150,7 @@ func TestJoinWithPartitionPruning(t *testing.T) {
 func TestSelfJoinIncludesIdentity(t *testing.T) {
 	ctx := engine.NewContext(2)
 	s, tuples := makeDataset(t, ctx, 100, 2, 36)
-	got, err := SelfJoin(s, JoinOptions{Predicate: stobject.Intersects, IndexOrder: -1})
+	got, err := Join(s, s, JoinOptions{Predicate: stobject.Intersects, IndexOrder: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,8 +161,8 @@ func TestSelfJoinIncludesIdentity(t *testing.T) {
 	}
 	seen := make(map[int]bool)
 	for _, jp := range got {
-		if jp.LeftVal == jp.RightVal {
-			seen[jp.LeftVal] = true
+		if jp.Value.Left == jp.Value.Right {
+			seen[jp.Value.Left] = true
 		}
 	}
 	if len(seen) != len(tuples) {
@@ -176,7 +176,7 @@ func TestSelfJoinWithinDistancePartitioned(t *testing.T) {
 	ctx := engine.NewContext(4)
 	s, tuples := makeDataset(t, ctx, 500, 4, 37)
 	pred := stobject.WithinDistancePredicate(2, nil)
-	plain, err := SelfJoin(s, JoinOptions{Predicate: pred, ProbeExpansion: 2, IndexOrder: -1})
+	plain, err := Join(s, s, JoinOptions{Predicate: pred, ProbeExpansion: 2, IndexOrder: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestSelfJoinWithinDistancePartitioned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parted, err := SelfJoin(ps, JoinOptions{Predicate: pred, ProbeExpansion: 2, IndexOrder: -1})
+	parted, err := Join(ps, ps, JoinOptions{Predicate: pred, ProbeExpansion: 2, IndexOrder: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestJoinContainsPredicate(t *testing.T) {
 		t.Errorf("got %d pairs, want %d", len(got), count)
 	}
 	for _, jp := range got {
-		if !jp.LeftKey.Contains(jp.RightKey) {
+		if !jp.Key.Contains(jp.Value.RightKey) {
 			t.Fatal("join returned non-matching pair")
 		}
 	}

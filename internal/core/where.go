@@ -2,7 +2,6 @@ package core
 
 import (
 	"stark/internal/engine"
-	"stark/internal/geom"
 	"stark/internal/stobject"
 )
 
@@ -49,16 +48,6 @@ func (s *SpatialDataset[V]) WhereRows(keep func(key stobject.STObject, v V) bool
 // WhereIntersects is Where with the Intersects predicate.
 func (s *SpatialDataset[V]) WhereIntersects(q stobject.STObject) *SpatialDataset[V] {
 	return s.Where(q, stobject.Intersects)
-}
-
-// WhereContainedBy is Where with the ContainedBy predicate.
-func (s *SpatialDataset[V]) WhereContainedBy(q stobject.STObject) *SpatialDataset[V] {
-	return s.Where(q, stobject.ContainedBy)
-}
-
-// WhereWithinDistance is Where with a withinDistance predicate.
-func (s *SpatialDataset[V]) WhereWithinDistance(q stobject.STObject, maxDist float64, df geom.DistanceFunc) *SpatialDataset[V] {
-	return s.Where(q, stobject.WithinDistancePredicate(maxDist, df))
 }
 
 // MapValues transforms the payloads, preserving keys and

@@ -220,7 +220,7 @@ func (ex *executor) exec(s Statement) error {
 		if err != nil {
 			return fmt.Errorf("piglet: line %d: explaining %q: %w", st.Line, st.Name, err)
 		}
-		node = plan.Graft(node, rel.base)
+		node = plan.Graft(node, rel.base.Clone())
 		ex.out.Explained = append(ex.out.Explained,
 			fmt.Sprintf("%s:\n%s", st.Name, node.Render()))
 		return nil
@@ -583,8 +583,6 @@ func (ex *executor) evalJoin(st Assign, op JoinOp) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	kind := predKind(op.Pred.Kind)
-
 	var rep stark.JoinReport
 	joined, err := stark.Join(left.ds, right.ds, stark.JoinOptions{
 		Predicate:      pred,
@@ -603,12 +601,7 @@ func (ex *executor) evalJoin(st Assign, op JoinOp) (*Relation, error) {
 		row.Group = fmt.Sprintf("%d/%d", kv.Value.Left.Event.ID, kv.Value.Right.Event.ID)
 		rows[i] = stark.NewTuple(kv.Key, row)
 	}
-	dec := rep.Decision
-	if dec == nil {
-		dec = &plan.JoinDecision{Strategy: rep.Strategy, BuildRight: !rep.Swapped, EstRows: -1}
-	}
-	node := plan.JoinNode(*dec, plan.Pred{Kind: kind, Expand: expand}, rep.Swapped, left.base, right.base)
-	node.Prop("actual: %s", rep.Summary())
+	node := rep.PlanNode(plan.Pred{Kind: predKind(op.Pred.Kind), Expand: expand}, left.base, right.base)
 	return ex.fresh(rows, node, st.Line), nil
 }
 

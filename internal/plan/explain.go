@@ -33,6 +33,11 @@ type Node struct {
 	Props []string `json:"props,omitempty"`
 	// Children are the operator inputs.
 	Children []*Node `json:"children,omitempty"`
+	// Actual, when set, renders the operator's execution counters; Clone
+	// turns it into an "actual:" prop, so an operator that keeps running
+	// after its node was built (a lazy join) reports what it has done by
+	// the time the tree is displayed.
+	Actual func() string `json:"-"`
 }
 
 // NewNode returns a node with unknown cardinalities.
@@ -57,13 +62,17 @@ func (n *Node) Add(children ...*Node) *Node {
 }
 
 // Clone deep-copies the tree, so post-execution annotations never
-// mutate a shared plan.
+// mutate a shared plan, and renders every Actual into the copy.
 func (n *Node) Clone() *Node {
 	if n == nil {
 		return nil
 	}
 	c := *n
 	c.Props = append([]string(nil), n.Props...)
+	if n.Actual != nil {
+		c.Prop("actual: %s", n.Actual())
+		c.Actual = nil
+	}
 	c.Children = make([]*Node, 0, len(n.Children))
 	for _, ch := range n.Children {
 		c.Children = append(c.Children, ch.Clone())

@@ -184,13 +184,16 @@ func (s *Server) acquireAdmission(w http.ResponseWriter, r *http.Request) bool {
 // handleJoinQuery executes the join clause of a service query and
 // streams the matching pairs as NDJSON: one GeoJSON feature per line
 // (the left record's geometry) with the right record folded into the
-// properties. Join results are not result-cached — a join
-// materialises a fresh result dataset per request, so its
-// fingerprint could never hit. That materialisation also means the
-// full pair set lives in memory before the first byte streams
-// (unlike the filter path, which streams straight off the fused
-// pipelines); admission control bounds how many such requests run
-// at once.
+// properties. Run() plans the join — strategy, build side, the probe
+// partitions worth visiting — so planning errors still map to a status
+// code and rep.Strategy is known before the first byte; the stream
+// then joins: each window of probe partitions is probed and encoded
+// inside its tasks and written as it completes, so the pairs are never
+// held in memory (the build side is, that is the join's build phase)
+// and a client that hangs up or a deadline that fires stops the
+// probing. Join results are not result-cached: every request builds a
+// fresh join operator, so its fingerprint could never hit. Admission
+// control bounds how many joins run at once.
 func (s *Server) handleJoinQuery(w http.ResponseWriter, r *http.Request, req ServiceQueryRequest) {
 	chain, rep, entry, ok := s.joinChain(w, req)
 	if !ok {
@@ -459,7 +462,7 @@ func (s *Server) handleExplainV1(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			return
 		}
-		// Explaining a join executes it (ExplainNode runs the chain
+		// Explaining a join executes it (ExplainNode counts the pairs
 		// for the actual counters) — that work must pass through the
 		// same admission gate as the query path, or the explain
 		// endpoint becomes an unbounded side door to full joins.

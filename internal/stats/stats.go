@@ -97,18 +97,24 @@ func (s *Summary) FieldStats(name string) *attr.FieldStats {
 // not to ElementsScanned: statistics collection is planner overhead,
 // not predicate work.
 func Collect[V any](ds *engine.Dataset[engine.Pair[stobject.STObject, V]], gridN int) (*Summary, error) {
-	return CollectFields(ds, gridN, nil)
+	return CollectFields(ds, nil, gridN, nil)
 }
 
 // CollectFields is Collect with attribute-field extractors threaded
 // into the same one-pass sweep: each record's tagged fields feed
 // per-field accumulators (min/max, bounded distinct set, numeric
-// reservoir), merged across partitions into Summary.Fields.
-func CollectFields[V any](ds *engine.Dataset[engine.Pair[stobject.STObject, V]], gridN int, fields []attr.Field[V]) (*Summary, error) {
+// reservoir), merged across partitions into Summary.Fields. A non-nil
+// visit restricts the sweep to the listed partitions; the caller
+// asserts that the others hold no records, and they are summarised as
+// empty.
+func CollectFields[V any](ds *engine.Dataset[engine.Pair[stobject.STObject, V]], visit []int, gridN int, fields []attr.Field[V]) (*Summary, error) {
 	if gridN <= 0 {
 		gridN = DefaultGridSize
 	}
 	n := ds.NumPartitions()
+	if visit == nil {
+		visit = engine.AllPartitions(n)
+	}
 	type acc struct {
 		ps     PartitionStats
 		sample []geom.Point
@@ -116,13 +122,12 @@ func CollectFields[V any](ds *engine.Dataset[engine.Pair[stobject.STObject, V]],
 		fields []*attr.FieldAcc
 	}
 	accs := make([]acc, n)
-	parts := make([]int, n)
-	for i := range parts {
-		parts[i] = i
+	for p := range accs {
+		accs[p].ps.MBR = geom.EmptyEnvelope()
 	}
 	metrics := ds.Context().Metrics()
-	err := ds.Context().RunJob(parts, func(p int) error {
-		a := acc{ps: PartitionStats{MBR: geom.EmptyEnvelope()}}
+	err := ds.Context().RunJob(visit, func(p int) error {
+		a := accs[p]
 		if len(fields) > 0 {
 			a.fields = make([]*attr.FieldAcc, len(fields))
 			for i, f := range fields {

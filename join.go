@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"stark/internal/core"
-	"stark/internal/engine"
 	"stark/internal/plan"
 )
 
@@ -40,18 +39,16 @@ const (
 	JoinCoPartition = core.JoinCoPartition
 )
 
-// JoinReport describes how a join actually executed: the chosen
-// strategy, the cost-model decision behind it, and the actual task /
-// pair / tree / shuffle counters EXPLAIN renders.
+// JoinReport describes how a join executes: the chosen strategy, the
+// cost-model decision behind it and the planned task and pair counts
+// are settled when the chain resolves (Run is enough); the tree, shuffle
+// and build-row counters grow while actions run. EXPLAIN renders all of
+// it.
 type JoinReport = core.JoinReport
 
 // JoinRow is one result row of Join: the right record folded into the
 // left record's payload. The row's key is the left key.
-type JoinRow[V, W any] struct {
-	Left     V
-	RightKey STObject
-	Right    W
-}
+type JoinRow[V, W any] = core.JoinRow[V, W]
 
 // Join computes the spatio-temporal join of l and r: every pair of
 // records whose keys satisfy the predicate. The physical strategy —
@@ -59,12 +56,18 @@ type JoinRow[V, W any] struct {
 // the paper's Figure 4 — is chosen by the cost model from dataset
 // statistics unless opts.Strategy forces one; Explain() on the
 // result renders the decision as Join[broadcast|copartition|pairs]
-// with estimated vs actual pair counts. The result is a Dataset
-// keyed by the left record's STObject, so further operators chain;
-// errors from either input surface at the action (the left input's
-// error wins when both failed).
+// with estimated vs actual pair counts. The join is a transformation
+// like the filters: resolving the chain plans it (over the partitions
+// the inputs' own filters leave to visit), and an action streams one
+// input's partitions against R-trees built over the other's, yielding
+// pairs as they are found — Take and a cancelled stream stop probing,
+// and only the build side is ever materialised. The result is a
+// Dataset keyed by the left record's STObject, so further operators
+// chain; errors from either input surface at the action (the left
+// input's error wins when both failed).
 func Join[V, W any](l *Dataset[V], r *Dataset[W], opts JoinOptions) *Dataset[JoinRow[V, W]] {
-	return newDataset(l.ctx, func() (state[JoinRow[V, W]], error) {
+	var d *Dataset[JoinRow[V, W]]
+	d = newDataset(l.ctx, func() (state[JoinRow[V, W]], error) {
 		ls, err := l.forceFlushed()
 		if err != nil {
 			return state[JoinRow[V, W]]{}, err
@@ -76,39 +79,22 @@ func Join[V, W any](l *Dataset[V], r *Dataset[W], opts JoinOptions) *Dataset[Joi
 		if opts.Report == nil {
 			opts.Report = &JoinReport{}
 		}
-		pairs, err := core.Join(ls.sds, rs.sds, opts)
+		// The probes are charged to the joined Dataset, whose actions
+		// run them.
+		rec := d.jobRecorder()
+		ds, visit, err := core.JoinStream(ls.sds.WithRecorder(rec), ls.prunedVisit(rec),
+			rs.sds.WithRecorder(rec), rs.prunedVisit(rec), opts)
 		if err != nil {
 			return state[JoinRow[V, W]]{}, fmt.Errorf("stark: join: %w", err)
 		}
-		rows := make([]Tuple[JoinRow[V, W]], len(pairs))
-		for i, jp := range pairs {
-			rows[i] = NewTuple(jp.LeftKey, JoinRow[V, W]{
-				Left: jp.LeftVal, RightKey: jp.RightKey, Right: jp.RightVal,
-			})
-		}
-		node := joinPlanNode(opts, ls.base, rs.base)
-		node.ActRows = int64(len(rows))
+		pred := plan.Pred{Kind: plan.Custom, Expand: opts.ProbeExpansion}
 		return state[JoinRow[V, W]]{
-			sds:  core.Wrap(engine.Parallelize(l.ctx, rows, 0)),
-			base: node,
+			sds:   core.Wrap(ds),
+			visit: visit,
+			base:  opts.Report.PlanNode(pred, ls.base, rs.base),
 		}, nil
 	})
-}
-
-// joinPlanNode builds the EXPLAIN node of an executed join from its
-// report: the cost-model decision (when the strategy was chosen
-// automatically) plus the actual execution counters.
-func joinPlanNode(opts JoinOptions, left, right *plan.Node) *plan.Node {
-	rep := opts.Report
-	dec := rep.Decision
-	if dec == nil {
-		// Forced strategy: no cost-model verdict to render.
-		dec = &plan.JoinDecision{Strategy: rep.Strategy, BuildRight: !rep.Swapped, EstRows: -1}
-	}
-	pred := plan.Pred{Kind: plan.Custom, Expand: opts.ProbeExpansion}
-	node := plan.JoinNode(*dec, pred, rep.Swapped, left, right)
-	node.Prop("actual: %s", rep.Summary())
-	return node
+	return d
 }
 
 // SelfJoin joins the dataset with itself (identity pairs included,

@@ -257,7 +257,9 @@ func TestPartitionPruningAtAction(t *testing.T) {
 // mutable-dataset snapshot — and every action must leave exactly one
 // phase in the chain's trace. On the two indexed layouts the probes
 // run inside the action, so Take(1) probes one partition and refines
-// fewer candidates than Collect.
+// fewer candidates than Collect. The join mode runs the same battery
+// on a join whose left input is the filtered chain (rows mapped back
+// to the left payload): a join is a lazy chain like any other.
 func TestStreamingActions(t *testing.T) {
 	ctx := stark.NewContext(4)
 	tuples := apiSpatialTuples(t, 3_000)
@@ -278,10 +280,10 @@ func TestStreamingActions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, mode := range []string{"plain", "partitioned", "indexed", "live"} {
+	for _, mode := range []string{"plain", "partitioned", "indexed", "live", "join"} {
 		ds := stark.Parallelize(ctx, tuples, 6)
 		switch mode {
-		case "partitioned":
+		case "partitioned", "join":
 			ds = ds.PartitionBy(stark.Grid(4))
 		case "indexed":
 			ds = ds.PartitionBy(stark.Grid(4)).Index(stark.Persistent(8))
@@ -289,6 +291,10 @@ func TestStreamingActions(t *testing.T) {
 			ds = md.Snapshot()
 		}
 		filtered := ds.Intersects(q)
+		if mode == "join" {
+			filtered = stark.MapValues(stark.Join(filtered, ds, stark.JoinOptions{IndexOrder: -1}),
+				func(r stark.JoinRow[int, int]) int { return r.Left })
+		}
 
 		// Planning is its own phase; each action then adds one.
 		if err := filtered.Run(); err != nil {
@@ -321,6 +327,14 @@ func TestStreamingActions(t *testing.T) {
 		}
 		onePhase("count")
 
+		if mode == "indexed" {
+			// Folding a filter through the index keeps the layout.
+			n, _ := filtered.NumPartitions()
+			sp, err := filtered.Partitioner()
+			if err != nil || n != 16 || sp == nil {
+				t.Errorf("indexed: filtered chain reports %d partitions, partitioner %v, err=%v; want the grid's 16", n, sp, err)
+			}
+		}
 		if mode == "indexed" || mode == "live" {
 			all, one := ds.Intersects(q), ds.Intersects(q)
 			if _, err := all.Collect(); err != nil {
@@ -338,6 +352,10 @@ func TestStreamingActions(t *testing.T) {
 				t.Errorf("%s: take(1) refined %d candidates, collect %d; want fewer",
 					mode, head.Counter("candidates_refined"), full.Counter("candidates_refined"))
 			}
+		}
+
+		if mode == "join" {
+			streamingJoinChecks(t, ds, q)
 		}
 
 		// Stream sees exactly the Collect rows, in partition order.
@@ -433,6 +451,67 @@ func TestStreamingActions(t *testing.T) {
 			t.Fatal(err)
 		}
 		onePhase("stream")
+	}
+}
+
+// streamingJoinChecks is the join row of TestStreamingActions: under
+// every forced strategy the slots load inside the actions, so Take(1)
+// builds at most one tree and refines fewer candidates than Collect,
+// and a second action on one joined Dataset probes again without
+// building again.
+func streamingJoinChecks(t *testing.T, ds *stark.Dataset[int], q stark.STObject) {
+	t.Helper()
+	for _, strategy := range []stark.JoinStrategy{stark.JoinPairs, stark.JoinBroadcast, stark.JoinCoPartition} {
+		var repAll, repOne stark.JoinReport
+		opts := stark.JoinOptions{IndexOrder: -1, Strategy: strategy}
+		opts.Report = &repAll
+		all := stark.Join(ds.Intersects(q), ds, opts)
+		opts.Report = &repOne
+		one := stark.Join(ds.Intersects(q), ds, opts)
+
+		if err := all.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if repAll.Strategy != strategy || repAll.Tasks == 0 || repAll.TreesBuilt != 0 {
+			t.Errorf("%v: after Run the report reads strategy=%v tasks=%d trees_built=%d; want the plan and no build",
+				strategy, repAll.Strategy, repAll.Tasks, repAll.TreesBuilt)
+		}
+		n, err := all.Count()
+		if err != nil {
+			t.Fatal(err)
+		}
+		counted := repAll
+		rows, err := all.Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 || int64(len(rows)) != n {
+			t.Errorf("%v: count %d, then collect %d rows", strategy, n, len(rows))
+		}
+		if repAll != counted {
+			t.Errorf("%v: the second action changed the report from %+v to %+v", strategy, counted, repAll)
+		}
+		kids := all.Trace().Children
+		if len(kids) != 3 || kids[1].Op != "count" || kids[2].Op != "collect" {
+			t.Fatalf("%v: trace holds %d phases, want plan, count, collect", strategy, len(kids))
+		}
+		if kids[0].Counter("index_probes") != 0 || kids[2].Counter("index_probes") != kids[1].Counter("index_probes") {
+			t.Errorf("%v: probes per phase %d/%d/%d, want none while planning and the same for both actions", strategy,
+				kids[0].Counter("index_probes"), kids[1].Counter("index_probes"), kids[2].Counter("index_probes"))
+		}
+
+		if _, err := one.Take(1); err != nil {
+			t.Fatal(err)
+		}
+		if strategy != stark.JoinBroadcast && repAll.TreesBuilt < 2 {
+			t.Fatalf("%v: collect built %d trees; the comparison is vacuous", strategy, repAll.TreesBuilt)
+		}
+		if repOne.TreesBuilt > 1 {
+			t.Errorf("%v: take(1) built %d trees, want at most 1", strategy, repOne.TreesBuilt)
+		}
+		if head, full := one.Trace().Counter("candidates_refined"), kids[2].Counter("candidates_refined"); head >= full {
+			t.Errorf("%v: take(1) refined %d candidates, collect %d; want fewer", strategy, head, full)
+		}
 	}
 }
 

@@ -211,6 +211,25 @@ func TestStreamEncodedStops(t *testing.T) {
 		cancel()
 	}
 
+	// And over a join: the pairs are found inside the windows, so the
+	// second window's two probe partitions are never streamed and their
+	// buckets of the build side are never indexed.
+	var rep stark.JoinReport
+	grid := base.PartitionBy(stark.WithPartitioner(sp))
+	joined := stark.Join(grid, grid, stark.JoinOptions{IndexOrder: -1, Strategy: stark.JoinCoPartition, Report: &rep})
+	cctx, cancel = context.WithCancel(context.Background())
+	err = joined.StreamEncodedContext(cctx, func(dst []byte, kv stark.Tuple[stark.JoinRow[int, int]]) ([]byte, error) {
+		return appendRow(dst, stark.NewTuple(kv.Key, kv.Value.Right))
+	}, func([]byte, int64) bool {
+		cancel()
+		return true
+	})
+	if tasks := joined.Trace().Counter("tasks_launched"); !errors.Is(err, context.Canceled) || rep.Tasks != 4 || tasks != 2 || rep.TreesBuilt != 2 {
+		t.Errorf("join: cancel after the first chunk: error %v after %d tasks and %d trees of %d planned probes, want context.Canceled after 2 and 2 of 4",
+			err, tasks, rep.TreesBuilt, rep.Tasks)
+	}
+	cancel()
+
 	delivered = 0
 	if err := base.StreamEncodedContext(context.Background(), appendRow, func(_ []byte, n int64) bool {
 		delivered += n

@@ -3,10 +3,10 @@ package stark
 // Execution tracing for the fluent DSL. Every action on a Dataset
 // records one phase — wall time, rows produced, and the engine
 // counters the phase charged to the dataset's per-job recorder — and
-// the planner records a "plan" phase when it compiles the chain.
-// Trace() assembles the phases (plus the executed plan tree) into a
-// plan.TraceNode tree; the query service returns it for requests
-// carrying "trace": true.
+// resolving and compiling the chain (planning a join included) is
+// recorded as a "plan" phase. Trace() assembles the phases (plus the
+// executed plan tree) into a plan.TraceNode tree; the query service
+// returns it for requests carrying "trace": true.
 //
 // Phase recording is always on: it is two snapshot reads of the job
 // recorder and one slice append per action, so untraced queries pay
