@@ -179,7 +179,10 @@ func (d *Dataset[V]) jobRecorder() *engine.Recorder {
 	return d.jobRec
 }
 
-// newDataset wraps a resolve step with memoisation.
+// newDataset wraps a resolve step with memoisation. A resolved Dataset
+// keeps its state and no longer pins its parent: upstream Datasets the
+// caller does not hold, and the rows only they referenced, are then
+// garbage.
 func newDataset[V any](ctx *Context, step func() (state[V], error)) *Dataset[V] {
 	var (
 		once sync.Once
@@ -187,7 +190,13 @@ func newDataset[V any](ctx *Context, step func() (state[V], error)) *Dataset[V] 
 		err  error
 	)
 	return &Dataset[V]{ctx: ctx, resolve: func() (state[V], error) {
-		once.Do(func() { st, err = step() })
+		once.Do(func() {
+			st, err = step()
+			// The memoised state is all a resolved chain needs: dropping
+			// the step drops the parent chain and whatever it captured (a
+			// Parallelize'd slice, the rows a shuffle has since copied).
+			step = nil
+		})
 		return st, err
 	}}
 }
@@ -240,39 +249,45 @@ func (d *Dataset[V]) Context() *Context { return d.ctx }
 // for a pre-built one). The configured index mode, if any, is
 // re-applied after the shuffle so PartitionBy and Index compose in
 // either order.
+//
+// The shuffle is the layout step. Inside a partition the rows keep
+// source order (upstream partition, then position), so shuffling the
+// same rows twice gives the same partitions row for row and an index
+// saved from one (SaveIndex) fits the other (LoadIndex); point keys are
+// laid out in that order too. The shuffled dataset owns its rows: once
+// this Dataset has resolved it no longer pins its parent, so the slice
+// handed to Parallelize is garbage as soon as the caller drops it.
 func (d *Dataset[V]) PartitionBy(p Partitioner) *Dataset[V] {
 	return d.chain("partitionBy", func(st state[V]) (state[V], error) {
 		st, err := st.flush()
 		if err != nil {
 			return state[V]{}, err
 		}
-		// Data-driven recipes (Grid, BSP, Voronoi) need the keys; in
-		// that case materialise the upstream once — honouring pending
-		// partition pruning — and shuffle the materialised rows, so
-		// the lineage is not computed a second time by the shuffle.
-		var rows []Tuple[V]
-		collected := false
+		// Materialise the upstream once, honouring pending partition
+		// pruning (zero-copy when it already holds its partitions): a
+		// data-driven recipe (Grid, BSP, Voronoi) reads its keys from the
+		// slices the shuffle then scatters, so the lineage runs once.
+		parts, err := st.sds.Dataset().ComputePartitions(st.prunedVisit(d.ctx.Recorder()))
+		if err != nil {
+			return state[V]{}, err
+		}
 		sp, err := p.build(func() ([]STObject, error) {
-			var err error
-			rows, err = st.sds.Dataset().CollectPartitions(st.prunedVisit(d.ctx.Recorder()))
-			if err != nil {
-				return nil, err
+			n := 0
+			for _, rows := range parts {
+				n += len(rows)
 			}
-			collected = true
-			keys := make([]STObject, len(rows))
-			for i, kv := range rows {
-				keys[i] = kv.Key
+			keys := make([]STObject, 0, n)
+			for _, rows := range parts {
+				for i := range rows {
+					keys = append(keys, rows[i].Key)
+				}
 			}
 			return keys, nil
 		})
 		if err != nil {
 			return state[V]{}, err
 		}
-		base := st.sds
-		if collected {
-			base = core.Wrap(engine.Parallelize(d.ctx, rows, st.sds.NumPartitions()))
-		}
-		parted, err := base.PartitionBy(sp)
+		parted, err := core.Wrap(engine.FromPartitions(d.ctx, parts)).PartitionBy(sp)
 		if err != nil {
 			return state[V]{}, err
 		}

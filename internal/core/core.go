@@ -147,12 +147,27 @@ func (s *SpatialDataset[V]) Cache() *SpatialDataset[V] {
 
 // PartitionBy shuffles the dataset with the given spatial partitioner
 // and returns a spatially partitioned SpatialDataset — the DSL's
-// rdd.partitionBy(gridPartitioner) step.
+// rdd.partitionBy(gridPartitioner) step. It fixes the memory layout the
+// scans run over: the shuffle leaves each partition's rows in source
+// order (see engine.PartitionBy), and the point keys of a partition are
+// then relocated in row order, so a scan that walks the rows walks their
+// keys' coordinates forwards too instead of chasing one pointer per row
+// into wherever the source allocated that point.
 func (s *SpatialDataset[V]) PartitionBy(sp partition.SpatialPartitioner) (*SpatialDataset[V], error) {
 	if sp == nil {
 		return nil, fmt.Errorf("core: nil partitioner")
 	}
 	shuffled, err := engine.PartitionBy(s.ds, engine.Partitioner[stobject.STObject](spAdapter{sp}))
+	if err != nil {
+		return nil, err
+	}
+	err = s.Context().RunJobRecorder(nil, s.rec, engine.AllPartitions(shuffled.NumPartitions()), func(p int) error {
+		rows, err := shuffled.ComputePartition(p) // the shuffle's own slice, not yet shared
+		for i := range rows {
+			rows[i].Key = rows[i].Key.Relocated()
+		}
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}

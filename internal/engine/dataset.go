@@ -515,19 +515,28 @@ func (d *Dataset[T]) Collect() ([]T, error) {
 	return d.CollectPartitions(AllPartitions(d.numPart))
 }
 
+// ComputePartitions materialises the listed partitions in parallel and
+// returns them under their partition index, nil for the unlisted ones.
+// Sourced and cached datasets hand out their own slices (zero-copy, as
+// in ComputePartition): treat the result as read-only.
+func (d *Dataset[T]) ComputePartitions(parts []int) ([][]T, error) {
+	results := make([][]T, d.numPart)
+	err := d.ctx.runJob(d.recorder(), parts, func(p int) error {
+		out, err := d.ComputePartition(p)
+		results[p] = out
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
 // CollectPartitions materialises only the listed partitions. Spatial
 // operators use this to execute partition-pruned queries: partitions
 // whose bounds cannot match are never scheduled.
 func (d *Dataset[T]) CollectPartitions(parts []int) ([]T, error) {
-	results := make([][]T, d.numPart)
-	err := d.ctx.runJob(d.recorder(), parts, func(p int) error {
-		out, err := d.ComputePartition(p)
-		if err != nil {
-			return err
-		}
-		results[p] = out
-		return nil
-	})
+	results, err := d.ComputePartitions(parts)
 	if err != nil {
 		return nil, err
 	}

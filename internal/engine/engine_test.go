@@ -382,6 +382,48 @@ func TestPartitionBy(t *testing.T) {
 	}
 }
 
+// TestPartitionByKeepsSourceOrder pins the layout contract of the
+// shuffle: inside an output partition rows lie in source order (source
+// partition, then position), whichever task finishes first, so two
+// shuffles of one input are element-for-element equal.
+func TestPartitionByKeepsSourceOrder(t *testing.T) {
+	ctx := NewContext(4)
+	pairs := make([]Pair[int, int], 20000)
+	for i := range pairs {
+		pairs[i] = NewPair(i*7919%1000, i)
+	}
+	part := FuncPartitioner[int]{N: 13, Fn: func(k int) int { return k % 13 }}
+	var first [][]Pair[int, int]
+	for round := 0; round < 10; round++ {
+		shuffled, err := PartitionBy(Parallelize(ctx, pairs, 7), part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([][]Pair[int, int], part.N)
+		for p := range got {
+			if got[p], err = shuffled.ComputePartition(p); err != nil {
+				t.Fatal(err)
+			}
+			for i, kv := range got[p] {
+				if kv.Key%13 != p {
+					t.Fatalf("round %d: key %d in partition %d", round, kv.Key, p)
+				}
+				if i > 0 && kv.Value <= got[p][i-1].Value {
+					t.Fatalf("round %d partition %d: row %d follows row %d", round, p, kv.Value, got[p][i-1].Value)
+				}
+			}
+		}
+		if first == nil {
+			first = got
+		}
+		for p := range got {
+			if !slices.Equal(first[p], got[p]) {
+				t.Fatalf("round %d: partition %d differs from the first shuffle", round, p)
+			}
+		}
+	}
+}
+
 func TestPartitionByClampsOutOfRange(t *testing.T) {
 	ctx := NewContext(2)
 	pairs := []Pair[int, int]{NewPair(1, 1), NewPair(2, 2)}
@@ -393,48 +435,6 @@ func TestPartitionByClampsOutOfRange(t *testing.T) {
 	n, _ := shuffled.Count()
 	if n != 2 {
 		t.Errorf("count = %d, want 2 (clamped, not dropped)", n)
-	}
-}
-
-func TestGroupByKeyReduceByKey(t *testing.T) {
-	ctx := NewContext(4)
-	var pairs []Pair[string, int]
-	for i := 0; i < 30; i++ {
-		pairs = append(pairs, NewPair(fmt.Sprintf("k%d", i%3), 1))
-	}
-	d := Parallelize(ctx, pairs, 4)
-	hash := func(s string) int {
-		h := 0
-		for _, c := range s {
-			h = h*31 + int(c)
-		}
-		return h
-	}
-	grouped, err := GroupByKey(d, hash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	groups, err := grouped.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(groups) != 3 {
-		t.Fatalf("groups = %d", len(groups))
-	}
-	for _, g := range groups {
-		if len(g.Value) != 10 {
-			t.Errorf("group %s has %d values", g.Key, len(g.Value))
-		}
-	}
-	reduced, err := ReduceByKey(d, hash, func(a, b int) int { return a + b })
-	if err != nil {
-		t.Fatal(err)
-	}
-	sums, _ := reduced.Collect()
-	for _, kv := range sums {
-		if kv.Value != 10 {
-			t.Errorf("sum for %s = %d", kv.Key, kv.Value)
-		}
 	}
 }
 
@@ -450,46 +450,6 @@ func TestCountByKey(t *testing.T) {
 	}
 	if counts["a"] != 2 || counts["b"] != 1 {
 		t.Errorf("counts = %v", counts)
-	}
-}
-
-func TestKeysValuesMapValues(t *testing.T) {
-	ctx := NewContext(2)
-	pairs := []Pair[int, string]{NewPair(1, "a"), NewPair(2, "b")}
-	d := Parallelize(ctx, pairs, 1)
-	ks, _ := Keys(d).Collect()
-	vs, _ := Values(d).Collect()
-	if fmt.Sprint(ks) != "[1 2]" || fmt.Sprint(vs) != "[a b]" {
-		t.Errorf("keys=%v values=%v", ks, vs)
-	}
-	up, _ := MapValues(d, func(s string) string { return s + "!" }).Collect()
-	if up[0].Value != "a!" || up[0].Key != 1 {
-		t.Errorf("mapValues = %v", up)
-	}
-}
-
-func TestCartesianPartitions(t *testing.T) {
-	ctx := NewContext(4)
-	a := Parallelize(ctx, []int{1, 2, 3}, 2)
-	b := Parallelize(ctx, []int{10, 20}, 2)
-	got, err := CartesianPartitions(a, b, func(pa, pb []int) []int {
-		var out []int
-		for _, x := range pa {
-			for _, y := range pb {
-				out = append(out, x+y)
-			}
-		}
-		return out
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 6 {
-		t.Errorf("len = %d, want 6", len(got))
-	}
-	sort.Ints(got)
-	if fmt.Sprint(got) != "[11 12 13 21 22 23]" {
-		t.Errorf("got %v", got)
 	}
 }
 

@@ -41,117 +41,81 @@ func (f FuncPartitioner[K]) PartitionFor(key K) int { return f.Fn(key) }
 // PartitionBy shuffles the dataset so that every record lands in the
 // partition its key maps to — the engine's wide transformation. The
 // returned dataset is materialised eagerly (shuffles are barriers in
-// Spark too) and therefore behaves as if cached.
+// Spark too) and therefore behaves as if cached, and it holds the only
+// reference to its rows: nothing of d is retained.
+//
+// The shuffle decides how the rows lie in memory. It is a counting
+// shuffle: the first pass computes every row's target once and counts,
+// each output partition is then allocated once at its final length, and
+// the second pass scatters the rows without a lock. Inside an output
+// partition the rows keep source order (source partition, then position
+// in it), so two shuffles of one input are element-for-element equal —
+// positional structures built over a partition (tree entry IDs, persisted
+// indexes) may rely on that.
 func PartitionBy[K, V any](d *Dataset[Pair[K, V]], part Partitioner[K]) (*Dataset[Pair[K, V]], error) {
 	n := part.NumPartitions()
-	buckets := make([][]Pair[K, V], n)
-	var mu sync.Mutex
-
-	err := d.ctx.runJob(d.recorder(), AllPartitions(d.numPart), func(p int) error {
-		// Route straight off the fused pipeline into local buckets
-		// (no input slice), then merge under one lock per source task.
-		local := make([][]Pair[K, V], n)
-		var routed int64
-		if err := d.EachPartition(p, func(kv Pair[K, V]) bool {
-			t := part.PartitionFor(kv.Key)
-			if t < 0 {
-				t = 0
-			} else if t >= n {
-				t = n - 1
+	rec := d.recorder()
+	// A task owns a contiguous run of source partitions, so the table of
+	// write offsets is tasks × n however many partitions the source has.
+	tasks := min(d.numPart, d.ctx.parallelism)
+	run := func(g int) (lo, hi int) { return g * d.numPart / tasks, (g + 1) * d.numPart / tasks }
+	src := make([][]Pair[K, V], d.numPart)
+	targets := make([][]int32, d.numPart)
+	offsets := make([][]int, tasks)
+	err := d.ctx.runJob(rec, AllPartitions(tasks), func(g int) error {
+		counts := make([]int, n)
+		lo, hi := run(g)
+		for p := lo; p < hi; p++ {
+			rows, err := d.ComputePartition(p)
+			if err != nil {
+				return err
 			}
-			local[t] = append(local[t], kv)
-			routed++
-			return true
-		}); err != nil {
-			return err
-		}
-		d.recorder().ShuffledRecords(routed)
-		mu.Lock()
-		for t := 0; t < n; t++ {
-			if len(local[t]) > 0 {
-				buckets[t] = append(buckets[t], local[t]...)
+			ts := make([]int32, len(rows))
+			for i := range rows {
+				t := part.PartitionFor(rows[i].Key)
+				if t < 0 {
+					t = 0
+				} else if t >= n {
+					t = n - 1
+				}
+				ts[i] = int32(t)
+				counts[t]++
 			}
+			src[p], targets[p] = rows, ts
+			rec.ShuffledRecords(int64(len(rows)))
 		}
-		mu.Unlock()
+		offsets[g] = counts
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return FromPartitions(d.ctx, buckets), nil
-}
-
-// FlatMapToPair re-keys a dataset; a convenience composing FlatMap
-// over pair construction.
-func FlatMapToPair[T, K, V any](d *Dataset[T], f func(T) []Pair[K, V]) *Dataset[Pair[K, V]] {
-	return FlatMap(d, f)
-}
-
-// Keys projects the keys of a pair dataset.
-func Keys[K, V any](d *Dataset[Pair[K, V]]) *Dataset[K] {
-	return Map(d, func(p Pair[K, V]) K { return p.Key })
-}
-
-// Values projects the values of a pair dataset.
-func Values[K, V any](d *Dataset[Pair[K, V]]) *Dataset[V] {
-	return Map(d, func(p Pair[K, V]) V { return p.Value })
-}
-
-// MapValues transforms only the values, preserving keys and
-// partitioning.
-func MapValues[K, V, W any](d *Dataset[Pair[K, V]], f func(V) W) *Dataset[Pair[K, W]] {
-	return Map(d, func(p Pair[K, V]) Pair[K, W] {
-		return Pair[K, W]{Key: p.Key, Value: f(p.Value)}
-	})
-}
-
-// GroupByKey gathers all values per comparable key. It shuffles by
-// key hash into the same number of partitions as the input.
-func GroupByKey[K comparable, V any](d *Dataset[Pair[K, V]], hash func(K) int) (*Dataset[Pair[K, []V]], error) {
-	n := d.numPart
-	if n == 0 {
-		n = 1
-	}
-	shuffled, err := PartitionBy(d, FuncPartitioner[K]{N: n, Fn: func(k K) int {
-		h := hash(k) % n
-		if h < 0 {
-			h += n
+	// Turn the counts into each task's first write position per target.
+	out := make([][]Pair[K, V], n)
+	for t := range out {
+		total := 0
+		for _, o := range offsets {
+			o[t], total = total, total+o[t]
 		}
-		return h
-	}})
-	if err != nil {
-		return nil, err
+		if total > 0 {
+			out[t] = make([]Pair[K, V], total)
+		}
 	}
-	return MapPartitions(shuffled, func(_ int, in []Pair[K, V]) ([]Pair[K, []V], error) {
-		groups := make(map[K][]V)
-		var order []K
-		for _, kv := range in {
-			if _, ok := groups[kv.Key]; !ok {
-				order = append(order, kv.Key)
+	err = d.ctx.runJob(rec, AllPartitions(tasks), func(g int) error {
+		next := offsets[g]
+		lo, hi := run(g)
+		for p := lo; p < hi; p++ {
+			for i, t := range targets[p] {
+				out[t][next[t]] = src[p][i]
+				next[t]++
 			}
-			groups[kv.Key] = append(groups[kv.Key], kv.Value)
 		}
-		out := make([]Pair[K, []V], 0, len(order))
-		for _, k := range order {
-			out = append(out, Pair[K, []V]{Key: k, Value: groups[k]})
-		}
-		return out, nil
-	}), nil
-}
-
-// ReduceByKey combines values per comparable key with f.
-func ReduceByKey[K comparable, V any](d *Dataset[Pair[K, V]], hash func(K) int, f func(a, b V) V) (*Dataset[Pair[K, V]], error) {
-	grouped, err := GroupByKey(d, hash)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	return Map(grouped, func(p Pair[K, []V]) Pair[K, V] {
-		acc := p.Value[0]
-		for _, v := range p.Value[1:] {
-			acc = f(acc, v)
-		}
-		return Pair[K, V]{Key: p.Key, Value: acc}
-	}), nil
+	return FromPartitions(d.ctx, out), nil
 }
 
 // CountByKey returns the number of records per key.
@@ -174,41 +138,4 @@ func CountByKey[K comparable, V any](d *Dataset[Pair[K, V]]) (map[K]int64, error
 		return nil
 	})
 	return counts, err
-}
-
-// CartesianPartitions runs fn over every pair of partitions of a and
-// b — the building block for the naive (broadcast nested loop) join
-// baselines. fn receives both partition slices and returns the join
-// outputs for that partition pair; the results of all pairs are
-// concatenated in an unspecified order.
-func CartesianPartitions[A, B, R any](a *Dataset[A], b *Dataset[B], fn func(pa []A, pb []B) []R) ([]R, error) {
-	type pairIdx struct{ i, j int }
-	tasks := make([]pairIdx, 0, a.numPart*b.numPart)
-	for i := 0; i < a.numPart; i++ {
-		for j := 0; j < b.numPart; j++ {
-			tasks = append(tasks, pairIdx{i, j})
-		}
-	}
-	results := make([][]R, len(tasks))
-	idxs := AllPartitions(len(tasks))
-	err := a.ctx.runJob(a.recorder(), idxs, func(t int) error {
-		pa, err := a.ComputePartition(tasks[t].i)
-		if err != nil {
-			return err
-		}
-		pb, err := b.ComputePartition(tasks[t].j)
-		if err != nil {
-			return err
-		}
-		results[t] = fn(pa, pb)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var out []R
-	for _, r := range results {
-		out = append(out, r...)
-	}
-	return out, nil
 }

@@ -268,9 +268,12 @@ type BSPConfig struct {
 	MinSide float64
 }
 
+// bspRegion is a region under construction: its bounds and the
+// centroids of the objects inside, a window of the one slice NewBSP
+// allocates (a split reorders the window and halves it).
 type bspRegion struct {
 	env geom.Envelope
-	pts []geom.Point // centroids of the objects inside
+	pts []geom.Point
 }
 
 // NewBSP builds a BSP partitioner over objs.
@@ -287,7 +290,7 @@ func NewBSP(cfg BSPConfig, objs []stobject.STObject) (*BSP, error) {
 		pts[i] = o.Centroid()
 	}
 	b := &BSP{space: space}
-	b.root = b.buildNode(bspRegion{env: space, pts: pts}, cfg)
+	b.root = b.buildNode(bspRegion{env: space, pts: pts}, cfg, make([]float64, len(pts)))
 	b.extents = newExtentTracker(len(b.regions))
 	for _, o := range objs {
 		b.extents.add(b.PartitionFor(o), o.Envelope())
@@ -296,19 +299,20 @@ func NewBSP(cfg BSPConfig, objs []stobject.STObject) (*BSP, error) {
 }
 
 // buildNode recursively splits a region, appending leaf regions to
-// b.regions and returning the split-tree node.
-func (b *BSP) buildNode(r bspRegion, cfg BSPConfig) *bspNode {
+// b.regions and returning the split-tree node. coords is the scratch
+// every split selects its median in, as long as the root's points.
+func (b *BSP) buildNode(r bspRegion, cfg BSPConfig, coords []float64) *bspNode {
 	if len(r.pts) <= cfg.MaxCost ||
 		(cfg.MinSide > 0 && r.env.Width() <= cfg.MinSide && r.env.Height() <= cfg.MinSide) {
 		return b.leafNode(r.env)
 	}
-	left, right, cut, onX, ok := splitRegion(r, cfg.MinSide)
+	left, right, cut, onX, ok := splitRegion(r, cfg.MinSide, coords)
 	if !ok {
 		return b.leafNode(r.env)
 	}
 	node := &bspNode{leaf: -1, onX: onX, cut: cut}
-	node.left = b.buildNode(left, cfg)
-	node.right = b.buildNode(right, cfg)
+	node.left = b.buildNode(left, cfg, coords)
+	node.right = b.buildNode(right, cfg, coords)
 	return node
 }
 
@@ -321,12 +325,14 @@ func (b *BSP) leafNode(env geom.Envelope) *bspNode {
 // splitRegion cuts r into two regions of equal cost along its longer
 // dimension (falling back to the other dimension when the cut would
 // violate minSide or be degenerate). It also reports the cut
-// position and axis for the split tree.
-func splitRegion(r bspRegion, minSide float64) (a, b bspRegion, cutPos float64, cutOnX, ok bool) {
-	tryAxes := []bool{r.env.Width() >= r.env.Height()} // true = split on x
-	tryAxes = append(tryAxes, !tryAxes[0])
-	for _, onX := range tryAxes {
-		coords := make([]float64, len(r.pts))
+// position and axis for the split tree. The split allocates nothing:
+// the median is selected in coords (at least len(r.pts) long) and r's
+// points are partitioned in place around the cut, so the two halves
+// are windows of r.pts.
+func splitRegion(r bspRegion, minSide float64, coords []float64) (a, b bspRegion, cutPos float64, cutOnX, ok bool) {
+	longer := r.env.Width() >= r.env.Height() // true = split on x
+	coords = coords[:len(r.pts)]
+	for _, onX := range [2]bool{longer, !longer} {
 		for i, p := range r.pts {
 			if onX {
 				coords[i] = p.X
@@ -352,29 +358,27 @@ func splitRegion(r bspRegion, minSide float64) (a, b bspRegion, cutPos float64, 
 		if minSide > 0 && (cut-lo < minSide || hi-cut < minSide) {
 			continue
 		}
-		var envA, envB geom.Envelope
-		if onX {
-			envA = geom.Envelope{MinX: r.env.MinX, MinY: r.env.MinY, MaxX: cut, MaxY: r.env.MaxY}
-			envB = geom.Envelope{MinX: cut, MinY: r.env.MinY, MaxX: r.env.MaxX, MaxY: r.env.MaxY}
-		} else {
-			envA = geom.Envelope{MinX: r.env.MinX, MinY: r.env.MinY, MaxX: r.env.MaxX, MaxY: cut}
-			envB = geom.Envelope{MinX: r.env.MinX, MinY: cut, MaxX: r.env.MaxX, MaxY: r.env.MaxY}
-		}
-		a = bspRegion{env: envA}
-		b = bspRegion{env: envB}
-		for _, p := range r.pts {
+		// Move the points below the cut to the front of the window.
+		below := 0
+		for i, p := range r.pts {
 			v := p.Y
 			if onX {
 				v = p.X
 			}
 			if v < cut {
-				a.pts = append(a.pts, p)
-			} else {
-				b.pts = append(b.pts, p)
+				r.pts[i], r.pts[below] = r.pts[below], p
+				below++
 			}
 		}
-		if len(a.pts) == 0 || len(b.pts) == 0 {
+		if below == 0 || below == len(r.pts) {
 			continue
+		}
+		a = bspRegion{env: r.env, pts: r.pts[:below]}
+		b = bspRegion{env: r.env, pts: r.pts[below:]}
+		if onX {
+			a.env.MaxX, b.env.MinX = cut, cut
+		} else {
+			a.env.MaxY, b.env.MinY = cut, cut
 		}
 		return a, b, cut, onX, true
 	}

@@ -479,7 +479,7 @@ func (spec DatasetSpec) buildEvents() ([]workload.Event, error) {
 	}), nil
 }
 
-// stageDataset lifts events into a cached Dataset with the spec's
+// stageDataset lifts events into a Dataset with the spec's
 // partitioner recipe and index mode applied, and forces the chain so
 // registration errors surface here rather than on the first query.
 func stageDataset(ctx *stark.Context, events []workload.Event, spec DatasetSpec) (*stark.Dataset[workload.Event], error) {
@@ -487,7 +487,7 @@ func stageDataset(ctx *stark.Context, events []workload.Event, spec DatasetSpec)
 	if dropped > 0 {
 		return nil, fmt.Errorf("%d events with invalid WKT", dropped)
 	}
-	ds := stark.Parallelize(ctx, tuples).Cache()
+	ds := stark.Parallelize(ctx, tuples)
 	if spec.Partitioner != "" {
 		p, err := parsePartitioner(spec.Partitioner)
 		if err != nil {

@@ -86,6 +86,20 @@ func MustFromWKT(wkt string) STObject {
 	return o
 }
 
+// Relocated returns o with a point geometry copied into a fresh
+// allocation; every other geometry is returned as it is. The geometry
+// sits boxed behind an interface, and for a point that box is the first
+// thing every predicate loads: relocating the keys of consecutive rows
+// one after the other puts their boxes next to each other in memory,
+// whatever order the points were created in. The dynamic type stays
+// geom.Point.
+func (o STObject) Relocated() STObject {
+	if p, ok := o.geo.(geom.Point); ok {
+		o.geo = p
+	}
+	return o
+}
+
 // Geo returns the spatial component.
 func (o STObject) Geo() geom.Geometry { return o.geo }
 

@@ -271,3 +271,28 @@ func TestTouchesAndOverlaps(t *testing.T) {
 		t.Error("temporally overlapping pair must touch")
 	}
 }
+
+// TestRelocated pins what the layout step of PartitionBy relies on: a
+// point key moves into one new allocation and stays a geom.Point with
+// the same coordinates and time; any other geometry is left where it is.
+func TestRelocated(t *testing.T) {
+	pt := NewWithTime(geom.NewPoint(3, 4), 7)
+	got := pt.Relocated()
+	if p, ok := got.Geo().(geom.Point); !ok || p != geom.NewPoint(3, 4) {
+		t.Fatalf("relocated point key is %#v", got.Geo())
+	}
+	if iv, ok := got.Time(); !ok || iv != temporal.At(7) {
+		t.Fatalf("relocated key lost its time: %v %v", iv, ok)
+	}
+	var sink STObject
+	if n := testing.AllocsPerRun(100, func() { sink = pt.Relocated() }); n != 1 {
+		t.Errorf("relocating a point key allocates %v times, want 1", n)
+	}
+	poly := MustFromWKT("POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0))")
+	if n := testing.AllocsPerRun(100, func() { sink = poly.Relocated() }); n != 0 {
+		t.Errorf("relocating a polygon key allocates %v times, want 0", n)
+	}
+	if !sink.Intersects(poly) || !(STObject{}).Relocated().IsEmpty() {
+		t.Error("a relocated polygon or empty key changed")
+	}
+}
