@@ -498,7 +498,7 @@ func (st state[V]) flush() (state[V], error) {
 			st.sds, st.idx = probed, nil
 			node.Prop("index=probe (existing partition trees)")
 		} else {
-			st.sds = st.sds.Where(p.q, p.pred)
+			st.sds = st.sds.Where(p.q, pruneEnv, p.pred)
 		}
 		st.pruneEnvs = append(st.pruneEnvs[:len(st.pruneEnvs):len(st.pruneEnvs)], pruneEnv)
 		st.mode = NoIndexing
@@ -841,28 +841,25 @@ func (d *Dataset[V]) Stream(fn func(Tuple[V]) bool) error {
 	})
 }
 
-// StreamParallel is Stream with partition-parallel compute: rows
-// still reach fn sequentially in partition order, but the partition
-// pipelines run as parallel jobs in bounded windows, buffering at
-// most one window of partitions. Prefer it when the consumer is
-// cheap relative to the scan (the GeoJSON endpoint encodes rows onto
-// the socket this way); prefer Stream when nothing may be buffered.
+// StreamParallel is Stream with parallel compute: rows still reach fn
+// sequentially in partition order, but the partitions are cut into
+// morsels that run as one ordered job on all executors, buffering the
+// rows of at most 2 × parallelism morsels. Prefer it when the consumer
+// is cheap relative to the scan; prefer Stream when nothing may be
+// buffered.
 func (d *Dataset[V]) StreamParallel(fn func(Tuple[V]) bool) error {
-	if fn == nil {
-		return fmt.Errorf("stark: streamParallel: nil consumer")
-	}
 	return d.StreamParallelContext(context.Background(), fn)
 }
 
 // StreamParallelContext is StreamParallel with cooperative
-// cancellation: once ctx is done no further partition window is
-// computed and the stream returns ctx.Err().
+// cancellation: once ctx is done no further morsel is started and the
+// stream returns ctx.Err().
 func (d *Dataset[V]) StreamParallelContext(ctx context.Context, fn func(Tuple[V]) bool) error {
 	if fn == nil {
-		return fmt.Errorf("stark: streamParallelContext: nil consumer")
+		return fmt.Errorf("stark: streamParallel: nil consumer")
 	}
 	return d.runPhase("stream", func(ds *engine.Dataset[Tuple[V]], visit []int) (rows int64, err error) {
-		err = ds.StreamPartitionsParallelContext(ctx, visit, 0, func(kv Tuple[V]) bool {
+		err = ds.StreamPartitionsParallelContext(ctx, visit, func(kv Tuple[V]) bool {
 			rows++
 			return fn(kv)
 		})
@@ -871,15 +868,15 @@ func (d *Dataset[V]) StreamParallelContext(ctx context.Context, fn func(Tuple[V]
 }
 
 // StreamEncodedContext is StreamParallelContext for consumers that
-// serialise the result: every partition task appends the encoding of
-// its rows (enc: append kv to dst, return the grown slice) to one
-// buffer as they leave the fused pipeline, and sink receives each
-// partition's bytes and row count sequentially, in partition order.
-// The rows are never materialised and the encoding runs on all
-// executors, so enc is called from several goroutines at once. A
-// chunk is only valid until sink returns; sink returning false stops
-// the stream and an enc error fails it, both before any further window
-// is computed. This is the action behind the query service's NDJSON
+// serialise the result: every morsel task appends the encoding of its
+// rows (enc: append kv to dst, return the grown slice) to one buffer as
+// they leave the plan, and sink receives each morsel's bytes and row
+// count sequentially, in partition order, then row order. The rows are
+// never materialised and the encoding runs on all executors, so enc is
+// called from several goroutines at once. A chunk is only valid until
+// sink returns; sink returning false stops the stream and an enc error
+// fails it, and at most 2 × parallelism chunks are encoded beyond the
+// one sink holds. This is the action behind the query service's NDJSON
 // endpoint, which writes each chunk to the socket with one Write and
 // aborts the scan when the client hangs up or the request deadline
 // fires.
@@ -889,7 +886,7 @@ func (d *Dataset[V]) StreamEncodedContext(ctx context.Context,
 		return fmt.Errorf("stark: streamEncodedContext: nil encoder or consumer")
 	}
 	return d.runPhase("stream", func(ds *engine.Dataset[Tuple[V]], visit []int) (rows int64, err error) {
-		err = ds.StreamPartitionsEncodedContext(ctx, visit, 0, enc, func(chunk []byte, n int) bool {
+		err = ds.StreamPartitionsEncodedContext(ctx, visit, enc, func(chunk []byte, n int) bool {
 			rows += int64(n)
 			return sink(chunk, int64(n))
 		})

@@ -29,32 +29,35 @@
 // and clustering — is exported here, so programs against the DSL
 // never import an stark/internal package.
 //
-// # Execution model: fused partition pipelines
+// # Execution model: fused batch plans
 //
 // Like Spark executing a chain of narrow transformations as one
 // iterator per partition, the engine compiles a chain of filters and
-// maps into a single pull-based loop per partition — no intermediate
-// collection is materialised between steps. Fusion breaks only at
-// explicit materialisation points: Cache (partitions are computed
-// once and retained), shuffles (PartitionBy), and indexed partitions
-// (the R-trees need the records in memory). Everything else streams:
+// maps into a single pull-based plan per partition that hands slices of
+// rows from operator to operator — a sourced partition hands out its own
+// memory, an operator copies a row only when it survives, and no
+// intermediate collection is built between steps. Fusion breaks only at
+// explicit materialisation points: Cache, shuffles (PartitionBy), and
+// indexed partitions (the R-trees need the records in memory).
 //
-//   - Count, Reduce and Foreach consume the pipeline without building
-//     slices;
-//   - Take, First and Exists short-circuit — they stop the pipeline
-//     mid-partition as soon as the answer is known, so Take(10) on a
-//     hundred-million-row chain touches a few dozen records;
+//   - Count, Reduce and Foreach consume the plan without building slices;
+//   - Take, First and Exists read it through a row adapter and stop
+//     inside the batch in flight, so Take(10) on a hundred-million-row
+//     chain touches a few hundred records, over an index probe ten;
 //   - Stream drives rows sequentially, in partition order, into a
-//     consumer (the web front end encodes GeoJSON straight off it);
-//     StreamParallel computes the partitions in parallel windows and
-//     still delivers in order; StreamEncodedContext moves the
-//     consumer's encoder into the partition tasks and delivers one
-//     chunk of bytes per partition, so no slice of rows is ever built;
+//     consumer. StreamParallel cuts every partition into row ranges of
+//     at most 4096 rows (morsels), runs them as ONE ordered job on all
+//     executors and still delivers in order; StreamEncodedContext moves
+//     the consumer's encoder into the tasks and delivers one chunk of
+//     bytes per morsel, so no slice of rows is ever built. At most
+//     2 × parallelism results are computed ahead of the consumer;
 //   - Collect materialises, but runs the whole fused chain into a
 //     single output slice per partition.
 //
-// Partition pruning composes with fusion: a pruned partition's
-// pipeline is never started at all.
+// Partition pruning composes with fusion: a pruned partition's plan is
+// never started at all. The scan applies the same envelope inside a
+// partition: a row whose key envelope misses the predicate's prune
+// envelope is rejected before the exact predicate sees it.
 //
 // # Cost-based planning and EXPLAIN
 //
@@ -85,8 +88,8 @@
 // dataset's own partitions plus the list of partitions to visit, and
 // the action drives it: Take(1) on an indexed chain probes one
 // partition and stops refining at the first match, a cancelled stream
-// probes no further window, and a second action on the same Dataset
-// runs the plan again. What can be known before the first row (an
+// starts no further task, and a second action on the same Dataset runs
+// the plan again. What can be known before the first row (an
 // unknown field, a missing schema, postings a snapshot does not hold)
 // still fails at compile, so Run() reports it.
 //
@@ -226,11 +229,11 @@
 // client disconnects. The reply contract of /api/v1/query: one
 // feature per line with sorted keys, byte for byte what json.Marshal
 // makes of the map form (an append encoder writes it, a fuzzed test
-// holds it to that oracle); rows in partition order, each partition
+// holds it to that oracle); rows in partition order, each morsel
 // encoded inside its own task and written with one Write; then one
-// summary line, absent when the stream was aborted. A cache hit is
-// served from the very bytes the miss streamed, with zero engine
-// work. A "join" clause on /api/v1/query
+// summary line, absent when the stream was aborted. A cache hit
+// replays the very chunks the miss streamed, with zero engine work. A
+// "join" clause on /api/v1/query
 // joins the (optionally filtered) dataset against another catalog
 // dataset with any strategy hint and streams the pairs as they are
 // found; join results bypass the cache, since each request builds a

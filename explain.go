@@ -324,14 +324,15 @@ func compile[V any](rec *engine.Recorder, st state[V]) (compiled[V], error) {
 	}
 
 	// Fused scan in planned predicate order: the cheap typed attribute
-	// compares run first, the spatial cascade on their survivors.
+	// compares run first, the spatial cascade on their survivors, each
+	// predicate behind its prune envelope.
 	cur := st.sds
 	if len(attrPreds) > 0 {
 		cur = cur.WhereRows(func(_ STObject, v V) bool { return attrAll(v) })
 	}
 	for _, pi := range dec.Order {
 		p := spatial[pi]
-		cur = cur.Where(p.q, p.pred)
+		cur = cur.Where(p.q, p.info.PruneEnv(), p.pred)
 	}
 	return done(cur.Dataset(), st.base, false)
 }

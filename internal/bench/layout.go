@@ -38,7 +38,11 @@ type LayoutRow struct {
 // faster wrong answer fails the run.
 func Layout(cfg Config) ([]LayoutRow, error) {
 	cfg = cfg.withDefaults()
-	const reps = 3
+	// Enough repeats for the mean to be the steady state: the first run
+	// of a planned chain also compiles it (one statistics pass), and since
+	// the row scan rejects on the prune envelope the layouts are a third
+	// apart, not a factor.
+	const reps = 25
 	var rows []LayoutRow
 
 	type variant struct {
@@ -89,6 +93,9 @@ func Layout(cfg Config) ([]LayoutRow, error) {
 			}
 			for _, w := range windows {
 				q := base.Intersects(w.q)
+				if _, err := q.Count(); err != nil { // compile outside the measured window
+					return nil, err
+				}
 				before := ctx.Metrics().Snapshot()
 				var n int64
 				dur, err := timed(func() error {

@@ -51,18 +51,16 @@ func (s *SpatialDataset[V]) BuildColumnar(hilbert bool) error {
 		tasks[i] = i
 	}
 	err := s.Context().RunJob(tasks, func(p int) error {
-		var rows []Tuple[V]
-		b := colstore.NewBuilder(0)
-		err := s.ds.EachPartitionChunks(p, colstore.ChunkRows, func(batch []Tuple[V]) bool {
-			for _, kv := range batch {
-				iv, timed := kv.Key.Time()
-				b.Add(kv.Key.Envelope(), int64(iv.Start), int64(iv.End), timed)
-			}
-			rows = append(rows, batch...)
-			return true
-		})
+		// The dataset's own slice when it holds one: rows are read-only,
+		// and a Hilbert sort copies them into its order anyway.
+		rows, err := s.ds.ComputePartition(p)
 		if err != nil {
 			return err
+		}
+		b := colstore.NewBuilder(len(rows))
+		for i := range rows {
+			iv, timed := rows[i].Key.Time()
+			b.Add(rows[i].Key.Envelope(), int64(iv.Start), int64(iv.End), timed)
 		}
 		cols, perm := b.Finish(hilbert)
 		if perm != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"stark/internal/engine"
+	"stark/internal/geom"
 	"stark/internal/stobject"
 )
 
@@ -13,41 +14,41 @@ import (
 // moves a record out of its partition, so partition extents remain
 // valid over-approximations and downstream pruning still applies.
 
-// Where keeps the records whose key satisfies pred against q,
-// lazily. The predicate is fused into the partition pipeline:
-// chaining several Where steps (or a Where under a Collect/Count)
-// executes as one loop per partition with no intermediate slices.
-func (s *SpatialDataset[V]) Where(q stobject.STObject, pred stobject.Predicate) *SpatialDataset[V] {
-	return newSpatial(scanFiltered(s, q, pred), s.sp, s.rec)
+// Where keeps the records whose key satisfies pred against q, lazily.
+// pruneEnv is the envelope a matching record's envelope must meet (the
+// query envelope, expanded for distance predicates): rows outside it
+// never reach pred; an empty one hands every row to pred. The predicate
+// is fused into the partition plan: chaining several Where steps (or a
+// Where under a Collect/Count) executes as one pass per batch with no
+// intermediate partition.
+func (s *SpatialDataset[V]) Where(q stobject.STObject, pruneEnv geom.Envelope, pred stobject.Predicate) *SpatialDataset[V] {
+	return newSpatial(scanFiltered(s, q, pruneEnv, pred), s.sp, s.rec)
 }
 
 // WhereRows keeps the records satisfying a payload-aware predicate,
 // lazily and fused like Where. It is the inline execution form of
 // typed attribute predicates: the compiled attribute checks run
-// against each record's payload in the same partition loop as the
-// spatial predicates, before any of them.
+// against each record's payload in the same pass as the spatial
+// predicates, before any of them.
 func (s *SpatialDataset[V]) WhereRows(keep func(key stobject.STObject, v V) bool) *SpatialDataset[V] {
 	rec := s.recorder()
-	ds := s.ds
-	out := engine.NewStream(s.Context(), ds.Name()+".attrRowScan", ds.NumPartitions(),
-		func(p int, yield func(Tuple[V]) bool) error {
-			var scanned int64
-			err := ds.EachPartition(p, func(kv Tuple[V]) bool {
-				scanned++
-				if !keep(kv.Key, kv.Value) {
-					return true
-				}
-				return yield(kv)
-			})
-			rec.ElementsScanned(scanned)
-			return err
-		})
+	out := engine.MapBatches(s.ds, ".attrRowScan", func(in, out []Tuple[V]) int {
+		n := 0
+		for i := range in {
+			if keep(in[i].Key, in[i].Value) {
+				out[n] = in[i]
+				n++
+			}
+		}
+		rec.ElementsScanned(int64(len(in)))
+		return n
+	})
 	return newSpatial(out.WithRecorder(s.rec), s.sp, s.rec)
 }
 
 // WhereIntersects is Where with the Intersects predicate.
 func (s *SpatialDataset[V]) WhereIntersects(q stobject.STObject) *SpatialDataset[V] {
-	return s.Where(q, stobject.Intersects)
+	return s.Where(q, q.Envelope(), stobject.Intersects)
 }
 
 // MapValues transforms the payloads, preserving keys and

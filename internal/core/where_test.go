@@ -52,7 +52,8 @@ func TestWherePreservesPartitioner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	filtered := ps.Where(stobject.MustFromWKT("POINT (50 50)"), stobject.WithinDistancePredicate(30, nil))
+	centre := stobject.MustFromWKT("POINT (50 50)")
+	filtered := ps.Where(centre, centre.Envelope().ExpandBy(30), stobject.WithinDistancePredicate(30, nil))
 	if filtered.Partitioner() == nil {
 		t.Fatal("filter must preserve the partitioner")
 	}
@@ -78,7 +79,7 @@ func TestWhereContainedByAndCount(t *testing.T) {
 	ctx := engine.NewContext(2)
 	s, tuples := makeDataset(t, ctx, 500, 4, 72)
 	q := queryPolygon(0, 0, 50, 50)
-	n, err := s.Where(q, stobject.ContainedBy).Count()
+	n, err := s.Where(q, q.Envelope(), stobject.ContainedBy).Count()
 	if err != nil {
 		t.Fatal(err)
 	}

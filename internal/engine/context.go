@@ -18,7 +18,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 )
 
@@ -37,7 +36,7 @@ type Context struct {
 // Metrics aggregates counters across all jobs run on a context. All
 // fields are updated atomically and may be read while jobs run.
 type Metrics struct {
-	TasksLaunched     atomic.Int64 // partition tasks scheduled
+	TasksLaunched     atomic.Int64 // tasks scheduled: a partition, or a morsel of one in a parallel stream
 	TasksSkipped      atomic.Int64 // partitions pruned before scheduling
 	ElementsScanned   atomic.Int64 // records passed through predicate evaluation
 	ShuffledRecords   atomic.Int64 // records moved by PartitionBy
@@ -135,109 +134,33 @@ func (c *Context) NewJobRecorder() *Recorder {
 // point operators use to schedule custom task sets (e.g. partition
 // pairs of a spatial join).
 func (c *Context) RunJob(tasks []int, task func(t int) error) error {
-	return c.runJob(&c.rootRec, tasks, task)
+	return c.RunJobRecorder(nil, nil, tasks, task)
 }
 
-// RunJobContext is RunJob with cooperative cancellation: once ctx is
-// done, no further task is scheduled and the job returns ctx.Err().
-// Tasks already running are not interrupted — like Spark, the engine
-// cancels at stage-task granularity — so task bodies that loop over
-// large partitions should consult ctx themselves if finer-grained
-// abort matters.
-func (c *Context) RunJobContext(ctx context.Context, tasks []int, task func(t int) error) error {
-	return c.RunJobRecorder(ctx, &c.rootRec, tasks, task)
-}
-
-// RunJobRecorder is RunJobContext with explicit metric attribution:
-// the scheduled tasks are charged to rec (nil selects the root
+// RunJobRecorder is RunJob with cooperative cancellation and explicit
+// metric attribution: the engine's DAG-less equivalent of a Spark stage.
+// It returns the error of the first task in order that failed; a
+// failure stops the scheduling. Once ctx is done no further task is
+// scheduled and the job returns ctx.Err(); tasks already running are
+// not interrupted — like Spark, the engine cancels at stage-task
+// granularity — so task bodies that loop over large partitions should
+// consult ctx themselves if finer-grained abort matters. A nil ctx runs
+// to completion. The tasks are charged to rec (nil selects the root
 // recorder), so operators running on behalf of one query account its
-// tasks to that query's recorder. A nil ctx runs to completion.
+// tasks to that query's recorder.
 func (c *Context) RunJobRecorder(ctx context.Context, rec *Recorder, tasks []int, task func(t int) error) error {
 	if rec == nil {
 		rec = &c.rootRec
 	}
-	if ctx == nil {
-		return c.runJob(rec, tasks, task)
-	}
-	err := c.runJob(rec, tasks, func(t int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		return task(t)
-	})
-	// Prefer the context's own error so callers see a plain
-	// context.Canceled/DeadlineExceeded rather than a task wrapper.
-	if cerr := ctx.Err(); cerr != nil {
-		return cerr
-	}
-	return err
-}
-
-// runJob executes task(i) for every i in parts, at most
-// c.parallelism at a time, and returns the first error encountered.
-// It is the engine's DAG-less equivalent of a Spark stage: every
-// element of parts is one task, charged to rec.
-func (c *Context) runJob(rec *Recorder, parts []int, task func(p int) error) error {
-	if rec == nil {
-		rec = &c.rootRec
-	}
-	if len(parts) == 0 {
-		return nil
-	}
-	if len(parts) == 1 {
-		// Fast path: run in the calling goroutine — with the same
-		// panic recovery as the pooled path, so a 1-partition job
-		// reports a panicking task as an error instead of killing the
-		// process.
-		rec.TasksLaunched(1)
-		return runTask(parts[0], task)
-	}
-	// Fork-join with the caller as one of the workers: tasks are claimed
-	// from a shared counter by the calling goroutine and by up to
-	// parallelism-1 helpers, and the job is over when every task has
-	// finished, not when every helper has (one that starts after the last
-	// claim finds the counter spent and returns without touching task).
-	// A helper the scheduler is slow to start therefore costs nothing but
-	// the parallelism it would have added (the caller claims its share),
-	// a job of short tasks is done before a second thread has woken up,
-	// and the caller never parks while there is work it could do itself.
-	// The job's wall time then depends far less on how quickly the OS
-	// wakes an idle thread, which on a shared box varies by an order of
-	// magnitude.
-	var (
-		next     atomic.Int64
-		pending  sync.WaitGroup
-		firstErr error
-		errOnce  sync.Once
-	)
-	pending.Add(len(parts))
-	work := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(parts) {
-				return
-			}
-			c.sem <- struct{}{}
-			rec.TasksLaunched(1)
-			err := runTask(parts[i], task)
-			<-c.sem
-			if err != nil {
-				errOnce.Do(func() { firstErr = err })
-			}
-			pending.Done()
-		}
-	}
-	for h := min(len(parts), c.parallelism) - 1; h > 0; h-- {
-		go work()
-	}
-	work()
-	pending.Wait()
-	return firstErr
+	// A job is an ordered stream nobody listens to: its results are
+	// empty, so every task may run ahead of the first one's delivery.
+	return streamOrdered(ctx, c, rec, len(tasks), len(tasks), func(i int) (struct{}, error) {
+		return struct{}{}, task(tasks[i])
+	}, func(struct{}) bool { return true }, func(struct{}) {})
 }
 
 // runTask executes one task, converting a panic into an error — the
-// engine's stand-in for Spark's task failure handling, applied
-// uniformly whether the task runs inline or on the pool.
+// engine's stand-in for Spark's task failure handling.
 func runTask(p int, task func(p int) error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {

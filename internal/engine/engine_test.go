@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -43,13 +44,15 @@ func TestParallelizeCollect(t *testing.T) {
 func TestParallelizeUnevenSplit(t *testing.T) {
 	ctx := NewContext(2)
 	d := Parallelize(ctx, intRange(10), 3)
-	sizes, err := d.PartitionSizes()
-	if err != nil {
-		t.Fatal(err)
-	}
+	var sizes []int
 	total := 0
-	for _, s := range sizes {
-		total += s
+	for p := 0; p < d.NumPartitions(); p++ {
+		rows, err := d.ComputePartition(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes = append(sizes, len(rows))
+		total += len(rows)
 	}
 	if total != 10 {
 		t.Errorf("sizes = %v", sizes)
@@ -95,7 +98,8 @@ func TestMapPartitionsIndex(t *testing.T) {
 	idxOnly := MapPartitions(d, func(idx int, in []int) ([]int, error) {
 		return []int{idx}, nil
 	})
-	got, _ := idxOnly.SortedCollect(func(a, b int) bool { return a < b })
+	got, _ := idxOnly.Collect()
+	sort.Ints(got)
 	if fmt.Sprint(got) != "[0 1 2 3]" {
 		t.Errorf("got %v", got)
 	}
@@ -144,20 +148,6 @@ func TestTake(t *testing.T) {
 	}
 }
 
-func TestUnion(t *testing.T) {
-	ctx := NewContext(2)
-	a := Parallelize(ctx, []int{1, 2}, 2)
-	b := Parallelize(ctx, []int{3, 4, 5}, 2)
-	u := a.Union(b)
-	if u.NumPartitions() != 4 {
-		t.Errorf("partitions = %d", u.NumPartitions())
-	}
-	got, _ := u.SortedCollect(func(x, y int) bool { return x < y })
-	if fmt.Sprint(got) != "[1 2 3 4 5]" {
-		t.Errorf("got %v", got)
-	}
-}
-
 func TestSampleDeterministic(t *testing.T) {
 	ctx := NewContext(2)
 	d := Parallelize(ctx, intRange(10000), 8)
@@ -175,27 +165,47 @@ func TestSampleDeterministic(t *testing.T) {
 	}
 }
 
-func TestCoalesce(t *testing.T) {
+// TestSampleMatchesRowAtATimeDraws pins which rows a sample keeps: one
+// draw per row in partition order from the partition's generator, as the
+// row-at-a-time plan drew them — also when the partition is larger than
+// a morsel and the stream actions would like to cut it.
+func TestSampleMatchesRowAtATimeDraws(t *testing.T) {
 	ctx := NewContext(2)
-	d := Parallelize(ctx, intRange(100), 10)
-	c := d.Coalesce(3)
-	if c.NumPartitions() != 3 {
-		t.Fatalf("partitions = %d", c.NumPartitions())
+	const seed, fraction = 77, 0.3
+	parts := [][]int{intRange(2*morselRows + 500), intRange(300)}
+	var want []int
+	for p, rows := range parts {
+		rng := rand.New(rand.NewSource(seed + int64(p)*2654435761))
+		for _, v := range rows {
+			if rng.Float64() < fraction {
+				want = append(want, v)
+			}
+		}
 	}
-	got, _ := c.Collect()
-	if len(got) != 100 {
-		t.Errorf("len = %d", len(got))
+	sampled := FromPartitions(ctx, parts).Sample(fraction, seed)
+	got, err := sampled.Collect()
+	if err != nil {
+		t.Fatal(err)
 	}
-	// No-op cases.
-	if d.Coalesce(20) != d || d.Coalesce(0) != d {
-		t.Error("coalesce up or to 0 must be identity")
+	if !slices.Equal(got, want) {
+		t.Fatalf("Collect of the sample: %d rows, the per-row draws keep %d", len(got), len(want))
+	}
+	var streamed []int
+	if err := sampled.StreamPartitionsParallelContext(nil, []int{0, 1}, func(v int) bool {
+		streamed = append(streamed, v)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(streamed, want) {
+		t.Fatalf("stream of the sample: %d rows, the per-row draws keep %d", len(streamed), len(want))
 	}
 }
 
 func TestCacheComputesOnce(t *testing.T) {
 	ctx := NewContext(2)
 	var computes atomic.Int64
-	d := newDataset(ctx, "test", 4, func(p int) ([]int, error) {
+	d := newSource(ctx, "test", 4, func(p int) ([]int, error) {
 		computes.Add(1)
 		return []int{p}, nil
 	})
@@ -221,7 +231,7 @@ func TestCacheComputesOnce(t *testing.T) {
 func TestErrorPropagation(t *testing.T) {
 	ctx := NewContext(2)
 	wantErr := errors.New("boom")
-	d := newDataset(ctx, "failing", 4, func(p int) ([]int, error) {
+	d := newSource(ctx, "failing", 4, func(p int) ([]int, error) {
 		if p == 2 {
 			return nil, wantErr
 		}
@@ -237,7 +247,7 @@ func TestErrorPropagation(t *testing.T) {
 
 func TestTaskPanicBecomesError(t *testing.T) {
 	ctx := NewContext(2)
-	d := newDataset(ctx, "panicking", 4, func(p int) ([]int, error) {
+	d := newSource(ctx, "panicking", 4, func(p int) ([]int, error) {
 		if p == 1 {
 			panic("kaboom")
 		}
@@ -330,7 +340,7 @@ func TestComputePartitionBounds(t *testing.T) {
 func TestCollectPartitionsPrunes(t *testing.T) {
 	ctx := NewContext(2)
 	var computed atomic.Int64
-	d := newDataset(ctx, "test", 10, func(p int) ([]int, error) {
+	d := newSource(ctx, "test", 10, func(p int) ([]int, error) {
 		computed.Add(1)
 		return []int{p}, nil
 	})
@@ -522,84 +532,120 @@ func TestContextDefaults(t *testing.T) {
 	}
 }
 
+// TestEachPartitionChunks checks the batch plan under the row ranges the parallel
+// streams cut it into: the outputs of consecutive ranges concatenate to
+// the partition, for a sourced dataset (zero-copy windows), through a
+// narrow chain (scratch batches) and for whichever way a range is cut;
+// a cached dataset replays its slices and runs whole; a sampled one runs
+// whole and returns what it returns uncut.
 func TestEachPartitionChunks(t *testing.T) {
 	ctx := NewContext(2)
 	data := intRange(1000)
 
-	collect := func(d *Dataset[int], chunk int) []int {
+	// ranged streams every partition of d in ranges of at most step source
+	// rows and checks the batches against the scratch bound.
+	ranged := func(d *Dataset[int], step, maxBatch int) []int {
 		t.Helper()
 		var got []int
 		for p := 0; p < d.NumPartitions(); p++ {
-			if err := d.EachPartitionChunks(p, chunk, func(batch []int) bool {
-				if chunk > 0 && len(batch) > chunk {
-					t.Fatalf("batch of %d exceeds chunk %d", len(batch), chunk)
+			_, n := d.partitionSize(p)
+			if n < 0 {
+				t.Fatalf("partition %d of %s cannot be cut", p, d.Name())
+			}
+			for lo := 0; lo < n; lo += step {
+				if err := d.eachRange(p, lo, min(lo+step, n), func(batch []int) bool {
+					if len(batch) == 0 || len(batch) > maxBatch {
+						t.Fatalf("batch of %d rows, want 1..%d", len(batch), maxBatch)
+					}
+					got = append(got, batch...)
+					return true
+				}); err != nil {
+					t.Fatal(err)
 				}
-				got = append(got, batch...)
-				return true
-			}); err != nil {
-				t.Fatal(err)
 			}
 		}
 		return got
 	}
 
-	// Sourced dataset: zero-copy windows.
 	src := Parallelize(ctx, data, 7)
-	for _, chunk := range []int{1, 3, 64, 1000, 5000, 0} {
-		got := collect(src, chunk)
-		if len(got) != len(data) {
-			t.Fatalf("chunk=%d: got %d elements", chunk, len(got))
-		}
-		sort.Ints(got)
-		for i, v := range got {
-			if v != i {
-				t.Fatalf("chunk=%d: element %d = %d", chunk, i, v)
-			}
-		}
-	}
-
-	// Fused pipeline (no source, no cache): buffered fallback must see
-	// the transformed elements.
-	mapped := src.Filter(func(v int) bool { return v%2 == 0 })
-	got := collect(mapped, 16)
-	want, err := mapped.Collect()
+	chain := fusedChain(src)
+	want, err := chain.Collect()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sort.Ints(got)
-	sort.Ints(want)
-	if len(got) != len(want) {
-		t.Fatalf("fused: got %d want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("fused: element %d = %d want %d", i, got[i], want[i])
+	for _, step := range []int{1, 3, 64, 143, 5000} {
+		if got := ranged(src, step, step); !slices.Equal(got, data) {
+			t.Fatalf("step=%d: sourced ranges returned %d rows, want the data", step, len(got))
+		}
+		if got := ranged(chain, step, scratchRows); !slices.Equal(got, want) {
+			t.Fatalf("step=%d: ranges of the fused chain differ from Collect (%d vs %d rows)", step, len(got), len(want))
 		}
 	}
+	// A sourced window is the partition's own memory.
+	if err := src.eachRange(0, 10, 20, func(batch []int) bool {
+		if &batch[0] != &data[10] || len(batch) != 10 {
+			t.Errorf("sourced range is a copy or misplaced (%d rows)", len(batch))
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
 
-	// Cached dataset replays the materialised slices.
+	// Cached: one batch, the cached slice itself, and no cutting.
 	cached := Map(src, func(v int) int { return v * 2 }).Cache()
 	if _, err := cached.Collect(); err != nil {
 		t.Fatal(err)
 	}
-	got = collect(cached, 128)
-	if len(got) != len(data) {
-		t.Fatalf("cached: got %d elements", len(got))
+	if _, n := cached.partitionSize(0); n != -1 {
+		t.Errorf("cached dataset reports a span of %d, want -1", n)
+	}
+	whole, _ := cached.ComputePartition(0)
+	batches := 0
+	if err := cached.eachRange(0, 0, -1, func(batch []int) bool {
+		batches++
+		if &batch[0] != &whole[0] || len(batch) != len(whole) {
+			t.Error("cached partition was not replayed from its slice")
+		}
+		return true
+	}); err != nil || batches != 1 {
+		t.Fatalf("cached replay: %d batches, err %v", batches, err)
+	}
+	// A range cut before the dataset was cached still means rows of the
+	// plan's source, not of the cached slice.
+	filtered := src.Filter(func(v int) bool { return v%2 == 0 }).Cache()
+	if _, err := filtered.Collect(); err != nil {
+		t.Fatal(err)
+	}
+	var half []int
+	if err := filtered.eachRange(0, 0, 70, func(batch []int) bool {
+		half = append(half, batch...)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(half) != 35 || half[34] != 68 {
+		t.Errorf("range [0,70) of a cached filter returned %v", half)
+	}
+
+	// Sample draws per row in partition order: it cannot be cut, and a
+	// chain on top of it cannot either.
+	sampled := src.Sample(0.3, 9)
+	if _, n := sampled.partitionSize(0); n != -1 {
+		t.Errorf("sampled dataset reports a span of %d, want -1", n)
+	}
+	if _, n := Map(sampled, chainMapF).partitionSize(0); n != -1 {
+		t.Errorf("map over a sample reports a span of %d, want -1", n)
 	}
 
 	// Early stop: yield=false ends the partition's stream.
 	calls := 0
-	if err := src.EachPartitionChunks(0, 10, func(batch []int) bool {
+	if err := chain.eachRange(0, 0, -1, func([]int) bool {
 		calls++
 		return false
-	}); err != nil {
-		t.Fatal(err)
+	}); err != nil || calls != 1 {
+		t.Fatalf("early stop: %d yields, err %v", calls, err)
 	}
-	if calls != 1 {
-		t.Fatalf("early stop: %d yields", calls)
-	}
-
-	if err := src.EachPartitionChunks(99, 10, func([]int) bool { return true }); err == nil {
+	if err := src.eachRange(99, 0, -1, func([]int) bool { return true }); err == nil {
 		t.Fatal("out-of-range partition did not error")
 	}
 }

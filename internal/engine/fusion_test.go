@@ -24,7 +24,7 @@ import (
 // and as the allocation baseline.
 
 func seedMap[T, U any](d *Dataset[T], f func(T) U) *Dataset[U] {
-	return newDataset(d.ctx, d.name+".seedMap", d.numPart, func(p int) ([]U, error) {
+	return newSource(d.ctx, d.name+".seedMap", d.numPart, func(p int) ([]U, error) {
 		in, err := d.ComputePartition(p)
 		if err != nil {
 			return nil, err
@@ -38,7 +38,7 @@ func seedMap[T, U any](d *Dataset[T], f func(T) U) *Dataset[U] {
 }
 
 func seedFilter[T any](d *Dataset[T], pred func(T) bool) *Dataset[T] {
-	return newDataset(d.ctx, d.name+".seedFilter", d.numPart, func(p int) ([]T, error) {
+	return newSource(d.ctx, d.name+".seedFilter", d.numPart, func(p int) ([]T, error) {
 		in, err := d.ComputePartition(p)
 		if err != nil {
 			return nil, err
@@ -54,7 +54,7 @@ func seedFilter[T any](d *Dataset[T], pred func(T) bool) *Dataset[T] {
 }
 
 func seedFlatMap[T, U any](d *Dataset[T], f func(T) []U) *Dataset[U] {
-	return newDataset(d.ctx, d.name+".seedFlatMap", d.numPart, func(p int) ([]U, error) {
+	return newSource(d.ctx, d.name+".seedFlatMap", d.numPart, func(p int) ([]U, error) {
 		in, err := d.ComputePartition(p)
 		if err != nil {
 			return nil, err
@@ -396,13 +396,13 @@ func TestStreamOrderAndStop(t *testing.T) {
 	}
 }
 
-// TestSinglePartitionJobRecoversPanic pins the runJob fast-path fix:
+// TestSinglePartitionJobRecoversPanic pins the one-task job:
 // a job with exactly one task must report a panicking task as an
 // error exactly like the pooled N-task path, not crash the process.
 func TestSinglePartitionJobRecoversPanic(t *testing.T) {
 	ctx := NewContext(2)
 	for _, parts := range []int{1, 4} {
-		d := newDataset(ctx, "panicking", parts, func(p int) ([]int, error) {
+		d := newSource(ctx, "panicking", parts, func(p int) ([]int, error) {
 			panic("kaboom")
 		})
 		if _, err := d.Collect(); err == nil {
@@ -489,9 +489,22 @@ func TestFusedChainAllocations(t *testing.T) {
 	}
 }
 
-// TestStreamPartitionsParallelContext checks the windowed-parallel ordered
+// pulledWithin checks how far a stream ran past its consumer: it may
+// have run whole partitions only (100 rows each), at least those it
+// delivered, and at most lookAhead × parallelism more than it delivered
+// completely — the tokens of streamOrdered.
+func pulledWithin(t *testing.T, what string, pulled int64, ctx *Context, delivered, complete int) {
+	t.Helper()
+	lo, hi := int64(100*delivered), int64(100*(complete+lookAhead*ctx.Parallelism()))
+	if pulled%100 != 0 || pulled < lo || pulled > hi {
+		t.Errorf("%s: pulled %d source elements, want whole partitions of 100 between %d and %d (the look-ahead bound)",
+			what, pulled, lo, hi)
+	}
+}
+
+// TestStreamPartitionsParallelContext checks the parallel ordered
 // stream: same rows and order as the sequential Stream, early stop
-// honoured, later windows never computed.
+// honoured, nothing computed beyond the look-ahead.
 func TestStreamPartitionsParallelContext(t *testing.T) {
 	ctx := NewContext(3)
 	d := fusedChain(Parallelize(ctx, intRange(500), 10))
@@ -500,7 +513,7 @@ func TestStreamPartitionsParallelContext(t *testing.T) {
 	if err := d.Stream(func(v int) bool { seq = append(seq, v); return true }); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.StreamPartitionsParallelContext(context.Background(), AllPartitions(d.NumPartitions()), 0, func(v int) bool {
+	if err := d.StreamPartitionsParallelContext(context.Background(), AllPartitions(d.NumPartitions()), func(v int) bool {
 		par = append(par, v)
 		return true
 	}); err != nil {
@@ -510,10 +523,11 @@ func TestStreamPartitionsParallelContext(t *testing.T) {
 		t.Fatalf("parallel stream differs from sequential (%d vs %d rows)", len(par), len(seq))
 	}
 
-	// Early stop: windows past the consumer's stop are never computed.
+	// Early stop inside the first partition's rows: nothing has been
+	// delivered completely, so at most the look-ahead was computed.
 	src, pulled := countingSource(ctx, 1000, 10) // 10 partitions of 100
 	n := 0
-	if err := src.StreamPartitionsParallelContext(context.Background(), AllPartitions(10), 2, func(int) bool {
+	if err := src.StreamPartitionsParallelContext(context.Background(), AllPartitions(10), func(int) bool {
 		n++
 		return n < 50
 	}); err != nil {
@@ -522,10 +536,7 @@ func TestStreamPartitionsParallelContext(t *testing.T) {
 	if n != 50 {
 		t.Fatalf("streamed %d rows, want 50", n)
 	}
-	// Only the first window (2 partitions × 100 elements) was pulled.
-	if got := pulled.Load(); got != 200 {
-		t.Errorf("pulled %d source elements, want 200 (one window)", got)
-	}
+	pulledWithin(t, "early stop", pulled.Load(), ctx, 1, 0)
 }
 
 // appendInt is the test encoder: one decimal per line.
@@ -533,18 +544,18 @@ func appendInt(dst []byte, v int) ([]byte, error) {
 	return append(strconv.AppendInt(dst, int64(v), 10), '\n'), nil
 }
 
-// TestStreamPartitionsEncoded checks the encoded form of the windowed
+// TestStreamPartitionsEncoded checks the encoded form of the parallel
 // stream against the row form it shares its loop with: the same rows in
 // the same order, row counts per chunk, empty partitions skipped, and
 // the same stop, failure and cancellation behaviour — each of them
-// before any further window is computed.
+// inside the look-ahead bound.
 func TestStreamPartitionsEncoded(t *testing.T) {
 	ctx := NewContext(3)
 	d := fusedChain(Parallelize(ctx, intRange(500), 10))
 	parts := AllPartitions(d.NumPartitions())
 
 	var want []byte
-	if err := d.StreamPartitionsParallelContext(context.Background(), parts, 0, func(v int) bool {
+	if err := d.StreamPartitionsParallelContext(context.Background(), parts, func(v int) bool {
 		want, _ = appendInt(want, v)
 		return true
 	}); err != nil {
@@ -552,7 +563,7 @@ func TestStreamPartitionsEncoded(t *testing.T) {
 	}
 	var got []byte
 	rows := 0
-	if err := d.StreamPartitionsEncodedContext(context.Background(), parts, 0, appendInt, func(chunk []byte, n int) bool {
+	if err := d.StreamPartitionsEncodedContext(context.Background(), parts, appendInt, func(chunk []byte, n int) bool {
 		if n == 0 || len(chunk) == 0 {
 			t.Errorf("empty chunk delivered (%d rows, %d bytes)", n, len(chunk))
 		}
@@ -580,7 +591,7 @@ func TestStreamPartitionsEncoded(t *testing.T) {
 		return nil
 	})
 	var chunks []string
-	if err := sparse.StreamPartitionsEncodedContext(context.Background(), AllPartitions(10), 4, appendInt, func(chunk []byte, n int) bool {
+	if err := sparse.StreamPartitionsEncodedContext(context.Background(), AllPartitions(10), appendInt, func(chunk []byte, n int) bool {
 		chunks = append(chunks, string(chunk))
 		return true
 	}); err != nil {
@@ -590,46 +601,54 @@ func TestStreamPartitionsEncoded(t *testing.T) {
 		t.Fatalf("sparse stream delivered %q", chunks)
 	}
 
-	// sink false: the first window (2 partitions × 100) is all that runs.
+	// sink false on the first chunk: one call, and only the look-ahead
+	// beyond it ever ran.
 	src, pulled := countingSource(ctx, 1000, 10)
 	calls := 0
-	if err := src.StreamPartitionsEncodedContext(context.Background(), AllPartitions(10), 2, appendInt, func([]byte, int) bool {
+	if err := src.StreamPartitionsEncodedContext(context.Background(), AllPartitions(10), appendInt, func([]byte, int) bool {
 		calls++
 		return false
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if calls != 1 || pulled.Load() != 200 {
-		t.Errorf("after sink returned false: %d sink calls, %d elements pulled, want 1 and 200", calls, pulled.Load())
+	if calls != 1 {
+		t.Errorf("after sink returned false: %d sink calls, want 1", calls)
 	}
+	pulledWithin(t, "sink false", pulled.Load(), ctx, 1, 0)
 
-	// An encoder error fails the stream with that error, stops its own
-	// partition mid-stream, and nothing is delivered.
+	// An encoder error fails the stream with that error and stops its own
+	// partition mid-stream. The chunk before the failing one is delivered
+	// first, the ones after it never are, and no partition beyond the
+	// look-ahead of the failing task was started.
 	src, pulled = countingSource(ctx, 1000, 10)
 	boom := errors.New("unencodable")
-	err := src.StreamPartitionsEncodedContext(context.Background(), AllPartitions(10), 2, func(dst []byte, v int) ([]byte, error) {
+	calls = 0
+	err := src.StreamPartitionsEncodedContext(context.Background(), AllPartitions(10), func(dst []byte, v int) ([]byte, error) {
 		if v == 150 {
 			return dst, boom
 		}
 		return appendInt(dst, v)
-	}, func([]byte, int) bool {
-		t.Error("sink called although the window failed")
+	}, func(chunk []byte, n int) bool {
+		if calls++; n != 100 || !bytes.HasPrefix(chunk, []byte("0\n1\n")) {
+			t.Errorf("sink call %d got %d rows starting %.8q, want partition 0 only", calls, n, chunk)
+		}
 		return true
 	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("stream returned %v, want the encoder's error", err)
+	if !errors.Is(err, boom) || calls != 1 {
+		t.Fatalf("stream returned %v after %d chunks, want the encoder's error after partition 0's", err, calls)
 	}
-	if got := pulled.Load(); got != 100+51 {
-		t.Errorf("pulled %d source elements, want 151 (partition 0 whole, partition 1 up to the failing row)", got)
+	if got := pulled.Load(); got < 100+51 || got > int64(51+100*lookAhead*ctx.Parallelism()) || got%100 != 51 {
+		t.Errorf("pulled %d source elements, want partition 1 up to the failing row (51) and whole partitions inside the look-ahead", got)
 	}
 
-	// Cancellation between windows: the sink cancels while it holds the
-	// first chunk; the stream returns ctx.Err() and pulls nothing more.
+	// Cancellation: the sink cancels while it holds the first chunk; the
+	// stream returns ctx.Err(), delivers nothing more and starts nothing
+	// beyond the look-ahead.
 	src, pulled = countingSource(ctx, 1000, 10)
 	cctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	calls = 0
-	err = src.StreamPartitionsEncodedContext(cctx, AllPartitions(10), 2, appendInt, func([]byte, int) bool {
+	err = src.StreamPartitionsEncodedContext(cctx, AllPartitions(10), appendInt, func([]byte, int) bool {
 		calls++
 		cancel()
 		return true
@@ -637,9 +656,10 @@ func TestStreamPartitionsEncoded(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled stream returned %v, want context.Canceled", err)
 	}
-	if calls != 1 || pulled.Load() != 200 {
-		t.Errorf("after cancel: %d sink calls, %d elements pulled, want 1 and 200", calls, pulled.Load())
+	if calls != 1 {
+		t.Errorf("after cancel: %d sink calls, want 1", calls)
 	}
+	pulledWithin(t, "cancel", pulled.Load(), ctx, 1, 0)
 }
 
 // TestStreamPartitionsEncodedConcurrent runs encoded streams from many
@@ -660,7 +680,7 @@ func TestStreamPartitionsEncodedConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				var got []byte
-				if err := d.StreamPartitionsEncodedContext(context.Background(), parts, 0, appendInt, func(chunk []byte, _ int) bool {
+				if err := d.StreamPartitionsEncodedContext(context.Background(), parts, appendInt, func(chunk []byte, _ int) bool {
 					got = append(got, chunk...)
 					return true
 				}); err != nil {

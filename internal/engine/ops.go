@@ -1,13 +1,10 @@
 package engine
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
-// This file adds the second tier of RDD operations: distinct,
-// aggregation, zipping and sampling helpers used by analysis
-// pipelines on top of the core transformations in dataset.go.
+// This file adds the second tier of RDD operations: distinct and
+// aggregation helpers used by analysis pipelines on top of the core
+// transformations in dataset.go.
 
 // Distinct returns the unique elements of a comparable dataset. Like
 // Spark's distinct it shuffles by hash so duplicates meet in the same
@@ -51,7 +48,7 @@ func Aggregate[T, A any](d *Dataset[T], zero A, seqOp func(A, T) A, combOp func(
 		mu  sync.Mutex
 		acc = zero
 	)
-	err := d.ctx.runJob(d.recorder(), AllPartitions(d.numPart), func(p int) error {
+	err := d.ctx.RunJobRecorder(nil, d.recorder(), AllPartitions(d.numPart), func(p int) error {
 		local := zero
 		if err := d.EachPartition(p, func(v T) bool {
 			local = seqOp(local, v)
@@ -65,58 +62,6 @@ func Aggregate[T, A any](d *Dataset[T], zero A, seqOp func(A, T) A, combOp func(
 		return nil
 	})
 	return acc, err
-}
-
-// Zip pairs the i-th element of a with the i-th element of b. Both
-// datasets must have the same partition count and equal per-partition
-// sizes, as in RDD.zip.
-func Zip[A, B any](a *Dataset[A], b *Dataset[B]) (*Dataset[Pair[A, B]], error) {
-	if a.numPart != b.numPart {
-		return nil, fmt.Errorf("engine: zip needs equal partition counts (%d vs %d)", a.numPart, b.numPart)
-	}
-	// Zip is a materialisation point: pairing the i-th elements needs
-	// both partitions as slices.
-	return newStream(a.ctx, a.name+".zip", a.numPart, func(p int, yield func(Pair[A, B]) bool) error {
-		pa, err := a.ComputePartition(p)
-		if err != nil {
-			return err
-		}
-		pb, err := b.ComputePartition(p)
-		if err != nil {
-			return err
-		}
-		if len(pa) != len(pb) {
-			return fmt.Errorf("engine: zip partition %d size mismatch (%d vs %d)", p, len(pa), len(pb))
-		}
-		for i := range pa {
-			if !yield(Pair[A, B]{Key: pa[i], Value: pb[i]}) {
-				return nil
-			}
-		}
-		return nil
-	}), nil
-}
-
-// ZipWithIndex pairs every element with its global index in partition
-// order, materialising partition sizes first (like RDD.zipWithIndex,
-// which also needs an extra job).
-func ZipWithIndex[T any](d *Dataset[T]) (*Dataset[Pair[T, int64]], error) {
-	sizes, err := d.PartitionSizes()
-	if err != nil {
-		return nil, err
-	}
-	offsets := make([]int64, len(sizes)+1)
-	for i, s := range sizes {
-		offsets[i+1] = offsets[i] + int64(s)
-	}
-	return newStream(d.ctx, d.name+".zipWithIndex", d.numPart, func(p int, yield func(Pair[T, int64]) bool) error {
-		i := offsets[p]
-		return d.EachPartition(p, func(v T) bool {
-			ok := yield(Pair[T, int64]{Key: v, Value: i})
-			i++
-			return ok
-		})
-	}), nil
 }
 
 // MinBy returns the element minimising key; false when empty.

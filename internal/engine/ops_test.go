@@ -16,7 +16,8 @@ func TestDistinct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := uniq.SortedCollect(func(a, b int) bool { return a < b })
+	got, _ := uniq.Collect()
+	sort.Ints(got)
 	if len(got) != 4 || got[0] != 1 || got[3] != 4 {
 		t.Errorf("got %v", got)
 	}
@@ -80,55 +81,6 @@ func TestAggregate(t *testing.T) {
 		// Aggregate merges zero with each partition's local zero; the
 		// result for an empty dataset is combOp-folded zeros.
 		t.Logf("empty aggregate = %d", z)
-	}
-}
-
-func TestZip(t *testing.T) {
-	ctx := NewContext(2)
-	a := Parallelize(ctx, []int{1, 2, 3, 4}, 2)
-	b := Parallelize(ctx, []string{"a", "b", "c", "d"}, 2)
-	z, err := Zip(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := z.Collect()
-	if err != nil || len(got) != 4 {
-		t.Fatalf("got %v err=%v", got, err)
-	}
-	if got[0].Key != 1 || got[0].Value != "a" || got[3].Value != "d" {
-		t.Errorf("got %v", got)
-	}
-	// Mismatched partition counts fail fast.
-	c := Parallelize(ctx, []string{"x"}, 3)
-	if _, err := Zip(a, c); err == nil {
-		t.Error("partition mismatch must fail")
-	}
-	// Mismatched sizes fail at compute time.
-	dShort := Parallelize(ctx, []string{"a", "b", "c"}, 2)
-	z2, err := Zip(a, dShort)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := z2.Collect(); err == nil {
-		t.Error("size mismatch must fail")
-	}
-}
-
-func TestZipWithIndex(t *testing.T) {
-	ctx := NewContext(3)
-	d := Parallelize(ctx, []string{"a", "b", "c", "d", "e"}, 3)
-	z, err := ZipWithIndex(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := z.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, kv := range got {
-		if kv.Value != int64(i) {
-			t.Errorf("element %d has index %d", i, kv.Value)
-		}
 	}
 }
 

@@ -62,7 +62,7 @@ func PartitionBy[K, V any](d *Dataset[Pair[K, V]], part Partitioner[K]) (*Datase
 	src := make([][]Pair[K, V], d.numPart)
 	targets := make([][]int32, d.numPart)
 	offsets := make([][]int, tasks)
-	err := d.ctx.runJob(rec, AllPartitions(tasks), func(g int) error {
+	err := d.ctx.RunJobRecorder(nil, rec, AllPartitions(tasks), func(g int) error {
 		counts := make([]int, n)
 		lo, hi := run(g)
 		for p := lo; p < hi; p++ {
@@ -101,7 +101,7 @@ func PartitionBy[K, V any](d *Dataset[Pair[K, V]], part Partitioner[K]) (*Datase
 			out[t] = make([]Pair[K, V], total)
 		}
 	}
-	err = d.ctx.runJob(rec, AllPartitions(tasks), func(g int) error {
+	err = d.ctx.RunJobRecorder(nil, rec, AllPartitions(tasks), func(g int) error {
 		next := offsets[g]
 		lo, hi := run(g)
 		for p := lo; p < hi; p++ {
@@ -122,7 +122,7 @@ func PartitionBy[K, V any](d *Dataset[Pair[K, V]], part Partitioner[K]) (*Datase
 func CountByKey[K comparable, V any](d *Dataset[Pair[K, V]]) (map[K]int64, error) {
 	var mu sync.Mutex
 	counts := make(map[K]int64)
-	err := d.ctx.runJob(d.recorder(), AllPartitions(d.numPart), func(p int) error {
+	err := d.ctx.RunJobRecorder(nil, d.recorder(), AllPartitions(d.numPart), func(p int) error {
 		local := make(map[K]int64)
 		if err := d.EachPartition(p, func(kv Pair[K, V]) bool {
 			local[kv.Key]++

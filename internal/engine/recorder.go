@@ -26,7 +26,8 @@ func (r *Recorder) Snapshot() MetricsSnapshot {
 	return r.glob.Snapshot()
 }
 
-// TasksLaunched charges n scheduled partition tasks.
+// TasksLaunched charges n scheduled tasks (partitions, or morsels of
+// them in the parallel streams).
 func (r *Recorder) TasksLaunched(n int64) {
 	if r.job != nil {
 		r.job.TasksLaunched.Add(n)

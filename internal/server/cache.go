@@ -28,7 +28,8 @@ type CacheStats struct {
 
 type cacheEntry struct {
 	key  string
-	body []byte
+	body [][]byte // the chunks the reply was streamed in
+	size int64    // their summed lengths
 	rows int64
 }
 
@@ -68,8 +69,8 @@ func NewResultCache(maxBytes, maxEntryBytes int64) *ResultCache {
 func (c *ResultCache) MaxEntryBytes() int64 { return c.maxEntryBytes }
 
 // Get returns the cached body and row count for key, marking it most
-// recently used. The returned slice must not be modified.
-func (c *ResultCache) Get(key string) ([]byte, int64, bool) {
+// recently used. The returned slices must not be modified.
+func (c *ResultCache) Get(key string) ([][]byte, int64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -84,10 +85,13 @@ func (c *ResultCache) Get(key string) ([]byte, int64, bool) {
 }
 
 // Put stores body under key, evicting least-recently-used entries
-// until the byte budget holds. Bodies over the per-entry budget are
-// rejected. The cache takes ownership of body.
-func (c *ResultCache) Put(key string, body []byte, rows int64) {
-	size := int64(len(body))
+// until the byte budget holds. Bodies whose chunks sum to more than the
+// per-entry budget are rejected. The cache takes ownership of body.
+func (c *ResultCache) Put(key string, body [][]byte, rows int64) {
+	var size int64
+	for _, chunk := range body {
+		size += int64(len(chunk))
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if size > c.maxEntryBytes {
@@ -98,11 +102,11 @@ func (c *ResultCache) Put(key string, body []byte, rows int64) {
 		// Replace in place (an identical fingerprint means identical
 		// results, but a concurrent miss may double-fill).
 		e := el.Value.(*cacheEntry)
-		c.curBytes += size - int64(len(e.body))
-		e.body, e.rows = body, rows
+		c.curBytes += size - e.size
+		e.body, e.size, e.rows = body, size, rows
 		c.ll.MoveToFront(el)
 	} else {
-		c.items[key] = c.ll.PushFront(&cacheEntry{key: key, body: body, rows: rows})
+		c.items[key] = c.ll.PushFront(&cacheEntry{key: key, body: body, size: size, rows: rows})
 		c.curBytes += size
 	}
 	for c.curBytes > c.maxBytes {
@@ -113,7 +117,7 @@ func (c *ResultCache) Put(key string, body []byte, rows int64) {
 		e := back.Value.(*cacheEntry)
 		c.ll.Remove(back)
 		delete(c.items, e.key)
-		c.curBytes -= int64(len(e.body))
+		c.curBytes -= e.size
 		c.evictions++
 	}
 }

@@ -26,6 +26,7 @@ package server
 // misses pass through admission control; hits bypass it.
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -187,8 +188,8 @@ func (s *Server) acquireAdmission(w http.ResponseWriter, r *http.Request) bool {
 // properties. Run() plans the join — strategy, build side, the probe
 // partitions worth visiting — so planning errors still map to a status
 // code and rep.Strategy is known before the first byte; the stream
-// then joins: each window of probe partitions is probed and encoded
-// inside its tasks and written as it completes, so the pairs are never
+// then joins: each probe partition is probed and encoded inside its
+// task and written when its turn comes, so the pairs are never
 // held in memory (the build side is, that is the join's build phase)
 // and a client that hangs up or a deadline that fires stops the
 // probing. Join results are not result-cached: every request builds a
@@ -225,20 +226,21 @@ func encodePair(dst []byte, kv stark.Tuple[joinRow]) ([]byte, error) {
 }
 
 // streamAndSummarise writes the NDJSON reply of an executed chain: the
-// lines enc makes of its rows, one Write per partition chunk, then the
+// lines enc makes of its rows, one Write per morsel chunk, then the
 // summary line. sum arrives without Count and Trace; its Cache value
-// is also the X-Stark-Cache header. With cacheable set the body is
-// collected on the way and stored under sum.Fingerprint, unless it
-// outgrows the cache's per-entry budget. The status line is committed
-// before the first row, so an abort (client gone, deadline, encoder
-// error) can only be logged and leave the stream without a summary
-// line.
+// is also the X-Stark-Cache header. With cacheable set the chunks are
+// kept on the way, each copied at its exact size, and stored under
+// sum.Fingerprint, unless they outgrow the cache's per-entry budget.
+// The status line is committed before the first row, so an abort
+// (client gone, deadline, encoder error) can only be logged and leave
+// the stream without a summary line.
 func streamAndSummarise[V any](s *Server, w http.ResponseWriter, r *http.Request, chain *stark.Dataset[V],
 	enc func([]byte, stark.Tuple[V]) ([]byte, error), sum ndjsonSummary, trace, cacheable bool) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Stark-Cache", sum.Cache)
 	var (
-		body     []byte
+		body     [][]byte
+		size     int64
 		writeErr error
 	)
 	err := chain.StreamEncodedContext(r.Context(), enc, func(chunk []byte, n int64) bool {
@@ -247,10 +249,10 @@ func streamAndSummarise[V any](s *Server, w http.ResponseWriter, r *http.Request
 		}
 		sum.Count += n
 		if cacheable {
-			if int64(len(body)+len(chunk)) > s.cache.MaxEntryBytes() {
+			if size += int64(len(chunk)); size > s.cache.MaxEntryBytes() {
 				cacheable, body = false, nil
 			} else {
-				body = append(body, chunk...) // the chunk is recycled after this call
+				body = append(body, bytes.Clone(chunk)) // the chunk is recycled after this call
 			}
 		}
 		return true
@@ -438,13 +440,15 @@ func writeSummaryLine(w io.Writer, sum ndjsonSummary) {
 	_, _ = w.Write(append(b, '\n'))
 }
 
-// writeNDJSON serves a cached body plus a fresh summary line.
-func (s *Server) writeNDJSON(w http.ResponseWriter, r *http.Request, body []byte, sum ndjsonSummary) {
+// writeNDJSON serves a cached body, chunk by chunk, plus a fresh summary line.
+func (s *Server) writeNDJSON(w http.ResponseWriter, r *http.Request, body [][]byte, sum ndjsonSummary) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Stark-Cache", sum.Cache)
-	if _, err := w.Write(body); err != nil {
-		s.logAbort(r, "aborting cached NDJSON stream", 0, err)
-		return
+	for _, chunk := range body {
+		if _, err := w.Write(chunk); err != nil {
+			s.logAbort(r, "aborting cached NDJSON stream", 0, err)
+			return
+		}
 	}
 	writeSummaryLine(w, sum)
 }

@@ -428,21 +428,29 @@ func TestServiceStatsEndpoint(t *testing.T) {
 
 func TestResultCacheLRUEviction(t *testing.T) {
 	c := NewResultCache(100, 60)
-	c.Put("a", make([]byte, 40), 1)
-	c.Put("b", make([]byte, 40), 1)
-	if _, _, ok := c.Get("a"); !ok {
-		t.Fatal("a evicted prematurely")
+	// An entry costs the summed lengths of its chunks.
+	chunks := func(sizes ...int) [][]byte {
+		body := make([][]byte, len(sizes))
+		for i, n := range sizes {
+			body[i] = make([]byte, n)
+		}
+		return body
+	}
+	c.Put("a", chunks(25, 15), 1)
+	c.Put("b", chunks(40), 1)
+	if body, _, ok := c.Get("a"); !ok || len(body) != 2 || len(body[0]) != 25 || len(body[1]) != 15 {
+		t.Fatalf("a evicted prematurely or rechunked (%d chunks)", len(body))
 	}
 	// c displaces b (LRU: a was just touched).
-	c.Put("c", make([]byte, 40), 1)
+	c.Put("c", chunks(10, 10, 20), 1)
 	if _, _, ok := c.Get("b"); ok {
 		t.Error("b should have been evicted")
 	}
 	if _, _, ok := c.Get("a"); !ok {
 		t.Error("a should have survived (recently used)")
 	}
-	// Oversized bodies are rejected outright.
-	c.Put("big", make([]byte, 61), 1)
+	// Oversized bodies are rejected outright, however they are chunked.
+	c.Put("big", chunks(30, 31), 1)
 	if _, _, ok := c.Get("big"); ok {
 		t.Error("oversized entry admitted")
 	}

@@ -344,7 +344,9 @@ func TestAdmissionRejectionCounters(t *testing.T) {
 func TestCacheEvictionByteAccounting(t *testing.T) {
 	c := NewResultCache(1000, 400)
 
-	body := func(n int) []byte { return bytes.Repeat([]byte("x"), n) }
+	body := func(n int) [][]byte { // two chunks: bytes are the summed lengths
+		return [][]byte{bytes.Repeat([]byte("x"), n/3), bytes.Repeat([]byte("y"), n-n/3)}
+	}
 	for i := 0; i < 6; i++ {
 		c.Put(fmt.Sprintf("k%d", i), body(300), 1)
 	}

@@ -120,6 +120,16 @@ func (o STObject) Envelope() geom.Envelope {
 	return o.geo.Envelope()
 }
 
+// EnvelopeIntersects is o.Envelope().Intersects(env) without building
+// the envelope of a point: the test a scan rejects a row on before the
+// exact predicate sees it. NaN points and nil geometries meet nothing.
+func (o *STObject) EnvelopeIntersects(env geom.Envelope) bool {
+	if p, ok := o.geo.(geom.Point); ok {
+		return p.X >= env.MinX && p.X <= env.MaxX && p.Y >= env.MinY && p.Y <= env.MaxY
+	}
+	return o.Envelope().Intersects(env)
+}
+
 // Centroid returns the centroid of the spatial component.
 func (o STObject) Centroid() geom.Point {
 	if o.geo == nil {

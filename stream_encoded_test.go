@@ -1,9 +1,9 @@
 package stark_test
 
 // StreamEncodedContext against StreamParallelContext, the row-at-a-time
-// action it shares its windowed loop with: encoding inside the
-// partition tasks must yield the same rows in the same order on every
-// layout, account the same "stream" phase, and stop the same way.
+// action it shares its ordered job with: encoding inside the tasks must
+// yield the same rows in the same order on every layout, account the
+// same "stream" phase, and stop the same way.
 
 import (
 	"bytes"
@@ -63,12 +63,29 @@ func TestStreamEncodedAgreesWithStreamParallelAcrossLayouts(t *testing.T) {
 	if _, err := mdAttr.Insert(recs...); err != nil {
 		t.Fatal(err)
 	}
+	// A layout whose first partition is larger than a morsel (4096 rows),
+	// so its stream crosses a morsel boundary, beside three small ones:
+	// 5000 rows in the first cell of a 2×2 grid over [0, 2000]², 40 in
+	// each of the others.
+	wide, err := stark.Grid(2).Build([]stark.STObject{
+		stark.NewSTObject(stark.NewPoint(0, 0)),
+		stark.NewSTObject(stark.NewPoint(2000, 2000)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	crowded := colTuples(rng, 5000)
+	for i := 0; i < 120; i++ {
+		cell := [][2]float64{{1500, 500}, {500, 1500}, {1500, 1500}}[i%3]
+		crowded = append(crowded, stark.NewTuple(pointAt(cell[0]+float64(i), cell[1]+float64(i)), len(crowded)))
+	}
 	layouts := []struct {
 		name     string
 		base     *stark.Dataset[int]
 		postings bool
 	}{
 		{"plain", stark.Parallelize(ctx, tuples, 5), false},
+		{"grid+morsels", stark.Parallelize(ctx, crowded, 3).PartitionBy(stark.WithPartitioner(wide)), false},
 		{"grid", stark.Parallelize(ctx, tuples, 5).PartitionBy(stark.Grid(4)), false},
 		{"bsp", stark.Parallelize(ctx, tuples, 5).PartitionBy(stark.BSP(150)), false},
 		{"grid+index", stark.Parallelize(ctx, tuples, 5).PartitionBy(stark.Grid(4)).Index(stark.Persistent(8)), false},
@@ -135,6 +152,10 @@ func TestStreamEncodedAgreesWithStreamParallelAcrossLayouts(t *testing.T) {
 						layout.name, trial, c, a.Counter(c), b.Counter(c))
 				}
 			}
+			// Two morsels of the crowded partition and the three small ones.
+			if layout.name == "grid+morsels" && trial == 0 && last.Counter("tasks_launched") != 5 {
+				t.Errorf("%s: %d tasks, want 5: the stream crossed no morsel boundary", layout.name, last.Counter("tasks_launched"))
+			}
 			// Without a spatial predicate the only probe there is is the
 			// postings probe.
 			if layout.postings && trial == 0 && (wantRows == 0 || b.Counter("index_probes") == 0 || b.Counter("elements_scanned") != 0) {
@@ -149,9 +170,24 @@ func TestStreamEncodedAgreesWithStreamParallelAcrossLayouts(t *testing.T) {
 	}
 }
 
+// The stream runs at most 2 × parallelism tasks (here: partitions) beyond
+// the last chunk its consumer has returned from, and with parallelism 1
+// none: the caller then computes a chunk only when it is due. Stopping
+// on the first chunk therefore leaves 1 of the 4 partitions touched at
+// parallelism 1, and up to all 4 at parallelism 2.
 func TestStreamEncodedStops(t *testing.T) {
-	ctx := stark.NewContext(2)
-	base := fpTestBase(t, ctx) // 100 rows in 4 partitions, windows of 2
+	for _, par := range []int{1, 2} {
+		testStreamEncodedStops(t, par)
+	}
+}
+
+func testStreamEncodedStops(t *testing.T, par int) {
+	lookAhead := int64(1)
+	if par > 1 {
+		lookAhead = min(4, 2*int64(par))
+	}
+	ctx := stark.NewContext(par)
+	base := fpTestBase(t, ctx) // 100 rows in 4 partitions
 
 	cctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -163,8 +199,8 @@ func TestStreamEncodedStops(t *testing.T) {
 		t.Errorf("cancelled stream returned %v, want context.Canceled", err)
 	}
 
-	// Cancelled while the consumer holds the first chunk: the window's
-	// second chunk is not delivered and the second window never runs.
+	// Cancelled while the consumer holds the first chunk: no second chunk
+	// is delivered, whatever was computed meanwhile.
 	cctx, cancel = context.WithCancel(context.Background())
 	defer cancel()
 	var delivered int64
@@ -178,8 +214,7 @@ func TestStreamEncodedStops(t *testing.T) {
 	}
 
 	// The same cancellation over partition trees: the probes run inside
-	// the windows, so the two partitions of the second window are never
-	// probed.
+	// the tasks, so no partition beyond the look-ahead is ever probed.
 	keys := make([]stark.STObject, 100)
 	recs := make([]stark.LiveRecord[int], 100)
 	for i := range recs {
@@ -204,15 +239,15 @@ func TestStreamEncodedStops(t *testing.T) {
 			cancel()
 			return true
 		})
-		if probes := indexed.Trace().Counter("index_probes"); !errors.Is(err, context.Canceled) || probes != 2 {
-			t.Errorf("%s: cancel after the first chunk: error %v after %d of 4 partitions probed, want context.Canceled after 2",
-				name, err, probes)
+		if probes := indexed.Trace().Counter("index_probes"); !errors.Is(err, context.Canceled) || probes < 1 || probes > lookAhead {
+			t.Errorf("%s, parallelism %d: cancel after the first chunk: error %v after %d of 4 partitions probed, want context.Canceled after 1 to %d",
+				name, par, err, probes, lookAhead)
 		}
 		cancel()
 	}
 
-	// And over a join: the pairs are found inside the windows, so the
-	// second window's two probe partitions are never streamed and their
+	// And over a join: the pairs are found inside the tasks, so the probe
+	// partitions beyond the look-ahead are never streamed and their
 	// buckets of the build side are never indexed.
 	var rep stark.JoinReport
 	grid := base.PartitionBy(stark.WithPartitioner(sp))
@@ -224,9 +259,10 @@ func TestStreamEncodedStops(t *testing.T) {
 		cancel()
 		return true
 	})
-	if tasks := joined.Trace().Counter("tasks_launched"); !errors.Is(err, context.Canceled) || rep.Tasks != 4 || tasks != 2 || rep.TreesBuilt != 2 {
-		t.Errorf("join: cancel after the first chunk: error %v after %d tasks and %d trees of %d planned probes, want context.Canceled after 2 and 2 of 4",
-			err, tasks, rep.TreesBuilt, rep.Tasks)
+	if tasks := joined.Trace().Counter("tasks_launched"); !errors.Is(err, context.Canceled) || rep.Tasks != 4 ||
+		tasks < 1 || tasks > lookAhead || int64(rep.TreesBuilt) != tasks {
+		t.Errorf("join, parallelism %d: cancel after the first chunk: error %v after %d tasks and %d trees of %d planned probes, want context.Canceled after 1 to %d of 4, a tree each",
+			par, err, tasks, rep.TreesBuilt, rep.Tasks, lookAhead)
 	}
 	cancel()
 
@@ -240,7 +276,7 @@ func TestStreamEncodedStops(t *testing.T) {
 
 	boom := errors.New("unencodable")
 	err = base.StreamEncodedContext(context.Background(), func(dst []byte, kv stark.Tuple[int]) ([]byte, error) {
-		if kv.Value == 60 { // third partition: the second window
+		if kv.Value == 60 { // third partition
 			return dst, boom
 		}
 		return appendRow(dst, kv)
