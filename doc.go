@@ -97,9 +97,11 @@
 //
 // Dataset.Columnar builds a per-partition struct-of-arrays sidecar —
 // envelope bounds and time intervals as flat float64/int64 columns,
-// rows sorted by the Hilbert key of their envelope — that branch-free
-// kernels sweep in 4096-row batches, ANDing coarse spatio-temporal
-// survivors into a bitset; only survivors reach the exact predicate.
+// column rows sorted by the Hilbert key of their envelope — that
+// branch-free kernels sweep in 4096-row batches, ANDing coarse
+// spatio-temporal survivors into a bitset; only survivors reach the
+// exact predicate, fetched from the dataset's own partition slice
+// through the sort's permutation (the sidecar copies no row).
 // Like Cache, it marks a point in the chain and materialises at the
 // first action, and transformations return fresh instances without
 // the sidecar, so it can never describe stale data (mutable datasets
@@ -302,7 +304,10 @@
 // cleanly at a torn tail of the newest segment, erroring loudly on
 // damage anywhere older (acknowledged records would be lost), never
 // resurrecting an unacknowledged batch, and erroring on generation
-// gaps. The torn-write and bit-flip batteries
+// gaps. A resident row keeps no WKT text: the log and the rows
+// segments hold the text rendered from the row's key, which parses
+// back to the same coordinates bit for bit (internal/geom's round-trip
+// table and fuzz target). The torn-write and bit-flip batteries
 // in internal/wal and internal/server cut the log at every byte
 // boundary and flip random bits; recovery must always come back with
 // exactly the acknowledged prefix. The `durability` bench experiment

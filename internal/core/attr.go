@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"stark/internal/attr"
-	"stark/internal/colstore"
 	"stark/internal/engine"
 )
 
@@ -34,14 +33,15 @@ import (
 // For the intersection to be sound the postings and the kernel bitset
 // must index the same row order, so when the columnar sidecar exists
 // the attribute indexes are built over its (possibly Hilbert-sorted)
-// row slices and marked aligned; a sidecar built later invalidates
-// unaligned postings, which silently rebuild on next use.
+// kernel row order and marked aligned; a sidecar built later
+// invalidates unaligned postings, which silently rebuild on next use.
 
-// attrSidecar holds the lazily built attribute postings: the row
-// slices the postings index into (shared with the columnar sidecar
-// when one exists) plus one per-partition index slice per field.
+// attrSidecar holds the lazily built attribute postings: the rows the
+// postings index into, addressed and not copied (the columnar
+// sidecar's kernel order when one exists, the dataset's own partition
+// slices otherwise), plus one per-partition index slice per field.
 type attrSidecar[V any] struct {
-	rows [][]Tuple[V]
+	rows []kernelRows[V]
 	// aligned marks rows as the columnar sidecar's row order, making
 	// postings bitsets AND-compatible with kernel survivor bitsets.
 	aligned bool
@@ -49,12 +49,9 @@ type attrSidecar[V any] struct {
 }
 
 // ensureAttrIndex returns the per-partition postings for the given
-// fields (building missing ones) plus the row slices they index.
-func (s *SpatialDataset[V]) ensureAttrIndex(fields []string) (map[string][]*attr.Index, [][]Tuple[V], error) {
-	s.aux.colMu.Lock()
-	col := s.aux.col
-	s.aux.colMu.Unlock()
-
+// fields (building missing ones) plus the rows they index.
+func (s *SpatialDataset[V]) ensureAttrIndex(fields []string) (map[string][]*attr.Index, []kernelRows[V], error) {
+	col := s.columnar()
 	s.aux.attrMu.Lock()
 	defer s.aux.attrMu.Unlock()
 	sch := s.aux.schema
@@ -92,15 +89,11 @@ func (s *SpatialDataset[V]) ensureAttrIndex(fields []string) (map[string][]*attr
 			return nil, nil, fmt.Errorf("core: no field %q in attribute schema", name)
 		}
 		ixs := make([]*attr.Index, len(side.rows))
-		tasks := make([]int, len(side.rows))
-		for i := range tasks {
-			tasks[i] = i
-		}
-		err := s.Context().RunJob(tasks, func(p int) error {
+		err := s.Context().RunJob(engine.AllPartitions(len(side.rows)), func(p int) error {
 			rows := side.rows[p]
-			column := make([]attr.Value, len(rows))
-			for i, kv := range rows {
-				column[i] = fld.Get(kv.Value)
+			column := make([]attr.Value, len(rows.rows))
+			for i := range column {
+				column[i] = fld.Get(rows.at(i).Value)
 			}
 			ixs[p] = attr.BuildIndex(fld.Name, fld.Kind, column)
 			metrics.StatsRecords.Add(int64(len(column)))
@@ -114,25 +107,18 @@ func (s *SpatialDataset[V]) ensureAttrIndex(fields []string) (map[string][]*attr
 	return side.idx, side.rows, nil
 }
 
-// collectAttrRows materialises every partition's rows for postings to
-// index — the fallback row order when no columnar sidecar exists. Like
-// the other auxiliary passes it charges StatsRecords, not scan
-// counters.
-func (s *SpatialDataset[V]) collectAttrRows() ([][]Tuple[V], error) {
+// collectAttrRows takes every partition's rows for postings to index —
+// the fallback row order when no columnar sidecar exists: the dataset's
+// own slices when it holds them (read-only), one materialisation
+// otherwise. Like the other auxiliary passes it charges StatsRecords,
+// not scan counters.
+func (s *SpatialDataset[V]) collectAttrRows() ([]kernelRows[V], error) {
 	n := s.ds.NumPartitions()
-	rows := make([][]Tuple[V], n)
+	rows := make([]kernelRows[V], n)
 	metrics := s.Context().Metrics()
-	tasks := make([]int, n)
-	for i := range tasks {
-		tasks[i] = i
-	}
-	err := s.Context().RunJob(tasks, func(p int) error {
-		var out []Tuple[V]
-		err := s.ds.EachPartition(p, func(kv Tuple[V]) bool {
-			out = append(out, kv)
-			return true
-		})
-		rows[p] = out
+	err := s.Context().RunJob(engine.AllPartitions(n), func(p int) error {
+		out, err := s.ds.ComputePartition(p)
+		rows[p].rows = out
 		metrics.StatsRecords.Add(int64(len(out)))
 		return err
 	})
@@ -189,7 +175,7 @@ func (s *SpatialDataset[V]) AttrFilter(first attr.Pred, keep func(Tuple[V]) bool
 	out := engine.NewStream(s.Context(), s.ds.Name()+".attrScan", len(rows),
 		func(p int, yield func(Tuple[V]) bool) error {
 			part := rows[p]
-			if len(part) == 0 {
+			if len(part.rows) == 0 {
 				return nil
 			}
 			rec.IndexProbes(1)
@@ -200,11 +186,7 @@ func (s *SpatialDataset[V]) AttrFilter(first attr.Pred, keep func(Tuple[V]) bool
 					return
 				}
 				cands++
-				kv := part[row]
-				if !keep(kv) {
-					return
-				}
-				if !yield(kv) {
+				if kv := part.at(int(row)); keep(*kv) && !yield(*kv) {
 					stop = true
 				}
 			})
@@ -221,21 +203,15 @@ func (s *SpatialDataset[V]) AttrFilter(first attr.Pred, keep func(Tuple[V]) bool
 // spatial predicates. Requires the columnar sidecar and postings built
 // over its row order.
 func (s *SpatialDataset[V]) ColumnarFilterIntersect(preds []KernelPred, attrPreds []attr.Pred) (*engine.Dataset[Tuple[V]], error) {
-	fields := make([]string, 0, len(attrPreds))
-	seen := make(map[string]bool, len(attrPreds))
-	for _, ap := range attrPreds {
-		if !seen[ap.Field] {
-			seen[ap.Field] = true
-			fields = append(fields, ap.Field)
-		}
+	fields := make([]string, len(attrPreds))
+	for i, ap := range attrPreds {
+		fields[i] = ap.Field // a repeated field is built once
 	}
 	idxs, _, err := s.ensureAttrIndex(fields)
 	if err != nil {
 		return nil, err
 	}
-	s.aux.colMu.Lock()
-	side := s.aux.col
-	s.aux.colMu.Unlock()
+	side := s.columnar()
 	if side == nil {
 		return nil, fmt.Errorf("core: columnar sidecar not built")
 	}
@@ -245,46 +221,5 @@ func (s *SpatialDataset[V]) ColumnarFilterIntersect(preds []KernelPred, attrPred
 	if !aligned {
 		return nil, fmt.Errorf("core: attribute postings not aligned with columnar row order")
 	}
-	rec := s.recorder()
-	out := engine.NewStream(s.Context(), s.ds.Name()+".colAttrScan", len(side.parts),
-		func(p int, yield func(Tuple[V]) bool) error {
-			cols := side.parts[p]
-			rows := side.rows[p]
-			n := cols.Len()
-			if n == 0 {
-				return nil
-			}
-			bs := colstore.GetBitset(n)
-			var batches int64
-			for _, kp := range preds {
-				batches += int64(colstore.Filter(cols, kp.Query, bs))
-			}
-			ab := colstore.GetBitset(n)
-			for _, ap := range attrPreds {
-				ab.ClearAll(n)
-				idxs[ap.Field][p].Postings(ap, func(row int32) { ab.Set(int(row)) })
-				rec.IndexProbes(1)
-				bs.And(ab)
-			}
-			colstore.PutBitset(ab)
-			survivors := int64(bs.Count())
-			bs.Visit(func(row int) bool {
-				kv := rows[row]
-				// Attribute postings are exact; only the coarse spatial
-				// kernels need exact refinement.
-				for i := range preds {
-					if !preds[i].Pred(kv.Key, preds[i].Q) {
-						return true
-					}
-				}
-				return yield(kv)
-			})
-			colstore.PutBitset(bs)
-			rec.ElementsScanned(int64(n))
-			rec.KernelBatches(batches)
-			rec.KernelSurvivors(survivors)
-			rec.CandidatesRefined(survivors)
-			return nil
-		})
-	return out.WithRecorder(s.rec), nil
+	return s.kernelScan(".colAttrScan", side, preds, attrPreds, idxs), nil
 }

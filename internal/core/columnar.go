@@ -1,6 +1,7 @@
 package core
 
 import (
+	"stark/internal/attr"
 	"stark/internal/colstore"
 	"stark/internal/engine"
 	"stark/internal/stobject"
@@ -8,18 +9,37 @@ import (
 
 // This file wires the colstore sidecar into the scan path. BuildColumnar
 // extracts per-partition SoA envelope/interval columns (optionally
-// Hilbert-sorting each partition's rows) alongside a reordered record
-// slice; ColumnarFilter then streams a conjunctive predicate chain as a
+// Hilbert-sorting each partition's columns) and keeps the permutation
+// that leads from a column row back to the dataset's own row;
+// ColumnarFilter then streams a conjunctive predicate chain as a
 // coarse batched kernel sweep per partition followed by exact
 // refinement of the survivors only. The sidecar is bound to the
 // SpatialDataset instance, so any transformation (which returns a new
 // instance) drops it by construction and can never serve stale columns.
 
-// columnarSidecar holds the per-partition columns plus the row slices
-// they index, in kernel row order.
+// kernelRows addresses one partition's rows in kernel row order without
+// holding a copy of them: rows is the dataset's own partition slice
+// (read-only), and perm, when the columns are Hilbert-sorted, maps a
+// kernel row to its position in that slice. A nil perm means kernel
+// order is slice order.
+type kernelRows[V any] struct {
+	rows []Tuple[V]
+	perm []int32
+}
+
+// at returns kernel row i.
+func (k kernelRows[V]) at(i int) *Tuple[V] {
+	if k.perm != nil {
+		i = int(k.perm[i])
+	}
+	return &k.rows[i]
+}
+
+// columnarSidecar holds the per-partition columns plus the rows they
+// index: 48 B of columns and 4 B of permutation per row, no row copy.
 type columnarSidecar[V any] struct {
 	parts   []*colstore.Partition
-	rows    [][]Tuple[V]
+	rows    []kernelRows[V]
 	hilbert bool
 }
 
@@ -29,30 +49,23 @@ type columnarSidecar[V any] struct {
 // memoised per dataset instance (a second call with the same hilbert
 // flag is a no-op; changing the flag rebuilds). The pass runs one task
 // per partition through the engine's pool and charges the rows it
-// copies to StatsRecords — it is a statistics-like auxiliary pass, not
+// reads to StatsRecords — it is a statistics-like auxiliary pass, not
 // a query.
 func (s *SpatialDataset[V]) BuildColumnar(hilbert bool) error {
-	s.aux.colMu.Lock()
-	if s.aux.col != nil && s.aux.col.hilbert == hilbert {
-		s.aux.colMu.Unlock()
+	if side := s.columnar(); side != nil && side.hilbert == hilbert {
 		return nil
 	}
-	s.aux.colMu.Unlock()
 
 	n := s.ds.NumPartitions()
 	side := &columnarSidecar[V]{
 		parts:   make([]*colstore.Partition, n),
-		rows:    make([][]Tuple[V], n),
+		rows:    make([]kernelRows[V], n),
 		hilbert: hilbert,
 	}
 	metrics := s.Context().Metrics()
-	tasks := make([]int, n)
-	for i := range tasks {
-		tasks[i] = i
-	}
-	err := s.Context().RunJob(tasks, func(p int) error {
+	err := s.Context().RunJob(engine.AllPartitions(n), func(p int) error {
 		// The dataset's own slice when it holds one: rows are read-only,
-		// and a Hilbert sort copies them into its order anyway.
+		// and a Hilbert sort reorders the columns, not the rows.
 		rows, err := s.ds.ComputePartition(p)
 		if err != nil {
 			return err
@@ -63,15 +76,8 @@ func (s *SpatialDataset[V]) BuildColumnar(hilbert bool) error {
 			b.Add(rows[i].Key.Envelope(), int64(iv.Start), int64(iv.End), timed)
 		}
 		cols, perm := b.Finish(hilbert)
-		if perm != nil {
-			sorted := make([]Tuple[V], len(rows))
-			for newRow, oldRow := range perm {
-				sorted[newRow] = rows[oldRow]
-			}
-			rows = sorted
-		}
 		side.parts[p] = cols
-		side.rows[p] = rows
+		side.rows[p] = kernelRows[V]{rows: rows, perm: perm}
 		metrics.StatsRecords.Add(int64(len(rows)))
 		return nil
 	})
@@ -84,18 +90,20 @@ func (s *SpatialDataset[V]) BuildColumnar(hilbert bool) error {
 	return nil
 }
 
-// HasColumnar reports whether the sidecar is built.
-func (s *SpatialDataset[V]) HasColumnar() bool {
+// columnar returns the sidecar, nil when none is built.
+func (s *SpatialDataset[V]) columnar() *columnarSidecar[V] {
 	s.aux.colMu.Lock()
 	defer s.aux.colMu.Unlock()
-	return s.aux.col != nil
+	return s.aux.col
 }
+
+// HasColumnar reports whether the sidecar is built.
+func (s *SpatialDataset[V]) HasColumnar() bool { return s.columnar() != nil }
 
 // ColumnarHilbert reports whether the sidecar rows are Hilbert-sorted.
 func (s *SpatialDataset[V]) ColumnarHilbert() bool {
-	s.aux.colMu.Lock()
-	defer s.aux.colMu.Unlock()
-	return s.aux.col != nil && s.aux.col.hilbert
+	side := s.columnar()
+	return side != nil && side.hilbert
 }
 
 // KernelPred is one predicate of a conjunctive chain in the form the
@@ -160,14 +168,22 @@ func KernelPrune(pruneMinX, pruneMinY, pruneMaxX, pruneMaxY float64, mode colsto
 // are additionally charged to CandidatesRefined, mirroring the index
 // path's coarse/exact split. Returns nil when no sidecar is built.
 func (s *SpatialDataset[V]) ColumnarFilter(preds []KernelPred) *engine.Dataset[Tuple[V]] {
-	s.aux.colMu.Lock()
-	side := s.aux.col
-	s.aux.colMu.Unlock()
+	side := s.columnar()
 	if side == nil || len(preds) == 0 {
 		return nil
 	}
+	return s.kernelScan(".colScan", side, preds, nil, nil)
+}
+
+// kernelScan is the one columnar stream behind ColumnarFilter and
+// ColumnarFilterIntersect: sweep the kernels into a survivor bitset,
+// AND in the postings bitset of every attribute predicate (idxs holds
+// their fields' postings, built over the sidecar's kernel row order),
+// then fetch, refine and yield the survivors in kernel row order.
+func (s *SpatialDataset[V]) kernelScan(name string, side *columnarSidecar[V], preds []KernelPred,
+	attrPreds []attr.Pred, idxs map[string][]*attr.Index) *engine.Dataset[Tuple[V]] {
 	rec := s.recorder()
-	out := engine.NewStream(s.Context(), s.ds.Name()+".colScan", len(side.parts),
+	out := engine.NewStream(s.Context(), s.ds.Name()+name, len(side.parts),
 		func(p int, yield func(Tuple[V]) bool) error {
 			cols := side.parts[p]
 			rows := side.rows[p]
@@ -180,15 +196,27 @@ func (s *SpatialDataset[V]) ColumnarFilter(preds []KernelPred) *engine.Dataset[T
 			for _, kp := range preds {
 				batches += int64(colstore.Filter(cols, kp.Query, bs))
 			}
+			if len(attrPreds) > 0 {
+				ab := colstore.GetBitset(n)
+				for _, ap := range attrPreds {
+					ab.ClearAll(n)
+					idxs[ap.Field][p].Postings(ap, func(row int32) { ab.Set(int(row)) })
+					rec.IndexProbes(1)
+					bs.And(ab)
+				}
+				colstore.PutBitset(ab)
+			}
 			survivors := int64(bs.Count())
 			bs.Visit(func(row int) bool {
-				kv := rows[row]
+				kv := rows.at(row)
+				// Attribute postings are exact; only the coarse spatial
+				// kernels need exact refinement.
 				for i := range preds {
 					if !preds[i].Pred(kv.Key, preds[i].Q) {
 						return true
 					}
 				}
-				return yield(kv)
+				return yield(*kv)
 			})
 			colstore.PutBitset(bs)
 			rec.ElementsScanned(int64(n))

@@ -21,6 +21,7 @@ import (
 	"sync"
 
 	"stark"
+	"stark/internal/engine"
 	"stark/internal/workload"
 )
 
@@ -252,32 +253,18 @@ func (c *Catalog) Drop(name string) (bool, error) {
 // (staging, shuffle, index, statistics) runs outside the catalog
 // lock.
 func (c *Catalog) Register(ctx *stark.Context, spec DatasetSpec) (*catalogEntry, error) {
-	// A mutable dataset may start empty — its payload arrives through
-	// POST /api/v1/ingest; anything the spec does provide becomes the
-	// seed batch.
-	if spec.Mutable && spec.N <= 0 && len(spec.Events) == 0 {
-		return c.register(ctx, spec, nil, false)
-	}
 	events, err := spec.buildEvents()
 	if err != nil {
 		return nil, err
 	}
-	return c.register(ctx, spec, events, false)
+	return c.registerAt(ctx, spec, events, false, 0)
 }
 
 // RegisterEvents is Register with an already-materialised payload —
 // the programmatic preload path, which skips the generator.
 func (c *Catalog) RegisterEvents(ctx *stark.Context, spec DatasetSpec, events []workload.Event) error {
-	_, err := c.register(ctx, spec, events, true)
+	_, err := c.registerAt(ctx, spec, events, true, 0)
 	return err
-}
-
-// register builds and publishes at the next catalog generation.
-// inline marks events as pre-materialised by the caller (not
-// derivable from spec) — under durability such payloads are embedded
-// into the logged spec so recovery can rebuild the dataset.
-func (c *Catalog) register(ctx *stark.Context, spec DatasetSpec, events []workload.Event, inline bool) (*catalogEntry, error) {
-	return c.registerAt(ctx, spec, events, inline, 0)
 }
 
 // registerReplayed re-registers a dataset from a WAL register record
@@ -285,10 +272,6 @@ func (c *Catalog) register(ctx *stark.Context, spec DatasetSpec, events []worklo
 // spec is self-contained by construction (logRegister embeds inline
 // payloads), so the rebuild is deterministic.
 func (c *Catalog) registerReplayed(ctx *stark.Context, spec DatasetSpec, gen int64) error {
-	if spec.Mutable && spec.N <= 0 && len(spec.Events) == 0 {
-		_, err := c.registerAt(ctx, spec, nil, false, gen)
-		return err
-	}
 	events, err := spec.buildEvents()
 	if err != nil {
 		return err
@@ -297,7 +280,10 @@ func (c *Catalog) registerReplayed(ctx *stark.Context, spec DatasetSpec, gen int
 	return err
 }
 
-// registerAt is the shared registration body. gen > 0 forces the
+// registerAt is the shared registration body. inline marks events as
+// pre-materialised by the caller (not derivable from spec) — under
+// durability such payloads are embedded into the logged spec so
+// recovery can rebuild the dataset. gen > 0 forces the
 // published catalog generation (recovery replay and checkpoint
 // restore keep the recovered history's numbering); gen == 0 takes the
 // next one. Under durability a live (non-replayed) registration is
@@ -381,20 +367,10 @@ func (c *Catalog) registerAt(ctx *stark.Context, spec DatasetSpec, events []work
 // data space when empty), mirroring what stageMutable did at original
 // registration.
 func (c *Catalog) restoreMutable(ctx *stark.Context, spec DatasetSpec, gen int64, liveGen uint64, recs []stark.LiveRecord[workload.Event]) error {
-	order, err := parseLiveOrder(spec)
+	mds, err := newLive(ctx, spec, recs)
 	if err != nil {
 		return err
 	}
-	keys := make([]stark.STObject, len(recs))
-	for i, r := range recs {
-		keys[i] = r.Key
-	}
-	sp, err := buildLiveLayout(spec, keys)
-	if err != nil {
-		return err
-	}
-	mds := stark.NewMutableDataset[workload.Event](ctx, spec.Name, sp, order)
-	mds.SetAttrFields(workload.EventSchema())
 	if err := mds.Restore(liveGen, recs); err != nil {
 		return err
 	}
@@ -460,6 +436,11 @@ func (spec DatasetSpec) buildEvents() ([]workload.Event, error) {
 		return events, nil
 	}
 	if spec.N <= 0 {
+		if spec.Mutable {
+			// May start empty: its payload arrives through POST
+			// /api/v1/ingest (anything given above is the seed batch).
+			return nil, nil
+		}
 		return nil, fmt.Errorf("dataset %q: need n > 0 or inline events", spec.Name)
 	}
 	var dist workload.Distribution
@@ -479,13 +460,47 @@ func (spec DatasetSpec) buildEvents() ([]workload.Event, error) {
 	}), nil
 }
 
+// catalogRow is the one constructor of resident catalog rows: it
+// consumes the event's WKT into the key and keeps the event without the
+// text, as the paper's raw.map{ case (id,c,t,wkt) => (STObject(wkt,t),
+// (id,c)) } does. No query reads the text; the WAL and checkpoint
+// writers render it from the key (Key.Geo().WKT(): shortest digits, so
+// it parses back bit for bit, see geom.TestWKTRoundTripBitExact).
+func catalogRow(ev workload.Event) (stark.Tuple[workload.Event], error) {
+	key, err := ev.ToSTObject()
+	if err != nil {
+		return stark.Tuple[workload.Event]{}, err
+	}
+	ev.WKT = ""
+	return stark.NewTuple(key, ev), nil
+}
+
+// catalogRows builds the rows of event(0..n-1) in order, parsing
+// contiguous ranges as tasks of the engine's pool. It returns the error
+// of the first event that does not parse.
+func catalogRows(ctx *stark.Context, n int, event func(i int) workload.Event) ([]stark.Tuple[workload.Event], error) {
+	const chunk = 16384 // events per task
+	rows := make([]stark.Tuple[workload.Event], n)
+	err := ctx.RunJob(engine.AllPartitions((n+chunk-1)/chunk), func(t int) error {
+		for i, hi := t*chunk, min((t+1)*chunk, n); i < hi; i++ {
+			row, err := catalogRow(event(i))
+			if err != nil {
+				return fmt.Errorf("event %d: invalid WKT: %w", i, err)
+			}
+			rows[i] = row
+		}
+		return nil
+	})
+	return rows, err
+}
+
 // stageDataset lifts events into a Dataset with the spec's
 // partitioner recipe and index mode applied, and forces the chain so
 // registration errors surface here rather than on the first query.
 func stageDataset(ctx *stark.Context, events []workload.Event, spec DatasetSpec) (*stark.Dataset[workload.Event], error) {
-	tuples, dropped := workload.EventTuples(events)
-	if dropped > 0 {
-		return nil, fmt.Errorf("%d events with invalid WKT", dropped)
+	tuples, err := catalogRows(ctx, len(events), func(i int) workload.Event { return events[i] })
+	if err != nil {
+		return nil, err
 	}
 	ds := stark.Parallelize(ctx, tuples)
 	if spec.Partitioner != "" {
@@ -519,35 +534,43 @@ func stageDataset(ctx *stark.Context, events []workload.Event, spec DatasetSpec)
 // initial insert batch — generation 1 — using each event's ID as the
 // live record ID, so they can be upserted and deleted over HTTP later.
 func stageMutable(ctx *stark.Context, events []workload.Event, spec DatasetSpec) (*stark.MutableDataset[workload.Event], error) {
+	tuples, err := catalogRows(ctx, len(events), func(i int) workload.Event { return events[i] })
+	if err != nil {
+		return nil, err
+	}
+	recs := make([]stark.LiveRecord[workload.Event], len(tuples))
+	for i, kv := range tuples {
+		recs[i] = stark.LiveRecord[workload.Event]{ID: int64(kv.Value.ID), Key: kv.Key, Value: kv.Value}
+	}
+	mds, err := newLive(ctx, spec, recs)
+	if err != nil {
+		return nil, err
+	}
+	if len(recs) > 0 {
+		if _, err := mds.Insert(recs...); err != nil {
+			return nil, fmt.Errorf("seeding events: %w", err)
+		}
+	}
+	return mds, nil
+}
+
+// newLive builds the empty live dataset of a mutable entry, its layout
+// fixed over the keys of the records it is about to receive.
+func newLive(ctx *stark.Context, spec DatasetSpec, recs []stark.LiveRecord[workload.Event]) (*stark.MutableDataset[workload.Event], error) {
 	order, err := parseLiveOrder(spec)
 	if err != nil {
 		return nil, err
 	}
-	tuples, dropped := workload.EventTuples(events)
-	if dropped > 0 {
-		return nil, fmt.Errorf("%d events with invalid WKT", dropped)
-	}
-
-	keys := make([]stark.STObject, 0, len(tuples))
-	for _, kv := range tuples {
-		keys = append(keys, kv.Key)
+	keys := make([]stark.STObject, len(recs))
+	for i, r := range recs {
+		keys[i] = r.Key
 	}
 	sp, err := buildLiveLayout(spec, keys)
 	if err != nil {
 		return nil, err
 	}
-
 	mds := stark.NewMutableDataset[workload.Event](ctx, spec.Name, sp, order)
 	mds.SetAttrFields(workload.EventSchema())
-	if len(tuples) > 0 {
-		recs := make([]stark.LiveRecord[workload.Event], len(tuples))
-		for i, kv := range tuples {
-			recs[i] = stark.LiveRecord[workload.Event]{ID: int64(kv.Value.ID), Key: kv.Key, Value: kv.Value}
-		}
-		if _, err := mds.Insert(recs...); err != nil {
-			return nil, fmt.Errorf("seeding events: %w", err)
-		}
-	}
 	return mds, nil
 }
 

@@ -345,10 +345,12 @@ func (d *Durability) Checkpoint() error {
 	for i, e := range entries {
 		md := manifestDataset{Gen: e.gen, Spec: e.spec}
 		if e.mds != nil {
-			var recs []segRecord
-			var envs []geom.Envelope
+			// Sized up front; a batch landing before the barrier only grows them.
+			n := e.mds.Count()
+			recs := make([]segRecord, 0, n)
+			envs := make([]geom.Envelope, 0, n)
 			liveGen := e.mds.EachRecord(func(r stark.LiveRecord[workload.Event]) bool {
-				recs = append(recs, segRecord{ID: r.ID, Category: r.Value.Category, Time: r.Value.Time, WKT: r.Value.WKT})
+				recs = append(recs, segRecord{ID: r.ID, Category: r.Value.Category, Time: r.Value.Time, WKT: r.Key.Geo().WKT()})
 				envs = append(envs, r.Key.Envelope())
 				return true
 			})
@@ -516,14 +518,16 @@ func (d *Durability) restoreCheckpoint(m *manifest) error {
 			return fmt.Errorf("%q: rows (%d), index (%d) and manifest (%d) disagree",
 				md.Spec.Name, len(recs), idx.Len(), md.Count)
 		}
+		tuples, err := catalogRows(d.s.ctx, len(recs), func(i int) workload.Event {
+			r := recs[i]
+			return workload.Event{ID: int(r.ID), Category: r.Category, Time: r.Time, WKT: r.WKT}
+		})
+		if err != nil {
+			return fmt.Errorf("%q: %w", md.Spec.Name, err)
+		}
 		live := make([]stark.LiveRecord[workload.Event], len(recs))
-		for i, r := range recs {
-			ev := workload.Event{ID: int(r.ID), Category: r.Category, Time: r.Time, WKT: r.WKT}
-			key, err := ev.ToSTObject()
-			if err != nil {
-				return fmt.Errorf("%q row %d: %w", md.Spec.Name, i, err)
-			}
-			live[i] = stark.LiveRecord[workload.Event]{ID: r.ID, Key: key, Value: ev}
+		for i, kv := range tuples {
+			live[i] = stark.LiveRecord[workload.Event]{ID: recs[i].ID, Key: kv.Key, Value: kv.Value}
 		}
 		if err := d.s.catalog.restoreMutable(d.s.ctx, md.Spec, md.Gen, md.LiveGen, live); err != nil {
 			return fmt.Errorf("restoring %q: %w", md.Spec.Name, err)

@@ -92,30 +92,31 @@ func (m mutationLine) toOp() (stark.LiveOp[workload.Event], error) {
 	default:
 		return zero, fmt.Errorf("unknown op %q (want insert, upsert or delete)", m.Op)
 	}
-	ev := workload.Event{ID: int(*m.ID), Category: m.Category, Time: m.Time, WKT: m.WKT}
-	key, err := ev.ToSTObject()
+	row, err := catalogRow(workload.Event{ID: int(*m.ID), Category: m.Category, Time: m.Time, WKT: m.WKT})
 	if err != nil {
 		return zero, fmt.Errorf("bad wkt: %v", err)
 	}
 	if strings.EqualFold(m.Op, "insert") {
-		return stark.LiveInsert(*m.ID, key, ev), nil
+		return stark.LiveInsert(*m.ID, row.Key, row.Value), nil
 	}
-	return stark.LiveUpsert(*m.ID, key, ev), nil
+	return stark.LiveUpsert(*m.ID, row.Key, row.Value), nil
 }
 
 // opLine renders a validated live op back to its wire form — how WAL
-// batch records serialise a batch. The round trip through toOp is
-// lossless: the op's payload event carries the original WKT.
+// batch records serialise a batch. The op carries no text (catalogRow
+// dropped it), so the line's WKT is rendered from the key; the round
+// trip through toOp is lossless because that rendering parses back to
+// the same coordinates bit for bit (see catalogRow).
 func opLine(op stark.LiveOp[workload.Event]) mutationLine {
 	id := op.Rec.ID
-	switch op.Kind {
-	case live.OpDelete:
+	if op.Kind == live.OpDelete {
 		return mutationLine{Op: "delete", ID: &id}
-	case live.OpInsert:
-		return mutationLine{Op: "insert", ID: &id, Category: op.Rec.Value.Category, Time: op.Rec.Value.Time, WKT: op.Rec.Value.WKT}
-	default:
-		return mutationLine{Op: "upsert", ID: &id, Category: op.Rec.Value.Category, Time: op.Rec.Value.Time, WKT: op.Rec.Value.WKT}
 	}
+	name := "upsert"
+	if op.Kind == live.OpInsert {
+		name = "insert"
+	}
+	return mutationLine{Op: name, ID: &id, Category: op.Rec.Value.Category, Time: op.Rec.Value.Time, WKT: op.Rec.Key.Geo().WKT()}
 }
 
 // mutableEntry resolves a dataset name to its catalog entry and

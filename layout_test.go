@@ -50,6 +50,50 @@ func TestShuffledDatasetIsTheOnlyCopy(t *testing.T) {
 	}
 }
 
+// TestColumnarHoldsNoSecondCopy pins that the columnar sidecar addresses
+// the dataset's rows and does not copy them: beside the one copy of the
+// rows it holds six 8-byte columns and a 4-byte Hilbert permutation per
+// row. The windows check that kernel row i still leads to the right
+// row.
+func TestColumnarHoldsNoSecondCopy(t *testing.T) {
+	const n = 300_000
+	ctx := stark.NewContext(2)
+	rng := rand.New(rand.NewSource(5))
+	base := heapAlloc()
+	rows := make([]stark.Tuple[[4]int64], n)
+	for i := range rows {
+		key := stark.NewSTObject(stark.NewPoint(rng.Float64()*1000, rng.Float64()*1000))
+		rows[i] = stark.NewTuple(key, [4]int64{int64(i)})
+	}
+	oneCopy := heapAlloc() - base
+
+	ds := stark.Parallelize(ctx, rows).PartitionBy(stark.Grid(8)).Columnar()
+	if err := ds.Run(); err != nil {
+		t.Fatal(err)
+	}
+	rows = nil
+	held := heapAlloc() - base
+	limit := oneCopy + n*(6*8+4)
+	limit += limit / 10
+	if held > limit {
+		t.Errorf("columnar dataset holds %.1f MB; its rows are %.1f MB, columns and permutation %.1f MB (limit %.1f MB)",
+			float64(held)/(1<<20), float64(oneCopy)/(1<<20), float64(n*(6*8+4))/(1<<20), float64(limit)/(1<<20))
+	}
+
+	q := stark.NewSTObject(stark.NewEnvelope(100, 100, 300, 250).ToPolygon())
+	got, err := ds.Intersects(q).Count()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ds.Optimize(false).Intersects(q).Count()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want || got == 0 {
+		t.Fatalf("columnar count = %d, naive scan = %d", got, want)
+	}
+}
+
 // TestLoadIndexFitsFreshShuffle pins that the shuffle is deterministic
 // row for row: persisted trees address rows by position, so an index
 // saved from one shuffle of the rows must answer like a scan when
