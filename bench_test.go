@@ -11,6 +11,7 @@
 package stark_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"stark"
@@ -429,6 +430,85 @@ func BenchmarkEngineShuffle(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// ---- CI gates: two access paths each have to beat the path they
+// replace, on the cell where that is the point of them. CI runs
+//
+//	go test -run '^$' -bench Gate -count 3 .
+//
+// and compares the best ns/op of the two sub-benchmarks of each gate
+// (.github/workflows/ci.yml, "Access-path gates"). Both sides time warm
+// Counts of a chain compiled outside the loop, over one 50k-row
+// dataset, and have to agree on the count. ----
+
+const gateN = 50_000
+
+// gateSide times warm Counts of q as sub-benchmark name and returns
+// the count, so the caller can hold the two sides to one answer.
+func gateSide[V any](b *testing.B, name string, q *stark.Dataset[V]) int64 {
+	b.Helper()
+	want, err := q.Count() // compiles the chain and builds its sidecars
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run(name, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if n, err := q.Count(); err != nil || n != want {
+				b.Fatalf("count = %d, %v; want %d", n, err, want)
+			}
+		}
+	})
+	return want
+}
+
+// BenchmarkLayoutGate: the columnar kernels over Hilbert-sorted columns
+// against the row scan, unindexed clustered data under a tight window
+// centred on a record (so it hits a cluster, not empty sea).
+func BenchmarkLayoutGate(b *testing.B) {
+	tuples := workload.SpatialTuples(workload.Config{
+		N: gateN, Seed: 42, Dist: workload.Skewed,
+		Width: 1000, Height: 1000, Clusters: 8, Spread: 12,
+	})
+	c := tuples[0].Key.Centroid()
+	window := stark.NewSTObject(stark.NewEnvelope(c.X-15, c.Y-15, c.X+15, c.Y+15).ToPolygon())
+	ctx := stark.NewContext(0)
+	base := stark.Parallelize(ctx, tuples, 4*ctx.Parallelism())
+	col := gateSide(b, "columnar", base.Columnar().Intersects(window))
+	row := gateSide(b, "row", base.Optimize(false).Intersects(window))
+	if col != row || col == 0 {
+		b.Fatalf("columnar counts %d rows, the row scan %d", col, row)
+	}
+}
+
+// BenchmarkAttrGate: prebuilt postings against a full-scan closure on
+// the selective cell, a category about 1 % of the rows carry.
+func BenchmarkAttrGate(b *testing.B) {
+	type rec struct {
+		Cat  string
+		Fare float64
+	}
+	cats := []string{"common-a", "common-b", "common-c", "common-d"}
+	rng := rand.New(rand.NewSource(42))
+	tuples := make([]stark.Tuple[rec], gateN)
+	for i := range tuples {
+		r := rec{Cat: cats[rng.Intn(len(cats))], Fare: rng.Float64() * 100}
+		if rng.Intn(100) == 0 {
+			r.Cat = "rare"
+		}
+		key := stark.NewSTObject(stark.NewPoint(rng.Float64()*1000, rng.Float64()*1000))
+		tuples[i] = stark.NewTuple(key, r)
+	}
+	schema := stark.NewAttrSchema[rec]().
+		String("cat", func(r rec) string { return r.Cat }).
+		Float64("fare", func(r rec) float64 { return r.Fare })
+	ctx := stark.NewContext(0)
+	base := stark.Parallelize(ctx, tuples, 4*ctx.Parallelism()).PartitionBy(stark.Grid(4))
+	idx := gateSide(b, "postings", base.WithSchema(schema).AttrIndex("cat", "fare").FilterEq("cat", "rare"))
+	clo := gateSide(b, "closure", base.FilterValues(func(r rec) bool { return r.Cat == "rare" }))
+	if idx != clo || idx == 0 {
+		b.Fatalf("postings count %d rows, the closure %d", idx, clo)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Command piglet runs a piglet script — STARK's Pig Latin derivative —
-// against a generated (or CSV-provided) event dataset in the
-// simulated DFS.
+// against a generated event dataset in a temporary directory, under
+// which the script's LOAD and STORE paths resolve.
 //
 // Usage:
 //
@@ -9,7 +9,7 @@
 //	echo "DUMP e;" | piglet -script - -events 100
 //
 // Generated events are seeded and deterministic; STOREd outputs are
-// printed to stdout as "path (bytes)".
+// printed to stdout as "path (bytes)" and go with the directory.
 package main
 
 import (
@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 
 	"stark"
 	"stark/internal/piglet"
@@ -49,20 +50,31 @@ func main() {
 		os.Exit(1)
 	}
 
-	fs := stark.NewDFS(0, 0)
-	evs := workload.Events(workload.Config{
-		N: *events, Seed: *seed, Dist: workload.Skewed, Width: 1000, Height: 1000, TimeRange: 1_000_000,
-	})
-	if err := workload.WriteEventsCSV(fs, "data/events.csv", evs); err != nil {
-		fmt.Fprintf(os.Stderr, "piglet: writing events: %v\n", err)
-		os.Exit(1)
-	}
+	os.Exit(run(string(src), *events, *seed, *parallelism))
+}
 
-	env := &piglet.Env{Ctx: stark.NewContext(*parallelism), FS: fs}
-	out, err := piglet.Run(string(src), env)
+// run executes the script under a temporary root directory, which goes
+// with it, and returns the exit code.
+func run(src string, events int, seed int64, parallelism int) int {
+	root, err := os.MkdirTemp("", "piglet-")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "piglet: %v\n", err)
-		os.Exit(1)
+		return 1
+	}
+	defer os.RemoveAll(root)
+	evs := workload.Events(workload.Config{
+		N: events, Seed: seed, Dist: workload.Skewed, Width: 1000, Height: 1000, TimeRange: 1_000_000,
+	})
+	if err := workload.WriteEventsCSV(filepath.Join(root, "data", "events.csv"), evs); err != nil {
+		fmt.Fprintf(os.Stderr, "piglet: writing events: %v\n", err)
+		return 1
+	}
+
+	env := &piglet.Env{Ctx: stark.NewContext(parallelism), Root: root}
+	out, err := piglet.Run(src, env)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "piglet: %v\n", err)
+		return 1
 	}
 	for _, text := range out.Explained {
 		fmt.Println(text)
@@ -71,11 +83,12 @@ func main() {
 		fmt.Println(line)
 	}
 	for _, path := range out.Stored {
-		size, err := fs.Size(path)
+		info, err := os.Stat(filepath.Join(root, path))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "piglet: stored file vanished: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
-		fmt.Printf("stored %s (%d bytes)\n", path, size)
+		fmt.Printf("stored %s (%d bytes)\n", path, info.Size())
 	}
+	return 0
 }

@@ -9,12 +9,10 @@
 // Experiments: figure4 (the paper's micro-benchmark), partitioning,
 // indexing, stfilter, knn, dbscan, joins, join (physical join
 // strategies: auto/pairs/broadcast/copartition × layout ×
-// selectivity), localindex, persist, optimizer (cost-based planner
-// vs naive execution), layout (row scan vs columnar kernels ×
-// Hilbert sort × distribution × selectivity), service (query service
-// latency and cache hit rate over HTTP), mutation (mutable live
-// dataset: ingest throughput and snapshot query latency over HTTP),
-// all.
+// selectivity), persist, optimizer (cost-based planner vs naive
+// execution), all. The query service, ingest, durability, scan layout
+// and attribute paths are measured over HTTP, with every reply checked,
+// by bench/e2e (see bench/README.md).
 //
 // With -json, every experiment additionally writes a machine-readable
 // BENCH_<experiment>.json (into -json-dir, default the working
@@ -65,7 +63,7 @@ func writeReport(dir string, rep jsonReport) (string, error) {
 
 func main() {
 	var (
-		experiment  = flag.String("experiment", "figure4", "experiment to run: figure4|partitioning|indexing|stfilter|knn|dbscan|joins|join|localindex|persist|optimizer|layout|attr|service|mutation|durability|all")
+		experiment  = flag.String("experiment", "figure4", "experiment to run: figure4|partitioning|indexing|stfilter|knn|dbscan|joins|join|persist|optimizer|all")
 		n           = flag.Int("n", 100_000, "dataset size (the paper uses 1,000,000)")
 		parallelism = flag.Int("parallelism", 0, "simulated executors (0 = GOMAXPROCS)")
 		seed        = flag.Int64("seed", 42, "data generation seed")
@@ -184,72 +182,6 @@ func main() {
 			}
 			fmt.Print(bench.FormatJoinStrategies(rows))
 			result = rows
-		case "localindex":
-			fmt.Println("== E7: partition-local index structures ==")
-			rows, err := bench.LocalIndexes(cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("%-8s %-10s %12s %14s %12s\n", "Index", "Data", "Build [s]", "Query [s]", "Results")
-			for _, r := range rows {
-				fmt.Printf("%-8s %-10s %12.3f %14.6f %12d\n", r.Structure, r.Dist, r.BuildSecs, r.QuerySecs, r.Results)
-			}
-			result = rows
-		case "mutation":
-			fmt.Println("== E11: mutable live dataset — ingest throughput × snapshot query latency ==")
-			rows, err := bench.Mutation(cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("%-14s %8s %10s %12s %10s %10s %10s %10s %6s %10s\n",
-				"Phase", "Batches", "Mutations", "Ops/s", "bP50 [ms]", "bP99 [ms]", "qP50 [ms]", "qP99 [ms]", "Gen", "Live")
-			for _, r := range rows {
-				fmt.Printf("%-14s %8d %10d %12.0f %10.2f %10.2f %10.2f %10.2f %6d %10d\n",
-					r.Phase, r.Batches, r.Mutations, r.OpsPerSec, r.BatchP50Ms, r.BatchP99Ms, r.QueryP50Ms, r.QueryP99Ms, r.Generation, r.LiveCount)
-			}
-			result = rows
-		case "durability":
-			fmt.Println("== E13: durability — WAL overhead per ingest batch, replay vs checkpoint recovery ==")
-			rows, err := bench.Durability(cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("%-12s %8s %10s %12s %10s %10s %10s %12s %12s %10s\n",
-				"Mode", "Batches", "Mutations", "Ops/s", "bP50 [ms]", "bP99 [ms]", "Ovhd [%]", "Bytes", "Recover[ms]", "Replayed")
-			for _, r := range rows {
-				fmt.Printf("%-12s %8d %10d %12.0f %10.2f %10.2f %10.1f %12d %12.1f %10d\n",
-					r.Mode, r.Batches, r.Mutations, r.OpsPerSec, r.BatchP50Ms, r.BatchP99Ms, r.OverheadPct, r.WALBytes, r.RecoveryMs, r.ReplayedBatches)
-			}
-			result = rows
-		case "service":
-			fmt.Println("== E9: query service — latency and cache hit rate over HTTP ==")
-			rows, err := bench.Service(cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("%-8s %10s %12s %10s %10s %10s %10s %10s %10s %10s\n",
-				"Phase", "Requests", "Concurrency", "p50 [ms]", "p99 [ms]", "sP50 [ms]", "sP99 [ms]", "Hits", "Misses", "HitRate")
-			for _, r := range rows {
-				fmt.Printf("%-8s %10d %12d %10.2f %10.2f %10.2f %10.2f %10d %10d %10.2f\n",
-					r.Phase, r.Requests, r.Concurrency, r.P50Ms, r.P99Ms, r.ServerP50Ms, r.ServerP99Ms, r.CacheHits, r.CacheMisses, r.HitRate)
-			}
-			result = rows
-		case "layout":
-			fmt.Println("== E12: scan layouts — row vs columnar kernels, Hilbert vs unsorted ==")
-			rows, err := bench.Layout(cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Print(bench.FormatLayout(rows))
-			result = rows
-		case "attr":
-			fmt.Println("== E13: attribute predicates — secondary-index path vs full-scan closure ==")
-			rows, err := bench.Attr(cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Print(bench.FormatAttr(rows))
-			result = rows
 		case "optimizer":
 			fmt.Println("== E8: cost-based planner vs naive execution ==")
 			rows, err := bench.Optimizer(cfg)
@@ -302,7 +234,7 @@ func main() {
 
 	names := []string{*experiment}
 	if *experiment == "all" {
-		names = []string{"figure4", "partitioning", "indexing", "stfilter", "knn", "dbscan", "joins", "join", "localindex", "persist", "optimizer", "layout", "attr", "service", "mutation", "durability"}
+		names = []string{"figure4", "partitioning", "indexing", "stfilter", "knn", "dbscan", "joins", "join", "persist", "optimizer"}
 	}
 	for _, name := range names {
 		if err := run(name); err != nil {

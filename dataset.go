@@ -352,32 +352,26 @@ func (d *Dataset[V]) Cache() *Dataset[V] {
 	})
 }
 
-// Columnar builds the columnar scan sidecar with Hilbert row ordering
-// — shorthand for ColumnarLayout(true), the layout the benchmarks
-// favour for clustered data.
-func (d *Dataset[V]) Columnar() *Dataset[V] { return d.ColumnarLayout(true) }
-
-// ColumnarLayout extracts per-partition SoA envelope/interval columns
-// so subsequent filters can run as batched coarse kernels with exact
+// Columnar extracts per-partition SoA envelope/interval columns so
+// subsequent filters can run as batched coarse kernels with exact
 // refinement of survivors only — the ColumnarScan access path in
 // EXPLAIN, chosen by cost (Optimize(false) disables it along with the
-// rest of the planner). hilbertSort additionally orders each
-// partition's rows along a Hilbert curve of their envelope centers,
-// making survivors of small-window queries contiguous in memory; pass
-// false only to A/B the layout (the bench harness does).
+// rest of the planner). Each partition's columns are ordered along a
+// Hilbert curve of the envelope centers, making survivors of
+// small-window queries contiguous in memory.
 //
 // Like Cache, the sidecar describes the dataset at this point in the
 // chain: pending filters are folded first, and later transformations
 // return fresh datasets without a sidecar. For mutable datasets build
 // it per snapshot — each generation is a new Dataset (the server
 // catalog does this lazily per generation).
-func (d *Dataset[V]) ColumnarLayout(hilbertSort bool) *Dataset[V] {
+func (d *Dataset[V]) Columnar() *Dataset[V] {
 	return d.chain("columnar", func(st state[V]) (state[V], error) {
 		st, err := st.flush()
 		if err != nil {
 			return state[V]{}, err
 		}
-		if err := st.sds.BuildColumnar(hilbertSort); err != nil {
+		if err := st.sds.BuildColumnar(); err != nil {
 			return state[V]{}, err
 		}
 		return st, nil

@@ -21,8 +21,8 @@
 // three call paths: Index(stark.NoIndexing) scans,
 // Index(stark.Live(order)) builds transient per-partition R-trees on
 // every query, Index(stark.Persistent(order)) materialises them once
-// for reuse — and SaveIndex/LoadIndex round-trip them through the
-// simulated HDFS, reproducing the Figure-2 workflow.
+// for reuse — and SaveIndex/LoadIndex round-trip them through a
+// directory of checksummed files, reproducing the Figure-2 workflow.
 //
 // The user-facing vocabulary — STObject, Envelope, Interval, the
 // named predicates, partitioner recipes (Grid, BSP, Voronoi), joins
@@ -109,8 +109,7 @@
 // kernel sweep against the plain scan and any index and uses it only
 // when cheapest — Optimize(false) opts out — and EXPLAIN shows the
 // path as a ColumnarScan leaf with actual kernel_batches and
-// kernel_survivors counts. ColumnarLayout(false) skips the Hilbert
-// sort (the layout bench's A/B knob), and Partitioner.HilbertOrdered
+// kernel_survivors counts. Partitioner.HilbertOrdered
 // renumbers any recipe's partitions along the same curve so
 // consecutive partition IDs are spatially adjacent. The kernels
 // implement the paper's combined predicate semantics exactly (a
@@ -203,7 +202,7 @@
 // fused scans with partitioner-extent pruning only, exactly the
 // pre-planner behaviour (the `optimizer` bench measures the gap).
 // Dataset.Stats exposes the collected summary; the web front end
-// serves the plan as JSON via POST /api/explain, and the Piglet
+// serves the plan as JSON via POST /api/v1/explain, and the Piglet
 // dialect gains an EXPLAIN statement whose output is pinned by
 // golden-file tests.
 //
@@ -240,9 +239,11 @@
 // dataset with any strategy hint and streams the pairs as they are
 // found; join results bypass the cache, since each request builds a
 // fresh join operator whose fingerprint could never repeat. cmd/starkd is the
-// executable; stark-bench's `service` experiment measures p50/p99
-// latency and hit rate through real HTTP, and its `join` experiment
-// sweeps strategy × layout × selectivity into BENCH_join.json.
+// executable; bench/e2e measures latency, throughput and hit rate
+// through real HTTP with every reply checked (BENCHMARK.json names the
+// metrics: go run ./bench/e2e -workload read_selective -seed 1), and
+// stark-bench's `join` experiment sweeps strategy × layout ×
+// selectivity into BENCH_join.json.
 //
 // # Mutable live datasets
 //
@@ -280,8 +281,10 @@
 // which includes one holding anything after its one JSON object,
 // rejects the whole batch), DELETE single records by ID, and read
 // generation-fresh statistics from the catalog endpoints. The
-// `mutation` bench experiment measures ingest throughput, the
-// ingest+query blend and batched deletes into BENCH_mutation.json.
+// ingest_then_query workload of bench/e2e measures a 100-upsert batch
+// and the first read of the generation it publishes (op.ingest_ms,
+// op.query_ms: go run ./bench/e2e -workload ingest_then_query -seed 1
+// -trace 1).
 //
 // # Durability
 //
@@ -310,9 +313,11 @@
 // table and fuzz target). The torn-write and bit-flip batteries
 // in internal/wal and internal/server cut the log at every byte
 // boundary and flip random bits; recovery must always come back with
-// exactly the acknowledged prefix. The `durability` bench experiment
-// prices the fsync per batch (WAL on vs off) and times replay vs
-// checkpoint recovery into BENCH_durability.json.
+// exactly the acknowledged prefix. The same bench/e2e workload runs on
+// a durable dataset: it prices the append and the fsync per batch
+// (wal.append_ms, wal.fsync_ms), times each checkpoint and ends with a
+// recovery that has to come back at the acknowledged generation
+// (server.recover_s).
 //
 // # Observability
 //
@@ -352,7 +357,6 @@
 //
 //   - internal/engine    — a Spark-core stand-in: partitioned, lazily
 //     evaluated datasets with a parallel task scheduler and shuffle;
-//   - internal/dfs       — a simulated HDFS block store;
 //   - internal/geom      — the JTS-subset geometry kernel (WKT,
 //     predicates, distances);
 //   - internal/temporal  — instants, intervals and temporal predicates;
@@ -394,7 +398,8 @@
 //     result cache, admission control, NDJSON streaming, telemetry)
 //     and the demo web front end;
 //   - internal/bench     — the experiment harness regenerating the
-//     paper's evaluation.
+//     paper's evaluation (Figure 4, E1–E6, the join and planner
+//     sweeps); the service itself is measured by bench/e2e.
 //
 // See README.md for the DSL tour and the Scala-vs-Go comparison, and
 // the examples/ directory for complete programs.

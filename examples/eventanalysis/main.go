@@ -3,17 +3,20 @@
 // Wikipedia event data — written against the public fluent DSL.
 //
 // The pipeline:
-//  1. load raw events from the simulated HDFS (CSV, paper schema),
+//  1. load raw events from a CSV file (paper schema),
 //  2. spatially partition them with the cost-based BSP partitioner,
 //  3. join them with a set of "regions of interest" (intersects),
 //  4. aggregate matches per region and per category,
-//  5. store a report back to the DFS.
+//  5. store a report next to the raw data.
 package main
 
 import (
 	"fmt"
 	"log"
+	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 
 	"stark"
 	"stark/internal/workload"
@@ -21,20 +24,25 @@ import (
 
 func main() {
 	ctx := stark.NewContext(0)
-	fs := stark.NewDFS(0, 0)
+	dir, err := os.MkdirTemp("", "eventanalysis-")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
 
-	// Stage the raw data in the DFS, as the paper's workflow does.
+	// Stage the raw data as a file, as the paper's workflow does on HDFS.
+	rawPath := filepath.Join(dir, "data", "events.csv")
 	raw := workload.Events(workload.Config{
 		N: 50_000, Seed: 21, Dist: workload.Skewed,
 		Width: 1000, Height: 1000, TimeRange: 1_000_000,
 	})
-	if err := workload.WriteEventsCSV(fs, "/data/events.csv", raw); err != nil {
+	if err := workload.WriteEventsCSV(rawPath, raw); err != nil {
 		log.Fatal(err)
 	}
 
 	// Load, key by STObject, and spatially partition with BSP (the
 	// skew-robust partitioner) in one chain.
-	loaded, err := workload.ReadEventsCSV(fs, "/data/events.csv")
+	loaded, err := workload.ReadEventsCSV(rawPath)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -106,9 +114,9 @@ func main() {
 		fmt.Printf("  %-10s %6d\n", c, perCategory[c])
 		lines = append(lines, fmt.Sprintf("%s,%d", c, perCategory[c]))
 	}
-	if err := fs.WriteLines("/out/category_report.csv", lines); err != nil {
+	report := strings.Join(lines, "\n") + "\n"
+	if err := os.WriteFile(filepath.Join(dir, "category_report.csv"), []byte(report), 0o644); err != nil {
 		log.Fatal(err)
 	}
-	size, _ := fs.Size("/out/category_report.csv")
-	fmt.Printf("stored /out/category_report.csv (%d bytes)\n", size)
+	fmt.Printf("stored category_report.csv (%d bytes)\n", len(report))
 }

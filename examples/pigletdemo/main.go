@@ -7,6 +7,8 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
+	"path/filepath"
 
 	"stark"
 	"stark/internal/piglet"
@@ -41,16 +43,21 @@ STORE window INTO 'out/window.csv';
 `
 
 func main() {
-	fs := stark.NewDFS(0, 0)
+	// LOAD and STORE paths resolve under this directory.
+	root, err := os.MkdirTemp("", "pigletdemo-")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(root)
 	events := workload.Events(workload.Config{
 		N: 20_000, Seed: 99, Dist: workload.Skewed,
 		Width: 1000, Height: 1000, TimeRange: 1_000_000,
 	})
-	if err := workload.WriteEventsCSV(fs, "data/events.csv", events); err != nil {
+	if err := workload.WriteEventsCSV(filepath.Join(root, "data", "events.csv"), events); err != nil {
 		log.Fatal(err)
 	}
 
-	out, err := piglet.Run(script, &piglet.Env{Ctx: stark.NewContext(0), FS: fs})
+	out, err := piglet.Run(script, &piglet.Env{Ctx: stark.NewContext(0), Root: root})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,8 +65,12 @@ func main() {
 		fmt.Println(line)
 	}
 	for _, path := range out.Stored {
-		size, _ := fs.Size(path)
-		fmt.Printf("stored %s (%d bytes)\n", path, size)
+		info, err := os.Stat(filepath.Join(root, path))
+		if err != nil {
+			log.Print(err)
+			continue
+		}
+		fmt.Printf("stored %s (%d bytes)\n", path, info.Size())
 	}
 	fmt.Printf("pipeline relations: %d\n", len(out.Relations))
 }

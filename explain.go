@@ -39,7 +39,7 @@ type DatasetStats = stats.Summary
 type PartitionStats = stats.PartitionStats
 
 // PlanNode is one operator of an EXPLAIN tree (see Dataset.Explain
-// and the server's /api/explain endpoint).
+// and the server's /api/v1/explain endpoint).
 type PlanNode = plan.Node
 
 // compiled is the executable form of a resolved chain: the lazy engine
@@ -258,7 +258,7 @@ func compile[V any](rec *engine.Recorder, st state[V]) (compiled[V], error) {
 		for i, pi := range dec.Order {
 			kps[i] = kernelPred(spatial[pi])
 		}
-		return kps, plan.ColumnarScanNode(st.sds.NumPartitions(), dec.InputRows, st.sds.ColumnarHilbert(), st.base)
+		return kps, plan.ColumnarScanNode(st.sds.NumPartitions(), dec.InputRows, st.base)
 	}
 
 	switch {
@@ -413,7 +413,7 @@ func (d *Dataset[V]) Explain() (string, error) {
 }
 
 // ExplainNode is Explain returning the plan tree itself (the
-// /api/explain endpoint serialises it as JSON).
+// /api/v1/explain endpoint serialises it as JSON).
 func (d *Dataset[V]) ExplainNode() (*PlanNode, error) {
 	c, err := d.compiled()
 	if err != nil {

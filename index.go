@@ -2,7 +2,7 @@ package stark
 
 // This file unifies the paper's three indexing modes — none, live,
 // persistent — behind one IndexMode configuration consumed by
-// Dataset.Index, plus the DFS round trip for persisted indexes.
+// Dataset.Index, plus the file round trip for persisted indexes.
 
 import (
 	"fmt"
@@ -39,8 +39,8 @@ func Live(order int) IndexMode { return IndexMode{kind: modeLive, order: normOrd
 
 // Persistent returns the persistent indexing mode: per-partition
 // R-trees of the given order are built once, kept in memory, and
-// reused by every subsequent query; SaveIndex can write them to a DFS
-// for reuse by later programs. order <= 0 selects the default order.
+// reused by every subsequent query; SaveIndex can write them to a
+// directory for reuse by later programs. order <= 0 selects the default order.
 func Persistent(order int) IndexMode { return IndexMode{kind: modePersistent, order: normOrder(order)} }
 
 func normOrder(order int) int {
@@ -69,13 +69,13 @@ func (m IndexMode) validate() error {
 	return nil
 }
 
-// SaveIndex writes the materialised partition trees to the DFS under
-// pathPrefix ("<prefix>/part-<i>.idx") — the persistent half of the
-// paper's Figure-2 workflow. The dataset must have an index
-// configured (Live or Persistent); the data itself is not written,
-// only the trees, so re-attaching via LoadIndex requires the same
-// data partitioned the same way.
-func (d *Dataset[V]) SaveIndex(fs *DFS, pathPrefix string) error {
+// SaveIndex writes the materialised partition trees into dir
+// ("<dir>/part-<i>.idx", each file checksummed and atomically
+// replaced) — the persistent half of the paper's Figure-2 workflow.
+// The dataset must have an index configured (Live or Persistent); the
+// data itself is not written, only the trees, so re-attaching via
+// LoadIndex requires the same data partitioned the same way.
+func (d *Dataset[V]) SaveIndex(dir string) error {
 	st, err := d.forceFlushed()
 	if err != nil {
 		return err
@@ -83,7 +83,7 @@ func (d *Dataset[V]) SaveIndex(fs *DFS, pathPrefix string) error {
 	if st.idx == nil {
 		return fmt.Errorf("stark: saveIndex: no index configured; call Index(Live(n)) or Index(Persistent(n)) first")
 	}
-	if err := st.idx.Persist(fs, pathPrefix); err != nil {
+	if err := st.idx.Persist(dir); err != nil {
 		return fmt.Errorf("stark: saveIndex: %w", err)
 	}
 	return nil
@@ -93,14 +93,15 @@ func (d *Dataset[V]) SaveIndex(fs *DFS, pathPrefix string) error {
 // the same partition layout, skipping the index build. The returned
 // dataset behaves as if Index(Persistent(order)) had run, with the
 // persisted order. Like every transformation the load is deferred:
-// errors (missing files, partition mismatch) surface at the action.
-func LoadIndex[V any](d *Dataset[V], fs *DFS, pathPrefix string) *Dataset[V] {
+// errors (a missing or corrupt file, partition mismatch) surface at
+// the action.
+func LoadIndex[V any](d *Dataset[V], dir string) *Dataset[V] {
 	return d.chain("loadIndex", func(st state[V]) (state[V], error) {
 		st, err := st.flush()
 		if err != nil {
 			return state[V]{}, err
 		}
-		idx, err := core.LoadIndex(st.sds, fs, pathPrefix)
+		idx, err := core.LoadIndex(st.sds, dir)
 		if err != nil {
 			return state[V]{}, err
 		}

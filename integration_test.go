@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"sort"
 	"testing"
 
@@ -21,23 +22,25 @@ import (
 )
 
 // TestFigure2Workflow walks the paper's internal workflow end to end:
-// raw data on (simulated) HDFS → load → spatial partitioning →
-// persistent indexing → store index to HDFS → reuse in a "second
-// program" → query with partition pruning — all through the DSL.
+// raw data in a file → load → spatial partitioning → persistent
+// indexing → store the index as a directory of files → reuse in a
+// "second program" → query with partition pruning — all through the DSL.
 func TestFigure2Workflow(t *testing.T) {
 	ctx := stark.NewContext(4)
-	fs := stark.NewDFS(0, 0)
+	dir := t.TempDir()
+	rawPath := filepath.Join(dir, "raw", "events.csv")
+	indexDir := filepath.Join(dir, "indexes", "events")
 
-	// Raw data lands on the DFS.
+	// Raw data lands in a file.
 	raw := workload.Events(workload.Config{
 		N: 5_000, Seed: 3, Dist: workload.Skewed, Width: 1000, Height: 1000, TimeRange: 1000,
 	})
-	if err := workload.WriteEventsCSV(fs, "/raw/events.csv", raw); err != nil {
+	if err := workload.WriteEventsCSV(rawPath, raw); err != nil {
 		t.Fatal(err)
 	}
 
 	// Program 1: load, partition, index, persist, and already query.
-	loaded, err := workload.ReadEventsCSV(fs, "/raw/events.csv")
+	loaded, err := workload.ReadEventsCSV(rawPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +50,7 @@ func TestFigure2Workflow(t *testing.T) {
 	}
 	parted := stark.Parallelize(ctx, tuples, 4).PartitionBy(stark.BSP(500))
 	idx := parted.Index(stark.Persistent(8))
-	if err := idx.SaveIndex(fs, "/indexes/events"); err != nil {
+	if err := idx.SaveIndex(indexDir); err != nil {
 		t.Fatal(err)
 	}
 	q := stark.NewSTObjectWithInterval(
@@ -58,8 +61,8 @@ func TestFigure2Workflow(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Program 2: same data and partitioning, index loaded from DFS.
-	hits2, err := stark.LoadIndex(parted, fs, "/indexes/events").ContainedBy(q).Collect()
+	// Program 2: same data and partitioning, index loaded from the files.
+	hits2, err := stark.LoadIndex(parted, indexDir).ContainedBy(q).Collect()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,18 +148,18 @@ func TestFigure4ResultAgreement(t *testing.T) {
 // TestPigletPipelineAgainstAPI cross-checks a Piglet filter against
 // the same query through the public DSL.
 func TestPigletPipelineAgainstAPI(t *testing.T) {
-	fs := stark.NewDFS(0, 0)
+	root := t.TempDir()
 	events := workload.Events(workload.Config{
 		N: 2_000, Seed: 8, Width: 1000, Height: 1000, TimeRange: 1000,
 	})
-	if err := workload.WriteEventsCSV(fs, "data/events.csv", events); err != nil {
+	if err := workload.WriteEventsCSV(filepath.Join(root, "data", "events.csv"), events); err != nil {
 		t.Fatal(err)
 	}
 	ctx := stark.NewContext(4)
 	out, err := piglet.Run(`
 e = LOAD 'data/events.csv';
 w = FILTER e BY CONTAINEDBY('POLYGON ((100 100, 500 100, 500 500, 100 500, 100 100))', 200, 800);
-`, &piglet.Env{Ctx: ctx, FS: fs})
+`, &piglet.Env{Ctx: ctx, Root: root})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,15 +197,22 @@ func TestServerAgainstAPI(t *testing.T) {
 		HasTime:   true, Begin: 0, End: 1000,
 	})
 	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/query", bytes.NewReader(body)))
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/query", bytes.NewReader(body)))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
+	// NDJSON: one feature per line, then the summary line.
+	lines := bytes.Split(bytes.TrimSpace(rec.Body.Bytes()), []byte("\n"))
 	var resp struct {
-		Count int `json:"count"`
+		Summary struct {
+			Count int `json:"count"`
+		} `json:"summary"`
 	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+	if err := json.Unmarshal(lines[len(lines)-1], &resp); err != nil {
 		t.Fatal(err)
+	}
+	if resp.Summary.Count != len(lines)-1 {
+		t.Errorf("summary counts %d rows, reply carries %d lines", resp.Summary.Count, len(lines)-1)
 	}
 
 	tuples, _ := workload.EventTuples(events)
@@ -213,8 +223,8 @@ func TestServerAgainstAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Count != len(hits) {
-		t.Errorf("server %d vs API %d", resp.Count, len(hits))
+	if resp.Summary.Count != len(hits) {
+		t.Errorf("server %d vs API %d", resp.Summary.Count, len(hits))
 	}
 	if len(hits) == 0 {
 		t.Error("degenerate comparison")

@@ -13,15 +13,14 @@ package bench
 import (
 	"fmt"
 	"math"
+	"os"
 	"time"
 
 	"stark/internal/baselines"
 	"stark/internal/cluster"
 	"stark/internal/core"
-	"stark/internal/dfs"
 	"stark/internal/engine"
 	"stark/internal/geom"
-	"stark/internal/index"
 	"stark/internal/partition"
 	"stark/internal/stobject"
 	"stark/internal/temporal"
@@ -669,103 +668,11 @@ func JoinPredicates(cfg Config) ([]JoinPredicateRow, error) {
 	return rows, nil
 }
 
-// ---- E7: local index structure (R-tree vs grid) ----
-
-// LocalIndexRow reports one index structure's build and query cost
-// over a partition-sized slice of data.
-type LocalIndexRow struct {
-	Structure string
-	Dist      string
-	BuildSecs float64
-	QuerySecs float64 // mean over the query batch
-	Results   int64
-}
-
-// LocalIndexes compares the STR R-tree against the fixed-grid spatial
-// hash as the partition-local index: build time plus a batch of range
-// queries, on uniform and skewed data. The R-tree pays sorting at
-// build time but stays robust under skew; the grid builds faster and
-// degrades when objects concentrate in few cells.
-func LocalIndexes(cfg Config) ([]LocalIndexRow, error) {
-	cfg = cfg.withDefaults()
-	var rows []LocalIndexRow
-	const queries = 200
-	for _, dist := range []workload.Distribution{workload.Uniform, workload.Skewed} {
-		wc := workload.Config{N: cfg.N, Seed: cfg.Seed, Dist: dist, Width: 1000, Height: 1000}
-		if dist == workload.Skewed {
-			wc.Clusters = 5
-			wc.Spread = 6
-		}
-		pts := workload.Points(wc)
-		envs := make([]geom.Envelope, len(pts))
-		for i, p := range pts {
-			envs[i] = p.Envelope()
-		}
-		queryBoxes := make([]geom.Envelope, queries)
-		for i := range queryBoxes {
-			// Centre queries on data points so skewed runs hit data.
-			c := pts[(i*7919)%len(pts)]
-			queryBoxes[i] = geom.NewEnvelope(c.X-10, c.Y-10, c.X+10, c.Y+10)
-		}
-
-		var rtree *index.RTree
-		buildDur, err := timed(func() error {
-			rtree = index.BuildFromEnvelopes(16, envs)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		var total int64
-		queryDur, err := timed(func() error {
-			var buf []int32
-			for _, q := range queryBoxes {
-				buf = rtree.Query(q, buf[:0])
-				total += int64(len(buf))
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, LocalIndexRow{
-			Structure: "rtree", Dist: dist.String(),
-			BuildSecs: buildDur.Seconds(), QuerySecs: queryDur.Seconds() / queries, Results: total,
-		})
-
-		var grid *index.GridIndex
-		buildDur, err = timed(func() error {
-			grid = index.BuildGridFromEnvelopes(0, envs)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		total = 0
-		queryDur, err = timed(func() error {
-			var buf []int32
-			for _, q := range queryBoxes {
-				buf = grid.Query(q, buf[:0])
-				total += int64(len(buf))
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, LocalIndexRow{
-			Structure: "grid", Dist: dist.String(),
-			BuildSecs: buildDur.Seconds(), QuerySecs: queryDur.Seconds() / queries, Results: total,
-		})
-	}
-	return rows, nil
-}
-
 // ---- persistence round trip used by the indexing experiment CLI ----
 
 // PersistIndexRoundTrip builds, persists, reloads and queries an
-// index through the simulated DFS, returning build and reload times —
-// the measurement behind the persistent-indexing discussion.
+// index through a temporary directory, returning build and reload
+// times — the measurement behind the persistent-indexing discussion.
 func PersistIndexRoundTrip(cfg Config) (build, reload time.Duration, err error) {
 	cfg = cfg.withDefaults()
 	ctx := engine.NewContext(cfg.Parallelism)
@@ -777,7 +684,11 @@ func PersistIndexRoundTrip(cfg Config) (build, reload time.Duration, err error) 
 	if _, err := ds.Count(); err != nil {
 		return 0, 0, err
 	}
-	fs := dfs.New(1<<20, 1)
+	dir, err := os.MkdirTemp("", "stark-bench-persist-")
+	if err != nil {
+		return 0, 0, err
+	}
+	defer os.RemoveAll(dir)
 	var idx *core.IndexedDataset[int]
 	build, err = timed(func() error {
 		var err error
@@ -785,13 +696,13 @@ func PersistIndexRoundTrip(cfg Config) (build, reload time.Duration, err error) 
 		if err != nil {
 			return err
 		}
-		return idx.Persist(fs, "/indexes/bench")
+		return idx.Persist(dir)
 	})
 	if err != nil {
 		return 0, 0, err
 	}
 	reload, err = timed(func() error {
-		loaded, err := core.LoadIndex(ds, fs, "/indexes/bench")
+		loaded, err := core.LoadIndex(ds, dir)
 		if err != nil {
 			return err
 		}

@@ -160,30 +160,6 @@ func TestJoinPredicatesAblation(t *testing.T) {
 	}
 }
 
-func TestLocalIndexesAblation(t *testing.T) {
-	rows, err := LocalIndexes(smallCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 { // 2 structures × 2 distributions
-		t.Fatalf("rows = %d", len(rows))
-	}
-	// Both structures return the same candidate totals per
-	// distribution (they answer the same envelope queries).
-	byDist := map[string]map[string]int64{}
-	for _, r := range rows {
-		if byDist[r.Dist] == nil {
-			byDist[r.Dist] = map[string]int64{}
-		}
-		byDist[r.Dist][r.Structure] = r.Results
-	}
-	for dist, m := range byDist {
-		if m["rtree"] != m["grid"] {
-			t.Errorf("%s: rtree %d vs grid %d results", dist, m["rtree"], m["grid"])
-		}
-	}
-}
-
 func TestPersistIndexRoundTrip(t *testing.T) {
 	build, reload, err := PersistIndexRoundTrip(smallCfg())
 	if err != nil {

@@ -8,8 +8,8 @@ import (
 )
 
 // This file wires the colstore sidecar into the scan path. BuildColumnar
-// extracts per-partition SoA envelope/interval columns (optionally
-// Hilbert-sorting each partition's columns) and keeps the permutation
+// extracts per-partition SoA envelope/interval columns, Hilbert-sorts
+// each partition's columns, and keeps the permutation
 // that leads from a column row back to the dataset's own row;
 // ColumnarFilter then streams a conjunctive predicate chain as a
 // coarse batched kernel sweep per partition followed by exact
@@ -19,9 +19,9 @@ import (
 
 // kernelRows addresses one partition's rows in kernel row order without
 // holding a copy of them: rows is the dataset's own partition slice
-// (read-only), and perm, when the columns are Hilbert-sorted, maps a
-// kernel row to its position in that slice. A nil perm means kernel
-// order is slice order.
+// (read-only), and perm maps a Hilbert-sorted kernel row to its position
+// in that slice. A nil perm (postings built without a columnar sidecar)
+// means kernel order is slice order.
 type kernelRows[V any] struct {
 	rows []Tuple[V]
 	perm []int32
@@ -38,29 +38,28 @@ func (k kernelRows[V]) at(i int) *Tuple[V] {
 // columnarSidecar holds the per-partition columns plus the rows they
 // index: 48 B of columns and 4 B of permutation per row, no row copy.
 type columnarSidecar[V any] struct {
-	parts   []*colstore.Partition
-	rows    []kernelRows[V]
-	hilbert bool
+	parts []*colstore.Partition
+	rows  []kernelRows[V]
 }
 
 // BuildColumnar materialises the columnar sidecar: one streaming pass
-// over every partition extracting envelope and interval columns, with
-// hilbert selecting the per-partition Hilbert row sort. Building is
-// memoised per dataset instance (a second call with the same hilbert
-// flag is a no-op; changing the flag rebuilds). The pass runs one task
-// per partition through the engine's pool and charges the rows it
-// reads to StatsRecords — it is a statistics-like auxiliary pass, not
-// a query.
-func (s *SpatialDataset[V]) BuildColumnar(hilbert bool) error {
-	if side := s.columnar(); side != nil && side.hilbert == hilbert {
+// over every partition extracting envelope and interval columns, each
+// partition's columns sorted along a Hilbert curve of the envelope
+// centres so the survivors of a small window are contiguous. Building
+// is memoised per dataset instance: a sidecar, once built, is never
+// replaced, so postings built over its row order stay aligned with it.
+// The pass runs one task per partition through the engine's pool and
+// charges the rows it reads to StatsRecords — it is a statistics-like
+// auxiliary pass, not a query.
+func (s *SpatialDataset[V]) BuildColumnar() error {
+	if s.HasColumnar() {
 		return nil
 	}
 
 	n := s.ds.NumPartitions()
 	side := &columnarSidecar[V]{
-		parts:   make([]*colstore.Partition, n),
-		rows:    make([]kernelRows[V], n),
-		hilbert: hilbert,
+		parts: make([]*colstore.Partition, n),
+		rows:  make([]kernelRows[V], n),
 	}
 	metrics := s.Context().Metrics()
 	err := s.Context().RunJob(engine.AllPartitions(n), func(p int) error {
@@ -75,7 +74,7 @@ func (s *SpatialDataset[V]) BuildColumnar(hilbert bool) error {
 			iv, timed := rows[i].Key.Time()
 			b.Add(rows[i].Key.Envelope(), int64(iv.Start), int64(iv.End), timed)
 		}
-		cols, perm := b.Finish(hilbert)
+		cols, perm := b.Finish(true)
 		side.parts[p] = cols
 		side.rows[p] = kernelRows[V]{rows: rows, perm: perm}
 		metrics.StatsRecords.Add(int64(len(rows)))
@@ -99,12 +98,6 @@ func (s *SpatialDataset[V]) columnar() *columnarSidecar[V] {
 
 // HasColumnar reports whether the sidecar is built.
 func (s *SpatialDataset[V]) HasColumnar() bool { return s.columnar() != nil }
-
-// ColumnarHilbert reports whether the sidecar rows are Hilbert-sorted.
-func (s *SpatialDataset[V]) ColumnarHilbert() bool {
-	side := s.columnar()
-	return side != nil && side.hilbert
-}
 
 // KernelPred is one predicate of a conjunctive chain in the form the
 // columnar scan needs: the compiled coarse kernel query plus the exact

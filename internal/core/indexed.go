@@ -2,8 +2,9 @@ package core
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 
-	"stark/internal/dfs"
 	"stark/internal/engine"
 	"stark/internal/geom"
 	"stark/internal/index"
@@ -20,7 +21,7 @@ import (
 //     with the exact spatio-temporal predicate;
 //   - persistent indexing (index method in the DSL): the per-partition
 //     trees are materialised so they are built at most once, and can
-//     be saved to the simulated HDFS and re-attached in later runs.
+//     be saved to a directory of files and re-attached in later runs.
 
 // IndexedPartition is one partition of an IndexedDataset: the records
 // plus an R-tree over their envelopes (entry ID = slice position). A
@@ -208,18 +209,26 @@ func (s *IndexedDataset[V]) Count() (int64, error) {
 		func(a, b int64) int64 { return a + b })
 }
 
-// Persist writes every partition tree to the file system under
-// pathPrefix ("<prefix>/part-<i>.idx"), replacing previous files —
-// Spark's saveAsObjectFile analogue for STARK's persistent indexing.
-// Only the trees (envelopes + slot IDs) are persisted; re-attaching
-// requires the same data partitioned the same way, see LoadIndex.
-func (s *IndexedDataset[V]) Persist(fs *dfs.FileSystem, pathPrefix string) error {
+// indexFile names partition i's tree inside a persisted index directory.
+func indexFile(dir string, i int) string {
+	return filepath.Join(dir, fmt.Sprintf("part-%d.idx", i))
+}
+
+// Persist writes every partition tree into dir ("<dir>/part-<i>.idx",
+// created if absent), atomically replacing previous files — Spark's
+// saveAsObjectFile analogue for STARK's persistent indexing. Only the
+// trees (envelopes + slot IDs) are persisted; re-attaching requires
+// the same data partitioned the same way, see LoadIndex.
+func (s *IndexedDataset[V]) Persist(dir string) error {
 	parts, err := s.parts.Collect()
 	if err != nil {
 		return err
 	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("core: persisting index: %w", err)
+	}
 	for i, ip := range parts {
-		if err := ip.Tree.Save(fs, fmt.Sprintf("%s/part-%d.idx", pathPrefix, i)); err != nil {
+		if err := ip.Tree.SaveFile(indexFile(dir, i)); err != nil {
 			return err
 		}
 	}
@@ -229,7 +238,7 @@ func (s *IndexedDataset[V]) Persist(fs *dfs.FileSystem, pathPrefix string) error
 // LoadIndex re-attaches trees persisted with Persist to a dataset
 // with the same partition layout, skipping the R-tree build. It
 // validates that entry counts match the partition sizes.
-func LoadIndex[V any](s *SpatialDataset[V], fs *dfs.FileSystem, pathPrefix string) (*IndexedDataset[V], error) {
+func LoadIndex[V any](s *SpatialDataset[V], dir string) (*IndexedDataset[V], error) {
 	n := s.ds.NumPartitions()
 	trees := make([]*index.RTree, n)
 	loadTasks := make([]int, n)
@@ -237,7 +246,7 @@ func LoadIndex[V any](s *SpatialDataset[V], fs *dfs.FileSystem, pathPrefix strin
 		loadTasks[i] = i
 	}
 	err := s.Context().RunJob(loadTasks, func(i int) error {
-		t, err := index.Load(fs, fmt.Sprintf("%s/part-%d.idx", pathPrefix, i))
+		t, err := index.LoadFile(indexFile(dir, i))
 		if err != nil {
 			return fmt.Errorf("core: loading index partition %d: %w", i, err)
 		}

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
-	"stark/internal/dfs"
 	"stark/internal/engine"
 	"stark/internal/geom"
 	"stark/internal/partition"
@@ -120,16 +122,24 @@ func TestPersistentIndexRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := dfs.New(0, 0)
-	if err := idx.Persist(fs, "/indexes/events"); err != nil {
+	dir := filepath.Join(t.TempDir(), "indexes", "events")
+	if err := idx.Persist(dir); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(fs.List("/indexes/events")); got != 4 {
-		t.Fatalf("persisted %d files, want 4", got)
+	// Persisting again replaces the files and leaves no temporaries.
+	if err := idx.Persist(dir); err != nil {
+		t.Fatal(err)
+	}
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 4 {
+		t.Fatalf("persisted %d files, want 4", len(files))
 	}
 	// "Another program": same data, same partitioning, load the index
 	// instead of rebuilding.
-	loaded, err := LoadIndex(ps, fs, "/indexes/events")
+	loaded, err := LoadIndex(ps, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,18 +164,26 @@ func TestLoadIndexValidatesLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := dfs.New(0, 0)
-	if err := idx.Persist(fs, "/idx"); err != nil {
+	dir := t.TempDir()
+	if err := idx.Persist(dir); err != nil {
 		t.Fatal(err)
 	}
 	// Different dataset (different sizes) must be rejected.
 	other, _ := makeDataset(t, ctx, 60, 2, 25)
-	if _, err := LoadIndex(other, fs, "/idx"); err == nil {
+	if _, err := LoadIndex(other, dir); err == nil {
 		t.Error("mismatched layout must fail")
 	}
 	// Missing files must be reported.
-	if _, err := LoadIndex(s, fs, "/nothing"); err == nil {
+	if _, err := LoadIndex(s, filepath.Join(dir, "nothing")); err == nil {
 		t.Error("missing index must fail")
+	}
+	// One partition's file gone: the error names the partition.
+	if err := os.Remove(filepath.Join(dir, "part-1.idx")); err != nil {
+		t.Fatal(err)
+	}
+	_, err = LoadIndex(s, dir)
+	if err == nil || !strings.Contains(err.Error(), "index partition 1") {
+		t.Errorf("directory missing part-1.idx: err = %v, want it to name partition 1", err)
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 // ±Inf-arithmetic accident (NaN from Inf-Inf) leaking into kernels.
 func TestEnvelopeDistanceTable(t *testing.T) {
 	empty := EmptyEnvelope()
-	point := Envelope{MinX: 3, MinY: 4, MaxX: 3, MaxY: 4}     // degenerate: a point
-	hline := Envelope{MinX: 0, MinY: 2, MaxX: 10, MaxY: 2}    // degenerate: zero height
+	point := Envelope{MinX: 3, MinY: 4, MaxX: 3, MaxY: 4}  // degenerate: a point
+	hline := Envelope{MinX: 0, MinY: 2, MaxX: 10, MaxY: 2} // degenerate: zero height
 	box := Envelope{MinX: 0, MinY: 0, MaxX: 10, MaxY: 10}
 	far := Envelope{MinX: 13, MinY: 14, MaxX: 20, MaxY: 20}
 

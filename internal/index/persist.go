@@ -6,28 +6,27 @@ import (
 	"math"
 	"os"
 
-	"stark/internal/dfs"
 	"stark/internal/geom"
 	"stark/internal/wal"
 )
 
 // This file implements persistent indexing: STARK's index() mode
-// serialises the per-partition R-trees to HDFS so subsequent programs
+// serialises the per-partition R-trees to files so subsequent programs
 // can reuse them without rebuilding. The format is a compact custom
 // binary layout (magic, order, entry table); the tree structure is
 // reconstructed by re-packing on load, which is deterministic for STR
 // and avoids persisting pointers.
 //
-// Format v2 appends a CRC32C footer over everything before it, so a
+// Format v2 ends in a CRC32C footer over everything before it, so a
 // persisted index that rotted on disk — any flipped byte past the
 // magic/version header — is rejected at load instead of deserialising
-// into garbage envelopes that would then be served silently. v1 files
-// (no footer) remain readable.
+// into garbage envelopes that would then be served silently. No v1
+// file (no footer) was ever written outside a process's memory, so
+// there is no v1 reader.
 
 const (
-	persistMagic     = uint32(0x5354524B) // "STRK"
-	persistVersionV1 = uint16(1)
-	persistVersion   = uint16(2)
+	persistMagic   = uint32(0x5354524B) // "STRK"
+	persistVersion = uint16(2)
 
 	// persistHeaderSize is magic + version + order + count.
 	persistHeaderSize = 4 + 2 + 2 + 4
@@ -58,11 +57,10 @@ func (t *RTree) Marshal() ([]byte, error) {
 }
 
 // Unmarshal reconstructs a tree from Marshal output and builds it.
-// v2 input is verified against its CRC32C footer before any entry is
-// decoded; v1 input (no footer) is still accepted. In both formats
-// the entry count from the header is validated against the bytes
-// actually present before any allocation, so a truncated or corrupt
-// file can never demand memory it does not carry.
+// The input is verified against its CRC32C footer before any entry is
+// decoded, and the entry count from the header is validated against
+// the bytes actually present before any allocation, so a truncated or
+// corrupt file can never demand memory it does not carry.
 func Unmarshal(data []byte) (*RTree, error) {
 	if len(data) < persistHeaderSize {
 		return nil, fmt.Errorf("index: %d bytes is shorter than the header", len(data))
@@ -75,24 +73,19 @@ func Unmarshal(data []byte) (*RTree, error) {
 	order := binary.LittleEndian.Uint16(data[6:8])
 	count := binary.LittleEndian.Uint32(data[8:12])
 
-	body := data[persistHeaderSize:]
-	switch version {
-	case persistVersionV1:
-		// No footer; the entry table must account for the remainder
-		// exactly.
-	case persistVersion:
-		if len(body) < persistFooterSize {
-			return nil, fmt.Errorf("index: v2 file is missing its checksum footer")
-		}
-		payload := data[:len(data)-persistFooterSize]
-		want := binary.LittleEndian.Uint32(data[len(data)-persistFooterSize:])
-		if got := wal.Checksum(payload); got != want {
-			return nil, fmt.Errorf("index: checksum mismatch (file %#x, computed %#x): persisted index is corrupt", want, got)
-		}
-		body = body[:len(body)-persistFooterSize]
-	default:
+	if version != persistVersion {
 		return nil, fmt.Errorf("index: unsupported version %d", version)
 	}
+	body := data[persistHeaderSize:]
+	if len(body) < persistFooterSize {
+		return nil, fmt.Errorf("index: v2 file is missing its checksum footer")
+	}
+	payload := data[:len(data)-persistFooterSize]
+	want := binary.LittleEndian.Uint32(data[len(data)-persistFooterSize:])
+	if got := wal.Checksum(payload); got != want {
+		return nil, fmt.Errorf("index: checksum mismatch (file %#x, computed %#x): persisted index is corrupt", want, got)
+	}
+	body = body[:len(body)-persistFooterSize]
 
 	// The count header is untrusted: it must match the remaining input
 	// length exactly (fixed-width entries) before the entry table is
@@ -123,30 +116,11 @@ func Unmarshal(data []byte) (*RTree, error) {
 	return t, nil
 }
 
-// Save writes the tree to path on the file system, replacing any
-// previous index at that path. The replace is atomic (dfs.Overwrite's
-// contract): a concurrent Load sees the old index or the new one,
-// never an absent or partial file.
-func (t *RTree) Save(fs *dfs.FileSystem, path string) error {
-	data, err := t.Marshal()
-	if err != nil {
-		return err
-	}
-	return fs.Overwrite(path, data)
-}
-
-// Load reads a tree persisted by Save.
-func Load(fs *dfs.FileSystem, path string) (*RTree, error) {
-	data, err := fs.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return Unmarshal(data)
-}
-
-// SaveFile writes the tree to an operating-system file with the
-// crash-safe write-temp + fsync + rename contract — the on-disk
-// counterpart of Save that checkpoint segments use.
+// SaveFile writes the tree to a file with the crash-safe write-temp +
+// fsync + rename contract, replacing any previous index at that path:
+// a concurrent LoadFile sees the old index or the new one, never an
+// absent or partial file. Persisted indexes and checkpoint segments
+// both go through it.
 func (t *RTree) SaveFile(path string) error {
 	data, err := t.Marshal()
 	if err != nil {

@@ -2,45 +2,29 @@ package index
 
 import (
 	"encoding/binary"
-	"math"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 
-	"stark/internal/geom"
+	"stark/internal/wal"
 )
 
-// marshalV1 renders a tree in the legacy v1 layout (no checksum
-// footer) so the compatibility path stays covered without keeping old
-// writer code around.
-func marshalV1(t *RTree) []byte {
-	buf := make([]byte, 0, persistHeaderSize+len(t.entries)*persistEntrySize)
-	buf = binary.LittleEndian.AppendUint32(buf, persistMagic)
-	buf = binary.LittleEndian.AppendUint16(buf, persistVersionV1)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(t.order))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(t.entries)))
-	for _, e := range t.entries {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(e.ID))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Env.MinX))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Env.MinY))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Env.MaxX))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Env.MaxY))
-	}
-	return buf
-}
-
-func TestUnmarshalReadsV1(t *testing.T) {
+// TestUnmarshalRejectsV1: format v1 (no checksum footer) was only ever
+// written into a process's memory, so a version-1 header is refused like
+// any other unknown version instead of being read unverified.
+func TestUnmarshalRejectsV1(t *testing.T) {
 	tr := BuildFromEnvelopes(6, randomEnvs(rand.New(rand.NewSource(11)), 64))
-	got, err := Unmarshal(marshalV1(tr))
+	data, err := tr.Marshal()
 	if err != nil {
-		t.Fatalf("v1 input rejected: %v", err)
+		t.Fatal(err)
 	}
-	if got.Order() != 6 || got.Len() != 64 {
-		t.Fatalf("order=%d len=%d, want 6/64", got.Order(), got.Len())
-	}
-	q := geom.NewEnvelope(0, 0, 1000, 1000)
-	if len(got.Query(q, nil)) != len(tr.Query(q, nil)) {
-		t.Fatal("v1 round trip lost entries")
+	// A v1 file is a v2 file without the footer and with version 1.
+	v1 := append([]byte(nil), data[:len(data)-persistFooterSize]...)
+	binary.LittleEndian.PutUint16(v1[4:6], 1)
+	_, err = Unmarshal(v1)
+	if err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("v1 input: err = %v, want unsupported version 1", err)
 	}
 }
 
@@ -78,21 +62,19 @@ func TestUnmarshalCountValidation(t *testing.T) {
 		if _, err := Unmarshal(mutated); err == nil {
 			t.Fatalf("count=%d accepted with only 8 entries of payload", count)
 		}
-		// The same header lie in a v1 file (no checksum to catch it
-		// first) must be caught by the length validation alone.
-		v1 := marshalV1(tr)
-		binary.LittleEndian.PutUint32(v1[8:12], count)
-		if _, err := Unmarshal(v1); err == nil {
-			t.Fatalf("v1 count=%d accepted with only 8 entries of payload", count)
+		// The same header lie under a matching checksum (an attacker's
+		// file, not a rotted one) must be caught by the length
+		// validation alone.
+		resealed := append([]byte(nil), mutated[:len(mutated)-persistFooterSize]...)
+		resealed = binary.LittleEndian.AppendUint32(resealed, wal.Checksum(resealed))
+		_, err := Unmarshal(resealed)
+		if err == nil || !strings.Contains(err.Error(), "header claims") {
+			t.Fatalf("resealed count=%d: err = %v, want the length validation to refuse it", count, err)
 		}
 	}
-	// Truncation mid-entry must fail in both formats.
+	// Truncation mid-entry must fail.
 	if _, err := Unmarshal(data[:len(data)-persistFooterSize-7]); err == nil {
-		t.Fatal("truncated v2 entry table accepted")
-	}
-	v1 := marshalV1(tr)
-	if _, err := Unmarshal(v1[:len(v1)-7]); err == nil {
-		t.Fatal("truncated v1 entry table accepted")
+		t.Fatal("truncated entry table accepted")
 	}
 }
 

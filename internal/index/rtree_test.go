@@ -8,7 +8,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"stark/internal/dfs"
 	"stark/internal/geom"
 )
 
@@ -294,28 +293,6 @@ func TestUnmarshalErrors(t *testing.T) {
 	// Trailing garbage.
 	if _, err := Unmarshal(append(data, 0xFF)); err == nil {
 		t.Error("trailing bytes must fail")
-	}
-}
-
-func TestSaveLoadDFS(t *testing.T) {
-	fs := dfs.New(128, 1)
-	tr := BuildFromEnvelopes(5, randomEnvs(rand.New(rand.NewSource(7)), 100))
-	if err := tr.Save(fs, "/indexes/part-0.idx"); err != nil {
-		t.Fatal(err)
-	}
-	// Save twice: persistent indexes are replaced, not duplicated.
-	if err := tr.Save(fs, "/indexes/part-0.idx"); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(fs, "/indexes/part-0.idx")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Len() != 100 {
-		t.Errorf("len = %d", loaded.Len())
-	}
-	if _, err := Load(fs, "/missing"); err == nil {
-		t.Error("loading missing index must fail")
 	}
 }
 

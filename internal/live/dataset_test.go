@@ -90,11 +90,11 @@ func TestApplyRejectsBadBatchesAtomically(t *testing.T) {
 	}
 
 	bad := [][]Op[int]{
-		{Insert(2, pt(2, 2), 2), Insert(2, pt(3, 3), 3)},            // duplicate in batch
-		{Insert(5, pt(5, 5), 5), Insert(1, pt(1, 1), 1)},            // insert of existing
-		{Insert(6, stobject.STObject{}, 6)},                         // empty geometry
-		{Upsert(7, pt(7, 7), 7), {Kind: OpKind(9)}},                 // unknown kind
-		{Insert(8, pt(8, 8), 8), Delete[int](8)},                    // same id twice
+		{Insert(2, pt(2, 2), 2), Insert(2, pt(3, 3), 3)}, // duplicate in batch
+		{Insert(5, pt(5, 5), 5), Insert(1, pt(1, 1), 1)}, // insert of existing
+		{Insert(6, stobject.STObject{}, 6)},              // empty geometry
+		{Upsert(7, pt(7, 7), 7), {Kind: OpKind(9)}},      // unknown kind
+		{Insert(8, pt(8, 8), 8), Delete[int](8)},         // same id twice
 	}
 	for i, ops := range bad {
 		if _, err := d.Apply(ops); err == nil {

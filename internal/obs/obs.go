@@ -2,8 +2,8 @@
 // and log-bucketed latency histograms with quantile estimation, plus
 // a registry that renders everything in the Prometheus text
 // exposition format (version 0.0.4). The HTTP server mounts the
-// registry at GET /metrics; the bench harness scrapes it to report
-// server-observed latency quantiles next to client-observed ones.
+// registry at GET /metrics; bench/e2e scrapes it before and after a
+// run to report server-observed time next to client-observed time.
 //
 // Everything is safe for concurrent use. Hot-path cost is one atomic
 // add for counters and three for histograms — no locks, no maps.

@@ -51,7 +51,7 @@ func (Explain) stmt()  {}
 // Operator is the right-hand side of an assignment.
 type Operator interface{ op() }
 
-// Load reads an events CSV from the simulated HDFS.
+// Load reads an events CSV from a file under the environment's root.
 type Load struct {
 	Path string
 }

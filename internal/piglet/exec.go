@@ -2,6 +2,7 @@ package piglet
 
 import (
 	"fmt"
+	"path/filepath"
 	"sort"
 	"strings"
 
@@ -83,7 +84,9 @@ func (r *Relation) Rows() []stark.Tuple[Row] { return r.cell.rows }
 // Env is the execution environment of a script.
 type Env struct {
 	Ctx *stark.Context
-	FS  *stark.DFS
+	// Root is the directory LOAD and STORE paths resolve under. A
+	// script is outside input: a path that leaves Root is rejected.
+	Root string
 	// DefaultParallelism is the partition count for freshly loaded
 	// relations; 0 selects Ctx.Parallelism().
 	DefaultParallelism int
@@ -117,8 +120,8 @@ func Run(src string, env *Env) (*Output, error) {
 // script ends is materialised before returning, with errors
 // attributed to the statement that defined it.
 func Execute(stmts []Statement, env *Env) (*Output, error) {
-	if env == nil || env.Ctx == nil || env.FS == nil {
-		return nil, fmt.Errorf("piglet: Env needs Ctx and FS")
+	if env == nil || env.Ctx == nil || env.Root == "" {
+		return nil, fmt.Errorf("piglet: Env needs Ctx and Root")
 	}
 	ex := &executor{
 		env:  env,
@@ -261,13 +264,15 @@ func (ex *executor) exec(s Statement) error {
 		if err != nil {
 			return fmt.Errorf("piglet: line %d: %w", st.Line, err)
 		}
-		lines := make([]string, 0, len(rows)+1)
-		lines = append(lines, workload.EventsCSVHeader)
-		for _, kv := range rows {
-			e := kv.Value.Event
-			lines = append(lines, fmt.Sprintf("%d,%s,%d,%s", e.ID, e.Category, e.Time, e.WKT))
+		path, err := ex.resolve(st.Path, st.Line)
+		if err != nil {
+			return err
 		}
-		if err := ex.env.FS.Overwrite(st.Path, []byte(strings.Join(lines, "\n")+"\n")); err != nil {
+		events := make([]workload.Event, len(rows))
+		for i, kv := range rows {
+			events[i] = kv.Value.Event
+		}
+		if err := workload.WriteEventsCSV(path, events); err != nil {
 			return fmt.Errorf("piglet: line %d: storing %q: %w", st.Line, st.Path, err)
 		}
 		ex.out.Stored = append(ex.out.Stored, st.Path)
@@ -275,6 +280,19 @@ func (ex *executor) exec(s Statement) error {
 	default:
 		return fmt.Errorf("piglet: unsupported statement %T", s)
 	}
+}
+
+// resolve maps a LOAD/STORE path to a file under the environment's
+// root. One leading slash is dropped ('/data/x.csv' and 'data/x.csv'
+// name the same file); what remains must be local to the root, so
+// '../x', '/../x' and '//etc/passwd' are refused. The check is
+// lexical: symbolic links inside the root are the operator's own.
+func (ex *executor) resolve(path string, line int) (string, error) {
+	rel := strings.TrimPrefix(path, "/")
+	if !filepath.IsLocal(filepath.FromSlash(rel)) {
+		return "", fmt.Errorf("piglet: line %d: path %q leaves the script's root directory", line, path)
+	}
+	return filepath.Join(ex.env.Root, rel), nil
 }
 
 func formatRow(rel string, kv stark.Tuple[Row]) string {
@@ -295,7 +313,11 @@ func formatRow(rel string, kv stark.Tuple[Row]) string {
 func (ex *executor) evalOp(st Assign) (*Relation, error) {
 	switch op := st.Op.(type) {
 	case Load:
-		events, err := workload.ReadEventsCSV(ex.env.FS, op.Path)
+		path, err := ex.resolve(op.Path, st.Line)
+		if err != nil {
+			return nil, err
+		}
+		events, err := workload.ReadEventsCSV(path)
 		if err != nil {
 			return nil, fmt.Errorf("piglet: line %d: %w", st.Line, err)
 		}

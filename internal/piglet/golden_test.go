@@ -16,7 +16,6 @@ import (
 	"strings"
 	"testing"
 
-	"stark/internal/dfs"
 	"stark/internal/engine"
 	"stark/internal/workload"
 )
@@ -133,7 +132,7 @@ func TestFilterErrorLine(t *testing.T) {
 // recompile from the bare kind would zero it, shrinking the join to
 // self pairs only).
 func TestJoinSwappedKeepsDistance(t *testing.T) {
-	fs := dfs.New(0, 0)
+	root := t.TempDir()
 	var evs []workload.Event
 	for i, x := range []float64{0, 1, 2, 3, 10, 20} {
 		evs = append(evs, workload.Event{
@@ -141,10 +140,10 @@ func TestJoinSwappedKeepsDistance(t *testing.T) {
 			WKT: fmt.Sprintf("POINT (%g 0)", x),
 		})
 	}
-	if err := workload.WriteEventsCSV(fs, "data/events.csv", evs); err != nil {
+	if err := workload.WriteEventsCSV(filepath.Join(root, "data", "events.csv"), evs); err != nil {
 		t.Fatal(err)
 	}
-	env := &Env{Ctx: engine.NewContext(2), FS: fs, DefaultParallelism: 2}
+	env := &Env{Ctx: engine.NewContext(2), Root: root, DefaultParallelism: 2}
 	out, err := Run(`
 e = LOAD 'data/events.csv';
 s = LIMIT e 3;

@@ -1,22 +1,23 @@
 package piglet
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
-	"stark/internal/dfs"
 	"stark/internal/engine"
 	"stark/internal/workload"
 )
 
 func testEnv(t *testing.T, n int) *Env {
 	t.Helper()
-	fs := dfs.New(0, 0)
+	root := t.TempDir()
 	events := workload.Events(workload.Config{N: n, Seed: 9, Width: 100, Height: 100, TimeRange: 1000})
-	if err := workload.WriteEventsCSV(fs, "data/events.csv", events); err != nil {
+	if err := workload.WriteEventsCSV(filepath.Join(root, "data", "events.csv"), events); err != nil {
 		t.Fatal(err)
 	}
-	return &Env{Ctx: engine.NewContext(4), FS: fs, DefaultParallelism: 4}
+	return &Env{Ctx: engine.NewContext(4), Root: root, DefaultParallelism: 4}
 }
 
 func TestLexerBasics(t *testing.T) {
@@ -136,7 +137,7 @@ STORE inside INTO 'out/inside.csv';
 		t.Errorf("stored = %v", out.Stored)
 	}
 	// Stored file is readable events CSV.
-	events, err := workload.ReadEventsCSV(env.FS, "out/inside.csv")
+	events, err := workload.ReadEventsCSV(filepath.Join(env.Root, "out", "inside.csv"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,6 +147,48 @@ STORE inside INTO 'out/inside.csv';
 	}
 	if len(inside.Rows()) == 0 || len(inside.Rows()) == 300 {
 		t.Errorf("filter did not select (got %d of 300)", len(inside.Rows()))
+	}
+}
+
+// TestPathsStayUnderRoot: a script is outside input, so LOAD and STORE
+// reach nothing outside the environment's root. One leading slash is
+// dropped; anything that still leaves the root fails with the line
+// number and writes nothing.
+func TestPathsStayUnderRoot(t *testing.T) {
+	env := testEnv(t, 20)
+	parent := filepath.Dir(env.Root)
+	for _, tc := range []struct{ name, script string }{
+		{"store dotdot", "e = LOAD 'data/events.csv';\nSTORE e INTO '../escape.csv';"},
+		{"store nested dotdot", "e = LOAD 'data/events.csv';\nSTORE e INTO 'out/../../escape.csv';"},
+		{"store absolute", "e = LOAD 'data/events.csv';\nSTORE e INTO '/" + parent + "/escape.csv';"},
+		{"load dotdot", "\ne = LOAD '/../x';"},
+		{"load empty", "\ne = LOAD '';"},
+	} {
+		_, err := Run(tc.script, env)
+		if err == nil || !strings.Contains(err.Error(), "line 2") || !strings.Contains(err.Error(), "root directory") {
+			t.Errorf("%s: err = %v, want a line-2 refusal naming the root directory", tc.name, err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(parent, "escape.csv")); !os.IsNotExist(err) {
+		t.Errorf("a refused STORE left %s/escape.csv behind (stat err = %v)", parent, err)
+	}
+	// A leading slash is the root itself, and STORE replaces.
+	for i := 0; i < 2; i++ {
+		out, err := Run("e = LOAD '/data/events.csv';\nSTORE e INTO '/out/all.csv';", env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out.Stored) != 1 || out.Stored[0] != "/out/all.csv" {
+			t.Errorf("stored = %v", out.Stored)
+		}
+	}
+	got, err := workload.ReadEventsCSV(filepath.Join(env.Root, "out", "all.csv"))
+	if err != nil || len(got) != 20 {
+		t.Errorf("stored file: %d events, err = %v; want 20", len(got), err)
+	}
+	left, err := os.ReadDir(filepath.Join(env.Root, "out"))
+	if err != nil || len(left) != 1 {
+		t.Errorf("out/ holds %d entries (err = %v), want the one replaced file", len(left), err)
 	}
 }
 

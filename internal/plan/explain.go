@@ -13,7 +13,7 @@ import (
 // Node is one operator of an EXPLAIN tree: the logical operation, the
 // planner's cost/cardinality estimates, the decisions taken, and —
 // after execution — actual figures harvested from the engine metrics.
-// Nodes marshal to JSON for the server's /api/explain endpoint.
+// Nodes marshal to JSON for the server's /api/v1/explain endpoint.
 type Node struct {
 	// Op is the logical operator: Scan, Filter, Join, KNN, Cluster,
 	// Partition, Index, Load, ...
@@ -269,10 +269,10 @@ func LiveScanNode(name string, gen uint64, partitions, order int, rows int64) *N
 // ColumnarScanNode builds the EXPLAIN leaf of a columnar-sidecar
 // scan: batched envelope/interval kernels over SoA columns, with the
 // actual kernel counters attached after execution.
-func ColumnarScanNode(partitions int, rows int64, hilbert bool, child *Node) *Node {
+func ColumnarScanNode(partitions int, rows int64, child *Node) *Node {
 	n := NewNode("ColumnarScan", fmt.Sprintf("partitions=%d rows=%d", partitions, rows))
 	n.EstRows = float64(rows)
-	n.Prop("layout=SoA envelope/interval columns, hilbert_sorted=%t", hilbert)
+	n.Prop("layout=SoA envelope/interval columns, hilbert_sorted=true")
 	return n.Add(child)
 }
 

@@ -724,4 +724,3 @@ func PlanJoinStrategy(in JoinPlanInput) JoinDecision {
 	}
 	return d
 }
-

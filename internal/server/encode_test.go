@@ -197,7 +197,7 @@ func BenchmarkAppendFeature(b *testing.B) {
 }
 
 // BenchmarkMarshalFeature is the map form the v1 path used for every
-// row, and the legacy handlers still use.
+// row, and the kNN and cluster handlers still use.
 func BenchmarkMarshalFeature(b *testing.B) {
 	rows := benchRows(b)
 	b.ReportAllocs()

@@ -299,7 +299,7 @@ func TestIngestInvalidatesResultCache(t *testing.T) {
 	run("miss", 41) // the old fingerprint died with its generation
 	run("hit", 41)
 
-	stats := s.CacheStats()
+	stats := s.cache.Stats()
 	if stats.Hits != 2 || stats.Misses != 2 {
 		t.Errorf("cache stats = %+v, want 2 hits / 2 misses", stats)
 	}

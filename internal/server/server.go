@@ -5,17 +5,16 @@
 // stream NDJSON straight off the engine's fused partition pipelines;
 // repeated queries are served from a plan-fingerprint result cache;
 // and an admission-controlled worker pool bounds concurrent engine
-// work so the service degrades gracefully under load. The original
-// demonstration endpoints (GeoJSON query, kNN, clustering, stats,
-// EXPLAIN) remain, operating on the catalog's "default" dataset, and
-// the embedded single-page UI mirrors the paper's query interface.
+// work so the service degrades gracefully under load. The embedded
+// single-page UI mirrors the paper's query interface: its filter and
+// EXPLAIN buttons call /api/v1, and the demonstration endpoints that
+// have no /api/v1 counterpart (kNN, clustering, stats) remain,
+// operating on the catalog's "default" dataset.
 package server
 
 import (
 	"encoding/json"
 	"fmt"
-	"io"
-	"log"
 	"log/slog"
 	"net/http"
 	"strings"
@@ -85,12 +84,10 @@ func NewService(ctx *stark.Context, opts Options) *Server {
 		adm:     NewAdmission(opts.MaxConcurrent, opts.QueueDepth, opts.QueueTimeout),
 		mux:     http.NewServeMux(),
 	}
-	s.mux.HandleFunc("/", s.handleIndex)
-	s.mux.HandleFunc("/api/query", s.handleQuery)
+	s.mux.HandleFunc("GET /{$}", s.handleIndex)
 	s.mux.HandleFunc("/api/knn", s.handleKNN)
 	s.mux.HandleFunc("/api/cluster", s.handleCluster)
 	s.mux.HandleFunc("/api/stats", s.handleStats)
-	s.mux.HandleFunc("/api/explain", s.handleExplain)
 	s.mux.HandleFunc("GET /api/datasets", s.handleDatasetsList)
 	s.mux.HandleFunc("POST /api/datasets", s.handleDatasetsRegister)
 	s.mux.HandleFunc("GET /api/datasets/{name}", s.handleDatasetGet)
@@ -112,10 +109,6 @@ func NewService(ctx *stark.Context, opts Options) *Server {
 	return s
 }
 
-// Telemetry exposes the service's metric registry — tests and the
-// bench harness read latency quantiles from it directly.
-func (s *Server) Telemetry() *Telemetry { return s.tel }
-
 // Register builds and publishes a dataset — the programmatic
 // counterpart of POST /api/datasets, used by cmd/starkd to preload.
 func (s *Server) Register(spec DatasetSpec) error {
@@ -129,13 +122,9 @@ func (s *Server) RegisterEvents(spec DatasetSpec, events []workload.Event) error
 	return s.catalog.RegisterEvents(s.ctx, spec, events)
 }
 
-// CacheStats returns a snapshot of the result cache counters — the
-// hook the service benchmark reads hit rates from.
-func (s *Server) CacheStats() CacheStats { return s.cache.Stats() }
-
 // New builds a service pre-loaded with the given events as the
 // "default" dataset — the single-dataset constructor the demo UI and
-// the legacy endpoints rely on.
+// the kNN, cluster and stats endpoints rely on.
 func New(ctx *stark.Context, events []workload.Event) (*Server, error) {
 	s := NewService(ctx, Options{})
 	if err := s.catalog.RegisterEvents(ctx, DatasetSpec{Name: DefaultDataset}, events); err != nil {
@@ -144,8 +133,8 @@ func New(ctx *stark.Context, events []workload.Event) (*Server, error) {
 	return s, nil
 }
 
-// defaultEntry resolves the legacy endpoints' dataset, writing a 404
-// when it has been dropped.
+// defaultEntry resolves the demonstration endpoints' dataset, writing
+// a 404 when it has been dropped.
 func (s *Server) defaultEntry(w http.ResponseWriter) (*catalogEntry, bool) {
 	return s.resolveDataset(w, DefaultDataset)
 }
@@ -242,11 +231,7 @@ func writeJSON(w http.ResponseWriter, v interface{}) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/" {
-		http.NotFound(w, r)
-		return
-	}
+func (s *Server) handleIndex(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	_, _ = w.Write([]byte(indexHTML))
 }
@@ -266,42 +251,13 @@ func queryObject(req QueryRequest) (stark.STObject, error) {
 	return stark.NewSTObjectWithInterval(g, iv), nil
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request: %v", err)
-		return
-	}
-	entry, ok := s.defaultEntry(w)
-	if !ok {
-		return
-	}
-	filtered, err := buildFilterOn(entry.dataset(), req)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// Compile the chain before committing the response status: chain
-	// and planning errors (bad geometry, failed shuffle) surface here
-	// and still map to an HTTP error code.
-	if err := filtered.Run(); err != nil {
-		httpError(w, http.StatusInternalServerError, "query failed: %v", err)
-		return
-	}
-	streamFeatureCollection(w, filtered)
-}
-
 // eventSchema is the shared attribute schema the where clauses
 // compile against.
 var eventSchema = workload.EventSchema()
 
 // buildFilterOn compiles a QueryRequest into a filter chain over a
-// dataset — shared by the legacy GeoJSON endpoint, the NDJSON
-// service endpoint and both EXPLAIN handlers. Where clauses AND with
+// dataset — shared by the NDJSON query endpoint, its EXPLAIN and the
+// left side of a join. Where clauses AND with
 // the spatial predicate; with Where present and WKT empty, the query
 // is attribute-only.
 func buildFilterOn(ds *stark.Dataset[workload.Event], req QueryRequest) (*stark.Dataset[workload.Event], error) {
@@ -398,88 +354,6 @@ func checkWhere(c WhereClause) error {
 	}
 	_, err = eventSchema.Check(p.Canonicalize())
 	return err
-}
-
-// handleExplain compiles the same filter chain /api/query would run,
-// executes it, and returns the planner's EXPLAIN tree — the chosen
-// index mode, pruned partitions, predicate order, estimated vs actual
-// cardinality — as JSON plus a rendered text form.
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request: %v", err)
-		return
-	}
-	entry, ok := s.defaultEntry(w)
-	if !ok {
-		return
-	}
-	filtered, err := buildFilterOn(entry.dataset(), req)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	node, err := filtered.ExplainNode()
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "explain failed: %v", err)
-		return
-	}
-	writeJSON(w, map[string]interface{}{
-		"plan": node,
-		"text": node.Render(),
-	})
-}
-
-// streamFeatureCollection encodes the query result as a GeoJSON
-// FeatureCollection, writing each feature as it leaves the fused
-// partition pipeline — the result set is never materialised in
-// memory. The status line is committed before the scan runs, so a
-// mid-stream error can only be reported by logging it and leaving the
-// JSON unterminated: the client sees a malformed document instead of
-// a silently truncated result.
-func streamFeatureCollection(w http.ResponseWriter, ds *stark.Dataset[workload.Event]) {
-	w.Header().Set("Content-Type", "application/json")
-	if _, err := io.WriteString(w, `{"type":"FeatureCollection","features":[`); err != nil {
-		log.Printf("server: aborting GeoJSON stream: %v", err)
-		return
-	}
-	count := 0
-	var rowErr error
-	// StreamParallel keeps partition-parallel predicate evaluation
-	// while rows arrive here in partition order; a failed write (the
-	// client hung up) stops the whole pipeline instead of scanning
-	// into a dead socket.
-	err := ds.StreamParallel(func(kv stark.Tuple[workload.Event]) bool {
-		b, err := json.Marshal(feature(kv, nil, nil))
-		if err != nil {
-			rowErr = err
-			return false
-		}
-		if count > 0 {
-			if _, err := io.WriteString(w, ","); err != nil {
-				rowErr = err
-				return false
-			}
-		}
-		if _, err := w.Write(b); err != nil {
-			rowErr = err
-			return false
-		}
-		count++
-		return true
-	})
-	if err == nil {
-		err = rowErr
-	}
-	if err != nil {
-		log.Printf("server: aborting GeoJSON stream after %d features: %v", count, err)
-		return
-	}
-	_, _ = fmt.Fprintf(w, `],"count":%d}`, count)
 }
 
 func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
@@ -725,19 +599,14 @@ function filterBody() {
   };
 }
 async function explain() {
-  const r = await fetch('/api/explain', {method: 'POST', body: JSON.stringify(filterBody())});
+  const r = await fetch('/api/v1/explain', {method: 'POST', body: JSON.stringify(filterBody())});
   const j = await r.json();
   document.getElementById('out').textContent = j.text || JSON.stringify(j, null, 2);
 }
-function query() {
-  post('/api/query', {
-    predicate: document.getElementById('predicate').value,
-    wkt: document.getElementById('wkt').value,
-    hasTime: document.getElementById('hasTime').checked,
-    begin: parseInt(document.getElementById('begin').value),
-    end: parseInt(document.getElementById('end').value),
-    distance: parseFloat(document.getElementById('distance').value),
-  });
+// The reply is NDJSON: one feature per line, then the summary line.
+async function query() {
+  const r = await fetch('/api/v1/query', {method: 'POST', body: JSON.stringify(filterBody())});
+  document.getElementById('out').textContent = await r.text();
 }
 function knn() {
   post('/api/knn', {

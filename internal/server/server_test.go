@@ -58,9 +58,22 @@ func TestIndexPage(t *testing.T) {
 	}
 }
 
+// v1Filter posts a filter request against the default dataset to
+// /api/v1/query and returns the recorder plus the decoded reply (nil
+// features and a zero summary on a non-200 status).
+func v1Filter(t *testing.T, s *Server, q QueryRequest) (*httptest.ResponseRecorder, []map[string]interface{}, ndjsonSummary) {
+	t.Helper()
+	rec := postV1Query(t, s, ServiceQueryRequest{QueryRequest: q})
+	if rec.Code != http.StatusOK {
+		return rec, nil, ndjsonSummary{}
+	}
+	features, sum := ndjsonResponse(t, rec.Body.Bytes())
+	return rec, features, sum
+}
+
 func TestQueryEndpointSpatioTemporal(t *testing.T) {
 	s := testServer(t, 300)
-	rec, out := postJSON(t, s, "/api/query", QueryRequest{
+	rec, feats, sum := v1Filter(t, s, QueryRequest{
 		Predicate: "containedby",
 		WKT:       "POLYGON ((0 0, 100 0, 100 100, 0 100, 0 0))",
 		HasTime:   true,
@@ -70,13 +83,11 @@ func TestQueryEndpointSpatioTemporal(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d body=%s", rec.Code, rec.Body.String())
 	}
-	count := int(out["count"].(float64))
-	if count == 0 || count == 300 {
-		t.Errorf("count = %d, want a proper temporal subset", count)
+	if sum.Count == 0 || sum.Count == 300 || int(sum.Count) != len(feats) {
+		t.Errorf("count = %d over %d lines, want a proper temporal subset", sum.Count, len(feats))
 	}
-	feats := out["features"].([]interface{})
 	for _, f := range feats {
-		props := f.(map[string]interface{})["properties"].(map[string]interface{})
+		props := f["properties"].(map[string]interface{})
 		if props["time"].(float64) > 500 {
 			t.Fatal("temporal window violated")
 		}
@@ -85,7 +96,7 @@ func TestQueryEndpointSpatioTemporal(t *testing.T) {
 
 func TestQueryEndpointWithinDistance(t *testing.T) {
 	s := testServer(t, 200)
-	rec, out := postJSON(t, s, "/api/query", QueryRequest{
+	rec, _, sum := v1Filter(t, s, QueryRequest{
 		Predicate: "withindistance",
 		WKT:       "POINT (50 50)",
 		HasTime:   true,
@@ -95,11 +106,11 @@ func TestQueryEndpointWithinDistance(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
-	if int(out["count"].(float64)) == 0 {
+	if sum.Count == 0 {
 		t.Error("no results within 30 of center")
 	}
 	// Missing distance errors.
-	rec, _ = postJSON(t, s, "/api/query", QueryRequest{
+	rec, _, _ = v1Filter(t, s, QueryRequest{
 		Predicate: "withindistance", WKT: "POINT (0 0)",
 	})
 	if rec.Code != http.StatusBadRequest {
@@ -109,29 +120,57 @@ func TestQueryEndpointWithinDistance(t *testing.T) {
 
 func TestQueryEndpointErrors(t *testing.T) {
 	s := testServer(t, 10)
-	rec, _ := postJSON(t, s, "/api/query", QueryRequest{Predicate: "nope", WKT: "POINT (0 0)"})
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("bad predicate status = %d", rec.Code)
-	}
-	rec, _ = postJSON(t, s, "/api/query", QueryRequest{WKT: "BAD"})
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("bad wkt status = %d", rec.Code)
-	}
-	rec, _ = postJSON(t, s, "/api/query", QueryRequest{WKT: "POINT (0 0)", HasTime: true, Begin: 9, End: 1})
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("inverted interval status = %d", rec.Code)
+	for name, q := range map[string]QueryRequest{
+		"bad predicate":     {Predicate: "nope", WKT: "POINT (0 0)"},
+		"bad wkt":           {WKT: "BAD"},
+		"inverted interval": {WKT: "POINT (0 0)", HasTime: true, Begin: 9, End: 1},
+	} {
+		rec, _, _ := v1Filter(t, s, q)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s status = %d", name, rec.Code)
+		}
+		var body map[string]string
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body["error"] == "" {
+			t.Errorf("%s: reply %q is not an error document", name, rec.Body.String())
+		}
 	}
 	// GET not allowed.
 	rec2 := httptest.NewRecorder()
-	s.ServeHTTP(rec2, httptest.NewRequest(http.MethodGet, "/api/query", nil))
+	s.ServeHTTP(rec2, httptest.NewRequest(http.MethodGet, "/api/v1/query", nil))
 	if rec2.Code != http.StatusMethodNotAllowed {
 		t.Errorf("GET status = %d", rec2.Code)
 	}
 	// Malformed JSON.
 	rec3 := httptest.NewRecorder()
-	s.ServeHTTP(rec3, httptest.NewRequest(http.MethodPost, "/api/query", strings.NewReader("{")))
+	s.ServeHTTP(rec3, httptest.NewRequest(http.MethodPost, "/api/v1/query", strings.NewReader("{")))
 	if rec3.Code != http.StatusBadRequest {
 		t.Errorf("bad json status = %d", rec3.Code)
+	}
+}
+
+// TestOneRoutePerJob: the unversioned query and EXPLAIN routes are gone
+// and the page the service serves calls neither.
+func TestOneRoutePerJob(t *testing.T) {
+	s := testServer(t, 10)
+	for _, path := range []string{"/api/query", "/api/explain"} {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader("{}")))
+		if rec.Code != http.StatusNotFound {
+			t.Errorf("POST %s status = %d, want 404", path, rec.Code)
+		}
+	}
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/", nil))
+	page := rec.Body.String()
+	for _, gone := range []string{"'/api/query'", "'/api/explain'"} {
+		if strings.Contains(page, gone) {
+			t.Errorf("the demo page still calls %s", gone)
+		}
+	}
+	for _, want := range []string{"'/api/v1/query'", "'/api/v1/explain'", "'/api/knn'", "'/api/cluster'", "'/api/stats'"} {
+		if !strings.Contains(page, want) {
+			t.Errorf("the demo page does not call %s", want)
+		}
 	}
 }
 
@@ -234,43 +273,46 @@ func TestGeometryJSONShapes(t *testing.T) {
 	}
 }
 
-// TestQueryEndpointStreamsValidGeoJSON pins the streaming encoder: the
-// response must be one well-formed document whose trailing count
-// matches the number of streamed features, including the empty-result
-// edge (no features at all).
+// TestQueryEndpointStreamsValidGeoJSON pins the reply's shape: every
+// line before the summary is a GeoJSON feature, the summary's count is
+// the number of lines streamed, and an empty result is the summary line
+// alone.
 func TestQueryEndpointStreamsValidGeoJSON(t *testing.T) {
 	s := testServer(t, 150)
-	rec, out := postJSON(t, s, "/api/query", QueryRequest{
+	rec, feats, sum := v1Filter(t, s, QueryRequest{
 		Predicate: "intersects",
 		WKT:       "POLYGON ((0 0, 100 0, 100 100, 0 100, 0 0))",
+		HasTime:   true, Begin: 0, End: 1000,
 	})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
-	feats := out["features"].([]interface{})
-	if int(out["count"].(float64)) != len(feats) {
-		t.Errorf("count %v != %d streamed features", out["count"], len(feats))
+	if sum.Count != 150 || len(feats) != 150 {
+		t.Errorf("count %d over %d streamed features, want all 150", sum.Count, len(feats))
 	}
-	if out["type"] != "FeatureCollection" {
-		t.Errorf("type = %v", out["type"])
+	for _, f := range feats {
+		if f["type"] != "Feature" || f["geometry"] == nil || f["properties"] == nil {
+			t.Fatalf("line is not a GeoJSON feature: %v", f)
+		}
 	}
 
-	// Empty result: still valid JSON with count 0.
-	rec, out = postJSON(t, s, "/api/query", QueryRequest{
+	// Empty result: the summary alone, with count 0.
+	rec, feats, sum = v1Filter(t, s, QueryRequest{
 		Predicate: "intersects",
 		WKT:       "POLYGON ((900 900, 910 900, 910 910, 900 910, 900 900))",
+		HasTime:   true, Begin: 0, End: 1000,
 	})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("empty-result status = %d", rec.Code)
 	}
-	if int(out["count"].(float64)) != 0 || len(out["features"].([]interface{})) != 0 {
-		t.Errorf("empty result rendered as %v", out)
+	if sum.Count != 0 || len(feats) != 0 {
+		t.Errorf("empty result rendered as %d lines, count %d", len(feats), sum.Count)
 	}
 }
 
 func TestExplainEndpoint(t *testing.T) {
 	s := testServer(t, 300)
-	rec, out := postJSON(t, s, "/api/explain", QueryRequest{
+	rec, out := postJSON(t, s, "/api/v1/explain", QueryRequest{
 		Predicate: "intersects",
 		WKT:       "POLYGON ((10 10, 40 10, 40 40, 10 40, 10 10))",
 		HasTime:   true,
@@ -296,11 +338,11 @@ func TestExplainEndpoint(t *testing.T) {
 
 	// GET is rejected; bad WKT maps to a 400.
 	rec2 := httptest.NewRecorder()
-	s.ServeHTTP(rec2, httptest.NewRequest(http.MethodGet, "/api/explain", nil))
+	s.ServeHTTP(rec2, httptest.NewRequest(http.MethodGet, "/api/v1/explain", nil))
 	if rec2.Code != http.StatusMethodNotAllowed {
 		t.Errorf("GET status = %d", rec2.Code)
 	}
-	rec3, _ := postJSON(t, s, "/api/explain", QueryRequest{WKT: "NOT WKT"})
+	rec3, _ := postJSON(t, s, "/api/v1/explain", QueryRequest{WKT: "NOT WKT"})
 	if rec3.Code != http.StatusBadRequest {
 		t.Errorf("bad WKT status = %d", rec3.Code)
 	}

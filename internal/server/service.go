@@ -42,7 +42,7 @@ import (
 )
 
 // DefaultDataset is the catalog name the single-dataset constructor
-// and the legacy endpoints use.
+// and the kNN, cluster and stats endpoints use.
 const DefaultDataset = "default"
 
 // ServiceQueryRequest is a QueryRequest addressed to a named catalog

@@ -11,17 +11,21 @@
 package workload
 
 import (
+	"bufio"
+	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 
 	"stark/internal/attr"
-	"stark/internal/dfs"
 	"stark/internal/engine"
 	"stark/internal/geom"
 	"stark/internal/stobject"
 	"stark/internal/temporal"
+	"stark/internal/wal"
 )
 
 // Event is the paper's running-example record: (id: Int, category:
@@ -232,43 +236,57 @@ func Regions(cfg Config, m int) []stobject.STObject {
 	return out
 }
 
-// ---- CSV round trip through the simulated HDFS ----
+// ---- CSV round trip through a file ----
 
-// EventsCSVHeader is the column list of WriteEventsCSV.
-const EventsCSVHeader = "id,category,time,wkt"
+// eventsCSVHeader is the column list of WriteEventsCSV.
+const eventsCSVHeader = "id,category,time,wkt"
 
-// WriteEventsCSV stores events as CSV on the file system, modelling
-// the paper's "load raw data from HDFS" step. The WKT field is
-// written last and may contain commas, so it is not quoted but
-// parsed positionally.
-func WriteEventsCSV(fs *dfs.FileSystem, path string, events []Event) error {
-	lines := make([]string, 0, len(events)+1)
-	lines = append(lines, EventsCSVHeader)
+// WriteEventsCSV stores events as a CSV file at path, creating its
+// directory and atomically replacing a previous file — the paper's
+// "raw data on HDFS". The WKT field is written last and may contain
+// commas, so it is not quoted but parsed positionally.
+func WriteEventsCSV(path string, events []Event) error {
+	var buf bytes.Buffer
+	buf.WriteString(eventsCSVHeader + "\n")
 	for _, e := range events {
-		lines = append(lines, fmt.Sprintf("%d,%s,%d,%s", e.ID, e.Category, e.Time, e.WKT))
+		fmt.Fprintf(&buf, "%d,%s,%d,%s\n", e.ID, e.Category, e.Time, e.WKT)
 	}
-	return fs.WriteLines(path, lines)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return fmt.Errorf("workload: %w", err)
+	}
+	return wal.WriteFileAtomic(path, buf.Bytes())
 }
 
 // ReadEventsCSV loads events written by WriteEventsCSV.
-func ReadEventsCSV(fs *dfs.FileSystem, path string) ([]Event, error) {
-	lines, err := fs.ReadLines(path)
+func ReadEventsCSV(path string) ([]Event, error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("workload: %w", err)
 	}
-	if len(lines) == 0 {
-		return nil, fmt.Errorf("workload: %s is empty", path)
-	}
-	if lines[0] != EventsCSVHeader {
-		return nil, fmt.Errorf("workload: %s has unexpected header %q", path, lines[0])
-	}
-	events := make([]Event, 0, len(lines)-1)
-	for i, line := range lines[1:] {
-		e, err := ParseEventLine(line)
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	var events []Event
+	line := 0
+	for sc.Scan() {
+		line++
+		if line == 1 {
+			if sc.Text() != eventsCSVHeader {
+				return nil, fmt.Errorf("workload: %s has unexpected header %q", path, sc.Text())
+			}
+			continue
+		}
+		e, err := ParseEventLine(sc.Text())
 		if err != nil {
-			return nil, fmt.Errorf("workload: %s line %d: %w", path, i+2, err)
+			return nil, fmt.Errorf("workload: %s line %d: %w", path, line, err)
 		}
 		events = append(events, e)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("workload: %s: %w", path, err)
+	}
+	if line == 0 {
+		return nil, fmt.Errorf("workload: %s is empty", path)
 	}
 	return events, nil
 }

@@ -1,10 +1,11 @@
 package workload
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
-	"stark/internal/dfs"
 	"stark/internal/geom"
 	"stark/internal/partition"
 	"stark/internal/stobject"
@@ -108,11 +109,14 @@ func TestTuplesIndexValues(t *testing.T) {
 
 func TestEventsAndCSVRoundTrip(t *testing.T) {
 	events := Events(Config{N: 100, Seed: 5})
-	fs := dfs.New(0, 0)
-	if err := WriteEventsCSV(fs, "/data/events.csv", events); err != nil {
-		t.Fatal(err)
+	path := filepath.Join(t.TempDir(), "data", "events.csv")
+	// Twice: the second write replaces the first.
+	for i := 0; i < 2; i++ {
+		if err := WriteEventsCSV(path, events); err != nil {
+			t.Fatal(err)
+		}
 	}
-	got, err := ReadEventsCSV(fs, "/data/events.csv")
+	got, err := ReadEventsCSV(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,21 +131,22 @@ func TestEventsAndCSVRoundTrip(t *testing.T) {
 }
 
 func TestReadEventsCSVErrors(t *testing.T) {
-	fs := dfs.New(0, 0)
-	if _, err := ReadEventsCSV(fs, "/missing"); err == nil {
+	dir := t.TempDir()
+	if _, err := ReadEventsCSV(filepath.Join(dir, "missing")); err == nil {
 		t.Error("missing file must fail")
 	}
-	fs.WriteLines("/bad-header", []string{"nope"})
-	if _, err := ReadEventsCSV(fs, "/bad-header"); err == nil {
-		t.Error("bad header must fail")
-	}
-	fs.WriteLines("/bad-line", []string{EventsCSVHeader, "x,y"})
-	if _, err := ReadEventsCSV(fs, "/bad-line"); err == nil {
-		t.Error("bad line must fail")
-	}
-	fs.WriteFile("/empty", nil)
-	if _, err := ReadEventsCSV(fs, "/empty"); err == nil {
-		t.Error("empty file must fail")
+	for name, content := range map[string]string{
+		"bad-header": "nope\n",
+		"bad-line":   eventsCSVHeader + "\nx,y\n",
+		"empty":      "",
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadEventsCSV(path); err == nil {
+			t.Errorf("%s must fail", name)
+		}
 	}
 }
 

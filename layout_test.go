@@ -100,14 +100,14 @@ func TestColumnarHoldsNoSecondCopy(t *testing.T) {
 // re-attached to another shuffle of the same rows.
 func TestLoadIndexFitsFreshShuffle(t *testing.T) {
 	ctx := stark.NewContext(4)
-	fs := stark.NewDFS(0, 0)
+	dir := t.TempDir()
 	tuples, _ := workload.EventTuples(workload.Events(workload.Config{
 		N: 40_000, Seed: 9, Dist: workload.Skewed, Width: 1000, Height: 1000, TimeRange: 1000,
 	}))
 	shuffle := func() *stark.Dataset[workload.Event] {
 		return stark.Parallelize(ctx, tuples, 4).PartitionBy(stark.BSP(2000))
 	}
-	if err := shuffle().Index(stark.Persistent(8)).SaveIndex(fs, "/idx"); err != nil {
+	if err := shuffle().Index(stark.Persistent(8)).SaveIndex(dir); err != nil {
 		t.Fatal(err)
 	}
 	c := tuples[17].Key.Centroid()
@@ -132,7 +132,7 @@ func TestLoadIndexFitsFreshShuffle(t *testing.T) {
 		if len(want) < 100 {
 			t.Fatalf("window matches %d rows: bad test set-up", len(want))
 		}
-		got := ids(stark.LoadIndex(fresh, fs, "/idx").Intersects(q).Collect())
+		got := ids(stark.LoadIndex(fresh, dir).Intersects(q).Collect())
 		if !slices.Equal(got, want) {
 			t.Fatalf("round %d: loaded index returns %d rows, scan %d", round, len(got), len(want))
 		}

@@ -10,7 +10,6 @@ package stark
 import (
 	"stark/internal/cluster"
 	"stark/internal/core"
-	"stark/internal/dfs"
 	"stark/internal/engine"
 	"stark/internal/geom"
 	"stark/internal/partition"
@@ -63,10 +62,6 @@ type (
 	// centroid plus per-partition bounds and data-adjusted extents.
 	SpatialPartitioner = partition.SpatialPartitioner
 
-	// DFS is the simulated HDFS block store used for CSV staging and
-	// index persistence.
-	DFS = dfs.FileSystem
-
 	// ClusterResult holds DBSCAN labels with summary helpers
 	// (ClusterSizes, NoiseCount).
 	ClusterResult = cluster.Result
@@ -101,10 +96,6 @@ func WithinDistancePredicate(maxDist float64, df DistanceFunc) Predicate {
 // NewContext returns an execution context with the given parallelism;
 // <= 0 selects GOMAXPROCS.
 func NewContext(parallelism int) *Context { return engine.NewContext(parallelism) }
-
-// NewDFS returns a simulated HDFS with the given block size and
-// replication factor (0 selects the defaults).
-func NewDFS(blockSize, replication int) *DFS { return dfs.New(blockSize, replication) }
 
 // NewSTObject builds a purely spatial STObject.
 func NewSTObject(g Geometry) STObject { return stobject.New(g) }
