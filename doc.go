@@ -227,23 +227,23 @@
 // worker pool (bounded slots, bounded deadline-limited queue, HTTP
 // 429/503 on overload), and NDJSON streaming via
 // Dataset.StreamEncodedContext, which cancels the scan when the
-// client disconnects. The reply contract of /api/v1/query: one
-// feature per line with sorted keys, byte for byte what json.Marshal
-// makes of the map form (an append encoder writes it, a fuzzed test
-// holds it to that oracle); rows in partition order, each morsel
-// encoded inside its own task and written with one Write; then one
-// summary line, absent when the stream was aborted. A cache hit
-// replays the very chunks the miss streamed, with zero engine work. A
-// "join" clause on /api/v1/query
-// joins the (optionally filtered) dataset against another catalog
-// dataset with any strategy hint and streams the pairs as they are
-// found; join results bypass the cache, since each request builds a
-// fresh join operator whose fingerprint could never repeat. cmd/starkd is the
-// executable; bench/e2e measures latency, throughput and hit rate
+// client disconnects. The reply contract of /api/v1/query: one feature
+// per line with sorted keys, byte for byte what json.Marshal makes of the
+// map form (an append encoder writes it, a fuzzed test holds it to that
+// oracle; coordinates come from geom.AppendFixed, a Schubfach kernel
+// fuzzed against strconv); rows in partition order, each morsel encoded
+// inside its own task and written with one Write; then one summary line,
+// absent when the stream was aborted. A cache hit replays the very chunks
+// the miss streamed, with zero engine work. A "join" clause on
+// /api/v1/query joins the (optionally filtered) dataset against another
+// catalog dataset with any strategy hint and streams the pairs as they
+// are found; join results bypass the cache, since each request builds a
+// fresh join operator whose fingerprint could never repeat. cmd/starkd is
+// the executable; bench/e2e measures latency, throughput and hit rate
 // through real HTTP with every reply checked (BENCHMARK.json names the
 // metrics: go run ./bench/e2e -workload read_selective -seed 1), and
-// stark-bench's `join` experiment sweeps strategy × layout ×
-// selectivity into BENCH_join.json.
+// stark-bench's `join` experiment sweeps strategy × layout × selectivity
+// into BENCH_join.json.
 //
 // # Mutable live datasets
 //

@@ -2,6 +2,7 @@ package geom
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -283,7 +284,8 @@ func (p Point) WKT() string {
 	if p.IsEmpty() {
 		return "POINT EMPTY"
 	}
-	return "POINT (" + fmtCoord(p) + ")"
+	var buf [64]byte // "POINT (" and two ordinates of at most 24 bytes each
+	return string(append(appendCoord(append(buf[:0], "POINT ("...), p), ')'))
 }
 
 // WKT implements Geometry for MultiPoint.
@@ -291,18 +293,14 @@ func (m MultiPoint) WKT() string {
 	if m.IsEmpty() {
 		return "MULTIPOINT EMPTY"
 	}
-	var sb strings.Builder
-	sb.WriteString("MULTIPOINT (")
+	b := []byte("MULTIPOINT (")
 	for i, p := range m.pts {
 		if i > 0 {
-			sb.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		sb.WriteByte('(')
-		sb.WriteString(fmtCoord(p))
-		sb.WriteByte(')')
+		b = append(appendCoord(append(b, '('), p), ')')
 	}
-	sb.WriteByte(')')
-	return sb.String()
+	return string(append(b, ')'))
 }
 
 // WKT implements Geometry for LineString.
@@ -310,10 +308,7 @@ func (l LineString) WKT() string {
 	if l.IsEmpty() {
 		return "LINESTRING EMPTY"
 	}
-	var sb strings.Builder
-	sb.WriteString("LINESTRING ")
-	writeCoordList(&sb, l.pts)
-	return sb.String()
+	return string(appendCoordList([]byte("LINESTRING "), l.pts))
 }
 
 // WKT implements Geometry for Polygon.
@@ -321,28 +316,34 @@ func (p Polygon) WKT() string {
 	if p.IsEmpty() {
 		return "POLYGON EMPTY"
 	}
-	var sb strings.Builder
-	sb.WriteString("POLYGON (")
-	writeCoordList(&sb, p.shell.pts)
+	b := appendCoordList([]byte("POLYGON ("), p.shell.pts)
 	for _, h := range p.holes {
-		sb.WriteString(", ")
-		writeCoordList(&sb, h.pts)
+		b = appendCoordList(append(b, ", "...), h.pts)
 	}
-	sb.WriteByte(')')
-	return sb.String()
+	return string(append(b, ')'))
 }
 
-func writeCoordList(sb *strings.Builder, pts []Point) {
-	sb.WriteByte('(')
+func appendCoordList(dst []byte, pts []Point) []byte {
+	dst = append(dst, '(')
 	for i, p := range pts {
 		if i > 0 {
-			sb.WriteString(", ")
+			dst = append(dst, ", "...)
 		}
-		sb.WriteString(fmtCoord(p))
+		dst = appendCoord(dst, p)
 	}
-	sb.WriteByte(')')
+	return append(dst, ')')
 }
 
-func fmtCoord(p Point) string {
-	return strconv.FormatFloat(p.X, 'g', -1, 64) + " " + strconv.FormatFloat(p.Y, 'g', -1, 64)
+// appendCoord appends "x y", each ordinate as strconv.FormatFloat(v,
+// 'g', -1, 64) spells it. That is fixed notation exactly for magnitudes
+// in [1e-4, 1e6), which AppendFixed writes.
+func appendCoord(dst []byte, p Point) []byte {
+	return appendOrdinate(append(appendOrdinate(dst, p.X), ' '), p.Y)
+}
+
+func appendOrdinate(dst []byte, v float64) []byte {
+	if abs := math.Abs(v); abs >= 1e-4 && abs < 1e6 {
+		return AppendFixed(dst, v)
+	}
+	return strconv.AppendFloat(dst, v, 'g', -1, 64)
 }

@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -76,13 +77,41 @@ func checkRoundTrip(t *testing.T, text string) {
 	if !sameBits(g, back) {
 		t.Errorf("%q renders as %q, which parses to a different geometry (%q)", text, g.WKT(), back.WKT())
 	}
+	if want := referenceWKT(g); !g.IsEmpty() && g.WKT() != want {
+		t.Errorf("%q renders as %q, want %q", text, g.WKT(), want)
+	}
+}
+
+// referenceWKT spells g the way the writer did before AppendFixed, one
+// strconv.FormatFloat(v, 'g', -1, 64) per ordinate; the WAL and the
+// checkpoints hold that text, so the writer keeps it byte for byte.
+func referenceWKT(g Geometry) string {
+	var lists []string
+	for _, pts := range rings(g) {
+		coords := make([]string, len(pts))
+		for i, p := range pts {
+			coords[i] = strconv.FormatFloat(p.X, 'g', -1, 64) + " " + strconv.FormatFloat(p.Y, 'g', -1, 64)
+		}
+		lists = append(lists, strings.Join(coords, ", "))
+	}
+	switch g.(type) {
+	case Point:
+		return "POINT (" + lists[0] + ")"
+	case MultiPoint:
+		return "MULTIPOINT ((" + strings.ReplaceAll(lists[0], ", ", "), (") + "))"
+	case LineString:
+		return "LINESTRING (" + lists[0] + ")"
+	}
+	return "POLYGON ((" + strings.Join(lists, "), (") + "))"
 }
 
 // hardOrdinates are the float64 values a decimal writer loses first:
 // signed zero, the smallest subnormal, values around the switch to
-// exponent notation, the extremes, and values that need all 17 digits.
+// exponent notation (for WKT at 1e-4 and 1e6), the extremes, and values
+// that need all 17 digits.
 var hardOrdinates = []string{
 	"-0", "0", "5e-324", "-5e-324", "1e-7", "0.000001", "1e21", "1e20", "123456789012345678",
+	"0.0001", "-0.00009999999999999999", "999999.9999999999", "1e6", "-0.00012345678901234567",
 	"-1e300", "1.7976931348623157e308", "-1.7976931348623157e308", "2.2250738585072014e-308",
 	"0.30000000000000004", "123456.78901234567", "-9007199254740993", "3.10", "4.0", "+5", "1e2", ".5", "5.",
 }
@@ -151,4 +180,16 @@ func FuzzWKTRoundTrip(f *testing.F) {
 		}
 		checkRoundTrip(t, text)
 	})
+}
+
+var wktSink string
+
+// TestPointWKTAllocatesOnce: the checkpoint writer and the WAL render
+// every row's point; the text is the one allocation.
+func TestPointWKTAllocatesOnce(t *testing.T) {
+	for _, p := range []Point{{X: 512.0625, Y: -0.30000000000000004}, {X: -math.MaxFloat64, Y: -math.SmallestNonzeroFloat64}} {
+		if n := testing.AllocsPerRun(100, func() { wktSink = p.WKT() }); n != 1 {
+			t.Errorf("%v: %v allocations, want 1", p, n)
+		}
+	}
 }

@@ -79,18 +79,16 @@ func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 // appendJSONFloat formats a finite float64 the way encoding/json does:
 // shortest round-trip digits, exponent form only outside [1e-6, 1e21),
-// and a two-digit exponent with a leading zero cut to one (e-09 → e-9).
+// and a negative two-digit exponent with its leading zero cut
+// (e-09 → e-9). Fixed notation comes from geom.AppendFixed.
 func appendJSONFloat(dst []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
+	if abs := math.Abs(f); abs == 0 || abs >= 1e-6 && abs < 1e21 {
+		return geom.AppendFixed(dst, f)
 	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(dst); n >= 4 && dst[n-4] == 'e' && (dst[n-3] == '-' || dst[n-3] == '+') && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
-		}
+	dst = strconv.AppendFloat(dst, f, 'e', -1, 64)
+	if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
 	}
 	return dst
 }
