@@ -273,8 +273,9 @@
 //     fingerprint unmatchable. Cache and statistics invalidation are
 //     structural, never timed.
 //
-// Deletes are tombstones; a vacuum rebuilds a partition tree when
-// dead entries outweigh live ones, invisibly to pinned snapshots.
+// Deletes are tombstones; a vacuum reloads a partition when dead entries
+// outweigh live ones, invisibly to pinned snapshots. Loads (vacuum,
+// Restore, seeding) pack the tree by STR and the postings from sorted runs.
 // The server exposes the whole lifecycle over HTTP: register with
 // "mutable": true, POST NDJSON mutation batches to /api/v1/ingest
 // (one request = one atomic batch = one generation; a bad line,
@@ -300,8 +301,9 @@
 // missed, a generated dataset just its spec — behind atomic
 // temp+fsync+rename manifests. The newest two checkpoints and the
 // WAL suffix of the older are retained, so one rotted manifest
-// degrades to recovering from the previous checkpoint. Recovery
-// loads the newest valid manifest (corrupt ones are skipped) and
+// degrades to recovering from the previous checkpoint. Recovery loads
+// the newest valid manifest (corrupt ones skipped), packs each mutable
+// dataset's rows into its partitions instead of replaying inserts, then
 // replays the WAL suffix through the same validation and generation
 // paths as live ingest: idempotent by generation number, stopping
 // cleanly at a torn tail of the newest segment, erroring loudly on

@@ -16,7 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"stark/internal/geom"
 )
@@ -89,87 +89,63 @@ func (t *RTree) Build() {
 		return
 	}
 	t.built = true
-	if len(t.entries) == 0 {
-		t.root = &node{env: geom.EmptyEnvelope()}
-		return
-	}
-	leaves := packLeaves(t.entries, t.order)
-	t.root = packUpwards(leaves, t.order)
-}
-
-func packLeaves(entries []Entry, order int) []*node {
-	sorted := make([]Entry, len(entries))
-	copy(sorted, entries)
-	sort.Slice(sorted, func(i, j int) bool {
-		return sorted[i].Env.Center().X < sorted[j].Env.Center().X
+	var level []*node
+	STRRuns(len(t.entries), t.order, func(i int) geom.Envelope { return t.entries[i].Env }, func(run []int32) {
+		leaf := &node{env: geom.EmptyEnvelope(), entries: make([]Entry, len(run))}
+		for k, i := range run {
+			leaf.entries[k] = t.entries[i]
+			leaf.env = leaf.env.ExpandToInclude(t.entries[i].Env)
+		}
+		level = append(level, leaf)
 	})
-	n := len(sorted)
-	leafCount := (n + order - 1) / order
-	sliceCount := int(math.Ceil(math.Sqrt(float64(leafCount))))
-	sliceSize := sliceCount * order
-
-	var leaves []*node
-	for s := 0; s < n; s += sliceSize {
-		end := s + sliceSize
-		if end > n {
-			end = n
-		}
-		slice := sorted[s:end]
-		sort.Slice(slice, func(i, j int) bool {
-			return slice[i].Env.Center().Y < slice[j].Env.Center().Y
+	for len(level) > 1 {
+		var up []*node
+		STRRuns(len(level), t.order, func(i int) geom.Envelope { return level[i].env }, func(run []int32) {
+			parent := &node{env: geom.EmptyEnvelope(), children: make([]*node, len(run))}
+			for k, i := range run {
+				parent.children[k] = level[i]
+				parent.env = parent.env.ExpandToInclude(level[i].env)
+			}
+			up = append(up, parent)
 		})
-		for o := 0; o < len(slice); o += order {
-			oe := o + order
-			if oe > len(slice) {
-				oe = len(slice)
-			}
-			leaf := &node{env: geom.EmptyEnvelope()}
-			leaf.entries = append(leaf.entries, slice[o:oe]...)
-			for _, e := range leaf.entries {
-				leaf.env = leaf.env.ExpandToInclude(e.Env)
-			}
-			leaves = append(leaves, leaf)
-		}
+		level = up
 	}
-	return leaves
+	t.root = level[0]
 }
 
-func packUpwards(nodes []*node, order int) *node {
-	for len(nodes) > 1 {
-		sort.Slice(nodes, func(i, j int) bool {
-			return nodes[i].env.Center().X < nodes[j].env.Center().X
-		})
-		n := len(nodes)
-		parentCount := (n + order - 1) / order
-		sliceCount := int(math.Ceil(math.Sqrt(float64(parentCount))))
-		sliceSize := sliceCount * order
-
-		var parents []*node
-		for s := 0; s < n; s += sliceSize {
-			end := s + sliceSize
-			if end > n {
-				end = n
-			}
-			slice := nodes[s:end]
-			sort.Slice(slice, func(i, j int) bool {
-				return slice[i].env.Center().Y < slice[j].env.Center().Y
-			})
-			for o := 0; o < len(slice); o += order {
-				oe := o + order
-				if oe > len(slice) {
-					oe = len(slice)
-				}
-				parent := &node{env: geom.EmptyEnvelope()}
-				parent.children = append(parent.children, slice[o:oe]...)
-				for _, c := range parent.children {
-					parent.env = parent.env.ExpandToInclude(c.env)
-				}
-				parents = append(parents, parent)
-			}
-		}
-		nodes = parents
+// STRRuns cuts items 0..n-1, given their envelopes, into the runs of at
+// most fill that Sort-Tile-Recursive packs into nodes: sort by x-centre,
+// cut into ⌈√⌈n/fill⌉⌉ slices of equal count, sort each by y-centre and
+// cut it into runs. run gets each run's item indexes, slice by slice,
+// and must not keep them. No items make one empty run: a tree always
+// has a root.
+func STRRuns(n, fill int, env func(i int) geom.Envelope, run func(idx []int32)) {
+	centers := make([]geom.Point, n)
+	idx := make([]int32, n)
+	for i := range idx {
+		centers[i], idx[i] = env(i).Center(), int32(i)
 	}
-	return nodes[0]
+	slices.SortFunc(idx, func(a, b int32) int { return ascending(centers[a].X, centers[b].X) })
+	sliceSize := max(1, int(math.Ceil(math.Sqrt(float64((n+fill-1)/fill))))) * fill
+	for s := 0; s == 0 || s < n; s += sliceSize {
+		slice := idx[s:min(s+sliceSize, n)]
+		slices.SortFunc(slice, func(a, b int32) int { return ascending(centers[a].Y, centers[b].Y) })
+		for o := 0; o == 0 || o < len(slice); o += fill {
+			run(slice[o:min(o+fill, len(slice))])
+		}
+	}
+}
+
+// ascending compares with < and >, so a NaN centre is incomparable
+// rather than smallest (as cmp.Compare has it).
+func ascending(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
 }
 
 // Query appends to dst the IDs of all entries whose envelope

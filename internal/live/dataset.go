@@ -147,7 +147,7 @@ func NewDataset[V any](ctx *engine.Context, name string, sp partition.SpatialPar
 		inc:    stats.NewIncremental(n, 0),
 	}
 	for i := range d.trees {
-		d.trees[i] = newTree[V](order)
+		d.trees[i] = newTree[V](order, nil)
 	}
 	d.view.Store(&viewState[V]{gen: 0, trees: append([]*tree[V](nil), d.trees...), stats: d.inc.Summary()})
 	return d
@@ -287,18 +287,27 @@ func (d *Dataset[V]) applyDelete(id int64, gen uint64) bool {
 	return ok
 }
 
-// vacuum rebuilds partition trees whose tombstones outnumber their
-// live entries (past a floor). The rebuilt tree replaces the old one
-// only in the writer's working set and the NEXT published view; the
-// old structure is never touched again, so snapshots holding it keep
-// reading exactly what they pinned.
+// vacuum reloads each partition whose tombstones outnumber its live
+// entries (past a floor) from those entries, addGen kept. The new
+// structures reach only the writer's working set and the NEXT view:
+// snapshots keep reading what they pinned, and no later one can need a
+// dropped tombstone (delGen <= published gen).
 func (d *Dataset[V]) vacuum() {
 	for p, t := range d.trees {
 		if t.dead >= vacuumFloor && t.dead > t.live {
-			d.trees[p] = t.rebuild()
+			d.load(p, t.liveEntries())
 		}
 	}
-	d.attrVacuum()
+}
+
+// load builds partition p from es (live, addGen stamped), tree and
+// postings together, so the two always count the same tombstones. The
+// caller holds d.mu or, in Restore, is partition p's task.
+func (d *Dataset[V]) load(p int, es []Entry[V]) {
+	d.trees[p] = newTree(d.order, es)
+	if len(d.attrFields) > 0 {
+		d.attrs[p] = newPartAttrs(d.attrFields, es)
+	}
 }
 
 // publish swaps in the new view: generation, tree set, attribute
@@ -338,29 +347,38 @@ func (d *Dataset[V]) ReplayBatch(gen uint64, ops []Op[V]) (applied bool, err err
 	}
 }
 
-// Restore bulk-loads a checkpointed record set into an empty dataset
-// and publishes it at gen, re-establishing generation continuity so
-// subsequent ReplayBatch calls line up. It validates the whole set
-// before touching the trees.
+// Restore loads any record set into an empty dataset and publishes it
+// at gen (a checkpoint's, so that ReplayBatch lines up; 1 for seed
+// records). It validates the whole set first, then packs each
+// partition (see load) as a task of one engine job; the statistics
+// equal those of inserting recs in order.
 func (d *Dataset[V]) Restore(gen uint64, recs []Record[V]) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if v := d.view.Load(); v.gen != 0 || len(d.partOf) != 0 {
 		return fmt.Errorf("live: Restore into non-empty dataset %q (generation %d)", d.name, v.gen)
 	}
-	seen := make(map[int64]struct{}, len(recs))
+	partOf, inc := make(map[int64]int, len(recs)), stats.NewIncremental(len(d.trees), 0)
+	parts := make([][]Entry[V], len(d.trees))
 	for i, rec := range recs {
 		if rec.Key.IsEmpty() {
 			return fmt.Errorf("live: restore record %d (id=%d): empty geometry", i, rec.ID)
 		}
-		if _, dup := seen[rec.ID]; dup {
+		if _, dup := partOf[rec.ID]; dup {
 			return fmt.Errorf("live: restore record %d: duplicate id %d", i, rec.ID)
 		}
-		seen[rec.ID] = struct{}{}
+		p := d.partitionFor(rec.Key)
+		partOf[rec.ID] = p
+		inc.ApplyInsert(p, rec.Key)
+		parts[p] = append(parts[p], Entry[V]{ID: rec.ID, Key: rec.Key, Value: rec.Value, addGen: gen})
 	}
-	for _, rec := range recs {
-		d.applyInsert(rec, gen)
+	if err := d.ctx.RunJob(engine.AllPartitions(len(parts)), func(p int) error {
+		d.load(p, parts[p])
+		return nil
+	}); err != nil {
+		return fmt.Errorf("live: restore %q: %w", d.name, err)
 	}
+	d.partOf, d.inc = partOf, inc
 	d.publish(gen)
 	return nil
 }

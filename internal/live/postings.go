@@ -13,10 +13,10 @@ package live
 // Concurrency follows the tree's contract: one writer at a time
 // (serialised by the dataset mutex) mutates in place — files an entry,
 // tombstones one — under the partition's write latch, readers probe
-// under the read latch. Tombstone space is reclaimed by rebuilding a
-// partition's postings wholesale and swapping the pointer into the
-// writer's working set; published views keep the old object, so pinned
-// snapshots never lose a tombstoned entry they can still see.
+// under the read latch. Tombstone space is reclaimed by reloading the
+// partition (Dataset.load) into the writer's working set; published
+// views keep the old object, so pinned snapshots never lose a
+// tombstoned entry they can still see.
 
 import (
 	"fmt"
@@ -61,7 +61,7 @@ type slot[V any] struct {
 // chunkCap slots. A lookup binary-searches the chunks by their last
 // value and then the chunk it lands in; a new value shifts only that
 // chunk, and a chunk that overflows splits in half. Chunks are never
-// empty: values leave only when attrVacuum rebuilds the partition.
+// empty: values leave only when a vacuum reloads the partition.
 type fieldPostings[V any] struct {
 	field  string
 	get    func(V) attr.Value
@@ -195,7 +195,7 @@ func (fp *fieldPostings[V]) probe(p attr.Pred, gen uint64, yield func(e *postEnt
 // read under the read latch; generation tags keep pinned reads
 // repeatable despite the shared structure. fields itself — which
 // fields exist, in registration order — is immutable once the
-// partAttrs is published (SetAttrFields and attrVacuum build a new
+// partAttrs is published (SetAttrFields and Dataset.load build a new
 // one), so it is read without the latch. byID, live and dead are
 // writer-only.
 type partAttrs[V any] struct {
@@ -206,10 +206,51 @@ type partAttrs[V any] struct {
 	dead   int // tombstones awaiting vacuum
 }
 
-func newPartAttrs[V any](fields []attr.Field[V]) *partAttrs[V] {
-	pa := &partAttrs[V]{byID: make(map[int64]*postEntry[V])}
+// newPartAttrs files es (live) under every field from sorted runs: per
+// field the versions sorted by (value, arrival), cut straight into
+// slots and chunks of chunkCap. Lists, slots and chunks are capped
+// windows of one array each, so a first growth reallocates.
+func newPartAttrs[V any](fields []attr.Field[V], es []Entry[V]) *partAttrs[V] {
+	pa := &partAttrs[V]{byID: make(map[int64]*postEntry[V], len(es)), live: len(es)}
+	versions := make([]postEntry[V], len(es))
+	for i, e := range es {
+		versions[i] = postEntry[V]{id: e.ID, key: e.Key, val: e.Value, addGen: e.addGen}
+		pa.byID[e.ID] = &versions[i]
+	}
+	vals := make([]attr.Value, len(es))
+	order := make([]int32, len(es))
 	for _, f := range fields {
-		pa.fields = append(pa.fields, &fieldPostings[V]{field: f.Name, get: f.Get})
+		for i := range versions {
+			vals[i], order[i] = f.Get(versions[i].val), int32(i)
+		}
+		slices.SortFunc(order, func(a, b int32) int {
+			if c := vals[a].Compare(vals[b]); c != 0 {
+				return c
+			}
+			return int(a - b)
+		})
+		fresh := func(k int) bool { return k == 0 || vals[order[k]].Compare(vals[order[k-1]]) != 0 }
+		lists, distinct := make([]*postEntry[V], len(es)), 0
+		for k, i := range order {
+			if lists[k] = &versions[i]; fresh(k) {
+				distinct++
+			}
+		}
+		slots := make([]slot[V], 0, distinct)
+		for k, i := range order {
+			if fresh(k) {
+				slots = append(slots, slot[V]{val: vals[i]})
+			}
+			s := &slots[len(slots)-1]
+			s.list = lists[k-len(s.list) : k+1 : k+1]
+		}
+		fp := &fieldPostings[V]{field: f.Name, get: f.Get}
+		for len(slots) > 0 {
+			n := min(len(slots), chunkCap)
+			fp.chunks = append(fp.chunks, slots[:n:n])
+			slots = slots[n:]
+		}
+		pa.fields = append(pa.fields, fp)
 	}
 	return pa
 }
@@ -330,20 +371,11 @@ func (d *Dataset[V]) SetAttrFields(fields []attr.Field[V]) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.attrFields = append([]attr.Field[V](nil), fields...)
-	gen := d.view.Load().gen
 	for p, t := range d.trees {
-		if len(fields) == 0 {
-			d.attrs[p] = nil
-			continue
-		}
-		pa := newPartAttrs(fields)
-		t.search(everything, gen, true, func(e Entry[V]) bool {
-			pa.insert(e.ID, e.Key, e.Value, e.addGen)
-			return true
-		})
-		d.attrs[p] = pa
+		d.attrs[p] = nil
+		d.load(p, t.liveEntries())
 	}
-	d.publish(gen)
+	d.publish(d.view.Load().gen)
 }
 
 // attrInsert files rec into partition p's postings (no-op without
@@ -367,31 +399,6 @@ func (d *Dataset[V]) attrDelete(p int, id int64, gen uint64) {
 	pa.mu.Lock()
 	pa.tombstone(id, gen)
 	pa.mu.Unlock()
-}
-
-// attrVacuum rebuilds partitions whose postings carry more tombstones
-// than live entries (past the shared floor), pointer-swapping the new
-// object into the writer's working set so pinned snapshots keep the
-// old one. Live versions are re-allocated, not shared: the old object
-// stays readable under its own latch.
-func (d *Dataset[V]) attrVacuum() {
-	for p, pa := range d.attrs {
-		if pa == nil || pa.dead < vacuumFloor || pa.dead <= pa.live {
-			continue
-		}
-		np := newPartAttrs(d.attrFields)
-		// Every field files the same entries; the first lends its order.
-		fp := pa.fields[0]
-		fp.walk(pos{}, fp.end(), func(s *slot[V]) bool {
-			for _, e := range s.list {
-				if e.delGen == 0 {
-					np.insert(e.id, e.key, e.val, e.addGen)
-				}
-			}
-			return true
-		})
-		d.attrs[p] = np
-	}
 }
 
 // ---- Snapshot reader side ----

@@ -29,17 +29,24 @@ func readingFields() []attr.Field[reading] {
 		Fields()
 }
 
-// checkPostings runs the invariant checker over every partition.
-func checkPostings[V any](t testing.TB, d *Dataset[V]) {
+// checkPartitions runs the invariant checkers over every partition:
+// the tree's, and the postings' when fields are registered.
+func checkPartitions[V any](t testing.TB, d *Dataset[V]) {
 	t.Helper()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for p, pa := range d.attrs {
-		if pa == nil {
+	for p, tr := range d.trees {
+		if err := tr.check(); err != nil {
+			t.Fatalf("generation %d, partition %d tree: %v", d.view.Load().gen, p, err)
+		}
+		if len(d.attrFields) == 0 {
+			continue
+		}
+		if d.attrs[p] == nil {
 			t.Fatalf("partition %d: no postings", p)
 		}
-		if err := pa.check(d.trees[p]); err != nil {
-			t.Fatalf("generation %d, partition %d: %v", d.view.Load().gen, p, err)
+		if err := d.attrs[p].check(tr); err != nil {
+			t.Fatalf("generation %d, partition %d postings: %v", d.view.Load().gen, p, err)
 		}
 	}
 }
@@ -100,8 +107,8 @@ func scanIDs(recs []Record[reading], f attr.Field[reading], p attr.Pred) []int64
 // operator on one of the fields (they take turns), as id sets, against
 // a brute-force filter over Snapshot.Each; a snapshot pinned before the
 // shrink phase is probed again after the vacuums and must answer as it
-// did when pinned. Re-registration and Restore, the other two ways
-// into the same insert, end the run.
+// did when pinned. Re-registration and Restore, the two ways into the
+// loader besides vacuum, end the run.
 func TestPostingsDifferentialBattery(t *testing.T) {
 	const (
 		idSpace = 34_000
@@ -207,7 +214,7 @@ func TestPostingsDifferentialBattery(t *testing.T) {
 				rebuilt[p] = true
 			}
 		}
-		checkPostings(t, d)
+		checkPartitions(t, d)
 		s := d.Snapshot()
 		if int(s.Count()) != len(model) {
 			t.Fatalf("generation %d: %d records live, model holds %d", s.Gen(), s.Count(), len(model))
@@ -264,7 +271,7 @@ func TestPostingsDifferentialBattery(t *testing.T) {
 		apply(batch(2000, 0.2, 0.5))
 	}
 	d.SetAttrFields(fields)
-	checkPostings(t, d)
+	checkPartitions(t, d)
 	compare(d.Snapshot(), fields...)
 
 	r := NewDataset[reading](engine.NewContext(2), "restored", gridOver(t, 2), 8)
@@ -272,7 +279,7 @@ func TestPostingsDifferentialBattery(t *testing.T) {
 	if err := r.Restore(d.Generation(), records(d.Snapshot())); err != nil {
 		t.Fatal(err)
 	}
-	checkPostings(t, r)
+	checkPartitions(t, r)
 	compare(r.Snapshot(), fields...)
 
 	// A view that holds no postings for the field says so when the probe
@@ -307,7 +314,7 @@ func TestPostingsCheckCatchesDamage(t *testing.T) {
 		}
 		return d
 	}
-	checkPostings(t, build())
+	checkPartitions(t, build())
 
 	for name, damage := range map[string]func(pa *partAttrs[reading]){
 		"order": func(pa *partAttrs[reading]) { ch := pa.field("seq").chunks[1]; ch[0], ch[1] = ch[1], ch[0] },

@@ -41,10 +41,12 @@
 package live
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"stark/internal/geom"
+	"stark/internal/index"
 	"stark/internal/stobject"
 )
 
@@ -87,8 +89,8 @@ type node[V any] struct {
 	env geom.Envelope
 	// right links a node to the sibling its last split created,
 	// forming the chase chain readers follow. At the leaf level the
-	// pointers additionally chain ALL leaves left to right, because
-	// every leaf except the first is born from a split.
+	// pointers additionally chain ALL leaves left to right: newTree
+	// chains the leaves it packs, splits the rest.
 	right   *node[V]
 	refs    []childRef[V] // internal nodes; nil for leaves
 	entries []Entry[V]    // leaves; nil for internal nodes
@@ -122,14 +124,48 @@ type tree[V any] struct {
 	dead int // tombstones awaiting vacuum
 }
 
-func newTree[V any](order int) *tree[V] {
+// newTree packs es (live, addGen stamped) into a fresh tree by STR
+// (index.STRRuns), every level three quarters full so that the next
+// inserts do not split every node.
+func newTree[V any](order int, es []Entry[V]) *tree[V] {
 	if order < 4 {
 		order = DefaultOrder
 	}
-	t := &tree[V]{order: order, owners: make(map[int64]*node[V])}
-	leaf := &node[V]{nsn: t.nextNSN(), env: geom.EmptyEnvelope()}
-	t.leftLeaf = leaf
-	t.root.Store(&rootRef[V]{n: leaf, nsn: leaf.nsn})
+	t := &tree[V]{order: order, owners: make(map[int64]*node[V], len(es)), live: len(es)}
+	for i := range es {
+		es[i].env = es[i].Key.Envelope()
+	}
+	packed := make([]Entry[V], 0, len(es))
+	var level []*node[V]
+	index.STRRuns(len(es), order*3/4, func(i int) geom.Envelope { return es[i].env }, func(run []int32) {
+		n, lo := &node[V]{nsn: t.nextNSN()}, len(packed)
+		for _, i := range run {
+			packed = append(packed, es[i])
+			t.owners[es[i].ID] = n
+		}
+		// Capped, so that a leaf's first insert reallocates it rather
+		// than overwrite its neighbour's entries.
+		n.entries = packed[lo:len(packed):len(packed)]
+		n.env = cover(n.entries, entryEnv[V])
+		level = append(level, n)
+	})
+	t.leftLeaf = level[0]
+	for k := 1; k < len(level); k++ {
+		level[k-1].right = level[k]
+	}
+	for len(level) > 1 {
+		var up []*node[V]
+		index.STRRuns(len(level), order*3/4, func(i int) geom.Envelope { return level[i].env }, func(run []int32) {
+			n := &node[V]{nsn: t.nextNSN(), refs: make([]childRef[V], len(run))}
+			for k, i := range run {
+				n.refs[k] = childRef[V]{ptr: level[i], env: level[i].env, nsn: level[i].nsn}
+			}
+			n.env = cover(n.refs, refEnv[V])
+			up = append(up, n)
+		})
+		level = up
+	}
+	t.root.Store(&rootRef[V]{n: level[0], nsn: level[0].nsn})
 	return t
 }
 
@@ -221,7 +257,7 @@ func (t *tree[V]) insert(e Entry[V]) {
 	leaf.env = leaf.env.ExpandToInclude(e.env)
 	var sib *node[V]
 	if len(leaf.entries) > t.order {
-		sib = t.splitLeaf(leaf)
+		sib = t.split(leaf)
 	}
 	leaf.mu.Unlock()
 
@@ -277,52 +313,20 @@ func (t *tree[V]) chooseSubtree(n *node[V], env geom.Envelope) int {
 	return best
 }
 
-// splitLeaf halves an overflowing leaf while the caller holds its
-// write latch: the upper half (along the leaf envelope's longer axis)
-// moves to a new right sibling, the sibling inherits the leaf's OLD
-// sequence number and splices into the chain, and the leaf is stamped
-// fresh. Readers chasing the old number find the sibling — the last
-// node of the chain carrying it.
-func (t *tree[V]) splitLeaf(n *node[V]) *node[V] {
-	mid := splitPoint(len(n.entries))
-	sortByAxis(n.entries, longerAxisX(n.env), func(e *Entry[V]) geom.Envelope { return e.env })
-	sib := &node[V]{
-		nsn:     n.nsn,
-		right:   n.right,
-		entries: append([]Entry[V](nil), n.entries[mid:]...),
-		env:     geom.EmptyEnvelope(),
-	}
-	for i := range sib.entries {
-		sib.env = sib.env.ExpandToInclude(sib.entries[i].env)
-	}
-	n.entries = n.entries[:mid:mid]
-	n.env = geom.EmptyEnvelope()
-	for i := range n.entries {
-		n.env = n.env.ExpandToInclude(n.entries[i].env)
-	}
-	n.nsn = t.nextNSN()
-	n.right = sib
-	return sib
-}
-
-// splitInternal is splitLeaf for internal nodes; caller holds the
-// node's write latch.
-func (t *tree[V]) splitInternal(n *node[V]) *node[V] {
-	mid := splitPoint(len(n.refs))
-	sortByAxis(n.refs, longerAxisX(n.env), func(r *childRef[V]) geom.Envelope { return r.env })
-	sib := &node[V]{
-		nsn:   n.nsn,
-		right: n.right,
-		refs:  append([]childRef[V](nil), n.refs[mid:]...),
-		env:   geom.EmptyEnvelope(),
-	}
-	for i := range sib.refs {
-		sib.env = sib.env.ExpandToInclude(sib.refs[i].env)
-	}
-	n.refs = n.refs[:mid:mid]
-	n.env = geom.EmptyEnvelope()
-	for i := range n.refs {
-		n.env = n.env.ExpandToInclude(n.refs[i].env)
+// split halves an overflowing node while the caller holds its write
+// latch: the upper half (along the node envelope's longer axis) moves
+// to a new right sibling, the sibling inherits the node's OLD sequence
+// number and splices into the chain, and the node is stamped fresh.
+// Readers chasing the old number find the sibling — the last node of
+// the chain carrying it.
+func (t *tree[V]) split(n *node[V]) *node[V] {
+	sib := &node[V]{nsn: n.nsn, right: n.right}
+	if n.isLeaf() {
+		n.entries, sib.entries = halve(n.entries, n.env, entryEnv[V])
+		n.env, sib.env = cover(n.entries, entryEnv[V]), cover(sib.entries, entryEnv[V])
+	} else {
+		n.refs, sib.refs = halve(n.refs, n.env, refEnv[V])
+		n.env, sib.env = cover(n.refs, refEnv[V]), cover(sib.refs, refEnv[V])
 	}
 	n.nsn = t.nextNSN()
 	n.right = sib
@@ -358,7 +362,7 @@ func (t *tree[V]) adjustUp(path []*node[V], child, sib *node[V]) {
 		}
 		var parentSib *node[V]
 		if len(parent.refs) > t.order {
-			parentSib = t.splitInternal(parent)
+			parentSib = t.split(parent)
 		}
 		parent.mu.Unlock()
 		child, sib = parent, parentSib
@@ -376,48 +380,111 @@ func (t *tree[V]) adjustUp(path []*node[V], child, sib *node[V]) {
 	}
 }
 
-// rebuild returns a fresh tree holding only the live entries —
-// tombstone reclamation by wholesale replacement. The old tree is
-// never mutated again, so snapshots that captured it keep reading a
-// frozen (and still correct) structure; every tombstone here has
-// delGen <= the published generation, so no future snapshot can need
-// one. Entries keep their addGen.
-func (t *tree[V]) rebuild() *tree[V] {
-	nt := newTree[V](t.order)
-	for n := t.leftLeaf; n != nil; {
-		n.mu.RLock()
-		for i := range n.entries {
-			if n.entries[i].delGen == 0 {
-				e := n.entries[i]
-				nt.insert(e)
+// liveEntries copies out the live entries along the leaf chain.
+// Writer-side: the caller is the only mutator, so it takes no latch.
+func (t *tree[V]) liveEntries() []Entry[V] {
+	es := make([]Entry[V], 0, t.live)
+	for n := t.leftLeaf; n != nil; n = n.right {
+		for _, e := range n.entries {
+			if e.delGen == 0 {
+				es = append(es, e)
 			}
 		}
-		next := n.right
-		n.mu.RUnlock()
-		n = next
 	}
-	return nt
+	return es
 }
 
-// ---- split helpers ----
+// check verifies the invariants: envelopes of nodes and refs cover
+// their contents, refs carry their child's NSN (no chase is pending
+// while the writer rests), the leaf chain visits exactly the leaves the
+// root walk reaches, owners maps live ids to their leaves, live and dead
+// match a count, tombstones postdate inserts. Caller holds d.mu.
+func (t *tree[V]) check() error {
+	leaves, live, dead := make(map[*node[V]]bool), 0, 0
+	var walk func(n *node[V], nsn uint64) error
+	walk = func(n *node[V], nsn uint64) error {
+		if n.nsn != nsn {
+			return fmt.Errorf("node %d: its ref carries nsn %d", n.nsn, nsn)
+		}
+		for _, r := range n.refs {
+			if !n.env.ContainsEnvelope(r.env) || !r.env.ContainsEnvelope(r.ptr.env) {
+				return fmt.Errorf("node %d: ref %v does not cover child %d's %v", n.nsn, r.env, r.ptr.nsn, r.ptr.env)
+			}
+			if err := walk(r.ptr, r.nsn); err != nil {
+				return err
+			}
+		}
+		if !n.isLeaf() {
+			return nil
+		}
+		leaves[n] = true
+		for i := range n.entries {
+			e := &n.entries[i]
+			switch {
+			case !n.env.ContainsEnvelope(e.env):
+				return fmt.Errorf("leaf %d: %v does not cover id %d's %v", n.nsn, n.env, e.ID, e.env)
+			case e.delGen != 0 && e.addGen >= e.delGen:
+				return fmt.Errorf("id %d: added at %d, tombstoned at %d", e.ID, e.addGen, e.delGen)
+			case e.delGen != 0:
+				dead++
+			case t.owners[e.ID] != n:
+				return fmt.Errorf("id %d: owners points away from its leaf %d", e.ID, n.nsn)
+			default:
+				live++
+			}
+		}
+		return nil
+	}
+	rr := t.root.Load()
+	if err := walk(rr.n, rr.nsn); err != nil {
+		return err
+	}
+	for n := t.leftLeaf; n != nil; n = n.right {
+		if !leaves[n] {
+			return fmt.Errorf("leaf chain reaches leaf %d twice or off the root walk", n.nsn)
+		}
+		delete(leaves, n)
+	}
+	if len(leaves) != 0 {
+		return fmt.Errorf("leaf chain misses %d leaves", len(leaves))
+	}
+	if live != t.live || dead != t.dead || len(t.owners) != live {
+		return fmt.Errorf("walk counts %d live, %d dead; counters say %d, %d with %d owners", live, dead, t.live, t.dead, len(t.owners))
+	}
+	return nil
+}
 
-func splitPoint(n int) int { return n / 2 }
+// ---- split and pack helpers ----
 
-func longerAxisX(env geom.Envelope) bool { return env.Width() >= env.Height() }
+func entryEnv[V any](e *Entry[V]) geom.Envelope  { return e.env }
+func refEnv[V any](r *childRef[V]) geom.Envelope { return r.env }
 
-// sortByAxis orders items by envelope center along x (byX) or y —
-// insertion sort, since slices are at most order+1 long.
-func sortByAxis[T any](items []T, byX bool, env func(*T) geom.Envelope) {
-	center := func(i int) float64 {
-		c := env(&items[i]).Center()
+// cover returns the envelope of items.
+func cover[T any](items []T, envOf func(*T) geom.Envelope) geom.Envelope {
+	env := geom.EmptyEnvelope()
+	for i := range items {
+		env = env.ExpandToInclude(envOf(&items[i]))
+	}
+	return env
+}
+
+// halve orders items by envelope centre along env's longer axis —
+// insertion sort, since a node holds at most order+1 — and returns the
+// lower half, capped, and a copy of the upper half.
+func halve[T any](items []T, env geom.Envelope, envOf func(*T) geom.Envelope) (lo, hi []T) {
+	byX := env.Width() >= env.Height()
+	axis := func(i int) float64 {
+		c := envOf(&items[i]).Center()
 		if byX {
 			return c.X
 		}
 		return c.Y
 	}
 	for i := 1; i < len(items); i++ {
-		for j := i; j > 0 && center(j) < center(j-1); j-- {
+		for j := i; j > 0 && axis(j) < axis(j-1); j-- {
 			items[j], items[j-1] = items[j-1], items[j]
 		}
 	}
+	mid := len(items) / 2
+	return items[:mid:mid], append([]T(nil), items[mid:]...)
 }

@@ -24,7 +24,7 @@ func collectIDs(t *tree[int], q geom.Envelope, gen uint64, all bool) map[int64]i
 
 func TestTreeSearchMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	tr := newTree[int](5) // tiny order to force deep split cascades
+	tr := newTree[int](5, nil) // tiny order to force deep split cascades
 	type rec struct {
 		id   int64
 		x, y float64
@@ -63,7 +63,7 @@ func TestTreeSearchMatchesBruteForce(t *testing.T) {
 }
 
 func TestTreeTombstoneVisibility(t *testing.T) {
-	tr := newTree[int](4)
+	tr := newTree[int](4, nil)
 	for i := 0; i < 100; i++ {
 		tr.insert(Entry[int]{ID: int64(i), Key: pt(float64(i), 0), Value: i, addGen: 1})
 	}
@@ -95,14 +95,19 @@ func TestTreeTombstoneVisibility(t *testing.T) {
 }
 
 func TestTreeRebuildDropsTombstones(t *testing.T) {
-	tr := newTree[int](4)
+	tr := newTree[int](4, nil)
 	for i := 0; i < 200; i++ {
 		tr.insert(Entry[int]{ID: int64(i), Key: pt(float64(i%20), float64(i/20)), Value: i, addGen: uint64(1 + i/50)})
 	}
 	for i := 0; i < 200; i += 3 {
 		tr.delete(int64(i), 9)
 	}
-	nt := tr.rebuild()
+	nt := newTree(tr.order, tr.liveEntries())
+	for _, x := range []*tree[int]{tr, nt} {
+		if err := x.check(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if nt.live != tr.live || nt.dead != 0 {
 		t.Fatalf("rebuilt live/dead = %d/%d, want %d/0", nt.live, nt.dead, tr.live)
 	}
@@ -131,20 +136,6 @@ func TestTreeRebuildDropsTombstones(t *testing.T) {
 			t.Fatalf("rebuilt shows id %d at gen 2 that old tree does not", id)
 		}
 	}
-	// Owners map of the new tree targets the new leaves.
-	for id, leaf := range nt.owners {
-		found := false
-		leaf.mu.RLock()
-		for i := range leaf.entries {
-			if leaf.entries[i].ID == id && leaf.entries[i].delGen == 0 {
-				found = true
-			}
-		}
-		leaf.mu.RUnlock()
-		if !found {
-			t.Fatalf("owners[%d] points at a leaf without the live entry", id)
-		}
-	}
 }
 
 // TestTreeReadersNeverMissOrDouble is the R-link protocol gate: a
@@ -152,80 +143,145 @@ func TestTreeRebuildDropsTombstones(t *testing.T) {
 // published generation mid-flight and full-scan. A reader must see
 // EXACTLY the entries of its pinned generation — no entry missed
 // because a split moved it, none seen twice because a chase
-// re-visited it.
+// re-visited it. The writer starts from an empty tree and from one the
+// loader packed, whose leaves it then splits.
 func TestTreeReadersNeverMissOrDouble(t *testing.T) {
 	const total = 4000
-	tr := newTree[int](5)
-	var published atomic.Uint64
+	for _, packed := range []int{0, 3000} {
+		rng := rand.New(rand.NewSource(99))
+		// Packed entries are visible from generation 0 and take the ids
+		// after the inserted ones.
+		es := make([]Entry[int], packed)
+		for i := range es {
+			es[i] = Entry[int]{ID: int64(total + i), Key: pt(rng.Float64()*100, rng.Float64()*100)}
+		}
+		tr := newTree(5, es)
+		var published atomic.Uint64
 
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	errs := make(chan string, 8)
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				gen := published.Load()
-				got := make(map[int64]int)
-				if rng.Intn(2) == 0 {
-					tr.search(geom.Envelope{}, gen, true, func(e Entry[int]) bool {
-						got[e.ID]++
-						return true
-					})
-					if uint64(len(got)) != gen {
-						errs <- "full scan at gen %d saw %d entries"
+		var wg sync.WaitGroup
+		stop := make(chan struct{})
+		errs := make(chan string, 8)
+		for r := 0; r < 4; r++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(seed))
+				for {
+					select {
+					case <-stop:
 						return
+					default:
 					}
-				} else {
-					q := geom.NewEnvelope(10, 10, 60, 60)
-					tr.search(q, gen, false, func(e Entry[int]) bool {
-						got[e.ID]++
-						return true
-					})
+					gen := published.Load()
+					got := make(map[int64]int)
+					if rng.Intn(2) == 0 {
+						tr.search(geom.Envelope{}, gen, true, func(e Entry[int]) bool {
+							got[e.ID]++
+							return true
+						})
+						if uint64(len(got)) != uint64(packed)+gen {
+							errs <- "full scan saw the wrong number of entries"
+							return
+						}
+					} else {
+						q := geom.NewEnvelope(10, 10, 60, 60)
+						tr.search(q, gen, false, func(e Entry[int]) bool {
+							got[e.ID]++
+							return true
+						})
+					}
+					for id, n := range got {
+						if n != 1 {
+							errs <- "duplicate visit"
+							return
+						}
+						if id < total && uint64(id) >= gen {
+							errs <- "saw entry from an unpublished generation"
+							return
+						}
+					}
 				}
-				for id, n := range got {
-					if n != 1 {
-						errs <- "duplicate visit"
-						return
-					}
-					if uint64(id) >= gen {
-						errs <- "saw entry from an unpublished generation"
-						return
-					}
-				}
+			}(int64(r))
+		}
+
+		for i := 0; i < total; i++ {
+			// Entry i becomes visible at generation i+1; IDs equal their
+			// insertion index so readers can verify exact prefixes.
+			tr.insert(Entry[int]{
+				ID:     int64(i),
+				Key:    pt(rng.Float64()*100, rng.Float64()*100),
+				Value:  i,
+				addGen: uint64(i + 1),
+			})
+			published.Store(uint64(i + 1))
+		}
+		close(stop)
+		wg.Wait()
+		select {
+		case msg := <-errs:
+			t.Fatalf("%d packed: %s", packed, msg)
+		default:
+		}
+
+		if err := tr.check(); err != nil {
+			t.Fatalf("%d packed: %v", packed, err)
+		}
+		got := collectIDs(tr, geom.Envelope{}, total, true)
+		if len(got) != total+packed {
+			t.Fatalf("%d packed: final scan sees %d entries, want %d", packed, len(got), total+packed)
+		}
+	}
+}
+
+// TestTreeCheckCatchesDamage makes sure the tree checker is not
+// vacuous: a packed tree, split by inserts and carrying tombstones,
+// passes, and each kind of damage it is there for is reported.
+func TestTreeCheckCatchesDamage(t *testing.T) {
+	build := func() *tree[int] {
+		es := make([]Entry[int], 300)
+		for i := range es {
+			es[i] = Entry[int]{ID: int64(i), Key: pt(float64(i%20), float64(i/20)), addGen: 1}
+		}
+		tr := newTree(4, es)
+		for i := 300; i < 400; i++ {
+			tr.insert(Entry[int]{ID: int64(i), Key: pt(float64(i%20)+0.5, float64(i/20)), addGen: 2})
+		}
+		for i := 0; i < 400; i += 7 {
+			tr.delete(int64(i), 3)
+		}
+		return tr
+	}
+	if err := build().check(); err != nil {
+		t.Fatal(err)
+	}
+	// A leaf holding entries at distinct points, and one other leaf.
+	leaf := func(tr *tree[int]) *node[int] {
+		for n := tr.leftLeaf; ; n = n.right {
+			if n.env.Area() > 0 {
+				return n
 			}
-		}(int64(r))
+		}
 	}
-
-	rng := rand.New(rand.NewSource(99))
-	for i := 0; i < total; i++ {
-		// Entry i becomes visible at generation i+1; IDs equal their
-		// insertion index so readers can verify exact prefixes.
-		tr.insert(Entry[int]{
-			ID:     int64(i),
-			Key:    pt(rng.Float64()*100, rng.Float64()*100),
-			Value:  i,
-			addGen: uint64(i + 1),
-		})
-		published.Store(uint64(i + 1))
-	}
-	close(stop)
-	wg.Wait()
-	select {
-	case msg := <-errs:
-		t.Fatal(msg)
-	default:
-	}
-
-	got := collectIDs(tr, geom.Envelope{}, total, true)
-	if len(got) != total {
-		t.Fatalf("final scan sees %d entries, want %d", len(got), total)
+	for name, damage := range map[string]func(tr *tree[int]){
+		"leaf MBR": func(tr *tree[int]) {
+			n := leaf(tr)
+			n.env = geom.NewEnvelope(n.env.MinX, n.env.MinY, n.env.MinX, n.env.MinY)
+		},
+		"ref MBR": func(tr *tree[int]) {
+			r := &tr.root.Load().n.refs[0]
+			r.env = geom.NewEnvelope(r.env.MinX, r.env.MinY, r.env.MinX, r.env.MinY)
+		},
+		"ref nsn":     func(tr *tree[int]) { tr.root.Load().n.refs[1].nsn++ },
+		"chain skips": func(tr *tree[int]) { tr.leftLeaf.right = tr.leftLeaf.right.right },
+		"chain loops": func(tr *tree[int]) { leaf(tr).right = tr.leftLeaf },
+		"stale owner": func(tr *tree[int]) { tr.owners[5] = tr.leftLeaf.right },
+		"counter":     func(tr *tree[int]) { tr.dead++ },
+		"generation":  func(tr *tree[int]) { e := &leaf(tr).entries[0]; e.delGen = e.addGen },
+	} {
+		tr := build()
+		damage(tr)
+		if err := tr.check(); err == nil {
+			t.Errorf("%s: damage not reported", name)
+		}
 	}
 }

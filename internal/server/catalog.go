@@ -49,7 +49,7 @@ type DatasetSpec struct {
 	// Mutable registers a live dataset that accepts mutation batches
 	// after registration (POST /api/v1/ingest). A mutable dataset may
 	// start empty (N == 0, no events); any generator or inline events
-	// become its first insert batch. The "persistent" index recipe is
+	// are loaded as its generation 1. The "persistent" index recipe is
 	// rejected — bulk-loaded STR trees are immutable.
 	Mutable bool `json:"mutable,omitempty"`
 	// Columnar builds the Hilbert-sorted columnar scan sidecar: at
@@ -347,8 +347,8 @@ func (c *Catalog) registerAt(ctx *stark.Context, spec DatasetSpec, events []work
 		// log before they apply: the commit hook runs inside the live
 		// dataset's writer lock, after validation and before mutation,
 		// so the acknowledged batch is durable or not applied at all.
-		// (The seed batch staged above predates the hook on purpose —
-		// it is re-derived from the logged spec, not from the log.)
+		// (The seed records loaded above predate the hook on purpose —
+		// they are re-derived from the logged spec, not from the log.)
 		if e.mds != nil {
 			d, name, entryGen := c.dur, spec.Name, e.gen
 			e.mds.OnCommit(func(g uint64, ops []stark.LiveOp[workload.Event]) error {
@@ -367,11 +367,8 @@ func (c *Catalog) registerAt(ctx *stark.Context, spec DatasetSpec, events []work
 // data space when empty), mirroring what stageMutable did at original
 // registration.
 func (c *Catalog) restoreMutable(ctx *stark.Context, spec DatasetSpec, gen int64, liveGen uint64, recs []stark.LiveRecord[workload.Event]) error {
-	mds, err := newLive(ctx, spec, recs)
+	mds, err := newLive(ctx, spec, liveGen, recs)
 	if err != nil {
-		return err
-	}
-	if err := mds.Restore(liveGen, recs); err != nil {
 		return err
 	}
 	e := &catalogEntry{spec: spec, mds: mds}
@@ -530,8 +527,8 @@ func stageDataset(ctx *stark.Context, events []workload.Event, spec DatasetSpec)
 // is fixed up front: the spec's partitioner recipe is built over the
 // seed events' keys, or over the corners of the declared data space
 // when the dataset starts empty (the generator's default 1000×1000
-// when no width/height is given). Seed events, if any, land as one
-// initial insert batch — generation 1 — using each event's ID as the
+// when no width/height is given). Seed events, if any, are loaded at
+// generation 1 before any commit hook is attached, each event's ID the
 // live record ID, so they can be upserted and deleted over HTTP later.
 func stageMutable(ctx *stark.Context, events []workload.Event, spec DatasetSpec) (*stark.MutableDataset[workload.Event], error) {
 	tuples, err := catalogRows(ctx, len(events), func(i int) workload.Event { return events[i] })
@@ -542,21 +539,12 @@ func stageMutable(ctx *stark.Context, events []workload.Event, spec DatasetSpec)
 	for i, kv := range tuples {
 		recs[i] = stark.LiveRecord[workload.Event]{ID: int64(kv.Value.ID), Key: kv.Key, Value: kv.Value}
 	}
-	mds, err := newLive(ctx, spec, recs)
-	if err != nil {
-		return nil, err
-	}
-	if len(recs) > 0 {
-		if _, err := mds.Insert(recs...); err != nil {
-			return nil, fmt.Errorf("seeding events: %w", err)
-		}
-	}
-	return mds, nil
+	return newLive(ctx, spec, uint64(min(len(recs), 1)), recs)
 }
 
-// newLive builds the empty live dataset of a mutable entry, its layout
-// fixed over the keys of the records it is about to receive.
-func newLive(ctx *stark.Context, spec DatasetSpec, recs []stark.LiveRecord[workload.Event]) (*stark.MutableDataset[workload.Event], error) {
+// newLive builds the live dataset of a mutable entry, its layout fixed
+// over the keys of recs, and loads recs at generation gen.
+func newLive(ctx *stark.Context, spec DatasetSpec, gen uint64, recs []stark.LiveRecord[workload.Event]) (*stark.MutableDataset[workload.Event], error) {
 	order, err := parseLiveOrder(spec)
 	if err != nil {
 		return nil, err
@@ -571,7 +559,7 @@ func newLive(ctx *stark.Context, spec DatasetSpec, recs []stark.LiveRecord[workl
 	}
 	mds := stark.NewMutableDataset[workload.Event](ctx, spec.Name, sp, order)
 	mds.SetAttrFields(workload.EventSchema())
-	return mds, nil
+	return mds, mds.Restore(gen, recs)
 }
 
 // buildLiveLayout fixes a mutable dataset's spatial layout: the

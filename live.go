@@ -161,9 +161,9 @@ func (m *MutableDataset[V]) ReplayBatch(gen uint64, ops []LiveOp[V]) (bool, erro
 	return m.d.ReplayBatch(gen, ops)
 }
 
-// Restore bulk-loads checkpointed records into an empty dataset and
-// publishes them at gen, so subsequent ReplayBatch calls line up with
-// the log suffix.
+// Restore loads any record set into an empty dataset — packed, not
+// replayed as inserts — and publishes it at gen: a checkpoint's, so that
+// ReplayBatch calls line up with the log suffix, or 1 for seed records.
 func (m *MutableDataset[V]) Restore(gen uint64, recs []LiveRecord[V]) error {
 	return m.d.Restore(gen, recs)
 }
