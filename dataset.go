@@ -943,8 +943,8 @@ func (d *Dataset[V]) KNN(q STObject, k int, df ...DistanceFunc) ([]Neighbor[V], 
 // scans (or index probes) run through the task pool in bounded
 // rounds, and once ctx is done no further partition is scheduled and
 // running scans abort mid-stream — the action behind the query
-// service's kNN endpoint, which stops the search when the client
-// hangs up.
+// service's knn clause, which stops the search when the client hangs
+// up.
 func (d *Dataset[V]) KNNContext(ctx context.Context, q STObject, k int, df ...DistanceFunc) ([]Neighbor[V], error) {
 	var dist DistanceFunc
 	if len(df) > 0 {
@@ -982,7 +982,9 @@ func (d *Dataset[V]) Cluster(opts ClusterOptions) ([]ClusteredRecord[V], int, er
 	if err != nil {
 		return nil, 0, err
 	}
+	m := d.beginPhase()
 	recs, n, err := st.sds.Cluster(opts)
+	d.endPhase("cluster", m, int64(len(recs)))
 	if err != nil {
 		return nil, 0, fmt.Errorf("stark: cluster: %w", err)
 	}

@@ -238,7 +238,12 @@
 // /api/v1/query joins the (optionally filtered) dataset against another
 // catalog dataset with any strategy hint and streams the pairs as they
 // are found; join results bypass the cache, since each request builds a
-// fresh join operator whose fingerprint could never repeat. cmd/starkd is
+// fresh join operator whose fingerprint could never repeat. A "knn"
+// clause returns the k rows nearest to the request's WKT (after its
+// where clauses), a "cluster" clause labels the filtered rows by DBSCAN;
+// both take an admission slot, bypass the cache, have no EXPLAIN plan,
+// and reply through the same encoder with a "distance" or "cluster"
+// property on every line. cmd/starkd is
 // the executable; bench/e2e measures latency, throughput and hit rate
 // through real HTTP with every reply checked (BENCHMARK.json names the
 // metrics: go run ./bench/e2e -workload read_selective -seed 1), and

@@ -187,8 +187,8 @@ func TestServerAgainstAPI(t *testing.T) {
 	events := workload.Events(workload.Config{
 		N: 1_000, Seed: 9, Width: 1000, Height: 1000, TimeRange: 1000,
 	})
-	srv, err := server.New(ctx, events)
-	if err != nil {
+	srv := server.NewService(ctx, server.Options{})
+	if err := srv.RegisterEvents(server.DatasetSpec{Name: server.DefaultDataset}, events); err != nil {
 		t.Fatal(err)
 	}
 	body, _ := json.Marshal(server.QueryRequest{

@@ -13,7 +13,7 @@ import (
 
 // This file implements the k nearest neighbour operator. With a
 // spatial partitioner the search probes partitions in order of their
-// extent's distance to the query point and stops as soon as the next
+// extent's distance to the query's envelope and stops as soon as the next
 // partition's extent is farther than the current k-th neighbour — the
 // pruning that makes partitioned kNN sub-linear in the number of
 // partitions. Without a partitioner every partition is scanned.
@@ -44,9 +44,10 @@ type partDist struct {
 }
 
 // knnOrder returns the non-empty partitions ordered ascending by the
-// extent's distance to (x, y); with a nil extent func (no
-// partitioner) every partition sorts at distance 0.
-func knnOrder(extent func(i int) (geom.Envelope, bool), n int, x, y float64) []partDist {
+// extent's distance to the query envelope q, a lower bound of the
+// planar distance from any geometry inside q; with a nil extent func
+// (no partitioner) every partition sorts at distance 0.
+func knnOrder(extent func(i int) (geom.Envelope, bool), n int, q geom.Envelope) []partDist {
 	order := make([]partDist, 0, n)
 	for i := 0; i < n; i++ {
 		d := 0.0
@@ -55,7 +56,7 @@ func knnOrder(extent func(i int) (geom.Envelope, bool), n int, x, y float64) []p
 			if !ok {
 				continue // empty partition can never contribute
 			}
-			d = ext.DistanceToPoint(x, y)
+			d = ext.Distance(q)
 		}
 		order = append(order, partDist{idx: i, dist: d})
 	}
@@ -152,7 +153,6 @@ func (s *SpatialDataset[V]) KNNContext(ctx context.Context, q stobject.STObject,
 	if k <= 0 {
 		return nil, fmt.Errorf("core: kNN needs k >= 1, got %d", k)
 	}
-	qc := q.Centroid()
 	var extent func(i int) (geom.Envelope, bool)
 	if s.sp != nil {
 		extent = func(i int) (geom.Envelope, bool) {
@@ -160,7 +160,7 @@ func (s *SpatialDataset[V]) KNNContext(ctx context.Context, q stobject.STObject,
 			return ext, !ext.IsEmpty()
 		}
 	}
-	order := knnOrder(extent, s.ds.NumPartitions(), qc.X, qc.Y)
+	order := knnOrder(extent, s.ds.NumPartitions(), q.Envelope())
 	rec := s.recorder()
 	canPrune := s.sp != nil && df == nil
 	return knnRounds(ctx, s.Context(), rec, order, k, canPrune, func(p int) ([]NeighborResult[V], error) {
@@ -218,7 +218,10 @@ func (s *IndexedDataset[V]) KNNContext(ctx context.Context, q stobject.STObject,
 			return ext, !ext.IsEmpty()
 		}
 	}
-	order := knnOrder(extent, s.parts.NumPartitions(), qc.X, qc.Y)
+	order := knnOrder(extent, s.parts.NumPartitions(), q.Envelope())
+	// The tree's branch-and-bound measures from a point, so it answers
+	// for a point reference under the planar distance only.
+	_, pointRef := q.Geo().(geom.Point)
 	rec := s.recorder()
 	canPrune := s.sp != nil && df == nil
 	return knnRounds(ctx, s.Context(), rec, order, k, canPrune, func(p int) ([]NeighborResult[V], error) {
@@ -234,14 +237,14 @@ func (s *IndexedDataset[V]) KNNContext(ctx context.Context, q stobject.STObject,
 			}
 			rec.IndexProbes(1)
 			var nbrs []neighborRaw
-			if df == nil {
+			if df == nil && pointRef {
 				exact := func(id int32) float64 { return q.Distance(ip.Items[id].Key, nil) }
 				for _, nb := range ip.Tree.KNN(qc.X, qc.Y, k, exact) {
 					nbrs = append(nbrs, neighborRaw{id: nb.ID, dist: nb.Distance})
 				}
 			} else {
-				// Custom metric: the tree's Euclidean bound is not
-				// valid, fall back to scanning the partition items.
+				// Custom metric or a non-point reference: the tree's
+				// bound is not valid, scan the partition items.
 				for i, kv := range ip.Items {
 					nbrs = append(nbrs, neighborRaw{id: int32(i), dist: q.Distance(kv.Key, df)})
 				}

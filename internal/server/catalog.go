@@ -149,7 +149,7 @@ func (e *catalogEntry) columnarSnapshot() *stark.Dataset[workload.Event] {
 // entries answer from the values computed at registration; mutable
 // entries recompute lazily when the live generation has moved — the
 // incrementally maintained summary makes that a copy, not a rescan —
-// so /api/stats and the catalog listing always reflect mutations.
+// so the catalog endpoints always reflect mutations.
 func (e *catalogEntry) stats() (*stark.DatasetStats, int64) {
 	if e.mds == nil {
 		return e.summary, e.events

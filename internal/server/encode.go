@@ -1,17 +1,18 @@
 package server
 
-// The append-style encoder behind /api/v1/query. Every reply line is
-// the fixed feature shape of a workload.Event,
+// The append-style encoder behind every /api/v1/query reply line. A
+// line is the GeoJSON feature of a workload.Event,
 //
 //	{"geometry":{"coordinates":[x,y],"type":"Point"},"properties":{"category":c,"id":n,"time":t},"type":"Feature"}
 //
-// with an optional "right":{"category","id","time"} object between
-// "id" and "time" for join pairs. The bytes are exactly what
-// json.Marshal(feature(kv, nil, nil)) produces — keys in its sorted
-// order, its number format, its string escaping — because cached
+// whose properties may carry one of the extras: a kNN neighbour's
+// "distance" or a DBSCAN "cluster" label between "category" and "id",
+// and a join partner's "right":{"category","id","time"} object between
+// "id" and "time". The bytes are exactly what json.Marshal makes of the
+// map form — keys in its sorted order, its number format, its string
+// escaping, its error for NaN and the infinities — because cached
 // bodies, clients and the benchmark oracle all read them; the map form
-// in server.go stays as the oracle the tests compare against, and as
-// the path for everything that is not a finite point.
+// lives in encode_test.go as the oracle the tests compare against.
 
 import (
 	"encoding/json"
@@ -24,30 +25,38 @@ import (
 	"stark/internal/workload"
 )
 
+// extras are the properties a line adds to the event's own; each is
+// written only when set.
+type extras struct {
+	right    *workload.Event
+	distance *float64
+	cluster  *int
+}
+
 // appendFeature appends the NDJSON line (newline included) of one
-// event keyed by key; a non-nil right adds the join partner to the
-// properties. Point keys with finite ordinates are encoded without
-// allocating. Any other geometry, and a NaN or infinite ordinate, goes
-// through the map form, so those replies and the error for an
-// unencodable number are what they always were.
-func appendFeature(dst []byte, key stark.STObject, ev workload.Event, right *workload.Event) ([]byte, error) {
-	p, ok := key.Geo().(geom.Point)
-	if !ok || !finite(p.X) || !finite(p.Y) {
-		line, err := json.Marshal(featureMap(key, ev, right))
-		if err != nil {
-			return dst, err
-		}
-		return append(append(dst, line...), '\n'), nil
+// event keyed by key. Point keys are encoded without allocating. A NaN
+// or infinite number fails the line with encoding/json's error and
+// leaves dst as it was.
+func appendFeature(dst []byte, key stark.STObject, ev workload.Event, x extras) ([]byte, error) {
+	start := len(dst)
+	dst, err := appendGeometry(append(dst, `{"geometry":`...), key.Geo())
+	if err != nil {
+		return dst[:start], err
 	}
-	dst = append(dst, `{"geometry":{"coordinates":[`...)
-	dst = appendJSONFloat(dst, p.X)
-	dst = append(dst, ',')
-	dst = appendJSONFloat(dst, p.Y)
-	dst = append(dst, `],"type":"Point"},"properties":{"category":`...)
+	dst = append(dst, `,"properties":{"category":`...)
 	dst = appendJSONString(dst, ev.Category)
+	if x.cluster != nil {
+		dst = append(dst, `,"cluster":`...)
+		dst = strconv.AppendInt(dst, int64(*x.cluster), 10)
+	}
+	if x.distance != nil {
+		if dst, err = appendNumber(append(dst, `,"distance":`...), *x.distance); err != nil {
+			return dst[:start], err
+		}
+	}
 	dst = append(dst, `,"id":`...)
 	dst = strconv.AppendInt(dst, int64(ev.ID), 10)
-	if right != nil {
+	if right := x.right; right != nil {
 		dst = append(dst, `,"right":{"category":`...)
 		dst = appendJSONString(dst, right.Category)
 		dst = append(dst, `,"id":`...)
@@ -61,21 +70,70 @@ func appendFeature(dst []byte, key stark.STObject, ev workload.Event, right *wor
 	return append(dst, "},\"type\":\"Feature\"}\n"...), nil
 }
 
-// featureMap is the map form of a reply line: feature, plus the join
-// partner under properties.right when there is one.
-func featureMap(key stark.STObject, ev workload.Event, right *workload.Event) map[string]interface{} {
-	f := feature(stark.NewTuple(key, ev), nil, nil)
-	if right != nil {
-		f["properties"].(map[string]interface{})["right"] = map[string]interface{}{
-			"id":       right.ID,
-			"category": right.Category,
-			"time":     right.Time,
+// appendGeometry writes g's GeoJSON object. A geometry of no other kind,
+// a nil one included, is an empty GeometryCollection.
+func appendGeometry(dst []byte, g geom.Geometry) ([]byte, error) {
+	var err error
+	switch t := g.(type) {
+	case geom.Point:
+		dst, err = appendPosition(append(dst, `{"coordinates":`...), t)
+		return append(dst, `,"type":"Point"}`...), err
+	case geom.MultiPoint:
+		dst, err = appendPositions(append(dst, `{"coordinates":`...), t)
+		return append(dst, `,"type":"MultiPoint"}`...), err
+	case geom.LineString:
+		dst, err = appendPositions(append(dst, `{"coordinates":`...), t)
+		return append(dst, `,"type":"LineString"}`...), err
+	case geom.Polygon:
+		dst, err = appendPositions(append(dst, `{"coordinates":[`...), t.Shell())
+		for h := 0; h < t.NumHoles() && err == nil; h++ {
+			dst, err = appendPositions(append(dst, ','), t.HoleAt(h))
 		}
+		return append(dst, `],"type":"Polygon"}`...), err
+	default:
+		return append(dst, `{"geometries":[],"type":"GeometryCollection"}`...), nil
 	}
-	return f
 }
 
-func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+// appendPositions writes the points of a MultiPoint, LineString or
+// polygon ring as an array of positions.
+func appendPositions[S interface {
+	NumPoints() int
+	PointAt(int) geom.Point
+}](dst []byte, s S) ([]byte, error) {
+	dst = append(dst, '[')
+	for i := 0; i < s.NumPoints(); i++ {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		var err error
+		if dst, err = appendPosition(dst, s.PointAt(i)); err != nil {
+			return dst, err
+		}
+	}
+	return append(dst, ']'), nil
+}
+
+// appendPosition writes [x,y].
+func appendPosition(dst []byte, p geom.Point) ([]byte, error) {
+	dst, err := appendNumber(append(dst, '['), p.X)
+	if err != nil {
+		return dst, err
+	}
+	if dst, err = appendNumber(append(dst, ','), p.Y); err != nil {
+		return dst, err
+	}
+	return append(dst, ']'), nil
+}
+
+// appendNumber is appendJSONFloat with encoding/json's refusal of NaN
+// and the infinities.
+func appendNumber(dst []byte, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return dst, &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
+	}
+	return appendJSONFloat(dst, f), nil
+}
 
 // appendJSONFloat formats a finite float64 the way encoding/json does:
 // shortest round-trip digits, exponent form only outside [1e-6, 1e21),

@@ -213,26 +213,14 @@ func TestRecordDeleteEndpoint(t *testing.T) {
 }
 
 // TestStatsReflectMutations is the stale-summary regression gate:
-// /api/stats and the catalog listing must track ingestion instead of
-// reporting registration-time values forever.
+// a dataset's count and planner summary (GET /api/datasets/{name}) and
+// the catalog listing must track ingestion instead of reporting
+// registration-time values forever.
 func TestStatsReflectMutations(t *testing.T) {
 	s, _ := mutableService(t, 30, Options{})
-	getStats := func() (events float64, planner map[string]interface{}) {
-		rec := httptest.NewRecorder()
-		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/stats", nil))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("stats status = %d", rec.Code)
-		}
-		var body map[string]interface{}
-		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
-			t.Fatal(err)
-		}
-		return body["events"].(float64), body["planner"].(map[string]interface{})
-	}
-
-	events, _ := getStats()
-	if events != 30 {
-		t.Fatalf("events before ingest = %v, want 30", events)
+	events, planner := datasetStats(t, s, DefaultDataset)
+	if events != 30 || planner["count"] != 30.0 {
+		t.Fatalf("events before ingest = %v, planner count %v, want 30", events, planner["count"])
 	}
 
 	var b strings.Builder
@@ -244,7 +232,7 @@ func TestStatsReflectMutations(t *testing.T) {
 		t.Fatalf("ingest failed: %s", rec.Body.String())
 	}
 
-	events, planner := getStats()
+	events, planner = datasetStats(t, s, DefaultDataset)
 	if events != 49 { // 30 + 20 - 1
 		t.Errorf("events after ingest = %v, want 49", events)
 	}
@@ -254,15 +242,15 @@ func TestStatsReflectMutations(t *testing.T) {
 
 	// The catalog listing carries the live generation too.
 	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/datasets/default", nil))
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/datasets", nil))
 	var body struct {
-		Dataset DatasetInfo `json:"dataset"`
+		Datasets []DatasetInfo `json:"datasets"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
 		t.Fatal(err)
 	}
-	if !body.Dataset.Mutable || body.Dataset.LiveGeneration != 2 || body.Dataset.Events != 49 {
-		t.Errorf("dataset info = %+v, want mutable gen=2 events=49", body.Dataset)
+	if len(body.Datasets) != 1 || !body.Datasets[0].Mutable || body.Datasets[0].LiveGeneration != 2 || body.Datasets[0].Events != 49 {
+		t.Errorf("catalog listing = %+v, want one mutable dataset, gen=2 events=49", body.Datasets)
 	}
 }
 
@@ -309,8 +297,8 @@ func TestIngestInvalidatesResultCache(t *testing.T) {
 // deletes, queries, EXPLAINs and stats reads against one mutable
 // dataset. The writer keeps the live count a multiple of batchSize at
 // every published generation (whole batches are inserted and deleted
-// atomically), so any NDJSON response whose count is not a multiple
-// of batchSize proves a torn read. Run under -race.
+// atomically), so any NDJSON response or dataset summary whose count
+// is not a multiple of batchSize proves a torn read. Run under -race.
 func TestIngestQueryHammer(t *testing.T) {
 	const (
 		batches   = 40
@@ -401,9 +389,19 @@ func TestIngestQueryHammer(t *testing.T) {
 		defer wg.Done()
 		for !writerDone.Load() {
 			rec := httptest.NewRecorder()
-			s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/stats", nil))
-			if rec.Code != http.StatusOK {
-				fail("stats status %d", rec.Code)
+			s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/datasets/"+DefaultDataset, nil))
+			var body struct {
+				Dataset DatasetInfo `json:"dataset"`
+				Planner struct {
+					Count int64 `json:"count"`
+				} `json:"planner"`
+			}
+			if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &body) != nil {
+				fail("stats status %d: %s", rec.Code, rec.Body.String())
+				return
+			}
+			if body.Dataset.Events%batchSize != 0 || body.Planner.Count%batchSize != 0 {
+				fail("stats events %d, planner count %d: not a multiple of %d", body.Dataset.Events, body.Planner.Count, batchSize)
 				return
 			}
 		}

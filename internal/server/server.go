@@ -6,10 +6,8 @@
 // repeated queries are served from a plan-fingerprint result cache;
 // and an admission-controlled worker pool bounds concurrent engine
 // work so the service degrades gracefully under load. The embedded
-// single-page UI mirrors the paper's query interface: its filter and
-// EXPLAIN buttons call /api/v1, and the demonstration endpoints that
-// have no /api/v1 counterpart (kNN, clustering, stats) remain,
-// operating on the catalog's "default" dataset.
+// single-page UI mirrors the paper's query interface: its filter, kNN,
+// clustering and EXPLAIN forms all call /api/v1.
 package server
 
 import (
@@ -22,7 +20,6 @@ import (
 
 	"stark"
 	"stark/internal/attr"
-	"stark/internal/geom"
 	"stark/internal/workload"
 )
 
@@ -85,9 +82,6 @@ func NewService(ctx *stark.Context, opts Options) *Server {
 		mux:     http.NewServeMux(),
 	}
 	s.mux.HandleFunc("GET /{$}", s.handleIndex)
-	s.mux.HandleFunc("/api/knn", s.handleKNN)
-	s.mux.HandleFunc("/api/cluster", s.handleCluster)
-	s.mux.HandleFunc("/api/stats", s.handleStats)
 	s.mux.HandleFunc("GET /api/datasets", s.handleDatasetsList)
 	s.mux.HandleFunc("POST /api/datasets", s.handleDatasetsRegister)
 	s.mux.HandleFunc("GET /api/datasets/{name}", s.handleDatasetGet)
@@ -120,23 +114,6 @@ func (s *Server) Register(spec DatasetSpec) error {
 // spec.Name with spec's layout, skipping the generator.
 func (s *Server) RegisterEvents(spec DatasetSpec, events []workload.Event) error {
 	return s.catalog.RegisterEvents(s.ctx, spec, events)
-}
-
-// New builds a service pre-loaded with the given events as the
-// "default" dataset — the single-dataset constructor the demo UI and
-// the kNN, cluster and stats endpoints rely on.
-func New(ctx *stark.Context, events []workload.Event) (*Server, error) {
-	s := NewService(ctx, Options{})
-	if err := s.catalog.RegisterEvents(ctx, DatasetSpec{Name: DefaultDataset}, events); err != nil {
-		return nil, fmt.Errorf("server: %w", err)
-	}
-	return s, nil
-}
-
-// defaultEntry resolves the demonstration endpoints' dataset, writing
-// a 404 when it has been dropped.
-func (s *Server) defaultEntry(w http.ResponseWriter) (*catalogEntry, bool) {
-	return s.resolveDataset(w, DefaultDataset)
 }
 
 // ServeHTTP implements http.Handler: every request flows through the
@@ -206,18 +183,6 @@ func (w *WhereClauses) UnmarshalJSON(b []byte) error {
 	}
 	*w = many
 	return nil
-}
-
-// KNNRequest finds the K events nearest to a point.
-type KNNRequest struct {
-	WKT string `json:"wkt"`
-	K   int    `json:"k"`
-}
-
-// ClusterRequest runs DBSCAN over the dataset.
-type ClusterRequest struct {
-	Eps    float64 `json:"eps"`
-	MinPts int     `json:"minPts"`
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...interface{}) {
@@ -356,184 +321,6 @@ func checkWhere(c WhereClause) error {
 	return err
 }
 
-func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	var req KNNRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request: %v", err)
-		return
-	}
-	q, err := stark.FromWKT(req.WKT)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad query: %v", err)
-		return
-	}
-	if req.K <= 0 {
-		httpError(w, http.StatusBadRequest, "k must be >= 1")
-		return
-	}
-	entry, ok := s.defaultEntry(w)
-	if !ok {
-		return
-	}
-	nbrs, err := entry.dataset().KNNContext(r.Context(), q, req.K)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "knn failed: %v", err)
-		return
-	}
-	hits := make([]stark.Tuple[workload.Event], len(nbrs))
-	dists := make([]float64, len(nbrs))
-	for i, nb := range nbrs {
-		hits[i] = stark.NewTuple(nb.Key, nb.Value)
-		dists[i] = nb.Distance
-	}
-	writeJSON(w, featureCollection(hits, dists, nil))
-}
-
-func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	var req ClusterRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request: %v", err)
-		return
-	}
-	entry, ok := s.defaultEntry(w)
-	if !ok {
-		return
-	}
-	recs, n, err := entry.dataset().Cluster(stark.ClusterOptions{Eps: req.Eps, MinPts: req.MinPts})
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "cluster failed: %v", err)
-		return
-	}
-	hits := make([]stark.Tuple[workload.Event], len(recs))
-	labels := make([]int, len(recs))
-	for i, rec := range recs {
-		hits[i] = stark.NewTuple(rec.Key, rec.Value)
-		labels[i] = rec.Cluster
-	}
-	fc := featureCollection(hits, nil, labels)
-	fc["numClusters"] = n
-	writeJSON(w, fc)
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	// Immutable datasets answer from the count and planner statistics
-	// computed at registration; mutable ones recompute lazily off the
-	// live generation (a copy of the incrementally maintained summary,
-	// never a rescan), so this endpoint reflects every ingest batch.
-	entry, ok := s.defaultEntry(w)
-	if !ok {
-		return
-	}
-	summary, events := entry.stats()
-	snap := s.ctx.Metrics().Snapshot()
-	writeJSON(w, map[string]interface{}{
-		"events":          events,
-		"partitions":      len(summary.Parts),
-		"parallelism":     s.ctx.Parallelism(),
-		"tasksLaunched":   snap.TasksLaunched,
-		"tasksSkipped":    snap.TasksSkipped,
-		"elementsScanned": snap.ElementsScanned,
-		"statsRecords":    snap.StatsRecords,
-		"planner":         summary,
-		"cache":           s.cache.Stats(),
-		"admission":       s.adm.Stats(),
-	})
-}
-
-// feature renders one event as a GeoJSON feature. dist and label
-// optionally add distance / cluster properties.
-func feature(kv stark.Tuple[workload.Event], dist *float64, label *int) map[string]interface{} {
-	props := map[string]interface{}{
-		"id":       kv.Value.ID,
-		"category": kv.Value.Category,
-		"time":     kv.Value.Time,
-	}
-	if dist != nil {
-		props["distance"] = *dist
-	}
-	if label != nil {
-		props["cluster"] = *label
-	}
-	return map[string]interface{}{
-		"type":       "Feature",
-		"geometry":   geometryJSON(kv.Key.Geo()),
-		"properties": props,
-	}
-}
-
-// featureCollection renders events as GeoJSON. dists and labels are
-// optional parallel slices adding distance / cluster properties.
-func featureCollection(hits []stark.Tuple[workload.Event], dists []float64, labels []int) map[string]interface{} {
-	features := make([]map[string]interface{}, 0, len(hits))
-	for i, kv := range hits {
-		var dist *float64
-		if dists != nil {
-			dist = &dists[i]
-		}
-		var label *int
-		if labels != nil {
-			label = &labels[i]
-		}
-		features = append(features, feature(kv, dist, label))
-	}
-	return map[string]interface{}{
-		"type":     "FeatureCollection",
-		"features": features,
-		"count":    len(hits),
-	}
-}
-
-// geometryJSON converts a geometry to its GeoJSON representation.
-func geometryJSON(g geom.Geometry) map[string]interface{} {
-	switch t := g.(type) {
-	case geom.Point:
-		return map[string]interface{}{"type": "Point", "coordinates": []float64{t.X, t.Y}}
-	case geom.MultiPoint:
-		coords := make([][]float64, t.NumPoints())
-		for i := 0; i < t.NumPoints(); i++ {
-			p := t.PointAt(i)
-			coords[i] = []float64{p.X, p.Y}
-		}
-		return map[string]interface{}{"type": "MultiPoint", "coordinates": coords}
-	case geom.LineString:
-		coords := make([][]float64, t.NumPoints())
-		for i := 0; i < t.NumPoints(); i++ {
-			p := t.PointAt(i)
-			coords[i] = []float64{p.X, p.Y}
-		}
-		return map[string]interface{}{"type": "LineString", "coordinates": coords}
-	case geom.Polygon:
-		rings := make([][][]float64, 0, 1+t.NumHoles())
-		shell := t.Shell()
-		ring := make([][]float64, shell.NumPoints())
-		for i := 0; i < shell.NumPoints(); i++ {
-			p := shell.PointAt(i)
-			ring[i] = []float64{p.X, p.Y}
-		}
-		rings = append(rings, ring)
-		for h := 0; h < t.NumHoles(); h++ {
-			hr := t.HoleAt(h)
-			ring := make([][]float64, hr.NumPoints())
-			for i := 0; i < hr.NumPoints(); i++ {
-				p := hr.PointAt(i)
-				ring[i] = []float64{p.X, p.Y}
-			}
-			rings = append(rings, ring)
-		}
-		return map[string]interface{}{"type": "Polygon", "coordinates": rings}
-	default:
-		return map[string]interface{}{"type": "GeometryCollection", "geometries": []interface{}{}}
-	}
-}
-
 // indexHTML is the embedded demonstration UI: predicate form, time
 // window pickers and a result pane, in the spirit of the paper's
 // Figure 3 front end (map widgets replaced by WKT input, stdlib-only).
@@ -580,13 +367,13 @@ pre { background: #f4f4f4; padding: 1rem; overflow: auto; max-height: 24rem; }
 <label>minPts <input id="minpts" value="4" size="4"></label>
 <button onclick="clusterRun()">Run DBSCAN</button>
 </fieldset>
-<button onclick="stats()">Stats</button>
 <h2>Result</h2>
 <pre id="out">–</pre>
 <script>
-async function post(url, body) {
-  const r = await fetch(url, {method: 'POST', body: JSON.stringify(body)});
-  document.getElementById('out').textContent = JSON.stringify(await r.json(), null, 2);
+// The reply is NDJSON: one feature per line, then the summary line.
+async function query(body) {
+  const r = await fetch('/api/v1/query', {method: 'POST', body: JSON.stringify(body || filterBody())});
+  document.getElementById('out').textContent = await r.text();
 }
 function filterBody() {
   return {
@@ -603,26 +390,17 @@ async function explain() {
   const j = await r.json();
   document.getElementById('out').textContent = j.text || JSON.stringify(j, null, 2);
 }
-// The reply is NDJSON: one feature per line, then the summary line.
-async function query() {
-  const r = await fetch('/api/v1/query', {method: 'POST', body: JSON.stringify(filterBody())});
-  document.getElementById('out').textContent = await r.text();
-}
 function knn() {
-  post('/api/knn', {
+  query({
     wkt: document.getElementById('knnwkt').value,
-    k: parseInt(document.getElementById('k').value),
+    knn: {k: parseInt(document.getElementById('k').value)},
   });
 }
 function clusterRun() {
-  post('/api/cluster', {
+  query({cluster: {
     eps: parseFloat(document.getElementById('eps').value),
     minPts: parseInt(document.getElementById('minpts').value),
-  });
-}
-async function stats() {
-  const r = await fetch('/api/stats');
-  document.getElementById('out').textContent = JSON.stringify(await r.json(), null, 2);
+  }});
 }
 </script>
 </body>

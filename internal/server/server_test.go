@@ -3,23 +3,22 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"stark"
 	"stark/internal/engine"
 	"stark/internal/geom"
+	"stark/internal/plan"
 	"stark/internal/workload"
 )
 
 func testServer(t *testing.T, n int) *Server {
 	t.Helper()
-	events := workload.Events(workload.Config{N: n, Seed: 11, Width: 100, Height: 100, TimeRange: 1000})
-	s, err := New(engine.NewContext(4), events)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, _ := testService(t, n, Options{})
 	return s
 }
 
@@ -148,128 +147,217 @@ func TestQueryEndpointErrors(t *testing.T) {
 	}
 }
 
-// TestOneRoutePerJob: the unversioned query and EXPLAIN routes are gone
-// and the page the service serves calls neither.
+// TestOneRoutePerJob: the unversioned query and EXPLAIN routes and the
+// kNN, cluster and stats demonstration routes are gone, and the page the
+// service serves calls none of them.
 func TestOneRoutePerJob(t *testing.T) {
 	s := testServer(t, 10)
-	for _, path := range []string{"/api/query", "/api/explain"} {
+	for _, route := range []struct{ method, path string }{
+		{http.MethodPost, "/api/query"}, {http.MethodPost, "/api/explain"},
+		{http.MethodPost, "/api/knn"}, {http.MethodPost, "/api/cluster"}, {http.MethodGet, "/api/stats"},
+	} {
 		rec := httptest.NewRecorder()
-		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader("{}")))
+		s.ServeHTTP(rec, httptest.NewRequest(route.method, route.path, strings.NewReader("{}")))
 		if rec.Code != http.StatusNotFound {
-			t.Errorf("POST %s status = %d, want 404", path, rec.Code)
+			t.Errorf("%s %s status = %d, want 404", route.method, route.path, rec.Code)
 		}
 	}
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/", nil))
 	page := rec.Body.String()
-	for _, gone := range []string{"'/api/query'", "'/api/explain'"} {
+	for _, gone := range []string{"'/api/query'", "'/api/explain'", "'/api/knn'", "'/api/cluster'", "'/api/stats'"} {
 		if strings.Contains(page, gone) {
 			t.Errorf("the demo page still calls %s", gone)
 		}
 	}
-	for _, want := range []string{"'/api/v1/query'", "'/api/v1/explain'", "'/api/knn'", "'/api/cluster'", "'/api/stats'"} {
+	for _, want := range []string{"'/api/v1/query'", "'/api/v1/explain'", "knn: {k:", "cluster: {"} {
 		if !strings.Contains(page, want) {
-			t.Errorf("the demo page does not call %s", want)
+			t.Errorf("the demo page does not send %s", want)
 		}
 	}
 }
 
 func TestKNNEndpoint(t *testing.T) {
 	s := testServer(t, 200)
-	rec, out := postJSON(t, s, "/api/knn", KNNRequest{WKT: "POINT (50 50)", K: 5})
+	rec := postV1Query(t, s, ServiceQueryRequest{
+		QueryRequest: QueryRequest{WKT: "POINT (50 50)"}, KNN: &KNNClause{K: 5}, Trace: true,
+	})
 	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d", rec.Code)
+		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
 	}
-	feats := out["features"].([]interface{})
-	if len(feats) != 5 {
-		t.Fatalf("features = %d", len(feats))
+	if ct := rec.Header().Get("Content-Type"); ct != "application/x-ndjson" || rec.Header().Get("X-Stark-Cache") != "bypass" {
+		t.Errorf("headers %v, want NDJSON and X-Stark-Cache: bypass", rec.Header())
+	}
+	feats, sum := ndjsonResponse(t, rec.Body.Bytes())
+	if len(feats) != 5 || sum.Count != 5 || sum.Cache != "bypass" || sum.Dataset != DefaultDataset || sum.Fingerprint != "" {
+		t.Fatalf("%d features, summary %+v", len(feats), sum)
 	}
 	// Distances present and ascending.
 	prev := -1.0
 	for _, f := range feats {
-		d := f.(map[string]interface{})["properties"].(map[string]interface{})["distance"].(float64)
+		d := f["properties"].(map[string]interface{})["distance"].(float64)
 		if d < prev {
 			t.Fatal("distances not ascending")
 		}
 		prev = d
 	}
-	rec, _ = postJSON(t, s, "/api/knn", KNNRequest{WKT: "POINT (0 0)", K: 0})
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("k=0 status = %d", rec.Code)
-	}
-	rec, _ = postJSON(t, s, "/api/knn", KNNRequest{WKT: "JUNK", K: 1})
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("bad wkt status = %d", rec.Code)
+	if sum.Trace == nil || !hasPhase(sum.Trace, "knn") || sum.Trace.Rows != 5 {
+		t.Errorf("trace %+v, want a knn phase of 5 rows", sum.Trace)
 	}
 }
 
 func TestClusterEndpoint(t *testing.T) {
 	s := testServer(t, 300)
-	rec, out := postJSON(t, s, "/api/cluster", ClusterRequest{Eps: 5, MinPts: 4})
+	rec := postV1Query(t, s, ServiceQueryRequest{Cluster: &ClusterClause{Eps: 5, MinPts: 4}, Trace: true})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d body=%s", rec.Code, rec.Body.String())
 	}
-	if _, ok := out["numClusters"]; !ok {
-		t.Error("missing numClusters")
+	feats, sum := ndjsonResponse(t, rec.Body.Bytes())
+	if len(feats) != 300 || sum.Count != 300 || sum.Cache != "bypass" {
+		t.Errorf("%d features, summary %+v: a cluster clause without a filter labels the whole dataset", len(feats), sum)
 	}
-	feats := out["features"].([]interface{})
-	if len(feats) != 300 {
-		t.Errorf("features = %d", len(feats))
+	if sum.Clusters == nil {
+		t.Error("the summary has no cluster count")
 	}
-	props := feats[0].(map[string]interface{})["properties"].(map[string]interface{})
-	if _, ok := props["cluster"]; !ok {
-		t.Error("missing cluster label")
+	for _, f := range feats {
+		if _, ok := f["properties"].(map[string]interface{})["cluster"]; !ok {
+			t.Fatalf("missing cluster label: %v", f)
+		}
 	}
-	rec, _ = postJSON(t, s, "/api/cluster", ClusterRequest{Eps: -1, MinPts: 4})
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("bad eps status = %d", rec.Code)
+	if sum.Trace == nil || !hasPhase(sum.Trace, "cluster") {
+		t.Errorf("trace %+v, want a cluster phase", sum.Trace)
 	}
 }
 
+// hasPhase reports whether a trace has a phase named op.
+func hasPhase(t *plan.TraceNode, op string) bool {
+	for _, c := range t.Children {
+		if c.Op == op {
+			return true
+		}
+	}
+	return false
+}
+
+// TestOperatorClausesBadRequests is the 400 battery of the knn and
+// cluster clauses: none of these reaches admission.
+func TestOperatorClausesBadRequests(t *testing.T) {
+	s := testServer(t, 50)
+	knn := &KNNClause{K: 3}
+	cluster := &ClusterClause{Eps: 5, MinPts: 4}
+	join := &JoinSpec{With: DefaultDataset}
+	at := QueryRequest{WKT: "POINT (50 50)"}
+	for name, req := range map[string]ServiceQueryRequest{
+		"knn and cluster":   {QueryRequest: at, KNN: knn, Cluster: cluster},
+		"knn and join":      {QueryRequest: at, KNN: knn, Join: join},
+		"cluster and join":  {Cluster: cluster, Join: join},
+		"all three":         {QueryRequest: at, KNN: knn, Cluster: cluster, Join: join},
+		"knn and predicate": {QueryRequest: QueryRequest{WKT: "POINT (50 50)", Predicate: "intersects"}, KNN: knn},
+		"knn and distance":  {QueryRequest: QueryRequest{WKT: "POINT (50 50)", Distance: 3}, KNN: knn},
+		"k = 0":             {QueryRequest: at, KNN: &KNNClause{K: 0}},
+		"k < 0":             {QueryRequest: at, KNN: &KNNClause{K: -2}},
+		"knn bad wkt":       {QueryRequest: QueryRequest{WKT: "JUNK"}, KNN: knn},
+		"knn no wkt":        {KNN: knn},
+		"knn bad where":     {QueryRequest: QueryRequest{WKT: "POINT (1 1)", Where: WhereClauses{{Field: "nope", Op: "eq", Value: 1}}}, KNN: knn},
+		"eps = 0":           {Cluster: &ClusterClause{Eps: 0, MinPts: 4}},
+		"eps < 0":           {Cluster: &ClusterClause{Eps: -1, MinPts: 4}},
+		"minPts = 0":        {Cluster: &ClusterClause{Eps: 5, MinPts: 0}},
+		"cluster bad wkt":   {QueryRequest: QueryRequest{WKT: "JUNK"}, Cluster: cluster},
+	} {
+		rec := postV1Query(t, s, req)
+		var body map[string]string
+		if rec.Code != http.StatusBadRequest || json.Unmarshal(rec.Body.Bytes(), &body) != nil || body["error"] == "" {
+			t.Errorf("%s: status %d %q, want a 400 error document", name, rec.Code, rec.Body.String())
+		}
+	}
+	if st := s.adm.Stats(); st.Admitted != 0 {
+		t.Errorf("bad requests took %d admission slots", st.Admitted)
+	}
+	if rec := postV1Query(t, s, ServiceQueryRequest{Dataset: "nope", QueryRequest: at, KNN: knn}); rec.Code != http.StatusNotFound {
+		t.Errorf("unknown dataset: status %d, want 404", rec.Code)
+	}
+	for _, req := range []ServiceQueryRequest{{QueryRequest: at, KNN: knn}, {Cluster: cluster}} {
+		if rec, _ := postJSON(t, s, "/api/v1/explain", req); rec.Code != http.StatusBadRequest {
+			t.Errorf("EXPLAIN of %s: status %d, want 400", rec.Body.String(), rec.Code)
+		}
+	}
+}
+
+// TestStatsEndpoint: a dataset's count and planner statistics are at
+// GET /api/datasets/{name}.
 func TestStatsEndpoint(t *testing.T) {
 	s := testServer(t, 50)
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/stats", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d", rec.Code)
+	if events, planner := datasetStats(t, s, DefaultDataset); events != 50 || planner["count"] != 50.0 {
+		t.Errorf("events = %v, planner count = %v, want 50", events, planner["count"])
 	}
-	var out map[string]interface{}
-	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+}
+
+// datasetStats reads a dataset's event count and planner summary off
+// GET /api/datasets/{name}.
+func datasetStats(t testing.TB, s *Server, name string) (events int64, planner map[string]interface{}) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/datasets/"+name, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /api/datasets/%s status = %d", name, rec.Code)
+	}
+	var body struct {
+		Dataset DatasetInfo            `json:"dataset"`
+		Planner map[string]interface{} `json:"planner"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
 		t.Fatal(err)
 	}
-	if int(out["events"].(float64)) != 50 {
-		t.Errorf("events = %v", out["events"])
+	if body.Planner == nil {
+		t.Fatalf("GET /api/datasets/%s has no planner summary: %s", name, rec.Body.String())
 	}
+	return body.Dataset.Events, body.Planner
 }
 
-func TestNewRejectsBadWKT(t *testing.T) {
-	events := []workload.Event{{ID: 1, WKT: "NOT WKT"}}
-	if _, err := New(engine.NewContext(2), events); err == nil {
+func TestRegisterEventsRejectsBadWKT(t *testing.T) {
+	s := NewService(engine.NewContext(2), Options{})
+	if err := s.RegisterEvents(DatasetSpec{Name: DefaultDataset}, []workload.Event{{ID: 1, WKT: "NOT WKT"}}); err == nil {
 		t.Error("bad events must fail")
 	}
+	if s.HasDataset(DefaultDataset) {
+		t.Error("a failed registration published the dataset")
+	}
 }
 
+// TestGeometryJSONShapes holds the line of every non-point key to the
+// map-form oracle byte for byte, and pins the GeoJSON type it names.
 func TestGeometryJSONShapes(t *testing.T) {
-	pt := geometryJSON(geom.NewPoint(1, 2))
-	if pt["type"] != "Point" {
-		t.Errorf("point type = %v", pt["type"])
-	}
-	ls := geometryJSON(geom.MustLineString(geom.NewPoint(0, 0), geom.NewPoint(1, 1)))
-	if ls["type"] != "LineString" {
-		t.Errorf("ls type = %v", ls["type"])
-	}
-	poly := geometryJSON(geom.MustPolygon(
-		geom.NewPoint(0, 0), geom.NewPoint(1, 0), geom.NewPoint(1, 1)))
-	if poly["type"] != "Polygon" {
-		t.Errorf("poly type = %v", poly["type"])
-	}
-	rings := poly["coordinates"].([][][]float64)
-	if len(rings) != 1 || len(rings[0]) != 4 {
-		t.Errorf("rings = %v", rings)
-	}
-	mp := geometryJSON(geom.NewMultiPoint([]geom.Point{{X: 0, Y: 0}}))
-	if mp["type"] != "MultiPoint" {
-		t.Errorf("mp type = %v", mp["type"])
+	ev := workload.Event{ID: 9, Category: "shape", Time: 3}
+	label, dist := 2, 0.5
+	for _, c := range []struct {
+		g    geom.Geometry
+		want string // the geometry object, "" for an encoding error
+	}{
+		{geom.MustLineString(geom.NewPoint(0, 0), geom.NewPoint(1, 1)), `{"coordinates":[[0,0],[1,1]],"type":"LineString"}`},
+		{geom.NewMultiPoint([]geom.Point{{X: 0, Y: 0}, {X: 1e-7, Y: 2}}), `{"coordinates":[[0,0],[1e-7,2]],"type":"MultiPoint"}`},
+		{geom.NewMultiPoint(nil), `{"coordinates":[],"type":"MultiPoint"}`},
+		{geom.MustPolygon(geom.NewPoint(0, 0), geom.NewPoint(1, 0), geom.NewPoint(1, 1)),
+			`{"coordinates":[[[0,0],[1,0],[1,1],[0,0]]],"type":"Polygon"}`},
+		{geom.MustParseWKT("POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0), (1 1, 2 1, 2 2, 1 2, 1 1))"),
+			`{"coordinates":[[[0,0],[4,0],[4,4],[0,4],[0,0]],[[1,1],[2,1],[2,2],[1,2],[1,1]]],"type":"Polygon"}`},
+		{geom.MustParseWKT("POLYGON EMPTY"), `{"coordinates":[[]],"type":"Polygon"}`},
+		{nil, `{"geometries":[],"type":"GeometryCollection"}`},
+		{geom.NewMultiPoint([]geom.Point{{X: 1, Y: 2}, {X: math.NaN(), Y: 0}}), ""},
+	} {
+		key := stark.NewSTObject(c.g)
+		for _, x := range []extras{{}, {right: &ev}, {distance: &dist}, {cluster: &label}} {
+			checkAgainstOracle(t, key, ev, x)
+		}
+		line, err := appendFeature(nil, key, ev, extras{})
+		if c.want == "" {
+			if err == nil || err.Error() != "json: unsupported value: NaN" {
+				t.Errorf("%v: error %v, want the NaN error", c.g, err)
+			}
+			continue
+		}
+		if want := `{"geometry":` + c.want + `,"properties":`; err != nil || !strings.HasPrefix(string(line), want) {
+			t.Errorf("%v: line %q (%v), want it to start %s", c.g, line, err, want)
+		}
 	}
 }
 
@@ -351,24 +439,9 @@ func TestExplainEndpoint(t *testing.T) {
 func TestStatsComputedOnce(t *testing.T) {
 	s := testServer(t, 200)
 	launched0 := s.ctx.Metrics().Snapshot().TasksLaunched
-	var events float64
 	for i := 0; i < 3; i++ {
-		req := httptest.NewRequest(http.MethodGet, "/api/stats", nil)
-		rec := httptest.NewRecorder()
-		s.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("status = %d", rec.Code)
-		}
-		var out map[string]interface{}
-		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
-			t.Fatal(err)
-		}
-		events = out["events"].(float64)
-		if events != 200 {
+		if events, _ := datasetStats(t, s, DefaultDataset); events != 200 {
 			t.Errorf("events = %v", events)
-		}
-		if _, ok := out["planner"].(map[string]interface{}); !ok {
-			t.Error("stats response missing planner summary")
 		}
 	}
 	// Serving stats launches no tasks: the count and summary were

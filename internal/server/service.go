@@ -7,9 +7,12 @@ package server
 //	POST   /api/datasets          register (build + publish) a dataset
 //	GET    /api/datasets/{name}   one dataset's summary
 //	DELETE /api/datasets/{name}   drop a dataset
-//	POST   /api/v1/query          filter query, streaming NDJSON
-//	POST   /api/v1/explain        EXPLAIN with fingerprint/cache state
+//	POST   /api/v1/query          filter, join, kNN or DBSCAN, streaming NDJSON
+//	POST   /api/v1/explain        EXPLAIN of a filter or join, with fingerprint/cache state
+//	POST   /api/v1/ingest         one atomic mutation batch (ingest.go)
+//	DELETE /api/v1/datasets/{name}/records/{id}
 //	GET    /api/service           cache + admission statistics
+//	GET    /metrics               Prometheus exposition (telemetry.go)
 //
 // /api/v1/query responds with application/x-ndjson: one GeoJSON
 // feature per line, encoded inside the engine's partition tasks as the
@@ -17,7 +20,7 @@ package server
 // and written one partition at a time, in partition order, followed by
 // a single summary line
 //
-//	{"summary":{"dataset":...,"count":N,"cache":"hit|miss","fingerprint":...}}
+//	{"summary":{"dataset":...,"count":N,"cache":"hit|miss|bypass","fingerprint":...}}
 //
 // Results are cached under the chain's plan fingerprint: a repeated
 // identical query is served from the stored bytes — the very bytes the
@@ -41,19 +44,25 @@ import (
 	"stark/internal/workload"
 )
 
-// DefaultDataset is the catalog name the single-dataset constructor
-// and the kNN, cluster and stats endpoints use.
+// DefaultDataset is the catalog name a request without "dataset"
+// addresses, and the one cmd/starkd preloads with -events.
 const DefaultDataset = "default"
 
 // ServiceQueryRequest is a QueryRequest addressed to a named catalog
-// dataset ("" selects DefaultDataset). A non-nil Join turns the
-// request into a spatio-temporal join: the (optionally filtered)
-// dataset is joined against another catalog dataset and the matching
-// pairs stream back as NDJSON.
+// dataset ("" selects DefaultDataset). At most one of Join, KNN and
+// Cluster may be set; each turns the request into that operator over
+// the dataset, and the matching rows stream back as NDJSON.
 type ServiceQueryRequest struct {
 	Dataset string `json:"dataset"`
 	QueryRequest
+	// Join joins the (optionally filtered) dataset against another
+	// catalog dataset.
 	Join *JoinSpec `json:"join,omitempty"`
+	// KNN returns the K rows nearest to the request's WKT, after the
+	// where clauses; it takes no spatial predicate.
+	KNN *KNNClause `json:"knn,omitempty"`
+	// Cluster runs DBSCAN over the (optionally filtered) dataset.
+	Cluster *ClusterClause `json:"cluster,omitempty"`
 	// Trace requests an execution trace: the summary line gains a
 	// "trace" object (plan phases, wall times, per-query engine
 	// counters). Traced requests bypass the result cache in both
@@ -74,6 +83,18 @@ type JoinSpec struct {
 	// Strategy forces a physical join strategy: auto (default),
 	// pairs, broadcast, copartition.
 	Strategy string `json:"strategy"`
+}
+
+// KNNClause is the knn clause of a service query.
+type KNNClause struct {
+	K int `json:"k"`
+}
+
+// ClusterClause is the cluster clause of a service query: DBSCAN's
+// radius and density threshold.
+type ClusterClause struct {
+	Eps    float64 `json:"eps"`
+	MinPts int     `json:"minPts"`
 }
 
 // joinRow is the record type of a service join result.
@@ -140,17 +161,10 @@ func (s *Server) joinChain(w http.ResponseWriter, req ServiceQueryRequest) (*sta
 	if !ok {
 		return nil, nil, nil, false
 	}
-	left := entry.dataset()
-	// Apply the request's filter whenever any filter field is set —
-	// a constraint the non-join path would reject (temporal window
-	// without a geometry) must error here too, not be dropped.
-	if req.WKT != "" || req.Predicate != "" || req.HasTime || req.Distance != 0 {
-		var err error
-		left, err = buildFilterOn(left, req.QueryRequest)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return nil, nil, nil, false
-		}
+	left, err := filterOn(entry.dataset(), req.QueryRequest)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return nil, nil, nil, false
 	}
 	chain, rep, err := buildJoinOn(left, rightEntry.dataset(), req.Join)
 	if err != nil {
@@ -158,6 +172,18 @@ func (s *Server) joinChain(w http.ResponseWriter, req ServiceQueryRequest) (*sta
 		return nil, nil, nil, false
 	}
 	return chain, rep, entry, true
+}
+
+// filterOn is buildFilterOn for the clauses whose filter is optional
+// (join, cluster): a request that sets no filter field covers the whole
+// dataset. Any field set applies the filter, so a constraint the plain
+// query would reject (a time window without a geometry) errors here
+// too instead of being dropped.
+func filterOn(ds *stark.Dataset[workload.Event], req QueryRequest) (*stark.Dataset[workload.Event], error) {
+	if req.WKT == "" && req.Predicate == "" && !req.HasTime && req.Distance == 0 && len(req.Where) == 0 {
+		return ds, nil
+	}
+	return buildFilterOn(ds, req)
 }
 
 // acquireAdmission passes the request through the admission-control
@@ -214,15 +240,84 @@ func (s *Server) handleJoinQuery(w http.ResponseWriter, r *http.Request, req Ser
 	}, req.Trace, false)
 }
 
+// handleOperatorQuery answers the knn and cluster clauses. Both
+// operators return a computed set, encoded in full before the status
+// line and then written as a join's reply is: one line per row, carrying
+// the neighbour's "distance" or the row's "cluster" label, then the
+// summary line with "cache":"bypass" (and the number of clusters). Both
+// take an admission slot; neither is result-cached or explainable.
+func (s *Server) handleOperatorQuery(w http.ResponseWriter, r *http.Request, req ServiceQueryRequest) {
+	entry, ok := s.resolveDataset(w, req.Dataset)
+	if !ok {
+		return
+	}
+	chain, ref, err := entry.dataset(), stark.STObject{}, error(nil)
+	switch {
+	case req.KNN != nil:
+		if req.KNN.K <= 0 || req.Predicate != "" || req.Distance != 0 {
+			err = fmt.Errorf("knn needs k >= 1 and no predicate or distance: the wkt is its reference object")
+		} else if ref, err = queryObject(req.QueryRequest); err != nil {
+			err = fmt.Errorf("bad query: %v", err)
+		} else {
+			chain, err = filterOn(chain, QueryRequest{Where: req.Where})
+		}
+	case req.Cluster.Eps <= 0 || req.Cluster.MinPts < 1:
+		err = fmt.Errorf("cluster needs eps > 0 and minPts >= 1")
+	default:
+		chain, err = filterOn(chain, req.QueryRequest)
+	}
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	if !s.acquireAdmission(w, r) {
+		return
+	}
+	defer s.adm.Release()
+
+	sum := ndjsonSummary{Dataset: entry.spec.Name, Cache: "bypass"}
+	var body []byte
+	if req.KNN != nil {
+		var nbrs []stark.Neighbor[workload.Event]
+		nbrs, err = chain.KNNContext(r.Context(), ref, req.KNN.K)
+		for i := 0; i < len(nbrs) && err == nil; i++ {
+			body, err = appendFeature(body, nbrs[i].Key, nbrs[i].Value, extras{distance: &nbrs[i].Distance})
+		}
+		sum.Count = int64(len(nbrs))
+	} else {
+		var recs []stark.ClusteredRecord[workload.Event]
+		var n int
+		recs, n, err = chain.Cluster(stark.ClusterOptions{Eps: req.Cluster.Eps, MinPts: req.Cluster.MinPts})
+		for i := 0; i < len(recs) && err == nil; i++ {
+			body, err = appendFeature(body, recs[i].Key, recs[i].Value, extras{cluster: &recs[i].Cluster})
+		}
+		sum.Count, sum.Clusters = int64(len(recs)), &n
+	}
+	switch {
+	case err != nil && r.Context().Err() != nil:
+		s.logAbort(r, "query aborted", 0, err) // the client is gone
+	case err != nil:
+		httpError(w, http.StatusInternalServerError, "query failed: %v", err)
+	default:
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.Header().Set("X-Stark-Cache", sum.Cache)
+		if _, err := w.Write(body); err != nil {
+			s.logAbort(r, "aborting NDJSON stream", 0, err)
+			return
+		}
+		finishReply(w, r, chain.Trace(), sum, req.Trace)
+	}
+}
+
 // encodeEvent and encodePair are the line encoders of the two reply
 // kinds: an event, and a join pair as the left record's feature with
 // the right record folded into the properties.
 func encodeEvent(dst []byte, kv stark.Tuple[workload.Event]) ([]byte, error) {
-	return appendFeature(dst, kv.Key, kv.Value, nil)
+	return appendFeature(dst, kv.Key, kv.Value, extras{})
 }
 
 func encodePair(dst []byte, kv stark.Tuple[joinRow]) ([]byte, error) {
-	return appendFeature(dst, kv.Key, kv.Value.Left, &kv.Value.Right)
+	return appendFeature(dst, kv.Key, kv.Value.Left, extras{right: &kv.Value.Right})
 }
 
 // streamAndSummarise writes the NDJSON reply of an executed chain: the
@@ -264,15 +359,21 @@ func streamAndSummarise[V any](s *Server, w http.ResponseWriter, r *http.Request
 		s.logAbort(r, "aborting NDJSON stream", sum.Count, err)
 		return
 	}
-	t := chain.Trace()
+	finishReply(w, r, chain.Trace(), sum, trace)
+	if cacheable {
+		s.cache.Put(sum.Fingerprint, body, sum.Count) // Put takes ownership of body
+	}
+}
+
+// finishReply ends a reply whose rows are written: it hands the trace
+// summary to the access and slow-query logs and writes the summary
+// line, carrying t when the request asked for a trace.
+func finishReply(w http.ResponseWriter, r *http.Request, t *plan.TraceNode, sum ndjsonSummary, trace bool) {
 	annotate(r, sum.Fingerprint, traceSummary(t))
 	if trace {
 		sum.Trace = t
 	}
 	writeSummaryLine(w, sum)
-	if cacheable {
-		s.cache.Put(sum.Fingerprint, body, sum.Count) // Put takes ownership of body
-	}
 }
 
 // resolveDataset returns the catalog entry a service request
@@ -289,8 +390,8 @@ func (s *Server) resolveDataset(w http.ResponseWriter, name string) (*catalogEnt
 	return entry, true
 }
 
-// handleDatasets serves GET (list) and POST (register) on
-// /api/datasets.
+// handleDatasetsList serves GET /api/datasets; handleDatasetsRegister
+// serves POST.
 func (s *Server) handleDatasetsList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]interface{}{"datasets": s.catalog.List()})
 }
@@ -358,17 +459,26 @@ func (s *Server) handleServiceStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleQueryV1 executes a filter query against a named dataset and
-// streams the result as NDJSON, serving repeated queries from the
-// plan-fingerprint cache.
+// handleQueryV1 executes a query against a named dataset and streams
+// the result as NDJSON, serving repeated filter queries from the
+// plan-fingerprint cache. A join, knn or cluster clause hands the
+// request to that operator's handler.
 func (s *Server) handleQueryV1(w http.ResponseWriter, r *http.Request) {
 	var req ServiceQueryRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request: %v", err)
 		return
 	}
-	if req.Join != nil {
+	operator := req.KNN != nil || req.Cluster != nil
+	switch {
+	case operator && (req.Join != nil || req.KNN != nil && req.Cluster != nil):
+		httpError(w, http.StatusBadRequest, "join, knn and cluster cannot be combined")
+		return
+	case req.Join != nil:
 		s.handleJoinQuery(w, r, req)
+		return
+	case operator:
+		s.handleOperatorQuery(w, r, req)
 		return
 	}
 	entry, ok := s.resolveDataset(w, req.Dataset)
@@ -431,6 +541,9 @@ type ndjsonSummary struct {
 	// Strategy is the physical join strategy that ran (join queries
 	// only).
 	Strategy string `json:"strategy,omitempty"`
+	// Clusters is the number of clusters DBSCAN found (cluster queries
+	// only).
+	Clusters *int `json:"clusters,omitempty"`
 	// Trace is the execution trace (requests with "trace": true only).
 	Trace *plan.TraceNode `json:"trace,omitempty"`
 }
@@ -459,6 +572,10 @@ func (s *Server) handleExplainV1(w http.ResponseWriter, r *http.Request) {
 	var req ServiceQueryRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request: %v", err)
+		return
+	}
+	if req.KNN != nil || req.Cluster != nil {
+		httpError(w, http.StatusBadRequest, "knn and cluster have no plan to explain")
 		return
 	}
 	if req.Join != nil {

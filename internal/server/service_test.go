@@ -529,6 +529,22 @@ func TestJoinThroughQueryV1(t *testing.T) {
 		t.Errorf("join feature missing right record: %v", features[0])
 	}
 
+	// A where clause alone filters the left side too.
+	cat := workload.Categories[0]
+	wreq := req
+	wreq.Where = WhereClauses{{Field: "category", Op: "eq", Value: cat}}
+	wfeatures, wsum := ndjsonResponse(t, postV1Query(t, s, wreq).Body.Bytes())
+	want := 0
+	for _, f := range features {
+		if f["properties"].(map[string]interface{})["category"] == cat {
+			want++
+		}
+	}
+	if want == 0 || want == len(features) || int(wsum.Count) != want || len(wfeatures) != want {
+		t.Errorf("join with where %s=%s: %d rows (summary %d), want the %d of %d pairs whose left row matches",
+			"category", cat, len(wfeatures), wsum.Count, want, len(features))
+	}
+
 	// The same join through EXPLAIN renders the strategy decision.
 	body, _ := json.Marshal(req)
 	erec := httptest.NewRecorder()

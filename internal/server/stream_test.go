@@ -175,7 +175,7 @@ func TestQueryV1MissHitAndOracleBodiesAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := oracleBody(t, chain, func(kv stark.Tuple[joinRow]) map[string]interface{} {
-			return featureMap(kv.Key, kv.Value.Left, &kv.Value.Right)
+			return featureMap(kv.Key, kv.Value.Left, extras{right: &kv.Value.Right})
 		})
 		rec := postV1Query(t, s, req)
 		body, sum := splitSummary(t, rec.Body.Bytes())

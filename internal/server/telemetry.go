@@ -133,8 +133,7 @@ func routeLabel(path string) string {
 	switch path {
 	case "/":
 		return "/"
-	case "/api/knn", "/api/cluster", "/api/stats",
-		"/api/service", "/api/datasets", "/metrics",
+	case "/api/service", "/api/datasets", "/metrics",
 		"/api/v1/query", "/api/v1/explain", "/api/v1/ingest":
 		return path
 	}
