@@ -17,7 +17,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 
 	"stark/internal/attr"
@@ -40,6 +42,11 @@ type Tuple[V any] = engine.Pair[stobject.STObject, V]
 type SpatialDataset[V any] struct {
 	ds *engine.Dataset[Tuple[V]]
 	sp partition.SpatialPartitioner // nil when not spatially partitioned
+
+	// xOrdered marks rows that PartitionBy ordered by x in every
+	// partition, all keys points: a scan skips each batch whose x range
+	// misses its prune envelope.
+	xOrdered bool
 
 	// rec, when non-nil, is the recorder the dataset's operators
 	// charge their metrics to (see WithRecorder); nil selects the
@@ -118,7 +125,7 @@ func (s *SpatialDataset[V]) WithRecorder(rec *engine.Recorder) *SpatialDataset[V
 	if rec == nil || s.rec == rec {
 		return s
 	}
-	return &SpatialDataset[V]{ds: s.ds.WithRecorder(rec), sp: s.sp, rec: rec, aux: s.aux}
+	return &SpatialDataset[V]{ds: s.ds.WithRecorder(rec), sp: s.sp, xOrdered: s.xOrdered, rec: rec, aux: s.aux}
 }
 
 // Dataset returns the underlying engine dataset.
@@ -149,10 +156,9 @@ func (s *SpatialDataset[V]) Cache() *SpatialDataset[V] {
 // and returns a spatially partitioned SpatialDataset — the DSL's
 // rdd.partitionBy(gridPartitioner) step. It fixes the memory layout the
 // scans run over: the shuffle leaves each partition's rows in source
-// order (see engine.PartitionBy), and the point keys of a partition are
-// then relocated in row order, so a scan that walks the rows walks their
-// keys' coordinates forwards too instead of chasing one pointer per row
-// into wherever the source allocated that point.
+// order (see engine.PartitionBy), and a partition whose keys are all
+// points is then ordered by x, ties in that order, so two shuffles of
+// one input are still equal row for row.
 func (s *SpatialDataset[V]) PartitionBy(sp partition.SpatialPartitioner) (*SpatialDataset[V], error) {
 	if sp == nil {
 		return nil, fmt.Errorf("core: nil partitioner")
@@ -161,17 +167,43 @@ func (s *SpatialDataset[V]) PartitionBy(sp partition.SpatialPartitioner) (*Spati
 	if err != nil {
 		return nil, err
 	}
-	err = s.Context().RunJobRecorder(nil, s.rec, engine.AllPartitions(shuffled.NumPartitions()), func(p int) error {
+	ordered := make([]bool, shuffled.NumPartitions())
+	err = s.Context().RunJobRecorder(nil, s.rec, engine.AllPartitions(len(ordered)), func(p int) error {
 		rows, err := shuffled.ComputePartition(p) // the shuffle's own slice, not yet shared
-		for i := range rows {
-			rows[i].Key = rows[i].Key.Relocated()
-		}
+		ordered[p] = err == nil && orderByX(rows)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return newSpatial(shuffled, sp, s.rec), nil
+	out := newSpatial(shuffled, sp, s.rec)
+	out.xOrdered = !slices.Contains(ordered, false)
+	return out, nil
+}
+
+// orderByX sorts rows by the x of their point keys, a NaN first and ties
+// in row order. It leaves rows as they are and reports false when a key
+// is not a point.
+func orderByX[V any](rows []Tuple[V]) bool {
+	type xAt struct {
+		x float64
+		i int
+	}
+	keys := make([]xAt, len(rows))
+	for i := range rows {
+		p, ok := rows[i].Key.Point()
+		if !ok {
+			return false
+		}
+		keys[i] = xAt{p.X, i}
+	}
+	slices.SortFunc(keys, func(a, b xAt) int { return cmp.Or(cmp.Compare(a.x, b.x), a.i-b.i) })
+	sorted := make([]Tuple[V], len(rows))
+	for d, k := range keys {
+		sorted[d] = rows[k.i]
+	}
+	copy(rows, sorted)
+	return true
 }
 
 // spAdapter adapts a SpatialPartitioner to engine.Partitioner.

@@ -17,14 +17,29 @@ import (
 // satisfying pred against q, on the contract of IndexedDataset.Probe:
 // the candidates are the rows whose key envelope meets pruneEnv, the
 // exact predicate refines them. A row outside pruneEnv is rejected
-// inside the batch loop (a point key: four compares) and never reaches
-// pred; an empty pruneEnv means no such test. Every row is charged to
-// ElementsScanned, rejected either way, once per batch so the loop
-// stays atomic-free.
+// inside the batch loop and never reaches pred; an empty pruneEnv means
+// no such test. A point key holds its coordinates in the row, so the
+// test is four compares on the row itself, and pred refines the
+// survivors through geom's point-first predicates without boxing them.
+// Every row is charged to ElementsScanned, rejected either way, once
+// per batch so the loop stays atomic-free.
 func scanFiltered[V any](s *SpatialDataset[V], q stobject.STObject, pruneEnv geom.Envelope, pred stobject.Predicate) *engine.Dataset[Tuple[V]] {
-	rec := s.recorder()
+	return engine.MapBatches(s.ds, ".stScan", scanBatch[V](s.recorder(), q, pruneEnv, pred, s.xOrdered)).WithRecorder(s.rec)
+}
+
+// scanBatch is scanFiltered's batch function; xOrdered says the batches
+// come from rows ordered by x (SpatialDataset.xOrdered).
+func scanBatch[V any](rec *engine.Recorder, q stobject.STObject, pruneEnv geom.Envelope, pred stobject.Predicate, xOrdered bool) func(in, out []Tuple[V]) int {
 	pretest := !pruneEnv.IsEmpty()
-	out := engine.MapBatches(s.ds, ".stScan", func(in, out []Tuple[V]) int {
+	return func(in, out []Tuple[V]) int {
+		rec.ElementsScanned(int64(len(in)))
+		if xOrdered && pretest && len(in) > 0 {
+			first, _ := in[0].Key.Point()
+			last, _ := in[len(in)-1].Key.Point()
+			if last.X < pruneEnv.MinX || first.X > pruneEnv.MaxX {
+				return 0 // every x of the batch lies outside pruneEnv
+			}
+		}
 		n := 0
 		for i := range in {
 			if pretest && !in[i].Key.EnvelopeIntersects(pruneEnv) {
@@ -35,10 +50,8 @@ func scanFiltered[V any](s *SpatialDataset[V], q stobject.STObject, pruneEnv geo
 				n++
 			}
 		}
-		rec.ElementsScanned(int64(len(in)))
 		return n
-	})
-	return out.WithRecorder(s.rec)
+	}
 }
 
 // Filter applies an arbitrary spatio-temporal predicate against q to

@@ -64,15 +64,13 @@ func knnOrder(extent func(i int) (geom.Envelope, bool), n int, q geom.Envelope) 
 	return order
 }
 
-// mergeNeighbors pushes nbrs through the bounded max-heap.
-func mergeNeighbors[V any](h *maxHeap[V], k int, nbrs []NeighborResult[V]) {
-	for _, nb := range nbrs {
-		if h.Len() < k {
-			heap.Push(h, nb)
-		} else if nb.Distance < (*h)[0].Distance {
-			(*h)[0] = nb
-			heap.Fix(h, 0)
-		}
+// offer keeps nb if it is among the k nearest the heap has seen.
+func (h *maxHeap[V]) offer(k int, nb NeighborResult[V]) {
+	if h.Len() < k {
+		heap.Push(h, nb)
+	} else if nb.Distance < (*h)[0].Distance {
+		(*h)[0] = nb
+		heap.Fix(h, 0)
 	}
 }
 
@@ -131,7 +129,9 @@ func knnRounds[V any](ctx context.Context, ec *engine.Context, rec *engine.Recor
 			return nil, err
 		}
 		for _, nbrs := range locals {
-			mergeNeighbors(h, k, nbrs)
+			for _, nb := range nbrs {
+				h.offer(k, nb)
+			}
 		}
 	}
 	return drainHeap(h), nil
@@ -177,13 +177,7 @@ func (s *SpatialDataset[V]) KNNContext(ctx context.Context, q stobject.STObject,
 					return false
 				}
 			}
-			d := q.Distance(kv.Key, df)
-			if lh.Len() < k {
-				heap.Push(lh, NeighborResult[V]{Key: kv.Key, Value: kv.Value, Distance: d})
-			} else if d < (*lh)[0].Distance {
-				(*lh)[0] = NeighborResult[V]{Key: kv.Key, Value: kv.Value, Distance: d}
-				heap.Fix(lh, 0)
-			}
+			lh.offer(k, NeighborResult[V]{Key: kv.Key, Value: kv.Value, Distance: q.Distance(kv.Key, df)})
 			return true
 		})
 		rec.ElementsScanned(scanned)
@@ -221,7 +215,7 @@ func (s *IndexedDataset[V]) KNNContext(ctx context.Context, q stobject.STObject,
 	order := knnOrder(extent, s.parts.NumPartitions(), q.Envelope())
 	// The tree's branch-and-bound measures from a point, so it answers
 	// for a point reference under the planar distance only.
-	_, pointRef := q.Geo().(geom.Point)
+	_, pointRef := q.Point()
 	rec := s.recorder()
 	canPrune := s.sp != nil && df == nil
 	return knnRounds(ctx, s.Context(), rec, order, k, canPrune, func(p int) ([]NeighborResult[V], error) {
@@ -252,12 +246,7 @@ func (s *IndexedDataset[V]) KNNContext(ctx context.Context, q stobject.STObject,
 			rec.CandidatesRefined(int64(len(nbrs)))
 			for _, nb := range nbrs {
 				kv := ip.Items[nb.id]
-				if lh.Len() < k {
-					heap.Push(lh, NeighborResult[V]{Key: kv.Key, Value: kv.Value, Distance: nb.dist})
-				} else if nb.dist < (*lh)[0].Distance {
-					(*lh)[0] = NeighborResult[V]{Key: kv.Key, Value: kv.Value, Distance: nb.dist}
-					heap.Fix(lh, 0)
-				}
+				lh.offer(k, NeighborResult[V]{Key: kv.Key, Value: kv.Value, Distance: nb.dist})
 			}
 		}
 		return *lh, nil

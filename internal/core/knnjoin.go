@@ -103,12 +103,7 @@ func KNNJoin[V, W any](l *SpatialDataset[V], r *SpatialDataset[W], k int) ([]KNN
 				exact := func(id int32) float64 { return lkv.Key.Distance(rp.items[id].Key, nil) }
 				for _, nb := range rp.tree.KNN(c.X, c.Y, k, exact) {
 					kv := rp.items[nb.ID]
-					if h.Len() < k {
-						heap.Push(h, NeighborResult[W]{Key: kv.Key, Value: kv.Value, Distance: nb.Distance})
-					} else if nb.Distance < (*h)[0].Distance {
-						(*h)[0] = NeighborResult[W]{Key: kv.Key, Value: kv.Value, Distance: nb.Distance}
-						heap.Fix(h, 0)
-					}
+					h.offer(k, NeighborResult[W]{Key: kv.Key, Value: kv.Value, Distance: nb.Distance})
 				}
 			}
 			// Emit ascending.

@@ -8,6 +8,7 @@ import (
 
 	"stark/internal/engine"
 	"stark/internal/geom"
+	"stark/internal/partition"
 	"stark/internal/stobject"
 	"stark/internal/temporal"
 )
@@ -148,18 +149,188 @@ func TestWherePretestEquivalence(t *testing.T) {
 }
 
 // EnvelopeIntersects is the pre-test itself: it must be
-// Envelope().Intersects for every key shape, the empty ones included.
+// Envelope().Intersects for every key shape, the empty ones included,
+// and the envelope test of the key's geometry boxed as a geom.Geometry,
+// which a point key, read from the row, is not; timed or not, NaN
+// ordinates and the edges of the envelope included.
 func TestEnvelopeIntersectsMatchesEnvelope(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	envs := []geom.Envelope{
 		geom.NewEnvelope(20, 20, 60, 60), geom.NewEnvelope(0, 0, 100, 100),
 		geom.NewEnvelope(50, 50, 50, 50), geom.EmptyEnvelope(),
+		{MinX: math.NaN(), MinY: 0, MaxX: 100, MaxY: 100},
 	}
-	for _, kv := range pretestKeys(rng, 4000, false) {
-		for _, env := range envs {
-			if got, want := kv.Key.EnvelopeIntersects(env), kv.Key.Envelope().Intersects(env); got != want {
-				t.Fatalf("%v against %v: EnvelopeIntersects %v, Envelope().Intersects %v", kv.Key, env, got, want)
+	for _, timed := range []bool{false, true} {
+		keys := append(pretestKeys(rng, 4000, timed), engine.NewPair(stobject.New(geom.NewPoint(20, 60)), 0),
+			engine.NewPair(stobject.New(geom.NewPoint(math.NaN(), math.NaN())), 0))
+		for _, kv := range keys {
+			boxed := geom.EmptyEnvelope()
+			if g := kv.Key.Geo(); g != nil {
+				boxed = g.Envelope()
+			}
+			for _, env := range envs {
+				got := kv.Key.EnvelopeIntersects(env)
+				if want := kv.Key.Envelope().Intersects(env); got != want || got != boxed.Intersects(env) {
+					t.Fatalf("%v against %v: EnvelopeIntersects %v, Envelope().Intersects %v, boxed %v", kv.Key, env, got, want, boxed.Intersects(env))
+				}
 			}
 		}
 	}
+}
+
+// TestScanPointRowsAllocatesNothing: the scan's batch function pre-tests
+// and refines point rows in place, so a batch of them, most rows
+// rejected and the rest refined against a polygon window, costs no
+// allocation.
+func TestScanPointRowsAllocatesNothing(t *testing.T) {
+	rows := make([]Tuple[int], 2000)
+	for i := range rows {
+		key := stobject.NewWithTime(geom.NewPoint(float64(i%50), float64(i/50)), temporal.Instant(i))
+		rows[i] = engine.NewPair(key, i)
+	}
+	window := geom.MustPolygon(geom.NewPoint(5, 5), geom.NewPoint(30, 8), geom.NewPoint(20, 30), geom.NewPoint(5, 5))
+	q := stobject.NewWithInterval(window, temporal.MustInterval(0, 1500))
+	batch := scanBatch[int](engine.NewContext(1).NewJobRecorder(), q, q.Envelope(), stobject.Intersects, false)
+	out := make([]Tuple[int], len(rows))
+	hits := 0
+	if n := testing.AllocsPerRun(20, func() { hits = batch(rows, out) }); n != 0 {
+		t.Errorf("scanning %d point rows allocates %v times, want 0", len(rows), n)
+	}
+	if hits == 0 || hits == len(rows) {
+		t.Fatalf("the window keeps %d of %d rows: the refinement is not exercised", hits, len(rows))
+	}
+}
+
+// TestPartitionByOrdersPointRowsByX pins the layout step: every
+// partition of point keys leaves PartitionBy sorted by x, a NaN first
+// and ties in source order, so two shuffles of one input are equal row
+// for row; a dataset with a non-point key is not marked ordered.
+func TestPartitionByOrdersPointRowsByX(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	tuples := make([]Tuple[int], 3000)
+	for i := range tuples {
+		x := float64(rng.Intn(200)) / 2 // many ties
+		if i%500 == 0 {
+			x = math.NaN()
+		}
+		tuples[i] = engine.NewPair(stobject.NewWithTime(geom.NewPoint(x, rng.Float64()*100), temporal.Instant(i)), i)
+	}
+	ctx := engine.NewContext(2)
+	keys := make([]stobject.STObject, len(tuples))
+	for i := range tuples {
+		keys[i] = tuples[i].Key
+	}
+	g, err := partition.NewGrid(3, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shuffle := func(tuples []Tuple[int]) *SpatialDataset[int] {
+		s, err := Wrap(engine.Parallelize(ctx, tuples, 4)).PartitionBy(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	a, b := shuffle(tuples), shuffle(tuples)
+	if !a.xOrdered {
+		t.Fatal("a dataset of point keys is not marked ordered by x")
+	}
+	rank := func(x float64) float64 {
+		if math.IsNaN(x) {
+			return math.Inf(-1)
+		}
+		return x
+	}
+	for p := 0; p < a.NumPartitions(); p++ {
+		ra, _ := a.Dataset().ComputePartition(p)
+		rb, _ := b.Dataset().ComputePartition(p)
+		if !slices.Equal(gotValues(ra), gotValues(rb)) {
+			t.Fatalf("partition %d differs between two shuffles of one input", p)
+		}
+		for i := 1; i < len(ra); i++ {
+			prev, _ := ra[i-1].Key.Point()
+			cur, _ := ra[i].Key.Point()
+			if rank(prev.X) > rank(cur.X) || rank(prev.X) == rank(cur.X) && ra[i-1].Value > ra[i].Value {
+				t.Fatalf("partition %d rows %d, %d out of order: %v then %v", p, i-1, i, ra[i-1], ra[i])
+			}
+		}
+	}
+	mixed := append(slices.Clone(tuples), engine.NewPair(stobject.New(geom.NewEnvelope(1, 1, 2, 2).ToPolygon()), -1))
+	if shuffle(mixed).xOrdered {
+		t.Error("a dataset holding a polygon key is marked ordered by x")
+	}
+}
+
+// TestScanOverOrderedRows holds the scan over x-ordered partitions, which
+// skips the batches whose x range misses the prune envelope, to a loop
+// over the rows for every built-in predicate; and pins that the skip
+// reads only a batch's first and last row.
+func TestScanOverOrderedRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	tuples := pretestKeys(rng, 20000, true)
+	points := tuples[:0] // a NaN point would leave the grid without extent
+	for _, kv := range tuples {
+		if p, ok := kv.Key.Point(); ok && !p.IsEmpty() {
+			points = append(points, kv)
+		}
+	}
+	keys := make([]stobject.STObject, len(points))
+	for i := range points {
+		keys[i] = points[i].Key
+	}
+	g, err := partition.NewGrid(2, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Wrap(engine.Parallelize(engine.NewContext(2), points, 3)).PartitionBy(g)
+	if err != nil || !s.xOrdered {
+		t.Fatalf("PartitionBy: %v, ordered %v", err, s.xOrdered)
+	}
+	preds := map[string]stobject.Predicate{
+		"intersects": stobject.Intersects, "contains": stobject.Contains, "containedBy": stobject.ContainedBy,
+		"covers": stobject.Covers, "coveredBy": stobject.CoveredBy, "touches": stobject.Touches,
+		"overlaps": stobject.Overlaps, "within": stobject.WithinDistancePredicate(3, nil),
+	}
+	for i := 0; i < 20; i++ {
+		x, y := rng.Float64()*100, rng.Float64()*100
+		w := geom.NewEnvelope(x, y, x+rng.Float64()*15, y+rng.Float64()*15)
+		if i == 0 {
+			w = geom.NewEnvelope(0, 0, 100, 100) // every batch in range
+		}
+		q := stobject.NewWithInterval(w.ToPolygon(), temporal.MustInterval(100, 800))
+		for name, pred := range preds {
+			env := q.Envelope().ExpandBy(3)
+			got, err := s.Filter(q, env, pred)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := bruteFilter(points, q, pred); !sameIDs(gotIDs(got), want) {
+				t.Errorf("window %v %s: %d rows, the loop finds %d", w, name, len(got), len(want))
+			}
+		}
+	}
+	// A batch whose first and last x lie left of the envelope is
+	// skipped whole: the unordered row between them is never tested.
+	row := func(x float64) Tuple[int] { return engine.NewPair(stobject.New(geom.NewPoint(x, 5)), 0) }
+	batch := []Tuple[int]{row(1), row(5), row(2)}
+	q := queryPolygon(4, 4, 6, 6)
+	out := make([]Tuple[int], len(batch))
+	rec := engine.NewContext(1).NewJobRecorder()
+	if n := scanBatch[int](rec, q, q.Envelope(), stobject.Intersects, false)(batch, out); n != 1 {
+		t.Errorf("unordered scan keeps %d rows, want 1", n)
+	}
+	if n := scanBatch[int](rec, q, q.Envelope(), stobject.Intersects, true)(batch, out); n != 0 {
+		t.Errorf("ordered scan keeps %d rows of a batch it should skip, want 0", n)
+	}
+	if got := rec.Snapshot().ElementsScanned; got != 6 {
+		t.Errorf("elements scanned %d, want 6: a skipped batch still counts", got)
+	}
+}
+
+func gotValues(rows []Tuple[int]) []int {
+	vs := make([]int, len(rows))
+	for i, kv := range rows {
+		vs[i] = kv.Value
+	}
+	return vs
 }

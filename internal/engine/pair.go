@@ -46,12 +46,12 @@ func (f FuncPartitioner[K]) PartitionFor(key K) int { return f.Fn(key) }
 //
 // The shuffle decides how the rows lie in memory. It is a counting
 // shuffle: the first pass computes every row's target once and counts,
-// each output partition is then allocated once at its final length, and
-// the second pass scatters the rows without a lock. Inside an output
-// partition the rows keep source order (source partition, then position
-// in it), so two shuffles of one input are element-for-element equal —
-// positional structures built over a partition (tree entry IDs, persisted
-// indexes) may rely on that.
+// the output partitions are then cut at their final lengths from one
+// allocation, and the second pass scatters the rows without a lock.
+// Inside an output partition the rows keep source order (source
+// partition, then position in it), so two shuffles of one input are
+// element-for-element equal — positional structures built over a
+// partition (tree entry IDs, persisted indexes) may rely on that.
 func PartitionBy[K, V any](d *Dataset[Pair[K, V]], part Partitioner[K]) (*Dataset[Pair[K, V]], error) {
 	n := part.NumPartitions()
 	rec := d.recorder()
@@ -90,7 +90,14 @@ func PartitionBy[K, V any](d *Dataset[Pair[K, V]], part Partitioner[K]) (*Datase
 	if err != nil {
 		return nil, err
 	}
-	// Turn the counts into each task's first write position per target.
+	// Turn the counts into each task's first write position per target,
+	// and cut the partitions from one allocation, which the heap rounds
+	// up to whole pages once rather than once per partition.
+	rows := 0
+	for _, ts := range targets {
+		rows += len(ts)
+	}
+	all, at := make([]Pair[K, V], rows), 0
 	out := make([][]Pair[K, V], n)
 	for t := range out {
 		total := 0
@@ -98,7 +105,7 @@ func PartitionBy[K, V any](d *Dataset[Pair[K, V]], part Partitioner[K]) (*Datase
 			o[t], total = total, total+o[t]
 		}
 		if total > 0 {
-			out[t] = make([]Pair[K, V], total)
+			out[t], at = all[at:at+total:at+total], at+total
 		}
 	}
 	err = d.ctx.RunJobRecorder(nil, rec, AllPartitions(tasks), func(g int) error {

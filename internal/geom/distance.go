@@ -52,6 +52,9 @@ func Distance(g1, g2 Geometry) float64 {
 	if Intersects(g1, g2) {
 		return 0
 	}
+	if g1 != nil && g2 != nil && g2.Kind() < g1.Kind() {
+		g1, g2 = g2, g1 // the arms below take g2 of g1's kind or later
+	}
 	switch a := g1.(type) {
 	case Point:
 		return distancePointGeom(a, g2)
@@ -61,10 +64,8 @@ func Distance(g1, g2 Geometry) float64 {
 			best = math.Min(best, distancePointGeom(p, g2))
 		}
 		return best
-	case LineString:
-		return distanceLineGeom(a, g2)
-	case Polygon:
-		return distancePolygonGeom(a, g2)
+	case LineString, Polygon:
+		return edgeDistance(a, g2)
 	}
 	return math.Inf(1)
 }
@@ -79,94 +80,47 @@ func distancePointGeom(p Point, g Geometry) float64 {
 			best = math.Min(best, Euclidean(p, q))
 		}
 		return best
-	case LineString:
-		best := math.Inf(1)
-		for i := 1; i < len(b.pts); i++ {
-			best = math.Min(best, DistancePointSegment(p, b.pts[i-1], b.pts[i]))
-		}
-		return best
-	case Polygon:
-		if PolygonContainsPoint(b, p) >= 0 {
+	case LineString, Polygon:
+		if poly, ok := b.(Polygon); ok && PolygonContainsPoint(poly, p) >= 0 {
 			return 0
 		}
-		return distancePointRings(p, b)
+		best := math.Inf(1)
+		for _, r := range edgeChains(b) {
+			for i := 1; i < len(r.pts); i++ {
+				best = math.Min(best, DistancePointSegment(p, r.pts[i-1], r.pts[i]))
+			}
+		}
+		return best
 	}
 	return math.Inf(1)
 }
 
-func distancePointRings(p Point, poly Polygon) float64 {
+// edgeChains returns the vertex chains whose edges make up a line
+// string (its one) or a polygon (the shell, then the holes); nil for
+// another kind.
+func edgeChains(g Geometry) []Ring {
+	switch b := g.(type) {
+	case LineString:
+		return []Ring{{b.pts}}
+	case Polygon:
+		return append([]Ring{b.shell}, b.holes...)
+	}
+	return nil
+}
+
+// edgeDistance is the least distance between an edge of g1 and one of
+// g2, line strings or polygons that do not intersect.
+func edgeDistance(g1, g2 Geometry) float64 {
 	best := math.Inf(1)
-	rings := append([]Ring{poly.shell}, poly.holes...)
-	for _, r := range rings {
-		for i := 1; i < len(r.pts); i++ {
-			best = math.Min(best, DistancePointSegment(p, r.pts[i-1], r.pts[i]))
+	rs2 := edgeChains(g2)
+	for _, r1 := range edgeChains(g1) {
+		for _, r2 := range rs2 {
+			for i := 1; i < len(r1.pts); i++ {
+				for j := 1; j < len(r2.pts); j++ {
+					best = math.Min(best, DistanceSegmentSegment(r1.pts[i-1], r1.pts[i], r2.pts[j-1], r2.pts[j]))
+				}
+			}
 		}
 	}
 	return best
-}
-
-func distanceLineGeom(l LineString, g Geometry) float64 {
-	switch b := g.(type) {
-	case Point:
-		return distancePointGeom(b, l)
-	case MultiPoint:
-		best := math.Inf(1)
-		for _, q := range b.pts {
-			best = math.Min(best, distancePointGeom(q, l))
-		}
-		return best
-	case LineString:
-		best := math.Inf(1)
-		for i := 1; i < len(l.pts); i++ {
-			for j := 1; j < len(b.pts); j++ {
-				best = math.Min(best, DistanceSegmentSegment(l.pts[i-1], l.pts[i], b.pts[j-1], b.pts[j]))
-			}
-		}
-		return best
-	case Polygon:
-		// Intersection was ruled out by the caller, so the line lies
-		// fully inside or fully outside; inside → distance 0 was
-		// already handled by Intersects. Outside → ring distance.
-		best := math.Inf(1)
-		rings := append([]Ring{b.shell}, b.holes...)
-		for _, r := range rings {
-			for i := 1; i < len(l.pts); i++ {
-				for j := 1; j < len(r.pts); j++ {
-					best = math.Min(best, DistanceSegmentSegment(l.pts[i-1], l.pts[i], r.pts[j-1], r.pts[j]))
-				}
-			}
-		}
-		return best
-	}
-	return math.Inf(1)
-}
-
-func distancePolygonGeom(poly Polygon, g Geometry) float64 {
-	switch b := g.(type) {
-	case Point:
-		return distancePointGeom(b, poly)
-	case MultiPoint:
-		best := math.Inf(1)
-		for _, q := range b.pts {
-			best = math.Min(best, distancePointGeom(q, poly))
-		}
-		return best
-	case LineString:
-		return distanceLineGeom(b, poly)
-	case Polygon:
-		best := math.Inf(1)
-		rings1 := append([]Ring{poly.shell}, poly.holes...)
-		rings2 := append([]Ring{b.shell}, b.holes...)
-		for _, r1 := range rings1 {
-			for _, r2 := range rings2 {
-				for i := 1; i < len(r1.pts); i++ {
-					for j := 1; j < len(r2.pts); j++ {
-						best = math.Min(best, DistanceSegmentSegment(r1.pts[i-1], r1.pts[i], r2.pts[j-1], r2.pts[j]))
-					}
-				}
-			}
-		}
-		return best
-	}
-	return math.Inf(1)
 }

@@ -23,6 +23,9 @@ func Intersects(g1, g2 Geometry) bool {
 	if !g1.Envelope().Intersects(g2.Envelope()) {
 		return false
 	}
+	if g2.Kind() < g1.Kind() {
+		g1, g2 = g2, g1 // the arms below take g2 of g1's kind or later
+	}
 	switch a := g1.(type) {
 	case Point:
 		return intersectsPoint(a, g2)
@@ -88,15 +91,6 @@ func classifyPoint(poly Polygon, p Point) int {
 
 func intersectsLine(l LineString, g Geometry) bool {
 	switch b := g.(type) {
-	case Point:
-		return intersectsPoint(b, l)
-	case MultiPoint:
-		for _, q := range b.pts {
-			if intersectsPoint(q, l) {
-				return true
-			}
-		}
-		return false
 	case LineString:
 		for i := 1; i < len(l.pts); i++ {
 			for j := 1; j < len(b.pts); j++ {
@@ -127,34 +121,13 @@ func intersectsLine(l LineString, g Geometry) bool {
 }
 
 func intersectsPolygon(poly Polygon, g Geometry) bool {
-	switch b := g.(type) {
-	case Point:
-		return intersectsPoint(b, poly)
-	case MultiPoint:
-		for _, q := range b.pts {
-			if intersectsPoint(q, poly) {
-				return true
-			}
-		}
-		return false
-	case LineString:
-		return intersectsLine(b, poly)
-	case Polygon:
-		// Shell edge crossing.
-		if ringEdgesIntersect(poly.shell, b.shell) {
-			return true
-		}
-		// One contains a vertex of the other (covers containment when
-		// one polygon is nested inside the other without edge contact).
-		if PolygonContainsPoint(poly, b.shell.pts[0]) >= 0 {
-			return true
-		}
-		if PolygonContainsPoint(b, poly.shell.pts[0]) >= 0 {
-			return true
-		}
-		return false
-	}
-	return false
+	b, ok := g.(Polygon)
+	// Shell edge crossing, or one contains a vertex of the other (covers
+	// containment when one polygon is nested inside the other without
+	// edge contact).
+	return ok && (ringEdgesIntersect(poly.shell, b.shell) ||
+		PolygonContainsPoint(poly, b.shell.pts[0]) >= 0 ||
+		PolygonContainsPoint(b, poly.shell.pts[0]) >= 0)
 }
 
 // Covers reports whether every point of g2 lies within g1 (interior
@@ -166,74 +139,43 @@ func Covers(g1, g2 Geometry) bool {
 	if !g1.Envelope().ContainsEnvelope(g2.Envelope()) {
 		return false
 	}
-	switch a := g1.(type) {
+	// A puntal g2 is covered when each of its points meets g1.
+	switch b := g2.(type) {
 	case Point:
-		switch b := g2.(type) {
-		case Point:
-			return a.Equal(b)
-		case MultiPoint:
-			for _, q := range b.pts {
-				if !a.Equal(q) {
-					return false
-				}
-			}
-			return true
-		}
-		return false
+		return intersectsPoint(b, g1)
 	case MultiPoint:
-		covered := func(q Point) bool {
-			for _, p := range a.pts {
-				if p.Equal(q) {
-					return true
-				}
-			}
+		return allMeet(b.pts, g1)
+	}
+	switch a := g1.(type) {
+	case LineString:
+		// Every vertex and midpoint of b must lie on a. Vertex
+		// containment on a polyline is sufficient for the simple
+		// (non-overlapping-collinear) inputs STARK processes.
+		b, ok := g2.(LineString)
+		if !ok || !allMeet(b.pts, a) {
 			return false
 		}
-		switch b := g2.(type) {
-		case Point:
-			return covered(b)
-		case MultiPoint:
-			for _, q := range b.pts {
-				if !covered(q) {
-					return false
-				}
+		for i := 1; i < len(b.pts); i++ {
+			mid := Point{X: (b.pts[i-1].X + b.pts[i].X) / 2, Y: (b.pts[i-1].Y + b.pts[i].Y) / 2}
+			if !intersectsPoint(mid, a) {
+				return false
 			}
-			return true
 		}
-		return false
-	case LineString:
-		switch b := g2.(type) {
-		case Point:
-			return intersectsPoint(b, a)
-		case MultiPoint:
-			for _, q := range b.pts {
-				if !intersectsPoint(q, a) {
-					return false
-				}
-			}
-			return true
-		case LineString:
-			// Every vertex and midpoint of b must lie on a. Vertex
-			// containment on a polyline is sufficient for the simple
-			// (non-overlapping-collinear) inputs STARK processes.
-			for _, q := range b.pts {
-				if !intersectsPoint(q, a) {
-					return false
-				}
-			}
-			for i := 1; i < len(b.pts); i++ {
-				mid := Point{X: (b.pts[i-1].X + b.pts[i].X) / 2, Y: (b.pts[i-1].Y + b.pts[i].Y) / 2}
-				if !intersectsPoint(mid, a) {
-					return false
-				}
-			}
-			return true
-		}
-		return false
+		return true
 	case Polygon:
-		return polygonCovers(a, g2, true)
+		return polygonCovers(a, g2)
 	}
 	return false
+}
+
+// allMeet reports whether every point of pts meets g.
+func allMeet(pts []Point, g Geometry) bool {
+	for _, q := range pts {
+		if !intersectsPoint(q, g) {
+			return false
+		}
+	}
+	return true
 }
 
 // Contains is Covers with the extra JTS condition that at least one
@@ -278,62 +220,35 @@ func Contains(g1, g2 Geometry) bool {
 	return false
 }
 
-// polygonCovers reports whether the polygon covers g. When
-// allowBoundary is true, points of g on the polygon boundary count as
-// covered.
-func polygonCovers(poly Polygon, g Geometry, allowBoundary bool) bool {
-	inOK := func(p Point) bool {
-		c := classifyPoint(poly, p)
-		if allowBoundary {
-			return c >= 0
-		}
-		return c == 1
-	}
+// polygonCovers reports whether the polygon covers a line string or
+// another polygon: every vertex of g (of its shell) lies in poly, inside
+// or on the boundary, and no edge of it crosses one of poly's rings
+// (with both ends inside, a way out needs a proper crossing); nor may a
+// hole of poly lie strictly inside a polygon g.
+func polygonCovers(poly Polygon, g Geometry) bool {
+	var pts []Point
 	switch b := g.(type) {
-	case Point:
-		return inOK(b)
-	case MultiPoint:
-		for _, q := range b.pts {
-			if !inOK(q) {
-				return false
-			}
-		}
-		return true
 	case LineString:
-		for _, q := range b.pts {
-			if !inOK(q) {
-				return false
-			}
-		}
-		// No segment may cross a hole or exit through the shell:
-		// since all endpoints are inside, a crossing requires a proper
-		// edge intersection with some ring.
-		for i := 1; i < len(b.pts); i++ {
-			if segmentCrossesRings(poly, b.pts[i-1], b.pts[i]) {
-				return false
-			}
-		}
-		return true
+		pts = b.pts
 	case Polygon:
-		for _, q := range b.shell.pts {
-			if !inOK(q) {
-				return false
-			}
-		}
-		for i := 1; i < len(b.shell.pts); i++ {
-			if segmentCrossesRings(poly, b.shell.pts[i-1], b.shell.pts[i]) {
-				return false
-			}
-		}
-		// A hole of poly lying strictly inside b would break coverage.
+		pts = b.shell.pts
 		for _, h := range poly.holes {
 			if PolygonContainsPoint(b, h.pts[0]) == 1 {
 				return false
 			}
 		}
-		return true
+	default:
+		return false
 	}
-	return false
+	if !allMeet(pts, poly) {
+		return false
+	}
+	for i := 1; i < len(pts); i++ {
+		if segmentCrossesRings(poly, pts[i-1], pts[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // segmentCrossesRings reports whether the open segment ab properly
@@ -364,22 +279,55 @@ func CoveredBy(g1, g2 Geometry) bool { return Covers(g2, g1) }
 // Disjoint reports whether the two geometries share no point.
 func Disjoint(g1, g2 Geometry) bool { return !Intersects(g1, g2) }
 
-// WithinDistance reports whether the minimum distance between the two
-// geometries under df is at most maxDist. For non-point geometries the
-// planar Distance is used when df is nil; a custom df is applied to
-// point pairs (point geometries or centroids otherwise), matching
-// STARK's pluggable distance behaviour.
-func WithinDistance(g1, g2 Geometry, maxDist float64, df DistanceFunc) bool {
-	if g1 == nil || g2 == nil || g1.IsEmpty() || g2.IsEmpty() {
-		return false
+// The point-first entry points are the generic predicates with a bare
+// Point operand, in the position the name gives, so that a caller
+// holding one (stobject's point keys) need not box it into a Geometry.
+
+// IntersectsPoint is Intersects(g, p), which equals Intersects(p, g) and
+// Covers(g, p).
+func IntersectsPoint(g Geometry, p Point) bool {
+	return envelopeHasPoint(g, p) && intersectsPoint(p, g)
+}
+
+// envelopeHasPoint is the test Intersects and Covers open with.
+func envelopeHasPoint(g Geometry, p Point) bool {
+	return g != nil && !g.IsEmpty() && !p.IsEmpty() && g.Envelope().ContainsPoint(p.X, p.Y)
+}
+
+// ContainsPoint is Contains(g, p).
+func ContainsPoint(g Geometry, p Point) bool {
+	if poly, ok := g.(Polygon); ok {
+		return envelopeHasPoint(g, p) && classifyPoint(poly, p) == 1
 	}
-	if df == nil {
-		return Distance(g1, g2) <= maxDist
+	return IntersectsPoint(g, p)
+}
+
+// PointCovers is Covers(p, g), which equals Contains(p, g): a point
+// covers a point or multipoint equal to it and nothing else.
+func PointCovers(p Point, g Geometry) bool {
+	switch b := g.(type) {
+	case Point:
+		return p.Equal(b)
+	case MultiPoint:
+		for _, q := range b.pts {
+			if !p.Equal(q) {
+				return false
+			}
+		}
+		return len(b.pts) > 0
 	}
-	p1, ok1 := g1.(Point)
-	p2, ok2 := g2.(Point)
-	if ok1 && ok2 {
-		return df(p1, p2) <= maxDist
+	return false
+}
+
+// TouchesPoint is Touches(g, p), which equals Touches(p, g).
+func TouchesPoint(g Geometry, p Point) bool {
+	return !isPuntal(g) && IntersectsPoint(g, p) && locate(p, g) == 0
+}
+
+// PointDistance is Distance(p, g), which equals Distance(g, p).
+func PointDistance(p Point, g Geometry) float64 {
+	if IntersectsPoint(g, p) {
+		return 0
 	}
-	return df(g1.Centroid(), g2.Centroid()) <= maxDist
+	return distancePointGeom(p, g)
 }

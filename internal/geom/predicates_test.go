@@ -179,22 +179,6 @@ func TestDistanceGeometries(t *testing.T) {
 	}
 }
 
-func TestWithinDistance(t *testing.T) {
-	if !WithinDistance(pt(0, 0), pt(3, 4), 5, nil) {
-		t.Error("(0,0)-(3,4) within 5")
-	}
-	if WithinDistance(pt(0, 0), pt(3, 4), 4.9, nil) {
-		t.Error("(0,0)-(3,4) not within 4.9")
-	}
-	// Custom distance function.
-	if !WithinDistance(pt(0, 0), pt(3, 4), 7, Manhattan) {
-		t.Error("Manhattan distance 7 should match")
-	}
-	if WithinDistance(pt(0, 0), pt(3, 4), 6.9, Manhattan) {
-		t.Error("Manhattan distance 7 > 6.9")
-	}
-}
-
 func TestHaversine(t *testing.T) {
 	// Berlin (13.405, 52.52) to Munich (11.582, 48.135) ≈ 504 km.
 	d := Haversine(pt(13.405, 52.52), pt(11.582, 48.135))

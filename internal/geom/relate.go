@@ -20,9 +20,12 @@ func Touches(g1, g2 Geometry) bool {
 	if isPuntal(g1) && isPuntal(g2) {
 		return false
 	}
+	if g2.Kind() < g1.Kind() {
+		g1, g2 = g2, g1 // the arms below take g2 of g1's kind or later
+	}
 	switch a := g1.(type) {
 	case Point:
-		return pointTouches(a, g2)
+		return locate(a, g2) == 0
 	case MultiPoint:
 		// At least one member on the boundary, none in the interior.
 		any := false
@@ -37,8 +40,6 @@ func Touches(g1, g2 Geometry) bool {
 		return any
 	case LineString:
 		switch b := g2.(type) {
-		case Point, MultiPoint:
-			return Touches(g2, g1)
 		case Polygon:
 			return lineTouchesPolygon(a, b)
 		case LineString:
@@ -48,10 +49,7 @@ func Touches(g1, g2 Geometry) bool {
 			return linesTouch(a, b)
 		}
 	case Polygon:
-		switch b := g2.(type) {
-		case Point, MultiPoint, LineString:
-			return Touches(g2, g1)
-		case Polygon:
+		if b, ok := g2.(Polygon); ok {
 			return polygonsTouch(a, b)
 		}
 	}
@@ -72,16 +70,9 @@ func isPuntal(g Geometry) bool {
 // counts as boundary for points and interior for line interiors.
 func locate(p Point, g Geometry) int {
 	switch b := g.(type) {
-	case Point:
-		if p.Equal(b) {
+	case Point, MultiPoint:
+		if intersectsPoint(p, b) {
 			return 0 // a point's boundary is empty; treat equality as contact
-		}
-		return -1
-	case MultiPoint:
-		for i := 0; i < b.NumPoints(); i++ {
-			if p.Equal(b.PointAt(i)) {
-				return 0
-			}
 		}
 		return -1
 	case LineString:
@@ -97,10 +88,6 @@ func locate(p Point, g Geometry) int {
 		return PolygonContainsPoint(b, p)
 	}
 	return -1
-}
-
-func pointTouches(p Point, g Geometry) bool {
-	return locate(p, g) == 0
 }
 
 func lineTouchesPolygon(l LineString, poly Polygon) bool {

@@ -59,8 +59,6 @@ type Entry[V any] struct {
 	Key   stobject.STObject
 	Value V
 
-	env geom.Envelope // cached Key.Envelope()
-
 	// addGen is the generation whose batch inserted the entry; delGen
 	// is the generation that tombstoned it (0 while live). An entry is
 	// visible at generation g iff addGen <= g && (delGen == 0 || delGen > g).
@@ -132,12 +130,9 @@ func newTree[V any](order int, es []Entry[V]) *tree[V] {
 		order = DefaultOrder
 	}
 	t := &tree[V]{order: order, owners: make(map[int64]*node[V], len(es)), live: len(es)}
-	for i := range es {
-		es[i].env = es[i].Key.Envelope()
-	}
 	packed := make([]Entry[V], 0, len(es))
 	var level []*node[V]
-	index.STRRuns(len(es), order*3/4, func(i int) geom.Envelope { return es[i].env }, func(run []int32) {
+	index.STRRuns(len(es), order*3/4, func(i int) geom.Envelope { return es[i].Key.Envelope() }, func(run []int32) {
 		n, lo := &node[V]{nsn: t.nextNSN()}, len(packed)
 		for _, i := range run {
 			packed = append(packed, es[i])
@@ -207,7 +202,7 @@ func (t *tree[V]) search(q geom.Envelope, gen uint64, all bool, yield func(e Ent
 					if !e.visibleAt(gen) {
 						continue
 					}
-					if all || e.env.Intersects(q) {
+					if all || e.Key.EnvelopeIntersects(q) {
 						out = append(out, *e)
 					}
 				}
@@ -240,7 +235,7 @@ func (t *tree[V]) search(q geom.Envelope, gen uint64, all bool, yield func(e Ent
 // insert adds an entry (addGen already stamped) and registers its
 // owning leaf.
 func (t *tree[V]) insert(e Entry[V]) {
-	e.env = e.Key.Envelope()
+	env := e.Key.Envelope()
 
 	// Latch-free descent: this goroutine is the only mutator, so the
 	// path it reads cannot change under it.
@@ -248,13 +243,13 @@ func (t *tree[V]) insert(e Entry[V]) {
 	var path []*node[V]
 	for !n.isLeaf() {
 		path = append(path, n)
-		n = n.refs[t.chooseSubtree(n, e.env)].ptr
+		n = n.refs[t.chooseSubtree(n, env)].ptr
 	}
 
 	leaf := n
 	leaf.mu.Lock()
 	leaf.entries = append(leaf.entries, e)
-	leaf.env = leaf.env.ExpandToInclude(e.env)
+	leaf.env = leaf.env.ExpandToInclude(env)
 	var sib *node[V]
 	if len(leaf.entries) > t.order {
 		sib = t.split(leaf)
@@ -421,8 +416,8 @@ func (t *tree[V]) check() error {
 		for i := range n.entries {
 			e := &n.entries[i]
 			switch {
-			case !n.env.ContainsEnvelope(e.env):
-				return fmt.Errorf("leaf %d: %v does not cover id %d's %v", n.nsn, n.env, e.ID, e.env)
+			case !n.env.ContainsEnvelope(e.Key.Envelope()):
+				return fmt.Errorf("leaf %d: %v does not cover id %d's %v", n.nsn, n.env, e.ID, e.Key.Envelope())
 			case e.delGen != 0 && e.addGen >= e.delGen:
 				return fmt.Errorf("id %d: added at %d, tombstoned at %d", e.ID, e.addGen, e.delGen)
 			case e.delGen != 0:
@@ -456,7 +451,7 @@ func (t *tree[V]) check() error {
 
 // ---- split and pack helpers ----
 
-func entryEnv[V any](e *Entry[V]) geom.Envelope  { return e.env }
+func entryEnv[V any](e *Entry[V]) geom.Envelope  { return e.Key.Envelope() }
 func refEnv[V any](r *childRef[V]) geom.Envelope { return r.env }
 
 // cover returns the envelope of items.

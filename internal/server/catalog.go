@@ -461,7 +461,7 @@ func (spec DatasetSpec) buildEvents() ([]workload.Event, error) {
 // consumes the event's WKT into the key and keeps the event without the
 // text, as the paper's raw.map{ case (id,c,t,wkt) => (STObject(wkt,t),
 // (id,c)) } does. No query reads the text; the WAL and checkpoint
-// writers render it from the key (Key.Geo().WKT(): shortest digits, so
+// writers render it from the key (keyWKT: shortest digits, so
 // it parses back bit for bit, see geom.TestWKTRoundTripBitExact).
 func catalogRow(ev workload.Event) (stark.Tuple[workload.Event], error) {
 	key, err := ev.ToSTObject()

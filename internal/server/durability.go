@@ -350,7 +350,7 @@ func (d *Durability) Checkpoint() error {
 			recs := make([]segRecord, 0, n)
 			envs := make([]geom.Envelope, 0, n)
 			liveGen := e.mds.EachRecord(func(r stark.LiveRecord[workload.Event]) bool {
-				recs = append(recs, segRecord{ID: r.ID, Category: r.Value.Category, Time: r.Value.Time, WKT: r.Key.Geo().WKT()})
+				recs = append(recs, segRecord{ID: r.ID, Category: r.Value.Category, Time: r.Value.Time, WKT: keyWKT(r.Key)})
 				envs = append(envs, r.Key.Envelope())
 				return true
 			})

@@ -39,7 +39,7 @@ type extras struct {
 // leaves dst as it was.
 func appendFeature(dst []byte, key stark.STObject, ev workload.Event, x extras) ([]byte, error) {
 	start := len(dst)
-	dst, err := appendGeometry(append(dst, `{"geometry":`...), key.Geo())
+	dst, err := appendGeometry(append(dst, `{"geometry":`...), key)
 	if err != nil {
 		return dst[:start], err
 	}
@@ -70,14 +70,16 @@ func appendFeature(dst []byte, key stark.STObject, ev workload.Event, x extras) 
 	return append(dst, "},\"type\":\"Feature\"}\n"...), nil
 }
 
-// appendGeometry writes g's GeoJSON object. A geometry of no other kind,
-// a nil one included, is an empty GeometryCollection.
-func appendGeometry(dst []byte, g geom.Geometry) ([]byte, error) {
+// appendGeometry writes the GeoJSON object of key's geometry, a point
+// key's from the coordinates it holds. A geometry of no other kind, a
+// nil one included, is an empty GeometryCollection.
+func appendGeometry(dst []byte, key stark.STObject) ([]byte, error) {
 	var err error
-	switch t := g.(type) {
-	case geom.Point:
-		dst, err = appendPosition(append(dst, `{"coordinates":`...), t)
+	if p, ok := key.Point(); ok {
+		dst, err = appendPosition(append(dst, `{"coordinates":`...), p)
 		return append(dst, `,"type":"Point"}`...), err
+	}
+	switch t := key.Geo().(type) {
 	case geom.MultiPoint:
 		dst, err = appendPositions(append(dst, `{"coordinates":`...), t)
 		return append(dst, `,"type":"MultiPoint"}`...), err

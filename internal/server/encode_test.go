@@ -285,6 +285,14 @@ func TestAppendFeaturePointPathDoesNotAllocate(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("join line: %v allocations per row, want 0", n)
 	}
+	dist, label := 2.5, 4
+	for _, x := range []extras{{}, {distance: &dist}, {cluster: &label}, {right: &pair.Right}} {
+		if n := testing.AllocsPerRun(200, func() {
+			buf, _ = appendFeature(buf[:0], key, ev, x)
+		}); n != 0 {
+			t.Errorf("appendFeature with %+v: %v allocations per row, want 0", x, n)
+		}
+	}
 }
 
 // benchRows are generated events keyed the way the catalog keys them.

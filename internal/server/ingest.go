@@ -116,7 +116,15 @@ func opLine(op stark.LiveOp[workload.Event]) mutationLine {
 	if op.Kind == live.OpInsert {
 		name = "insert"
 	}
-	return mutationLine{Op: name, ID: &id, Category: op.Rec.Value.Category, Time: op.Rec.Value.Time, WKT: op.Rec.Key.Geo().WKT()}
+	return mutationLine{Op: name, ID: &id, Category: op.Rec.Value.Category, Time: op.Rec.Value.Time, WKT: keyWKT(op.Rec.Key)}
+}
+
+// keyWKT is key.Geo().WKT() without boxing a point key.
+func keyWKT(key stark.STObject) string {
+	if p, ok := key.Point(); ok {
+		return p.WKT()
+	}
+	return key.Geo().WKT()
 }
 
 // mutableEntry resolves a dataset name to its catalog entry and

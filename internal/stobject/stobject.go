@@ -23,20 +23,38 @@ import (
 
 // STObject is a spatio-temporal object: a geometry plus an optional
 // validity interval. The zero value is an empty object.
+//
+// A point keeps its coordinates in the object (x, y, flagged isPoint);
+// only other geometries sit behind the geom.Geometry interface. A scan
+// thus reads a point key from its row, with no pointer to chase and no
+// box to allocate, and the predicates refine it through geom's
+// point-first entry points. Geo boxes a point for callers off the
+// per-row paths.
 type STObject struct {
-	geo     geom.Geometry
-	time    temporal.Interval
-	hasTime bool
+	x, y  float64 // a point's coordinates, when flags has isPoint
+	flags uint8
+	time  temporal.Interval // defined when flags has timed
+	geo   geom.Geometry     // any geometry but a point; nil when empty
 }
+
+const (
+	isPoint uint8 = 1 << iota
+	timed
+)
 
 // New returns a spatial-only STObject.
 func New(g geom.Geometry) STObject {
+	if p, ok := g.(geom.Point); ok {
+		return STObject{x: p.X, y: p.Y, flags: isPoint}
+	}
 	return STObject{geo: g}
 }
 
 // NewWithInterval returns an STObject valid during iv.
 func NewWithInterval(g geom.Geometry, iv temporal.Interval) STObject {
-	return STObject{geo: g, time: iv, hasTime: true}
+	o := New(g)
+	o.time, o.flags = iv, o.flags|timed
+	return o
 }
 
 // NewWithTime returns an STObject valid at the single instant t,
@@ -86,34 +104,39 @@ func MustFromWKT(wkt string) STObject {
 	return o
 }
 
-// Relocated returns o with a point geometry copied into a fresh
-// allocation; every other geometry is returned as it is. The geometry
-// sits boxed behind an interface, and for a point that box is the first
-// thing every predicate loads: relocating the keys of consecutive rows
-// one after the other puts their boxes next to each other in memory,
-// whatever order the points were created in. The dynamic type stays
-// geom.Point.
-func (o STObject) Relocated() STObject {
-	if p, ok := o.geo.(geom.Point); ok {
-		o.geo = p
-	}
-	return o
+// Point returns the spatial component of a point key.
+func (o STObject) Point() (geom.Point, bool) {
+	return geom.Point{X: o.x, Y: o.y}, o.flags&isPoint != 0
 }
 
-// Geo returns the spatial component.
-func (o STObject) Geo() geom.Geometry { return o.geo }
+// Geo returns the spatial component; a point key's is boxed anew on
+// every call.
+func (o STObject) Geo() geom.Geometry {
+	if p, ok := o.Point(); ok {
+		return p
+	}
+	return o.geo
+}
 
 // HasTime reports whether the object carries a temporal component.
-func (o STObject) HasTime() bool { return o.hasTime }
+func (o STObject) HasTime() bool { return o.flags&timed != 0 }
 
 // Time returns the temporal component and whether it is defined.
-func (o STObject) Time() (temporal.Interval, bool) { return o.time, o.hasTime }
+func (o STObject) Time() (temporal.Interval, bool) { return o.time, o.HasTime() }
 
 // IsEmpty reports whether the object has no spatial component.
-func (o STObject) IsEmpty() bool { return o.geo == nil || o.geo.IsEmpty() }
+func (o STObject) IsEmpty() bool {
+	if p, ok := o.Point(); ok {
+		return p.IsEmpty()
+	}
+	return o.geo == nil || o.geo.IsEmpty()
+}
 
 // Envelope returns the spatial minimum bounding rectangle.
 func (o STObject) Envelope() geom.Envelope {
+	if o.flags&isPoint != 0 {
+		return geom.Envelope{MinX: o.x, MinY: o.y, MaxX: o.x, MaxY: o.y}
+	}
 	if o.geo == nil {
 		return geom.EmptyEnvelope()
 	}
@@ -124,62 +147,92 @@ func (o STObject) Envelope() geom.Envelope {
 // the envelope of a point: the test a scan rejects a row on before the
 // exact predicate sees it. NaN points and nil geometries meet nothing.
 func (o *STObject) EnvelopeIntersects(env geom.Envelope) bool {
-	if p, ok := o.geo.(geom.Point); ok {
-		return p.X >= env.MinX && p.X <= env.MaxX && p.Y >= env.MinY && p.Y <= env.MaxY
+	if o.flags&isPoint != 0 {
+		return o.x >= env.MinX && o.x <= env.MaxX && o.y >= env.MinY && o.y <= env.MaxY
 	}
 	return o.Envelope().Intersects(env)
 }
 
 // Centroid returns the centroid of the spatial component.
 func (o STObject) Centroid() geom.Point {
-	if o.geo == nil {
-		return geom.Point{}
+	if p, ok := o.Point(); ok || o.geo == nil {
+		return p // the origin for the empty object
 	}
 	return o.geo.Centroid()
 }
 
 // String renders the object for diagnostics.
 func (o STObject) String() string {
-	if o.geo == nil {
+	g := o.Geo()
+	if g == nil {
 		return "STObject(empty)"
 	}
-	if o.hasTime {
-		return fmt.Sprintf("STObject(%s, %s)", o.geo.WKT(), o.time)
+	if o.HasTime() {
+		return fmt.Sprintf("STObject(%s, %s)", g.WKT(), o.time)
 	}
-	return fmt.Sprintf("STObject(%s)", o.geo.WKT())
+	return fmt.Sprintf("STObject(%s)", g.WKT())
 }
+
+// spatial is a spatial predicate in the operand forms combined
+// dispatches on: gg over two geometries, gp and pg with a point operand
+// (p) unboxed where the name puts it (a nil pg is gp with the operands
+// swapped), and for two points whether equal ones relate; unequal points
+// never do. Each point form is the generic predicate on the boxed point.
+type spatial struct {
+	gg    func(a, b geom.Geometry) bool
+	gp    func(a geom.Geometry, b geom.Point) bool
+	pg    func(a geom.Point, b geom.Geometry) bool
+	equal bool
+}
+
+var (
+	intersects = spatial{geom.Intersects, geom.IntersectsPoint, nil, true}
+	contains   = spatial{geom.Contains, geom.ContainsPoint, geom.PointCovers, true}
+	covers     = spatial{geom.Covers, geom.IntersectsPoint, geom.PointCovers, true}
+	touches    = spatial{geom.Touches, geom.TouchesPoint, nil, false}
+	// A point overlaps nothing: overlapping geometries share a dimension
+	// and neither covers the other, which no two puntal ones manage.
+	overlaps = spatial{geom.Overlaps, func(geom.Geometry, geom.Point) bool { return false }, nil, false}
+)
 
 // combined applies the paper's combined semantics given a spatial and
 // a temporal predicate.
-func combined(o, p STObject,
-	sp func(a, b geom.Geometry) bool,
-	tp temporal.Predicate) bool {
-	if o.geo == nil || p.geo == nil {
+func combined(o, p *STObject, sp *spatial, tp temporal.Predicate) bool {
+	if !timeAgrees(o, p, tp) {
 		return false
 	}
-	if !sp(o.geo, p.geo) {
-		return false
+	a, aPt := o.Point()
+	b, bPt := p.Point()
+	switch {
+	case aPt && bPt:
+		return sp.equal && a.Equal(b)
+	case aPt && sp.pg != nil:
+		return sp.pg(a, p.geo)
+	case aPt:
+		return sp.gp(p.geo, a)
+	case bPt:
+		return sp.gp(o.geo, b)
 	}
-	if !o.hasTime && !p.hasTime {
-		return true // (2): both undefined
-	}
-	if o.hasTime && p.hasTime {
-		return tp(o.time, p.time) // (3): both defined
-	}
-	return false // mixed: one defined, one undefined
+	return sp.gg(o.geo, p.geo)
+}
+
+// timeAgrees is the temporal half of the combined semantics: both
+// objects undefined (2), or both defined and tp holding (3).
+func timeAgrees(o, p *STObject, tp temporal.Predicate) bool {
+	return o.flags&timed == p.flags&timed && (o.flags&timed == 0 || tp(o.time, p.time))
 }
 
 // Intersects reports whether o and p intersect in their spatial
 // component and, when both are timestamped, in their temporal
 // component as well.
 func (o STObject) Intersects(p STObject) bool {
-	return combined(o, p, geom.Intersects, temporal.Intersects)
+	return combined(&o, &p, &intersects, temporal.Intersects)
 }
 
 // Contains reports whether o completely contains p spatially and,
 // when both are timestamped, temporally.
 func (o STObject) Contains(p STObject) bool {
-	return combined(o, p, geom.Contains, temporal.Contains)
+	return combined(&o, &p, &contains, temporal.Contains)
 }
 
 // ContainedBy is the reverse of Contains, as in the paper.
@@ -187,7 +240,7 @@ func (o STObject) ContainedBy(p STObject) bool { return p.Contains(o) }
 
 // Covers is the boundary-tolerant variant of Contains.
 func (o STObject) Covers(p STObject) bool {
-	return combined(o, p, geom.Covers, temporal.Contains)
+	return combined(&o, &p, &covers, temporal.Contains)
 }
 
 // CoveredBy is the reverse of Covers.
@@ -197,24 +250,23 @@ func (o STObject) CoveredBy(p STObject) bool { return p.Covers(o) }
 // boundaries, combined with temporal intersection when both are
 // timestamped.
 func (o STObject) Touches(p STObject) bool {
-	return combined(o, p, geom.Touches, temporal.Intersects)
+	return combined(&o, &p, &touches, temporal.Intersects)
 }
 
 // Overlaps reports whether the spatial interiors of o and p partially
 // overlap (same dimension, neither contains the other), combined with
 // temporal intersection when both are timestamped.
 func (o STObject) Overlaps(p STObject) bool {
-	return combined(o, p, geom.Overlaps, temporal.Intersects)
+	return combined(&o, &p, &overlaps, temporal.Intersects)
 }
 
 // WithinDistance reports whether the spatial distance between o and p
 // under df (nil for planar Euclidean geometry distance) is at most
 // maxDist, combined with temporal intersection when both objects are
-// timestamped.
+// timestamped. A df measures between centroids, a point's being the
+// point itself.
 func (o STObject) WithinDistance(p STObject, maxDist float64, df geom.DistanceFunc) bool {
-	return combined(o, p,
-		func(a, b geom.Geometry) bool { return geom.WithinDistance(a, b, maxDist, df) },
-		temporal.Intersects)
+	return timeAgrees(&o, &p, temporal.Intersects) && !o.IsEmpty() && !p.IsEmpty() && o.Distance(p, df) <= maxDist
 }
 
 // Distance returns the spatial distance between the two objects using
@@ -222,6 +274,18 @@ func (o STObject) WithinDistance(p STObject, maxDist float64, df geom.DistanceFu
 func (o STObject) Distance(p STObject, df geom.DistanceFunc) float64 {
 	if df != nil {
 		return df(o.Centroid(), p.Centroid())
+	}
+	a, aPt := o.Point()
+	b, bPt := p.Point()
+	switch {
+	case aPt && bPt && a.Equal(b):
+		return 0
+	case aPt && bPt:
+		return geom.Euclidean(a, b)
+	case aPt:
+		return geom.PointDistance(a, p.geo)
+	case bPt:
+		return geom.PointDistance(b, o.geo)
 	}
 	return geom.Distance(o.geo, p.geo)
 }

@@ -1,6 +1,7 @@
 package stobject
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -272,27 +273,130 @@ func TestTouchesAndOverlaps(t *testing.T) {
 	}
 }
 
-// TestRelocated pins what the layout step of PartitionBy relies on: a
-// point key moves into one new allocation and stays a geom.Point with
-// the same coordinates and time; any other geometry is left where it is.
-func TestRelocated(t *testing.T) {
-	pt := NewWithTime(geom.NewPoint(3, 4), 7)
-	got := pt.Relocated()
-	if p, ok := got.Geo().(geom.Point); !ok || p != geom.NewPoint(3, 4) {
-		t.Fatalf("relocated point key is %#v", got.Geo())
+// boxed is o with its point geometry behind the geom.Geometry interface,
+// the layout every point key had before they were held inline: its
+// predicates run the generic geom functions, the oracle for the
+// point-first ones.
+func boxed(o STObject) STObject {
+	o.geo, o.flags, o.x, o.y = o.Geo(), o.flags&^isPoint, 0, 0
+	return o
+}
+
+// TestPointKeyEquivalence holds every predicate on an inline point key to
+// the same point boxed, in both argument orders, against every geometry
+// kind, another point, a NaN point and the zero object, untimed, timed
+// and mixed.
+func TestPointKeyEquivalence(t *testing.T) {
+	nan := math.NaN()
+	var pts []geom.Point
+	for _, c := range []float64{-1, 0, 0.5, 1, 2, 3, 4, 5} {
+		for _, d := range []float64{0, 1, 2, 4} {
+			pts = append(pts, geom.NewPoint(c, d))
+		}
 	}
-	if iv, ok := got.Time(); !ok || iv != temporal.At(7) {
-		t.Fatalf("relocated key lost its time: %v %v", iv, ok)
+	pts = append(pts, geom.NewPoint(nan, 1), geom.NewPoint(1, nan), geom.NewPoint(nan, nan))
+	others := []geom.Geometry{nil}
+	for _, w := range []string{
+		"POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))",
+		"POLYGON ((0 0, 4 0, 2 4, 0 0))",
+		"POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0), (1 1, 3 1, 3 3, 1 3, 1 1))",
+		"POLYGON EMPTY",
+		"LINESTRING (0 0, 2 2, 4 2)",
+		"MULTIPOINT ((1 1), (2 2))",
+		"MULTIPOINT ((2 2), (2 2))",
+		"MULTIPOINT EMPTY",
+	} {
+		g, err := geom.ParseWKT(w)
+		if err != nil {
+			t.Fatal(w, err)
+		}
+		others = append(others, g)
 	}
-	var sink STObject
-	if n := testing.AllocsPerRun(100, func() { sink = pt.Relocated() }); n != 1 {
-		t.Errorf("relocating a point key allocates %v times, want 1", n)
+	for _, p := range pts {
+		others = append(others, p)
 	}
-	poly := MustFromWKT("POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0))")
-	if n := testing.AllocsPerRun(100, func() { sink = poly.Relocated() }); n != 0 {
-		t.Errorf("relocating a polygon key allocates %v times, want 0", n)
+	times := []func(geom.Geometry) STObject{
+		New,
+		func(g geom.Geometry) STObject { return NewWithInterval(g, temporal.MustInterval(0, 10)) },
+		func(g geom.Geometry) STObject { return NewWithInterval(g, temporal.MustInterval(5, 5)) },
+		func(g geom.Geometry) STObject { return NewWithInterval(g, temporal.MustInterval(20, 30)) },
 	}
-	if !sink.Intersects(poly) || !(STObject{}).Relocated().IsEmpty() {
-		t.Error("a relocated polygon or empty key changed")
+	preds := map[string]Predicate{
+		"intersects": Intersects, "contains": Contains, "containedby": ContainedBy,
+		"covers": Covers, "coveredby": CoveredBy, "touches": Touches, "overlaps": Overlaps,
+		"within0": WithinDistancePredicate(0, nil), "within1": WithinDistancePredicate(1, nil),
+		"within2.5": WithinDistancePredicate(2.5, nil), "manhattan2": WithinDistancePredicate(2, geom.Manhattan),
+	}
+	same := func(a, b float64) bool { return a == b || math.IsNaN(a) && math.IsNaN(b) }
+	for _, p := range pts {
+		for _, tp := range times {
+			key := tp(p)
+			if _, ok := key.Point(); !ok {
+				t.Fatalf("%v is not held inline", p)
+			}
+			if key.IsEmpty() != boxed(key).IsEmpty() || key.Centroid() != boxed(key).Centroid() && !p.IsEmpty() {
+				t.Errorf("%v: IsEmpty or Centroid differs from the boxed key", key)
+			}
+			for _, g := range others {
+				for _, to := range times {
+					other := to(g)
+					if g == nil {
+						other = STObject{}
+					}
+					// The other operand inline and boxed, against the key
+					// inline and boxed, in both orders.
+					for _, w := range []STObject{other, boxed(other)} {
+						for name, pred := range preds {
+							want := pred(boxed(key), boxed(w))
+							if got := pred(key, w); got != want {
+								t.Errorf("%s(%v, %v) = %v inline, %v boxed", name, key, w, got, want)
+							}
+							want = pred(boxed(w), boxed(key))
+							if got := pred(w, key); got != want {
+								t.Errorf("%s(%v, %v) = %v inline, %v boxed", name, w, key, got, want)
+							}
+						}
+						for _, df := range []geom.DistanceFunc{nil, geom.Manhattan} {
+							if got, want := key.Distance(w, df), boxed(key).Distance(boxed(w), df); !same(got, want) {
+								t.Errorf("Distance(%v, %v) = %v inline, %v boxed", key, w, got, want)
+							}
+							if got, want := w.Distance(key, df), boxed(w).Distance(boxed(key), df); !same(got, want) {
+								t.Errorf("Distance(%v, %v) = %v inline, %v boxed", w, key, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPointKeyPredicatesAllocateNothing: refining a point key reads its
+// coordinates in place, against a polygon window and against a point.
+func TestPointKeyPredicatesAllocateNothing(t *testing.T) {
+	key := timedPoint(1, 2, 5)
+	for _, q := range []STObject{
+		NewWithInterval(MustFromWKT("POLYGON ((0 0, 4 0, 2 4, 0 0))").Geo(), temporal.MustInterval(0, 10)),
+		NewWithInterval(MustFromWKT("POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))").Geo(), temporal.MustInterval(0, 10)),
+		timedPoint(1, 2, 5),
+	} {
+		var hits int
+		n := testing.AllocsPerRun(100, func() {
+			for _, hit := range []bool{
+				key.Intersects(q), q.Intersects(key), key.Contains(q), q.Contains(key),
+				key.Covers(q), q.Covers(key), key.WithinDistance(q, 1, nil), q.WithinDistance(key, 1, nil),
+				key.EnvelopeIntersects(q.Envelope()),
+			} {
+				if hit {
+					hits++
+				}
+			}
+		})
+		if n != 0 {
+			t.Errorf("predicates of a point key against %v allocate %v times, want 0", q, n)
+		}
+		if hits == 0 {
+			t.Errorf("no predicate of %v against %v held", key, q)
+		}
 	}
 }
