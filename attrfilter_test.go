@@ -9,6 +9,7 @@ package stark_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -402,4 +403,93 @@ func liveGridFor(t testing.TB) stark.SpatialPartitioner {
 		t.Fatal("grid partitioner resolved to nil")
 	}
 	return sp
+}
+
+// TestAttrNaNPlannedEqualsNaive: a float field holding NaN counts the
+// same on every access path. Compare places NaN below every number, so
+// a NaN row satisfies f < 50 and nothing else here: the inline scan
+// (Matches), the static postings probe, the postings AND kernel
+// intersection and the live postings probe must all agree with that
+// reading, and each path must be the one the plan names. The
+// intersection runs under a window covering about a tenth of the rows,
+// where the planner prefers it to the probe for every range.
+func TestAttrNaNPlannedEqualsNaive(t *testing.T) {
+	type rec struct {
+		ID int
+		F  float64
+	}
+	const n = 4000
+	recs := make([]stark.LiveRecord[rec], n)
+	tuples := make([]stark.Tuple[rec], n)
+	for i := range recs {
+		r := rec{ID: i, F: float64(i % 100)}
+		if i%7 == 0 {
+			r.F = math.NaN()
+		}
+		key := stark.NewSTObject(stark.NewPoint(float64(i%97), float64(i%89)))
+		recs[i] = stark.LiveRecord[rec]{ID: int64(i), Key: key, Value: r}
+		tuples[i] = stark.NewTuple(key, r)
+	}
+	schema := stark.NewAttrSchema[rec]().Float64("f", func(r rec) float64 { return r.F })
+	ctx := stark.NewContext(2)
+	base := stark.Parallelize(ctx, tuples, 4).PartitionBy(stark.Grid(2))
+	window := stark.NewSTObject(stark.NewEnvelope(10, 10, 40, 40).ToPolygon())
+	inWindow := func(tu stark.Tuple[rec]) bool {
+		c := tu.Key.Centroid()
+		return c.X >= 10 && c.X <= 40 && c.Y >= 10 && c.Y <= 40
+	}
+	md := stark.NewMutableDataset[rec](ctx, "nan", liveGridFor(t), 8)
+	md.SetAttrFields(schema)
+	if _, err := md.Insert(recs...); err != nil {
+		t.Fatal(err)
+	}
+
+	const probe, intersect = "attr=index postings probe", "attr=postings AND kernel survivors"
+	for _, c := range []struct {
+		op   string
+		want func(float64) bool
+	}{
+		{"eq", func(f float64) bool { return f == 50 }},
+		{"gt", func(f float64) bool { return f > 50 }},
+		{"lt", func(f float64) bool { return f < 50 || math.IsNaN(f) }},
+	} {
+		var all, windowed int64
+		for _, tu := range tuples {
+			if c.want(tu.Value.F) {
+				all++
+				if inWindow(tu) {
+					windowed++
+				}
+			}
+		}
+		windowPlan := intersect
+		if c.op == "eq" {
+			windowPlan = probe // a point lookup: the planner prefers the probe
+		}
+		paths := []struct {
+			name, plan string
+			chain      *stark.Dataset[rec]
+			want       int64
+		}{
+			{"inline", "", base.WithSchema(schema).Optimize(false).FilterOp("f", c.op, 50), all},
+			{"postings", probe, base.WithSchema(schema).AttrIndex("f").FilterOp("f", c.op, 50), all},
+			{"live", probe, md.Snapshot().WithSchema(schema).FilterOp("f", c.op, 50), all},
+			{"intersect", windowPlan, base.Columnar().WithSchema(schema).AttrIndex("f").Intersects(window).FilterOp("f", c.op, 50), windowed},
+		}
+		for _, path := range paths {
+			got, err := path.chain.Count()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != path.want {
+				t.Errorf("f %s 50, %s: %d rows, want %d", c.op, path.name, got, path.want)
+			}
+			if path.plan == "" {
+				continue
+			}
+			if out, err := path.chain.Explain(); err != nil || !strings.Contains(out, path.plan) {
+				t.Errorf("f %s 50, %s: plan does not say %q (%v):\n%s", c.op, path.name, path.plan, err, out)
+			}
+		}
+	}
 }

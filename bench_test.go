@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"stark"
-	"stark/internal/baselines"
 	"stark/internal/bench"
 	"stark/internal/cluster"
 	"stark/internal/engine"
@@ -73,8 +72,8 @@ func BenchmarkFigure4GeoSparkVoronoi(b *testing.B) {
 	tuples := benchTuples(b, benchN)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := baselines.GeoSparkSelfJoin(ctx, tuples, baselines.SelfJoinConfig{
-			Eps: 0.25, Partitioner: baselines.VoronoiPartitioner, NumSeeds: 64, Dedupe: true,
+		_, err := bench.GeoSparkSelfJoin(ctx, tuples, bench.SelfJoinConfig{
+			Eps: 0.25, Partitioner: bench.VoronoiPartitioner, NumSeeds: 64, Dedupe: true,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -87,8 +86,8 @@ func BenchmarkFigure4SpatialSparkNoPartitioning(b *testing.B) {
 	tuples := benchTuples(b, benchN)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := baselines.SpatialSparkSelfJoin(ctx, tuples, baselines.SelfJoinConfig{
-			Eps: 0.25, Partitioner: baselines.NoPartitioner,
+		_, err := bench.SpatialSparkSelfJoin(ctx, tuples, bench.SelfJoinConfig{
+			Eps: 0.25, Partitioner: bench.NoPartitioner,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -101,8 +100,8 @@ func BenchmarkFigure4SpatialSparkTile(b *testing.B) {
 	tuples := benchTuples(b, benchN)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := baselines.SpatialSparkSelfJoin(ctx, tuples, baselines.SelfJoinConfig{
-			Eps: 0.25, Partitioner: baselines.TilePartitioner, PPD: 8,
+		_, err := bench.SpatialSparkSelfJoin(ctx, tuples, bench.SelfJoinConfig{
+			Eps: 0.25, Partitioner: bench.TilePartitioner, PPD: 8,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -127,19 +127,20 @@
 // come from the same one-pass stats sweep, and the planner chooses
 // between inline evaluation on the spatial path's rows, an
 // attribute-first probe of lazily built, memoised per-partition
-// postings (sorted column + row ids — the most selective predicate
-// enumerates candidates, everything else refines), and a postings
+// postings (the most selective predicate enumerates candidates,
+// everything else refines), and a postings
 // bitset ANDed with the columnar kernels' survivor set. EXPLAIN
 // renders each predicate as an AttrScan or AttrIndex node with
 // estimated and actual selectivities. Dataset.AttrIndex prebuilds
 // postings so even one-shot queries price the probe without build
 // cost; MutableDataset.SetAttrFields maintains generation-tagged
 // postings incrementally across mutations, so live snapshots probe
-// without rebuilding: a partition allocates one entry per record
-// version and files it under every field, and each field keeps its
-// distinct values in order in chunks of at most 64 behind a directory,
-// so an insert is two binary searches and a shift inside one chunk
-// however large the partition. Typed predicates render canonically
+// without rebuilding. Both sidecars use one postings structure: each
+// distinct value with its entries (row ids for the static sidecar, one
+// record version per insert for a live partition), in order, in chunks
+// of at most 64 behind a directory, so an insert is two binary searches
+// and a shift inside one chunk however large the partition; a float
+// NaN sorts below every number on every path. Typed predicates render canonically
 // (fare>f:40; IN sets sorted and deduplicated) and therefore
 // fingerprint and result-cache — opaque FilterValues closures are
 // refused with the offending operator's position in the chain. The
@@ -395,8 +396,6 @@
 //     cost model, rewrite decisions and the EXPLAIN tree;
 //   - internal/cluster   — sequential and MR-DBSCAN-style distributed
 //     DBSCAN;
-//   - internal/baselines — GeoSpark- and SpatialSpark-style join
-//     strategies for the Figure 4 comparison;
 //   - internal/piglet    — the Pig Latin derivative of the demo;
 //   - internal/obs       — the dependency-free metrics kernel:
 //     counters, gauges, quantile-estimating histograms and the
@@ -405,7 +404,8 @@
 //     result cache, admission control, NDJSON streaming, telemetry)
 //     and the demo web front end;
 //   - internal/bench     — the experiment harness regenerating the
-//     paper's evaluation (Figure 4, E1–E6, the join and planner
+//     paper's evaluation (Figure 4 with the GeoSpark- and
+//     SpatialSpark-style join baselines, E1–E6, the join and planner
 //     sweeps); the service itself is measured by bench/e2e.
 //
 // See README.md for the DSL tour and the Scala-vs-Go comparison, and

@@ -15,7 +15,7 @@ import (
 	"testing"
 
 	"stark"
-	"stark/internal/baselines"
+	"stark/internal/bench"
 	"stark/internal/piglet"
 	"stark/internal/server"
 	"stark/internal/workload"
@@ -103,25 +103,25 @@ func TestFigure4ResultAgreement(t *testing.T) {
 		Width: 1000, Height: 1000,
 	})
 	const eps = 1.5
-	want := baselines.STARKSelfJoinCount(tuples, eps)
+	want := bench.STARKSelfJoinCount(tuples, eps)
 	if want <= int64(len(tuples)) {
 		t.Fatalf("reference count %d too small", want)
 	}
 
-	geo, err := baselines.GeoSparkSelfJoin(ctx, tuples, baselines.SelfJoinConfig{
-		Eps: eps, Partitioner: baselines.VoronoiPartitioner, NumSeeds: 16, Dedupe: true,
+	geo, err := bench.GeoSparkSelfJoin(ctx, tuples, bench.SelfJoinConfig{
+		Eps: eps, Partitioner: bench.VoronoiPartitioner, NumSeeds: 16, Dedupe: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ssNone, err := baselines.SpatialSparkSelfJoin(ctx, tuples, baselines.SelfJoinConfig{
-		Eps: eps, Partitioner: baselines.NoPartitioner,
+	ssNone, err := bench.SpatialSparkSelfJoin(ctx, tuples, bench.SelfJoinConfig{
+		Eps: eps, Partitioner: bench.NoPartitioner,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ssTile, err := baselines.SpatialSparkSelfJoin(ctx, tuples, baselines.SelfJoinConfig{
-		Eps: eps, Partitioner: baselines.TilePartitioner, PPD: 4,
+	ssTile, err := bench.SpatialSparkSelfJoin(ctx, tuples, bench.SelfJoinConfig{
+		Eps: eps, Partitioner: bench.TilePartitioner, PPD: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -179,17 +179,6 @@ func TestIndexPostings(t *testing.T) {
 	}
 }
 
-func TestIndexStats(t *testing.T) {
-	col := []Value{Int64(1), Int64(2), Int64(2), Int64(10)}
-	fs := BuildIndex("f", KindInt64, col).Stats(8)
-	if fs.Count != 4 || fs.NDV != 3 {
-		t.Fatalf("stats = %+v", fs)
-	}
-	if fs.Min.I != 1 || fs.Max.I != 10 {
-		t.Fatalf("min/max = %s %s", fs.Min, fs.Max)
-	}
-}
-
 func TestFieldAccAndSelectivity(t *testing.T) {
 	a := NewFieldAcc("fare", KindFloat64, 1)
 	for i := 0; i < 1000; i++ {

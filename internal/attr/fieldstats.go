@@ -2,6 +2,7 @@ package attr
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -38,12 +39,13 @@ type FieldStats struct {
 }
 
 // buildHist fills the histogram from numeric samples, each standing
-// for weight rows.
+// for weight rows. The range spans the numbers; a NaN sample, below
+// every number in Compare's order, counts into the first bucket.
 func (fs *FieldStats) buildHist(histN int, nums []float64, weight float64) {
 	if len(nums) == 0 || histN <= 0 {
 		return
 	}
-	lo, hi := nums[0], nums[0]
+	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, x := range nums {
 		if x < lo {
 			lo = x
@@ -57,7 +59,7 @@ func (fs *FieldStats) buildHist(histN int, nums []float64, weight float64) {
 	span := hi - lo
 	for _, x := range nums {
 		c := 0
-		if span > 0 {
+		if span > 0 && !math.IsNaN(x) {
 			c = int((x - lo) / span * float64(histN))
 			if c >= histN {
 				c = histN - 1

@@ -65,6 +65,9 @@ func ParseOp(s string) (Op, error) {
 // Pred is one typed attribute predicate over a named field. Lo holds
 // the comparison value for Eq/Lt/Le/Gt/Ge and the lower bound for
 // Between; Hi the upper Between bound; Set the OpIn membership list.
+// Matches and the postings both compare under Value.Compare, so a NaN
+// field value sorts below every bound: it satisfies Lt and Le and no
+// other operator.
 type Pred struct {
 	Field string
 	Op    Op
@@ -156,8 +159,9 @@ func (p Pred) String() string {
 }
 
 // Validate checks structural soundness: a legal field name, a known
-// operator, kind-consistent operands, and no NaN bounds (NaN breaks
-// the total order the postings index relies on).
+// operator, kind-consistent operands, and no NaN bounds (under Compare
+// a NaN bound would sit below every number, which is never what a
+// filter against NaN means).
 func (p Pred) Validate() error {
 	if !ValidField(p.Field) {
 		return fmt.Errorf("attr: invalid field name %q", p.Field)

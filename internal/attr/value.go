@@ -2,8 +2,9 @@
 // DSL's FilterEq/FilterRange/FilterIn chain methods: field schemas
 // mapping tagged payload field names to typed accessors, typed
 // predicates with a canonical text form (so plans containing them
-// serialise, fingerprint, and cache), per-partition secondary indexes
-// (a sorted value column with parallel row-id postings), and
+// serialise, fingerprint, and cache), per-partition postings (each
+// distinct value with the entries carrying it, in bounded sorted
+// chunks, shared by the static sidecar and live datasets), and
 // per-field statistics the cost-based planner uses to choose between
 // spatial-first, attribute-first, and candidate-set-intersection
 // access paths.
@@ -14,6 +15,7 @@
 package attr
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
@@ -111,7 +113,8 @@ func (v Value) Coerce(kind Kind) (Value, error) {
 }
 
 // Compare orders v against o: by Kind first (giving mixed-kind sets a
-// total order), then by value. Returns -1, 0, or +1.
+// total order), then by value, a float NaN below every number and
+// equal to another NaN (cmp.Compare's order). Returns -1, 0, or +1.
 func (v Value) Compare(o Value) int {
 	if v.Kind != o.Kind {
 		if v.Kind < o.Kind {
@@ -128,12 +131,7 @@ func (v Value) Compare(o Value) int {
 			return 1
 		}
 	case KindFloat64:
-		switch {
-		case v.F < o.F:
-			return -1
-		case v.F > o.F:
-			return 1
-		}
+		return cmp.Compare(v.F, o.F)
 	case KindString:
 		return strings.Compare(v.S, o.S)
 	case KindBool:

@@ -1,4 +1,6 @@
-// Package baselines re-implements, on the common engine substrate,
+package bench
+
+// This file re-implements, on the common engine substrate,
 // the join strategies of the two systems the paper compares STARK
 // against in its Figure 4 micro-benchmark: GeoSpark (Yu et al.,
 // SIGSPATIAL 2015) and SpatialSpark (You et al., ICDEW 2015).
@@ -28,7 +30,6 @@
 // adjusts extents instead of replicating, prunes partition pairs by
 // extent, and reuses one live R-tree per partition — the combination
 // Figure 4 credits for its win.
-package baselines
 
 import (
 	"fmt"

@@ -16,7 +16,6 @@ import (
 	"os"
 	"time"
 
-	"stark/internal/baselines"
 	"stark/internal/cluster"
 	"stark/internal/core"
 	"stark/internal/engine"
@@ -65,7 +64,7 @@ func (c Config) withDefaults() Config {
 // tuples builds the benchmark dataset. The skewed distribution uses
 // few, tight clusters — the "events on land, empty sea" property
 // whose straggler effect Figure 4's partitioner comparison hinges on.
-func (c Config) tuples() []baselines.Tuple {
+func (c Config) tuples() []Tuple {
 	wc := workload.Config{
 		N: c.N, Seed: c.Seed, Dist: c.Dist, Width: 1000, Height: 1000,
 	}
@@ -117,9 +116,9 @@ func Figure4(cfg Config) ([]Figure4Row, error) {
 	var count int64
 	dur, err := timed(func() error {
 		var err error
-		count, err = baselines.GeoSparkSelfJoin(ctx, tuples, baselines.SelfJoinConfig{
+		count, err = GeoSparkSelfJoin(ctx, tuples, SelfJoinConfig{
 			Eps:         cfg.Eps,
-			Partitioner: baselines.VoronoiPartitioner,
+			Partitioner: VoronoiPartitioner,
 			NumSeeds:    4 * ctx.Parallelism(),
 			Seed:        cfg.Seed,
 			Dedupe:      true,
@@ -134,8 +133,8 @@ func Figure4(cfg Config) ([]Figure4Row, error) {
 	// SpatialSpark, no partitioning.
 	dur, err = timed(func() error {
 		var err error
-		count, err = baselines.SpatialSparkSelfJoin(ctx, tuples, baselines.SelfJoinConfig{
-			Eps: cfg.Eps, Partitioner: baselines.NoPartitioner,
+		count, err = SpatialSparkSelfJoin(ctx, tuples, SelfJoinConfig{
+			Eps: cfg.Eps, Partitioner: NoPartitioner,
 		})
 		return err
 	})
@@ -147,8 +146,8 @@ func Figure4(cfg Config) ([]Figure4Row, error) {
 	// SpatialSpark, Tile.
 	dur, err = timed(func() error {
 		var err error
-		count, err = baselines.SpatialSparkSelfJoin(ctx, tuples, baselines.SelfJoinConfig{
-			Eps: cfg.Eps, Partitioner: baselines.TilePartitioner, PPD: 8,
+		count, err = SpatialSparkSelfJoin(ctx, tuples, SelfJoinConfig{
+			Eps: cfg.Eps, Partitioner: TilePartitioner, PPD: 8,
 		})
 		return err
 	})
@@ -195,7 +194,7 @@ func Figure4(cfg Config) ([]Figure4Row, error) {
 // starkSelfJoin runs the STARK self join and returns the unordered
 // pair count (including self pairs) so results are comparable with
 // the baselines.
-func starkSelfJoin(ctx *engine.Context, tuples []baselines.Tuple, eps float64, sp partition.SpatialPartitioner) (int64, error) {
+func starkSelfJoin(ctx *engine.Context, tuples []Tuple, eps float64, sp partition.SpatialPartitioner) (int64, error) {
 	ds := core.Wrap(engine.Parallelize(ctx, tuples, ctx.Parallelism()))
 	if sp != nil {
 		parted, err := ds.PartitionBy(sp)

@@ -45,52 +45,6 @@ func douglasPeucker(pts []Point, lo, hi int, tol float64, keep []bool) {
 	}
 }
 
-// SimplifyRing simplifies a polygon shell the same way, keeping the
-// ring closed and refusing to collapse below a triangle.
-func SimplifyPolygon(p Polygon, tolerance float64) Polygon {
-	if tolerance <= 0 || p.IsEmpty() {
-		return p
-	}
-	shell := simplifyRing(p.shell, tolerance)
-	holes := make([]Ring, 0, len(p.holes))
-	for _, h := range p.holes {
-		sh := simplifyRing(h, tolerance)
-		if len(sh.pts) >= 4 {
-			holes = append(holes, sh)
-		}
-	}
-	return newPolygon(shell, holes)
-}
-
-func simplifyRing(r Ring, tol float64) Ring {
-	if len(r.pts) <= 4 {
-		return r
-	}
-	keep := make([]bool, len(r.pts))
-	keep[0], keep[len(r.pts)-1] = true, true
-	// Anchor the point farthest from the start so closed rings do not
-	// collapse onto the degenerate start-end segment.
-	far, farDist := 0, -1.0
-	for i, p := range r.pts {
-		if d := SquaredEuclidean(p, r.pts[0]); d > farDist {
-			far, farDist = i, d
-		}
-	}
-	keep[far] = true
-	douglasPeucker(r.pts, 0, far, tol, keep)
-	douglasPeucker(r.pts, far, len(r.pts)-1, tol, keep)
-	out := make([]Point, 0, len(r.pts))
-	for i, k := range keep {
-		if k {
-			out = append(out, r.pts[i])
-		}
-	}
-	if len(out) < 4 {
-		return r // refuse to collapse below a triangle
-	}
-	return Ring{pts: out}
-}
-
 // ClipPolygon clips a polygon's shell against an axis-aligned window
 // using the Sutherland–Hodgman algorithm (holes are clipped the same
 // way and dropped when they vanish). It returns false when nothing of

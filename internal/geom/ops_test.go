@@ -62,25 +62,6 @@ func TestPropSimplifyWithinTolerance(t *testing.T) {
 	}
 }
 
-func TestSimplifyPolygon(t *testing.T) {
-	// A square with redundant mid-edge vertices.
-	p := MustPolygon(
-		pt(0, 0), pt(5, 0.001), pt(10, 0), pt(10, 5), pt(10, 10),
-		pt(5, 10), pt(0, 10), pt(0, 5))
-	s := SimplifyPolygon(p, 0.1)
-	if s.Shell().NumPoints() >= p.Shell().NumPoints() {
-		t.Errorf("no reduction: %d -> %d", p.Shell().NumPoints(), s.Shell().NumPoints())
-	}
-	if math.Abs(s.Area()-p.Area()) > 1 {
-		t.Errorf("area changed too much: %v -> %v", p.Area(), s.Area())
-	}
-	// Tolerance 0 is identity; tiny polygons survive.
-	tri := MustPolygon(pt(0, 0), pt(1, 0), pt(0, 1))
-	if SimplifyPolygon(tri, 100).Shell().NumPoints() != 4 {
-		t.Error("triangle must not collapse")
-	}
-}
-
 func TestClipPolygonFullyInside(t *testing.T) {
 	p := unitSquare()
 	clipped, ok := ClipPolygon(p, NewEnvelope(-5, -5, 5, 5))

@@ -34,7 +34,6 @@ func TestStoredEnvelopeMatchesVertexWalk(t *testing.T) {
 		"simplified line":  Simplify(line, 0.5),
 		"polygon":          poly,
 		"polygon + hole":   squareWithHole(),
-		"simplified poly":  SimplifyPolygon(poly, 0.5),
 		"clipped poly":     clipped,
 		"wkt polygon":      MustParseWKT("POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0), (2 2, 4 2, 4 4, 2 4, 2 2))"),
 		"wkt line":         MustParseWKT("LINESTRING (5 5, -1 9)"),

@@ -229,8 +229,8 @@ func TestPostingsDifferentialBattery(t *testing.T) {
 	d.mu.Lock()
 	for p, pa := range d.attrs {
 		distinct := 0
-		for _, ch := range pa.field("seq").chunks {
-			distinct += len(ch)
+		for range pa.field("seq").All() {
+			distinct++
 		}
 		if distinct < 5000 {
 			t.Fatalf("partition %d holds %d distinct seq values, want at least 5000", p, distinct)
@@ -295,14 +295,16 @@ func TestPostingsDifferentialBattery(t *testing.T) {
 	}
 }
 
-// TestPostingsCheckCatchesDamage makes sure the invariant checker is
-// not vacuous: each kind of damage it is there for must be reported.
+// TestPostingsCheckCatchesDamage makes sure the entry-level half of
+// the invariant checker is not vacuous: each kind of damage it is there
+// for must be reported. The structural half (order, capacity, empty
+// chunks) is attr.Postings.Check, tested in internal/attr.
 func TestPostingsCheckCatchesDamage(t *testing.T) {
 	fields := readingFields()
 	build := func() *Dataset[reading] {
 		d := NewDataset[reading](engine.NewContext(1), "damage", nil, 8)
 		d.SetAttrFields(fields)
-		ops := make([]Op[reading], 3*chunkCap)
+		ops := make([]Op[reading], 200) // seq spans several chunks
 		for i := range ops {
 			ops[i] = Insert(int64(i), pt(float64(i%100), 1), reading{ID: int64(i), Seq: int64(i), Cat: "c", Temp: 1})
 		}
@@ -316,22 +318,32 @@ func TestPostingsCheckCatchesDamage(t *testing.T) {
 	}
 	checkPartitions(t, build())
 
+	// nth returns the entries of the field's k-th value: the postings'
+	// own list, so writing to it damages them.
+	nth := func(pa *partAttrs[reading], field string, k int) []*postEntry[reading] {
+		for _, list := range pa.field(field).All() {
+			if k == 0 {
+				return list
+			}
+			k--
+		}
+		t.Fatalf("field %q holds fewer values", field)
+		return nil
+	}
 	for name, damage := range map[string]func(pa *partAttrs[reading]){
-		"order": func(pa *partAttrs[reading]) { ch := pa.field("seq").chunks[1]; ch[0], ch[1] = ch[1], ch[0] },
-		"overfull": func(pa *partAttrs[reading]) {
-			fp := pa.field("seq")
-			fp.chunks = [][]slot[reading]{slices.Concat(fp.chunks...)}
+		"misfiled": func(pa *partAttrs[reading]) { nth(pa, "seq", 3)[0].val.Seq = 2 },
+		"counter":  func(pa *partAttrs[reading]) { pa.dead++ },
+		"byID":     func(pa *partAttrs[reading]) { e := *pa.byID[5]; pa.byID[5] = &e },
+		"lost": func(pa *partAttrs[reading]) {
+			cat := slices.IndexFunc(pa.fields, func(f attr.Field[reading]) bool { return f.Name == "cat" })
+			rest := &attr.Postings[*postEntry[reading]]{}
+			for _, e := range nth(pa, "cat", 0)[1:] {
+				rest.Insert(attr.String(e.val.Cat), e)
+			}
+			pa.posts[cat] = rest
 		},
-		"empty": func(pa *partAttrs[reading]) {
-			fp := pa.field("seq")
-			fp.chunks = slices.Insert(fp.chunks, 1, []slot[reading]{})
-		},
-		"misfiled":   func(pa *partAttrs[reading]) { pa.field("seq").chunks[0][3].list[0].val.Seq = 2 },
-		"counter":    func(pa *partAttrs[reading]) { pa.dead++ },
-		"byID":       func(pa *partAttrs[reading]) { e := *pa.byID[5]; pa.byID[5] = &e },
-		"lost":       func(pa *partAttrs[reading]) { s := &pa.field("cat").chunks[0][0]; s.list = s.list[1:] },
-		"twice":      func(pa *partAttrs[reading]) { s := &pa.field("cat").chunks[0][0]; s.list[1] = s.list[0] },
-		"generation": func(pa *partAttrs[reading]) { pa.field("seq").chunks[0][7].list[0].delGen = 1 },
+		"twice":      func(pa *partAttrs[reading]) { l := nth(pa, "cat", 0); l[1] = l[0] },
+		"generation": func(pa *partAttrs[reading]) { nth(pa, "seq", 7)[0].delGen = 1 },
 	} {
 		d := build()
 		damage(d.attrs[0])
