@@ -1,13 +1,14 @@
-// Benchmarks regenerating the paper's evaluation artefacts, one per
-// figure/experiment (see DESIGN.md's experiment index). Run with:
+// Benchmarks of the DSL's operators: partitioners, indexing modes,
+// spatio-temporal filters, kNN, DBSCAN, joins and the Figure 4 self
+// join. Run with:
 //
 //	go test -bench=. -benchmem
 //
 // The query-level benchmarks drive the public stark DSL — the surface
 // users run — while the substrate micro-benchmarks at the bottom
 // exercise internals directly. The sizes here are scaled down so the
-// suite completes quickly; the published numbers in EXPERIMENTS.md
-// come from cmd/stark-bench at the paper's N = 1,000,000.
+// suite completes quickly; cmd/stark-bench prints Figure 4 at any N
+// (the paper uses 1,000,000).
 package stark_test
 
 import (

@@ -247,9 +247,7 @@
 // property on every line. cmd/starkd is
 // the executable; bench/e2e measures latency, throughput and hit rate
 // through real HTTP with every reply checked (BENCHMARK.json names the
-// metrics: go run ./bench/e2e -workload read_selective -seed 1), and
-// stark-bench's `join` experiment sweeps strategy × layout × selectivity
-// into BENCH_join.json.
+// metrics: go run ./bench/e2e -workload read_selective -seed 1).
 //
 // # Mutable live datasets
 //
@@ -403,10 +401,9 @@
 //   - internal/server    — the multi-dataset query service (catalog,
 //     result cache, admission control, NDJSON streaming, telemetry)
 //     and the demo web front end;
-//   - internal/bench     — the experiment harness regenerating the
-//     paper's evaluation (Figure 4 with the GeoSpark- and
-//     SpatialSpark-style join baselines, E1–E6, the join and planner
-//     sweeps); the service itself is measured by bench/e2e.
+//   - internal/bench     — the paper's Figure 4 self join, STARK against
+//     the GeoSpark- and SpatialSpark-style baselines (cmd/stark-bench
+//     prints it); the service itself is measured by bench/e2e.
 //
 // See README.md for the DSL tour and the Scala-vs-Go comparison, and
 // the examples/ directory for complete programs.

@@ -224,6 +224,30 @@ func TestFieldAccAndSelectivity(t *testing.T) {
 	}
 }
 
+// TestFieldAccCountsNaNOnce: NaN is not equal to itself, so a distinct
+// set keyed on the value would count every NaN row as a new value.
+func TestFieldAccCountsNaNOnce(t *testing.T) {
+	a, b := NewFieldAcc("fare", KindFloat64, 1), NewFieldAcc("fare", KindFloat64, 2)
+	for i := 0; i < 5000; i++ {
+		acc := a
+		if i >= 2500 {
+			acc = b
+		}
+		if i%2 == 0 {
+			acc.Add(Float64(math.NaN()))
+		} else {
+			acc.Add(Float64(float64(1 + i%3)))
+		}
+	}
+	if ndv := a.Finish(0).NDV; ndv != 4 {
+		t.Fatalf("ndv of 2,500 rows, NaN and {1, 2, 3} = %d, want 4", ndv)
+	}
+	a.Merge(b)
+	if ndv := a.Finish(0).NDV; ndv != 4 {
+		t.Fatalf("ndv of 5,000 merged rows, NaN and {1, 2, 3} = %d, want 4", ndv)
+	}
+}
+
 func TestParsePredRejectsMalformed(t *testing.T) {
 	bad := []string{
 		"", "fare", "fare>", ">f:1", "fare>x:1", "fare in []", "fare in {}",

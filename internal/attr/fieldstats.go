@@ -172,6 +172,7 @@ type FieldAcc struct {
 	count    int64
 	min, max Value
 	distinct map[Value]struct{}
+	nan      bool // a float NaN was seen: it is no map key, never equal to itself
 	overflow bool
 	atCap    int64 // rows seen when the distinct set overflowed
 
@@ -205,11 +206,12 @@ func (a *FieldAcc) Add(v Value) {
 	}
 	a.count++
 	if !a.overflow {
-		a.distinct[v] = struct{}{}
-		if len(a.distinct) >= distinctCap {
-			a.overflow = true
-			a.atCap = a.count
+		if v.Kind == KindFloat64 && math.IsNaN(v.F) {
+			a.nan = true
+		} else {
+			a.distinct[v] = struct{}{}
 		}
+		a.checkCap()
 	}
 	if x, ok := v.Num(); ok {
 		a.seen++
@@ -218,6 +220,23 @@ func (a *FieldAcc) Add(v Value) {
 		} else if j := a.rng.Int63n(a.seen); j < fieldSampleCap {
 			a.sample[j] = x
 		}
+	}
+}
+
+// ndv is the exact number of distinct values seen, NaN counted once.
+func (a *FieldAcc) ndv() int64 {
+	n := int64(len(a.distinct))
+	if a.nan {
+		n++
+	}
+	return n
+}
+
+// checkCap marks the distinct set overflowed once it reaches the cap.
+func (a *FieldAcc) checkCap() {
+	if a.ndv() >= distinctCap {
+		a.overflow = true
+		a.atCap = a.count
 	}
 }
 
@@ -245,10 +264,8 @@ func (a *FieldAcc) Merge(o *FieldAcc) {
 		for v := range o.distinct {
 			a.distinct[v] = struct{}{}
 		}
-		if len(a.distinct) >= distinctCap {
-			a.overflow = true
-			a.atCap = a.count
-		}
+		a.nan = a.nan || o.nan
+		a.checkCap()
 	}
 	// The merged reservoir keeps a deterministic subsample of both
 	// sides proportional to their sizes.
@@ -271,7 +288,7 @@ func (a *FieldAcc) Finish(histN int) *FieldStats {
 	}
 	fs.Min, fs.Max = a.min, a.max
 	if !a.overflow {
-		fs.NDV = int64(len(a.distinct))
+		fs.NDV = a.ndv()
 	} else {
 		// Scaled estimate: distinct values kept accruing at roughly the
 		// pre-overflow rate. Clamped to the row count.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -294,11 +295,11 @@ func TestWithinDistanceCustomFunction(t *testing.T) {
 	if err != nil || len(got) != 1 {
 		t.Fatalf("euclidean got %d err=%v", len(got), err)
 	}
-	got, err = withinDistance(s, q, 6.5, geom.Manhattan)
+	got, err = withinDistance(s, q, 6.5, manhattan)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("manhattan(6.5) got %d err=%v", len(got), err)
 	}
-	got, err = withinDistance(s, q, 7, geom.Manhattan)
+	got, err = withinDistance(s, q, 7, manhattan)
 	if err != nil || len(got) != 1 {
 		t.Fatalf("manhattan(7) got %d err=%v", len(got), err)
 	}
@@ -322,6 +323,16 @@ func TestSpatioTemporalFilter(t *testing.T) {
 	}
 	if len(want) == 0 || len(want) == len(tuples) {
 		t.Error("degenerate temporal test")
+	}
+	// The temporal window shrinks the result: the same box over the
+	// whole time range matches more.
+	qAllTime := stobject.NewWithInterval(q.Geo(), temporal.MustInterval(0, 1000))
+	all, err := s.Filter(qAllTime, qAllTime.Envelope(), stobject.ContainedBy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) <= len(got) {
+		t.Errorf("the window [100, 400] kept %d of the box's %d rows over all time", len(got), len(all))
 	}
 	// The same spatial query without time matches nothing (mixed
 	// semantics).
@@ -395,4 +406,10 @@ func ExampleWrap() {
 		fmt.Println(h.Value)
 	}
 	// Output: concert
+}
+
+// manhattan is the L1 distance, a distance function other than the
+// default Euclidean one.
+func manhattan(a, b geom.Point) float64 {
+	return math.Abs(a.X-b.X) + math.Abs(a.Y-b.Y)
 }

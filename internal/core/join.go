@@ -78,11 +78,6 @@ type JoinOptions struct {
 	// probing — required for withinDistance joins, where matching
 	// records can lie outside the probe envelope.
 	ProbeExpansion float64
-	// DisablePruning turns partition-pair pruning off even when both
-	// sides are spatially partitioned (used by ablation benches). It
-	// also pins JoinAuto to the pairs strategy, so the ablation
-	// measures the enumeration it claims to.
-	DisablePruning bool
 	// Strategy forces a physical strategy; JoinAuto (the zero value)
 	// lets the cost model choose from dataset statistics. Only auto
 	// consults sizes: a forced strategy builds the RIGHT input as
@@ -90,9 +85,6 @@ type JoinOptions struct {
 	// right), and a forced JoinCoPartition without any spatial
 	// partitioner on either side falls back to JoinPairs.
 	Strategy JoinStrategy
-	// BroadcastBudget caps the rows the auto strategy may broadcast;
-	// <= 0 selects plan.DefaultBroadcastRows.
-	BroadcastBudget int64
 	// Report, when non-nil, receives the execution report: the chosen
 	// strategy, the cost-model decision, and actual task/pair/tree
 	// counters — the numbers EXPLAIN renders.
@@ -185,9 +177,6 @@ func JoinStream[V, W any](l *SpatialDataset[V], lvisit []int, r *SpatialDataset[
 
 	strategy := opts.Strategy
 	buildRight := true
-	if strategy == JoinAuto && opts.DisablePruning {
-		strategy = JoinPairs
-	}
 	if strategy == JoinAuto {
 		ls, err := l.Stats(lvisit)
 		if err != nil {
@@ -204,7 +193,6 @@ func JoinStream[V, W any](l *SpatialDataset[V], lvisit []int, r *SpatialDataset[
 			LeftPartitioned:  l.sp != nil,
 			RightPartitioned: r.sp != nil,
 			SamePartitioner:  l.sp != nil && l.sp == r.sp,
-			BroadcastBudget:  opts.BroadcastBudget,
 		})
 		rep.Decision = &dec
 		strategy = dec.Strategy
@@ -277,7 +265,7 @@ func joinStream[P, B, R any](probe *SpatialDataset[P], pvisit []int, build *Spat
 		// One slot per build partition, shared by the probe partitions
 		// whose extent reaches it.
 		perProbe = len(bvisit)
-		prune := !opts.DisablePruning && probe.sp != nil && build.sp != nil
+		prune := probe.sp != nil && build.sp != nil
 		slots := make([]buildSlot[B], build.ds.NumPartitions())
 		for _, p := range pvisit {
 			var reach geom.Envelope

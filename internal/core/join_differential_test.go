@@ -117,13 +117,24 @@ func TestJoinStrategiesDifferential(t *testing.T) {
 							t.Errorf("%s: got %d pairs, want %d", sc.name, len(got), len(want))
 						}
 						// A forced copartition with no partitioner on
-						// either side must fall back to pairs; any
-						// other forced strategy must run as forced.
+						// either side must fall back to pairs, and with
+						// one it must shuffle; a forced broadcast runs
+						// fewer tasks than the pairs it does not
+						// enumerate; any other forced strategy must run
+						// as forced.
 						switch {
 						case sc.opts.Strategy == JoinCoPartition &&
 							ll.name == "plain" && rl.name == "plain":
 							if rep.Strategy != JoinPairs {
 								t.Errorf("copartition fallback ran %v", rep.Strategy)
+							}
+						case sc.opts.Strategy == JoinCoPartition:
+							if rep.Strategy != JoinCoPartition || rep.Shuffled == 0 {
+								t.Errorf("copartition: ran %v, shuffled %d rows", rep.Strategy, rep.Shuffled)
+							}
+						case sc.opts.Strategy == JoinBroadcast:
+							if rep.Strategy != JoinBroadcast || rep.Tasks >= rep.TotalPairs {
+								t.Errorf("broadcast: ran %v with %d tasks, %d enumerable pairs", rep.Strategy, rep.Tasks, rep.TotalPairs)
 							}
 						case sc.opts.Strategy != JoinAuto:
 							if rep.Strategy != sc.opts.Strategy {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"stark/internal/engine"
-	"stark/internal/geom"
 	"stark/internal/partition"
 	"stark/internal/stobject"
 )
@@ -130,20 +129,6 @@ func TestJoinWithPartitionPruning(t *testing.T) {
 	}
 	if rep.PairsPruned == 0 || rep.Tasks+rep.PairsPruned != rep.TotalPairs {
 		t.Errorf("report: tasks=%d pruned=%d total=%d", rep.Tasks, rep.PairsPruned, rep.TotalPairs)
-	}
-	// DisablePruning gives the same result with more work (and pins
-	// JoinAuto to the pairs strategy, so ablations measure the full
-	// enumeration).
-	ctx.Metrics().Reset()
-	got2, err := Join(pl, pr, JoinOptions{Predicate: pred, ProbeExpansion: 2, IndexOrder: -1, DisablePruning: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !samePairs(joinedPairs(got2), want) {
-		t.Error("unpruned join differs")
-	}
-	if ctx.Metrics().Snapshot().TasksSkipped != 0 {
-		t.Error("pruning should be disabled")
 	}
 }
 
@@ -374,7 +359,7 @@ func TestKNNCustomDistance(t *testing.T) {
 	}
 	s := Wrap(engine.Parallelize(ctx, tuples, 1))
 	q := stobject.MustFromWKT("POINT (0 0)")
-	got, err := s.KNN(q, 1, geom.Manhattan)
+	got, err := s.KNN(q, 1, manhattan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +378,7 @@ func TestKNNCustomDistance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotIdx, err := idx.KNN(q, 1, geom.Manhattan)
+	gotIdx, err := idx.KNN(q, 1, manhattan)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,7 +66,7 @@ func TestWherePretestEquivalence(t *testing.T) {
 		{"touches", stobject.Touches, 0},
 		{"overlaps", stobject.Overlaps, 0},
 		{"withinDistance", stobject.WithinDistancePredicate(6, nil), 6},
-		{"withinDistance/manhattan", stobject.WithinDistancePredicate(6, geom.Manhattan), 6},
+		{"withinDistance/manhattan", stobject.WithinDistancePredicate(6, manhattan), 6},
 		// An opaque predicate: all the scan knows of it is the envelope its
 		// author promises its matches meet.
 		{"opaque", func(o, p stobject.STObject) bool {

@@ -267,11 +267,6 @@ func (d *Dataset[T]) ComputePartition(p int) ([]T, error) {
 		return d.materialise(p)
 	}
 	d.cacheMu.Lock()
-	if d.cachedOK == nil {
-		// Unpersist raced with the flag read; behave as uncached.
-		d.cacheMu.Unlock()
-		return d.materialise(p)
-	}
 	if d.cachedOK[p] {
 		out := d.cached[p]
 		d.cacheMu.Unlock()
@@ -283,10 +278,8 @@ func (d *Dataset[T]) ComputePartition(p int) ([]T, error) {
 		return nil, err
 	}
 	d.cacheMu.Lock()
-	if d.cachedOK != nil {
-		d.cached[p] = out
-		d.cachedOK[p] = true
-	}
+	d.cached[p] = out
+	d.cachedOK[p] = true
 	d.cacheMu.Unlock()
 	return out, nil
 }
@@ -342,15 +335,6 @@ func (d *Dataset[T]) Cache() *Dataset[T] {
 		d.cacheOn.Store(true)
 	}
 	return d
-}
-
-// Unpersist drops cached partitions and disables caching.
-func (d *Dataset[T]) Unpersist() {
-	d.cacheMu.Lock()
-	defer d.cacheMu.Unlock()
-	d.cacheOn.Store(false)
-	d.cached = nil
-	d.cachedOK = nil
 }
 
 // ---- Narrow transformations ----

@@ -6,29 +6,22 @@ import (
 )
 
 // TestCacheToggleConcurrentCompute exercises the cacheOn flag from
-// concurrent readers (ComputePartition, as every task does) while
-// Cache/Unpersist toggle it — the access pattern that used to race.
-// Run with -race to verify the synchronisation.
+// concurrent readers (ComputePartition, as every task does) while Cache
+// turns it on and an action fills the cache — the access pattern that
+// used to race. Run with -race to verify the synchronisation.
 func TestCacheToggleConcurrentCompute(t *testing.T) {
 	ctx := NewContext(4)
 	data := make([]int, 1024)
 	for i := range data {
 		data[i] = i
 	}
-	d := Parallelize(ctx, data, 8)
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+	for i := 0; i < 50; i++ {
+		d := Parallelize(ctx, data, 8)
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
 				for p := 0; p < d.NumPartitions(); p++ {
 					out, err := d.ComputePartition(p)
 					if err != nil {
@@ -40,16 +33,12 @@ func TestCacheToggleConcurrentCompute(t *testing.T) {
 						return
 					}
 				}
-			}
-		}()
-	}
-	for i := 0; i < 200; i++ {
+			}()
+		}
 		d.Cache()
 		if _, err := d.Collect(); err != nil {
 			t.Fatal(err)
 		}
-		d.Unpersist()
+		wg.Wait()
 	}
-	close(stop)
-	wg.Wait()
 }

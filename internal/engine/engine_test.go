@@ -219,13 +219,6 @@ func TestCacheComputesOnce(t *testing.T) {
 	if computes.Load() != 4 {
 		t.Errorf("computes = %d, want 4", computes.Load())
 	}
-	d.Unpersist()
-	if _, err := d.Collect(); err != nil {
-		t.Fatal(err)
-	}
-	if computes.Load() != 8 {
-		t.Errorf("computes after unpersist = %d, want 8", computes.Load())
-	}
 }
 
 func TestErrorPropagation(t *testing.T) {

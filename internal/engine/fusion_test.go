@@ -168,69 +168,6 @@ func TestFusionWithCacheBarrier(t *testing.T) {
 	}
 }
 
-// TestFusionUnpersistRace races Unpersist/Cache toggles against
-// actions on a fused chain; run with -race. Results must stay correct
-// whether a given partition is served from cache or recomputed.
-func TestFusionUnpersistRace(t *testing.T) {
-	ctx := NewContext(4)
-	data := intRange(4000)
-	mid := Map(Parallelize(ctx, data, 8), chainMapF).Filter(chainFilterF)
-	tail := FlatMap(mid, chainFlatMapF)
-
-	want, err := seedChain(Parallelize(ctx, data, 8)).Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Bounded work on both sides so the test cannot starve under
-	// package-parallel test runs: workers run a fixed number of
-	// actions while a toggler flips the cache underneath them.
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < 3; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 25; i++ {
-				got, err := tail.Collect()
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Error("fused chain produced wrong result under cache toggling")
-					return
-				}
-				if _, err := tail.Take(17); err != nil {
-					t.Error(err)
-					return
-				}
-				if n, err := tail.Count(); err != nil || n != int64(len(want)) {
-					t.Errorf("count = %d err=%v, want %d", n, err, len(want))
-					return
-				}
-			}
-		}()
-	}
-	var togglerWG sync.WaitGroup
-	togglerWG.Add(1)
-	go func() {
-		defer togglerWG.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			mid.Cache()
-			mid.Unpersist()
-		}
-	}()
-	wg.Wait()
-	close(stop)
-	togglerWG.Wait()
-}
-
 // countingSource returns a dataset over [0, n) in parts partitions
 // that counts every element actually pulled through the pipeline.
 func countingSource(ctx *Context, n, parts int) (*Dataset[int], *atomic.Int64) {

@@ -152,17 +152,6 @@ func (s MetricsSnapshot) Sub(o MetricsSnapshot) MetricsSnapshot {
 	}
 }
 
-// SumSnapshots sums the metric snapshots of several contexts — the
-// aggregation benchmark harnesses report when an experiment runs each
-// configuration on its own context.
-func SumSnapshots(ctxs []*Context) MetricsSnapshot {
-	var total MetricsSnapshot
-	for _, c := range ctxs {
-		total = total.Add(c.Metrics().Snapshot())
-	}
-	return total
-}
-
 // CounterMap returns the snapshot's non-zero counters keyed by their
 // canonical snake_case names — the form execution traces and the
 // Prometheus exporter use. A zero snapshot returns nil.

@@ -139,104 +139,3 @@ func DistanceSegmentSegment(p1, p2, q1, q2 Point) float64 {
 		math.Min(DistancePointSegment(q1, p1, p2), DistancePointSegment(q2, p1, p2)),
 	)
 }
-
-// ConvexHull returns the convex hull of pts as a counter-clockwise
-// polygon using Andrew's monotone-chain algorithm. It returns false
-// when fewer than three non-collinear points are supplied.
-func ConvexHull(pts []Point) (Polygon, bool) {
-	if len(pts) < 3 {
-		return Polygon{}, false
-	}
-	sorted := make([]Point, len(pts))
-	copy(sorted, pts)
-	// Sort by x then y (insertion-free, stdlib-only sort).
-	sortPoints(sorted)
-
-	hull := make([]Point, 0, 2*len(sorted))
-	// Lower hull.
-	for _, p := range sorted {
-		for len(hull) >= 2 && orientation(hull[len(hull)-2], hull[len(hull)-1], p) <= 0 {
-			hull = hull[:len(hull)-1]
-		}
-		hull = append(hull, p)
-	}
-	// Upper hull.
-	lower := len(hull) + 1
-	for i := len(sorted) - 2; i >= 0; i-- {
-		p := sorted[i]
-		for len(hull) >= lower && orientation(hull[len(hull)-2], hull[len(hull)-1], p) <= 0 {
-			hull = hull[:len(hull)-1]
-		}
-		hull = append(hull, p)
-	}
-	hull = hull[:len(hull)-1]
-	if len(hull) < 3 {
-		return Polygon{}, false
-	}
-	poly, err := NewPolygonFromPoints(hull)
-	if err != nil {
-		return Polygon{}, false
-	}
-	return poly, true
-}
-
-// sortPoints sorts by (X, Y) lexicographically in place.
-func sortPoints(pts []Point) {
-	// Small shim over sort.Slice kept local to avoid exporting the
-	// ordering; uses pattern-defeating insertion for tiny inputs.
-	quickSortPoints(pts, 0, len(pts)-1)
-}
-
-func quickSortPoints(pts []Point, lo, hi int) {
-	for lo < hi {
-		if hi-lo < 12 {
-			for i := lo + 1; i <= hi; i++ {
-				for j := i; j > lo && lessPoint(pts[j], pts[j-1]); j-- {
-					pts[j], pts[j-1] = pts[j-1], pts[j]
-				}
-			}
-			return
-		}
-		mid := lo + (hi-lo)/2
-		// Median-of-three pivot.
-		if lessPoint(pts[mid], pts[lo]) {
-			pts[mid], pts[lo] = pts[lo], pts[mid]
-		}
-		if lessPoint(pts[hi], pts[lo]) {
-			pts[hi], pts[lo] = pts[lo], pts[hi]
-		}
-		if lessPoint(pts[hi], pts[mid]) {
-			pts[hi], pts[mid] = pts[mid], pts[hi]
-		}
-		pivot := pts[mid]
-		i, j := lo, hi
-		for i <= j {
-			for lessPoint(pts[i], pivot) {
-				i++
-			}
-			for lessPoint(pivot, pts[j]) {
-				j--
-			}
-			if i <= j {
-				pts[i], pts[j] = pts[j], pts[i]
-				i++
-				j--
-			}
-		}
-		// Recurse on the smaller side to bound stack depth.
-		if j-lo < hi-i {
-			quickSortPoints(pts, lo, j)
-			lo = i
-		} else {
-			quickSortPoints(pts, i, hi)
-			hi = j
-		}
-	}
-}
-
-func lessPoint(a, b Point) bool {
-	if a.X != b.X {
-		return a.X < b.X
-	}
-	return a.Y < b.Y
-}

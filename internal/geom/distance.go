@@ -20,32 +20,6 @@ func SquaredEuclidean(a, b Point) float64 {
 	return dx*dx + dy*dy
 }
 
-// Manhattan returns the L1 distance.
-func Manhattan(a, b Point) float64 {
-	return math.Abs(a.X-b.X) + math.Abs(a.Y-b.Y)
-}
-
-// Chebyshev returns the L∞ distance.
-func Chebyshev(a, b Point) float64 {
-	return math.Max(math.Abs(a.X-b.X), math.Abs(a.Y-b.Y))
-}
-
-// EarthRadiusMeters is the mean Earth radius used by Haversine.
-const EarthRadiusMeters = 6371008.8
-
-// Haversine returns the great-circle distance in meters, interpreting
-// X as longitude and Y as latitude, both in degrees.
-func Haversine(a, b Point) float64 {
-	lat1 := a.Y * math.Pi / 180
-	lat2 := b.Y * math.Pi / 180
-	dLat := (b.Y - a.Y) * math.Pi / 180
-	dLon := (b.X - a.X) * math.Pi / 180
-	sinLat := math.Sin(dLat / 2)
-	sinLon := math.Sin(dLon / 2)
-	h := sinLat*sinLat + math.Cos(lat1)*math.Cos(lat2)*sinLon*sinLon
-	return 2 * EarthRadiusMeters * math.Asin(math.Min(1, math.Sqrt(h)))
-}
-
 // Distance returns the minimum planar distance between two geometries
 // of any supported kind; 0 when they intersect.
 func Distance(g1, g2 Geometry) float64 {

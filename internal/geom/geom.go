@@ -7,9 +7,8 @@
 // (intersects, contains, covers, disjoint) and distance functions.
 //
 // All geometries are immutable after construction; methods never
-// mutate their receiver. Coordinates are planar (x, y) float64 pairs.
-// For geographic data, x is longitude and y is latitude; the Haversine
-// distance function in this package interprets coordinates that way.
+// mutate their receiver. Coordinates are planar (x, y) float64 pairs;
+// for geographic data, x is longitude and y is latitude.
 package geom
 
 import (

@@ -179,29 +179,6 @@ func TestDistancePointSegment(t *testing.T) {
 	}
 }
 
-func TestConvexHull(t *testing.T) {
-	pts := []Point{pt(0, 0), pt(4, 0), pt(4, 4), pt(0, 4), pt(2, 2), pt(1, 1), pt(3, 1)}
-	hull, ok := ConvexHull(pts)
-	if !ok {
-		t.Fatal("hull failed")
-	}
-	if got := hull.Area(); got != 16 {
-		t.Errorf("hull area = %v, want 16", got)
-	}
-	// Interior points must be covered.
-	for _, p := range pts {
-		if PolygonContainsPoint(hull, p) == -1 {
-			t.Errorf("hull does not cover %v", p)
-		}
-	}
-	if _, ok := ConvexHull([]Point{pt(0, 0), pt(1, 1)}); ok {
-		t.Error("hull of 2 points should fail")
-	}
-	if _, ok := ConvexHull([]Point{pt(0, 0), pt(1, 1), pt(2, 2)}); ok {
-		t.Error("hull of collinear points should fail")
-	}
-}
-
 func TestMultiPoint(t *testing.T) {
 	mp := NewMultiPoint([]Point{pt(0, 0), pt(2, 2)})
 	if mp.NumPoints() != 2 {

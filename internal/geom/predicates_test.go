@@ -179,17 +179,6 @@ func TestDistanceGeometries(t *testing.T) {
 	}
 }
 
-func TestHaversine(t *testing.T) {
-	// Berlin (13.405, 52.52) to Munich (11.582, 48.135) ≈ 504 km.
-	d := Haversine(pt(13.405, 52.52), pt(11.582, 48.135))
-	if d < 490e3 || d > 520e3 {
-		t.Errorf("Berlin-Munich = %v m, want ≈ 504 km", d)
-	}
-	if Haversine(pt(0, 0), pt(0, 0)) != 0 {
-		t.Error("identical points must have zero Haversine distance")
-	}
-}
-
 // ---- Property-based tests ----
 
 func TestPropIntersectsSymmetry(t *testing.T) {
@@ -276,30 +265,6 @@ func TestPropCentroidInsideEnvelope(t *testing.T) {
 		return env.ContainsPoint(c.X, c.Y)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPropConvexHullCoversInput(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	f := func() bool {
-		n := 3 + rng.Intn(20)
-		pts := make([]Point, n)
-		for i := range pts {
-			pts[i] = pt(rng.Float64()*100, rng.Float64()*100)
-		}
-		hull, ok := ConvexHull(pts)
-		if !ok {
-			return true // collinear degenerate case
-		}
-		for _, p := range pts {
-			if PolygonContainsPoint(hull, p) == -1 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }

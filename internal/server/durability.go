@@ -258,8 +258,8 @@ func (s *Server) HasDataset(name string) bool {
 }
 
 // DatasetInfo returns the catalog's view of one dataset, as the HTTP
-// list endpoint would render it. The bench durability experiment uses
-// it to cross-check recovered state against what it ingested.
+// list endpoint would render it. bench/e2e's recovery check uses it to
+// compare the recovered state with what it ingested.
 func (s *Server) DatasetInfo(name string) (DatasetInfo, bool) {
 	e, ok := s.catalog.Get(name)
 	if !ok {

@@ -128,7 +128,7 @@ func TestWithinDistance(t *testing.T) {
 		t.Error("distance-5 pair must not match at 4")
 	}
 	// Custom distance function.
-	if !a.WithinDistance(b, 7, geom.Manhattan) {
+	if !a.WithinDistance(b, 7, manhattan) {
 		t.Error("Manhattan 7 must match")
 	}
 	// Temporal dimension gates the result.
@@ -149,7 +149,7 @@ func TestDistance(t *testing.T) {
 	if d := a.Distance(b, nil); d != 5 {
 		t.Errorf("distance = %v", d)
 	}
-	if d := a.Distance(b, geom.Manhattan); d != 7 {
+	if d := a.Distance(b, manhattan); d != 7 {
 		t.Errorf("manhattan = %v", d)
 	}
 }
@@ -325,7 +325,7 @@ func TestPointKeyEquivalence(t *testing.T) {
 		"intersects": Intersects, "contains": Contains, "containedby": ContainedBy,
 		"covers": Covers, "coveredby": CoveredBy, "touches": Touches, "overlaps": Overlaps,
 		"within0": WithinDistancePredicate(0, nil), "within1": WithinDistancePredicate(1, nil),
-		"within2.5": WithinDistancePredicate(2.5, nil), "manhattan2": WithinDistancePredicate(2, geom.Manhattan),
+		"within2.5": WithinDistancePredicate(2.5, nil), "manhattan2": WithinDistancePredicate(2, manhattan),
 	}
 	same := func(a, b float64) bool { return a == b || math.IsNaN(a) && math.IsNaN(b) }
 	for _, p := range pts {
@@ -356,7 +356,7 @@ func TestPointKeyEquivalence(t *testing.T) {
 								t.Errorf("%s(%v, %v) = %v inline, %v boxed", name, w, key, got, want)
 							}
 						}
-						for _, df := range []geom.DistanceFunc{nil, geom.Manhattan} {
+						for _, df := range []geom.DistanceFunc{nil, manhattan} {
 							if got, want := key.Distance(w, df), boxed(key).Distance(boxed(w), df); !same(got, want) {
 								t.Errorf("Distance(%v, %v) = %v inline, %v boxed", key, w, got, want)
 							}
@@ -399,4 +399,10 @@ func TestPointKeyPredicatesAllocateNothing(t *testing.T) {
 			t.Errorf("no predicate of %v against %v held", key, q)
 		}
 	}
+}
+
+// manhattan is the L1 distance, a distance function other than the
+// default Euclidean one.
+func manhattan(a, b geom.Point) float64 {
+	return math.Abs(a.X-b.X) + math.Abs(a.Y-b.Y)
 }

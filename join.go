@@ -17,9 +17,7 @@ import (
 // Intersects), the build-side R-tree order (0 = nested loop,
 // negative = default order), the probe expansion for distance
 // predicates, the physical Strategy hint (JoinAuto, the zero value,
-// lets the cost model choose), the BroadcastBudget row cap, an
-// optional Report out-parameter, and a pruning kill switch for
-// ablations.
+// lets the cost model choose) and an optional Report out-parameter.
 type JoinOptions = core.JoinOptions
 
 // JoinStrategy selects the physical join execution strategy; the
