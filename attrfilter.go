@@ -21,10 +21,6 @@ type (
 	// (Int64/Float64/String/Bool chain methods). Register one on a
 	// chain with WithSchema before attribute filters.
 	AttrSchema[V any] = attr.Schema[V]
-	// AttrPred is one typed attribute predicate in canonical form.
-	AttrPred = attr.Pred
-	// AttrValue is a typed attribute constant.
-	AttrValue = attr.Value
 )
 
 // NewAttrSchema returns an empty attribute schema for payload type V.
@@ -40,32 +36,6 @@ func (d *Dataset[V]) WithSchema(schema *AttrSchema[V]) *Dataset[V] {
 			return state[V]{}, fmt.Errorf("nil schema")
 		}
 		st.schema = schema
-		return st, nil
-	})
-}
-
-// AttrIndex eagerly builds the per-partition attribute postings for
-// the named fields (all schema fields when none are given), folding
-// pending filters first like Cache and Columnar. The postings build
-// lazily and memoise on first probe anyway; prebuilding removes the
-// build cost from the planner's pricing, so even a one-shot selective
-// query takes the postings probe instead of an inline scan — the knob
-// a long-lived service turns once per hot field. WithSchema must
-// precede it on the chain. Mutable datasets maintain their postings
-// incrementally instead — see MutableDataset.SetAttrFields.
-func (d *Dataset[V]) AttrIndex(fields ...string) *Dataset[V] {
-	return d.chain("attrIndex", func(st state[V]) (state[V], error) {
-		if st.schema == nil {
-			return state[V]{}, fmt.Errorf("no attribute schema registered (WithSchema must precede AttrIndex)")
-		}
-		st, err := st.flush()
-		if err != nil {
-			return state[V]{}, err
-		}
-		st.sds.SetSchema(st.schema)
-		if err := st.sds.BuildAttrIndex(fields...); err != nil {
-			return state[V]{}, err
-		}
 		return st, nil
 	})
 }

@@ -1,8 +1,8 @@
 package stark_test
 
 // Tests for typed attribute predicates: the differential battery
-// (typed filters must equal the equivalent opaque closures
-// element-for-element across every layout), fingerprint behaviour
+// (typed filters must equal the equivalent closures element-for-element
+// across every layout), fingerprint behaviour
 // (attr predicates are canonical and cacheable where closures are
 // not), EXPLAIN access paths, and a -race hammer mixing live ingest
 // with concurrent attribute queries.
@@ -71,12 +71,12 @@ func collectRideIDs(t *testing.T, d *stark.Dataset[ride]) []int {
 	return ids
 }
 
-// attrCase pairs a typed attribute chain with the opaque closure
-// chain it must be equivalent to.
+// attrCase pairs a typed attribute chain with the closure it must be
+// equivalent to.
 type attrCase struct {
-	name   string
-	typed  func(d *stark.Dataset[ride]) *stark.Dataset[ride]
-	opaque func(d *stark.Dataset[ride]) *stark.Dataset[ride]
+	name  string
+	typed func(d *stark.Dataset[ride]) *stark.Dataset[ride]
+	keep  func(r ride) bool
 }
 
 func attrCases() []attrCase {
@@ -84,55 +84,59 @@ func attrCases() []attrCase {
 		{
 			name:  "eq_string",
 			typed: func(d *stark.Dataset[ride]) *stark.Dataset[ride] { return d.FilterEq("city", "berlin") },
-			opaque: func(d *stark.Dataset[ride]) *stark.Dataset[ride] {
-				return d.FilterValues(func(r ride) bool { return r.City == "berlin" })
-			},
+			keep:  func(r ride) bool { return r.City == "berlin" },
 		},
 		{
 			name:  "range_float",
 			typed: func(d *stark.Dataset[ride]) *stark.Dataset[ride] { return d.FilterRange("fare", 20.0, 60.0) },
-			opaque: func(d *stark.Dataset[ride]) *stark.Dataset[ride] {
-				return d.FilterValues(func(r ride) bool { return r.Fare >= 20 && r.Fare <= 60 })
-			},
+			keep:  func(r ride) bool { return r.Fare >= 20 && r.Fare <= 60 },
 		},
 		{
 			name:  "gt_int",
 			typed: func(d *stark.Dataset[ride]) *stark.Dataset[ride] { return d.FilterOp("stops", "gt", 2) },
-			opaque: func(d *stark.Dataset[ride]) *stark.Dataset[ride] {
-				return d.FilterValues(func(r ride) bool { return r.Stops > 2 })
-			},
+			keep:  func(r ride) bool { return r.Stops > 2 },
 		},
 		{
 			name:  "in_string",
 			typed: func(d *stark.Dataset[ride]) *stark.Dataset[ride] { return d.FilterIn("city", "lima", "osaka") },
-			opaque: func(d *stark.Dataset[ride]) *stark.Dataset[ride] {
-				return d.FilterValues(func(r ride) bool { return r.City == "lima" || r.City == "osaka" })
-			},
+			keep:  func(r ride) bool { return r.City == "lima" || r.City == "osaka" },
 		},
 		{
 			name:  "eq_bool",
 			typed: func(d *stark.Dataset[ride]) *stark.Dataset[ride] { return d.FilterEq("pool", true) },
-			opaque: func(d *stark.Dataset[ride]) *stark.Dataset[ride] {
-				return d.FilterValues(func(r ride) bool { return r.Pool })
-			},
+			keep:  func(r ride) bool { return r.Pool },
 		},
 		{
 			name: "conjunction",
 			typed: func(d *stark.Dataset[ride]) *stark.Dataset[ride] {
 				return d.FilterRange("fare", 10.0, 80.0).FilterEq("city", "boston")
 			},
-			opaque: func(d *stark.Dataset[ride]) *stark.Dataset[ride] {
-				return d.FilterValues(func(r ride) bool {
-					return r.Fare >= 10 && r.Fare <= 80 && r.City == "boston"
-				})
-			},
+			keep: func(r ride) bool { return r.Fare >= 10 && r.Fare <= 80 && r.City == "boston" },
 		},
 	}
 }
 
+// keptRideIDs runs d and returns the sorted IDs of the rows keep
+// accepts: the closure oracle of the typed filters.
+func keptRideIDs(t *testing.T, d *stark.Dataset[ride], keep func(ride) bool) []int {
+	t.Helper()
+	rows, err := d.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []int{}
+	for _, kv := range rows {
+		if keep(kv.Value) {
+			ids = append(ids, kv.Value.ID)
+		}
+	}
+	sort.Ints(ids)
+	return ids
+}
+
 // TestAttrFilterDifferential: typed attribute filters must select
-// exactly the rows the equivalent opaque closures select, across
-// every layout, with and without a spatial predicate in the chain.
+// exactly the rows the equivalent closures select, across every
+// layout, with and without a spatial predicate in the chain.
 func TestAttrFilterDifferential(t *testing.T) {
 	ctx := stark.NewContext(4)
 	rng := rand.New(rand.NewSource(7))
@@ -146,7 +150,6 @@ func TestAttrFilterDifferential(t *testing.T) {
 	}{
 		{"plain", stark.Parallelize(ctx, tuples, 5)},
 		{"grid", stark.Parallelize(ctx, tuples, 5).PartitionBy(stark.Grid(4))},
-		{"grid_hilbert", stark.Parallelize(ctx, tuples, 5).PartitionBy(stark.Grid(4).HilbertOrdered())},
 		{"bsp", stark.Parallelize(ctx, tuples, 5).PartitionBy(stark.BSP(100))},
 		{"live", stark.Parallelize(ctx, tuples, 5).Index(stark.Live(8))},
 	}
@@ -156,17 +159,15 @@ func TestAttrFilterDifferential(t *testing.T) {
 			for _, spatial := range []bool{false, true} {
 				name := fmt.Sprintf("%s/%s/spatial=%v", layout.name, tc.name, spatial)
 				typed := layout.base.WithSchema(schema)
-				opaque := layout.base
+				unfiltered := layout.base
 				if spatial {
 					typed = typed.Intersects(window)
-					opaque = opaque.Intersects(window)
+					unfiltered = unfiltered.Intersects(window)
 				}
-				typed = tc.typed(typed)
-				opaque = tc.opaque(opaque)
-				want := collectRideIDs(t, opaque)
-				got := collectRideIDs(t, typed)
+				want := keptRideIDs(t, unfiltered, tc.keep)
+				got := collectRideIDs(t, tc.typed(typed))
 				if len(got) != len(want) {
-					t.Errorf("%s: typed %d rows, opaque %d rows", name, len(got), len(want))
+					t.Errorf("%s: typed %d rows, closure %d rows", name, len(got), len(want))
 					continue
 				}
 				for i := range got {
@@ -251,7 +252,7 @@ func TestAttrFingerprint(t *testing.T) {
 	// Opaque closures still refuse, and the error names the operator
 	// and its position in the chain.
 	_, err = base.WithSchema(schema).Intersects(window).
-		FilterValues(func(r ride) bool { return r.Fare > 1 }).
+		Where(window, func(a, b stark.STObject) bool { return true }, 0).
 		FilterEq("city", "lima").Fingerprint()
 	if err == nil {
 		t.Fatal("opaque closure in an attr chain fingerprinted without error")
@@ -335,7 +336,7 @@ func TestAttrLiveIngestQueryHammer(t *testing.T) {
 				id := int64(1000 + w*rounds + i)
 				r := ride{ID: int(id), Fare: wrng.Float64() * 100, City: rideCities[wrng.Intn(len(rideCities))], Stops: wrng.Int63n(6)}
 				key := stark.NewSTObject(stark.NewPoint(wrng.Float64()*100, wrng.Float64()*100))
-				if _, err := md.Upsert(stark.LiveRecord[ride]{ID: id, Key: key, Value: r}); err != nil {
+				if _, err := md.Apply([]stark.LiveOp[ride]{stark.LiveUpsert(id, key, r)}); err != nil {
 					errs <- err
 					return
 				}
@@ -355,26 +356,33 @@ func TestAttrLiveIngestQueryHammer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				snap := md.Snapshot().WithSchema(schema)
-				var typed, opaque *stark.Dataset[ride]
+				var typed *stark.Dataset[ride]
+				var keep func(ride) bool
 				if (r+i)%2 == 0 {
 					typed = snap.FilterRange("fare", 25.0, 75.0)
-					opaque = snap.FilterValues(func(v ride) bool { return v.Fare >= 25 && v.Fare <= 75 })
+					keep = func(v ride) bool { return v.Fare >= 25 && v.Fare <= 75 }
 				} else {
 					typed = snap.FilterEq("city", "lima")
-					opaque = snap.FilterValues(func(v ride) bool { return v.City == "lima" })
+					keep = func(v ride) bool { return v.City == "lima" }
 				}
 				got, err := typed.Collect()
 				if err != nil {
 					errs <- err
 					return
 				}
-				want, err := opaque.Collect()
+				all, err := snap.Collect()
 				if err != nil {
 					errs <- err
 					return
 				}
-				if len(got) != len(want) {
-					errs <- fmt.Errorf("reader %d round %d: typed %d rows, opaque %d rows", r, i, len(got), len(want))
+				want := 0
+				for _, kv := range all {
+					if keep(kv.Value) {
+						want++
+					}
+				}
+				if len(got) != want {
+					errs <- fmt.Errorf("reader %d round %d: typed %d rows, closure %d rows", r, i, len(got), want)
 					return
 				}
 			}

@@ -18,6 +18,7 @@ import (
 	"stark"
 	"stark/internal/bench"
 	"stark/internal/cluster"
+	"stark/internal/core"
 	"stark/internal/engine"
 	"stark/internal/geom"
 	"stark/internal/index"
@@ -45,10 +46,10 @@ func benchTuples(b *testing.B, n int) []stark.Tuple[int] {
 
 func BenchmarkFigure4STARKNoPartitioning(b *testing.B) {
 	ctx := stark.NewContext(0)
-	ds := stark.Parallelize(ctx, benchTuples(b, benchN))
+	ds := selfJoinInput(b, ctx, benchTuples(b, benchN), 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := stark.SelfJoinWithinDistanceCount(ds, 0.25, -1); err != nil {
+		if _, err := core.SelfJoinWithinDistanceCount(ds, 0.25, -1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -56,13 +57,10 @@ func BenchmarkFigure4STARKNoPartitioning(b *testing.B) {
 
 func BenchmarkFigure4STARKBSP(b *testing.B) {
 	ctx := stark.NewContext(0)
-	ds := stark.Parallelize(ctx, benchTuples(b, benchN)).PartitionBy(stark.BSP(benchN / 32))
-	if err := ds.Run(); err != nil {
-		b.Fatal(err)
-	}
+	ds := selfJoinInput(b, ctx, benchTuples(b, benchN), benchN/32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := stark.SelfJoinWithinDistanceCount(ds, 0.25, -1); err != nil {
+		if _, err := core.SelfJoinWithinDistanceCount(ds, 0.25, -1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -483,7 +481,9 @@ func BenchmarkLayoutGate(b *testing.B) {
 }
 
 // BenchmarkAttrGate: prebuilt postings against a full-scan closure on
-// the selective cell, a category about 1 % of the rows carry.
+// the selective cell, a category about 1 % of the rows carry. With the
+// planner off the attribute filter folds into the scan as a closure
+// over each row's payload.
 func BenchmarkAttrGate(b *testing.B) {
 	type rec struct {
 		Cat  string
@@ -506,7 +506,7 @@ func BenchmarkAttrGate(b *testing.B) {
 	ctx := stark.NewContext(0)
 	base := stark.Parallelize(ctx, tuples, 4*ctx.Parallelism()).PartitionBy(stark.Grid(4))
 	idx := gateSide(b, "postings", base.WithSchema(schema).AttrIndex("cat", "fare").FilterEq("cat", "rare"))
-	clo := gateSide(b, "closure", base.FilterValues(func(r rec) bool { return r.Cat == "rare" }))
+	clo := gateSide(b, "closure", base.WithSchema(schema).Optimize(false).FilterEq("cat", "rare"))
 	if idx != clo || idx == 0 {
 		b.Fatalf("postings count %d rows, the closure %d", idx, clo)
 	}

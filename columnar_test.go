@@ -169,7 +169,6 @@ func TestDifferentialColumnarVsRowScan(t *testing.T) {
 			}{
 				{"plain", stark.Parallelize(ctx, tuples, 5)},
 				{"grid", stark.Parallelize(ctx, tuples, 5).PartitionBy(stark.Grid(4))},
-				{"grid-hilbert", stark.Parallelize(ctx, tuples, 5).PartitionBy(stark.Grid(4).HilbertOrdered())},
 				{"bsp", stark.Parallelize(ctx, tuples, 5).PartitionBy(stark.BSP(200))},
 				{"live-snapshot", md.Snapshot()},
 			}

@@ -54,8 +54,9 @@ type state[V any] struct {
 	// (predicate reordering, stats-based pruning, index-mode choice);
 	// every other consumer folds them in caller order via flush.
 	pending []pendingPred
-	// noOpt disables the planner (Optimize(false)): pending filters
-	// fold in caller order with partitioner-extent pruning only.
+	// noOpt disables the planner (the tests' Optimize(false), the
+	// naive side of planned==naive): pending filters fold in caller
+	// order with partitioner-extent pruning only.
 	noOpt bool
 	// schema is the registered attribute schema (WithSchema): the typed
 	// field extractors attribute filters compile against.
@@ -239,16 +240,12 @@ func Parallelize[V any](ctx *Context, records []Tuple[V], numPartitions ...int) 
 	})
 }
 
-// Context returns the execution context of the dataset.
-func (d *Dataset[V]) Context() *Context { return d.ctx }
-
 // ---- Transformations ----
 
 // PartitionBy shuffles the dataset with a spatial partitioner built
-// by the given constructor (Grid, BSP, Voronoi, or WithPartitioner
-// for a pre-built one). The configured index mode, if any, is
-// re-applied after the shuffle so PartitionBy and Index compose in
-// either order.
+// by the given constructor (Grid, BSP or Voronoi). The configured
+// index mode, if any, is re-applied after the shuffle so PartitionBy
+// and Index compose in either order.
 //
 // The shuffle is the layout step. Inside a partition the rows keep
 // source order (upstream partition, then position), so shuffling the
@@ -271,19 +268,17 @@ func (d *Dataset[V]) PartitionBy(p Partitioner) *Dataset[V] {
 		if err != nil {
 			return state[V]{}, err
 		}
-		sp, err := p.build(func() ([]STObject, error) {
-			n := 0
-			for _, rows := range parts {
-				n += len(rows)
+		n := 0
+		for _, rows := range parts {
+			n += len(rows)
+		}
+		keys := make([]STObject, 0, n)
+		for _, rows := range parts {
+			for i := range rows {
+				keys = append(keys, rows[i].Key)
 			}
-			keys := make([]STObject, 0, n)
-			for _, rows := range parts {
-				for i := range rows {
-					keys = append(keys, rows[i].Key)
-				}
-			}
-			return keys, nil
-		})
+		}
+		sp, err := p.Build(keys)
 		if err != nil {
 			return state[V]{}, err
 		}
@@ -355,9 +350,8 @@ func (d *Dataset[V]) Cache() *Dataset[V] {
 // Columnar extracts per-partition SoA envelope/interval columns so
 // subsequent filters can run as batched coarse kernels with exact
 // refinement of survivors only — the ColumnarScan access path in
-// EXPLAIN, chosen by cost (Optimize(false) disables it along with the
-// rest of the planner). Each partition's columns are ordered along a
-// Hilbert curve of the envelope centers, making survivors of
+// EXPLAIN, chosen by cost. Each partition's columns are ordered along
+// a Hilbert curve of the envelope centers, making survivors of
 // small-window queries contiguous in memory.
 //
 // Like Cache, the sidecar describes the dataset at this point in the
@@ -381,10 +375,10 @@ func (d *Dataset[V]) Columnar() *Dataset[V] {
 // Where keeps the records whose key satisfies pred against q. The
 // filter is deferred: at the action the cost-based planner orders
 // pending predicates by estimated selectivity, prunes partitions from
-// collected statistics, and picks scan vs index probe (see Explain;
-// Optimize(false) restores caller order). pruneExpand must cover how
-// far a matching record's envelope can lie outside q's (pass the
-// distance for distance predicates, 0 otherwise).
+// collected statistics, and picks scan vs index probe (see
+// ExplainNode). pruneExpand must cover how far a matching record's
+// envelope can lie outside q's (pass the distance for distance
+// predicates, 0 otherwise).
 func (d *Dataset[V]) Where(q STObject, pred Predicate, pruneExpand float64) *Dataset[V] {
 	return d.where("where", plan.Custom, q, pred, pruneExpand, true)
 }
@@ -428,7 +422,7 @@ func vertexCount(g Geometry) int {
 		return t.NumPoints()
 	case LineString:
 		return t.NumPoints()
-	case Polygon:
+	case geom.Polygon:
 		n := t.Shell().NumPoints()
 		for h := 0; h < t.NumHoles(); h++ {
 			n += t.HoleAt(h).NumPoints()
@@ -441,8 +435,8 @@ func vertexCount(g Geometry) int {
 
 // flush folds the pending scan filters into the lineage in caller
 // order — the pre-planner execution strategy, used by every consumer
-// that needs the concrete filtered dataset (repartitioning, payload
-// transforms, joins, clustering) rather than a plannable scan. It only
+// that needs the concrete filtered dataset (repartitioning, re-keying,
+// joins, clustering) rather than a plannable scan. It only
 // extends the lineage and runs no job: a filter becomes a fused scan
 // stage, or a lazy probe of the partition trees when the chain holds
 // an index, and either way the dataset keeps its partitions and
@@ -459,10 +453,10 @@ func (st state[V]) flush() (state[V], error) {
 	for _, p := range pending {
 		if p.attr != nil {
 			// A typed attribute filter never moves a record between
-			// partitions, but like FilterValues it invalidates any
-			// partition trees; fold it as a fused payload-aware scan
-			// stage. The plan node keeps the predicate's canonical text,
-			// so flushed attribute filters stay fingerprintable.
+			// partitions, but it invalidates any partition trees; fold it
+			// as a fused payload-aware scan stage. The plan node keeps the
+			// predicate's canonical text, so flushed attribute filters
+			// stay fingerprintable.
 			if st.schema == nil {
 				return state[V]{}, fmt.Errorf("stark: %s: no attribute schema registered", p.name)
 			}
@@ -532,31 +526,6 @@ func (d *Dataset[V]) WithinDistance(q STObject, maxDist float64, df DistanceFunc
 	return d.where("withinDistance", plan.WithinDistance, q, WithinDistancePredicate(maxDist, df), maxDist, df != nil)
 }
 
-// FilterValues keeps the records whose payload satisfies keep. The
-// spatial partitioner and any pending pruning survive: a payload
-// filter never moves a record between partitions.
-func (d *Dataset[V]) FilterValues(keep func(V) bool) *Dataset[V] {
-	return d.chain("filterValues", func(st state[V]) (state[V], error) {
-		if keep == nil {
-			return state[V]{}, fmt.Errorf("nil filter")
-		}
-		st, err := st.flush()
-		if err != nil {
-			return state[V]{}, err
-		}
-		filtered := st.sds.Dataset().Filter(func(kv Tuple[V]) bool { return keep(kv.Value) })
-		wrapped, err := core.WrapPartitioned(filtered, st.sds.Partitioner())
-		if err != nil {
-			return state[V]{}, err
-		}
-		st.sds = wrapped
-		st.mode = NoIndexing
-		st.idx = nil
-		st.base = plan.NewNode("FilterValues", "").Add(st.base)
-		return st, nil
-	})
-}
-
 // Sample keeps each record with the given probability,
 // deterministically derived from seed. Partitioning and pending
 // pruning survive: sampling never moves a record.
@@ -581,29 +550,6 @@ func (d *Dataset[V]) Sample(fraction float64, seed int64) *Dataset[V] {
 	})
 }
 
-// MapValues transforms the payloads, preserving keys, partitioning
-// and pending pruning.
-func MapValues[V, W any](d *Dataset[V], f func(V) W) *Dataset[W] {
-	parent := d.resolve
-	return newDataset(d.ctx, func() (state[W], error) {
-		st, err := parent()
-		if err != nil {
-			return state[W]{}, err
-		}
-		st, err = st.flush()
-		if err != nil {
-			return state[W]{}, err
-		}
-		return state[W]{
-			sds:       core.MapDatasetValues(st.sds, f),
-			visit:     st.visit,
-			pruneEnvs: st.pruneEnvs,
-			noOpt:     st.noOpt,
-			base:      plan.NewNode("MapValues", "").Add(st.base),
-		}, nil
-	})
-}
-
 // ReKey replaces the spatio-temporal key of every record. The
 // partitioner, indexes and pending pruning are dropped: new keys need
 // not respect the old layout. Repartition afterwards if needed.
@@ -624,11 +570,6 @@ func ReKey[V any](d *Dataset[V], f func(key STObject, v V) STObject) *Dataset[V]
 }
 
 // ---- Actions ----
-
-// force resolves the chain, reporting the first deferred error.
-func (d *Dataset[V]) force() (state[V], error) {
-	return d.resolve()
-}
 
 // forceFlushed resolves the chain and folds any pending scan filters
 // into the lineage in caller order — for consumers that need the
@@ -662,7 +603,7 @@ func (d *Dataset[V]) Run() error {
 }
 
 // enumerateViaIndex reports whether record-enumerating actions
-// (Collect, Count, Take, Foreach) should read through the index.
+// (Collect, Count, Take, the streams) should read through the index.
 // Only worthwhile for Persistent mode, where the materialised
 // partitions spare recomputing the base lineage; in Live mode the
 // index is rebuilt per job, so enumerating through it would pay a
@@ -758,96 +699,13 @@ func (d *Dataset[V]) Take(n int) ([]Tuple[V], error) {
 	return out, err
 }
 
-// First returns the first result record in partition order, ok=false
-// when the result is empty. The pipeline stops at the very first
-// record produced.
-func (d *Dataset[V]) First() (Tuple[V], bool, error) {
-	out, err := d.Take(1)
-	if err != nil || len(out) == 0 {
-		var zero Tuple[V]
-		return zero, false, err
-	}
-	return out[0], true, nil
-}
-
-// Exists reports whether any result record satisfies pred. Partitions
-// are scanned in parallel and every task stops mid-stream as soon as
-// one finds a match; pruned partitions are never touched.
-func (d *Dataset[V]) Exists(pred func(Tuple[V]) bool) (bool, error) {
-	if pred == nil {
-		return false, fmt.Errorf("stark: exists: nil predicate")
-	}
-	var found bool
-	err := d.runPhase("exists", func(ds *engine.Dataset[Tuple[V]], visit []int) (_ int64, err error) {
-		found, err = ds.ExistsPartitions(visit, pred)
-		return 0, err
-	})
-	return found, err
-}
-
-// Reduce combines all result records with f, streaming each partition
-// through a local accumulator; ok is false when the result is empty.
-// Pruned partitions are skipped. f must be associative and
-// commutative.
-func (d *Dataset[V]) Reduce(f func(a, b Tuple[V]) Tuple[V]) (Tuple[V], bool, error) {
-	var (
-		acc Tuple[V]
-		ok  bool
-	)
-	if f == nil {
-		return acc, false, fmt.Errorf("stark: reduce: nil reducer")
-	}
-	err := d.runPhase("reduce", func(ds *engine.Dataset[Tuple[V]], visit []int) (_ int64, err error) {
-		acc, ok, err = ds.ReducePartitions(visit, f)
-		return 0, err
-	})
-	return acc, ok, err
-}
-
-// Foreach runs fn on every result record, partition-parallel,
-// streaming straight off the fused pipeline. Pruned partitions are
-// skipped.
-func (d *Dataset[V]) Foreach(fn func(Tuple[V])) error {
-	if fn == nil {
-		return fmt.Errorf("stark: foreach: nil fn")
-	}
-	return d.runPhase("foreach", func(ds *engine.Dataset[Tuple[V]], visit []int) (int64, error) {
-		return 0, ds.ForeachPartitions(visit, fn)
-	})
-}
-
-// Stream drives every result record through fn sequentially, in
-// partition order, without materialising the result; fn returning
-// false stops the scan. Pruned partitions are skipped. This is the
-// action behind streaming consumers such as the GeoJSON HTTP
-// endpoint, which encodes rows onto the socket as they leave the
-// pipeline.
-func (d *Dataset[V]) Stream(fn func(Tuple[V]) bool) error {
-	if fn == nil {
-		return fmt.Errorf("stark: stream: nil consumer")
-	}
-	return d.runPhase("stream", func(ds *engine.Dataset[Tuple[V]], visit []int) (rows int64, err error) {
-		err = ds.StreamPartitions(visit, func(kv Tuple[V]) bool {
-			rows++
-			return fn(kv)
-		})
-		return rows, err
-	})
-}
-
-// StreamParallel is Stream with parallel compute: rows still reach fn
-// sequentially in partition order, but the partitions are cut into
+// StreamParallelContext drives every result record through fn
+// sequentially, in partition order, without materialising the result;
+// fn returning false stops the stream. The partitions are cut into
 // morsels that run as one ordered job on all executors, buffering the
-// rows of at most 2 × parallelism morsels. Prefer it when the consumer
-// is cheap relative to the scan; prefer Stream when nothing may be
-// buffered.
-func (d *Dataset[V]) StreamParallel(fn func(Tuple[V]) bool) error {
-	return d.StreamParallelContext(context.Background(), fn)
-}
-
-// StreamParallelContext is StreamParallel with cooperative
-// cancellation: once ctx is done no further morsel is started and the
-// stream returns ctx.Err().
+// rows of at most 2 × parallelism morsels. Cancellation is cooperative:
+// once ctx is done no further morsel is started and the stream returns
+// ctx.Err().
 func (d *Dataset[V]) StreamParallelContext(ctx context.Context, fn func(Tuple[V]) bool) error {
 	if fn == nil {
 		return fmt.Errorf("stark: streamParallel: nil consumer")

@@ -40,12 +40,12 @@
 // explicit materialisation points: Cache, shuffles (PartitionBy), and
 // indexed partitions (the R-trees need the records in memory).
 //
-//   - Count, Reduce and Foreach consume the plan without building slices;
-//   - Take, First and Exists read it through a row adapter and stop
-//     inside the batch in flight, so Take(10) on a hundred-million-row
-//     chain touches a few hundred records, over an index probe ten;
-//   - Stream drives rows sequentially, in partition order, into a
-//     consumer. StreamParallel cuts every partition into row ranges of
+//   - Count consumes the plan without building slices;
+//   - Take reads it through a row adapter and stops inside the batch in
+//     flight, so Take(10) on a hundred-million-row chain touches a few
+//     hundred records, over an index probe ten;
+//   - StreamParallelContext drives rows sequentially, in partition
+//     order, into a consumer: it cuts every partition into row ranges of
 //     at most 4096 rows (morsels), runs them as ONE ordered job on all
 //     executors and still delivers in order; StreamEncodedContext moves
 //     the consumer's encoder into the tasks and delivers one chunk of
@@ -107,11 +107,8 @@
 // the sidecar, so it can never describe stale data (mutable datasets
 // rebuild it lazily per published generation). The planner costs the
 // kernel sweep against the plain scan and any index and uses it only
-// when cheapest — Optimize(false) opts out — and EXPLAIN shows the
-// path as a ColumnarScan leaf with actual kernel_batches and
-// kernel_survivors counts. Partitioner.HilbertOrdered
-// renumbers any recipe's partitions along the same curve so
-// consecutive partition IDs are spatially adjacent. The kernels
+// when cheapest, and EXPLAIN shows the path as a ColumnarScan leaf with
+// actual kernel_batches and kernel_survivors counts. The kernels
 // implement the paper's combined predicate semantics exactly (a
 // timed query never matches an untimed record); opaque closures fall
 // back to their pruning-envelope contract.
@@ -131,9 +128,8 @@
 // everything else refines), and a postings
 // bitset ANDed with the columnar kernels' survivor set. EXPLAIN
 // renders each predicate as an AttrScan or AttrIndex node with
-// estimated and actual selectivities. Dataset.AttrIndex prebuilds
-// postings so even one-shot queries price the probe without build
-// cost; MutableDataset.SetAttrFields maintains generation-tagged
+// estimated and actual selectivities. MutableDataset.SetAttrFields
+// maintains generation-tagged
 // postings incrementally across mutations, so live snapshots probe
 // without rebuilding. Both sidecars use one postings structure: each
 // distinct value with its entries (row ids for the static sidecar, one
@@ -142,7 +138,7 @@
 // and a shift inside one chunk however large the partition; a float
 // NaN sorts below every number on every path. Typed predicates render canonically
 // (fare>f:40; IN sets sorted and deduplicated) and therefore
-// fingerprint and result-cache — opaque FilterValues closures are
+// fingerprint and result-cache — opaque closures (a custom Where) are
 // refused with the offending operator's position in the chain. The
 // server's query endpoints accept the same predicates as a `where`
 // clause (attribute-only queries may omit the geometry), and the
@@ -187,10 +183,11 @@
 // estimated and actual pair/task counts, through the DSL, Piglet
 // EXPLAIN and the server's explain endpoints alike.
 //
-// Explain returns the plan as an indented tree: each operator with
-// estimated cost and cardinality, the decisions taken (chosen index
-// mode, pruned-partition count, predicate order) and, because Explain
-// executes the chain, the actual cardinality and engine metrics:
+// ExplainNode returns the plan tree (Render prints it indented): each
+// operator with estimated cost and cardinality, the decisions taken
+// (chosen index mode, pruned-partition count, predicate order) and,
+// because ExplainNode executes the chain, the actual cardinality and
+// engine metrics:
 //
 //	Filter[containedby env=[15 15 35 35] ...] est_rows=2.6 cost=433.1 act_rows=8
 //	  · index=none scan chosen (scan_cost=433.1 index_cost=840.2)
@@ -199,9 +196,6 @@
 //	  · actual: rows=8 elements_scanned=83 index_probes=0 candidates_refined=0
 //	  Scan[parallelize] est_rows=300 act_rows=300
 //
-// Optimize(false) opts a chain out: filters run in caller order as
-// fused scans with partitioner-extent pruning only, exactly the
-// pre-planner behaviour (the `optimizer` bench measures the gap).
 // Dataset.Stats exposes the collected summary; the web front end
 // serves the plan as JSON via POST /api/v1/explain, and the Piglet
 // dialect gains an EXPLAIN statement whose output is pinned by
@@ -217,9 +211,9 @@
 // data", so a fingerprint can key a result cache; because a re-built
 // base carries a fresh generation, re-registering a dataset
 // invalidates every old entry by construction rather than by
-// explicit purge. Chains through opaque closures (Where,
-// FilterValues, MapValues, ReKey) refuse to fingerprint — a key that
-// ignored a closure could alias two different queries.
+// explicit purge. Chains through opaque closures (Where, ReKey) refuse
+// to fingerprint — a key that ignored a closure could alias two
+// different queries.
 //
 // internal/server builds the serving stack on top: a catalog of named
 // datasets (register/list/drop over HTTP, each with its own
@@ -252,8 +246,8 @@
 // # Mutable live datasets
 //
 // MutableDataset (backed by internal/live) lifts the
-// immutable-after-registration restriction: Insert, Upsert and
-// Delete batches land while queries run. Each partition holds a
+// immutable-after-registration restriction: mutation batches (Apply,
+// Insert, Delete) land while queries run. Each partition holds a
 // concurrency-safe R-tree in the R-link style — per-node locks with
 // right-sibling pointers, so a reader that arrives mid-split chases
 // the sibling pointer instead of restarting — and every entry
@@ -299,10 +293,10 @@
 // before they are acknowledged — an ingest ack is a durability
 // receipt for exactly that generation. Checkpoints (periodic and at
 // graceful shutdown) rotate the log and snapshot every dataset — a
-// mutable dataset becomes a checksummed rows segment plus a
-// serialized R-tree whose entry count cross-checks the rows on
-// restore, captured through a writer barrier so no logged batch is
-// missed, a generated dataset just its spec — behind atomic
+// mutable dataset becomes a checksummed rows segment whose row count
+// the manifest cross-checks on restore, captured through a writer
+// barrier so no logged batch is missed, a generated dataset just its
+// spec — behind atomic
 // temp+fsync+rename manifests. The newest two checkpoints and the
 // WAL suffix of the older are retained, so one rotted manifest
 // degrades to recovering from the previous checkpoint. Recovery loads

@@ -11,9 +11,8 @@ package stark
 // the postings/kernel intersection. Compile only plans: every path is
 // a lazy stream over the dataset's own partitions plus the list of
 // partitions to visit, and nothing is scanned or probed until the
-// action drives it. Explain renders the resulting plan — with
-// estimated and, after execution, actual cardinalities — and
-// Optimize(false) opts a chain out of all of it.
+// action drives it. ExplainNode renders the resulting plan — with
+// estimated and, after execution, actual cardinalities.
 
 import (
 	"fmt"
@@ -35,10 +34,7 @@ import (
 // histogram (see Dataset.Stats).
 type DatasetStats = stats.Summary
 
-// PartitionStats summarises one partition inside DatasetStats.
-type PartitionStats = stats.PartitionStats
-
-// PlanNode is one operator of an EXPLAIN tree (see Dataset.Explain
+// PlanNode is one operator of an EXPLAIN tree (see Dataset.ExplainNode
 // and the server's /api/v1/explain endpoint).
 type PlanNode = plan.Node
 
@@ -386,34 +382,12 @@ func (st *state[V]) autoIndexOrder() int {
 	return index.DefaultOrder
 }
 
-// Optimize enables (true, the default) or disables (false) the
-// cost-based planner for this chain. With the planner off, filters
-// run in caller order as fused scans, partitions are pruned from
-// partitioner extents only, and no statistics pass runs — the
-// behaviour before the planner existed, kept as an opt-out and for
-// A/B measurements (the optimizer bench uses it).
-func (d *Dataset[V]) Optimize(enabled bool) *Dataset[V] {
-	return d.chain("optimize", func(st state[V]) (state[V], error) {
-		st.noOpt = !enabled
-		return st, nil
-	})
-}
-
-// Explain compiles the chain, executes it, and returns the rendered
-// plan tree: one line per operator with estimated cost/cardinality,
-// the decisions taken (chosen index mode, pruned partitions,
-// predicate order), actual cardinality, and the engine metrics the
-// execution generated.
-func (d *Dataset[V]) Explain() (string, error) {
-	n, err := d.ExplainNode()
-	if err != nil {
-		return "", err
-	}
-	return n.Render(), nil
-}
-
-// ExplainNode is Explain returning the plan tree itself (the
-// /api/v1/explain endpoint serialises it as JSON).
+// ExplainNode compiles the chain, executes it, and returns the plan
+// tree: one node per operator with estimated cost/cardinality, the
+// decisions taken (chosen index mode, pruned partitions, predicate
+// order), actual cardinality, and the engine metrics the execution
+// generated. Render prints it as text; the /api/v1/explain endpoint
+// serialises it as JSON.
 func (d *Dataset[V]) ExplainNode() (*PlanNode, error) {
 	c, err := d.compiled()
 	if err != nil {

@@ -17,16 +17,6 @@ import (
 	"stark/internal/plan"
 )
 
-// fingerprintOpaqueOps lists lineage operators that embed a caller
-// closure the canonical plan form cannot identify: two chains through
-// them may serialise identically yet compute different results, so
-// fingerprinting refuses rather than risking a wrong cache hit.
-var fingerprintOpaqueOps = map[string]bool{
-	"FilterValues": true,
-	"MapValues":    true,
-	"ReKey":        true,
-}
-
 // Fingerprint resolves the chain and returns its plan fingerprint: 16
 // hex digits identifying the logical query over the current
 // generation of the underlying data. Two Dataset values share a
@@ -37,8 +27,7 @@ var fingerprintOpaqueOps = map[string]bool{
 // fingerprint by construction.
 //
 // Chains containing operators the planner cannot canonically describe
-// — Where (custom predicates), FilterValues, MapValues, ReKey — are
-// not fingerprintable and return an error: their closures are opaque,
+// — Where (custom predicates), ReKey — are not fingerprintable and return an error: their closures are opaque,
 // and a cache key that ignored them could alias two different
 // queries.
 func (d *Dataset[V]) Fingerprint() (string, error) {
@@ -61,7 +50,10 @@ func (d *Dataset[V]) Fingerprint() (string, error) {
 			return
 		}
 		switch {
-		case fingerprintOpaqueOps[n.Op]:
+		case n.Op == "ReKey":
+			// ReKey embeds a caller closure the canonical plan form cannot
+			// identify: two chains through it may serialise identically
+			// yet compute different results.
 			opaque, opaqueDepth = n.Op, depth
 		case n.Op == "Filter" && strings.HasPrefix(n.Detail, "custom"):
 			// A custom Where predicate already folded into the lineage

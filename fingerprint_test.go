@@ -69,8 +69,8 @@ func TestFingerprintRejectsOpaqueChains(t *testing.T) {
 	if _, err := base.Where(q, stark.Intersects, 0).Fingerprint(); err == nil {
 		t.Error("custom Where predicate fingerprinted without error")
 	}
-	if _, err := base.FilterValues(func(v int) bool { return v > 10 }).Fingerprint(); err == nil {
-		t.Error("FilterValues chain fingerprinted without error")
+	if _, err := stark.ReKey(base, func(k stark.STObject, _ int) stark.STObject { return k }).Fingerprint(); err == nil {
+		t.Error("ReKey chain fingerprinted without error")
 	}
 	// A custom predicate already folded into the lineage (here by
 	// Cache) is just as opaque as a pending one.

@@ -16,6 +16,9 @@ import (
 
 	"stark"
 	"stark/internal/bench"
+	"stark/internal/core"
+	"stark/internal/engine"
+	"stark/internal/partition"
 	"stark/internal/piglet"
 	"stark/internal/server"
 	"stark/internal/workload"
@@ -126,12 +129,11 @@ func TestFigure4ResultAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := stark.Parallelize(ctx, tuples, 4)
-	starkCount, err := stark.SelfJoinWithinDistanceCount(ds, eps, -1)
+	starkCount, err := core.SelfJoinWithinDistanceCount(selfJoinInput(t, ctx, tuples, 0), eps, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	starkBSP, err := stark.SelfJoinWithinDistanceCount(ds.PartitionBy(stark.BSP(500)), eps, -1)
+	starkBSP, err := core.SelfJoinWithinDistanceCount(selfJoinInput(t, ctx, tuples, 500), eps, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,6 +145,30 @@ func TestFigure4ResultAgreement(t *testing.T) {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
+}
+
+// selfJoinInput is the input of the Figure 4 STARK rows: the tuples in
+// the context's partitions, shuffled by a BSP of bspMaxCost when it is
+// positive.
+func selfJoinInput(tb testing.TB, ctx *stark.Context, tuples []stark.Tuple[int], bspMaxCost int) *core.SpatialDataset[int] {
+	tb.Helper()
+	ds := core.Wrap(engine.Parallelize(ctx, tuples, ctx.Parallelism()))
+	if bspMaxCost <= 0 {
+		return ds
+	}
+	keys := make([]stark.STObject, len(tuples))
+	for i, kv := range tuples {
+		keys[i] = kv.Key
+	}
+	bsp, err := partition.NewBSP(partition.BSPConfig{MaxCost: bspMaxCost}, keys)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	parted, err := ds.PartitionBy(bsp)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return parted
 }
 
 // TestPigletPipelineAgainstAPI cross-checks a Piglet filter against

@@ -51,15 +51,6 @@ func (s *SpatialDataset[V]) WhereIntersects(q stobject.STObject) *SpatialDataset
 	return s.Where(q, q.Envelope(), stobject.Intersects)
 }
 
-// MapValues transforms the payloads, preserving keys and
-// partitioning.
-func MapDatasetValues[V, W any](s *SpatialDataset[V], f func(V) W) *SpatialDataset[W] {
-	mapped := engine.Map(s.ds, func(kv Tuple[V]) Tuple[W] {
-		return engine.NewPair(kv.Key, f(kv.Value))
-	})
-	return newSpatial(mapped, s.sp, s.rec)
-}
-
 // ReKey replaces the spatio-temporal key of every record. The spatial
 // partitioner is dropped because the new keys need not respect the
 // old partitioning; repartition afterwards if needed.

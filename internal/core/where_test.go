@@ -89,30 +89,6 @@ func TestWhereContainedByAndCount(t *testing.T) {
 	}
 }
 
-func TestMapDatasetValues(t *testing.T) {
-	ctx := engine.NewContext(2)
-	s, _ := makeDataset(t, ctx, 100, 2, 73)
-	doubled := MapDatasetValues(s, func(v int) int { return v * 2 })
-	got, err := doubled.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, kv := range got {
-		if kv.Value%2 != 0 {
-			t.Fatal("value not doubled")
-		}
-	}
-	// Partitioner preserved.
-	g, err := partition.NewGrid(2, keysOf(t, s))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps, _ := s.PartitionBy(g)
-	if MapDatasetValues(ps, func(v int) int { return v }).Partitioner() == nil {
-		t.Error("MapDatasetValues must preserve the partitioner")
-	}
-}
-
 func TestReKeyDropsPartitioner(t *testing.T) {
 	ctx := engine.NewContext(2)
 	s, _ := makeDataset(t, ctx, 100, 2, 74)

@@ -11,7 +11,7 @@ import (
 // Dataset is an immutable, lazily evaluated, partitioned collection —
 // the engine's RDD. A Dataset records how to compute each of its
 // partitions from its parents (its lineage); nothing is materialised
-// until an action (Collect, Count, Reduce, Foreach) runs a job.
+// until an action (Collect, Count, Take, a stream) runs a job.
 //
 // The lineage is a pull-based batch plan: each(p, lo, hi, yield) drives
 // the rows of partition p that derive from rows [lo, hi) of its source
@@ -560,70 +560,6 @@ func (d *Dataset[T]) CountPartitions(parts []int) (int64, error) {
 	return total.Load(), err
 }
 
-// Reduce combines all elements with f, streaming each partition
-// through a local accumulator; it returns false when the dataset is
-// empty. f must be associative and commutative, as in Spark.
-func (d *Dataset[T]) Reduce(f func(a, b T) T) (T, bool, error) {
-	return d.ReducePartitions(AllPartitions(d.numPart), f)
-}
-
-// ReducePartitions is Reduce restricted to the listed partitions —
-// the reducing counterpart of CollectPartitions for partition-pruned
-// queries.
-func (d *Dataset[T]) ReducePartitions(parts []int, f func(a, b T) T) (T, bool, error) {
-	var (
-		mu   sync.Mutex
-		acc  T
-		have bool
-	)
-	err := d.ctx.RunJobRecorder(nil, d.recorder(), parts, func(p int) error {
-		var (
-			local     T
-			haveLocal bool
-		)
-		if err := d.EachPartition(p, func(v T) bool {
-			if haveLocal {
-				local = f(local, v)
-			} else {
-				local, haveLocal = v, true
-			}
-			return true
-		}); err != nil {
-			return err
-		}
-		if !haveLocal {
-			return nil
-		}
-		mu.Lock()
-		if have {
-			acc = f(acc, local)
-		} else {
-			acc, have = local, true
-		}
-		mu.Unlock()
-		return nil
-	})
-	return acc, have, err
-}
-
-// Foreach runs fn on every element, partition-parallel, streaming —
-// no partition is materialised.
-func (d *Dataset[T]) Foreach(fn func(T)) error {
-	return d.ForeachPartitions(AllPartitions(d.numPart), fn)
-}
-
-// ForeachPartitions is Foreach restricted to the listed partitions —
-// the side-effecting counterpart of CollectPartitions for
-// partition-pruned queries.
-func (d *Dataset[T]) ForeachPartitions(parts []int, fn func(T)) error {
-	return d.ctx.RunJobRecorder(nil, d.recorder(), parts, func(p int) error {
-		return d.EachPartition(p, func(v T) bool {
-			fn(v)
-			return true
-		})
-	})
-}
-
 // Take returns up to n elements, scanning partitions in order. The
 // scan short-circuits: as soon as n elements are gathered the current
 // partition's pipeline stops mid-stream and no further partition is
@@ -654,68 +590,6 @@ func (d *Dataset[T]) TakePartitions(parts []int, n int) ([]T, error) {
 		}
 	}
 	return out, nil
-}
-
-// First returns the first element in partition order, streaming and
-// stopping at the very first element produced; ok is false when the
-// dataset is empty.
-func (d *Dataset[T]) First() (first T, ok bool, err error) {
-	out, err := d.Take(1)
-	if err != nil || len(out) == 0 {
-		return first, false, err
-	}
-	return out[0], true, nil
-}
-
-// Exists reports whether any element satisfies pred. Partitions are
-// scanned in parallel; every task stops mid-stream as soon as one
-// finds a match.
-func (d *Dataset[T]) Exists(pred func(T) bool) (bool, error) {
-	return d.ExistsPartitions(AllPartitions(d.numPart), pred)
-}
-
-// ExistsPartitions is Exists restricted to the listed partitions,
-// keeping the parallel short-circuiting scan for partition-pruned
-// queries.
-func (d *Dataset[T]) ExistsPartitions(parts []int, pred func(T) bool) (bool, error) {
-	var found atomic.Bool
-	err := d.ctx.RunJobRecorder(nil, d.recorder(), parts, func(p int) error {
-		return d.EachPartition(p, func(v T) bool {
-			if found.Load() {
-				return false
-			}
-			if pred(v) {
-				found.Store(true)
-				return false
-			}
-			return true
-		})
-	})
-	return found.Load(), err
-}
-
-// Stream drives every element through fn sequentially, in partition
-// order, without materialising anything; fn returning false stops the
-// whole scan. This is the entry point for consumers that need ordered
-// streaming output (e.g. encoding rows onto a network socket).
-func (d *Dataset[T]) Stream(fn func(T) bool) error {
-	return d.StreamPartitions(AllPartitions(d.numPart), fn)
-}
-
-// StreamPartitions is Stream restricted to the listed partitions, in
-// the order given — the streaming counterpart of CollectPartitions
-// for partition-pruned queries.
-func (d *Dataset[T]) StreamPartitions(parts []int, fn func(T) bool) error {
-	more := true
-	for _, p := range parts {
-		if err := d.EachPartition(p, func(v T) bool {
-			more = fn(v)
-			return more
-		}); err != nil || !more {
-			return err
-		}
-	}
-	return nil
 }
 
 // morselRows bounds the rows of one task of the parallel stream
@@ -752,10 +626,8 @@ func (d *Dataset[T]) morsels(parts []int) []morsel {
 // partitions to fn sequentially, in the given partition order, while
 // computing them in parallel: the partitions are cut into morsels, the
 // morsels run as one ordered job (see streamOrdered) and each one's
-// rows are replayed as soon as all before it have been. Compared to
-// StreamPartitions this trades bounded buffering (the rows of at most
-// 2 × parallelism morsels) for parallel compute — the right default for
-// network consumers whose per-row cost is small relative to the scan.
+// rows are replayed as soon as all before it have been, buffering the
+// rows of at most 2 × parallelism morsels.
 // fn returning false stops the stream. Cancellation is cooperative:
 // once ctx is done no further morsel is started, no further row is
 // delivered, and the stream returns ctx.Err() — the hook a server uses

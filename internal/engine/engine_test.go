@@ -105,33 +105,15 @@ func TestMapPartitionsIndex(t *testing.T) {
 	}
 }
 
-func TestCountReduce(t *testing.T) {
+func TestCount(t *testing.T) {
 	ctx := NewContext(4)
-	d := Parallelize(ctx, intRange(101), 7)
-	n, err := d.Count()
+	n, err := Parallelize(ctx, intRange(101), 7).Count()
 	if err != nil || n != 101 {
 		t.Fatalf("count = %d err=%v", n, err)
 	}
-	sum, ok, err := d.Reduce(func(a, b int) int { return a + b })
-	if err != nil || !ok || sum != 5050 {
-		t.Fatalf("sum = %d ok=%v err=%v", sum, ok, err)
-	}
-	empty := Parallelize(ctx, []int{}, 3)
-	_, ok, err = empty.Reduce(func(a, b int) int { return a + b })
-	if err != nil || ok {
-		t.Fatalf("empty reduce ok=%v err=%v", ok, err)
-	}
-}
-
-func TestForeach(t *testing.T) {
-	ctx := NewContext(4)
-	d := Parallelize(ctx, intRange(1000), 10)
-	var sum atomic.Int64
-	if err := d.Foreach(func(v int) { sum.Add(int64(v)) }); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 499500 {
-		t.Errorf("sum = %d", sum.Load())
+	n, err = Parallelize(ctx, []int{}, 3).Count()
+	if err != nil || n != 0 {
+		t.Fatalf("empty count = %d err=%v", n, err)
 	}
 }
 

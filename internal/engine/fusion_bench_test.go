@@ -11,8 +11,8 @@ import (
 //	go test -bench Chain -benchmem ./internal/engine/
 //
 // The interesting columns are allocs/op and B/op: fusion removes
-// every intermediate per-step slice, and streaming actions (Count,
-// Reduce) avoid materialising anything at all.
+// every intermediate per-step slice, and streaming actions (Count)
+// avoid materialising anything at all.
 
 func benchData() ([]int, *Context) {
 	return intRange(100_000), NewContext(4)
@@ -61,19 +61,6 @@ func BenchmarkChainCollectSeedStyle(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := seedAllocChain(base).Collect(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkChainReduceFused(b *testing.B) {
-	data, ctx := benchData()
-	base := Parallelize(ctx, data, 4)
-	sum := func(a, v int) int { return a + v }
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := fusedAllocChain(base).Reduce(sum); err != nil {
 			b.Fatal(err)
 		}
 	}

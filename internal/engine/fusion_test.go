@@ -218,37 +218,6 @@ func TestTakeStopsConsuming(t *testing.T) {
 	}
 }
 
-// TestFirstAndExistsShortCircuit checks the other early-terminating
-// actions against the counting source.
-func TestFirstAndExistsShortCircuit(t *testing.T) {
-	ctx := NewContext(2)
-	d, pulled := countingSource(ctx, 100_000, 4)
-	v, ok, err := Map(d, chainMapF).First()
-	if err != nil || !ok || v != 0 {
-		t.Fatalf("first = %v ok=%v err=%v", v, ok, err)
-	}
-	if n := pulled.Load(); n != 1 {
-		t.Errorf("first pulled %d elements, want 1", n)
-	}
-
-	// A single partition makes the early-exit count deterministic:
-	// the scan must stop right after the match, at 4 pulls.
-	d2, pulled2 := countingSource(ctx, 100_000, 1)
-	found, err := d2.Exists(func(v int) bool { return v == 3 })
-	if err != nil || !found {
-		t.Fatalf("exists = %v err=%v", found, err)
-	}
-	if n := pulled2.Load(); n != 4 {
-		t.Errorf("exists pulled %d elements, want exactly 4", n)
-	}
-
-	d3, _ := countingSource(ctx, 1000, 4)
-	found, err = d3.Exists(func(v int) bool { return v < 0 })
-	if err != nil || found {
-		t.Fatalf("exists(impossible) = %v err=%v", found, err)
-	}
-}
-
 // TestTakeRacesConcurrentActions runs early-terminating Take against
 // concurrent full actions on the same cached chain; run with -race.
 // An early-terminated task must never poison the shared cache.
@@ -304,7 +273,7 @@ func TestStreamOrderAndStop(t *testing.T) {
 	ctx := NewContext(4)
 	d := Parallelize(ctx, intRange(100), 5)
 	var got []int
-	if err := d.Stream(func(v int) bool {
+	if err := d.StreamPartitionsParallelContext(context.Background(), AllPartitions(5), func(v int) bool {
 		got = append(got, v)
 		return len(got) < 42
 	}); err != nil {
@@ -321,7 +290,7 @@ func TestStreamOrderAndStop(t *testing.T) {
 
 	// Restricted to chosen partitions, in the given order.
 	var fromParts []int
-	if err := d.StreamPartitions([]int{3, 1}, func(v int) bool {
+	if err := d.StreamPartitionsParallelContext(context.Background(), []int{3, 1}, func(v int) bool {
 		fromParts = append(fromParts, v)
 		return true
 	}); err != nil {
@@ -440,16 +409,17 @@ func pulledWithin(t *testing.T, what string, pulled int64, ctx *Context, deliver
 }
 
 // TestStreamPartitionsParallelContext checks the parallel ordered
-// stream: same rows and order as the sequential Stream, early stop
+// stream: same rows and order as Collect, early stop
 // honoured, nothing computed beyond the look-ahead.
 func TestStreamPartitionsParallelContext(t *testing.T) {
 	ctx := NewContext(3)
 	d := fusedChain(Parallelize(ctx, intRange(500), 10))
 
-	var seq, par []int
-	if err := d.Stream(func(v int) bool { seq = append(seq, v); return true }); err != nil {
+	seq, err := d.Collect()
+	if err != nil {
 		t.Fatal(err)
 	}
+	var par []int
 	if err := d.StreamPartitionsParallelContext(context.Background(), AllPartitions(d.NumPartitions()), func(v int) bool {
 		par = append(par, v)
 		return true
@@ -606,9 +576,13 @@ func TestStreamPartitionsEncodedConcurrent(t *testing.T) {
 	ctx := NewContext(4)
 	d := fusedChain(Parallelize(ctx, intRange(2000), 16))
 	parts := AllPartitions(d.NumPartitions())
-	var want []byte
-	if err := d.Stream(func(v int) bool { want, _ = appendInt(want, v); return true }); err != nil {
+	rows, err := d.Collect()
+	if err != nil {
 		t.Fatal(err)
+	}
+	var want []byte
+	for _, v := range rows {
+		want, _ = appendInt(want, v)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

@@ -156,12 +156,6 @@ func NewDataset[V any](ctx *engine.Context, name string, sp partition.SpatialPar
 // Name returns the dataset name.
 func (d *Dataset[V]) Name() string { return d.name }
 
-// Context returns the owning execution context.
-func (d *Dataset[V]) Context() *engine.Context { return d.ctx }
-
-// NumPartitions returns the partition count.
-func (d *Dataset[V]) NumPartitions() int { return len(d.view.Load().trees) }
-
 // Order returns the live-tree node capacity.
 func (d *Dataset[V]) Order() int { return d.order }
 

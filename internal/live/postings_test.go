@@ -253,9 +253,9 @@ func TestPostingsDifferentialBattery(t *testing.T) {
 		}
 	}
 	clear(rebuilt)
-	for round := 0; len(rebuilt) < d.NumPartitions(); round++ {
+	for round := 0; len(rebuilt) < d.Snapshot().NumPartitions(); round++ {
 		if round == 50 {
-			t.Fatalf("50 shrinking batches rebuilt the postings of partitions %v, want all %d", rebuilt, d.NumPartitions())
+			t.Fatalf("50 shrinking batches rebuilt the postings of partitions %v, want all %d", rebuilt, d.Snapshot().NumPartitions())
 		}
 		apply(batch(4000, 0.9, 0.05))
 	}

@@ -4,16 +4,12 @@ package partition
 // the rows of every partition by the Hilbert key of their envelope
 // centers, so records that are near in space end up near in memory —
 // the locality that makes batched envelope kernels stream cache lines
-// instead of chasing pointers. The same encoder reorders the partition
-// IDs of Grid/BSP layouts (HilbertOrder), so a range of partition IDs
-// is also a spatially coherent region of the data space.
+// instead of chasing pointers.
 
 import (
 	"math"
-	"sort"
 
 	"stark/internal/geom"
-	"stark/internal/stobject"
 )
 
 // DefaultHilbertOrder is the curve order used when callers pass <= 0:
@@ -147,52 +143,3 @@ func (h HilbertEncoder) KeyEnvelope(e geom.Envelope) uint64 {
 	}
 	return h.Key(e.Center())
 }
-
-// HilbertOrder wraps a spatial partitioner so that partition IDs run
-// in Hilbert order of the partitions' cell centers: partition 0 is the
-// cell the curve enters first, and consecutive IDs are spatially
-// adjacent cells. Grid/BSP recipes emit row-major or split-tree order,
-// under which a contiguous ID range can be spatially scattered;
-// Hilbert-ordered IDs make range scans over partitions — and the
-// columnar sidecar laid out in partition-ID order — walk the data
-// space coherently. Bounds, extents and assignments are delegated to
-// the wrapped partitioner through the ID remap, so pruning semantics
-// are unchanged.
-func HilbertOrder(sp SpatialPartitioner) SpatialPartitioner {
-	n := sp.NumPartitions()
-	space := geom.EmptyEnvelope()
-	for i := 0; i < n; i++ {
-		space = space.ExpandToInclude(sp.Bounds(i))
-	}
-	enc := NewHilbertEncoder(space, 0)
-	keys := make([]uint64, n)
-	toOld := make([]int, n)
-	for i := 0; i < n; i++ {
-		keys[i] = enc.KeyEnvelope(sp.Bounds(i))
-		toOld[i] = i
-	}
-	// Stable on the original ID for determinism when cells share a key.
-	sort.SliceStable(toOld, func(a, b int) bool { return keys[toOld[a]] < keys[toOld[b]] })
-	toNew := make([]int, n)
-	for newID, oldID := range toOld {
-		toNew[oldID] = newID
-	}
-	return &hilbertRemap{sp: sp, toOld: toOld, toNew: toNew}
-}
-
-// hilbertRemap renumbers the partitions of a wrapped partitioner.
-type hilbertRemap struct {
-	sp    SpatialPartitioner
-	toOld []int // new ID -> wrapped ID
-	toNew []int // wrapped ID -> new ID
-}
-
-func (h *hilbertRemap) NumPartitions() int { return len(h.toOld) }
-
-func (h *hilbertRemap) PartitionFor(o stobject.STObject) int {
-	return h.toNew[h.sp.PartitionFor(o)]
-}
-
-func (h *hilbertRemap) Bounds(i int) geom.Envelope { return h.sp.Bounds(h.toOld[i]) }
-
-func (h *hilbertRemap) Extent(i int) geom.Envelope { return h.sp.Extent(h.toOld[i]) }

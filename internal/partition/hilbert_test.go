@@ -141,70 +141,3 @@ func TestHilbertEncoderSnapping(t *testing.T) {
 		t.Fatalf("empty-space key = %d, want 0", k)
 	}
 }
-
-// TestHilbertOrderGrid wraps a power-of-two Grid in HilbertOrder and
-// checks the remap is a bijection that visits spatially adjacent cells
-// consecutively, while delegating assignment/bounds consistently
-// (including the Grid.Bounds data-space edge snapping: every wrapped
-// bounds must still tile the same space).
-func TestHilbertOrderGrid(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	objs := uniformObjs(rng, 2000, 1024, 1024)
-	// Pin the data space exactly so cells are 128x128.
-	objs = append(objs, stPoint(0, 0), stPoint(1024, 1024))
-	g, err := NewGrid(8, objs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := HilbertOrder(g)
-	if h.NumPartitions() != g.NumPartitions() {
-		t.Fatalf("partitions %d != %d", h.NumPartitions(), g.NumPartitions())
-	}
-
-	// Bijection: every original bounds appears exactly once.
-	seen := make(map[geom.Envelope]int)
-	for i := 0; i < h.NumPartitions(); i++ {
-		seen[h.Bounds(i)]++
-	}
-	for i := 0; i < g.NumPartitions(); i++ {
-		if seen[g.Bounds(i)] != 1 {
-			t.Fatalf("bounds of original partition %d seen %d times", i, seen[g.Bounds(i)])
-		}
-	}
-
-	// Consecutive Hilbert-ordered IDs are edge-adjacent grid cells.
-	cellAt := func(i int) (int, int) {
-		c := h.Bounds(i).Center()
-		return int(c.X / 128), int(c.Y / 128)
-	}
-	px, py := cellAt(0)
-	for i := 1; i < h.NumPartitions(); i++ {
-		x, y := cellAt(i)
-		dist := abs(x-px) + abs(y-py)
-		if dist != 1 {
-			t.Fatalf("partitions %d and %d are %d cells apart: (%d,%d) -> (%d,%d)",
-				i-1, i, dist, px, py, x, y)
-		}
-		px, py = x, y
-	}
-
-	// Assignment invariants hold through the remap.
-	checkAssignmentInvariants(t, h, objs)
-
-	// Objects land in the partition whose bounds cover their centroid
-	// under the SAME snapping the raw grid applies.
-	for _, o := range objs {
-		pi := h.PartitionFor(o)
-		want := g.Bounds(g.PartitionFor(o))
-		if h.Bounds(pi) != want {
-			t.Fatalf("remapped partition bounds %v != original %v", h.Bounds(pi), want)
-		}
-	}
-}
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
-}

@@ -242,7 +242,7 @@ func AttrNodes(d FilterDecision, preds []attr.Pred) []*Node {
 	return nodes
 }
 
-// NaiveAttrNodes builds unplanned AttrScan children (Optimize(false)):
+// NaiveAttrNodes builds unplanned AttrScan children (planner off):
 // caller order, no estimates.
 func NaiveAttrNodes(preds []attr.Pred) []*Node {
 	nodes := make([]*Node, len(preds))
@@ -277,7 +277,7 @@ func ColumnarScanNode(partitions int, rows int64, child *Node) *Node {
 }
 
 // NaiveFilterNode builds the EXPLAIN node of an unplanned filter
-// (Optimize(false)): predicates in caller order, no cost estimates.
+// (planner off): predicates in caller order, no cost estimates.
 func NaiveFilterNode(preds []Pred, child *Node) *Node {
 	details := make([]string, len(preds))
 	for i, p := range preds {

@@ -8,11 +8,11 @@ package server
 // appended to the WAL and fsync'd BEFORE it becomes visible — the
 // HTTP acknowledgement implies the record is on disk. A checkpoint
 // rotates the log, snapshots each dataset (mutable ones as a
-// checksummed row file plus a persisted R-tree over the row
-// envelopes, captured through a writer barrier so no WAL-logged batch
-// is missed; immutable ones as their self-contained spec), writes an
-// atomic checksummed manifest, and truncates the log segments the
-// PREVIOUS checkpoint made redundant — the newest two checkpoints and
+// checksummed row file, captured through a writer barrier so no
+// WAL-logged batch is missed; immutable ones as their self-contained
+// spec), writes an atomic checksummed manifest, and truncates the log
+// segments the PREVIOUS checkpoint made redundant — the newest two
+// checkpoints and
 // the WAL suffix of the older stay on disk, so one rotted manifest
 // degrades to recovering from the prior checkpoint. Boot recovery
 // loads the newest valid manifest, restores the catalog at its
@@ -27,7 +27,12 @@ package server
 //	wal-%08d.log        WAL segments (internal/wal framing)
 //	manifest-%08d.ckpt  checkpoint manifests (checksummed JSON)
 //	ckpt-%08d-%03d.rows mutable dataset rows (checksummed JSON)
-//	ckpt-%08d-%03d.idx  R-tree over the row envelopes (index format v2)
+//
+// Checkpoints before this layout also wrote ckpt-%08d-%03d.idx, an
+// R-tree over the row envelopes, and named it in the manifest. Recovery
+// ignores that key and the file (restoring packs the live trees from the
+// rows), and pruning deletes such files with the rest of their
+// checkpoint.
 
 import (
 	"encoding/json"
@@ -43,8 +48,6 @@ import (
 	"time"
 
 	"stark"
-	"stark/internal/geom"
-	"stark/internal/index"
 	"stark/internal/wal"
 	"stark/internal/workload"
 )
@@ -99,7 +102,6 @@ type manifestDataset struct {
 	LiveGen uint64      `json:"liveGen,omitempty"`
 	Count   int         `json:"count,omitempty"`
 	Rows    string      `json:"rows,omitempty"`
-	Index   string      `json:"index,omitempty"`
 }
 
 // segRecord is one checkpointed live record in the rows file.
@@ -346,12 +348,9 @@ func (d *Durability) Checkpoint() error {
 		md := manifestDataset{Gen: e.gen, Spec: e.spec}
 		if e.mds != nil {
 			// Sized up front; a batch landing before the barrier only grows them.
-			n := e.mds.Count()
-			recs := make([]segRecord, 0, n)
-			envs := make([]geom.Envelope, 0, n)
+			recs := make([]segRecord, 0, e.mds.Count())
 			liveGen := e.mds.EachRecord(func(r stark.LiveRecord[workload.Event]) bool {
 				recs = append(recs, segRecord{ID: r.ID, Category: r.Value.Category, Time: r.Value.Time, WKT: keyWKT(r.Key)})
-				envs = append(envs, r.Key.Envelope())
 				return true
 			})
 			rows, err := json.Marshal(recs)
@@ -361,12 +360,8 @@ func (d *Durability) Checkpoint() error {
 			// Segment files are named by checkpoint sequence and dataset
 			// ordinal — never by the (untrusted) dataset name.
 			md.Rows = fmt.Sprintf("ckpt-%08d-%03d.rows", seq, i)
-			md.Index = fmt.Sprintf("ckpt-%08d-%03d.idx", seq, i)
 			if err := wal.WriteChecksummed(filepath.Join(d.dir, md.Rows), rows); err != nil {
 				return fmt.Errorf("writing %s: %w", md.Rows, err)
-			}
-			if err := index.BuildFromEnvelopes(0, envs).SaveFile(filepath.Join(d.dir, md.Index)); err != nil {
-				return fmt.Errorf("writing %s: %w", md.Index, err)
 			}
 			md.LiveGen = liveGen
 			md.Count = len(recs)
@@ -489,8 +484,8 @@ func (d *Durability) loadNewestManifest() (*manifest, int, error) {
 // restoreCheckpoint rebuilds the catalog the manifest describes:
 // immutable datasets re-stage from their self-contained specs,
 // mutable ones bulk-load their checkpointed rows (validated against
-// the checksummed container AND cross-checked against the persisted
-// R-tree) at their recorded live generation.
+// the checksummed container and the manifest's row count) at their
+// recorded live generation.
 func (d *Durability) restoreCheckpoint(m *manifest) error {
 	for _, md := range m.Datasets {
 		if md.Rows == "" {
@@ -510,13 +505,8 @@ func (d *Durability) restoreCheckpoint(m *manifest) error {
 		if err := json.Unmarshal(rows, &recs); err != nil {
 			return fmt.Errorf("decoding %s: %w", md.Rows, err)
 		}
-		idx, err := index.LoadFile(filepath.Join(d.dir, md.Index))
-		if err != nil {
-			return fmt.Errorf("reading %s: %w", md.Index, err)
-		}
-		if idx.Len() != len(recs) || len(recs) != md.Count {
-			return fmt.Errorf("%q: rows (%d), index (%d) and manifest (%d) disagree",
-				md.Spec.Name, len(recs), idx.Len(), md.Count)
+		if len(recs) != md.Count {
+			return fmt.Errorf("%q: rows (%d) and manifest (%d) disagree", md.Spec.Name, len(recs), md.Count)
 		}
 		tuples, err := catalogRows(d.s.ctx, len(recs), func(i int) workload.Event {
 			r := recs[i]

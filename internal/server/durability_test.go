@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -14,6 +15,8 @@ import (
 	"time"
 
 	"stark/internal/engine"
+	"stark/internal/geom"
+	"stark/internal/index"
 	"stark/internal/wal"
 )
 
@@ -520,6 +523,119 @@ func TestPruneRetainsTwoCheckpoints(t *testing.T) {
 		}
 	}
 	crash(t, s)
+}
+
+// TestRecoveryReadsCheckpointsWithATreeFile: checkpoints used to write
+// an R-tree over the row envelopes beside each rows file and name it in
+// the manifest ("index"). A data directory in that layout recovers to
+// the same replies; new checkpoints write no tree, and pruning removes
+// the old one with the rest of its checkpoint.
+func TestRecoveryReadsCheckpointsWithATreeFile(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := durableService(t, dir)
+	if err := s.Register(DatasetSpec{Name: "fleet", Mutable: true, Partitioner: "grid:2", Width: 100, Height: 100}); err != nil {
+		t.Fatal(err)
+	}
+	if rec := ingestNDJSON(t, s, "fleet", recoveryBatch); rec.Code != http.StatusOK {
+		t.Fatalf("ingest: %d %s", rec.Code, rec.Body)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if rec := ingestNDJSON(t, s, "fleet", recoveryLater); rec.Code != http.StatusOK {
+		t.Fatalf("ingest: %d %s", rec.Code, rec.Body)
+	}
+	want := replies(t, s)
+	crash(t, s)
+	if trees := treeFiles(t, dir); len(trees) != 0 {
+		t.Fatalf("a checkpoint wrote %v", trees)
+	}
+	addTreeFiles(t, dir, 1)
+
+	s2, info := durableService(t, dir)
+	if info.Checkpoint != 1 || info.Datasets != 1 || info.Batches != 1 {
+		t.Fatalf("recovery: %+v, want checkpoint 1 and one replayed batch", info)
+	}
+	got := replies(t, s2)
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Errorf("query %d after recovery:\n%s\nbefore the crash:\n%s", i, got[i], want[i])
+		}
+	}
+	// The next checkpoint keeps checkpoint 1 as its fallback, tree file
+	// and all; the one after prunes it.
+	for seq, left := range []int{1, 0} {
+		if err := s2.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if trees := treeFiles(t, dir); len(trees) != left {
+			t.Fatalf("after checkpoint %d: tree files %v, want %d", seq+2, trees, left)
+		}
+	}
+	crash(t, s2)
+}
+
+// treeFiles lists the checkpoint tree files in dir.
+func treeFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	trees, err := filepath.Glob(filepath.Join(dir, "ckpt-*.idx"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return trees
+}
+
+// addTreeFiles rewrites checkpoint seq in the layout checkpoints had
+// while they wrote a tree: an R-tree over the envelopes of every rows
+// file (index format v2) and its name under "index" in the manifest.
+func addTreeFiles(t *testing.T, dir string, seq int) {
+	t.Helper()
+	raw, err := wal.ReadChecksummed(manifestPath(dir, seq))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range m["datasets"].([]any) {
+		md := d.(map[string]any)
+		rowsFile, ok := md["rows"].(string)
+		if !ok {
+			continue
+		}
+		rows, err := wal.ReadChecksummed(filepath.Join(dir, rowsFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var recs []segRecord
+		if err := json.Unmarshal(rows, &recs); err != nil {
+			t.Fatal(err)
+		}
+		envs := make([]geom.Envelope, len(recs))
+		for j, r := range recs {
+			g, err := geom.ParseWKT(r.WKT)
+			if err != nil {
+				t.Fatal(err)
+			}
+			envs[j] = g.Envelope()
+		}
+		name := fmt.Sprintf("ckpt-%08d-%03d.idx", seq, i)
+		if err := index.BuildFromEnvelopes(0, envs).SaveFile(filepath.Join(dir, name)); err != nil {
+			t.Fatal(err)
+		}
+		md["index"] = name
+	}
+	buf, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.WriteChecksummed(manifestPath(dir, seq), buf); err != nil {
+		t.Fatal(err)
+	}
+	if trees := treeFiles(t, dir); len(trees) == 0 {
+		t.Fatal("no tree file written: bad test set-up")
+	}
 }
 
 // TestCheckpointConcurrentIngestLosesNothing hammers checkpoints

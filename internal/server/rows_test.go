@@ -106,22 +106,24 @@ func replies(t *testing.T, s *Server) [][]byte {
 	return out
 }
 
+// recoveryBatch and recoveryLater are ingest batches spelling their
+// WKT every way the parser accepts; replies asks its queries over them.
+const recoveryBatch = `{"op":"insert","id":1,"category":"pt","time":1,"wkt":"POINT(3.10 4.0)"}
+{"op":"insert","id":2,"category":"pt","time":2,"wkt":" point ( 1e2 2 ) "}
+{"op":"insert","id":3,"category":"shape","time":3,"wkt":"POLYGON((0.0 0.0, 10.00 0, 10 10.0, 0 10))"}
+{"op":"insert","id":4,"category":"pt","time":3,"wkt":"POINT (0.30000000000000004 -0)"}
+{"op":"insert","id":5,"category":"shape","time":2,"wkt":"MULTIPOINT (1 1, 2.50 2, 3 3e0)"}
+{"op":"insert","id":6,"category":"shape","time":1,"wkt":"linestring(0 0,5.0 5.00, 9 1)"}`
+const recoveryLater = `{"op":"upsert","id":1,"category":"pt","time":2,"wkt":"POINT (  3.10   4.250 )"}
+{"op":"delete","id":2}
+{"op":"insert","id":7,"category":"shape","time":3,"wkt":"POLYGON ((1 1, 9.0 1, 9 9.00, 1 9, 1 1), (2 2, 3 2, 3 3.0, 2 3, 2 2))"}`
+
 // TestRecoveryEquivalentUnderNonCanonicalText: the WAL and the
 // checkpoint hold the text rendered from the key, not the text the
 // client sent. Whatever spelling came in, a server recovered from
 // either must answer like the one that crashed, coordinate digit for
 // coordinate digit.
 func TestRecoveryEquivalentUnderNonCanonicalText(t *testing.T) {
-	batch := `{"op":"insert","id":1,"category":"pt","time":1,"wkt":"POINT(3.10 4.0)"}
-{"op":"insert","id":2,"category":"pt","time":2,"wkt":" point ( 1e2 2 ) "}
-{"op":"insert","id":3,"category":"shape","time":3,"wkt":"POLYGON((0.0 0.0, 10.00 0, 10 10.0, 0 10))"}
-{"op":"insert","id":4,"category":"pt","time":3,"wkt":"POINT (0.30000000000000004 -0)"}
-{"op":"insert","id":5,"category":"shape","time":2,"wkt":"MULTIPOINT (1 1, 2.50 2, 3 3e0)"}
-{"op":"insert","id":6,"category":"shape","time":1,"wkt":"linestring(0 0,5.0 5.00, 9 1)"}`
-	later := `{"op":"upsert","id":1,"category":"pt","time":2,"wkt":"POINT (  3.10   4.250 )"}
-{"op":"delete","id":2}
-{"op":"insert","id":7,"category":"shape","time":3,"wkt":"POLYGON ((1 1, 9.0 1, 9 9.00, 1 9, 1 1), (2 2, 3 2, 3 3.0, 2 3, 2 2))"}`
-
 	for _, checkpoint := range []bool{false, true} {
 		t.Run(fmt.Sprintf("checkpoint=%v", checkpoint), func(t *testing.T) {
 			dir := t.TempDir()
@@ -129,7 +131,7 @@ func TestRecoveryEquivalentUnderNonCanonicalText(t *testing.T) {
 			if err := s.Register(DatasetSpec{Name: "fleet", Mutable: true, Partitioner: "grid:2", Width: 100, Height: 100}); err != nil {
 				t.Fatal(err)
 			}
-			if rec := ingestNDJSON(t, s, "fleet", batch); rec.Code != http.StatusOK {
+			if rec := ingestNDJSON(t, s, "fleet", recoveryBatch); rec.Code != http.StatusOK {
 				t.Fatalf("ingest: %d %s", rec.Code, rec.Body)
 			}
 			if checkpoint {
@@ -139,7 +141,7 @@ func TestRecoveryEquivalentUnderNonCanonicalText(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if rec := ingestNDJSON(t, s, "fleet", later); rec.Code != http.StatusOK {
+			if rec := ingestNDJSON(t, s, "fleet", recoveryLater); rec.Code != http.StatusOK {
 				t.Fatalf("ingest: %d %s", rec.Code, rec.Body)
 			}
 			want := replies(t, s)

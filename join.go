@@ -100,43 +100,3 @@ func Join[V, W any](l *Dataset[V], r *Dataset[W], opts JoinOptions) *Dataset[Joi
 func SelfJoin[V any](d *Dataset[V], opts JoinOptions) *Dataset[JoinRow[V, V]] {
 	return Join(d, d, opts)
 }
-
-// SelfJoinWithinDistanceCount counts the unordered within-eps pairs
-// (self pairs included) of the dataset — the workload and result
-// convention of the paper's Figure 4 micro-benchmark, executed with
-// the symmetric, streaming strategy. order <= 0 selects the default
-// R-tree order.
-func SelfJoinWithinDistanceCount[V any](d *Dataset[V], eps float64, order int) (int64, error) {
-	st, err := d.forceFlushed()
-	if err != nil {
-		return 0, err
-	}
-	n, err := core.SelfJoinWithinDistanceCount(st.sds, eps, order)
-	if err != nil {
-		return 0, fmt.Errorf("stark: selfJoinWithinDistanceCount: %w", err)
-	}
-	return n, nil
-}
-
-// KNNJoinRow is one kNN-join result row: a left payload, one of its k
-// nearest right payloads, and their distance.
-type KNNJoinRow[V, W any] = core.KNNJoinRow[V, W]
-
-// KNNJoin returns, for every left record, its k nearest right records
-// by planar distance — k consecutive rows per left record, ascending
-// by distance.
-func KNNJoin[V, W any](l *Dataset[V], r *Dataset[W], k int) ([]KNNJoinRow[V, W], error) {
-	ls, err := l.forceFlushed()
-	if err != nil {
-		return nil, err
-	}
-	rs, err := r.forceFlushed()
-	if err != nil {
-		return nil, err
-	}
-	rows, err := core.KNNJoin(ls.sds, rs.sds, k)
-	if err != nil {
-		return nil, fmt.Errorf("stark: kNNJoin: %w", err)
-	}
-	return rows, nil
-}

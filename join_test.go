@@ -60,8 +60,9 @@ func TestJoinStreamsProbePartitionOnce(t *testing.T) {
 	ctx := stark.NewContext(2)
 	tuples := latticeTuples(40)
 	var calls atomic.Int64
+	everything := stark.NewSTObject(stark.NewEnvelope(-1, -1, 41, 41).ToPolygon())
 	left := stark.Parallelize(ctx, tuples, 4).PartitionBy(stark.Grid(4)).
-		FilterValues(func(int) bool { calls.Add(1); return true })
+		Where(everything, func(stark.STObject, stark.STObject) bool { calls.Add(1); return true }, 0)
 	right := stark.Parallelize(ctx, tuples, 4).PartitionBy(stark.Grid(4))
 	// Every point has the 13 lattice points within distance 2 around it,
 	// less those beyond the border; a probe partition reaches up to nine

@@ -75,12 +75,6 @@ func NewMutableDataset[V any](ctx *Context, name string, sp SpatialPartitioner, 
 	return &MutableDataset[V]{ctx: ctx, d: live.NewDataset[V](ctx, name, sp, order)}
 }
 
-// Name returns the dataset name.
-func (m *MutableDataset[V]) Name() string { return m.d.Name() }
-
-// Context returns the execution context.
-func (m *MutableDataset[V]) Context() *Context { return m.ctx }
-
 // Generation returns the latest published generation; 0 means no
 // batch has been applied yet.
 func (m *MutableDataset[V]) Generation() uint64 { return m.d.Generation() }
@@ -88,9 +82,6 @@ func (m *MutableDataset[V]) Generation() uint64 { return m.d.Generation() }
 // Count returns the live record count at the latest generation,
 // maintained incrementally (no scan).
 func (m *MutableDataset[V]) Count() int64 { return m.d.Count() }
-
-// NumPartitions returns the partition count of the fixed layout.
-func (m *MutableDataset[V]) NumPartitions() int { return m.d.NumPartitions() }
 
 // Apply validates and applies one mutation batch atomically: a
 // rejected batch (duplicate IDs, insert of a live ID, empty
@@ -103,15 +94,6 @@ func (m *MutableDataset[V]) Insert(records ...LiveRecord[V]) (BatchResult, error
 	ops := make([]LiveOp[V], len(records))
 	for i, r := range records {
 		ops[i] = live.Op[V]{Kind: live.OpInsert, Rec: r}
-	}
-	return m.d.Apply(ops)
-}
-
-// Upsert applies one batch of upserts.
-func (m *MutableDataset[V]) Upsert(records ...LiveRecord[V]) (BatchResult, error) {
-	ops := make([]LiveOp[V], len(records))
-	for i, r := range records {
-		ops[i] = live.Op[V]{Kind: live.OpUpsert, Rec: r}
 	}
 	return m.d.Apply(ops)
 }

@@ -16,9 +16,7 @@ func livePoint(x, y float64) STObject { return NewSTObject(NewPoint(x, y)) }
 
 func liveGrid(t testing.TB, ppd int) SpatialPartitioner {
 	t.Helper()
-	sp, err := Grid(ppd).build(func() ([]STObject, error) {
-		return []STObject{livePoint(0, 0), livePoint(100, 100)}, nil
-	})
+	sp, err := Grid(ppd).Build([]STObject{livePoint(0, 0), livePoint(100, 100)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +46,11 @@ func TestMutableDatasetQueryAfterMutations(t *testing.T) {
 		recs[i] = r
 		ups = append(ups, LiveRecord[int]{ID: i, Key: livePoint(r.x, r.y), Value: int(i)})
 	}
-	if _, err := md.Upsert(ups...); err != nil {
+	ops := make([]LiveOp[int], len(ups))
+	for i, r := range ups {
+		ops[i] = LiveUpsert(r.ID, r.Key, r.Value)
+	}
+	if _, err := md.Apply(ops); err != nil {
 		t.Fatal(err)
 	}
 	var dels []int64
@@ -225,9 +227,10 @@ func TestMutableDatasetEmptyAndChaining(t *testing.T) {
 	if _, err := md.Insert(batch...); err != nil {
 		t.Fatal(err)
 	}
-	// Snapshot composes with the rest of the DSL (payload filter after
-	// the spatial filter drops the live probe path safely).
-	got, err := md.Snapshot().Intersects(q).FilterValues(func(v int) bool { return v == 0 }).Collect()
+	// Snapshot composes with the rest of the DSL (a payload filter after
+	// the spatial filter).
+	schema := NewAttrSchema[int]().Int64("v", func(v int) int64 { return int64(v) })
+	got, err := md.Snapshot().WithSchema(schema).Intersects(q).FilterEq("v", 0).Collect()
 	if err != nil {
 		t.Fatal(err)
 	}

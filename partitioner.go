@@ -14,35 +14,21 @@ import (
 )
 
 // Partitioner is a deferred spatial-partitioner recipe consumed by
-// Dataset.PartitionBy. Construct values with Grid, BSP, Voronoi or
-// WithPartitioner.
+// Dataset.PartitionBy. Construct values with Grid, BSP or Voronoi.
 type Partitioner struct {
-	name string
-	// build receives a lazy key loader so recipes that do not need
-	// the data (WithPartitioner) skip the collect.
-	build func(keys func() ([]STObject, error)) (partition.SpatialPartitioner, error)
+	name  string
+	build func(keys []STObject) (partition.SpatialPartitioner, error)
 }
 
 // String names the recipe for diagnostics.
 func (p Partitioner) String() string { return p.name }
 
-func dataPartitioner(name string, mk func(objs []STObject) (partition.SpatialPartitioner, error)) Partitioner {
-	return Partitioner{name: name, build: func(keys func() ([]STObject, error)) (partition.SpatialPartitioner, error) {
-		objs, err := keys()
-		if err != nil {
-			return nil, err
-		}
-		return mk(objs)
-	}}
-}
-
 // Grid partitions the data space into ppd × ppd equal cells with
 // centroid assignment — fast to build, skew-sensitive.
 func Grid(ppd int) Partitioner {
-	return dataPartitioner(fmt.Sprintf("grid(%d)", ppd),
-		func(objs []STObject) (partition.SpatialPartitioner, error) {
-			return partition.NewGrid(ppd, objs)
-		})
+	return Partitioner{name: fmt.Sprintf("grid(%d)", ppd), build: func(keys []STObject) (partition.SpatialPartitioner, error) {
+		return partition.NewGrid(ppd, keys)
+	}}
 }
 
 // BSP builds the cost-based binary space partitioner: regions are
@@ -50,28 +36,17 @@ func Grid(ppd int) Partitioner {
 // areas are finely divided and sparse areas stay coarse — the paper's
 // skew-robust choice.
 func BSP(maxCost int) Partitioner {
-	return dataPartitioner(fmt.Sprintf("bsp(%d)", maxCost),
-		func(objs []STObject) (partition.SpatialPartitioner, error) {
-			return partition.NewBSP(partition.BSPConfig{MaxCost: maxCost}, objs)
-		})
-}
-
-// BSPWithMinSide is BSP with a granularity floor: regions whose sides
-// are both <= minSide are never split further.
-func BSPWithMinSide(maxCost int, minSide float64) Partitioner {
-	return dataPartitioner(fmt.Sprintf("bsp(%d,%g)", maxCost, minSide),
-		func(objs []STObject) (partition.SpatialPartitioner, error) {
-			return partition.NewBSP(partition.BSPConfig{MaxCost: maxCost, MinSide: minSide}, objs)
-		})
+	return Partitioner{name: fmt.Sprintf("bsp(%d)", maxCost), build: func(keys []STObject) (partition.SpatialPartitioner, error) {
+		return partition.NewBSP(partition.BSPConfig{MaxCost: maxCost}, keys)
+	}}
 }
 
 // Voronoi partitions by nearest of numSeeds sample seeds drawn with
 // the given random seed.
 func Voronoi(numSeeds int, seed int64) Partitioner {
-	return dataPartitioner(fmt.Sprintf("voronoi(%d)", numSeeds),
-		func(objs []STObject) (partition.SpatialPartitioner, error) {
-			return partition.NewVoronoi(numSeeds, seed, objs)
-		})
+	return Partitioner{name: fmt.Sprintf("voronoi(%d)", numSeeds), build: func(keys []STObject) (partition.SpatialPartitioner, error) {
+		return partition.NewVoronoi(numSeeds, seed, keys)
+	}}
 }
 
 // Build materialises the recipe over the given sample keys — the
@@ -82,39 +57,7 @@ func Voronoi(numSeeds int, seed int64) Partitioner {
 // from the corners of the intended data space).
 func (p Partitioner) Build(keys []STObject) (SpatialPartitioner, error) {
 	if p.build == nil {
-		return nil, fmt.Errorf("stark: zero Partitioner recipe (use Grid, BSP, Voronoi or WithPartitioner)")
+		return nil, fmt.Errorf("stark: zero Partitioner recipe (use Grid, BSP or Voronoi)")
 	}
-	return p.build(func() ([]STObject, error) { return keys, nil })
-}
-
-// HilbertOrdered wraps the recipe so the built partitioner's IDs run
-// in Hilbert-curve order of the partitions' cell centers: consecutive
-// partition IDs are spatially adjacent regions. Assignment and bounds
-// are unchanged — only the numbering moves — so pruning semantics are
-// identical, while partition-ID range scans (and the columnar sidecar,
-// which lays partitions out in ID order) walk the data space
-// coherently. Compose it with any recipe: Grid(8).HilbertOrdered().
-func (p Partitioner) HilbertOrdered() Partitioner {
-	inner := p.build
-	return Partitioner{name: p.name + ".hilbert", build: func(keys func() ([]STObject, error)) (partition.SpatialPartitioner, error) {
-		if inner == nil {
-			return nil, fmt.Errorf("stark: zero Partitioner recipe (use Grid, BSP, Voronoi or WithPartitioner)")
-		}
-		sp, err := inner(keys)
-		if err != nil {
-			return nil, err
-		}
-		return partition.HilbertOrder(sp), nil
-	}}
-}
-
-// WithPartitioner adapts an already-built spatial partitioner, for
-// callers that construct or tune one outside the chain.
-func WithPartitioner(sp SpatialPartitioner) Partitioner {
-	return Partitioner{name: "prebuilt", build: func(func() ([]STObject, error)) (partition.SpatialPartitioner, error) {
-		if sp == nil {
-			return nil, fmt.Errorf("nil partitioner")
-		}
-		return sp, nil
-	}}
+	return p.build(keys)
 }

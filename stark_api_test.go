@@ -6,6 +6,7 @@
 package stark_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -250,16 +251,16 @@ func TestPartitionPruningAtAction(t *testing.T) {
 }
 
 // TestStreamingActions exercises the streaming / short-circuiting
-// action surface of the DSL: Count, Exists, First, Reduce, Stream and
-// Take must agree with Collect on the same chain — with and without a
-// spatial partitioner (i.e. with partition pruning pending), through
-// persistent partition trees and through the concurrent trees of a
-// mutable-dataset snapshot — and every action must leave exactly one
-// phase in the chain's trace. On the two indexed layouts the probes
-// run inside the action, so Take(1) probes one partition and refines
-// fewer candidates than Collect. The join mode runs the same battery
-// on a join whose left input is the filtered chain (rows mapped back
-// to the left payload): a join is a lazy chain like any other.
+// action surface of the DSL: Count, Take and the ordered stream must
+// agree with Collect on the same chain — with and without a spatial
+// partitioner (i.e. with partition pruning pending), through persistent
+// partition trees and through the concurrent trees of a mutable-dataset
+// snapshot — and every action must leave exactly one phase in the
+// chain's trace. On the two indexed layouts the probes run inside the
+// action, so Take(1) probes one partition and refines fewer candidates
+// than Collect. The join mode runs the same battery on a join whose
+// left input is the filtered chain: a join is a lazy chain like any
+// other.
 func TestStreamingActions(t *testing.T) {
 	ctx := stark.NewContext(4)
 	tuples := apiSpatialTuples(t, 3_000)
@@ -292,40 +293,12 @@ func TestStreamingActions(t *testing.T) {
 		}
 		filtered := ds.Intersects(q)
 		if mode == "join" {
-			filtered = stark.MapValues(stark.Join(filtered, ds, stark.JoinOptions{IndexOrder: -1}),
-				func(r stark.JoinRow[int, int]) int { return r.Left })
+			joined := stark.Join(filtered, ds, stark.JoinOptions{IndexOrder: -1})
+			checkStreamingActions(t, mode, joined, func(r stark.JoinRow[int, int]) int { return r.Left })
+			streamingJoinChecks(t, ds, q)
+			continue
 		}
-
-		// Planning is its own phase; each action then adds one.
-		if err := filtered.Run(); err != nil {
-			t.Fatal(err)
-		}
-		phases := 1
-		onePhase := func(name string) {
-			t.Helper()
-			kids := filtered.Trace().Children
-			if len(kids) != phases+1 || kids[len(kids)-1].Op != name {
-				t.Errorf("%s: %d phases after %s (last %q), want %d ending in it",
-					mode, len(kids), name, kids[len(kids)-1].Op, phases+1)
-			}
-			phases = len(kids)
-		}
-
-		want, err := filtered.Collect()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(want) == 0 {
-			t.Fatal("degenerate query")
-		}
-		onePhase("collect")
-
-		// A second action on the same Dataset runs the lazy plan again.
-		n64, err := filtered.Count()
-		if err != nil || n64 != int64(len(want)) {
-			t.Errorf("%s: count after collect = %d err=%v, want %d", mode, n64, err, len(want))
-		}
-		onePhase("count")
+		checkStreamingActions(t, mode, filtered, func(v int) int { return v })
 
 		if mode == "indexed" {
 			// Folding a filter through the index keeps the layout.
@@ -353,105 +326,89 @@ func TestStreamingActions(t *testing.T) {
 					mode, head.Counter("candidates_refined"), full.Counter("candidates_refined"))
 			}
 		}
-
-		if mode == "join" {
-			streamingJoinChecks(t, ds, q)
-		}
-
-		// Stream sees exactly the Collect rows, in partition order.
-		var streamed []stark.Tuple[int]
-		if err := filtered.Stream(func(kv stark.Tuple[int]) bool {
-			streamed = append(streamed, kv)
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if len(streamed) != len(want) {
-			t.Fatalf("%s: stream saw %d rows, collect %d", mode, len(streamed), len(want))
-		}
-		for i := range streamed {
-			if streamed[i].Value != want[i].Value {
-				t.Fatalf("%s: stream row %d differs from collect", mode, i)
-			}
-		}
-		onePhase("stream")
-
-		// Early stop.
-		n := 0
-		if err := filtered.Stream(func(stark.Tuple[int]) bool {
-			n++
-			return n < 7
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if n != 7 {
-			t.Errorf("%s: stream stop saw %d rows, want 7", mode, n)
-		}
-		onePhase("stream")
-
-		// First matches the head of Collect.
-		first, ok, err := filtered.First()
-		if err != nil || !ok {
-			t.Fatalf("%s: first ok=%v err=%v", mode, ok, err)
-		}
-		if first.Value != want[0].Value {
-			t.Errorf("%s: first = %v, want %v", mode, first.Value, want[0].Value)
-		}
-		onePhase("take")
-
-		// Take short-circuits but returns the same prefix.
-		head, err := filtered.Take(5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(head) != 5 {
-			t.Fatalf("%s: take = %d rows", mode, len(head))
-		}
-		for i := range head {
-			if head[i].Value != want[i].Value {
-				t.Errorf("%s: take row %d differs from collect", mode, i)
-			}
-		}
-		onePhase("take")
-
-		// Exists: a present payload and an impossible one.
-		found, err := filtered.Exists(func(kv stark.Tuple[int]) bool { return kv.Value == want[0].Value })
-		if err != nil || !found {
-			t.Errorf("%s: exists(present) = %v err=%v", mode, found, err)
-		}
-		onePhase("exists")
-		found, err = filtered.Exists(func(kv stark.Tuple[int]) bool { return kv.Value < 0 })
-		if err != nil || found {
-			t.Errorf("%s: exists(absent) = %v err=%v", mode, found, err)
-		}
-		onePhase("exists")
-
-		// Reduce streams to the same sum Collect gives.
-		wantSum := 0
-		for _, kv := range want {
-			wantSum += kv.Value
-		}
-		total, ok, err := filtered.Reduce(func(a, b stark.Tuple[int]) stark.Tuple[int] {
-			a.Value += b.Value
-			return a
-		})
-		if err != nil || !ok {
-			t.Fatalf("%s: reduce ok=%v err=%v", mode, ok, err)
-		}
-		if total.Value != wantSum {
-			t.Errorf("%s: reduce sum = %d, want %d", mode, total.Value, wantSum)
-		}
-		onePhase("reduce")
-
-		if err := filtered.Foreach(func(stark.Tuple[int]) {}); err != nil {
-			t.Fatal(err)
-		}
-		onePhase("foreach")
-		if err := filtered.StreamParallel(func(stark.Tuple[int]) bool { return true }); err != nil {
-			t.Fatal(err)
-		}
-		onePhase("stream")
 	}
+}
+
+// checkStreamingActions runs the actions of TestStreamingActions on one
+// chain; val reads the payload the rows are compared by.
+func checkStreamingActions[V any](t *testing.T, mode string, filtered *stark.Dataset[V], val func(V) int) {
+	t.Helper()
+	// Planning is its own phase; each action then adds one.
+	if err := filtered.Run(); err != nil {
+		t.Fatal(err)
+	}
+	phases := 1
+	onePhase := func(name string) {
+		t.Helper()
+		kids := filtered.Trace().Children
+		if len(kids) != phases+1 || kids[len(kids)-1].Op != name {
+			t.Errorf("%s: %d phases after %s (last %q), want %d ending in it",
+				mode, len(kids), name, kids[len(kids)-1].Op, phases+1)
+		}
+		phases = len(kids)
+	}
+
+	want, err := filtered.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 {
+		t.Fatal("degenerate query")
+	}
+	onePhase("collect")
+
+	// A second action on the same Dataset runs the lazy plan again.
+	n64, err := filtered.Count()
+	if err != nil || n64 != int64(len(want)) {
+		t.Errorf("%s: count after collect = %d err=%v, want %d", mode, n64, err, len(want))
+	}
+	onePhase("count")
+
+	// The ordered stream sees exactly the Collect rows, in partition order.
+	var streamed []stark.Tuple[V]
+	if err := filtered.StreamParallelContext(context.Background(), func(kv stark.Tuple[V]) bool {
+		streamed = append(streamed, kv)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(streamed) != len(want) {
+		t.Fatalf("%s: stream saw %d rows, collect %d", mode, len(streamed), len(want))
+	}
+	for i := range streamed {
+		if val(streamed[i].Value) != val(want[i].Value) {
+			t.Fatalf("%s: stream row %d differs from collect", mode, i)
+		}
+	}
+	onePhase("stream")
+
+	// Early stop.
+	n := 0
+	if err := filtered.StreamParallelContext(context.Background(), func(stark.Tuple[V]) bool {
+		n++
+		return n < 7
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n != 7 {
+		t.Errorf("%s: stream stop saw %d rows, want 7", mode, n)
+	}
+	onePhase("stream")
+
+	// Take short-circuits but returns the same prefix.
+	head, err := filtered.Take(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(head) != 5 {
+		t.Fatalf("%s: take = %d rows", mode, len(head))
+	}
+	for i := range head {
+		if val(head[i].Value) != val(want[i].Value) {
+			t.Errorf("%s: take row %d differs from collect", mode, i)
+		}
+	}
+	onePhase("take")
 }
 
 // streamingJoinChecks is the join row of TestStreamingActions: under
@@ -516,31 +473,20 @@ func streamingJoinChecks(t *testing.T, ds *stark.Dataset[int], q stark.STObject)
 }
 
 // TestStreamingActionErrors checks that deferred chain errors and nil
-// arguments surface through the new actions.
+// arguments surface through the streaming actions.
 func TestStreamingActionErrors(t *testing.T) {
 	ctx := stark.NewContext(2)
 	tuples := apiSpatialTuples(t, 100)
 	bad := stark.Parallelize(ctx, tuples).Intersects(stark.STObject{})
 
-	if _, _, err := bad.First(); err == nil {
-		t.Error("First on failed chain must error")
+	if _, err := bad.Take(1); err == nil {
+		t.Error("Take on failed chain must error")
 	}
-	if _, err := bad.Exists(func(stark.Tuple[int]) bool { return true }); err == nil {
-		t.Error("Exists on failed chain must error")
+	if err := bad.StreamParallelContext(context.Background(), func(stark.Tuple[int]) bool { return true }); err == nil {
+		t.Error("StreamParallelContext on failed chain must error")
 	}
-	if err := bad.Stream(func(stark.Tuple[int]) bool { return true }); err == nil {
-		t.Error("Stream on failed chain must error")
-	}
-
-	good := stark.Parallelize(ctx, tuples)
-	if _, err := good.Exists(nil); err == nil {
-		t.Error("Exists(nil) must error")
-	}
-	if err := good.Stream(nil); err == nil {
-		t.Error("Stream(nil) must error")
-	}
-	if _, _, err := good.Reduce(nil); err == nil {
-		t.Error("Reduce(nil) must error")
+	if err := stark.Parallelize(ctx, tuples).StreamParallelContext(context.Background(), nil); err == nil {
+		t.Error("StreamParallelContext(nil) must error")
 	}
 }
 
@@ -562,7 +508,7 @@ func TestStreamParallelAgrees(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got []stark.Tuple[int]
-		if err := filtered.StreamParallel(func(kv stark.Tuple[int]) bool {
+		if err := filtered.StreamParallelContext(context.Background(), func(kv stark.Tuple[int]) bool {
 			got = append(got, kv)
 			return true
 		}); err != nil {
@@ -575,12 +521,6 @@ func TestStreamParallelAgrees(t *testing.T) {
 			if got[i].Value != want[i].Value {
 				t.Fatalf("%s: row %d differs", mode, i)
 			}
-		}
-		if _, err := stark.Parallelize(ctx, tuples).Intersects(stark.STObject{}).Collect(); err == nil {
-			t.Fatal("sanity: failed chain must error")
-		}
-		if err := filtered.StreamParallel(nil); err == nil {
-			t.Error("StreamParallel(nil) must error")
 		}
 	}
 }

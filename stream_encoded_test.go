@@ -65,16 +65,9 @@ func TestStreamEncodedAgreesWithStreamParallelAcrossLayouts(t *testing.T) {
 	}
 	// A layout whose first partition is larger than a morsel (4096 rows),
 	// so its stream crosses a morsel boundary, beside three small ones:
-	// 5000 rows in the first cell of a 2×2 grid over [0, 2000]², 40 in
-	// each of the others.
-	wide, err := stark.Grid(2).Build([]stark.STObject{
-		stark.NewSTObject(stark.NewPoint(0, 0)),
-		stark.NewSTObject(stark.NewPoint(2000, 2000)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	crowded := colTuples(rng, 5000)
+	// 5000 rows in the first cell of a 2×2 grid over [0, 2000]² (the two
+	// corner rows span it), about 40 in each of the others.
+	crowded := append(colTuples(rng, 5000), stark.NewTuple(pointAt(0, 0), 5000), stark.NewTuple(pointAt(2000, 2000), 5001))
 	for i := 0; i < 120; i++ {
 		cell := [][2]float64{{1500, 500}, {500, 1500}, {1500, 1500}}[i%3]
 		crowded = append(crowded, stark.NewTuple(pointAt(cell[0]+float64(i), cell[1]+float64(i)), len(crowded)))
@@ -85,7 +78,7 @@ func TestStreamEncodedAgreesWithStreamParallelAcrossLayouts(t *testing.T) {
 		postings bool
 	}{
 		{"plain", stark.Parallelize(ctx, tuples, 5), false},
-		{"grid+morsels", stark.Parallelize(ctx, crowded, 3).PartitionBy(stark.WithPartitioner(wide)), false},
+		{"grid+morsels", stark.Parallelize(ctx, crowded, 3).PartitionBy(stark.Grid(2)), false},
 		{"grid", stark.Parallelize(ctx, tuples, 5).PartitionBy(stark.Grid(4)), false},
 		{"bsp", stark.Parallelize(ctx, tuples, 5).PartitionBy(stark.BSP(150)), false},
 		{"grid+index", stark.Parallelize(ctx, tuples, 5).PartitionBy(stark.Grid(4)).Index(stark.Persistent(8)), false},
@@ -250,7 +243,7 @@ func testStreamEncodedStops(t *testing.T, par int) {
 	// partitions beyond the look-ahead are never streamed and their
 	// buckets of the build side are never indexed.
 	var rep stark.JoinReport
-	grid := base.PartitionBy(stark.WithPartitioner(sp))
+	grid := base.PartitionBy(stark.Grid(2)) // the layout of sp: base holds the same keys
 	joined := stark.Join(grid, grid, stark.JoinOptions{IndexOrder: -1, Strategy: stark.JoinCoPartition, Report: &rep})
 	cctx, cancel = context.WithCancel(context.Background())
 	err = joined.StreamEncodedContext(cctx, func(dst []byte, kv stark.Tuple[stark.JoinRow[int, int]]) ([]byte, error) {

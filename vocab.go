@@ -34,8 +34,6 @@ type (
 	Point = geom.Point
 	// LineString is a polyline geometry.
 	LineString = geom.LineString
-	// Polygon is a polygon geometry with optional holes.
-	Polygon = geom.Polygon
 	// Envelope is an axis-aligned bounding rectangle.
 	Envelope = geom.Envelope
 	// DistanceFunc is a pluggable point-distance metric; nil selects
@@ -50,9 +48,6 @@ type (
 	// Context coordinates job execution — the SparkContext stand-in
 	// owning the executor pool and metrics.
 	Context = engine.Context
-	// MetricsSnapshot is a point-in-time copy of the execution
-	// counters (tasks launched/pruned, elements scanned, probes).
-	MetricsSnapshot = engine.MetricsSnapshot
 
 	// Tuple is the record type of all datasets: the spatio-temporal
 	// key plus the user payload.
@@ -79,10 +74,7 @@ var (
 	Intersects  = stobject.Intersects
 	Contains    = stobject.Contains
 	ContainedBy = stobject.ContainedBy
-	Covers      = stobject.Covers
 	CoveredBy   = stobject.CoveredBy
-	Touches     = stobject.Touches
-	Overlaps    = stobject.Overlaps
 )
 
 // WithinDistancePredicate returns a predicate testing whether two
@@ -121,9 +113,6 @@ func FromWKTWithInterval(wkt string, begin, end Instant) (STObject, error) {
 func FromWKTWithTime(wkt string, t Instant) (STObject, error) {
 	return stobject.FromWKTWithTime(wkt, t)
 }
-
-// MustFromWKT is FromWKT panicking on parse errors — for literals.
-func MustFromWKT(wkt string) STObject { return stobject.MustFromWKT(wkt) }
 
 // ParseWKT parses a WKT string into a Geometry.
 func ParseWKT(wkt string) (Geometry, error) { return geom.ParseWKT(wkt) }
