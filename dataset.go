@@ -623,7 +623,7 @@ func (st *state[V]) prunedVisit(rec *engine.Recorder) []int {
 	}
 	if sp := st.sds.Partitioner(); sp != nil && len(st.pruneEnvs) > 0 {
 		kept := touching(sp, visit, st.pruneEnvs)
-		rec.TasksSkipped(int64(len(visit) - len(kept)))
+		rec.Add(engine.TasksSkipped, int64(len(visit)-len(kept)))
 		visit = kept
 	}
 	return visit

@@ -293,15 +293,17 @@
 // before they are acknowledged — an ingest ack is a durability
 // receipt for exactly that generation. Checkpoints (periodic and at
 // graceful shutdown) rotate the log and snapshot every dataset — a
-// mutable dataset becomes a checksummed rows segment whose row count
-// the manifest cross-checks on restore, captured through a writer
+// mutable dataset becomes a checksummed rows segment (the inline
+// event records of a registration request) whose row count the
+// manifest cross-checks on restore, captured through a writer
 // barrier so no logged batch is missed, a generated dataset just its
 // spec — behind atomic
 // temp+fsync+rename manifests. The newest two checkpoints and the
 // WAL suffix of the older are retained, so one rotted manifest
 // degrades to recovering from the previous checkpoint. Recovery loads
-// the newest valid manifest (corrupt ones skipped), packs each mutable
-// dataset's rows into its partitions instead of replaying inserts, then
+// the newest valid manifest (corrupt ones skipped), re-registers each
+// mutable dataset from its rows at the manifest's live generation
+// (packing them into its partitions instead of replaying inserts), then
 // replays the WAL suffix through the same validation and generation
 // paths as live ingest: idempotent by generation number, stopping
 // cleanly at a torn tail of the newest segment, erroring loudly on
@@ -329,7 +331,10 @@
 // pins solo runs against concurrent ones); work shared across
 // queries by design (statistics collection, columnar layout builds,
 // index construction, live ingestion) is charged to the context
-// totals only.
+// totals only. The eleven counters are declared once, as
+// internal/engine's Counter table; every charge goes through a
+// recorder, and traces, EXPLAIN, /metrics and /api/service iterate
+// the table under the same snake_case names.
 //
 // Dataset.Trace() returns the chain's execution trace as a
 // plan.TraceNode tree: one child per executed phase (plan, collect,
@@ -359,7 +364,9 @@
 //     evaluated datasets with a parallel task scheduler and shuffle;
 //   - internal/geom      — the JTS-subset geometry kernel (WKT,
 //     predicates, distances);
-//   - internal/temporal  — instants, intervals and temporal predicates;
+//   - internal/temporal  — instants, closed intervals and the two
+//     temporal predicates the combined semantics pairs (intersects,
+//     contains);
 //   - internal/stobject  — the STObject data type with the paper's
 //     combined spatio-temporal predicate semantics;
 //   - internal/partition — grid, cost-based BSP, tile and Voronoi

@@ -14,6 +14,7 @@ import (
 	"log"
 
 	"stark"
+	"stark/internal/engine"
 	"stark/internal/workload"
 )
 
@@ -75,7 +76,7 @@ func main() {
 	}
 
 	// Execution statistics: the pruning effect of the partitioner.
-	snap := ctx.Metrics().Snapshot()
+	snap := ctx.Recorder().Snapshot()
 	fmt.Printf("engine: %d tasks run, %d pruned, %d index probes\n",
-		snap.TasksLaunched, snap.TasksSkipped, snap.IndexProbes)
+		snap[engine.TasksLaunched], snap[engine.TasksSkipped], snap[engine.IndexProbes])
 }

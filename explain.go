@@ -209,7 +209,7 @@ func compile[V any](rec *engine.Recorder, st state[V]) (compiled[V], error) {
 	dec.Pruned = st.sds.NumPartitions() - len(visit)
 	dec.InputRows = sum.RowsIn(visit)
 	if dec.Pruned > 0 {
-		rec.TasksSkipped(int64(dec.Pruned))
+		rec.Add(engine.TasksSkipped, int64(dec.Pruned))
 	}
 
 	// attrAll evaluates every attribute predicate in planned order
@@ -399,7 +399,7 @@ func (d *Dataset[V]) ExplainNode() (*PlanNode, error) {
 	if err != nil {
 		return nil, fmt.Errorf("stark: explain: %w", err)
 	}
-	after := rec.Snapshot()
+	act := rec.Snapshot().Sub(before)
 	root := c.root.Clone()
 	if root == nil {
 		root = plan.NewNode("Scan", "dataset")
@@ -408,17 +408,11 @@ func (d *Dataset[V]) ExplainNode() (*PlanNode, error) {
 		root.ActRows = n
 	}
 	root.Prop("actual: rows=%d elements_scanned=%d index_probes=%d candidates_refined=%d",
-		n,
-		after.ElementsScanned-before.ElementsScanned,
-		after.IndexProbes-before.IndexProbes,
-		after.CandidatesRefined-before.CandidatesRefined)
-	if kb := after.KernelBatches - before.KernelBatches; kb > 0 {
+		n, act[engine.ElementsScanned], act[engine.IndexProbes], act[engine.CandidatesRefined])
+	if kb := act[engine.KernelBatches]; kb > 0 {
 		// Kernel actuals only when a columnar sweep actually ran, so
 		// non-columnar plans (and their golden files) are unchanged.
-		attachColumnarActuals(root,
-			after.ElementsScanned-before.ElementsScanned,
-			kb,
-			after.KernelSurvivors-before.KernelSurvivors)
+		attachColumnarActuals(root, act[engine.ElementsScanned], kb, act[engine.KernelSurvivors])
 	}
 	if len(c.attrActs) > 0 {
 		attachAttrActuals(root, c.attrActs)

@@ -214,7 +214,11 @@ func TestServerAgainstAPI(t *testing.T) {
 		N: 1_000, Seed: 9, Width: 1000, Height: 1000, TimeRange: 1000,
 	})
 	srv := server.NewService(ctx, server.Options{})
-	if err := srv.RegisterEvents(server.DatasetSpec{Name: server.DefaultDataset}, events); err != nil {
+	spec := server.DatasetSpec{Name: server.DefaultDataset, Events: make([]server.EventSpec, len(events))}
+	for i, ev := range events {
+		spec.Events[i] = server.EventSpec{ID: ev.ID, Category: ev.Category, Time: ev.Time, WKT: ev.WKT}
+	}
+	if err := srv.Register(spec); err != nil {
 		t.Fatal(err)
 	}
 	body, _ := json.Marshal(server.QueryRequest{

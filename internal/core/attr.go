@@ -79,7 +79,7 @@ func (s *SpatialDataset[V]) ensureAttrIndex(fields []string) (map[string][]*attr
 		}
 		s.aux.attrSide = side
 	}
-	metrics := s.Context().Metrics()
+	rec := s.Context().Recorder()
 	for _, name := range fields {
 		if _, ok := side.idx[name]; ok {
 			continue
@@ -96,7 +96,7 @@ func (s *SpatialDataset[V]) ensureAttrIndex(fields []string) (map[string][]*attr
 				column[i] = fld.Get(rows.at(i).Value)
 			}
 			ixs[p] = attr.BuildIndex(fld.Name, fld.Kind, column)
-			metrics.StatsRecords.Add(int64(len(column)))
+			rec.Add(engine.StatsRecords, int64(len(column)))
 			return nil
 		})
 		if err != nil {
@@ -115,11 +115,11 @@ func (s *SpatialDataset[V]) ensureAttrIndex(fields []string) (map[string][]*attr
 func (s *SpatialDataset[V]) collectAttrRows() ([]kernelRows[V], error) {
 	n := s.ds.NumPartitions()
 	rows := make([]kernelRows[V], n)
-	metrics := s.Context().Metrics()
+	rec := s.Context().Recorder()
 	err := s.Context().RunJob(engine.AllPartitions(n), func(p int) error {
 		out, err := s.ds.ComputePartition(p)
 		rows[p].rows = out
-		metrics.StatsRecords.Add(int64(len(out)))
+		rec.Add(engine.StatsRecords, int64(len(out)))
 		return err
 	})
 	return rows, err
@@ -178,7 +178,7 @@ func (s *SpatialDataset[V]) AttrFilter(first attr.Pred, keep func(Tuple[V]) bool
 			if len(part.rows) == 0 {
 				return nil
 			}
-			rec.IndexProbes(1)
+			rec.Add(engine.IndexProbes, 1)
 			var cands int64
 			stop := false
 			ix[p].Postings(first, func(row int32) {
@@ -190,7 +190,7 @@ func (s *SpatialDataset[V]) AttrFilter(first attr.Pred, keep func(Tuple[V]) bool
 					stop = true
 				}
 			})
-			rec.CandidatesRefined(cands)
+			rec.Add(engine.CandidatesRefined, cands)
 			return nil
 		})
 	return out.WithRecorder(s.rec), nil

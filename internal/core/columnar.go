@@ -61,7 +61,7 @@ func (s *SpatialDataset[V]) BuildColumnar() error {
 		parts: make([]*colstore.Partition, n),
 		rows:  make([]kernelRows[V], n),
 	}
-	metrics := s.Context().Metrics()
+	rec := s.Context().Recorder()
 	err := s.Context().RunJob(engine.AllPartitions(n), func(p int) error {
 		// The dataset's own slice when it holds one: rows are read-only,
 		// and a Hilbert sort reorders the columns, not the rows.
@@ -77,7 +77,7 @@ func (s *SpatialDataset[V]) BuildColumnar() error {
 		cols, perm := b.Finish(true)
 		side.parts[p] = cols
 		side.rows[p] = kernelRows[V]{rows: rows, perm: perm}
-		metrics.StatsRecords.Add(int64(len(rows)))
+		rec.Add(engine.StatsRecords, int64(len(rows)))
 		return nil
 	})
 	if err != nil {
@@ -194,7 +194,7 @@ func (s *SpatialDataset[V]) kernelScan(name string, side *columnarSidecar[V], pr
 				for _, ap := range attrPreds {
 					ab.ClearAll(n)
 					idxs[ap.Field][p].Postings(ap, func(row int32) { ab.Set(int(row)) })
-					rec.IndexProbes(1)
+					rec.Add(engine.IndexProbes, 1)
 					bs.And(ab)
 				}
 				colstore.PutBitset(ab)
@@ -212,10 +212,10 @@ func (s *SpatialDataset[V]) kernelScan(name string, side *columnarSidecar[V], pr
 				return yield(*kv)
 			})
 			colstore.PutBitset(bs)
-			rec.ElementsScanned(int64(n))
-			rec.KernelBatches(batches)
-			rec.KernelSurvivors(survivors)
-			rec.CandidatesRefined(survivors)
+			rec.Add(engine.ElementsScanned, int64(n))
+			rec.Add(engine.KernelBatches, batches)
+			rec.Add(engine.KernelSurvivors, survivors)
+			rec.Add(engine.CandidatesRefined, survivors)
 			return nil
 		})
 	return out.WithRecorder(s.rec)

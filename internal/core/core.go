@@ -278,7 +278,7 @@ func (s *SpatialDataset[V]) relevantPartitions(q geom.Envelope) []int {
 	visit := partition.PruneByEnvelope(s.sp, q)
 	pruned := s.ds.NumPartitions() - len(visit)
 	if pruned > 0 {
-		s.recorder().TasksSkipped(int64(pruned))
+		s.recorder().Add(engine.TasksSkipped, int64(pruned))
 	}
 	return visit
 }

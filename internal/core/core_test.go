@@ -41,6 +41,15 @@ func makeTimedDataset(t testing.TB, ctx *engine.Context, n, numPart int, seed in
 	return Wrap(engine.Parallelize(ctx, tuples, numPart)), tuples
 }
 
+// mustFromWKT parses a WKT literal, panicking on error.
+func mustFromWKT(wkt string) stobject.STObject {
+	o, err := stobject.FromWKT(wkt)
+	if err != nil {
+		panic(err)
+	}
+	return o
+}
+
 func queryPolygon(minX, minY, maxX, maxY float64) stobject.STObject {
 	return stobject.New(geom.NewEnvelope(minX, minY, maxX, maxY).ToPolygon())
 }
@@ -201,11 +210,11 @@ func TestContainsFilter(t *testing.T) {
 	// Polygons containing a query point.
 	ctx := engine.NewContext(2)
 	tuples := []Tuple[int]{
-		engine.NewPair(stobject.MustFromWKT("POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0))"), 1),
-		engine.NewPair(stobject.MustFromWKT("POLYGON ((20 20, 30 20, 30 30, 20 30, 20 20))"), 2),
+		engine.NewPair(mustFromWKT("POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0))"), 1),
+		engine.NewPair(mustFromWKT("POLYGON ((20 20, 30 20, 30 30, 20 30, 20 20))"), 2),
 	}
 	s := Wrap(engine.Parallelize(ctx, tuples, 2))
-	q := stobject.MustFromWKT("POINT (5 5)")
+	q := mustFromWKT("POINT (5 5)")
 	got, err := s.Filter(q, q.Envelope(), stobject.Contains)
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +235,7 @@ func TestFilterWithPartitionPruning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx.Metrics().Reset()
+	before := ctx.Recorder().Snapshot()
 	q := queryPolygon(10, 10, 20, 20) // small box → prune most of 16 cells
 	got, err := ps.Filter(q, q.Envelope(), stobject.Intersects)
 	if err != nil {
@@ -236,12 +245,12 @@ func TestFilterWithPartitionPruning(t *testing.T) {
 	if !sameIDs(gotIDs(got), want) {
 		t.Fatalf("pruned filter: got %d, want %d", len(got), len(want))
 	}
-	snap := ctx.Metrics().Snapshot()
-	if snap.TasksSkipped == 0 {
+	snap := ctx.Recorder().Snapshot().Sub(before)
+	if snap[engine.TasksSkipped] == 0 {
 		t.Error("expected pruned partitions")
 	}
-	if snap.ElementsScanned >= 2000 {
-		t.Errorf("scanned %d elements; pruning should cut this below the full 2000", snap.ElementsScanned)
+	if snap[engine.ElementsScanned] >= 2000 {
+		t.Errorf("scanned %d elements; pruning should cut this below the full 2000", snap[engine.ElementsScanned])
 	}
 }
 
@@ -269,7 +278,7 @@ func TestWithinDistanceAcrossPartitionBorders(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Grid cells are 25 wide; query at a cell border.
-	q := stobject.MustFromWKT("POINT (25 25)")
+	q := mustFromWKT("POINT (25 25)")
 	got, err := withinDistance(ps, q, 5, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -286,11 +295,11 @@ func TestWithinDistanceAcrossPartitionBorders(t *testing.T) {
 func TestWithinDistanceCustomFunction(t *testing.T) {
 	ctx := engine.NewContext(2)
 	tuples := []Tuple[int]{
-		engine.NewPair(stobject.MustFromWKT("POINT (3 4)"), 1), // L2=5, L1=7
-		engine.NewPair(stobject.MustFromWKT("POINT (6 8)"), 2), // L2=10
+		engine.NewPair(mustFromWKT("POINT (3 4)"), 1), // L2=5, L1=7
+		engine.NewPair(mustFromWKT("POINT (6 8)"), 2), // L2=10
 	}
 	s := Wrap(engine.Parallelize(ctx, tuples, 1))
-	q := stobject.MustFromWKT("POINT (0 0)")
+	q := mustFromWKT("POINT (0 0)")
 	got, err := withinDistance(s, q, 5, nil)
 	if err != nil || len(got) != 1 {
 		t.Fatalf("euclidean got %d err=%v", len(got), err)
@@ -379,12 +388,12 @@ func TestCacheChaining(t *testing.T) {
 func TestMetricsElementsScanned(t *testing.T) {
 	ctx := engine.NewContext(2)
 	s, _ := makeDataset(t, ctx, 300, 3, 10)
-	ctx.Metrics().Reset()
+	before := ctx.Recorder().Snapshot()
 	q := queryPolygon(0, 0, 100, 100)
 	if _, err := s.Filter(q, q.Envelope(), stobject.Intersects); err != nil {
 		t.Fatal(err)
 	}
-	if got := ctx.Metrics().Snapshot().ElementsScanned; got != 300 {
+	if got := ctx.Recorder().Snapshot().Sub(before)[engine.ElementsScanned]; got != 300 {
 		t.Errorf("scanned = %d, want 300 (no partitioner, full scan)", got)
 	}
 }

@@ -32,7 +32,7 @@ func scanFiltered[V any](s *SpatialDataset[V], q stobject.STObject, pruneEnv geo
 func scanBatch[V any](rec *engine.Recorder, q stobject.STObject, pruneEnv geom.Envelope, pred stobject.Predicate, xOrdered bool) func(in, out []Tuple[V]) int {
 	pretest := !pruneEnv.IsEmpty()
 	return func(in, out []Tuple[V]) int {
-		rec.ElementsScanned(int64(len(in)))
+		rec.Add(engine.ElementsScanned, int64(len(in)))
 		if xOrdered && pretest && len(in) > 0 {
 			first, _ := in[0].Key.Point()
 			last, _ := in[len(in)-1].Key.Point()

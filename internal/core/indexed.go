@@ -139,7 +139,7 @@ func (s *IndexedDataset[V]) relevantPartitions(q geom.Envelope) []int {
 		}
 	}
 	if pruned := s.parts.NumPartitions() - len(visit); pruned > 0 {
-		s.recorder().TasksSkipped(int64(pruned))
+		s.recorder().Add(engine.TasksSkipped, int64(pruned))
 	}
 	return visit
 }
@@ -158,7 +158,7 @@ func (s *IndexedDataset[V]) Probe(env geom.Envelope, keep func(kv Tuple[V]) bool
 	out := engine.NewStream(s.Context(), parts.Name()+".probe", parts.NumPartitions(),
 		func(p int, yield func(Tuple[V]) bool) error {
 			return parts.EachPartition(p, func(ip IndexedPartition[V]) bool {
-				rec.IndexProbes(1)
+				rec.Add(engine.IndexProbes, 1)
 				var refined int64
 				more := true
 				for _, id := range ip.Tree.Query(env, nil) {
@@ -168,7 +168,7 @@ func (s *IndexedDataset[V]) Probe(env geom.Envelope, keep func(kv Tuple[V]) bool
 						break
 					}
 				}
-				rec.CandidatesRefined(refined)
+				rec.Add(engine.CandidatesRefined, refined)
 				return more
 			})
 		})

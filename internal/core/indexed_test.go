@@ -40,11 +40,11 @@ func TestLiveIndexFilterMatchesScan(t *testing.T) {
 	if !sameIDs(gotIDs(got), bruteFilter(tuples, q, stobject.ContainedBy)) {
 		t.Error("indexed containedBy mismatch")
 	}
-	got, err = withinDistance(idx, stobject.MustFromWKT("POINT (50 50)"), 10, nil)
+	got, err = withinDistance(idx, mustFromWKT("POINT (50 50)"), 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameIDs(gotIDs(got), bruteFilter(tuples, stobject.MustFromWKT("POINT (50 50)"),
+	if !sameIDs(gotIDs(got), bruteFilter(tuples, mustFromWKT("POINT (50 50)"),
 		stobject.WithinDistancePredicate(10, nil))) {
 		t.Error("indexed withinDistance mismatch")
 	}
@@ -69,7 +69,7 @@ func TestLiveIndexWithRepartitioning(t *testing.T) {
 		t.Error("partitioner must be carried over")
 	}
 	q := queryPolygon(10, 10, 30, 30)
-	ctx.Metrics().Reset()
+	before := ctx.Recorder().Snapshot()
 	got, err := idx.Filter(q, q.Envelope(), stobject.Intersects)
 	if err != nil {
 		t.Fatal(err)
@@ -78,11 +78,11 @@ func TestLiveIndexWithRepartitioning(t *testing.T) {
 	if !sameIDs(gotIDs(got), want) {
 		t.Fatalf("got %d, want %d", len(got), len(want))
 	}
-	snap := ctx.Metrics().Snapshot()
-	if snap.TasksSkipped == 0 {
+	snap := ctx.Recorder().Snapshot().Sub(before)
+	if snap[engine.TasksSkipped] == 0 {
 		t.Error("partitioned indexed filter should prune partitions")
 	}
-	if snap.IndexProbes == 0 {
+	if snap[engine.IndexProbes] == 0 {
 		t.Error("index probes not counted")
 	}
 }

@@ -320,7 +320,7 @@ func joinStream[P, B, R any](probe *SpatialDataset[P], pvisit []int, build *Spat
 						moved++
 					}
 				}
-				rec.ShuffledRecords(moved)
+				rec.Add(engine.ShuffledRecords, moved)
 				atomic.AddInt64(&rep.Shuffled, moved)
 				return buckets, nil
 			})
@@ -356,7 +356,7 @@ func joinStream[P, B, R any](probe *SpatialDataset[P], pvisit []int, build *Spat
 	if rep.Strategy == JoinPairs {
 		rep.PairsPruned = rep.TotalPairs - rep.Tasks
 	}
-	rec.TasksSkipped(int64(len(pvisit)*perProbe - rep.Tasks))
+	rec.Add(engine.TasksSkipped, int64(len(pvisit)*perProbe-rep.Tasks))
 
 	out := engine.NewStream(probe.Context(), probe.ds.Name()+".join", len(slotsOf),
 		func(p int, yield func(R) bool) error {
@@ -405,9 +405,9 @@ func joinStream[P, B, R any](probe *SpatialDataset[P], pvisit []int, build *Spat
 				}
 				return live
 			})
-			rec.ElementsScanned(scanned)
-			rec.IndexProbes(probes)
-			rec.CandidatesRefined(refined)
+			rec.Add(engine.ElementsScanned, scanned)
+			rec.Add(engine.IndexProbes, probes)
+			rec.Add(engine.CandidatesRefined, refined)
 			if loadErr != nil {
 				return loadErr
 			}
@@ -467,7 +467,7 @@ func SelfJoinWithinDistanceCount[V any](s *SpatialDataset[V], eps float64, order
 	}
 	ctx := s.Context()
 	rec := s.recorder()
-	rec.TasksSkipped(int64(pruned))
+	rec.Add(engine.TasksSkipped, int64(pruned))
 
 	slots := make([]buildSlot[V], n)
 	for ri := range slots {
@@ -524,8 +524,8 @@ func SelfJoinWithinDistanceCount[V any](s *SpatialDataset[V], eps float64, order
 		if err == nil {
 			err = loadErr
 		}
-		rec.IndexProbes(probes)
-		rec.CandidatesRefined(refined)
+		rec.Add(engine.IndexProbes, probes)
+		rec.Add(engine.CandidatesRefined, refined)
 		total.Add(local)
 		return err
 	})

@@ -113,7 +113,7 @@ func TestJoinWithPartitionPruning(t *testing.T) {
 		t.Fatal(err)
 	}
 	pred := stobject.WithinDistancePredicate(2, nil)
-	ctx.Metrics().Reset()
+	before := ctx.Recorder().Snapshot()
 	var rep JoinReport
 	got, err := Join(pl, pr, JoinOptions{Predicate: pred, ProbeExpansion: 2, IndexOrder: -1,
 		Strategy: JoinPairs, Report: &rep})
@@ -124,7 +124,7 @@ func TestJoinWithPartitionPruning(t *testing.T) {
 	if !samePairs(joinedPairs(got), want) {
 		t.Fatalf("pruned join: got %d, want %d", len(got), len(want))
 	}
-	if ctx.Metrics().Snapshot().TasksSkipped == 0 {
+	if ctx.Recorder().Snapshot().Sub(before)[engine.TasksSkipped] == 0 {
 		t.Error("expected pruned partition pairs")
 	}
 	if rep.PairsPruned == 0 || rep.Tasks+rep.PairsPruned != rep.TotalPairs {
@@ -190,8 +190,8 @@ func TestJoinContainsPredicate(t *testing.T) {
 	// Regions (polygons) containing points.
 	ctx := engine.NewContext(2)
 	regions := []Tuple[int]{
-		engine.NewPair(stobject.MustFromWKT("POLYGON ((0 0, 50 0, 50 50, 0 50, 0 0))"), 100),
-		engine.NewPair(stobject.MustFromWKT("POLYGON ((50 50, 100 50, 100 100, 50 100, 50 50))"), 200),
+		engine.NewPair(mustFromWKT("POLYGON ((0 0, 50 0, 50 50, 0 50, 0 0))"), 100),
+		engine.NewPair(mustFromWKT("POLYGON ((50 50, 100 50, 100 100, 50 100, 50 50))"), 200),
 	}
 	l := Wrap(engine.Parallelize(ctx, regions, 2))
 	r, rt := makeDataset(t, ctx, 200, 2, 38)
@@ -247,8 +247,8 @@ func TestJoinEmptySides(t *testing.T) {
 
 func TestJoinDefaultPredicateIsIntersects(t *testing.T) {
 	ctx := engine.NewContext(2)
-	a := []Tuple[int]{engine.NewPair(stobject.MustFromWKT("POINT (1 1)"), 1)}
-	b := []Tuple[int]{engine.NewPair(stobject.MustFromWKT("POINT (1 1)"), 2)}
+	a := []Tuple[int]{engine.NewPair(mustFromWKT("POINT (1 1)"), 1)}
+	b := []Tuple[int]{engine.NewPair(mustFromWKT("POINT (1 1)"), 2)}
 	l := Wrap(engine.Parallelize(ctx, a, 1))
 	r := Wrap(engine.Parallelize(ctx, b, 1))
 	got, err := Join(l, r, JoinOptions{IndexOrder: -1})
@@ -260,7 +260,7 @@ func TestJoinDefaultPredicateIsIntersects(t *testing.T) {
 func TestKNNScanMatchesBruteForce(t *testing.T) {
 	ctx := engine.NewContext(4)
 	s, tuples := makeDataset(t, ctx, 1000, 4, 41)
-	q := stobject.MustFromWKT("POINT (50 50)")
+	q := mustFromWKT("POINT (50 50)")
 	for _, k := range []int{1, 5, 23} {
 		got, err := s.KNN(q, k, nil)
 		if err != nil {
@@ -297,8 +297,8 @@ func TestKNNPartitionedPrunes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := stobject.MustFromWKT("POINT (20 20)")
-	ctx.Metrics().Reset()
+	q := mustFromWKT("POINT (20 20)")
+	before := ctx.Recorder().Snapshot()
 	got, err := ps.KNN(q, 10, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -313,19 +313,19 @@ func TestKNNPartitionedPrunes(t *testing.T) {
 			t.Fatalf("neighbor %d: %v vs %v", i, nb.Distance, dists[i])
 		}
 	}
-	snap := ctx.Metrics().Snapshot()
-	if snap.TasksSkipped == 0 {
+	snap := ctx.Recorder().Snapshot().Sub(before)
+	if snap[engine.TasksSkipped] == 0 {
 		t.Error("partitioned kNN should prune far partitions")
 	}
-	if snap.ElementsScanned >= 3000 {
-		t.Errorf("scanned %d, want < 3000", snap.ElementsScanned)
+	if snap[engine.ElementsScanned] >= 3000 {
+		t.Errorf("scanned %d, want < 3000", snap[engine.ElementsScanned])
 	}
 }
 
 func TestKNNIndexedMatchesScan(t *testing.T) {
 	ctx := engine.NewContext(4)
 	s, _ := makeDataset(t, ctx, 1000, 4, 43)
-	q := stobject.MustFromWKT("POINT (70 30)")
+	q := mustFromWKT("POINT (70 30)")
 	scan, err := s.KNN(q, 15, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -354,11 +354,11 @@ func TestKNNIndexedMatchesScan(t *testing.T) {
 func TestKNNCustomDistance(t *testing.T) {
 	ctx := engine.NewContext(2)
 	tuples := []Tuple[int]{
-		engine.NewPair(stobject.MustFromWKT("POINT (3 4)"), 1), // L2 5, L1 7
-		engine.NewPair(stobject.MustFromWKT("POINT (0 6)"), 2), // L2 6, L1 6
+		engine.NewPair(mustFromWKT("POINT (3 4)"), 1), // L2 5, L1 7
+		engine.NewPair(mustFromWKT("POINT (0 6)"), 2), // L2 6, L1 6
 	}
 	s := Wrap(engine.Parallelize(ctx, tuples, 1))
-	q := stobject.MustFromWKT("POINT (0 0)")
+	q := mustFromWKT("POINT (0 0)")
 	got, err := s.KNN(q, 1, manhattan)
 	if err != nil {
 		t.Fatal(err)
@@ -390,7 +390,7 @@ func TestKNNCustomDistance(t *testing.T) {
 func TestKNNSmallerThanK(t *testing.T) {
 	ctx := engine.NewContext(2)
 	s, _ := makeDataset(t, ctx, 5, 2, 44)
-	got, err := s.KNN(stobject.MustFromWKT("POINT (0 0)"), 50, nil)
+	got, err := s.KNN(mustFromWKT("POINT (0 0)"), 50, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,14 +404,14 @@ func TestKNNContextCancelled(t *testing.T) {
 	s, _ := makeDataset(t, ctx, 2000, 8, 45)
 	cctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.KNNContext(cctx, stobject.MustFromWKT("POINT (50 50)"), 5, nil); !errors.Is(err, context.Canceled) {
+	if _, err := s.KNNContext(cctx, mustFromWKT("POINT (50 50)"), 5, nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("scan kNN with cancelled ctx: err = %v", err)
 	}
 	idx, err := s.LiveIndex(6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := idx.KNNContext(cctx, stobject.MustFromWKT("POINT (50 50)"), 5, nil); !errors.Is(err, context.Canceled) {
+	if _, err := idx.KNNContext(cctx, mustFromWKT("POINT (50 50)"), 5, nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("indexed kNN with cancelled ctx: err = %v", err)
 	}
 }

@@ -102,7 +102,7 @@ func knnRounds[V any](ctx context.Context, ec *engine.Context, rec *engine.Recor
 		// partition exceeds the current k-th distance: order is
 		// ascending, so every remaining partition prunes too.
 		if canPrune && h.Len() == k && order[start].dist > (*h)[0].Distance {
-			rec.TasksSkipped(int64(len(order) - start))
+			rec.Add(engine.TasksSkipped, int64(len(order)-start))
 			break
 		}
 		end := start + width
@@ -180,7 +180,7 @@ func (s *SpatialDataset[V]) KNNContext(ctx context.Context, q stobject.STObject,
 			lh.offer(k, NeighborResult[V]{Key: kv.Key, Value: kv.Value, Distance: q.Distance(kv.Key, df)})
 			return true
 		})
-		rec.ElementsScanned(scanned)
+		rec.Add(engine.ElementsScanned, scanned)
 		if err == nil {
 			err = ctxErr
 		}
@@ -229,7 +229,7 @@ func (s *IndexedDataset[V]) KNNContext(ctx context.Context, q stobject.STObject,
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			rec.IndexProbes(1)
+			rec.Add(engine.IndexProbes, 1)
 			var nbrs []neighborRaw
 			if df == nil && pointRef {
 				exact := func(id int32) float64 { return q.Distance(ip.Items[id].Key, nil) }
@@ -243,7 +243,7 @@ func (s *IndexedDataset[V]) KNNContext(ctx context.Context, q stobject.STObject,
 					nbrs = append(nbrs, neighborRaw{id: int32(i), dist: q.Distance(kv.Key, df)})
 				}
 			}
-			rec.CandidatesRefined(int64(len(nbrs)))
+			rec.Add(engine.CandidatesRefined, int64(len(nbrs)))
 			for _, nb := range nbrs {
 				kv := ip.Items[nb.id]
 				lh.offer(k, NeighborResult[V]{Key: kv.Key, Value: kv.Value, Distance: nb.dist})

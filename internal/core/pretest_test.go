@@ -61,10 +61,10 @@ func TestWherePretestEquivalence(t *testing.T) {
 		{"intersects", stobject.Intersects, 0},
 		{"contains", stobject.Contains, 0},
 		{"containedBy", stobject.ContainedBy, 0},
-		{"covers", stobject.Covers, 0},
+		{"covers", stobject.STObject.Covers, 0},
 		{"coveredBy", stobject.CoveredBy, 0},
-		{"touches", stobject.Touches, 0},
-		{"overlaps", stobject.Overlaps, 0},
+		{"touches", stobject.STObject.Touches, 0},
+		{"overlaps", stobject.STObject.Overlaps, 0},
 		{"withinDistance", stobject.WithinDistancePredicate(6, nil), 6},
 		{"withinDistance/manhattan", stobject.WithinDistancePredicate(6, manhattan), 6},
 		// An opaque predicate: all the scan knows of it is the envelope its
@@ -134,9 +134,9 @@ func TestWherePretestEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if snap := rec.Snapshot(); !slices.Equal(streamed, want) || snap.ElementsScanned != int64(len(tuples)) || snap.TasksLaunched != 4 {
+				if snap := rec.Snapshot(); !slices.Equal(streamed, want) || snap[engine.ElementsScanned] != int64(len(tuples)) || snap[engine.TasksLaunched] != 4 {
 					t.Errorf("timed=%v query %d %s: the stream returned %d rows (want %d) after scanning %d of %d in %d tasks (want 4)",
-						timed, qi, sc.name, len(streamed), len(want), snap.ElementsScanned, len(tuples), snap.TasksLaunched)
+						timed, qi, sc.name, len(streamed), len(want), snap[engine.ElementsScanned], len(tuples), snap[engine.TasksLaunched])
 				}
 			}
 		}
@@ -288,8 +288,8 @@ func TestScanOverOrderedRows(t *testing.T) {
 	}
 	preds := map[string]stobject.Predicate{
 		"intersects": stobject.Intersects, "contains": stobject.Contains, "containedBy": stobject.ContainedBy,
-		"covers": stobject.Covers, "coveredBy": stobject.CoveredBy, "touches": stobject.Touches,
-		"overlaps": stobject.Overlaps, "within": stobject.WithinDistancePredicate(3, nil),
+		"covers": stobject.STObject.Covers, "coveredBy": stobject.CoveredBy, "touches": stobject.STObject.Touches,
+		"overlaps": stobject.STObject.Overlaps, "within": stobject.WithinDistancePredicate(3, nil),
 	}
 	for i := 0; i < 20; i++ {
 		x, y := rng.Float64()*100, rng.Float64()*100
@@ -322,7 +322,7 @@ func TestScanOverOrderedRows(t *testing.T) {
 	if n := scanBatch[int](rec, q, q.Envelope(), stobject.Intersects, true)(batch, out); n != 0 {
 		t.Errorf("ordered scan keeps %d rows of a batch it should skip, want 0", n)
 	}
-	if got := rec.Snapshot().ElementsScanned; got != 6 {
+	if got := rec.Snapshot()[engine.ElementsScanned]; got != 6 {
 		t.Errorf("elements scanned %d, want 6: a skipped batch still counts", got)
 	}
 }

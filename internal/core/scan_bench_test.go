@@ -43,7 +43,7 @@ func BenchmarkScanShuffled(b *testing.B) {
 	}
 	tuples, keys = nil, nil
 
-	before := ctx.Metrics().Snapshot().ElementsScanned
+	before := ctx.Recorder().Snapshot()[engine.ElementsScanned]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := windows[i%len(windows)]
@@ -51,6 +51,6 @@ func BenchmarkScanShuffled(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	scanned := ctx.Metrics().Snapshot().ElementsScanned - before
+	scanned := ctx.Recorder().Snapshot()[engine.ElementsScanned] - before
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(scanned), "ns/row")
 }

@@ -40,7 +40,7 @@ func (s *SpatialDataset[V]) WhereRows(keep func(key stobject.STObject, v V) bool
 				n++
 			}
 		}
-		rec.ElementsScanned(int64(len(in)))
+		rec.Add(engine.ElementsScanned, int64(len(in)))
 		return n
 	})
 	return newSpatial(out.WithRecorder(s.rec), s.sp, s.rec)

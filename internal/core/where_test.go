@@ -52,13 +52,13 @@ func TestWherePreservesPartitioner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	centre := stobject.MustFromWKT("POINT (50 50)")
+	centre := mustFromWKT("POINT (50 50)")
 	filtered := ps.Where(centre, centre.Envelope().ExpandBy(30), stobject.WithinDistancePredicate(30, nil))
 	if filtered.Partitioner() == nil {
 		t.Fatal("filter must preserve the partitioner")
 	}
 	// Downstream pruned query still correct.
-	ctx.Metrics().Reset()
+	before := ctx.Recorder().Snapshot()
 	q := queryPolygon(40, 40, 60, 60)
 	hits, err := filtered.Filter(q, q.Envelope(), stobject.Intersects)
 	if err != nil {
@@ -70,7 +70,7 @@ func TestWherePreservesPartitioner(t *testing.T) {
 	if !sameIDs(gotIDs(hits), want) {
 		t.Errorf("pruned filter after Where: %d vs %d", len(hits), len(want))
 	}
-	if ctx.Metrics().Snapshot().TasksSkipped == 0 {
+	if ctx.Recorder().Snapshot().Sub(before)[engine.TasksSkipped] == 0 {
 		t.Error("expected partition pruning after Where")
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync/atomic"
 )
 
 // Context coordinates job execution. It plays the role of the
@@ -26,74 +25,11 @@ import (
 type Context struct {
 	parallelism int
 	sem         chan struct{}
-	metrics     Metrics
+	metrics     metrics
 	// rootRec is the context's root recorder: it writes straight into
 	// metrics with no job-local attribution. Jobs that need per-query
 	// actuals run under a NewJobRecorder instead.
 	rootRec Recorder
-}
-
-// Metrics aggregates counters across all jobs run on a context. All
-// fields are updated atomically and may be read while jobs run.
-type Metrics struct {
-	TasksLaunched     atomic.Int64 // tasks scheduled: a partition, or a morsel of one in a parallel stream
-	TasksSkipped      atomic.Int64 // partitions pruned before scheduling
-	ElementsScanned   atomic.Int64 // records passed through predicate evaluation
-	ShuffledRecords   atomic.Int64 // records moved by PartitionBy
-	IndexProbes       atomic.Int64 // R-tree queries issued
-	CandidatesRefined atomic.Int64 // index candidates checked exactly
-	StatsRecords      atomic.Int64 // records summarised by planner statistics passes
-	LiveBatches       atomic.Int64 // mutation batches applied to live datasets
-	LiveMutations     atomic.Int64 // individual insert/upsert/delete operations applied
-	KernelBatches     atomic.Int64 // column chunks swept by columnar scan kernels
-	KernelSurvivors   atomic.Int64 // rows surviving coarse kernels into exact refinement
-}
-
-// Snapshot returns a plain-struct copy of the counters.
-func (m *Metrics) Snapshot() MetricsSnapshot {
-	return MetricsSnapshot{
-		TasksLaunched:     m.TasksLaunched.Load(),
-		TasksSkipped:      m.TasksSkipped.Load(),
-		ElementsScanned:   m.ElementsScanned.Load(),
-		ShuffledRecords:   m.ShuffledRecords.Load(),
-		IndexProbes:       m.IndexProbes.Load(),
-		CandidatesRefined: m.CandidatesRefined.Load(),
-		StatsRecords:      m.StatsRecords.Load(),
-		LiveBatches:       m.LiveBatches.Load(),
-		LiveMutations:     m.LiveMutations.Load(),
-		KernelBatches:     m.KernelBatches.Load(),
-		KernelSurvivors:   m.KernelSurvivors.Load(),
-	}
-}
-
-// Reset zeroes all counters.
-func (m *Metrics) Reset() {
-	m.TasksLaunched.Store(0)
-	m.TasksSkipped.Store(0)
-	m.ElementsScanned.Store(0)
-	m.ShuffledRecords.Store(0)
-	m.IndexProbes.Store(0)
-	m.CandidatesRefined.Store(0)
-	m.StatsRecords.Store(0)
-	m.LiveBatches.Store(0)
-	m.LiveMutations.Store(0)
-	m.KernelBatches.Store(0)
-	m.KernelSurvivors.Store(0)
-}
-
-// MetricsSnapshot is a point-in-time copy of Metrics.
-type MetricsSnapshot struct {
-	TasksLaunched     int64
-	TasksSkipped      int64
-	ElementsScanned   int64
-	ShuffledRecords   int64
-	IndexProbes       int64
-	CandidatesRefined int64
-	StatsRecords      int64
-	LiveBatches       int64
-	LiveMutations     int64
-	KernelBatches     int64
-	KernelSurvivors   int64
 }
 
 // NewContext returns a context with the given executor parallelism;
@@ -113,20 +49,18 @@ func NewContext(parallelism int) *Context {
 // Parallelism returns the number of simulated executors.
 func (c *Context) Parallelism() int { return c.parallelism }
 
-// Metrics returns the live metrics of the context.
-func (c *Context) Metrics() *Metrics { return &c.metrics }
-
 // Recorder returns the context's root recorder: counter writes land
-// only in the context totals, with no per-job attribution.
+// only in the context totals, with no per-job attribution, and its
+// Snapshot reads those totals.
 func (c *Context) Recorder() *Recorder { return &c.rootRec }
 
 // NewJobRecorder returns a recorder with fresh job-local counters in
 // front of the context totals. Everything a job charges through it is
 // visible both in the recorder's Snapshot (this job only) and in the
-// context's Metrics (all jobs), so per-query actuals and global
+// context totals (all jobs), so per-query actuals and global
 // dashboards coexist without double bookkeeping at the call sites.
 func (c *Context) NewJobRecorder() *Recorder {
-	return &Recorder{job: &Metrics{}, glob: &c.metrics}
+	return &Recorder{job: &metrics{}, glob: &c.metrics}
 }
 
 // RunJob executes task(i) for every i in tasks, at most Parallelism

@@ -785,7 +785,7 @@ func streamOrdered[R any](ctx context.Context, c *Context, rec *Recorder, n, win
 			if n > 1 { // a one-task job takes no executor slot: it may run inside a task
 				c.sem <- struct{}{}
 			}
-			rec.TasksLaunched(1)
+			rec.Add(TasksLaunched, 1)
 			s.err = runTask(i, func(i int) (err error) {
 				s.r, err = task(i)
 				return err

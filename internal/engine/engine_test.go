@@ -263,7 +263,7 @@ func TestRunJobCallerWorks(t *testing.T) {
 		if int(peak.Load()) > par {
 			t.Errorf("parallelism %d: %d tasks in flight", par, peak.Load())
 		}
-		if got := ctx.Metrics().Snapshot().TasksLaunched; got != n {
+		if got := ctx.Recorder().Snapshot()[TasksLaunched]; got != n {
 			t.Errorf("parallelism %d: TasksLaunched = %d, want %d", par, got, n)
 		}
 	}
@@ -362,7 +362,7 @@ func TestPartitionBy(t *testing.T) {
 		}
 	}
 	// Shuffle metric counted all records.
-	if got := ctx.Metrics().ShuffledRecords.Load(); got != 100 {
+	if got := ctx.Recorder().Snapshot()[ShuffledRecords]; got != 100 {
 		t.Errorf("shuffled = %d", got)
 	}
 }
@@ -435,22 +435,6 @@ func TestCountByKey(t *testing.T) {
 	}
 	if counts["a"] != 2 || counts["b"] != 1 {
 		t.Errorf("counts = %v", counts)
-	}
-}
-
-func TestMetricsSnapshotReset(t *testing.T) {
-	ctx := NewContext(2)
-	d := Parallelize(ctx, intRange(10), 5)
-	if _, err := d.Collect(); err != nil {
-		t.Fatal(err)
-	}
-	snap := ctx.Metrics().Snapshot()
-	if snap.TasksLaunched != 5 {
-		t.Errorf("tasks = %d", snap.TasksLaunched)
-	}
-	ctx.Metrics().Reset()
-	if ctx.Metrics().Snapshot().TasksLaunched != 0 {
-		t.Error("reset failed")
 	}
 }
 

@@ -81,7 +81,7 @@ func TestStreamOrderedDeliversInTaskOrder(t *testing.T) {
 		for _, n := range []int{0, 1, 2, 5, 64} {
 			c := NewContext(par)
 			o := &orderedProbe{t: t, c: c}
-			before := c.Metrics().Snapshot().TasksLaunched
+			before := c.Recorder().Snapshot()[TasksLaunched]
 			if err := streamOrdered(context.Background(), c, c.Recorder(), n, lookAhead*par, o.task, o.deliver, o.discard); err != nil {
 				t.Fatal(err)
 			}
@@ -89,7 +89,7 @@ func TestStreamOrderedDeliversInTaskOrder(t *testing.T) {
 			if len(o.got) != n || o.discarded.Load() != 0 {
 				t.Errorf("parallelism %d: %d of %d results delivered, %d discarded", par, len(o.got), n, o.discarded.Load())
 			}
-			if launched := c.Metrics().Snapshot().TasksLaunched - before; launched != int64(n) {
+			if launched := c.Recorder().Snapshot()[TasksLaunched] - before; launched != int64(n) {
 				t.Errorf("parallelism %d: %d tasks charged for %d", par, launched, n)
 			}
 		}
@@ -252,7 +252,7 @@ func TestStreamPartitionsMorsels(t *testing.T) {
 		if !slices.Equal(rows, want) {
 			t.Errorf("%s: the row stream returned %d rows, Collect %d, or in another order", tc.name, len(rows), len(want))
 		}
-		if got := rec.Snapshot().TasksLaunched; got != tc.tasks {
+		if got := rec.Snapshot()[TasksLaunched]; got != tc.tasks {
 			t.Errorf("%s: the row stream ran %d tasks, want %d", tc.name, got, tc.tasks)
 		}
 		var enc []byte
@@ -272,7 +272,7 @@ func TestStreamPartitionsMorsels(t *testing.T) {
 			t.Errorf("%s: the encoded stream differs from the encoding of Collect (%d vs %d bytes)", tc.name, len(enc), len(wantEnc))
 		}
 		// One chunk per task that had rows (partition 2 is empty).
-		if got := rec.Snapshot().TasksLaunched; got != 2*tc.tasks || int64(chunks) != tc.tasks-1 {
+		if got := rec.Snapshot()[TasksLaunched]; got != 2*tc.tasks || int64(chunks) != tc.tasks-1 {
 			t.Errorf("%s: the encoded stream ran %d tasks and delivered %d chunks, want %d and %d",
 				tc.name, got-tc.tasks, chunks, tc.tasks, tc.tasks-1)
 		}

@@ -82,7 +82,7 @@ func PartitionBy[K, V any](d *Dataset[Pair[K, V]], part Partitioner[K]) (*Datase
 				counts[t]++
 			}
 			src[p], targets[p] = rows, ts
-			rec.ShuffledRecords(int64(len(rows)))
+			rec.Add(ShuffledRecords, int64(len(rows)))
 		}
 		offsets[g] = counts
 		return nil

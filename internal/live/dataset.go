@@ -253,9 +253,9 @@ func (d *Dataset[V]) applyLocked(ops []Op[V], hook bool) (BatchResult, error) {
 	d.vacuum()
 	d.publish(gen)
 
-	m := d.ctx.Metrics()
-	m.LiveBatches.Add(1)
-	m.LiveMutations.Add(int64(len(ops)))
+	rec := d.ctx.Recorder()
+	rec.Add(engine.LiveBatches, 1)
+	rec.Add(engine.LiveMutations, int64(len(ops)))
 	return res, nil
 }
 
@@ -486,8 +486,8 @@ func (s *Snapshot[V]) Probe(
 			kv := engine.NewPair(e.Key, e.Value)
 			return !keep(kv) || yield(kv)
 		})
-		rec.IndexProbes(1)
-		rec.CandidatesRefined(refined)
+		rec.Add(engine.IndexProbes, 1)
+		rec.Add(engine.CandidatesRefined, refined)
 		return nil
 	}).WithRecorder(rec)
 }

@@ -77,8 +77,8 @@ func TestApplyBatchSemantics(t *testing.T) {
 		t.Fatalf("live set = %v, want values {100,3}", got)
 	}
 
-	if m := ctx.Metrics().Snapshot(); m.LiveBatches != 2 || m.LiveMutations != 6 {
-		t.Fatalf("metrics batches/mutations = %d/%d, want 2/6", m.LiveBatches, m.LiveMutations)
+	if m := ctx.Recorder().Snapshot(); m[engine.LiveBatches] != 2 || m[engine.LiveMutations] != 6 {
+		t.Fatalf("metrics batches/mutations = %d/%d, want 2/6", m[engine.LiveBatches], m[engine.LiveMutations])
 	}
 }
 
@@ -279,9 +279,9 @@ func TestProbeMatchesBruteForce(t *testing.T) {
 		t.Fatalf("take(1) over the probe: %d rows, err %v", len(rows), err)
 	}
 	full, head := all.Snapshot(), one.Snapshot()
-	if full.IndexProbes != int64(len(visit)) || head.IndexProbes != 1 || head.CandidatesRefined >= full.CandidatesRefined {
+	if full[engine.IndexProbes] != int64(len(visit)) || head[engine.IndexProbes] != 1 || head[engine.CandidatesRefined] >= full[engine.CandidatesRefined] {
 		t.Errorf("take(1) probed %d partitions and refined %d candidates; collect %d and %d",
-			head.IndexProbes, head.CandidatesRefined, full.IndexProbes, full.CandidatesRefined)
+			head[engine.IndexProbes], head[engine.CandidatesRefined], full[engine.IndexProbes], full[engine.CandidatesRefined])
 	}
 }
 

@@ -257,8 +257,8 @@ func (s *Snapshot[V]) AttrProbe(
 			}
 		})
 		pa.mu.RUnlock()
-		rec.IndexProbes(1)
-		rec.CandidatesRefined(int64(candidates))
+		rec.Add(engine.IndexProbes, 1)
+		rec.Add(engine.CandidatesRefined, int64(candidates))
 		for _, kv := range cands {
 			if keep(kv) && !yield(kv) {
 				break

@@ -27,11 +27,10 @@ func refBuildBSP(cfg BSPConfig, objs []stobject.STObject) *BSP {
 }
 
 func (b *BSP) refBuildNode(r bspRegion, cfg BSPConfig) *bspNode {
-	if len(r.pts) <= cfg.MaxCost ||
-		(cfg.MinSide > 0 && r.env.Width() <= cfg.MinSide && r.env.Height() <= cfg.MinSide) {
+	if len(r.pts) <= cfg.MaxCost {
 		return b.leafNode(r.env)
 	}
-	left, right, cut, onX, ok := refSplitRegion(r, cfg.MinSide)
+	left, right, cut, onX, ok := refSplitRegion(r)
 	if !ok {
 		return b.leafNode(r.env)
 	}
@@ -41,7 +40,7 @@ func (b *BSP) refBuildNode(r bspRegion, cfg BSPConfig) *bspNode {
 	return node
 }
 
-func refSplitRegion(r bspRegion, minSide float64) (a, b bspRegion, cutPos float64, cutOnX, ok bool) {
+func refSplitRegion(r bspRegion) (a, b bspRegion, cutPos float64, cutOnX, ok bool) {
 	tryAxes := []bool{r.env.Width() >= r.env.Height()} // true = split on x
 	tryAxes = append(tryAxes, !tryAxes[0])
 	for _, onX := range tryAxes {
@@ -61,9 +60,6 @@ func refSplitRegion(r bspRegion, minSide float64) (a, b bspRegion, cutPos float6
 			lo, hi = r.env.MinY, r.env.MaxY
 		}
 		if cut <= lo || cut >= hi {
-			continue
-		}
-		if minSide > 0 && (cut-lo < minSide || hi-cut < minSide) {
 			continue
 		}
 		var envA, envB geom.Envelope
@@ -114,7 +110,7 @@ func sameSplitTree(got, want *bspNode, path string) error {
 // TestBSPInPlaceMatchesReference holds the in-place build to the
 // allocating one on the shapes that steer it differently: skew (deep,
 // lopsided recursion), uniform data, many duplicate coordinates (cuts on
-// the region edge, empty halves, the fallback axis) and a MinSide floor.
+// the region edge, empty halves, the fallback axis) and a vertical line.
 func TestBSPInPlaceMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	duplicates := make([]stobject.STObject, 6000)
@@ -140,7 +136,6 @@ func TestBSPInPlaceMatchesReference(t *testing.T) {
 	}{
 		{"skewed", BSPConfig{MaxCost: 40}, clusteredObjs(rng, 20000)},
 		{"uniform", BSPConfig{MaxCost: 25}, uniformObjs(rng, 20000, 1000, 400)},
-		{"uniform-minside", BSPConfig{MaxCost: 5, MinSide: 30}, uniformObjs(rng, 5000, 1000, 400)},
 		{"duplicates", BSPConfig{MaxCost: 10}, duplicates},
 		{"vertical-line", BSPConfig{MaxCost: 10}, line},
 	}
@@ -174,7 +169,7 @@ func TestSplitRegionAllocatesNothing(t *testing.T) {
 	r := bspRegion{env: dataEnvelope(objs), pts: pts}
 	coords := make([]float64, len(pts))
 	if n := testing.AllocsPerRun(20, func() {
-		if _, _, _, _, ok := splitRegion(r, 0, coords); !ok {
+		if _, _, _, _, ok := splitRegion(r, coords); !ok {
 			t.Fatal("no split")
 		}
 	}); n != 0 {

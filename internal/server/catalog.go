@@ -59,11 +59,12 @@ type DatasetSpec struct {
 	Columnar bool `json:"columnar,omitempty"`
 }
 
-// EventSpec is one inline event of a registration request.
+// EventSpec is one inline event of a registration request, and one
+// row of a checkpoint's rows file.
 type EventSpec struct {
 	ID       int    `json:"id"`
-	Category string `json:"category"`
-	Time     int64  `json:"time"`
+	Category string `json:"category,omitempty"`
+	Time     int64  `json:"time,omitempty"`
 	WKT      string `json:"wkt"`
 }
 
@@ -257,59 +258,42 @@ func (c *Catalog) Register(ctx *stark.Context, spec DatasetSpec) (*catalogEntry,
 	if err != nil {
 		return nil, err
 	}
-	return c.registerAt(ctx, spec, events, false, 0)
-}
-
-// RegisterEvents is Register with an already-materialised payload —
-// the programmatic preload path, which skips the generator.
-func (c *Catalog) RegisterEvents(ctx *stark.Context, spec DatasetSpec, events []workload.Event) error {
-	_, err := c.registerAt(ctx, spec, events, true, 0)
-	return err
+	return c.registerAt(ctx, spec, events, 0, seedGen(events))
 }
 
 // registerReplayed re-registers a dataset from a WAL register record
 // during recovery, publishing at the recorded catalog generation. The
-// spec is self-contained by construction (logRegister embeds inline
-// payloads), so the rebuild is deterministic.
+// spec is self-contained (inline events ride in it), so the rebuild
+// is deterministic.
 func (c *Catalog) registerReplayed(ctx *stark.Context, spec DatasetSpec, gen int64) error {
 	events, err := spec.buildEvents()
 	if err != nil {
 		return err
 	}
-	_, err = c.registerAt(ctx, spec, events, false, gen)
+	_, err = c.registerAt(ctx, spec, events, gen, seedGen(events))
 	return err
 }
 
-// registerAt is the shared registration body. inline marks events as
-// pre-materialised by the caller (not derivable from spec) — under
-// durability such payloads are embedded into the logged spec so
-// recovery can rebuild the dataset. gen > 0 forces the
-// published catalog generation (recovery replay and checkpoint
-// restore keep the recovered history's numbering); gen == 0 takes the
-// next one. Under durability a live (non-replayed) registration is
+// seedGen is the live generation a mutable dataset's seed events load
+// at: 1, or 0 when it starts empty.
+func seedGen(events []workload.Event) uint64 { return uint64(min(len(events), 1)) }
+
+// registerAt is the shared registration body. gen > 0 forces the
+// published catalog generation (recovery replay and checkpoint restore
+// keep the recovered history's numbering); gen == 0 takes the next
+// one. A mutable dataset loads events at live generation liveGen: the
+// seed generation on registration, the manifest's on checkpoint
+// restore. Under durability a live (non-replayed) registration is
 // write-ahead-logged and fsync'd inside the lock, before the entry
 // becomes visible — a registration the client saw acknowledged
 // survives any crash after this returns.
-func (c *Catalog) registerAt(ctx *stark.Context, spec DatasetSpec, events []workload.Event, inline bool, gen int64) (*catalogEntry, error) {
+func (c *Catalog) registerAt(ctx *stark.Context, spec DatasetSpec, events []workload.Event, gen int64, liveGen uint64) (*catalogEntry, error) {
 	if strings.TrimSpace(spec.Name) == "" {
 		return nil, fmt.Errorf("dataset name must not be empty")
 	}
-	// Under durability an inline payload must ride along in the spec:
-	// it is the only way recovery can rebuild the dataset. Embed it
-	// before the entry is built so checkpoint manifests (which persist
-	// e.spec) are self-contained too.
-	c.mu.RLock()
-	dur := c.dur
-	c.mu.RUnlock()
-	if dur != nil && inline && len(events) > 0 && len(spec.Events) == 0 {
-		spec.Events = make([]EventSpec, len(events))
-		for i, ev := range events {
-			spec.Events[i] = EventSpec{ID: ev.ID, Category: ev.Category, Time: ev.Time, WKT: ev.WKT}
-		}
-	}
 	var e *catalogEntry
 	if spec.Mutable {
-		mds, err := stageMutable(ctx, events, spec)
+		mds, err := stageMutable(ctx, events, spec, liveGen)
 		if err != nil {
 			return nil, err
 		}
@@ -347,8 +331,9 @@ func (c *Catalog) registerAt(ctx *stark.Context, spec DatasetSpec, events []work
 		// log before they apply: the commit hook runs inside the live
 		// dataset's writer lock, after validation and before mutation,
 		// so the acknowledged batch is durable or not applied at all.
-		// (The seed records loaded above predate the hook on purpose —
-		// they are re-derived from the logged spec, not from the log.)
+		// (The records loaded above predate the hook on purpose — they
+		// are re-derived from the logged spec or the checkpoint, not
+		// from the log.)
 		if e.mds != nil {
 			d, name, entryGen := c.dur, spec.Name, e.gen
 			e.mds.OnCommit(func(g uint64, ops []stark.LiveOp[workload.Event]) error {
@@ -358,34 +343,6 @@ func (c *Catalog) registerAt(ctx *stark.Context, spec DatasetSpec, events []work
 	}
 	c.entries[spec.Name] = e
 	return e, nil
-}
-
-// restoreMutable rebuilds a mutable entry from checkpointed records,
-// publishing at the recorded catalog generation with the live
-// generation re-established, so WAL suffix replay lines up. The
-// spatial layout is rebuilt over the restored keys (or the declared
-// data space when empty), mirroring what stageMutable did at original
-// registration.
-func (c *Catalog) restoreMutable(ctx *stark.Context, spec DatasetSpec, gen int64, liveGen uint64, recs []stark.LiveRecord[workload.Event]) error {
-	mds, err := newLive(ctx, spec, liveGen, recs)
-	if err != nil {
-		return err
-	}
-	e := &catalogEntry{spec: spec, mds: mds}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if gen > c.gen {
-		c.gen = gen
-	}
-	e.gen = gen
-	if c.dur != nil {
-		d, name := c.dur, spec.Name
-		e.mds.OnCommit(func(g uint64, ops []stark.LiveOp[workload.Event]) error {
-			return d.logBatch(name, gen, g, ops)
-		})
-	}
-	c.entries[spec.Name] = e
-	return nil
 }
 
 // setDurability installs the write-ahead log. Must run before any
@@ -426,11 +383,7 @@ func (c *Catalog) snapshot() ([]*catalogEntry, int64) {
 // given, the seeded generator otherwise.
 func (spec DatasetSpec) buildEvents() ([]workload.Event, error) {
 	if len(spec.Events) > 0 {
-		events := make([]workload.Event, len(spec.Events))
-		for i, ev := range spec.Events {
-			events[i] = workload.Event{ID: ev.ID, Category: ev.Category, Time: ev.Time, WKT: ev.WKT}
-		}
-		return events, nil
+		return eventsOf(spec.Events), nil
 	}
 	if spec.N <= 0 {
 		if spec.Mutable {
@@ -455,6 +408,15 @@ func (spec DatasetSpec) buildEvents() ([]workload.Event, error) {
 		N: spec.N, Seed: spec.Seed, Dist: dist,
 		Width: spec.Width, Height: spec.Height, TimeRange: spec.TimeRange,
 	}), nil
+}
+
+// eventsOf converts inline or checkpointed events to generator events.
+func eventsOf(specs []EventSpec) []workload.Event {
+	events := make([]workload.Event, len(specs))
+	for i, ev := range specs {
+		events[i] = workload.Event{ID: ev.ID, Category: ev.Category, Time: ev.Time, WKT: ev.WKT}
+	}
+	return events
 }
 
 // catalogRow is the one constructor of resident catalog rows: it
@@ -527,31 +489,24 @@ func stageDataset(ctx *stark.Context, events []workload.Event, spec DatasetSpec)
 // is fixed up front: the spec's partitioner recipe is built over the
 // seed events' keys, or over the corners of the declared data space
 // when the dataset starts empty (the generator's default 1000×1000
-// when no width/height is given). Seed events, if any, are loaded at
-// generation 1 before any commit hook is attached, each event's ID the
-// live record ID, so they can be upserted and deleted over HTTP later.
-func stageMutable(ctx *stark.Context, events []workload.Event, spec DatasetSpec) (*stark.MutableDataset[workload.Event], error) {
+// when no width/height is given). The events are loaded at live
+// generation gen before any commit hook is attached, each event's ID
+// the live record ID, so they can be upserted and deleted over HTTP
+// later.
+func stageMutable(ctx *stark.Context, events []workload.Event, spec DatasetSpec, gen uint64) (*stark.MutableDataset[workload.Event], error) {
 	tuples, err := catalogRows(ctx, len(events), func(i int) workload.Event { return events[i] })
 	if err != nil {
 		return nil, err
 	}
-	recs := make([]stark.LiveRecord[workload.Event], len(tuples))
-	for i, kv := range tuples {
-		recs[i] = stark.LiveRecord[workload.Event]{ID: int64(kv.Value.ID), Key: kv.Key, Value: kv.Value}
-	}
-	return newLive(ctx, spec, uint64(min(len(recs), 1)), recs)
-}
-
-// newLive builds the live dataset of a mutable entry, its layout fixed
-// over the keys of recs, and loads recs at generation gen.
-func newLive(ctx *stark.Context, spec DatasetSpec, gen uint64, recs []stark.LiveRecord[workload.Event]) (*stark.MutableDataset[workload.Event], error) {
 	order, err := parseLiveOrder(spec)
 	if err != nil {
 		return nil, err
 	}
-	keys := make([]stark.STObject, len(recs))
-	for i, r := range recs {
-		keys[i] = r.Key
+	recs := make([]stark.LiveRecord[workload.Event], len(tuples))
+	keys := make([]stark.STObject, len(tuples))
+	for i, kv := range tuples {
+		recs[i] = stark.LiveRecord[workload.Event]{ID: int64(kv.Value.ID), Key: kv.Key, Value: kv.Value}
+		keys[i] = kv.Key
 	}
 	sp, err := buildLiveLayout(spec, keys)
 	if err != nil {

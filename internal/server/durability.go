@@ -104,14 +104,6 @@ type manifestDataset struct {
 	Rows    string      `json:"rows,omitempty"`
 }
 
-// segRecord is one checkpointed live record in the rows file.
-type segRecord struct {
-	ID       int64  `json:"id"`
-	Category string `json:"category,omitempty"`
-	Time     int64  `json:"time,omitempty"`
-	WKT      string `json:"wkt"`
-}
-
 // RecoveryInfo summarises what boot recovery did.
 type RecoveryInfo struct {
 	// Checkpoint is the manifest sequence recovery loaded; 0 = none.
@@ -348,9 +340,9 @@ func (d *Durability) Checkpoint() error {
 		md := manifestDataset{Gen: e.gen, Spec: e.spec}
 		if e.mds != nil {
 			// Sized up front; a batch landing before the barrier only grows them.
-			recs := make([]segRecord, 0, e.mds.Count())
+			recs := make([]EventSpec, 0, e.mds.Count())
 			liveGen := e.mds.EachRecord(func(r stark.LiveRecord[workload.Event]) bool {
-				recs = append(recs, segRecord{ID: r.ID, Category: r.Value.Category, Time: r.Value.Time, WKT: keyWKT(r.Key)})
+				recs = append(recs, EventSpec{ID: int(r.ID), Category: r.Value.Category, Time: r.Value.Time, WKT: keyWKT(r.Key)})
 				return true
 			})
 			rows, err := json.Marshal(recs)
@@ -501,25 +493,14 @@ func (d *Durability) restoreCheckpoint(m *manifest) error {
 		if err != nil {
 			return fmt.Errorf("reading %s: %w", md.Rows, err)
 		}
-		var recs []segRecord
+		var recs []EventSpec
 		if err := json.Unmarshal(rows, &recs); err != nil {
 			return fmt.Errorf("decoding %s: %w", md.Rows, err)
 		}
 		if len(recs) != md.Count {
 			return fmt.Errorf("%q: rows (%d) and manifest (%d) disagree", md.Spec.Name, len(recs), md.Count)
 		}
-		tuples, err := catalogRows(d.s.ctx, len(recs), func(i int) workload.Event {
-			r := recs[i]
-			return workload.Event{ID: int(r.ID), Category: r.Category, Time: r.Time, WKT: r.WKT}
-		})
-		if err != nil {
-			return fmt.Errorf("%q: %w", md.Spec.Name, err)
-		}
-		live := make([]stark.LiveRecord[workload.Event], len(recs))
-		for i, kv := range tuples {
-			live[i] = stark.LiveRecord[workload.Event]{ID: recs[i].ID, Key: kv.Key, Value: kv.Value}
-		}
-		if err := d.s.catalog.restoreMutable(d.s.ctx, md.Spec, md.Gen, md.LiveGen, live); err != nil {
+		if _, err := d.s.catalog.registerAt(d.s.ctx, md.Spec, eventsOf(recs), md.Gen, md.LiveGen); err != nil {
 			return fmt.Errorf("restoring %q: %w", md.Spec.Name, err)
 		}
 		d.recovered.Datasets++

@@ -608,7 +608,7 @@ func addTreeFiles(t *testing.T, dir string, seq int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var recs []segRecord
+		var recs []EventSpec
 		if err := json.Unmarshal(rows, &recs); err != nil {
 			t.Fatal(err)
 		}

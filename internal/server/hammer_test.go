@@ -17,6 +17,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"stark/internal/engine"
 )
 
 func TestServiceHammer(t *testing.T) {
@@ -123,16 +125,16 @@ func TestServiceHammer(t *testing.T) {
 	if rec := postV1Query(t, s, windowQuery("")); rec.Code != http.StatusOK {
 		t.Fatalf("post-hammer warm query status = %d", rec.Code)
 	}
-	before := ctx.Metrics().Snapshot()
+	before := ctx.Recorder().Snapshot()
 	rec := postV1Query(t, s, windowQuery(""))
-	after := ctx.Metrics().Snapshot()
+	after := ctx.Recorder().Snapshot()
 	if rec.Code != http.StatusOK {
 		t.Fatalf("post-hammer hot query status = %d", rec.Code)
 	}
 	if _, sum := ndjsonResponse(t, rec.Body.Bytes()); sum.Cache != "hit" {
 		t.Errorf("post-hammer hot query not cached: %+v", sum)
 	}
-	if d := after.ElementsScanned - before.ElementsScanned; d != 0 {
+	if d := after[engine.ElementsScanned] - before[engine.ElementsScanned]; d != 0 {
 		t.Errorf("post-hammer cache hit scanned %d elements, want 0", d)
 	}
 }

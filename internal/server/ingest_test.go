@@ -169,7 +169,7 @@ func TestIngestRejectsAndLimits(t *testing.T) {
 
 	// An immutable dataset rejects ingestion with 409.
 	events := workload.Events(workload.Config{N: 20, Seed: 3, Width: 100, Height: 100})
-	if err := s.catalog.RegisterEvents(s.ctx, DatasetSpec{Name: "frozen"}, events); err != nil {
+	if _, err := s.catalog.Register(s.ctx, withEvents(DatasetSpec{Name: "frozen"}, events)); err != nil {
 		t.Fatal(err)
 	}
 	rec = ingestNDJSON(t, s, "frozen", `{"id":1,"wkt":"POINT (1 1)"}`)
@@ -424,7 +424,7 @@ func TestIngestQueryHammer(t *testing.T) {
 		gotIDs[int(f["properties"].(map[string]interface{})["id"].(float64))] = true
 	}
 	survivors := seedEventsRange((batches-2)*batchSize, batches*batchSize)
-	if err := s.catalog.RegisterEvents(s.ctx, DatasetSpec{Name: "rebuilt", Partitioner: "grid:4"}, survivors); err != nil {
+	if _, err := s.catalog.Register(s.ctx, withEvents(DatasetSpec{Name: "rebuilt", Partitioner: "grid:4"}, survivors)); err != nil {
 		t.Fatal(err)
 	}
 	rq := allQuery("rebuilt")

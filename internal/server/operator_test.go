@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"stark"
+	"stark/internal/engine"
 	"stark/internal/geom"
 	"stark/internal/workload"
 )
@@ -230,7 +231,7 @@ func TestKNNClauseStopsWithTheClient(t *testing.T) {
 	s := NewService(stark.NewContext(4), Options{})
 	operatorLayouts(t, s)
 	for _, name := range []string{"grid", "indexed"} {
-		before := s.ctx.Metrics().Snapshot()
+		before := s.ctx.Recorder().Snapshot()
 		data, err := marshalQuery(ServiceQueryRequest{Dataset: name, QueryRequest: QueryRequest{WKT: "POINT (50 50)"}, KNN: &KNNClause{K: 5}})
 		if err != nil {
 			t.Fatal(err)
@@ -239,11 +240,11 @@ func TestKNNClauseStopsWithTheClient(t *testing.T) {
 		cancel()
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/query", bytes.NewReader(data)).WithContext(ctx))
-		after := s.ctx.Metrics().Snapshot()
-		if launched := after.TasksLaunched - before.TasksLaunched; launched != 0 {
+		after := s.ctx.Recorder().Snapshot()
+		if launched := after[engine.TasksLaunched] - before[engine.TasksLaunched]; launched != 0 {
 			t.Errorf("%s: a cancelled kNN launched %d tasks", name, launched)
 		}
-		if scanned := after.ElementsScanned - before.ElementsScanned; scanned != 0 {
+		if scanned := after[engine.ElementsScanned] - before[engine.ElementsScanned]; scanned != 0 {
 			t.Errorf("%s: a cancelled kNN scanned %d elements", name, scanned)
 		}
 		if rec.Body.Len() != 0 {

@@ -110,12 +110,6 @@ func (s *Server) Register(spec DatasetSpec) error {
 	return err
 }
 
-// RegisterEvents publishes already-materialised events under
-// spec.Name with spec's layout, skipping the generator.
-func (s *Server) RegisterEvents(spec DatasetSpec, events []workload.Event) error {
-	return s.catalog.RegisterEvents(s.ctx, spec, events)
-}
-
 // ServeHTTP implements http.Handler: every request flows through the
 // observability middleware (request ID, access log, per-route latency
 // histogram, slow-query log) into the route mux.

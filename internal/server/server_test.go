@@ -314,9 +314,18 @@ func datasetStats(t testing.TB, s *Server, name string) (events int64, planner m
 	return body.Dataset.Events, body.Planner
 }
 
+// withEvents returns spec carrying events as its inline payload.
+func withEvents(spec DatasetSpec, events []workload.Event) DatasetSpec {
+	spec.Events = make([]EventSpec, len(events))
+	for i, ev := range events {
+		spec.Events[i] = EventSpec{ID: ev.ID, Category: ev.Category, Time: ev.Time, WKT: ev.WKT}
+	}
+	return spec
+}
+
 func TestRegisterEventsRejectsBadWKT(t *testing.T) {
 	s := NewService(engine.NewContext(2), Options{})
-	if err := s.RegisterEvents(DatasetSpec{Name: DefaultDataset}, []workload.Event{{ID: 1, WKT: "NOT WKT"}}); err == nil {
+	if err := s.Register(withEvents(DatasetSpec{Name: DefaultDataset}, []workload.Event{{ID: 1, WKT: "NOT WKT"}})); err == nil {
 		t.Error("bad events must fail")
 	}
 	if s.HasDataset(DefaultDataset) {
@@ -438,7 +447,7 @@ func TestExplainEndpoint(t *testing.T) {
 
 func TestStatsComputedOnce(t *testing.T) {
 	s := testServer(t, 200)
-	launched0 := s.ctx.Metrics().Snapshot().TasksLaunched
+	launched0 := s.ctx.Recorder().Snapshot()[engine.TasksLaunched]
 	for i := 0; i < 3; i++ {
 		if events, _ := datasetStats(t, s, DefaultDataset); events != 200 {
 			t.Errorf("events = %v", events)
@@ -446,7 +455,7 @@ func TestStatsComputedOnce(t *testing.T) {
 	}
 	// Serving stats launches no tasks: the count and summary were
 	// computed at construction, not per request.
-	if launched := s.ctx.Metrics().Snapshot().TasksLaunched; launched != launched0 {
+	if launched := s.ctx.Recorder().Snapshot()[engine.TasksLaunched]; launched != launched0 {
 		t.Errorf("stats requests launched %d tasks", launched-launched0)
 	}
 }

@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"stark"
+	"stark/internal/engine"
 	"stark/internal/plan"
 	"stark/internal/workload"
 )
@@ -446,12 +447,17 @@ func (s *Server) handleServiceStats(w http.ResponseWriter, r *http.Request) {
 	if s.dur != nil {
 		durability = s.dur.status()
 	}
+	totals := s.ctx.Recorder().Snapshot()
+	counters := make(map[string]int64, engine.NumCounters)
+	for c := range engine.NumCounters {
+		counters[c.String()] = totals[c]
+	}
 	writeJSON(w, map[string]interface{}{
 		"durability":     durability,
 		"cache":          s.cache.Stats(),
 		"admission":      s.adm.Stats(),
 		"datasets":       len(s.catalog.List()),
-		"engine":         s.ctx.Metrics().Snapshot(),
+		"engine":         counters,
 		"startTime":      s.tel.start.UTC().Format(time.RFC3339),
 		"uptimeSeconds":  time.Since(s.tel.start).Seconds(),
 		"goroutines":     runtime.NumGoroutine(),

@@ -24,7 +24,7 @@ func testService(t *testing.T, n int, opts Options) (*Server, *stark.Context) {
 	ctx := engine.NewContext(4)
 	s := NewService(ctx, opts)
 	events := workload.Events(workload.Config{N: n, Seed: 11, Width: 100, Height: 100, TimeRange: 1000})
-	if err := s.catalog.RegisterEvents(ctx, DatasetSpec{Name: DefaultDataset}, events); err != nil {
+	if _, err := s.catalog.Register(ctx, withEvents(DatasetSpec{Name: DefaultDataset}, events)); err != nil {
 		t.Fatal(err)
 	}
 	return s, ctx
@@ -114,9 +114,9 @@ func TestQueryV1CacheHitSkipsEngineEntirely(t *testing.T) {
 	}
 	firstFeatures, firstSum := ndjsonResponse(t, first.Body.Bytes())
 
-	before := ctx.Metrics().Snapshot()
+	before := ctx.Recorder().Snapshot()
 	second := postV1Query(t, s, q)
-	after := ctx.Metrics().Snapshot()
+	after := ctx.Recorder().Snapshot()
 	if second.Code != http.StatusOK {
 		t.Fatalf("hit status = %d", second.Code)
 	}
@@ -126,10 +126,10 @@ func TestQueryV1CacheHitSkipsEngineEntirely(t *testing.T) {
 		t.Fatalf("repeated query not served from cache: %+v", secondSum)
 	}
 	// The acceptance bar: a cache hit schedules no engine work at all.
-	if d := after.ElementsScanned - before.ElementsScanned; d != 0 {
+	if d := after[engine.ElementsScanned] - before[engine.ElementsScanned]; d != 0 {
 		t.Errorf("cache hit scanned %d elements, want 0", d)
 	}
-	if d := after.TasksLaunched - before.TasksLaunched; d != 0 {
+	if d := after[engine.TasksLaunched] - before[engine.TasksLaunched]; d != 0 {
 		t.Errorf("cache hit launched %d tasks, want 0", d)
 	}
 	// Cached results are byte-for-byte the uncached results.
@@ -162,19 +162,19 @@ func TestQueryV1ReRegisterInvalidatesCache(t *testing.T) {
 
 	// Re-register the same logical dataset: a new generation.
 	events := workload.Events(workload.Config{N: 500, Seed: 11, Width: 100, Height: 100, TimeRange: 1000})
-	if err := s.catalog.RegisterEvents(ctx, DatasetSpec{Name: DefaultDataset}, events); err != nil {
+	if _, err := s.catalog.Register(ctx, withEvents(DatasetSpec{Name: DefaultDataset}, events)); err != nil {
 		t.Fatal(err)
 	}
-	before := ctx.Metrics().Snapshot()
+	before := ctx.Recorder().Snapshot()
 	_, sum := ndjsonResponse(t, postV1Query(t, s, q).Body.Bytes())
-	after := ctx.Metrics().Snapshot()
+	after := ctx.Recorder().Snapshot()
 	if sum.Cache != "miss" {
 		t.Errorf("query after re-register served stale cache entry: %+v", sum)
 	}
 	if sum.Fingerprint == hitSum.Fingerprint {
 		t.Error("fingerprint unchanged across re-registration")
 	}
-	if after.ElementsScanned == before.ElementsScanned {
+	if after[engine.ElementsScanned] == before[engine.ElementsScanned] {
 		t.Error("query after re-register did not rescan")
 	}
 }
@@ -182,7 +182,7 @@ func TestQueryV1ReRegisterInvalidatesCache(t *testing.T) {
 func TestQueryV1NamedDatasets(t *testing.T) {
 	s, ctx := testService(t, 200, Options{})
 	events := workload.Events(workload.Config{N: 100, Seed: 7, Width: 100, Height: 100, TimeRange: 1000})
-	if err := s.catalog.RegisterEvents(ctx, DatasetSpec{Name: "other", Partitioner: "grid:4", Index: "live:8"}, events); err != nil {
+	if _, err := s.catalog.Register(ctx, withEvents(DatasetSpec{Name: "other", Partitioner: "grid:4", Index: "live:8"}, events)); err != nil {
 		t.Fatal(err)
 	}
 	_, sumDefault := ndjsonResponse(t, postV1Query(t, s, windowQuery("")).Body.Bytes())
@@ -495,11 +495,11 @@ func TestJoinThroughQueryV1(t *testing.T) {
 	// decided spatially; the right side is small enough that the
 	// cost model broadcasts it.
 	left := workload.Events(workload.Config{N: 300, Seed: 13, Width: 100, Height: 100, TimeRange: 1})
-	if err := s.catalog.RegisterEvents(s.ctx, DatasetSpec{Name: "left"}, left); err != nil {
+	if _, err := s.catalog.Register(s.ctx, withEvents(DatasetSpec{Name: "left"}, left)); err != nil {
 		t.Fatal(err)
 	}
 	small := workload.Events(workload.Config{N: 40, Seed: 12, Width: 100, Height: 100, TimeRange: 1})
-	if err := s.catalog.RegisterEvents(s.ctx, DatasetSpec{Name: "small"}, small); err != nil {
+	if _, err := s.catalog.Register(s.ctx, withEvents(DatasetSpec{Name: "small"}, small)); err != nil {
 		t.Fatal(err)
 	}
 	req := ServiceQueryRequest{

@@ -76,7 +76,7 @@ func splitSummary(t *testing.T, reply []byte) (body []byte, sum ndjsonSummary) {
 func TestQueryV1GoldenBody(t *testing.T) {
 	ctx := engine.NewContext(2)
 	s := NewService(ctx, Options{})
-	if err := s.catalog.RegisterEvents(ctx, DatasetSpec{Name: "golden"}, goldenEvents); err != nil {
+	if _, err := s.catalog.Register(ctx, withEvents(DatasetSpec{Name: "golden"}, goldenEvents)); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"miss", "hit"} {
@@ -162,7 +162,7 @@ func TestQueryV1MissHitAndOracleBodiesAgree(t *testing.T) {
 	// A join pair is the left feature with the right record folded in.
 	for _, name := range []string{"left", "right"} {
 		events := workload.Events(workload.Config{N: 250, Seed: int64(len(name)), Width: 100, Height: 100, TimeRange: 1})
-		if err := s.catalog.RegisterEvents(ctx, DatasetSpec{Name: name, Partitioner: "grid:2"}, events); err != nil {
+		if _, err := s.catalog.Register(ctx, withEvents(DatasetSpec{Name: name, Partitioner: "grid:2"}, events)); err != nil {
 			t.Fatal(err)
 		}
 	}

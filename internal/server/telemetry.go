@@ -86,27 +86,10 @@ func newTelemetry(s *Server, logger *slog.Logger, slowMs int64) *Telemetry {
 		func() float64 { return float64(s.adm.Stats().Waiting) })
 
 	// Engine counters, including the live-ingest batch/mutation rates.
-	engineCounters := []struct {
-		name string
-		get  func(engine.MetricsSnapshot) int64
-	}{
-		{"tasks_launched", func(m engine.MetricsSnapshot) int64 { return m.TasksLaunched }},
-		{"tasks_skipped", func(m engine.MetricsSnapshot) int64 { return m.TasksSkipped }},
-		{"elements_scanned", func(m engine.MetricsSnapshot) int64 { return m.ElementsScanned }},
-		{"shuffled_records", func(m engine.MetricsSnapshot) int64 { return m.ShuffledRecords }},
-		{"index_probes", func(m engine.MetricsSnapshot) int64 { return m.IndexProbes }},
-		{"candidates_refined", func(m engine.MetricsSnapshot) int64 { return m.CandidatesRefined }},
-		{"stats_records", func(m engine.MetricsSnapshot) int64 { return m.StatsRecords }},
-		{"live_batches", func(m engine.MetricsSnapshot) int64 { return m.LiveBatches }},
-		{"live_mutations", func(m engine.MetricsSnapshot) int64 { return m.LiveMutations }},
-		{"kernel_batches", func(m engine.MetricsSnapshot) int64 { return m.KernelBatches }},
-		{"kernel_survivors", func(m engine.MetricsSnapshot) int64 { return m.KernelSurvivors }},
-	}
-	for _, ec := range engineCounters {
-		get := ec.get
-		reg.CounterFunc("stark_engine_"+ec.name+"_total",
-			"Engine counter "+ec.name+" (context totals across all jobs).",
-			func() int64 { return get(s.ctx.Metrics().Snapshot()) })
+	for c := range engine.NumCounters {
+		reg.CounterFunc("stark_engine_"+c.String()+"_total",
+			"Engine counter "+c.String()+" (context totals across all jobs).",
+			func() int64 { return s.ctx.Recorder().Snapshot()[c] })
 	}
 
 	// Go runtime.

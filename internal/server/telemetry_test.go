@@ -252,6 +252,66 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
+// TestMetricsEngineFamilies pins the engine block of /metrics: exactly
+// the eleven stark_engine_<counter>_total families, each with its HELP
+// and TYPE line, in name order, and /api/service's engine object keyed
+// by the same names.
+func TestMetricsEngineFamilies(t *testing.T) {
+	s, _ := testService(t, 500, Options{})
+	postV1Query(t, s, windowQuery(""))
+	names := []string{
+		"candidates_refined", "elements_scanned", "index_probes",
+		"kernel_batches", "kernel_survivors", "live_batches",
+		"live_mutations", "shuffled_records", "stats_records",
+		"tasks_launched", "tasks_skipped",
+	}
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	var got []string
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if strings.Contains(line, "stark_engine_") {
+			got = append(got, line)
+		}
+	}
+	sample := regexp.MustCompile(`^stark_engine_[a-z_]+_total [0-9]+$`)
+	if len(got) != 3*len(names) {
+		t.Fatalf("/metrics has %d stark_engine_ lines, want %d:\n%s", len(got), 3*len(names), strings.Join(got, "\n"))
+	}
+	for i, name := range names {
+		family := "stark_engine_" + name + "_total"
+		want := []string{
+			"# HELP " + family + " Engine counter " + name + " (context totals across all jobs).",
+			"# TYPE " + family + " counter",
+		}
+		if got[3*i] != want[0] || got[3*i+1] != want[1] {
+			t.Errorf("family %s: header\n%s\n%s\nwant\n%s\n%s", family, got[3*i], got[3*i+1], want[0], want[1])
+		}
+		if !strings.HasPrefix(got[3*i+2], family+" ") || !sample.MatchString(got[3*i+2]) {
+			t.Errorf("family %s: sample %q", family, got[3*i+2])
+		}
+	}
+
+	rec = httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/service", nil))
+	var stats struct {
+		Engine map[string]int64 `json:"engine"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
+		t.Fatal(err)
+	}
+	if len(stats.Engine) != len(names) {
+		t.Errorf("/api/service engine = %v, want the %d counters", stats.Engine, len(names))
+	}
+	for _, name := range names {
+		if _, ok := stats.Engine[name]; !ok {
+			t.Errorf("/api/service engine has no %q", name)
+		}
+	}
+	if stats.Engine["elements_scanned"] <= 0 {
+		t.Errorf("/api/service engine elements_scanned = %d, want > 0", stats.Engine["elements_scanned"])
+	}
+}
+
 // scrapeCounter fetches one un-labelled sample value off /metrics.
 func scrapeCounter(t *testing.T, s *Server, name string) float64 {
 	t.Helper()

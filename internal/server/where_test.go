@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"stark/internal/engine"
 	"stark/internal/workload"
 )
 
@@ -68,9 +69,9 @@ func TestQueryV1WhereCacheHit(t *testing.T) {
 		t.Fatalf("first where query cache = %q, want miss", firstSum.Cache)
 	}
 
-	before := ctx.Metrics().Snapshot()
+	before := ctx.Recorder().Snapshot()
 	second := postV1Query(t, s, q)
-	after := ctx.Metrics().Snapshot()
+	after := ctx.Recorder().Snapshot()
 	secondFeatures, secondSum := ndjsonResponse(t, second.Body.Bytes())
 	if secondSum.Cache != "hit" || second.Header().Get("X-Stark-Cache") != "hit" {
 		t.Fatalf("repeated where query not served from cache: %+v", secondSum)
@@ -79,7 +80,7 @@ func TestQueryV1WhereCacheHit(t *testing.T) {
 		t.Errorf("fingerprint drifted across identical requests: %q vs %q",
 			firstSum.Fingerprint, secondSum.Fingerprint)
 	}
-	if d := after.ElementsScanned - before.ElementsScanned; d != 0 {
+	if d := after[engine.ElementsScanned] - before[engine.ElementsScanned]; d != 0 {
 		t.Errorf("cache hit scanned %d elements, want 0", d)
 	}
 	if len(secondFeatures) != len(firstFeatures) {

@@ -125,7 +125,7 @@ func CollectFields[V any](ds *engine.Dataset[engine.Pair[stobject.STObject, V]],
 	for p := range accs {
 		accs[p].ps.MBR = geom.EmptyEnvelope()
 	}
-	metrics := ds.Context().Metrics()
+	rec := ds.Context().Recorder()
 	err := ds.Context().RunJob(visit, func(p int) error {
 		a := accs[p]
 		if len(fields) > 0 {
@@ -168,7 +168,7 @@ func CollectFields[V any](ds *engine.Dataset[engine.Pair[stobject.STObject, V]],
 		if err != nil {
 			return err
 		}
-		metrics.StatsRecords.Add(a.ps.Count)
+		rec.Add(engine.StatsRecords, a.ps.Count)
 		accs[p] = a
 		return nil
 	})

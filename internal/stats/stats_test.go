@@ -54,11 +54,11 @@ func TestCollectSummary(t *testing.T) {
 	if sum.TimeMin != 0 || sum.TimeMax != 3099 {
 		t.Errorf("global time = [%d, %d]", sum.TimeMin, sum.TimeMax)
 	}
-	if got := ctx.Metrics().Snapshot().StatsRecords; got != 400 {
+	if got := ctx.Recorder().Snapshot()[engine.StatsRecords]; got != 400 {
 		t.Errorf("StatsRecords = %d, want 400", got)
 	}
-	if snap := ctx.Metrics().Snapshot(); snap.ElementsScanned != 0 {
-		t.Errorf("stats pass charged ElementsScanned = %d, want 0", snap.ElementsScanned)
+	if snap := ctx.Recorder().Snapshot(); snap[engine.ElementsScanned] != 0 {
+		t.Errorf("stats pass charged ElementsScanned = %d, want 0", snap[engine.ElementsScanned])
 	}
 }
 

@@ -94,16 +94,6 @@ func FromWKTWithInterval(wkt string, begin, end temporal.Instant) (STObject, err
 	return NewWithInterval(g, iv), nil
 }
 
-// MustFromWKT is FromWKT but panics on error; for literals in tests
-// and examples.
-func MustFromWKT(wkt string) STObject {
-	o, err := FromWKT(wkt)
-	if err != nil {
-		panic(err)
-	}
-	return o
-}
-
 // Point returns the spatial component of a point key.
 func (o STObject) Point() (geom.Point, bool) {
 	return geom.Point{X: o.x, Y: o.y}, o.flags&isPoint != 0
@@ -299,10 +289,7 @@ var (
 	Intersects  Predicate = func(o, p STObject) bool { return o.Intersects(p) }
 	Contains    Predicate = func(o, p STObject) bool { return o.Contains(p) }
 	ContainedBy Predicate = func(o, p STObject) bool { return o.ContainedBy(p) }
-	Covers      Predicate = func(o, p STObject) bool { return o.Covers(p) }
 	CoveredBy   Predicate = func(o, p STObject) bool { return o.CoveredBy(p) }
-	Touches     Predicate = func(o, p STObject) bool { return o.Touches(p) }
-	Overlaps    Predicate = func(o, p STObject) bool { return o.Overlaps(p) }
 )
 
 // WithinDistancePredicate returns a Predicate testing WithinDistance

@@ -13,6 +13,15 @@ import (
 
 func pointAt(x, y float64) STObject { return New(geom.NewPoint(x, y)) }
 
+// mustFromWKT parses a WKT literal, panicking on error.
+func mustFromWKT(wkt string) STObject {
+	o, err := FromWKT(wkt)
+	if err != nil {
+		panic(err)
+	}
+	return o
+}
+
 func timedPoint(x, y float64, t temporal.Instant) STObject {
 	return NewWithTime(geom.NewPoint(x, y), t)
 }
@@ -55,7 +64,7 @@ func TestConstructors(t *testing.T) {
 func TestCombinedSemanticsBothUntimed(t *testing.T) {
 	// (2): both temporal components undefined → spatial only.
 	a := pointAt(1, 1)
-	poly := MustFromWKT("POLYGON ((0 0, 2 0, 2 2, 0 2, 0 0))")
+	poly := mustFromWKT("POLYGON ((0 0, 2 0, 2 2, 0 2, 0 0))")
 	if !a.Intersects(poly) {
 		t.Error("untimed spatial intersection must hold")
 	}
@@ -93,7 +102,7 @@ func TestCombinedSemanticsMixed(t *testing.T) {
 	if untimed.Intersects(timed) {
 		t.Error("mixed pair must not intersect (reversed)")
 	}
-	poly := MustFromWKT("POLYGON ((0 0, 2 0, 2 2, 0 2, 0 0))")
+	poly := mustFromWKT("POLYGON ((0 0, 2 0, 2 2, 0 2, 0 0))")
 	if poly.Contains(timed) {
 		t.Error("untimed polygon must not contain timed point")
 	}
@@ -101,7 +110,7 @@ func TestCombinedSemanticsMixed(t *testing.T) {
 
 func TestContainedByReverse(t *testing.T) {
 	p := pointAt(1, 1)
-	poly := MustFromWKT("POLYGON ((0 0, 2 0, 2 2, 0 2, 0 0))")
+	poly := mustFromWKT("POLYGON ((0 0, 2 0, 2 2, 0 2, 0 0))")
 	if !p.ContainedBy(poly) {
 		t.Error("point must be containedBy polygon")
 	}
@@ -178,12 +187,12 @@ func TestEmptyAndString(t *testing.T) {
 }
 
 func TestPredicateValues(t *testing.T) {
-	poly := MustFromWKT("POLYGON ((0 0, 2 0, 2 2, 0 2, 0 0))")
+	poly := mustFromWKT("POLYGON ((0 0, 2 0, 2 2, 0 2, 0 0))")
 	inner := pointAt(1, 1)
 	if !Intersects(inner, poly) || !Contains(poly, inner) || !ContainedBy(inner, poly) {
 		t.Error("canonical predicates disagree with methods")
 	}
-	if !Covers(poly, pointAt(0, 0)) || !CoveredBy(pointAt(0, 0), poly) {
+	if !poly.Covers(pointAt(0, 0)) || !CoveredBy(pointAt(0, 0), poly) {
 		t.Error("covers predicates disagree")
 	}
 	wd := WithinDistancePredicate(5, nil)
@@ -249,17 +258,14 @@ func randomST(rng *rand.Rand) STObject {
 }
 
 func TestTouchesAndOverlaps(t *testing.T) {
-	a := MustFromWKT("POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0))")
-	edge := MustFromWKT("POLYGON ((10 0, 20 0, 20 10, 10 10, 10 0))")
-	partial := MustFromWKT("POLYGON ((5 5, 15 5, 15 15, 5 15, 5 5))")
+	a := mustFromWKT("POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0))")
+	edge := mustFromWKT("POLYGON ((10 0, 20 0, 20 10, 10 10, 10 0))")
+	partial := mustFromWKT("POLYGON ((5 5, 15 5, 15 15, 5 15, 5 5))")
 	if !a.Touches(edge) || a.Overlaps(edge) {
 		t.Error("edge-sharing polygons: touches, not overlaps")
 	}
 	if a.Touches(partial) || !a.Overlaps(partial) {
 		t.Error("partially overlapping polygons: overlaps, not touches")
-	}
-	if !Touches(a, edge) || !Overlaps(a, partial) {
-		t.Error("predicate values disagree with methods")
 	}
 	// Temporal gating: co-located but temporally disjoint pairs fail.
 	ta := NewWithInterval(a.Geo(), temporal.MustInterval(0, 10))
@@ -323,7 +329,7 @@ func TestPointKeyEquivalence(t *testing.T) {
 	}
 	preds := map[string]Predicate{
 		"intersects": Intersects, "contains": Contains, "containedby": ContainedBy,
-		"covers": Covers, "coveredby": CoveredBy, "touches": Touches, "overlaps": Overlaps,
+		"covers": STObject.Covers, "coveredby": CoveredBy, "touches": STObject.Touches, "overlaps": STObject.Overlaps,
 		"within0": WithinDistancePredicate(0, nil), "within1": WithinDistancePredicate(1, nil),
 		"within2.5": WithinDistancePredicate(2.5, nil), "manhattan2": WithinDistancePredicate(2, manhattan),
 	}
@@ -376,8 +382,8 @@ func TestPointKeyEquivalence(t *testing.T) {
 func TestPointKeyPredicatesAllocateNothing(t *testing.T) {
 	key := timedPoint(1, 2, 5)
 	for _, q := range []STObject{
-		NewWithInterval(MustFromWKT("POLYGON ((0 0, 4 0, 2 4, 0 0))").Geo(), temporal.MustInterval(0, 10)),
-		NewWithInterval(MustFromWKT("POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))").Geo(), temporal.MustInterval(0, 10)),
+		NewWithInterval(mustFromWKT("POLYGON ((0 0, 4 0, 2 4, 0 0))").Geo(), temporal.MustInterval(0, 10)),
+		NewWithInterval(mustFromWKT("POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))").Geo(), temporal.MustInterval(0, 10)),
 		timedPoint(1, 2, 5),
 	} {
 		var hits int

@@ -9,19 +9,10 @@
 // instant t is the degenerate interval [t, t].
 package temporal
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Instant is a point on the timeline.
 type Instant int64
-
-// MinInstant and MaxInstant bound the timeline.
-const (
-	MinInstant Instant = math.MinInt64
-	MaxInstant Instant = math.MaxInt64
-)
 
 // Interval is a closed interval [Start, End] on the timeline.
 // Start must be <= End.
@@ -53,9 +44,6 @@ func At(t Instant) Interval { return Interval{Start: t, End: t} }
 // IsInstant reports whether the interval is degenerate.
 func (iv Interval) IsInstant() bool { return iv.Start == iv.End }
 
-// Length returns End - Start.
-func (iv Interval) Length() int64 { return int64(iv.End - iv.Start) }
-
 // Intersects reports whether the two closed intervals share at least
 // one instant.
 func (iv Interval) Intersects(o Interval) bool {
@@ -66,46 +54,6 @@ func (iv Interval) Intersects(o Interval) bool {
 // contact allowed, matching closed-interval semantics).
 func (iv Interval) Contains(o Interval) bool {
 	return iv.Start <= o.Start && o.End <= iv.End
-}
-
-// ContainsInstant reports whether t lies within the closed interval.
-func (iv Interval) ContainsInstant(t Instant) bool {
-	return iv.Start <= t && t <= iv.End
-}
-
-// Before reports whether iv ends strictly before o begins.
-func (iv Interval) Before(o Interval) bool { return iv.End < o.Start }
-
-// After reports whether iv begins strictly after o ends.
-func (iv Interval) After(o Interval) bool { return iv.Start > o.End }
-
-// Meets reports whether iv ends exactly where o begins.
-func (iv Interval) Meets(o Interval) bool { return iv.End == o.Start }
-
-// Union returns the smallest interval covering both.
-func (iv Interval) Union(o Interval) Interval {
-	return Interval{Start: minInstant(iv.Start, o.Start), End: maxInstant(iv.End, o.End)}
-}
-
-// Intersection returns the overlap and whether it is non-empty.
-func (iv Interval) Intersection(o Interval) (Interval, bool) {
-	if !iv.Intersects(o) {
-		return Interval{}, false
-	}
-	return Interval{Start: maxInstant(iv.Start, o.Start), End: minInstant(iv.End, o.End)}, true
-}
-
-// Distance returns the gap between the intervals; 0 when they
-// intersect.
-func (iv Interval) Distance(o Interval) int64 {
-	switch {
-	case iv.Before(o):
-		return int64(o.Start - iv.End)
-	case iv.After(o):
-		return int64(iv.Start - o.End)
-	default:
-		return 0
-	}
 }
 
 // String renders the interval for diagnostics.
@@ -126,20 +74,3 @@ func Intersects(a, b Interval) bool { return a.Intersects(b) }
 
 // Contains is the Predicate form of Interval.Contains.
 func Contains(a, b Interval) bool { return a.Contains(b) }
-
-// ContainedBy reports whether a lies entirely within b.
-func ContainedBy(a, b Interval) bool { return b.Contains(a) }
-
-func minInstant(a, b Instant) Instant {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInstant(a, b Instant) Instant {
-	if a > b {
-		return a
-	}
-	return b
-}

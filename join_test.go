@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"stark"
+	"stark/internal/engine"
 )
 
 // latticeTuples returns side×side points at the cell centres of the
@@ -38,7 +39,7 @@ func TestJoinHonoursInputPruning(t *testing.T) {
 	// One cell of the 4×4 grid: the 10×10 points with x, y < 10.
 	window := stark.NewSTObject(stark.NewEnvelope(0, 0, 10, 10).ToPolygon())
 	for _, strategy := range joinStrategies {
-		ctx.Metrics().Reset()
+		before := ctx.Recorder().Snapshot()
 		n, err := stark.Join(left.Intersects(window), right, stark.JoinOptions{IndexOrder: -1, Strategy: strategy}).Count()
 		if err != nil {
 			t.Fatal(err)
@@ -46,7 +47,7 @@ func TestJoinHonoursInputPruning(t *testing.T) {
 		if n != 100 {
 			t.Errorf("%v: %d pairs, want the 100 identity pairs of the window", strategy, n)
 		}
-		if scanned := ctx.Metrics().Snapshot().ElementsScanned; scanned >= int64(len(tuples)) {
+		if scanned := ctx.Recorder().Snapshot().Sub(before)[engine.ElementsScanned]; scanned >= int64(len(tuples)) {
 			t.Errorf("%v: %d elements scanned for a window over one of 16 partitions of %d rows", strategy, scanned, len(tuples))
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"stark"
+	"stark/internal/engine"
 )
 
 // clusteredTuples builds n records in 8 tight spatial clusters laid
@@ -45,7 +46,7 @@ func TestPlannerPrunesWithoutPartitioner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	naiveScanned := naiveCtx.Metrics().Snapshot().ElementsScanned
+	naiveScanned := naiveCtx.Recorder().Snapshot()[engine.ElementsScanned]
 	if naiveScanned != 4000 {
 		t.Fatalf("naive run scanned %d elements, want the full 4000", naiveScanned)
 	}
@@ -57,12 +58,12 @@ func TestPlannerPrunesWithoutPartitioner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := planCtx.Metrics().Snapshot()
-	if snap.ElementsScanned >= naiveScanned {
+	snap := planCtx.Recorder().Snapshot()
+	if snap[engine.ElementsScanned] >= naiveScanned {
 		t.Errorf("planned run scanned %d elements, naive %d — no pruning win",
-			snap.ElementsScanned, naiveScanned)
+			snap[engine.ElementsScanned], naiveScanned)
 	}
-	if snap.TasksSkipped == 0 {
+	if snap[engine.TasksSkipped] == 0 {
 		t.Error("planned run skipped no partitions")
 	}
 	if len(planned) == 0 || len(planned) != len(naive) {

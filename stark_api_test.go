@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"stark"
+	"stark/internal/engine"
 	"stark/internal/workload"
 )
 
@@ -230,12 +231,12 @@ func TestPartitionPruningAtAction(t *testing.T) {
 	if err := parted.Run(); err != nil {
 		t.Fatal(err)
 	}
-	before := ctx.Metrics().Snapshot().TasksSkipped
+	before := ctx.Recorder().Snapshot()[engine.TasksSkipped]
 	got, err := parted.Intersects(q).Collect()
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := ctx.Metrics().Snapshot().TasksSkipped
+	after := ctx.Recorder().Snapshot()[engine.TasksSkipped]
 	if after <= before {
 		t.Errorf("no partitions pruned (skipped %d -> %d)", before, after)
 	}
