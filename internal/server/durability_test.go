@@ -762,3 +762,43 @@ func TestPeriodicCheckpointTicker(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCheckpointRowsFileFormat pins the bytes of a checkpoint rows
+// file: a JSON array of registration events with id and wkt always,
+// category and time only when set, and the text rendered from the key.
+// Data directories written before the rows were EventSpecs hold the
+// same bytes, so they recover unchanged.
+func TestCheckpointRowsFileFormat(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := durableService(t, dir)
+	if err := s.Register(DatasetSpec{Name: "fleet", Mutable: true, Width: 100, Height: 100, Events: []EventSpec{
+		{ID: 1, WKT: "POINT(1.0 1)"},
+		{ID: 2, Category: "b", Time: 3, WKT: " point ( 2.50 3 ) "},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if rec := ingestNDJSON(t, s, "fleet", `{"op":"insert","id":3,"category":"c","time":0,"wkt":"POINT (9 9.0)"}`); rec.Code != http.StatusOK {
+		t.Fatalf("ingest: %d %s", rec.Code, rec.Body)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := wal.ReadChecksummed(filepath.Join(dir, "ckpt-00000001-000.rows"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `[{"id":1,"wkt":"POINT (1 1)"},{"id":2,"category":"b","time":3,"wkt":"POINT (2.5 3)"},{"id":3,"category":"c","wkt":"POINT (9 9)"}]`
+	if string(rows) != want {
+		t.Errorf("rows file:\n%s\nwant\n%s", rows, want)
+	}
+	crash(t, s)
+
+	s2, info := durableService(t, dir)
+	if info.Checkpoint != 1 || info.Datasets != 1 || info.Batches != 0 {
+		t.Fatalf("recovery: %+v, want a pure restore of checkpoint 1", info)
+	}
+	if got := listInfo(t, s2)["fleet"]; got.Events != 3 || got.LiveGeneration != 2 {
+		t.Fatalf("restored %+v, want 3 events at live generation 2", got)
+	}
+	crash(t, s2)
+}
