@@ -238,9 +238,8 @@ func (g *Grid) Extent(i int) geom.Envelope {
 // MR-DBSCAN construction the paper cites): the space is recursively
 // split into two regions of (approximately) equal cost — cost being
 // the number of contained objects — until a region's cost drops to
-// maxCost. Dense regions end up
-// finely divided while sparse regions stay coarse, fixing the skew
-// problem of the fixed grid.
+// maxCost. Dense regions end up finely divided while sparse regions
+// stay coarse, fixing the skew problem of the fixed grid.
 type BSP struct {
 	regions []geom.Envelope // leaf regions, in tree order
 	root    *bspNode        // split tree for O(log n) assignment
