@@ -17,13 +17,13 @@ import (
 )
 
 type (
-	// AttrSchema maps field names to typed payload accessors
-	// (Int64/Float64/String/Bool chain methods). Register one on a
-	// chain with WithSchema before attribute filters.
+	// AttrSchema maps field names to typed accessors (Int64/Float64/
+	// String/Bool); WithSchema registers one before attribute filters.
 	AttrSchema[V any] = attr.Schema[V]
 )
 
 // NewAttrSchema returns an empty attribute schema for payload type V.
+// Its accessors receive a row's key and value.
 func NewAttrSchema[V any]() *AttrSchema[V] { return attr.NewSchema[V]() }
 
 // WithSchema registers the attribute schema the chain's attribute

@@ -31,11 +31,19 @@ type ride struct {
 
 func rideSchema() *stark.AttrSchema[ride] {
 	return stark.NewAttrSchema[ride]().
-		Int64("id", func(r ride) int64 { return int64(r.ID) }).
-		Float64("fare", func(r ride) float64 { return r.Fare }).
-		String("city", func(r ride) string { return r.City }).
-		Int64("stops", func(r ride) int64 { return r.Stops }).
-		Bool("pool", func(r ride) bool { return r.Pool })
+		Int64("id", func(_ stark.STObject, r ride) int64 { return int64(r.ID) }).
+		Float64("fare", func(_ stark.STObject, r ride) float64 { return r.Fare }).
+		String("city", func(_ stark.STObject, r ride) string { return r.City }).
+		Int64("stops", func(_ stark.STObject, r ride) int64 { return r.Stops }).
+		Bool("pool", func(_ stark.STObject, r ride) bool { return r.Pool }).
+		Int64("t", func(key stark.STObject, _ ride) int64 { return rideTime(key) })
+}
+
+// rideTime is the start of the key's interval, 0 for an untimed key:
+// the "t" field lives in the key, not in the ride.
+func rideTime(key stark.STObject) int64 {
+	iv, _ := key.Time()
+	return int64(iv.Start)
 }
 
 var rideCities = []string{"berlin", "boston", "lima", "osaka", "quito"}
@@ -76,7 +84,7 @@ func collectRideIDs(t *testing.T, d *stark.Dataset[ride]) []int {
 type attrCase struct {
 	name  string
 	typed func(d *stark.Dataset[ride]) *stark.Dataset[ride]
-	keep  func(r ride) bool
+	keep  func(key stark.STObject, r ride) bool
 }
 
 func attrCases() []attrCase {
@@ -84,41 +92,53 @@ func attrCases() []attrCase {
 		{
 			name:  "eq_string",
 			typed: func(d *stark.Dataset[ride]) *stark.Dataset[ride] { return d.FilterEq("city", "berlin") },
-			keep:  func(r ride) bool { return r.City == "berlin" },
+			keep:  func(_ stark.STObject, r ride) bool { return r.City == "berlin" },
 		},
 		{
 			name:  "range_float",
 			typed: func(d *stark.Dataset[ride]) *stark.Dataset[ride] { return d.FilterRange("fare", 20.0, 60.0) },
-			keep:  func(r ride) bool { return r.Fare >= 20 && r.Fare <= 60 },
+			keep:  func(_ stark.STObject, r ride) bool { return r.Fare >= 20 && r.Fare <= 60 },
 		},
 		{
 			name:  "gt_int",
 			typed: func(d *stark.Dataset[ride]) *stark.Dataset[ride] { return d.FilterOp("stops", "gt", 2) },
-			keep:  func(r ride) bool { return r.Stops > 2 },
+			keep:  func(_ stark.STObject, r ride) bool { return r.Stops > 2 },
 		},
 		{
 			name:  "in_string",
 			typed: func(d *stark.Dataset[ride]) *stark.Dataset[ride] { return d.FilterIn("city", "lima", "osaka") },
-			keep:  func(r ride) bool { return r.City == "lima" || r.City == "osaka" },
+			keep:  func(_ stark.STObject, r ride) bool { return r.City == "lima" || r.City == "osaka" },
 		},
 		{
 			name:  "eq_bool",
 			typed: func(d *stark.Dataset[ride]) *stark.Dataset[ride] { return d.FilterEq("pool", true) },
-			keep:  func(r ride) bool { return r.Pool },
+			keep:  func(_ stark.STObject, r ride) bool { return r.Pool },
 		},
 		{
 			name: "conjunction",
 			typed: func(d *stark.Dataset[ride]) *stark.Dataset[ride] {
 				return d.FilterRange("fare", 10.0, 80.0).FilterEq("city", "boston")
 			},
-			keep: func(r ride) bool { return r.Fare >= 10 && r.Fare <= 80 && r.City == "boston" },
+			keep: func(_ stark.STObject, r ride) bool { return r.Fare >= 10 && r.Fare <= 80 && r.City == "boston" },
+		},
+		{
+			name:  "range_time_in_key",
+			typed: func(d *stark.Dataset[ride]) *stark.Dataset[ride] { return d.FilterRange("t", 20, 60) },
+			keep:  func(key stark.STObject, _ ride) bool { t := rideTime(key); return t >= 20 && t <= 60 },
+		},
+		{
+			name: "time_and_city",
+			typed: func(d *stark.Dataset[ride]) *stark.Dataset[ride] {
+				return d.FilterOp("t", "lt", 30).FilterEq("city", "quito")
+			},
+			keep: func(key stark.STObject, r ride) bool { return rideTime(key) < 30 && r.City == "quito" },
 		},
 	}
 }
 
 // keptRideIDs runs d and returns the sorted IDs of the rows keep
 // accepts: the closure oracle of the typed filters.
-func keptRideIDs(t *testing.T, d *stark.Dataset[ride], keep func(ride) bool) []int {
+func keptRideIDs(t *testing.T, d *stark.Dataset[ride], keep func(stark.STObject, ride) bool) []int {
 	t.Helper()
 	rows, err := d.Collect()
 	if err != nil {
@@ -126,7 +146,7 @@ func keptRideIDs(t *testing.T, d *stark.Dataset[ride], keep func(ride) bool) []i
 	}
 	ids := []int{}
 	for _, kv := range rows {
-		if keep(kv.Value) {
+		if keep(kv.Key, kv.Value) {
 			ids = append(ids, kv.Value.ID)
 		}
 	}
@@ -136,13 +156,22 @@ func keptRideIDs(t *testing.T, d *stark.Dataset[ride], keep func(ride) bool) []i
 
 // TestAttrFilterDifferential: typed attribute filters must select
 // exactly the rows the equivalent closures select, across every
-// layout, with and without a spatial predicate in the chain.
+// layout, with and without a spatial predicate in the chain. The rides
+// take place at instants 0..99, kept in the key only, so the "t" field
+// is read from the key.
 func TestAttrFilterDifferential(t *testing.T) {
 	ctx := stark.NewContext(4)
 	rng := rand.New(rand.NewSource(7))
 	tuples := rideTuples(rng, 800)
+	for i := range tuples {
+		tuples[i].Key = stark.NewSTObjectWithTime(tuples[i].Key.Centroid(), stark.Instant(i%100))
+	}
 	schema := rideSchema()
-	window := stark.NewSTObject(stark.NewEnvelope(20, 20, 80, 80).ToPolygon())
+	always, err := stark.NewInterval(0, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := stark.NewSTObjectWithInterval(stark.NewEnvelope(20, 20, 80, 80).ToPolygon(), always)
 
 	layouts := []struct {
 		name string
@@ -438,7 +467,7 @@ func TestAttrNaNPlannedEqualsNaive(t *testing.T) {
 		recs[i] = stark.LiveRecord[rec]{ID: int64(i), Key: key, Value: r}
 		tuples[i] = stark.NewTuple(key, r)
 	}
-	schema := stark.NewAttrSchema[rec]().Float64("f", func(r rec) float64 { return r.F })
+	schema := stark.NewAttrSchema[rec]().Float64("f", func(_ stark.STObject, r rec) float64 { return r.F })
 	ctx := stark.NewContext(2)
 	base := stark.Parallelize(ctx, tuples, 4).PartitionBy(stark.Grid(2))
 	window := stark.NewSTObject(stark.NewEnvelope(10, 10, 40, 40).ToPolygon())

@@ -501,8 +501,8 @@ func BenchmarkAttrGate(b *testing.B) {
 		tuples[i] = stark.NewTuple(key, r)
 	}
 	schema := stark.NewAttrSchema[rec]().
-		String("cat", func(r rec) string { return r.Cat }).
-		Float64("fare", func(r rec) float64 { return r.Fare })
+		String("cat", func(_ stark.STObject, r rec) string { return r.Cat }).
+		Float64("fare", func(_ stark.STObject, r rec) float64 { return r.Fare })
 	ctx := stark.NewContext(0)
 	base := stark.Parallelize(ctx, tuples, 4*ctx.Parallelism()).PartitionBy(stark.Grid(4))
 	idx := gateSide(b, "postings", base.WithSchema(schema).AttrIndex("cat", "fare").FilterEq("cat", "rare"))

@@ -465,8 +465,7 @@ func (st state[V]) flush() (state[V], error) {
 				return state[V]{}, fmt.Errorf("stark: %s: no field %q in schema", p.name, p.attr.Field)
 			}
 			ap := *p.attr
-			get := fld.Get
-			st.sds = st.sds.WhereRows(func(_ STObject, v V) bool { return ap.Matches(get(v)) })
+			st.sds = st.sds.WhereRows(func(key STObject, v V) bool { return ap.Matches(fld.Get(key, v)) })
 			st.mode = NoIndexing
 			st.idx = nil
 			st.base = plan.NewNode("AttrFilter", ap.String()).Add(st.base)

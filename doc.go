@@ -117,32 +117,32 @@
 //
 // Payload fields join the planner's world through typed attribute
 // predicates. NewAttrSchema names fields with typed accessors
-// (Int64/Float64/String/Bool); WithSchema registers the schema on a
-// chain, and FilterEq, FilterRange, FilterIn and FilterOp defer
-// typed comparisons that compile alongside the spatial predicates:
-// per-field statistics (min/max, distinct-count estimate, histogram)
-// come from the same one-pass stats sweep, and the planner chooses
-// between inline evaluation on the spatial path's rows, an
-// attribute-first probe of lazily built, memoised per-partition
-// postings (the most selective predicate enumerates candidates,
-// everything else refines), and a postings
-// bitset ANDed with the columnar kernels' survivor set. EXPLAIN
-// renders each predicate as an AttrScan or AttrIndex node with
-// estimated and actual selectivities. MutableDataset.SetAttrFields
-// maintains generation-tagged
-// postings incrementally across mutations, so live snapshots probe
-// without rebuilding. Both sidecars use one postings structure: each
-// distinct value with its entries (row ids for the static sidecar, one
-// record version per insert for a live partition), in order, in chunks
-// of at most 64 behind a directory, so an insert is two binary searches
-// and a shift inside one chunk however large the partition; a float
-// NaN sorts below every number on every path. Typed predicates render canonically
-// (fare>f:40; IN sets sorted and deduplicated) and therefore
-// fingerprint and result-cache — opaque closures (a custom Where) are
-// refused with the offending operator's position in the chain. The
-// server's query endpoints accept the same predicates as a `where`
-// clause (attribute-only queries may omit the geometry), and the
-// Piglet dialect accepts field comparisons in FILTER.
+// (Int64/Float64/String/Bool) of a row's key and value; WithSchema
+// registers the schema on a chain, and FilterEq, FilterRange, FilterIn
+// and FilterOp defer typed comparisons that compile alongside the
+// spatial predicates: per-field statistics (min/max, distinct-count
+// estimate, histogram) come from the same one-pass stats sweep, and
+// the planner chooses between inline evaluation on the spatial path's
+// rows, an attribute-first probe of lazily built, memoised
+// per-partition postings (the most selective predicate enumerates
+// candidates, everything else refines), and a postings bitset ANDed
+// with the columnar kernels' survivor set. EXPLAIN renders each
+// predicate as an AttrScan or AttrIndex node with estimated and actual
+// selectivities. MutableDataset.SetAttrFields maintains
+// generation-tagged postings incrementally across mutations, so live
+// snapshots probe without rebuilding. Both sidecars use one postings
+// structure: each distinct value with its entries (row ids for the
+// static sidecar, one record version per insert for a live partition),
+// in order, in chunks of at most 64 behind a directory, so an insert
+// is two binary searches and a shift inside one chunk however large
+// the partition; a float NaN sorts below every number on every path.
+// Typed predicates render canonically (fare>f:40; IN sets sorted and
+// deduplicated) and therefore fingerprint and result-cache — opaque
+// closures (a custom Where) are refused with the offending operator's
+// position in the chain. The server's query endpoints accept the same
+// predicates as a `where` clause (attribute-only queries may omit the
+// geometry), and the Piglet dialect accepts field comparisons in
+// FILTER.
 //
 // # Join execution
 //
@@ -287,36 +287,35 @@
 //
 // # Durability
 //
-// starkd -data-dir makes the service crash-safe (internal/wal plus
-// the server's checkpoint machinery). Registrations, drops and ingest
+// starkd -data-dir makes the service crash-safe (internal/wal plus the
+// server's checkpoint machinery). Registrations, drops and ingest
 // batches are appended to a CRC32C-framed write-ahead log and fsync'd
-// before they are acknowledged — an ingest ack is a durability
-// receipt for exactly that generation. Checkpoints (periodic and at
-// graceful shutdown) rotate the log and snapshot every dataset — a
-// mutable dataset becomes a checksummed rows segment (the inline
-// event records of a registration request) whose row count the
-// manifest cross-checks on restore, captured through a writer
-// barrier so no logged batch is missed, a generated dataset just its
-// spec — behind atomic
-// temp+fsync+rename manifests. The newest two checkpoints and the
-// WAL suffix of the older are retained, so one rotted manifest
-// degrades to recovering from the previous checkpoint. Recovery loads
-// the newest valid manifest (corrupt ones skipped), re-registers each
-// mutable dataset from its rows at the manifest's live generation
-// (packing them into its partitions instead of replaying inserts), then
-// replays the WAL suffix through the same validation and generation
-// paths as live ingest: idempotent by generation number, stopping
-// cleanly at a torn tail of the newest segment, erroring loudly on
-// damage anywhere older (acknowledged records would be lost), never
-// resurrecting an unacknowledged batch, and erroring on generation
-// gaps. A resident row keeps no WKT text: the log and the rows
-// segments hold the text rendered from the row's key, which parses
-// back to the same coordinates bit for bit (internal/geom's round-trip
-// table and fuzz target). The torn-write and bit-flip batteries
-// in internal/wal and internal/server cut the log at every byte
-// boundary and flip random bits; recovery must always come back with
-// exactly the acknowledged prefix. The same bench/e2e workload runs on
-// a durable dataset: it prices the append and the fsync per batch
+// before they are acknowledged — an ingest ack is a durability receipt
+// for exactly that generation. Checkpoints (periodic and at graceful
+// shutdown) rotate the log and snapshot every dataset — a mutable
+// dataset becomes a checksummed rows segment (the inline event records
+// of a registration request) whose row count the manifest cross-checks
+// on restore, captured through a writer barrier so no logged batch is
+// missed, a generated dataset just its spec — behind atomic
+// temp+fsync+rename manifests. The newest two checkpoints and the WAL
+// suffix of the older are retained, so one rotted manifest degrades to
+// recovering from the previous checkpoint. Recovery loads the newest
+// valid manifest (corrupt ones skipped), re-registers each mutable
+// dataset from its rows at the manifest's live generation (packing
+// them into its partitions instead of replaying inserts), then replays
+// the WAL suffix through the same validation and generation paths as
+// live ingest: idempotent by generation number, stopping cleanly at a
+// torn tail of the newest segment, erroring loudly on damage anywhere
+// older (acknowledged records would be lost), never resurrecting an
+// unacknowledged batch, and erroring on generation gaps. A resident
+// row is (key, (id, category)): the log and the rows segments hold the
+// key's time and its WKT rendered from the key, which parses back to
+// the same coordinates bit for bit (internal/geom's round-trip table
+// and fuzz target). The torn-write and bit-flip batteries in
+// internal/wal and internal/server cut the log at every byte boundary
+// and flip random bits; recovery must always come back with exactly
+// the acknowledged prefix. The same bench/e2e workload runs on a
+// durable dataset: it prices the append and the fsync per batch
 // (wal.append_ms, wal.fsync_ms), times each checkpoint and ends with a
 // recovery that has to come back at the acknowledged generation
 // (server.recover_s).

@@ -146,7 +146,7 @@ func compile[V any](rec *engine.Recorder, st state[V]) (compiled[V], error) {
 
 	// Compile the attribute predicates against the schema.
 	acts := make([]*attrActual, len(attrPreds))
-	matchers := make([]func(V) bool, len(attrPreds))
+	matchers := make([]func(STObject, V) bool, len(attrPreds))
 	if len(attrPreds) > 0 {
 		if st.schema == nil {
 			return compiled[V]{}, fmt.Errorf("stark: plan: attribute filter without a schema (WithSchema must precede it)")
@@ -164,9 +164,9 @@ func compile[V any](rec *engine.Recorder, st state[V]) (compiled[V], error) {
 		act := &attrActual{detail: ap.String()}
 		acts[i] = act
 		p, get := ap, fld.Get
-		matchers[i] = func(v V) bool {
+		matchers[i] = func(key STObject, v V) bool {
 			act.tested.Add(1)
-			if p.Matches(get(v)) {
+			if p.Matches(get(key, v)) {
 				act.passed.Add(1)
 				return true
 			}
@@ -214,9 +214,9 @@ func compile[V any](rec *engine.Recorder, st state[V]) (compiled[V], error) {
 
 	// attrAll evaluates every attribute predicate in planned order
 	// (most selective first, so later checks see fewer records).
-	attrAll := func(v V) bool {
+	attrAll := func(key STObject, v V) bool {
 		for _, i := range dec.AttrOrder {
-			if !matchers[i](v) {
+			if !matchers[i](key, v) {
 				return false
 			}
 		}
@@ -266,7 +266,7 @@ func compile[V any](rec *engine.Recorder, st state[V]) (compiled[V], error) {
 		ds, err := src.postings(attrPreds[dec.AttrFirst], func(kv Tuple[V]) bool {
 			driver.passed.Add(1)
 			for _, i := range dec.AttrOrder {
-				if i != dec.AttrFirst && !matchers[i](kv.Value) {
+				if i != dec.AttrFirst && !matchers[i](kv.Key, kv.Value) {
 					return false
 				}
 			}
@@ -295,7 +295,7 @@ func compile[V any](rec *engine.Recorder, st state[V]) (compiled[V], error) {
 			return compiled[V]{}, fmt.Errorf("stark: plan: columnar sidecar vanished")
 		}
 		if len(attrPreds) > 0 {
-			ds = ds.Filter(func(kv Tuple[V]) bool { return attrAll(kv.Value) })
+			ds = ds.Filter(func(kv Tuple[V]) bool { return attrAll(kv.Key, kv.Value) })
 		}
 		return done(ds, scan, false)
 
@@ -314,7 +314,7 @@ func compile[V any](rec *engine.Recorder, st state[V]) (compiled[V], error) {
 			probe = live.Probe
 		}
 		ds := probe(spatial[dec.Order[0]].info.PruneEnv(), func(kv Tuple[V]) bool {
-			return attrAll(kv.Value) && refineSpatial(kv.Key)
+			return attrAll(kv.Key, kv.Value) && refineSpatial(kv.Key)
 		})
 		return done(ds, st.base, indexed)
 	}
@@ -324,7 +324,7 @@ func compile[V any](rec *engine.Recorder, st state[V]) (compiled[V], error) {
 	// predicate behind its prune envelope.
 	cur := st.sds
 	if len(attrPreds) > 0 {
-		cur = cur.WhereRows(func(_ STObject, v V) bool { return attrAll(v) })
+		cur = cur.WhereRows(attrAll)
 	}
 	for _, pi := range dec.Order {
 		p := spatial[pi]

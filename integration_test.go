@@ -214,10 +214,7 @@ func TestServerAgainstAPI(t *testing.T) {
 		N: 1_000, Seed: 9, Width: 1000, Height: 1000, TimeRange: 1000,
 	})
 	srv := server.NewService(ctx, server.Options{})
-	spec := server.DatasetSpec{Name: server.DefaultDataset, Events: make([]server.EventSpec, len(events))}
-	for i, ev := range events {
-		spec.Events[i] = server.EventSpec{ID: ev.ID, Category: ev.Category, Time: ev.Time, WKT: ev.WKT}
-	}
+	spec := server.DatasetSpec{Name: server.DefaultDataset, Events: events}
 	if err := srv.Register(spec); err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,8 @@ package attr
 import (
 	"math"
 	"testing"
+
+	"stark/internal/stobject"
 )
 
 func TestValueCanonicalRoundTrip(t *testing.T) {
@@ -88,9 +90,9 @@ func TestSchemaCheck(t *testing.T) {
 		N      int64
 	}
 	s := NewSchema[rec]().
-		Float64("fare", func(r rec) float64 { return r.Fare }).
-		String("vendor", func(r rec) string { return r.Vendor }).
-		Int64("n", func(r rec) int64 { return r.N })
+		Float64("fare", func(_ stobject.STObject, r rec) float64 { return r.Fare }).
+		String("vendor", func(_ stobject.STObject, r rec) string { return r.Vendor }).
+		Int64("n", func(_ stobject.STObject, r rec) int64 { return r.N })
 
 	// Exact kind passes through.
 	p, err := s.Check(Pred{Field: "fare", Op: OpGt, Lo: Float64(40)})

@@ -4,20 +4,23 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"stark/internal/stobject"
 )
 
 // Field is one schema entry: a tagged field name, its kind, and the
-// typed accessor projecting it out of a payload value.
+// typed accessor projecting it out of a row's key and payload value.
 type Field[V any] struct {
 	Name string
 	Kind Kind
-	Get  func(V) Value
+	Get  func(key stobject.STObject, v V) Value
 }
 
 // Schema maps tagged field names of a payload type V to typed
 // accessors. Build one with NewSchema and the chainable Int64 /
 // Float64 / String / Bool registration methods, then attach it to a
-// dataset chain with Dataset.WithSchema.
+// dataset chain with Dataset.WithSchema. An accessor receives the
+// row's key too: the service's event rows keep their time there.
 type Schema[V any] struct {
 	fields []Field[V]
 	byName map[string]int
@@ -28,7 +31,7 @@ func NewSchema[V any]() *Schema[V] {
 	return &Schema[V]{byName: make(map[string]int)}
 }
 
-func (s *Schema[V]) add(name string, kind Kind, get func(V) Value) *Schema[V] {
+func (s *Schema[V]) add(name string, kind Kind, get func(stobject.STObject, V) Value) *Schema[V] {
 	if !ValidField(name) {
 		panic(fmt.Sprintf("attr: invalid field name %q", name))
 	}
@@ -41,23 +44,23 @@ func (s *Schema[V]) add(name string, kind Kind, get func(V) Value) *Schema[V] {
 }
 
 // Int64 registers an int64 field.
-func (s *Schema[V]) Int64(name string, get func(V) int64) *Schema[V] {
-	return s.add(name, KindInt64, func(v V) Value { return Int64(get(v)) })
+func (s *Schema[V]) Int64(name string, get func(stobject.STObject, V) int64) *Schema[V] {
+	return s.add(name, KindInt64, func(key stobject.STObject, v V) Value { return Int64(get(key, v)) })
 }
 
 // Float64 registers a float64 field.
-func (s *Schema[V]) Float64(name string, get func(V) float64) *Schema[V] {
-	return s.add(name, KindFloat64, func(v V) Value { return Float64(get(v)) })
+func (s *Schema[V]) Float64(name string, get func(stobject.STObject, V) float64) *Schema[V] {
+	return s.add(name, KindFloat64, func(key stobject.STObject, v V) Value { return Float64(get(key, v)) })
 }
 
 // String registers a string field.
-func (s *Schema[V]) String(name string, get func(V) string) *Schema[V] {
-	return s.add(name, KindString, func(v V) Value { return String(get(v)) })
+func (s *Schema[V]) String(name string, get func(stobject.STObject, V) string) *Schema[V] {
+	return s.add(name, KindString, func(key stobject.STObject, v V) Value { return String(get(key, v)) })
 }
 
 // Bool registers a bool field.
-func (s *Schema[V]) Bool(name string, get func(V) bool) *Schema[V] {
-	return s.add(name, KindBool, func(v V) Value { return Bool(get(v)) })
+func (s *Schema[V]) Bool(name string, get func(stobject.STObject, V) bool) *Schema[V] {
+	return s.add(name, KindBool, func(key stobject.STObject, v V) Value { return Bool(get(key, v)) })
 }
 
 // Field looks up a registered field by name.

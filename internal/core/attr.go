@@ -93,7 +93,7 @@ func (s *SpatialDataset[V]) ensureAttrIndex(fields []string) (map[string][]*attr
 			rows := side.rows[p]
 			column := make([]attr.Value, len(rows.rows))
 			for i := range column {
-				column[i] = fld.Get(rows.at(i).Value)
+				column[i] = fld.Get(rows.at(i).Key, rows.at(i).Value)
 			}
 			ixs[p] = attr.BuildIndex(fld.Name, fld.Kind, column)
 			rec.Add(engine.StatsRecords, int64(len(column)))

@@ -339,7 +339,9 @@ func seedAllocChain(d *Dataset[int]) *Dataset[int] {
 
 // TestFusedChainAllocations is the acceptance gate: on a 100k-element
 // dataset, running the fused 3-step narrow chain must cost at most
-// half the allocations of the seed slice-per-step implementation.
+// half the allocations of the seed slice-per-step implementation. The
+// race detector's runtime drops pooled scratch at random, so under
+// -race only the semantics are checked.
 func TestFusedChainAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement on 100k elements")
@@ -359,6 +361,9 @@ func TestFusedChainAllocations(t *testing.T) {
 	}
 	if !reflect.DeepEqual(fusedOut, seedOut) {
 		t.Fatal("alloc chains disagree")
+	}
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector vary with load")
 	}
 
 	fusedCount := testing.AllocsPerRun(5, func() {

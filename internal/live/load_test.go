@@ -95,9 +95,11 @@ func TestRestoreEqualsInsert(t *testing.T) {
 					for _, f := range fields {
 						operand := func() attr.Value {
 							if len(live) > 0 && rng.Intn(4) > 0 {
-								return f.Get(live[rng.Intn(len(live))].Value)
+								r := live[rng.Intn(len(live))]
+								return f.Get(r.Key, r.Value)
 							}
-							return f.Get(rec(0).Value)
+							r := rec(0)
+							return f.Get(r.Key, r.Value)
 						}
 						lo, hi := operand(), operand()
 						if lo.Compare(hi) > 0 {

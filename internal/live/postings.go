@@ -71,7 +71,7 @@ func newPartAttrs[V any](fields []attr.Field[V], es []Entry[V]) *partAttrs[V] {
 	vals := make([]attr.Value, len(es))
 	for _, f := range fields {
 		for i := range versions {
-			vals[i] = f.Get(versions[i].val)
+			vals[i] = f.Get(versions[i].key, versions[i].val)
 		}
 		pa.posts = append(pa.posts, attr.LoadPostings(vals, func(i int32) *postEntry[V] { return &versions[i] }))
 	}
@@ -94,7 +94,7 @@ func (pa *partAttrs[V]) field(name string) *attr.Postings[*postEntry[V]] {
 func (pa *partAttrs[V]) insert(id int64, key stobject.STObject, val V, gen uint64) {
 	e := &postEntry[V]{id: id, key: key, val: val, addGen: gen}
 	for i, f := range pa.fields {
-		pa.posts[i].Insert(f.Get(val), e)
+		pa.posts[i].Insert(f.Get(key, val), e)
 	}
 	pa.byID[id] = e
 	pa.live++
@@ -147,7 +147,7 @@ func (pa *partAttrs[V]) checkField(f attr.Field[V], ps *attr.Postings[*postEntry
 	dead := 0
 	for val, list := range ps.All() {
 		for _, e := range list {
-			if v := f.Get(e.val); v.Compare(val) != 0 {
+			if v := f.Get(e.key, e.val); v.Compare(val) != 0 {
 				return fmt.Errorf("id %d valued %s filed under %s", e.id, v, val)
 			}
 			switch {

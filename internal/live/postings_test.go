@@ -8,7 +8,9 @@ import (
 
 	"stark/internal/attr"
 	"stark/internal/engine"
+	"stark/internal/geom"
 	"stark/internal/stobject"
+	"stark/internal/temporal"
 )
 
 // reading is the battery's payload: Seq is drawn from 2^40 per record
@@ -23,9 +25,9 @@ type reading struct {
 
 func readingFields() []attr.Field[reading] {
 	return attr.NewSchema[reading]().
-		Int64("seq", func(r reading) int64 { return r.Seq }).
-		String("cat", func(r reading) string { return r.Cat }).
-		Float64("temp", func(r reading) float64 { return r.Temp }).
+		Int64("seq", func(_ stobject.STObject, r reading) int64 { return r.Seq }).
+		String("cat", func(_ stobject.STObject, r reading) string { return r.Cat }).
+		Float64("temp", func(_ stobject.STObject, r reading) float64 { return r.Temp }).
 		Fields()
 }
 
@@ -91,7 +93,7 @@ func records(s *Snapshot[reading]) []Record[reading] {
 func scanIDs(recs []Record[reading], f attr.Field[reading], p attr.Pred) []int64 {
 	var ids []int64
 	for _, r := range recs {
-		if p.Matches(f.Get(r.Value)) {
+		if p.Matches(f.Get(r.Key, r.Value)) {
 			ids = append(ids, r.ID)
 		}
 	}
@@ -119,7 +121,7 @@ func TestPostingsDifferentialBattery(t *testing.T) {
 	d := NewDataset[reading](engine.NewContext(2), "battery", gridOver(t, 2), 8)
 	d.SetAttrFields(fields)
 
-	model := make(map[int64]reading)
+	model := make(map[int64]Record[reading])
 	// Seq values arrive in random order, so new values go into the
 	// middle of chunks, not only onto the end.
 	fresh := func(id int64) (stobject.STObject, reading) {
@@ -153,11 +155,11 @@ func TestPostingsDifferentialBattery(t *testing.T) {
 			case isLive || rng.Intn(2) == 0:
 				key, r := fresh(id)
 				ops = append(ops, Upsert(id, key, r))
-				model[id] = r
+				model[id] = Record[reading]{ID: id, Key: key, Value: r}
 			default:
 				key, r := fresh(id)
 				ops = append(ops, Insert(id, key, r))
-				model[id] = r
+				model[id] = Record[reading]{ID: id, Key: key, Value: r}
 			}
 		}
 		return ops
@@ -167,10 +169,9 @@ func TestPostingsDifferentialBattery(t *testing.T) {
 	preds := func(f attr.Field[reading]) []attr.Pred {
 		operand := func() attr.Value {
 			if r, ok := model[rng.Int63n(idSpace)]; ok {
-				return f.Get(r)
+				return f.Get(r.Key, r.Value)
 			}
-			_, r := fresh(0)
-			return f.Get(r)
+			return f.Get(fresh(0))
 		}
 		lo, hi := operand(), operand()
 		if lo.Compare(hi) > 0 {
@@ -292,6 +293,55 @@ func TestPostingsDifferentialBattery(t *testing.T) {
 	r.SetAttrFields(nil)
 	if _, err := r.Snapshot().AttrProbe(nil, attr.Pred{Field: "cat", Op: attr.OpEq, Lo: attr.String("cat-1")}, keep); err == nil {
 		t.Error("probe was built after the fields were dropped")
+	}
+}
+
+// TestPostingsFieldInTheKey: a field whose accessor reads the key, as
+// the query service's time does, is filed under the key's value when a
+// partition loads and when a record is inserted; an upsert that moves
+// only the key files the new version under the new value; and every
+// probe answers like the scan.
+func TestPostingsFieldInTheKey(t *testing.T) {
+	fields := attr.NewSchema[reading]().
+		Int64("t", func(key stobject.STObject, _ reading) int64 {
+			iv, _ := key.Time()
+			return int64(iv.Start)
+		}).
+		Fields()
+	at := func(i int64) stobject.STObject {
+		return stobject.NewWithTime(geom.NewPoint(float64(i%100), float64(i*7%100)), temporal.Instant(i%10))
+	}
+	recs := make([]Record[reading], 500)
+	for i := range recs {
+		recs[i] = Record[reading]{ID: int64(i), Key: at(int64(i)), Value: reading{ID: int64(i)}}
+	}
+	d := NewDataset[reading](engine.NewContext(2), "timed", gridOver(t, 2), 8)
+	d.SetAttrFields(fields)
+	if err := d.Restore(1, recs); err != nil {
+		t.Fatal(err)
+	}
+	checkPartitions(t, d)
+	var ops []Op[reading]
+	for i := int64(0); i < 500; i += 3 {
+		ops = append(ops, Upsert(i, at(i+5), reading{ID: i}))
+	}
+	for i := int64(500); i < 600; i++ {
+		ops = append(ops, Insert(i, at(i), reading{ID: i}))
+	}
+	if _, err := d.Apply(ops); err != nil {
+		t.Fatal(err)
+	}
+	checkPartitions(t, d)
+	s := d.Snapshot()
+	all := records(s)
+	for v := int64(0); v < 10; v++ {
+		for _, op := range []attr.Op{attr.OpEq, attr.OpLt} {
+			p := attr.Pred{Field: "t", Op: op, Lo: attr.Int64(v)}
+			got, want := probeIDs(t, s, p), scanIDs(all, fields[0], p)
+			if !slices.Equal(got, want) || (op == attr.OpEq && len(want) == 0) {
+				t.Fatalf("%s: postings give %d ids, scan gives %d", p, len(got), len(want))
+			}
+		}
 	}
 }
 

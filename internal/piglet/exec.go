@@ -40,10 +40,10 @@ const NotClustered = stark.ClusterNoise - 1
 // rowSchema names the Row fields FILTER field comparisons compile
 // against.
 var rowSchema = stark.NewAttrSchema[Row]().
-	Int64("id", func(r Row) int64 { return int64(r.Event.ID) }).
-	String("category", func(r Row) string { return r.Event.Category }).
-	Int64("time", func(r Row) int64 { return r.Event.Time }).
-	Int64("cluster", func(r Row) int64 { return int64(r.Cluster) })
+	Int64("id", func(_ stark.STObject, r Row) int64 { return int64(r.Event.ID) }).
+	String("category", func(_ stark.STObject, r Row) string { return r.Event.Category }).
+	Int64("time", func(_ stark.STObject, r Row) int64 { return r.Event.Time }).
+	Int64("cluster", func(_ stark.STObject, r Row) int64 { return int64(r.Cluster) })
 
 // rowsCell is the materialisation state of a relation, shared between
 // relations that are guaranteed to hold the same rows (a partitioned

@@ -61,12 +61,7 @@ type DatasetSpec struct {
 
 // EventSpec is one inline event of a registration request, and one
 // row of a checkpoint's rows file.
-type EventSpec struct {
-	ID       int    `json:"id"`
-	Category string `json:"category,omitempty"`
-	Time     int64  `json:"time,omitempty"`
-	WKT      string `json:"wkt"`
-}
+type EventSpec = workload.Event
 
 // DatasetInfo is the public summary of a catalog entry.
 type DatasetInfo struct {
@@ -91,8 +86,8 @@ type DatasetInfo struct {
 // off the live generation rather than frozen at registration.
 type catalogEntry struct {
 	spec    DatasetSpec
-	ds      *stark.Dataset[workload.Event]        // immutable entries
-	mds     *stark.MutableDataset[workload.Event] // mutable entries
+	ds      *stark.Dataset[eventValue]        // immutable entries
+	mds     *stark.MutableDataset[eventValue] // mutable entries
 	events  int64
 	summary *stark.DatasetStats
 	gen     int64
@@ -108,7 +103,7 @@ type catalogEntry struct {
 	// ds at staging time).
 	colMu  sync.Mutex
 	colGen uint64
-	colDS  *stark.Dataset[workload.Event]
+	colDS  *stark.Dataset[eventValue]
 }
 
 // dataset returns the queryable view of the entry: the staged dataset
@@ -116,7 +111,7 @@ type catalogEntry struct {
 // mutable ones. Snapshots of an unchanged generation are shared, so
 // repeated queries keep identical plan fingerprints and the result
 // cache keeps hitting until a mutation batch lands.
-func (e *catalogEntry) dataset() *stark.Dataset[workload.Event] {
+func (e *catalogEntry) dataset() *stark.Dataset[eventValue] {
 	if e.mds != nil {
 		if e.spec.Columnar {
 			return e.columnarSnapshot()
@@ -131,7 +126,7 @@ func (e *catalogEntry) dataset() *stark.Dataset[workload.Event] {
 // query shares one view (so the sidecar is built once, lazily at the
 // first action), and a mutation batch invalidates it by moving the
 // generation.
-func (e *catalogEntry) columnarSnapshot() *stark.Dataset[workload.Event] {
+func (e *catalogEntry) columnarSnapshot() *stark.Dataset[eventValue] {
 	e.colMu.Lock()
 	defer e.colMu.Unlock()
 	// Read the generation before taking the snapshot: if a batch lands
@@ -336,7 +331,7 @@ func (c *Catalog) registerAt(ctx *stark.Context, spec DatasetSpec, events []work
 		// from the log.)
 		if e.mds != nil {
 			d, name, entryGen := c.dur, spec.Name, e.gen
-			e.mds.OnCommit(func(g uint64, ops []stark.LiveOp[workload.Event]) error {
+			e.mds.OnCommit(func(g uint64, ops []stark.LiveOp[eventValue]) error {
 				return d.logBatch(name, entryGen, g, ops)
 			})
 		}
@@ -383,7 +378,7 @@ func (c *Catalog) snapshot() ([]*catalogEntry, int64) {
 // given, the seeded generator otherwise.
 func (spec DatasetSpec) buildEvents() ([]workload.Event, error) {
 	if len(spec.Events) > 0 {
-		return eventsOf(spec.Events), nil
+		return spec.Events, nil
 	}
 	if spec.N <= 0 {
 		if spec.Mutable {
@@ -410,39 +405,42 @@ func (spec DatasetSpec) buildEvents() ([]workload.Event, error) {
 	}), nil
 }
 
-// eventsOf converts inline or checkpointed events to generator events.
-func eventsOf(specs []EventSpec) []workload.Event {
-	events := make([]workload.Event, len(specs))
-	for i, ev := range specs {
-		events[i] = workload.Event{ID: ev.ID, Category: ev.Category, Time: ev.Time, WKT: ev.WKT}
-	}
-	return events
+// eventValue is the value of a resident catalog row, the paper's
+// (id, c). The row's key holds the geometry and the time.
+type eventValue struct {
+	ID       int64
+	Category string
 }
 
-// catalogRow is the one constructor of resident catalog rows: it
-// consumes the event's WKT into the key and keeps the event without the
-// text, as the paper's raw.map{ case (id,c,t,wkt) => (STObject(wkt,t),
-// (id,c)) } does. No query reads the text; the WAL and checkpoint
-// writers render it from the key (keyWKT: shortest digits, so
-// it parses back bit for bit, see geom.TestWKTRoundTripBitExact).
-func catalogRow(ev workload.Event) (stark.Tuple[workload.Event], error) {
+// eventTime is a catalog row's time, its key's (instant) interval start.
+func eventTime(key stark.STObject) int64 {
+	iv, _ := key.Time()
+	return int64(iv.Start)
+}
+
+// catalogRow is the one constructor of resident catalog rows: it parses
+// the event's WKT and time into the key and keeps (id, category), as
+// the paper's raw.map{ case (id,c,t,wkt) => (STObject(wkt,t), (id,c)) }
+// does. The WAL and checkpoint writers render the text from the key
+// (keyWKT: shortest digits, so it parses back bit for bit, see
+// geom.TestWKTRoundTripBitExact) and read the time with eventTime.
+func catalogRow(ev workload.Event) (stark.Tuple[eventValue], error) {
 	key, err := ev.ToSTObject()
 	if err != nil {
-		return stark.Tuple[workload.Event]{}, err
+		return stark.Tuple[eventValue]{}, err
 	}
-	ev.WKT = ""
-	return stark.NewTuple(key, ev), nil
+	return stark.NewTuple(key, eventValue{ID: int64(ev.ID), Category: ev.Category}), nil
 }
 
-// catalogRows builds the rows of event(0..n-1) in order, parsing
-// contiguous ranges as tasks of the engine's pool. It returns the error
-// of the first event that does not parse.
-func catalogRows(ctx *stark.Context, n int, event func(i int) workload.Event) ([]stark.Tuple[workload.Event], error) {
+// catalogRows builds the rows of events in order, parsing contiguous
+// ranges as tasks of the engine's pool. It returns the error of the
+// first event that does not parse.
+func catalogRows(ctx *stark.Context, events []workload.Event) ([]stark.Tuple[eventValue], error) {
 	const chunk = 16384 // events per task
-	rows := make([]stark.Tuple[workload.Event], n)
-	err := ctx.RunJob(engine.AllPartitions((n+chunk-1)/chunk), func(t int) error {
-		for i, hi := t*chunk, min((t+1)*chunk, n); i < hi; i++ {
-			row, err := catalogRow(event(i))
+	rows := make([]stark.Tuple[eventValue], len(events))
+	err := ctx.RunJob(engine.AllPartitions((len(events)+chunk-1)/chunk), func(t int) error {
+		for i, hi := t*chunk, min((t+1)*chunk, len(events)); i < hi; i++ {
+			row, err := catalogRow(events[i])
 			if err != nil {
 				return fmt.Errorf("event %d: invalid WKT: %w", i, err)
 			}
@@ -456,8 +454,8 @@ func catalogRows(ctx *stark.Context, n int, event func(i int) workload.Event) ([
 // stageDataset lifts events into a Dataset with the spec's
 // partitioner recipe and index mode applied, and forces the chain so
 // registration errors surface here rather than on the first query.
-func stageDataset(ctx *stark.Context, events []workload.Event, spec DatasetSpec) (*stark.Dataset[workload.Event], error) {
-	tuples, err := catalogRows(ctx, len(events), func(i int) workload.Event { return events[i] })
+func stageDataset(ctx *stark.Context, events []workload.Event, spec DatasetSpec) (*stark.Dataset[eventValue], error) {
+	tuples, err := catalogRows(ctx, events)
 	if err != nil {
 		return nil, err
 	}
@@ -493,8 +491,8 @@ func stageDataset(ctx *stark.Context, events []workload.Event, spec DatasetSpec)
 // generation gen before any commit hook is attached, each event's ID
 // the live record ID, so they can be upserted and deleted over HTTP
 // later.
-func stageMutable(ctx *stark.Context, events []workload.Event, spec DatasetSpec, gen uint64) (*stark.MutableDataset[workload.Event], error) {
-	tuples, err := catalogRows(ctx, len(events), func(i int) workload.Event { return events[i] })
+func stageMutable(ctx *stark.Context, events []workload.Event, spec DatasetSpec, gen uint64) (*stark.MutableDataset[eventValue], error) {
+	tuples, err := catalogRows(ctx, events)
 	if err != nil {
 		return nil, err
 	}
@@ -502,18 +500,18 @@ func stageMutable(ctx *stark.Context, events []workload.Event, spec DatasetSpec,
 	if err != nil {
 		return nil, err
 	}
-	recs := make([]stark.LiveRecord[workload.Event], len(tuples))
+	recs := make([]stark.LiveRecord[eventValue], len(tuples))
 	keys := make([]stark.STObject, len(tuples))
 	for i, kv := range tuples {
-		recs[i] = stark.LiveRecord[workload.Event]{ID: int64(kv.Value.ID), Key: kv.Key, Value: kv.Value}
+		recs[i] = stark.LiveRecord[eventValue]{ID: kv.Value.ID, Key: kv.Key, Value: kv.Value}
 		keys[i] = kv.Key
 	}
 	sp, err := buildLiveLayout(spec, keys)
 	if err != nil {
 		return nil, err
 	}
-	mds := stark.NewMutableDataset[workload.Event](ctx, spec.Name, sp, order)
-	mds.SetAttrFields(workload.EventSchema())
+	mds := stark.NewMutableDataset[eventValue](ctx, spec.Name, sp, order)
+	mds.SetAttrFields(eventSchema)
 	return mds, mds.Restore(gen, recs)
 }
 

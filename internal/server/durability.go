@@ -49,7 +49,6 @@ import (
 
 	"stark"
 	"stark/internal/wal"
-	"stark/internal/workload"
 )
 
 // WAL record types.
@@ -299,7 +298,7 @@ func (d *Durability) logDrop(name string) error {
 	return d.append(walDrop, dropRecord{Name: name})
 }
 
-func (d *Durability) logBatch(dataset string, entryGen int64, gen uint64, ops []stark.LiveOp[workload.Event]) error {
+func (d *Durability) logBatch(dataset string, entryGen int64, gen uint64, ops []stark.LiveOp[eventValue]) error {
 	if d.recovering.Load() {
 		return nil
 	}
@@ -341,8 +340,8 @@ func (d *Durability) Checkpoint() error {
 		if e.mds != nil {
 			// Sized up front; a batch landing before the barrier only grows them.
 			recs := make([]EventSpec, 0, e.mds.Count())
-			liveGen := e.mds.EachRecord(func(r stark.LiveRecord[workload.Event]) bool {
-				recs = append(recs, EventSpec{ID: int(r.ID), Category: r.Value.Category, Time: r.Value.Time, WKT: keyWKT(r.Key)})
+			liveGen := e.mds.EachRecord(func(r stark.LiveRecord[eventValue]) bool {
+				recs = append(recs, EventSpec{ID: int(r.ID), Category: r.Value.Category, Time: eventTime(r.Key), WKT: keyWKT(r.Key)})
 				return true
 			})
 			rows, err := json.Marshal(recs)
@@ -500,7 +499,7 @@ func (d *Durability) restoreCheckpoint(m *manifest) error {
 		if len(recs) != md.Count {
 			return fmt.Errorf("%q: rows (%d) and manifest (%d) disagree", md.Spec.Name, len(recs), md.Count)
 		}
-		if _, err := d.s.catalog.registerAt(d.s.ctx, md.Spec, eventsOf(recs), md.Gen, md.LiveGen); err != nil {
+		if _, err := d.s.catalog.registerAt(d.s.ctx, md.Spec, recs, md.Gen, md.LiveGen); err != nil {
 			return fmt.Errorf("restoring %q: %w", md.Spec.Name, err)
 		}
 		d.recovered.Datasets++
@@ -542,7 +541,7 @@ func (d *Durability) applyRecord(_ int, rec wal.Record) error {
 			d.recovered.SkippedBatches++
 			return nil
 		}
-		ops := make([]stark.LiveOp[workload.Event], len(r.Ops))
+		ops := make([]stark.LiveOp[eventValue], len(r.Ops))
 		for i, line := range r.Ops {
 			op, err := line.toOp()
 			if err != nil {

@@ -1,7 +1,7 @@
 package server
 
 // The append-style encoder behind every /api/v1/query reply line. A
-// line is the GeoJSON feature of a workload.Event,
+// line is the GeoJSON feature of a catalog row (time read from its key),
 //
 //	{"geometry":{"coordinates":[x,y],"type":"Point"},"properties":{"category":c,"id":n,"time":t},"type":"Feature"}
 //
@@ -22,22 +22,21 @@ import (
 
 	"stark"
 	"stark/internal/geom"
-	"stark/internal/workload"
 )
 
 // extras are the properties a line adds to the event's own; each is
-// written only when set.
+// written only when set. A join partner is a pair's RightKey and Right.
 type extras struct {
-	right    *workload.Event
+	right    *joinRow
 	distance *float64
 	cluster  *int
 }
 
 // appendFeature appends the NDJSON line (newline included) of one
-// event keyed by key. Point keys are encoded without allocating. A NaN
-// or infinite number fails the line with encoding/json's error and
-// leaves dst as it was.
-func appendFeature(dst []byte, key stark.STObject, ev workload.Event, x extras) ([]byte, error) {
+// catalog row. Point keys are encoded without allocating. A NaN or
+// infinite number fails the line with encoding/json's error and leaves
+// dst as it was.
+func appendFeature(dst []byte, key stark.STObject, ev eventValue, x extras) ([]byte, error) {
 	start := len(dst)
 	dst, err := appendGeometry(append(dst, `{"geometry":`...), key)
 	if err != nil {
@@ -55,18 +54,18 @@ func appendFeature(dst []byte, key stark.STObject, ev workload.Event, x extras) 
 		}
 	}
 	dst = append(dst, `,"id":`...)
-	dst = strconv.AppendInt(dst, int64(ev.ID), 10)
-	if right := x.right; right != nil {
+	dst = strconv.AppendInt(dst, ev.ID, 10)
+	if pair := x.right; pair != nil {
 		dst = append(dst, `,"right":{"category":`...)
-		dst = appendJSONString(dst, right.Category)
+		dst = appendJSONString(dst, pair.Right.Category)
 		dst = append(dst, `,"id":`...)
-		dst = strconv.AppendInt(dst, int64(right.ID), 10)
+		dst = strconv.AppendInt(dst, pair.Right.ID, 10)
 		dst = append(dst, `,"time":`...)
-		dst = strconv.AppendInt(dst, right.Time, 10)
+		dst = strconv.AppendInt(dst, eventTime(pair.RightKey), 10)
 		dst = append(dst, '}')
 	}
 	dst = append(dst, `,"time":`...)
-	dst = strconv.AppendInt(dst, ev.Time, 10)
+	dst = strconv.AppendInt(dst, eventTime(key), 10)
 	return append(dst, "},\"type\":\"Feature\"}\n"...), nil
 }
 

@@ -16,13 +16,15 @@ import (
 // feature, featureMap and geometryJSON are the map form of a reply
 // line: json.Marshal of it is the byte oracle appendFeature is held to.
 
-// feature renders one event as a GeoJSON feature. dist and label
-// optionally add distance / cluster properties.
-func feature(kv stark.Tuple[workload.Event], dist *float64, label *int) map[string]interface{} {
+// feature renders one catalog row as a GeoJSON feature, its time the
+// start of the key's interval. dist and label optionally add distance /
+// cluster properties.
+func feature(kv stark.Tuple[eventValue], dist *float64, label *int) map[string]interface{} {
+	iv, _ := kv.Key.Time()
 	props := map[string]interface{}{
 		"id":       kv.Value.ID,
 		"category": kv.Value.Category,
-		"time":     kv.Value.Time,
+		"time":     iv.Start,
 	}
 	if dist != nil {
 		props["distance"] = *dist
@@ -39,13 +41,14 @@ func feature(kv stark.Tuple[workload.Event], dist *float64, label *int) map[stri
 
 // featureMap is feature plus the join partner under properties.right
 // when there is one.
-func featureMap(key stark.STObject, ev workload.Event, x extras) map[string]interface{} {
+func featureMap(key stark.STObject, ev eventValue, x extras) map[string]interface{} {
 	f := feature(stark.NewTuple(key, ev), x.distance, x.cluster)
 	if x.right != nil {
+		iv, _ := x.right.RightKey.Time()
 		f["properties"].(map[string]interface{})["right"] = map[string]interface{}{
-			"id":       x.right.ID,
-			"category": x.right.Category,
-			"time":     x.right.Time,
+			"id":       x.right.Right.ID,
+			"category": x.right.Right.Category,
+			"time":     iv.Start,
 		}
 	}
 	return f
@@ -95,7 +98,7 @@ func geometryJSON(g geom.Geometry) map[string]interface{} {
 }
 
 // oracleLine is json.Marshal of the map form, newline included.
-func oracleLine(key stark.STObject, ev workload.Event, x extras) ([]byte, error) {
+func oracleLine(key stark.STObject, ev eventValue, x extras) ([]byte, error) {
 	line, err := json.Marshal(featureMap(key, ev, x))
 	if err != nil {
 		return nil, err
@@ -105,7 +108,7 @@ func oracleLine(key stark.STObject, ev workload.Event, x extras) ([]byte, error)
 
 // checkAgainstOracle encodes after a non-empty prefix, so a slip that
 // overwrites instead of appending shows too.
-func checkAgainstOracle(t *testing.T, key stark.STObject, ev workload.Event, x extras) {
+func checkAgainstOracle(t *testing.T, key stark.STObject, ev eventValue, x extras) {
 	t.Helper()
 	want, wantErr := oracleLine(key, ev, x)
 	prefix := []byte("previous line\n")
@@ -125,7 +128,7 @@ func checkAgainstOracle(t *testing.T, key stark.STObject, ev workload.Event, x e
 func (x extras) String() string {
 	s := "{"
 	if x.right != nil {
-		s += fmt.Sprintf(" right=%+v", *x.right)
+		s += fmt.Sprintf(" right=%s %+v", x.right.RightKey, x.right.Right)
 	}
 	if x.distance != nil {
 		s += fmt.Sprintf(" distance=%v", *x.distance)
@@ -168,18 +171,20 @@ func otherGeometries() []geom.Geometry {
 func TestAppendFeatureMatchesMarshalOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	pick := func(n int) int { return rng.Intn(n) }
-	event := func() workload.Event {
-		return workload.Event{
-			ID:       int(oracleInts[pick(len(oracleInts))]),
+	event := func() eventValue {
+		return eventValue{
+			ID:       oracleInts[pick(len(oracleInts))],
 			Category: oracleCategories[pick(len(oracleCategories))],
-			Time:     oracleInts[pick(len(oracleInts))],
-			WKT:      "ignored by the encoder",
 		}
+	}
+	// at keys g at a drawn instant, the only place a row keeps its time.
+	at := func(g geom.Geometry) stark.STObject {
+		return stark.NewSTObjectWithTime(g, stark.Instant(oracleInts[pick(len(oracleInts))]))
 	}
 	// each returns the four kinds of line: a plain event, a join pair, a
 	// kNN neighbour and a cluster member.
 	each := func() []extras {
-		right := event()
+		right := joinRow{RightKey: at(geom.Point{X: 5, Y: 6}), Right: event()}
 		dist := oracleOrdinates[pick(len(oracleOrdinates))]
 		label := int(oracleInts[pick(len(oracleInts))])
 		return []extras{{}, {right: &right}, {distance: &dist}, {cluster: &label}}
@@ -187,24 +192,25 @@ func TestAppendFeatureMatchesMarshalOracle(t *testing.T) {
 	// Every ordinate, category and extra at least once, then seeded mixes.
 	for _, x := range oracleOrdinates {
 		for _, y := range []float64{0, x} {
-			key := stark.NewSTObject(geom.Point{X: x, Y: y})
+			key := at(geom.Point{X: x, Y: y})
 			for _, e := range each() {
 				checkAgainstOracle(t, key, event(), e)
 			}
 			dist := x
-			checkAgainstOracle(t, stark.NewSTObject(geom.Point{X: 1, Y: 2}), event(), extras{distance: &dist})
+			checkAgainstOracle(t, at(geom.Point{X: 1, Y: 2}), event(), extras{distance: &dist})
 		}
 	}
 	for _, i := range oracleInts {
 		label := int(i)
-		checkAgainstOracle(t, stark.NewSTObject(geom.Point{X: 1, Y: 2}), event(), extras{cluster: &label})
+		checkAgainstOracle(t, at(geom.Point{X: 1, Y: 2}), event(), extras{cluster: &label})
 	}
 	for _, c := range oracleCategories {
 		key := stark.NewSTObjectWithTime(geom.Point{X: 3, Y: 4}, 17)
 		for _, e := range each() {
-			checkAgainstOracle(t, key, workload.Event{ID: 1, Category: c, Time: 2}, e)
+			checkAgainstOracle(t, key, eventValue{ID: 1, Category: c}, e)
 		}
-		checkAgainstOracle(t, key, workload.Event{ID: 1, Category: "left", Time: 2}, extras{right: &workload.Event{ID: 3, Category: c, Time: 4}})
+		right := joinRow{RightKey: stark.NewSTObjectWithTime(geom.Point{X: 5, Y: 6}, 4), Right: eventValue{ID: 3, Category: c}}
+		checkAgainstOracle(t, key, eventValue{ID: 1, Category: "left"}, extras{right: &right})
 	}
 	for i := 0; i < 2000; i++ {
 		x := rng.NormFloat64() * math.Pow(10, float64(rng.Intn(50)-25))
@@ -212,11 +218,13 @@ func TestAppendFeatureMatchesMarshalOracle(t *testing.T) {
 		if i%2 == 0 {
 			x, y = y, float64(rng.Intn(2000)-1000)
 		}
-		key := stark.NewSTObject(geom.Point{X: x, Y: y})
+		key := at(geom.Point{X: x, Y: y})
 		checkAgainstOracle(t, key, event(), each()[i%4])
 	}
-	for _, g := range otherGeometries() {
+	// Untimed keys write time 0; catalogRow never makes one.
+	for _, g := range append(otherGeometries(), geom.Point{X: 1, Y: 2}) {
 		for _, e := range each() {
+			checkAgainstOracle(t, at(g), event(), e)
 			checkAgainstOracle(t, stark.NewSTObject(g), event(), e)
 		}
 	}
@@ -225,11 +233,11 @@ func TestAppendFeatureMatchesMarshalOracle(t *testing.T) {
 func TestAppendFeatureNonFiniteErrorIsTheOracles(t *testing.T) {
 	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		want := fmt.Sprintf("json: unsupported value: %v", f)
-		_, err := appendFeature(nil, stark.NewSTObject(geom.Point{X: 1, Y: f}), workload.Event{}, extras{})
+		_, err := appendFeature(nil, stark.NewSTObject(geom.Point{X: 1, Y: f}), eventValue{}, extras{})
 		if err == nil || err.Error() != want {
 			t.Errorf("ordinate %v: error %v, want %q", f, err, want)
 		}
-		_, err = appendFeature(nil, stark.NewSTObject(geom.Point{X: 1, Y: 2}), workload.Event{}, extras{distance: &f})
+		_, err = appendFeature(nil, stark.NewSTObject(geom.Point{X: 1, Y: 2}), eventValue{}, extras{distance: &f})
 		if err == nil || err.Error() != want {
 			t.Errorf("distance %v: error %v, want %q", f, err, want)
 		}
@@ -258,7 +266,7 @@ func FuzzAppendFeature(f *testing.F) {
 		}
 		var e extras
 		if join {
-			e.right = &workload.Event{ID: rid, Category: rcategory, Time: rtm}
+			e.right = &joinRow{RightKey: stark.NewSTObjectWithTime(geom.Point{X: y, Y: x}, stark.Instant(rtm)), Right: eventValue{ID: int64(rid), Category: rcategory}}
 		}
 		if which&1 != 0 {
 			e.distance = &dist
@@ -266,14 +274,14 @@ func FuzzAppendFeature(f *testing.F) {
 		if which&2 != 0 {
 			e.cluster = &label
 		}
-		checkAgainstOracle(t, stark.NewSTObject(g), workload.Event{ID: id, Category: category, Time: tm}, e)
+		checkAgainstOracle(t, stark.NewSTObjectWithTime(g, stark.Instant(tm)), eventValue{ID: int64(id), Category: category}, e)
 	})
 }
 
 func TestAppendFeaturePointPathDoesNotAllocate(t *testing.T) {
-	key := stark.NewSTObjectWithTime(geom.Point{X: 512.0625, Y: 1e-7}, 3)
-	ev := workload.Event{ID: 7919, Category: `a "quoted" <category>`, Time: 123456}
-	pair := joinRow{Left: ev, Right: workload.Event{ID: 3, Category: "politics", Time: 9}}
+	key := stark.NewSTObjectWithTime(geom.Point{X: 512.0625, Y: 1e-7}, 123456)
+	ev := eventValue{ID: 7919, Category: `a "quoted" <category>`}
+	pair := joinRow{Left: ev, RightKey: stark.NewSTObjectWithTime(geom.Point{X: 1, Y: 2}, 9), Right: eventValue{ID: 3, Category: "politics"}}
 	buf := make([]byte, 0, 4096)
 	if n := testing.AllocsPerRun(200, func() {
 		buf, _ = encodeEvent(buf[:0], stark.NewTuple(key, ev))
@@ -286,7 +294,7 @@ func TestAppendFeaturePointPathDoesNotAllocate(t *testing.T) {
 		t.Errorf("join line: %v allocations per row, want 0", n)
 	}
 	dist, label := 2.5, 4
-	for _, x := range []extras{{}, {distance: &dist}, {cluster: &label}, {right: &pair.Right}} {
+	for _, x := range []extras{{}, {distance: &dist}, {cluster: &label}, {right: &pair}} {
 		if n := testing.AllocsPerRun(200, func() {
 			buf, _ = appendFeature(buf[:0], key, ev, x)
 		}); n != 0 {
@@ -295,16 +303,16 @@ func TestAppendFeaturePointPathDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// benchRows are generated events keyed the way the catalog keys them.
-func benchRows(b *testing.B) []stark.Tuple[workload.Event] {
+// benchRows are generated events as catalog rows.
+func benchRows(b *testing.B) []stark.Tuple[eventValue] {
 	events := workload.Events(workload.Config{N: 1024, Seed: 16})
-	rows := make([]stark.Tuple[workload.Event], len(events))
+	rows := make([]stark.Tuple[eventValue], len(events))
 	for i, e := range events {
-		key, err := stark.FromWKTWithTime(e.WKT, stark.Instant(e.Time))
+		row, err := catalogRow(e)
 		if err != nil {
 			b.Fatal(err)
 		}
-		rows[i] = stark.NewTuple(key, e)
+		rows[i] = row
 	}
 	return rows
 }

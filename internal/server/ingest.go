@@ -60,8 +60,8 @@ type mutationLine struct {
 // op is a delete, and never accept a line that holds anything after
 // its one JSON value (a second mutation there would be dropped while
 // the batch answers 200).
-func decodeMutation(line []byte) (stark.LiveOp[workload.Event], error) {
-	var zero stark.LiveOp[workload.Event]
+func decodeMutation(line []byte) (stark.LiveOp[eventValue], error) {
+	var zero stark.LiveOp[eventValue]
 	var m mutationLine
 	dec := json.NewDecoder(bytes.NewReader(line))
 	dec.DisallowUnknownFields()
@@ -77,8 +77,8 @@ func decodeMutation(line []byte) (stark.LiveOp[workload.Event], error) {
 // toOp validates a decoded mutation line and lifts it to a live op —
 // shared between the HTTP ingest decoder and WAL batch replay (which
 // logs batches as []mutationLine).
-func (m mutationLine) toOp() (stark.LiveOp[workload.Event], error) {
-	var zero stark.LiveOp[workload.Event]
+func (m mutationLine) toOp() (stark.LiveOp[eventValue], error) {
+	var zero stark.LiveOp[eventValue]
 	if m.ID == nil {
 		return zero, errors.New("missing id")
 	}
@@ -87,7 +87,7 @@ func (m mutationLine) toOp() (stark.LiveOp[workload.Event], error) {
 		if m.WKT != "" || m.Category != "" || m.Time != 0 {
 			return zero, errors.New("delete takes only id")
 		}
-		return stark.LiveDelete[workload.Event](*m.ID), nil
+		return stark.LiveDelete[eventValue](*m.ID), nil
 	case "insert", "upsert", "":
 	default:
 		return zero, fmt.Errorf("unknown op %q (want insert, upsert or delete)", m.Op)
@@ -103,11 +103,11 @@ func (m mutationLine) toOp() (stark.LiveOp[workload.Event], error) {
 }
 
 // opLine renders a validated live op back to its wire form — how WAL
-// batch records serialise a batch. The op carries no text (catalogRow
-// dropped it), so the line's WKT is rendered from the key; the round
-// trip through toOp is lossless because that rendering parses back to
-// the same coordinates bit for bit (see catalogRow).
-func opLine(op stark.LiveOp[workload.Event]) mutationLine {
+// batch records serialise a batch. The op's text and time are in its
+// key (catalogRow), so the line's WKT and time are rendered from it;
+// the round trip through toOp is lossless because that rendering parses
+// back to the same coordinates bit for bit (see catalogRow).
+func opLine(op stark.LiveOp[eventValue]) mutationLine {
 	id := op.Rec.ID
 	if op.Kind == live.OpDelete {
 		return mutationLine{Op: "delete", ID: &id}
@@ -116,7 +116,7 @@ func opLine(op stark.LiveOp[workload.Event]) mutationLine {
 	if op.Kind == live.OpInsert {
 		name = "insert"
 	}
-	return mutationLine{Op: name, ID: &id, Category: op.Rec.Value.Category, Time: op.Rec.Value.Time, WKT: keyWKT(op.Rec.Key)}
+	return mutationLine{Op: name, ID: &id, Category: op.Rec.Value.Category, Time: eventTime(op.Rec.Key), WKT: keyWKT(op.Rec.Key)}
 }
 
 // keyWKT is key.Geo().WKT() without boxing a point key.
@@ -160,7 +160,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 	sc := bufio.NewScanner(r.Body)
 	sc.Buffer(make([]byte, 64*1024), maxIngestLineBytes)
-	var ops []stark.LiveOp[workload.Event]
+	var ops []stark.LiveOp[eventValue]
 	lineNo := 0
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())

@@ -79,7 +79,7 @@ func TestKNNClauseMatchesBruteForce(t *testing.T) {
 				var brute []neighbour
 				for _, kv := range rows {
 					if w == nil || kv.Value.Category == workload.Categories[1] {
-						brute = append(brute, neighbour{kv.Value.ID, ref.Distance(kv.Key, nil)})
+						brute = append(brute, neighbour{int(kv.Value.ID), ref.Distance(kv.Key, nil)})
 					}
 				}
 				sortNeighbours(brute)

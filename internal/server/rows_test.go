@@ -11,12 +11,12 @@ import (
 
 	"stark"
 	"stark/internal/engine"
-	"stark/internal/geom"
 	"stark/internal/workload"
 )
 
-// Catalog rows carry no WKT text (catalogRow): the tests here pin the
-// heap that saves and the recovery guarantee it rests on.
+// A catalog row is the paper's (STObject(wkt, t), (id, c)) (catalogRow):
+// the tests here pin its size, the heap a dataset of them holds, and
+// the recovery guarantee the row rests on.
 
 // heapHeld is the live heap after two collections.
 func heapHeld() uint64 {
@@ -27,9 +27,24 @@ func heapHeld() uint64 {
 	return m.HeapAlloc
 }
 
+// TestRowBudget pins the row sizes: a catalog row is a 56-byte key and
+// (id, category), a join result row the left key and a JoinRow of two
+// values and the right key. A field added to either shows here, not as
+// a drift of the benchmark's heap.
+func TestRowBudget(t *testing.T) {
+	if got := unsafe.Sizeof(stark.Tuple[eventValue]{}); got != 80 {
+		t.Errorf("catalog row is %d bytes, want 80", got)
+	}
+	if got := unsafe.Sizeof(stark.Tuple[joinRow]{}); got != 160 {
+		t.Errorf("join result row is %d bytes, want 160", got)
+	}
+}
+
 // TestCatalogRowsCarryNoText pins the resident form of a registered
-// dataset: no row keeps the text it was parsed from, and the dataset
-// holds its rows and their boxed points, nothing per row beside them.
+// dataset: each row is (key, (id, category)), the text and the time
+// parsed into the key, and the dataset holds its rows, nothing per row
+// beside them. The text and time the WAL and checkpoints render from a
+// key are the generator's.
 func TestCatalogRowsCarryNoText(t *testing.T) {
 	const n = 100_000
 	ctx := engine.NewContext(2)
@@ -40,34 +55,24 @@ func TestCatalogRowsCarryNoText(t *testing.T) {
 		t.Fatal(err)
 	}
 	held := heapHeld() - base
-	perRow := uint64(unsafe.Sizeof(stark.Tuple[workload.Event]{}) + unsafe.Sizeof(geom.Point{}))
+	perRow := uint64(unsafe.Sizeof(stark.Tuple[eventValue]{}))
 	if limit := n * perRow * 11 / 10; held > limit {
-		t.Errorf("registered dataset holds %.1f MB, rows and point boxes are %.1f MB (limit 1.1×)",
+		t.Errorf("registered dataset holds %.1f MB, its rows are %.1f MB (limit 1.1×)",
 			float64(held)/(1<<20), float64(n*perRow)/(1<<20))
 	}
 	rows, err := e.ds.Collect()
 	if err != nil || len(rows) != n {
 		t.Fatalf("collected %d rows, %v", len(rows), err)
 	}
+	events := workload.Events(workload.Config{N: n, Seed: 7, Dist: workload.Skewed})
 	for _, kv := range rows {
-		if kv.Value.WKT != "" {
-			t.Fatalf("row %d keeps its text %q", kv.Value.ID, kv.Value.WKT)
+		ev := events[kv.Value.ID]
+		if kv.Value.Category != ev.Category || eventTime(kv.Key) != ev.Time || keyWKT(kv.Key) != ev.WKT {
+			t.Fatalf("row %d is (%s at %d, %q), generated as (%s at %d, %q)", kv.Value.ID,
+				keyWKT(kv.Key), eventTime(kv.Key), kv.Value.Category, ev.WKT, ev.Time, ev.Category)
 		}
 	}
 	runtime.KeepAlive(s)
-}
-
-// liveTexts returns the WKT fields the live records of a mutable
-// dataset still hold.
-func liveTexts(e *catalogEntry) []string {
-	var texts []string
-	e.mds.EachRecord(func(r stark.LiveRecord[workload.Event]) bool {
-		if r.Value.WKT != "" {
-			texts = append(texts, r.Value.WKT)
-		}
-		return true
-	})
-	return texts
 }
 
 // replies runs the fixed query set and returns each reply's feature
@@ -158,12 +163,6 @@ func TestRecoveryEquivalentUnderNonCanonicalText(t *testing.T) {
 			for i := range want {
 				if !bytes.Equal(got[i], want[i]) {
 					t.Errorf("query %d after recovery:\n%s\nbefore the crash:\n%s", i, got[i], want[i])
-				}
-			}
-			for _, srv := range []*Server{s, s2} {
-				e, _ := srv.catalog.Get("fleet")
-				if texts := liveTexts(e); len(texts) > 0 {
-					t.Errorf("live records keep their text: %q", texts)
 				}
 			}
 			crash(t, s2)

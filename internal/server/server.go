@@ -20,7 +20,6 @@ import (
 
 	"stark"
 	"stark/internal/attr"
-	"stark/internal/workload"
 )
 
 // Options tunes the query service. Zero values select sensible
@@ -210,16 +209,19 @@ func queryObject(req QueryRequest) (stark.STObject, error) {
 	return stark.NewSTObjectWithInterval(g, iv), nil
 }
 
-// eventSchema is the shared attribute schema the where clauses
-// compile against.
-var eventSchema = workload.EventSchema()
+// eventSchema is the attribute schema of a catalog row, time read from
+// the key: where clauses compile against it, mutable datasets post it.
+var eventSchema = stark.NewAttrSchema[eventValue]().
+	Int64("id", func(_ stark.STObject, v eventValue) int64 { return v.ID }).
+	String("category", func(_ stark.STObject, v eventValue) string { return v.Category }).
+	Int64("time", func(key stark.STObject, _ eventValue) int64 { return eventTime(key) })
 
 // buildFilterOn compiles a QueryRequest into a filter chain over a
 // dataset — shared by the NDJSON query endpoint, its EXPLAIN and the
 // left side of a join. Where clauses AND with
 // the spatial predicate; with Where present and WKT empty, the query
 // is attribute-only.
-func buildFilterOn(ds *stark.Dataset[workload.Event], req QueryRequest) (*stark.Dataset[workload.Event], error) {
+func buildFilterOn(ds *stark.Dataset[eventValue], req QueryRequest) (*stark.Dataset[eventValue], error) {
 	if len(req.Where) > 0 {
 		var err error
 		ds, err = applyWhere(ds.WithSchema(eventSchema), req.Where)
@@ -256,7 +258,7 @@ func buildFilterOn(ds *stark.Dataset[workload.Event], req QueryRequest) (*stark.
 // applyWhere validates each clause against the event schema (so a bad
 // field or operand maps to 400, not a failed execution) and defers it
 // onto the chain.
-func applyWhere(ds *stark.Dataset[workload.Event], where []WhereClause) (*stark.Dataset[workload.Event], error) {
+func applyWhere(ds *stark.Dataset[eventValue], where []WhereClause) (*stark.Dataset[eventValue], error) {
 	for i, c := range where {
 		if err := checkWhere(c); err != nil {
 			return nil, fmt.Errorf("bad where clause %d: %v", i, err)

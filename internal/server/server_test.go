@@ -316,10 +316,7 @@ func datasetStats(t testing.TB, s *Server, name string) (events int64, planner m
 
 // withEvents returns spec carrying events as its inline payload.
 func withEvents(spec DatasetSpec, events []workload.Event) DatasetSpec {
-	spec.Events = make([]EventSpec, len(events))
-	for i, ev := range events {
-		spec.Events[i] = EventSpec{ID: ev.ID, Category: ev.Category, Time: ev.Time, WKT: ev.WKT}
-	}
+	spec.Events = events
 	return spec
 }
 
@@ -336,7 +333,8 @@ func TestRegisterEventsRejectsBadWKT(t *testing.T) {
 // TestGeometryJSONShapes holds the line of every non-point key to the
 // map-form oracle byte for byte, and pins the GeoJSON type it names.
 func TestGeometryJSONShapes(t *testing.T) {
-	ev := workload.Event{ID: 9, Category: "shape", Time: 3}
+	ev := eventValue{ID: 9, Category: "shape"}
+	pair := joinRow{RightKey: stark.NewSTObjectWithTime(geom.NewPoint(1, 1), 4), Right: ev}
 	label, dist := 2, 0.5
 	for _, c := range []struct {
 		g    geom.Geometry
@@ -353,8 +351,8 @@ func TestGeometryJSONShapes(t *testing.T) {
 		{nil, `{"geometries":[],"type":"GeometryCollection"}`},
 		{geom.NewMultiPoint([]geom.Point{{X: 1, Y: 2}, {X: math.NaN(), Y: 0}}), ""},
 	} {
-		key := stark.NewSTObject(c.g)
-		for _, x := range []extras{{}, {right: &ev}, {distance: &dist}, {cluster: &label}} {
+		key := stark.NewSTObjectWithTime(c.g, 3)
+		for _, x := range []extras{{}, {right: &pair}, {distance: &dist}, {cluster: &label}} {
 			checkAgainstOracle(t, key, ev, x)
 		}
 		line, err := appendFeature(nil, key, ev, extras{})

@@ -42,7 +42,6 @@ import (
 	"stark"
 	"stark/internal/engine"
 	"stark/internal/plan"
-	"stark/internal/workload"
 )
 
 // DefaultDataset is the catalog name a request without "dataset"
@@ -99,11 +98,11 @@ type ClusterClause struct {
 }
 
 // joinRow is the record type of a service join result.
-type joinRow = stark.JoinRow[workload.Event, workload.Event]
+type joinRow = stark.JoinRow[eventValue, eventValue]
 
 // buildJoinOn compiles a JoinSpec into a join chain over the two
 // datasets, returning the chain and the report its execution fills.
-func buildJoinOn(left *stark.Dataset[workload.Event], right *stark.Dataset[workload.Event], spec *JoinSpec) (*stark.Dataset[joinRow], *stark.JoinReport, error) {
+func buildJoinOn(left *stark.Dataset[eventValue], right *stark.Dataset[eventValue], spec *JoinSpec) (*stark.Dataset[joinRow], *stark.JoinReport, error) {
 	var (
 		pred   stark.Predicate
 		expand float64
@@ -180,7 +179,7 @@ func (s *Server) joinChain(w http.ResponseWriter, req ServiceQueryRequest) (*sta
 // dataset. Any field set applies the filter, so a constraint the plain
 // query would reject (a time window without a geometry) errors here
 // too instead of being dropped.
-func filterOn(ds *stark.Dataset[workload.Event], req QueryRequest) (*stark.Dataset[workload.Event], error) {
+func filterOn(ds *stark.Dataset[eventValue], req QueryRequest) (*stark.Dataset[eventValue], error) {
 	if req.WKT == "" && req.Predicate == "" && !req.HasTime && req.Distance == 0 && len(req.Where) == 0 {
 		return ds, nil
 	}
@@ -279,14 +278,14 @@ func (s *Server) handleOperatorQuery(w http.ResponseWriter, r *http.Request, req
 	sum := ndjsonSummary{Dataset: entry.spec.Name, Cache: "bypass"}
 	var body []byte
 	if req.KNN != nil {
-		var nbrs []stark.Neighbor[workload.Event]
+		var nbrs []stark.Neighbor[eventValue]
 		nbrs, err = chain.KNNContext(r.Context(), ref, req.KNN.K)
 		for i := 0; i < len(nbrs) && err == nil; i++ {
 			body, err = appendFeature(body, nbrs[i].Key, nbrs[i].Value, extras{distance: &nbrs[i].Distance})
 		}
 		sum.Count = int64(len(nbrs))
 	} else {
-		var recs []stark.ClusteredRecord[workload.Event]
+		var recs []stark.ClusteredRecord[eventValue]
 		var n int
 		recs, n, err = chain.Cluster(stark.ClusterOptions{Eps: req.Cluster.Eps, MinPts: req.Cluster.MinPts})
 		for i := 0; i < len(recs) && err == nil; i++ {
@@ -313,12 +312,12 @@ func (s *Server) handleOperatorQuery(w http.ResponseWriter, r *http.Request, req
 // encodeEvent and encodePair are the line encoders of the two reply
 // kinds: an event, and a join pair as the left record's feature with
 // the right record folded into the properties.
-func encodeEvent(dst []byte, kv stark.Tuple[workload.Event]) ([]byte, error) {
+func encodeEvent(dst []byte, kv stark.Tuple[eventValue]) ([]byte, error) {
 	return appendFeature(dst, kv.Key, kv.Value, extras{})
 }
 
 func encodePair(dst []byte, kv stark.Tuple[joinRow]) ([]byte, error) {
-	return appendFeature(dst, kv.Key, kv.Value.Left, extras{right: &kv.Value.Right})
+	return appendFeature(dst, kv.Key, kv.Value.Left, extras{right: &kv.Value})
 }
 
 // streamAndSummarise writes the NDJSON reply of an executed chain: the

@@ -138,7 +138,7 @@ func TestQueryV1MissHitAndOracleBodiesAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := oracleBody(t, chain, func(kv stark.Tuple[workload.Event]) map[string]interface{} {
+			want := oracleBody(t, chain, func(kv stark.Tuple[eventValue]) map[string]interface{} {
 				return feature(kv, nil, nil)
 			})
 			if len(want) == 0 {
@@ -175,7 +175,7 @@ func TestQueryV1MissHitAndOracleBodiesAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := oracleBody(t, chain, func(kv stark.Tuple[joinRow]) map[string]interface{} {
-			return featureMap(kv.Key, kv.Value.Left, extras{right: &kv.Value.Right})
+			return featureMap(kv.Key, kv.Value.Left, extras{right: &kv.Value})
 		})
 		rec := postV1Query(t, s, req)
 		body, sum := splitSummary(t, rec.Body.Bytes())

@@ -154,7 +154,7 @@ func CollectFields[V any](ds *engine.Dataset[engine.Pair[stobject.STObject, V]],
 				a.ps.Timed++
 			}
 			for i, f := range fields {
-				a.fields[i].Add(f.Get(kv.Value))
+				a.fields[i].Add(f.Get(kv.Key, kv.Value))
 			}
 			c := kv.Key.Centroid()
 			a.seen++

@@ -29,25 +29,27 @@ import (
 )
 
 // Event is the paper's running-example record: (id: Int, category:
-// String, time: Long, wkt: String).
+// String, time: Long, wkt: String). Its JSON form is an inline event of
+// a query service registration and a row of its checkpoints.
 type Event struct {
-	ID       int
-	Category string
-	Time     int64
-	WKT      string
+	ID       int    `json:"id"`
+	Category string `json:"category,omitempty"`
+	Time     int64  `json:"time,omitempty"`
+	WKT      string `json:"wkt"`
 }
 
 // Categories used by the event generator.
 var Categories = []string{"politics", "sports", "culture", "disaster", "science"}
 
 // EventSchema returns the attribute schema of Event: the typed field
-// accessors the query service and benchmarks register so id, category
-// and time are filterable with typed predicates.
+// accessors the benchmarks register so id, category and time are
+// filterable with typed predicates. The time is read from the key
+// (ToSTObject puts it there), as the query service's rows keep it.
 func EventSchema() *attr.Schema[Event] {
 	return attr.NewSchema[Event]().
-		Int64("id", func(e Event) int64 { return int64(e.ID) }).
-		String("category", func(e Event) string { return e.Category }).
-		Int64("time", func(e Event) int64 { return e.Time })
+		Int64("id", func(_ stobject.STObject, e Event) int64 { return int64(e.ID) }).
+		String("category", func(_ stobject.STObject, e Event) string { return e.Category }).
+		Int64("time", func(key stobject.STObject, _ Event) int64 { iv, _ := key.Time(); return int64(iv.Start) })
 }
 
 // Distribution selects the spatial distribution of generated points.

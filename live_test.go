@@ -229,7 +229,7 @@ func TestMutableDatasetEmptyAndChaining(t *testing.T) {
 	}
 	// Snapshot composes with the rest of the DSL (a payload filter after
 	// the spatial filter).
-	schema := NewAttrSchema[int]().Int64("v", func(v int) int64 { return int64(v) })
+	schema := NewAttrSchema[int]().Int64("v", func(_ STObject, v int) int64 { return int64(v) })
 	got, err := md.Snapshot().WithSchema(schema).Intersects(q).FilterEq("v", 0).Collect()
 	if err != nil {
 		t.Fatal(err)
@@ -255,8 +255,8 @@ func TestMutableDatasetEmptyAndChaining(t *testing.T) {
 // one, so that check of compile's has no row here.)
 func TestPlanErrorsSurfaceAtRun(t *testing.T) {
 	ctx := NewContext(2)
-	schema := NewAttrSchema[int]().Int64("v", func(v int) int64 { return int64(v) })
-	other := NewAttrSchema[int]().Int64("w", func(v int) int64 { return int64(v) })
+	schema := NewAttrSchema[int]().Int64("v", func(_ STObject, v int) int64 { return int64(v) })
+	other := NewAttrSchema[int]().Int64("w", func(_ STObject, v int) int64 { return int64(v) })
 	rng := rand.New(rand.NewSource(18))
 	tuples := make([]Tuple[int], 2000)
 	recs := make([]LiveRecord[int], len(tuples))

@@ -50,7 +50,7 @@ func TestStreamEncodedAgreesWithStreamParallelAcrossLayouts(t *testing.T) {
 	// maintains), so both postings probes stream here too. They hold
 	// one partition: at 900 rows the planner prices a postings probe
 	// per partition above the scan of more.
-	schema := stark.NewAttrSchema[int]().Int64("bucket", func(v int) int64 { return int64(v % 30) })
+	schema := stark.NewAttrSchema[int]().Int64("bucket", func(_ stark.STObject, v int) int64 { return int64(v % 30) })
 	one, err := stark.Grid(1).Build([]stark.STObject{
 		stark.NewSTObject(stark.NewPoint(0, 0)),
 		stark.NewSTObject(stark.NewPoint(1000, 1000)),
