@@ -302,7 +302,7 @@ func BenchmarkDBSCANDistributed(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, err := cluster.DBSCANDistributed(pts, cluster.DistributedConfig{
-			Eps: 2.0, MinPts: 5, Regions: bsp, Home: home, Runner: ctx,
+			Eps: 2.0, MinPts: 5, Regions: bsp, Home: home, Run: ctx.RunJob,
 		})
 		if err != nil {
 			b.Fatal(err)

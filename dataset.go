@@ -264,7 +264,7 @@ func (d *Dataset[V]) PartitionBy(p Partitioner) *Dataset[V] {
 		// pruning (zero-copy when it already holds its partitions): a
 		// data-driven recipe (Grid, BSP, Voronoi) reads its keys from the
 		// slices the shuffle then scatters, so the lineage runs once.
-		parts, err := st.sds.Dataset().ComputePartitions(st.prunedVisit(d.ctx.Recorder()))
+		parts, err := st.sds.Dataset().ComputePartitions(nil, st.prunedVisit(d.ctx.Recorder()))
 		if err != nil {
 			return state[V]{}, err
 		}
@@ -698,39 +698,21 @@ func (d *Dataset[V]) Take(n int) ([]Tuple[V], error) {
 	return out, err
 }
 
-// StreamParallelContext drives every result record through fn
-// sequentially, in partition order, without materialising the result;
-// fn returning false stops the stream. The partitions are cut into
-// morsels that run as one ordered job on all executors, buffering the
-// rows of at most 2 × parallelism morsels. Cancellation is cooperative:
-// once ctx is done no further morsel is started and the stream returns
-// ctx.Err().
-func (d *Dataset[V]) StreamParallelContext(ctx context.Context, fn func(Tuple[V]) bool) error {
-	if fn == nil {
-		return fmt.Errorf("stark: streamParallel: nil consumer")
-	}
-	return d.runPhase("stream", func(ds *engine.Dataset[Tuple[V]], visit []int) (rows int64, err error) {
-		err = ds.StreamPartitionsParallelContext(ctx, visit, func(kv Tuple[V]) bool {
-			rows++
-			return fn(kv)
-		})
-		return rows, err
-	})
-}
-
-// StreamEncodedContext is StreamParallelContext for consumers that
-// serialise the result: every morsel task appends the encoding of its
-// rows (enc: append kv to dst, return the grown slice) to one buffer as
-// they leave the plan, and sink receives each morsel's bytes and row
-// count sequentially, in partition order, then row order. The rows are
-// never materialised and the encoding runs on all executors, so enc is
-// called from several goroutines at once. A chunk is only valid until
-// sink returns; sink returning false stops the stream and an enc error
-// fails it, and at most 2 × parallelism chunks are encoded beyond the
-// one sink holds. This is the action behind the query service's NDJSON
-// endpoint, which writes each chunk to the socket with one Write and
-// aborts the scan when the client hangs up or the request deadline
-// fires.
+// StreamEncodedContext streams the result to a consumer that
+// serialises it. The partitions are cut into morsels that run as one
+// ordered job on all executors: every morsel task appends the encoding
+// of its rows (enc: append kv to dst, return the grown slice) to one
+// buffer as they leave the plan, and sink receives each morsel's bytes
+// and row count sequentially, in partition order, then row order. The
+// rows are never materialised and enc is called from several
+// goroutines at once. A chunk is only valid until sink returns; sink
+// returning false stops the stream and an enc error fails it, and at
+// most 2 × parallelism chunks are encoded beyond the one sink holds.
+// Cancellation is cooperative: once ctx is done no further morsel is
+// started and the stream returns ctx.Err(). This is the action behind
+// the query service's NDJSON endpoint, which writes each chunk to the
+// socket with one Write and aborts the scan when the client hangs up or
+// the request deadline fires.
 func (d *Dataset[V]) StreamEncodedContext(ctx context.Context,
 	enc func(dst []byte, kv Tuple[V]) ([]byte, error), sink func(chunk []byte, rows int64) bool) error {
 	if enc == nil || sink == nil {
@@ -834,13 +816,15 @@ type ClusteredRecord[V any] = core.ClusteredRecord[V]
 
 // Cluster runs distributed DBSCAN over the query result and returns
 // one labelled record per input record plus the number of clusters.
-func (d *Dataset[V]) Cluster(opts ClusterOptions) ([]ClusteredRecord[V], int, error) {
+// Once ctx is done no further task of the collect or the DBSCAN job is
+// scheduled, and Cluster returns ctx's error.
+func (d *Dataset[V]) Cluster(ctx context.Context, opts ClusterOptions) ([]ClusteredRecord[V], int, error) {
 	st, err := d.forceFlushed()
 	if err != nil {
 		return nil, 0, err
 	}
 	m := d.beginPhase()
-	recs, n, err := st.sds.Cluster(opts)
+	recs, n, err := st.sds.Cluster(ctx, opts)
 	d.endPhase("cluster", m, int64(len(recs)))
 	if err != nil {
 		return nil, 0, fmt.Errorf("stark: cluster: %w", err)

@@ -44,13 +44,13 @@
 //   - Take reads it through a row adapter and stops inside the batch in
 //     flight, so Take(10) on a hundred-million-row chain touches a few
 //     hundred records, over an index probe ten;
-//   - StreamParallelContext drives rows sequentially, in partition
-//     order, into a consumer: it cuts every partition into row ranges of
-//     at most 4096 rows (morsels), runs them as ONE ordered job on all
-//     executors and still delivers in order; StreamEncodedContext moves
-//     the consumer's encoder into the tasks and delivers one chunk of
-//     bytes per morsel, so no slice of rows is ever built. At most
-//     2 × parallelism results are computed ahead of the consumer;
+//   - StreamEncodedContext feeds a consumer sequentially, in partition
+//     order: it cuts every partition into row ranges of at most 4096
+//     rows (morsels), runs them as ONE ordered job on all executors,
+//     runs the consumer's encoder inside the tasks and still delivers
+//     one chunk of bytes per morsel in order, so no slice of rows is
+//     ever built. At most 2 × parallelism chunks are computed ahead of
+//     the consumer;
 //   - Collect materialises, but runs the whole fused chain into a
 //     single output slice per partition.
 //
@@ -340,9 +340,9 @@
 // stream, count, knn, ...) with wall time, rows and the per-query
 // counter deltas, and the executed plan tree grafted under the first
 // phase so the operators the planner chose appear with their actual
-// cardinalities. Trace().Render() prints an indented tree; phase
-// recording is always on and costs two counter snapshots per action,
-// so EXPLAIN output and untraced behaviour are unchanged.
+// cardinalities. Phase recording is always on and costs two counter
+// snapshots per action, so EXPLAIN output and untraced behaviour are
+// unchanged.
 //
 // The query service exposes the same at the HTTP layer: a query with
 // "trace": true returns the trace in its NDJSON summary line
@@ -363,11 +363,9 @@
 //     evaluated datasets with a parallel task scheduler and shuffle;
 //   - internal/geom      — the JTS-subset geometry kernel (WKT,
 //     predicates, distances);
-//   - internal/temporal  — instants, closed intervals and the two
-//     temporal predicates the combined semantics pairs (intersects,
-//     contains);
-//   - internal/stobject  — the STObject data type with the paper's
-//     combined spatio-temporal predicate semantics;
+//   - internal/stobject  — the STObject data type (a geometry plus an
+//     optional closed interval of instants) with the paper's combined
+//     spatio-temporal predicate semantics;
 //   - internal/partition — grid, cost-based BSP, tile and Voronoi
 //     spatial partitioners with extent bookkeeping;
 //   - internal/index     — the STR-packed R-tree with kNN and

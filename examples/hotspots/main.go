@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -30,7 +31,7 @@ func main() {
 	// DBSCAN over the event locations. The operator derives a BSP
 	// partitioning, replicates the ε halo, clusters each partition in
 	// parallel and merges across borders.
-	recs, n, err := events.Cluster(stark.ClusterOptions{Eps: 8, MinPts: 10})
+	recs, n, err := events.Cluster(context.Background(), stark.ClusterOptions{Eps: 8, MinPts: 10})
 	if err != nil {
 		log.Fatal(err)
 	}

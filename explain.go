@@ -91,7 +91,7 @@ func (d *Dataset[V]) compiled() (compiled[V], error) {
 // charged to rec; the probes and scans charge it when an action runs
 // them. The attribute access path is the planner's choice too:
 //
-//   - AttrInline: the spatial access path (fused scan, tree probe or
+//   - attrInline: the spatial access path (fused scan, tree probe or
 //     columnar kernels) runs as usual, with the compiled attribute
 //     checks fused in as cheap typed compares;
 //   - AttrIndexProbe: the most selective attribute predicate's

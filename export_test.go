@@ -1,10 +1,15 @@
 package stark
 
-// Test seams: switches the oracles need and no program calls. They
-// compile into the test binary only, so the external test package sees
-// them as methods of Dataset.
+// Test seams: switches and references the oracles need and no program
+// calls. They compile into the test binary only, so the external test
+// package sees them as methods of Dataset.
 
-import "fmt"
+import (
+	"context"
+	"fmt"
+
+	"stark/internal/engine"
+)
 
 // Optimize(false) turns the cost-based planner off for this chain:
 // filters run in caller order as fused scans, partitions are pruned
@@ -44,5 +49,26 @@ func (d *Dataset[V]) AttrIndex(fields ...string) *Dataset[V] {
 			return state[V]{}, err
 		}
 		return st, nil
+	})
+}
+
+// StreamParallelContext, the row-at-a-time reference for
+// StreamEncodedContext, drives every result record through fn
+// sequentially, in partition order, without materialising the result;
+// fn returning false stops the stream. The partitions are cut into
+// morsels that run as one ordered job on all executors, buffering the
+// rows of at most 2 × parallelism morsels. Cancellation is cooperative:
+// once ctx is done no further morsel is started and the stream returns
+// ctx.Err().
+func (d *Dataset[V]) StreamParallelContext(ctx context.Context, fn func(Tuple[V]) bool) error {
+	if fn == nil {
+		return fmt.Errorf("stark: streamParallel: nil consumer")
+	}
+	return d.runPhase("stream", func(ds *engine.Dataset[Tuple[V]], visit []int) (rows int64, err error) {
+		err = ds.StreamPartitionsParallelContext(ctx, visit, func(kv Tuple[V]) bool {
+			rows++
+			return fn(kv)
+		})
+		return rows, err
 	})
 }

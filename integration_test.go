@@ -185,6 +185,7 @@ func TestPigletPipelineAgainstAPI(t *testing.T) {
 	out, err := piglet.Run(`
 e = LOAD 'data/events.csv';
 w = FILTER e BY CONTAINEDBY('POLYGON ((100 100, 500 100, 500 500, 100 500, 100 100))', 200, 800);
+DUMP w;
 `, &piglet.Env{Ctx: ctx, Root: root})
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +199,7 @@ w = FILTER e BY CONTAINEDBY('POLYGON ((100 100, 500 100, 500 500, 100 500, 100 1
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(out.Relations["w"].Rows()); got != len(hits) {
+	if got := len(out.Dumped); got != len(hits) {
 		t.Errorf("piglet %d vs API %d", got, len(hits))
 	}
 	if len(hits) == 0 {
@@ -218,11 +219,8 @@ func TestServerAgainstAPI(t *testing.T) {
 	if err := srv.Register(spec); err != nil {
 		t.Fatal(err)
 	}
-	body, _ := json.Marshal(server.QueryRequest{
-		Predicate: "intersects",
-		WKT:       "POLYGON ((0 0, 500 0, 500 500, 0 500, 0 0))",
-		HasTime:   true, Begin: 0, End: 1000,
-	})
+	body := []byte(`{"predicate": "intersects", "wkt": "POLYGON ((0 0, 500 0, 500 500, 0 500, 0 0))",
+		"hasTime": true, "begin": 0, "end": 1000}`)
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/query", bytes.NewReader(body)))
 	if rec.Code != http.StatusOK {

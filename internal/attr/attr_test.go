@@ -9,16 +9,16 @@ import (
 
 func TestValueCanonicalRoundTrip(t *testing.T) {
 	vals := []Value{
-		Int64(0), Int64(-42), Int64(math.MaxInt64), Int64(math.MinInt64),
-		Float64(0), Float64(-0.5), Float64(40.25), Float64(1e300), Float64(math.Inf(1)),
+		intValue(0), intValue(-42), intValue(math.MaxInt64), intValue(math.MinInt64),
+		floatValue(0), floatValue(-0.5), floatValue(40.25), floatValue(1e300), floatValue(math.Inf(1)),
 		String(""), String("acme"), String(`with "quotes", commas, }]`), String("üñî"),
-		Bool(true), Bool(false),
+		boolValue(true), boolValue(false),
 	}
 	for _, v := range vals {
 		s := v.String()
-		got, err := ParseValue(s)
+		got, err := parseValue(s)
 		if err != nil {
-			t.Fatalf("ParseValue(%q): %v", s, err)
+			t.Fatalf("parseValue(%q): %v", s, err)
 		}
 		if got.String() != s {
 			t.Fatalf("round-trip %q -> %q", s, got.String())
@@ -28,19 +28,19 @@ func TestValueCanonicalRoundTrip(t *testing.T) {
 
 func TestPredCanonicalRoundTrip(t *testing.T) {
 	preds := []Pred{
-		{Field: "fare", Op: OpGt, Lo: Float64(40)},
-		{Field: "fare", Op: OpLe, Lo: Float64(-1.5)},
+		{Field: "fare", Op: OpGt, Lo: floatValue(40)},
+		{Field: "fare", Op: OpLe, Lo: floatValue(-1.5)},
 		{Field: "vendor", Op: OpEq, Lo: String(`a "b" c`)},
-		{Field: "n", Op: OpBetween, Lo: Int64(3), Hi: Int64(9)},
-		{Field: "cat", Op: OpIn, Set: []Value{Int64(1), Int64(3), Int64(7)}},
+		{Field: "n", Op: OpBetween, Lo: intValue(3), Hi: intValue(9)},
+		{Field: "cat", Op: OpIn, Set: []Value{intValue(1), intValue(3), intValue(7)}},
 		{Field: "tag", Op: OpIn, Set: []Value{String("x,y"), String("z}")}},
-		{Field: "ok", Op: OpEq, Lo: Bool(true)},
+		{Field: "ok", Op: OpEq, Lo: boolValue(true)},
 	}
 	for _, p := range preds {
 		s := p.String()
-		got, err := ParsePred(s)
+		got, err := parsePred(s)
 		if err != nil {
-			t.Fatalf("ParsePred(%q): %v", s, err)
+			t.Fatalf("parsePred(%q): %v", s, err)
 		}
 		if got.String() != s {
 			t.Fatalf("round-trip %q -> %q", s, got.String())
@@ -54,18 +54,18 @@ func TestPredMatches(t *testing.T) {
 		v    Value
 		want bool
 	}{
-		{Pred{Field: "f", Op: OpEq, Lo: Int64(5)}, Int64(5), true},
-		{Pred{Field: "f", Op: OpEq, Lo: Int64(5)}, Int64(6), false},
-		{Pred{Field: "f", Op: OpEq, Lo: Int64(5)}, Float64(5), false}, // kind mismatch
-		{Pred{Field: "f", Op: OpGt, Lo: Float64(40)}, Float64(40.01), true},
-		{Pred{Field: "f", Op: OpGt, Lo: Float64(40)}, Float64(40), false},
-		{Pred{Field: "f", Op: OpGe, Lo: Float64(40)}, Float64(40), true},
+		{Pred{Field: "f", Op: OpEq, Lo: intValue(5)}, intValue(5), true},
+		{Pred{Field: "f", Op: OpEq, Lo: intValue(5)}, intValue(6), false},
+		{Pred{Field: "f", Op: OpEq, Lo: intValue(5)}, floatValue(5), false}, // kind mismatch
+		{Pred{Field: "f", Op: OpGt, Lo: floatValue(40)}, floatValue(40.01), true},
+		{Pred{Field: "f", Op: OpGt, Lo: floatValue(40)}, floatValue(40), false},
+		{Pred{Field: "f", Op: OpGe, Lo: floatValue(40)}, floatValue(40), true},
 		{Pred{Field: "f", Op: OpLt, Lo: String("m")}, String("a"), true},
-		{Pred{Field: "f", Op: OpBetween, Lo: Int64(2), Hi: Int64(4)}, Int64(2), true},
-		{Pred{Field: "f", Op: OpBetween, Lo: Int64(2), Hi: Int64(4)}, Int64(4), true},
-		{Pred{Field: "f", Op: OpBetween, Lo: Int64(2), Hi: Int64(4)}, Int64(5), false},
-		{Pred{Field: "f", Op: OpIn, Set: []Value{Int64(1), Int64(3)}}, Int64(3), true},
-		{Pred{Field: "f", Op: OpIn, Set: []Value{Int64(1), Int64(3)}}, Int64(2), false},
+		{Pred{Field: "f", Op: OpBetween, Lo: intValue(2), Hi: intValue(4)}, intValue(2), true},
+		{Pred{Field: "f", Op: OpBetween, Lo: intValue(2), Hi: intValue(4)}, intValue(4), true},
+		{Pred{Field: "f", Op: OpBetween, Lo: intValue(2), Hi: intValue(4)}, intValue(5), false},
+		{Pred{Field: "f", Op: OpIn, Set: []Value{intValue(1), intValue(3)}}, intValue(3), true},
+		{Pred{Field: "f", Op: OpIn, Set: []Value{intValue(1), intValue(3)}}, intValue(2), false},
 	}
 	for _, c := range cases {
 		if got := c.p.Matches(c.v); got != c.want {
@@ -75,8 +75,8 @@ func TestPredMatches(t *testing.T) {
 }
 
 func TestCanonicalizeSortsAndDedupes(t *testing.T) {
-	p := Pred{Field: "f", Op: OpIn, Set: []Value{Int64(3), Int64(1), Int64(3), Int64(2)}}
-	q := Pred{Field: "f", Op: OpIn, Set: []Value{Int64(2), Int64(1), Int64(3)}}
+	p := Pred{Field: "f", Op: OpIn, Set: []Value{intValue(3), intValue(1), intValue(3), intValue(2)}}
+	q := Pred{Field: "f", Op: OpIn, Set: []Value{intValue(2), intValue(1), intValue(3)}}
 	if p.Canonicalize().String() != q.Canonicalize().String() {
 		t.Fatalf("canonicalized strings differ: %s vs %s",
 			p.Canonicalize(), q.Canonicalize())
@@ -95,7 +95,7 @@ func TestSchemaCheck(t *testing.T) {
 		Int64("n", func(_ stobject.STObject, r rec) int64 { return r.N })
 
 	// Exact kind passes through.
-	p, err := s.Check(Pred{Field: "fare", Op: OpGt, Lo: Float64(40)})
+	p, err := s.Check(Pred{Field: "fare", Op: OpGt, Lo: floatValue(40)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestSchemaCheck(t *testing.T) {
 		t.Fatalf("kind = %s", p.Lo.Kind)
 	}
 	// Lossless int -> float coercion (JSON numbers, untyped literals).
-	p, err = s.Check(Pred{Field: "fare", Op: OpGt, Lo: Int64(40)})
+	p, err = s.Check(Pred{Field: "fare", Op: OpGt, Lo: intValue(40)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestSchemaCheck(t *testing.T) {
 		t.Fatalf("coerced = %s", p.Lo)
 	}
 	// Lossless float -> int coercion.
-	p, err = s.Check(Pred{Field: "n", Op: OpEq, Lo: Float64(7)})
+	p, err = s.Check(Pred{Field: "n", Op: OpEq, Lo: floatValue(7)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,22 +119,22 @@ func TestSchemaCheck(t *testing.T) {
 		t.Fatalf("coerced = %s", p.Lo)
 	}
 	// Lossy coercion fails.
-	if _, err := s.Check(Pred{Field: "n", Op: OpEq, Lo: Float64(7.5)}); err == nil {
+	if _, err := s.Check(Pred{Field: "n", Op: OpEq, Lo: floatValue(7.5)}); err == nil {
 		t.Fatal("lossy float->int coercion accepted")
 	}
 	// Unknown field names the schema.
-	if _, err := s.Check(Pred{Field: "fere", Op: OpGt, Lo: Float64(1)}); err == nil {
+	if _, err := s.Check(Pred{Field: "fere", Op: OpGt, Lo: floatValue(1)}); err == nil {
 		t.Fatal("unknown field accepted")
 	}
 	// String field vs number.
-	if _, err := s.Check(Pred{Field: "vendor", Op: OpEq, Lo: Int64(1)}); err == nil {
+	if _, err := s.Check(Pred{Field: "vendor", Op: OpEq, Lo: intValue(1)}); err == nil {
 		t.Fatal("kind mismatch accepted")
 	}
 }
 
 func TestIndexPostings(t *testing.T) {
 	//            row: 0  1  2  3  4  5  6
-	col := []Value{Int64(5), Int64(2), Int64(9), Int64(2), Int64(7), Int64(2), Int64(5)}
+	col := []Value{intValue(5), intValue(2), intValue(9), intValue(2), intValue(7), intValue(2), intValue(5)}
 	ix := BuildIndex("f", KindInt64, col)
 
 	collect := func(p Pred) []int32 {
@@ -142,31 +142,31 @@ func TestIndexPostings(t *testing.T) {
 		ix.Postings(p, func(r int32) { rows = append(rows, r) })
 		return rows
 	}
-	eq := collect(Pred{Field: "f", Op: OpEq, Lo: Int64(2)})
+	eq := collect(Pred{Field: "f", Op: OpEq, Lo: intValue(2)})
 	if len(eq) != 3 || eq[0] != 1 || eq[1] != 3 || eq[2] != 5 {
 		t.Fatalf("eq postings = %v", eq)
 	}
-	if n := ix.Postings(Pred{Field: "f", Op: OpGt, Lo: Int64(4)}, nil); n != 4 {
+	if n := ix.Postings(Pred{Field: "f", Op: OpGt, Lo: intValue(4)}, nil); n != 4 {
 		t.Fatalf("gt count = %d", n)
 	}
-	if n := ix.Postings(Pred{Field: "f", Op: OpBetween, Lo: Int64(5), Hi: Int64(7)}, nil); n != 3 {
+	if n := ix.Postings(Pred{Field: "f", Op: OpBetween, Lo: intValue(5), Hi: intValue(7)}, nil); n != 3 {
 		t.Fatalf("between count = %d", n)
 	}
-	in := collect(Pred{Field: "f", Op: OpIn, Set: []Value{Int64(9), Int64(7)}})
+	in := collect(Pred{Field: "f", Op: OpIn, Set: []Value{intValue(9), intValue(7)}})
 	if len(in) != 2 {
 		t.Fatalf("in postings = %v", in)
 	}
-	if n := ix.Postings(Pred{Field: "f", Op: OpEq, Lo: Int64(100)}, nil); n != 0 {
+	if n := ix.Postings(Pred{Field: "f", Op: OpEq, Lo: intValue(100)}, nil); n != 0 {
 		t.Fatalf("miss count = %d", n)
 	}
 
 	// Exhaustive cross-check against Matches over every operator.
 	preds := []Pred{
-		{Field: "f", Op: OpLt, Lo: Int64(5)},
-		{Field: "f", Op: OpLe, Lo: Int64(5)},
-		{Field: "f", Op: OpGe, Lo: Int64(5)},
-		{Field: "f", Op: OpGt, Lo: Int64(9)},
-		{Field: "f", Op: OpBetween, Lo: Int64(3), Hi: Int64(8)},
+		{Field: "f", Op: OpLt, Lo: intValue(5)},
+		{Field: "f", Op: OpLe, Lo: intValue(5)},
+		{Field: "f", Op: OpGe, Lo: intValue(5)},
+		{Field: "f", Op: OpGt, Lo: intValue(9)},
+		{Field: "f", Op: OpBetween, Lo: intValue(3), Hi: intValue(8)},
 	}
 	for _, p := range preds {
 		want := 0
@@ -184,7 +184,7 @@ func TestIndexPostings(t *testing.T) {
 func TestFieldAccAndSelectivity(t *testing.T) {
 	a := NewFieldAcc("fare", KindFloat64, 1)
 	for i := 0; i < 1000; i++ {
-		a.Add(Float64(float64(i % 100)))
+		a.Add(floatValue(float64(i % 100)))
 	}
 	fs := a.Finish(32)
 	if fs.Count != 1000 {
@@ -195,11 +195,11 @@ func TestFieldAccAndSelectivity(t *testing.T) {
 	}
 	// fare > 89 matches 10% of rows; the histogram estimate should be
 	// in the right ballpark.
-	sel := fs.Selectivity(Pred{Field: "fare", Op: OpGt, Lo: Float64(89)})
+	sel := fs.Selectivity(Pred{Field: "fare", Op: OpGt, Lo: floatValue(89)})
 	if sel < 0.02 || sel > 0.3 {
 		t.Fatalf("gt selectivity = %f", sel)
 	}
-	eq := fs.Selectivity(Pred{Field: "fare", Op: OpEq, Lo: Float64(5)})
+	eq := fs.Selectivity(Pred{Field: "fare", Op: OpEq, Lo: floatValue(5)})
 	if math.Abs(eq-0.01) > 1e-9 {
 		t.Fatalf("eq selectivity = %f", eq)
 	}
@@ -211,7 +211,7 @@ func TestFieldAccAndSelectivity(t *testing.T) {
 	// Merging partition accumulators preserves totals.
 	b := NewFieldAcc("fare", KindFloat64, 2)
 	for i := 0; i < 500; i++ {
-		b.Add(Float64(float64(i%100) + 100))
+		b.Add(floatValue(float64(i%100) + 100))
 	}
 	a.Merge(b)
 	m := a.Finish(32)
@@ -236,9 +236,9 @@ func TestFieldAccCountsNaNOnce(t *testing.T) {
 			acc = b
 		}
 		if i%2 == 0 {
-			acc.Add(Float64(math.NaN()))
+			acc.Add(floatValue(math.NaN()))
 		} else {
-			acc.Add(Float64(float64(1 + i%3)))
+			acc.Add(floatValue(float64(1 + i%3)))
 		}
 	}
 	if ndv := a.Finish(0).NDV; ndv != 4 {
@@ -257,8 +257,8 @@ func TestParsePredRejectsMalformed(t *testing.T) {
 		"f in {i:1,f:2}", // mixed kinds
 	}
 	for _, s := range bad {
-		if _, err := ParsePred(s); err == nil {
-			t.Errorf("ParsePred(%q) accepted", s)
+		if _, err := parsePred(s); err == nil {
+			t.Errorf("parsePred(%q) accepted", s)
 		}
 	}
 }

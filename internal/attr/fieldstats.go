@@ -6,9 +6,9 @@ import (
 	"math/rand"
 )
 
-// DefaultSelectivity is the planner's guess when a field has no
+// defaultSelectivity is the planner's guess when a field has no
 // statistics (or a predicate shape the histogram cannot bound).
-const DefaultSelectivity = 0.3
+const defaultSelectivity = 0.3
 
 // distinctCap bounds the exact per-field distinct set tracked during
 // the statistics sweep; past it NDV becomes a scaled estimate.
@@ -77,7 +77,7 @@ func (fs *FieldStats) buildHist(histN int, nums []float64, weight float64) {
 // [lo, hi] (inclusive; use ±Inf for open ends).
 func (fs *FieldStats) histFraction(lo, hi float64) float64 {
 	if fs.Hist == nil || fs.HistTotal == 0 {
-		return DefaultSelectivity
+		return defaultSelectivity
 	}
 	if hi < fs.HistMin || lo > fs.HistMax {
 		return 0
@@ -119,12 +119,12 @@ func (fs *FieldStats) histFraction(lo, hi float64) float64 {
 }
 
 // Selectivity estimates the fraction of rows matching p, in [0, 1].
-// Nil stats fall back to DefaultSelectivity.
+// Nil stats fall back to defaultSelectivity.
 func (fs *FieldStats) Selectivity(p Pred) float64 {
 	if fs == nil || fs.Count == 0 {
-		return DefaultSelectivity
+		return defaultSelectivity
 	}
-	if p.Kind() != fs.Kind {
+	if p.kind() != fs.Kind {
 		return 0
 	}
 	ndv := fs.NDV
@@ -141,16 +141,16 @@ func (fs *FieldStats) Selectivity(p Pred) float64 {
 		}
 		return f
 	case OpLt, OpLe:
-		if x, ok := p.Lo.Num(); ok {
+		if x, ok := p.Lo.num(); ok {
 			return fs.histFraction(fs.HistMin-1, x)
 		}
 	case OpGt, OpGe:
-		if x, ok := p.Lo.Num(); ok {
+		if x, ok := p.Lo.num(); ok {
 			return fs.histFraction(x, fs.HistMax+1)
 		}
 	case OpBetween:
-		lo, okLo := p.Lo.Num()
-		hi, okHi := p.Hi.Num()
+		lo, okLo := p.Lo.num()
+		hi, okHi := p.Hi.num()
 		if okLo && okHi {
 			return fs.histFraction(lo, hi)
 		}
@@ -158,7 +158,7 @@ func (fs *FieldStats) Selectivity(p Pred) float64 {
 	if fs.Kind == KindBool {
 		return 0.5
 	}
-	return DefaultSelectivity
+	return defaultSelectivity
 }
 
 // FieldAcc is the streaming accumulator behind FieldStats: one
@@ -197,10 +197,10 @@ func (a *FieldAcc) Add(v Value) {
 	if a.count == 0 {
 		a.min, a.max = v, v
 	} else {
-		if v.Less(a.min) {
+		if v.less(a.min) {
 			a.min = v
 		}
-		if a.max.Less(v) {
+		if a.max.less(v) {
 			a.max = v
 		}
 	}
@@ -213,7 +213,7 @@ func (a *FieldAcc) Add(v Value) {
 		}
 		a.checkCap()
 	}
-	if x, ok := v.Num(); ok {
+	if x, ok := v.num(); ok {
 		a.seen++
 		if len(a.sample) < fieldSampleCap {
 			a.sample = append(a.sample, x)
@@ -248,10 +248,10 @@ func (a *FieldAcc) Merge(o *FieldAcc) {
 	if a.count == 0 {
 		a.min, a.max = o.min, o.max
 	} else {
-		if o.min.Less(a.min) {
+		if o.min.less(a.min) {
 			a.min = o.min
 		}
-		if a.max.Less(o.max) {
+		if a.max.less(o.max) {
 			a.max = o.max
 		}
 	}

@@ -21,7 +21,7 @@ func FuzzAttrCanonicalRoundTrip(f *testing.F) {
 	f.Add(`bad in {}`)
 	f.Add(`no field`)
 	f.Fuzz(func(t *testing.T, s string) {
-		p, err := ParsePred(s)
+		p, err := parsePred(s)
 		if err != nil {
 			return
 		}
@@ -35,7 +35,7 @@ func FuzzAttrCanonicalRoundTrip(f *testing.F) {
 		if c2 := c.Canonicalize(); c2.String() != text {
 			t.Fatalf("canonicalize not idempotent: %q -> %q", text, c2.String())
 		}
-		back, err := ParsePred(text)
+		back, err := parsePred(text)
 		if err != nil {
 			t.Fatalf("own canonical form %q does not parse: %v", text, err)
 		}

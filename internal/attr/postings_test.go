@@ -111,23 +111,23 @@ func predsOver(rng *rand.Rand, col []Value, draw func() Value) []Pred {
 func drawFor(rng *rand.Rand, kind Kind, distinct int) func() Value {
 	switch kind {
 	case KindInt64:
-		return func() Value { return Int64(int64(rng.Intn(distinct) - distinct/2)) }
+		return func() Value { return intValue(int64(rng.Intn(distinct) - distinct/2)) }
 	case KindFloat64:
 		return func() Value {
 			switch rng.Intn(20) {
 			case 0:
-				return Float64(math.NaN())
+				return floatValue(math.NaN())
 			case 1:
-				return Float64(math.Copysign(0, -1))
+				return floatValue(math.Copysign(0, -1))
 			case 2:
-				return Float64(math.Inf(2*rng.Intn(2) - 1))
+				return floatValue(math.Inf(2*rng.Intn(2) - 1))
 			}
-			return Float64(float64(rng.Intn(distinct)-distinct/2) / 4)
+			return floatValue(float64(rng.Intn(distinct)-distinct/2) / 4)
 		}
 	case KindString:
 		return func() Value { return String(fmt.Sprintf("v%04d", rng.Intn(distinct))) }
 	}
-	return func() Value { return Bool(rng.Intn(2) == 0) }
+	return func() Value { return boolValue(rng.Intn(2) == 0) }
 }
 
 // TestPostingsDifferential builds random columns of every kind three
@@ -157,8 +157,8 @@ func TestPostingsDifferential(t *testing.T) {
 // TestPostingsNaN pins the order NaN files under: below every number,
 // one slot for every NaN, so it satisfies Lt and Le only.
 func TestPostingsNaN(t *testing.T) {
-	nan := Float64(math.NaN())
-	col := []Value{Float64(50), nan, Float64(-1e300), nan, Float64(math.Inf(-1)), Float64(51)}
+	nan := floatValue(math.NaN())
+	col := []Value{floatValue(50), nan, floatValue(-1e300), nan, floatValue(math.Inf(-1)), floatValue(51)}
 	ix := BuildIndex("f", KindFloat64, col)
 	for _, c := range []struct {
 		op   Op
@@ -170,7 +170,7 @@ func TestPostingsNaN(t *testing.T) {
 		{OpGt, []int32{5}},
 		{OpGe, []int32{0, 5}},
 	} {
-		p := Pred{Field: "f", Op: c.op, Lo: Float64(50)}
+		p := Pred{Field: "f", Op: c.op, Lo: floatValue(50)}
 		var got []int32
 		ix.Postings(p, func(row int32) { got = append(got, row) })
 		if !slices.Equal(got, c.want) || !slices.Equal(scanPostings(col, p), c.want) {
@@ -194,7 +194,7 @@ func TestPostingsCheckCatchesDamage(t *testing.T) {
 	build := func() *Index {
 		col := make([]Value, 3*chunkCap)
 		for i := range col {
-			col[i] = Int64(int64(i))
+			col[i] = intValue(int64(i))
 		}
 		return LoadPostings(col, rowIDs)
 	}
@@ -233,16 +233,16 @@ func FuzzPostings(f *testing.F) {
 		value := func(b byte) Value {
 			switch kind {
 			case KindInt64:
-				return Int64(int64(b) - 128)
+				return intValue(int64(b) - 128)
 			case KindFloat64:
 				if b == 0xff {
-					return Float64(math.NaN())
+					return floatValue(math.NaN())
 				}
-				return Float64(float64(int(b)-128) / 4)
+				return floatValue(float64(int(b)-128) / 4)
 			case KindString:
 				return String(string(rune('a' + b%32)))
 			}
-			return Bool(b%2 == 0)
+			return boolValue(b%2 == 0)
 		}
 		col := make([]Value, len(data)-2)
 		for i, b := range data[2:] {

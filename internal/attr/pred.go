@@ -76,8 +76,8 @@ type Pred struct {
 	Set   []Value
 }
 
-// Kind returns the value kind the predicate compares against.
-func (p Pred) Kind() Kind {
+// kind returns the value kind the predicate compares against.
+func (p Pred) kind() Kind {
 	if p.Op == OpIn {
 		if len(p.Set) == 0 {
 			return KindInvalid
@@ -122,7 +122,7 @@ func (p Pred) Canonicalize() Pred {
 		return p
 	}
 	set := append([]Value(nil), p.Set...)
-	sort.Slice(set, func(i, j int) bool { return set[i].Less(set[j]) })
+	sort.Slice(set, func(i, j int) bool { return set[i].less(set[j]) })
 	out := set[:1]
 	for _, v := range set[1:] {
 		if v.Compare(out[len(out)-1]) != 0 {
@@ -135,7 +135,7 @@ func (p Pred) Canonicalize() Pred {
 
 // String renders the canonical text form, e.g. `fare>f:40`,
 // `vendor=s:"acme"`, `fare in [f:10,f:20]`, `cat in {i:1,i:3}`. The
-// form round-trips through ParsePred byte-for-byte.
+// form round-trips through parsePred byte-for-byte.
 func (p Pred) String() string {
 	switch p.Op {
 	case OpEq, OpLt, OpLe, OpGt, OpGe:
@@ -163,7 +163,7 @@ func (p Pred) String() string {
 // a NaN bound would sit below every number, which is never what a
 // filter against NaN means).
 func (p Pred) Validate() error {
-	if !ValidField(p.Field) {
+	if !validField(p.Field) {
 		return fmt.Errorf("attr: invalid field name %q", p.Field)
 	}
 	checkVal := func(v Value) error {
@@ -204,97 +204,4 @@ func (p Pred) Validate() error {
 		return nil
 	}
 	return fmt.Errorf("attr: predicate on %q has unknown operator", p.Field)
-}
-
-// ParsePred parses the canonical text form produced by Pred.String.
-func ParsePred(s string) (Pred, error) {
-	fieldEnd := 0
-	for fieldEnd < len(s) {
-		c := s[fieldEnd]
-		if c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' {
-			fieldEnd++
-			continue
-		}
-		break
-	}
-	field := s[:fieldEnd]
-	if !ValidField(field) {
-		return Pred{}, fmt.Errorf("attr: malformed predicate %q: no field name", s)
-	}
-	rest := s[fieldEnd:]
-	var p Pred
-	switch {
-	case strings.HasPrefix(rest, " in ["):
-		body := rest[len(" in ["):]
-		lo, body, err := scanValue(body)
-		if err != nil {
-			return Pred{}, err
-		}
-		if !strings.HasPrefix(body, ",") {
-			return Pred{}, fmt.Errorf("attr: malformed between predicate %q", s)
-		}
-		hi, body, err := scanValue(body[1:])
-		if err != nil {
-			return Pred{}, err
-		}
-		if body != "]" {
-			return Pred{}, fmt.Errorf("attr: malformed between predicate %q", s)
-		}
-		p = Pred{Field: field, Op: OpBetween, Lo: lo, Hi: hi}
-	case strings.HasPrefix(rest, " in {"):
-		body := rest[len(" in {"):]
-		var set []Value
-		for {
-			v, next, err := scanValue(body)
-			if err != nil {
-				return Pred{}, err
-			}
-			set = append(set, v)
-			if strings.HasPrefix(next, ",") {
-				body = next[1:]
-				continue
-			}
-			if next != "}" {
-				return Pred{}, fmt.Errorf("attr: malformed membership predicate %q", s)
-			}
-			break
-		}
-		p = Pred{Field: field, Op: OpIn, Set: set}
-	case strings.HasPrefix(rest, "<="):
-		v, err := ParseValue(rest[2:])
-		if err != nil {
-			return Pred{}, err
-		}
-		p = Pred{Field: field, Op: OpLe, Lo: v}
-	case strings.HasPrefix(rest, ">="):
-		v, err := ParseValue(rest[2:])
-		if err != nil {
-			return Pred{}, err
-		}
-		p = Pred{Field: field, Op: OpGe, Lo: v}
-	case strings.HasPrefix(rest, "<"):
-		v, err := ParseValue(rest[1:])
-		if err != nil {
-			return Pred{}, err
-		}
-		p = Pred{Field: field, Op: OpLt, Lo: v}
-	case strings.HasPrefix(rest, ">"):
-		v, err := ParseValue(rest[1:])
-		if err != nil {
-			return Pred{}, err
-		}
-		p = Pred{Field: field, Op: OpGt, Lo: v}
-	case strings.HasPrefix(rest, "="):
-		v, err := ParseValue(rest[1:])
-		if err != nil {
-			return Pred{}, err
-		}
-		p = Pred{Field: field, Op: OpEq, Lo: v}
-	default:
-		return Pred{}, fmt.Errorf("attr: malformed predicate %q: no operator", s)
-	}
-	if err := p.Validate(); err != nil {
-		return Pred{}, err
-	}
-	return p, nil
 }

@@ -32,7 +32,7 @@ func NewSchema[V any]() *Schema[V] {
 }
 
 func (s *Schema[V]) add(name string, kind Kind, get func(stobject.STObject, V) Value) *Schema[V] {
-	if !ValidField(name) {
+	if !validField(name) {
 		panic(fmt.Sprintf("attr: invalid field name %q", name))
 	}
 	if _, dup := s.byName[name]; dup {
@@ -45,12 +45,12 @@ func (s *Schema[V]) add(name string, kind Kind, get func(stobject.STObject, V) V
 
 // Int64 registers an int64 field.
 func (s *Schema[V]) Int64(name string, get func(stobject.STObject, V) int64) *Schema[V] {
-	return s.add(name, KindInt64, func(key stobject.STObject, v V) Value { return Int64(get(key, v)) })
+	return s.add(name, KindInt64, func(key stobject.STObject, v V) Value { return intValue(get(key, v)) })
 }
 
 // Float64 registers a float64 field.
 func (s *Schema[V]) Float64(name string, get func(stobject.STObject, V) float64) *Schema[V] {
-	return s.add(name, KindFloat64, func(key stobject.STObject, v V) Value { return Float64(get(key, v)) })
+	return s.add(name, KindFloat64, func(key stobject.STObject, v V) Value { return floatValue(get(key, v)) })
 }
 
 // String registers a string field.
@@ -60,7 +60,7 @@ func (s *Schema[V]) String(name string, get func(stobject.STObject, V) string) *
 
 // Bool registers a bool field.
 func (s *Schema[V]) Bool(name string, get func(stobject.STObject, V) bool) *Schema[V] {
-	return s.add(name, KindBool, func(key stobject.STObject, v V) Value { return Bool(get(key, v)) })
+	return s.add(name, KindBool, func(key stobject.STObject, v V) Value { return boolValue(get(key, v)) })
 }
 
 // Field looks up a registered field by name.
@@ -110,7 +110,7 @@ func (s *Schema[V]) Check(p Pred) (Pred, error) {
 		return p, fmt.Errorf("attr: unknown field %q (schema has: %s)", p.Field, strings.Join(s.Names(), ", "))
 	}
 	coerce := func(v Value) (Value, error) {
-		cv, err := v.Coerce(f.Kind)
+		cv, err := v.coerce(f.Kind)
 		if err != nil {
 			return v, fmt.Errorf("attr: field %q is %s: %w", p.Field, f.Kind, err)
 		}

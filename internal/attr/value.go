@@ -58,17 +58,17 @@ type Value struct {
 	B    bool
 }
 
-// Int64 wraps an int64 as a Value.
-func Int64(v int64) Value { return Value{Kind: KindInt64, I: v} }
+// intValue wraps an int64 as a Value.
+func intValue(v int64) Value { return Value{Kind: KindInt64, I: v} }
 
-// Float64 wraps a float64 as a Value.
-func Float64(v float64) Value { return Value{Kind: KindFloat64, F: v} }
+// floatValue wraps a float64 as a Value.
+func floatValue(v float64) Value { return Value{Kind: KindFloat64, F: v} }
 
 // String wraps a string as a Value.
 func String(v string) Value { return Value{Kind: KindString, S: v} }
 
-// Bool wraps a bool as a Value.
-func Bool(v bool) Value { return Value{Kind: KindBool, B: v} }
+// boolValue wraps a bool as a Value.
+func boolValue(v bool) Value { return Value{Kind: KindBool, B: v} }
 
 // FromAny converts a dynamically typed value (as arriving from JSON
 // bodies or variadic DSL arguments) to a Value. Integer-valued
@@ -77,37 +77,37 @@ func Bool(v bool) Value { return Value{Kind: KindBool, B: v} }
 func FromAny(v any) (Value, error) {
 	switch x := v.(type) {
 	case int:
-		return Int64(int64(x)), nil
+		return intValue(int64(x)), nil
 	case int32:
-		return Int64(int64(x)), nil
+		return intValue(int64(x)), nil
 	case int64:
-		return Int64(x), nil
+		return intValue(x), nil
 	case float32:
-		return Float64(float64(x)), nil
+		return floatValue(float64(x)), nil
 	case float64:
-		return Float64(x), nil
+		return floatValue(x), nil
 	case string:
 		return String(x), nil
 	case bool:
-		return Bool(x), nil
+		return boolValue(x), nil
 	case Value:
 		return x, nil
 	}
 	return Value{}, fmt.Errorf("attr: unsupported value type %T", v)
 }
 
-// Coerce converts v to kind when the conversion is lossless enough to
+// coerce converts v to kind when the conversion is lossless enough to
 // be unsurprising: int64 <-> float64 (JSON numbers arrive as float64
 // even for integer fields). Any other cross-kind pair fails.
-func (v Value) Coerce(kind Kind) (Value, error) {
+func (v Value) coerce(kind Kind) (Value, error) {
 	if v.Kind == kind {
 		return v, nil
 	}
 	switch {
 	case v.Kind == KindFloat64 && kind == KindInt64 && v.F == float64(int64(v.F)):
-		return Int64(int64(v.F)), nil
+		return intValue(int64(v.F)), nil
 	case v.Kind == KindInt64 && kind == KindFloat64:
-		return Float64(float64(v.I)), nil
+		return floatValue(float64(v.I)), nil
 	}
 	return Value{}, fmt.Errorf("attr: cannot use %s value %s as %s", v.Kind, v, kind)
 }
@@ -145,12 +145,12 @@ func (v Value) Compare(o Value) int {
 	return 0
 }
 
-// Less reports v < o under Compare's total order.
-func (v Value) Less(o Value) bool { return v.Compare(o) < 0 }
+// less reports v < o under Compare's total order.
+func (v Value) less(o Value) bool { return v.Compare(o) < 0 }
 
-// Num projects a numeric value onto float64 for histogram estimation;
+// num projects a numeric value onto float64 for histogram estimation;
 // ok is false for non-numeric kinds.
-func (v Value) Num() (float64, bool) {
+func (v Value) num() (float64, bool) {
 	switch v.Kind {
 	case KindInt64:
 		return float64(v.I), true
@@ -162,7 +162,7 @@ func (v Value) Num() (float64, bool) {
 
 // String renders the canonical text form: a one-letter kind tag, a
 // colon, and the value (strings strconv-quoted). The form round-trips
-// through ParseValue byte-for-byte.
+// through parseValue byte-for-byte.
 func (v Value) String() string {
 	switch v.Kind {
 	case KindInt64:
@@ -177,87 +177,10 @@ func (v Value) String() string {
 	return "invalid"
 }
 
-// Go returns the value as its natural Go type (int64, float64,
-// string, or bool), for JSON responses and diagnostics.
-func (v Value) Go() any {
-	switch v.Kind {
-	case KindInt64:
-		return v.I
-	case KindFloat64:
-		return v.F
-	case KindString:
-		return v.S
-	case KindBool:
-		return v.B
-	}
-	return nil
-}
-
-// ParseValue parses the canonical text form produced by
-// Value.String.
-func ParseValue(s string) (Value, error) {
-	v, rest, err := scanValue(s)
-	if err != nil {
-		return Value{}, err
-	}
-	if rest != "" {
-		return Value{}, fmt.Errorf("attr: trailing input %q after value", rest)
-	}
-	return v, nil
-}
-
-// scanValue consumes one canonical value from the front of s and
-// returns the remainder. Unquoted tokens end at the first ',', ']',
-// or '}'; quoted strings are consumed by the quote scanner so those
-// delimiters may appear inside them.
-func scanValue(s string) (Value, string, error) {
-	if len(s) < 2 || s[1] != ':' {
-		return Value{}, s, fmt.Errorf("attr: malformed value %q", s)
-	}
-	body := s[2:]
-	if s[0] == 's' {
-		q, err := strconv.QuotedPrefix(body)
-		if err != nil {
-			return Value{}, s, fmt.Errorf("attr: malformed string value %q", s)
-		}
-		u, err := strconv.Unquote(q)
-		if err != nil {
-			return Value{}, s, fmt.Errorf("attr: malformed string value %q", s)
-		}
-		return String(u), body[len(q):], nil
-	}
-	end := strings.IndexAny(body, ",]}")
-	if end < 0 {
-		end = len(body)
-	}
-	tok, rest := body[:end], body[end:]
-	switch s[0] {
-	case 'i':
-		i, err := strconv.ParseInt(tok, 10, 64)
-		if err != nil {
-			return Value{}, s, fmt.Errorf("attr: malformed int value %q", tok)
-		}
-		return Int64(i), rest, nil
-	case 'f':
-		f, err := strconv.ParseFloat(tok, 64)
-		if err != nil {
-			return Value{}, s, fmt.Errorf("attr: malformed float value %q", tok)
-		}
-		return Float64(f), rest, nil
-	case 'b':
-		b, err := strconv.ParseBool(tok)
-		if err != nil {
-			return Value{}, s, fmt.Errorf("attr: malformed bool value %q", tok)
-		}
-		return Bool(b), rest, nil
-	}
-	return Value{}, s, fmt.Errorf("attr: unknown value kind tag %q", s[0])
-}
-
-// ValidField reports whether name is a legal field name: an
+// validField reports whether name is a legal field name: an
 // identifier ([A-Za-z_][A-Za-z0-9_]*). Restricting names keeps the
 // canonical predicate grammar unambiguous.
-func ValidField(name string) bool {
+func validField(name string) bool {
 	if name == "" {
 		return false
 	}

@@ -204,25 +204,6 @@ func (u *unionFind) union(a, b int) {
 	}
 }
 
-// Runner schedules partition-parallel work; engine.Context satisfies
-// it. Keeping it an interface avoids a dependency cycle and lets the
-// sequential tests run without an engine.
-type Runner interface {
-	RunJob(tasks []int, task func(t int) error) error
-}
-
-// serialRunner executes tasks inline; used when no Runner is given.
-type serialRunner struct{}
-
-func (serialRunner) RunJob(tasks []int, task func(t int) error) error {
-	for _, t := range tasks {
-		if err := task(t); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // DistributedConfig configures DBSCANDistributed.
 type DistributedConfig struct {
 	// Eps is the DBSCAN ε radius; must be > 0.
@@ -239,9 +220,10 @@ type DistributedConfig struct {
 	// partitioner.PartitionFor of the point). Length must equal the
 	// point count.
 	Home []int
-	// Runner executes the local clustering tasks in parallel; nil
-	// runs them serially.
-	Runner Runner
+	// Run executes the local clustering tasks, normally in parallel
+	// through an engine job (engine.Context.RunJob or RunJobRecorder
+	// under the caller's context); nil runs them serially.
+	Run func(tasks []int, task func(t int) error) error
 }
 
 // DBSCANDistributed runs the MR-DBSCAN-style partitioned DBSCAN and
@@ -262,9 +244,16 @@ func DBSCANDistributed(points []geom.Point, cfg DistributedConfig) (Result, erro
 	if len(cfg.Home) != n {
 		return Result{}, fmt.Errorf("cluster: Home has %d entries for %d points", len(cfg.Home), n)
 	}
-	runner := cfg.Runner
-	if runner == nil {
-		runner = serialRunner{}
+	run := cfg.Run
+	if run == nil {
+		run = func(tasks []int, task func(t int) error) error {
+			for _, t := range tasks {
+				if err := task(t); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
 	}
 	numParts := cfg.Regions.NumPartitions()
 
@@ -304,7 +293,7 @@ func DBSCANDistributed(points []geom.Point, cfg DistributedConfig) (Result, erro
 	for i := range tasks {
 		tasks[i] = i
 	}
-	err := runner.RunJob(tasks, func(p int) error {
+	err := run(tasks, func(p int) error {
 		members := partPoints[p]
 		pts := make([]geom.Point, len(members))
 		for i, m := range members {
@@ -389,35 +378,6 @@ func DBSCANDistributed(points []geom.Point, cfg DistributedConfig) (Result, erro
 		labels[i] = id
 	}
 	return Result{Labels: labels, NumClusters: len(rootID)}, nil
-}
-
-// EquivalentClusterings reports whether two labelings describe the
-// same partition of the points up to cluster renumbering (noise must
-// match exactly). Used by tests and the DBSCAN ablation bench.
-func EquivalentClusterings(a, b Result) bool {
-	if len(a.Labels) != len(b.Labels) {
-		return false
-	}
-	fwd := make(map[int]int)
-	rev := make(map[int]int)
-	for i := range a.Labels {
-		la, lb := a.Labels[i], b.Labels[i]
-		if (la == Noise) != (lb == Noise) {
-			return false
-		}
-		if la == Noise {
-			continue
-		}
-		if m, ok := fwd[la]; ok && m != lb {
-			return false
-		}
-		if m, ok := rev[lb]; ok && m != la {
-			return false
-		}
-		fwd[la] = lb
-		rev[lb] = la
-	}
-	return true
 }
 
 // Centroids returns the centroid of every cluster, ordered by cluster

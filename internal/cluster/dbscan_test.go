@@ -12,6 +12,35 @@ import (
 )
 
 // blob generates count points normally distributed around (cx, cy).
+// equivalentClusterings reports whether two labelings describe the
+// same partition of the points up to cluster renumbering (noise must
+// match exactly).
+func equivalentClusterings(a, b Result) bool {
+	if len(a.Labels) != len(b.Labels) {
+		return false
+	}
+	fwd := make(map[int]int)
+	rev := make(map[int]int)
+	for i := range a.Labels {
+		la, lb := a.Labels[i], b.Labels[i]
+		if (la == Noise) != (lb == Noise) {
+			return false
+		}
+		if la == Noise {
+			continue
+		}
+		if m, ok := fwd[la]; ok && m != lb {
+			return false
+		}
+		if m, ok := rev[lb]; ok && m != la {
+			return false
+		}
+		fwd[la] = lb
+		rev[lb] = la
+	}
+	return true
+}
+
 func blob(rng *rand.Rand, cx, cy, sd float64, count int) []geom.Point {
 	pts := make([]geom.Point, count)
 	for i := range pts {
@@ -143,12 +172,12 @@ func TestDistributedMatchesSequential(t *testing.T) {
 	}
 	dist, err := DBSCANDistributed(pts, DistributedConfig{
 		Eps: 2.0, MinPts: 5, Regions: g, Home: homesOf(g, pts),
-		Runner: engine.NewContext(4),
+		Run: engine.NewContext(4).RunJob,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !EquivalentClusterings(seq, dist) {
+	if !equivalentClusterings(seq, dist) {
 		t.Errorf("distributed clustering differs: seq %d clusters, dist %d",
 			seq.NumClusters, dist.NumClusters)
 	}
@@ -164,12 +193,12 @@ func TestDistributedWithBSP(t *testing.T) {
 	}
 	dist, err := DBSCANDistributed(pts, DistributedConfig{
 		Eps: 2.0, MinPts: 5, Regions: bsp, Home: homesOf(bsp, pts),
-		Runner: engine.NewContext(4),
+		Run: engine.NewContext(4).RunJob,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !EquivalentClusterings(seq, dist) {
+	if !equivalentClusterings(seq, dist) {
 		t.Errorf("BSP distributed differs: %d vs %d clusters", dist.NumClusters, seq.NumClusters)
 	}
 }
@@ -195,7 +224,7 @@ func TestDistributedClusterSpanningPartitions(t *testing.T) {
 		t.Fatalf("blob split across partitions gave %d clusters, want 1", dist.NumClusters)
 	}
 	seq := DBSCAN(pts, 1.5, 4)
-	if !EquivalentClusterings(seq, dist) {
+	if !equivalentClusterings(seq, dist) {
 		t.Error("spanning cluster differs from sequential")
 	}
 }
@@ -223,23 +252,23 @@ func TestDistributedValidation(t *testing.T) {
 func TestEquivalentClusterings(t *testing.T) {
 	a := Result{Labels: []int{0, 0, 1, Noise}, NumClusters: 2}
 	b := Result{Labels: []int{1, 1, 0, Noise}, NumClusters: 2} // renumbered
-	if !EquivalentClusterings(a, b) {
+	if !equivalentClusterings(a, b) {
 		t.Error("renumbered clusterings must be equivalent")
 	}
 	c := Result{Labels: []int{0, 1, 1, Noise}, NumClusters: 2} // different split
-	if EquivalentClusterings(a, c) {
+	if equivalentClusterings(a, c) {
 		t.Error("different splits must not be equivalent")
 	}
 	d := Result{Labels: []int{0, 0, 1, 1}, NumClusters: 2} // noise mismatch
-	if EquivalentClusterings(a, d) {
+	if equivalentClusterings(a, d) {
 		t.Error("noise mismatch must not be equivalent")
 	}
-	if EquivalentClusterings(a, Result{Labels: []int{0}}) {
+	if equivalentClusterings(a, Result{Labels: []int{0}}) {
 		t.Error("length mismatch must not be equivalent")
 	}
 	// Merged clusters on one side only.
 	e := Result{Labels: []int{0, 0, 0, Noise}, NumClusters: 1}
-	if EquivalentClusterings(a, e) || EquivalentClusterings(e, a) {
+	if equivalentClusterings(a, e) || equivalentClusterings(e, a) {
 		t.Error("merged clustering must not be equivalent")
 	}
 }
@@ -280,7 +309,7 @@ func TestPropDistributedEqualsSequentialOnSeparatedBlobs(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return EquivalentClusterings(seq, dist)
+		return equivalentClusterings(seq, dist)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)

@@ -25,10 +25,10 @@ import (
 	"stark/internal/partition"
 )
 
-// ChunkRows is the kernel batch size: 64 bitset words per chunk, small
+// chunkRows is the kernel batch size: 64 bitset words per chunk, small
 // enough that a chunk's four float64 columns stay L1/L2-resident while
 // the kernel sweeps them.
-const ChunkRows = 4096
+const chunkRows = 4096
 
 // Partition holds the SoA columns of one partition, in Hilbert (or
 // insertion) row order. The row index of every column refers to the
@@ -49,9 +49,6 @@ type Partition struct {
 
 // Len returns the row count.
 func (p *Partition) Len() int { return p.n }
-
-// TimedWords exposes the timed bitset words (read-only; for tests).
-func (p *Partition) TimedWords() []uint64 { return p.timed }
 
 // Builder accumulates rows and finishes into a Partition. Not safe for
 // concurrent use; build one per partition task.
@@ -176,7 +173,7 @@ func sortPermByKey(perm []int32, keys []uint64) {
 	}
 }
 
-// Bitset is a fixed-size survivor bitset the kernels AND into. Reset
+// Bitset is a fixed-size survivor bitset the kernels AND into. Its reset
 // initialises every row bit to 1 (and the tail of the last word to 0),
 // so a sequence of kernel calls computes the conjunction of their
 // coarse predicates.
@@ -185,8 +182,8 @@ type Bitset struct {
 	n     int
 }
 
-// Reset sizes the bitset for n rows with every row bit set.
-func (b *Bitset) Reset(n int) {
+// reset sizes the bitset for n rows with every row bit set.
+func (b *Bitset) reset(n int) {
 	nw := (n + 63) / 64
 	if cap(b.words) < nw {
 		b.words = make([]uint64, nw)
@@ -256,7 +253,7 @@ var bitsetPool = sync.Pool{New: func() interface{} { return new(Bitset) }}
 // GetBitset returns a pooled bitset reset for n rows.
 func GetBitset(n int) *Bitset {
 	b := bitsetPool.Get().(*Bitset)
-	b.Reset(n)
+	b.reset(n)
 	return b
 }
 

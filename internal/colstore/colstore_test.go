@@ -85,7 +85,7 @@ func refMatch(r refRow, q Query) bool {
 func TestKernelsMatchScalarReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	// Sizes straddle chunk and word boundaries.
-	for _, n := range []int{0, 1, 63, 64, 65, 1000, ChunkRows, ChunkRows + 1, 3*ChunkRows + 17} {
+	for _, n := range []int{0, 1, 63, 64, 65, 1000, chunkRows, chunkRows + 1, 3*chunkRows + 17} {
 		rows := randRows(rng, n)
 		p, perm := buildPartition(rows, false)
 		if perm != nil {
@@ -105,7 +105,7 @@ func TestKernelsMatchScalarReference(t *testing.T) {
 					}
 					bs := GetBitset(p.Len())
 					batches := Filter(p, q, bs)
-					wantBatches := (n + ChunkRows - 1) / ChunkRows
+					wantBatches := (n + chunkRows - 1) / chunkRows
 					if batches != wantBatches {
 						t.Fatalf("n=%d op=%d: batches=%d want %d", n, op, batches, wantBatches)
 					}
@@ -244,7 +244,7 @@ func TestHilbertSortImprovesRunLength(t *testing.T) {
 func TestBitsetTail(t *testing.T) {
 	var b Bitset
 	for _, n := range []int{0, 1, 63, 64, 65, 127, 128, 130} {
-		b.Reset(n)
+		b.reset(n)
 		if b.Count() != n {
 			t.Fatalf("n=%d: fresh count %d", n, b.Count())
 		}
@@ -263,7 +263,7 @@ func TestBitsetTail(t *testing.T) {
 		}
 	}
 	// Early stop.
-	b.Reset(200)
+	b.reset(200)
 	visited := 0
 	b.Visit(func(r int) bool { visited++; return visited < 5 })
 	if visited != 5 {
@@ -273,7 +273,7 @@ func TestBitsetTail(t *testing.T) {
 
 func TestFilterAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	rows := randRows(rng, 2*ChunkRows)
+	rows := randRows(rng, 2*chunkRows)
 	p, _ := buildPartition(rows, false)
 	q := Query{Op: OpIntersects, MinX: 20, MinY: 20, MaxX: 60, MaxY: 60, Time: TimeOverlap, HasTime: true, TBegin: 0, TEnd: 500}
 	// Warm the pool so steady state is measured.

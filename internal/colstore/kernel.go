@@ -1,7 +1,7 @@
 package colstore
 
 // Batched envelope/interval kernels. Filter sweeps a partition's
-// columns in ChunkRows batches, building a 64-row match mask per bitset
+// columns in chunkRows batches, building a 64-row match mask per bitset
 // word with branch-free compares (the bool→uint64 conversion compiles
 // to SETcc, not a branch) and ANDing it into the survivor bitset. The
 // spatial test is conservative over envelopes; the temporal test is
@@ -66,18 +66,18 @@ type Query struct {
 }
 
 // Filter ANDs the coarse result of q over partition p into bs and
-// returns the number of column batches swept. bs must be Reset to
+// returns the number of column batches swept. bs must be reset to
 // p.Len() rows (or already hold the survivors of earlier predicates —
 // sweeps compose by conjunction). Intervals are closed on both ends,
-// matching temporal.Interval.
+// matching stobject.Interval.
 func Filter(p *Partition, q Query, bs *Bitset) int {
 	n := p.n
 	if n == 0 {
 		return 0
 	}
 	batches := 0
-	for s := 0; s < n; s += ChunkRows {
-		e := s + ChunkRows
+	for s := 0; s < n; s += chunkRows {
+		e := s + chunkRows
 		if e > n {
 			e = n
 		}
@@ -97,7 +97,7 @@ func b2u(b bool) uint64 {
 }
 
 // filterChunk applies the spatial then temporal sweep to rows [s, e).
-// ChunkRows is a multiple of 64, so chunks align to bitset words.
+// chunkRows is a multiple of 64, so chunks align to bitset words.
 func filterChunk(p *Partition, q Query, bs *Bitset, s, e int) {
 	minX := p.MinX[s:e]
 	minY := p.MinY[s:e]

@@ -79,7 +79,7 @@ func (s *SpatialDataset[V]) ensureAttrIndex(fields []string) (map[string][]*attr
 		}
 		s.aux.attrSide = side
 	}
-	rec := s.Context().Recorder()
+	rec := s.ds.Context().Recorder()
 	for _, name := range fields {
 		if _, ok := side.idx[name]; ok {
 			continue
@@ -89,7 +89,7 @@ func (s *SpatialDataset[V]) ensureAttrIndex(fields []string) (map[string][]*attr
 			return nil, nil, fmt.Errorf("core: no field %q in attribute schema", name)
 		}
 		ixs := make([]*attr.Index, len(side.rows))
-		err := s.Context().RunJob(engine.AllPartitions(len(side.rows)), func(p int) error {
+		err := s.ds.Context().RunJob(engine.AllPartitions(len(side.rows)), func(p int) error {
 			rows := side.rows[p]
 			column := make([]attr.Value, len(rows.rows))
 			for i := range column {
@@ -115,8 +115,8 @@ func (s *SpatialDataset[V]) ensureAttrIndex(fields []string) (map[string][]*attr
 func (s *SpatialDataset[V]) collectAttrRows() ([]kernelRows[V], error) {
 	n := s.ds.NumPartitions()
 	rows := make([]kernelRows[V], n)
-	rec := s.Context().Recorder()
-	err := s.Context().RunJob(engine.AllPartitions(n), func(p int) error {
+	rec := s.ds.Context().Recorder()
+	err := s.ds.Context().RunJob(engine.AllPartitions(n), func(p int) error {
 		out, err := s.ds.ComputePartition(p)
 		rows[p].rows = out
 		rec.Add(engine.StatsRecords, int64(len(out)))
@@ -172,7 +172,7 @@ func (s *SpatialDataset[V]) AttrFilter(first attr.Pred, keep func(Tuple[V]) bool
 	}
 	ix := idxs[first.Field]
 	rec := s.recorder()
-	out := engine.NewStream(s.Context(), s.ds.Name()+".attrScan", len(rows),
+	out := engine.NewStream(s.ds.Context(), s.ds.Name()+".attrScan", len(rows),
 		func(p int, yield func(Tuple[V]) bool) error {
 			part := rows[p]
 			if len(part.rows) == 0 {

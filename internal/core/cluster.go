@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"stark/internal/cluster"
+	"stark/internal/engine"
 	"stark/internal/geom"
 	"stark/internal/partition"
 	"stark/internal/stobject"
@@ -20,11 +22,6 @@ type ClusterOptions struct {
 	Eps float64
 	// MinPts is the density threshold (counting the point itself).
 	MinPts int
-	// MaxCost bounds the partition cost when the dataset is not
-	// already partitioned by a region-based partitioner and a BSP
-	// partitioner must be derived; <= 0 selects the dataset size / 2
-	// ... capped sensibly by the implementation.
-	MaxCost int
 }
 
 // ClusteredRecord pairs an input record with its cluster label
@@ -38,21 +35,31 @@ type ClusteredRecord[V any] struct {
 // Cluster runs distributed DBSCAN over the dataset and returns one
 // ClusteredRecord per input record plus the number of clusters found.
 // The dataset's spatial partitioner is reused when it provides
-// space-tiling bounds (grid or BSP); otherwise a BSP partitioner is
-// derived from the data.
-func (s *SpatialDataset[V]) Cluster(opts ClusterOptions) ([]ClusteredRecord[V], int, error) {
+// space-tiling bounds (grid or BSP); otherwise a BSP partitioner with a
+// cost bound of n/(2·parallelism)+1 is derived from the data. The
+// collect and the DBSCAN job run under ctx: once it is done no further
+// task is scheduled and Cluster returns its error.
+func (s *SpatialDataset[V]) Cluster(ctx context.Context, opts ClusterOptions) ([]ClusteredRecord[V], int, error) {
 	if opts.Eps <= 0 {
 		return nil, 0, fmt.Errorf("core: cluster eps must be > 0, got %v", opts.Eps)
 	}
 	if opts.MinPts < 1 {
 		return nil, 0, fmt.Errorf("core: cluster minPts must be >= 1, got %d", opts.MinPts)
 	}
-	tuples, err := s.Collect()
+	parts, err := s.ds.ComputePartitions(ctx, engine.AllPartitions(s.ds.NumPartitions()))
 	if err != nil {
 		return nil, 0, err
 	}
-	if len(tuples) == 0 {
+	n := 0
+	for _, rows := range parts {
+		n += len(rows)
+	}
+	if n == 0 {
 		return nil, 0, nil
+	}
+	tuples := make([]Tuple[V], 0, n)
+	for _, rows := range parts {
+		tuples = append(tuples, rows...)
 	}
 	points := make([]geom.Point, len(tuples))
 	objs := make([]stobject.STObject, len(tuples))
@@ -69,10 +76,7 @@ func (s *SpatialDataset[V]) Cluster(opts ClusterOptions) ([]ClusteredRecord[V], 
 	case *partition.BSP:
 		regions = p
 	default:
-		maxCost := opts.MaxCost
-		if maxCost <= 0 {
-			maxCost = len(tuples)/(2*s.Context().Parallelism()) + 1
-		}
+		maxCost := len(tuples)/(2*s.ds.Context().Parallelism()) + 1
 		bsp, err := partition.NewBSP(partition.BSPConfig{MaxCost: maxCost}, objs)
 		if err != nil {
 			return nil, 0, err
@@ -88,7 +92,9 @@ func (s *SpatialDataset[V]) Cluster(opts ClusterOptions) ([]ClusteredRecord[V], 
 		MinPts:  opts.MinPts,
 		Regions: regions,
 		Home:    home,
-		Runner:  s.Context(),
+		Run: func(tasks []int, task func(t int) error) error {
+			return s.ds.Context().RunJobRecorder(ctx, nil, tasks, task)
+		},
 	})
 	if err != nil {
 		return nil, 0, err

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -30,7 +32,7 @@ func blobDataset(t *testing.T, ctx *engine.Context, perBlob int, seed int64) (*S
 func TestClusterFindsBlobs(t *testing.T) {
 	ctx := engine.NewContext(4)
 	s, wantClusters := blobDataset(t, ctx, 80, 50)
-	recs, n, err := s.Cluster(ClusterOptions{Eps: 2, MinPts: 5})
+	recs, n, err := s.Cluster(context.Background(), ClusterOptions{Eps: 2, MinPts: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +61,7 @@ func TestClusterReusesGridPartitioner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, n, err := ps.Cluster(ClusterOptions{Eps: 2, MinPts: 5})
+	_, n, err := ps.Cluster(context.Background(), ClusterOptions{Eps: 2, MinPts: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,17 +70,47 @@ func TestClusterReusesGridPartitioner(t *testing.T) {
 	}
 }
 
+// TestClusterStopsWhenCancelled: a context that is already done stops
+// the collect before its first task, so no task launches and the error
+// wraps context.Canceled.
+func TestClusterStopsWhenCancelled(t *testing.T) {
+	ctx := engine.NewContext(4)
+	s, _ := blobDataset(t, ctx, 80, 53)
+	for _, layout := range []string{"unpartitioned", "grid"} {
+		ds := s
+		if layout == "grid" {
+			g, err := partition.NewGrid(2, keysOf(t, s))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ds, err = s.PartitionBy(g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cancelled, cancel := context.WithCancel(context.Background())
+		cancel()
+		before := ctx.Recorder().Snapshot()
+		recs, n, err := ds.Cluster(cancelled, ClusterOptions{Eps: 2, MinPts: 5})
+		if !errors.Is(err, context.Canceled) || recs != nil || n != 0 {
+			t.Errorf("%s: cancelled Cluster = %d records, %d clusters, err %v", layout, len(recs), n, err)
+		}
+		if launched := ctx.Recorder().Snapshot().Sub(before)[engine.TasksLaunched]; launched != 0 {
+			t.Errorf("%s: cancelled Cluster launched %d tasks", layout, launched)
+		}
+	}
+}
+
 func TestClusterValidation(t *testing.T) {
 	ctx := engine.NewContext(2)
 	s, _ := blobDataset(t, ctx, 10, 52)
-	if _, _, err := s.Cluster(ClusterOptions{Eps: 0, MinPts: 3}); err == nil {
+	if _, _, err := s.Cluster(context.Background(), ClusterOptions{Eps: 0, MinPts: 3}); err == nil {
 		t.Error("eps=0 must fail")
 	}
-	if _, _, err := s.Cluster(ClusterOptions{Eps: 1, MinPts: 0}); err == nil {
+	if _, _, err := s.Cluster(context.Background(), ClusterOptions{Eps: 1, MinPts: 0}); err == nil {
 		t.Error("minPts=0 must fail")
 	}
 	empty := Wrap(engine.Parallelize(ctx, []Tuple[int]{}, 1))
-	recs, n, err := empty.Cluster(ClusterOptions{Eps: 1, MinPts: 1})
+	recs, n, err := empty.Cluster(context.Background(), ClusterOptions{Eps: 1, MinPts: 1})
 	if err != nil || n != 0 || len(recs) != 0 {
 		t.Errorf("empty cluster: %d/%d err=%v", len(recs), n, err)
 	}

@@ -61,8 +61,8 @@ func (s *SpatialDataset[V]) BuildColumnar() error {
 		parts: make([]*colstore.Partition, n),
 		rows:  make([]kernelRows[V], n),
 	}
-	rec := s.Context().Recorder()
-	err := s.Context().RunJob(engine.AllPartitions(n), func(p int) error {
+	rec := s.ds.Context().Recorder()
+	err := s.ds.Context().RunJob(engine.AllPartitions(n), func(p int) error {
 		// The dataset's own slice when it holds one: rows are read-only,
 		// and a Hilbert sort reorders the columns, not the rows.
 		rows, err := s.ds.ComputePartition(p)
@@ -176,7 +176,7 @@ func (s *SpatialDataset[V]) ColumnarFilter(preds []KernelPred) *engine.Dataset[T
 func (s *SpatialDataset[V]) kernelScan(name string, side *columnarSidecar[V], preds []KernelPred,
 	attrPreds []attr.Pred, idxs map[string][]*attr.Index) *engine.Dataset[Tuple[V]] {
 	rec := s.recorder()
-	out := engine.NewStream(s.Context(), s.ds.Name()+name, len(side.parts),
+	out := engine.NewStream(s.ds.Context(), s.ds.Name()+name, len(side.parts),
 		func(p int, yield func(Tuple[V]) bool) error {
 			cols := side.parts[p]
 			rows := side.rows[p]

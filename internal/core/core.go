@@ -137,12 +137,6 @@ func (s *SpatialDataset[V]) Partitioner() partition.SpatialPartitioner { return 
 // NumPartitions returns the partition count of the underlying data.
 func (s *SpatialDataset[V]) NumPartitions() int { return s.ds.NumPartitions() }
 
-// Context returns the engine context.
-func (s *SpatialDataset[V]) Context() *engine.Context { return s.ds.Context() }
-
-// Collect materialises all records.
-func (s *SpatialDataset[V]) Collect() ([]Tuple[V], error) { return s.ds.Collect() }
-
 // Count returns the number of records.
 func (s *SpatialDataset[V]) Count() (int64, error) { return s.ds.Count() }
 
@@ -168,7 +162,7 @@ func (s *SpatialDataset[V]) PartitionBy(sp partition.SpatialPartitioner) (*Spati
 		return nil, err
 	}
 	ordered := make([]bool, shuffled.NumPartitions())
-	err = s.Context().RunJobRecorder(nil, s.rec, engine.AllPartitions(len(ordered)), func(p int) error {
+	err = s.ds.Context().RunJobRecorder(nil, s.rec, engine.AllPartitions(len(ordered)), func(p int) error {
 		rows, err := shuffled.ComputePartition(p) // the shuffle's own slice, not yet shared
 		ordered[p] = err == nil && orderByX(rows)
 		return err

@@ -11,7 +11,6 @@ import (
 	"stark/internal/geom"
 	"stark/internal/partition"
 	"stark/internal/stobject"
-	"stark/internal/temporal"
 )
 
 // makeDataset builds a SpatialDataset of n uniform points in
@@ -35,7 +34,7 @@ func makeTimedDataset(t testing.TB, ctx *engine.Context, n, numPart int, seed in
 	for i := range tuples {
 		p := stobject.NewWithTime(
 			geom.NewPoint(rng.Float64()*100, rng.Float64()*100),
-			temporal.Instant(rng.Int63n(1000)))
+			stobject.Instant(rng.Int63n(1000)))
 		tuples[i] = engine.NewPair(p, i)
 	}
 	return Wrap(engine.Parallelize(ctx, tuples, numPart)), tuples
@@ -104,7 +103,7 @@ func TestWrapAndBasics(t *testing.T) {
 	if err != nil || len(got) != len(tuples) {
 		t.Fatalf("collect len = %d err=%v", len(got), err)
 	}
-	if s.Context() != ctx {
+	if s.ds.Context() != ctx {
 		t.Error("context mismatch")
 	}
 }
@@ -321,7 +320,7 @@ func TestSpatioTemporalFilter(t *testing.T) {
 	// events.containedBy(qry) example.
 	q := stobject.NewWithInterval(
 		geom.NewEnvelope(20, 20, 60, 60).ToPolygon(),
-		temporal.MustInterval(100, 400))
+		stobject.MustInterval(100, 400))
 	got, err := s.Filter(q, q.Envelope(), stobject.ContainedBy)
 	if err != nil {
 		t.Fatal(err)
@@ -335,7 +334,7 @@ func TestSpatioTemporalFilter(t *testing.T) {
 	}
 	// The temporal window shrinks the result: the same box over the
 	// whole time range matches more.
-	qAllTime := stobject.NewWithInterval(q.Geo(), temporal.MustInterval(0, 1000))
+	qAllTime := stobject.NewWithInterval(q.Geo(), stobject.MustInterval(0, 1000))
 	all, err := s.Filter(qAllTime, qAllTime.Envelope(), stobject.ContainedBy)
 	if err != nil {
 		t.Fatal(err)
@@ -409,7 +408,7 @@ func ExampleWrap() {
 	ds := Wrap(engine.Parallelize(ctx, events, 2))
 	qry := stobject.NewWithInterval(
 		geom.NewEnvelope(10, 45, 15, 55).ToPolygon(),
-		temporal.MustInterval(0, 200))
+		stobject.MustInterval(0, 200))
 	hits, _ := ds.Filter(qry, qry.Envelope(), stobject.ContainedBy)
 	for _, h := range hits {
 		fmt.Println(h.Value)

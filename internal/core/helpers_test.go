@@ -1,0 +1,70 @@
+package core
+
+import (
+	"context"
+
+	"stark/internal/engine"
+	"stark/internal/geom"
+	"stark/internal/stobject"
+)
+
+// Actions only the tests run: collect-style shortcuts over the lazy
+// operators, which the batteries compare access paths and joins with.
+
+// Collect materialises all records.
+func (s *SpatialDataset[V]) Collect() ([]Tuple[V], error) { return s.ds.Collect() }
+
+// Partitioner returns the spatial partitioner, or nil.
+func (s *IndexedDataset[V]) Partitioner() sp { return s.sp }
+
+// Filter probes the index with pruneEnv (or q's envelope when empty)
+// over the partitions whose extent it touches, refines the candidates
+// with an arbitrary spatio-temporal predicate and collects the
+// matches.
+func (s *IndexedDataset[V]) Filter(q stobject.STObject, pruneEnv geom.Envelope, pred stobject.Predicate) ([]Tuple[V], error) {
+	env := q.Envelope()
+	if !pruneEnv.IsEmpty() {
+		env = pruneEnv
+	}
+	keep := func(kv Tuple[V]) bool { return pred(kv.Key, q) }
+	return s.Probe(env, keep).CollectPartitions(s.relevantPartitions(env))
+}
+
+// Collect returns all records of the indexed dataset.
+func (s *IndexedDataset[V]) Collect() ([]Tuple[V], error) {
+	return s.Flat().Collect()
+}
+
+// Count returns the number of records. Partition lengths are summed
+// inside the job — neither the records nor the trees travel to the
+// driver.
+func (s *IndexedDataset[V]) Count() (int64, error) {
+	return engine.Aggregate(s.parts, int64(0),
+		func(acc int64, ip indexedPartition[V]) int64 { return acc + int64(len(ip.Items)) },
+		func(a, b int64) int64 { return a + b })
+}
+
+// KNN returns the k records nearest to q under df (nil selects the
+// planar distance between q's geometry and each record's geometry).
+// Results are sorted by ascending distance. Fewer than k records are
+// returned when the dataset is smaller than k.
+func (s *SpatialDataset[V]) KNN(q stobject.STObject, k int, df geom.DistanceFunc) ([]NeighborResult[V], error) {
+	return s.KNNContext(context.Background(), q, k, df)
+}
+
+// KNN on an indexed dataset probes each relevant partition's R-tree
+// with branch-and-bound and merges the per-partition results. The
+// same extent-distance pruning as the scan version applies.
+func (s *IndexedDataset[V]) KNN(q stobject.STObject, k int, df geom.DistanceFunc) ([]NeighborResult[V], error) {
+	return s.KNNContext(context.Background(), q, k, df)
+}
+
+// Join computes the spatio-temporal join of l and r: Collect over
+// JoinStream.
+func Join[V, W any](l *SpatialDataset[V], r *SpatialDataset[W], opts JoinOptions) ([]Tuple[JoinRow[V, W]], error) {
+	ds, visit, err := JoinStream(l, nil, r, nil, opts)
+	if err != nil {
+		return nil, err
+	}
+	return ds.CollectPartitions(visit)
+}

@@ -23,18 +23,18 @@ import (
 //     trees are materialised so they are built at most once, and can
 //     be saved to a directory of files and re-attached in later runs.
 
-// IndexedPartition is one partition of an IndexedDataset: the records
+// indexedPartition is one partition of an IndexedDataset: the records
 // plus an R-tree over their envelopes (entry ID = slice position). A
 // join's build slot loads into one too, with a nil Tree when the join
 // does not index or the slot has no records.
-type IndexedPartition[V any] struct {
+type indexedPartition[V any] struct {
 	Items []Tuple[V]
 	Tree  *index.RTree
 }
 
 // IndexedDataset is a SpatialDataset whose partitions carry R-trees.
 type IndexedDataset[V any] struct {
-	parts *engine.Dataset[IndexedPartition[V]]
+	parts *engine.Dataset[indexedPartition[V]]
 	sp    sp
 	order int
 	// rec, when non-nil, routes metric attribution (see WithRecorder);
@@ -84,8 +84,8 @@ func (s *SpatialDataset[V]) LiveIndex(order int, p sp) (*IndexedDataset[V], erro
 		}
 		base = repartitioned
 	}
-	parts := engine.MapPartitions(base.ds, func(_ int, in []Tuple[V]) ([]IndexedPartition[V], error) {
-		return []IndexedPartition[V]{buildIndexedPartition(in, order)}, nil
+	parts := engine.MapPartitions(base.ds, func(_ int, in []Tuple[V]) ([]indexedPartition[V], error) {
+		return []indexedPartition[V]{buildIndexedPartition(in, order)}, nil
 	})
 	return &IndexedDataset[V]{parts: parts, sp: base.sp, order: order, rec: base.rec}, nil
 }
@@ -106,23 +106,17 @@ func (s *SpatialDataset[V]) Index(order int, p sp) (*IndexedDataset[V], error) {
 	return idx, nil
 }
 
-func buildIndexedPartition[V any](in []Tuple[V], order int) IndexedPartition[V] {
+func buildIndexedPartition[V any](in []Tuple[V], order int) indexedPartition[V] {
 	tree := index.New(order)
 	for i, kv := range in {
 		_ = tree.Insert(kv.Key.Envelope(), int32(i))
 	}
 	tree.Build()
-	return IndexedPartition[V]{Items: in, Tree: tree}
+	return indexedPartition[V]{Items: in, Tree: tree}
 }
-
-// Partitioner returns the spatial partitioner, or nil.
-func (s *IndexedDataset[V]) Partitioner() sp { return s.sp }
 
 // Order returns the R-tree order used for the partition indexes.
 func (s *IndexedDataset[V]) Order() int { return s.order }
-
-// Context returns the engine context.
-func (s *IndexedDataset[V]) Context() *engine.Context { return s.parts.Context() }
 
 // NumPartitions returns the partition count.
 func (s *IndexedDataset[V]) NumPartitions() int { return s.parts.NumPartitions() }
@@ -155,9 +149,9 @@ func (s *IndexedDataset[V]) relevantPartitions(q geom.Envelope) []int {
 // candidate tested one CandidatesRefined.
 func (s *IndexedDataset[V]) Probe(env geom.Envelope, keep func(kv Tuple[V]) bool) *engine.Dataset[Tuple[V]] {
 	rec, parts := s.recorder(), s.parts
-	out := engine.NewStream(s.Context(), parts.Name()+".probe", parts.NumPartitions(),
+	out := engine.NewStream(s.parts.Context(), parts.Name()+".probe", parts.NumPartitions(),
 		func(p int, yield func(Tuple[V]) bool) error {
-			return parts.EachPartition(p, func(ip IndexedPartition[V]) bool {
+			return parts.EachPartition(p, func(ip indexedPartition[V]) bool {
 				rec.Add(engine.IndexProbes, 1)
 				var refined int64
 				more := true
@@ -175,38 +169,11 @@ func (s *IndexedDataset[V]) Probe(env geom.Envelope, keep func(kv Tuple[V]) bool
 	return out.WithRecorder(s.rec)
 }
 
-// Filter probes the index with pruneEnv (or q's envelope when empty)
-// over the partitions whose extent it touches, refines the candidates
-// with an arbitrary spatio-temporal predicate and collects the
-// matches.
-func (s *IndexedDataset[V]) Filter(q stobject.STObject, pruneEnv geom.Envelope, pred stobject.Predicate) ([]Tuple[V], error) {
-	env := q.Envelope()
-	if !pruneEnv.IsEmpty() {
-		env = pruneEnv
-	}
-	keep := func(kv Tuple[V]) bool { return pred(kv.Key, q) }
-	return s.Probe(env, keep).CollectPartitions(s.relevantPartitions(env))
-}
-
 // Flat returns the records as a lazily flattened engine dataset,
 // preserving the partition structure — for actions that stream or
 // stop early instead of materialising everything.
 func (s *IndexedDataset[V]) Flat() *engine.Dataset[Tuple[V]] {
-	return engine.FlatMap(s.parts, func(ip IndexedPartition[V]) []Tuple[V] { return ip.Items })
-}
-
-// Collect returns all records of the indexed dataset.
-func (s *IndexedDataset[V]) Collect() ([]Tuple[V], error) {
-	return s.Flat().Collect()
-}
-
-// Count returns the number of records. Partition lengths are summed
-// inside the job — neither the records nor the trees travel to the
-// driver.
-func (s *IndexedDataset[V]) Count() (int64, error) {
-	return engine.Aggregate(s.parts, int64(0),
-		func(acc int64, ip IndexedPartition[V]) int64 { return acc + int64(len(ip.Items)) },
-		func(a, b int64) int64 { return a + b })
+	return engine.FlatMap(s.parts, func(ip indexedPartition[V]) []Tuple[V] { return ip.Items })
 }
 
 // indexFile names partition i's tree inside a persisted index directory.
@@ -245,7 +212,7 @@ func LoadIndex[V any](s *SpatialDataset[V], dir string) (*IndexedDataset[V], err
 	for i := range loadTasks {
 		loadTasks[i] = i
 	}
-	err := s.Context().RunJob(loadTasks, func(i int) error {
+	err := s.ds.Context().RunJob(loadTasks, func(i int) error {
 		t, err := index.LoadFile(indexFile(dir, i))
 		if err != nil {
 			return fmt.Errorf("core: loading index partition %d: %w", i, err)
@@ -260,13 +227,13 @@ func LoadIndex[V any](s *SpatialDataset[V], dir string) (*IndexedDataset[V], err
 	if n > 0 {
 		order = trees[0].Order()
 	}
-	parts := engine.MapPartitions(s.ds, func(idx int, in []Tuple[V]) ([]IndexedPartition[V], error) {
+	parts := engine.MapPartitions(s.ds, func(idx int, in []Tuple[V]) ([]indexedPartition[V], error) {
 		t := trees[idx]
 		if t.Len() != len(in) {
 			return nil, fmt.Errorf("core: persisted index partition %d holds %d entries, data has %d",
 				idx, t.Len(), len(in))
 		}
-		return []IndexedPartition[V]{{Items: in, Tree: t}}, nil
+		return []indexedPartition[V]{{Items: in, Tree: t}}, nil
 	})
 	parts.Cache()
 	if _, err := parts.Count(); err != nil {

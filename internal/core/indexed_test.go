@@ -10,7 +10,6 @@ import (
 	"stark/internal/geom"
 	"stark/internal/partition"
 	"stark/internal/stobject"
-	"stark/internal/temporal"
 )
 
 func TestLiveIndexFilterMatchesScan(t *testing.T) {
@@ -102,7 +101,7 @@ func TestIndexCountAndCollect(t *testing.T) {
 	if err != nil || len(all) != len(tuples) {
 		t.Fatalf("collect = %d err=%v", len(all), err)
 	}
-	if idx.Context() != ctx {
+	if idx.parts.Context() != ctx {
 		t.Error("context mismatch")
 	}
 }
@@ -202,7 +201,7 @@ func TestIndexedTemporalRefinement(t *testing.T) {
 	}
 	q := stobject.NewWithInterval(
 		geom.NewEnvelope(0, 0, 10, 10).ToPolygon(),
-		temporal.MustInterval(0, 200))
+		stobject.MustInterval(0, 200))
 	got, err := idx.Filter(q, q.Envelope(), stobject.ContainedBy)
 	if err != nil {
 		t.Fatal(err)

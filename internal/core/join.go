@@ -33,8 +33,8 @@ import (
 //   - broadcast: one slot, the whole build side, shared by every probe
 //     partition the build envelope can reach;
 //   - copartition: the build side is replicated onto the probe side's
-//     SpatialPartitioner via extent overlap (the Replicating
-//     assignment) and each probe partition probes its aligned bucket;
+//     SpatialPartitioner via extent overlap (partition.OverlapAssigner)
+//     and each probe partition probes its aligned bucket;
 //   - pairs: the paper's partitioned join — one slot per build
 //     partition, probed by the probe partitions whose extent reaches
 //     it; pairs with disjoint extents are pruned (the strategy Figure
@@ -232,15 +232,15 @@ func JoinStream[V, W any](l *SpatialDataset[V], lvisit []int, r *SpatialDataset[
 // when the join indexes and there are any, an R-tree over them. The
 // load runs once, in the first task that calls the slot; the others
 // wait for it and share the result.
-type buildSlot[B any] func() (IndexedPartition[B], error)
+type buildSlot[B any] func() (indexedPartition[B], error)
 
 // newBuildSlot returns the slot over the rows fetch returns; a tree is
 // built when order > 0 and counted in built.
 func newBuildSlot[B any](order int, built *int64, fetch func() ([]Tuple[B], error)) buildSlot[B] {
-	return sync.OnceValues(func() (IndexedPartition[B], error) {
+	return sync.OnceValues(func() (indexedPartition[B], error) {
 		items, err := fetch()
 		if err != nil || len(items) == 0 || order == 0 {
-			return IndexedPartition[B]{Items: items}, err
+			return indexedPartition[B]{Items: items}, err
 		}
 		atomic.AddInt64(built, 1)
 		return buildIndexedPartition(items, order), nil
@@ -358,7 +358,7 @@ func joinStream[P, B, R any](probe *SpatialDataset[P], pvisit []int, build *Spat
 	}
 	rec.Add(engine.TasksSkipped, int64(len(pvisit)*perProbe-rep.Tasks))
 
-	out := engine.NewStream(probe.Context(), probe.ds.Name()+".join", len(slotsOf),
+	out := engine.NewStream(probe.ds.Context(), probe.ds.Name()+".join", len(slotsOf),
 		func(p int, yield func(R) bool) error {
 			slots := slotsOf[p]
 			if len(slots) == 0 {
@@ -416,16 +416,6 @@ func joinStream[P, B, R any](probe *SpatialDataset[P], pvisit []int, build *Spat
 	return out.WithRecorder(probe.rec), visit, nil
 }
 
-// Join computes the spatio-temporal join of l and r: Collect over
-// JoinStream.
-func Join[V, W any](l *SpatialDataset[V], r *SpatialDataset[W], opts JoinOptions) ([]Tuple[JoinRow[V, W]], error) {
-	ds, visit, err := JoinStream(l, nil, r, nil, opts)
-	if err != nil {
-		return nil, err
-	}
-	return ds.CollectPartitions(visit)
-}
-
 // JoinCount is Join restricted to counting: matching pairs stream into
 // a counter and no result row outlives its yield — the benchmark
 // action pays the probe and refinement cost only.
@@ -465,7 +455,7 @@ func SelfJoinWithinDistanceCount[V any](s *SpatialDataset[V], eps float64, order
 			tasks = append(tasks, task{li, ri})
 		}
 	}
-	ctx := s.Context()
+	ctx := s.ds.Context()
 	rec := s.recorder()
 	rec.Add(engine.TasksSkipped, int64(pruned))
 
@@ -479,7 +469,7 @@ func SelfJoinWithinDistanceCount[V any](s *SpatialDataset[V], eps float64, order
 		li, ri := tasks[t].li, tasks[t].ri
 		same := li == ri
 		var (
-			right           IndexedPartition[V]
+			right           indexedPartition[V]
 			loadErr         error
 			local           int64
 			buf             []int32

@@ -137,18 +137,12 @@ func knnRounds[V any](ctx context.Context, ec *engine.Context, rec *engine.Recor
 	return drainHeap(h), nil
 }
 
-// KNN returns the k records nearest to q under df (nil selects the
-// planar distance between q's geometry and each record's geometry).
-// Results are sorted by ascending distance. Fewer than k records are
-// returned when the dataset is smaller than k.
-func (s *SpatialDataset[V]) KNN(q stobject.STObject, k int, df geom.DistanceFunc) ([]NeighborResult[V], error) {
-	return s.KNNContext(context.Background(), q, k, df)
-}
-
-// KNNContext is KNN with cooperative cancellation: per-partition
-// scans run through the task pool, no further partition is scheduled
-// once ctx is done, and running scans abort within knnCheckEvery
-// records.
+// KNNContext returns the k records nearest to q under df (nil selects
+// the planar distance between q's geometry and each record's
+// geometry), sorted by ascending distance; fewer than k when the
+// dataset is smaller. Per-partition scans run through the task pool,
+// no further partition is scheduled once ctx is done, and running
+// scans abort within knnCheckEvery records.
 func (s *SpatialDataset[V]) KNNContext(ctx context.Context, q stobject.STObject, k int, df geom.DistanceFunc) ([]NeighborResult[V], error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("core: kNN needs k >= 1, got %d", k)
@@ -163,7 +157,7 @@ func (s *SpatialDataset[V]) KNNContext(ctx context.Context, q stobject.STObject,
 	order := knnOrder(extent, s.ds.NumPartitions(), q.Envelope())
 	rec := s.recorder()
 	canPrune := s.sp != nil && df == nil
-	return knnRounds(ctx, s.Context(), rec, order, k, canPrune, func(p int) ([]NeighborResult[V], error) {
+	return knnRounds(ctx, s.ds.Context(), rec, order, k, canPrune, func(p int) ([]NeighborResult[V], error) {
 		// Stream the partition through a local heap — the filter
 		// chain upstream (if any) fuses into this scan.
 		lh := &maxHeap[V]{}
@@ -191,15 +185,10 @@ func (s *SpatialDataset[V]) KNNContext(ctx context.Context, q stobject.STObject,
 	})
 }
 
-// KNN on an indexed dataset probes each relevant partition's R-tree
-// with branch-and-bound and merges the per-partition results. The
-// same extent-distance pruning as the scan version applies.
-func (s *IndexedDataset[V]) KNN(q stobject.STObject, k int, df geom.DistanceFunc) ([]NeighborResult[V], error) {
-	return s.KNNContext(context.Background(), q, k, df)
-}
-
-// KNNContext is KNN with cooperative cancellation and pooled
-// per-partition index probes.
+// KNNContext on an indexed dataset probes each relevant partition's
+// R-tree with branch-and-bound, in the task pool and under ctx, and
+// merges the per-partition results. The same extent-distance pruning
+// as the scan version applies.
 func (s *IndexedDataset[V]) KNNContext(ctx context.Context, q stobject.STObject, k int, df geom.DistanceFunc) ([]NeighborResult[V], error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("core: kNN needs k >= 1, got %d", k)
@@ -218,7 +207,7 @@ func (s *IndexedDataset[V]) KNNContext(ctx context.Context, q stobject.STObject,
 	_, pointRef := q.Point()
 	rec := s.recorder()
 	canPrune := s.sp != nil && df == nil
-	return knnRounds(ctx, s.Context(), rec, order, k, canPrune, func(p int) ([]NeighborResult[V], error) {
+	return knnRounds(ctx, s.parts.Context(), rec, order, k, canPrune, func(p int) ([]NeighborResult[V], error) {
 		ips, err := s.parts.ComputePartition(p)
 		if err != nil {
 			return nil, err

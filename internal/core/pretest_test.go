@@ -10,7 +10,6 @@ import (
 	"stark/internal/geom"
 	"stark/internal/partition"
 	"stark/internal/stobject"
-	"stark/internal/temporal"
 )
 
 // The scan rejects a row whose key envelope misses the prune envelope
@@ -36,15 +35,15 @@ func pretestKeys(rng *rand.Rand, n int, timed bool) []Tuple[int] {
 			w, h := rng.Float64()*12, rng.Float64()*12
 			g = geom.NewEnvelope(x, y, x+w, y+h).ToPolygon()
 		case r < 10:
-			g = geom.MustLineString(geom.NewPoint(x, y), geom.NewPoint(x+rng.Float64()*10-5, y+rng.Float64()*10-5),
-				geom.NewPoint(x+rng.Float64()*10-5, y+rng.Float64()*10-5))
+			g, _ = geom.NewLineString([]geom.Point{{X: x, Y: y}, {X: x + rng.Float64()*10 - 5, Y: y + rng.Float64()*10 - 5},
+				{X: x + rng.Float64()*10 - 5, Y: y + rng.Float64()*10 - 5}})
 		default:
 			g = geom.NewPoint(x, y)
 		}
 		key := stobject.New(g)
 		if timed {
-			start := temporal.Instant(rng.Int63n(1000))
-			key = stobject.NewWithInterval(g, temporal.MustInterval(start, start+temporal.Instant(rng.Int63n(50))))
+			start := stobject.Instant(rng.Int63n(1000))
+			key = stobject.NewWithInterval(g, stobject.MustInterval(start, start+stobject.Instant(rng.Int63n(50))))
 		}
 		tuples[i] = engine.NewPair(key, i)
 	}
@@ -63,8 +62,6 @@ func TestWherePretestEquivalence(t *testing.T) {
 		{"containedBy", stobject.ContainedBy, 0},
 		{"covers", stobject.STObject.Covers, 0},
 		{"coveredBy", stobject.CoveredBy, 0},
-		{"touches", stobject.STObject.Touches, 0},
-		{"overlaps", stobject.STObject.Overlaps, 0},
 		{"withinDistance", stobject.WithinDistancePredicate(6, nil), 6},
 		{"withinDistance/manhattan", stobject.WithinDistancePredicate(6, manhattan), 6},
 		// An opaque predicate: all the scan knows of it is the envelope its
@@ -83,9 +80,9 @@ func TestWherePretestEquivalence(t *testing.T) {
 		s := Wrap(engine.FromPartitions(ctx, parts))
 		queries := []stobject.STObject{
 			stobject.New(geom.NewEnvelope(20, 30, 45, 60).ToPolygon()),
-			stobject.New(geom.MustPolygon(geom.NewPoint(50, 10), geom.NewPoint(90, 40), geom.NewPoint(60, 80), geom.NewPoint(50, 10))),
+			mustFromWKT("POLYGON ((50 10, 90 40, 60 80, 50 10))"),
 			stobject.New(geom.NewPoint(40, 40)),
-			stobject.New(geom.MustLineString(geom.NewPoint(0, 0), geom.NewPoint(100, 70))),
+			mustFromWKT("LINESTRING (0 0, 100 70)"),
 		}
 		// Queries that are themselves keys: equal geometries touch, contain
 		// and cover each other.
@@ -97,7 +94,7 @@ func TestWherePretestEquivalence(t *testing.T) {
 				continue
 			}
 			if timed && !q.HasTime() {
-				q = stobject.NewWithInterval(q.Geo(), temporal.MustInterval(200, 700))
+				q = stobject.NewWithInterval(q.Geo(), stobject.MustInterval(200, 700))
 			}
 			for _, sc := range scenarios {
 				var want []int
@@ -185,11 +182,11 @@ func TestEnvelopeIntersectsMatchesEnvelope(t *testing.T) {
 func TestScanPointRowsAllocatesNothing(t *testing.T) {
 	rows := make([]Tuple[int], 2000)
 	for i := range rows {
-		key := stobject.NewWithTime(geom.NewPoint(float64(i%50), float64(i/50)), temporal.Instant(i))
+		key := stobject.NewWithTime(geom.NewPoint(float64(i%50), float64(i/50)), stobject.Instant(i))
 		rows[i] = engine.NewPair(key, i)
 	}
-	window := geom.MustPolygon(geom.NewPoint(5, 5), geom.NewPoint(30, 8), geom.NewPoint(20, 30), geom.NewPoint(5, 5))
-	q := stobject.NewWithInterval(window, temporal.MustInterval(0, 1500))
+	window := mustFromWKT("POLYGON ((5 5, 30 8, 20 30, 5 5))").Geo()
+	q := stobject.NewWithInterval(window, stobject.MustInterval(0, 1500))
 	batch := scanBatch[int](engine.NewContext(1).NewJobRecorder(), q, q.Envelope(), stobject.Intersects, false)
 	out := make([]Tuple[int], len(rows))
 	hits := 0
@@ -213,7 +210,7 @@ func TestPartitionByOrdersPointRowsByX(t *testing.T) {
 		if i%500 == 0 {
 			x = math.NaN()
 		}
-		tuples[i] = engine.NewPair(stobject.NewWithTime(geom.NewPoint(x, rng.Float64()*100), temporal.Instant(i)), i)
+		tuples[i] = engine.NewPair(stobject.NewWithTime(geom.NewPoint(x, rng.Float64()*100), stobject.Instant(i)), i)
 	}
 	ctx := engine.NewContext(2)
 	keys := make([]stobject.STObject, len(tuples))
@@ -288,8 +285,8 @@ func TestScanOverOrderedRows(t *testing.T) {
 	}
 	preds := map[string]stobject.Predicate{
 		"intersects": stobject.Intersects, "contains": stobject.Contains, "containedBy": stobject.ContainedBy,
-		"covers": stobject.STObject.Covers, "coveredBy": stobject.CoveredBy, "touches": stobject.STObject.Touches,
-		"overlaps": stobject.STObject.Overlaps, "within": stobject.WithinDistancePredicate(3, nil),
+		"covers": stobject.STObject.Covers, "coveredBy": stobject.CoveredBy,
+		"within": stobject.WithinDistancePredicate(3, nil),
 	}
 	for i := 0; i < 20; i++ {
 		x, y := rng.Float64()*100, rng.Float64()*100
@@ -297,7 +294,7 @@ func TestScanOverOrderedRows(t *testing.T) {
 		if i == 0 {
 			w = geom.NewEnvelope(0, 0, 100, 100) // every batch in range
 		}
-		q := stobject.NewWithInterval(w.ToPolygon(), temporal.MustInterval(100, 800))
+		q := stobject.NewWithInterval(w.ToPolygon(), stobject.MustInterval(100, 800))
 		for name, pred := range preds {
 			env := q.Envelope().ExpandBy(3)
 			got, err := s.Filter(q, env, pred)

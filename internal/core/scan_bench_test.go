@@ -8,7 +8,6 @@ import (
 	"stark/internal/geom"
 	"stark/internal/partition"
 	"stark/internal/stobject"
-	"stark/internal/temporal"
 	"stark/internal/workload"
 )
 
@@ -39,7 +38,7 @@ func BenchmarkScanShuffled(b *testing.B) {
 		c := keys[rng.Intn(len(keys))].Centroid()
 		windows[i] = stobject.NewWithInterval(
 			geom.NewEnvelope(c.X-5, c.Y-5, c.X+5, c.Y+5).ToPolygon(),
-			temporal.MustInterval(0, temporal.Instant(cfg.TimeRange)))
+			stobject.MustInterval(0, stobject.Instant(cfg.TimeRange)))
 	}
 	tuples, keys = nil, nil
 

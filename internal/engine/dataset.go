@@ -497,11 +497,13 @@ func (d *Dataset[T]) Collect() ([]T, error) {
 
 // ComputePartitions materialises the listed partitions in parallel and
 // returns them under their partition index, nil for the unlisted ones.
-// Sourced and cached datasets hand out their own slices (zero-copy, as
-// in ComputePartition): treat the result as read-only.
-func (d *Dataset[T]) ComputePartitions(parts []int) ([][]T, error) {
+// Once ctx is done no further partition is scheduled (a nil ctx runs
+// to completion). Sourced and cached datasets hand out their own
+// slices (zero-copy, as in ComputePartition): treat the result as
+// read-only.
+func (d *Dataset[T]) ComputePartitions(ctx context.Context, parts []int) ([][]T, error) {
 	results := make([][]T, d.numPart)
-	err := d.ctx.RunJobRecorder(nil, d.recorder(), parts, func(p int) error {
+	err := d.ctx.RunJobRecorder(ctx, d.recorder(), parts, func(p int) error {
 		out, err := d.ComputePartition(p)
 		results[p] = out
 		return err
@@ -516,7 +518,7 @@ func (d *Dataset[T]) ComputePartitions(parts []int) ([][]T, error) {
 // operators use this to execute partition-pruned queries: partitions
 // whose bounds cannot match are never scheduled.
 func (d *Dataset[T]) CollectPartitions(parts []int) ([]T, error) {
-	results, err := d.ComputePartitions(parts)
+	results, err := d.ComputePartitions(nil, parts)
 	if err != nil {
 		return nil, err
 	}
@@ -560,17 +562,11 @@ func (d *Dataset[T]) CountPartitions(parts []int) (int64, error) {
 	return total.Load(), err
 }
 
-// Take returns up to n elements, scanning partitions in order. The
-// scan short-circuits: as soon as n elements are gathered the current
+// TakePartitions returns up to n elements of the listed partitions,
+// scanning them in the order given — the short-circuiting counterpart
+// of CollectPartitions: as soon as n elements are gathered the current
 // partition's pipeline stops mid-stream and no further partition is
 // touched.
-func (d *Dataset[T]) Take(n int) ([]T, error) {
-	return d.TakePartitions(AllPartitions(d.numPart), n)
-}
-
-// TakePartitions is Take restricted to the listed partitions, in the
-// order given — the short-circuiting counterpart of CollectPartitions
-// for partition-pruned queries.
 func (d *Dataset[T]) TakePartitions(parts []int, n int) ([]T, error) {
 	if n <= 0 {
 		return nil, nil

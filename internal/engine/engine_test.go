@@ -117,14 +117,19 @@ func TestCount(t *testing.T) {
 	}
 }
 
+// take is TakePartitions over every partition, in order.
+func take[T any](d *Dataset[T], n int) ([]T, error) {
+	return d.TakePartitions(AllPartitions(d.NumPartitions()), n)
+}
+
 func TestTake(t *testing.T) {
 	ctx := NewContext(2)
 	d := Parallelize(ctx, intRange(100), 10)
-	got, err := d.Take(7)
+	got, err := take(d, 7)
 	if err != nil || len(got) != 7 {
 		t.Fatalf("take = %v err=%v", got, err)
 	}
-	got, _ = d.Take(1000)
+	got, _ = take(d, 1000)
 	if len(got) != 100 {
 		t.Errorf("over-take len = %d", len(got))
 	}

@@ -72,7 +72,7 @@ func BenchmarkChainTakeFused(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := fusedAllocChain(base).Take(10)
+		out, err := take(fusedAllocChain(base), 10)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -88,7 +88,7 @@ func BenchmarkChainTakeSeedStyle(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := seedAllocChain(base).Take(10)
+		out, err := take(seedAllocChain(base), 10)
 		if err != nil {
 			b.Fatal(err)
 		}

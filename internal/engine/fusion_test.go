@@ -192,7 +192,7 @@ func TestTakeStopsConsuming(t *testing.T) {
 	ctx := NewContext(2)
 	d, pulled := countingSource(ctx, 100_000, 4)
 
-	got, err := d.Take(5)
+	got, err := take(d, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestTakeStopsConsuming(t *testing.T) {
 	// Through a fused filter chain: only as many source elements are
 	// pulled as needed to let n survivors through — not the partition.
 	d2, pulled2 := countingSource(ctx, 100_000, 4)
-	got2, err := d2.Filter(func(v int) bool { return v%10 == 0 }).Take(3)
+	got2, err := take(d2.Filter(func(v int) bool { return v%10 == 0 }), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestTakeRacesConcurrentActions(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				switch w % 2 {
 				case 0:
-					out, err := tail.Take(7)
+					out, err := take(tail, 7)
 					if err != nil {
 						t.Error(err)
 						return

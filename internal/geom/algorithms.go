@@ -15,9 +15,9 @@ func onSegment(a, b, c Point) bool {
 		math.Min(a.Y, b.Y) <= c.Y && c.Y <= math.Max(a.Y, b.Y)
 }
 
-// SegmentsIntersect reports whether the closed segments p1p2 and q1q2
+// segmentsIntersect reports whether the closed segments p1p2 and q1q2
 // share at least one point, including endpoint and collinear contact.
-func SegmentsIntersect(p1, p2, q1, q2 Point) bool {
+func segmentsIntersect(p1, p2, q1, q2 Point) bool {
 	d1 := orientation(q1, q2, p1)
 	d2 := orientation(q1, q2, p2)
 	d3 := orientation(p1, p2, q1)
@@ -71,9 +71,9 @@ func ringContainsPoint(r Ring, p Point) int {
 	return -1
 }
 
-// PolygonContainsPoint classifies p against the polygon (holes
+// polygonContainsPoint classifies p against the polygon (holes
 // considered): +1 strict interior, 0 boundary, -1 exterior.
-func PolygonContainsPoint(poly Polygon, p Point) int {
+func polygonContainsPoint(poly Polygon, p Point) int {
 	c := ringContainsPoint(poly.shell, p)
 	if c <= 0 {
 		return c
@@ -94,7 +94,7 @@ func PolygonContainsPoint(poly Polygon, p Point) int {
 func ringEdgesIntersect(r1, r2 Ring) bool {
 	for i := 1; i < len(r1.pts); i++ {
 		for j := 1; j < len(r2.pts); j++ {
-			if SegmentsIntersect(r1.pts[i-1], r1.pts[i], r2.pts[j-1], r2.pts[j]) {
+			if segmentsIntersect(r1.pts[i-1], r1.pts[i], r2.pts[j-1], r2.pts[j]) {
 				return true
 			}
 		}
@@ -107,7 +107,7 @@ func ringEdgesIntersect(r1, r2 Ring) bool {
 func lineEdgesIntersectRing(l LineString, r Ring) bool {
 	for i := 1; i < len(l.pts); i++ {
 		for j := 1; j < len(r.pts); j++ {
-			if SegmentsIntersect(l.pts[i-1], l.pts[i], r.pts[j-1], r.pts[j]) {
+			if segmentsIntersect(l.pts[i-1], l.pts[i], r.pts[j-1], r.pts[j]) {
 				return true
 			}
 		}
@@ -115,9 +115,9 @@ func lineEdgesIntersectRing(l LineString, r Ring) bool {
 	return false
 }
 
-// DistancePointSegment returns the minimum distance from p to the
+// distancePointSegment returns the minimum distance from p to the
 // closed segment ab.
-func DistancePointSegment(p, a, b Point) float64 {
+func distancePointSegment(p, a, b Point) float64 {
 	dx, dy := b.X-a.X, b.Y-a.Y
 	if dx == 0 && dy == 0 {
 		return Euclidean(p, a)
@@ -128,14 +128,14 @@ func DistancePointSegment(p, a, b Point) float64 {
 	return Euclidean(p, proj)
 }
 
-// DistanceSegmentSegment returns the minimum distance between two
+// distanceSegmentSegment returns the minimum distance between two
 // closed segments; 0 when they intersect.
-func DistanceSegmentSegment(p1, p2, q1, q2 Point) float64 {
-	if SegmentsIntersect(p1, p2, q1, q2) {
+func distanceSegmentSegment(p1, p2, q1, q2 Point) float64 {
+	if segmentsIntersect(p1, p2, q1, q2) {
 		return 0
 	}
 	return math.Min(
-		math.Min(DistancePointSegment(p1, q1, q2), DistancePointSegment(p2, q1, q2)),
-		math.Min(DistancePointSegment(q1, p1, p2), DistancePointSegment(q2, p1, p2)),
+		math.Min(distancePointSegment(p1, q1, q2), distancePointSegment(p2, q1, q2)),
+		math.Min(distancePointSegment(q1, p1, p2), distancePointSegment(q2, p1, p2)),
 	)
 }

@@ -26,7 +26,7 @@ func Distance(g1, g2 Geometry) float64 {
 	if Intersects(g1, g2) {
 		return 0
 	}
-	if g1 != nil && g2 != nil && g2.Kind() < g1.Kind() {
+	if g1 != nil && g2 != nil && g2.kind() < g1.kind() {
 		g1, g2 = g2, g1 // the arms below take g2 of g1's kind or later
 	}
 	switch a := g1.(type) {
@@ -55,13 +55,13 @@ func distancePointGeom(p Point, g Geometry) float64 {
 		}
 		return best
 	case LineString, Polygon:
-		if poly, ok := b.(Polygon); ok && PolygonContainsPoint(poly, p) >= 0 {
+		if poly, ok := b.(Polygon); ok && polygonContainsPoint(poly, p) >= 0 {
 			return 0
 		}
 		best := math.Inf(1)
 		for _, r := range edgeChains(b) {
 			for i := 1; i < len(r.pts); i++ {
-				best = math.Min(best, DistancePointSegment(p, r.pts[i-1], r.pts[i]))
+				best = math.Min(best, distancePointSegment(p, r.pts[i-1], r.pts[i]))
 			}
 		}
 		return best
@@ -91,7 +91,7 @@ func edgeDistance(g1, g2 Geometry) float64 {
 		for _, r2 := range rs2 {
 			for i := 1; i < len(r1.pts); i++ {
 				for j := 1; j < len(r2.pts); j++ {
-					best = math.Min(best, DistanceSegmentSegment(r1.pts[i-1], r1.pts[i], r2.pts[j-1], r2.pts[j]))
+					best = math.Min(best, distanceSegmentSegment(r1.pts[i-1], r1.pts[i], r2.pts[j-1], r2.pts[j]))
 				}
 			}
 		}

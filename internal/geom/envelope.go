@@ -196,7 +196,7 @@ func (e Envelope) ToPolygon() Polygon {
 	if e.IsEmpty() {
 		panic("geom: cannot convert empty envelope to polygon")
 	}
-	return MustPolygon(
+	return mustPolygon(
 		Point{e.MinX, e.MinY},
 		Point{e.MaxX, e.MinY},
 		Point{e.MaxX, e.MaxY},

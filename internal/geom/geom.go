@@ -4,7 +4,7 @@
 // subset that the original STARK implementation relies on: point,
 // line-string and polygon types, envelopes (minimum bounding
 // rectangles), WKT parsing and formatting, topological predicates
-// (intersects, contains, covers, disjoint) and distance functions.
+// (intersects, contains, covers) and distance functions.
 //
 // All geometries are immutable after construction; methods never
 // mutate their receiver. Coordinates are planar (x, y) float64 pairs;
@@ -16,26 +16,26 @@ import (
 	"math"
 )
 
-// Kind enumerates the geometry types supported by the kernel.
-type Kind int
+// kind enumerates the geometry types supported by the kernel.
+type kind int
 
 const (
-	KindPoint Kind = iota
-	KindMultiPoint
-	KindLineString
-	KindPolygon
+	kindPoint kind = iota
+	kindMultiPoint
+	kindLineString
+	kindPolygon
 )
 
 // String returns the WKT tag for the kind.
-func (k Kind) String() string {
+func (k kind) String() string {
 	switch k {
-	case KindPoint:
+	case kindPoint:
 		return "POINT"
-	case KindMultiPoint:
+	case kindMultiPoint:
 		return "MULTIPOINT"
-	case KindLineString:
+	case kindLineString:
 		return "LINESTRING"
-	case KindPolygon:
+	case kindPolygon:
 		return "POLYGON"
 	default:
 		return fmt.Sprintf("KIND(%d)", int(k))
@@ -44,8 +44,8 @@ func (k Kind) String() string {
 
 // Geometry is the interface implemented by every geometry type.
 type Geometry interface {
-	// Kind reports the concrete geometry type.
-	Kind() Kind
+	// kind reports the concrete geometry type.
+	kind() kind
 	// Envelope returns the minimum bounding rectangle.
 	Envelope() Envelope
 	// WKT renders the geometry in Well-Known Text.
@@ -66,8 +66,8 @@ type Point struct {
 // NewPoint returns the point (x, y).
 func NewPoint(x, y float64) Point { return Point{X: x, Y: y} }
 
-// Kind implements Geometry.
-func (p Point) Kind() Kind { return KindPoint }
+// kind implements Geometry.
+func (p Point) kind() kind { return kindPoint }
 
 // Envelope implements Geometry; a point's envelope is degenerate.
 func (p Point) Envelope() Envelope { return Envelope{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y} }
@@ -106,8 +106,8 @@ func NewMultiPoint(pts []Point) MultiPoint {
 	return MultiPoint{pts: cp, env: envelopeOf(cp)}
 }
 
-// Kind implements Geometry.
-func (m MultiPoint) Kind() Kind { return KindMultiPoint }
+// kind implements Geometry.
+func (m MultiPoint) kind() kind { return kindMultiPoint }
 
 // NumPoints returns the number of member points.
 func (m MultiPoint) NumPoints() int { return len(m.pts) }
@@ -162,18 +162,8 @@ func NewLineString(pts []Point) (LineString, error) {
 	return newLineString(cp), nil
 }
 
-// MustLineString is NewLineString but panics on error; intended for
-// literals in tests and examples.
-func MustLineString(pts ...Point) LineString {
-	ls, err := NewLineString(pts)
-	if err != nil {
-		panic(err)
-	}
-	return ls
-}
-
-// Kind implements Geometry.
-func (l LineString) Kind() Kind { return KindLineString }
+// kind implements Geometry.
+func (l LineString) kind() kind { return kindLineString }
 
 // NumPoints returns the number of vertices.
 func (l LineString) NumPoints() int { return len(l.pts) }
@@ -183,15 +173,6 @@ func (l LineString) PointAt(i int) Point { return l.pts[i] }
 
 // IsEmpty implements Geometry.
 func (l LineString) IsEmpty() bool { return len(l.pts) == 0 }
-
-// Length returns the sum of segment lengths.
-func (l LineString) Length() float64 {
-	var sum float64
-	for i := 1; i < len(l.pts); i++ {
-		sum += Euclidean(l.pts[i-1], l.pts[i])
-	}
-	return sum
-}
 
 // Envelope implements Geometry; computed once at construction.
 func (l LineString) Envelope() Envelope {
@@ -227,11 +208,6 @@ func (l LineString) Centroid() Point {
 	return Point{X: sx / total, Y: sy / total}
 }
 
-// IsClosed reports whether the first and last vertices coincide.
-func (l LineString) IsClosed() bool {
-	return len(l.pts) >= 2 && l.pts[0].Equal(l.pts[len(l.pts)-1])
-}
-
 // Polygon is a simple polygon with an exterior ring and zero or more
 // interior rings (holes). Rings are stored closed (first == last).
 type Polygon struct {
@@ -249,9 +225,9 @@ type Ring struct {
 	pts []Point
 }
 
-// NewRing builds a ring from pts, closing it if needed. It returns an
+// newRing builds a ring from pts, closing it if needed. It returns an
 // error when fewer than three distinct positions are supplied.
-func NewRing(pts []Point) (Ring, error) {
+func newRing(pts []Point) (Ring, error) {
 	if len(pts) < 3 {
 		return Ring{}, fmt.Errorf("geom: ring needs >= 3 points, got %d", len(pts))
 	}
@@ -283,13 +259,6 @@ func (r Ring) SignedArea() float64 {
 	return sum / 2
 }
 
-// NewPolygon builds a polygon from a shell and optional holes.
-func NewPolygon(shell Ring, holes ...Ring) Polygon {
-	hs := make([]Ring, len(holes))
-	copy(hs, holes)
-	return newPolygon(shell, hs)
-}
-
 // newPolygon wraps the rings (not copied) with the shell's envelope
 // and the rectangle flag.
 func newPolygon(shell Ring, holes []Ring) Polygon {
@@ -303,7 +272,7 @@ func newPolygon(shell Ring, holes []Ring) Polygon {
 // isRectangle reports whether the closed ring pts is an axis-aligned
 // rectangle of positive width and height: five vertices whose edges
 // alternate between horizontal and vertical, in either orientation.
-// For such a ring PolygonContainsPoint classifies a point exactly as
+// For such a ring polygonContainsPoint classifies a point exactly as
 // the closed/open envelope tests do (see classifyPoint), given that
 // the edge lengths are finite: an edge of infinite length turns the
 // orientation test's 0 × ∞ into NaN and the boundary goes undetected,
@@ -332,16 +301,16 @@ func isRectangle(pts []Point, env Envelope) bool {
 
 // NewPolygonFromPoints builds a hole-free polygon from shell points.
 func NewPolygonFromPoints(pts []Point) (Polygon, error) {
-	r, err := NewRing(pts)
+	r, err := newRing(pts)
 	if err != nil {
 		return Polygon{}, err
 	}
-	return NewPolygon(r), nil
+	return newPolygon(r, nil), nil
 }
 
-// MustPolygon is NewPolygonFromPoints but panics on error; for
+// mustPolygon is NewPolygonFromPoints but panics on error; for
 // literals in tests and examples.
-func MustPolygon(pts ...Point) Polygon {
+func mustPolygon(pts ...Point) Polygon {
 	p, err := NewPolygonFromPoints(pts)
 	if err != nil {
 		panic(err)
@@ -349,8 +318,8 @@ func MustPolygon(pts ...Point) Polygon {
 	return p
 }
 
-// Kind implements Geometry.
-func (p Polygon) Kind() Kind { return KindPolygon }
+// kind implements Geometry.
+func (p Polygon) kind() kind { return kindPolygon }
 
 // Shell returns the exterior ring.
 func (p Polygon) Shell() Ring { return p.shell }
@@ -363,15 +332,6 @@ func (p Polygon) HoleAt(i int) Ring { return p.holes[i] }
 
 // IsEmpty implements Geometry.
 func (p Polygon) IsEmpty() bool { return len(p.shell.pts) == 0 }
-
-// Area returns the polygon area: |shell| minus the hole areas.
-func (p Polygon) Area() float64 {
-	a := math.Abs(p.shell.SignedArea())
-	for _, h := range p.holes {
-		a -= math.Abs(h.SignedArea())
-	}
-	return a
-}
 
 // Envelope implements Geometry (the holes cannot extend the shell);
 // computed once at construction.

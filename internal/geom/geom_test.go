@@ -8,10 +8,35 @@ import (
 
 func pt(x, y float64) Point { return Point{X: x, Y: y} }
 
+func mustLineString(pts ...Point) LineString {
+	ls, err := NewLineString(pts)
+	if err != nil {
+		panic(err)
+	}
+	return ls
+}
+
+func mustParseWKT(s string) Geometry {
+	g, err := ParseWKT(s)
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
+// polygonArea is the area of the shell minus the holes'.
+func polygonArea(p Polygon) float64 {
+	a := math.Abs(p.shell.SignedArea())
+	for _, h := range p.holes {
+		a -= math.Abs(h.SignedArea())
+	}
+	return a
+}
+
 func TestPointBasics(t *testing.T) {
 	p := NewPoint(3, 4)
-	if p.Kind() != KindPoint {
-		t.Fatalf("kind = %v", p.Kind())
+	if p.kind() != kindPoint {
+		t.Fatalf("kind = %v", p.kind())
 	}
 	if !p.Centroid().Equal(p) {
 		t.Errorf("centroid = %v, want %v", p.Centroid(), p)
@@ -32,17 +57,7 @@ func TestLineStringBasics(t *testing.T) {
 	if _, err := NewLineString([]Point{pt(0, 0)}); err == nil {
 		t.Error("expected error for 1-point line string")
 	}
-	ls := MustLineString(pt(0, 0), pt(3, 0), pt(3, 4))
-	if got := ls.Length(); got != 7 {
-		t.Errorf("length = %v, want 7", got)
-	}
-	if ls.IsClosed() {
-		t.Error("open line reported closed")
-	}
-	closed := MustLineString(pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 0))
-	if !closed.IsClosed() {
-		t.Error("closed line reported open")
-	}
+	ls := mustLineString(pt(0, 0), pt(3, 0), pt(3, 4))
 	env := ls.Envelope()
 	if env.MinX != 0 || env.MaxX != 3 || env.MinY != 0 || env.MaxY != 4 {
 		t.Errorf("envelope = %v", env)
@@ -50,13 +65,13 @@ func TestLineStringBasics(t *testing.T) {
 }
 
 func TestLineStringCentroid(t *testing.T) {
-	ls := MustLineString(pt(0, 0), pt(2, 0))
+	ls := mustLineString(pt(0, 0), pt(2, 0))
 	c := ls.Centroid()
 	if c.X != 1 || c.Y != 0 {
 		t.Errorf("centroid = %v, want (1,0)", c)
 	}
 	// Zero-length degenerates to vertex mean.
-	zl := MustLineString(pt(1, 1), pt(1, 1))
+	zl := mustLineString(pt(1, 1), pt(1, 1))
 	c = zl.Centroid()
 	if c.X != 1 || c.Y != 1 {
 		t.Errorf("zero-length centroid = %v", c)
@@ -64,10 +79,10 @@ func TestLineStringCentroid(t *testing.T) {
 }
 
 func TestRingConstruction(t *testing.T) {
-	if _, err := NewRing([]Point{pt(0, 0), pt(1, 0)}); err == nil {
+	if _, err := newRing([]Point{pt(0, 0), pt(1, 0)}); err == nil {
 		t.Error("expected error for 2-point ring")
 	}
-	r, err := NewRing([]Point{pt(0, 0), pt(1, 0), pt(1, 1)})
+	r, err := newRing([]Point{pt(0, 0), pt(1, 0), pt(1, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,33 +95,24 @@ func TestRingConstruction(t *testing.T) {
 }
 
 func TestRingSignedArea(t *testing.T) {
-	ccw, _ := NewRing([]Point{pt(0, 0), pt(2, 0), pt(2, 2), pt(0, 2)})
+	ccw, _ := newRing([]Point{pt(0, 0), pt(2, 0), pt(2, 2), pt(0, 2)})
 	if got := ccw.SignedArea(); got != 4 {
 		t.Errorf("ccw area = %v, want 4", got)
 	}
-	cw, _ := NewRing([]Point{pt(0, 0), pt(0, 2), pt(2, 2), pt(2, 0)})
+	cw, _ := newRing([]Point{pt(0, 0), pt(0, 2), pt(2, 2), pt(2, 0)})
 	if got := cw.SignedArea(); got != -4 {
 		t.Errorf("cw area = %v, want -4", got)
 	}
 }
 
 func unitSquare() Polygon {
-	return MustPolygon(pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1))
+	return mustPolygon(pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1))
 }
 
 func squareWithHole() Polygon {
-	shell, _ := NewRing([]Point{pt(0, 0), pt(10, 0), pt(10, 10), pt(0, 10)})
-	hole, _ := NewRing([]Point{pt(4, 4), pt(6, 4), pt(6, 6), pt(4, 6)})
-	return NewPolygon(shell, hole)
-}
-
-func TestPolygonArea(t *testing.T) {
-	if got := unitSquare().Area(); got != 1 {
-		t.Errorf("unit square area = %v", got)
-	}
-	if got := squareWithHole().Area(); got != 96 {
-		t.Errorf("holed square area = %v, want 96", got)
-	}
+	shell, _ := newRing([]Point{pt(0, 0), pt(10, 0), pt(10, 10), pt(0, 10)})
+	hole, _ := newRing([]Point{pt(4, 4), pt(6, 4), pt(6, 6), pt(4, 6)})
+	return newPolygon(shell, []Ring{hole})
 }
 
 func TestPolygonCentroid(t *testing.T) {
@@ -137,8 +143,8 @@ func TestPolygonContainsPoint(t *testing.T) {
 		{pt(9.999, 9.999), 1},
 	}
 	for _, c := range cases {
-		if got := PolygonContainsPoint(poly, c.p); got != c.want {
-			t.Errorf("PolygonContainsPoint(%v) = %d, want %d", c.p, got, c.want)
+		if got := polygonContainsPoint(poly, c.p); got != c.want {
+			t.Errorf("polygonContainsPoint(%v) = %d, want %d", c.p, got, c.want)
 		}
 	}
 }
@@ -157,24 +163,24 @@ func TestSegmentsIntersect(t *testing.T) {
 		{pt(0, 0), pt(4, 0), pt(2, 1), pt(2, 3), false}, // above
 	}
 	for i, c := range cases {
-		if got := SegmentsIntersect(c.a1, c.a2, c.b1, c.b2); got != c.want {
+		if got := segmentsIntersect(c.a1, c.a2, c.b1, c.b2); got != c.want {
 			t.Errorf("case %d: got %v, want %v", i, got, c.want)
 		}
 		// Symmetry.
-		if got := SegmentsIntersect(c.b1, c.b2, c.a1, c.a2); got != c.want {
+		if got := segmentsIntersect(c.b1, c.b2, c.a1, c.a2); got != c.want {
 			t.Errorf("case %d (swapped): got %v, want %v", i, got, c.want)
 		}
 	}
 }
 
 func TestDistancePointSegment(t *testing.T) {
-	if got := DistancePointSegment(pt(0, 1), pt(-1, 0), pt(1, 0)); got != 1 {
+	if got := distancePointSegment(pt(0, 1), pt(-1, 0), pt(1, 0)); got != 1 {
 		t.Errorf("perpendicular distance = %v, want 1", got)
 	}
-	if got := DistancePointSegment(pt(5, 0), pt(-1, 0), pt(1, 0)); got != 4 {
+	if got := distancePointSegment(pt(5, 0), pt(-1, 0), pt(1, 0)); got != 4 {
 		t.Errorf("beyond-end distance = %v, want 4", got)
 	}
-	if got := DistancePointSegment(pt(3, 4), pt(0, 0), pt(0, 0)); got != 5 {
+	if got := distancePointSegment(pt(3, 4), pt(0, 0), pt(0, 0)); got != 5 {
 		t.Errorf("degenerate segment distance = %v, want 5", got)
 	}
 }

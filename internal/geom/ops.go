@@ -33,7 +33,7 @@ func douglasPeucker(pts []Point, lo, hi int, tol float64, keep []bool) {
 	}
 	maxDist, maxIdx := 0.0, -1
 	for i := lo + 1; i < hi; i++ {
-		if d := DistancePointSegment(pts[i], pts[lo], pts[hi]); d > maxDist {
+		if d := distancePointSegment(pts[i], pts[lo], pts[hi]); d > maxDist {
 			maxDist, maxIdx = d, i
 		}
 	}

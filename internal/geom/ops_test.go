@@ -9,7 +9,7 @@ import (
 
 func TestSimplifyStraightLine(t *testing.T) {
 	// Collinear interior points vanish.
-	l := MustLineString(pt(0, 0), pt(1, 0.001), pt(2, -0.001), pt(3, 0), pt(4, 0))
+	l := mustLineString(pt(0, 0), pt(1, 0.001), pt(2, -0.001), pt(3, 0), pt(4, 0))
 	s := Simplify(l, 0.01)
 	if s.NumPoints() != 2 {
 		t.Errorf("simplified to %d points, want 2", s.NumPoints())
@@ -20,7 +20,7 @@ func TestSimplifyStraightLine(t *testing.T) {
 }
 
 func TestSimplifyKeepsSignificantVertices(t *testing.T) {
-	l := MustLineString(pt(0, 0), pt(2, 5), pt(4, 0))
+	l := mustLineString(pt(0, 0), pt(2, 5), pt(4, 0))
 	s := Simplify(l, 1)
 	if s.NumPoints() != 3 {
 		t.Errorf("peak vertex dropped: %d points", s.NumPoints())
@@ -39,14 +39,14 @@ func TestPropSimplifyWithinTolerance(t *testing.T) {
 		for i := range pts {
 			pts[i] = pt(float64(i), rng.Float64()*10)
 		}
-		l := MustLineString(pts...)
+		l := mustLineString(pts...)
 		tol := 0.5 + rng.Float64()*2
 		s := Simplify(l, tol)
 		// Every dropped vertex is within tol of the simplified chain.
 		for _, p := range pts {
 			best := math.Inf(1)
 			for i := 1; i < s.NumPoints(); i++ {
-				d := DistancePointSegment(p, s.PointAt(i-1), s.PointAt(i))
+				d := distancePointSegment(p, s.PointAt(i-1), s.PointAt(i))
 				if d < best {
 					best = d
 				}
@@ -68,17 +68,17 @@ func TestBufferPoint(t *testing.T) {
 		t.Fatal("buffer failed")
 	}
 	// Area approaches πr² from below.
-	if circle.Area() > math.Pi*4 || circle.Area() < math.Pi*4*0.99 {
-		t.Errorf("area = %v, want ≈ %v", circle.Area(), math.Pi*4)
+	if polygonArea(circle) > math.Pi*4 || polygonArea(circle) < math.Pi*4*0.99 {
+		t.Errorf("area = %v, want ≈ %v", polygonArea(circle), math.Pi*4)
 	}
 	c := circle.Centroid()
 	if math.Abs(c.X-5) > 1e-9 || math.Abs(c.Y-5) > 1e-9 {
 		t.Errorf("centroid = %v", c)
 	}
-	if PolygonContainsPoint(circle, pt(5, 5)) != 1 {
+	if polygonContainsPoint(circle, pt(5, 5)) != 1 {
 		t.Error("center must be inside")
 	}
-	if PolygonContainsPoint(circle, pt(8, 5)) != -1 {
+	if polygonContainsPoint(circle, pt(8, 5)) != -1 {
 		t.Error("point beyond radius must be outside")
 	}
 	if _, ok := BufferPoint(pt(0, 0), 0, 8); ok {

@@ -1,7 +1,7 @@
 package geom
 
 // This file implements the topological predicates STARK exposes on
-// spatial components: Intersects, Contains, Covers, Within, Disjoint.
+// spatial components: Intersects, Contains, Covers.
 // The semantics follow the simplified JTS behaviour the paper relies
 // on:
 //
@@ -23,7 +23,7 @@ func Intersects(g1, g2 Geometry) bool {
 	if !g1.Envelope().Intersects(g2.Envelope()) {
 		return false
 	}
-	if g2.Kind() < g1.Kind() {
+	if g2.kind() < g1.kind() {
 		g1, g2 = g2, g1 // the arms below take g2 of g1's kind or later
 	}
 	switch a := g1.(type) {
@@ -68,7 +68,7 @@ func intersectsPoint(p Point, g Geometry) bool {
 	return false
 }
 
-// classifyPoint is PolygonContainsPoint for the point arms of the
+// classifyPoint is polygonContainsPoint for the point arms of the
 // predicates: +1 strict interior, 0 boundary, -1 exterior. A polygon
 // flagged as an axis-aligned rectangle at construction is its own
 // envelope, so the closed envelope test decides inside-or-boundary and
@@ -77,7 +77,7 @@ func intersectsPoint(p Point, g Geometry) bool {
 // exterior on both paths).
 func classifyPoint(poly Polygon, p Point) int {
 	if !poly.rect {
-		return PolygonContainsPoint(poly, p)
+		return polygonContainsPoint(poly, p)
 	}
 	e := poly.env
 	switch {
@@ -94,7 +94,7 @@ func intersectsLine(l LineString, g Geometry) bool {
 	case LineString:
 		for i := 1; i < len(l.pts); i++ {
 			for j := 1; j < len(b.pts); j++ {
-				if SegmentsIntersect(l.pts[i-1], l.pts[i], b.pts[j-1], b.pts[j]) {
+				if segmentsIntersect(l.pts[i-1], l.pts[i], b.pts[j-1], b.pts[j]) {
 					return true
 				}
 			}
@@ -103,7 +103,7 @@ func intersectsLine(l LineString, g Geometry) bool {
 	case Polygon:
 		// Any vertex inside, or any edge crossing the boundary.
 		for _, p := range l.pts {
-			if PolygonContainsPoint(b, p) >= 0 {
+			if polygonContainsPoint(b, p) >= 0 {
 				return true
 			}
 		}
@@ -126,8 +126,8 @@ func intersectsPolygon(poly Polygon, g Geometry) bool {
 	// containment when one polygon is nested inside the other without
 	// edge contact).
 	return ok && (ringEdgesIntersect(poly.shell, b.shell) ||
-		PolygonContainsPoint(poly, b.shell.pts[0]) >= 0 ||
-		PolygonContainsPoint(b, poly.shell.pts[0]) >= 0)
+		polygonContainsPoint(poly, b.shell.pts[0]) >= 0 ||
+		polygonContainsPoint(b, poly.shell.pts[0]) >= 0)
 }
 
 // Covers reports whether every point of g2 lies within g1 (interior
@@ -201,21 +201,21 @@ func Contains(g1, g2 Geometry) bool {
 		return false
 	case LineString:
 		for _, q := range b.pts {
-			if PolygonContainsPoint(poly, q) == 1 {
+			if polygonContainsPoint(poly, q) == 1 {
 				return true
 			}
 		}
 		// All vertices on the boundary: check a midpoint.
 		for i := 1; i < len(b.pts); i++ {
 			mid := Point{X: (b.pts[i-1].X + b.pts[i].X) / 2, Y: (b.pts[i-1].Y + b.pts[i].Y) / 2}
-			if PolygonContainsPoint(poly, mid) == 1 {
+			if polygonContainsPoint(poly, mid) == 1 {
 				return true
 			}
 		}
 		return false
 	case Polygon:
-		return PolygonContainsPoint(poly, b.Centroid()) == 1 ||
-			PolygonContainsPoint(poly, b.shell.pts[0]) == 1
+		return polygonContainsPoint(poly, b.Centroid()) == 1 ||
+			polygonContainsPoint(poly, b.shell.pts[0]) == 1
 	}
 	return false
 }
@@ -233,7 +233,7 @@ func polygonCovers(poly Polygon, g Geometry) bool {
 	case Polygon:
 		pts = b.shell.pts
 		for _, h := range poly.holes {
-			if PolygonContainsPoint(b, h.pts[0]) == 1 {
+			if polygonContainsPoint(b, h.pts[0]) == 1 {
 				return false
 			}
 		}
@@ -258,9 +258,9 @@ func segmentCrossesRings(poly Polygon, a, b Point) bool {
 	rings := append([]Ring{poly.shell}, poly.holes...)
 	for _, r := range rings {
 		for j := 1; j < len(r.pts); j++ {
-			if SegmentsIntersect(a, b, r.pts[j-1], r.pts[j]) {
+			if segmentsIntersect(a, b, r.pts[j-1], r.pts[j]) {
 				mid := Point{X: (a.X + b.X) / 2, Y: (a.Y + b.Y) / 2}
-				if PolygonContainsPoint(poly, mid) == -1 {
+				if polygonContainsPoint(poly, mid) == -1 {
 					return true
 				}
 			}
@@ -268,16 +268,6 @@ func segmentCrossesRings(poly Polygon, a, b Point) bool {
 	}
 	return false
 }
-
-// Within reports whether g1 lies within g2 (the converse of Contains).
-func Within(g1, g2 Geometry) bool { return Contains(g2, g1) }
-
-// CoveredBy reports whether g1 is covered by g2 (the converse of
-// Covers).
-func CoveredBy(g1, g2 Geometry) bool { return Covers(g2, g1) }
-
-// Disjoint reports whether the two geometries share no point.
-func Disjoint(g1, g2 Geometry) bool { return !Intersects(g1, g2) }
 
 // The point-first entry points are the generic predicates with a bare
 // Point operand, in the position the name gives, so that a caller

@@ -30,9 +30,9 @@ func TestIntersectsPointPolygon(t *testing.T) {
 }
 
 func TestIntersectsLineLine(t *testing.T) {
-	l1 := MustLineString(pt(0, 0), pt(2, 2))
-	l2 := MustLineString(pt(0, 2), pt(2, 0))
-	l3 := MustLineString(pt(5, 5), pt(6, 6))
+	l1 := mustLineString(pt(0, 0), pt(2, 2))
+	l2 := mustLineString(pt(0, 2), pt(2, 0))
+	l3 := mustLineString(pt(5, 5), pt(6, 6))
 	if !Intersects(l1, l2) {
 		t.Error("crossing lines must intersect")
 	}
@@ -43,9 +43,9 @@ func TestIntersectsLineLine(t *testing.T) {
 
 func TestIntersectsLinePolygon(t *testing.T) {
 	poly := unitSquare()
-	through := MustLineString(pt(-1, 0.5), pt(2, 0.5))
-	inside := MustLineString(pt(0.2, 0.2), pt(0.8, 0.8))
-	outside := MustLineString(pt(2, 2), pt(3, 3))
+	through := mustLineString(pt(-1, 0.5), pt(2, 0.5))
+	inside := mustLineString(pt(0.2, 0.2), pt(0.8, 0.8))
+	outside := mustLineString(pt(2, 2), pt(3, 3))
 	if !Intersects(through, poly) {
 		t.Error("crossing line must intersect polygon")
 	}
@@ -59,9 +59,9 @@ func TestIntersectsLinePolygon(t *testing.T) {
 
 func TestIntersectsPolygonPolygon(t *testing.T) {
 	a := unitSquare()
-	b := MustPolygon(pt(0.5, 0.5), pt(1.5, 0.5), pt(1.5, 1.5), pt(0.5, 1.5))
-	c := MustPolygon(pt(5, 5), pt(6, 5), pt(6, 6), pt(5, 6))
-	nested := MustPolygon(pt(0.25, 0.25), pt(0.75, 0.25), pt(0.75, 0.75), pt(0.25, 0.75))
+	b := mustPolygon(pt(0.5, 0.5), pt(1.5, 0.5), pt(1.5, 1.5), pt(0.5, 1.5))
+	c := mustPolygon(pt(5, 5), pt(6, 5), pt(6, 6), pt(5, 6))
+	nested := mustPolygon(pt(0.25, 0.25), pt(0.75, 0.25), pt(0.75, 0.75), pt(0.25, 0.75))
 	if !Intersects(a, b) {
 		t.Error("overlapping polygons must intersect")
 	}
@@ -73,7 +73,7 @@ func TestIntersectsPolygonPolygon(t *testing.T) {
 	}
 	// Polygon entirely within a hole does not intersect.
 	holed := squareWithHole()
-	inHole := MustPolygon(pt(4.5, 4.5), pt(5.5, 4.5), pt(5.5, 5.5), pt(4.5, 5.5))
+	inHole := mustPolygon(pt(4.5, 4.5), pt(5.5, 4.5), pt(5.5, 5.5), pt(4.5, 5.5))
 	if Intersects(holed, inHole) {
 		t.Error("polygon inside hole must not intersect")
 	}
@@ -81,7 +81,7 @@ func TestIntersectsPolygonPolygon(t *testing.T) {
 
 func TestContainsAndCovers(t *testing.T) {
 	poly := unitSquare()
-	inner := MustPolygon(pt(0.25, 0.25), pt(0.75, 0.25), pt(0.75, 0.75), pt(0.25, 0.75))
+	inner := mustPolygon(pt(0.25, 0.25), pt(0.75, 0.25), pt(0.75, 0.75), pt(0.25, 0.75))
 	if !Contains(poly, inner) {
 		t.Error("square must contain inner square")
 	}
@@ -115,8 +115,8 @@ func TestContainsAndCovers(t *testing.T) {
 
 func TestContainsLineInPolygon(t *testing.T) {
 	poly := unitSquare()
-	inside := MustLineString(pt(0.1, 0.1), pt(0.9, 0.9))
-	crossing := MustLineString(pt(0.5, 0.5), pt(2, 2))
+	inside := mustLineString(pt(0.1, 0.1), pt(0.9, 0.9))
+	crossing := mustLineString(pt(0.5, 0.5), pt(2, 2))
 	if !Contains(poly, inside) {
 		t.Error("polygon must contain inner line")
 	}
@@ -125,42 +125,44 @@ func TestContainsLineInPolygon(t *testing.T) {
 	}
 	// A line crossing the hole is not covered.
 	holed := squareWithHole()
-	overHole := MustLineString(pt(3, 5), pt(7, 5))
+	overHole := mustLineString(pt(3, 5), pt(7, 5))
 	if Covers(holed, overHole) {
 		t.Error("line crossing the hole must not be covered")
 	}
-	beside := MustLineString(pt(1, 1), pt(3, 1))
+	beside := mustLineString(pt(1, 1), pt(3, 1))
 	if !Covers(holed, beside) {
 		t.Error("line away from the hole must be covered")
 	}
 }
 
+// TestWithinAndCoveredBy: a point lies within a polygon when the
+// polygon contains it, and is covered by it when the polygon covers it.
 func TestWithinAndCoveredBy(t *testing.T) {
 	poly := unitSquare()
-	p := pt(0.5, 0.5)
-	if !Within(p, poly) {
+	if !Contains(poly, pt(0.5, 0.5)) {
 		t.Error("interior point must be within polygon")
 	}
-	if !CoveredBy(pt(0, 0), poly) {
+	if !Covers(poly, pt(0, 0)) {
 		t.Error("corner must be covered by polygon")
 	}
-	if Within(pt(0, 0), poly) {
+	if Contains(poly, pt(0, 0)) {
 		t.Error("corner must not be within polygon (boundary only)")
 	}
 }
 
+// TestDisjoint: disjoint geometries do not intersect.
 func TestDisjoint(t *testing.T) {
-	if !Disjoint(pt(0, 0), pt(1, 1)) {
+	if Intersects(pt(0, 0), pt(1, 1)) {
 		t.Error("distinct points must be disjoint")
 	}
-	if Disjoint(unitSquare(), pt(0.5, 0.5)) {
+	if !Intersects(unitSquare(), pt(0.5, 0.5)) {
 		t.Error("containing pair must not be disjoint")
 	}
 }
 
 func TestDistanceGeometries(t *testing.T) {
 	a := unitSquare()
-	b := MustPolygon(pt(3, 0), pt(4, 0), pt(4, 1), pt(3, 1))
+	b := mustPolygon(pt(3, 0), pt(4, 0), pt(4, 1), pt(3, 1))
 	if got := Distance(a, b); got != 2 {
 		t.Errorf("polygon distance = %v, want 2", got)
 	}
@@ -170,7 +172,7 @@ func TestDistanceGeometries(t *testing.T) {
 	if got := Distance(pt(0.5, 0.5), a); got != 0 {
 		t.Errorf("interior point distance = %v, want 0", got)
 	}
-	l := MustLineString(pt(0, 3), pt(1, 3))
+	l := mustLineString(pt(0, 3), pt(1, 3))
 	if got := Distance(l, a); got != 2 {
 		t.Errorf("line-polygon distance = %v, want 2", got)
 	}
@@ -297,7 +299,7 @@ func randomGeometry(rng *rand.Rand) Geometry {
 		// Axis-aligned random rectangle (always a valid simple polygon).
 		x, y := rng.Float64()*8, rng.Float64()*8
 		w, h := 0.1+rng.Float64()*2, 0.1+rng.Float64()*2
-		return MustPolygon(pt(x, y), pt(x+w, y), pt(x+w, y+h), pt(x, y+h))
+		return mustPolygon(pt(x, y), pt(x+w, y), pt(x+w, y+h), pt(x, y+h))
 	}
 }
 
@@ -354,8 +356,8 @@ func TestEnvelopeOps(t *testing.T) {
 		t.Errorf("over-shrunk envelope should be empty: %v", shrunk)
 	}
 	poly := e.ToPolygon()
-	if poly.Area() != 8 {
-		t.Errorf("envelope polygon area = %v", poly.Area())
+	if polygonArea(poly) != 8 {
+		t.Errorf("envelope polygon area = %v", polygonArea(poly))
 	}
 	if math.IsNaN(e.Distance(e)) {
 		t.Error("self distance NaN")

@@ -21,8 +21,8 @@ func ringWalkEnvelope(g Geometry) Envelope {
 }
 
 func TestStoredEnvelopeMatchesVertexWalk(t *testing.T) {
-	line := MustLineString(pt(0, 0), pt(3, 0.2), pt(6, -0.1), pt(9, 4), pt(12, 0))
-	poly := MustPolygon(pt(0, 0), pt(4, 0), pt(4.1, 2), pt(4, 4), pt(0, 4), pt(-0.1, 2))
+	line := mustLineString(pt(0, 0), pt(3, 0.2), pt(6, -0.1), pt(9, 4), pt(12, 0))
+	poly := mustPolygon(pt(0, 0), pt(4, 0), pt(4.1, 2), pt(4, 4), pt(0, 4), pt(-0.1, 2))
 	buffered, ok := BufferPoint(pt(2, 3), 1.5, 7)
 	if !ok {
 		t.Fatal("buffer produced nothing")
@@ -35,12 +35,12 @@ func TestStoredEnvelopeMatchesVertexWalk(t *testing.T) {
 		"polygon":          poly,
 		"polygon + hole":   squareWithHole(),
 		"buffered point":   buffered,
-		"wkt polygon":      MustParseWKT("POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0), (2 2, 4 2, 4 4, 2 4, 2 2))"),
-		"wkt line":         MustParseWKT("LINESTRING (5 5, -1 9)"),
-		"wkt multipoint":   MustParseWKT("MULTIPOINT ((1 2), (3 4))"),
-		"empty polygon":    MustParseWKT("POLYGON EMPTY"),
-		"empty line":       MustParseWKT("LINESTRING EMPTY"),
-		"empty multipoint": MustParseWKT("MULTIPOINT EMPTY"),
+		"wkt polygon":      mustParseWKT("POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0), (2 2, 4 2, 4 4, 2 4, 2 2))"),
+		"wkt line":         mustParseWKT("LINESTRING (5 5, -1 9)"),
+		"wkt multipoint":   mustParseWKT("MULTIPOINT ((1 2), (3 4))"),
+		"empty polygon":    mustParseWKT("POLYGON EMPTY"),
+		"empty line":       mustParseWKT("LINESTRING EMPTY"),
+		"empty multipoint": mustParseWKT("MULTIPOINT EMPTY"),
 		"zero polygon":     Polygon{},
 		"zero line":        LineString{},
 		"zero multipoint":  MultiPoint{},
@@ -85,29 +85,29 @@ func TestEnvelopeDoesNotWalkVertices(t *testing.T) {
 }
 
 func TestRectangleFlag(t *testing.T) {
-	rectWithHole := NewPolygon(
+	rectWithHole := newPolygon(
 		mustRing(pt(0, 0), pt(10, 0), pt(10, 10), pt(0, 10)),
-		mustRing(pt(2, 2), pt(4, 2), pt(4, 4), pt(2, 4)))
+		[]Ring{mustRing(pt(2, 2), pt(4, 2), pt(4, 4), pt(2, 4))})
 	cases := []struct {
 		name string
 		poly Polygon
 		want bool
 	}{
-		{"ccw from lower left", MustPolygon(pt(0, 0), pt(4, 0), pt(4, 3), pt(0, 3)), true},
-		{"cw from lower left", MustPolygon(pt(0, 0), pt(0, 3), pt(4, 3), pt(4, 0)), true},
-		{"ccw from upper right", MustPolygon(pt(4, 3), pt(0, 3), pt(0, 0), pt(4, 0)), true},
-		{"explicitly closed", MustPolygon(pt(0, 0), pt(4, 0), pt(4, 3), pt(0, 3), pt(0, 0)), true},
-		{"wkt window", MustParseWKT("POLYGON ((100 100, 600 100, 600 600, 100 600, 100 100))").(Polygon), true},
+		{"ccw from lower left", mustPolygon(pt(0, 0), pt(4, 0), pt(4, 3), pt(0, 3)), true},
+		{"cw from lower left", mustPolygon(pt(0, 0), pt(0, 3), pt(4, 3), pt(4, 0)), true},
+		{"ccw from upper right", mustPolygon(pt(4, 3), pt(0, 3), pt(0, 0), pt(4, 0)), true},
+		{"explicitly closed", mustPolygon(pt(0, 0), pt(4, 0), pt(4, 3), pt(0, 3), pt(0, 0)), true},
+		{"wkt window", mustParseWKT("POLYGON ((100 100, 600 100, 600 600, 100 600, 100 100))").(Polygon), true},
 		{"envelope polygon", NewEnvelope(0, 0, 3, 2).ToPolygon(), true},
-		{"rotated square", MustPolygon(pt(0, 1), pt(1, 0), pt(2, 1), pt(1, 2)), false},
-		{"trapezium", MustPolygon(pt(0, 0), pt(4, 0), pt(3, 3), pt(0, 3)), false},
-		{"bow tie over the corners", MustPolygon(pt(0, 0), pt(4, 3), pt(4, 0), pt(0, 3)), false},
-		{"triangle", MustPolygon(pt(0, 0), pt(4, 0), pt(0, 3)), false},
-		{"zero width", MustPolygon(pt(0, 0), pt(0, 3), pt(0, 3), pt(0, 0)), false},
-		{"zero height", MustPolygon(pt(0, 0), pt(4, 0), pt(4, 0), pt(0, 0)), false},
-		{"collinear extra vertex", MustPolygon(pt(0, 0), pt(2, 0), pt(4, 0), pt(4, 3), pt(0, 3)), false},
+		{"rotated square", mustPolygon(pt(0, 1), pt(1, 0), pt(2, 1), pt(1, 2)), false},
+		{"trapezium", mustPolygon(pt(0, 0), pt(4, 0), pt(3, 3), pt(0, 3)), false},
+		{"bow tie over the corners", mustPolygon(pt(0, 0), pt(4, 3), pt(4, 0), pt(0, 3)), false},
+		{"triangle", mustPolygon(pt(0, 0), pt(4, 0), pt(0, 3)), false},
+		{"zero width", mustPolygon(pt(0, 0), pt(0, 3), pt(0, 3), pt(0, 0)), false},
+		{"zero height", mustPolygon(pt(0, 0), pt(4, 0), pt(4, 0), pt(0, 0)), false},
+		{"collinear extra vertex", mustPolygon(pt(0, 0), pt(2, 0), pt(4, 0), pt(4, 3), pt(0, 3)), false},
 		{"with a hole", rectWithHole, false},
-		{"infinite width", MustPolygon(pt(-math.MaxFloat64, 0), pt(math.MaxFloat64, 0), pt(math.MaxFloat64, 3), pt(-math.MaxFloat64, 3)), false},
+		{"infinite width", mustPolygon(pt(-math.MaxFloat64, 0), pt(math.MaxFloat64, 0), pt(math.MaxFloat64, 3), pt(-math.MaxFloat64, 3)), false},
 		{"empty", Polygon{}, false},
 	}
 	for _, c := range cases {
@@ -118,7 +118,7 @@ func TestRectangleFlag(t *testing.T) {
 }
 
 func mustRing(pts ...Point) Ring {
-	r, err := NewRing(pts)
+	r, err := newRing(pts)
 	if err != nil {
 		panic(err)
 	}
@@ -126,7 +126,7 @@ func mustRing(pts ...Point) Ring {
 }
 
 // TestPropRectangleFastPathEqualsRingWalk holds the point arms of
-// Intersects, Covers and Contains to PolygonContainsPoint, the ring
+// Intersects, Covers and Contains to polygonContainsPoint, the ring
 // walk they all used before the rectangle flag existed, on polygons
 // that take the envelope path and on near-rectangles that must not.
 func TestPropRectangleFastPathEqualsRingWalk(t *testing.T) {
@@ -145,20 +145,20 @@ func TestPropRectangleFastPathEqualsRingWalk(t *testing.T) {
 		cw := []Point{ccw[0], ccw[3], ccw[2], ccw[1]}
 		cx, cy := (x0+x1)/2, (y0+y1)/2
 		polys = append(polys,
-			MustPolygon(ccw...),
-			MustPolygon(cw...),
+			mustPolygon(ccw...),
+			mustPolygon(cw...),
 			// diamond through the edge midpoints: same envelope, not a rectangle
-			MustPolygon(pt(cx, y0), pt(x1, cy), pt(cx, y1), pt(x0, cy)),
+			mustPolygon(pt(cx, y0), pt(x1, cy), pt(cx, y1), pt(x0, cy)),
 			// five vertices, one corner pulled in
-			MustPolygon(pt(x0, y0), pt(x1, y0), pt(x1-w/3, y1), pt(x0, y1)),
+			mustPolygon(pt(x0, y0), pt(x1, y0), pt(x1-w/3, y1), pt(x0, y1)),
 			// redundant collinear vertex on the bottom edge
-			MustPolygon(pt(x0, y0), pt(cx, y0), pt(x1, y0), pt(x1, y1), pt(x0, y1)),
+			mustPolygon(pt(x0, y0), pt(cx, y0), pt(x1, y0), pt(x1, y1), pt(x0, y1)),
 			// degenerate: zero width, zero height
-			MustPolygon(pt(x0, y0), pt(x0, y1), pt(x0, y1), pt(x0, y0)),
-			MustPolygon(pt(x0, y0), pt(x1, y0), pt(x1, y0), pt(x0, y0)),
+			mustPolygon(pt(x0, y0), pt(x0, y1), pt(x0, y1), pt(x0, y0)),
+			mustPolygon(pt(x0, y0), pt(x1, y0), pt(x1, y0), pt(x0, y0)),
 			// rectangle with a rectangular hole
-			NewPolygon(mustRing(corners...),
-				mustRing(pt(x0+w/4, y0+h/4), pt(x1-w/4, y0+h/4), pt(x1-w/4, y1-h/4), pt(x0+w/4, y1-h/4))),
+			newPolygon(mustRing(corners...),
+				[]Ring{mustRing(pt(x0+w/4, y0+h/4), pt(x1-w/4, y0+h/4), pt(x1-w/4, y1-h/4), pt(x0+w/4, y1-h/4))}),
 		)
 	}
 	flagged := 0
@@ -187,10 +187,10 @@ func TestPropRectangleFastPathEqualsRingWalk(t *testing.T) {
 			// rejects before it looks at the polygon.
 			c := -1
 			if !p.IsEmpty() {
-				c = PolygonContainsPoint(poly, p)
+				c = polygonContainsPoint(poly, p)
 			}
-			if got := classifyPoint(poly, p); got != PolygonContainsPoint(poly, p) {
-				t.Fatalf("classifyPoint(%s, %v) = %d, ring walk %d", poly.WKT(), p, got, PolygonContainsPoint(poly, p))
+			if got := classifyPoint(poly, p); got != polygonContainsPoint(poly, p) {
+				t.Fatalf("classifyPoint(%s, %v) = %d, ring walk %d", poly.WKT(), p, got, polygonContainsPoint(poly, p))
 			}
 			if got := Intersects(poly, p); got != (c >= 0) {
 				t.Fatalf("Intersects(%s, %v) = %v, ring walk %d", poly.WKT(), p, got, c)
@@ -243,13 +243,13 @@ func benchIntersects(b *testing.B, window Geometry) {
 // BenchmarkIntersectsRectPoint is the refinement test of a window
 // query: a five-vertex axis-aligned polygon against a point.
 func BenchmarkIntersectsRectPoint(b *testing.B) {
-	benchIntersects(b, MustParseWKT("POLYGON ((100 100, 600 100, 600 600, 100 600, 100 100))"))
+	benchIntersects(b, mustParseWKT("POLYGON ((100 100, 600 100, 600 600, 100 600, 100 100))"))
 }
 
 // BenchmarkIntersectsFiveGonPoint is the same envelope with one corner
 // pulled in, which keeps the crossing-number walk.
 func BenchmarkIntersectsFiveGonPoint(b *testing.B) {
-	benchIntersects(b, MustParseWKT("POLYGON ((100 100, 600 100, 590 600, 100 600, 100 100))"))
+	benchIntersects(b, mustParseWKT("POLYGON ((100 100, 600 100, 590 600, 100 600, 100 100))"))
 }
 
 func BenchmarkEnvelopeLineString10k(b *testing.B) {

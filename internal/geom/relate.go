@@ -20,7 +20,7 @@ func Touches(g1, g2 Geometry) bool {
 	if isPuntal(g1) && isPuntal(g2) {
 		return false
 	}
-	if g2.Kind() < g1.Kind() {
+	if g2.kind() < g1.kind() {
 		g1, g2 = g2, g1 // the arms below take g2 of g1's kind or later
 	}
 	switch a := g1.(type) {
@@ -85,7 +85,7 @@ func locate(p Point, g Geometry) int {
 		}
 		return 1
 	case Polygon:
-		return PolygonContainsPoint(b, p)
+		return polygonContainsPoint(b, p)
 	}
 	return -1
 }
@@ -93,14 +93,14 @@ func locate(p Point, g Geometry) int {
 func lineTouchesPolygon(l LineString, poly Polygon) bool {
 	// No vertex or midpoint of the line may lie in the interior.
 	for i := 0; i < l.NumPoints(); i++ {
-		if PolygonContainsPoint(poly, l.PointAt(i)) == 1 {
+		if polygonContainsPoint(poly, l.PointAt(i)) == 1 {
 			return false
 		}
 	}
 	for i := 1; i < l.NumPoints(); i++ {
 		a, b := l.PointAt(i-1), l.PointAt(i)
 		mid := Point{X: (a.X + b.X) / 2, Y: (a.Y + b.Y) / 2}
-		if PolygonContainsPoint(poly, mid) == 1 {
+		if polygonContainsPoint(poly, mid) == 1 {
 			return false
 		}
 	}
@@ -117,7 +117,7 @@ func linesTouch(l1, l2 LineString) bool {
 		for j := 1; j < l2.NumPoints(); j++ {
 			a1, a2 := l1.PointAt(i-1), l1.PointAt(i)
 			b1, b2 := l2.PointAt(j-1), l2.PointAt(j)
-			if !SegmentsIntersect(a1, a2, b1, b2) {
+			if !segmentsIntersect(a1, a2, b1, b2) {
 				continue
 			}
 			// Proper crossing (all four orientations non-zero) means
@@ -156,12 +156,12 @@ func polygonsTouch(p1, p2 Polygon) bool {
 	// already true, that leaves boundary-only contact.
 	sh1, sh2 := p1.Shell(), p2.Shell()
 	for i := 0; i < sh1.NumPoints(); i++ {
-		if PolygonContainsPoint(p2, sh1.PointAt(i)) == 1 {
+		if polygonContainsPoint(p2, sh1.PointAt(i)) == 1 {
 			return false
 		}
 	}
 	for i := 0; i < sh2.NumPoints(); i++ {
-		if PolygonContainsPoint(p1, sh2.PointAt(i)) == 1 {
+		if polygonContainsPoint(p1, sh2.PointAt(i)) == 1 {
 			return false
 		}
 	}
@@ -170,7 +170,7 @@ func polygonsTouch(p1, p2 Polygon) bool {
 		a1, a2 := sh1.PointAt(i-1), sh1.PointAt(i)
 		for j := 1; j < sh2.NumPoints(); j++ {
 			b1, b2 := sh2.PointAt(j-1), sh2.PointAt(j)
-			if !SegmentsIntersect(a1, a2, b1, b2) {
+			if !segmentsIntersect(a1, a2, b1, b2) {
 				continue
 			}
 			d1 := orientation(b1, b2, a1)

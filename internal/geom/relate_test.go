@@ -7,11 +7,11 @@ import (
 )
 
 func TestTouchesPolygons(t *testing.T) {
-	a := MustPolygon(pt(0, 0), pt(10, 0), pt(10, 10), pt(0, 10))
-	edge := MustPolygon(pt(10, 0), pt(20, 0), pt(20, 10), pt(10, 10))     // shares an edge
-	corner := MustPolygon(pt(10, 10), pt(20, 10), pt(20, 20), pt(10, 20)) // shares a corner
-	overlap := MustPolygon(pt(5, 5), pt(15, 5), pt(15, 15), pt(5, 15))    // proper overlap
-	far := MustPolygon(pt(50, 50), pt(60, 50), pt(60, 60), pt(50, 60))
+	a := mustPolygon(pt(0, 0), pt(10, 0), pt(10, 10), pt(0, 10))
+	edge := mustPolygon(pt(10, 0), pt(20, 0), pt(20, 10), pt(10, 10))     // shares an edge
+	corner := mustPolygon(pt(10, 10), pt(20, 10), pt(20, 20), pt(10, 20)) // shares a corner
+	overlap := mustPolygon(pt(5, 5), pt(15, 5), pt(15, 15), pt(5, 15))    // proper overlap
+	far := mustPolygon(pt(50, 50), pt(60, 50), pt(60, 60), pt(50, 60))
 
 	if !Touches(a, edge) {
 		t.Error("edge-sharing polygons must touch")
@@ -26,7 +26,7 @@ func TestTouchesPolygons(t *testing.T) {
 		t.Error("disjoint polygons must not touch")
 	}
 	// Containment is not touching.
-	inner := MustPolygon(pt(2, 2), pt(4, 2), pt(4, 4), pt(2, 4))
+	inner := mustPolygon(pt(2, 2), pt(4, 2), pt(4, 4), pt(2, 4))
 	if Touches(a, inner) {
 		t.Error("contained polygon must not touch")
 	}
@@ -50,10 +50,10 @@ func TestTouchesPointAndPolygon(t *testing.T) {
 }
 
 func TestTouchesLineAndPolygon(t *testing.T) {
-	poly := MustPolygon(pt(0, 0), pt(10, 0), pt(10, 10), pt(0, 10))
-	along := MustLineString(pt(0, 10), pt(10, 10))    // runs along the top edge
-	poke := MustLineString(pt(5, 15), pt(5, 5))       // enters the interior
-	tangent := MustLineString(pt(-5, 10), pt(15, 10)) // touches the top edge from outside
+	poly := mustPolygon(pt(0, 0), pt(10, 0), pt(10, 10), pt(0, 10))
+	along := mustLineString(pt(0, 10), pt(10, 10))    // runs along the top edge
+	poke := mustLineString(pt(5, 15), pt(5, 5))       // enters the interior
+	tangent := mustLineString(pt(-5, 10), pt(15, 10)) // touches the top edge from outside
 	if !Touches(along, poly) {
 		t.Error("edge-following line must touch")
 	}
@@ -66,10 +66,10 @@ func TestTouchesLineAndPolygon(t *testing.T) {
 }
 
 func TestTouchesLines(t *testing.T) {
-	a := MustLineString(pt(0, 0), pt(10, 0))
-	endToEnd := MustLineString(pt(10, 0), pt(20, 0))
-	tjunction := MustLineString(pt(5, 0), pt(5, 10)) // endpoint meets a's interior
-	crossing := MustLineString(pt(5, -5), pt(5, 5))
+	a := mustLineString(pt(0, 0), pt(10, 0))
+	endToEnd := mustLineString(pt(10, 0), pt(20, 0))
+	tjunction := mustLineString(pt(5, 0), pt(5, 10)) // endpoint meets a's interior
+	crossing := mustLineString(pt(5, -5), pt(5, 5))
 	if !Touches(a, endToEnd) {
 		t.Error("end-to-end lines must touch")
 	}
@@ -82,10 +82,10 @@ func TestTouchesLines(t *testing.T) {
 }
 
 func TestOverlapsPolygons(t *testing.T) {
-	a := MustPolygon(pt(0, 0), pt(10, 0), pt(10, 10), pt(0, 10))
-	partial := MustPolygon(pt(5, 5), pt(15, 5), pt(15, 15), pt(5, 15))
-	inner := MustPolygon(pt(2, 2), pt(4, 2), pt(4, 4), pt(2, 4))
-	edge := MustPolygon(pt(10, 0), pt(20, 0), pt(20, 10), pt(10, 10))
+	a := mustPolygon(pt(0, 0), pt(10, 0), pt(10, 10), pt(0, 10))
+	partial := mustPolygon(pt(5, 5), pt(15, 5), pt(15, 15), pt(5, 15))
+	inner := mustPolygon(pt(2, 2), pt(4, 2), pt(4, 4), pt(2, 4))
+	edge := mustPolygon(pt(10, 0), pt(20, 0), pt(20, 10), pt(10, 10))
 	if !Overlaps(a, partial) || !Overlaps(partial, a) {
 		t.Error("partially overlapping polygons must overlap")
 	}
@@ -104,12 +104,12 @@ func TestOverlapsPolygons(t *testing.T) {
 }
 
 func TestOverlapsLines(t *testing.T) {
-	a := MustLineString(pt(0, 0), pt(10, 0))
-	cross := MustLineString(pt(5, -5), pt(5, 5))
+	a := mustLineString(pt(0, 0), pt(10, 0))
+	cross := mustLineString(pt(5, -5), pt(5, 5))
 	if !Overlaps(a, cross) {
 		t.Error("crossing lines share interior points and neither covers the other")
 	}
-	meet := MustLineString(pt(10, 0), pt(20, 0))
+	meet := mustLineString(pt(10, 0), pt(20, 0))
 	if Overlaps(a, meet) {
 		t.Error("end-to-end lines must not overlap")
 	}

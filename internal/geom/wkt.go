@@ -24,16 +24,6 @@ func ParseWKT(s string) (Geometry, error) {
 	return g, nil
 }
 
-// MustParseWKT is ParseWKT but panics on error; for literals in tests
-// and examples.
-func MustParseWKT(s string) Geometry {
-	g, err := ParseWKT(s)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 func truncate(s string, n int) string {
 	if len(s) <= n {
 		return s
@@ -99,7 +89,7 @@ func (p *wktParser) parse() (Geometry, error) {
 			if err != nil {
 				return nil, err
 			}
-			r, err := NewRing(pts)
+			r, err := newRing(pts)
 			if err != nil {
 				return nil, err
 			}
@@ -111,7 +101,7 @@ func (p *wktParser) parse() (Geometry, error) {
 		if err := p.expect(')'); err != nil {
 			return nil, err
 		}
-		return NewPolygon(rings[0], rings[1:]...), p.end()
+		return newPolygon(rings[0], rings[1:]), p.end()
 	case "":
 		return nil, fmt.Errorf("empty input")
 	default:

@@ -37,7 +37,7 @@ func rings(g Geometry) [][]Point {
 // the same ordinates, compared as bit patterns (so -0 differs from 0
 // and an empty point's NaNs compare equal).
 func sameBits(a, b Geometry) bool {
-	if a.Kind() != b.Kind() {
+	if a.kind() != b.kind() {
 		return false
 	}
 	ra, rb := rings(a), rings(b)

@@ -37,9 +37,9 @@ const (
 	persistFooterSize = 4
 )
 
-// Marshal serialises the tree (built or not) to a byte slice in
+// marshal serialises the tree (built or not) to a byte slice in
 // format v2: header, fixed 36-byte entries, CRC32C footer.
-func (t *RTree) Marshal() ([]byte, error) {
+func (t *RTree) marshal() ([]byte, error) {
 	buf := make([]byte, 0, persistHeaderSize+len(t.entries)*persistEntrySize+persistFooterSize)
 	buf = binary.LittleEndian.AppendUint32(buf, persistMagic)
 	buf = binary.LittleEndian.AppendUint16(buf, persistVersion)
@@ -56,12 +56,12 @@ func (t *RTree) Marshal() ([]byte, error) {
 	return buf, nil
 }
 
-// Unmarshal reconstructs a tree from Marshal output and builds it.
+// unmarshal reconstructs a tree from marshal output and builds it.
 // The input is verified against its CRC32C footer before any entry is
 // decoded, and the entry count from the header is validated against
 // the bytes actually present before any allocation, so a truncated or
 // corrupt file can never demand memory it does not carry.
-func Unmarshal(data []byte) (*RTree, error) {
+func unmarshal(data []byte) (*RTree, error) {
 	if len(data) < persistHeaderSize {
 		return nil, fmt.Errorf("index: %d bytes is shorter than the header", len(data))
 	}
@@ -96,7 +96,7 @@ func Unmarshal(data []byte) (*RTree, error) {
 	}
 
 	t := New(int(order))
-	t.entries = make([]Entry, 0, count)
+	t.entries = make([]entry, 0, count)
 	for i := uint32(0); i < count; i++ {
 		e := body[i*persistEntrySize:]
 		id := int32(binary.LittleEndian.Uint32(e[0:4]))
@@ -107,7 +107,7 @@ func Unmarshal(data []byte) (*RTree, error) {
 		if math.IsNaN(minX) || math.IsNaN(minY) || math.IsNaN(maxX) || math.IsNaN(maxY) {
 			return nil, fmt.Errorf("index: entry %d has NaN bounds", i)
 		}
-		t.entries = append(t.entries, Entry{
+		t.entries = append(t.entries, entry{
 			ID:  id,
 			Env: geom.Envelope{MinX: minX, MinY: minY, MaxX: maxX, MaxY: maxY},
 		})
@@ -122,7 +122,7 @@ func Unmarshal(data []byte) (*RTree, error) {
 // absent or partial file. Persisted indexes and checkpoint segments
 // both go through it.
 func (t *RTree) SaveFile(path string) error {
-	data, err := t.Marshal()
+	data, err := t.marshal()
 	if err != nil {
 		return err
 	}
@@ -135,19 +135,19 @@ func LoadFile(path string) (*RTree, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Unmarshal(data)
+	return unmarshal(data)
 }
 
 // BuildFromEnvelopes bulk-loads a tree over envs, using the slice
 // index as entry ID — the "live indexing" constructor: a partition's
 // contents are put into an R-tree before evaluating a predicate. Like
-// Unmarshal it fills the entry table directly: the tree is fresh by
+// unmarshal it fills the entry table directly: the tree is fresh by
 // construction, so Insert's post-Build error path cannot apply.
 func BuildFromEnvelopes(order int, envs []geom.Envelope) *RTree {
 	t := New(order)
-	t.entries = make([]Entry, len(envs))
+	t.entries = make([]entry, len(envs))
 	for i, e := range envs {
-		t.entries[i] = Entry{Env: e, ID: int32(i)}
+		t.entries[i] = entry{Env: e, ID: int32(i)}
 	}
 	t.Build()
 	return t

@@ -25,16 +25,16 @@ import (
 // examples use small orders such as 5.
 const DefaultOrder = 10
 
-// Entry is one indexed item: an envelope plus the caller's item ID.
-type Entry struct {
+// entry is one indexed item: an envelope plus the caller's item ID.
+type entry struct {
 	Env geom.Envelope
 	ID  int32
 }
 
-// RTree is an STR bulk-loaded R-tree over Entry values.
+// RTree is an STR bulk-loaded R-tree over entry values.
 type RTree struct {
 	order   int
-	entries []Entry
+	entries []entry
 	root    *node
 	built   bool
 }
@@ -42,7 +42,7 @@ type RTree struct {
 type node struct {
 	env      geom.Envelope
 	children []*node // nil for leaves
-	entries  []Entry // nil for internal nodes
+	entries  []entry // nil for internal nodes
 }
 
 // New returns an empty tree with the given order (node capacity);
@@ -60,23 +60,20 @@ func (t *RTree) Order() int { return t.order }
 // Len returns the number of indexed entries.
 func (t *RTree) Len() int { return len(t.entries) }
 
-// Built reports whether Build has run.
-func (t *RTree) Built() bool { return t.built }
-
-// ErrBuilt reports an Insert on a tree that Build has already packed.
+// errBuilt reports an Insert on a tree that Build has already packed.
 // The STR layout is computed from the complete entry set, so a packed
 // tree cannot absorb additions; datasets that mutate after indexing
 // belong in the concurrent live tree (internal/live).
-var ErrBuilt = errors.New("index: Insert after Build (bulk-loaded STR trees are immutable; use internal/live for mutable data)")
+var errBuilt = errors.New("index: Insert after Build (bulk-loaded STR trees are immutable; use internal/live for mutable data)")
 
-// Insert adds an entry. It returns ErrBuilt when called after Build:
+// Insert adds an entry. It returns errBuilt when called after Build:
 // the build-once STRtree contract is kept, but misuse is recoverable
 // instead of panicking.
 func (t *RTree) Insert(env geom.Envelope, id int32) error {
 	if t.built {
-		return ErrBuilt
+		return errBuilt
 	}
-	t.entries = append(t.entries, Entry{Env: env, ID: id})
+	t.entries = append(t.entries, entry{Env: env, ID: id})
 	return nil
 }
 
@@ -91,7 +88,7 @@ func (t *RTree) Build() {
 	t.built = true
 	var level []*node
 	STRRuns(len(t.entries), t.order, func(i int) geom.Envelope { return t.entries[i].Env }, func(run []int32) {
-		leaf := &node{env: geom.EmptyEnvelope(), entries: make([]Entry, len(run))}
+		leaf := &node{env: geom.EmptyEnvelope(), entries: make([]entry, len(run))}
 		for k, i := range run {
 			leaf.entries[k] = t.entries[i]
 			leaf.env = leaf.env.ExpandToInclude(t.entries[i].Env)
@@ -179,15 +176,6 @@ func queryNode(n *node, q geom.Envelope, dst []int32) []int32 {
 	return dst
 }
 
-// QueryAll returns the IDs of every entry (in no particular order).
-func (t *RTree) QueryAll() []int32 {
-	ids := make([]int32, len(t.entries))
-	for i, e := range t.entries {
-		ids[i] = e.ID
-	}
-	return ids
-}
-
 // Neighbor is one kNN result: an entry ID and its distance.
 type Neighbor struct {
 	ID       int32
@@ -243,7 +231,7 @@ func (t *RTree) KNN(x, y float64, k int, exact func(id int32) float64) []Neighbo
 type knnCandidate struct {
 	dist       float64
 	n          *node
-	entry      *Entry
+	entry      *entry
 	needRefine bool
 }
 
@@ -259,18 +247,6 @@ func (q *knnQueue) Pop() interface{} {
 	item := old[n-1]
 	*q = old[:n-1]
 	return item
-}
-
-// Height returns the tree height (0 for an empty tree).
-func (t *RTree) Height() int {
-	if !t.built || t.root == nil {
-		return 0
-	}
-	h := 0
-	for n := t.root; n != nil && n.children != nil; n = n.children[0] {
-		h++
-	}
-	return h + 1
 }
 
 // validate checks structural invariants; used by tests.

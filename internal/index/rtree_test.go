@@ -44,8 +44,8 @@ func TestEmptyTree(t *testing.T) {
 	if got := tr.KNN(0, 0, 3, nil); len(got) != 0 {
 		t.Errorf("empty knn = %v", got)
 	}
-	if tr.Height() != 1 {
-		t.Errorf("height = %d", tr.Height())
+	if height(tr) != 1 {
+		t.Errorf("height = %d", height(tr))
 	}
 	if err := tr.validate(); err != nil {
 		t.Error(err)
@@ -70,30 +70,30 @@ func TestBuildIdempotentAndGuards(t *testing.T) {
 	tr.Insert(geom.NewEnvelope(0, 0, 1, 1), 0)
 	tr.Build()
 	tr.Build() // second build is a no-op
-	if !tr.Built() {
+	if !tr.built {
 		t.Error("must be built")
 	}
-	if err := tr.Insert(geom.NewEnvelope(0, 0, 1, 1), 1); !errors.Is(err, ErrBuilt) {
-		t.Errorf("Insert after Build = %v, want ErrBuilt", err)
+	if err := tr.Insert(geom.NewEnvelope(0, 0, 1, 1), 1); !errors.Is(err, errBuilt) {
+		t.Errorf("Insert after Build = %v, want errBuilt", err)
 	}
 	if tr.Len() != 1 {
 		t.Errorf("rejected Insert changed Len to %d", tr.Len())
 	}
 	// Round trip through the persist format after a rejected Insert:
 	// the marshalled entry table must be unaffected.
-	data, err := tr.Marshal()
+	data, err := tr.marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Unmarshal(data)
+	back, err := unmarshal(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if back.Len() != 1 {
 		t.Errorf("round trip Len = %d, want 1", back.Len())
 	}
-	if err := back.Insert(geom.NewEnvelope(2, 2, 3, 3), 9); !errors.Is(err, ErrBuilt) {
-		t.Errorf("Insert after Unmarshal = %v, want ErrBuilt", err)
+	if err := back.Insert(geom.NewEnvelope(2, 2, 3, 3), 9); !errors.Is(err, errBuilt) {
+		t.Errorf("Insert after unmarshal = %v, want errBuilt", err)
 	}
 	unbuilt := New(5)
 	func() {
@@ -224,23 +224,27 @@ func TestTreeInvariantsAcrossSizes(t *testing.T) {
 	}
 }
 
+// height is the tree height (0 for an empty tree).
+func height(t *RTree) int {
+	if !t.built || t.root == nil {
+		return 0
+	}
+	h := 0
+	for n := t.root; n != nil && n.children != nil; n = n.children[0] {
+		h++
+	}
+	return h + 1
+}
+
 func TestHeightGrowsLogarithmically(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	small := BuildFromEnvelopes(10, randomEnvs(rng, 50))
 	big := BuildFromEnvelopes(10, randomEnvs(rng, 5000))
-	if small.Height() > big.Height() {
-		t.Errorf("heights: small=%d big=%d", small.Height(), big.Height())
+	if height(small) > height(big) {
+		t.Errorf("heights: small=%d big=%d", height(small), height(big))
 	}
-	if big.Height() > 5 {
-		t.Errorf("5000 entries at order 10 should give height ≤ 5, got %d", big.Height())
-	}
-}
-
-func TestQueryAll(t *testing.T) {
-	tr := BuildFromEnvelopes(4, randomEnvs(rand.New(rand.NewSource(5)), 10))
-	ids := tr.QueryAll()
-	if len(ids) != 10 {
-		t.Errorf("len = %d", len(ids))
+	if height(big) > 5 {
+		t.Errorf("5000 entries at order 10 should give height ≤ 5, got %d", height(big))
 	}
 }
 
@@ -248,11 +252,11 @@ func TestMarshalRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	envs := randomEnvs(rng, 500)
 	tr := BuildFromEnvelopes(7, envs)
-	data, err := tr.Marshal()
+	data, err := tr.marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr2, err := Unmarshal(data)
+	tr2, err := unmarshal(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,20 +282,20 @@ func TestMarshalRoundTrip(t *testing.T) {
 }
 
 func TestUnmarshalErrors(t *testing.T) {
-	if _, err := Unmarshal(nil); err == nil {
+	if _, err := unmarshal(nil); err == nil {
 		t.Error("empty input must fail")
 	}
-	if _, err := Unmarshal([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}); err == nil {
+	if _, err := unmarshal([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}); err == nil {
 		t.Error("bad magic must fail")
 	}
 	tr := BuildFromEnvelopes(4, []geom.Envelope{geom.NewPoint(1, 1).Envelope()})
-	data, _ := tr.Marshal()
+	data, _ := tr.marshal()
 	// Truncated.
-	if _, err := Unmarshal(data[:len(data)-4]); err == nil {
+	if _, err := unmarshal(data[:len(data)-4]); err == nil {
 		t.Error("truncated input must fail")
 	}
 	// Trailing garbage.
-	if _, err := Unmarshal(append(data, 0xFF)); err == nil {
+	if _, err := unmarshal(append(data, 0xFF)); err == nil {
 		t.Error("trailing bytes must fail")
 	}
 }
@@ -339,11 +343,11 @@ func TestPropMarshalLossless(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		n := int(nRaw % 200)
 		tr := BuildFromEnvelopes(4, randomEnvs(r, n))
-		data, err := tr.Marshal()
+		data, err := tr.marshal()
 		if err != nil {
 			return false
 		}
-		tr2, err := Unmarshal(data)
+		tr2, err := unmarshal(data)
 		if err != nil {
 			return false
 		}

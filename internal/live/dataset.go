@@ -127,10 +127,10 @@ type Dataset[V any] struct {
 
 // NewDataset returns an empty mutable dataset. sp selects the spatial
 // layout (nil = one partition); order is the live-tree node capacity
-// (<= 0 selects DefaultOrder).
+// (<= 0 selects defaultOrder).
 func NewDataset[V any](ctx *engine.Context, name string, sp partition.SpatialPartitioner, order int) *Dataset[V] {
 	if order <= 0 {
-		order = DefaultOrder
+		order = defaultOrder
 	}
 	n := 1
 	if sp != nil {
@@ -261,7 +261,7 @@ func (d *Dataset[V]) applyLocked(ops []Op[V], hook bool) (BatchResult, error) {
 
 func (d *Dataset[V]) applyInsert(rec Record[V], gen uint64) {
 	p := d.partitionFor(rec.Key)
-	d.trees[p].insert(Entry[V]{ID: rec.ID, Key: rec.Key, Value: rec.Value, addGen: gen})
+	d.trees[p].insert(entry[V]{ID: rec.ID, Key: rec.Key, Value: rec.Value, addGen: gen})
 	d.attrInsert(p, rec, gen)
 	d.partOf[rec.ID] = p
 	d.inc.ApplyInsert(p, rec.Key)
@@ -297,7 +297,7 @@ func (d *Dataset[V]) vacuum() {
 // load builds partition p from es (live, addGen stamped), tree and
 // postings together, so the two always count the same tombstones. The
 // caller holds d.mu or, in Restore, is partition p's task.
-func (d *Dataset[V]) load(p int, es []Entry[V]) {
+func (d *Dataset[V]) load(p int, es []entry[V]) {
 	d.trees[p] = newTree(d.order, es)
 	if len(d.attrFields) > 0 {
 		d.attrs[p] = newPartAttrs(d.attrFields, es)
@@ -353,7 +353,7 @@ func (d *Dataset[V]) Restore(gen uint64, recs []Record[V]) error {
 		return fmt.Errorf("live: Restore into non-empty dataset %q (generation %d)", d.name, v.gen)
 	}
 	partOf, inc := make(map[int64]int, len(recs)), stats.NewIncremental(len(d.trees), 0)
-	parts := make([][]Entry[V], len(d.trees))
+	parts := make([][]entry[V], len(d.trees))
 	for i, rec := range recs {
 		if rec.Key.IsEmpty() {
 			return fmt.Errorf("live: restore record %d (id=%d): empty geometry", i, rec.ID)
@@ -364,7 +364,7 @@ func (d *Dataset[V]) Restore(gen uint64, recs []Record[V]) error {
 		p := d.partitionFor(rec.Key)
 		partOf[rec.ID] = p
 		inc.ApplyInsert(p, rec.Key)
-		parts[p] = append(parts[p], Entry[V]{ID: rec.ID, Key: rec.Key, Value: rec.Value, addGen: gen})
+		parts[p] = append(parts[p], entry[V]{ID: rec.ID, Key: rec.Key, Value: rec.Value, addGen: gen})
 	}
 	if err := d.ctx.RunJob(engine.AllPartitions(len(parts)), func(p int) error {
 		d.load(p, parts[p])
@@ -430,7 +430,7 @@ func (s *Snapshot[V]) Each(fn func(Record[V]) bool) {
 	v := s.v
 	for _, t := range v.trees {
 		more := true
-		t.search(everything, v.gen, true, func(e Entry[V]) bool {
+		t.search(everything, v.gen, true, func(e entry[V]) bool {
 			more = fn(Record[V]{ID: e.ID, Key: e.Key, Value: e.Value})
 			return more
 		})
@@ -453,7 +453,7 @@ func (s *Snapshot[V]) Tuples() *engine.Dataset[engine.Pair[stobject.STObject, V]
 	v := s.v
 	name := fmt.Sprintf("%s@g%d", s.d.name, v.gen)
 	return engine.NewStream(s.d.ctx, name, len(v.trees), func(p int, yield func(engine.Pair[stobject.STObject, V]) bool) error {
-		v.trees[p].search(everything, v.gen, true, func(e Entry[V]) bool {
+		v.trees[p].search(everything, v.gen, true, func(e entry[V]) bool {
 			return yield(engine.NewPair(e.Key, e.Value))
 		})
 		return nil
@@ -481,7 +481,7 @@ func (s *Snapshot[V]) Probe(
 	name := fmt.Sprintf("%s@g%d.probe", s.d.name, v.gen)
 	return engine.NewStream(s.d.ctx, name, len(v.trees), func(p int, yield func(engine.Pair[stobject.STObject, V]) bool) error {
 		var refined int64
-		v.trees[p].search(env, v.gen, false, func(e Entry[V]) bool {
+		v.trees[p].search(env, v.gen, false, func(e entry[V]) bool {
 			refined++
 			kv := engine.NewPair(e.Key, e.Value)
 			return !keep(kv) || yield(kv)

@@ -13,7 +13,6 @@ import (
 	"stark/internal/partition"
 	"stark/internal/stats"
 	"stark/internal/stobject"
-	"stark/internal/temporal"
 )
 
 // gridOver builds a ppd×ppd grid partitioner spanning [0,100)².
@@ -156,7 +155,7 @@ func TestIncrementalStatsMatchCollect(t *testing.T) {
 		for i := 0; i < 40; i++ {
 			id := nextID
 			nextID++
-			key := stobject.NewWithTime(geom.NewPoint(rng.Float64()*100, rng.Float64()*100), temporal.Instant(rng.Int63n(1000)))
+			key := stobject.NewWithTime(geom.NewPoint(rng.Float64()*100, rng.Float64()*100), stobject.Instant(rng.Int63n(1000)))
 			ops = append(ops, Op[int]{Kind: OpInsert, Rec: Record[int]{ID: id, Key: key, Value: int(id)}})
 			liveIDs = append(liveIDs, id)
 		}

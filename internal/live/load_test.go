@@ -12,7 +12,6 @@ import (
 	"stark/internal/geom"
 	"stark/internal/partition"
 	"stark/internal/stobject"
-	"stark/internal/temporal"
 )
 
 // TestRestoreEqualsInsert is the loader's oracle. Each record set —
@@ -54,7 +53,7 @@ func TestRestoreEqualsInsert(t *testing.T) {
 					}
 					key := stobject.New(g)
 					if rng.Intn(2) == 0 {
-						key = stobject.NewWithTime(g, temporal.Instant(rng.Int63n(1000)))
+						key = stobject.NewWithTime(g, stobject.Instant(rng.Int63n(1000)))
 					}
 					return Record[reading]{ID: id, Key: key, Value: reading{
 						ID: id, Seq: rng.Int63n(int64(n/4 + 3)), Cat: fmt.Sprintf("cat-%d", rng.Intn(10)), Temp: float64(rng.Intn(400)) / 8,

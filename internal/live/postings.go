@@ -61,7 +61,7 @@ type partAttrs[V any] struct {
 
 // newPartAttrs files es (live) under every field through the postings'
 // sorted-run loader, one version per entry.
-func newPartAttrs[V any](fields []attr.Field[V], es []Entry[V]) *partAttrs[V] {
+func newPartAttrs[V any](fields []attr.Field[V], es []entry[V]) *partAttrs[V] {
 	pa := &partAttrs[V]{fields: fields, byID: make(map[int64]*postEntry[V], len(es)), live: len(es)}
 	versions := make([]postEntry[V], len(es))
 	for i, e := range es {

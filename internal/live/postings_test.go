@@ -10,7 +10,6 @@ import (
 	"stark/internal/engine"
 	"stark/internal/geom"
 	"stark/internal/stobject"
-	"stark/internal/temporal"
 )
 
 // reading is the battery's payload: Seq is drawn from 2^40 per record
@@ -287,7 +286,7 @@ func TestPostingsDifferentialBattery(t *testing.T) {
 	// is built, before any partition runs: an unregistered field, and
 	// any field once the set is dropped.
 	keep := func(engine.Pair[stobject.STObject, reading]) bool { return true }
-	if _, err := r.Snapshot().AttrProbe(nil, attr.Pred{Field: "id", Op: attr.OpEq, Lo: attr.Int64(1)}, keep); err == nil {
+	if _, err := r.Snapshot().AttrProbe(nil, attr.Pred{Field: "id", Op: attr.OpEq, Lo: attr.Value{Kind: attr.KindInt64, I: 1}}, keep); err == nil {
 		t.Error("probe of an unregistered field was built")
 	}
 	r.SetAttrFields(nil)
@@ -309,7 +308,7 @@ func TestPostingsFieldInTheKey(t *testing.T) {
 		}).
 		Fields()
 	at := func(i int64) stobject.STObject {
-		return stobject.NewWithTime(geom.NewPoint(float64(i%100), float64(i*7%100)), temporal.Instant(i%10))
+		return stobject.NewWithTime(geom.NewPoint(float64(i%100), float64(i*7%100)), stobject.Instant(i%10))
 	}
 	recs := make([]Record[reading], 500)
 	for i := range recs {
@@ -336,7 +335,7 @@ func TestPostingsFieldInTheKey(t *testing.T) {
 	all := records(s)
 	for v := int64(0); v < 10; v++ {
 		for _, op := range []attr.Op{attr.OpEq, attr.OpLt} {
-			p := attr.Pred{Field: "t", Op: op, Lo: attr.Int64(v)}
+			p := attr.Pred{Field: "t", Op: op, Lo: attr.Value{Kind: attr.KindInt64, I: v}}
 			got, want := probeIDs(t, s, p), scanIDs(all, fields[0], p)
 			if !slices.Equal(got, want) || (op == attr.OpEq && len(want) == 0) {
 				t.Fatalf("%s: postings give %d ids, scan gives %d", p, len(got), len(want))

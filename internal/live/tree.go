@@ -50,11 +50,11 @@ import (
 	"stark/internal/stobject"
 )
 
-// DefaultOrder is the default node capacity of the live tree.
-const DefaultOrder = 16
+// defaultOrder is the default node capacity of the live tree.
+const defaultOrder = 16
 
-// Entry is one record version stored in the tree.
-type Entry[V any] struct {
+// entry is one record version stored in the tree.
+type entry[V any] struct {
 	ID    int64
 	Key   stobject.STObject
 	Value V
@@ -66,7 +66,7 @@ type Entry[V any] struct {
 	delGen uint64
 }
 
-func (e *Entry[V]) visibleAt(gen uint64) bool {
+func (e *entry[V]) visibleAt(gen uint64) bool {
 	return e.addGen <= gen && (e.delGen == 0 || e.delGen > gen)
 }
 
@@ -91,7 +91,7 @@ type node[V any] struct {
 	// chains the leaves it packs, splits the rest.
 	right   *node[V]
 	refs    []childRef[V] // internal nodes; nil for leaves
-	entries []Entry[V]    // leaves; nil for internal nodes
+	entries []entry[V]    // leaves; nil for internal nodes
 }
 
 func (n *node[V]) isLeaf() bool { return n.refs == nil }
@@ -125,12 +125,12 @@ type tree[V any] struct {
 // newTree packs es (live, addGen stamped) into a fresh tree by STR
 // (index.STRRuns), every level three quarters full so that the next
 // inserts do not split every node.
-func newTree[V any](order int, es []Entry[V]) *tree[V] {
+func newTree[V any](order int, es []entry[V]) *tree[V] {
 	if order < 4 {
-		order = DefaultOrder
+		order = defaultOrder
 	}
 	t := &tree[V]{order: order, owners: make(map[int64]*node[V], len(es)), live: len(es)}
-	packed := make([]Entry[V], 0, len(es))
+	packed := make([]entry[V], 0, len(es))
 	var level []*node[V]
 	index.STRRuns(len(es), order*3/4, func(i int) geom.Envelope { return es[i].Key.Envelope() }, func(run []int32) {
 		n, lo := &node[V]{nsn: t.nextNSN()}, len(packed)
@@ -177,14 +177,14 @@ func (t *tree[V]) nextNSN() uint64 {
 // bypasses the envelope test and streams the whole partition. Entries
 // are copied out of a leaf under its read latch and yielded after the
 // latch is released, so yield may do arbitrary work.
-func (t *tree[V]) search(q geom.Envelope, gen uint64, all bool, yield func(e Entry[V]) bool) bool {
+func (t *tree[V]) search(q geom.Envelope, gen uint64, all bool, yield func(e entry[V]) bool) bool {
 	rr := t.root.Load()
 	type frame struct {
 		n   *node[V]
 		nsn uint64
 	}
 	stack := []frame{{rr.n, rr.nsn}}
-	var out []Entry[V]
+	var out []entry[V]
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -234,7 +234,7 @@ func (t *tree[V]) search(q geom.Envelope, gen uint64, all bool, yield func(e Ent
 
 // insert adds an entry (addGen already stamped) and registers its
 // owning leaf.
-func (t *tree[V]) insert(e Entry[V]) {
+func (t *tree[V]) insert(e entry[V]) {
 	env := e.Key.Envelope()
 
 	// Latch-free descent: this goroutine is the only mutator, so the
@@ -271,12 +271,12 @@ func (t *tree[V]) insert(e Entry[V]) {
 // delete tombstones the live entry with the given ID at generation
 // gen, returning the entry (for stat deltas). The second result is
 // false when the ID is not live.
-func (t *tree[V]) delete(id int64, gen uint64) (Entry[V], bool) {
+func (t *tree[V]) delete(id int64, gen uint64) (entry[V], bool) {
 	leaf, ok := t.owners[id]
 	if !ok {
-		return Entry[V]{}, false
+		return entry[V]{}, false
 	}
-	var out Entry[V]
+	var out entry[V]
 	leaf.mu.Lock()
 	for i := range leaf.entries {
 		e := &leaf.entries[i]
@@ -377,8 +377,8 @@ func (t *tree[V]) adjustUp(path []*node[V], child, sib *node[V]) {
 
 // liveEntries copies out the live entries along the leaf chain.
 // Writer-side: the caller is the only mutator, so it takes no latch.
-func (t *tree[V]) liveEntries() []Entry[V] {
-	es := make([]Entry[V], 0, t.live)
+func (t *tree[V]) liveEntries() []entry[V] {
+	es := make([]entry[V], 0, t.live)
 	for n := t.leftLeaf; n != nil; n = n.right {
 		for _, e := range n.entries {
 			if e.delGen == 0 {
@@ -451,7 +451,7 @@ func (t *tree[V]) check() error {
 
 // ---- split and pack helpers ----
 
-func entryEnv[V any](e *Entry[V]) geom.Envelope  { return e.Key.Envelope() }
+func entryEnv[V any](e *entry[V]) geom.Envelope  { return e.Key.Envelope() }
 func refEnv[V any](r *childRef[V]) geom.Envelope { return r.env }
 
 // cover returns the envelope of items.

@@ -15,7 +15,7 @@ func pt(x, y float64) stobject.STObject { return stobject.New(geom.NewPoint(x, y
 // collectIDs streams a search into an ID multiset.
 func collectIDs(t *tree[int], q geom.Envelope, gen uint64, all bool) map[int64]int {
 	out := make(map[int64]int)
-	t.search(q, gen, all, func(e Entry[int]) bool {
+	t.search(q, gen, all, func(e entry[int]) bool {
 		out[e.ID]++
 		return true
 	})
@@ -33,7 +33,7 @@ func TestTreeSearchMatchesBruteForce(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		r := rec{id: int64(i), x: rng.Float64() * 100, y: rng.Float64() * 100}
 		recs = append(recs, r)
-		tr.insert(Entry[int]{ID: r.id, Key: pt(r.x, r.y), Value: i, addGen: 1})
+		tr.insert(entry[int]{ID: r.id, Key: pt(r.x, r.y), Value: i, addGen: 1})
 	}
 	if tr.live != 2000 {
 		t.Fatalf("live = %d, want 2000", tr.live)
@@ -65,7 +65,7 @@ func TestTreeSearchMatchesBruteForce(t *testing.T) {
 func TestTreeTombstoneVisibility(t *testing.T) {
 	tr := newTree[int](4, nil)
 	for i := 0; i < 100; i++ {
-		tr.insert(Entry[int]{ID: int64(i), Key: pt(float64(i), 0), Value: i, addGen: 1})
+		tr.insert(entry[int]{ID: int64(i), Key: pt(float64(i), 0), Value: i, addGen: 1})
 	}
 	// Tombstone the even IDs at generation 2.
 	for i := 0; i < 100; i += 2 {
@@ -97,7 +97,7 @@ func TestTreeTombstoneVisibility(t *testing.T) {
 func TestTreeRebuildDropsTombstones(t *testing.T) {
 	tr := newTree[int](4, nil)
 	for i := 0; i < 200; i++ {
-		tr.insert(Entry[int]{ID: int64(i), Key: pt(float64(i%20), float64(i/20)), Value: i, addGen: uint64(1 + i/50)})
+		tr.insert(entry[int]{ID: int64(i), Key: pt(float64(i%20), float64(i/20)), Value: i, addGen: uint64(1 + i/50)})
 	}
 	for i := 0; i < 200; i += 3 {
 		tr.delete(int64(i), 9)
@@ -151,9 +151,9 @@ func TestTreeReadersNeverMissOrDouble(t *testing.T) {
 		rng := rand.New(rand.NewSource(99))
 		// Packed entries are visible from generation 0 and take the ids
 		// after the inserted ones.
-		es := make([]Entry[int], packed)
+		es := make([]entry[int], packed)
 		for i := range es {
-			es[i] = Entry[int]{ID: int64(total + i), Key: pt(rng.Float64()*100, rng.Float64()*100)}
+			es[i] = entry[int]{ID: int64(total + i), Key: pt(rng.Float64()*100, rng.Float64()*100)}
 		}
 		tr := newTree(5, es)
 		var published atomic.Uint64
@@ -175,7 +175,7 @@ func TestTreeReadersNeverMissOrDouble(t *testing.T) {
 					gen := published.Load()
 					got := make(map[int64]int)
 					if rng.Intn(2) == 0 {
-						tr.search(geom.Envelope{}, gen, true, func(e Entry[int]) bool {
+						tr.search(geom.Envelope{}, gen, true, func(e entry[int]) bool {
 							got[e.ID]++
 							return true
 						})
@@ -185,7 +185,7 @@ func TestTreeReadersNeverMissOrDouble(t *testing.T) {
 						}
 					} else {
 						q := geom.NewEnvelope(10, 10, 60, 60)
-						tr.search(q, gen, false, func(e Entry[int]) bool {
+						tr.search(q, gen, false, func(e entry[int]) bool {
 							got[e.ID]++
 							return true
 						})
@@ -207,7 +207,7 @@ func TestTreeReadersNeverMissOrDouble(t *testing.T) {
 		for i := 0; i < total; i++ {
 			// Entry i becomes visible at generation i+1; IDs equal their
 			// insertion index so readers can verify exact prefixes.
-			tr.insert(Entry[int]{
+			tr.insert(entry[int]{
 				ID:     int64(i),
 				Key:    pt(rng.Float64()*100, rng.Float64()*100),
 				Value:  i,
@@ -238,13 +238,13 @@ func TestTreeReadersNeverMissOrDouble(t *testing.T) {
 // passes, and each kind of damage it is there for is reported.
 func TestTreeCheckCatchesDamage(t *testing.T) {
 	build := func() *tree[int] {
-		es := make([]Entry[int], 300)
+		es := make([]entry[int], 300)
 		for i := range es {
-			es[i] = Entry[int]{ID: int64(i), Key: pt(float64(i%20), float64(i/20)), addGen: 1}
+			es[i] = entry[int]{ID: int64(i), Key: pt(float64(i%20), float64(i/20)), addGen: 1}
 		}
 		tr := newTree(4, es)
 		for i := 300; i < 400; i++ {
-			tr.insert(Entry[int]{ID: int64(i), Key: pt(float64(i%20)+0.5, float64(i/20)), addGen: 2})
+			tr.insert(entry[int]{ID: int64(i), Key: pt(float64(i%20)+0.5, float64(i/20)), addGen: 2})
 		}
 		for i := 0; i < 400; i += 7 {
 			tr.delete(int64(i), 3)

@@ -29,19 +29,13 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n (n must be >= 0 to keep the counter monotonic).
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
+// value returns the current count.
+func (c *Counter) value() int64 { return c.v.Load() }
 
 // Gauge is a float64 metric that can go up and down.
 type Gauge struct {
 	bits atomic.Uint64
 }
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Add adds delta to the gauge value.
 func (g *Gauge) Add(delta float64) {
@@ -54,14 +48,14 @@ func (g *Gauge) Add(delta float64) {
 	}
 }
 
-// Value returns the current gauge value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
+// value returns the current gauge value.
+func (g *Gauge) value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// DefBuckets are the default histogram bucket upper bounds: a
+// defBuckets are the default histogram bucket upper bounds: a
 // geometric ladder from 100µs doubling up to ~52s (20 buckets), which
 // covers HTTP request latencies from cache hits to cold scans with
 // constant relative error (~2x per bucket, halved by interpolation).
-var DefBuckets = func() []float64 {
+var defBuckets = func() []float64 {
 	b := make([]float64, 20)
 	v := 0.0001
 	for i := range b {
@@ -82,18 +76,18 @@ type Histogram struct {
 	sumBits atomic.Uint64
 }
 
-// NewHistogram returns an unregistered histogram with the given
-// bucket upper bounds (nil selects DefBuckets). Use Registry.Histogram
+// newHistogram returns an unregistered histogram with the given
+// bucket upper bounds (nil selects defBuckets). Use Registry.Histogram
 // for a registered one.
-func NewHistogram(bounds []float64) *Histogram {
+func newHistogram(bounds []float64) *Histogram {
 	if bounds == nil {
-		bounds = DefBuckets
+		bounds = defBuckets
 	}
 	return &Histogram{bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
 }
 
-// Observe records one observation.
-func (h *Histogram) Observe(v float64) {
+// observe records one observation.
+func (h *Histogram) observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v: the "le" bucket
 	h.counts[i].Add(1)
 	h.count.Add(1)
@@ -107,18 +101,18 @@ func (h *Histogram) Observe(v float64) {
 }
 
 // ObserveDuration records d in seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
+func (h *Histogram) ObserveDuration(d time.Duration) { h.observe(d.Seconds()) }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
+// observed returns the total number of observations.
+func (h *Histogram) observed() int64 { return h.count.Load() }
 
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
+// sum returns the sum of all observations.
+func (h *Histogram) sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Cumulative returns the bucket upper bounds and the cumulative
+// cumulative returns the bucket upper bounds and the cumulative
 // counts per bucket (the last entry is the +Inf bucket, equal to
-// Count). The two slices feed QuantileFromCumulative.
-func (h *Histogram) Cumulative() (bounds []float64, cum []int64) {
+// observed). The two slices feed quantileFromCumulative.
+func (h *Histogram) cumulative() (bounds []float64, cum []int64) {
 	cum = make([]int64, len(h.counts))
 	var running int64
 	for i := range h.counts {
@@ -131,18 +125,18 @@ func (h *Histogram) Cumulative() (bounds []float64, cum []int64) {
 // Quantile estimates the q-quantile (0 <= q <= 1) of the observed
 // distribution. Returns 0 when the histogram is empty.
 func (h *Histogram) Quantile(q float64) float64 {
-	bounds, cum := h.Cumulative()
-	return QuantileFromCumulative(bounds, cum, q)
+	bounds, cum := h.cumulative()
+	return quantileFromCumulative(bounds, cum, q)
 }
 
-// QuantileFromCumulative estimates the q-quantile from cumulative
+// quantileFromCumulative estimates the q-quantile from cumulative
 // bucket counts, as scraped from a Prometheus histogram exposition:
 // bounds are the "le" upper bounds (excluding +Inf) and cum the
 // cumulative counts per bucket with cum[len(bounds)] the +Inf bucket.
 // The rank is located in its bucket and linearly interpolated between
 // the bucket's bounds; ranks in the +Inf bucket return the last
 // finite bound. Returns 0 on empty or malformed input.
-func QuantileFromCumulative(bounds []float64, cum []int64, q float64) float64 {
+func quantileFromCumulative(bounds []float64, cum []int64, q float64) float64 {
 	if len(cum) == 0 || len(cum) != len(bounds)+1 {
 		return 0
 	}
@@ -202,7 +196,7 @@ func (v *HistogramVec) With(value string) *Histogram {
 	defer v.mu.Unlock()
 	h, ok := v.children[value]
 	if !ok {
-		h = NewHistogram(v.bounds)
+		h = newHistogram(v.bounds)
 		v.children[value] = h
 	}
 	return h
@@ -259,7 +253,7 @@ func (r *Registry) register(m *metric) {
 func (r *Registry) Counter(name, help string) *Counter {
 	c := &Counter{}
 	r.register(&metric{name: name, help: help, typ: "counter", write: func(w io.Writer, n string) {
-		fmt.Fprintf(w, "%s %d\n", n, c.Value())
+		fmt.Fprintf(w, "%s %d\n", n, c.value())
 	}})
 	return c
 }
@@ -276,7 +270,7 @@ func (r *Registry) CounterFunc(name, help string, fn func() int64) {
 func (r *Registry) Gauge(name, help string) *Gauge {
 	g := &Gauge{}
 	r.register(&metric{name: name, help: help, typ: "gauge", write: func(w io.Writer, n string) {
-		fmt.Fprintf(w, "%s %s\n", n, formatFloat(g.Value()))
+		fmt.Fprintf(w, "%s %s\n", n, formatFloat(g.value()))
 	}})
 	return g
 }
@@ -289,9 +283,9 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 }
 
 // Histogram registers and returns a histogram (nil bounds selects
-// DefBuckets).
+// defBuckets).
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	h := NewHistogram(bounds)
+	h := newHistogram(bounds)
 	r.register(&metric{name: name, help: help, typ: "histogram", write: func(w io.Writer, n string) {
 		writeHistogram(w, n, "", "", h)
 	}})
@@ -299,10 +293,10 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 }
 
 // HistogramVec registers and returns a histogram family partitioned
-// by label (nil bounds selects DefBuckets).
+// by label (nil bounds selects defBuckets).
 func (r *Registry) HistogramVec(name, help, label string, bounds []float64) *HistogramVec {
 	if bounds == nil {
-		bounds = DefBuckets
+		bounds = defBuckets
 	}
 	v := &HistogramVec{label: label, bounds: bounds, children: make(map[string]*Histogram)}
 	r.register(&metric{name: name, help: help, typ: "histogram", write: func(w io.Writer, n string) {
@@ -336,13 +330,13 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 }
 
 func writeHistogram(w io.Writer, name, label, labelValue string, h *Histogram) {
-	bounds, cum := h.Cumulative()
+	bounds, cum := h.cumulative()
 	for i, b := range bounds {
 		fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", name, labelPrefix(label, labelValue), formatFloat(b), cum[i])
 	}
 	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, labelPrefix(label, labelValue), cum[len(cum)-1])
-	fmt.Fprintf(w, "%s_sum%s %s\n", name, labelSuffix(label, labelValue), formatFloat(h.Sum()))
-	fmt.Fprintf(w, "%s_count%s %d\n", name, labelSuffix(label, labelValue), h.Count())
+	fmt.Fprintf(w, "%s_sum%s %s\n", name, labelSuffix(label, labelValue), formatFloat(h.sum()))
+	fmt.Fprintf(w, "%s_count%s %d\n", name, labelSuffix(label, labelValue), h.observed())
 }
 
 // labelPrefix renders `route="query",` for use before the le label.

@@ -18,22 +18,23 @@ import (
 
 func TestCounterAndGauge(t *testing.T) {
 	var c Counter
-	c.Inc()
-	c.Add(4)
-	if got := c.Value(); got != 5 {
+	for i := 0; i < 5; i++ {
+		c.Inc()
+	}
+	if got := c.value(); got != 5 {
 		t.Errorf("Counter = %d, want 5", got)
 	}
 
 	var g Gauge
-	g.Set(2.5)
+	g.Add(2.5)
 	g.Add(-1)
-	if got := g.Value(); got != 1.5 {
+	if got := g.value(); got != 1.5 {
 		t.Errorf("Gauge = %v, want 1.5", got)
 	}
 
 	// The CAS loop must hold up under contention (run with -race).
 	var wg sync.WaitGroup
-	g.Set(0)
+	g = Gauge{}
 	for i := 0; i < 50; i++ {
 		wg.Add(1)
 		go func() {
@@ -44,7 +45,7 @@ func TestCounterAndGauge(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := g.Value(); got != 5000 {
+	if got := g.value(); got != 5000 {
 		t.Errorf("concurrent Gauge = %v, want 5000", got)
 	}
 }
@@ -55,14 +56,14 @@ func TestCounterAndGauge(t *testing.T) {
 // estimator must land on the true quantile precisely.
 func TestHistogramQuantilesUniform(t *testing.T) {
 	bounds := []float64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
-	h := NewHistogram(bounds)
+	h := newHistogram(bounds)
 	for v := 1; v <= 100; v++ {
-		h.Observe(float64(v))
+		h.observe(float64(v))
 	}
-	if got := h.Count(); got != 100 {
+	if got := h.observed(); got != 100 {
 		t.Fatalf("Count = %d, want 100", got)
 	}
-	if got := h.Sum(); got != 5050 {
+	if got := h.sum(); got != 5050 {
 		t.Fatalf("Sum = %v, want 5050", got)
 	}
 	for _, tc := range []struct{ q, want float64 }{
@@ -82,12 +83,12 @@ func TestHistogramQuantilesUniform(t *testing.T) {
 // 90% fast cache hits, 10% slow scans — against the default buckets:
 // each quantile must land in the bucket that truly contains its rank.
 func TestHistogramQuantilesSkewed(t *testing.T) {
-	h := NewHistogram(nil) // DefBuckets: 0.0001 doubling × 20
+	h := newHistogram(nil) // defBuckets: 0.0001 doubling × 20
 	for i := 0; i < 90; i++ {
-		h.Observe(0.001) // 1ms
+		h.observe(0.001) // 1ms
 	}
 	for i := 0; i < 10; i++ {
-		h.Observe(1.0) // 1s
+		h.observe(1.0) // 1s
 	}
 	p50 := h.Quantile(0.50)
 	if p50 <= 0.0008 || p50 > 0.0016 {
@@ -107,34 +108,34 @@ func TestHistogramQuantilesSkewed(t *testing.T) {
 // rather than inventing a value.
 func TestHistogramOverflowBucket(t *testing.T) {
 	bounds := []float64{1, 2}
-	h := NewHistogram(bounds)
-	h.Observe(100)
-	h.Observe(200)
+	h := newHistogram(bounds)
+	h.observe(100)
+	h.observe(200)
 	if got := h.Quantile(0.99); got != 2 {
 		t.Errorf("Quantile(0.99) with all mass in +Inf = %v, want last bound 2", got)
 	}
-	_, cum := h.Cumulative()
+	_, cum := h.cumulative()
 	if want := []int64{0, 0, 2}; len(cum) != 3 || cum[0] != want[0] || cum[1] != want[1] || cum[2] != want[2] {
-		t.Errorf("Cumulative counts = %v, want %v", cum, want)
+		t.Errorf("cumulative counts = %v, want %v", cum, want)
 	}
 	h.ObserveDuration(500 * time.Millisecond)
-	if got := h.Count(); got != 3 {
+	if got := h.observed(); got != 3 {
 		t.Errorf("Count = %d, want 3", got)
 	}
 }
 
 func TestQuantileFromCumulativeMalformed(t *testing.T) {
-	if got := QuantileFromCumulative(nil, nil, 0.5); got != 0 {
+	if got := quantileFromCumulative(nil, nil, 0.5); got != 0 {
 		t.Errorf("empty input: %v, want 0", got)
 	}
-	if got := QuantileFromCumulative([]float64{1, 2}, []int64{1, 2}, 0.5); got != 0 {
+	if got := quantileFromCumulative([]float64{1, 2}, []int64{1, 2}, 0.5); got != 0 {
 		t.Errorf("length mismatch: %v, want 0", got)
 	}
-	if got := QuantileFromCumulative([]float64{1}, []int64{0, 0}, 0.5); got != 0 {
+	if got := quantileFromCumulative([]float64{1}, []int64{0, 0}, 0.5); got != 0 {
 		t.Errorf("zero total: %v, want 0", got)
 	}
 	// Out-of-range q clamps instead of extrapolating.
-	if got := QuantileFromCumulative([]float64{1}, []int64{4, 4}, 7); got != 1 {
+	if got := quantileFromCumulative([]float64{1}, []int64{4, 4}, 7); got != 1 {
 		t.Errorf("q>1: %v, want 1", got)
 	}
 }
@@ -155,12 +156,14 @@ func TestWritePrometheusExposition(t *testing.T) {
 	reg.GaugeFunc("test_func_gauge", "From a closure.", func() float64 { return 7 })
 	hv := reg.HistogramVec("test_latency_seconds", "Latency.", "route", []float64{0.1, 1})
 
-	c.Add(3)
-	g.Set(-2.5)
-	hv.With("/query").Observe(0.05)
-	hv.With("/query").Observe(0.5)
-	hv.With("/query").Observe(5)
-	hv.With(`we"ird\route`).Observe(0.2)
+	c.Inc()
+	c.Inc()
+	c.Inc()
+	g.Add(-2.5)
+	hv.With("/query").observe(0.05)
+	hv.With("/query").observe(0.5)
+	hv.With("/query").observe(5)
+	hv.With(`we"ird\route`).observe(0.2)
 
 	var buf bytes.Buffer
 	reg.WritePrometheus(&buf)

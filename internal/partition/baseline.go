@@ -71,7 +71,7 @@ func (t *Tile) rowIndex(y float64) int {
 	return clampIndex(int((y-t.space.MinY)/t.cellH), t.ppd)
 }
 
-// PartitionsFor implements Replicating: every cell the envelope
+// PartitionsFor implements replicating: every cell the envelope
 // overlaps.
 func (t *Tile) PartitionsFor(o stobject.STObject) []int {
 	env := o.Envelope()
@@ -101,7 +101,7 @@ func (t *Tile) Bounds(i int) geom.Envelope {
 // never holds data beyond its bounds, so Extent == Bounds.
 func (t *Tile) Extent(i int) geom.Envelope { return t.Bounds(i) }
 
-var _ Replicating = (*Tile)(nil)
+var _ replicating = (*Tile)(nil)
 
 // ---- Voronoi partitioner (sample-seeded, SpatialSpark-style) ----
 
@@ -255,10 +255,3 @@ func (v *Voronoi) Bounds(i int) geom.Envelope { return v.extents.extents[i] }
 
 // Extent implements SpatialPartitioner.
 func (v *Voronoi) Extent(i int) geom.Envelope { return v.extents.extents[i] }
-
-// Seeds returns a copy of the seed points.
-func (v *Voronoi) Seeds() []geom.Point {
-	out := make([]geom.Point, len(v.seeds))
-	copy(out, v.seeds)
-	return out
-}

@@ -12,20 +12,20 @@ import (
 	"stark/internal/geom"
 )
 
-// DefaultHilbertOrder is the curve order used when callers pass <= 0:
+// defaultHilbertOrder is the curve order used when callers pass <= 0:
 // 2^16 cells per dimension, fine enough that distinct coordinates in
 // any realistic data space land in distinct cells, while keys stay
 // well inside a uint64 (order 16 needs 32 bits).
-const DefaultHilbertOrder = 16
+const defaultHilbertOrder = 16
 
 // maxHilbertOrder bounds the order so that d = x*y cell products never
 // overflow uint64 (2*order bits per key).
 const maxHilbertOrder = 31
 
-// HilbertXY2D maps cell (x, y) of a 2^order × 2^order grid to its
+// hilbertXY2D maps cell (x, y) of a 2^order × 2^order grid to its
 // distance along the Hilbert curve. Coordinates beyond the grid are
 // taken modulo the grid side (callers are expected to clamp).
-func HilbertXY2D(order int, x, y uint32) uint64 {
+func hilbertXY2D(order int, x, y uint32) uint64 {
 	order = clampOrder(order)
 	var d uint64
 	for s := uint32(1) << (order - 1); s > 0; s >>= 1 {
@@ -42,22 +42,6 @@ func HilbertXY2D(order int, x, y uint32) uint64 {
 	return d
 }
 
-// HilbertD2XY is the inverse of HilbertXY2D: it maps a distance along
-// the curve back to its cell — the round-trip the property tests pin.
-func HilbertD2XY(order int, d uint64) (x, y uint32) {
-	order = clampOrder(order)
-	t := d
-	for s := uint32(1); s < uint32(1)<<order; s <<= 1 {
-		rx := uint32(1) & uint32(t/2)
-		ry := uint32(1) & (uint32(t) ^ rx)
-		x, y = hilbertRot(s, x, y, rx, ry)
-		x += s * rx
-		y += s * ry
-		t /= 4
-	}
-	return x, y
-}
-
 // hilbertRot rotates/flips a quadrant of side n.
 func hilbertRot(n, x, y, rx, ry uint32) (uint32, uint32) {
 	if ry == 0 {
@@ -72,7 +56,7 @@ func hilbertRot(n, x, y, rx, ry uint32) (uint32, uint32) {
 
 func clampOrder(order int) int {
 	if order <= 0 {
-		return DefaultHilbertOrder
+		return defaultHilbertOrder
 	}
 	if order > maxHilbertOrder {
 		return maxHilbertOrder
@@ -94,7 +78,7 @@ type HilbertEncoder struct {
 }
 
 // NewHilbertEncoder returns an encoder over space; order <= 0 selects
-// DefaultHilbertOrder. An empty space degenerates to a single cell
+// defaultHilbertOrder. An empty space degenerates to a single cell
 // (every key is 0), which keeps callers total over empty partitions.
 func NewHilbertEncoder(space geom.Envelope, order int) HilbertEncoder {
 	order = clampOrder(order)
@@ -106,12 +90,9 @@ func NewHilbertEncoder(space geom.Envelope, order int) HilbertEncoder {
 	return h
 }
 
-// Order returns the curve order.
-func (h HilbertEncoder) Order() int { return h.order }
-
-// Cell returns the clamped grid cell of p. Non-finite coordinates
+// cell returns the clamped grid cell of p. Non-finite coordinates
 // (the center of an empty envelope is NaN) clamp to cell (0, 0).
-func (h HilbertEncoder) Cell(p geom.Point) (x, y uint32) {
+func (h HilbertEncoder) cell(p geom.Point) (x, y uint32) {
 	return h.cellCoord(p.X, h.space.MinX, h.cellW), h.cellCoord(p.Y, h.space.MinY, h.cellH)
 }
 
@@ -129,10 +110,10 @@ func (h HilbertEncoder) cellCoord(v, min, cell float64) uint32 {
 	return uint32(c)
 }
 
-// Key returns the Hilbert key of p's cell.
-func (h HilbertEncoder) Key(p geom.Point) uint64 {
-	x, y := h.Cell(p)
-	return HilbertXY2D(h.order, x, y)
+// key returns the Hilbert key of p's cell.
+func (h HilbertEncoder) key(p geom.Point) uint64 {
+	x, y := h.cell(p)
+	return hilbertXY2D(h.order, x, y)
 }
 
 // KeyEnvelope returns the Hilbert key of the envelope's center; the
@@ -141,5 +122,5 @@ func (h HilbertEncoder) KeyEnvelope(e geom.Envelope) uint64 {
 	if e.IsEmpty() {
 		return 0
 	}
-	return h.Key(e.Center())
+	return h.key(e.Center())
 }

@@ -43,17 +43,17 @@ type SpatialPartitioner interface {
 	Extent(i int) geom.Envelope
 }
 
-// Replicating is implemented by partitioners that replicate an object
+// replicating is implemented by partitioners that replicate an object
 // into every partition it overlaps instead of using centroid
 // assignment — the strategy of the GeoSpark-style baseline, which
 // requires duplicate pruning afterwards.
-type Replicating interface {
+type replicating interface {
 	// PartitionsFor returns every partition the object's envelope
 	// overlaps.
 	PartitionsFor(o stobject.STObject) []int
 }
 
-// OverlapAssigner adapts any SpatialPartitioner into a Replicating
+// OverlapAssigner adapts any SpatialPartitioner into a replicating
 // assigner over the partitioner's *extents*: an object is assigned to
 // every partition whose extent intersects the object's envelope
 // expanded by Expand. The co-partitioned join uses it to replicate
@@ -66,13 +66,13 @@ type OverlapAssigner struct {
 	Expand float64
 }
 
-// PartitionsFor implements Replicating via the same extent scan
+// PartitionsFor implements replicating via the same extent scan
 // queries prune with, so replication and pruning can never disagree.
 func (a OverlapAssigner) PartitionsFor(o stobject.STObject) []int {
 	return PruneByEnvelope(a.SP, o.Envelope().ExpandBy(a.Expand))
 }
 
-var _ Replicating = OverlapAssigner{}
+var _ replicating = OverlapAssigner{}
 
 // PruneByEnvelope returns the indexes of partitions whose extent
 // intersects q — the partitions a query with envelope q must visit.
@@ -84,26 +84,6 @@ func PruneByEnvelope(sp SpatialPartitioner, q geom.Envelope) []int {
 		}
 	}
 	return out
-}
-
-// Imbalance returns max/mean of the partition sizes — 1.0 is a
-// perfectly balanced partitioning. It returns 0 for empty input.
-func Imbalance(sizes []int) float64 {
-	if len(sizes) == 0 {
-		return 0
-	}
-	total, maxSize := 0, 0
-	for _, s := range sizes {
-		total += s
-		if s > maxSize {
-			maxSize = s
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	mean := float64(total) / float64(len(sizes))
-	return float64(maxSize) / mean
 }
 
 // dataEnvelope returns the envelope of all object envelopes.

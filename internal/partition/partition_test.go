@@ -153,7 +153,7 @@ func TestBSPBalancesSkewedData(t *testing.T) {
 	for _, o := range objs {
 		bspSizes[bsp.PartitionFor(o)]++
 	}
-	gi, bi := Imbalance(gridSizes), Imbalance(bspSizes)
+	gi, bi := imbalance(gridSizes), imbalance(bspSizes)
 	if bi >= gi {
 		t.Errorf("BSP imbalance %v should beat grid imbalance %v on skewed data", bi, gi)
 	}
@@ -243,7 +243,7 @@ func TestVoronoiAssignsToNearestSeed(t *testing.T) {
 		t.Fatalf("partitions = %d", v.NumPartitions())
 	}
 	checkAssignmentInvariants(t, v, objs)
-	seeds := v.Seeds()
+	seeds := v.seeds
 	for _, o := range objs[:200] {
 		p := v.PartitionFor(o)
 		c := o.Centroid()
@@ -261,7 +261,7 @@ func TestVoronoiDeterministicAndErrors(t *testing.T) {
 	objs := uniformObjs(rng, 100, 10, 10)
 	v1, _ := NewVoronoi(4, 1, objs)
 	v2, _ := NewVoronoi(4, 1, objs)
-	s1, s2 := v1.Seeds(), v2.Seeds()
+	s1, s2 := v1.seeds, v2.seeds
 	for i := range s1 {
 		if s1[i] != s2[i] {
 			t.Fatal("same seed must give same seeds")
@@ -306,19 +306,24 @@ func TestPruneByEnvelope(t *testing.T) {
 	}
 }
 
-func TestImbalance(t *testing.T) {
-	if Imbalance(nil) != 0 {
-		t.Error("empty → 0")
+// imbalance returns max/mean of the partition sizes — 1.0 is a
+// perfectly balanced partitioning. It returns 0 for empty input.
+func imbalance(sizes []int) float64 {
+	if len(sizes) == 0 {
+		return 0
 	}
-	if Imbalance([]int{0, 0}) != 0 {
-		t.Error("all-zero → 0")
+	total, maxSize := 0, 0
+	for _, s := range sizes {
+		total += s
+		if s > maxSize {
+			maxSize = s
+		}
 	}
-	if got := Imbalance([]int{10, 10, 10}); got != 1 {
-		t.Errorf("balanced = %v", got)
+	if total == 0 {
+		return 0
 	}
-	if got := Imbalance([]int{30, 0, 0}); got != 3 {
-		t.Errorf("skewed = %v", got)
-	}
+	mean := float64(total) / float64(len(sizes))
+	return float64(maxSize) / mean
 }
 
 func TestPropEveryObjectAssignedOnceWithCoveringExtent(t *testing.T) {

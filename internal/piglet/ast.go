@@ -4,170 +4,170 @@ package piglet
 // script is a sequence of statements; assignments bind the result of
 // an operator expression to a relation name.
 
-// Statement is a single script statement.
-type Statement interface{ stmt() }
+// statement is a single script statement.
+type statement interface{ stmt() }
 
-// Assign binds Target to the result of Op.
-type Assign struct {
+// assign binds Target to the result of Op.
+type assign struct {
 	Target string
-	Op     Operator
+	Op     operator
 	Line   int
 }
 
-// Dump materialises a relation into the execution output.
-type Dump struct {
+// dump materialises a relation into the execution output.
+type dump struct {
 	Name string
 	Line int
 }
 
-// Store writes a relation to the file system as CSV.
-type Store struct {
+// store writes a relation to the file system as CSV.
+type store struct {
 	Name string
 	Path string
 	Line int
 }
 
-// Describe prints a one-line schema/summary of a relation into the
+// describe prints a one-line schema/summary of a relation into the
 // execution output.
-type Describe struct {
+type describe struct {
 	Name string
 	Line int
 }
 
-// Explain renders the compiled query plan of a relation — the
+// explain renders the compiled query plan of a relation — the
 // cost-based planner's decisions with estimated and actual
 // cardinalities — into the execution output.
-type Explain struct {
+type explain struct {
 	Name string
 	Line int
 }
 
-func (Assign) stmt()   {}
-func (Dump) stmt()     {}
-func (Store) stmt()    {}
-func (Describe) stmt() {}
-func (Explain) stmt()  {}
+func (assign) stmt()   {}
+func (dump) stmt()     {}
+func (store) stmt()    {}
+func (describe) stmt() {}
+func (explain) stmt()  {}
 
-// Operator is the right-hand side of an assignment.
-type Operator interface{ op() }
+// operator is the right-hand side of an assignment.
+type operator interface{ op() }
 
-// Load reads an events CSV from a file under the environment's root.
-type Load struct {
+// load reads an events CSV from a file under the environment's root.
+type load struct {
 	Path string
 }
 
-// Filter keeps the rows satisfying a spatio-temporal predicate.
-type Filter struct {
+// filter keeps the rows satisfying a spatio-temporal predicate.
+type filter struct {
 	Input string
-	Pred  Predicate
+	Pred  predicate
 }
 
-// AttrFilter keeps the rows whose named field satisfies a typed
+// attrFilter keeps the rows whose named field satisfies a typed
 // comparison: FILTER rel BY field <op> literal, with op one of
 // == < <= > >= and the literal a number, a 'string' or true/false.
-type AttrFilter struct {
+type attrFilter struct {
 	Input string
 	Field string
 	Op    string // as written: == < <= > >=
 	Value any    // float64, string or bool
 }
 
-// PartitionOp spatially repartitions a relation.
+// partitionOp spatially repartitions a relation.
 // Kind is "grid" or "bsp"; Param is partitions-per-dimension (grid)
 // or the cost threshold (bsp).
-type PartitionOp struct {
+type partitionOp struct {
 	Input string
 	Kind  string
 	Param int
 }
 
-// IndexOp switches a relation to live indexing with the given R-tree
+// indexOp switches a relation to live indexing with the given R-tree
 // order.
-type IndexOp struct {
+type indexOp struct {
 	Input string
 	Order int
 }
 
-// KNNOp finds the K nearest rows to the query geometry.
-type KNNOp struct {
+// knnOp finds the K nearest rows to the query geometry.
+type knnOp struct {
 	Input string
 	WKT   string
 	K     int
 }
 
-// ClusterOp runs DBSCAN over a relation.
-type ClusterOp struct {
+// clusterOp runs DBSCAN over a relation.
+type clusterOp struct {
 	Input  string
 	Eps    float64
 	MinPts int
 }
 
-// JoinOp spatially joins two relations.
-type JoinOp struct {
+// joinOp spatially joins two relations.
+type joinOp struct {
 	Left, Right string
-	Pred        Predicate
+	Pred        predicate
 }
 
-// Limit keeps the first N rows.
-type Limit struct {
+// limit keeps the first N rows.
+type limit struct {
 	Input string
 	N     int
 }
 
-// GroupCount groups a relation by a field ("category" or "cluster")
+// groupCount groups a relation by a field ("category" or "cluster")
 // and counts group sizes.
-type GroupCount struct {
+type groupCount struct {
 	Input string
 	Field string
 }
 
-// SampleOp keeps each row with the given probability,
+// sampleOp keeps each row with the given probability,
 // deterministically derived from the seed.
-type SampleOp struct {
+type sampleOp struct {
 	Input    string
 	Fraction float64
 	Seed     int64
 }
 
-// DistinctOp removes duplicate rows (by event ID).
-type DistinctOp struct {
+// distinctOp removes duplicate rows (by event ID).
+type distinctOp struct {
 	Input string
 }
 
-// UnionOp concatenates two relations.
-type UnionOp struct {
+// unionOp concatenates two relations.
+type unionOp struct {
 	Left, Right string
 }
 
-// BufferOp replaces every row's key by a polygon approximating the
+// bufferOp replaces every row's key by a polygon approximating the
 // disc of the given radius around the key's centroid, preserving the
 // temporal component.
-type BufferOp struct {
+type bufferOp struct {
 	Input  string
 	Radius float64
 }
 
-func (Load) op()        {}
-func (AttrFilter) op()  {}
-func (SampleOp) op()    {}
-func (DistinctOp) op()  {}
-func (UnionOp) op()     {}
-func (BufferOp) op()    {}
-func (Filter) op()      {}
-func (PartitionOp) op() {}
-func (IndexOp) op()     {}
-func (KNNOp) op()       {}
-func (ClusterOp) op()   {}
-func (JoinOp) op()      {}
-func (Limit) op()       {}
-func (GroupCount) op()  {}
+func (load) op()        {}
+func (attrFilter) op()  {}
+func (sampleOp) op()    {}
+func (distinctOp) op()  {}
+func (unionOp) op()     {}
+func (bufferOp) op()    {}
+func (filter) op()      {}
+func (partitionOp) op() {}
+func (indexOp) op()     {}
+func (knnOp) op()       {}
+func (clusterOp) op()   {}
+func (joinOp) op()      {}
+func (limit) op()       {}
+func (groupCount) op()  {}
 
-// Predicate is a spatio-temporal predicate literal:
+// predicate is a spatio-temporal predicate literal:
 // KIND('wkt' [, begin, end]) with KIND ∈ {INTERSECTS, CONTAINS,
 // CONTAINEDBY, COVEREDBY}, or WITHINDISTANCE('wkt', dist).
 // For joins, the predicate has no literal geometry (ON INTERSECTS /
 // ON WITHINDISTANCE dist).
-type Predicate struct {
+type predicate struct {
 	Kind     string // lower-cased
 	WKT      string // empty for join predicates
 	HasTime  bool

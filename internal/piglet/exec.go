@@ -1,6 +1,7 @@
 package piglet
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -24,9 +25,9 @@ import (
 // script-level lineage (LOAD, JOIN, KNN, ...) grafted under the plan
 // the DSL built for the deferred stages.
 
-// Row is a piglet tuple: the source event plus fields produced by
+// row is a piglet tuple: the source event plus fields produced by
 // operators downstream (cluster label, kNN distance, group counts).
-type Row struct {
+type row struct {
 	Event    workload.Event
 	Cluster  int     // NotClustered when not clustered yet
 	Distance float64 // kNN distance; 0 unless produced by KNN
@@ -34,16 +35,16 @@ type Row struct {
 	Count    int64   // GROUPCOUNT value
 }
 
-// NotClustered marks rows that never passed a CLUSTER operator.
-const NotClustered = stark.ClusterNoise - 1
+// notClustered marks rows that never passed a CLUSTER operator.
+const notClustered = stark.ClusterNoise - 1
 
 // rowSchema names the Row fields FILTER field comparisons compile
 // against.
-var rowSchema = stark.NewAttrSchema[Row]().
-	Int64("id", func(_ stark.STObject, r Row) int64 { return int64(r.Event.ID) }).
-	String("category", func(_ stark.STObject, r Row) string { return r.Event.Category }).
-	Int64("time", func(_ stark.STObject, r Row) int64 { return r.Event.Time }).
-	Int64("cluster", func(_ stark.STObject, r Row) int64 { return int64(r.Cluster) })
+var rowSchema = stark.NewAttrSchema[row]().
+	Int64("id", func(_ stark.STObject, r row) int64 { return int64(r.Event.ID) }).
+	String("category", func(_ stark.STObject, r row) string { return r.Event.Category }).
+	Int64("time", func(_ stark.STObject, r row) int64 { return r.Event.Time }).
+	Int64("cluster", func(_ stark.STObject, r row) int64 { return int64(r.Cluster) })
 
 // rowsCell is the materialisation state of a relation, shared between
 // relations that are guaranteed to hold the same rows (a partitioned
@@ -51,9 +52,9 @@ var rowSchema = stark.NewAttrSchema[Row]().
 // or out).
 type rowsCell struct {
 	done bool
-	rows []stark.Tuple[Row]
+	rows []stark.Tuple[row]
 	err  error
-	src  *stark.Dataset[Row]
+	src  *stark.Dataset[row]
 }
 
 // Relation is a named intermediate result: the Dataset the next
@@ -61,25 +62,20 @@ type rowsCell struct {
 // PARTITION/INDEX produced it), its lazily materialised rows, and the
 // script-level lineage node EXPLAIN grafts under the DSL's plan.
 type Relation struct {
-	ds   *stark.Dataset[Row]
+	ds   *stark.Dataset[row]
 	cell *rowsCell
 	base *plan.Node
 	line int // statement line that defined the relation
 }
 
 // materialise collects the relation's rows once.
-func (r *Relation) materialise() ([]stark.Tuple[Row], error) {
+func (r *Relation) materialise() ([]stark.Tuple[row], error) {
 	if !r.cell.done {
 		r.cell.rows, r.cell.err = r.cell.src.Collect()
 		r.cell.done = true
 	}
 	return r.cell.rows, r.cell.err
 }
-
-// Rows returns the relation's tuples. Execute materialises every
-// relation before returning, so the rows of a successful run are
-// always present.
-func (r *Relation) Rows() []stark.Tuple[Row] { return r.cell.rows }
 
 // Env is the execution environment of a script.
 type Env struct {
@@ -107,19 +103,19 @@ type Output struct {
 
 // Run parses and executes a script.
 func Run(src string, env *Env) (*Output, error) {
-	stmts, err := Parse(src)
+	stmts, err := parse(src)
 	if err != nil {
 		return nil, err
 	}
-	return Execute(stmts, env)
+	return execute(stmts, env)
 }
 
-// Execute runs parsed statements. Relations stay lazy while the
+// execute runs parsed statements. Relations stay lazy while the
 // script runs (so filter chains compile through the cost-based
 // planner as one unit); every relation still unmaterialised when the
 // script ends is materialised before returning, with errors
 // attributed to the statement that defined it.
-func Execute(stmts []Statement, env *Env) (*Output, error) {
+func execute(stmts []statement, env *Env) (*Output, error) {
 	if env == nil || env.Ctx == nil || env.Root == "" {
 		return nil, fmt.Errorf("piglet: Env needs Ctx and Root")
 	}
@@ -175,7 +171,7 @@ func (ex *executor) relation(name string, line int) (*Relation, error) {
 
 // fresh wraps materialised rows into a Relation whose script-level
 // lineage is origin (nil for an anonymous in-memory stage).
-func (ex *executor) fresh(rows []stark.Tuple[Row], origin *plan.Node, line int) *Relation {
+func (ex *executor) fresh(rows []stark.Tuple[row], origin *plan.Node, line int) *Relation {
 	if origin != nil && origin.ActRows < 0 {
 		origin.ActRows = int64(len(rows))
 	}
@@ -188,20 +184,20 @@ func (ex *executor) fresh(rows []stark.Tuple[Row], origin *plan.Node, line int) 
 }
 
 // lazy derives a Relation that chains on ds without materialising.
-func lazy(parent *Relation, ds *stark.Dataset[Row], line int) *Relation {
+func lazy(parent *Relation, ds *stark.Dataset[row], line int) *Relation {
 	return &Relation{ds: ds, cell: &rowsCell{src: ds}, base: parent.base, line: line}
 }
 
-func (ex *executor) exec(s Statement) error {
+func (ex *executor) exec(s statement) error {
 	switch st := s.(type) {
-	case Assign:
+	case assign:
 		rel, err := ex.evalOp(st)
 		if err != nil {
 			return err
 		}
 		ex.rels[st.Target] = rel
 		return nil
-	case Dump:
+	case dump:
 		rel, err := ex.relation(st.Name, st.Line)
 		if err != nil {
 			return err
@@ -214,7 +210,7 @@ func (ex *executor) exec(s Statement) error {
 			ex.out.Dumped = append(ex.out.Dumped, formatRow(st.Name, kv))
 		}
 		return nil
-	case Explain:
+	case explain:
 		rel, err := ex.relation(st.Name, st.Line)
 		if err != nil {
 			return err
@@ -227,7 +223,7 @@ func (ex *executor) exec(s Statement) error {
 		ex.out.Explained = append(ex.out.Explained,
 			fmt.Sprintf("%s:\n%s", st.Name, node.Render()))
 		return nil
-	case Describe:
+	case describe:
 		rel, err := ex.relation(st.Name, st.Line)
 		if err != nil {
 			return err
@@ -242,7 +238,7 @@ func (ex *executor) exec(s Statement) error {
 			if kv.Key.HasTime() {
 				timed++
 			}
-			if kv.Value.Cluster > NotClustered {
+			if kv.Value.Cluster > notClustered {
 				clustered++
 			}
 			env = env.ExpandToInclude(kv.Key.Envelope())
@@ -255,7 +251,7 @@ func (ex *executor) exec(s Statement) error {
 			"%s: %d rows, %d timed, %d clustered, extent %s, %s",
 			st.Name, len(rows), timed, clustered, env, parts))
 		return nil
-	case Store:
+	case store:
 		rel, err := ex.relation(st.Name, st.Line)
 		if err != nil {
 			return err
@@ -295,13 +291,13 @@ func (ex *executor) resolve(path string, line int) (string, error) {
 	return filepath.Join(ex.env.Root, rel), nil
 }
 
-func formatRow(rel string, kv stark.Tuple[Row]) string {
+func formatRow(rel string, kv stark.Tuple[row]) string {
 	r := kv.Value
 	if r.Group != "" {
 		return fmt.Sprintf("%s: (%s, %d)", rel, r.Group, r.Count)
 	}
 	base := fmt.Sprintf("%s: (%d, %s, %d, %s)", rel, r.Event.ID, r.Event.Category, r.Event.Time, r.Event.WKT)
-	if r.Cluster > NotClustered {
+	if r.Cluster > notClustered {
 		base += fmt.Sprintf(" cluster=%d", r.Cluster)
 	}
 	if r.Distance > 0 {
@@ -310,9 +306,9 @@ func formatRow(rel string, kv stark.Tuple[Row]) string {
 	return base
 }
 
-func (ex *executor) evalOp(st Assign) (*Relation, error) {
+func (ex *executor) evalOp(st assign) (*Relation, error) {
 	switch op := st.Op.(type) {
-	case Load:
+	case load:
 		path, err := ex.resolve(op.Path, st.Line)
 		if err != nil {
 			return nil, err
@@ -321,17 +317,17 @@ func (ex *executor) evalOp(st Assign) (*Relation, error) {
 		if err != nil {
 			return nil, fmt.Errorf("piglet: line %d: %w", st.Line, err)
 		}
-		rows := make([]stark.Tuple[Row], 0, len(events))
+		rows := make([]stark.Tuple[row], 0, len(events))
 		for _, e := range events {
 			obj, err := e.ToSTObject()
 			if err != nil {
 				return nil, fmt.Errorf("piglet: line %d: event %d: %w", st.Line, e.ID, err)
 			}
-			rows = append(rows, stark.NewTuple(obj, Row{Event: e, Cluster: NotClustered}))
+			rows = append(rows, stark.NewTuple(obj, row{Event: e, Cluster: notClustered}))
 		}
 		return ex.fresh(rows, plan.NewNode("Load", op.Path), st.Line), nil
 
-	case Filter:
+	case filter:
 		rel, err := ex.relation(op.Input, st.Line)
 		if err != nil {
 			return nil, err
@@ -344,7 +340,7 @@ func (ex *executor) evalOp(st Assign) (*Relation, error) {
 		// set and the cost-based planner compiles consecutive FILTER
 		// statements together at the first materialising action. The
 		// named DSL operators carry the predicate kind into the plan.
-		var nds *stark.Dataset[Row]
+		var nds *stark.Dataset[row]
 		switch op.Pred.Kind {
 		case "intersects":
 			nds = rel.ds.Intersects(q)
@@ -361,7 +357,7 @@ func (ex *executor) evalOp(st Assign) (*Relation, error) {
 		}
 		return lazy(rel, nds, st.Line), nil
 
-	case AttrFilter:
+	case attrFilter:
 		rel, err := ex.relation(op.Input, st.Line)
 		if err != nil {
 			return nil, err
@@ -372,7 +368,7 @@ func (ex *executor) evalOp(st Assign) (*Relation, error) {
 		nds := rel.ds.WithSchema(rowSchema).FilterOp(op.Field, op.Op, op.Value)
 		return lazy(rel, nds, st.Line), nil
 
-	case PartitionOp:
+	case partitionOp:
 		rel, err := ex.relation(op.Input, st.Line)
 		if err != nil {
 			return nil, err
@@ -394,7 +390,7 @@ func (ex *executor) evalOp(st Assign) (*Relation, error) {
 		// materialisation cell so DUMP order stays the input order.
 		return &Relation{ds: parted, cell: rel.cell, base: rel.base, line: st.Line}, nil
 
-	case IndexOp:
+	case indexOp:
 		rel, err := ex.relation(op.Input, st.Line)
 		if err != nil {
 			return nil, err
@@ -405,7 +401,7 @@ func (ex *executor) evalOp(st Assign) (*Relation, error) {
 		}
 		return &Relation{ds: indexed, cell: rel.cell, base: rel.base, line: st.Line}, nil
 
-	case KNNOp:
+	case knnOp:
 		rel, err := ex.relation(op.Input, st.Line)
 		if err != nil {
 			return nil, err
@@ -418,7 +414,7 @@ func (ex *executor) evalOp(st Assign) (*Relation, error) {
 		if err != nil {
 			return nil, fmt.Errorf("piglet: line %d: %w", st.Line, err)
 		}
-		rows := make([]stark.Tuple[Row], len(nbrs))
+		rows := make([]stark.Tuple[row], len(nbrs))
 		for i, nb := range nbrs {
 			row := nb.Value
 			row.Distance = nb.Distance
@@ -428,16 +424,16 @@ func (ex *executor) evalOp(st Assign) (*Relation, error) {
 			Add(rel.base)
 		return ex.fresh(rows, node, st.Line), nil
 
-	case ClusterOp:
+	case clusterOp:
 		rel, err := ex.relation(op.Input, st.Line)
 		if err != nil {
 			return nil, err
 		}
-		recs, _, err := rel.ds.Cluster(stark.ClusterOptions{Eps: op.Eps, MinPts: op.MinPts})
+		recs, _, err := rel.ds.Cluster(context.Background(), stark.ClusterOptions{Eps: op.Eps, MinPts: op.MinPts})
 		if err != nil {
 			return nil, fmt.Errorf("piglet: line %d: %w", st.Line, err)
 		}
-		rows := make([]stark.Tuple[Row], len(recs))
+		rows := make([]stark.Tuple[row], len(recs))
 		for i, rec := range recs {
 			row := rec.Value
 			row.Cluster = rec.Cluster
@@ -448,10 +444,10 @@ func (ex *executor) evalOp(st Assign) (*Relation, error) {
 			Add(rel.base)
 		return ex.fresh(rows, node, st.Line), nil
 
-	case JoinOp:
+	case joinOp:
 		return ex.evalJoin(st, op)
 
-	case Limit:
+	case limit:
 		rel, err := ex.relation(op.Input, st.Line)
 		if err != nil {
 			return nil, err
@@ -470,7 +466,7 @@ func (ex *executor) evalOp(st Assign) (*Relation, error) {
 			Add(rel.base)
 		return ex.fresh(rows, node, st.Line), nil
 
-	case SampleOp:
+	case sampleOp:
 		rel, err := ex.relation(op.Input, st.Line)
 		if err != nil {
 			return nil, err
@@ -483,7 +479,7 @@ func (ex *executor) evalOp(st Assign) (*Relation, error) {
 			Add(rel.base)
 		return ex.fresh(sampled, node, st.Line), nil
 
-	case DistinctOp:
+	case distinctOp:
 		rel, err := ex.relation(op.Input, st.Line)
 		if err != nil {
 			return nil, err
@@ -493,7 +489,7 @@ func (ex *executor) evalOp(st Assign) (*Relation, error) {
 			return nil, fmt.Errorf("piglet: line %d: %w", st.Line, err)
 		}
 		seen := make(map[int]bool, len(in))
-		var rows []stark.Tuple[Row]
+		var rows []stark.Tuple[row]
 		for _, kv := range in {
 			if !seen[kv.Value.Event.ID] {
 				seen[kv.Value.Event.ID] = true
@@ -503,7 +499,7 @@ func (ex *executor) evalOp(st Assign) (*Relation, error) {
 		node := plan.NewNode("Distinct", "input="+op.Input).Add(rel.base)
 		return ex.fresh(rows, node, st.Line), nil
 
-	case UnionOp:
+	case unionOp:
 		left, err := ex.relation(op.Left, st.Line)
 		if err != nil {
 			return nil, err
@@ -520,14 +516,14 @@ func (ex *executor) evalOp(st Assign) (*Relation, error) {
 		if err != nil {
 			return nil, fmt.Errorf("piglet: line %d: %w", st.Line, err)
 		}
-		rows := make([]stark.Tuple[Row], 0, len(lrows)+len(rrows))
+		rows := make([]stark.Tuple[row], 0, len(lrows)+len(rrows))
 		rows = append(rows, lrows...)
 		rows = append(rows, rrows...)
 		node := plan.NewNode("Union", fmt.Sprintf("%s, %s", op.Left, op.Right)).
 			Add(left.base, right.base)
 		return ex.fresh(rows, node, st.Line), nil
 
-	case BufferOp:
+	case bufferOp:
 		rel, err := ex.relation(op.Input, st.Line)
 		if err != nil {
 			return nil, err
@@ -539,7 +535,7 @@ func (ex *executor) evalOp(st Assign) (*Relation, error) {
 		if err != nil {
 			return nil, fmt.Errorf("piglet: line %d: %w", st.Line, err)
 		}
-		rows := make([]stark.Tuple[Row], 0, len(in))
+		rows := make([]stark.Tuple[row], 0, len(in))
 		for _, kv := range in {
 			disc, ok := geom.BufferPoint(kv.Key.Centroid(), op.Radius, 32)
 			if !ok {
@@ -555,14 +551,14 @@ func (ex *executor) evalOp(st Assign) (*Relation, error) {
 			Add(rel.base)
 		return ex.fresh(rows, node, st.Line), nil
 
-	case GroupCount:
+	case groupCount:
 		rel, err := ex.relation(op.Input, st.Line)
 		if err != nil {
 			return nil, err
 		}
-		keyOf := func(kv stark.Tuple[Row]) string { return kv.Value.Event.Category }
+		keyOf := func(kv stark.Tuple[row]) string { return kv.Value.Event.Category }
 		if op.Field == "cluster" {
-			keyOf = func(kv stark.Tuple[Row]) string { return fmt.Sprintf("cluster-%d", kv.Value.Cluster) }
+			keyOf = func(kv stark.Tuple[row]) string { return fmt.Sprintf("cluster-%d", kv.Value.Cluster) }
 		}
 		counts, err := stark.CountBy(rel.ds, keyOf)
 		if err != nil {
@@ -573,10 +569,10 @@ func (ex *executor) evalOp(st Assign) (*Relation, error) {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
-		rows := make([]stark.Tuple[Row], 0, len(keys))
+		rows := make([]stark.Tuple[row], 0, len(keys))
 		for _, k := range keys {
 			rows = append(rows, stark.NewTuple(stark.STObject{},
-				Row{Group: k, Count: counts[k], Cluster: NotClustered}))
+				row{Group: k, Count: counts[k], Cluster: notClustered}))
 		}
 		node := plan.NewNode("GroupCount", fmt.Sprintf("input=%s by=%s", op.Input, op.Field)).
 			Add(rel.base)
@@ -592,7 +588,7 @@ func (ex *executor) evalOp(st Assign) (*Relation, error) {
 // execution (and the build side, swapping internally as needed) from
 // dataset statistics; the EXPLAIN node renders the decision and the
 // actual task/pair counters.
-func (ex *executor) evalJoin(st Assign, op JoinOp) (*Relation, error) {
+func (ex *executor) evalJoin(st assign, op joinOp) (*Relation, error) {
 	left, err := ex.relation(op.Left, st.Line)
 	if err != nil {
 		return nil, err
@@ -617,7 +613,7 @@ func (ex *executor) evalJoin(st Assign, op JoinOp) (*Relation, error) {
 	}
 	// The joined relation keeps the script-level left row; the event
 	// ID pair is recorded in the group field for inspection.
-	rows := make([]stark.Tuple[Row], len(joined))
+	rows := make([]stark.Tuple[row], len(joined))
 	for i, kv := range joined {
 		row := kv.Value.Left
 		row.Group = fmt.Sprintf("%d/%d", kv.Value.Left.Event.ID, kv.Value.Right.Event.ID)
@@ -648,7 +644,7 @@ func predKind(kind string) plan.PredKind {
 // compilePredicate turns a filter predicate literal into a query
 // object, a predicate and a pruning expansion. Errors carry the
 // statement's line number, like relation lookups do.
-func compilePredicate(p Predicate, line int) (stark.STObject, stark.Predicate, float64, error) {
+func compilePredicate(p predicate, line int) (stark.STObject, stark.Predicate, float64, error) {
 	g, err := stark.ParseWKT(p.WKT)
 	if err != nil {
 		return stark.STObject{}, nil, 0, fmt.Errorf("piglet: line %d: filter geometry: %w", line, err)
@@ -672,7 +668,7 @@ func compilePredicate(p Predicate, line int) (stark.STObject, stark.Predicate, f
 
 // compileJoinPredicate resolves a predicate kind; errors carry the
 // statement's line number.
-func compileJoinPredicate(p Predicate, line int) (stark.Predicate, float64, error) {
+func compileJoinPredicate(p predicate, line int) (stark.Predicate, float64, error) {
 	switch p.Kind {
 	case "intersects":
 		return stark.Intersects, 0, nil

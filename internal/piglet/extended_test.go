@@ -18,13 +18,13 @@ all    = SAMPLE events 1;
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := len(out.Relations["tenth"].Rows())
+	n := len(out.Relations["tenth"].cell.rows)
 	if n < 100 || n > 320 {
 		t.Errorf("sample 0.1 of 2000 gave %d rows", n)
 	}
 	// Same seed → same sample.
-	a := out.Relations["fixed"].Rows()
-	b := out.Relations["again"].Rows()
+	a := out.Relations["fixed"].cell.rows
+	b := out.Relations["again"].cell.rows
 	if len(a) != len(b) {
 		t.Fatalf("seeded samples differ: %d vs %d", len(a), len(b))
 	}
@@ -33,10 +33,10 @@ all    = SAMPLE events 1;
 			t.Fatal("seeded sample not deterministic")
 		}
 	}
-	if len(out.Relations["none"].Rows()) != 0 {
+	if len(out.Relations["none"].cell.rows) != 0 {
 		t.Error("fraction 0 must keep nothing")
 	}
-	if len(out.Relations["all"].Rows()) != 2000 {
+	if len(out.Relations["all"].cell.rows) != 2000 {
 		t.Error("fraction 1 must keep everything")
 	}
 	// Out-of-range fraction fails.
@@ -55,10 +55,10 @@ uniq   = DISTINCT both;
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(out.Relations["both"].Rows()); got != 1000 {
+	if got := len(out.Relations["both"].cell.rows); got != 1000 {
 		t.Errorf("union = %d rows", got)
 	}
-	if got := len(out.Relations["uniq"].Rows()); got != 500 {
+	if got := len(out.Relations["uniq"].cell.rows); got != 500 {
 		t.Errorf("distinct = %d rows", got)
 	}
 }
@@ -101,7 +101,7 @@ func TestNewOpsParseErrors(t *testing.T) {
 		"a = DISTINCT;",
 		"DESCRIBE;",
 	} {
-		if _, err := Parse(src); err == nil {
+		if _, err := parse(src); err == nil {
 			t.Errorf("%q: expected parse error", src)
 		}
 	}
@@ -116,7 +116,7 @@ discs  = BUFFER events RADIUS 5;
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := out.Relations["discs"].Rows()
+	rows := out.Relations["discs"].cell.rows
 	if len(rows) != 200 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -135,7 +135,7 @@ discs  = BUFFER events RADIUS 5;
 	if _, err := Run("e = LOAD 'data/events.csv'; b = BUFFER e RADIUS 0;", env); err == nil {
 		t.Error("radius 0 must fail")
 	}
-	if _, err := Parse("b = BUFFER x;"); err == nil {
+	if _, err := parse("b = BUFFER x;"); err == nil {
 		t.Error("missing RADIUS must fail to parse")
 	}
 }

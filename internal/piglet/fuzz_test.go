@@ -47,16 +47,16 @@ EXPLAIN k;
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		stmts, err := Parse(src)
+		stmts, err := parse(src)
 		if err != nil {
 			// Errors must be deterministic.
-			if _, err2 := Parse(src); err2 == nil || err2.Error() != err.Error() {
+			if _, err2 := parse(src); err2 == nil || err2.Error() != err.Error() {
 				t.Fatalf("nondeterministic parse error: %v vs %v", err, err2)
 			}
 			return
 		}
 		// Accepted input parses identically a second time.
-		again, err := Parse(src)
+		again, err := parse(src)
 		if err != nil {
 			t.Fatalf("accepted input failed to re-parse: %v", err)
 		}

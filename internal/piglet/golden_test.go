@@ -152,7 +152,7 @@ j = JOIN s, e ON WITHINDISTANCE 2.5;
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := out.Relations["j"].Rows()
+	rows := out.Relations["j"].cell.rows
 	// s = {0,1,2}; within 2.5 of x=0 → {0,1,2}, of x=1 → {0,1,2,3},
 	// of x=2 → {0,1,2,3}: 11 pairs.
 	if len(rows) != 11 {

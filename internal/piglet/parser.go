@@ -6,14 +6,14 @@ import (
 	"strings"
 )
 
-// Parse turns a script into statements.
-func Parse(src string) ([]Statement, error) {
+// parse turns a script into statements.
+func parse(src string) ([]statement, error) {
 	toks, err := lex(src)
 	if err != nil {
 		return nil, err
 	}
 	p := &parser{toks: toks}
-	var stmts []Statement
+	var stmts []statement
 	for !p.at(tokEOF) {
 		s, err := p.statement()
 		if err != nil {
@@ -76,7 +76,7 @@ func (p *parser) intNumber() (int, error) {
 }
 
 // statement parses one ';'-terminated statement.
-func (p *parser) statement() (Statement, error) {
+func (p *parser) statement() (statement, error) {
 	t := p.cur()
 	switch {
 	case keywordIs(t, "dump"):
@@ -88,7 +88,7 @@ func (p *parser) statement() (Statement, error) {
 		if _, err := p.expect(tokSemicolon); err != nil {
 			return nil, err
 		}
-		return Dump{Name: name.text, Line: t.line}, nil
+		return dump{Name: name.text, Line: t.line}, nil
 	case keywordIs(t, "describe"):
 		p.advance()
 		name, err := p.expect(tokIdent)
@@ -98,7 +98,7 @@ func (p *parser) statement() (Statement, error) {
 		if _, err := p.expect(tokSemicolon); err != nil {
 			return nil, err
 		}
-		return Describe{Name: name.text, Line: t.line}, nil
+		return describe{Name: name.text, Line: t.line}, nil
 	case keywordIs(t, "explain"):
 		p.advance()
 		name, err := p.expect(tokIdent)
@@ -108,7 +108,7 @@ func (p *parser) statement() (Statement, error) {
 		if _, err := p.expect(tokSemicolon); err != nil {
 			return nil, err
 		}
-		return Explain{Name: name.text, Line: t.line}, nil
+		return explain{Name: name.text, Line: t.line}, nil
 	case keywordIs(t, "store"):
 		p.advance()
 		name, err := p.expect(tokIdent)
@@ -125,7 +125,7 @@ func (p *parser) statement() (Statement, error) {
 		if _, err := p.expect(tokSemicolon); err != nil {
 			return nil, err
 		}
-		return Store{Name: name.text, Path: path.text, Line: t.line}, nil
+		return store{Name: name.text, Path: path.text, Line: t.line}, nil
 	case t.kind == tokIdent:
 		target := p.advance()
 		if _, err := p.expect(tokEquals); err != nil {
@@ -138,14 +138,14 @@ func (p *parser) statement() (Statement, error) {
 		if _, err := p.expect(tokSemicolon); err != nil {
 			return nil, err
 		}
-		return Assign{Target: target.text, Op: op, Line: t.line}, nil
+		return assign{Target: target.text, Op: op, Line: t.line}, nil
 	default:
 		return nil, fmt.Errorf("piglet: line %d: unexpected %q at statement start", t.line, t.text)
 	}
 }
 
 // operator parses the right-hand side of an assignment.
-func (p *parser) operator() (Operator, error) {
+func (p *parser) operator() (operator, error) {
 	t := p.cur()
 	switch {
 	case keywordIs(t, "load"):
@@ -154,7 +154,7 @@ func (p *parser) operator() (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return Load{Path: path.text}, nil
+		return load{Path: path.text}, nil
 
 	case keywordIs(t, "filter"):
 		p.advance()
@@ -175,7 +175,7 @@ func (p *parser) operator() (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return Filter{Input: input.text, Pred: pred}, nil
+		return filter{Input: input.text, Pred: pred}, nil
 
 	case keywordIs(t, "partition"):
 		p.advance()
@@ -195,7 +195,7 @@ func (p *parser) operator() (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return PartitionOp{Input: input.text, Kind: strings.ToLower(kind.text), Param: param}, nil
+		return partitionOp{Input: input.text, Kind: strings.ToLower(kind.text), Param: param}, nil
 
 	case keywordIs(t, "index"):
 		p.advance()
@@ -210,7 +210,7 @@ func (p *parser) operator() (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return IndexOp{Input: input.text, Order: order}, nil
+		return indexOp{Input: input.text, Order: order}, nil
 
 	case keywordIs(t, "knn"):
 		p.advance()
@@ -232,7 +232,7 @@ func (p *parser) operator() (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return KNNOp{Input: input.text, WKT: wkt.text, K: k}, nil
+		return knnOp{Input: input.text, WKT: wkt.text, K: k}, nil
 
 	case keywordIs(t, "cluster"):
 		p.advance()
@@ -254,7 +254,7 @@ func (p *parser) operator() (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return ClusterOp{Input: input.text, Eps: eps, MinPts: minPts}, nil
+		return clusterOp{Input: input.text, Eps: eps, MinPts: minPts}, nil
 
 	case keywordIs(t, "join"):
 		p.advance()
@@ -276,7 +276,7 @@ func (p *parser) operator() (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return JoinOp{Left: left.text, Right: right.text, Pred: pred}, nil
+		return joinOp{Left: left.text, Right: right.text, Pred: pred}, nil
 
 	case keywordIs(t, "limit"):
 		p.advance()
@@ -288,7 +288,7 @@ func (p *parser) operator() (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return Limit{Input: input.text, N: n}, nil
+		return limit{Input: input.text, N: n}, nil
 
 	case keywordIs(t, "sample"):
 		p.advance()
@@ -300,7 +300,7 @@ func (p *parser) operator() (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		op := SampleOp{Input: input.text, Fraction: frac, Seed: 42}
+		op := sampleOp{Input: input.text, Fraction: frac, Seed: 42}
 		if keywordIs(p.cur(), "seed") {
 			p.advance()
 			s, err := p.number()
@@ -317,7 +317,7 @@ func (p *parser) operator() (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return DistinctOp{Input: input.text}, nil
+		return distinctOp{Input: input.text}, nil
 
 	case keywordIs(t, "union"):
 		p.advance()
@@ -332,7 +332,7 @@ func (p *parser) operator() (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return UnionOp{Left: left.text, Right: right.text}, nil
+		return unionOp{Left: left.text, Right: right.text}, nil
 
 	case keywordIs(t, "buffer"):
 		p.advance()
@@ -347,7 +347,7 @@ func (p *parser) operator() (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return BufferOp{Input: input.text, Radius: r}, nil
+		return bufferOp{Input: input.text, Radius: r}, nil
 
 	case keywordIs(t, "groupcount"):
 		p.advance()
@@ -367,7 +367,7 @@ func (p *parser) operator() (Operator, error) {
 			return nil, fmt.Errorf("piglet: line %d: GROUPCOUNT supports BY category or BY cluster, got %q",
 				field.line, field.text)
 		}
-		return GroupCount{Input: input.text, Field: f}, nil
+		return groupCount{Input: input.text, Field: f}, nil
 
 	default:
 		return nil, fmt.Errorf("piglet: line %d: unknown operator %q", t.line, t.text)
@@ -376,7 +376,7 @@ func (p *parser) operator() (Operator, error) {
 
 // attrFilter parses the field-comparison form of FILTER after the
 // lookahead decided for it: field <op> literal.
-func (p *parser) attrFilter(input string) (Operator, error) {
+func (p *parser) attrFilter(input string) (operator, error) {
 	field, err := p.expect(tokIdent)
 	if err != nil {
 		return nil, err
@@ -409,7 +409,7 @@ func (p *parser) attrFilter(input string) (Operator, error) {
 		return nil, fmt.Errorf("piglet: line %d: expected a number, 'string' or true/false after %s, got %q",
 			v.line, op.text, v.text)
 	}
-	return AttrFilter{Input: input, Field: strings.ToLower(field.text), Op: op.text, Value: val}, nil
+	return attrFilter{Input: input, Field: strings.ToLower(field.text), Op: op.text, Value: val}, nil
 }
 
 var filterPredicates = map[string]bool{
@@ -421,42 +421,42 @@ var filterPredicates = map[string]bool{
 
 // filterPredicate parses KIND('wkt' [, begin, end]) or
 // WITHINDISTANCE('wkt', dist).
-func (p *parser) filterPredicate() (Predicate, error) {
+func (p *parser) filterPredicate() (predicate, error) {
 	t, err := p.expect(tokIdent)
 	if err != nil {
-		return Predicate{}, err
+		return predicate{}, err
 	}
 	kind := strings.ToLower(t.text)
 	if _, err := p.expect(tokLParen); err != nil {
-		return Predicate{}, err
+		return predicate{}, err
 	}
 	wkt, err := p.expect(tokString)
 	if err != nil {
-		return Predicate{}, err
+		return predicate{}, err
 	}
-	pred := Predicate{Kind: kind, WKT: wkt.text}
+	pred := predicate{Kind: kind, WKT: wkt.text}
 	switch {
 	case kind == "withindistance":
 		if _, err := p.expect(tokComma); err != nil {
-			return Predicate{}, err
+			return predicate{}, err
 		}
 		d, err := p.number()
 		if err != nil {
-			return Predicate{}, err
+			return predicate{}, err
 		}
 		pred.Distance = d
 		if p.at(tokComma) {
 			p.advance()
 			b, err := p.number()
 			if err != nil {
-				return Predicate{}, err
+				return predicate{}, err
 			}
 			if _, err := p.expect(tokComma); err != nil {
-				return Predicate{}, err
+				return predicate{}, err
 			}
 			e, err := p.number()
 			if err != nil {
-				return Predicate{}, err
+				return predicate{}, err
 			}
 			pred.HasTime = true
 			pred.Begin, pred.End = int64(b), int64(e)
@@ -466,45 +466,45 @@ func (p *parser) filterPredicate() (Predicate, error) {
 			p.advance()
 			b, err := p.number()
 			if err != nil {
-				return Predicate{}, err
+				return predicate{}, err
 			}
 			if _, err := p.expect(tokComma); err != nil {
-				return Predicate{}, err
+				return predicate{}, err
 			}
 			e, err := p.number()
 			if err != nil {
-				return Predicate{}, err
+				return predicate{}, err
 			}
 			pred.HasTime = true
 			pred.Begin, pred.End = int64(b), int64(e)
 		}
 	default:
-		return Predicate{}, fmt.Errorf("piglet: line %d: unknown predicate %q", t.line, t.text)
+		return predicate{}, fmt.Errorf("piglet: line %d: unknown predicate %q", t.line, t.text)
 	}
 	if _, err := p.expect(tokRParen); err != nil {
-		return Predicate{}, err
+		return predicate{}, err
 	}
 	return pred, nil
 }
 
 // joinPredicate parses INTERSECTS | CONTAINS | CONTAINEDBY |
 // WITHINDISTANCE dist.
-func (p *parser) joinPredicate() (Predicate, error) {
+func (p *parser) joinPredicate() (predicate, error) {
 	t, err := p.expect(tokIdent)
 	if err != nil {
-		return Predicate{}, err
+		return predicate{}, err
 	}
 	kind := strings.ToLower(t.text)
 	switch {
 	case kind == "withindistance":
 		d, err := p.number()
 		if err != nil {
-			return Predicate{}, err
+			return predicate{}, err
 		}
-		return Predicate{Kind: kind, Distance: d}, nil
+		return predicate{Kind: kind, Distance: d}, nil
 	case filterPredicates[kind]:
-		return Predicate{Kind: kind}, nil
+		return predicate{Kind: kind}, nil
 	default:
-		return Predicate{}, fmt.Errorf("piglet: line %d: unknown join predicate %q", t.line, t.text)
+		return predicate{}, fmt.Errorf("piglet: line %d: unknown join predicate %q", t.line, t.text)
 	}
 }

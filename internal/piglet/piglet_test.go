@@ -82,7 +82,7 @@ func TestParseErrors(t *testing.T) {
 		"a = KNN x K 5;",     // missing QUERY
 		"a = CLUSTER x EPS;", // missing value
 	} {
-		if _, err := Parse(src); err == nil {
+		if _, err := parse(src); err == nil {
 			t.Errorf("%q: expected parse error", src)
 		}
 	}
@@ -100,16 +100,16 @@ lim    = LIMIT near 3;
 DUMP best;
 STORE inside INTO 'out/inside.csv';
 `
-	stmts, err := Parse(src)
+	stmts, err := parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(stmts) != 8 {
 		t.Fatalf("stmts = %d", len(stmts))
 	}
-	if a, ok := stmts[2].(Assign); !ok {
+	if a, ok := stmts[2].(assign); !ok {
 		t.Fatal("stmt 2 not assign")
-	} else if f, ok := a.Op.(Filter); !ok {
+	} else if f, ok := a.Op.(filter); !ok {
 		t.Fatal("stmt 2 not filter")
 	} else {
 		if !f.Pred.HasTime || f.Pred.Begin != 100 || f.Pred.End != 900 {
@@ -142,11 +142,11 @@ STORE inside INTO 'out/inside.csv';
 		t.Fatal(err)
 	}
 	inside := out.Relations["inside"]
-	if len(events) != len(inside.Rows()) {
-		t.Errorf("stored %d, relation has %d", len(events), len(inside.Rows()))
+	if len(events) != len(inside.cell.rows) {
+		t.Errorf("stored %d, relation has %d", len(events), len(inside.cell.rows))
 	}
-	if len(inside.Rows()) == 0 || len(inside.Rows()) == 300 {
-		t.Errorf("filter did not select (got %d of 300)", len(inside.Rows()))
+	if len(inside.cell.rows) == 0 || len(inside.cell.rows) == 300 {
+		t.Errorf("filter did not select (got %d of 300)", len(inside.cell.rows))
 	}
 }
 
@@ -201,7 +201,7 @@ win    = FILTER events BY CONTAINEDBY('POLYGON ((0 0, 100 0, 100 100, 0 100, 0 0
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := out.Relations["win"].Rows()
+	rows := out.Relations["win"].cell.rows
 	if len(rows) == 0 || len(rows) == 400 {
 		t.Fatalf("temporal window selected %d of 400", len(rows))
 	}
@@ -226,9 +226,9 @@ c = FILTER indexed BY WITHINDISTANCE('POINT (50 50)', 20, 0, 1000);
 	if err != nil {
 		t.Fatal(err)
 	}
-	na := len(out.Relations["a"].Rows())
-	nb := len(out.Relations["b"].Rows())
-	nc := len(out.Relations["c"].Rows())
+	na := len(out.Relations["a"].cell.rows)
+	nb := len(out.Relations["b"].cell.rows)
+	nc := len(out.Relations["c"].cell.rows)
 	if na == 0 || na != nb || na != nc {
 		t.Errorf("result counts diverge: scan=%d partitioned=%d indexed=%d", na, nb, nc)
 	}
@@ -244,7 +244,7 @@ DUMP best;
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := out.Relations["best"].Rows()
+	rows := out.Relations["best"].cell.rows
 	if len(rows) != 7 {
 		t.Fatalf("knn returned %d", len(rows))
 	}
@@ -268,10 +268,10 @@ DUMP sizes;
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Relations["sizes"].Rows()) == 0 {
+	if len(out.Relations["sizes"].cell.rows) == 0 {
 		t.Error("no cluster groups")
 	}
-	cats := out.Relations["cats"].Rows()
+	cats := out.Relations["cats"].cell.rows
 	var total int64
 	for _, kv := range cats {
 		total += kv.Value.Count
@@ -292,7 +292,7 @@ j = JOIN a, b ON WITHINDISTANCE 3;
 		t.Fatal(err)
 	}
 	// Self join within distance: at least the identity pairs.
-	if got := len(out.Relations["j"].Rows()); got < 150 {
+	if got := len(out.Relations["j"].cell.rows); got < 150 {
 		t.Errorf("join rows = %d, want >= 150", got)
 	}
 }
@@ -329,10 +329,10 @@ b = LIMIT events 0;
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Relations["a"].Rows()) != 20 {
+	if len(out.Relations["a"].cell.rows) != 20 {
 		t.Error("over-limit must keep all rows")
 	}
-	if len(out.Relations["b"].Rows()) != 0 {
+	if len(out.Relations["b"].cell.rows) != 0 {
 		t.Error("limit 0 must keep nothing")
 	}
 }

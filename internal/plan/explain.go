@@ -205,7 +205,7 @@ func FilterNode(d FilterDecision, preds []Pred, alreadyIndexed bool, child *Node
 // filter, or "" when the filter has no attribute predicates.
 func (d FilterDecision) AttrProp() string {
 	switch d.AttrStrategy {
-	case AttrInline:
+	case attrInline:
 		return fmt.Sprintf("attr=inline eval on survivors (attr_index_cost=%s)",
 			costString(d.AttrIndexCost))
 	case AttrIndexProbe:
@@ -223,7 +223,7 @@ func (d FilterDecision) AttrProp() string {
 // through the postings sidecar (the probe driver, or every predicate
 // under the intersection strategy), AttrScan[...] for those evaluated
 // inline on survivors. The node detail is the predicate's canonical
-// text form, so the nodes round-trip through Canonical/ParseCanonical
+// text form, so the nodes round-trip through Canonical/parseCanonical
 // and contribute to plan fingerprints.
 func AttrNodes(d FilterDecision, preds []attr.Pred) []*Node {
 	nodes := make([]*Node, len(preds))

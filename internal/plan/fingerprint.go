@@ -10,8 +10,8 @@ package plan
 // generation, which callers mix into the hashed string).
 //
 // The canonical form is minified JSON with a fixed field order
-// (op, detail, children), so it doubles as a wire format: EXPLAIN
-// consumers can round-trip it with ParseCanonical.
+// (op, detail, children), so it doubles as a wire format: the tests
+// round-trip it with parseCanonical.
 
 import (
 	"encoding/json"
@@ -37,14 +37,6 @@ func toCanonical(n *Node) canonicalNode {
 	return c
 }
 
-func fromCanonical(c canonicalNode) *Node {
-	n := NewNode(c.Op, c.Detail)
-	for _, ch := range c.Children {
-		n.Add(fromCanonical(ch))
-	}
-	return n
-}
-
 // Canonical returns the canonical serialization of the tree's
 // structure: operators, details and child order only — estimates,
 // actuals and props are excluded, so a plan fingerprints the same
@@ -59,21 +51,6 @@ func (n *Node) Canonical() string {
 		panic(fmt.Sprintf("plan: canonical marshal: %v", err))
 	}
 	return string(b)
-}
-
-// ParseCanonical parses a canonical serialization back into a
-// structure-only plan tree (estimates and actuals unknown). It is the
-// inverse of Canonical: ParseCanonical(n.Canonical()).Canonical() ==
-// n.Canonical() for every tree n.
-func ParseCanonical(s string) (*Node, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var c canonicalNode
-	if err := json.Unmarshal([]byte(s), &c); err != nil {
-		return nil, fmt.Errorf("plan: parse canonical: %w", err)
-	}
-	return fromCanonical(c), nil
 }
 
 // Fingerprint hashes a canonical plan string (plus any extra

@@ -38,7 +38,7 @@ func buildTree(data []byte) *Node {
 
 // FuzzCanonicalRoundTrip asserts the fingerprinting invariants on
 // arbitrary tree shapes: Canonical is deterministic, survives Clone,
-// round-trips through ParseCanonical, and Fingerprint is a pure
+// round-trips through parseCanonical, and Fingerprint is a pure
 // function of the canonical form.
 func FuzzCanonicalRoundTrip(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5})
@@ -53,7 +53,7 @@ func FuzzCanonicalRoundTrip(f *testing.F) {
 		if cc := n.Clone().Canonical(); cc != c {
 			t.Fatalf("clone changed canonical form:\n%s\n%s", c, cc)
 		}
-		parsed, err := ParseCanonical(c)
+		parsed, err := parseCanonical(c)
 		if err != nil {
 			t.Fatalf("own canonical form does not parse: %v\n%s", err, c)
 		}
@@ -75,12 +75,12 @@ func FuzzParseCanonical(f *testing.F) {
 	f.Add(`{"op":`)
 	f.Add(`[]`)
 	f.Fuzz(func(t *testing.T, s string) {
-		n, err := ParseCanonical(s)
+		n, err := parseCanonical(s)
 		if err != nil {
 			return
 		}
 		c1 := n.Canonical()
-		n2, err := ParseCanonical(c1)
+		n2, err := parseCanonical(c1)
 		if err != nil {
 			t.Fatalf("canonical of accepted input does not re-parse: %v\n%s", err, c1)
 		}

@@ -110,49 +110,49 @@ func (p Pred) String() string {
 // predicate check on a trivial geometry costs 1. The constants only
 // need to order alternatives correctly, not predict wall time.
 const (
-	// CostScan is the base cost of one exact predicate evaluation.
-	CostScan = 1.0
-	// CostVertex is the extra refinement cost per query-geometry
+	// costScan is the base cost of one exact predicate evaluation.
+	costScan = 1.0
+	// costVertex is the extra refinement cost per query-geometry
 	// vertex (point-in-polygon and distance walks scale with it).
-	CostVertex = 0.08
-	// CostDistance is the surcharge of an exact distance computation
+	costVertex = 0.08
+	// costDistance is the surcharge of an exact distance computation
 	// (WithinDistance refinement).
-	CostDistance = 4.0
-	// CostBuild is the cost of inserting one record into a live
+	costDistance = 4.0
+	// costBuild is the cost of inserting one record into a live
 	// R-tree (envelope copy + sort/pack amortised).
-	CostBuild = 2.5
-	// CostProbe is the fixed cost of one per-partition tree descent.
-	CostProbe = 16.0
-	// CostProbeRecord is the per-record cost of one join-side tree
-	// descent (cheaper than CostProbe because the descent is amortised
+	costBuild = 2.5
+	// costProbe is the fixed cost of one per-partition tree descent.
+	costProbe = 16.0
+	// costProbeRecord is the per-record cost of one join-side tree
+	// descent (cheaper than costProbe because the descent is amortised
 	// over a streaming probe loop with a reused candidate buffer).
-	CostProbeRecord = 4.0
-	// CostShuffle is the per-record cost of replicating a record onto
+	costProbeRecord = 4.0
+	// costShuffle is the per-record cost of replicating a record onto
 	// another partitioner during a co-partitioned join (extent overlap
 	// scan + bucket append).
-	CostShuffle = 3.0
-	// CostKernel is the per-record cost of one coarse columnar kernel
+	costShuffle = 3.0
+	// costKernel is the per-record cost of one coarse columnar kernel
 	// sweep: a handful of float compares over cache-resident columns,
 	// far below an exact predicate call through interface dispatch.
-	CostKernel = 0.05
-	// CostAttrEval is the per-record cost of one typed attribute
+	costKernel = 0.05
+	// costAttrEval is the per-record cost of one typed attribute
 	// comparison: an extractor call plus a tag-switched compare —
 	// cheaper than an exact geometry check, pricier than a kernel.
-	CostAttrEval = 0.02
-	// CostAttrProbe is the fixed cost of one per-partition postings
+	costAttrEval = 0.02
+	// costAttrProbe is the fixed cost of one per-partition postings
 	// lookup (a couple of binary-search descents over the sorted
 	// column).
-	CostAttrProbe = 8.0
-	// CostAttrBuild is the per-record cost of building one partition's
+	costAttrProbe = 8.0
+	// costAttrBuild is the per-record cost of building one partition's
 	// attribute postings index (extractor call + sort amortised).
-	CostAttrBuild = 1.5
+	costAttrBuild = 1.5
 )
 
 // evalCost returns the cost of one exact evaluation of p.
 func evalCost(p Pred) float64 {
-	c := CostScan + float64(p.Vertices)*CostVertex
+	c := costScan + float64(p.Vertices)*costVertex
 	if p.Kind == WithinDistance {
-		c += CostDistance
+		c += costDistance
 	}
 	return c
 }
@@ -184,11 +184,11 @@ type FilterOptions struct {
 type AttrStrategy int
 
 const (
-	// AttrNone: the filter has no typed attribute predicates.
-	AttrNone AttrStrategy = iota
-	// AttrInline: attribute predicates are evaluated inline (cheap
+	// attrNone: the filter has no typed attribute predicates.
+	attrNone AttrStrategy = iota
+	// attrInline: attribute predicates are evaluated inline (cheap
 	// typed compares) on the rows the spatial access path yields.
-	AttrInline
+	attrInline
 	// AttrIndexProbe: the most selective attribute predicate drives a
 	// per-partition postings probe; the remaining attribute and all
 	// spatial predicates refine the candidates.
@@ -202,9 +202,9 @@ const (
 // String returns the lower-case strategy name used in EXPLAIN output.
 func (s AttrStrategy) String() string {
 	switch s {
-	case AttrNone:
+	case attrNone:
 		return "none"
-	case AttrInline:
+	case attrInline:
 		return "scan"
 	case AttrIndexProbe:
 		return "index"
@@ -245,7 +245,7 @@ type FilterDecision struct {
 	// (+Inf when no sidecar is available).
 	UseColumnar  bool
 	ColumnarCost float64
-	// AttrStrategy is the chosen attribute access path (AttrNone when
+	// AttrStrategy is the chosen attribute access path (attrNone when
 	// the filter has no typed attribute predicates). AttrSel holds the
 	// per-attribute-predicate selectivity estimates (input order),
 	// AttrOrder the evaluation order (most selective first), AttrFirst
@@ -318,9 +318,9 @@ func PlanFilter(sum *stats.Summary, preds []Pred, opt FilterOptions) FilterDecis
 	// predicate's envelope, refine candidates with every predicate.
 	d.IndexCost = 0
 	if !opt.AlreadyIndexed {
-		d.IndexCost += rows * CostBuild
+		d.IndexCost += rows * costBuild
 	}
-	d.IndexCost += float64(len(d.Visit)) * CostProbe
+	d.IndexCost += float64(len(d.Visit)) * costProbe
 	if len(preds) > 0 {
 		first := d.Order[0]
 		candidates := rows * d.Sel[first]
@@ -334,14 +334,14 @@ func PlanFilter(sum *stats.Summary, preds []Pred, opt FilterOptions) FilterDecis
 		(opt.AlreadyIndexed || d.IndexCost < d.ScanCost)
 
 	// Columnar alternative: every kernel sweeps all visited rows at
-	// CostKernel each, then the survivors of the conjunction — bounded
+	// costKernel each, then the survivors of the conjunction — bounded
 	// by the most selective predicate — are refined exactly. Only
 	// offered when a sidecar is built; when it wins it also displaces
 	// an AlreadyIndexed probe (the cheapest access path should win,
 	// pre-built or not).
 	d.ColumnarCost = math.Inf(1)
 	if opt.Columnar && len(preds) > 0 {
-		d.ColumnarCost = rows * CostKernel * float64(len(preds))
+		d.ColumnarCost = rows * costKernel * float64(len(preds))
 		first := d.Order[0]
 		refine := 0.0
 		for _, i := range d.Order {
@@ -374,7 +374,7 @@ func planAttr(d *FilterDecision, sum *stats.Summary, preds []Pred, opt FilterOpt
 	n := len(opt.Attr)
 
 	// Per-predicate selectivity from the per-field statistics
-	// (attr.DefaultSelectivity when the sweep had no schema), combined
+	// (attr's default selectivity when the sweep had no schema), combined
 	// under independence.
 	d.AttrSel = make([]float64, n)
 	attrAll := 1.0
@@ -396,7 +396,7 @@ func planAttr(d *FilterDecision, sum *stats.Summary, preds []Pred, opt FilterOpt
 	for _, i := range d.Order {
 		spatialRefine += evalCost(preds[i])
 	}
-	attrEvalAll := CostAttrEval * float64(n)
+	attrEvalAll := costAttrEval * float64(n)
 
 	// Fused scan, attribute predicates evaluated first (they are the
 	// cheap checks), spatial cascade on the survivors.
@@ -413,9 +413,9 @@ func planAttr(d *FilterDecision, sum *stats.Summary, preds []Pred, opt FilterOpt
 	if len(preds) > 0 {
 		d.IndexCost = 0
 		if !opt.AlreadyIndexed {
-			d.IndexCost = rows * CostBuild
+			d.IndexCost = rows * costBuild
 		}
-		d.IndexCost += float64(len(d.Visit)) * CostProbe
+		d.IndexCost += float64(len(d.Visit)) * costProbe
 		cand := rows * d.Sel[d.Order[0]]
 		d.IndexCost += cand * (spatialRefine + attrEvalAll)
 	}
@@ -424,11 +424,11 @@ func planAttr(d *FilterDecision, sum *stats.Summary, preds []Pred, opt FilterOpt
 	// predicate yields candidates, everything else refines them.
 	d.AttrIndexCost = 0
 	if !opt.AttrIndexed {
-		d.AttrIndexCost = rows * CostAttrBuild
+		d.AttrIndexCost = rows * costAttrBuild
 	}
-	d.AttrIndexCost += float64(len(d.Visit)) * CostAttrProbe
+	d.AttrIndexCost += float64(len(d.Visit)) * costAttrProbe
 	cand := rows * d.AttrSel[d.AttrFirst]
-	d.AttrIndexCost += cand * (CostAttrEval*float64(n-1) + spatialRefine)
+	d.AttrIndexCost += cand * (costAttrEval*float64(n-1) + spatialRefine)
 
 	// Columnar alternatives: kernels over the spatial predicates with
 	// inline attribute refinement, or a candidate-set intersection —
@@ -438,14 +438,14 @@ func planAttr(d *FilterDecision, sum *stats.Summary, preds []Pred, opt FilterOpt
 	d.ColumnarCost = math.Inf(1)
 	d.AttrIntersectCost = math.Inf(1)
 	if opt.Columnar && len(preds) > 0 {
-		kernels := rows * CostKernel * float64(len(preds))
+		kernels := rows * costKernel * float64(len(preds))
 		surv := rows * d.Sel[d.Order[0]]
 		d.ColumnarCost = kernels + surv*(spatialRefine+attrEvalAll)
 		inter := kernels
 		if !opt.AttrIndexed {
-			inter += rows * CostAttrBuild
+			inter += rows * costAttrBuild
 		}
-		inter += float64(len(d.Visit))*CostAttrProbe*float64(n) + rows*CostKernel*float64(n)
+		inter += float64(len(d.Visit))*costAttrProbe*float64(n) + rows*costKernel*float64(n)
 		inter += rows * d.Sel[d.Order[0]] * attrAll * spatialRefine
 		d.AttrIntersectCost = inter
 	}
@@ -453,16 +453,16 @@ func planAttr(d *FilterDecision, sum *stats.Summary, preds []Pred, opt FilterOpt
 	// Pick the cheapest applicable plan. Ties keep the earlier (and
 	// simpler) alternative.
 	d.UseIndex, d.UseColumnar = false, false
-	d.AttrStrategy = AttrInline
+	d.AttrStrategy = attrInline
 	best := d.ScanCost
 	if rows > 0 {
 		if d.IndexCost < best {
 			best = d.IndexCost
-			d.UseIndex, d.UseColumnar, d.AttrStrategy = true, false, AttrInline
+			d.UseIndex, d.UseColumnar, d.AttrStrategy = true, false, attrInline
 		}
 		if d.ColumnarCost < best {
 			best = d.ColumnarCost
-			d.UseIndex, d.UseColumnar, d.AttrStrategy = false, true, AttrInline
+			d.UseIndex, d.UseColumnar, d.AttrStrategy = false, true, attrInline
 		}
 		if d.AttrIndexCost < best {
 			best = d.AttrIndexCost
@@ -514,10 +514,10 @@ func (s JoinStrategy) String() string {
 	}
 }
 
-// DefaultBroadcastRows is the default broadcast row budget: a side
+// defaultBroadcastRows is the default broadcast row budget: a side
 // whose estimated cardinality is at or below it may be materialised
 // whole on every simulated executor.
-const DefaultBroadcastRows = 100_000
+const defaultBroadcastRows = 100_000
 
 // JoinPlanInput feeds PlanJoinStrategy: the statistics of both
 // inputs plus the physical layout facts the cost model needs.
@@ -533,7 +533,7 @@ type JoinPlanInput struct {
 	LeftPartitioned, RightPartitioned bool
 	SamePartitioner                   bool
 	// BroadcastBudget caps the rows of a broadcast side; <= 0 selects
-	// DefaultBroadcastRows.
+	// defaultBroadcastRows.
 	BroadcastBudget int64
 }
 
@@ -620,7 +620,7 @@ func PlanJoinStrategy(in JoinPlanInput) JoinDecision {
 	left, right := in.Left, in.Right
 	budget := in.BroadcastBudget
 	if budget <= 0 {
-		budget = DefaultBroadcastRows
+		budget = defaultBroadcastRows
 	}
 	lParts, rParts := len(left.Parts), len(right.Parts)
 	d := JoinDecision{
@@ -651,14 +651,14 @@ func PlanJoinStrategy(in JoinPlanInput) JoinDecision {
 		distinctRight = math.Min(float64(lParts), float64(d.EstPairs))
 		lAvg, rAvg = rAvg, lAvg
 	}
-	d.PairsCost = distinctRight*rAvg*CostBuild +
-		float64(d.EstPairs)*lAvg*CostProbeRecord
+	d.PairsCost = distinctRight*rAvg*costBuild +
+		float64(d.EstPairs)*lAvg*costProbeRecord
 
 	// Broadcast: build the smaller side once, stream every partition
 	// of the larger side against it. Only within the row budget.
 	d.BroadcastCost = math.Inf(1)
 	if int64(smallRows) <= budget {
-		d.BroadcastCost = smallRows*CostBuild + bigRows*CostProbeRecord
+		d.BroadcastCost = smallRows*costBuild + bigRows*costProbeRecord
 	}
 
 	// Co-partition: replicate the moving side onto the staying side's
@@ -680,8 +680,8 @@ func PlanJoinStrategy(in JoinPlanInput) JoinDecision {
 			}
 		}
 		const replication = 1.2 // extent-overlap duplication estimate
-		d.CoPartCost = moveRows*replication*(CostShuffle+CostBuild) +
-			stayRows*CostProbeRecord
+		d.CoPartCost = moveRows*replication*(costShuffle+costBuild) +
+			stayRows*costProbeRecord
 	}
 
 	// Pick the cheapest; ties resolve broadcast < copartition < pairs

@@ -1,11 +1,5 @@
 package plan
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
-
 // TraceNode is one node of an execution trace: what ran, how long it
 // took, how many rows it produced, and the engine counters it charged.
 // Traces are the runtime counterpart of the EXPLAIN tree — EXPLAIN
@@ -47,49 +41,6 @@ func TraceFromPlan(n *Node) *TraceNode {
 		t.Children = append(t.Children, TraceFromPlan(c))
 	}
 	return t
-}
-
-// Render formats the trace as an indented tree, one node per line:
-//
-//	query  wall=1.2ms rows=42 [elements_scanned=1000]
-//	├─ plan  wall=0.3ms
-//	└─ execute  wall=0.9ms rows=42 [elements_scanned=1000]
-func (t *TraceNode) Render() string {
-	var b strings.Builder
-	t.render(&b, "", "")
-	return b.String()
-}
-
-func (t *TraceNode) render(b *strings.Builder, prefix, childPrefix string) {
-	b.WriteString(prefix)
-	b.WriteString(t.Op)
-	if t.Detail != "" {
-		fmt.Fprintf(b, " %s", t.Detail)
-	}
-	fmt.Fprintf(b, "  wall=%.3fms rows=%d", float64(t.WallNS)/1e6, t.Rows)
-	if len(t.Counters) > 0 {
-		keys := make([]string, 0, len(t.Counters))
-		for k := range t.Counters {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		b.WriteString(" [")
-		for i, k := range keys {
-			if i > 0 {
-				b.WriteString(" ")
-			}
-			fmt.Fprintf(b, "%s=%d", k, t.Counters[k])
-		}
-		b.WriteString("]")
-	}
-	b.WriteString("\n")
-	for i, c := range t.Children {
-		if i == len(t.Children)-1 {
-			c.render(b, childPrefix+"└─ ", childPrefix+"   ")
-		} else {
-			c.render(b, childPrefix+"├─ ", childPrefix+"│  ")
-		}
-	}
 }
 
 // Counter returns the named counter of this node (0 when absent).

@@ -15,16 +15,16 @@ import (
 	"time"
 )
 
-// ErrQueueFull reports an immediately rejected request: every slot
+// errQueueFull reports an immediately rejected request: every slot
 // busy and the wait queue at capacity.
-var ErrQueueFull = errors.New("server: admission queue full")
+var errQueueFull = errors.New("server: admission queue full")
 
-// ErrQueueTimeout reports a request that waited the full queue
+// errQueueTimeout reports a request that waited the full queue
 // deadline without getting a slot.
-var ErrQueueTimeout = errors.New("server: admission queue timeout")
+var errQueueTimeout = errors.New("server: admission queue timeout")
 
-// AdmissionStats is the observable state of an Admission controller.
-type AdmissionStats struct {
+// admissionStats is the observable state of an admission controller.
+type admissionStats struct {
 	MaxConcurrent int   `json:"maxConcurrent"`
 	QueueDepth    int   `json:"queueDepth"`
 	InFlight      int64 `json:"inFlight"`
@@ -34,9 +34,9 @@ type AdmissionStats struct {
 	TimedOut      int64 `json:"timedOut"`
 }
 
-// Admission is the worker-pool gate. All methods are safe for
+// admission is the worker-pool gate. All methods are safe for
 // concurrent use.
-type Admission struct {
+type admission struct {
 	slots        chan struct{}
 	queueDepth   int
 	queueTimeout time.Duration
@@ -48,9 +48,9 @@ type Admission struct {
 	timedOut atomic.Int64
 }
 
-// NewAdmission returns a controller with maxConcurrent query slots, a
+// newAdmission returns a controller with maxConcurrent query slots, a
 // wait queue of queueDepth, and a per-request queue deadline.
-func NewAdmission(maxConcurrent, queueDepth int, queueTimeout time.Duration) *Admission {
+func newAdmission(maxConcurrent, queueDepth int, queueTimeout time.Duration) *admission {
 	if maxConcurrent <= 0 {
 		maxConcurrent = 4
 	}
@@ -60,7 +60,7 @@ func NewAdmission(maxConcurrent, queueDepth int, queueTimeout time.Duration) *Ad
 	if queueTimeout <= 0 {
 		queueTimeout = 2 * time.Second
 	}
-	return &Admission{
+	return &admission{
 		slots:        make(chan struct{}, maxConcurrent),
 		queueDepth:   queueDepth,
 		queueTimeout: queueTimeout,
@@ -68,9 +68,9 @@ func NewAdmission(maxConcurrent, queueDepth int, queueTimeout time.Duration) *Ad
 }
 
 // Acquire blocks until a slot is free, the queue deadline fires
-// (ErrQueueTimeout), the queue is already full (ErrQueueFull), or ctx
+// (errQueueTimeout), the queue is already full (errQueueFull), or ctx
 // is done. On nil return the caller owns a slot and must Release it.
-func (a *Admission) Acquire(ctx context.Context) error {
+func (a *admission) Acquire(ctx context.Context) error {
 	select {
 	case a.slots <- struct{}{}:
 		a.admitted.Add(1)
@@ -84,7 +84,7 @@ func (a *Admission) Acquire(ctx context.Context) error {
 	if a.waiting.Add(1) > int64(a.queueDepth) {
 		a.waiting.Add(-1)
 		a.full.Add(1)
-		return ErrQueueFull
+		return errQueueFull
 	}
 	defer a.waiting.Add(-1)
 	timer := time.NewTimer(a.queueTimeout)
@@ -96,21 +96,21 @@ func (a *Admission) Acquire(ctx context.Context) error {
 		return nil
 	case <-timer.C:
 		a.timedOut.Add(1)
-		return ErrQueueTimeout
+		return errQueueTimeout
 	case <-ctx.Done():
 		return ctx.Err()
 	}
 }
 
 // Release returns a slot acquired with Acquire.
-func (a *Admission) Release() {
+func (a *admission) Release() {
 	a.inFlight.Add(-1)
 	<-a.slots
 }
 
 // Stats returns a snapshot of the admission counters.
-func (a *Admission) Stats() AdmissionStats {
-	return AdmissionStats{
+func (a *admission) Stats() admissionStats {
+	return admissionStats{
 		MaxConcurrent: cap(a.slots),
 		QueueDepth:    a.queueDepth,
 		InFlight:      a.inFlight.Load(),

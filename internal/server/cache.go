@@ -14,8 +14,8 @@ import (
 	"sync"
 )
 
-// CacheStats is the observable state of a ResultCache.
-type CacheStats struct {
+// cacheStats is the observable state of a resultCache.
+type cacheStats struct {
 	Entries   int   `json:"entries"`
 	Bytes     int64 `json:"bytes"`
 	MaxBytes  int64 `json:"maxBytes"`
@@ -33,9 +33,9 @@ type cacheEntry struct {
 	rows int64
 }
 
-// ResultCache is a byte-budgeted LRU of encoded query results. All
+// resultCache is a byte-budgeted LRU of encoded query results. All
 // methods are safe for concurrent use.
-type ResultCache struct {
+type resultCache struct {
 	mu            sync.Mutex
 	maxBytes      int64
 	maxEntryBytes int64
@@ -47,16 +47,16 @@ type ResultCache struct {
 	rejected      int64
 }
 
-// NewResultCache returns a cache bounded by maxBytes in total and
+// newResultCache returns a cache bounded by maxBytes in total and
 // maxEntryBytes per entry (<= 0 selects maxBytes/8).
-func NewResultCache(maxBytes, maxEntryBytes int64) *ResultCache {
+func newResultCache(maxBytes, maxEntryBytes int64) *resultCache {
 	if maxBytes <= 0 {
 		maxBytes = 64 << 20
 	}
 	if maxEntryBytes <= 0 {
 		maxEntryBytes = maxBytes / 8
 	}
-	return &ResultCache{
+	return &resultCache{
 		maxBytes:      maxBytes,
 		maxEntryBytes: maxEntryBytes,
 		ll:            list.New(),
@@ -66,11 +66,11 @@ func NewResultCache(maxBytes, maxEntryBytes int64) *ResultCache {
 
 // MaxEntryBytes returns the per-entry budget, so producers can stop
 // buffering a result that can never be admitted.
-func (c *ResultCache) MaxEntryBytes() int64 { return c.maxEntryBytes }
+func (c *resultCache) MaxEntryBytes() int64 { return c.maxEntryBytes }
 
 // Get returns the cached body and row count for key, marking it most
 // recently used. The returned slices must not be modified.
-func (c *ResultCache) Get(key string) ([][]byte, int64, bool) {
+func (c *resultCache) Get(key string) ([][]byte, int64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -87,7 +87,7 @@ func (c *ResultCache) Get(key string) ([][]byte, int64, bool) {
 // Put stores body under key, evicting least-recently-used entries
 // until the byte budget holds. Bodies whose chunks sum to more than the
 // per-entry budget are rejected. The cache takes ownership of body.
-func (c *ResultCache) Put(key string, body [][]byte, rows int64) {
+func (c *resultCache) Put(key string, body [][]byte, rows int64) {
 	var size int64
 	for _, chunk := range body {
 		size += int64(len(chunk))
@@ -124,7 +124,7 @@ func (c *ResultCache) Put(key string, body [][]byte, rows int64) {
 
 // Contains reports whether key is cached, without counting a hit or
 // touching recency — the EXPLAIN endpoint's peek.
-func (c *ResultCache) Contains(key string) bool {
+func (c *resultCache) Contains(key string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	_, ok := c.items[key]
@@ -132,10 +132,10 @@ func (c *ResultCache) Contains(key string) bool {
 }
 
 // Stats returns a snapshot of the cache counters.
-func (c *ResultCache) Stats() CacheStats {
+func (c *resultCache) Stats() cacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{
+	return cacheStats{
 		Entries:   c.ll.Len(),
 		Bytes:     c.curBytes,
 		MaxBytes:  c.maxBytes,

@@ -39,7 +39,7 @@ type DatasetSpec struct {
 	TimeRange int64   `json:"timeRange,omitempty"`
 	// Events, when non-empty, is the inline payload (small datasets,
 	// tests) and takes precedence over the generator.
-	Events []EventSpec `json:"events,omitempty"`
+	Events []eventSpec `json:"events,omitempty"`
 	// Index is the index mode recipe: "none" (default), "live[:order]"
 	// or "persistent[:order]".
 	Index string `json:"index,omitempty"`
@@ -59,9 +59,9 @@ type DatasetSpec struct {
 	Columnar bool `json:"columnar,omitempty"`
 }
 
-// EventSpec is one inline event of a registration request, and one
+// eventSpec is one inline event of a registration request, and one
 // row of a checkpoint's rows file.
-type EventSpec = workload.Event
+type eventSpec = workload.Event
 
 // DatasetInfo is the public summary of a catalog entry.
 type DatasetInfo struct {
@@ -186,8 +186,8 @@ func (e *catalogEntry) info() DatasetInfo {
 	return info
 }
 
-// Catalog is the concurrent registry of named datasets.
-type Catalog struct {
+// catalog is the concurrent registry of named datasets.
+type catalog struct {
 	mu      sync.RWMutex
 	entries map[string]*catalogEntry
 	gen     int64 // registration counter, monotonic under mu
@@ -195,16 +195,16 @@ type Catalog struct {
 	// dur, when set, write-ahead-logs every catalog mutation and every
 	// ingest batch before it becomes visible. Set once at boot (before
 	// any registration) by Server.EnableDurability.
-	dur *Durability
+	dur *durability
 }
 
-// NewCatalog returns an empty catalog.
-func NewCatalog() *Catalog {
-	return &Catalog{entries: make(map[string]*catalogEntry)}
+// newCatalog returns an empty catalog.
+func newCatalog() *catalog {
+	return &catalog{entries: make(map[string]*catalogEntry)}
 }
 
 // Get returns the published entry for name.
-func (c *Catalog) Get(name string) (*catalogEntry, bool) {
+func (c *catalog) Get(name string) (*catalogEntry, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	e, ok := c.entries[name]
@@ -212,7 +212,7 @@ func (c *Catalog) Get(name string) (*catalogEntry, bool) {
 }
 
 // List returns the summaries of all entries, sorted by name.
-func (c *Catalog) List() []DatasetInfo {
+func (c *catalog) List() []DatasetInfo {
 	c.mu.RLock()
 	infos := make([]DatasetInfo, 0, len(c.entries))
 	for _, e := range c.entries {
@@ -229,7 +229,7 @@ func (c *Catalog) List() []DatasetInfo {
 // the entry disappears; a logging failure leaves the catalog
 // unchanged, so a drop the client saw acknowledged can never
 // resurrect on restart.
-func (c *Catalog) Drop(name string) (bool, error) {
+func (c *catalog) Drop(name string) (bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.entries[name]; !ok {
@@ -248,7 +248,7 @@ func (c *Catalog) Drop(name string) (bool, error) {
 // under spec.Name, replacing any previous registration. The build
 // (staging, shuffle, index, statistics) runs outside the catalog
 // lock.
-func (c *Catalog) Register(ctx *stark.Context, spec DatasetSpec) (*catalogEntry, error) {
+func (c *catalog) Register(ctx *stark.Context, spec DatasetSpec) (*catalogEntry, error) {
 	events, err := spec.buildEvents()
 	if err != nil {
 		return nil, err
@@ -260,7 +260,7 @@ func (c *Catalog) Register(ctx *stark.Context, spec DatasetSpec) (*catalogEntry,
 // during recovery, publishing at the recorded catalog generation. The
 // spec is self-contained (inline events ride in it), so the rebuild
 // is deterministic.
-func (c *Catalog) registerReplayed(ctx *stark.Context, spec DatasetSpec, gen int64) error {
+func (c *catalog) registerReplayed(ctx *stark.Context, spec DatasetSpec, gen int64) error {
 	events, err := spec.buildEvents()
 	if err != nil {
 		return err
@@ -282,7 +282,7 @@ func seedGen(events []workload.Event) uint64 { return uint64(min(len(events), 1)
 // write-ahead-logged and fsync'd inside the lock, before the entry
 // becomes visible — a registration the client saw acknowledged
 // survives any crash after this returns.
-func (c *Catalog) registerAt(ctx *stark.Context, spec DatasetSpec, events []workload.Event, gen int64, liveGen uint64) (*catalogEntry, error) {
+func (c *catalog) registerAt(ctx *stark.Context, spec DatasetSpec, events []workload.Event, gen int64, liveGen uint64) (*catalogEntry, error) {
 	if strings.TrimSpace(spec.Name) == "" {
 		return nil, fmt.Errorf("dataset name must not be empty")
 	}
@@ -342,7 +342,7 @@ func (c *Catalog) registerAt(ctx *stark.Context, spec DatasetSpec, events []work
 
 // setDurability installs the write-ahead log. Must run before any
 // registration the log is supposed to cover.
-func (c *Catalog) setDurability(d *Durability) {
+func (c *catalog) setDurability(d *durability) {
 	c.mu.Lock()
 	c.dur = d
 	c.mu.Unlock()
@@ -351,7 +351,7 @@ func (c *Catalog) setDurability(d *Durability) {
 // setGen forces the registration counter — recovery re-establishes
 // the counter recorded in the checkpoint manifest before replaying
 // the WAL suffix.
-func (c *Catalog) setGen(g int64) {
+func (c *catalog) setGen(g int64) {
 	c.mu.Lock()
 	if g > c.gen {
 		c.gen = g
@@ -362,7 +362,7 @@ func (c *Catalog) setGen(g int64) {
 // snapshot returns every entry (sorted by registration generation)
 // and the current counter — the consistent catalog view a checkpoint
 // serialises.
-func (c *Catalog) snapshot() ([]*catalogEntry, int64) {
+func (c *catalog) snapshot() ([]*catalogEntry, int64) {
 	c.mu.RLock()
 	entries := make([]*catalogEntry, 0, len(c.entries))
 	for _, e := range c.entries {

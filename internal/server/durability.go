@@ -121,8 +121,8 @@ type RecoveryInfo struct {
 	DurationMs int64 `json:"durationMs"`
 }
 
-// Durability is the WAL + checkpoint manager of one Server.
-type Durability struct {
+// durability is the WAL + checkpoint manager of one Server.
+type durability struct {
 	s   *Server
 	dir string
 	log *wal.Log
@@ -169,7 +169,7 @@ func (s *Server) EnableDurability(dir string, interval time.Duration) (*Recovery
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("creating data dir: %w", err)
 	}
-	d := &Durability{s: s, dir: dir}
+	d := &durability{s: s, dir: dir}
 	// The catalog must know the manager before recovery: replayed
 	// registrations attach their commit hooks through it.
 	s.catalog.setDurability(d)
@@ -261,7 +261,7 @@ func (s *Server) DatasetInfo(name string) (DatasetInfo, bool) {
 	return e.info(), true
 }
 
-func (d *Durability) tick(interval time.Duration) {
+func (d *durability) tick(interval time.Duration) {
 	defer close(d.tickerDone)
 	t := time.NewTicker(interval)
 	defer t.Stop()
@@ -279,7 +279,7 @@ func (d *Durability) tick(interval time.Duration) {
 
 // ---- logging (called under the catalog / live-dataset writer locks) ----
 
-func (d *Durability) append(typ byte, v interface{}) error {
+func (d *durability) append(typ byte, v interface{}) error {
 	if d.recovering.Load() {
 		return nil
 	}
@@ -290,15 +290,15 @@ func (d *Durability) append(typ byte, v interface{}) error {
 	return d.log.Append(wal.Record{Type: typ, Payload: payload})
 }
 
-func (d *Durability) logRegister(gen int64, spec DatasetSpec) error {
+func (d *durability) logRegister(gen int64, spec DatasetSpec) error {
 	return d.append(walRegister, registerRecord{Gen: gen, Spec: spec})
 }
 
-func (d *Durability) logDrop(name string) error {
+func (d *durability) logDrop(name string) error {
 	return d.append(walDrop, dropRecord{Name: name})
 }
 
-func (d *Durability) logBatch(dataset string, entryGen int64, gen uint64, ops []stark.LiveOp[eventValue]) error {
+func (d *durability) logBatch(dataset string, entryGen int64, gen uint64, ops []stark.LiveOp[eventValue]) error {
 	if d.recovering.Load() {
 		return nil
 	}
@@ -322,7 +322,7 @@ func (d *Durability) logBatch(dataset string, entryGen int64, gen uint64, ops []
 // batch logged to a pre-rotation segment is in the snapshot, and
 // batches that land mid-checkpoint are in the rotated suffix — replay
 // is idempotent, so landing in both is harmless.
-func (d *Durability) Checkpoint() error {
+func (d *durability) Checkpoint() error {
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
 	if d.closed {
@@ -339,9 +339,9 @@ func (d *Durability) Checkpoint() error {
 		md := manifestDataset{Gen: e.gen, Spec: e.spec}
 		if e.mds != nil {
 			// Sized up front; a batch landing before the barrier only grows them.
-			recs := make([]EventSpec, 0, e.mds.Count())
+			recs := make([]eventSpec, 0, e.mds.Count())
 			liveGen := e.mds.EachRecord(func(r stark.LiveRecord[eventValue]) bool {
-				recs = append(recs, EventSpec{ID: int(r.ID), Category: r.Value.Category, Time: eventTime(r.Key), WKT: keyWKT(r.Key)})
+				recs = append(recs, eventSpec{ID: int(r.ID), Category: r.Value.Category, Time: eventTime(r.Key), WKT: keyWKT(r.Key)})
 				return true
 			})
 			rows, err := json.Marshal(recs)
@@ -390,7 +390,7 @@ func (d *Durability) Checkpoint() error {
 // (alsoKeep, 0 = none) — the fallback loadNewestManifest degrades to
 // when keep's manifest rots. Best effort — stragglers are re-pruned
 // by the next checkpoint.
-func (d *Durability) prune(keep, alsoKeep int) {
+func (d *durability) prune(keep, alsoKeep int) {
 	names, err := os.ReadDir(d.dir)
 	if err != nil {
 		return
@@ -421,7 +421,7 @@ func (d *Durability) prune(keep, alsoKeep int) {
 // recover restores the catalog from the newest valid checkpoint (if
 // any) and replays the WAL suffix through the normal catalog and
 // live-dataset paths.
-func (d *Durability) recover() error {
+func (d *durability) recover() error {
 	m, seq, err := d.loadNewestManifest()
 	if err != nil {
 		return err
@@ -443,7 +443,7 @@ func (d *Durability) recover() error {
 
 // loadNewestManifest returns the newest manifest that reads back
 // valid, skipping (with a log line) any that rotted on disk.
-func (d *Durability) loadNewestManifest() (*manifest, int, error) {
+func (d *durability) loadNewestManifest() (*manifest, int, error) {
 	des, err := os.ReadDir(d.dir)
 	if err != nil {
 		return nil, 0, err
@@ -477,7 +477,7 @@ func (d *Durability) loadNewestManifest() (*manifest, int, error) {
 // mutable ones bulk-load their checkpointed rows (validated against
 // the checksummed container and the manifest's row count) at their
 // recorded live generation.
-func (d *Durability) restoreCheckpoint(m *manifest) error {
+func (d *durability) restoreCheckpoint(m *manifest) error {
 	for _, md := range m.Datasets {
 		if md.Rows == "" {
 			// Immutable (or never-snapshotted) dataset: deterministic
@@ -492,7 +492,7 @@ func (d *Durability) restoreCheckpoint(m *manifest) error {
 		if err != nil {
 			return fmt.Errorf("reading %s: %w", md.Rows, err)
 		}
-		var recs []EventSpec
+		var recs []eventSpec
 		if err := json.Unmarshal(rows, &recs); err != nil {
 			return fmt.Errorf("decoding %s: %w", md.Rows, err)
 		}
@@ -509,7 +509,7 @@ func (d *Durability) restoreCheckpoint(m *manifest) error {
 }
 
 // applyRecord re-executes one WAL suffix record.
-func (d *Durability) applyRecord(_ int, rec wal.Record) error {
+func (d *durability) applyRecord(_ int, rec wal.Record) error {
 	switch rec.Type {
 	case walRegister:
 		var r registerRecord
@@ -565,7 +565,7 @@ func (d *Durability) applyRecord(_ int, rec wal.Record) error {
 }
 
 // status renders the durability block of GET /api/service.
-func (d *Durability) status() map[string]interface{} {
+func (d *durability) status() map[string]interface{} {
 	st := d.log.Stats()
 	out := map[string]interface{}{
 		"enabled":     true,

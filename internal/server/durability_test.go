@@ -608,7 +608,7 @@ func addTreeFiles(t *testing.T, dir string, seq int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var recs []EventSpec
+		var recs []eventSpec
 		if err := json.Unmarshal(rows, &recs); err != nil {
 			t.Fatal(err)
 		}
@@ -771,7 +771,7 @@ func TestPeriodicCheckpointTicker(t *testing.T) {
 func TestCheckpointRowsFileFormat(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := durableService(t, dir)
-	if err := s.Register(DatasetSpec{Name: "fleet", Mutable: true, Width: 100, Height: 100, Events: []EventSpec{
+	if err := s.Register(DatasetSpec{Name: "fleet", Mutable: true, Width: 100, Height: 100, Events: []eventSpec{
 		{ID: 1, WKT: "POINT(1.0 1)"},
 		{ID: 2, Category: "b", Time: 3, WKT: " point ( 2.50 3 ) "},
 	}}); err != nil {
@@ -811,7 +811,7 @@ func TestCheckpointRowsFileFormat(t *testing.T) {
 func TestWALBatchRecordFormat(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := durableService(t, dir)
-	if err := s.Register(DatasetSpec{Name: "fleet", Mutable: true, Width: 100, Height: 100, Events: []EventSpec{
+	if err := s.Register(DatasetSpec{Name: "fleet", Mutable: true, Width: 100, Height: 100, Events: []eventSpec{
 		{ID: 1, Category: "a", Time: 5, WKT: "POINT (1 1)"},
 	}}); err != nil {
 		t.Fatal(err)

@@ -160,9 +160,9 @@ func otherGeometries() []geom.Geometry {
 	return []geom.Geometry{
 		geom.NewMultiPoint([]geom.Point{{X: 1, Y: 2}, {X: 1e-7, Y: 1e21}}),
 		geom.NewMultiPoint(nil),
-		geom.MustLineString(geom.Point{X: 0, Y: 0}, geom.Point{X: 2.5, Y: -1e22}),
-		geom.MustParseWKT("POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0), (2 2, 4 2, 4 4, 2 4, 2 2))"),
-		geom.MustParseWKT("POLYGON EMPTY"),
+		mustGeom("LINESTRING (0 0, 2.5 -1e22)"),
+		mustGeom("POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0), (2 2, 4 2, 4 4, 2 4, 2 2))"),
+		mustGeom("POLYGON EMPTY"),
 		geom.NewMultiPoint([]geom.Point{{X: math.NaN(), Y: 0}}),
 		nil,
 	}
@@ -260,9 +260,9 @@ func FuzzAppendFeature(f *testing.F) {
 		case 1:
 			g = geom.NewMultiPoint([]geom.Point{{X: x, Y: y}, {X: y, Y: x}})
 		case 2:
-			g = geom.MustLineString(geom.Point{X: x, Y: y}, geom.Point{X: y, Y: x})
+			g, _ = geom.NewLineString([]geom.Point{{X: x, Y: y}, {X: y, Y: x}})
 		case 3:
-			g = geom.MustPolygon(geom.Point{X: x, Y: y}, geom.Point{X: x + 1, Y: y}, geom.Point{X: x + 1, Y: y + 1}, geom.Point{X: x, Y: y + 1})
+			g, _ = geom.NewPolygonFromPoints([]geom.Point{{X: x, Y: y}, {X: x + 1, Y: y}, {X: x + 1, Y: y + 1}, {X: x, Y: y + 1}})
 		}
 		var e extras
 		if join {

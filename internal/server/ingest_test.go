@@ -40,11 +40,11 @@ func mutableService(t *testing.T, n int, opts Options) (*Server, *stark.Context)
 }
 
 // seedEvents generates n inline point events with IDs [base, base+n).
-func seedEvents(base, n int) []EventSpec {
-	evs := make([]EventSpec, n)
+func seedEvents(base, n int) []eventSpec {
+	evs := make([]eventSpec, n)
 	for i := range evs {
 		id := base + i
-		evs[i] = EventSpec{
+		evs[i] = eventSpec{
 			ID:       id,
 			Category: "seed",
 			Time:     int64(id % 1000),
@@ -65,10 +65,10 @@ func ingestNDJSON(t *testing.T, s *Server, dataset, body string) *httptest.Respo
 // allQuery matches every seeded/ingested event: full spatial window,
 // covering time window (generated events always carry an instant, so
 // a time window is required to match at all).
-func allQuery(dataset string) ServiceQueryRequest {
-	return ServiceQueryRequest{
+func allQuery(dataset string) serviceQueryRequest {
+	return serviceQueryRequest{
 		Dataset: dataset,
-		QueryRequest: QueryRequest{
+		queryRequest: queryRequest{
 			Predicate: "intersects",
 			WKT:       "POLYGON ((0 0, 100 0, 100 100, 0 100, 0 0))",
 			HasTime:   true,

@@ -15,7 +15,6 @@ import (
 
 	"stark"
 	"stark/internal/engine"
-	"stark/internal/geom"
 	"stark/internal/workload"
 )
 
@@ -57,7 +56,7 @@ func sortNeighbours(ns []neighbour) {
 
 func TestKNNClauseMatchesBruteForce(t *testing.T) {
 	s := NewService(stark.NewContext(4), Options{})
-	where := WhereClauses{{Field: "category", Op: "eq", Value: workload.Categories[1]}}
+	where := whereClauses{{Field: "category", Op: "eq", Value: workload.Categories[1]}}
 	const k = 7
 	for _, name := range operatorLayouts(t, s) {
 		entry, _ := s.catalog.Get(name)
@@ -65,9 +64,9 @@ func TestKNNClauseMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, w := range []WhereClauses{nil, where} {
+		for _, w := range []whereClauses{nil, where} {
 			for _, at := range []string{"POINT (50 50)", "POINT (3.5 97.25)", "POINT (-20 140)", "LINESTRING (10 10, 30 40)"} {
-				req := ServiceQueryRequest{Dataset: name, QueryRequest: QueryRequest{WKT: at, Where: w}, KNN: &KNNClause{K: k}}
+				req := serviceQueryRequest{Dataset: name, queryRequest: queryRequest{WKT: at, Where: w}, KNN: &knnClause{K: k}}
 				rec := postV1Query(t, s, req)
 				if rec.Code != http.StatusOK {
 					t.Fatalf("%s %s: status %d: %s", name, at, rec.Code, rec.Body.String())
@@ -75,7 +74,7 @@ func TestKNNClauseMatchesBruteForce(t *testing.T) {
 				body, sum := splitSummary(t, rec.Body.Bytes())
 				feats, _ := ndjsonResponse(t, rec.Body.Bytes())
 
-				ref := stark.NewSTObject(geom.MustParseWKT(at))
+				ref := stark.NewSTObject(mustGeom(at))
 				var brute []neighbour
 				for _, kv := range rows {
 					if w == nil || kv.Value.Category == workload.Categories[1] {
@@ -136,12 +135,12 @@ func TestKNNClauseMatchesBruteForce(t *testing.T) {
 
 func TestClusterClauseMatchesDirectRun(t *testing.T) {
 	s := NewService(stark.NewContext(4), Options{})
-	window := windowQuery("").QueryRequest
+	window := windowQuery("").queryRequest
 	opts := stark.ClusterOptions{Eps: 3, MinPts: 4}
 	for _, name := range operatorLayouts(t, s) {
 		entry, _ := s.catalog.Get(name)
-		for _, filter := range []QueryRequest{{}, window} {
-			req := ServiceQueryRequest{Dataset: name, QueryRequest: filter, Cluster: &ClusterClause{Eps: opts.Eps, MinPts: opts.MinPts}}
+		for _, filter := range []queryRequest{{}, window} {
+			req := serviceQueryRequest{Dataset: name, queryRequest: filter, Cluster: &clusterClause{Eps: opts.Eps, MinPts: opts.MinPts}}
 			rec := postV1Query(t, s, req)
 			if rec.Code != http.StatusOK {
 				t.Fatalf("%s: status %d: %s", name, rec.Code, rec.Body.String())
@@ -152,7 +151,7 @@ func TestClusterClauseMatchesDirectRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			recs, n, err := chain.Cluster(opts)
+			recs, n, err := chain.Cluster(context.Background(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -185,7 +184,7 @@ func TestOperatorClausesTakeAdmission(t *testing.T) {
 	if err := s.adm.Acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	req := ServiceQueryRequest{Cluster: &ClusterClause{Eps: 5, MinPts: 4}}
+	req := serviceQueryRequest{Cluster: &clusterClause{Eps: 5, MinPts: 4}}
 	data, err := marshalQuery(req)
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +214,7 @@ func TestOperatorClausesTakeAdmission(t *testing.T) {
 	s.adm.Release()
 
 	admitted := s.adm.Stats().Admitted
-	for _, req := range []ServiceQueryRequest{req, {QueryRequest: QueryRequest{WKT: "POINT (1 1)"}, KNN: &KNNClause{K: 3}}} {
+	for _, req := range []serviceQueryRequest{req, {queryRequest: queryRequest{WKT: "POINT (1 1)"}, KNN: &knnClause{K: 3}}} {
 		if rec := postV1Query(t, s, req); rec.Code != http.StatusOK {
 			t.Fatalf("status %d with the slot free: %s", rec.Code, rec.Body.String())
 		}
@@ -232,7 +231,7 @@ func TestKNNClauseStopsWithTheClient(t *testing.T) {
 	operatorLayouts(t, s)
 	for _, name := range []string{"grid", "indexed"} {
 		before := s.ctx.Recorder().Snapshot()
-		data, err := marshalQuery(ServiceQueryRequest{Dataset: name, QueryRequest: QueryRequest{WKT: "POINT (50 50)"}, KNN: &KNNClause{K: 5}})
+		data, err := marshalQuery(serviceQueryRequest{Dataset: name, queryRequest: queryRequest{WKT: "POINT (50 50)"}, KNN: &knnClause{K: 5}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,6 +248,33 @@ func TestKNNClauseStopsWithTheClient(t *testing.T) {
 		}
 		if rec.Body.Len() != 0 {
 			t.Errorf("%s: a cancelled kNN wrote %q", name, rec.Body.String())
+		}
+	}
+}
+
+// TestClusterClauseStopsWithTheClient: a cluster query whose client
+// has already gone is admitted, runs no task of its collect or its
+// DBSCAN job, writes nothing and gives its admission slot back.
+func TestClusterClauseStopsWithTheClient(t *testing.T) {
+	s := NewService(stark.NewContext(4), Options{})
+	for _, name := range operatorLayouts(t, s) {
+		before, admitted := s.ctx.Recorder().Snapshot(), s.adm.Stats().Admitted
+		data, err := marshalQuery(serviceQueryRequest{Dataset: name, Cluster: &clusterClause{Eps: 5, MinPts: 4}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/query", bytes.NewReader(data)).WithContext(ctx))
+		if launched := s.ctx.Recorder().Snapshot().Sub(before)[engine.TasksLaunched]; launched != 0 {
+			t.Errorf("%s: a cancelled cluster query launched %d tasks", name, launched)
+		}
+		if st := s.adm.Stats(); st.Admitted != admitted+1 || st.InFlight != 0 {
+			t.Errorf("%s: admission admitted %d (was %d), %d in flight after the handler returned", name, st.Admitted, admitted, st.InFlight)
+		}
+		if rec.Body.Len() != 0 {
+			t.Errorf("%s: a cancelled cluster query wrote %q", name, rec.Body.String())
 		}
 	}
 }

@@ -88,13 +88,13 @@ func replies(t *testing.T, s *Server) [][]byte {
 	timed := allQuery("fleet")
 	timed.Begin, timed.End = 2, 3
 	byCategory := allQuery("fleet")
-	byCategory.Where = WhereClauses{{Field: "category", Op: "eq", Value: "shape"}}
+	byCategory.Where = whereClauses{{Field: "category", Op: "eq", Value: "shape"}}
 	contains := allQuery("fleet")
 	contains.Predicate = "containedby"
 	contains.WKT = "POLYGON ((-1 -1, 11 -1, 11 11, -1 11, -1 -1))"
 
 	var out [][]byte
-	for i, q := range []ServiceQueryRequest{all, small, timed, byCategory, contains} {
+	for i, q := range []serviceQueryRequest{all, small, timed, byCategory, contains} {
 		rec := postV1Query(t, s, q)
 		if rec.Code != http.StatusOK {
 			t.Fatalf("query %d: %d %s", i, rec.Code, rec.Body)

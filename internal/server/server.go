@@ -56,12 +56,12 @@ type Options struct {
 // surface the deferred error at the terminal action.
 type Server struct {
 	ctx     *stark.Context
-	catalog *Catalog
-	cache   *ResultCache
-	adm     *Admission
+	catalog *catalog
+	cache   *resultCache
+	adm     *admission
 	mux     *http.ServeMux
-	tel     *Telemetry
-	dur     *Durability
+	tel     *telemetry
+	dur     *durability
 }
 
 // NewService builds an empty query service; register datasets via the
@@ -75,9 +75,9 @@ func NewService(ctx *stark.Context, opts Options) *Server {
 	}
 	s := &Server{
 		ctx:     ctx,
-		catalog: NewCatalog(),
-		cache:   NewResultCache(opts.CacheBytes, opts.CacheEntryBytes),
-		adm:     NewAdmission(opts.MaxConcurrent, opts.QueueDepth, opts.QueueTimeout),
+		catalog: newCatalog(),
+		cache:   newResultCache(opts.CacheBytes, opts.CacheEntryBytes),
+		adm:     newAdmission(opts.MaxConcurrent, opts.QueueDepth, opts.QueueTimeout),
 		mux:     http.NewServeMux(),
 	}
 	s.mux.HandleFunc("GET /{$}", s.handleIndex)
@@ -116,9 +116,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.instrumen
 
 // ---- request/response types ----
 
-// QueryRequest selects events matching a predicate against a query
+// queryRequest selects events matching a predicate against a query
 // window.
-type QueryRequest struct {
+type queryRequest struct {
 	// Predicate is one of intersects, contains, containedby,
 	// coveredby, withindistance.
 	Predicate string `json:"predicate"`
@@ -137,10 +137,10 @@ type QueryRequest struct {
 	// category, time): a single clause object or an array of clauses,
 	// ANDed with the spatial predicate. With Where present, WKT may be
 	// omitted for a pure attribute query.
-	Where WhereClauses `json:"where,omitempty"`
+	Where whereClauses `json:"where,omitempty"`
 }
 
-// WhereClause is one typed attribute comparison:
+// whereClause is one typed attribute comparison:
 //
 //	{"field": "category", "op": "eq", "value": "sports"}
 //	{"field": "time", "op": "between", "value": 100, "value2": 200}
@@ -148,7 +148,7 @@ type QueryRequest struct {
 //
 // Ops: eq, lt, le, gt, ge (and symbol spellings), between
 // (value..value2, both inclusive), in (values).
-type WhereClause struct {
+type whereClause struct {
 	Field  string `json:"field"`
 	Op     string `json:"op"`
 	Value  any    `json:"value,omitempty"`
@@ -156,21 +156,21 @@ type WhereClause struct {
 	Values []any  `json:"values,omitempty"`
 }
 
-// WhereClauses decodes from either a single clause object or an array
+// whereClauses decodes from either a single clause object or an array
 // of clauses.
-type WhereClauses []WhereClause
+type whereClauses []whereClause
 
-func (w *WhereClauses) UnmarshalJSON(b []byte) error {
+func (w *whereClauses) UnmarshalJSON(b []byte) error {
 	trimmed := strings.TrimLeft(string(b), " \t\r\n")
 	if strings.HasPrefix(trimmed, "{") {
-		var one WhereClause
+		var one whereClause
 		if err := json.Unmarshal(b, &one); err != nil {
 			return err
 		}
-		*w = WhereClauses{one}
+		*w = whereClauses{one}
 		return nil
 	}
-	var many []WhereClause
+	var many []whereClause
 	if err := json.Unmarshal(b, &many); err != nil {
 		return err
 	}
@@ -194,7 +194,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, _ *http.Request) {
 	_, _ = w.Write([]byte(indexHTML))
 }
 
-func queryObject(req QueryRequest) (stark.STObject, error) {
+func queryObject(req queryRequest) (stark.STObject, error) {
 	g, err := stark.ParseWKT(req.WKT)
 	if err != nil {
 		return stark.STObject{}, err
@@ -216,12 +216,12 @@ var eventSchema = stark.NewAttrSchema[eventValue]().
 	String("category", func(_ stark.STObject, v eventValue) string { return v.Category }).
 	Int64("time", func(key stark.STObject, _ eventValue) int64 { return eventTime(key) })
 
-// buildFilterOn compiles a QueryRequest into a filter chain over a
+// buildFilterOn compiles a queryRequest into a filter chain over a
 // dataset — shared by the NDJSON query endpoint, its EXPLAIN and the
 // left side of a join. Where clauses AND with
 // the spatial predicate; with Where present and WKT empty, the query
 // is attribute-only.
-func buildFilterOn(ds *stark.Dataset[eventValue], req QueryRequest) (*stark.Dataset[eventValue], error) {
+func buildFilterOn(ds *stark.Dataset[eventValue], req queryRequest) (*stark.Dataset[eventValue], error) {
 	if len(req.Where) > 0 {
 		var err error
 		ds, err = applyWhere(ds.WithSchema(eventSchema), req.Where)
@@ -258,7 +258,7 @@ func buildFilterOn(ds *stark.Dataset[eventValue], req QueryRequest) (*stark.Data
 // applyWhere validates each clause against the event schema (so a bad
 // field or operand maps to 400, not a failed execution) and defers it
 // onto the chain.
-func applyWhere(ds *stark.Dataset[eventValue], where []WhereClause) (*stark.Dataset[eventValue], error) {
+func applyWhere(ds *stark.Dataset[eventValue], where []whereClause) (*stark.Dataset[eventValue], error) {
 	for i, c := range where {
 		if err := checkWhere(c); err != nil {
 			return nil, fmt.Errorf("bad where clause %d: %v", i, err)
@@ -277,7 +277,7 @@ func applyWhere(ds *stark.Dataset[eventValue], where []WhereClause) (*stark.Data
 
 // checkWhere type-checks one clause against the event schema without
 // touching a chain.
-func checkWhere(c WhereClause) error {
+func checkWhere(c whereClause) error {
 	op, err := attr.ParseOp(c.Op)
 	if err != nil {
 		return err

@@ -16,6 +16,15 @@ import (
 	"stark/internal/workload"
 )
 
+// mustGeom parses a WKT literal, panicking on error.
+func mustGeom(wkt string) geom.Geometry {
+	g, err := geom.ParseWKT(wkt)
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
 func testServer(t *testing.T, n int) *Server {
 	t.Helper()
 	s, _ := testService(t, n, Options{})
@@ -60,9 +69,9 @@ func TestIndexPage(t *testing.T) {
 // v1Filter posts a filter request against the default dataset to
 // /api/v1/query and returns the recorder plus the decoded reply (nil
 // features and a zero summary on a non-200 status).
-func v1Filter(t *testing.T, s *Server, q QueryRequest) (*httptest.ResponseRecorder, []map[string]interface{}, ndjsonSummary) {
+func v1Filter(t *testing.T, s *Server, q queryRequest) (*httptest.ResponseRecorder, []map[string]interface{}, ndjsonSummary) {
 	t.Helper()
-	rec := postV1Query(t, s, ServiceQueryRequest{QueryRequest: q})
+	rec := postV1Query(t, s, serviceQueryRequest{queryRequest: q})
 	if rec.Code != http.StatusOK {
 		return rec, nil, ndjsonSummary{}
 	}
@@ -72,7 +81,7 @@ func v1Filter(t *testing.T, s *Server, q QueryRequest) (*httptest.ResponseRecord
 
 func TestQueryEndpointSpatioTemporal(t *testing.T) {
 	s := testServer(t, 300)
-	rec, feats, sum := v1Filter(t, s, QueryRequest{
+	rec, feats, sum := v1Filter(t, s, queryRequest{
 		Predicate: "containedby",
 		WKT:       "POLYGON ((0 0, 100 0, 100 100, 0 100, 0 0))",
 		HasTime:   true,
@@ -95,7 +104,7 @@ func TestQueryEndpointSpatioTemporal(t *testing.T) {
 
 func TestQueryEndpointWithinDistance(t *testing.T) {
 	s := testServer(t, 200)
-	rec, _, sum := v1Filter(t, s, QueryRequest{
+	rec, _, sum := v1Filter(t, s, queryRequest{
 		Predicate: "withindistance",
 		WKT:       "POINT (50 50)",
 		HasTime:   true,
@@ -109,7 +118,7 @@ func TestQueryEndpointWithinDistance(t *testing.T) {
 		t.Error("no results within 30 of center")
 	}
 	// Missing distance errors.
-	rec, _, _ = v1Filter(t, s, QueryRequest{
+	rec, _, _ = v1Filter(t, s, queryRequest{
 		Predicate: "withindistance", WKT: "POINT (0 0)",
 	})
 	if rec.Code != http.StatusBadRequest {
@@ -119,7 +128,7 @@ func TestQueryEndpointWithinDistance(t *testing.T) {
 
 func TestQueryEndpointErrors(t *testing.T) {
 	s := testServer(t, 10)
-	for name, q := range map[string]QueryRequest{
+	for name, q := range map[string]queryRequest{
 		"bad predicate":     {Predicate: "nope", WKT: "POINT (0 0)"},
 		"bad wkt":           {WKT: "BAD"},
 		"inverted interval": {WKT: "POINT (0 0)", HasTime: true, Begin: 9, End: 1},
@@ -179,8 +188,8 @@ func TestOneRoutePerJob(t *testing.T) {
 
 func TestKNNEndpoint(t *testing.T) {
 	s := testServer(t, 200)
-	rec := postV1Query(t, s, ServiceQueryRequest{
-		QueryRequest: QueryRequest{WKT: "POINT (50 50)"}, KNN: &KNNClause{K: 5}, Trace: true,
+	rec := postV1Query(t, s, serviceQueryRequest{
+		queryRequest: queryRequest{WKT: "POINT (50 50)"}, KNN: &knnClause{K: 5}, Trace: true,
 	})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
@@ -208,7 +217,7 @@ func TestKNNEndpoint(t *testing.T) {
 
 func TestClusterEndpoint(t *testing.T) {
 	s := testServer(t, 300)
-	rec := postV1Query(t, s, ServiceQueryRequest{Cluster: &ClusterClause{Eps: 5, MinPts: 4}, Trace: true})
+	rec := postV1Query(t, s, serviceQueryRequest{Cluster: &clusterClause{Eps: 5, MinPts: 4}, Trace: true})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d body=%s", rec.Code, rec.Body.String())
 	}
@@ -243,26 +252,26 @@ func hasPhase(t *plan.TraceNode, op string) bool {
 // cluster clauses: none of these reaches admission.
 func TestOperatorClausesBadRequests(t *testing.T) {
 	s := testServer(t, 50)
-	knn := &KNNClause{K: 3}
-	cluster := &ClusterClause{Eps: 5, MinPts: 4}
-	join := &JoinSpec{With: DefaultDataset}
-	at := QueryRequest{WKT: "POINT (50 50)"}
-	for name, req := range map[string]ServiceQueryRequest{
-		"knn and cluster":   {QueryRequest: at, KNN: knn, Cluster: cluster},
-		"knn and join":      {QueryRequest: at, KNN: knn, Join: join},
+	knn := &knnClause{K: 3}
+	cluster := &clusterClause{Eps: 5, MinPts: 4}
+	join := &joinSpec{With: DefaultDataset}
+	at := queryRequest{WKT: "POINT (50 50)"}
+	for name, req := range map[string]serviceQueryRequest{
+		"knn and cluster":   {queryRequest: at, KNN: knn, Cluster: cluster},
+		"knn and join":      {queryRequest: at, KNN: knn, Join: join},
 		"cluster and join":  {Cluster: cluster, Join: join},
-		"all three":         {QueryRequest: at, KNN: knn, Cluster: cluster, Join: join},
-		"knn and predicate": {QueryRequest: QueryRequest{WKT: "POINT (50 50)", Predicate: "intersects"}, KNN: knn},
-		"knn and distance":  {QueryRequest: QueryRequest{WKT: "POINT (50 50)", Distance: 3}, KNN: knn},
-		"k = 0":             {QueryRequest: at, KNN: &KNNClause{K: 0}},
-		"k < 0":             {QueryRequest: at, KNN: &KNNClause{K: -2}},
-		"knn bad wkt":       {QueryRequest: QueryRequest{WKT: "JUNK"}, KNN: knn},
+		"all three":         {queryRequest: at, KNN: knn, Cluster: cluster, Join: join},
+		"knn and predicate": {queryRequest: queryRequest{WKT: "POINT (50 50)", Predicate: "intersects"}, KNN: knn},
+		"knn and distance":  {queryRequest: queryRequest{WKT: "POINT (50 50)", Distance: 3}, KNN: knn},
+		"k = 0":             {queryRequest: at, KNN: &knnClause{K: 0}},
+		"k < 0":             {queryRequest: at, KNN: &knnClause{K: -2}},
+		"knn bad wkt":       {queryRequest: queryRequest{WKT: "JUNK"}, KNN: knn},
 		"knn no wkt":        {KNN: knn},
-		"knn bad where":     {QueryRequest: QueryRequest{WKT: "POINT (1 1)", Where: WhereClauses{{Field: "nope", Op: "eq", Value: 1}}}, KNN: knn},
-		"eps = 0":           {Cluster: &ClusterClause{Eps: 0, MinPts: 4}},
-		"eps < 0":           {Cluster: &ClusterClause{Eps: -1, MinPts: 4}},
-		"minPts = 0":        {Cluster: &ClusterClause{Eps: 5, MinPts: 0}},
-		"cluster bad wkt":   {QueryRequest: QueryRequest{WKT: "JUNK"}, Cluster: cluster},
+		"knn bad where":     {queryRequest: queryRequest{WKT: "POINT (1 1)", Where: whereClauses{{Field: "nope", Op: "eq", Value: 1}}}, KNN: knn},
+		"eps = 0":           {Cluster: &clusterClause{Eps: 0, MinPts: 4}},
+		"eps < 0":           {Cluster: &clusterClause{Eps: -1, MinPts: 4}},
+		"minPts = 0":        {Cluster: &clusterClause{Eps: 5, MinPts: 0}},
+		"cluster bad wkt":   {queryRequest: queryRequest{WKT: "JUNK"}, Cluster: cluster},
 	} {
 		rec := postV1Query(t, s, req)
 		var body map[string]string
@@ -273,10 +282,10 @@ func TestOperatorClausesBadRequests(t *testing.T) {
 	if st := s.adm.Stats(); st.Admitted != 0 {
 		t.Errorf("bad requests took %d admission slots", st.Admitted)
 	}
-	if rec := postV1Query(t, s, ServiceQueryRequest{Dataset: "nope", QueryRequest: at, KNN: knn}); rec.Code != http.StatusNotFound {
+	if rec := postV1Query(t, s, serviceQueryRequest{Dataset: "nope", queryRequest: at, KNN: knn}); rec.Code != http.StatusNotFound {
 		t.Errorf("unknown dataset: status %d, want 404", rec.Code)
 	}
-	for _, req := range []ServiceQueryRequest{{QueryRequest: at, KNN: knn}, {Cluster: cluster}} {
+	for _, req := range []serviceQueryRequest{{queryRequest: at, KNN: knn}, {Cluster: cluster}} {
 		if rec, _ := postJSON(t, s, "/api/v1/explain", req); rec.Code != http.StatusBadRequest {
 			t.Errorf("EXPLAIN of %s: status %d, want 400", rec.Body.String(), rec.Code)
 		}
@@ -340,14 +349,14 @@ func TestGeometryJSONShapes(t *testing.T) {
 		g    geom.Geometry
 		want string // the geometry object, "" for an encoding error
 	}{
-		{geom.MustLineString(geom.NewPoint(0, 0), geom.NewPoint(1, 1)), `{"coordinates":[[0,0],[1,1]],"type":"LineString"}`},
+		{mustGeom("LINESTRING (0 0, 1 1)"), `{"coordinates":[[0,0],[1,1]],"type":"LineString"}`},
 		{geom.NewMultiPoint([]geom.Point{{X: 0, Y: 0}, {X: 1e-7, Y: 2}}), `{"coordinates":[[0,0],[1e-7,2]],"type":"MultiPoint"}`},
 		{geom.NewMultiPoint(nil), `{"coordinates":[],"type":"MultiPoint"}`},
-		{geom.MustPolygon(geom.NewPoint(0, 0), geom.NewPoint(1, 0), geom.NewPoint(1, 1)),
+		{mustGeom("POLYGON ((0 0, 1 0, 1 1, 0 0))"),
 			`{"coordinates":[[[0,0],[1,0],[1,1],[0,0]]],"type":"Polygon"}`},
-		{geom.MustParseWKT("POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0), (1 1, 2 1, 2 2, 1 2, 1 1))"),
+		{mustGeom("POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0), (1 1, 2 1, 2 2, 1 2, 1 1))"),
 			`{"coordinates":[[[0,0],[4,0],[4,4],[0,4],[0,0]],[[1,1],[2,1],[2,2],[1,2],[1,1]]],"type":"Polygon"}`},
-		{geom.MustParseWKT("POLYGON EMPTY"), `{"coordinates":[[]],"type":"Polygon"}`},
+		{mustGeom("POLYGON EMPTY"), `{"coordinates":[[]],"type":"Polygon"}`},
 		{nil, `{"geometries":[],"type":"GeometryCollection"}`},
 		{geom.NewMultiPoint([]geom.Point{{X: 1, Y: 2}, {X: math.NaN(), Y: 0}}), ""},
 	} {
@@ -374,7 +383,7 @@ func TestGeometryJSONShapes(t *testing.T) {
 // alone.
 func TestQueryEndpointStreamsValidGeoJSON(t *testing.T) {
 	s := testServer(t, 150)
-	rec, feats, sum := v1Filter(t, s, QueryRequest{
+	rec, feats, sum := v1Filter(t, s, queryRequest{
 		Predicate: "intersects",
 		WKT:       "POLYGON ((0 0, 100 0, 100 100, 0 100, 0 0))",
 		HasTime:   true, Begin: 0, End: 1000,
@@ -392,7 +401,7 @@ func TestQueryEndpointStreamsValidGeoJSON(t *testing.T) {
 	}
 
 	// Empty result: the summary alone, with count 0.
-	rec, feats, sum = v1Filter(t, s, QueryRequest{
+	rec, feats, sum = v1Filter(t, s, queryRequest{
 		Predicate: "intersects",
 		WKT:       "POLYGON ((900 900, 910 900, 910 910, 900 910, 900 900))",
 		HasTime:   true, Begin: 0, End: 1000,
@@ -407,7 +416,7 @@ func TestQueryEndpointStreamsValidGeoJSON(t *testing.T) {
 
 func TestExplainEndpoint(t *testing.T) {
 	s := testServer(t, 300)
-	rec, out := postJSON(t, s, "/api/v1/explain", QueryRequest{
+	rec, out := postJSON(t, s, "/api/v1/explain", queryRequest{
 		Predicate: "intersects",
 		WKT:       "POLYGON ((10 10, 40 10, 40 40, 10 40, 10 10))",
 		HasTime:   true,
@@ -437,7 +446,7 @@ func TestExplainEndpoint(t *testing.T) {
 	if rec2.Code != http.StatusMethodNotAllowed {
 		t.Errorf("GET status = %d", rec2.Code)
 	}
-	rec3, _ := postJSON(t, s, "/api/v1/explain", QueryRequest{WKT: "NOT WKT"})
+	rec3, _ := postJSON(t, s, "/api/v1/explain", queryRequest{WKT: "NOT WKT"})
 	if rec3.Code != http.StatusBadRequest {
 		t.Errorf("bad WKT status = %d", rec3.Code)
 	}

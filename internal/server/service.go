@@ -48,21 +48,21 @@ import (
 // addresses, and the one cmd/starkd preloads with -events.
 const DefaultDataset = "default"
 
-// ServiceQueryRequest is a QueryRequest addressed to a named catalog
+// serviceQueryRequest is a queryRequest addressed to a named catalog
 // dataset ("" selects DefaultDataset). At most one of Join, KNN and
 // Cluster may be set; each turns the request into that operator over
 // the dataset, and the matching rows stream back as NDJSON.
-type ServiceQueryRequest struct {
+type serviceQueryRequest struct {
 	Dataset string `json:"dataset"`
-	QueryRequest
+	queryRequest
 	// Join joins the (optionally filtered) dataset against another
 	// catalog dataset.
-	Join *JoinSpec `json:"join,omitempty"`
+	Join *joinSpec `json:"join,omitempty"`
 	// KNN returns the K rows nearest to the request's WKT, after the
 	// where clauses; it takes no spatial predicate.
-	KNN *KNNClause `json:"knn,omitempty"`
+	KNN *knnClause `json:"knn,omitempty"`
 	// Cluster runs DBSCAN over the (optionally filtered) dataset.
-	Cluster *ClusterClause `json:"cluster,omitempty"`
+	Cluster *clusterClause `json:"cluster,omitempty"`
 	// Trace requests an execution trace: the summary line gains a
 	// "trace" object (plan phases, wall times, per-query engine
 	// counters). Traced requests bypass the result cache in both
@@ -70,8 +70,8 @@ type ServiceQueryRequest struct {
 	Trace bool `json:"trace,omitempty"`
 }
 
-// JoinSpec describes the join clause of a service query.
-type JoinSpec struct {
+// joinSpec describes the join clause of a service query.
+type joinSpec struct {
 	// With names the right-side catalog dataset ("" selects
 	// DefaultDataset).
 	With string `json:"with"`
@@ -85,14 +85,14 @@ type JoinSpec struct {
 	Strategy string `json:"strategy"`
 }
 
-// KNNClause is the knn clause of a service query.
-type KNNClause struct {
+// knnClause is the knn clause of a service query.
+type knnClause struct {
 	K int `json:"k"`
 }
 
-// ClusterClause is the cluster clause of a service query: DBSCAN's
+// clusterClause is the cluster clause of a service query: DBSCAN's
 // radius and density threshold.
-type ClusterClause struct {
+type clusterClause struct {
 	Eps    float64 `json:"eps"`
 	MinPts int     `json:"minPts"`
 }
@@ -100,9 +100,9 @@ type ClusterClause struct {
 // joinRow is the record type of a service join result.
 type joinRow = stark.JoinRow[eventValue, eventValue]
 
-// buildJoinOn compiles a JoinSpec into a join chain over the two
+// buildJoinOn compiles a joinSpec into a join chain over the two
 // datasets, returning the chain and the report its execution fills.
-func buildJoinOn(left *stark.Dataset[eventValue], right *stark.Dataset[eventValue], spec *JoinSpec) (*stark.Dataset[joinRow], *stark.JoinReport, error) {
+func buildJoinOn(left *stark.Dataset[eventValue], right *stark.Dataset[eventValue], spec *joinSpec) (*stark.Dataset[joinRow], *stark.JoinReport, error) {
 	var (
 		pred   stark.Predicate
 		expand float64
@@ -152,7 +152,7 @@ func buildJoinOn(left *stark.Dataset[eventValue], right *stark.Dataset[eventValu
 // joinChain resolves both sides of a join request and builds the
 // chain: the request's filter (when present) applies to the left
 // side before the join.
-func (s *Server) joinChain(w http.ResponseWriter, req ServiceQueryRequest) (*stark.Dataset[joinRow], *stark.JoinReport, *catalogEntry, bool) {
+func (s *Server) joinChain(w http.ResponseWriter, req serviceQueryRequest) (*stark.Dataset[joinRow], *stark.JoinReport, *catalogEntry, bool) {
 	entry, ok := s.resolveDataset(w, req.Dataset)
 	if !ok {
 		return nil, nil, nil, false
@@ -161,7 +161,7 @@ func (s *Server) joinChain(w http.ResponseWriter, req ServiceQueryRequest) (*sta
 	if !ok {
 		return nil, nil, nil, false
 	}
-	left, err := filterOn(entry.dataset(), req.QueryRequest)
+	left, err := filterOn(entry.dataset(), req.queryRequest)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return nil, nil, nil, false
@@ -179,7 +179,7 @@ func (s *Server) joinChain(w http.ResponseWriter, req ServiceQueryRequest) (*sta
 // dataset. Any field set applies the filter, so a constraint the plain
 // query would reject (a time window without a geometry) errors here
 // too instead of being dropped.
-func filterOn(ds *stark.Dataset[eventValue], req QueryRequest) (*stark.Dataset[eventValue], error) {
+func filterOn(ds *stark.Dataset[eventValue], req queryRequest) (*stark.Dataset[eventValue], error) {
 	if req.WKT == "" && req.Predicate == "" && !req.HasTime && req.Distance == 0 && len(req.Where) == 0 {
 		return ds, nil
 	}
@@ -196,9 +196,9 @@ func (s *Server) acquireAdmission(w http.ResponseWriter, r *http.Request) bool {
 		return true
 	}
 	switch {
-	case errors.Is(err, ErrQueueFull):
+	case errors.Is(err, errQueueFull):
 		httpError(w, http.StatusTooManyRequests, "server saturated: %v", err)
-	case errors.Is(err, ErrQueueTimeout):
+	case errors.Is(err, errQueueTimeout):
 		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusServiceUnavailable, "queue deadline exceeded: %v", err)
 	default:
@@ -221,7 +221,7 @@ func (s *Server) acquireAdmission(w http.ResponseWriter, r *http.Request) bool {
 // probing. Join results are not result-cached: every request builds a
 // fresh join operator, so its fingerprint could never hit. Admission
 // control bounds how many joins run at once.
-func (s *Server) handleJoinQuery(w http.ResponseWriter, r *http.Request, req ServiceQueryRequest) {
+func (s *Server) handleJoinQuery(w http.ResponseWriter, r *http.Request, req serviceQueryRequest) {
 	chain, rep, entry, ok := s.joinChain(w, req)
 	if !ok {
 		return
@@ -246,7 +246,7 @@ func (s *Server) handleJoinQuery(w http.ResponseWriter, r *http.Request, req Ser
 // the neighbour's "distance" or the row's "cluster" label, then the
 // summary line with "cache":"bypass" (and the number of clusters). Both
 // take an admission slot; neither is result-cached or explainable.
-func (s *Server) handleOperatorQuery(w http.ResponseWriter, r *http.Request, req ServiceQueryRequest) {
+func (s *Server) handleOperatorQuery(w http.ResponseWriter, r *http.Request, req serviceQueryRequest) {
 	entry, ok := s.resolveDataset(w, req.Dataset)
 	if !ok {
 		return
@@ -256,15 +256,15 @@ func (s *Server) handleOperatorQuery(w http.ResponseWriter, r *http.Request, req
 	case req.KNN != nil:
 		if req.KNN.K <= 0 || req.Predicate != "" || req.Distance != 0 {
 			err = fmt.Errorf("knn needs k >= 1 and no predicate or distance: the wkt is its reference object")
-		} else if ref, err = queryObject(req.QueryRequest); err != nil {
+		} else if ref, err = queryObject(req.queryRequest); err != nil {
 			err = fmt.Errorf("bad query: %v", err)
 		} else {
-			chain, err = filterOn(chain, QueryRequest{Where: req.Where})
+			chain, err = filterOn(chain, queryRequest{Where: req.Where})
 		}
 	case req.Cluster.Eps <= 0 || req.Cluster.MinPts < 1:
 		err = fmt.Errorf("cluster needs eps > 0 and minPts >= 1")
 	default:
-		chain, err = filterOn(chain, req.QueryRequest)
+		chain, err = filterOn(chain, req.queryRequest)
 	}
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
@@ -287,7 +287,7 @@ func (s *Server) handleOperatorQuery(w http.ResponseWriter, r *http.Request, req
 	} else {
 		var recs []stark.ClusteredRecord[eventValue]
 		var n int
-		recs, n, err = chain.Cluster(stark.ClusterOptions{Eps: req.Cluster.Eps, MinPts: req.Cluster.MinPts})
+		recs, n, err = chain.Cluster(r.Context(), stark.ClusterOptions{Eps: req.Cluster.Eps, MinPts: req.Cluster.MinPts})
 		for i := 0; i < len(recs) && err == nil; i++ {
 			body, err = appendFeature(body, recs[i].Key, recs[i].Value, extras{cluster: &recs[i].Cluster})
 		}
@@ -469,7 +469,7 @@ func (s *Server) handleServiceStats(w http.ResponseWriter, r *http.Request) {
 // plan-fingerprint cache. A join, knn or cluster clause hands the
 // request to that operator's handler.
 func (s *Server) handleQueryV1(w http.ResponseWriter, r *http.Request) {
-	var req ServiceQueryRequest
+	var req serviceQueryRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request: %v", err)
 		return
@@ -490,7 +490,7 @@ func (s *Server) handleQueryV1(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	chain, err := buildFilterOn(entry.dataset(), req.QueryRequest)
+	chain, err := buildFilterOn(entry.dataset(), req.queryRequest)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -574,7 +574,7 @@ func (s *Server) writeNDJSON(w http.ResponseWriter, r *http.Request, body [][]by
 // handleExplainV1 renders the plan for a query against a named
 // dataset, annotated with its fingerprint and cache state.
 func (s *Server) handleExplainV1(w http.ResponseWriter, r *http.Request) {
-	var req ServiceQueryRequest
+	var req serviceQueryRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request: %v", err)
 		return
@@ -614,7 +614,7 @@ func (s *Server) handleExplainV1(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	chain, err := buildFilterOn(entry.dataset(), req.QueryRequest)
+	chain, err := buildFilterOn(entry.dataset(), req.queryRequest)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return

@@ -56,7 +56,7 @@ func ndjsonResponse(t *testing.T, body []byte) (features []map[string]interface{
 	return features, summary
 }
 
-func postV1Query(t *testing.T, s *Server, req ServiceQueryRequest) *httptest.ResponseRecorder {
+func postV1Query(t *testing.T, s *Server, req serviceQueryRequest) *httptest.ResponseRecorder {
 	t.Helper()
 	data, err := json.Marshal(req)
 	if err != nil {
@@ -67,13 +67,13 @@ func postV1Query(t *testing.T, s *Server, req ServiceQueryRequest) *httptest.Res
 	return rec
 }
 
-func windowQuery(dataset string) ServiceQueryRequest {
+func windowQuery(dataset string) serviceQueryRequest {
 	// The generated events all carry timestamps, and mixed timed vs
 	// untimed pairs never satisfy a predicate — so the query needs a
 	// covering time window to match spatially.
-	return ServiceQueryRequest{
+	return serviceQueryRequest{
 		Dataset: dataset,
-		QueryRequest: QueryRequest{
+		queryRequest: queryRequest{
 			Predicate: "intersects",
 			WKT:       "POLYGON ((10 10, 60 10, 60 60, 10 60, 10 10))",
 			HasTime:   true,
@@ -215,7 +215,7 @@ func TestQueryV1DifferentialCachedVsUncached(t *testing.T) {
 		x := rng.Float64() * (100 - w)
 		y := rng.Float64() * (100 - h)
 		begin := rng.Int63n(800)
-		req := ServiceQueryRequest{QueryRequest: QueryRequest{
+		req := serviceQueryRequest{queryRequest: queryRequest{
 			Predicate: []string{"intersects", "containedby", "coveredby"}[rng.Intn(3)],
 			WKT: fmt.Sprintf("POLYGON ((%f %f, %f %f, %f %f, %f %f, %f %f))",
 				x, y, x+w, y, x+w, y+h, x, y+h, x, y),
@@ -411,8 +411,8 @@ func TestServiceStatsEndpoint(t *testing.T) {
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/service", nil))
 	var out struct {
-		Cache     CacheStats     `json:"cache"`
-		Admission AdmissionStats `json:"admission"`
+		Cache     cacheStats     `json:"cache"`
+		Admission admissionStats `json:"admission"`
 		Datasets  int            `json:"datasets"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
@@ -427,7 +427,7 @@ func TestServiceStatsEndpoint(t *testing.T) {
 }
 
 func TestResultCacheLRUEviction(t *testing.T) {
-	c := NewResultCache(100, 60)
+	c := newResultCache(100, 60)
 	// An entry costs the summed lengths of its chunks.
 	chunks := func(sizes ...int) [][]byte {
 		body := make([][]byte, len(sizes))
@@ -502,9 +502,9 @@ func TestJoinThroughQueryV1(t *testing.T) {
 	if _, err := s.catalog.Register(s.ctx, withEvents(DatasetSpec{Name: "small"}, small)); err != nil {
 		t.Fatal(err)
 	}
-	req := ServiceQueryRequest{
+	req := serviceQueryRequest{
 		Dataset: "left",
-		Join:    &JoinSpec{With: "small", Predicate: "withindistance", Distance: 5},
+		Join:    &joinSpec{With: "small", Predicate: "withindistance", Distance: 5},
 	}
 	rec := postV1Query(t, s, req)
 	if rec.Code != http.StatusOK {
@@ -532,7 +532,7 @@ func TestJoinThroughQueryV1(t *testing.T) {
 	// A where clause alone filters the left side too.
 	cat := workload.Categories[0]
 	wreq := req
-	wreq.Where = WhereClauses{{Field: "category", Op: "eq", Value: cat}}
+	wreq.Where = whereClauses{{Field: "category", Op: "eq", Value: cat}}
 	wfeatures, wsum := ndjsonResponse(t, postV1Query(t, s, wreq).Body.Bytes())
 	want := 0
 	for _, f := range features {
@@ -567,14 +567,14 @@ func TestJoinThroughQueryV1(t *testing.T) {
 
 func TestJoinQueryV1BadRequests(t *testing.T) {
 	s, _ := testService(t, 50, Options{})
-	for _, req := range []ServiceQueryRequest{
-		{Join: &JoinSpec{With: "missing"}},
-		{Join: &JoinSpec{Predicate: "bogus"}},
-		{Join: &JoinSpec{Strategy: "bogus"}},
-		{Join: &JoinSpec{Predicate: "withindistance"}}, // no distance
+	for _, req := range []serviceQueryRequest{
+		{Join: &joinSpec{With: "missing"}},
+		{Join: &joinSpec{Predicate: "bogus"}},
+		{Join: &joinSpec{Strategy: "bogus"}},
+		{Join: &joinSpec{Predicate: "withindistance"}}, // no distance
 		// A temporal window without a geometry must be rejected (as
 		// the non-join path rejects it), not silently dropped.
-		{QueryRequest: QueryRequest{HasTime: true, End: 5}, Join: &JoinSpec{}},
+		{queryRequest: queryRequest{HasTime: true, End: 5}, Join: &joinSpec{}},
 	} {
 		rec := postV1Query(t, s, req)
 		if rec.Code != http.StatusBadRequest && rec.Code != http.StatusNotFound {

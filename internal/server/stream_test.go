@@ -49,10 +49,10 @@ const goldenBody = `{"geometry":{"coordinates":[1.5,2.25],"type":"Point"},"prope
 {"geometry":{"coordinates":[[1,2],[3,4]],"type":"MultiPoint"},"properties":{"category":"stops","id":7,"time":70},"type":"Feature"}
 `
 
-func goldenRequest() ServiceQueryRequest {
-	return ServiceQueryRequest{
+func goldenRequest() serviceQueryRequest {
+	return serviceQueryRequest{
 		Dataset: "golden",
-		QueryRequest: QueryRequest{
+		queryRequest: queryRequest{
 			Predicate: "intersects",
 			WKT:       "POLYGON ((-10 -10, 2e9 -10, 2e9 2e21, -10 2e21, -10 -10))",
 			HasTime:   true, Begin: -100, End: 100,
@@ -94,20 +94,21 @@ func TestQueryV1GoldenBody(t *testing.T) {
 	}
 }
 
-// oracleBody streams the chain one row at a time and marshals the map
-// form of every row: the reply path as it was.
+// oracleBody collects the chain, in partition order, and marshals the
+// map form of every row: the reply path as it was.
 func oracleBody[V any](t *testing.T, chain *stark.Dataset[V], line func(stark.Tuple[V]) map[string]interface{}) []byte {
 	t.Helper()
+	rows, err := chain.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var out []byte
-	if err := chain.StreamParallelContext(context.Background(), func(kv stark.Tuple[V]) bool {
+	for _, kv := range rows {
 		b, err := json.Marshal(line(kv))
 		if err != nil {
 			t.Fatal(err)
 		}
 		out = append(append(out, b...), '\n')
-		return true
-	}); err != nil {
-		t.Fatal(err)
 	}
 	return out
 }
@@ -128,13 +129,13 @@ func TestQueryV1MissHitAndOracleBodiesAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	where := WhereClauses{{Field: "category", Op: "eq", Value: workload.Categories[1]}}
+	where := whereClauses{{Field: "category", Op: "eq", Value: workload.Categories[1]}}
 	for _, spec := range specs {
-		for _, w := range []WhereClauses{nil, where} {
+		for _, w := range []whereClauses{nil, where} {
 			req := windowQuery(spec.Name)
 			req.Where = w
 			entry, _ := s.catalog.Get(spec.Name)
-			chain, err := buildFilterOn(entry.dataset(), req.QueryRequest)
+			chain, err := buildFilterOn(entry.dataset(), req.queryRequest)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -167,7 +168,7 @@ func TestQueryV1MissHitAndOracleBodiesAgree(t *testing.T) {
 		}
 	}
 	for _, strategy := range []string{"pairs", "broadcast", "copartition"} {
-		req := ServiceQueryRequest{Dataset: "left", Join: &JoinSpec{With: "right", Predicate: "withindistance", Distance: 6, Strategy: strategy}}
+		req := serviceQueryRequest{Dataset: "left", Join: &joinSpec{With: "right", Predicate: "withindistance", Distance: 6, Strategy: strategy}}
 		left, _ := s.catalog.Get("left")
 		right, _ := s.catalog.Get("right")
 		chain, _, err := buildJoinOn(left.dataset(), right.dataset(), req.Join)

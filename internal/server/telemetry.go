@@ -23,10 +23,10 @@ import (
 	"stark/internal/obs"
 )
 
-// Telemetry carries the service's observability state: the metric
+// telemetry carries the service's observability state: the metric
 // registry behind GET /metrics, the per-route latency histograms, the
 // structured logger, and the slow-query threshold.
-type Telemetry struct {
+type telemetry struct {
 	Registry *obs.Registry
 
 	reqDur      *obs.HistogramVec
@@ -41,9 +41,9 @@ type Telemetry struct {
 
 // newTelemetry builds the registry and registers every metric family
 // the service exports.
-func newTelemetry(s *Server, logger *slog.Logger, slowMs int64) *Telemetry {
+func newTelemetry(s *Server, logger *slog.Logger, slowMs int64) *telemetry {
 	reg := obs.NewRegistry()
-	t := &Telemetry{
+	t := &telemetry{
 		Registry: reg,
 		logger:   logger,
 		slowMs:   slowMs,

@@ -24,11 +24,11 @@ import (
 
 // traceQuery renders the i-th of a family of pairwise-distinct window
 // queries, so no two of them can share a plan fingerprint.
-func traceQuery(i int) ServiceQueryRequest {
+func traceQuery(i int) serviceQueryRequest {
 	x := float64(2 + 3*i)
 	y := float64(1 + 2*i)
-	q := ServiceQueryRequest{
-		QueryRequest: QueryRequest{
+	q := serviceQueryRequest{
+		queryRequest: queryRequest{
 			Predicate: "intersects",
 			WKT: fmt.Sprintf("POLYGON ((%.0f %.0f, %.0f %.0f, %.0f %.0f, %.0f %.0f, %.0f %.0f))",
 				x, y, x+40, y, x+40, y+35, x, y+35, x, y),
@@ -141,7 +141,7 @@ func TestTraceAttributionExactUnderConcurrency(t *testing.T) {
 // marshalQuery and ndjsonParse are goroutine-safe versions of the
 // test helpers (no *testing.T, so they can run off the test
 // goroutine).
-func marshalQuery(q ServiceQueryRequest) ([]byte, error) {
+func marshalQuery(q serviceQueryRequest) ([]byte, error) {
 	return json.Marshal(q)
 }
 
@@ -332,7 +332,7 @@ func scrapeCounter(t *testing.T, s *Server, name string) float64 {
 
 // TestAdmissionRejectionCounters exercises both rejection paths —
 // queue full (429) and queue timeout (503) — and checks each feeds
-// its counter in AdmissionStats and the /metrics exposition.
+// its counter in admissionStats and the /metrics exposition.
 func TestAdmissionRejectionCounters(t *testing.T) {
 	s, _ := testService(t, 200, Options{
 		MaxConcurrent: 1, QueueDepth: 1, QueueTimeout: 150 * time.Millisecond,
@@ -378,10 +378,10 @@ func TestAdmissionRejectionCounters(t *testing.T) {
 
 	st := s.adm.Stats()
 	if st.RejectedFull != 1 {
-		t.Errorf("AdmissionStats.RejectedFull = %d, want 1", st.RejectedFull)
+		t.Errorf("admissionStats.RejectedFull = %d, want 1", st.RejectedFull)
 	}
 	if st.TimedOut != 1 {
-		t.Errorf("AdmissionStats.TimedOut = %d, want 1", st.TimedOut)
+		t.Errorf("admissionStats.TimedOut = %d, want 1", st.TimedOut)
 	}
 	if v := scrapeCounter(t, s, "stark_admission_rejected_full_total"); v != 1 {
 		t.Errorf("stark_admission_rejected_full_total = %v, want 1", v)
@@ -402,7 +402,7 @@ func TestAdmissionRejectionCounters(t *testing.T) {
 // and an over-per-entry-budget Put is rejected without touching the
 // accounting.
 func TestCacheEvictionByteAccounting(t *testing.T) {
-	c := NewResultCache(1000, 400)
+	c := newResultCache(1000, 400)
 
 	body := func(n int) [][]byte { // two chunks: bytes are the summed lengths
 		return [][]byte{bytes.Repeat([]byte("x"), n/3), bytes.Repeat([]byte("y"), n-n/3)}

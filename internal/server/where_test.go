@@ -14,9 +14,9 @@ import (
 )
 
 // whereQuery is the canonical mixed spatial+attribute request.
-func whereQuery() ServiceQueryRequest {
+func whereQuery() serviceQueryRequest {
 	q := windowQuery("")
-	q.Where = WhereClauses{{Field: "category", Op: "eq", Value: "sports"}}
+	q.Where = whereClauses{{Field: "category", Op: "eq", Value: "sports"}}
 	return q
 }
 
@@ -89,7 +89,7 @@ func TestQueryV1WhereCacheHit(t *testing.T) {
 
 	// A different clause over the same window is its own cache entry.
 	q2 := windowQuery("")
-	q2.Where = WhereClauses{{Field: "time", Op: "ge", Value: 500}}
+	q2.Where = whereClauses{{Field: "time", Op: "ge", Value: 500}}
 	third := postV1Query(t, s, q2)
 	_, thirdSum := ndjsonResponse(t, third.Body.Bytes())
 	if thirdSum.Cache != "miss" {
@@ -101,9 +101,9 @@ func TestQueryV1WhereCacheHit(t *testing.T) {
 // window may be omitted entirely — the query is attribute-only.
 func TestQueryV1WhereOnly(t *testing.T) {
 	s, _ := testService(t, 400, Options{})
-	req := ServiceQueryRequest{
-		QueryRequest: QueryRequest{
-			Where: WhereClauses{
+	req := serviceQueryRequest{
+		queryRequest: queryRequest{
+			Where: whereClauses{
 				{Field: "category", Op: "in", Values: []any{"sports", "culture"}},
 				{Field: "time", Op: "between", Value: 100, Value2: 900},
 			},
@@ -131,17 +131,17 @@ func TestQueryV1WhereBadClause400(t *testing.T) {
 	s, _ := testService(t, 50, Options{})
 	cases := []struct {
 		name   string
-		clause WhereClause
+		clause whereClause
 	}{
-		{"unknown_field", WhereClause{Field: "tip", Op: "eq", Value: 1}},
-		{"unknown_op", WhereClause{Field: "time", Op: "like", Value: 1}},
-		{"type_mismatch", WhereClause{Field: "category", Op: "eq", Value: 3}},
-		{"lossy_float", WhereClause{Field: "time", Op: "eq", Value: 1.5}},
+		{"unknown_field", whereClause{Field: "tip", Op: "eq", Value: 1}},
+		{"unknown_op", whereClause{Field: "time", Op: "like", Value: 1}},
+		{"type_mismatch", whereClause{Field: "category", Op: "eq", Value: 3}},
+		{"lossy_float", whereClause{Field: "time", Op: "eq", Value: 1.5}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			q := windowQuery("")
-			q.Where = WhereClauses{tc.clause}
+			q.Where = whereClauses{tc.clause}
 			rec := postV1Query(t, s, q)
 			if rec.Code != http.StatusBadRequest {
 				t.Fatalf("status = %d, want 400: %s", rec.Code, rec.Body.String())

@@ -48,10 +48,10 @@ type Incremental struct {
 }
 
 // NewIncremental returns an empty maintainer for a dataset with the
-// given partition count; gridN <= 0 selects DefaultGridSize.
+// given partition count; gridN <= 0 selects defaultGridSize.
 func NewIncremental(parts, gridN int) *Incremental {
 	if gridN <= 0 {
-		gridN = DefaultGridSize
+		gridN = defaultGridSize
 	}
 	inc := &Incremental{gridN: gridN}
 	inc.sum = Summary{MBR: geom.EmptyEnvelope(), Parts: make([]PartitionStats, parts)}
@@ -116,7 +116,7 @@ func (inc *Incremental) Summary() *Summary {
 	if inc.sum.Grid == nil && len(inc.pending) > 0 {
 		inc.materialiseGrid()
 	}
-	return inc.sum.Clone()
+	return inc.sum.clone()
 }
 
 // materialiseGrid freezes histogram bounds over the MBR seen so far
@@ -167,9 +167,9 @@ func growTime(timed *int64, min, max *int64, start, end int64) {
 	*timed++
 }
 
-// Clone returns a deep copy of the summary (partitions and histogram
+// clone returns a deep copy of the summary (partitions and histogram
 // included), so a published snapshot cannot observe later deltas.
-func (s *Summary) Clone() *Summary {
+func (s *Summary) clone() *Summary {
 	out := *s
 	out.Parts = append([]PartitionStats(nil), s.Parts...)
 	if s.Grid != nil {

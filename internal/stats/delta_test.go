@@ -5,7 +5,6 @@ import (
 
 	"stark/internal/geom"
 	"stark/internal/stobject"
-	"stark/internal/temporal"
 )
 
 func dpt(x, y float64) stobject.STObject { return stobject.New(geom.NewPoint(x, y)) }
@@ -13,7 +12,7 @@ func dpt(x, y float64) stobject.STObject { return stobject.New(geom.NewPoint(x, 
 func TestIncrementalCountsAndExtents(t *testing.T) {
 	inc := NewIncremental(2, 8)
 	inc.ApplyInsert(0, dpt(1, 1))
-	inc.ApplyInsert(0, stobject.NewWithTime(geom.NewPoint(2, 2), temporal.Instant(10)))
+	inc.ApplyInsert(0, stobject.NewWithTime(geom.NewPoint(2, 2), stobject.Instant(10)))
 	inc.ApplyInsert(1, dpt(9, 9))
 	inc.ApplyDelete(0, dpt(1, 1))
 

@@ -27,9 +27,9 @@ import (
 	"stark/internal/stobject"
 )
 
-// DefaultGridSize is the default resolution (cells per dimension) of
+// defaultGridSize is the default resolution (cells per dimension) of
 // the spatial histogram.
-const DefaultGridSize = 32
+const defaultGridSize = 32
 
 // sampleCap bounds the per-partition centroid reservoir the histogram
 // is estimated from.
@@ -79,7 +79,7 @@ type Summary struct {
 	// histogram), keyed by field name. Populated only when the sweep
 	// was given a schema's extractors (CollectFields); nil otherwise,
 	// in which case attribute selectivities fall back to
-	// attr.DefaultSelectivity.
+	// attr's default selectivity.
 	Fields map[string]*attr.FieldStats `json:"fields,omitempty"`
 }
 
@@ -92,7 +92,7 @@ func (s *Summary) FieldStats(name string) *attr.FieldStats {
 }
 
 // Collect runs the single statistics pass over a dataset of
-// (STObject, V) records. gridN <= 0 selects DefaultGridSize. Records
+// (STObject, V) records. gridN <= 0 selects defaultGridSize. Records
 // seen by the pass are charged to the engine's StatsRecords metric,
 // not to ElementsScanned: statistics collection is planner overhead,
 // not predicate work.
@@ -109,7 +109,7 @@ func Collect[V any](ds *engine.Dataset[engine.Pair[stobject.STObject, V]], gridN
 // empty.
 func CollectFields[V any](ds *engine.Dataset[engine.Pair[stobject.STObject, V]], visit []int, gridN int, fields []attr.Field[V]) (*Summary, error) {
 	if gridN <= 0 {
-		gridN = DefaultGridSize
+		gridN = defaultGridSize
 	}
 	n := ds.NumPartitions()
 	if visit == nil {
@@ -204,7 +204,7 @@ func CollectFields[V any](ds *engine.Dataset[engine.Pair[stobject.STObject, V]],
 					merged.Merge(accs[p].fields[i])
 				}
 			}
-			sum.Fields[f.Name] = merged.Finish(DefaultGridSize)
+			sum.Fields[f.Name] = merged.Finish(defaultGridSize)
 		}
 	}
 	if sum.Count == 0 {
@@ -248,10 +248,10 @@ func cellCoord(v, min, span float64, n int) int {
 	return c
 }
 
-// EstimateRows estimates how many records have their centroid inside
+// estimateRows estimates how many records have their centroid inside
 // q, summing cell counts weighted by the fraction of each cell q
 // covers.
-func (h *Histogram) EstimateRows(q geom.Envelope) float64 {
+func (h *Histogram) estimateRows(q geom.Envelope) float64 {
 	if h == nil || h.Total == 0 || q.IsEmpty() || !h.Bounds.Intersects(q) {
 		return 0
 	}
@@ -306,7 +306,7 @@ func (s *Summary) Selectivity(q geom.Envelope) float64 {
 	if s.Count == 0 {
 		return 0
 	}
-	sel := s.Grid.EstimateRows(q) / float64(s.Count)
+	sel := s.Grid.estimateRows(q) / float64(s.Count)
 	if sel > 1 {
 		sel = 1
 	}

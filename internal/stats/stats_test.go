@@ -7,7 +7,6 @@ import (
 	"stark/internal/engine"
 	"stark/internal/geom"
 	"stark/internal/stobject"
-	"stark/internal/temporal"
 )
 
 // grid4 builds 4 partitions of 100 points each, partition p occupying
@@ -18,7 +17,7 @@ func grid4(ctx *engine.Context) *engine.Dataset[engine.Pair[stobject.STObject, i
 		for i := 0; i < 100; i++ {
 			x := float64(100*p) + float64(i%10)
 			y := float64(i / 10)
-			t := temporal.Instant(1000*p + i)
+			t := stobject.Instant(1000*p + i)
 			obj := stobject.NewWithTime(geom.Point{X: x, Y: y}, t)
 			parts[p] = append(parts[p], engine.NewPair(obj, p*100+i))
 		}
@@ -69,12 +68,12 @@ func TestHistogramEstimate(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A window over partition 0's square only: ~100 of 400 records.
-	est := sum.Grid.EstimateRows(geom.NewEnvelope(-1, -1, 11, 11))
+	est := sum.Grid.estimateRows(geom.NewEnvelope(-1, -1, 11, 11))
 	if math.Abs(est-100) > 25 {
 		t.Errorf("estimate over partition 0 = %v, want ~100", est)
 	}
 	// A window over empty space between the clusters.
-	if est := sum.Grid.EstimateRows(geom.NewEnvelope(40, 40, 60, 60)); est > 5 {
+	if est := sum.Grid.estimateRows(geom.NewEnvelope(40, 40, 60, 60)); est > 5 {
 		t.Errorf("estimate over empty space = %v, want ~0", est)
 	}
 	// Selectivity of the full extent is ~1.

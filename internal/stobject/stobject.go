@@ -12,14 +12,65 @@
 // carry no time (spatial-only data), or both carry time and the
 // temporal predicate holds as well. Mixed pairs — one object with a
 // temporal component, the other without — never satisfy a predicate.
+//
+// Time is an integer timeline (Unix epoch seconds or milliseconds; the
+// package imposes no unit). Intervals are closed on both ends, matching
+// STARK's query semantics where a query window [begin, end] includes
+// both endpoints. An instant t is the degenerate interval [t, t].
 package stobject
 
 import (
 	"fmt"
 
 	"stark/internal/geom"
-	"stark/internal/temporal"
 )
+
+// Instant is a point on the timeline.
+type Instant int64
+
+// Interval is a closed interval [Start, End] on the timeline.
+// Start must be <= End.
+type Interval struct {
+	Start, End Instant
+}
+
+// NewInterval returns [start, end]; it returns an error when
+// start > end.
+func NewInterval(start, end Instant) (Interval, error) {
+	if start > end {
+		return Interval{}, fmt.Errorf("temporal: interval start %d after end %d", start, end)
+	}
+	return Interval{Start: start, End: end}, nil
+}
+
+// MustInterval is NewInterval but panics on error; for literals.
+func MustInterval(start, end Instant) Interval {
+	iv, err := NewInterval(start, end)
+	if err != nil {
+		panic(err)
+	}
+	return iv
+}
+
+// intersects reports whether the two closed intervals share at least
+// one instant.
+func (iv Interval) intersects(o Interval) bool {
+	return iv.Start <= o.End && o.Start <= iv.End
+}
+
+// contains reports whether o lies entirely within iv (endpoint contact
+// allowed, matching closed-interval semantics).
+func (iv Interval) contains(o Interval) bool {
+	return iv.Start <= o.Start && o.End <= iv.End
+}
+
+// String renders the interval for diagnostics, an instant as @t.
+func (iv Interval) String() string {
+	if iv.Start == iv.End {
+		return fmt.Sprintf("@%d", int64(iv.Start))
+	}
+	return fmt.Sprintf("[%d, %d]", int64(iv.Start), int64(iv.End))
+}
 
 // STObject is a spatio-temporal object: a geometry plus an optional
 // validity interval. The zero value is an empty object.
@@ -33,8 +84,8 @@ import (
 type STObject struct {
 	x, y  float64 // a point's coordinates, when flags has isPoint
 	flags uint8
-	time  temporal.Interval // defined when flags has timed
-	geo   geom.Geometry     // any geometry but a point; nil when empty
+	time  Interval      // defined when flags has timed
+	geo   geom.Geometry // any geometry but a point; nil when empty
 }
 
 const (
@@ -51,7 +102,7 @@ func New(g geom.Geometry) STObject {
 }
 
 // NewWithInterval returns an STObject valid during iv.
-func NewWithInterval(g geom.Geometry, iv temporal.Interval) STObject {
+func NewWithInterval(g geom.Geometry, iv Interval) STObject {
 	o := New(g)
 	o.time, o.flags = iv, o.flags|timed
 	return o
@@ -59,8 +110,8 @@ func NewWithInterval(g geom.Geometry, iv temporal.Interval) STObject {
 
 // NewWithTime returns an STObject valid at the single instant t,
 // mirroring the paper's STObject(wkt, time) constructor.
-func NewWithTime(g geom.Geometry, t temporal.Instant) STObject {
-	return NewWithInterval(g, temporal.At(t))
+func NewWithTime(g geom.Geometry, t Instant) STObject {
+	return NewWithInterval(g, Interval{Start: t, End: t})
 }
 
 // FromWKT parses a WKT string into a spatial-only STObject.
@@ -73,7 +124,7 @@ func FromWKT(wkt string) (STObject, error) {
 }
 
 // FromWKTWithTime parses a WKT string and attaches the instant t.
-func FromWKTWithTime(wkt string, t temporal.Instant) (STObject, error) {
+func FromWKTWithTime(wkt string, t Instant) (STObject, error) {
 	g, err := geom.ParseWKT(wkt)
 	if err != nil {
 		return STObject{}, err
@@ -82,12 +133,12 @@ func FromWKTWithTime(wkt string, t temporal.Instant) (STObject, error) {
 }
 
 // FromWKTWithInterval parses a WKT string and attaches [begin, end].
-func FromWKTWithInterval(wkt string, begin, end temporal.Instant) (STObject, error) {
+func FromWKTWithInterval(wkt string, begin, end Instant) (STObject, error) {
 	g, err := geom.ParseWKT(wkt)
 	if err != nil {
 		return STObject{}, err
 	}
-	iv, err := temporal.NewInterval(begin, end)
+	iv, err := NewInterval(begin, end)
 	if err != nil {
 		return STObject{}, err
 	}
@@ -112,7 +163,7 @@ func (o STObject) Geo() geom.Geometry {
 func (o STObject) HasTime() bool { return o.flags&timed != 0 }
 
 // Time returns the temporal component and whether it is defined.
-func (o STObject) Time() (temporal.Interval, bool) { return o.time, o.HasTime() }
+func (o STObject) Time() (Interval, bool) { return o.time, o.HasTime() }
 
 // IsEmpty reports whether the object has no spatial component.
 func (o STObject) IsEmpty() bool {
@@ -166,28 +217,23 @@ func (o STObject) String() string {
 // spatial is a spatial predicate in the operand forms combined
 // dispatches on: gg over two geometries, gp and pg with a point operand
 // (p) unboxed where the name puts it (a nil pg is gp with the operands
-// swapped), and for two points whether equal ones relate; unequal points
-// never do. Each point form is the generic predicate on the boxed point.
+// swapped). Two points relate under each of them when they are equal.
+// Each point form is the generic predicate on the boxed point.
 type spatial struct {
-	gg    func(a, b geom.Geometry) bool
-	gp    func(a geom.Geometry, b geom.Point) bool
-	pg    func(a geom.Point, b geom.Geometry) bool
-	equal bool
+	gg func(a, b geom.Geometry) bool
+	gp func(a geom.Geometry, b geom.Point) bool
+	pg func(a geom.Point, b geom.Geometry) bool
 }
 
 var (
-	intersects = spatial{geom.Intersects, geom.IntersectsPoint, nil, true}
-	contains   = spatial{geom.Contains, geom.ContainsPoint, geom.PointCovers, true}
-	covers     = spatial{geom.Covers, geom.IntersectsPoint, geom.PointCovers, true}
-	touches    = spatial{geom.Touches, geom.TouchesPoint, nil, false}
-	// A point overlaps nothing: overlapping geometries share a dimension
-	// and neither covers the other, which no two puntal ones manage.
-	overlaps = spatial{geom.Overlaps, func(geom.Geometry, geom.Point) bool { return false }, nil, false}
+	intersects = spatial{geom.Intersects, geom.IntersectsPoint, nil}
+	contains   = spatial{geom.Contains, geom.ContainsPoint, geom.PointCovers}
+	covers     = spatial{geom.Covers, geom.IntersectsPoint, geom.PointCovers}
 )
 
 // combined applies the paper's combined semantics given a spatial and
 // a temporal predicate.
-func combined(o, p *STObject, sp *spatial, tp temporal.Predicate) bool {
+func combined(o, p *STObject, sp *spatial, tp func(a, b Interval) bool) bool {
 	if !timeAgrees(o, p, tp) {
 		return false
 	}
@@ -195,7 +241,7 @@ func combined(o, p *STObject, sp *spatial, tp temporal.Predicate) bool {
 	b, bPt := p.Point()
 	switch {
 	case aPt && bPt:
-		return sp.equal && a.Equal(b)
+		return a.Equal(b)
 	case aPt && sp.pg != nil:
 		return sp.pg(a, p.geo)
 	case aPt:
@@ -208,7 +254,7 @@ func combined(o, p *STObject, sp *spatial, tp temporal.Predicate) bool {
 
 // timeAgrees is the temporal half of the combined semantics: both
 // objects undefined (2), or both defined and tp holding (3).
-func timeAgrees(o, p *STObject, tp temporal.Predicate) bool {
+func timeAgrees(o, p *STObject, tp func(a, b Interval) bool) bool {
 	return o.flags&timed == p.flags&timed && (o.flags&timed == 0 || tp(o.time, p.time))
 }
 
@@ -216,13 +262,13 @@ func timeAgrees(o, p *STObject, tp temporal.Predicate) bool {
 // component and, when both are timestamped, in their temporal
 // component as well.
 func (o STObject) Intersects(p STObject) bool {
-	return combined(&o, &p, &intersects, temporal.Intersects)
+	return combined(&o, &p, &intersects, Interval.intersects)
 }
 
 // Contains reports whether o completely contains p spatially and,
 // when both are timestamped, temporally.
 func (o STObject) Contains(p STObject) bool {
-	return combined(&o, &p, &contains, temporal.Contains)
+	return combined(&o, &p, &contains, Interval.contains)
 }
 
 // ContainedBy is the reverse of Contains, as in the paper.
@@ -230,25 +276,11 @@ func (o STObject) ContainedBy(p STObject) bool { return p.Contains(o) }
 
 // Covers is the boundary-tolerant variant of Contains.
 func (o STObject) Covers(p STObject) bool {
-	return combined(&o, &p, &covers, temporal.Contains)
+	return combined(&o, &p, &covers, Interval.contains)
 }
 
 // CoveredBy is the reverse of Covers.
 func (o STObject) CoveredBy(p STObject) bool { return p.Covers(o) }
-
-// Touches reports whether o and p meet only at their spatial
-// boundaries, combined with temporal intersection when both are
-// timestamped.
-func (o STObject) Touches(p STObject) bool {
-	return combined(&o, &p, &touches, temporal.Intersects)
-}
-
-// Overlaps reports whether the spatial interiors of o and p partially
-// overlap (same dimension, neither contains the other), combined with
-// temporal intersection when both are timestamped.
-func (o STObject) Overlaps(p STObject) bool {
-	return combined(&o, &p, &overlaps, temporal.Intersects)
-}
 
 // WithinDistance reports whether the spatial distance between o and p
 // under df (nil for planar Euclidean geometry distance) is at most
@@ -256,7 +288,7 @@ func (o STObject) Overlaps(p STObject) bool {
 // timestamped. A df measures between centroids, a point's being the
 // point itself.
 func (o STObject) WithinDistance(p STObject, maxDist float64, df geom.DistanceFunc) bool {
-	return timeAgrees(&o, &p, temporal.Intersects) && !o.IsEmpty() && !p.IsEmpty() && o.Distance(p, df) <= maxDist
+	return timeAgrees(&o, &p, Interval.intersects) && !o.IsEmpty() && !p.IsEmpty() && o.Distance(p, df) <= maxDist
 }
 
 // Distance returns the spatial distance between the two objects using

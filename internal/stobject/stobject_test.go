@@ -8,7 +8,6 @@ import (
 	"testing/quick"
 
 	"stark/internal/geom"
-	"stark/internal/temporal"
 )
 
 func pointAt(x, y float64) STObject { return New(geom.NewPoint(x, y)) }
@@ -22,7 +21,7 @@ func mustFromWKT(wkt string) STObject {
 	return o
 }
 
-func timedPoint(x, y float64, t temporal.Instant) STObject {
+func timedPoint(x, y float64, t Instant) STObject {
 	return NewWithTime(geom.NewPoint(x, y), t)
 }
 
@@ -39,7 +38,7 @@ func TestConstructors(t *testing.T) {
 		t.Fatal(err)
 	}
 	iv, ok := o2.Time()
-	if !ok || !iv.IsInstant() || iv.Start != 100 {
+	if !ok || iv.Start != iv.End || iv.Start != 100 {
 		t.Errorf("time = %v ok=%v", iv, ok)
 	}
 	o3, err := FromWKTWithInterval("POLYGON ((0 0, 1 0, 1 1, 0 1, 0 0))", 10, 20)
@@ -205,7 +204,7 @@ func TestPropMixedPairsAlwaysFalse(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	f := func() bool {
 		x1, y1 := rng.Float64()*10, rng.Float64()*10
-		timed := timedPoint(x1, y1, temporal.Instant(rng.Int63n(1000)))
+		timed := timedPoint(x1, y1, Instant(rng.Int63n(1000)))
 		untimed := pointAt(x1, y1) // same location: spatial predicate holds
 		return !timed.Intersects(untimed) && !untimed.Intersects(timed) &&
 			!timed.Contains(untimed) && !untimed.Contains(timed)
@@ -246,37 +245,13 @@ func randomST(rng *rand.Rand) STObject {
 		g = geom.NewPoint(x, y)
 	} else {
 		w, h := 0.5+rng.Float64(), 0.5+rng.Float64()
-		g = geom.MustPolygon(
-			geom.NewPoint(x, y), geom.NewPoint(x+w, y),
-			geom.NewPoint(x+w, y+h), geom.NewPoint(x, y+h))
+		g, _ = geom.NewPolygonFromPoints([]geom.Point{{X: x, Y: y}, {X: x + w, Y: y}, {X: x + w, Y: y + h}, {X: x, Y: y + h}})
 	}
 	if rng.Intn(2) == 0 {
 		return New(g)
 	}
-	start := temporal.Instant(rng.Int63n(100))
-	return NewWithInterval(g, temporal.MustInterval(start, start+temporal.Instant(rng.Int63n(50))))
-}
-
-func TestTouchesAndOverlaps(t *testing.T) {
-	a := mustFromWKT("POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0))")
-	edge := mustFromWKT("POLYGON ((10 0, 20 0, 20 10, 10 10, 10 0))")
-	partial := mustFromWKT("POLYGON ((5 5, 15 5, 15 15, 5 15, 5 5))")
-	if !a.Touches(edge) || a.Overlaps(edge) {
-		t.Error("edge-sharing polygons: touches, not overlaps")
-	}
-	if a.Touches(partial) || !a.Overlaps(partial) {
-		t.Error("partially overlapping polygons: overlaps, not touches")
-	}
-	// Temporal gating: co-located but temporally disjoint pairs fail.
-	ta := NewWithInterval(a.Geo(), temporal.MustInterval(0, 10))
-	tEdge := NewWithInterval(edge.Geo(), temporal.MustInterval(100, 110))
-	if ta.Touches(tEdge) {
-		t.Error("temporally disjoint pair must not touch")
-	}
-	tEdge2 := NewWithInterval(edge.Geo(), temporal.MustInterval(5, 15))
-	if !ta.Touches(tEdge2) {
-		t.Error("temporally overlapping pair must touch")
-	}
+	start := Instant(rng.Int63n(100))
+	return NewWithInterval(g, MustInterval(start, start+Instant(rng.Int63n(50))))
 }
 
 // boxed is o with its point geometry behind the geom.Geometry interface,
@@ -323,13 +298,13 @@ func TestPointKeyEquivalence(t *testing.T) {
 	}
 	times := []func(geom.Geometry) STObject{
 		New,
-		func(g geom.Geometry) STObject { return NewWithInterval(g, temporal.MustInterval(0, 10)) },
-		func(g geom.Geometry) STObject { return NewWithInterval(g, temporal.MustInterval(5, 5)) },
-		func(g geom.Geometry) STObject { return NewWithInterval(g, temporal.MustInterval(20, 30)) },
+		func(g geom.Geometry) STObject { return NewWithInterval(g, MustInterval(0, 10)) },
+		func(g geom.Geometry) STObject { return NewWithInterval(g, MustInterval(5, 5)) },
+		func(g geom.Geometry) STObject { return NewWithInterval(g, MustInterval(20, 30)) },
 	}
 	preds := map[string]Predicate{
 		"intersects": Intersects, "contains": Contains, "containedby": ContainedBy,
-		"covers": STObject.Covers, "coveredby": CoveredBy, "touches": STObject.Touches, "overlaps": STObject.Overlaps,
+		"covers": STObject.Covers, "coveredby": CoveredBy,
 		"within0": WithinDistancePredicate(0, nil), "within1": WithinDistancePredicate(1, nil),
 		"within2.5": WithinDistancePredicate(2.5, nil), "manhattan2": WithinDistancePredicate(2, manhattan),
 	}
@@ -382,8 +357,8 @@ func TestPointKeyEquivalence(t *testing.T) {
 func TestPointKeyPredicatesAllocateNothing(t *testing.T) {
 	key := timedPoint(1, 2, 5)
 	for _, q := range []STObject{
-		NewWithInterval(mustFromWKT("POLYGON ((0 0, 4 0, 2 4, 0 0))").Geo(), temporal.MustInterval(0, 10)),
-		NewWithInterval(mustFromWKT("POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))").Geo(), temporal.MustInterval(0, 10)),
+		NewWithInterval(mustFromWKT("POLYGON ((0 0, 4 0, 2 4, 0 0))").Geo(), MustInterval(0, 10)),
+		NewWithInterval(mustFromWKT("POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))").Geo(), MustInterval(0, 10)),
 		timedPoint(1, 2, 5),
 	} {
 		var hits int
@@ -411,4 +386,136 @@ func TestPointKeyPredicatesAllocateNothing(t *testing.T) {
 // default Euclidean one.
 func manhattan(a, b geom.Point) float64 {
 	return math.Abs(a.X-b.X) + math.Abs(a.Y-b.Y)
+}
+
+// at is the degenerate interval [t, t].
+func at(t Instant) Interval { return Interval{Start: t, End: t} }
+
+func TestNewInterval(t *testing.T) {
+	if _, err := NewInterval(5, 3); err == nil {
+		t.Error("expected error for inverted interval")
+	}
+	iv, err := NewInterval(3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if iv.Start != 3 || iv.End != 5 || iv.Start == iv.End {
+		t.Errorf("NewInterval(3, 5) = %v", iv)
+	}
+}
+
+func TestInstantInterval(t *testing.T) {
+	iv := at(7)
+	if iv.Start != iv.End {
+		t.Error("an instant must be degenerate")
+	}
+	if !iv.contains(at(7)) || iv.contains(at(8)) {
+		t.Error("instant containment wrong")
+	}
+	if iv.String() != "@7" {
+		t.Errorf("String = %q", iv.String())
+	}
+	if MustInterval(1, 2).String() != "[1, 2]" {
+		t.Errorf("String = %q", MustInterval(1, 2).String())
+	}
+}
+
+func TestIntersects(t *testing.T) {
+	cases := []struct {
+		a, b Interval
+		want bool
+	}{
+		{MustInterval(0, 10), MustInterval(5, 15), true},
+		{MustInterval(0, 10), MustInterval(10, 20), true}, // closed endpoint contact
+		{MustInterval(0, 10), MustInterval(11, 20), false},
+		{at(5), MustInterval(0, 10), true},
+		{at(5), at(5), true},
+		{at(5), at(6), false},
+		{MustInterval(0, 100), MustInterval(40, 60), true},
+	}
+	for i, c := range cases {
+		if got := c.a.intersects(c.b); got != c.want {
+			t.Errorf("case %d: %v ∩ %v = %v, want %v", i, c.a, c.b, got, c.want)
+		}
+		if got := c.b.intersects(c.a); got != c.want {
+			t.Errorf("case %d swapped: got %v", i, got)
+		}
+	}
+}
+
+func TestContains(t *testing.T) {
+	outer := MustInterval(0, 100)
+	if !outer.contains(MustInterval(10, 20)) {
+		t.Error("nested containment failed")
+	}
+	if !outer.contains(outer) {
+		t.Error("self containment failed")
+	}
+	if outer.contains(MustInterval(50, 150)) {
+		t.Error("overhang must not be contained")
+	}
+	if !outer.contains(at(0)) || !outer.contains(at(100)) {
+		t.Error("endpoints must be contained (closed interval)")
+	}
+}
+
+func normPair(x, y int32) Interval {
+	a, b := int64(x), int64(y)
+	if a > b {
+		a, b = b, a
+	}
+	return Interval{Start: Instant(a), End: Instant(b)}
+}
+
+func TestPropIntersectsSymmetric(t *testing.T) {
+	f := func(x1, y1, x2, y2 int32) bool {
+		a, b := normPair(x1, y1), normPair(x2, y2)
+		return a.intersects(b) == b.intersects(a)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestPropIntervalContainsImpliesIntersects(t *testing.T) {
+	f := func(x1, y1, x2, y2 int32) bool {
+		a, b := normPair(x1, y1), normPair(x2, y2)
+		return !a.contains(b) || a.intersects(b)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// smallPair draws an interval with endpoints in [-7, 7], so that equal
+// endpoints, and with them every Allen relation, occur.
+func smallPair(x, y int8) Interval { return normPair(int32(x%8), int32(y%8)) }
+
+// TestPropIntersectsIsUnionOfAllenRelations: two intervals intersect
+// unless one lies wholly before the other — Allen's before and after.
+func TestPropIntersectsIsUnionOfAllenRelations(t *testing.T) {
+	f := func(x1, y1, x2, y2 int8) bool {
+		a, b := smallPair(x1, y1), smallPair(x2, y2)
+		before, after := a.End < b.Start, b.End < a.Start
+		return a.intersects(b) == !(before || after)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestPropContainsIsUnionOfAllenRelations: a contains b exactly when
+// Allen's relation of a to b is contains, started-by, finished-by or
+// equal.
+func TestPropContainsIsUnionOfAllenRelations(t *testing.T) {
+	f := func(x1, y1, x2, y2 int8) bool {
+		a, b := smallPair(x1, y1), smallPair(x2, y2)
+		contains := a.Start < b.Start && b.End < a.End
+		startedBy := a.Start == b.Start && b.End < a.End
+		finishedBy := a.Start < b.Start && a.End == b.End
+		return a.contains(b) == (contains || startedBy || finishedBy || a == b)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
 }

@@ -17,9 +17,9 @@ import (
 // blobMagic marks a checksummed blob file ("STKB").
 const blobMagic = uint32(0x53544B42)
 
-// ErrCorrupt reports a checksummed file whose contents fail
+// errCorrupt reports a checksummed file whose contents fail
 // validation (bad magic, impossible length, CRC mismatch).
-var ErrCorrupt = errors.New("wal: corrupt checksummed file")
+var errCorrupt = errors.New("wal: corrupt checksummed file")
 
 // WriteFileAtomic writes data to path with crash-safe replace
 // semantics: the bytes land in path.tmp first, are fsync'd, and only
@@ -69,28 +69,28 @@ func WriteChecksummed(path string, data []byte) error {
 // ReadChecksummed reads and validates a file written by
 // WriteChecksummed, returning the payload. Any validation failure —
 // truncation, trailing garbage, bit flips anywhere in the container —
-// returns an error wrapping ErrCorrupt.
+// returns an error wrapping errCorrupt.
 func ReadChecksummed(path string) ([]byte, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	if len(buf) < 12 {
-		return nil, fmt.Errorf("%w: %s: %d bytes is shorter than the container", ErrCorrupt, path, len(buf))
+		return nil, fmt.Errorf("%w: %s: %d bytes is shorter than the container", errCorrupt, path, len(buf))
 	}
 	if binary.LittleEndian.Uint32(buf[0:4]) != blobMagic {
-		return nil, fmt.Errorf("%w: %s: bad magic", ErrCorrupt, path)
+		return nil, fmt.Errorf("%w: %s: bad magic", errCorrupt, path)
 	}
 	length := binary.LittleEndian.Uint32(buf[4:8])
 	// Validate the untrusted length against the bytes present before
 	// using it: exact fit required, so truncation and garbage tails
 	// are both rejected.
 	if int64(length) != int64(len(buf)-12) {
-		return nil, fmt.Errorf("%w: %s: header says %d payload bytes, file holds %d", ErrCorrupt, path, length, len(buf)-12)
+		return nil, fmt.Errorf("%w: %s: header says %d payload bytes, file holds %d", errCorrupt, path, length, len(buf)-12)
 	}
 	want := binary.LittleEndian.Uint32(buf[8+length:])
 	if Checksum(buf[:8+length]) != want {
-		return nil, fmt.Errorf("%w: %s: checksum mismatch", ErrCorrupt, path)
+		return nil, fmt.Errorf("%w: %s: checksum mismatch", errCorrupt, path)
 	}
 	return buf[8 : 8+length], nil
 }

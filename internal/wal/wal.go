@@ -48,12 +48,12 @@ func Checksum(data []byte) uint32 { return crc32.Checksum(data, castagnoli) }
 const (
 	// frameHeaderSize is the per-record framing overhead.
 	frameHeaderSize = 8
-	// MaxRecordBytes bounds one record body. An untrusted length
+	// maxRecordBytes bounds one record body. An untrusted length
 	// header past this is treated as a torn record rather than an
 	// allocation request — replay never allocates more than the bytes
 	// actually remaining in the segment anyway, but the cap keeps a
 	// single record from legitimately growing without bound.
-	MaxRecordBytes = 256 << 20
+	maxRecordBytes = 256 << 20
 	// segmentPattern names segment files within the directory.
 	segmentPattern = "wal-%08d.log"
 )
@@ -169,16 +169,6 @@ func Open(dir string) (*Log, error) {
 	return l, nil
 }
 
-// Dir returns the log directory.
-func (l *Log) Dir() string { return l.dir }
-
-// Seq returns the current segment sequence number.
-func (l *Log) Seq() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seq
-}
-
 // Stats returns the write counters.
 func (l *Log) Stats() Stats {
 	l.mu.Lock()
@@ -204,7 +194,7 @@ func (l *Log) Append(rec Record) error {
 	body := make([]byte, 1+len(rec.Payload))
 	body[0] = rec.Type
 	copy(body[1:], rec.Payload)
-	if len(body) > MaxRecordBytes {
+	if len(body) > maxRecordBytes {
 		return fmt.Errorf("wal: record of %d bytes exceeds MaxRecordBytes", len(body))
 	}
 	frame := make([]byte, frameHeaderSize+len(body))
@@ -388,7 +378,7 @@ func decodeFrame(b []byte) (Record, int, bool) {
 	// The length header is untrusted until the CRC passes: validate it
 	// against the bytes actually present before touching the body, so
 	// a corrupt length can never demand memory or read out of bounds.
-	if length == 0 || length > MaxRecordBytes || int64(length) > int64(len(b)-frameHeaderSize) {
+	if length == 0 || length > maxRecordBytes || int64(length) > int64(len(b)-frameHeaderSize) {
 		return Record{}, -1, false
 	}
 	body := b[frameHeaderSize : frameHeaderSize+int(length)]

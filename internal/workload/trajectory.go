@@ -7,7 +7,6 @@ import (
 	"stark/internal/engine"
 	"stark/internal/geom"
 	"stark/internal/stobject"
-	"stark/internal/temporal"
 )
 
 // This file generates moving-object data: the paper's introduction
@@ -72,7 +71,7 @@ func Trajectories(cfg TrajectoryConfig) []engine.Pair[stobject.STObject, Traject
 		for tick := 0; tick < cfg.Ticks; tick++ {
 			key := stobject.NewWithTime(
 				geom.NewPoint(x, y),
-				temporal.Instant(int64(tick)*cfg.TickInterval))
+				stobject.Instant(int64(tick)*cfg.TickInterval))
 			out = append(out, engine.NewPair(key, TrajectoryPoint{ObjectID: obj, Seq: tick}))
 
 			// Correlated random walk: small heading changes, bounce at

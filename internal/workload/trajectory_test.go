@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"stark/internal/geom"
-	"stark/internal/temporal"
+	"stark/internal/stobject"
 )
 
 func TestTrajectoriesShape(t *testing.T) {
@@ -20,7 +20,7 @@ func TestTrajectoriesShape(t *testing.T) {
 			t.Fatalf("report %d = %+v", i, kv.Value)
 		}
 		iv, ok := kv.Key.Time()
-		if !ok || iv.Start != temporal.Instant(wantSeq)*60 {
+		if !ok || iv.Start != stobject.Instant(wantSeq)*60 {
 			t.Fatalf("report %d time = %v", i, iv)
 		}
 		c := kv.Key.Centroid()
@@ -63,7 +63,7 @@ func TestTrajectoryLines(t *testing.T) {
 		if ls.NumPoints() != 30 {
 			t.Errorf("object %d line has %d points", obj, ls.NumPoints())
 		}
-		if ls.Length() <= 0 {
+		if e := ls.Envelope(); e.Width()+e.Height() <= 0 {
 			t.Errorf("object %d has zero-length trajectory", obj)
 		}
 	}

@@ -24,7 +24,6 @@ import (
 	"stark/internal/engine"
 	"stark/internal/geom"
 	"stark/internal/stobject"
-	"stark/internal/temporal"
 	"stark/internal/wal"
 )
 
@@ -170,14 +169,14 @@ func clamp(v, lo, hi float64) float64 {
 	return v
 }
 
-// STPoints generates timestamped STObjects under the configuration.
-func STPoints(cfg Config) []stobject.STObject {
+// stPoints generates timestamped STObjects under the configuration.
+func stPoints(cfg Config) []stobject.STObject {
 	cfg = cfg.withDefaults()
 	pts := Points(cfg)
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
 	out := make([]stobject.STObject, len(pts))
 	for i, p := range pts {
-		out[i] = stobject.NewWithTime(p, temporal.Instant(rng.Int63n(cfg.TimeRange)))
+		out[i] = stobject.NewWithTime(p, stobject.Instant(rng.Int63n(cfg.TimeRange)))
 	}
 	return out
 }
@@ -185,7 +184,7 @@ func STPoints(cfg Config) []stobject.STObject {
 // Tuples generates (STObject, int) pairs ready for core.Wrap; the
 // value is the record index.
 func Tuples(cfg Config) []engine.Pair[stobject.STObject, int] {
-	objs := STPoints(cfg)
+	objs := stPoints(cfg)
 	out := make([]engine.Pair[stobject.STObject, int], len(objs))
 	for i, o := range objs {
 		out[i] = engine.NewPair(o, i)
@@ -278,7 +277,7 @@ func ReadEventsCSV(path string) ([]Event, error) {
 			}
 			continue
 		}
-		e, err := ParseEventLine(sc.Text())
+		e, err := parseEventLine(sc.Text())
 		if err != nil {
 			return nil, fmt.Errorf("workload: %s line %d: %w", path, line, err)
 		}
@@ -293,9 +292,9 @@ func ReadEventsCSV(path string) ([]Event, error) {
 	return events, nil
 }
 
-// ParseEventLine parses one "id,category,time,wkt" line; the wkt
+// parseEventLine parses one "id,category,time,wkt" line; the wkt
 // field is everything after the third comma.
-func ParseEventLine(line string) (Event, error) {
+func parseEventLine(line string) (Event, error) {
 	parts := strings.SplitN(line, ",", 4)
 	if len(parts) != 4 {
 		return Event{}, fmt.Errorf("expected 4 fields, got %d", len(parts))
@@ -314,7 +313,7 @@ func ParseEventLine(line string) (Event, error) {
 // ToSTObject converts an event to its spatio-temporal key, parsing
 // the WKT — the pre-processing map step of the paper's example.
 func (e Event) ToSTObject() (stobject.STObject, error) {
-	return stobject.FromWKTWithTime(e.WKT, temporal.Instant(e.Time))
+	return stobject.FromWKTWithTime(e.WKT, stobject.Instant(e.Time))
 }
 
 // EventTuples converts events to (STObject, Event) pairs, dropping

@@ -62,7 +62,11 @@ func TestSkewedIsActuallySkewed(t *testing.T) {
 		for _, o := range objs {
 			sizes[g.PartitionFor(o)]++
 		}
-		return partition.Imbalance(sizes)
+		maxSize := 0
+		for _, s := range sizes {
+			maxSize = max(maxSize, s)
+		}
+		return float64(maxSize) * float64(len(sizes)) / float64(len(objs))
 	}
 	iu, is := imbalanceOf(uniform), imbalanceOf(skewed)
 	if is < 3*iu {
@@ -80,7 +84,7 @@ func TestDistributionString(t *testing.T) {
 }
 
 func TestSTPointsCarryTime(t *testing.T) {
-	objs := STPoints(Config{N: 50, Seed: 3, TimeRange: 1000})
+	objs := stPoints(Config{N: 50, Seed: 3, TimeRange: 1000})
 	for _, o := range objs {
 		iv, ok := o.Time()
 		if !ok {
@@ -151,7 +155,7 @@ func TestReadEventsCSVErrors(t *testing.T) {
 }
 
 func TestParseEventLine(t *testing.T) {
-	e, err := ParseEventLine("7,sports,123,POINT (1.5 2.5)")
+	e, err := parseEventLine("7,sports,123,POINT (1.5 2.5)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +163,7 @@ func TestParseEventLine(t *testing.T) {
 		t.Errorf("parsed %+v", e)
 	}
 	// WKT containing commas (polygon) survives SplitN.
-	e, err = ParseEventLine("1,x,2,POLYGON ((0 0, 1 0, 1 1, 0 0))")
+	e, err = parseEventLine("1,x,2,POLYGON ((0 0, 1 0, 1 1, 0 0))")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +171,7 @@ func TestParseEventLine(t *testing.T) {
 		t.Errorf("wkt = %q", e.WKT)
 	}
 	for _, bad := range []string{"", "1,2,3", "a,b,1,POINT (0 0)", "1,b,x,POINT (0 0)"} {
-		if _, err := ParseEventLine(bad); err == nil {
+		if _, err := parseEventLine(bad); err == nil {
 			t.Errorf("%q: expected error", bad)
 		}
 	}

@@ -14,7 +14,6 @@ import (
 	"stark/internal/geom"
 	"stark/internal/partition"
 	"stark/internal/stobject"
-	"stark/internal/temporal"
 )
 
 // ---- Core vocabulary types ----
@@ -41,9 +40,9 @@ type (
 	DistanceFunc = geom.DistanceFunc
 
 	// Instant is a point in time.
-	Instant = temporal.Instant
-	// Interval is a half-open validity interval [Start, End).
-	Interval = temporal.Interval
+	Instant = stobject.Instant
+	// Interval is a closed validity interval [Start, End].
+	Interval = stobject.Interval
 
 	// Context coordinates job execution — the SparkContext stand-in
 	// owning the executor pool and metrics.
@@ -124,11 +123,11 @@ func NewPoint(x, y float64) Point { return geom.NewPoint(x, y) }
 func NewEnvelope(x1, y1, x2, y2 float64) Envelope { return geom.NewEnvelope(x1, y1, x2, y2) }
 
 // NewInterval builds a validity interval, rejecting end < start.
-func NewInterval(start, end Instant) (Interval, error) { return temporal.NewInterval(start, end) }
+func NewInterval(start, end Instant) (Interval, error) { return stobject.NewInterval(start, end) }
 
 // MustInterval is NewInterval panicking on invalid bounds — for
 // literals.
-func MustInterval(start, end Instant) Interval { return temporal.MustInterval(start, end) }
+func MustInterval(start, end Instant) Interval { return stobject.MustInterval(start, end) }
 
 // NewTuple pairs a spatio-temporal key with a payload.
 func NewTuple[V any](key STObject, value V) Tuple[V] { return engine.NewPair(key, value) }
