@@ -1,7 +1,11 @@
 package stark_test
 
 import (
+	"encoding/hex"
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"testing"
@@ -138,3 +142,82 @@ func TestLoadIndexFitsFreshShuffle(t *testing.T) {
 		}
 	}
 }
+
+// TestIndexFileFormat pins the bytes of a persisted index: format v2,
+// one entry (item id, envelope) per row in the order the shuffle leaves
+// the rows, and a CRC32C footer. A directory written by an older build
+// must load into a newer one, and the files a build writes must not
+// move when the in-memory tree changes shape.
+func TestIndexFileFormat(t *testing.T) {
+	ctx := stark.NewContext(2)
+	var rows []stark.Tuple[int]
+	for i, xy := range [][2]float64{{1, 1}, {9, 2}, {2, 8}, {7, 7}, {3, 3}, {8, 9}, {4, 1}, {6, 4}, {1, 6}, {5, 5}} {
+		rows = append(rows, stark.NewTuple(stark.NewSTObject(stark.NewPoint(xy[0], xy[1])), i))
+	}
+	poly, err := stark.FromWKT("POLYGON ((2 2, 4 2, 4 5, 2 5, 2 2))")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows = append(rows, stark.NewTuple(poly, len(rows)))
+	shuffle := func() *stark.Dataset[int] {
+		return stark.Parallelize(ctx, rows, 2).PartitionBy(stark.BSP(6))
+	}
+	dir := t.TempDir()
+	indexed := shuffle().Index(stark.Persistent(3))
+	if n, err := indexed.NumPartitions(); err != nil || n != 2 {
+		t.Fatalf("%d partitions, %v: bad test set-up", n, err)
+	}
+	if err := indexed.SaveIndex(dir); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{indexFilePart0, indexFilePart1} {
+		got, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("part-%d.idx", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hex.EncodeToString(got) != want {
+			t.Errorf("part-%d.idx:\n%x\nwant\n%s", i, got, want)
+		}
+	}
+	ids := func(ts []stark.Tuple[int], err error) []int {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]int, len(ts))
+		for i, kv := range ts {
+			out[i] = kv.Value
+		}
+		slices.Sort(out)
+		return out
+	}
+	for _, w := range []stark.Envelope{stark.NewEnvelope(0, 0, 10, 10), stark.NewEnvelope(2.5, 2.5, 5, 5), stark.NewEnvelope(6, 0, 10, 5)} {
+		q := stark.NewSTObject(w.ToPolygon())
+		want := ids(shuffle().Intersects(q).Collect())
+		if got := ids(stark.LoadIndex(shuffle(), dir).Intersects(q).Collect()); !slices.Equal(got, want) || len(want) == 0 {
+			t.Errorf("window %v: loaded index returns %v, scan %v", w, got, want)
+		}
+	}
+}
+
+// The bytes TestIndexFileFormat pins for its two partitions.
+const (
+	// Header (magic "STRK", version 2, order 3, 5 entries), then
+	// (id, minX, minY, maxX, maxY) per row, the polygon last, then the
+	// CRC32C.
+	indexFilePart0 = "4b5254530200030005000000" +
+		"00000000000000000000f03f000000000000f03f000000000000f03f000000000000f03f" +
+		"010000000000000000000040000000000000204000000000000000400000000000002040" +
+		"020000000000000000000840000000000000084000000000000008400000000000000840" +
+		"03000000000000000000f03f0000000000001840000000000000f03f0000000000001840" +
+		"040000000000000000000040000000000000004000000000000010400000000000001440" +
+		"704b6322"
+	indexFilePart1 = "4b5254530200030006000000" +
+		"000000000000000000001040000000000000f03f0000000000001040000000000000f03f" +
+		"010000000000000000001440000000000000144000000000000014400000000000001440" +
+		"020000000000000000001840000000000000104000000000000018400000000000001040" +
+		"030000000000000000001c400000000000001c400000000000001c400000000000001c40" +
+		"040000000000000000002040000000000000224000000000000020400000000000002240" +
+		"050000000000000000002240000000000000004000000000000022400000000000000040" +
+		"137875ca"
+)
