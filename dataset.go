@@ -325,12 +325,26 @@ func applyMode[V any](st state[V]) (state[V], error) {
 		}
 		st.idx = idx
 	case modePersistent:
-		idx, err := st.sds.Index(st.mode.order, nil)
+		sds, idx, err := st.sds.Index(st.mode.order)
 		if err != nil {
 			return state[V]{}, err
 		}
-		st.idx = idx
+		return st.laidOut(sds, idx)
 	}
+	return st, nil
+}
+
+// laidOut makes sds, the rows a persistent index laid out in leaf
+// order, the chain's dataset and idx its index, so the rows they were
+// copied from are garbage once the chain resolves. A columnar sidecar
+// of the chain's dataset is rebuilt over the laid-out rows.
+func (st state[V]) laidOut(sds *core.SpatialDataset[V], idx *core.IndexedDataset[V]) (state[V], error) {
+	if st.sds.HasColumnar() {
+		if err := sds.BuildColumnar(); err != nil {
+			return state[V]{}, err
+		}
+	}
+	st.sds, st.idx = sds, idx
 	return st, nil
 }
 
@@ -599,17 +613,6 @@ func (d *Dataset[V]) forceFlushed() (state[V], error) {
 func (d *Dataset[V]) Run() error {
 	_, err := d.compiled()
 	return err
-}
-
-// enumerateViaIndex reports whether record-enumerating actions
-// (Collect, Count, Take, the streams) should read through the index.
-// Only worthwhile for Persistent mode, where the materialised
-// partitions spare recomputing the base lineage; in Live mode the
-// index is rebuilt per job, so enumerating through it would pay a
-// full R-tree build for a plain scan result — sds holds the identical
-// records tree-free.
-func (st *state[V]) enumerateViaIndex() bool {
-	return st.idx != nil && st.mode.kind == modePersistent
 }
 
 // prunedVisit returns the partitions an action must visit: st.visit

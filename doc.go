@@ -20,9 +20,13 @@
 // The paper's three indexing modes are one configuration instead of
 // three call paths: Index(stark.NoIndexing) scans,
 // Index(stark.Live(order)) builds transient per-partition R-trees on
-// every query, Index(stark.Persistent(order)) materialises them once
-// for reuse — and SaveIndex/LoadIndex round-trip them through a
-// directory of checksummed files, reproducing the Figure-2 workflow.
+// every query, over a per-query copy of the rows laid out in leaf
+// order, and Index(stark.Persistent(order)) builds them once for reuse
+// — and SaveIndex/LoadIndex round-trip them through a directory of
+// checksummed files, reproducing the Figure-2 workflow. A persistent
+// index lays each partition's rows out in the leaf order of its tree,
+// whose leaves are ranges of those rows, so a probe returns rows in
+// leaf order.
 //
 // The user-facing vocabulary — STObject, Envelope, Interval, the
 // named predicates, partitioner recipes (Grid, BSP, Voronoi), joins

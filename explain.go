@@ -105,9 +105,6 @@ func (d *Dataset[V]) compiled() (compiled[V], error) {
 // nodes after execution.
 func compile[V any](rec *engine.Recorder, st state[V]) (compiled[V], error) {
 	if len(st.pending) == 0 {
-		if st.enumerateViaIndex() {
-			return compiled[V]{ds: st.idx.Flat(), visit: engine.AllPartitions(st.idx.NumPartitions()), root: st.base}, nil
-		}
 		return compiled[V]{ds: st.sds.Dataset(), visit: st.prunedVisit(rec), root: st.base}, nil
 	}
 

@@ -101,13 +101,12 @@ func LoadIndex[V any](d *Dataset[V], dir string) *Dataset[V] {
 		if err != nil {
 			return state[V]{}, err
 		}
-		idx, err := core.LoadIndex(st.sds, dir)
+		sds, idx, err := core.LoadIndex(st.sds, dir)
 		if err != nil {
 			return state[V]{}, err
 		}
-		st.idx = idx
 		st.mode = Persistent(idx.Order())
 		st.base = plan.NewNode("Index", st.mode.String()+" loaded").Add(st.base)
-		return st, nil
+		return st.laidOut(sds, idx)
 	})
 }

@@ -124,11 +124,7 @@ func localIndexedSelfJoin(items []Tuple, eps float64, order int, emit func(i, j 
 	if len(items) == 0 {
 		return
 	}
-	tree := index.New(order)
-	for i, kv := range items {
-		_ = tree.Insert(kv.Key.Envelope(), int32(i))
-	}
-	tree.Build()
+	tree, _ := index.Pack(order, len(items), func(i int) geom.Envelope { return items[i].Key.Envelope() })
 	var buf []int32
 	for i, kv := range items {
 		buf = tree.Query(kv.Key.Envelope().ExpandBy(eps), buf[:0])
@@ -248,18 +244,13 @@ func replicate(ctx *engine.Context, tuples []Tuple, cfg SelfJoinConfig) ([][]rep
 		homeFor = vor.PartitionFor
 		// GeoSpark keeps an R-tree over the partition extents so
 		// replication targets are found in O(log p) per object.
-		extTree := index.New(index.DefaultOrder)
-		for i := 0; i < numParts; i++ {
-			if ext := vor.Extent(i); !ext.IsEmpty() {
-				_ = extTree.Insert(ext, int32(i))
-			}
-		}
-		extTree.Build()
+		extTree, _ := index.Pack(index.DefaultOrder, numParts, vor.Extent)
 		cellsFor = func(env geom.Envelope) []int {
-			ids := extTree.Query(env, nil)
-			out := make([]int, len(ids))
-			for i, id := range ids {
-				out[i] = int(id)
+			var out []int
+			for _, id := range extTree.Query(env, nil) {
+				if vor.Extent(int(id)).Intersects(env) {
+					out = append(out, int(id))
+				}
 			}
 			return out
 		}
@@ -399,11 +390,7 @@ func spatialSparkUnpartitioned(ctx *engine.Context, tuples []Tuple, cfg SelfJoin
 		}
 		// A fresh tree per partition pair: the strategy's defining
 		// inefficiency.
-		tree := index.New(cfg.IndexOrder)
-		for i, kv := range rp {
-			_ = tree.Insert(kv.Key.Envelope(), int32(i))
-		}
-		tree.Build()
+		tree, _ := index.Pack(cfg.IndexOrder, len(rp), func(i int) geom.Envelope { return rp[i].Key.Envelope() })
 		var n int64
 		var buf []int32
 		for _, kv := range lp {

@@ -80,11 +80,7 @@ func dbscanWithCore(points []geom.Point, eps float64, minPts int) (Result, []boo
 		return Result{Labels: labels}, core
 	}
 
-	tree := index.New(16)
-	for i, p := range points {
-		_ = tree.Insert(p.Envelope(), int32(i))
-	}
-	tree.Build()
+	tree, _ := index.Pack(16, n, func(i int) geom.Envelope { return points[i].Envelope() })
 	epsSq := eps * eps
 	neighbors := func(i int, dst []int32) []int32 {
 		p := points[i]

@@ -30,18 +30,20 @@ func (s *IndexedDataset[V]) Filter(q stobject.STObject, pruneEnv geom.Envelope, 
 	return s.Probe(env, keep).CollectPartitions(s.relevantPartitions(env))
 }
 
+// Flat returns the records as a lazily flattened engine dataset,
+// preserving the partition structure.
+func (s *IndexedDataset[V]) Flat() *engine.Dataset[Tuple[V]] {
+	return engine.FlatMap(s.parts, func(ip indexedPartition[V]) []Tuple[V] { return ip.Items })
+}
+
 // Collect returns all records of the indexed dataset.
 func (s *IndexedDataset[V]) Collect() ([]Tuple[V], error) {
 	return s.Flat().Collect()
 }
 
-// Count returns the number of records. Partition lengths are summed
-// inside the job — neither the records nor the trees travel to the
-// driver.
+// Count returns the number of records.
 func (s *IndexedDataset[V]) Count() (int64, error) {
-	return engine.Aggregate(s.parts, int64(0),
-		func(acc int64, ip indexedPartition[V]) int64 { return acc + int64(len(ip.Items)) },
-		func(a, b int64) int64 { return a + b })
+	return s.Flat().Count()
 }
 
 // KNN returns the k records nearest to q under df (nil selects the

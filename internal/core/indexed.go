@@ -20,13 +20,18 @@ import (
 //     queried with the query object, and the candidates are refined
 //     with the exact spatio-temporal predicate;
 //   - persistent indexing (index method in the DSL): the per-partition
-//     trees are materialised so they are built at most once, and can
-//     be saved to a directory of files and re-attached in later runs.
+//     trees are built at most once, and can be saved to a directory of
+//     files and re-attached in later runs.
+//
+// Either way a tree's leaves are ranges of rows laid out in leaf order
+// (index.Pack): a live index lays out a copy per job, a persistent one
+// lays the rows out once and becomes their only copy.
 
 // indexedPartition is one partition of an IndexedDataset: the records
-// plus an R-tree over their envelopes (entry ID = slice position). A
-// join's build slot loads into one too, with a nil Tree when the join
-// does not index or the slot has no records.
+// laid out in the leaf order of an R-tree over their envelopes, so a
+// leaf's position range is a run of Items. A join's build slot loads
+// into one too, with a nil Tree when the join does not index or the
+// slot has no records.
 type indexedPartition[V any] struct {
 	Items []Tuple[V]
 	Tree  *index.RTree
@@ -72,9 +77,10 @@ type sp = interface {
 
 // LiveIndex returns an indexed view of the dataset with the given
 // R-tree order. When p is non-nil the dataset is repartitioned by p
-// first, mirroring liveIndex(order, partitioner). Trees are built
-// lazily inside each partition task, on every job — the live mode
-// trades index build time per query for zero memory retention.
+// first, mirroring liveIndex(order, partitioner). Each job lays every
+// partition it visits out in a transient copy, in the leaf order of a
+// tree it builds over it — the live mode trades index build time per
+// query for zero memory retention.
 func (s *SpatialDataset[V]) LiveIndex(order int, p sp) (*IndexedDataset[V], error) {
 	base := s
 	if p != nil {
@@ -90,29 +96,61 @@ func (s *SpatialDataset[V]) LiveIndex(order int, p sp) (*IndexedDataset[V], erro
 	return &IndexedDataset[V]{parts: parts, sp: base.sp, order: order, rec: base.rec}, nil
 }
 
-// Index returns an indexed view whose trees are materialised once and
-// reused across queries — STARK's persistent indexing mode. When p is
-// non-nil the dataset is repartitioned first.
-func (s *SpatialDataset[V]) Index(order int, p sp) (*IndexedDataset[V], error) {
-	idx, err := s.LiveIndex(order, p)
-	if err != nil {
-		return nil, err
-	}
-	idx.parts.Cache()
-	// Force materialisation now so subsequent queries only probe.
-	if _, err := idx.parts.Count(); err != nil {
-		return nil, err
-	}
-	return idx, nil
+// Index is STARK's persistent indexing mode: it lays every partition
+// out once in the leaf order of an R-tree of the given order and keeps
+// the trees for every later query. It returns the laid-out rows,
+// partitioned as the receiver but not ordered by x, and the indexed
+// view over them. Neither refers to the receiver's rows.
+func (s *SpatialDataset[V]) Index(order int) (*SpatialDataset[V], *IndexedDataset[V], error) {
+	return s.layOut(order, func(_ int, in []Tuple[V]) (indexedPartition[V], error) {
+		return buildIndexedPartition(in, order), nil
+	})
 }
 
-func buildIndexedPartition[V any](in []Tuple[V], order int) indexedPartition[V] {
-	tree := index.New(order)
-	for i, kv := range in {
-		_ = tree.Insert(kv.Key.Envelope(), int32(i))
+// layOut runs build over every partition of the receiver in one job and
+// wraps the laid-out partitions it returns as a rows dataset and the
+// indexed view over it, both sourced from the new slices. The view
+// reports the order of the first partition's tree (order when there are
+// no partitions).
+func (s *SpatialDataset[V]) layOut(order int, build func(p int, in []Tuple[V]) (indexedPartition[V], error)) (*SpatialDataset[V], *IndexedDataset[V], error) {
+	ctx, n := s.ds.Context(), s.ds.NumPartitions()
+	ips := make([]indexedPartition[V], n)
+	err := ctx.RunJobRecorder(nil, s.rec, engine.AllPartitions(n), func(p int) error {
+		in, err := s.ds.ComputePartition(p)
+		if err == nil {
+			ips[p], err = build(p, in)
+		}
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	tree.Build()
-	return indexedPartition[V]{Items: in, Tree: tree}
+	if n > 0 {
+		order = ips[0].Tree.Order()
+	}
+	rows := make([][]Tuple[V], n)
+	parts := make([][]indexedPartition[V], n)
+	for p := range ips {
+		rows[p], parts[p] = ips[p].Items, ips[p:p+1]
+	}
+	laid := newSpatial(engine.FromPartitions(ctx, rows), s.sp, s.rec)
+	return laid, &IndexedDataset[V]{parts: engine.FromPartitions(ctx, parts), sp: s.sp, order: order, rec: s.rec}, nil
+}
+
+// buildIndexedPartition packs a tree over in and lays a copy of the rows
+// out in its leaf order.
+func buildIndexedPartition[V any](in []Tuple[V], order int) indexedPartition[V] {
+	tree, perm := index.Pack(order, len(in), func(i int) geom.Envelope { return in[i].Key.Envelope() })
+	return indexedPartition[V]{Items: permute(in, perm), Tree: tree}
+}
+
+// permute returns the rows in perm's order: row pos is in[perm[pos]].
+func permute[V any](in []Tuple[V], perm []int32) []Tuple[V] {
+	out := make([]Tuple[V], len(perm))
+	for pos, i := range perm {
+		out[pos] = in[i]
+	}
+	return out
 }
 
 // Order returns the R-tree order used for the partition indexes.
@@ -139,14 +177,16 @@ func (s *IndexedDataset[V]) relevantPartitions(q geom.Envelope) []int {
 }
 
 // Probe returns the index probe as a lazy stream over the dataset's
-// own partitions: partition p queries its tree with env and yields the
-// candidates that pass keep — the exact spatio-temporal predicate,
-// whose temporal component is thereby evaluated during candidate
-// pruning exactly as the paper describes, plus whatever else the
-// caller refines with. Nothing runs until an action drives the stream
-// over a visit list, and a consumer that stops early stops the
-// refinement. Each partition probed charges one IndexProbes and every
-// candidate tested one CandidatesRefined.
+// own partitions: partition p searches its tree with env and reads the
+// rows of the leaves that meet it in place, in leaf order, yielding
+// those whose envelope meets env and that pass keep — the exact
+// spatio-temporal predicate, whose temporal component is thereby
+// evaluated during candidate pruning exactly as the paper describes,
+// plus whatever else the caller refines with. Nothing runs until an
+// action drives the stream over a visit list, and a consumer that stops
+// early stops the refinement. Each partition probed charges one
+// IndexProbes and every row that passes the envelope test one
+// CandidatesRefined.
 func (s *IndexedDataset[V]) Probe(env geom.Envelope, keep func(kv Tuple[V]) bool) *engine.Dataset[Tuple[V]] {
 	rec, parts := s.recorder(), s.parts
 	out := engine.NewStream(s.parts.Context(), parts.Name()+".probe", parts.NumPartitions(),
@@ -155,25 +195,25 @@ func (s *IndexedDataset[V]) Probe(env geom.Envelope, keep func(kv Tuple[V]) bool
 				rec.Add(engine.IndexProbes, 1)
 				var refined int64
 				more := true
-				for _, id := range ip.Tree.Query(env, nil) {
-					refined++
-					if kv := ip.Items[id]; keep(kv) && !yield(kv) {
-						more = false
-						break
+				ip.Tree.Search(env, func(lo, hi int) bool {
+					for i := lo; i < hi; i++ {
+						kv := &ip.Items[i]
+						if !kv.Key.EnvelopeIntersects(env) {
+							continue
+						}
+						refined++
+						if keep(*kv) && !yield(*kv) {
+							more = false
+							return false
+						}
 					}
-				}
+					return true
+				})
 				rec.Add(engine.CandidatesRefined, refined)
 				return more
 			})
 		})
 	return out.WithRecorder(s.rec)
-}
-
-// Flat returns the records as a lazily flattened engine dataset,
-// preserving the partition structure — for actions that stream or
-// stop early instead of materialising everything.
-func (s *IndexedDataset[V]) Flat() *engine.Dataset[Tuple[V]] {
-	return engine.FlatMap(s.parts, func(ip indexedPartition[V]) []Tuple[V] { return ip.Items })
 }
 
 // indexFile names partition i's tree inside a persisted index directory.
@@ -184,8 +224,9 @@ func indexFile(dir string, i int) string {
 // Persist writes every partition tree into dir ("<dir>/part-<i>.idx",
 // created if absent), atomically replacing previous files — Spark's
 // saveAsObjectFile analogue for STARK's persistent indexing. Only the
-// trees (envelopes + slot IDs) are persisted; re-attaching requires
-// the same data partitioned the same way, see LoadIndex.
+// rows' envelopes are persisted, in the order the rows had before they
+// were laid out; re-attaching requires the same data partitioned the
+// same way, see LoadIndex.
 func (s *IndexedDataset[V]) Persist(dir string) error {
 	parts, err := s.parts.Collect()
 	if err != nil {
@@ -195,49 +236,23 @@ func (s *IndexedDataset[V]) Persist(dir string) error {
 		return fmt.Errorf("core: persisting index: %w", err)
 	}
 	for i, ip := range parts {
-		if err := ip.Tree.SaveFile(indexFile(dir, i)); err != nil {
+		if err := ip.Tree.SaveFile(indexFile(dir, i), func(pos int) geom.Envelope { return ip.Items[pos].Key.Envelope() }); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// LoadIndex re-attaches trees persisted with Persist to a dataset
-// with the same partition layout, skipping the R-tree build. It
-// validates that entry counts match the partition sizes.
-func LoadIndex[V any](s *SpatialDataset[V], dir string) (*IndexedDataset[V], error) {
-	n := s.ds.NumPartitions()
-	trees := make([]*index.RTree, n)
-	loadTasks := make([]int, n)
-	for i := range loadTasks {
-		loadTasks[i] = i
-	}
-	err := s.ds.Context().RunJob(loadTasks, func(i int) error {
-		t, err := index.LoadFile(indexFile(dir, i))
+// LoadIndex re-attaches trees persisted with Persist to a dataset with
+// the same partition layout: it re-packs each file's envelopes, once
+// they are found to be those of the partition's rows, and lays the rows
+// out by the result. It returns what Index returns.
+func LoadIndex[V any](s *SpatialDataset[V], dir string) (*SpatialDataset[V], *IndexedDataset[V], error) {
+	return s.layOut(index.DefaultOrder, func(p int, in []Tuple[V]) (indexedPartition[V], error) {
+		tree, perm, err := index.LoadFile(indexFile(dir, p), len(in), func(i int) geom.Envelope { return in[i].Key.Envelope() })
 		if err != nil {
-			return fmt.Errorf("core: loading index partition %d: %w", i, err)
+			return indexedPartition[V]{}, fmt.Errorf("core: loading index partition %d: %w", p, err)
 		}
-		trees[i] = t
-		return nil
+		return indexedPartition[V]{Items: permute(in, perm), Tree: tree}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	order := index.DefaultOrder
-	if n > 0 {
-		order = trees[0].Order()
-	}
-	parts := engine.MapPartitions(s.ds, func(idx int, in []Tuple[V]) ([]indexedPartition[V], error) {
-		t := trees[idx]
-		if t.Len() != len(in) {
-			return nil, fmt.Errorf("core: persisted index partition %d holds %d entries, data has %d",
-				idx, t.Len(), len(in))
-		}
-		return []indexedPartition[V]{{Items: in, Tree: t}}, nil
-	})
-	parts.Cache()
-	if _, err := parts.Count(); err != nil {
-		return nil, err
-	}
-	return &IndexedDataset[V]{parts: parts, sp: s.sp, order: order, rec: s.rec}, nil
 }

@@ -1,13 +1,16 @@
 package core
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"stark/internal/engine"
 	"stark/internal/geom"
+	"stark/internal/index"
 	"stark/internal/partition"
 	"stark/internal/stobject"
 )
@@ -89,10 +92,11 @@ func TestLiveIndexWithRepartitioning(t *testing.T) {
 func TestIndexCountAndCollect(t *testing.T) {
 	ctx := engine.NewContext(4)
 	s, tuples := makeDataset(t, ctx, 500, 4, 22)
-	idx, err := s.Index(8, nil)
+	_, idx, err := s.Index(8)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkTrees(t, idx)
 	n, err := idx.Count()
 	if err != nil || n != 500 {
 		t.Fatalf("count = %d err=%v", n, err)
@@ -117,10 +121,11 @@ func TestPersistentIndexRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := ps.Index(6, nil)
+	_, idx, err := ps.Index(6)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkTrees(t, idx)
 	dir := filepath.Join(t.TempDir(), "indexes", "events")
 	if err := idx.Persist(dir); err != nil {
 		t.Fatal(err)
@@ -138,10 +143,11 @@ func TestPersistentIndexRoundTrip(t *testing.T) {
 	}
 	// "Another program": same data, same partitioning, load the index
 	// instead of rebuilding.
-	loaded, err := LoadIndex(ps, dir)
+	_, loaded, err := LoadIndex(ps, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkTrees(t, loaded)
 	if loaded.Order() != 6 {
 		t.Errorf("loaded order = %d", loaded.Order())
 	}
@@ -159,7 +165,7 @@ func TestPersistentIndexRoundTrip(t *testing.T) {
 func TestLoadIndexValidatesLayout(t *testing.T) {
 	ctx := engine.NewContext(2)
 	s, _ := makeDataset(t, ctx, 100, 2, 24)
-	idx, err := s.Index(4, nil)
+	_, idx, err := s.Index(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,18 +175,29 @@ func TestLoadIndexValidatesLayout(t *testing.T) {
 	}
 	// Different dataset (different sizes) must be rejected.
 	other, _ := makeDataset(t, ctx, 60, 2, 25)
-	if _, err := LoadIndex(other, dir); err == nil {
+	if _, _, err := LoadIndex(other, dir); err == nil {
 		t.Error("mismatched layout must fail")
 	}
+	// The same sizes in another row order must be rejected too: the file
+	// holds the rows' envelopes in the order they were saved in.
+	rows, err := s.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.Reverse(rows[:50])
+	slices.Reverse(rows[50:])
+	if _, _, err := LoadIndex(Wrap(engine.Parallelize(ctx, rows, 2)), dir); err == nil || !strings.Contains(err.Error(), "does not fit") {
+		t.Errorf("rows in another order: err = %v", err)
+	}
 	// Missing files must be reported.
-	if _, err := LoadIndex(s, filepath.Join(dir, "nothing")); err == nil {
+	if _, _, err := LoadIndex(s, filepath.Join(dir, "nothing")); err == nil {
 		t.Error("missing index must fail")
 	}
 	// One partition's file gone: the error names the partition.
 	if err := os.Remove(filepath.Join(dir, "part-1.idx")); err != nil {
 		t.Fatal(err)
 	}
-	_, err = LoadIndex(s, dir)
+	_, _, err = LoadIndex(s, dir)
 	if err == nil || !strings.Contains(err.Error(), "index partition 1") {
 		t.Errorf("directory missing part-1.idx: err = %v, want it to name partition 1", err)
 	}
@@ -217,7 +234,7 @@ func TestIndexReusedAcrossQueries(t *testing.T) {
 	// dataset must return identical results across repeated queries.
 	ctx := engine.NewContext(2)
 	s, tuples := makeDataset(t, ctx, 400, 4, 26)
-	idx, err := s.Index(5, nil)
+	_, idx, err := s.Index(5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,4 +249,30 @@ func TestIndexReusedAcrossQueries(t *testing.T) {
 			t.Fatalf("query %d mismatch", i)
 		}
 	}
+}
+
+// checkTrees runs the tree checker over every partition of idx, against
+// the rows the partition laid out.
+func checkTrees[V any](t *testing.T, idx *IndexedDataset[V]) {
+	t.Helper()
+	parts, err := idx.parts.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p, ip := range parts {
+		if err := ip.Tree.Check(func(pos int) geom.Envelope { return ip.Items[pos].Key.Envelope() }); err != nil {
+			t.Fatalf("partition %d: %v", p, err)
+		}
+	}
+}
+
+// TestMain checks every build slot a join of these tests lays out: a
+// slot whose tree fails the checker fails its task, and so its join.
+func TestMain(m *testing.M) {
+	testHookSlotBuilt = func(tree *index.RTree, env func(pos int) geom.Envelope) {
+		if err := tree.Check(env); err != nil {
+			panic(fmt.Sprintf("build slot: %v", err))
+		}
+	}
+	os.Exit(m.Run())
 }

@@ -228,10 +228,11 @@ func JoinStream[V, W any](l *SpatialDataset[V], lvisit []int, r *SpatialDataset[
 		func(rkv Tuple[W], lkv Tuple[V]) Tuple[JoinRow[V, W]] { return row(lkv, rkv) })
 }
 
-// buildSlot is the loader of one unit of the build side: rows plus,
-// when the join indexes and there are any, an R-tree over them. The
-// load runs once, in the first task that calls the slot; the others
-// wait for it and share the result.
+// buildSlot is the loader of one unit of the build side: rows or, when
+// the join indexes and there are any, a copy of them laid out in the
+// leaf order of an R-tree over them. The load runs once, in the first
+// task that calls the slot; the others wait for it and share the
+// result.
 type buildSlot[B any] func() (indexedPartition[B], error)
 
 // newBuildSlot returns the slot over the rows fetch returns; a tree is
@@ -243,9 +244,17 @@ func newBuildSlot[B any](order int, built *int64, fetch func() ([]Tuple[B], erro
 			return indexedPartition[B]{Items: items}, err
 		}
 		atomic.AddInt64(built, 1)
-		return buildIndexedPartition(items, order), nil
+		ip := buildIndexedPartition(items, order)
+		if testHookSlotBuilt != nil {
+			testHookSlotBuilt(ip.Tree, func(pos int) geom.Envelope { return ip.Items[pos].Key.Envelope() })
+		}
+		return ip, nil
 	})
 }
+
+// testHookSlotBuilt, set only by tests before they run, sees every
+// build slot a join lays out.
+var testHookSlotBuilt func(tree *index.RTree, env func(pos int) geom.Envelope)
 
 // joinStream is the join operator proper, with the build side settled
 // (strategy and orientation are in opts.Report): it assigns every
@@ -365,7 +374,6 @@ func joinStream[P, B, R any](probe *SpatialDataset[P], pvisit []int, build *Spat
 				return nil // pruned: the probe partition is not even streamed
 			}
 			var (
-				cand                     []int32
 				scanned, probes, refined int64
 				loadErr                  error
 			)
@@ -395,12 +403,23 @@ func joinStream[P, B, R any](probe *SpatialDataset[P], pvisit []int, build *Spat
 						continue
 					}
 					probes++
-					cand = s.Tree.Query(pkv.Key.Envelope().ExpandBy(expand), cand[:0])
-					refined += int64(len(cand))
-					for _, id := range cand {
-						if bkv := s.Items[id]; pred(pkv.Key, bkv.Key) && !yield(row(pkv, bkv)) {
-							return false
+					env, more := pkv.Key.Envelope().ExpandBy(expand), true
+					s.Tree.Search(env, func(lo, hi int) bool {
+						for i := lo; i < hi; i++ {
+							bkv := &s.Items[i]
+							if !bkv.Key.EnvelopeIntersects(env) {
+								continue
+							}
+							refined++
+							if pred(pkv.Key, bkv.Key) && !yield(row(pkv, *bkv)) {
+								more = false
+								return false
+							}
 						}
+						return true
+					})
+					if !more {
+						return false
 					}
 				}
 				return live
@@ -472,7 +491,6 @@ func SelfJoinWithinDistanceCount[V any](s *SpatialDataset[V], eps float64, order
 			right           indexedPartition[V]
 			loadErr         error
 			local           int64
-			buf             []int32
 			probes, refined int64
 		)
 		probe := func(i int, lkv Tuple[V]) bool {
@@ -484,16 +502,23 @@ func SelfJoinWithinDistanceCount[V any](s *SpatialDataset[V], eps float64, order
 				}
 			}
 			probes++
-			buf = right.Tree.Query(lkv.Key.Envelope().ExpandBy(eps), buf[:0])
-			refined += int64(len(buf))
-			for _, j := range buf {
-				if same && int(j) < i {
-					continue // count unordered pairs once
+			env := lkv.Key.Envelope().ExpandBy(eps)
+			right.Tree.Search(env, func(lo, hi int) bool {
+				for j := lo; j < hi; j++ {
+					rkv := &right.Items[j]
+					if !rkv.Key.EnvelopeIntersects(env) {
+						continue
+					}
+					refined++
+					if same && j < i {
+						continue // count unordered pairs once, by position in the slot
+					}
+					if lkv.Key.WithinDistance(rkv.Key, eps, nil) {
+						local++
+					}
 				}
-				if lkv.Key.WithinDistance(right.Items[j].Key, eps, nil) {
-					local++
-				}
-			}
+				return true
+			})
 			return true
 		}
 		var err error

@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"sort"
 	"testing"
 
 	"stark/internal/engine"
+	"stark/internal/geom"
 	"stark/internal/partition"
 	"stark/internal/stobject"
 )
@@ -348,6 +350,61 @@ func TestKNNIndexedMatchesScan(t *testing.T) {
 	}
 	if _, err := idx.KNN(q, 0, nil); err == nil {
 		t.Error("k=0 must fail")
+	}
+}
+
+// TestKNNPersistentMatchesBruteForce: kNN over a persistent index
+// measures the laid-out rows, point and polygon keys alike, and returns
+// the brute-force distances for a point reference (the tree's
+// best-first search) and a polygon one (the partition scan).
+func TestKNNPersistentMatchesBruteForce(t *testing.T) {
+	ctx := engine.NewContext(4)
+	rng := rand.New(rand.NewSource(47))
+	for _, keys := range []string{"points", "polygons"} {
+		tuples := make([]Tuple[int], 1500)
+		for i := range tuples {
+			x, y := rng.Float64()*100, rng.Float64()*100
+			key := stobject.New(geom.NewPoint(x, y))
+			if keys == "polygons" {
+				key = stobject.New(geom.NewEnvelope(x, y, x+rng.Float64()*4, y+rng.Float64()*4).ToPolygon())
+			}
+			tuples[i] = engine.NewPair(key, i)
+		}
+		s := Wrap(engine.Parallelize(ctx, tuples, 4))
+		g, err := partition.NewGrid(3, keysOf(t, s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps, err := s.PartitionBy(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, idx, err := ps.Index(5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkTrees(t, idx)
+		for _, q := range []stobject.STObject{mustFromWKT("POINT (31 62)"), queryPolygon(70, 10, 74, 16)} {
+			dists := make([]float64, len(tuples))
+			for i, kv := range tuples {
+				dists[i] = q.Distance(kv.Key, nil)
+			}
+			sort.Float64s(dists)
+			for _, k := range []int{1, 7, 40} {
+				got, err := idx.KNN(q, k, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != k {
+					t.Fatalf("%s k=%d: returned %d", keys, k, len(got))
+				}
+				for i, nb := range got {
+					if nb.Distance != dists[i] || nb.Distance != q.Distance(nb.Key, nil) {
+						t.Fatalf("%s, reference %v, k=%d: neighbor %d at %v, want %v", keys, q, k, i, nb.Distance, dists[i])
+					}
+				}
+			}
+		}
 	}
 }
 

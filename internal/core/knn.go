@@ -221,9 +221,9 @@ func (s *IndexedDataset[V]) KNNContext(ctx context.Context, q stobject.STObject,
 			rec.Add(engine.IndexProbes, 1)
 			var nbrs []neighborRaw
 			if df == nil && pointRef {
-				exact := func(id int32) float64 { return q.Distance(ip.Items[id].Key, nil) }
-				for _, nb := range ip.Tree.KNN(qc.X, qc.Y, k, exact) {
-					nbrs = append(nbrs, neighborRaw{id: nb.ID, dist: nb.Distance})
+				dist := func(pos int32) float64 { return q.Distance(ip.Items[pos].Key, nil) }
+				for _, nb := range ip.Tree.KNN(qc.X, qc.Y, k, dist) {
+					nbrs = append(nbrs, neighborRaw{id: nb.Pos, dist: nb.Distance})
 				}
 			} else {
 				// Custom metric or a non-point reference: the tree's

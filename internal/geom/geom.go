@@ -248,17 +248,6 @@ func (r Ring) NumPoints() int { return len(r.pts) }
 // PointAt returns the i-th vertex.
 func (r Ring) PointAt(i int) Point { return r.pts[i] }
 
-// SignedArea returns the signed area of the ring using the shoelace
-// formula: positive for counter-clockwise orientation.
-func (r Ring) SignedArea() float64 {
-	var sum float64
-	for i := 1; i < len(r.pts); i++ {
-		a, b := r.pts[i-1], r.pts[i]
-		sum += a.X*b.Y - b.X*a.Y
-	}
-	return sum / 2
-}
-
 // newPolygon wraps the rings (not copied) with the shell's envelope
 // and the rectangle flag.
 func newPolygon(shell Ring, holes []Ring) Polygon {

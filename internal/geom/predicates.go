@@ -309,11 +309,6 @@ func PointCovers(p Point, g Geometry) bool {
 	return false
 }
 
-// TouchesPoint is Touches(g, p), which equals Touches(p, g).
-func TouchesPoint(g Geometry, p Point) bool {
-	return !isPuntal(g) && IntersectsPoint(g, p) && locate(p, g) == 0
-}
-
 // PointDistance is Distance(p, g), which equals Distance(g, p).
 func PointDistance(p Point, g Geometry) float64 {
 	if IntersectsPoint(g, p) {

@@ -13,9 +13,9 @@ import (
 // This file implements persistent indexing: STARK's index() mode
 // serialises the per-partition R-trees to files so subsequent programs
 // can reuse them without rebuilding. The format is a compact custom
-// binary layout (magic, order, entry table); the tree structure is
-// reconstructed by re-packing on load, which is deterministic for STR
-// and avoids persisting pointers.
+// binary layout (magic, order, entry table in item order); the tree
+// is reconstructed by re-packing on load, which is deterministic for
+// STR, so the file carries no nodes and no layout.
 //
 // Format v2 ends in a CRC32C footer over everything before it, so a
 // persisted index that rotted on disk — any flipped byte past the
@@ -37,53 +37,59 @@ const (
 	persistFooterSize = 4
 )
 
-// marshal serialises the tree (built or not) to a byte slice in
-// format v2: header, fixed 36-byte entries, CRC32C footer.
-func (t *RTree) marshal() ([]byte, error) {
-	buf := make([]byte, 0, persistHeaderSize+len(t.entries)*persistEntrySize+persistFooterSize)
+// marshal serialises the packed input in format v2: header, one fixed
+// 36-byte entry per item in item order (the item number, then item i's
+// envelope), CRC32C footer. env(pos) is the envelope of the row at
+// position pos; the tree holds no envelopes of its own.
+func (t *RTree) marshal(env func(pos int) geom.Envelope) []byte {
+	envs := make([]geom.Envelope, len(t.perm))
+	for pos, item := range t.perm {
+		envs[item] = env(pos)
+	}
+	buf := make([]byte, 0, persistHeaderSize+len(envs)*persistEntrySize+persistFooterSize)
 	buf = binary.LittleEndian.AppendUint32(buf, persistMagic)
 	buf = binary.LittleEndian.AppendUint16(buf, persistVersion)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(t.order))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(t.entries)))
-	for _, e := range t.entries {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(e.ID))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Env.MinX))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Env.MinY))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Env.MaxX))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Env.MaxY))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(envs)))
+	for i, e := range envs {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(i))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.MinX))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.MinY))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.MaxX))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.MaxY))
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, wal.Checksum(buf))
-	return buf, nil
+	return binary.LittleEndian.AppendUint32(buf, wal.Checksum(buf))
 }
 
-// unmarshal reconstructs a tree from marshal output and builds it.
-// The input is verified against its CRC32C footer before any entry is
-// decoded, and the entry count from the header is validated against
-// the bytes actually present before any allocation, so a truncated or
-// corrupt file can never demand memory it does not carry.
-func unmarshal(data []byte) (*RTree, error) {
+// unmarshal decodes marshal output: the tree order and the items'
+// envelopes (envs[i] is item i's). The input is verified against its
+// CRC32C footer before any entry is decoded, and the entry count from
+// the header is validated against the bytes actually present before
+// any allocation, so a truncated or corrupt file can never demand
+// memory it does not carry.
+func unmarshal(data []byte) (order int, envs []geom.Envelope, err error) {
 	if len(data) < persistHeaderSize {
-		return nil, fmt.Errorf("index: %d bytes is shorter than the header", len(data))
+		return 0, nil, fmt.Errorf("index: %d bytes is shorter than the header", len(data))
 	}
 	magic := binary.LittleEndian.Uint32(data[0:4])
 	if magic != persistMagic {
-		return nil, fmt.Errorf("index: bad magic %#x", magic)
+		return 0, nil, fmt.Errorf("index: bad magic %#x", magic)
 	}
 	version := binary.LittleEndian.Uint16(data[4:6])
-	order := binary.LittleEndian.Uint16(data[6:8])
+	order = int(binary.LittleEndian.Uint16(data[6:8]))
 	count := binary.LittleEndian.Uint32(data[8:12])
 
 	if version != persistVersion {
-		return nil, fmt.Errorf("index: unsupported version %d", version)
+		return 0, nil, fmt.Errorf("index: unsupported version %d", version)
 	}
 	body := data[persistHeaderSize:]
 	if len(body) < persistFooterSize {
-		return nil, fmt.Errorf("index: v2 file is missing its checksum footer")
+		return 0, nil, fmt.Errorf("index: v2 file is missing its checksum footer")
 	}
 	payload := data[:len(data)-persistFooterSize]
 	want := binary.LittleEndian.Uint32(data[len(data)-persistFooterSize:])
 	if got := wal.Checksum(payload); got != want {
-		return nil, fmt.Errorf("index: checksum mismatch (file %#x, computed %#x): persisted index is corrupt", want, got)
+		return 0, nil, fmt.Errorf("index: checksum mismatch (file %#x, computed %#x): persisted index is corrupt", want, got)
 	}
 	body = body[:len(body)-persistFooterSize]
 
@@ -91,64 +97,58 @@ func unmarshal(data []byte) (*RTree, error) {
 	// length exactly (fixed-width entries) before the entry table is
 	// allocated.
 	if int64(count)*persistEntrySize != int64(len(body)) {
-		return nil, fmt.Errorf("index: header claims %d entries (%d bytes), file carries %d bytes",
+		return 0, nil, fmt.Errorf("index: header claims %d entries (%d bytes), file carries %d bytes",
 			count, int64(count)*persistEntrySize, len(body))
 	}
 
-	t := New(int(order))
-	t.entries = make([]entry, 0, count)
-	for i := uint32(0); i < count; i++ {
+	envs = make([]geom.Envelope, count)
+	for i := range envs {
 		e := body[i*persistEntrySize:]
-		id := int32(binary.LittleEndian.Uint32(e[0:4]))
+		if id := binary.LittleEndian.Uint32(e[0:4]); id != uint32(i) {
+			return 0, nil, fmt.Errorf("index: entry %d names item %d", i, id)
+		}
 		minX := math.Float64frombits(binary.LittleEndian.Uint64(e[4:12]))
 		minY := math.Float64frombits(binary.LittleEndian.Uint64(e[12:20]))
 		maxX := math.Float64frombits(binary.LittleEndian.Uint64(e[20:28]))
 		maxY := math.Float64frombits(binary.LittleEndian.Uint64(e[28:36]))
 		if math.IsNaN(minX) || math.IsNaN(minY) || math.IsNaN(maxX) || math.IsNaN(maxY) {
-			return nil, fmt.Errorf("index: entry %d has NaN bounds", i)
+			return 0, nil, fmt.Errorf("index: entry %d has NaN bounds", i)
 		}
-		t.entries = append(t.entries, entry{
-			ID:  id,
-			Env: geom.Envelope{MinX: minX, MinY: minY, MaxX: maxX, MaxY: maxY},
-		})
+		envs[i] = geom.Envelope{MinX: minX, MinY: minY, MaxX: maxX, MaxY: maxY}
 	}
-	t.Build()
-	return t, nil
+	return order, envs, nil
 }
 
 // SaveFile writes the tree to a file with the crash-safe write-temp +
 // fsync + rename contract, replacing any previous index at that path:
 // a concurrent LoadFile sees the old index or the new one, never an
-// absent or partial file. Persisted indexes and checkpoint segments
-// both go through it.
-func (t *RTree) SaveFile(path string) error {
-	data, err := t.marshal()
-	if err != nil {
-		return err
-	}
-	return wal.WriteFileAtomic(path, data)
+// absent or partial file. env(pos) is the envelope of the row at
+// position pos.
+func (t *RTree) SaveFile(path string, env func(pos int) geom.Envelope) error {
+	return wal.WriteFileAtomic(path, t.marshal(env))
 }
 
-// LoadFile reads a tree persisted by SaveFile.
-func LoadFile(path string) (*RTree, error) {
+// LoadFile re-packs the items of a file SaveFile wrote, as Pack packs
+// them, once it has checked that the file holds n items and that item
+// i's envelope is env(i): a persisted index fits only the rows it was
+// saved from, in the order they had then.
+func LoadFile(path string, n int, env func(i int) geom.Envelope) (*RTree, []int32, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return unmarshal(data)
-}
-
-// BuildFromEnvelopes bulk-loads a tree over envs, using the slice
-// index as entry ID — the "live indexing" constructor: a partition's
-// contents are put into an R-tree before evaluating a predicate. Like
-// unmarshal it fills the entry table directly: the tree is fresh by
-// construction, so Insert's post-Build error path cannot apply.
-func BuildFromEnvelopes(order int, envs []geom.Envelope) *RTree {
-	t := New(order)
-	t.entries = make([]entry, len(envs))
+	order, envs, err := unmarshal(data)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(envs) != n {
+		return nil, nil, fmt.Errorf("index: file holds %d entries, data has %d", len(envs), n)
+	}
 	for i, e := range envs {
-		t.entries[i] = entry{Env: e, ID: int32(i)}
+		if e != env(i) {
+			return nil, nil, fmt.Errorf("index: entry %d at %v does not fit the data's item at %v", i, e, env(i))
+		}
 	}
-	t.Build()
-	return t
+	t, perm := Pack(order, n, func(i int) geom.Envelope { return envs[i] })
+	return t, perm, nil
 }

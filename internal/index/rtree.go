@@ -2,18 +2,22 @@
 // R-tree STARK uses for partition-local indexing — the from-scratch
 // replacement for the JTS STRtree.
 //
-// The tree is bulk-loaded: items are collected with Insert and packed
-// into a height-balanced tree by Build. Queries return candidate item
-// IDs whose minimum bounding rectangles match; exact geometry
-// refinement is the caller's job (the "candidate pruning step" the
-// paper describes for live indexing). A branch-and-bound k nearest
-// neighbour search is provided, and trees serialise to a compact
-// binary format for persistent indexing.
+// The tree indexes positions, not entries. Pack sorts items into the
+// order of the leaves it cuts and returns that order as a permutation:
+// position pos holds item perm[pos], a leaf is a range of positions,
+// and the tree itself is one flat slice of node envelopes. A caller
+// that lays its rows out by perm owns the tree's leaves: Search hands
+// out position ranges whose rows it reads in place, one contiguous run
+// per leaf, and refines them with the exact predicate (the "candidate
+// pruning step" the paper describes). A persistent index lays a
+// partition's rows out so once, and its probes return rows in leaf
+// order; a live index lays out a copy for each query.
+// A best-first k nearest neighbour search is provided, and the packed
+// input serialises to a compact binary format for persistent indexing.
 package index
 
 import (
 	"container/heap"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -25,89 +29,97 @@ import (
 // examples use small orders such as 5.
 const DefaultOrder = 10
 
-// entry is one indexed item: an envelope plus the caller's item ID.
-type entry struct {
-	Env geom.Envelope
-	ID  int32
-}
-
-// RTree is an STR bulk-loaded R-tree over entry values.
+// RTree is an STR-packed R-tree over positions 0..n-1.
 type RTree struct {
-	order   int
-	entries []entry
-	root    *node
-	built   bool
+	order int
+	// nodes holds the tree level by level, the root first: an inner
+	// node's children are the node range [lo, hi), a leaf's entries the
+	// position range [lo, hi). nodes[leaf:] are the leaves, in position
+	// order.
+	nodes []node
+	leaf  int32
+	// perm[pos] is the item at position pos.
+	perm []int32
 }
 
 type node struct {
-	env      geom.Envelope
-	children []*node // nil for leaves
-	entries  []entry // nil for internal nodes
+	env    geom.Envelope
+	lo, hi int32
 }
 
-// New returns an empty tree with the given order (node capacity);
-// order < 2 selects DefaultOrder.
-func New(order int) *RTree {
+// Pack STR-packs items 0..n-1, given their envelopes, into a tree of
+// the given order (order < 2 selects DefaultOrder). perm is the layout
+// the tree covers: position pos holds item perm[pos], and the leaves
+// tile the positions in order.
+func Pack(order, n int, env func(i int) geom.Envelope) (t *RTree, perm []int32) {
 	if order < 2 {
 		order = DefaultOrder
 	}
-	return &RTree{order: order}
-}
-
-// Order returns the node capacity.
-func (t *RTree) Order() int { return t.order }
-
-// Len returns the number of indexed entries.
-func (t *RTree) Len() int { return len(t.entries) }
-
-// errBuilt reports an Insert on a tree that Build has already packed.
-// The STR layout is computed from the complete entry set, so a packed
-// tree cannot absorb additions; datasets that mutate after indexing
-// belong in the concurrent live tree (internal/live).
-var errBuilt = errors.New("index: Insert after Build (bulk-loaded STR trees are immutable; use internal/live for mutable data)")
-
-// Insert adds an entry. It returns errBuilt when called after Build:
-// the build-once STRtree contract is kept, but misuse is recoverable
-// instead of panicking.
-func (t *RTree) Insert(env geom.Envelope, id int32) error {
-	if t.built {
-		return errBuilt
+	// Bottom up: a level is its nodes' envelopes and, per node, the run
+	// of the level below (of items, for the leaves) that it packs.
+	type level struct {
+		envs []geom.Envelope
+		runs []int32 // node k packs runs[at[k]:at[k+1]]
+		at   []int32
 	}
-	t.entries = append(t.entries, entry{Env: env, ID: id})
-	return nil
-}
-
-// Build packs the inserted entries into the tree using the STR
-// algorithm: sort by x-center, cut into ⌈√(n/order)⌉ vertical slices,
-// sort each slice by y-center, pack runs of `order` entries into
-// leaves, then recursively pack the leaves the same way.
-func (t *RTree) Build() {
-	if t.built {
-		return
-	}
-	t.built = true
-	var level []*node
-	STRRuns(len(t.entries), t.order, func(i int) geom.Envelope { return t.entries[i].Env }, func(run []int32) {
-		leaf := &node{env: geom.EmptyEnvelope(), entries: make([]entry, len(run))}
-		for k, i := range run {
-			leaf.entries[k] = t.entries[i]
-			leaf.env = leaf.env.ExpandToInclude(t.entries[i].Env)
-		}
-		level = append(level, leaf)
-	})
-	for len(level) > 1 {
-		var up []*node
-		STRRuns(len(level), t.order, func(i int) geom.Envelope { return level[i].env }, func(run []int32) {
-			parent := &node{env: geom.EmptyEnvelope(), children: make([]*node, len(run))}
-			for k, i := range run {
-				parent.children[k] = level[i]
-				parent.env = parent.env.ExpandToInclude(level[i].env)
+	pack := func(m int, env func(i int) geom.Envelope) level {
+		l := level{runs: make([]int32, 0, m), at: []int32{0}}
+		STRRuns(m, order, env, func(run []int32) {
+			e := geom.EmptyEnvelope()
+			for _, i := range run {
+				e = e.ExpandToInclude(env(int(i)))
 			}
-			up = append(up, parent)
+			l.envs = append(l.envs, e)
+			l.runs = append(l.runs, run...)
+			l.at = append(l.at, int32(len(l.runs)))
 		})
-		level = up
+		return l
 	}
-	t.root = level[0]
+	levels := []level{pack(n, env)}
+	for len(levels[len(levels)-1].envs) > 1 {
+		below := levels[len(levels)-1]
+		levels = append(levels, pack(len(below.envs), func(i int) geom.Envelope { return below.envs[i] }))
+	}
+	// Top down: number each level's nodes in the order of their parents'
+	// runs, so that a node's children are a node range and the leaves
+	// take their positions in the order they are numbered.
+	total := 0
+	for _, l := range levels {
+		total += len(l.envs)
+	}
+	t = &RTree{order: order, nodes: make([]node, 0, total)}
+	perm = make([]int32, 0, n)
+	numbered := []int32{0} // the level's nodes, in numbering order
+	for d := len(levels) - 1; d >= 0; d-- {
+		l := levels[d]
+		next := int32(len(t.nodes) + len(numbered)) // the first node of the level below
+		if d == 0 {
+			t.leaf, next = int32(len(t.nodes)), 0
+		}
+		var below []int32
+		for _, k := range numbered {
+			run := l.runs[l.at[k]:l.at[k+1]]
+			t.nodes = append(t.nodes, node{env: l.envs[k], lo: next, hi: next + int32(len(run))})
+			next += int32(len(run))
+			if d == 0 {
+				perm = append(perm, run...)
+			} else {
+				below = append(below, run...)
+			}
+		}
+		numbered = below
+	}
+	t.perm = perm
+	return t, perm
+}
+
+// BuildFromEnvelopes packs a tree over envs — the "live indexing"
+// constructor: a partition's contents are put into an R-tree before
+// evaluating a predicate. Query answers in item numbers (slice indexes
+// of envs).
+func BuildFromEnvelopes(order int, envs []geom.Envelope) *RTree {
+	t, _ := Pack(order, len(envs), func(i int) geom.Envelope { return envs[i] })
+	return t
 }
 
 // STRRuns cuts items 0..n-1, given their envelopes, into the runs of at
@@ -145,94 +157,105 @@ func ascending(a, b float64) int {
 	return 0
 }
 
-// Query appends to dst the IDs of all entries whose envelope
-// intersects q and returns the extended slice. The result is a
-// candidate set: callers must refine with the exact predicate.
-func (t *RTree) Query(q geom.Envelope, dst []int32) []int32 {
-	if !t.built {
-		panic("index: Query before Build")
+// Order returns the node capacity.
+func (t *RTree) Order() int { return t.order }
+
+// Len returns the number of indexed positions.
+func (t *RTree) Len() int { return len(t.perm) }
+
+// Search calls yield with the position ranges [lo, hi) of the leaves
+// whose MBR meets q, in position order, adjacent leaves merged into one
+// range, until yield returns false. Every position whose envelope meets
+// q lies in a range; the caller tests the rows themselves.
+func (t *RTree) Search(q geom.Envelope, yield func(lo, hi int) bool) {
+	if !t.nodes[0].env.Intersects(q) {
+		return
 	}
-	if t.root == nil || q.IsEmpty() {
-		return dst
+	// Depth first, children pushed last to first so that they pop in
+	// order: the leaves come in position order. The pending range
+	// [lo, hi) grows while met leaves are adjacent. The stack never
+	// holds more than (order-1)·height+1 nodes, which buf covers without
+	// a heap allocation for the default order up to seven levels.
+	var buf [64]int32
+	stack := append(buf[:0], 0)
+	lo, hi := 0, 0
+	for len(stack) > 0 {
+		i := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		n := &t.nodes[i]
+		if i < t.leaf {
+			for c := n.hi - 1; c >= n.lo; c-- {
+				if t.nodes[c].env.Intersects(q) {
+					stack = append(stack, c)
+				}
+			}
+			continue
+		}
+		if int(n.lo) != hi {
+			if hi > lo && !yield(lo, hi) {
+				return
+			}
+			lo = int(n.lo)
+		}
+		hi = int(n.hi)
 	}
-	return queryNode(t.root, q, dst)
+	if hi > lo {
+		yield(lo, hi)
+	}
 }
 
-func queryNode(n *node, q geom.Envelope, dst []int32) []int32 {
-	if !n.env.Intersects(q) {
-		return dst
-	}
-	if n.children == nil {
-		for _, e := range n.entries {
-			if e.Env.Intersects(q) {
-				dst = append(dst, e.ID)
-			}
-		}
-		return dst
-	}
-	for _, c := range n.children {
-		dst = queryNode(c, q, dst)
-	}
+// Query appends to dst the items of every leaf whose MBR meets q and
+// returns the extended slice: a candidate superset of the items whose
+// envelope intersects q, which callers refine with the exact predicate.
+func (t *RTree) Query(q geom.Envelope, dst []int32) []int32 {
+	t.Search(q, func(lo, hi int) bool {
+		dst = append(dst, t.perm[lo:hi]...)
+		return true
+	})
 	return dst
 }
 
-// Neighbor is one kNN result: an entry ID and its distance.
+// Neighbor is one kNN result: a position and its distance.
 type Neighbor struct {
-	ID       int32
+	Pos      int32
 	Distance float64
 }
 
-// KNN returns the k entries nearest to (x, y) ordered by ascending
-// distance, using best-first branch-and-bound over envelope minimum
-// distances. exact, when non-nil, refines an entry's distance (for
-// non-point geometries whose envelope distance underestimates);
-// when nil the envelope distance is used directly, which is exact for
-// point data.
-func (t *RTree) KNN(x, y float64, k int, exact func(id int32) float64) []Neighbor {
-	if !t.built {
-		panic("index: KNN before Build")
-	}
-	if k <= 0 || t.root == nil || len(t.entries) == 0 {
+// KNN returns the k positions nearest to (x, y) by dist, ordered by
+// ascending distance, best-first over the node MBRs: a leaf popped from
+// the queue measures each of its positions with dist. dist must be at
+// least the planar distance from (x, y) to the position's envelope (the
+// distance from a point to a geometry is), or the search can miss a
+// nearer position.
+func (t *RTree) KNN(x, y float64, k int, dist func(pos int32) float64) []Neighbor {
+	if k <= 0 || len(t.perm) == 0 {
 		return nil
 	}
-	pq := &knnQueue{}
-	heap.Init(pq)
-	heap.Push(pq, knnCandidate{dist: t.root.env.DistanceToPoint(x, y), n: t.root})
-
+	pq := knnQueue{{dist: t.nodes[0].env.DistanceToPoint(x, y)}}
 	var out []Neighbor
 	for pq.Len() > 0 && len(out) < k {
-		c := heap.Pop(pq).(knnCandidate)
-		switch {
-		case c.n != nil && c.n.children != nil:
-			for _, ch := range c.n.children {
-				heap.Push(pq, knnCandidate{dist: ch.env.DistanceToPoint(x, y), n: ch})
+		c := heap.Pop(&pq).(knnCandidate)
+		switch n := c.node; {
+		case n < 0:
+			out = append(out, Neighbor{Pos: c.pos, Distance: c.dist})
+		case n < t.leaf:
+			for ch := t.nodes[n].lo; ch < t.nodes[n].hi; ch++ {
+				heap.Push(&pq, knnCandidate{dist: t.nodes[ch].env.DistanceToPoint(x, y), node: ch})
 			}
-		case c.n != nil:
-			for _, e := range c.n.entries {
-				d := e.Env.DistanceToPoint(x, y)
-				if exact != nil {
-					// Enqueue with the envelope lower bound first, refine
-					// lazily when the entry is popped.
-					heap.Push(pq, knnCandidate{dist: d, entry: &e, needRefine: true})
-				} else {
-					heap.Push(pq, knnCandidate{dist: d, entry: &e})
-				}
-			}
-		case c.needRefine:
-			refined := exact(c.entry.ID)
-			heap.Push(pq, knnCandidate{dist: refined, entry: c.entry})
 		default:
-			out = append(out, Neighbor{ID: c.entry.ID, Distance: c.dist})
+			for pos := t.nodes[n].lo; pos < t.nodes[n].hi; pos++ {
+				heap.Push(&pq, knnCandidate{dist: dist(pos), node: -1, pos: pos})
+			}
 		}
 	}
 	return out
 }
 
+// knnCandidate is a node of the tree, or with node -1 a measured
+// position.
 type knnCandidate struct {
-	dist       float64
-	n          *node
-	entry      *entry
-	needRefine bool
+	dist      float64
+	node, pos int32
 }
 
 type knnQueue []knnCandidate
@@ -249,54 +272,64 @@ func (q *knnQueue) Pop() interface{} {
 	return item
 }
 
-// validate checks structural invariants; used by tests.
-func (t *RTree) validate() error {
-	if !t.built {
-		return errors.New("not built")
-	}
-	if len(t.entries) == 0 {
-		return nil
-	}
-	count := 0
-	var walk func(n *node, depth int) (int, error)
-	leafDepth := -1
-	walk = func(n *node, depth int) (int, error) {
-		if n.children == nil {
-			if leafDepth == -1 {
-				leafDepth = depth
-			} else if leafDepth != depth {
-				return 0, fmt.Errorf("unbalanced: leaf at depth %d and %d", leafDepth, depth)
-			}
-			for _, e := range n.entries {
-				if !n.env.ContainsEnvelope(e.Env) && !(e.Env.IsEmpty()) {
-					return 0, fmt.Errorf("leaf env %v does not contain entry %v", n.env, e.Env)
-				}
-			}
-			return len(n.entries), nil
+// Check verifies the tree's invariants against env(pos), the envelope
+// of the row at each position: perm is a permutation, the leaves tile
+// the positions in order, every node's children tile the level below
+// in order, no node holds more than order entries, an inner node's
+// envelope is the union of its children's, and a leaf's envelope covers
+// each of its rows' envelopes.
+func (t *RTree) Check(env func(pos int) geom.Envelope) error {
+	n := len(t.perm)
+	seen := make([]bool, n)
+	for pos, item := range t.perm {
+		if item < 0 || int(item) >= n || seen[item] {
+			return fmt.Errorf("perm[%d] = %d is not part of a permutation of 0..%d", pos, item, n-1)
 		}
-		if len(n.children) > t.order {
-			return 0, fmt.Errorf("node fanout %d exceeds order %d", len(n.children), t.order)
-		}
-		sum := 0
-		for _, c := range n.children {
-			if !n.env.ContainsEnvelope(c.env) {
-				return 0, fmt.Errorf("node env %v does not contain child %v", n.env, c.env)
-			}
-			s, err := walk(c, depth+1)
-			if err != nil {
-				return 0, err
-			}
-			sum += s
-		}
-		return sum, nil
+		seen[item] = true
 	}
-	var err error
-	count, err = walk(t.root, 0)
-	if err != nil {
-		return err
+	if len(t.nodes) == 0 || t.leaf < 0 || int(t.leaf) >= len(t.nodes) {
+		return fmt.Errorf("%d nodes, leaves from %d", len(t.nodes), t.leaf)
 	}
-	if count != len(t.entries) {
-		return fmt.Errorf("tree holds %d entries, inserted %d", count, len(t.entries))
+	child, pos := int32(1), int32(0) // the next node and position due
+	for i, nd := range t.nodes {
+		if nd.hi < nd.lo || nd.hi-nd.lo > int32(t.order) || (nd.hi == nd.lo && n > 0) {
+			return fmt.Errorf("node %d holds [%d, %d) at order %d", i, nd.lo, nd.hi, t.order)
+		}
+		if int32(i) < t.leaf {
+			if nd.lo != child || int(nd.hi) > len(t.nodes) {
+				return fmt.Errorf("node %d has children [%d, %d), want them from %d", i, nd.lo, nd.hi, child)
+			}
+			child = nd.hi
+			u := geom.EmptyEnvelope()
+			for c := nd.lo; c < nd.hi; c++ {
+				u = u.ExpandToInclude(t.nodes[c].env)
+			}
+			if !sameEnvelope(u, nd.env) {
+				return fmt.Errorf("node %d has envelope %v, its children cover %v", i, nd.env, u)
+			}
+			continue
+		}
+		if nd.lo != pos {
+			return fmt.Errorf("leaf %d holds [%d, %d), want it from %d", i, nd.lo, nd.hi, pos)
+		}
+		pos = nd.hi
+		for p := nd.lo; p < nd.hi; p++ {
+			if e := env(int(p)); !e.IsEmpty() && !nd.env.ContainsEnvelope(e) {
+				return fmt.Errorf("leaf %d with envelope %v misses position %d at %v", i, nd.env, p, e)
+			}
+		}
+	}
+	if int(child) != len(t.nodes) {
+		return fmt.Errorf("the inner nodes have children up to %d of %d nodes", child, len(t.nodes))
+	}
+	if int(pos) != n {
+		return fmt.Errorf("the leaves cover positions up to %d of %d", pos, n)
 	}
 	return nil
+}
+
+// sameEnvelope compares bit for bit, so a NaN bound equals itself.
+func sameEnvelope(a, b geom.Envelope) bool {
+	return math.Float64bits(a.MinX) == math.Float64bits(b.MinX) && math.Float64bits(a.MinY) == math.Float64bits(b.MinY) &&
+		math.Float64bits(a.MaxX) == math.Float64bits(b.MaxX) && math.Float64bits(a.MaxY) == math.Float64bits(b.MaxY)
 }

@@ -1,10 +1,11 @@
 package index
 
 import (
-	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -31,33 +32,44 @@ func bruteQuery(envs []geom.Envelope, q geom.Envelope) []int32 {
 	return out
 }
 
-func sortIDs(ids []int32) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+// refined is Query's candidates that meet q, sorted.
+func refined(tr *RTree, envs []geom.Envelope, q geom.Envelope) []int32 {
+	var out []int32
+	for _, id := range tr.Query(q, nil) {
+		if envs[id].Intersects(q) {
+			out = append(out, id)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// pack is Pack over envs, checked.
+func pack(t *testing.T, order int, envs []geom.Envelope) (*RTree, []int32) {
+	t.Helper()
+	tr, perm := Pack(order, len(envs), func(i int) geom.Envelope { return envs[i] })
+	if err := tr.Check(func(pos int) geom.Envelope { return envs[perm[pos]] }); err != nil {
+		t.Fatalf("n=%d order=%d: %v", len(envs), order, err)
+	}
+	return tr, perm
 }
 
 func TestEmptyTree(t *testing.T) {
-	tr := New(5)
-	tr.Build()
-	if got := tr.Query(geom.NewEnvelope(0, 0, 10, 10), nil); len(got) != 0 {
-		t.Errorf("empty query = %v", got)
+	tr, perm := pack(t, 5, nil)
+	if got := tr.Query(geom.NewEnvelope(0, 0, 10, 10), nil); len(got) != 0 || len(perm) != 0 {
+		t.Errorf("empty query = %v, perm %v", got, perm)
 	}
-	if got := tr.KNN(0, 0, 3, nil); len(got) != 0 {
+	if got := tr.KNN(0, 0, 3, func(int32) float64 { return 0 }); len(got) != 0 {
 		t.Errorf("empty knn = %v", got)
 	}
 	if height(tr) != 1 {
 		t.Errorf("height = %d", height(tr))
 	}
-	if err := tr.validate(); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestSingleEntry(t *testing.T) {
-	tr := New(5)
-	tr.Insert(geom.NewEnvelope(1, 1, 2, 2), 42)
-	tr.Build()
-	got := tr.Query(geom.NewEnvelope(0, 0, 3, 3), nil)
-	if len(got) != 1 || got[0] != 42 {
+	tr, _ := pack(t, 5, []geom.Envelope{geom.NewEnvelope(1, 1, 2, 2)})
+	if got := tr.Query(geom.NewEnvelope(0, 0, 3, 3), nil); len(got) != 1 || got[0] != 0 {
 		t.Errorf("got %v", got)
 	}
 	if got := tr.Query(geom.NewEnvelope(5, 5, 6, 6), nil); len(got) != 0 {
@@ -65,132 +77,101 @@ func TestSingleEntry(t *testing.T) {
 	}
 }
 
-func TestBuildIdempotentAndGuards(t *testing.T) {
-	tr := New(5)
-	tr.Insert(geom.NewEnvelope(0, 0, 1, 1), 0)
-	tr.Build()
-	tr.Build() // second build is a no-op
-	if !tr.built {
-		t.Error("must be built")
-	}
-	if err := tr.Insert(geom.NewEnvelope(0, 0, 1, 1), 1); !errors.Is(err, errBuilt) {
-		t.Errorf("Insert after Build = %v, want errBuilt", err)
-	}
-	if tr.Len() != 1 {
-		t.Errorf("rejected Insert changed Len to %d", tr.Len())
-	}
-	// Round trip through the persist format after a rejected Insert:
-	// the marshalled entry table must be unaffected.
-	data, err := tr.marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := unmarshal(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != 1 {
-		t.Errorf("round trip Len = %d, want 1", back.Len())
-	}
-	if err := back.Insert(geom.NewEnvelope(2, 2, 3, 3), 9); !errors.Is(err, errBuilt) {
-		t.Errorf("Insert after unmarshal = %v, want errBuilt", err)
-	}
-	unbuilt := New(5)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Query before Build must panic")
-			}
-		}()
-		unbuilt.Query(geom.NewEnvelope(0, 0, 1, 1), nil)
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("KNN before Build must panic")
-			}
-		}()
-		unbuilt.KNN(0, 0, 1, nil)
-	}()
-}
-
 func TestQueryMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	envs := randomEnvs(rng, 2000)
-	tr := BuildFromEnvelopes(8, envs)
-	if err := tr.validate(); err != nil {
-		t.Fatal(err)
-	}
+	tr, _ := pack(t, 8, envs)
 	for i := 0; i < 50; i++ {
 		x, y := rng.Float64()*1000, rng.Float64()*1000
 		q := geom.NewEnvelope(x, y, x+rng.Float64()*50, y+rng.Float64()*50)
-		got := tr.Query(q, nil)
-		want := bruteQuery(envs, q)
-		sortIDs(got)
-		sortIDs(want)
-		if len(got) != len(want) {
+		if got, want := refined(tr, envs, q), bruteQuery(envs, q); !slices.Equal(got, want) {
 			t.Fatalf("query %d: got %d hits, want %d", i, len(got), len(want))
 		}
-		for j := range got {
-			if got[j] != want[j] {
-				t.Fatalf("query %d: mismatch at %d", i, j)
+	}
+}
+
+// TestSearchYieldsLeafRanges: the ranges come in position order,
+// disjoint and never adjacent (adjacent leaves merge), and hold every
+// position whose envelope meets the window; a false yield stops.
+func TestSearchYieldsLeafRanges(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	envs := randomEnvs(rng, 3000)
+	tr, perm := pack(t, 6, envs)
+	for i := 0; i < 50; i++ {
+		x, y := rng.Float64()*1000, rng.Float64()*1000
+		q := geom.NewEnvelope(x, y, x+rng.Float64()*100, y+rng.Float64()*100)
+		var got []int32
+		last := -1
+		tr.Search(q, func(lo, hi int) bool {
+			if lo <= last || hi <= lo {
+				t.Fatalf("range [%d, %d) after one ending at %d", lo, hi, last)
 			}
+			last = hi
+			for pos := lo; pos < hi; pos++ {
+				if envs[perm[pos]].Intersects(q) {
+					got = append(got, perm[pos])
+				}
+			}
+			return true
+		})
+		slices.Sort(got)
+		if want := bruteQuery(envs, q); !slices.Equal(got, want) {
+			t.Fatalf("window %d: %d hits, want %d", i, len(got), len(want))
 		}
+	}
+	calls := 0
+	tr.Search(geom.NewEnvelope(0, 0, 1000, 1000), func(lo, hi int) bool { calls++; return false })
+	if calls != 1 {
+		t.Errorf("search went on after a false yield: %d calls", calls)
 	}
 }
 
 func TestKNNMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	pts := make([]geom.Point, 1000)
-	tr := New(6)
+	envs := make([]geom.Envelope, len(pts))
 	for i := range pts {
 		pts[i] = geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
-		tr.Insert(pts[i].Envelope(), int32(i))
+		envs[i] = pts[i].Envelope()
 	}
-	tr.Build()
+	tr, perm := pack(t, 6, envs)
 	for trial := 0; trial < 20; trial++ {
 		qx, qy := rng.Float64()*100, rng.Float64()*100
 		k := 1 + rng.Intn(20)
-		got := tr.KNN(qx, qy, k, nil)
+		got := tr.KNN(qx, qy, k, func(pos int32) float64 {
+			p := pts[perm[pos]]
+			return math.Hypot(p.X-qx, p.Y-qy)
+		})
 		if len(got) != k {
 			t.Fatalf("knn returned %d, want %d", len(got), k)
 		}
-		// Brute force.
 		dists := make([]float64, len(pts))
 		for i, p := range pts {
 			dists[i] = math.Hypot(p.X-qx, p.Y-qy)
 		}
-		sorted := append([]float64(nil), dists...)
-		sort.Float64s(sorted)
+		sort.Float64s(dists)
 		for i, nb := range got {
-			if math.Abs(nb.Distance-sorted[i]) > 1e-9 {
-				t.Fatalf("trial %d: neighbor %d distance %v, want %v", trial, i, nb.Distance, sorted[i])
-			}
-			if i > 0 && got[i-1].Distance > nb.Distance {
-				t.Fatal("knn results not sorted")
+			if nb.Distance != dists[i] {
+				t.Fatalf("trial %d: neighbor %d distance %v, want %v", trial, i, nb.Distance, dists[i])
 			}
 		}
 	}
 }
 
 func TestKNNWithExactRefinement(t *testing.T) {
-	// Envelope distance underestimates for non-point geometries; the
-	// exact callback must reorder results.
-	tr := New(4)
-	// Entry 0: big box whose envelope is close but whose "exact"
-	// distance is far.
-	tr.Insert(geom.NewEnvelope(1, 0, 2, 1), 0)
-	// Entry 1: envelope slightly farther but exact distance near.
-	tr.Insert(geom.NewEnvelope(3, 0, 4, 1), 1)
-	tr.Build()
-	exact := func(id int32) float64 {
-		if id == 0 {
+	// Envelope distance underestimates for non-point geometries: the
+	// position whose envelope is nearer but whose distance is farther
+	// must come second.
+	envs := []geom.Envelope{geom.NewEnvelope(1, 0, 2, 1), geom.NewEnvelope(3, 0, 4, 1)}
+	tr, perm := pack(t, 4, envs)
+	dist := func(pos int32) float64 {
+		if perm[pos] == 0 {
 			return 100
 		}
 		return 3
 	}
-	got := tr.KNN(0, 0, 2, exact)
-	if len(got) != 2 || got[0].ID != 1 || got[1].ID != 0 {
+	got := tr.KNN(0, 0, 2, dist)
+	if len(got) != 2 || perm[got[0].Pos] != 1 || perm[got[1].Pos] != 0 {
 		t.Errorf("got %v", got)
 	}
 	if got[0].Distance != 3 || got[1].Distance != 100 {
@@ -199,41 +180,66 @@ func TestKNNWithExactRefinement(t *testing.T) {
 }
 
 func TestKNNEdgeCases(t *testing.T) {
-	tr := BuildFromEnvelopes(4, []geom.Envelope{geom.NewPoint(1, 1).Envelope()})
-	if got := tr.KNN(0, 0, 0, nil); got != nil {
+	tr, _ := pack(t, 4, []geom.Envelope{geom.NewPoint(1, 1).Envelope()})
+	dist := func(int32) float64 { return 1 }
+	if got := tr.KNN(0, 0, 0, dist); got != nil {
 		t.Errorf("k=0 → %v", got)
 	}
-	got := tr.KNN(0, 0, 10, nil)
-	if len(got) != 1 {
+	if got := tr.KNN(0, 0, 10, dist); len(got) != 1 {
 		t.Errorf("k beyond size → %d results", len(got))
 	}
 }
 
+// TestTreeInvariantsAcrossSizes runs the checker over the sizes where
+// packing changes shape: empty, one item, one full leaf, one leaf more,
+// and trees of three and more levels.
 func TestTreeInvariantsAcrossSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{0, 1, 2, 5, 17, 100, 1234} {
-		for _, order := range []int{2, 4, 16} {
-			tr := BuildFromEnvelopes(order, randomEnvs(rng, n))
-			if err := tr.validate(); err != nil {
-				t.Errorf("n=%d order=%d: %v", n, order, err)
-			}
+	for _, order := range []int{2, 4, 16} {
+		for _, n := range []int{0, 1, order, order + 1, order*order + 1, 17, 100, 1234} {
+			tr, _ := pack(t, order, randomEnvs(rng, n))
 			if tr.Len() != n {
 				t.Errorf("n=%d: Len=%d", n, tr.Len())
+			}
+			if n == order*order+1 && height(tr) != 3 {
+				t.Errorf("n=%d order=%d: height %d, want 3", n, order, height(tr))
 			}
 		}
 	}
 }
 
-// height is the tree height (0 for an empty tree).
-func height(t *RTree) int {
-	if !t.built || t.root == nil {
-		return 0
+// TestCheckCatchesDamage: each seeded fault fails the checker.
+func TestCheckCatchesDamage(t *testing.T) {
+	envs := randomEnvs(rand.New(rand.NewSource(9)), 200)
+	for name, tc := range map[string]struct {
+		damage func(tr *RTree, envs []geom.Envelope)
+		want   string
+	}{
+		"perm repeats":    {func(tr *RTree, _ []geom.Envelope) { tr.perm[1] = tr.perm[0] }, "permutation"},
+		"row moves away":  {func(tr *RTree, envs []geom.Envelope) { envs[tr.perm[0]] = geom.NewEnvelope(-2, -2, -1, -1) }, "misses position"},
+		"inner not union": {func(tr *RTree, _ []geom.Envelope) { tr.nodes[0].env = tr.nodes[0].env.ExpandBy(1) }, "children cover"},
+		"leaves gap":      {func(tr *RTree, _ []geom.Envelope) { tr.nodes[tr.leaf+1].lo++ }, "want it from"},
+		"children skip":   {func(tr *RTree, _ []geom.Envelope) { tr.nodes[0].lo++ }, "want them from"},
+		"leaves stop":     {func(tr *RTree, _ []geom.Envelope) { tr.nodes[len(tr.nodes)-1].hi-- }, "cover positions up to"},
+		"node over order": {func(tr *RTree, _ []geom.Envelope) { tr.order = 1 }, "at order 1"},
+	} {
+		envs := slices.Clone(envs)
+		tr, perm := Pack(4, len(envs), func(i int) geom.Envelope { return envs[i] })
+		tc.damage(tr, envs)
+		err := tr.Check(func(pos int) geom.Envelope { return envs[perm[pos]] })
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: check = %v, want %q", name, err, tc.want)
+		}
 	}
-	h := 0
-	for n := t.root; n != nil && n.children != nil; n = n.children[0] {
+}
+
+// height is the number of levels, found down the first children.
+func height(t *RTree) int {
+	h := 1
+	for n := int32(0); n < t.leaf; n = t.nodes[n].lo {
 		h++
 	}
-	return h + 1
+	return h
 }
 
 func TestHeightGrowsLogarithmically(t *testing.T) {
@@ -251,66 +257,48 @@ func TestHeightGrowsLogarithmically(t *testing.T) {
 func TestMarshalRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	envs := randomEnvs(rng, 500)
-	tr := BuildFromEnvelopes(7, envs)
-	data, err := tr.marshal()
+	order, back, err := unmarshal(marshalEnvs(7, envs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr2, err := unmarshal(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr2.Order() != 7 || tr2.Len() != 500 {
-		t.Fatalf("order=%d len=%d", tr2.Order(), tr2.Len())
-	}
-	if err := tr2.validate(); err != nil {
-		t.Fatal(err)
-	}
-	q := geom.NewEnvelope(100, 100, 300, 300)
-	got1 := tr.Query(q, nil)
-	got2 := tr2.Query(q, nil)
-	sortIDs(got1)
-	sortIDs(got2)
-	if len(got1) != len(got2) {
-		t.Fatalf("results differ: %d vs %d", len(got1), len(got2))
-	}
-	for i := range got1 {
-		if got1[i] != got2[i] {
-			t.Fatal("result mismatch after round trip")
-		}
+	if order != 7 || !slices.Equal(back, envs) {
+		t.Fatalf("order=%d, envelopes equal: %v", order, slices.Equal(back, envs))
 	}
 }
 
 func TestUnmarshalErrors(t *testing.T) {
-	if _, err := unmarshal(nil); err == nil {
+	if _, _, err := unmarshal(nil); err == nil {
 		t.Error("empty input must fail")
 	}
-	if _, err := unmarshal([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}); err == nil {
+	if _, _, err := unmarshal([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}); err == nil {
 		t.Error("bad magic must fail")
 	}
-	tr := BuildFromEnvelopes(4, []geom.Envelope{geom.NewPoint(1, 1).Envelope()})
-	data, _ := tr.marshal()
+	data := marshalEnvs(4, []geom.Envelope{geom.NewPoint(1, 1).Envelope()})
 	// Truncated.
-	if _, err := unmarshal(data[:len(data)-4]); err == nil {
+	if _, _, err := unmarshal(data[:len(data)-4]); err == nil {
 		t.Error("truncated input must fail")
 	}
 	// Trailing garbage.
-	if _, err := unmarshal(append(data, 0xFF)); err == nil {
+	if _, _, err := unmarshal(append(data, 0xFF)); err == nil {
 		t.Error("trailing bytes must fail")
 	}
 }
 
+// marshalEnvs is the file a tree over envs persists.
+func marshalEnvs(order int, envs []geom.Envelope) []byte {
+	tr, perm := Pack(order, len(envs), func(i int) geom.Envelope { return envs[i] })
+	return tr.marshal(func(pos int) geom.Envelope { return envs[perm[pos]] })
+}
+
 func TestDefaultOrder(t *testing.T) {
-	if New(0).Order() != DefaultOrder {
-		t.Error("order 0 must select default")
-	}
-	if New(1).Order() != DefaultOrder {
-		t.Error("order 1 must select default")
+	for _, order := range []int{0, 1} {
+		if tr, _ := Pack(order, 0, nil); tr.Order() != DefaultOrder {
+			t.Errorf("order %d must select the default", order)
+		}
 	}
 }
 
 func TestPropQueryCompleteness(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
 	f := func(seed int64, nRaw uint16) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := int(nRaw%300) + 1
@@ -318,21 +306,8 @@ func TestPropQueryCompleteness(t *testing.T) {
 		tr := BuildFromEnvelopes(2+r.Intn(10), envs)
 		x, y := r.Float64()*1000, r.Float64()*1000
 		q := geom.NewEnvelope(x, y, x+r.Float64()*200, y+r.Float64()*200)
-		got := tr.Query(q, nil)
-		want := bruteQuery(envs, q)
-		if len(got) != len(want) {
-			return false
-		}
-		sortIDs(got)
-		sortIDs(want)
-		for i := range got {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
+		return slices.Equal(refined(tr, envs, q), bruteQuery(envs, q))
 	}
-	_ = rng
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
@@ -341,17 +316,9 @@ func TestPropQueryCompleteness(t *testing.T) {
 func TestPropMarshalLossless(t *testing.T) {
 	f := func(seed int64, nRaw uint16) bool {
 		r := rand.New(rand.NewSource(seed))
-		n := int(nRaw % 200)
-		tr := BuildFromEnvelopes(4, randomEnvs(r, n))
-		data, err := tr.marshal()
-		if err != nil {
-			return false
-		}
-		tr2, err := unmarshal(data)
-		if err != nil {
-			return false
-		}
-		return tr2.Len() == n && tr2.validate() == nil
+		envs := randomEnvs(r, int(nRaw%200))
+		order, back, err := unmarshal(marshalEnvs(4, envs))
+		return err == nil && order == 4 && slices.Equal(back, envs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

@@ -621,7 +621,8 @@ func addTreeFiles(t *testing.T, dir string, seq int) {
 			envs[j] = g.Envelope()
 		}
 		name := fmt.Sprintf("ckpt-%08d-%03d.idx", seq, i)
-		if err := index.BuildFromEnvelopes(0, envs).SaveFile(filepath.Join(dir, name)); err != nil {
+		tree, perm := index.Pack(0, len(envs), func(i int) geom.Envelope { return envs[i] })
+		if err := tree.SaveFile(filepath.Join(dir, name), func(pos int) geom.Envelope { return envs[perm[pos]] }); err != nil {
 			t.Fatal(err)
 		}
 		md["index"] = name

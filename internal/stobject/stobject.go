@@ -191,7 +191,7 @@ func (o *STObject) EnvelopeIntersects(env geom.Envelope) bool {
 	if o.flags&isPoint != 0 {
 		return o.x >= env.MinX && o.x <= env.MaxX && o.y >= env.MinY && o.y <= env.MaxY
 	}
-	return o.Envelope().Intersects(env)
+	return o.geo != nil && o.geo.Envelope().Intersects(env)
 }
 
 // Centroid returns the centroid of the spatial component.

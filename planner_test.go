@@ -7,6 +7,7 @@ package stark_test
 // identical either way.
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -171,6 +172,93 @@ func TestPlannerMatchesNaiveAcrossModes(t *testing.T) {
 		}
 		if n != want {
 			t.Errorf("%s: planned count %d != naive %d", name, n, want)
+		}
+	}
+}
+
+// uniformTuples is n points spread uniformly over [0, 100)², and
+// laidOutWindows the windows the laid-out rows are queried with: the
+// whole space and windows from 2 to 40 wide, most of which cut some STR
+// slab inside its x range.
+func uniformTuples(n int) []stark.Tuple[int] {
+	rng := rand.New(rand.NewSource(11))
+	tuples := make([]stark.Tuple[int], n)
+	for i := range tuples {
+		tuples[i] = stark.NewTuple(stark.NewSTObject(stark.NewPoint(rng.Float64()*100, rng.Float64()*100)), i)
+	}
+	return tuples
+}
+
+func laidOutWindows() []stark.Envelope {
+	rng := rand.New(rand.NewSource(12))
+	ws := []stark.Envelope{stark.NewEnvelope(0, 0, 100, 100)}
+	for len(ws) < 12 {
+		x, y, d := rng.Float64()*100, rng.Float64()*100, 2+rng.Float64()*38
+		ws = append(ws, stark.NewEnvelope(x, y, x+d, y+d))
+	}
+	return ws
+}
+
+// TestScanOverLaidOutRows: a persistent index lays its rows out in leaf
+// order, which is x order only inside an STR slab, so a scan of them
+// must not skip a batch by the x of its first and last rows. Dropping
+// the index (NoIndexing) keeps the laid-out rows and scans them, naive
+// and planned; both equal the unindexed count.
+func TestScanOverLaidOutRows(t *testing.T) {
+	tuples := uniformTuples(6000)
+	ctx := stark.NewContext(4)
+	laid := stark.Parallelize(ctx, tuples, 8).PartitionBy(stark.Grid(4)).Index(stark.Persistent(8)).Index(stark.NoIndexing)
+	for _, w := range laidOutWindows() {
+		q := stark.NewSTObject(w.ToPolygon())
+		want, err := stark.Parallelize(ctx, tuples, 8).Optimize(false).Intersects(q).Count()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, d := range map[string]*stark.Dataset[int]{
+			"naive":   laid.Optimize(false).Intersects(q),
+			"planned": laid.Intersects(q),
+		} {
+			if got, err := d.Count(); err != nil || got != want {
+				t.Errorf("%s scan of laid-out rows, window %v: %d rows (%v), unindexed %d", name, w, got, err, want)
+			}
+		}
+	}
+}
+
+// TestColumnarAroundPersistentIndex: a columnar sidecar built before
+// Index(Persistent) is rebuilt over the rows the index lays out, and one
+// built after it addresses them. Either way the planner keeps the
+// columnar path, and both answer like the unindexed scan.
+func TestColumnarAroundPersistentIndex(t *testing.T) {
+	tuples := uniformTuples(6000)
+	ctx := stark.NewContext(4)
+	base := func() *stark.Dataset[int] { return stark.Parallelize(ctx, tuples, 8).PartitionBy(stark.Grid(8)) }
+	for name, d := range map[string]*stark.Dataset[int]{
+		"columnar-then-index": base().Columnar().Index(stark.Persistent(8)),
+		"index-then-columnar": base().Index(stark.Persistent(8)).Columnar(),
+	} {
+		columnar := 0
+		for _, w := range laidOutWindows() {
+			q := stark.NewSTObject(w.ToPolygon())
+			want, err := stark.Parallelize(ctx, tuples, 8).Optimize(false).Intersects(q).Count()
+			if err != nil {
+				t.Fatal(err)
+			}
+			chain := d.Intersects(q)
+			got, err := chain.Count()
+			if err != nil || got != want {
+				t.Errorf("%s, window %v: %d rows (%v), unindexed %d", name, w, got, err, want)
+			}
+			text, err := chain.Explain()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strings.Contains(text, "ColumnarScan") {
+				columnar++
+			}
+		}
+		if columnar == 0 {
+			t.Errorf("%s: no window ran the columnar scan, the sidecar is gone", name)
 		}
 	}
 }
