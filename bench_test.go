@@ -18,7 +18,6 @@ import (
 	"stark"
 	"stark/internal/bench"
 	"stark/internal/cluster"
-	"stark/internal/core"
 	"stark/internal/engine"
 	"stark/internal/geom"
 	"stark/internal/index"
@@ -49,9 +48,7 @@ func BenchmarkFigure4STARKNoPartitioning(b *testing.B) {
 	ds := selfJoinInput(b, ctx, benchTuples(b, benchN), 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.SelfJoinWithinDistanceCount(ds, 0.25, -1); err != nil {
-			b.Fatal(err)
-		}
+		selfJoinPairs(b, ds, 0.25, benchN)
 	}
 }
 
@@ -60,9 +57,7 @@ func BenchmarkFigure4STARKBSP(b *testing.B) {
 	ds := selfJoinInput(b, ctx, benchTuples(b, benchN), benchN/32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.SelfJoinWithinDistanceCount(ds, 0.25, -1); err != nil {
-			b.Fatal(err)
-		}
+		selfJoinPairs(b, ds, 0.25, benchN)
 	}
 }
 

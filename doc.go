@@ -177,7 +177,9 @@
 //     partition, probed by the probe partitions whose extent reaches
 //     it, disjoint extents pruned; each build partition is
 //     materialised and indexed exactly once, however many probe
-//     partitions and actions share it.
+//     partitions and actions share it. A self join runs a task per
+//     unordered pair of partitions and refines each unordered pair of
+//     records once, testing the predicate both ways round.
 //
 // Under JoinAuto the smaller input is the build side (rows stay
 // left-keyed whichever side that is); a forced strategy
@@ -403,9 +405,10 @@
 //   - internal/server    — the multi-dataset query service (catalog,
 //     result cache, admission control, NDJSON streaming, telemetry)
 //     and the demo web front end;
-//   - internal/bench     — the paper's Figure 4 self join, STARK against
-//     the GeoSpark- and SpatialSpark-style baselines (cmd/stark-bench
-//     prints it); the service itself is measured by bench/e2e.
+//   - internal/bench     — the paper's Figure 4 self join, STARK (the
+//     join operator's symmetric pairs self join) against the GeoSpark-
+//     and SpatialSpark-style baselines (cmd/stark-bench prints it); the
+//     service itself is measured by bench/e2e.
 //
 // See README.md for the DSL tour and the Scala-vs-Go comparison, and
 // the examples/ directory for complete programs.

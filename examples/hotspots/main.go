@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"sort"
 
 	"stark"
 	"stark/internal/engine"
@@ -35,30 +36,37 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	labels := make([]int, len(recs))
-	points := make([]stark.Point, len(recs))
-	for i, r := range recs {
-		labels[i] = r.Cluster
-		points[i] = r.Key.Centroid()
+	// Each hotspot's size and centroid, and the noise, from the labels.
+	sizes := make([]int, n)
+	centroids := make([]stark.Point, n)
+	noise := 0
+	for _, r := range recs {
+		if r.Cluster == stark.ClusterNoise {
+			noise++
+			continue
+		}
+		c := r.Key.Centroid()
+		sizes[r.Cluster]++
+		centroids[r.Cluster].X += c.X
+		centroids[r.Cluster].Y += c.Y
 	}
-	res := stark.ClusterResult{Labels: labels, NumClusters: n}
-	fmt.Printf("DBSCAN found %d hotspots (%d noise points of %d events)\n",
-		n, res.NoiseCount(), len(recs))
+	for id, size := range sizes {
+		centroids[id].X /= float64(size)
+		centroids[id].Y /= float64(size)
+	}
+	fmt.Printf("DBSCAN found %d hotspots (%d noise points of %d events)\n", n, noise, len(recs))
 
-	centroids := stark.ClusterCentroids(points, res)
-	sizes := res.ClusterSizes()
+	ids := make([]int, n)
+	for id := range ids {
+		ids[id] = id
+	}
+	sort.Slice(ids, func(i, j int) bool { return sizes[ids[i]] > sizes[ids[j]] })
 	fmt.Println("largest hotspots:")
-	var biggest stark.Point
-	for i, id := range stark.SortClustersBySize(res) {
-		if i == 0 {
-			biggest = centroids[id]
-		}
-		if i == 5 {
-			break
-		}
+	for _, id := range ids[:min(5, n)] {
 		fmt.Printf("  hotspot %2d: %6d events around (%.1f, %.1f)\n",
 			id, sizes[id], centroids[id].X, centroids[id].Y)
 	}
+	biggest := centroids[ids[0]]
 
 	// Drill down: the 10 events nearest to the biggest hotspot's
 	// centroid, via grid partitioning + persistent indexing — one

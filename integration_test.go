@@ -129,14 +129,8 @@ func TestFigure4ResultAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	starkCount, err := core.SelfJoinWithinDistanceCount(selfJoinInput(t, ctx, tuples, 0), eps, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	starkBSP, err := core.SelfJoinWithinDistanceCount(selfJoinInput(t, ctx, tuples, 500), eps, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	starkCount := selfJoinPairs(t, selfJoinInput(t, ctx, tuples, 0), eps, len(tuples))
+	starkBSP := selfJoinPairs(t, selfJoinInput(t, ctx, tuples, 500), eps, len(tuples))
 	for name, got := range map[string]int64{
 		"geospark-voronoi": geo, "spatialspark-none": ssNone,
 		"spatialspark-tile": ssTile, "stark-none": starkCount, "stark-bsp": starkBSP,
@@ -169,6 +163,22 @@ func selfJoinInput(tb testing.TB, ctx *stark.Context, tuples []stark.Tuple[int],
 		tb.Fatal(err)
 	}
 	return parted
+}
+
+// selfJoinPairs counts the unordered within-eps pairs (self pairs
+// included) of ds, which holds n records, as the Figure 4 STARK rows
+// do: a pairs self join through the join operator, whose ordered rows
+// hold every non-self pair twice.
+func selfJoinPairs(tb testing.TB, ds *core.SpatialDataset[int], eps float64, n int) int64 {
+	tb.Helper()
+	ordered, err := core.JoinCount(ds, ds, core.JoinOptions{
+		Predicate: stark.WithinDistancePredicate(eps, nil), ProbeExpansion: eps,
+		IndexOrder: -1, Strategy: core.JoinPairs,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return (ordered + int64(n)) / 2
 }
 
 // TestPigletPipelineAgainstAPI cross-checks a Piglet filter against

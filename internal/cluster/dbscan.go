@@ -15,7 +15,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 
 	"stark/internal/geom"
 	"stark/internal/index"
@@ -30,28 +29,6 @@ const Noise = -1
 type Result struct {
 	Labels      []int
 	NumClusters int
-}
-
-// ClusterSizes returns the number of points per cluster ID.
-func (r Result) ClusterSizes() []int {
-	sizes := make([]int, r.NumClusters)
-	for _, l := range r.Labels {
-		if l >= 0 {
-			sizes[l]++
-		}
-	}
-	return sizes
-}
-
-// NoiseCount returns the number of noise points.
-func (r Result) NoiseCount() int {
-	n := 0
-	for _, l := range r.Labels {
-		if l == Noise {
-			n++
-		}
-	}
-	return n
 }
 
 // DBSCAN is the sequential reference implementation over planar
@@ -374,36 +351,4 @@ func DBSCANDistributed(points []geom.Point, cfg DistributedConfig) (Result, erro
 		labels[i] = id
 	}
 	return Result{Labels: labels, NumClusters: len(rootID)}, nil
-}
-
-// Centroids returns the centroid of every cluster, ordered by cluster
-// ID — a convenience for reporting cluster results.
-func Centroids(points []geom.Point, r Result) []geom.Point {
-	sums := make([]geom.Point, r.NumClusters)
-	counts := make([]int, r.NumClusters)
-	for i, l := range r.Labels {
-		if l >= 0 {
-			sums[l].X += points[i].X
-			sums[l].Y += points[i].Y
-			counts[l]++
-		}
-	}
-	out := make([]geom.Point, r.NumClusters)
-	for i := range out {
-		if counts[i] > 0 {
-			out[i] = geom.Point{X: sums[i].X / float64(counts[i]), Y: sums[i].Y / float64(counts[i])}
-		}
-	}
-	return out
-}
-
-// SortBySize returns cluster IDs ordered by descending size.
-func SortBySize(r Result) []int {
-	sizes := r.ClusterSizes()
-	ids := make([]int, len(sizes))
-	for i := range ids {
-		ids[i] = i
-	}
-	sort.Slice(ids, func(i, j int) bool { return sizes[ids[i]] > sizes[ids[j]] })
-	return ids
 }

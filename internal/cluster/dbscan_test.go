@@ -41,6 +41,20 @@ func equivalentClusterings(a, b Result) bool {
 	return true
 }
 
+// clusterSizes returns the number of points per cluster ID and the
+// number of noise points.
+func clusterSizes(r Result) (sizes []int, noise int) {
+	sizes = make([]int, r.NumClusters)
+	for _, l := range r.Labels {
+		if l == Noise {
+			noise++
+		} else {
+			sizes[l]++
+		}
+	}
+	return sizes, noise
+}
+
 func blob(rng *rand.Rand, cx, cy, sd float64, count int) []geom.Point {
 	pts := make([]geom.Point, count)
 	for i := range pts {
@@ -68,10 +82,10 @@ func TestDBSCANFindsThreeBlobs(t *testing.T) {
 	if res.NumClusters != 3 {
 		t.Fatalf("clusters = %d, want 3", res.NumClusters)
 	}
-	if res.NoiseCount() != noiseCount {
-		t.Errorf("noise = %d, want %d", res.NoiseCount(), noiseCount)
+	sizes, noise := clusterSizes(res)
+	if noise != noiseCount {
+		t.Errorf("noise = %d, want %d", noise, noiseCount)
 	}
-	sizes := res.ClusterSizes()
 	for i, s := range sizes {
 		if s != 100 {
 			t.Errorf("cluster %d size = %d, want 100", i, s)
@@ -82,8 +96,8 @@ func TestDBSCANFindsThreeBlobs(t *testing.T) {
 func TestDBSCANAllNoise(t *testing.T) {
 	pts := []geom.Point{{X: 0, Y: 0}, {X: 10, Y: 10}, {X: 20, Y: 20}}
 	res := DBSCAN(pts, 1, 2)
-	if res.NumClusters != 0 || res.NoiseCount() != 3 {
-		t.Errorf("clusters=%d noise=%d", res.NumClusters, res.NoiseCount())
+	if _, noise := clusterSizes(res); res.NumClusters != 0 || noise != 3 {
+		t.Errorf("clusters=%d noise=%d", res.NumClusters, noise)
 	}
 }
 
@@ -270,19 +284,6 @@ func TestEquivalentClusterings(t *testing.T) {
 	e := Result{Labels: []int{0, 0, 0, Noise}, NumClusters: 1}
 	if equivalentClusterings(a, e) || equivalentClusterings(e, a) {
 		t.Error("merged clustering must not be equivalent")
-	}
-}
-
-func TestCentroidsAndSizes(t *testing.T) {
-	pts := []geom.Point{{X: 0, Y: 0}, {X: 2, Y: 0}, {X: 10, Y: 10}}
-	r := Result{Labels: []int{0, 0, Noise}, NumClusters: 1}
-	cents := Centroids(pts, r)
-	if len(cents) != 1 || cents[0].X != 1 || cents[0].Y != 0 {
-		t.Errorf("centroids = %v", cents)
-	}
-	ids := SortBySize(Result{Labels: []int{0, 1, 1, 1, 0}, NumClusters: 2})
-	if ids[0] != 1 || ids[1] != 0 {
-		t.Errorf("sorted ids = %v", ids)
 	}
 }
 

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -20,14 +22,14 @@ import (
 // The join is a transformation like the filters: JoinStream plans it —
 // strategy, orientation, the probe partitions worth visiting and the
 // build slots each of them probes — and returns a lazy dataset whose
-// partitions are the probe side's. Nothing is joined until an action
-// drives that stream. A task streams its probe partition once off the
-// fused pipeline and tests every record against its build slots; a
-// slot holds rows of the build side plus an R-tree over them and is
-// loaded by the first task that needs it, on that task's executor, so
-// an action that stops early builds only what it touched. The
-// strategy, chosen by the cost model in internal/plan from
-// internal/stats statistics (JoinAuto, the default) or forced via
+// partitions are the probe side's (a self join's: its tasks). Nothing
+// is joined until an action drives that stream. A task streams its
+// probe partition once off the fused pipeline and tests every record
+// against its build slots; a slot holds rows of the build side plus an
+// R-tree over them and is loaded by the first task that needs it, on
+// that task's executor, so an action that stops early builds only what
+// it touched. The strategy, chosen by the cost model in internal/plan
+// from internal/stats statistics (JoinAuto, the default) or forced via
 // JoinOptions.Strategy, decides what a slot holds:
 //
 //   - broadcast: one slot, the whole build side, shared by every probe
@@ -37,8 +39,10 @@ import (
 //     and each probe partition probes its aligned bucket;
 //   - pairs: the paper's partitioned join — one slot per build
 //     partition, probed by the probe partitions whose extent reaches
-//     it; pairs with disjoint extents are pruned (the strategy Figure
-//     4 measures).
+//     it; pairs with disjoint extents are pruned. A self join (one
+//     dataset, one visit list) runs a task per unordered pair of
+//     partitions and refines each unordered pair of rows once, testing
+//     the predicate both ways round: the strategy Figure 4 measures.
 //
 // The pairs are never materialised by the join; the build side of
 // broadcast and copartition is (that is the join's build phase).
@@ -110,7 +114,8 @@ type JoinReport struct {
 	// Tasks is the number of (probe partition, build slot) probes
 	// planned — surviving partition pairs under pairs, visited probe
 	// partitions otherwise; TotalPairs the size of the naive L×R
-	// enumeration the strategy avoids or prunes.
+	// enumeration the strategy avoids or prunes (for a self join, the
+	// k(k+1)/2 unordered pairs of its k visited partitions).
 	Tasks      int
 	TotalPairs int
 	// PairsPruned counts the partition pairs of that enumeration the
@@ -262,31 +267,52 @@ var testHookSlotBuilt func(tree *index.RTree, env func(pos int) geom.Envelope)
 // the probe partitions that have any, and returns the stream whose
 // partition p probes slotsOf[p] with the records of probe partition p.
 // row makes the result row of a matching (probe, build) record pair.
+// A self join under pairs — probe and build one dataset over one visit
+// list — instead streams one partition per reachable unordered pair of
+// partitions {p, b}, which probes slot b with the rows of slot p (from
+// the probing row's position on when p == b) and yields each candidate
+// in each orientation that passes: the rows of the two-sided join.
 func joinStream[P, B, R any](probe *SpatialDataset[P], pvisit []int, build *SpatialDataset[B], bvisit []int,
 	opts JoinOptions, row func(Tuple[P], Tuple[B]) R) (*engine.Dataset[R], []int, error) {
 	pred, order, expand, rep := opts.Predicate, opts.IndexOrder, opts.ProbeExpansion, opts.Report
 	rec := probe.recorder()
 	slotsOf := make([][]buildSlot[B], probe.ds.NumPartitions())
 	visit := make([]int, 0, len(pvisit))
-	perProbe := 1 // build slots a probe partition has before pruning
+	enumerable := len(pvisit) // tasks before pruning
+	self := rep.Strategy == JoinPairs && probe.ds.ID() == build.ds.ID() && slices.Equal(pvisit, bvisit)
+	var (
+		slots []buildSlot[B]
+		pairs [][2]int // the self join's tasks: slot pairs[t][1] probed with the rows of slot pairs[t][0]
+	)
 
 	if rep.Strategy == JoinPairs {
 		// One slot per build partition, shared by the probe partitions
 		// whose extent reaches it.
-		perProbe = len(bvisit)
+		enumerable *= len(bvisit)
+		if self {
+			enumerable = len(pvisit) * (len(pvisit) + 1) / 2
+			rep.TotalPairs = enumerable
+		}
 		prune := probe.sp != nil && build.sp != nil
-		slots := make([]buildSlot[B], build.ds.NumPartitions())
-		for _, p := range pvisit {
+		slots = make([]buildSlot[B], build.ds.NumPartitions())
+		for _, b := range bvisit {
+			slots[b] = newBuildSlot(order, &rep.TreesBuilt, func() ([]Tuple[B], error) { return build.ds.ComputePartition(b) })
+		}
+		for k, p := range pvisit {
 			var reach geom.Envelope
 			if prune {
 				reach = probe.sp.Extent(p).ExpandBy(expand)
 			}
-			for _, b := range bvisit {
+			reachable := bvisit
+			if self {
+				reachable = bvisit[k:]
+			}
+			for _, b := range reachable {
 				if prune && !reach.Intersects(build.sp.Extent(b)) {
 					continue
 				}
-				if slots[b] == nil {
-					slots[b] = newBuildSlot(order, &rep.TreesBuilt, func() ([]Tuple[B], error) { return build.ds.ComputePartition(b) })
+				if self {
+					pairs = append(pairs, [2]int{p, b})
 				}
 				slotsOf[p] = append(slotsOf[p], slots[b])
 			}
@@ -365,23 +391,48 @@ func joinStream[P, B, R any](probe *SpatialDataset[P], pvisit []int, build *Spat
 	if rep.Strategy == JoinPairs {
 		rep.PairsPruned = rep.TotalPairs - rep.Tasks
 	}
-	rec.Add(engine.TasksSkipped, int64(len(pvisit)*perProbe-rep.Tasks))
+	rec.Add(engine.TasksSkipped, int64(enumerable-rep.Tasks))
 
-	out := engine.NewStream(probe.ds.Context(), probe.ds.Name()+".join", len(slotsOf),
-		func(p int, yield func(R) bool) error {
-			slots := slotsOf[p]
-			if len(slots) == 0 {
-				return nil // pruned: the probe partition is not even streamed
+	numPart := len(slotsOf)
+	if self {
+		numPart, visit = len(pairs), engine.AllPartitions(len(pairs))
+	}
+	out := engine.NewStream(probe.ds.Context(), probe.ds.Name()+".join", numPart, func(t int, yield func(R) bool) error {
+		var (
+			c       probeCounts
+			loadErr error
+			err     error
+		)
+		if self {
+			// P and B are the same type here: the rows of slot p probe slot
+			// b, and either side's rows make either side of a row.
+			p, b := pairs[t][0], pairs[t][1]
+			bs, bErr := slots[b]() // first: task (p, p), which runs earlier, loads slot p
+			ps, pErr := slots[p]()
+			if loadErr = cmp.Or(bErr, pErr); loadErr == nil {
+				pRows, bRows := any(ps.Items).([]Tuple[P]), any(bs.Items).([]Tuple[P])
+				for i := range pRows {
+					a, from := &pRows[i], 0
+					if p == b {
+						from = i
+					}
+					if !candidates(&bs, a.Key.Envelope().ExpandBy(expand), from, &c, func(j int) bool {
+						o := &bs.Items[j]
+						if pred(a.Key, o.Key) && !yield(row(*a, *o)) {
+							return false
+						}
+						return (p == b && j == i) || !pred(o.Key, a.Key) || yield(row(bRows[j], ps.Items[i]))
+					}) {
+						break
+					}
+				}
 			}
-			var (
-				scanned, probes, refined int64
-				loadErr                  error
-			)
-			err := probe.ds.EachPartition(p, func(pkv Tuple[P]) bool {
+		} else if slots := slotsOf[t]; len(slots) > 0 { // else pruned: the probe partition is not even streamed
+			err = probe.ds.EachPartition(t, func(pkv Tuple[P]) bool {
 				// Slots load on the first probe record, so a task whose
 				// probe stream turns out empty pays for no build; one
 				// whose slots all turn out empty stops streaming.
-				live := false
+				live, env := false, pkv.Key.Envelope().ExpandBy(expand)
 				for _, load := range slots {
 					s, err := load()
 					if err != nil {
@@ -392,47 +443,58 @@ func joinStream[P, B, R any](probe *SpatialDataset[P], pvisit []int, build *Spat
 						continue
 					}
 					live = true
-					if s.Tree == nil {
-						// Nested loop: every pair is checked exactly.
-						scanned += int64(len(s.Items))
-						for _, bkv := range s.Items {
-							if pred(pkv.Key, bkv.Key) && !yield(row(pkv, bkv)) {
-								return false
-							}
-						}
-						continue
-					}
-					probes++
-					env, more := pkv.Key.Envelope().ExpandBy(expand), true
-					s.Tree.Search(env, func(lo, hi int) bool {
-						for i := lo; i < hi; i++ {
-							bkv := &s.Items[i]
-							if !bkv.Key.EnvelopeIntersects(env) {
-								continue
-							}
-							refined++
-							if pred(pkv.Key, bkv.Key) && !yield(row(pkv, *bkv)) {
-								more = false
-								return false
-							}
-						}
-						return true
-					})
-					if !more {
+					if !candidates(&s, env, 0, &c, func(j int) bool {
+						return !pred(pkv.Key, s.Items[j].Key) || yield(row(pkv, s.Items[j]))
+					}) {
 						return false
 					}
 				}
 				return live
 			})
-			rec.Add(engine.ElementsScanned, scanned)
-			rec.Add(engine.IndexProbes, probes)
-			rec.Add(engine.CandidatesRefined, refined)
-			if loadErr != nil {
-				return loadErr
-			}
-			return err
-		})
+		}
+		rec.Add(engine.ElementsScanned, c.scanned)
+		rec.Add(engine.IndexProbes, c.probes)
+		rec.Add(engine.CandidatesRefined, c.refined)
+		return cmp.Or(loadErr, err)
+	})
 	return out.WithRecorder(probe.rec), visit, nil
+}
+
+// probeCounts is what one join task did: the rows its nested loops
+// checked, its tree probes and the candidates of those it refined.
+type probeCounts struct{ scanned, probes, refined int64 }
+
+// candidates calls match with the position of every row of s, from
+// position from on, that a record whose expanded envelope is env can
+// pair with: every row without a tree (a nested loop checks each pair
+// exactly), the tree's rows whose envelope meets env otherwise. It
+// returns false as soon as match does.
+func candidates[B any](s *indexedPartition[B], env geom.Envelope, from int, c *probeCounts, match func(j int) bool) bool {
+	if s.Tree == nil {
+		c.scanned += int64(len(s.Items) - from)
+		for j := from; j < len(s.Items); j++ {
+			if !match(j) {
+				return false
+			}
+		}
+		return true
+	}
+	c.probes++
+	more := true
+	s.Tree.Search(env, func(lo, hi int) bool {
+		for j := max(lo, from); j < hi; j++ {
+			if !s.Items[j].Key.EnvelopeIntersects(env) {
+				continue
+			}
+			c.refined++
+			if !match(j) {
+				more = false
+				return false
+			}
+		}
+		return true
+	})
+	return more
 }
 
 // JoinCount is Join restricted to counting: matching pairs stream into
@@ -444,105 +506,4 @@ func JoinCount[V, W any](l *SpatialDataset[V], r *SpatialDataset[W], opts JoinOp
 		return 0, err
 	}
 	return ds.CountPartitions(visit)
-}
-
-// SelfJoinWithinDistanceCount counts the unordered within-eps pairs
-// (including self pairs) of the dataset — the exact workload and
-// result convention of the paper's Figure 4 micro-benchmark. Compared
-// to Join(s, s) it exploits the symmetry of the self join (only
-// partition pairs li <= ri are processed), streams counts instead of
-// result rows, shares one build slot per partition, and prunes
-// partition pairs by extent when the dataset is spatially
-// partitioned. order <= 0 selects the default R-tree order.
-func SelfJoinWithinDistanceCount[V any](s *SpatialDataset[V], eps float64, order int) (int64, error) {
-	if order <= 0 {
-		order = index.DefaultOrder
-	}
-	n := s.ds.NumPartitions()
-	type task struct{ li, ri int }
-	var tasks []task
-	pruned := 0
-	for li := 0; li < n; li++ {
-		for ri := li; ri < n; ri++ {
-			if s.sp != nil {
-				le := s.sp.Extent(li).ExpandBy(eps)
-				if !le.Intersects(s.sp.Extent(ri)) {
-					pruned++
-					continue
-				}
-			}
-			tasks = append(tasks, task{li, ri})
-		}
-	}
-	ctx := s.ds.Context()
-	rec := s.recorder()
-	rec.Add(engine.TasksSkipped, int64(pruned))
-
-	slots := make([]buildSlot[V], n)
-	for ri := range slots {
-		slots[ri] = newBuildSlot(order, new(int64), func() ([]Tuple[V], error) { return s.ds.ComputePartition(ri) })
-	}
-
-	var total atomic.Int64
-	err := ctx.RunJobRecorder(nil, rec, engine.AllPartitions(len(tasks)), func(t int) error {
-		li, ri := tasks[t].li, tasks[t].ri
-		same := li == ri
-		var (
-			right           indexedPartition[V]
-			loadErr         error
-			local           int64
-			probes, refined int64
-		)
-		probe := func(i int, lkv Tuple[V]) bool {
-			if right.Tree == nil {
-				// Lazy load: a cross-partition task whose left stream is
-				// empty never pays materialisation or build.
-				if right, loadErr = slots[ri](); right.Tree == nil {
-					return false
-				}
-			}
-			probes++
-			env := lkv.Key.Envelope().ExpandBy(eps)
-			right.Tree.Search(env, func(lo, hi int) bool {
-				for j := lo; j < hi; j++ {
-					rkv := &right.Items[j]
-					if !rkv.Key.EnvelopeIntersects(env) {
-						continue
-					}
-					refined++
-					if same && j < i {
-						continue // count unordered pairs once, by position in the slot
-					}
-					if lkv.Key.WithinDistance(rkv.Key, eps, nil) {
-						local++
-					}
-				}
-				return true
-			})
-			return true
-		}
-		var err error
-		if same {
-			// The left partition is the slot's own rows.
-			if right, loadErr = slots[ri](); right.Tree != nil {
-				for i, lkv := range right.Items {
-					probe(i, lkv)
-				}
-			}
-		} else {
-			i := 0
-			err = s.ds.EachPartition(li, func(lkv Tuple[V]) bool {
-				i++
-				return probe(i-1, lkv)
-			})
-		}
-		if err == nil {
-			err = loadErr
-		}
-		rec.Add(engine.IndexProbes, probes)
-		rec.Add(engine.CandidatesRefined, refined)
-		total.Add(local)
-		return err
-	})
-	return total.Load(), err
 }

@@ -5,8 +5,8 @@ package core
 // must return exactly the result of the brute-force nested loop,
 // element for element, over randomized datasets in every layout
 // combination (unpartitioned / Grid / BSP on either side) under
-// Intersects, Contains and WithinDistance. Plus a -race regression
-// test for the shared right-partition tree cache.
+// Intersects, Contains and WithinDistance, and for the self join of
+// each layout. Plus -race regression tests for the shared build slots.
 
 import (
 	"math/rand"
@@ -29,6 +29,19 @@ func makeBoxDataset(t testing.TB, ctx *engine.Context, n, numPart int, seed int6
 		w, h := 2+rng.Float64()*8, 2+rng.Float64()*8
 		env := geom.Envelope{MinX: x, MinY: y, MaxX: x + w, MaxY: y + h}
 		tuples[i] = engine.NewPair(stobject.New(env.ToPolygon()), i)
+	}
+	return Wrap(engine.Parallelize(ctx, tuples, numPart)), tuples
+}
+
+// makeMixedDataset builds boxes random small boxes followed by points
+// random points, payload = index: a Contains self join pairs a box with
+// what lies inside it and never a point with a box.
+func makeMixedDataset(t testing.TB, ctx *engine.Context, boxes, points, numPart int, seed int64) (*SpatialDataset[int], []Tuple[int]) {
+	_, tuples := makeBoxDataset(t, ctx, boxes, numPart, seed)
+	_, pts := makeDataset(t, ctx, points, numPart, seed+1)
+	tuples = append(tuples, pts...)
+	for i := range tuples {
+		tuples[i].Value = i
 	}
 	return Wrap(engine.Parallelize(ctx, tuples, numPart)), tuples
 }
@@ -150,6 +163,67 @@ func TestJoinStrategiesDifferential(t *testing.T) {
 			}
 		}
 	}
+
+	// Self joins: both inputs are one dataset, so pairs (and a
+	// copartition that falls back to it) enumerate the unordered pairs
+	// of partitions and rows and test each pair of rows in both
+	// orientations. Contains over boxes and points is the asymmetric
+	// predicate.
+	for _, pc := range preds {
+		for _, lay := range joinLayouts {
+			seed++
+			t.Run("self/"+pc.name+"/"+lay.name, func(t *testing.T) {
+				s, st := makeDataset(t, ctx, 300, 3, seed)
+				if pc.boxes {
+					s, st = makeMixedDataset(t, ctx, 100, 200, 3, seed)
+				}
+				s = lay.apply(t, s)
+				want := bruteJoin(st, st, pc.pred)
+				// The unordered pairs of rows (i ≤ j) that match, and those
+				// whose envelopes meet, the first expanded.
+				var unordered, candidates int64
+				for i := range st {
+					reach := st[i].Key.Envelope().ExpandBy(pc.expand)
+					for j := i; j < len(st); j++ {
+						if pc.pred(st[i].Key, st[j].Key) {
+							unordered++
+						}
+						if reach.Intersects(st[j].Key.Envelope()) {
+							candidates++
+						}
+					}
+				}
+				for _, sc := range strategies {
+					opts := sc.opts
+					opts.Predicate = pc.pred
+					opts.ProbeExpansion = pc.expand
+					var rep JoinReport
+					opts.Report = &rep
+					before := ctx.Recorder().Snapshot()
+					got, err := Join(s, s, opts)
+					if err != nil {
+						t.Fatalf("%s: %v", sc.name, err)
+					}
+					if !samePairs(joinedPairs(got), want) {
+						t.Errorf("%s: got %d pairs, want %d", sc.name, len(got), len(want))
+					}
+					if sc.name != "pairs" {
+						continue
+					}
+					k := s.NumPartitions()
+					if rep.TotalPairs != k*(k+1)/2 || rep.Tasks+rep.PairsPruned != rep.TotalPairs {
+						t.Errorf("pairs: %d tasks + %d pruned of %d pairs of partitions, want %d of them", rep.Tasks, rep.PairsPruned, rep.TotalPairs, k*(k+1)/2)
+					}
+					if refined := ctx.Recorder().Snapshot().Sub(before)[engine.CandidatesRefined]; refined != candidates {
+						t.Errorf("pairs: %d candidates refined, want each of the %d unordered ones once", refined, candidates)
+					}
+					if pc.name == "withindistance" && int64(len(got)) != 2*unordered-int64(len(st)) {
+						t.Errorf("pairs: %d ordered rows, want 2 × %d unordered pairs − %d rows", len(got), unordered, len(st))
+					}
+				}
+			})
+		}
+	}
 }
 
 // TestJoinTreeCacheBuildsOncePerPartition is the -race regression
@@ -180,24 +254,29 @@ func TestJoinTreeCacheBuildsOncePerPartition(t *testing.T) {
 }
 
 // TestSelfJoinCountTreeCacheRace exercises the same slot cache on
-// the Figure 4 counting path under -race.
+// the Figure 4 counting path, the symmetric self join, under -race:
+// every slot is shared by the tasks of the pairs it is in.
 func TestSelfJoinCountTreeCacheRace(t *testing.T) {
 	ctx := engine.NewContext(8)
 	s, tuples := makeDataset(t, ctx, 800, 8, 79)
-	n, err := SelfJoinWithinDistanceCount(s, 2, -1)
+	var rep JoinReport
+	n, err := JoinCount(s, s, JoinOptions{
+		Predicate: stobject.WithinDistancePredicate(2, nil), ProbeExpansion: 2,
+		IndexOrder: -1, Strategy: JoinPairs, Report: &rep,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := int64(0)
-	for i, a := range tuples {
-		for j := i; j < len(tuples); j++ {
-			if a.Key.WithinDistance(tuples[j].Key, 2, nil) {
+	for _, a := range tuples {
+		for _, b := range tuples {
+			if a.Key.WithinDistance(b.Key, 2, nil) {
 				want++
 			}
 		}
 	}
-	if n != want {
-		t.Errorf("count = %d, want %d", n, want)
+	if n != want || rep.Tasks != 36 || rep.TreesBuilt != 8 {
+		t.Errorf("count = %d, want %d; %d tasks, want 36; %d trees, want 8", n, want, rep.Tasks, rep.TreesBuilt)
 	}
 }
 

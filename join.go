@@ -96,7 +96,9 @@ func Join[V, W any](l *Dataset[V], r *Dataset[W], opts JoinOptions) *Dataset[Joi
 }
 
 // SelfJoin joins the dataset with itself (identity pairs included,
-// matching rdd.join(rdd)).
+// matching rdd.join(rdd)). Under the pairs strategy it runs
+// symmetrically: a task per unordered pair of partitions, each
+// unordered pair of records refined once and tested both ways round.
 func SelfJoin[V any](d *Dataset[V], opts JoinOptions) *Dataset[JoinRow[V, V]] {
 	return Join(d, d, opts)
 }

@@ -1,6 +1,8 @@
 package stark_test
 
 import (
+	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -126,5 +128,49 @@ func TestJoinConcurrentActions(t *testing.T) {
 		if rep.TreesBuilt == 0 || rep.TreesBuilt > 16 {
 			t.Errorf("%v: %d trees built by two actions over 16 partitions:\n%s", strategy, rep.TreesBuilt, explain)
 		}
+	}
+}
+
+// TestSelfJoinStops: a symmetric self join stops when asked. Take builds
+// the slots of the tasks it ran and no others, and a stream cancelled at
+// its first row (the rest of that task's rows still arrive) returns the
+// context's error and launches no further task.
+func TestSelfJoinStops(t *testing.T) {
+	ctx := stark.NewContext(2)
+	base := stark.Parallelize(ctx, latticeTuples(40), 4).PartitionBy(stark.BSP(100))
+	parts, err := base.NumPartitions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep stark.JoinReport
+	opts := stark.JoinOptions{Predicate: stark.WithinDistancePredicate(2, nil), ProbeExpansion: 2,
+		IndexOrder: -1, Strategy: stark.JoinPairs, Report: &rep}
+	head, err := stark.SelfJoin(base, opts).Take(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(head) != 10 || rep.TreesBuilt < 1 || rep.TreesBuilt >= int64(parts) || rep.TotalPairs != parts*(parts+1)/2 {
+		t.Errorf("take 10: %d rows, %d slots built for %d partitions (%d of %d pairs of them planned)",
+			len(head), rep.TreesBuilt, parts, rep.Tasks, rep.TotalPairs)
+	}
+
+	joined := stark.SelfJoin(base, opts)
+	cctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rows := 0
+	err = joined.StreamParallelContext(cctx, func(stark.Tuple[stark.JoinRow[int, int]]) bool {
+		rows++
+		cancel()
+		return true
+	})
+	launched := joined.Trace().Counter("tasks_launched")
+	if !errors.Is(err, context.Canceled) || rows < 1 || launched < 1 || launched >= int64(rep.Tasks) {
+		t.Errorf("cancelled after the first row: error %v after %d rows and %d of %d tasks", err, rows, launched, rep.Tasks)
+	}
+	if _, err := stark.SelfJoin(base, stark.JoinOptions{IndexOrder: -1}).Count(); err != nil { // other work on the context
+		t.Fatal(err)
+	}
+	if later := joined.Trace().Counter("tasks_launched"); later != launched {
+		t.Errorf("tasks launched grew from %d to %d after the stream returned", launched, later)
 	}
 }

@@ -55,10 +55,6 @@ type (
 	// SpatialPartitioner is the partitioner contract: assignment by
 	// centroid plus per-partition bounds and data-adjusted extents.
 	SpatialPartitioner = partition.SpatialPartitioner
-
-	// ClusterResult holds DBSCAN labels with summary helpers
-	// (ClusterSizes, NoiseCount).
-	ClusterResult = cluster.Result
 )
 
 // ClusterNoise is the label DBSCAN assigns to noise points.
@@ -135,11 +131,3 @@ func NewTuple[V any](key STObject, value V) Tuple[V] { return engine.NewPair(key
 // Simplify reduces a polyline with Douglas–Peucker at the given
 // tolerance.
 func Simplify(l LineString, tolerance float64) LineString { return geom.Simplify(l, tolerance) }
-
-// ---- Clustering summary helpers ----
-
-// ClusterCentroids returns the centroid of every cluster.
-func ClusterCentroids(points []Point, r ClusterResult) []Point { return cluster.Centroids(points, r) }
-
-// SortClustersBySize returns cluster IDs ordered by descending size.
-func SortClustersBySize(r ClusterResult) []int { return cluster.SortBySize(r) }
