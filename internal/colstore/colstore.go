@@ -4,6 +4,9 @@
 // spatially-near records are cache-near, plus branch-free batched
 // kernels that evaluate the coarse (envelope/interval) part of a
 // spatio-temporal predicate over column chunks into a survivor bitset.
+// A partition of points at instants holds three arrays, 24 B a row:
+// its max bounds and ends share the arrays of its min bounds and
+// starts.
 //
 // The row scan evaluates one closure per record over []Tuple[V] —
 // pointer-chasing through interface geometries for a test that, for
@@ -19,6 +22,7 @@ package colstore
 
 import (
 	"math/bits"
+	"slices"
 	"sync"
 
 	"stark/internal/geom"
@@ -26,8 +30,8 @@ import (
 )
 
 // chunkRows is the kernel batch size: 64 bitset words per chunk, small
-// enough that a chunk's four float64 columns stay L1/L2-resident while
-// the kernel sweeps them.
+// enough that a chunk's four float64 columns (two distinct arrays for a
+// partition of points) stay L1/L2-resident while the kernel sweeps them.
 const chunkRows = 4096
 
 // Partition holds the SoA columns of one partition, in Hilbert (or
@@ -38,10 +42,12 @@ type Partition struct {
 	// Envelope bounds, one entry per row. Empty envelopes keep their
 	// ±Inf sentinel bounds, which fail every kernel comparison — an
 	// empty-geometry record is rejected coarse, matching the exact
-	// predicates, which never match empty geometries.
+	// predicates, which never match empty geometries. MaxX and MaxY may
+	// share MinX's and MinY's arrays (see Finish); read them, never
+	// write.
 	MinX, MinY, MaxX, MaxY []float64
 	// Temporal interval bounds; meaningful only where the timed bitset
-	// is set.
+	// is set. TEnd may share TStart's array.
 	TStart, TEnd []int64
 	// timed marks rows that carry a temporal component.
 	timed []uint64
@@ -53,9 +59,8 @@ func (p *Partition) Len() int { return p.n }
 // Builder accumulates rows and finishes into a Partition. Not safe for
 // concurrent use; build one per partition task.
 type Builder struct {
-	p    Partition
-	mbr  geom.Envelope
-	keys []uint64 // scratch for the Hilbert sort
+	p   Partition
+	mbr geom.Envelope
 }
 
 // NewBuilder returns a builder preallocated for capacity rows
@@ -98,46 +103,63 @@ func (b *Builder) Add(env geom.Envelope, tstart, tend int64, timed bool) {
 // the partition's MBR, and perm maps the new row order back to the
 // insertion order (perm[newRow] = oldRow) so the caller can reorder
 // its record slice identically; with hilbert false (or nothing to
-// sort) perm is nil and insertion order is kept. The builder must not
-// be used afterwards.
+// sort) perm is nil and insertion order is kept. A column that repeats
+// another on every row is not kept twice: when every row is a point
+// MaxX and MaxY share MinX's and MinY's backing arrays, and when every
+// row is an instant TEnd shares TStart's. An empty envelope's ±Inf
+// sentinels and a NaN bound compare unequal, so such a partition keeps
+// all six columns. The builder must not be used afterwards.
 func (b *Builder) Finish(hilbert bool) (p *Partition, perm []int32) {
-	n := b.p.n
-	if !hilbert || n < 2 {
-		return &b.p, nil
+	in := &b.p
+	if hilbert && in.n >= 2 {
+		perm = b.hilbertOrder()
 	}
+	p = &Partition{n: in.n, MinX: gather(in.MinX, perm), MinY: gather(in.MinY, perm), TStart: gather(in.TStart, perm), timed: in.timed}
+	p.MaxX, p.MaxY, p.TEnd = p.MinX, p.MinY, p.TStart
+	if !slices.Equal(in.MinX, in.MaxX) || !slices.Equal(in.MinY, in.MaxY) {
+		p.MaxX, p.MaxY = gather(in.MaxX, perm), gather(in.MaxY, perm)
+	}
+	if !slices.Equal(in.TStart, in.TEnd) {
+		p.TEnd = gather(in.TEnd, perm)
+	}
+	if perm != nil {
+		p.timed = make([]uint64, len(in.timed))
+		for newRow, oldRow := range perm {
+			if in.timed[oldRow/64]&(1<<uint(oldRow%64)) != 0 {
+				p.timed[newRow/64] |= 1 << uint(newRow%64)
+			}
+		}
+	}
+	return p, perm
+}
+
+// hilbertOrder returns the rows in the order of the Hilbert keys of
+// their envelope centres over the partition's MBR.
+func (b *Builder) hilbertOrder() []int32 {
 	enc := partition.NewHilbertEncoder(b.mbr, 0)
-	b.keys = make([]uint64, n)
-	for i := 0; i < n; i++ {
-		env := geom.Envelope{MinX: b.p.MinX[i], MinY: b.p.MinY[i], MaxX: b.p.MaxX[i], MaxY: b.p.MaxY[i]}
-		b.keys[i] = enc.KeyEnvelope(env)
-	}
-	perm = make([]int32, n)
+	keys := make([]uint64, b.p.n)
+	perm := make([]int32, b.p.n)
 	for i := range perm {
+		env := geom.Envelope{MinX: b.p.MinX[i], MinY: b.p.MinY[i], MaxX: b.p.MaxX[i], MaxY: b.p.MaxY[i]}
+		keys[i] = enc.KeyEnvelope(env)
 		perm[i] = int32(i)
 	}
 	// Stable on the insertion index so equal keys keep their relative
 	// order — the sort is then deterministic for differential tests.
-	sortPermByKey(perm, b.keys)
+	sortPermByKey(perm, keys)
+	return perm
+}
 
-	sorted := &Partition{
-		n:    n,
-		MinX: make([]float64, n), MinY: make([]float64, n),
-		MaxX: make([]float64, n), MaxY: make([]float64, n),
-		TStart: make([]int64, n), TEnd: make([]int64, n),
-		timed: make([]uint64, (n+63)/64),
+// gather returns src in perm order (src itself when perm is nil).
+func gather[T any](src []T, perm []int32) []T {
+	if perm == nil {
+		return src
 	}
-	for newRow, oldRow := range perm {
-		sorted.MinX[newRow] = b.p.MinX[oldRow]
-		sorted.MinY[newRow] = b.p.MinY[oldRow]
-		sorted.MaxX[newRow] = b.p.MaxX[oldRow]
-		sorted.MaxY[newRow] = b.p.MaxY[oldRow]
-		sorted.TStart[newRow] = b.p.TStart[oldRow]
-		sorted.TEnd[newRow] = b.p.TEnd[oldRow]
-		if b.p.timed[oldRow/64]&(1<<uint(oldRow%64)) != 0 {
-			sorted.timed[newRow/64] |= 1 << uint(newRow%64)
-		}
+	dst := make([]T, len(perm))
+	for i, old := range perm {
+		dst[i] = src[old]
 	}
-	return sorted, perm
+	return dst
 }
 
 // sortPermByKey stable-sorts perm by keys[perm[i]] — a bottom-up merge

@@ -3,6 +3,7 @@ package colstore
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"stark/internal/geom"
@@ -286,5 +287,127 @@ func TestFilterAllocs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("kernel path allocates %.1f per run, want 0", allocs)
+	}
+}
+
+// pointRows returns n points at instants, a quarter of them untimed
+// (an untimed row's interval is (0, 0), an instant too).
+func pointRows(rng *rand.Rand, n int) []refRow {
+	rows := make([]refRow, n)
+	for i := range rows {
+		x, y := rng.Float64()*100, rng.Float64()*100
+		rows[i].env = geom.Envelope{MinX: x, MinY: y, MaxX: x, MaxY: y}
+		if rows[i].timed = rng.Intn(4) != 0; rows[i].timed {
+			rows[i].ts = int64(rng.Intn(1000))
+			rows[i].te = rows[i].ts
+		}
+	}
+	return rows
+}
+
+// sharing reports which columns share another's backing array.
+func sharing(p *Partition) (x, y, t bool) {
+	return &p.MaxX[0] == &p.MinX[0], &p.MaxY[0] == &p.MinY[0], &p.TEnd[0] == &p.TStart[0]
+}
+
+// envBits is an envelope's bounds bit for bit, so that NaN equals NaN.
+func envBits(e geom.Envelope) [4]uint64 {
+	return [4]uint64{math.Float64bits(e.MinX), math.Float64bits(e.MinY), math.Float64bits(e.MaxX), math.Float64bits(e.MaxY)}
+}
+
+// TestFinishSharesRepeatedColumns: on both paths, a partition of points
+// at instants keeps three arrays, and a row that is not a point, not an
+// instant or empty keeps the columns it needs. The values read back are
+// the rows' either way.
+func TestFinishSharesRepeatedColumns(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	cases := []struct {
+		name    string
+		change  func(r *refRow)
+		x, y, t bool // MaxX, MaxY and TEnd shared
+	}{
+		{"points at instants", func(*refRow) {}, true, true, true},
+		{"one polygon", func(r *refRow) { r.env.MaxX += 1; r.env.MaxY += 2 }, false, false, true},
+		{"one horizontal line", func(r *refRow) { r.env.MaxX += 2 }, false, false, true},
+		{"one vertical line", func(r *refRow) { r.env.MaxY += 2 }, false, false, true},
+		{"one interval", func(r *refRow) { r.timed, r.te = true, r.ts+5 }, true, true, false},
+		{"one empty geometry", func(r *refRow) { r.env = geom.EmptyEnvelope() }, false, false, true},
+		{"one NaN coordinate", func(r *refRow) { r.env.MinY, r.env.MaxY = math.NaN(), math.NaN() }, false, false, true},
+	}
+	for _, c := range cases {
+		for _, hilbert := range []bool{false, true} {
+			rows := pointRows(rng, 300)
+			c.change(&rows[rng.Intn(len(rows))])
+			p, perm := buildPartition(rows, hilbert)
+			if x, y, tm := sharing(p); x != c.x || y != c.y || tm != c.t {
+				t.Errorf("%s, hilbert=%t: MaxX/MaxY/TEnd shared %t/%t/%t, want %t/%t/%t",
+					c.name, hilbert, x, y, tm, c.x, c.y, c.t)
+			}
+			for row := 0; row < p.Len(); row++ {
+				r := rows[row]
+				if perm != nil {
+					r = rows[perm[row]]
+				}
+				env := geom.Envelope{MinX: p.MinX[row], MinY: p.MinY[row], MaxX: p.MaxX[row], MaxY: p.MaxY[row]}
+				if envBits(env) != envBits(r.env) || p.TStart[row] != r.ts || p.TEnd[row] != r.te {
+					t.Fatalf("%s, hilbert=%t, row %d: %v [%d, %d], want %v [%d, %d]",
+						c.name, hilbert, row, env, p.TStart[row], p.TEnd[row], r.env, r.ts, r.te)
+				}
+			}
+		}
+	}
+}
+
+// TestHilbertFinishAllocatesOnlyKeptColumns: sorting points at instants
+// allocates three fewer arrays than sorting rows that keep six.
+func TestHilbertFinishAllocatesOnlyKeptColumns(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	points := pointRows(rng, 1000)
+	boxes := randRows(rng, 1000)
+	allocs := func(rows []refRow) float64 {
+		return testing.AllocsPerRun(20, func() { buildPartition(rows, true) })
+	}
+	if a, b := allocs(points), allocs(boxes); b-a != 3 {
+		t.Errorf("points at instants allocate %v times, six columns %v: want 3 fewer", a, b)
+	}
+}
+
+// TestFilterOverSharedColumnsEqualsSixColumns holds every kernel mode
+// over a partition with shared columns to the same partition with six
+// separate ones, over seeded random queries, on both paths.
+func TestFilterOverSharedColumnsEqualsSixColumns(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, hilbert := range []bool{false, true} {
+		p, _ := buildPartition(pointRows(rng, 2*chunkRows+77), hilbert)
+		if x, y, tm := sharing(p); !x || !y || !tm {
+			t.Fatalf("hilbert=%t: columns not shared", hilbert)
+		}
+		six := *p
+		six.MaxX, six.MaxY, six.TEnd = slices.Clone(p.MaxX), slices.Clone(p.MaxY), slices.Clone(p.TEnd)
+		for i := 0; i < 100; i++ {
+			x, y := rng.Float64()*110-5, rng.Float64()*110-5
+			ts := int64(rng.Intn(1100) - 50)
+			q := Query{
+				MinX: x, MinY: y, MaxX: x + rng.Float64()*30, MaxY: y + rng.Float64()*30,
+				Dist: rng.Float64() * 10, HasTime: rng.Intn(3) != 0, TBegin: ts, TEnd: ts + int64(rng.Intn(300)),
+			}
+			if i%10 == 0 { // a degenerate window: a point query
+				q.MaxX, q.MaxY = q.MinX, q.MinY
+			}
+			for _, op := range []Op{OpIntersects, OpContains, OpContainedBy, OpWithinDistance, OpPrune} {
+				for _, mode := range []TimeMode{TimeNone, TimeOverlap, TimeContains, TimeWithin} {
+					q.Op, q.Time = op, mode
+					got, want := GetBitset(p.Len()), GetBitset(six.Len())
+					Filter(p, q, got)
+					Filter(&six, q, want)
+					if !slices.Equal(got.words, want.words) {
+						t.Fatalf("hilbert=%t, query %+v: %d survivors over shared columns, %d over six",
+							hilbert, q, got.Count(), want.Count())
+					}
+					PutBitset(got)
+					PutBitset(want)
+				}
+			}
+		}
 	}
 }

@@ -36,7 +36,8 @@ func (k kernelRows[V]) at(i int) *Tuple[V] {
 }
 
 // columnarSidecar holds the per-partition columns plus the rows they
-// index: 48 B of columns and 4 B of permutation per row, no row copy.
+// index: 48 B of columns (24 B for points at instants, see
+// colstore.Builder.Finish) and 4 B of permutation per row, no row copy.
 type columnarSidecar[V any] struct {
 	parts []*colstore.Partition
 	rows  []kernelRows[V]

@@ -19,6 +19,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"unique"
 
 	"stark"
 	"stark/internal/engine"
@@ -406,10 +407,20 @@ func (spec DatasetSpec) buildEvents() ([]workload.Event, error) {
 }
 
 // eventValue is the value of a resident catalog row, the paper's
-// (id, c). The row's key holds the geometry and the time.
+// (id, c). The row's key holds the geometry and the time. The category
+// is an interned handle: one pointer per row, and one copy of each
+// distinct text for as long as a row holds it.
 type eventValue struct {
-	ID       int64
-	Category string
+	ID  int64
+	cat unique.Handle[string]
+}
+
+// category returns the row's category; the zero value's is "".
+func (v eventValue) category() string {
+	if v.cat == (unique.Handle[string]{}) {
+		return ""
+	}
+	return v.cat.Value()
 }
 
 // eventTime is a catalog row's time, its key's (instant) interval start.
@@ -418,18 +429,19 @@ func eventTime(key stark.STObject) int64 {
 	return int64(iv.Start)
 }
 
-// catalogRow is the one constructor of resident catalog rows: it parses
-// the event's WKT and time into the key and keeps (id, category), as
-// the paper's raw.map{ case (id,c,t,wkt) => (STObject(wkt,t), (id,c)) }
-// does. The WAL and checkpoint writers render the text from the key
-// (keyWKT: shortest digits, so it parses back bit for bit, see
+// catalogRow is the one constructor of resident catalog rows, and the
+// one place a category handle is made: it parses the event's WKT and
+// time into the key and keeps (id, category), as the paper's
+// raw.map{ case (id,c,t,wkt) => (STObject(wkt,t), (id,c)) } does. The
+// WAL and checkpoint writers render the text from the key (keyWKT:
+// shortest digits, so it parses back bit for bit, see
 // geom.TestWKTRoundTripBitExact) and read the time with eventTime.
 func catalogRow(ev workload.Event) (stark.Tuple[eventValue], error) {
 	key, err := ev.ToSTObject()
 	if err != nil {
 		return stark.Tuple[eventValue]{}, err
 	}
-	return stark.NewTuple(key, eventValue{ID: int64(ev.ID), Category: ev.Category}), nil
+	return stark.NewTuple(key, eventValue{ID: int64(ev.ID), cat: unique.Make(ev.Category)}), nil
 }
 
 // catalogRows builds the rows of events in order, parsing contiguous

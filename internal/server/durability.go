@@ -341,7 +341,7 @@ func (d *durability) Checkpoint() error {
 			// Sized up front; a batch landing before the barrier only grows them.
 			recs := make([]eventSpec, 0, e.mds.Count())
 			liveGen := e.mds.EachRecord(func(r stark.LiveRecord[eventValue]) bool {
-				recs = append(recs, eventSpec{ID: int(r.ID), Category: r.Value.Category, Time: eventTime(r.Key), WKT: keyWKT(r.Key)})
+				recs = append(recs, eventSpec{ID: int(r.ID), Category: r.Value.category(), Time: eventTime(r.Key), WKT: keyWKT(r.Key)})
 				return true
 			})
 			rows, err := json.Marshal(recs)

@@ -43,7 +43,7 @@ func appendFeature(dst []byte, key stark.STObject, ev eventValue, x extras) ([]b
 		return dst[:start], err
 	}
 	dst = append(dst, `,"properties":{"category":`...)
-	dst = appendJSONString(dst, ev.Category)
+	dst = appendJSONString(dst, ev.category())
 	if x.cluster != nil {
 		dst = append(dst, `,"cluster":`...)
 		dst = strconv.AppendInt(dst, int64(*x.cluster), 10)
@@ -57,7 +57,7 @@ func appendFeature(dst []byte, key stark.STObject, ev eventValue, x extras) ([]b
 	dst = strconv.AppendInt(dst, ev.ID, 10)
 	if pair := x.right; pair != nil {
 		dst = append(dst, `,"right":{"category":`...)
-		dst = appendJSONString(dst, pair.Right.Category)
+		dst = appendJSONString(dst, pair.Right.category())
 		dst = append(dst, `,"id":`...)
 		dst = strconv.AppendInt(dst, pair.Right.ID, 10)
 		dst = append(dst, `,"time":`...)

@@ -23,7 +23,7 @@ func feature(kv stark.Tuple[eventValue], dist *float64, label *int) map[string]i
 	iv, _ := kv.Key.Time()
 	props := map[string]interface{}{
 		"id":       kv.Value.ID,
-		"category": kv.Value.Category,
+		"category": kv.Value.category(),
 		"time":     iv.Start,
 	}
 	if dist != nil {
@@ -47,11 +47,25 @@ func featureMap(key stark.STObject, ev eventValue, x extras) map[string]interfac
 		iv, _ := x.right.RightKey.Time()
 		f["properties"].(map[string]interface{})["right"] = map[string]interface{}{
 			"id":       x.right.Right.ID,
-			"category": x.right.Right.Category,
+			"category": x.right.Right.category(),
 			"time":     iv.Start,
 		}
 	}
 	return f
+}
+
+// valueOf is the catalog value (id, category), made by catalogRow.
+func valueOf(id int64, category string) eventValue {
+	row, err := catalogRow(workload.Event{ID: int(id), Category: category, WKT: "POINT (0 0)"})
+	if err != nil {
+		panic(err)
+	}
+	return row.Value
+}
+
+// String renders a value for failure messages, its category as text.
+func (v eventValue) String() string {
+	return fmt.Sprintf("{ID:%d category:%q}", v.ID, v.category())
 }
 
 // geometryJSON converts a geometry to its GeoJSON representation.
@@ -172,10 +186,7 @@ func TestAppendFeatureMatchesMarshalOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	pick := func(n int) int { return rng.Intn(n) }
 	event := func() eventValue {
-		return eventValue{
-			ID:       oracleInts[pick(len(oracleInts))],
-			Category: oracleCategories[pick(len(oracleCategories))],
-		}
+		return valueOf(oracleInts[pick(len(oracleInts))], oracleCategories[pick(len(oracleCategories))])
 	}
 	// at keys g at a drawn instant, the only place a row keeps its time.
 	at := func(g geom.Geometry) stark.STObject {
@@ -207,10 +218,10 @@ func TestAppendFeatureMatchesMarshalOracle(t *testing.T) {
 	for _, c := range oracleCategories {
 		key := stark.NewSTObjectWithTime(geom.Point{X: 3, Y: 4}, 17)
 		for _, e := range each() {
-			checkAgainstOracle(t, key, eventValue{ID: 1, Category: c}, e)
+			checkAgainstOracle(t, key, valueOf(1, c), e)
 		}
-		right := joinRow{RightKey: stark.NewSTObjectWithTime(geom.Point{X: 5, Y: 6}, 4), Right: eventValue{ID: 3, Category: c}}
-		checkAgainstOracle(t, key, eventValue{ID: 1, Category: "left"}, extras{right: &right})
+		right := joinRow{RightKey: stark.NewSTObjectWithTime(geom.Point{X: 5, Y: 6}, 4), Right: valueOf(3, c)}
+		checkAgainstOracle(t, key, valueOf(1, "left"), extras{right: &right})
 	}
 	for i := 0; i < 2000; i++ {
 		x := rng.NormFloat64() * math.Pow(10, float64(rng.Intn(50)-25))
@@ -227,6 +238,20 @@ func TestAppendFeatureMatchesMarshalOracle(t *testing.T) {
 			checkAgainstOracle(t, at(g), event(), e)
 			checkAgainstOracle(t, stark.NewSTObject(g), event(), e)
 		}
+	}
+}
+
+// TestAppendFeatureZeroValue: the zero value's category handle reads as
+// "", on the left and as a join partner, byte-equal to the oracle.
+func TestAppendFeatureZeroValue(t *testing.T) {
+	key := stark.NewSTObjectWithTime(geom.Point{X: 1, Y: 2}, 3)
+	right := joinRow{RightKey: key}
+	for _, x := range []extras{{}, {right: &right}} {
+		checkAgainstOracle(t, key, eventValue{}, x)
+	}
+	line, err := appendFeature(nil, key, eventValue{}, extras{right: &right})
+	if err != nil || bytes.Count(line, []byte(`"category":""`)) != 2 {
+		t.Errorf("zero values encode as %q, %v", line, err)
 	}
 }
 
@@ -266,7 +291,7 @@ func FuzzAppendFeature(f *testing.F) {
 		}
 		var e extras
 		if join {
-			e.right = &joinRow{RightKey: stark.NewSTObjectWithTime(geom.Point{X: y, Y: x}, stark.Instant(rtm)), Right: eventValue{ID: int64(rid), Category: rcategory}}
+			e.right = &joinRow{RightKey: stark.NewSTObjectWithTime(geom.Point{X: y, Y: x}, stark.Instant(rtm)), Right: valueOf(int64(rid), rcategory)}
 		}
 		if which&1 != 0 {
 			e.distance = &dist
@@ -274,14 +299,14 @@ func FuzzAppendFeature(f *testing.F) {
 		if which&2 != 0 {
 			e.cluster = &label
 		}
-		checkAgainstOracle(t, stark.NewSTObjectWithTime(g, stark.Instant(tm)), eventValue{ID: int64(id), Category: category}, e)
+		checkAgainstOracle(t, stark.NewSTObjectWithTime(g, stark.Instant(tm)), valueOf(int64(id), category), e)
 	})
 }
 
 func TestAppendFeaturePointPathDoesNotAllocate(t *testing.T) {
 	key := stark.NewSTObjectWithTime(geom.Point{X: 512.0625, Y: 1e-7}, 123456)
-	ev := eventValue{ID: 7919, Category: `a "quoted" <category>`}
-	pair := joinRow{Left: ev, RightKey: stark.NewSTObjectWithTime(geom.Point{X: 1, Y: 2}, 9), Right: eventValue{ID: 3, Category: "politics"}}
+	ev := valueOf(7919, `a "quoted" <category>`)
+	pair := joinRow{Left: ev, RightKey: stark.NewSTObjectWithTime(geom.Point{X: 1, Y: 2}, 9), Right: valueOf(3, "politics")}
 	buf := make([]byte, 0, 4096)
 	if n := testing.AllocsPerRun(200, func() {
 		buf, _ = encodeEvent(buf[:0], stark.NewTuple(key, ev))

@@ -116,7 +116,7 @@ func opLine(op stark.LiveOp[eventValue]) mutationLine {
 	if op.Kind == live.OpInsert {
 		name = "insert"
 	}
-	return mutationLine{Op: name, ID: &id, Category: op.Rec.Value.Category, Time: eventTime(op.Rec.Key), WKT: keyWKT(op.Rec.Key)}
+	return mutationLine{Op: name, ID: &id, Category: op.Rec.Value.category(), Time: eventTime(op.Rec.Key), WKT: keyWKT(op.Rec.Key)}
 }
 
 // keyWKT is key.Geo().WKT() without boxing a point key.

@@ -77,7 +77,7 @@ func TestKNNClauseMatchesBruteForce(t *testing.T) {
 				ref := stark.NewSTObject(mustGeom(at))
 				var brute []neighbour
 				for _, kv := range rows {
-					if w == nil || kv.Value.Category == workload.Categories[1] {
+					if w == nil || kv.Value.category() == workload.Categories[1] {
 						brute = append(brute, neighbour{int(kv.Value.ID), ref.Distance(kv.Key, nil)})
 					}
 				}

@@ -2,15 +2,21 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 
 	"stark"
 	"stark/internal/engine"
+	"stark/internal/geom"
+	"stark/internal/index"
 	"stark/internal/workload"
 )
 
@@ -28,15 +34,15 @@ func heapHeld() uint64 {
 }
 
 // TestRowBudget pins the row sizes: a catalog row is a 56-byte key and
-// (id, category), a join result row the left key and a JoinRow of two
-// values and the right key. A field added to either shows here, not as
-// a drift of the benchmark's heap.
+// (id, category handle), 16 bytes; a join result row the left key and a
+// JoinRow of two values and the right key. A field added to either
+// shows here, not as a drift of the benchmark's heap.
 func TestRowBudget(t *testing.T) {
-	if got := unsafe.Sizeof(stark.Tuple[eventValue]{}); got != 80 {
-		t.Errorf("catalog row is %d bytes, want 80", got)
+	if got := unsafe.Sizeof(stark.Tuple[eventValue]{}); got != 72 {
+		t.Errorf("catalog row is %d bytes, want 72", got)
 	}
-	if got := unsafe.Sizeof(stark.Tuple[joinRow]{}); got != 160 {
-		t.Errorf("join result row is %d bytes, want 160", got)
+	if got := unsafe.Sizeof(stark.Tuple[joinRow]{}); got != 144 {
+		t.Errorf("join result row is %d bytes, want 144", got)
 	}
 }
 
@@ -67,10 +73,43 @@ func TestCatalogRowsCarryNoText(t *testing.T) {
 	events := workload.Events(workload.Config{N: n, Seed: 7, Dist: workload.Skewed})
 	for _, kv := range rows {
 		ev := events[kv.Value.ID]
-		if kv.Value.Category != ev.Category || eventTime(kv.Key) != ev.Time || keyWKT(kv.Key) != ev.WKT {
+		if kv.Value.category() != ev.Category || eventTime(kv.Key) != ev.Time || keyWKT(kv.Key) != ev.WKT {
 			t.Fatalf("row %d is (%s at %d, %q), generated as (%s at %d, %q)", kv.Value.ID,
-				keyWKT(kv.Key), eventTime(kv.Key), kv.Value.Category, ev.WKT, ev.Time, ev.Category)
+				keyWKT(kv.Key), eventTime(kv.Key), kv.Value.category(), ev.WKT, ev.Time, ev.Category)
 		}
+	}
+	runtime.KeepAlive(s)
+}
+
+// TestIndexedColumnarRowsHoldNoRepeats pins the resident form of an
+// indexed columnar dataset of points at instants: the laid-out rows,
+// three columns (24 B a row: the max bounds and end share the arrays of
+// the min bounds and start), the sidecar's and the tree's permutations
+// and the tree's nodes, nothing per row beside them.
+func TestIndexedColumnarRowsHoldNoRepeats(t *testing.T) {
+	const n = 100_000
+	ctx := engine.NewContext(2)
+	s := NewService(ctx, Options{})
+	base := heapHeld()
+	spec := DatasetSpec{Name: "ev", N: n, Seed: 7, Dist: "skewed", Partitioner: "bsp:2000", Index: "persistent", Columnar: true}
+	if _, err := s.catalog.Register(ctx, spec); err != nil {
+		t.Fatal(err)
+	}
+	held := heapHeld() - base
+	const (
+		columns = 3 * 8 // MinX, MinY, TStart
+		perms   = 2 * 4 // the sidecar's Hilbert order and the tree's leaf order
+	)
+	// A packed tree of order k has fewer than 2n/k nodes, each an
+	// envelope and a child or position range.
+	nodes := unsafe.Sizeof(struct {
+		geom.Envelope
+		lo, hi int32
+	}{}) * 2 / index.DefaultOrder
+	perRow := uint64(unsafe.Sizeof(stark.Tuple[eventValue]{}) + columns + perms + nodes)
+	if limit := n * perRow * 11 / 10; held > limit {
+		t.Errorf("registered dataset holds %.1f MB (%d B a row), its rows, columns, permutations and tree are %.1f MB (limit 1.1×)",
+			float64(held)/(1<<20), held/n, float64(n*perRow)/(1<<20))
 	}
 	runtime.KeepAlive(s)
 }
@@ -163,6 +202,126 @@ func TestRecoveryEquivalentUnderNonCanonicalText(t *testing.T) {
 			for i := range want {
 				if !bytes.Equal(got[i], want[i]) {
 					t.Errorf("query %d after recovery:\n%s\nbefore the crash:\n%s", i, got[i], want[i])
+				}
+			}
+			crash(t, s2)
+		})
+	}
+}
+
+// TestCategoriesSurviveEveryPath: a category is an interned handle in
+// the row and text everywhere else. Categories that need escaping, a
+// long one and one shared by several rows come in by inline
+// registration and by ingest, leave through the feature lines, a where
+// clause and a join partner, and come back the same after recovery
+// from a checkpoint and from the WAL alone.
+func TestCategoriesSurviveEveryPath(t *testing.T) {
+	cats := []string{"", `a "q" <&>`, "line\u2028sep", strings.Repeat("long ", 60), "shared"}
+	// Ids 1–8 are registered inline, 11–18 ingested; 6–8 and 16–18
+	// share the last category, and the later batch moves id 1 to it.
+	want := map[int64]string{}
+	var inline []eventSpec
+	var first strings.Builder
+	for i := 0; i < 8; i++ {
+		c := cats[min(i, len(cats)-1)]
+		id, ingested := int64(i+1), int64(i+11)
+		inline = append(inline, eventSpec{ID: int(id), Category: c, Time: int64(i), WKT: fmt.Sprintf("POINT (%d %d)", 10*i+1, 5*i+2)})
+		line, _ := json.Marshal(mutationLine{Op: "insert", ID: &ingested, Category: c, Time: int64(i), WKT: fmt.Sprintf("POINT (%d %d)", 10*i+3, 5*i+4)})
+		first.Write(append(line, '\n'))
+		want[id], want[ingested] = c, c
+	}
+	const later = `{"op":"upsert","id":1,"category":"shared","time":9,"wkt":"POINT (1 2)"}`
+	want[1] = "shared"
+
+	queries := func() []map[string]any {
+		all := map[string]any{"dataset": "fleet", "predicate": "intersects",
+			"wkt": "POLYGON ((0 0, 100 0, 100 100, 0 100, 0 0))", "hasTime": true, "begin": 0, "end": 100}
+		out := []map[string]any{all}
+		for _, c := range cats {
+			q := maps.Clone(all)
+			q["where"] = map[string]any{"field": "category", "op": "eq", "value": c}
+			out = append(out, q)
+		}
+		join := maps.Clone(all)
+		join["join"] = map[string]any{"with": "fleet", "predicate": "intersects"}
+		return append(out, join)
+	}()
+	// reply asks query i and checks every category in it; its feature
+	// lines come back sorted, the summary dropped.
+	reply := func(t *testing.T, s *Server, i int) []byte {
+		t.Helper()
+		body, _ := json.Marshal(queries[i])
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/query", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("query %s: %d %s", body, rec.Code, rec.Body)
+		}
+		feats, sum := ndjsonResponse(t, rec.Body.Bytes())
+		where, _ := queries[i]["where"].(map[string]any)
+		wantCount := len(want)
+		if where != nil {
+			wantCount = 0
+			for _, c := range want {
+				if c == where["value"] {
+					wantCount++
+				}
+			}
+		}
+		if len(feats) != wantCount || sum.Count != int64(wantCount) {
+			t.Fatalf("query %s: %d features, summary %d, want %d", body, len(feats), sum.Count, wantCount)
+		}
+		for _, f := range feats {
+			props := f["properties"].(map[string]any)
+			objs := []map[string]any{props}
+			if r, ok := props["right"].(map[string]any); ok {
+				objs = append(objs, r)
+			} else if queries[i]["join"] != nil {
+				t.Fatalf("join line without a right object: %v", f)
+			}
+			for _, o := range objs {
+				id := int64(o["id"].(float64))
+				if c, ok := o["category"].(string); !ok || c != want[id] || (where != nil && c != where["value"]) {
+					t.Fatalf("query %s: id %d has category %q, want %q", body, id, o["category"], want[id])
+				}
+			}
+		}
+		lines := bytes.Split(bytes.TrimSpace(rec.Body.Bytes()), []byte("\n"))
+		lines = lines[:len(lines)-1]
+		slices.SortFunc(lines, bytes.Compare)
+		return bytes.Join(lines, []byte("\n"))
+	}
+
+	for _, checkpoint := range []bool{false, true} {
+		t.Run(fmt.Sprintf("checkpoint=%v", checkpoint), func(t *testing.T) {
+			dir := t.TempDir()
+			s, _ := durableService(t, dir)
+			if err := s.Register(DatasetSpec{Name: "fleet", Mutable: true, Partitioner: "grid:2", Width: 100, Height: 100, Events: inline}); err != nil {
+				t.Fatal(err)
+			}
+			if rec := ingestNDJSON(t, s, "fleet", first.String()); rec.Code != http.StatusOK {
+				t.Fatalf("ingest: %d %s", rec.Code, rec.Body)
+			}
+			if checkpoint {
+				if err := s.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if rec := ingestNDJSON(t, s, "fleet", later); rec.Code != http.StatusOK {
+				t.Fatalf("ingest: %d %s", rec.Code, rec.Body)
+			}
+			var before [][]byte
+			for i := range queries {
+				before = append(before, reply(t, s, i))
+			}
+			crash(t, s)
+
+			s2, info := durableService(t, dir)
+			if checkpoint != (info.Checkpoint > 0) || info.Batches == 0 {
+				t.Fatalf("recovery: %+v", info)
+			}
+			for i := range queries {
+				if got := reply(t, s2, i); !bytes.Equal(got, before[i]) {
+					t.Errorf("query %d after recovery:\n%s\nbefore the crash:\n%s", i, got, before[i])
 				}
 			}
 			crash(t, s2)

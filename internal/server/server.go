@@ -213,7 +213,7 @@ func queryObject(req queryRequest) (stark.STObject, error) {
 // the key: where clauses compile against it, mutable datasets post it.
 var eventSchema = stark.NewAttrSchema[eventValue]().
 	Int64("id", func(_ stark.STObject, v eventValue) int64 { return v.ID }).
-	String("category", func(_ stark.STObject, v eventValue) string { return v.Category }).
+	String("category", func(_ stark.STObject, v eventValue) string { return v.category() }).
 	Int64("time", func(key stark.STObject, _ eventValue) int64 { return eventTime(key) })
 
 // buildFilterOn compiles a queryRequest into a filter chain over a

@@ -342,7 +342,7 @@ func TestRegisterEventsRejectsBadWKT(t *testing.T) {
 // TestGeometryJSONShapes holds the line of every non-point key to the
 // map-form oracle byte for byte, and pins the GeoJSON type it names.
 func TestGeometryJSONShapes(t *testing.T) {
-	ev := eventValue{ID: 9, Category: "shape"}
+	ev := valueOf(9, "shape")
 	pair := joinRow{RightKey: stark.NewSTObjectWithTime(geom.NewPoint(1, 1), 4), Right: ev}
 	label, dist := 2, 0.5
 	for _, c := range []struct {
