@@ -12,12 +12,12 @@
 package stark_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"stark"
 	"stark/internal/bench"
-	"stark/internal/cluster"
 	"stark/internal/engine"
 	"stark/internal/geom"
 	"stark/internal/index"
@@ -267,41 +267,29 @@ func BenchmarkKNNPartitionedIndexed(b *testing.B) {
 
 // ---- E5: DBSCAN ----
 
-func BenchmarkDBSCANSequential(b *testing.B) {
-	pts := workload.Points(workload.Config{
-		N: benchN, Seed: 42, Dist: workload.Skewed, Width: 1000, Height: 1000,
-	})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cluster.DBSCAN(pts, 2.0, 5)
-	}
-}
-
-func BenchmarkDBSCANDistributed(b *testing.B) {
-	pts := workload.Points(workload.Config{
-		N: benchN, Seed: 42, Dist: workload.Skewed, Width: 1000, Height: 1000,
-	})
-	objs := make([]stobject.STObject, len(pts))
-	for i, p := range pts {
-		objs[i] = stobject.New(p)
-	}
-	ctx := engine.NewContext(0)
-	bsp, err := partition.NewBSP(partition.BSPConfig{MaxCost: benchN / 16}, objs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	home := make([]int, len(objs))
-	for i, o := range objs {
-		home[i] = bsp.PartitionFor(o)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, err := cluster.DBSCANDistributed(pts, cluster.DistributedConfig{
-			Eps: 2.0, MinPts: 5, Regions: bsp, Home: home, Run: ctx.RunJob,
+// BenchmarkCluster runs DBSCAN through the DSL over the Figure 4
+// points: on a BSP layout, and unpartitioned, where Cluster lays the
+// rows out on a BSP of its own.
+func BenchmarkCluster(b *testing.B) {
+	ctx := stark.NewContext(0)
+	tuples := benchTuples(b, benchN)
+	for _, layout := range []string{"bsp", "none"} {
+		b.Run(layout, func(b *testing.B) {
+			ds := stark.Parallelize(ctx, tuples)
+			if layout == "bsp" {
+				ds = ds.PartitionBy(stark.BSP(benchN/(2*ctx.Parallelism()) + 1))
+			}
+			ds = ds.Cache()
+			if _, err := ds.Count(); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := ds.Cluster(context.Background(), stark.ClusterOptions{Eps: 0.25, MinPts: 5}); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

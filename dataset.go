@@ -817,10 +817,11 @@ type ClusterOptions = core.ClusterOptions
 // (ClusterNoise for noise points).
 type ClusteredRecord[V any] = core.ClusteredRecord[V]
 
-// Cluster runs distributed DBSCAN over the query result and returns
-// one labelled record per input record plus the number of clusters.
-// Once ctx is done no further task of the collect or the DBSCAN job is
-// scheduled, and Cluster returns ctx's error.
+// Cluster runs DBSCAN over the query result, as one partitioned self
+// join within Eps of the key centroids, and returns one labelled record
+// per input record plus the number of clusters. Once ctx is done no
+// further task of the collect or the join is scheduled, and Cluster
+// returns ctx's error.
 func (d *Dataset[V]) Cluster(ctx context.Context, opts ClusterOptions) ([]ClusteredRecord[V], int, error) {
 	st, err := d.forceFlushed()
 	if err != nil {

@@ -389,15 +389,13 @@
 //     filter access path (fused scan, tree probe, columnar kernels,
 //     postings probe and intersection) as a lazy stream over the
 //     dataset's partitions, the join as one lazy operator over two
-//     such streams, plus kNN, the indexing modes and the DBSCAN entry
-//     point;
+//     such streams, plus kNN, the indexing modes and DBSCAN (one self
+//     join under that operator plus a union–find);
 //   - internal/stats     — one-pass dataset statistics for the
 //     planner (per-partition MBRs, counts, temporal extents, grid
 //     histogram);
 //   - internal/plan      — the cost-based planner: predicate algebra,
 //     cost model, rewrite decisions and the EXPLAIN tree;
-//   - internal/cluster   — sequential and MR-DBSCAN-style distributed
-//     DBSCAN;
 //   - internal/piglet    — the Pig Latin derivative of the demo;
 //   - internal/obs       — the dependency-free metrics kernel:
 //     counters, gauges, quantile-estimating histograms and the

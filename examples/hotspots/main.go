@@ -30,8 +30,8 @@ func main() {
 	events := stark.Parallelize(ctx, tuples)
 
 	// DBSCAN over the event locations. The operator derives a BSP
-	// partitioning, replicates the ε halo, clusters each partition in
-	// parallel and merges across borders.
+	// partitioning, finds every pair of events within ε with one
+	// partitioned self join and merges the dense ones into clusters.
 	recs, n, err := events.Cluster(context.Background(), stark.ClusterOptions{Eps: 8, MinPts: 10})
 	if err != nil {
 		log.Fatal(err)

@@ -233,20 +233,30 @@ func TestClusterEndpoint(t *testing.T) {
 			t.Fatalf("missing cluster label: %v", f)
 		}
 	}
-	if sum.Trace == nil || !hasPhase(sum.Trace, "cluster") {
+	// The clustering runs on the join operator, which charges its probes
+	// to the phase.
+	if c := phase(sum.Trace, "cluster"); c == nil {
 		t.Errorf("trace %+v, want a cluster phase", sum.Trace)
+	} else if c.Counter("index_probes") == 0 || c.Counter("candidates_refined") == 0 {
+		t.Errorf("cluster phase counters %v, want index probes and refined candidates", c.Counters)
 	}
 }
 
-// hasPhase reports whether a trace has a phase named op.
-func hasPhase(t *plan.TraceNode, op string) bool {
+// phase returns a trace's phase named op, or nil.
+func phase(t *plan.TraceNode, op string) *plan.TraceNode {
+	if t == nil {
+		return nil
+	}
 	for _, c := range t.Children {
 		if c.Op == op {
-			return true
+			return c
 		}
 	}
-	return false
+	return nil
 }
+
+// hasPhase reports whether a trace has a phase named op.
+func hasPhase(t *plan.TraceNode, op string) bool { return phase(t, op) != nil }
 
 // TestOperatorClausesBadRequests is the 400 battery of the knn and
 // cluster clauses: none of these reaches admission.

@@ -8,7 +8,6 @@ package stark
 // between the public surface and the engine.
 
 import (
-	"stark/internal/cluster"
 	"stark/internal/core"
 	"stark/internal/engine"
 	"stark/internal/geom"
@@ -58,7 +57,7 @@ type (
 )
 
 // ClusterNoise is the label DBSCAN assigns to noise points.
-const ClusterNoise = cluster.Noise
+const ClusterNoise = core.Noise
 
 // ---- Canonical predicates ----
 
