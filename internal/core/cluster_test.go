@@ -189,6 +189,80 @@ func TestClusterSpanningPartitions(t *testing.T) {
 	}
 }
 
+// partitionedPoints holds pts[i] under value i on a context of
+// parallelism 4, partitioned by sp.
+func partitionedPoints(t *testing.T, pts []geom.Point, sp partition.SpatialPartitioner) *SpatialDataset[int] {
+	t.Helper()
+	s, err := pointDataset(t, pts, "none", 4).PartitionBy(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestClusterMatchesSequential: three blobs and far noise on a 3x3 grid
+// cluster as the oracle clusters them.
+func TestClusterMatchesSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	pts, _ := threeBlobsWithNoise(rng, 150)
+	g, err := partition.NewGrid(3, keysOf(t, pointDataset(t, pts, "none", 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantN := dbscan(pts, 2.0, 5)
+	got, n := clusterPoints(t, partitionedPoints(t, pts, g), 2.0, 5)
+	if err := checkDBSCAN(pts, 2.0, 5, want, got); err != nil {
+		t.Fatal(err)
+	}
+	if n != wantN {
+		t.Errorf("clusters = %d, the oracle has %d", n, wantN)
+	}
+}
+
+// TestClusterWithBSP: the same on a BSP layout, whose cells are not a
+// regular grid.
+func TestClusterWithBSP(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	pts, _ := threeBlobsWithNoise(rng, 200)
+	bsp, err := partition.NewBSP(partition.BSPConfig{MaxCost: 100}, keysOf(t, pointDataset(t, pts, "none", 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantN := dbscan(pts, 2.0, 5)
+	got, n := clusterPoints(t, partitionedPoints(t, pts, bsp), 2.0, 5)
+	if err := checkDBSCAN(pts, 2.0, 5, want, got); err != nil {
+		t.Fatal(err)
+	}
+	if n != wantN {
+		t.Errorf("clusters = %d, the oracle has %d", n, wantN)
+	}
+}
+
+// TestClusterValidationOnPartitions: on a partitioned dataset, a bad ε
+// or minPts fails before any task launches, and a single point on a
+// one-cell grid is a cluster of its own at minPts 1.
+func TestClusterValidationOnPartitions(t *testing.T) {
+	pts := []geom.Point{{X: 0, Y: 0}}
+	g, err := partition.NewGrid(1, keysOf(t, pointDataset(t, pts, "none", 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := partitionedPoints(t, pts, g)
+	rec := s.Dataset().Context().Recorder()
+	for _, bad := range []ClusterOptions{{Eps: 0, MinPts: 1}, {Eps: -1, MinPts: 1}, {Eps: 1, MinPts: 0}, {Eps: 1, MinPts: -2}} {
+		before := rec.Snapshot()
+		if _, _, err := s.Cluster(context.Background(), bad); err == nil {
+			t.Errorf("eps %v, minPts %d must fail", bad.Eps, bad.MinPts)
+		}
+		if launched := rec.Snapshot().Sub(before)[engine.TasksLaunched]; launched != 0 {
+			t.Errorf("eps %v, minPts %d: %d tasks launched before the error", bad.Eps, bad.MinPts, launched)
+		}
+	}
+	if got, n := clusterPoints(t, s, 1, 1); n != 1 || got[0] != 0 {
+		t.Errorf("one point at minPts 1: label %d of %d clusters, want 0 of 1", got[0], n)
+	}
+}
+
 // TestPropClusterEqualsSequentialOnSeparatedBlobs: blobs far apart
 // have one correct clustering, and Cluster finds it.
 func TestPropClusterEqualsSequentialOnSeparatedBlobs(t *testing.T) {
