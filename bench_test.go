@@ -147,6 +147,23 @@ func BenchmarkPartitionersVoronoiSkewed(b *testing.B) {
 	}
 }
 
+// BenchmarkPartitionByBSP times the layout step a dataset registered
+// under bsp:20000 runs: NewBSP over the keys, the shuffle and the x
+// order of every partition, over 1M skewed points. ns/row is the layer
+// figure to compare across changes.
+func BenchmarkPartitionByBSP(b *testing.B) {
+	const n = 1_000_000
+	tuples := benchTuples(b, n)
+	ctx := stark.NewContext(0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := stark.Parallelize(ctx, tuples, ctx.Parallelism()).PartitionBy(stark.BSP(20000)).Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+}
+
 // ---- E2: indexing modes (range filter) — the unified Index(mode)
 // surface, one sub-benchmark per mode. ----
 

@@ -71,7 +71,6 @@ func (s *IndexedDataset[V]) WithRecorder(rec *engine.Recorder) *IndexedDataset[V
 type sp = interface {
 	NumPartitions() int
 	PartitionFor(o stobject.STObject) int
-	Bounds(i int) geom.Envelope
 	Extent(i int) geom.Envelope
 }
 

@@ -35,7 +35,7 @@ import (
 //   - broadcast: one slot, the whole build side, shared by every probe
 //     partition the build envelope can reach;
 //   - copartition: the build side is replicated onto the probe side's
-//     SpatialPartitioner via extent overlap (partition.OverlapAssigner)
+//     SpatialPartitioner via extent overlap (partition.PruneByEnvelope)
 //     and each probe partition probes its aligned bucket;
 //   - pairs: the paper's partitioned join — one slot per build
 //     partition, probed by the probe partitions whose extent reaches
@@ -346,11 +346,10 @@ func joinStream[P, B, R any](probe *SpatialDataset[P], pvisit []int, build *Spat
 				if err != nil {
 					return nil, err
 				}
-				assigner := partition.OverlapAssigner{SP: probe.sp, Expand: expand}
 				buckets := make([][]Tuple[B], len(slotsOf))
 				var moved int64
 				for _, kv := range rows {
-					for _, p := range assigner.PartitionsFor(kv.Key) {
+					for _, p := range partition.PruneByEnvelope(probe.sp, kv.Key.Envelope().ExpandBy(expand)) {
 						buckets[p] = append(buckets[p], kv)
 						moved++
 					}

@@ -23,27 +23,16 @@ import (
 // GeoSpark's unstable result counts in the paper's evaluation, and
 // the baseline reproduces both modes.
 type Tile struct {
-	ppd   int
-	space geom.Envelope
-	cellW float64
-	cellH float64
+	cells
 }
 
 // NewTile builds a tile partitioner over the envelope of objs.
 func NewTile(ppd int, objs []stobject.STObject) (*Tile, error) {
-	if ppd <= 0 {
-		return nil, fmt.Errorf("partition: tile needs ppd >= 1, got %d", ppd)
+	c, err := cellsOver("tile", ppd, objs)
+	if err != nil {
+		return nil, err
 	}
-	space := dataEnvelope(objs)
-	if space.IsEmpty() {
-		return nil, fmt.Errorf("partition: cannot build tile partitioner over empty data")
-	}
-	return &Tile{
-		ppd:   ppd,
-		space: space,
-		cellW: space.Width() / float64(ppd),
-		cellH: space.Height() / float64(ppd),
-	}, nil
+	return &Tile{c}, nil
 }
 
 // NumPartitions implements SpatialPartitioner.
@@ -53,33 +42,17 @@ func (t *Tile) NumPartitions() int { return t.ppd * t.ppd }
 // when the tile partitioner is driven without replication).
 func (t *Tile) PartitionFor(o stobject.STObject) int {
 	c := o.Centroid()
-	col, row := t.cellIndex(c.X), t.rowIndex(c.Y)
-	return row*t.ppd + col
+	return t.row(c.Y)*t.ppd + t.col(c.X)
 }
 
-func (t *Tile) cellIndex(x float64) int {
-	if t.cellW <= 0 {
-		return 0
-	}
-	return clampIndex(int((x-t.space.MinX)/t.cellW), t.ppd)
-}
-
-func (t *Tile) rowIndex(y float64) int {
-	if t.cellH <= 0 {
-		return 0
-	}
-	return clampIndex(int((y-t.space.MinY)/t.cellH), t.ppd)
-}
-
-// PartitionsFor implements replicating: every cell the envelope
-// overlaps.
+// PartitionsFor returns every cell the envelope of o overlaps.
 func (t *Tile) PartitionsFor(o stobject.STObject) []int {
 	env := o.Envelope()
 	if env.IsEmpty() {
 		return nil
 	}
-	c0, c1 := t.cellIndex(env.MinX), t.cellIndex(env.MaxX)
-	r0, r1 := t.rowIndex(env.MinY), t.rowIndex(env.MaxY)
+	c0, c1 := t.col(env.MinX), t.col(env.MaxX)
+	r0, r1 := t.row(env.MinY), t.row(env.MaxY)
 	out := make([]int, 0, (c1-c0+1)*(r1-r0+1))
 	for r := r0; r <= r1; r++ {
 		for c := c0; c <= c1; c++ {
@@ -89,37 +62,23 @@ func (t *Tile) PartitionsFor(o stobject.STObject) []int {
 	return out
 }
 
-// Bounds implements SpatialPartitioner.
-func (t *Tile) Bounds(i int) geom.Envelope {
-	row, col := i/t.ppd, i%t.ppd
-	minX := t.space.MinX + float64(col)*t.cellW
-	minY := t.space.MinY + float64(row)*t.cellH
-	return geom.Envelope{MinX: minX, MinY: minY, MaxX: minX + t.cellW, MaxY: minY + t.cellH}
-}
-
 // Extent implements SpatialPartitioner. With replication, a cell
-// never holds data beyond its bounds, so Extent == Bounds.
-func (t *Tile) Extent(i int) geom.Envelope { return t.Bounds(i) }
-
-var _ replicating = (*Tile)(nil)
+// never holds data beyond its bounds, so the extent is the cell.
+func (t *Tile) Extent(i int) geom.Envelope { return t.bounds(i) }
 
 // ---- Voronoi partitioner (sample-seeded, SpatialSpark-style) ----
 
 // Voronoi partitions by nearest seed: numSeeds seed points are drawn
 // from the data (deterministically from seed), and an object belongs
-// to the partition of its nearest seed. Bounds are unknown polygons,
-// so Bounds returns the data-adjusted extent. Nearest-seed lookup is
+// to the partition of its nearest seed. Its cells are polygons it does
+// not compute, so a partition has only its extent. Nearest-seed lookup is
 // accelerated with a uniform grid over the seeds and an
 // expanding-ring search.
 type Voronoi struct {
 	seeds   []geom.Point
-	extents *extentTracker
-
-	// seed lookup grid
-	gridN        int
-	gridEnv      geom.Envelope
-	cellW, cellH float64
-	cells        [][]int32 // seed indices per cell
+	extents []geom.Envelope
+	grid    cells     // the seed lookup grid over the seeds' envelope
+	buckets [][]int32 // seed indices per grid cell
 }
 
 // NewVoronoi builds a Voronoi partitioner with numSeeds seeds sampled
@@ -140,45 +99,20 @@ func NewVoronoi(numSeeds int, seed int64, objs []stobject.STObject) (*Voronoi, e
 	for i := 0; i < numSeeds; i++ {
 		seeds[i] = objs[perm[i]].Centroid()
 	}
-	v := &Voronoi{seeds: seeds, extents: newExtentTracker(numSeeds)}
-	v.buildSeedGrid()
-	for _, o := range objs {
-		v.extents.add(v.PartitionFor(o), o.Envelope())
-	}
-	return v, nil
-}
-
-// buildSeedGrid buckets the seeds into a √s × √s grid so nearest-seed
-// queries touch O(1) cells instead of scanning all seeds.
-func (v *Voronoi) buildSeedGrid() {
+	// Bucket the seeds into a √s × √s grid so nearest-seed queries
+	// touch O(1) cells instead of scanning all seeds.
 	env := geom.EmptyEnvelope()
-	for _, s := range v.seeds {
+	for _, s := range seeds {
 		env = env.ExpandToPoint(s.X, s.Y)
 	}
-	n := int(math.Ceil(math.Sqrt(float64(len(v.seeds)))))
-	if n < 1 {
-		n = 1
+	n := max(int(math.Ceil(math.Sqrt(float64(numSeeds)))), 1)
+	v := &Voronoi{seeds: seeds, grid: newCells(n, env), buckets: make([][]int32, n*n)}
+	for i, s := range seeds {
+		cell := v.grid.row(s.Y)*n + v.grid.col(s.X)
+		v.buckets[cell] = append(v.buckets[cell], int32(i))
 	}
-	v.gridN = n
-	v.gridEnv = env
-	v.cellW = env.Width() / float64(n)
-	v.cellH = env.Height() / float64(n)
-	v.cells = make([][]int32, n*n)
-	for i, s := range v.seeds {
-		cx, cy := v.cellOf(s)
-		v.cells[cy*n+cx] = append(v.cells[cy*n+cx], int32(i))
-	}
-}
-
-func (v *Voronoi) cellOf(p geom.Point) (int, int) {
-	cx, cy := 0, 0
-	if v.cellW > 0 {
-		cx = clampIndex(int((p.X-v.gridEnv.MinX)/v.cellW), v.gridN)
-	}
-	if v.cellH > 0 {
-		cy = clampIndex(int((p.Y-v.gridEnv.MinY)/v.cellH), v.gridN)
-	}
-	return cx, cy
+	v.extents = assignedExtents(numSeeds, objs, v.PartitionFor)
+	return v, nil
 }
 
 // NumPartitions implements SpatialPartitioner.
@@ -189,10 +123,10 @@ func (v *Voronoi) NumPartitions() int { return len(v.seeds) }
 // expanding-ring search over the seed grid.
 func (v *Voronoi) PartitionFor(o stobject.STObject) int {
 	c := o.Centroid()
-	cx, cy := v.cellOf(c)
+	cx, cy := v.grid.col(c.X), v.grid.row(c.Y)
 	best, bestDist := -1, math.Inf(1)
-	cellMin := math.Min(v.cellW, v.cellH)
-	for r := 0; r < 2*v.gridN; r++ {
+	cellMin := math.Min(v.grid.cellW, v.grid.cellH)
+	for r := 0; r < 2*v.grid.ppd; r++ {
 		// Once a candidate is known, stop when even the closest point
 		// of ring r cannot beat it. A cell at Chebyshev ring r is at
 		// least (r-1) whole cells away from c's position.
@@ -203,9 +137,9 @@ func (v *Voronoi) PartitionFor(o stobject.STObject) int {
 			}
 		}
 		found := false
-		for _, cell := range ringCells(cx, cy, r, v.gridN) {
+		for _, cell := range ringCells(cx, cy, r, v.grid.ppd) {
 			found = true
-			for _, si := range v.cells[cell] {
+			for _, si := range v.buckets[cell] {
 				if d := geom.SquaredEuclidean(c, v.seeds[si]); d < bestDist {
 					best, bestDist = int(si), d
 				}
@@ -249,9 +183,5 @@ func ringCells(cx, cy, r, n int) []int {
 	return out
 }
 
-// Bounds implements SpatialPartitioner; Voronoi cells have no
-// rectangular bounds, so the extent is returned.
-func (v *Voronoi) Bounds(i int) geom.Envelope { return v.extents.extents[i] }
-
 // Extent implements SpatialPartitioner.
-func (v *Voronoi) Extent(i int) geom.Envelope { return v.extents.extents[i] }
+func (v *Voronoi) Extent(i int) geom.Envelope { return v.extents[i] }

@@ -13,26 +13,60 @@ import (
 
 // The BSP construction as it was before splits went in place: a fresh
 // coordinate slice per axis tried and two appended point slices per
-// split. Kept as the reference the in-place build must reproduce cut
-// for cut.
+// split, one goroutine, and the extents from a walk of the tree per
+// object with the centroid clamped into the space. Kept as the
+// reference the in-place build must reproduce cut for cut, extent for
+// extent.
 
 func refBuildBSP(cfg BSPConfig, objs []stobject.STObject) *BSP {
 	pts := make([]geom.Point, len(objs))
 	for i, o := range objs {
 		pts[i] = o.Centroid()
 	}
-	b := &BSP{space: dataEnvelope(objs)}
-	b.root = b.refBuildNode(bspRegion{env: b.space, pts: pts}, cfg)
+	space := dataEnvelope(objs)
+	b := &BSP{}
+	b.root = b.refBuildNode(bspRegion{env: space, pts: pts}, cfg)
+	b.extents = make([]geom.Envelope, len(b.regions))
+	for i := range b.extents {
+		b.extents[i] = geom.EmptyEnvelope()
+	}
+	for _, o := range objs {
+		p := clampedPartitionFor(b, space, o)
+		b.extents[p] = b.extents[p].ExpandToInclude(o.Envelope())
+	}
 	return b
+}
+
+// clampedPartitionFor is BSP.PartitionFor as it was: the centroid is
+// clamped into the construction space before the walk.
+func clampedPartitionFor(b *BSP, space geom.Envelope, o stobject.STObject) int {
+	c := o.Centroid()
+	x := math.Min(math.Max(c.X, space.MinX), space.MaxX)
+	y := math.Min(math.Max(c.Y, space.MinY), space.MaxY)
+	n := b.root
+	for n.leaf < 0 {
+		v := y
+		if n.onX {
+			v = x
+		}
+		if v < n.cut {
+			n = n.left
+		} else {
+			n = n.right
+		}
+	}
+	return n.leaf
 }
 
 func (b *BSP) refBuildNode(r bspRegion, cfg BSPConfig) *bspNode {
 	if len(r.pts) <= cfg.MaxCost {
-		return b.leafNode(r.env)
+		b.regions = append(b.regions, r.env)
+		return &bspNode{leaf: len(b.regions) - 1}
 	}
 	left, right, cut, onX, ok := refSplitRegion(r)
 	if !ok {
-		return b.leafNode(r.env)
+		b.regions = append(b.regions, r.env)
+		return &bspNode{leaf: len(b.regions) - 1}
 	}
 	node := &bspNode{leaf: -1, onX: onX, cut: cut}
 	node.left = b.refBuildNode(left, cfg)
@@ -107,10 +141,28 @@ func sameSplitTree(got, want *bspNode, path string) error {
 	return sameSplitTree(got.right, want.right, path+"R")
 }
 
+// sameEnvelope is == with a NaN equal to a NaN.
+func sameEnvelope(a, b geom.Envelope) bool {
+	same := func(x, y float64) bool { return x == y || math.IsNaN(x) && math.IsNaN(y) }
+	return same(a.MinX, b.MinX) && same(a.MinY, b.MinY) && same(a.MaxX, b.MaxX) && same(a.MaxY, b.MaxY)
+}
+
 // TestBSPInPlaceMatchesReference holds the in-place build to the
 // allocating one on the shapes that steer it differently: skew (deep,
-// lopsided recursion), uniform data, many duplicate coordinates (cuts on
-// the region edge, empty halves, the fallback axis) and a vertical line.
+// lopsided recursion, both halves of the root split concurrently),
+// uniform data, many duplicate coordinates (cuts on the region edge,
+// empty halves, the fallback axis), a vertical line, points with a NaN
+// x (extents from the leaf windows) and polygons with empty objects
+// (extents from the walk). Regions, split tree, every extent and every
+// object's partition must be the reference's, and the extents those a
+// walk of the tree per object gives.
+//
+// A point NaN in both coordinates makes every bound of the space NaN:
+// cuts need not lie inside their region, the median of a window holding
+// the NaN depends on the window's order (which the in-place split and
+// the reference's appends do not share), and the reference's clamp sent
+// every object right at every cut. That case is held to the walk's
+// extents only.
 func TestBSPInPlaceMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	duplicates := make([]stobject.STObject, 6000)
@@ -129,15 +181,36 @@ func TestBSPInPlaceMatchesReference(t *testing.T) {
 	for i := range line {
 		line[i] = stPoint(7, math.Floor(rng.Float64()*40)/4)
 	}
+	nanX := clusteredObjs(rng, 5000)
+	for i := 0; i < len(nanX); i += 1000 {
+		nanX[i] = stPoint(math.NaN(), rng.Float64()*100)
+	}
+	mixed := make([]stobject.STObject, 5000)
+	for i := range mixed {
+		x, y := 100+rng.Float64()*100, 100+rng.Float64()*100 // the origin lies outside
+		switch {
+		case i%5 == 0:
+			mixed[i] = stobject.New(geom.NewEnvelope(x, y, x+rng.Float64()*30, y+rng.Float64()*3).ToPolygon())
+		case i%25 == 1:
+			mixed[i] = stobject.STObject{} // centroid at the origin, envelope empty
+		default:
+			mixed[i] = stPoint(x, y)
+		}
+	}
+	nanSpace := append(clusteredObjs(rng, 3000), stPoint(math.NaN(), math.NaN()))
 	cases := []struct {
-		name string
-		cfg  BSPConfig
-		objs []stobject.STObject
+		name     string
+		cfg      BSPConfig
+		objs     []stobject.STObject
+		nanSpace bool
 	}{
-		{"skewed", BSPConfig{MaxCost: 40}, clusteredObjs(rng, 20000)},
-		{"uniform", BSPConfig{MaxCost: 25}, uniformObjs(rng, 20000, 1000, 400)},
-		{"duplicates", BSPConfig{MaxCost: 10}, duplicates},
-		{"vertical-line", BSPConfig{MaxCost: 10}, line},
+		{"skewed", BSPConfig{MaxCost: 40}, clusteredObjs(rng, 20000), false},
+		{"uniform", BSPConfig{MaxCost: 25}, uniformObjs(rng, 20000, 1000, 400), false},
+		{"duplicates", BSPConfig{MaxCost: 10}, duplicates, false},
+		{"vertical-line", BSPConfig{MaxCost: 10}, line, false},
+		{"points-nan-x", BSPConfig{MaxCost: 30}, nanX, false},
+		{"polygons-empty", BSPConfig{MaxCost: 30}, mixed, false},
+		{"points-nan-space", BSPConfig{MaxCost: 30}, nanSpace, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -145,17 +218,70 @@ func TestBSPInPlaceMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if len(got.regions) < 2 {
+				t.Fatalf("only %d region: the case splits nothing", len(got.regions))
+			}
+			walk := assignedExtents(len(got.regions), tc.objs, got.PartitionFor)
+			for i := range got.regions {
+				if !sameEnvelope(got.extents[i], walk[i]) {
+					t.Fatalf("partition %d: extent %v, the walk's %v", i, got.extents[i], walk[i])
+				}
+			}
+			if tc.nanSpace {
+				return
+			}
 			want := refBuildBSP(tc.cfg, tc.objs)
-			if !slices.Equal(got.regions, want.regions) {
+			if !slices.EqualFunc(got.regions, want.regions, sameEnvelope) {
 				t.Fatalf("%d regions, reference %d, or they differ", len(got.regions), len(want.regions))
 			}
 			if err := sameSplitTree(got.root, want.root, ""); err != nil {
 				t.Fatal(err)
 			}
-			if len(got.regions) < 2 {
-				t.Fatalf("only %d region: the case splits nothing", len(got.regions))
+			for i := range got.regions {
+				if g, w := got.Extent(i), want.Extent(i); !sameEnvelope(g, w) {
+					t.Fatalf("partition %d: extent %v, reference %v", i, g, w)
+				}
+			}
+			space := dataEnvelope(tc.objs)
+			for i, o := range tc.objs {
+				if g, w := got.PartitionFor(o), clampedPartitionFor(want, space, o); g != w {
+					t.Fatalf("object %d (%v): partition %d, reference %d", i, o, g, w)
+				}
 			}
 		})
+	}
+}
+
+// TestBSPPartitionForNeedsNoClamp holds the walk to the one that
+// clamped the centroid into the space first, on centroids outside the
+// space, at ±Inf, NaN and of empty objects.
+func TestBSPPartitionForNeedsNoClamp(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	objs := uniformObjs(rng, 4000, 100, 100)
+	for i := range objs {
+		p, _ := objs[i].Point()
+		objs[i] = stPoint(p.X+50, p.Y+50)
+	}
+	b, err := NewBSP(BSPConfig{MaxCost: 20}, objs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	space := dataEnvelope(objs)
+	inf, nan := math.Inf(1), math.NaN()
+	coords := []float64{-inf, -1e300, -1, 0, 49.9, 50, 75, 100, 150, 150.1, 1e300, inf, nan}
+	probes := []stobject.STObject{{}, stobject.New(geom.NewEnvelope(-30, 40, 10, 70).ToPolygon())}
+	for _, x := range coords {
+		for _, y := range coords {
+			probes = append(probes, stPoint(x, y))
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		probes = append(probes, stPoint(rng.Float64()*300-50, rng.Float64()*300-50))
+	}
+	for _, o := range probes {
+		if g, w := b.PartitionFor(o), clampedPartitionFor(b, space, o); g != w {
+			t.Fatalf("%v: partition %d, clamped walk %d", o, g, w)
+		}
 	}
 }
 

@@ -65,10 +65,10 @@ func clampOrder(order int) int {
 }
 
 // HilbertEncoder maps points of a data-space envelope to Hilbert keys.
-// Cell assignment mirrors Grid.cellOf: coordinates are scaled into the
+// Cell assignment mirrors Grid's cells: coordinates are scaled into the
 // 2^order grid and clamped into range, so a point exactly on the
 // data-space MaxX/MaxY edge snaps into the last cell — consistent with
-// the data-space envelope snapping of Grid.Bounds.
+// the data-space envelope snapping of Grid.bounds.
 type HilbertEncoder struct {
 	space geom.Envelope
 	order int

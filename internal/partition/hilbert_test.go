@@ -109,7 +109,7 @@ func manhattan(a, b uint32) uint32 {
 }
 
 // TestHilbertEncoderSnapping pins the encoder's cell assignment to the
-// same clamped data-space snapping as Grid.cellOf/Grid.Bounds: edge
+// same clamped data-space snapping as Grid's cells: edge
 // coordinates land in the last cell, out-of-range and non-finite
 // coordinates clamp, the empty space degenerates to key 0.
 func TestHilbertEncoderSnapping(t *testing.T) {

@@ -5,7 +5,7 @@
 // that are near each other. Every partitioner keeps, per partition,
 // two rectangles:
 //
-//   - Bounds: the partition's nominal cell (the grid cell or BSP
+//   - bounds: the partition's nominal cell (the grid cell or BSP
 //     region the partitioner carved out of the data space), and
 //   - Extent: the bounds adjusted by the envelopes of the objects
 //     actually assigned to the partition.
@@ -22,60 +22,30 @@ package partition
 
 import (
 	"fmt"
-	"math"
 
 	"stark/internal/geom"
 	"stark/internal/stobject"
 )
 
 // SpatialPartitioner assigns STObjects to partitions and exposes
-// per-partition bounds and extents. It satisfies
+// per-partition extents. It satisfies
 // engine.Partitioner[stobject.STObject].
 type SpatialPartitioner interface {
 	// NumPartitions returns the number of partitions.
 	NumPartitions() int
 	// PartitionFor maps an object (by centroid) to its partition.
 	PartitionFor(o stobject.STObject) int
-	// Bounds returns the nominal cell of partition i.
-	Bounds(i int) geom.Envelope
 	// Extent returns the data-adjusted extent of partition i; it
 	// always contains every envelope assigned to the partition.
 	Extent(i int) geom.Envelope
 }
 
-// replicating is implemented by partitioners that replicate an object
-// into every partition it overlaps instead of using centroid
-// assignment — the strategy of the GeoSpark-style baseline, which
-// requires duplicate pruning afterwards.
-type replicating interface {
-	// PartitionsFor returns every partition the object's envelope
-	// overlaps.
-	PartitionsFor(o stobject.STObject) []int
-}
-
-// OverlapAssigner adapts any SpatialPartitioner into a replicating
-// assigner over the partitioner's *extents*: an object is assigned to
-// every partition whose extent intersects the object's envelope
-// expanded by Expand. The co-partitioned join uses it to replicate
-// the moving side onto the stationary side's layout — extents (not
-// bounds) because centroid-assigned non-point objects can stick out
-// of their nominal cell, and Expand because distance predicates match
-// across partition borders.
-type OverlapAssigner struct {
-	SP     SpatialPartitioner
-	Expand float64
-}
-
-// PartitionsFor implements replicating via the same extent scan
-// queries prune with, so replication and pruning can never disagree.
-func (a OverlapAssigner) PartitionsFor(o stobject.STObject) []int {
-	return PruneByEnvelope(a.SP, o.Envelope().ExpandBy(a.Expand))
-}
-
-var _ replicating = OverlapAssigner{}
-
 // PruneByEnvelope returns the indexes of partitions whose extent
-// intersects q — the partitions a query with envelope q must visit.
+// intersects q — the partitions a query with envelope q must visit, and
+// those the copartitioned join replicates a row to, with q the row's
+// envelope expanded by the join distance: extents (not bounds) because
+// centroid-assigned non-point objects can stick out of their nominal
+// cell, and one scan so that replication and pruning never disagree.
 func PruneByEnvelope(sp SpatialPartitioner, q geom.Envelope) []int {
 	var out []int
 	for i := 0; i < sp.NumPartitions(); i++ {
@@ -95,121 +65,122 @@ func dataEnvelope(objs []stobject.STObject) geom.Envelope {
 	return env
 }
 
-// clampIndex clamps i to [0, n).
-func clampIndex(i, n int) int {
-	if i < 0 {
-		return 0
-	}
-	if i >= n {
-		return n - 1
-	}
-	return i
-}
-
-// extentTracker accumulates per-partition extents during
-// construction.
-type extentTracker struct {
-	extents []geom.Envelope
-}
-
-func newExtentTracker(n int) *extentTracker {
+// assignedExtents returns, per partition, the envelope of the objects
+// assign puts there: the walk a partitioner's extents come from.
+func assignedExtents(n int, objs []stobject.STObject, assign func(stobject.STObject) int) []geom.Envelope {
 	ext := make([]geom.Envelope, n)
 	for i := range ext {
 		ext[i] = geom.EmptyEnvelope()
 	}
-	return &extentTracker{extents: ext}
-}
-
-func (e *extentTracker) add(p int, env geom.Envelope) {
-	e.extents[p] = e.extents[p].ExpandToInclude(env)
+	for _, o := range objs {
+		p := assign(o)
+		ext[p] = ext[p].ExpandToInclude(o.Envelope())
+	}
+	return ext
 }
 
 // ---- Grid partitioner ----
+
+// cells is the layout Grid and Tile share: the data space divided
+// into ppd × ppd equal rectangular cells.
+type cells struct {
+	ppd   int // cells per dimension
+	space geom.Envelope
+	cellW float64
+	cellH float64
+}
+
+func newCells(ppd int, space geom.Envelope) cells {
+	return cells{ppd: ppd, space: space, cellW: space.Width() / float64(ppd), cellH: space.Height() / float64(ppd)}
+}
+
+// cellsOver lays ppd × ppd cells over the envelope of objs; kind names
+// the partitioner in errors.
+func cellsOver(kind string, ppd int, objs []stobject.STObject) (cells, error) {
+	if ppd <= 0 {
+		return cells{}, fmt.Errorf("partition: %s needs ppd >= 1, got %d", kind, ppd)
+	}
+	space := dataEnvelope(objs)
+	if space.IsEmpty() {
+		return cells{}, fmt.Errorf("partition: cannot build %s over empty data", kind)
+	}
+	return newCells(ppd, space), nil
+}
+
+// col and row return the column of x and the row of y, clamped into
+// range.
+func (c *cells) col(x float64) int {
+	if c.cellW <= 0 {
+		return 0
+	}
+	return min(max(int((x-c.space.MinX)/c.cellW), 0), c.ppd-1)
+}
+
+func (c *cells) row(y float64) int {
+	if c.cellH <= 0 {
+		return 0
+	}
+	return min(max(int((y-c.space.MinY)/c.cellH), 0), c.ppd-1)
+}
+
+// bounds returns cell i. Every edge is computed as the same integer
+// multiple of the cell size that the neighbouring cell uses, and the
+// last row/column snaps to the data-space envelope — so adjacent cells
+// share their edge exactly and the cells tile the space with no
+// float-error gap at MaxX/MaxY.
+func (c *cells) bounds(i int) geom.Envelope {
+	row, col := i/c.ppd, i%c.ppd
+	minX := c.space.MinX + float64(col)*c.cellW
+	minY := c.space.MinY + float64(row)*c.cellH
+	maxX := c.space.MinX + float64(col+1)*c.cellW
+	if col == c.ppd-1 {
+		maxX = c.space.MaxX
+	}
+	maxY := c.space.MinY + float64(row+1)*c.cellH
+	if row == c.ppd-1 {
+		maxY = c.space.MaxY
+	}
+	return geom.Envelope{MinX: minX, MinY: minY, MaxX: maxX, MaxY: maxY}
+}
 
 // Grid is the fixed grid partitioner: the data space is divided into
 // ppd × ppd equal rectangular cells. Objects are assigned by
 // centroid; cell extents grow to cover assigned envelopes, producing
 // (possibly) overlapping partitions.
 type Grid struct {
-	ppd     int // partitions per dimension
-	space   geom.Envelope
-	cellW   float64
-	cellH   float64
-	extents *extentTracker
+	cells
+	extents []geom.Envelope
 }
 
 // NewGrid builds a grid partitioner with ppd partitions per dimension
 // over the envelope of objs, then assigns objs to adjust extents.
 func NewGrid(ppd int, objs []stobject.STObject) (*Grid, error) {
-	if ppd <= 0 {
-		return nil, fmt.Errorf("partition: grid needs ppd >= 1, got %d", ppd)
+	c, err := cellsOver("grid", ppd, objs)
+	if err != nil {
+		return nil, err
 	}
-	space := dataEnvelope(objs)
-	if space.IsEmpty() {
-		return nil, fmt.Errorf("partition: cannot build grid over empty data")
-	}
-	g := &Grid{
-		ppd:   ppd,
-		space: space,
-		cellW: space.Width() / float64(ppd),
-		cellH: space.Height() / float64(ppd),
-	}
-	g.extents = newExtentTracker(ppd * ppd)
-	for _, o := range objs {
-		g.extents.add(g.PartitionFor(o), o.Envelope())
-	}
+	g := &Grid{cells: c}
+	g.extents = assignedExtents(ppd*ppd, objs, g.PartitionFor)
 	return g, nil
 }
 
 // NumPartitions implements SpatialPartitioner.
 func (g *Grid) NumPartitions() int { return g.ppd * g.ppd }
 
-// cellOf returns the (col, row) cell of a point, clamped into range.
-func (g *Grid) cellOf(p geom.Point) (int, int) {
-	col, row := 0, 0
-	if g.cellW > 0 {
-		col = clampIndex(int((p.X-g.space.MinX)/g.cellW), g.ppd)
-	}
-	if g.cellH > 0 {
-		row = clampIndex(int((p.Y-g.space.MinY)/g.cellH), g.ppd)
-	}
-	return col, row
-}
-
 // PartitionFor implements SpatialPartitioner using the centroid rule.
 func (g *Grid) PartitionFor(o stobject.STObject) int {
-	col, row := g.cellOf(o.Centroid())
-	return row*g.ppd + col
-}
-
-// Bounds implements SpatialPartitioner. Every edge is computed as the
-// same integer multiple of the cell size that the neighbouring cell
-// uses, and the last row/column snaps to the data-space envelope —
-// so adjacent cells share their edge exactly and the cells tile the
-// space with no float-error gap at MaxX/MaxY.
-func (g *Grid) Bounds(i int) geom.Envelope {
-	row, col := i/g.ppd, i%g.ppd
-	minX := g.space.MinX + float64(col)*g.cellW
-	minY := g.space.MinY + float64(row)*g.cellH
-	maxX := g.space.MinX + float64(col+1)*g.cellW
-	if col == g.ppd-1 {
-		maxX = g.space.MaxX
-	}
-	maxY := g.space.MinY + float64(row+1)*g.cellH
-	if row == g.ppd-1 {
-		maxY = g.space.MaxY
-	}
-	return geom.Envelope{MinX: minX, MinY: minY, MaxX: maxX, MaxY: maxY}
+	c := o.Centroid()
+	return g.row(c.Y)*g.ppd + g.col(c.X)
 }
 
 // Extent implements SpatialPartitioner: the cell bounds expanded by
 // the assigned objects.
 func (g *Grid) Extent(i int) geom.Envelope {
-	ext := g.extents.extents[i]
+	ext := g.extents[i]
 	if ext.IsEmpty() {
 		return ext // empty partitions prune themselves
 	}
-	return g.Bounds(i).ExpandToInclude(ext)
+	return g.bounds(i).ExpandToInclude(ext)
 }
 
 // ---- Cost-based binary space partitioner ----
@@ -222,9 +193,8 @@ func (g *Grid) Extent(i int) geom.Envelope {
 // stay coarse, fixing the skew problem of the fixed grid.
 type BSP struct {
 	regions []geom.Envelope // leaf regions, in tree order
+	extents []geom.Envelope // per leaf, the envelope of its objects
 	root    *bspNode        // split tree for O(log n) assignment
-	space   geom.Envelope
-	extents *extentTracker
 }
 
 // bspNode is one node of the split tree: internal nodes carry a cut,
@@ -251,6 +221,15 @@ type bspRegion struct {
 	pts []geom.Point
 }
 
+// bspBuilder collects the leaves of a split tree in tree order; with
+// boxes set (every object a point) a leaf's extent is its window's box.
+type bspBuilder struct {
+	maxCost int
+	boxes   bool
+	regions []geom.Envelope
+	extents []geom.Envelope
+}
+
 // NewBSP builds a BSP partitioner over objs.
 func NewBSP(cfg BSPConfig, objs []stobject.STObject) (*BSP, error) {
 	if len(objs) == 0 {
@@ -261,39 +240,82 @@ func NewBSP(cfg BSPConfig, objs []stobject.STObject) (*BSP, error) {
 	}
 	space := dataEnvelope(objs)
 	pts := make([]geom.Point, len(objs))
+	bb := &bspBuilder{maxCost: cfg.MaxCost, boxes: true}
 	for i, o := range objs {
-		pts[i] = o.Centroid()
+		// A point's centroid is its envelope; when every object is a
+		// point, the leaf windows give the extents.
+		p, ok := o.Point()
+		if !ok {
+			p, bb.boxes = o.Centroid(), false
+		}
+		pts[i] = p
 	}
-	b := &BSP{space: space}
-	b.root = b.buildNode(bspRegion{env: space, pts: pts}, cfg, make([]float64, len(pts)))
-	b.extents = newExtentTracker(len(b.regions))
-	for _, o := range objs {
-		b.extents.add(b.PartitionFor(o), o.Envelope())
+	b := &BSP{root: bb.build(bspRegion{env: space, pts: pts}, make([]float64, len(pts)), true)}
+	b.regions, b.extents = bb.regions, bb.extents
+	if !bb.boxes {
+		// A polygon's envelope is larger than its centroid, and an empty
+		// object's centroid is the origin: walk the tree per object.
+		b.extents = assignedExtents(len(b.regions), objs, b.PartitionFor)
 	}
 	return b, nil
 }
 
-// buildNode recursively splits a region, appending leaf regions to
-// b.regions and returning the split-tree node. coords is the scratch
-// every split selects its median in, as long as the root's points.
-func (b *BSP) buildNode(r bspRegion, cfg BSPConfig, coords []float64) *bspNode {
-	if len(r.pts) <= cfg.MaxCost {
-		return b.leafNode(r.env)
+// build recursively splits a region, appending its leaves to the
+// builder and returning the split-tree node. coords is the scratch
+// every split selects its median in, as long as r's points. A split
+// cuts r's window with the v < cut test PartitionFor walks with, so a
+// leaf's window holds exactly the objects PartitionFor assigns to it.
+// With concurrent set and both halves above maxCost, the right half
+// is split on a second goroutine: the halves own disjoint windows of
+// the points and of coords.
+func (bb *bspBuilder) build(r bspRegion, coords []float64, concurrent bool) *bspNode {
+	if len(r.pts) <= bb.maxCost {
+		return bb.leaf(r)
 	}
 	left, right, cut, onX, ok := splitRegion(r, coords)
 	if !ok {
-		return b.leafNode(r.env)
+		return bb.leaf(r)
 	}
 	node := &bspNode{leaf: -1, onX: onX, cut: cut}
-	node.left = b.buildNode(left, cfg, coords)
-	node.right = b.buildNode(right, cfg, coords)
+	if !concurrent || len(left.pts) <= bb.maxCost || len(right.pts) <= bb.maxCost {
+		node.left = bb.build(left, coords, false)
+		node.right = bb.build(right, coords, false)
+		return node
+	}
+	rb := &bspBuilder{maxCost: bb.maxCost, boxes: bb.boxes}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		node.right = rb.build(right, coords[len(left.pts):], false)
+	}()
+	node.left = bb.build(left, coords, false)
+	<-done
+	shiftLeaves(node.right, len(bb.regions)) // number the right leaves after the left ones
+	bb.regions = append(bb.regions, rb.regions...)
+	bb.extents = append(bb.extents, rb.extents...)
 	return node
 }
 
-func (b *BSP) leafNode(env geom.Envelope) *bspNode {
-	idx := len(b.regions)
-	b.regions = append(b.regions, env)
-	return &bspNode{leaf: idx}
+func (bb *bspBuilder) leaf(r bspRegion) *bspNode {
+	if bb.boxes {
+		ext := geom.EmptyEnvelope()
+		for _, p := range r.pts {
+			ext = ext.ExpandToPoint(p.X, p.Y)
+		}
+		bb.extents = append(bb.extents, ext)
+	}
+	bb.regions = append(bb.regions, r.env)
+	return &bspNode{leaf: len(bb.regions) - 1}
+}
+
+// shiftLeaves adds by to the region index of every leaf under n.
+func shiftLeaves(n *bspNode, by int) {
+	if n.leaf >= 0 {
+		n.leaf += by
+		return
+	}
+	shiftLeaves(n.left, by)
+	shiftLeaves(n.right, by)
 }
 
 // splitRegion cuts r into two regions of equal cost along its longer
@@ -409,18 +431,18 @@ func selectKth(coords []float64, k int) float64 {
 func (b *BSP) NumPartitions() int { return len(b.regions) }
 
 // PartitionFor implements SpatialPartitioner: the split tree is
-// walked by centroid in O(depth). Objects outside the construction
-// space are clamped into it first, which assigns them to the nearest
-// boundary region.
+// walked by centroid in O(depth). An object outside the construction
+// space goes to the nearest boundary region: every cut lies strictly
+// inside its region, so a coordinate outside the space compares with
+// it as the same coordinate clamped into the space would, and a NaN
+// goes right.
 func (b *BSP) PartitionFor(o stobject.STObject) int {
 	c := o.Centroid()
-	x := math.Min(math.Max(c.X, b.space.MinX), b.space.MaxX)
-	y := math.Min(math.Max(c.Y, b.space.MinY), b.space.MaxY)
 	n := b.root
 	for n.leaf < 0 {
-		v := y
+		v := c.Y
 		if n.onX {
-			v = x
+			v = c.X
 		}
 		if v < n.cut {
 			n = n.left
@@ -431,12 +453,9 @@ func (b *BSP) PartitionFor(o stobject.STObject) int {
 	return n.leaf
 }
 
-// Bounds implements SpatialPartitioner.
-func (b *BSP) Bounds(i int) geom.Envelope { return b.regions[i] }
-
 // Extent implements SpatialPartitioner.
 func (b *BSP) Extent(i int) geom.Envelope {
-	ext := b.extents.extents[i]
+	ext := b.extents[i]
 	if ext.IsEmpty() {
 		return ext
 	}

@@ -68,10 +68,10 @@ func TestGridBasics(t *testing.T) {
 		t.Fatalf("partitions = %d", g.NumPartitions())
 	}
 	checkAssignmentInvariants(t, g, objs)
-	// Bounds tile the space.
+	// The cells tile the space.
 	total := 0.0
 	for i := 0; i < 16; i++ {
-		total += g.Bounds(i).Area()
+		total += g.bounds(i).Area()
 	}
 	space := dataEnvelope(objs)
 	if diff := total - space.Area(); diff > 1e-6 || diff < -1e-6 {
@@ -106,7 +106,7 @@ func TestGridCentroidAssignmentOfPolygons(t *testing.T) {
 		t.Error("extent must cover the whole polygon")
 	}
 	// ...and the extent is strictly larger than the bounds.
-	if g.Extent(p).ContainsEnvelope(g.Bounds(p)) && g.Bounds(p).ContainsEnvelope(poly.Envelope()) {
+	if g.Extent(p).ContainsEnvelope(g.bounds(p)) && g.bounds(p).ContainsEnvelope(poly.Envelope()) {
 		t.Error("polygon should overhang its cell bounds")
 	}
 }
@@ -217,7 +217,7 @@ func TestTileReplication(t *testing.T) {
 	}
 	// Tile extents equal bounds (no overhang under replication).
 	for i := 0; i < tile.NumPartitions(); i++ {
-		if tile.Extent(i) != tile.Bounds(i) {
+		if tile.Extent(i) != tile.bounds(i) {
 			t.Errorf("tile extent %d differs from bounds", i)
 		}
 	}
@@ -393,7 +393,7 @@ func TestPropTileReplicationCoversEnvelope(t *testing.T) {
 		// Union of assigned cell bounds must cover the envelope.
 		union := geom.EmptyEnvelope()
 		for _, p := range tile.PartitionsFor(rect) {
-			union = union.ExpandToInclude(tile.Bounds(p))
+			union = union.ExpandToInclude(tile.bounds(p))
 		}
 		return union.ContainsEnvelope(rect.Envelope())
 	}
@@ -422,9 +422,9 @@ func TestGridBoundsTileExactly(t *testing.T) {
 		space := dataEnvelope(objs)
 		for row := 0; row < ppd; row++ {
 			for col := 0; col < ppd; col++ {
-				b := g.Bounds(row*ppd + col)
+				b := g.bounds(row*ppd + col)
 				if col+1 < ppd {
-					next := g.Bounds(row*ppd + col + 1)
+					next := g.bounds(row*ppd + col + 1)
 					if b.MaxX != next.MinX {
 						t.Fatalf("ppd=%d cell (%d,%d): MaxX %v != next MinX %v", ppd, row, col, b.MaxX, next.MinX)
 					}
@@ -432,7 +432,7 @@ func TestGridBoundsTileExactly(t *testing.T) {
 					t.Fatalf("ppd=%d last col MaxX = %v, want %v", ppd, b.MaxX, space.MaxX)
 				}
 				if row+1 < ppd {
-					above := g.Bounds((row+1)*ppd + col)
+					above := g.bounds((row+1)*ppd + col)
 					if b.MaxY != above.MinY {
 						t.Fatalf("ppd=%d cell (%d,%d): MaxY %v != above MinY %v", ppd, row, col, b.MaxY, above.MinY)
 					}
@@ -444,9 +444,10 @@ func TestGridBoundsTileExactly(t *testing.T) {
 	}
 }
 
-// TestOverlapAssignerCoversMatches: the extent-overlap assigner must
-// assign an object to every partition holding records it could match
-// within the expansion distance.
+// TestOverlapAssignerCoversMatches: the extent overlap the
+// copartitioned join replicates with (PruneByEnvelope of the expanded
+// envelope) must reach every partition holding records an object could
+// match within the expansion distance.
 func TestOverlapAssignerCoversMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	objs := uniformObjs(rng, 400, 100, 100)
@@ -455,10 +456,9 @@ func TestOverlapAssignerCoversMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	const eps = 3.0
-	a := OverlapAssigner{SP: g, Expand: eps}
 	probe := stPoint(50, 50)
 	assigned := make(map[int]bool)
-	for _, p := range a.PartitionsFor(probe) {
+	for _, p := range PruneByEnvelope(g, probe.Envelope().ExpandBy(eps)) {
 		assigned[p] = true
 	}
 	if len(assigned) == 0 {
