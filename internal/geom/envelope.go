@@ -31,8 +31,10 @@ func NewEnvelope(x1, y1, x2, y2 float64) Envelope {
 	}
 }
 
-// IsEmpty reports whether the envelope contains no points.
-func (e Envelope) IsEmpty() bool { return e.MinX > e.MaxX || e.MinY > e.MaxY }
+// IsEmpty reports whether the envelope contains no points: its bounds
+// are inverted, or one is NaN (the envelope of a point with a NaN
+// ordinate, which Point.IsEmpty calls empty too).
+func (e Envelope) IsEmpty() bool { return !(e.MinX <= e.MaxX && e.MinY <= e.MaxY) }
 
 // MarshalJSON encodes the empty envelope as null: its ±Inf sentinel
 // bounds are not representable in JSON, and without this every
@@ -85,8 +87,12 @@ func (e Envelope) Center() Point {
 	return Point{X: (e.MinX + e.MaxX) / 2, Y: (e.MinY + e.MaxY) / 2}
 }
 
-// ExpandToPoint returns the envelope grown to include (x, y).
+// ExpandToPoint returns the envelope grown to include (x, y); a point
+// with a NaN ordinate is empty and leaves it as it is.
 func (e Envelope) ExpandToPoint(x, y float64) Envelope {
+	if x != x || y != y {
+		return e
+	}
 	return Envelope{
 		MinX: math.Min(e.MinX, x), MinY: math.Min(e.MinY, y),
 		MaxX: math.Max(e.MaxX, x), MaxY: math.Max(e.MaxY, y),

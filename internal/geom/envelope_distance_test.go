@@ -78,6 +78,30 @@ func TestEnvelopeExpandEmpty(t *testing.T) {
 	}
 }
 
+// TestEnvelopeNaNIsEmpty: the envelope of a point with a NaN ordinate
+// is empty, as the point is, so no fold takes it in: a union skips it,
+// growing by the point leaves an envelope as it was, and neither
+// intersects anything.
+func TestEnvelopeNaNIsEmpty(t *testing.T) {
+	nan := math.NaN()
+	box := NewEnvelope(0, 0, 10, 10)
+	for _, p := range []Point{{X: nan, Y: 5}, {X: 5, Y: nan}, {X: nan, Y: nan}} {
+		env := p.Envelope()
+		if !env.IsEmpty() || env.Intersects(box) || box.Intersects(env) {
+			t.Errorf("%v: envelope %+v is not empty", p, env)
+		}
+		if got := box.ExpandToInclude(env); got != box {
+			t.Errorf("%v: box ∪ its envelope = %+v", p, got)
+		}
+		if got := box.ExpandToPoint(p.X, p.Y); got != box {
+			t.Errorf("%v: box grown by it = %+v", p, got)
+		}
+		if got := EmptyEnvelope().ExpandToPoint(p.X, p.Y).ExpandToPoint(1, 2); got != NewEnvelope(1, 2, 1, 2) {
+			t.Errorf("%v: empty grown by it, then by (1 2) = %+v", p, got)
+		}
+	}
+}
+
 // TestEnvelopeDistanceWithinDistanceConsistency pins the contract the
 // columnar WithinDistance kernel builds on: the envelope distance
 // lower-bounds the exact geometry distance, so env.Distance > maxDist

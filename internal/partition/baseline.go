@@ -150,7 +150,9 @@ func (v *Voronoi) PartitionFor(o stobject.STObject) int {
 		}
 	}
 	if best < 0 {
-		// Degenerate grid (all seeds identical): linear fallback.
+		// Degenerate grid (all seeds identical): linear fallback. A NaN
+		// centroid is no distance from any seed and goes to the first.
+		best = 0
 		for i, s := range v.seeds {
 			if d := geom.SquaredEuclidean(c, s); d < bestDist {
 				best, bestDist = i, d

@@ -22,6 +22,7 @@ package partition
 
 import (
 	"fmt"
+	"math"
 
 	"stark/internal/geom"
 	"stark/internal/stobject"
@@ -330,11 +331,14 @@ func splitRegion(r bspRegion, coords []float64) (a, b bspRegion, cutPos float64,
 	coords = coords[:len(r.pts)]
 	for _, onX := range [2]bool{longer, !longer} {
 		for i, p := range r.pts {
+			v := p.Y
 			if onX {
-				coords[i] = p.X
-			} else {
-				coords[i] = p.Y
+				v = p.X
 			}
+			if v != v {
+				v = math.Inf(1) // a NaN goes right of every cut, as +Inf does
+			}
+			coords[i] = v
 		}
 		// Quickselect the median: O(n) instead of a full sort, which
 		// matters because the recursion re-splits the dense regions

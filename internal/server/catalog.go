@@ -28,7 +28,9 @@ import (
 
 // DatasetSpec describes how to build a catalog dataset: either a
 // seeded generator configuration (N > 0) or inline events, plus the
-// physical layout (partitioner recipe and index mode).
+// physical layout (partitioner recipe and index mode). A generated
+// dataset's keys are made from the generator's points; inline events
+// are parsed from their WKT (see DatasetSpec.rows).
 type DatasetSpec struct {
 	Name string `json:"name"`
 	// Generator configuration, used when Events is empty.
@@ -250,11 +252,11 @@ func (c *catalog) Drop(name string) (bool, error) {
 // (staging, shuffle, index, statistics) runs outside the catalog
 // lock.
 func (c *catalog) Register(ctx *stark.Context, spec DatasetSpec) (*catalogEntry, error) {
-	events, err := spec.buildEvents()
+	rows, err := spec.rows(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return c.registerAt(ctx, spec, events, 0, seedGen(events))
+	return c.registerAt(ctx, spec, rows, 0, seedGen(rows))
 }
 
 // registerReplayed re-registers a dataset from a WAL register record
@@ -262,40 +264,40 @@ func (c *catalog) Register(ctx *stark.Context, spec DatasetSpec) (*catalogEntry,
 // spec is self-contained (inline events ride in it), so the rebuild
 // is deterministic.
 func (c *catalog) registerReplayed(ctx *stark.Context, spec DatasetSpec, gen int64) error {
-	events, err := spec.buildEvents()
+	rows, err := spec.rows(ctx)
 	if err != nil {
 		return err
 	}
-	_, err = c.registerAt(ctx, spec, events, gen, seedGen(events))
+	_, err = c.registerAt(ctx, spec, rows, gen, seedGen(rows))
 	return err
 }
 
-// seedGen is the live generation a mutable dataset's seed events load
+// seedGen is the live generation a mutable dataset's seed rows load
 // at: 1, or 0 when it starts empty.
-func seedGen(events []workload.Event) uint64 { return uint64(min(len(events), 1)) }
+func seedGen(rows []stark.Tuple[eventValue]) uint64 { return uint64(min(len(rows), 1)) }
 
 // registerAt is the shared registration body. gen > 0 forces the
 // published catalog generation (recovery replay and checkpoint restore
 // keep the recovered history's numbering); gen == 0 takes the next
-// one. A mutable dataset loads events at live generation liveGen: the
+// one. A mutable dataset loads rows at live generation liveGen: the
 // seed generation on registration, the manifest's on checkpoint
 // restore. Under durability a live (non-replayed) registration is
 // write-ahead-logged and fsync'd inside the lock, before the entry
 // becomes visible — a registration the client saw acknowledged
 // survives any crash after this returns.
-func (c *catalog) registerAt(ctx *stark.Context, spec DatasetSpec, events []workload.Event, gen int64, liveGen uint64) (*catalogEntry, error) {
+func (c *catalog) registerAt(ctx *stark.Context, spec DatasetSpec, rows []stark.Tuple[eventValue], gen int64, liveGen uint64) (*catalogEntry, error) {
 	if strings.TrimSpace(spec.Name) == "" {
 		return nil, fmt.Errorf("dataset name must not be empty")
 	}
 	var e *catalogEntry
 	if spec.Mutable {
-		mds, err := stageMutable(ctx, events, spec, liveGen)
+		mds, err := stageMutable(ctx, rows, spec, liveGen)
 		if err != nil {
 			return nil, err
 		}
 		e = &catalogEntry{spec: spec, mds: mds}
 	} else {
-		ds, err := stageDataset(ctx, events, spec)
+		ds, err := stageDataset(ctx, rows, spec)
 		if err != nil {
 			return nil, err
 		}
@@ -375,11 +377,14 @@ func (c *catalog) snapshot() ([]*catalogEntry, int64) {
 	return entries, gen
 }
 
-// buildEvents materialises the spec's payload: inline events when
-// given, the seeded generator otherwise.
-func (spec DatasetSpec) buildEvents() ([]workload.Event, error) {
+// rows builds the spec's catalog rows: inline events through
+// catalogRows, which parses their text, or the seeded generator's
+// records, whose points become the keys with no text in between (the
+// same bits: the WKT writer is shortest-round-trip, see
+// geom.TestWKTRoundTripBitExact).
+func (spec DatasetSpec) rows(ctx *stark.Context) ([]stark.Tuple[eventValue], error) {
 	if len(spec.Events) > 0 {
-		return spec.Events, nil
+		return catalogRows(ctx, spec.Events)
 	}
 	if spec.N <= 0 {
 		if spec.Mutable {
@@ -400,10 +405,18 @@ func (spec DatasetSpec) buildEvents() ([]workload.Event, error) {
 	default:
 		return nil, fmt.Errorf("dataset %q: unknown distribution %q", spec.Name, spec.Dist)
 	}
-	return workload.Events(workload.Config{
+	cats := make([]unique.Handle[string], len(workload.Categories))
+	for i, c := range workload.Categories {
+		cats[i] = unique.Make(c)
+	}
+	rows := make([]stark.Tuple[eventValue], 0, spec.N)
+	workload.EventRecords(workload.Config{
 		N: spec.N, Seed: spec.Seed, Dist: dist,
 		Width: spec.Width, Height: spec.Height, TimeRange: spec.TimeRange,
-	}), nil
+	}, func(id int, p stark.Point, cat int, t int64) {
+		rows = append(rows, stark.NewTuple(stark.NewSTObjectWithTime(p, stark.Instant(t)), eventValue{ID: int64(id), cat: cats[cat]}))
+	})
+	return rows, nil
 }
 
 // eventValue is the value of a resident catalog row, the paper's
@@ -429,9 +442,11 @@ func eventTime(key stark.STObject) int64 {
 	return int64(iv.Start)
 }
 
-// catalogRow is the one constructor of resident catalog rows, and the
-// one place a category handle is made: it parses the event's WKT and
-// time into the key and keeps (id, category), as the paper's
+// catalogRow builds the resident row of a text event, and is the one
+// place a text category becomes a handle (a generated dataset's rows
+// share one handle per generator category, see DatasetSpec.rows): it
+// parses the event's WKT and time into the key and keeps
+// (id, category), as the paper's
 // raw.map{ case (id,c,t,wkt) => (STObject(wkt,t), (id,c)) } does. The
 // WAL and checkpoint writers render the text from the key (keyWKT:
 // shortest digits, so it parses back bit for bit, see
@@ -463,15 +478,11 @@ func catalogRows(ctx *stark.Context, events []workload.Event) ([]stark.Tuple[eve
 	return rows, err
 }
 
-// stageDataset lifts events into a Dataset with the spec's
+// stageDataset lifts rows into a Dataset with the spec's
 // partitioner recipe and index mode applied, and forces the chain so
 // registration errors surface here rather than on the first query.
-func stageDataset(ctx *stark.Context, events []workload.Event, spec DatasetSpec) (*stark.Dataset[eventValue], error) {
-	tuples, err := catalogRows(ctx, events)
-	if err != nil {
-		return nil, err
-	}
-	ds := stark.Parallelize(ctx, tuples)
+func stageDataset(ctx *stark.Context, rows []stark.Tuple[eventValue], spec DatasetSpec) (*stark.Dataset[eventValue], error) {
+	ds := stark.Parallelize(ctx, rows)
 	if spec.Partitioner != "" {
 		p, err := parsePartitioner(spec.Partitioner)
 		if err != nil {
@@ -497,24 +508,20 @@ func stageDataset(ctx *stark.Context, events []workload.Event, spec DatasetSpec)
 
 // stageMutable builds a mutable catalog dataset. The spatial layout
 // is fixed up front: the spec's partitioner recipe is built over the
-// seed events' keys, or over the corners of the declared data space
+// seed rows' keys, or over the corners of the declared data space
 // when the dataset starts empty (the generator's default 1000×1000
-// when no width/height is given). The events are loaded at live
-// generation gen before any commit hook is attached, each event's ID
+// when no width/height is given). The rows are loaded at live
+// generation gen before any commit hook is attached, each row's ID
 // the live record ID, so they can be upserted and deleted over HTTP
 // later.
-func stageMutable(ctx *stark.Context, events []workload.Event, spec DatasetSpec, gen uint64) (*stark.MutableDataset[eventValue], error) {
-	tuples, err := catalogRows(ctx, events)
-	if err != nil {
-		return nil, err
-	}
+func stageMutable(ctx *stark.Context, rows []stark.Tuple[eventValue], spec DatasetSpec, gen uint64) (*stark.MutableDataset[eventValue], error) {
 	order, err := parseLiveOrder(spec)
 	if err != nil {
 		return nil, err
 	}
-	recs := make([]stark.LiveRecord[eventValue], len(tuples))
-	keys := make([]stark.STObject, len(tuples))
-	for i, kv := range tuples {
+	recs := make([]stark.LiveRecord[eventValue], len(rows))
+	keys := make([]stark.STObject, len(rows))
+	for i, kv := range rows {
 		recs[i] = stark.LiveRecord[eventValue]{ID: kv.Value.ID, Key: kv.Key, Value: kv.Value}
 		keys[i] = kv.Key
 	}

@@ -499,7 +499,11 @@ func (d *durability) restoreCheckpoint(m *manifest) error {
 		if len(recs) != md.Count {
 			return fmt.Errorf("%q: rows (%d) and manifest (%d) disagree", md.Spec.Name, len(recs), md.Count)
 		}
-		if _, err := d.s.catalog.registerAt(d.s.ctx, md.Spec, recs, md.Gen, md.LiveGen); err != nil {
+		tuples, err := catalogRows(d.s.ctx, recs)
+		if err != nil {
+			return fmt.Errorf("restoring %q: %w", md.Spec.Name, err)
+		}
+		if _, err := d.s.catalog.registerAt(d.s.ctx, md.Spec, tuples, md.Gen, md.LiveGen); err != nil {
 			return fmt.Errorf("restoring %q: %w", md.Spec.Name, err)
 		}
 		d.recovered.Datasets++

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"maps"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"runtime"
 	"slices"
 	"strings"
@@ -326,5 +328,132 @@ func TestCategoriesSurviveEveryPath(t *testing.T) {
 			}
 			crash(t, s2)
 		})
+	}
+}
+
+// TestGeneratedRowsEqualParsedRows pins the generator path of
+// DatasetSpec.rows: its rows are the rows catalogRows parses from
+// workload.Events' text, bit for bit, under every distribution, with
+// the data space and time range defaulted and given.
+func TestGeneratedRowsEqualParsedRows(t *testing.T) {
+	ctx := engine.NewContext(2)
+	for _, dist := range []workload.Distribution{workload.Skewed, workload.Uniform, workload.Diagonal} {
+		for _, space := range []struct {
+			w, h float64
+			tr   int64
+		}{{0, 0, 0}, {100, 37.5, 999}} {
+			spec := DatasetSpec{Name: "ev", N: 20_000, Seed: 5, Dist: dist.String(), Width: space.w, Height: space.h, TimeRange: space.tr}
+			got, err := spec.rows(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := catalogRows(ctx, workload.Events(workload.Config{
+				N: spec.N, Seed: spec.Seed, Dist: dist, Width: space.w, Height: space.h, TimeRange: space.tr,
+			}))
+			if err != nil || len(got) != len(want) {
+				t.Fatalf("%s %v: %d generated rows, %d parsed, %v", dist, space, len(got), len(want), err)
+			}
+			for i := range got {
+				g, w := got[i], want[i]
+				gp, _ := g.Key.Point()
+				wp, _ := w.Key.Point()
+				giv, gt := g.Key.Time()
+				wiv, wt := w.Key.Time()
+				if math.Float64bits(gp.X) != math.Float64bits(wp.X) || math.Float64bits(gp.Y) != math.Float64bits(wp.Y) ||
+					giv != wiv || gt != wt || g.Value.ID != w.Value.ID || g.Value.category() != w.Value.category() || g != w {
+					t.Fatalf("%s %v row %d: generated (%v, %d, %q), parsed (%v, %d, %q)", dist, space, i,
+						g.Key, g.Value.ID, g.Value.category(), w.Key, w.Value.ID, w.Value.category())
+				}
+			}
+		}
+	}
+}
+
+// TestGeneratedAndInlineRegistrationsReplyAlike: a dataset registered
+// from the generator spec and the same events registered inline answer
+// a window, a category and a dataset request with the same bytes (the
+// summary's fingerprint aside: it embeds the process-wide engine
+// generation).
+func TestGeneratedAndInlineRegistrationsReplyAlike(t *testing.T) {
+	fingerprint := regexp.MustCompile(`"fingerprint":"[^"]*"`)
+	for _, mutable := range []bool{false, true} {
+		spec := DatasetSpec{Name: "ev", N: 5_000, Seed: 3, Dist: "skewed", Width: 100, Height: 100, TimeRange: 1000, Partitioner: "bsp:200", Mutable: mutable}
+		inline := withEvents(spec, workload.Events(workload.Config{N: spec.N, Seed: spec.Seed, Dist: workload.Skewed, Width: 100, Height: 100, TimeRange: 1000}))
+		byCategory := windowQuery("ev")
+		byCategory.Where = whereClauses{{Field: "category", Op: "eq", Value: workload.Categories[1]}}
+		var bodies [2][]string
+		for i, spec := range []DatasetSpec{spec, inline} {
+			s := NewService(engine.NewContext(2), Options{})
+			if err := s.Register(spec); err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range []serviceQueryRequest{windowQuery("ev"), byCategory} {
+				rec := postV1Query(t, s, q)
+				if _, sum := ndjsonResponse(t, rec.Body.Bytes()); rec.Code != http.StatusOK || sum.Count == 0 {
+					t.Fatalf("mutable=%v: %d, %d rows", mutable, rec.Code, sum.Count)
+				}
+				bodies[i] = append(bodies[i], fingerprint.ReplaceAllString(rec.Body.String(), ""))
+			}
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/datasets/ev", nil))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("mutable=%v: GET /api/datasets/ev: %d", mutable, rec.Code)
+			}
+			bodies[i] = append(bodies[i], rec.Body.String())
+		}
+		for j := range bodies[0] {
+			if bodies[0][j] != bodies[1][j] {
+				t.Errorf("mutable=%v request %d: generated\n%.300s\ninline\n%.300s", mutable, j, bodies[0][j], bodies[1][j])
+			}
+		}
+	}
+}
+
+// BenchmarkRegisterRows times the rows step of a registration over
+// 100k skewed events: the generator's points turned into keys, and the
+// same events as inline text, parsed.
+func BenchmarkRegisterRows(b *testing.B) {
+	const n = 100_000
+	ctx := engine.NewContext(runtime.GOMAXPROCS(0))
+	generated := DatasetSpec{Name: "ev", N: n, Seed: 7, Dist: "skewed"}
+	inline := withEvents(generated, workload.Events(workload.Config{N: n, Seed: 7, Dist: workload.Skewed}))
+	for _, c := range []struct {
+		name string
+		spec DatasetSpec
+	}{{"generated", generated}, {"inline", inline}} {
+		b.Run(c.name, func(b *testing.B) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range b.N {
+				if rows, err := c.spec.rows(ctx); err != nil || len(rows) != n {
+					b.Fatalf("%d rows, %v", len(rows), err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*n), "allocs/row")
+		})
+	}
+}
+
+// TestRegisteredNaNKeyHidesNoRow: an inline POINT EMPTY (a point with
+// NaN ordinates: the WKT reader spells no other NaN) among 2,000 points
+// must not empty a window over all of them, nor make a Voronoi
+// registration fail, under any partitioner. (A mutable registration
+// refuses an empty key.)
+func TestRegisteredNaNKeyHidesNoRow(t *testing.T) {
+	events := workload.Events(workload.Config{N: 2000, Seed: 9, Width: 100, Height: 100, TimeRange: 1000})
+	events = append(events, workload.Event{ID: len(events), Category: "void", Time: 5, WKT: "POINT EMPTY"})
+	for _, part := range []string{"", "grid:4", "bsp:100", "voronoi:8"} {
+		s := NewService(engine.NewContext(2), Options{})
+		if err := s.Register(withEvents(DatasetSpec{Name: "ev", Partitioner: part}, events)); err != nil {
+			t.Fatalf("%q: %v", part, err)
+		}
+		q := allQuery("ev")
+		q.End = 1000
+		rec := postV1Query(t, s, q)
+		if _, sum := ndjsonResponse(t, rec.Body.Bytes()); rec.Code != http.StatusOK || sum.Count != 2000 {
+			t.Errorf("%q: %d, %d of 2000 rows", part, rec.Code, sum.Count)
+		}
 	}
 }

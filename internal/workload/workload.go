@@ -203,20 +203,24 @@ func SpatialTuples(cfg Config) []engine.Pair[stobject.STObject, int] {
 	return out
 }
 
+// EventRecords generates the records of Events in order, without
+// their text: yield gets each event's id, point, index into Categories
+// and time, drawn from the same random streams.
+func EventRecords(cfg Config, yield func(id int, p geom.Point, cat int, t int64)) {
+	cfg = cfg.withDefaults()
+	rng := rand.New(rand.NewSource(cfg.Seed + 2))
+	for i, p := range Points(cfg) {
+		cat := rng.Intn(len(Categories))
+		yield(i, p, cat, rng.Int63n(cfg.TimeRange))
+	}
+}
+
 // Events generates the running-example event records.
 func Events(cfg Config) []Event {
-	cfg = cfg.withDefaults()
-	pts := Points(cfg)
-	rng := rand.New(rand.NewSource(cfg.Seed + 2))
-	out := make([]Event, len(pts))
-	for i, p := range pts {
-		out[i] = Event{
-			ID:       i,
-			Category: Categories[rng.Intn(len(Categories))],
-			Time:     rng.Int63n(cfg.TimeRange),
-			WKT:      geom.Point{X: p.X, Y: p.Y}.WKT(),
-		}
-	}
+	out := make([]Event, 0, cfg.N)
+	EventRecords(cfg, func(id int, p geom.Point, cat int, t int64) {
+		out = append(out, Event{ID: id, Category: Categories[cat], Time: t, WKT: p.WKT()})
+	})
 	return out
 }
 

@@ -3,6 +3,7 @@ package stark_test
 import (
 	"encoding/hex"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -221,3 +222,48 @@ const (
 		"050000000000000000002240000000000000004000000000000022400000000000000040" +
 		"137875ca"
 )
+
+// TestNaNKeyHidesNoRow: a point key with a NaN coordinate matches no
+// window, and must not hide the rows beside it. One such key among
+// 2,000 points used to poison the envelope folds it entered (the data
+// space, partition extents, per-partition statistics), so a window
+// over all the data found nothing, and Voronoi's nearest-seed search
+// gave it no partition. Every layout must return what brute force does.
+func TestNaNKeyHidesNoRow(t *testing.T) {
+	ctx := stark.NewContext(2)
+	tuples := workload.SpatialTuples(workload.Config{N: 2000, Seed: 9, Dist: workload.Skewed, Width: 100, Height: 100})
+	windows := []stark.STObject{
+		stark.NewSTObject(stark.NewEnvelope(-1, -1, 101, 101).ToPolygon()),
+		stark.NewSTObject(stark.NewEnvelope(20, 20, 70, 70).ToPolygon()),
+	}
+	grid, bsp, voronoi := stark.Grid(4), stark.BSP(100), stark.Voronoi(8, 42)
+	empty, err := stark.FromWKT("POINT EMPTY")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []stark.STObject{empty, stark.NewSTObject(stark.NewPoint(math.NaN(), 5))} {
+		wkt := key.String()
+		rows := append(slices.Clone(tuples), stark.NewTuple(key, len(tuples)))
+		for _, p := range []*stark.Partitioner{nil, &grid, &bsp, &voronoi} {
+			ds, layout := stark.Parallelize(ctx, rows), "none"
+			if p != nil {
+				ds, layout = ds.PartitionBy(*p), p.String()
+			}
+			if err := ds.Run(); err != nil {
+				t.Fatalf("%s %s: %v", wkt, layout, err)
+			}
+			for wi, w := range windows {
+				want := 0
+				for _, kv := range rows {
+					if kv.Key.Intersects(w) {
+						want++
+					}
+				}
+				got, err := ds.Intersects(w).Count()
+				if err != nil || got != int64(want) || (wi == 0 && want != len(tuples)) {
+					t.Errorf("%s %s window %d: %d rows (%v), brute force %d", wkt, layout, wi, got, err, want)
+				}
+			}
+		}
+	}
+}
