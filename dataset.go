@@ -64,9 +64,9 @@ type state[V any] struct {
 	// base is the EXPLAIN lineage of everything below the pending
 	// filters.
 	base *plan.Node
-	// live, when set, fills in the probe source from the concurrent
-	// R-link trees and generation-tagged postings of a mutable-dataset
-	// snapshot (see MutableDataset.Snapshot) instead of from sds and
+	// live, when set, fills in the probe source from the packed bases
+	// and deltas of a mutable-dataset snapshot (see
+	// MutableDataset.Snapshot) instead of from sds and
 	// idx. It describes the UNFILTERED snapshot, so flush drops it as
 	// soon as a predicate is folded into the lineage.
 	live func(rec *engine.Recorder) probeSource[V]

@@ -132,14 +132,13 @@
 // candidates, everything else refines), and a postings bitset ANDed
 // with the columnar kernels' survivor set. EXPLAIN renders each
 // predicate as an AttrScan or AttrIndex node with estimated and actual
-// selectivities. MutableDataset.SetAttrFields maintains
-// generation-tagged postings incrementally across mutations, so live
-// snapshots probe without rebuilding. Both sidecars use one postings
-// structure: each distinct value with its entries (row ids for the
-// static sidecar, one record version per insert for a live partition),
-// in order, in chunks of at most 64 behind a directory, so an insert
-// is two binary searches and a shift inside one chunk however large
-// the partition; a float NaN sorts below every number on every path.
+// selectivities. MutableDataset.SetAttrFields keeps postings
+// across mutations: each live partition's packed base indexes its rows
+// when it is packed, and its delta of newer rows is tested with the
+// predicate, so live snapshots probe without rebuilding. Both sidecars
+// use one flat postings structure, the distinct values in order, each
+// with its row ids, built once by a sort; a float NaN sorts below every
+// number on every path.
 // Typed predicates render canonically (fare>f:40; IN sets sorted and
 // deduplicated) and therefore fingerprint and result-cache — opaque
 // closures (a custom Where) are refused with the offending operator's
@@ -253,12 +252,12 @@
 //
 // MutableDataset (backed by internal/live) lifts the
 // immutable-after-registration restriction: mutation batches (Apply,
-// Insert, Delete) land while queries run. Each partition holds a
-// concurrency-safe R-tree in the R-link style — per-node locks with
-// right-sibling pointers, so a reader that arrives mid-split chases
-// the sibling pointer instead of restarting — and every entry
-// carries the generations it was added and deleted at, so a reader
-// pinned to generation G sees exactly the records live at G.
+// Insert, Delete) land while queries run. Each partition is a packed
+// base — rows in the leaf order of an STR-packed R-tree, with
+// attribute postings — plus an append-only delta of newer rows; every
+// row carries the generation that deleted it and every delta row the
+// one that added it, so a reader pinned to generation G sees exactly
+// the records live at G, without taking a lock.
 //
 // The mutation lifecycle:
 //
@@ -269,7 +268,7 @@
 //     repeatable reads regardless of later batches, planner-driven
 //     filters over incrementally maintained statistics (exact counts,
 //     grow-only MBR/temporal extents — no rescan per batch), direct
-//     probes of the concurrent trees for index-eligible predicates,
+//     probes of the bases' trees and deltas for index-eligible predicates,
 //     and a LiveScan[name gen=N] leaf in EXPLAIN;
 //   - snapshots of one generation share one view, so plan
 //     fingerprints are stable and result caches keep hitting; a new
@@ -277,9 +276,10 @@
 //     fingerprint unmatchable. Cache and statistics invalidation are
 //     structural, never timed.
 //
-// Deletes are tombstones; a vacuum reloads a partition when dead entries
-// outweigh live ones, invisibly to pinned snapshots. Loads (vacuum,
-// Restore, seeding) pack the tree by STR and the postings from sorted runs.
+// Deletes are tombstones. A partition is repacked into a new base when
+// its delta outgrows max(1024, base/4) rows or its tombstones outnumber
+// its live rows, invisibly to pinned snapshots; Restore and seeding
+// pack the same way.
 // The server exposes the whole lifecycle over HTTP: register with
 // "mutable": true, POST NDJSON mutation batches to /api/v1/ingest
 // (one request = one atomic batch = one generation; a bad line,
@@ -382,9 +382,9 @@
 //   - internal/colstore  — the columnar scan sidecar: SoA
 //     envelope/interval columns, Hilbert row order, batched
 //     branch-free filter kernels over survivor bitsets;
-//   - internal/live      — the mutable-dataset substrate: concurrent
-//     R-link trees, generation-tagged visibility, snapshots and
-//     batch application;
+//   - internal/live      — the mutable-dataset substrate: packed bases
+//     plus append-only deltas, generation-tagged visibility, snapshots
+//     and batch application;
 //   - internal/core      — the operator layer the DSL drives: every
 //     filter access path (fused scan, tree probe, columnar kernels,
 //     postings probe and intersection) as a lazy stream over the

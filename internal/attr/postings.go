@@ -4,230 +4,205 @@ import (
 	"cmp"
 	"fmt"
 	"iter"
+	"math"
 	"slices"
 	"sort"
 )
 
-// chunkCap bounds a chunk of postings. An insert shifts at most one
-// chunk, so the constant trades the bytes moved per new value against
-// the length of the directory searched first.
-const chunkCap = 64
-
-// Postings is a secondary index over one field of one partition: the
-// distinct values in ascending Compare order, each with the entries
-// carrying it in arrival order, cut into chunks of at most chunkCap
-// slots. A lookup binary-searches the chunks by their last value and
-// then the chunk it lands in; a new value shifts only that chunk, and
-// a chunk that overflows splits in half. Chunks are never empty.
-//
-// The static attribute sidecar files row ids (Index); a live dataset
-// files record versions. Postings does no locking: the caller runs one
-// writer at a time and keeps readers out while it writes.
-type Postings[E any] struct {
-	chunks [][]slot[E]
+// Index is a secondary index over one field of one partition: the
+// distinct values in ascending Compare order, each with the row ids
+// carrying it, ascending. A row id is the row's position in the
+// partition's row order. The index is built once and never changes,
+// so readers share it without locking.
+type Index struct {
+	vals []Value // distinct, ascending
+	// at cuts rows by value: vals[k]'s rows are rows[at[k]:at[k+1]].
+	at   []int32
+	rows []int32
 }
-
-// Index is the static sidecar's postings: an entry is a row id, the
-// row's position in the partition's row order.
-type Index = Postings[int32]
-
-// slot is one distinct value with the entries carrying it.
-type slot[E any] struct {
-	val  Value
-	list []E
-}
-
-// pos addresses a slot: chunk c, slot i within it. The position one
-// past the last slot is {len(chunks), 0}.
-type pos struct{ c, i int }
 
 // BuildIndex loads column (column[i] holds row i's value) into
 // postings of row ids, ascending within each value. column is read in
-// place, not copied, and the postings keep neither it nor field and
+// place, not copied, and the index keeps neither it nor field and
 // kind.
 func BuildIndex(field string, kind Kind, column []Value) *Index {
-	return LoadPostings(column, func(i int32) int32 { return i })
-}
-
-// LoadPostings builds postings from sorted runs: entry(i) carries
-// vals[i], and the entries are filed in (value, i) order, so a value's
-// list holds its entries by ascending i, as inserting them in that
-// order would. vals is read in place and not kept. Lists, slots and
-// chunks are capped windows of one array each, so a first growth
-// reallocates.
-func LoadPostings[E any](vals []Value, entry func(i int32) E) *Postings[E] {
-	order := make([]int32, len(vals))
-	for i := range order {
-		order[i] = int32(i)
+	rows := make([]int32, len(column))
+	for i := range rows {
+		rows[i] = int32(i)
 	}
-	slices.SortFunc(order, func(a, b int32) int { return cmp.Or(vals[a].Compare(vals[b]), cmp.Compare(a, b)) })
-	fresh := func(k int) bool { return k == 0 || vals[order[k]].Compare(vals[order[k-1]]) != 0 }
-	lists, distinct := make([]E, len(vals)), 0
-	for k, i := range order {
-		if lists[k] = entry(i); fresh(k) {
-			distinct++
+	if keys := orderKeys(column); keys != nil {
+		rows = radixSort(rows, keys)
+	} else {
+		slices.SortFunc(rows, func(a, b int32) int { return cmp.Or(column[a].Compare(column[b]), cmp.Compare(a, b)) })
+	}
+	ix := &Index{rows: rows}
+	for k, r := range rows {
+		if k == 0 || column[r].Compare(column[rows[k-1]]) != 0 {
+			ix.at = append(ix.at, int32(k))
 		}
 	}
-	slots := make([]slot[E], 0, distinct)
-	for k, i := range order {
-		if fresh(k) {
-			slots = append(slots, slot[E]{val: vals[i]})
-		}
-		s := &slots[len(slots)-1]
-		s.list = lists[k-len(s.list) : k+1 : k+1]
+	ix.vals = make([]Value, len(ix.at))
+	for i, k := range ix.at {
+		ix.vals[i] = column[rows[k]]
 	}
-	ps := &Postings[E]{chunks: make([][]slot[E], 0, (distinct+chunkCap-1)/chunkCap)}
-	for len(slots) > 0 {
-		n := min(len(slots), chunkCap)
-		ps.chunks = append(ps.chunks, slots[:n:n])
-		slots = slots[n:]
-	}
-	return ps
+	ix.at = append(ix.at, int32(len(rows)))
+	return ix
 }
 
-func (ps *Postings[E]) end() pos { return pos{len(ps.chunks), 0} }
+// orderKeys maps a column of numbers or booleans to unsigned keys that
+// order as Compare orders the values. It returns nil for strings and
+// for a column of mixed kinds.
+func orderKeys(column []Value) []uint64 {
+	if len(column) == 0 || column[0].Kind == KindString {
+		return nil
+	}
+	keys := make([]uint64, len(column))
+	for i, v := range column {
+		if v.Kind != column[0].Kind {
+			return nil
+		}
+		switch v.Kind {
+		case KindInt64:
+			keys[i] = uint64(v.I) ^ 1<<63
+		case KindFloat64:
+			keys[i] = floatKey(v.F)
+		case KindBool:
+			if v.B {
+				keys[i] = 1
+			}
+		default:
+			return nil
+		}
+	}
+	return keys
+}
 
-// seek returns the position of the first value >= v, or of the first
+// floatKey orders float64s as Compare does: every NaN lowest, -0 equal
+// to +0.
+func floatKey(f float64) uint64 {
+	switch b := math.Float64bits(f); {
+	case f != f:
+		return 0
+	case f == 0:
+		return 1 << 63
+	case b>>63 == 1: // negative: the larger the magnitude, the smaller
+		return ^b
+	default:
+		return b | 1<<63
+	}
+}
+
+// radixSort orders rows by keys[row] a byte at a time, from the least
+// significant; each pass is stable, so rows with equal keys keep their
+// order.
+func radixSort(rows []int32, keys []uint64) []int32 {
+	tmp := make([]int32, len(rows))
+	for shift := 0; shift < 64 && len(rows) > 0; shift += 8 {
+		var at [257]int
+		for _, r := range rows {
+			at[keys[r]>>shift&0xff+1]++
+		}
+		if at[keys[rows[0]]>>shift&0xff+1] == len(rows) {
+			continue // every key has this byte
+		}
+		for d := 1; d < len(at); d++ {
+			at[d] += at[d-1]
+		}
+		for _, r := range rows {
+			d := keys[r] >> shift & 0xff
+			tmp[at[d]] = r
+			at[d]++
+		}
+		rows, tmp = tmp, rows
+	}
+	return rows
+}
+
+// seek returns the index of the first value >= v, or of the first
 // value > v when strict.
-func (ps *Postings[E]) seek(v Value, strict bool) pos {
-	past := func(x Value) bool {
-		c := x.Compare(v)
+func (ix *Index) seek(v Value, strict bool) int {
+	return sort.Search(len(ix.vals), func(k int) bool {
+		c := ix.vals[k].Compare(v)
 		return c > 0 || (c == 0 && !strict)
-	}
-	c := sort.Search(len(ps.chunks), func(c int) bool {
-		ch := ps.chunks[c]
-		return past(ch[len(ch)-1].val)
 	})
-	if c == len(ps.chunks) {
-		return ps.end()
-	}
-	ch := ps.chunks[c]
-	return pos{c, sort.Search(len(ch), func(i int) bool { return past(ch[i].val) })}
 }
 
-// Insert files e under v, after the entries already there, creating
-// v's slot when the value is new.
-func (ps *Postings[E]) Insert(v Value, e E) {
-	at := ps.seek(v, false)
-	if at.c == len(ps.chunks) {
-		// Greater than every value held: extend the last chunk.
-		if at.c == 0 {
-			ps.chunks = append(ps.chunks, make([]slot[E], 0, chunkCap+1))
-		}
-		at.c = len(ps.chunks) - 1
-		at.i = len(ps.chunks[at.c])
-	} else if s := &ps.chunks[at.c][at.i]; s.val.Compare(v) == 0 {
-		s.list = append(s.list, e)
-		return
-	}
-	ch := slices.Insert(ps.chunks[at.c], at.i, slot[E]{val: v, list: []E{e}})
-	if len(ch) > chunkCap {
-		mid := len(ch) / 2
-		upper := make([]slot[E], len(ch)-mid, chunkCap+1)
-		copy(upper, ch[mid:])
-		clear(ch[mid:])
-		ch = ch[:mid]
-		ps.chunks = slices.Insert(ps.chunks, at.c+1, upper)
-	}
-	ps.chunks[at.c] = ch
-}
-
-// spans resolves p to half-open position ranges over the ordered
-// values, one per OpIn set member, at most one otherwise.
-func (ps *Postings[E]) spans(p Pred) [][2]pos {
-	first, end := pos{}, ps.end()
+// spans resolves p to half-open value ranges, one per OpIn set member,
+// at most one otherwise.
+func (ix *Index) spans(p Pred) [][2]int {
+	end := len(ix.vals)
 	switch p.Op {
 	case OpEq:
-		return [][2]pos{{ps.seek(p.Lo, false), ps.seek(p.Lo, true)}}
+		return [][2]int{{ix.seek(p.Lo, false), ix.seek(p.Lo, true)}}
 	case OpLt:
-		return [][2]pos{{first, ps.seek(p.Lo, false)}}
+		return [][2]int{{0, ix.seek(p.Lo, false)}}
 	case OpLe:
-		return [][2]pos{{first, ps.seek(p.Lo, true)}}
+		return [][2]int{{0, ix.seek(p.Lo, true)}}
 	case OpGt:
-		return [][2]pos{{ps.seek(p.Lo, true), end}}
+		return [][2]int{{ix.seek(p.Lo, true), end}}
 	case OpGe:
-		return [][2]pos{{ps.seek(p.Lo, false), end}}
+		return [][2]int{{ix.seek(p.Lo, false), end}}
 	case OpBetween:
-		return [][2]pos{{ps.seek(p.Lo, false), ps.seek(p.Hi, true)}}
+		return [][2]int{{ix.seek(p.Lo, false), ix.seek(p.Hi, true)}}
 	case OpIn:
-		spans := make([][2]pos, 0, len(p.Set))
+		spans := make([][2]int, 0, len(p.Set))
 		for _, v := range p.Set {
-			spans = append(spans, [2]pos{ps.seek(v, false), ps.seek(v, true)})
+			spans = append(spans, [2]int{ix.seek(v, false), ix.seek(v, true)})
 		}
 		return spans
 	}
 	return nil
 }
 
-// walk yields the slots of [from, to) in value order.
-func (ps *Postings[E]) walk(from, to pos) iter.Seq[*slot[E]] {
-	return func(yield func(*slot[E]) bool) {
-		for c := from.c; c < len(ps.chunks) && c <= to.c; c++ {
-			ch := ps.chunks[c]
-			lo, hi := 0, len(ch)
-			if c == from.c {
-				lo = from.i
-			}
-			if c == to.c {
-				hi = to.i
-			}
-			for i := lo; i < hi; i++ {
-				if !yield(&ch[i]) {
-					return
-				}
-			}
-		}
-	}
-}
-
-// Postings streams the entries whose value matches p, in (value,
-// arrival) order, and returns how many there were. A nil yield just
-// counts.
-func (ps *Postings[E]) Postings(p Pred, yield func(E)) int {
+// Postings streams the row ids whose value matches p, in (value, row)
+// order, and returns how many there were. A nil yield just counts.
+func (ix *Index) Postings(p Pred, yield func(int32)) int {
 	total := 0
-	for _, sp := range ps.spans(p) {
-		for s := range ps.walk(sp[0], sp[1]) {
-			total += len(s.list)
-			if yield != nil {
-				for _, e := range s.list {
-					yield(e)
-				}
+	for _, sp := range ix.spans(p) {
+		if sp[0] >= sp[1] {
+			continue
+		}
+		rows := ix.rows[ix.at[sp[0]]:ix.at[sp[1]]]
+		total += len(rows)
+		if yield != nil {
+			for _, r := range rows {
+				yield(r)
 			}
 		}
 	}
 	return total
 }
 
-// All walks the distinct values in ascending order, each with its
-// entries in arrival order. The lists are the postings' own.
-func (ps *Postings[E]) All() iter.Seq2[Value, []E] {
-	return func(yield func(Value, []E) bool) {
-		for s := range ps.walk(pos{}, ps.end()) {
-			if !yield(s.val, s.list) {
+// All walks the distinct values in ascending order, each with its row
+// ids in ascending order. The lists are the index's own.
+func (ix *Index) All() iter.Seq2[Value, []int32] {
+	return func(yield func(Value, []int32) bool) {
+		for k, v := range ix.vals {
+			if !yield(v, ix.rows[ix.at[k]:ix.at[k+1]]) {
 				return
 			}
 		}
 	}
 }
 
-// Check verifies the structure against its invariants: every chunk
-// non-empty and within chunkCap, the values strictly ascending across
-// the whole field, and no value without entries. It is cheap enough to
-// run after every update of a test.
-func (ps *Postings[E]) Check() error {
-	var prev *Value
-	for c, ch := range ps.chunks {
-		if len(ch) == 0 || len(ch) > chunkCap {
-			return fmt.Errorf("chunk %d of %d holds %d slots (capacity %d)", c, len(ps.chunks), len(ch), chunkCap)
+// Check verifies the index against its invariants: the values strictly
+// ascending, every value with at least one row, the rows of a value
+// ascending, and the cuts tiling the rows.
+func (ix *Index) Check() error {
+	if len(ix.at) != len(ix.vals)+1 || ix.at[0] != 0 || int(ix.at[len(ix.vals)]) != len(ix.rows) {
+		return fmt.Errorf("%d cuts over %d values and %d rows", len(ix.at), len(ix.vals), len(ix.rows))
+	}
+	for k, v := range ix.vals {
+		if k > 0 && ix.vals[k-1].Compare(v) >= 0 {
+			return fmt.Errorf("value %d: %s does not ascend from %s", k, v, ix.vals[k-1])
 		}
-		for i := range ch {
-			s := &ch[i]
-			if prev != nil && prev.Compare(s.val) >= 0 {
-				return fmt.Errorf("chunk %d slot %d: %s does not ascend from %s", c, i, s.val, *prev)
-			}
-			prev = &s.val
-			if len(s.list) == 0 {
-				return fmt.Errorf("chunk %d slot %d: %s has no entries", c, i, s.val)
+		lo, hi := ix.at[k], ix.at[k+1]
+		if lo >= hi {
+			return fmt.Errorf("value %d: %s has no rows", k, v)
+		}
+		for i := lo + 1; i < hi; i++ {
+			if ix.rows[i-1] >= ix.rows[i] {
+				return fmt.Errorf("value %d: %s lists row %d after row %d", k, v, ix.rows[i], ix.rows[i-1])
 			}
 		}
 	}

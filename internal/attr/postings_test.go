@@ -8,9 +8,6 @@ import (
 	"testing"
 )
 
-// rowIDs is the identity entry: the static sidecar's row ids.
-func rowIDs(i int32) int32 { return i }
-
 // scanPostings answers p by brute force over col through Pred.Matches,
 // in the order the postings promise: by value, then by arrival.
 func scanPostings(col []Value, p Pred) []int32 {
@@ -24,56 +21,37 @@ func scanPostings(col []Value, p Pred) []int32 {
 	return rows
 }
 
-// buildThreeWays files col into postings loaded in one pass, inserted
-// one value at a time in arrival order, and loaded up to split then
-// grown by Insert, running Check after every step.
-func buildThreeWays(t testing.TB, col []Value, split int) map[string]*Index {
+// build files col into an index and runs Check on it.
+func build(t testing.TB, col []Value) *Index {
 	t.Helper()
-	check := func(how string, ps *Index, step int) {
-		t.Helper()
-		if err := ps.Check(); err != nil {
-			t.Fatalf("%s, after %d values: %v", how, step, err)
-		}
+	ix := BuildIndex("f", KindInt64, col)
+	if err := ix.Check(); err != nil {
+		t.Fatalf("after %d values: %v", len(col), err)
 	}
-	loaded := LoadPostings(col, rowIDs)
-	check("loaded", loaded, len(col))
-	inserted := &Index{}
-	for i, v := range col {
-		inserted.Insert(v, int32(i))
-		check("inserted", inserted, i+1)
-	}
-	grown := LoadPostings(col[:split], rowIDs)
-	check("grown", grown, split)
-	for i := split; i < len(col); i++ {
-		grown.Insert(col[i], int32(i))
-		check("grown", grown, i+1)
-	}
-	return map[string]*Index{"loaded": loaded, "inserted": inserted, "grown": grown}
+	return ix
 }
 
-// comparePostings holds every build of col to the scan on every
+// comparePostings holds the index of col to the scan on every
 // predicate, entry for entry and in order, and to the column's size
 // across a walk of all values.
-func comparePostings(t testing.TB, col []Value, builds map[string]*Index, preds []Pred) {
+func comparePostings(t testing.TB, col []Value, ix *Index, preds []Pred) {
 	t.Helper()
-	for how, ps := range builds {
-		entries := 0
-		for _, list := range ps.All() {
-			entries += len(list)
+	entries := 0
+	for _, list := range ix.All() {
+		entries += len(list)
+	}
+	if entries != len(col) {
+		t.Fatalf("walk holds %d entries, column %d", entries, len(col))
+	}
+	for _, p := range preds {
+		want := scanPostings(col, p)
+		var got []int32
+		n := ix.Postings(p, func(row int32) { got = append(got, row) })
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: postings give %v, scan gives %v", p, got, want)
 		}
-		if entries != len(col) {
-			t.Fatalf("%s: walk holds %d entries, column %d", how, entries, len(col))
-		}
-		for _, p := range preds {
-			want := scanPostings(col, p)
-			var got []int32
-			n := ps.Postings(p, func(row int32) { got = append(got, row) })
-			if !slices.Equal(got, want) {
-				t.Fatalf("%s, %s: postings give %v, scan gives %v", how, p, got, want)
-			}
-			if n != len(want) || ps.Postings(p, nil) != len(want) {
-				t.Fatalf("%s, %s: count %d (nil yield %d), scan gives %d", how, p, n, ps.Postings(p, nil), len(want))
-			}
+		if n != len(want) || ix.Postings(p, nil) != len(want) {
+			t.Fatalf("%s: count %d (nil yield %d), scan gives %d", p, n, ix.Postings(p, nil), len(want))
 		}
 	}
 }
@@ -130,11 +108,9 @@ func drawFor(rng *rand.Rand, kind Kind, distinct int) func() Value {
 	return func() Value { return boolValue(rng.Intn(2) == 0) }
 }
 
-// TestPostingsDifferential builds random columns of every kind three
-// ways (loaded, inserted in arrival order, loaded then grown) and holds
-// every operator's postings to a Matches scan. Columns run from heavy
-// duplicates to more distinct values than one chunk holds, so chunks
-// split on insert and the loader cuts several.
+// TestPostingsDifferential builds random columns of every kind and
+// holds every operator's postings to a Matches scan. Columns run from
+// heavy duplicates to all but distinct values.
 func TestPostingsDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for _, kind := range []Kind{KindInt64, KindFloat64, KindString, KindBool} {
@@ -145,9 +121,9 @@ func TestPostingsDifferential(t *testing.T) {
 				col[i] = draw()
 			}
 			t.Run(fmt.Sprintf("%s/n=%d/distinct=%d", kind, shape.n, shape.distinct), func(t *testing.T) {
-				builds := buildThreeWays(t, col, rng.Intn(shape.n+1))
+				ix := build(t, col)
 				for round := 0; round < 20; round++ {
-					comparePostings(t, col, builds, predsOver(rng, col, draw))
+					comparePostings(t, col, ix, predsOver(rng, col, draw))
 				}
 			})
 		}
@@ -192,33 +168,35 @@ func TestPostingsNaN(t *testing.T) {
 // not vacuous: each kind of damage it is there for must be reported.
 func TestPostingsCheckCatchesDamage(t *testing.T) {
 	build := func() *Index {
-		col := make([]Value, 3*chunkCap)
+		col := make([]Value, 300)
 		for i := range col {
-			col[i] = intValue(int64(i))
+			col[i] = intValue(int64(i % 100))
 		}
-		return LoadPostings(col, rowIDs)
+		return BuildIndex("f", KindInt64, col)
 	}
 	if err := build().Check(); err != nil {
 		t.Fatal(err)
 	}
-	for name, damage := range map[string]func(ps *Index){
-		"order":    func(ps *Index) { ch := ps.chunks[1]; ch[0], ch[1] = ch[1], ch[0] },
-		"overfull": func(ps *Index) { ps.chunks = [][]slot[int32]{slices.Concat(ps.chunks...)} },
-		"empty":    func(ps *Index) { ps.chunks = slices.Insert(ps.chunks, 1, []slot[int32]{}) },
-		"bare":     func(ps *Index) { ps.chunks[2][5].list = nil },
-		"repeat":   func(ps *Index) { ps.chunks[1][0].val = ps.chunks[0][chunkCap-1].val },
+	for name, damage := range map[string]func(ix *Index){
+		"order":  func(ix *Index) { ix.vals[3], ix.vals[4] = ix.vals[4], ix.vals[3] },
+		"repeat": func(ix *Index) { ix.vals[5] = ix.vals[4] },
+		"bare":   func(ix *Index) { ix.at[6] = ix.at[7] },
+		"rows":   func(ix *Index) { r := ix.rows[ix.at[2]:]; r[0], r[1] = r[1], r[0] },
+		"cut":    func(ix *Index) { ix.at = ix.at[:len(ix.at)-1] },
+		"lost":   func(ix *Index) { ix.rows = ix.rows[:len(ix.rows)-1] },
 	} {
-		ps := build()
-		damage(ps)
-		if err := ps.Check(); err == nil {
+		ix := build()
+		damage(ix)
+		if err := ix.Check(); err == nil {
 			t.Errorf("%s: damage not reported", name)
 		}
 	}
 }
 
-// FuzzPostings drives the three builds from raw bytes: the first picks
-// the kind, the second the split, each later byte one value (small
-// ranges, so values repeat; 0xff is NaN in a float column).
+// FuzzPostings drives the index from raw bytes: the first picks the
+// kind, the second seeds the operand draws, each later byte is one
+// value (small ranges, so values repeat; 0xff is NaN in a float
+// column).
 func FuzzPostings(f *testing.F) {
 	f.Add([]byte{0, 3, 1, 2, 1, 9, 9, 0})
 	f.Add([]byte{1, 2, 0xff, 4, 0xff, 7, 0, 0x80})
@@ -228,7 +206,7 @@ func FuzzPostings(f *testing.F) {
 		if len(data) < 2 {
 			return
 		}
-		data = data[:min(len(data), 2+2*chunkCap+8)] // the checks are quadratic
+		data = data[:min(len(data), 138)] // the checks are quadratic
 		kind := Kind(data[0]%4) + KindInt64
 		value := func(b byte) Value {
 			switch kind {
@@ -248,13 +226,13 @@ func FuzzPostings(f *testing.F) {
 		for i, b := range data[2:] {
 			col[i] = value(b)
 		}
-		rng := rand.New(rand.NewSource(int64(len(data))))
+		rng := rand.New(rand.NewSource(int64(data[1])))
 		draw := func() Value { return value(byte(rng.Intn(256))) }
-		builds := buildThreeWays(t, col, int(data[1])%(len(col)+1))
-		comparePostings(t, col, builds, predsOver(rng, col, draw))
+		ix := build(t, col)
+		comparePostings(t, col, ix, predsOver(rng, col, draw))
 		// The first values as bounds, so Eq hits whatever the column holds.
 		for _, v := range col[:min(len(col), 16)] {
-			comparePostings(t, col, builds, []Pred{{Field: "f", Op: OpEq, Lo: v}, {Field: "f", Op: OpLe, Lo: v}})
+			comparePostings(t, col, ix, []Pred{{Field: "f", Op: OpEq, Lo: v}, {Field: "f", Op: OpLe, Lo: v}})
 		}
 	})
 }

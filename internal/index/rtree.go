@@ -64,7 +64,7 @@ func Pack(order, n int, env func(i int) geom.Envelope) (t *RTree, perm []int32) 
 	}
 	pack := func(m int, env func(i int) geom.Envelope) level {
 		l := level{runs: make([]int32, 0, m), at: []int32{0}}
-		STRRuns(m, order, env, func(run []int32) {
+		strRuns(m, order, env, func(run []int32) {
 			e := geom.EmptyEnvelope()
 			for _, i := range run {
 				e = e.ExpandToInclude(env(int(i)))
@@ -122,13 +122,13 @@ func BuildFromEnvelopes(order int, envs []geom.Envelope) *RTree {
 	return t
 }
 
-// STRRuns cuts items 0..n-1, given their envelopes, into the runs of at
+// strRuns cuts items 0..n-1, given their envelopes, into the runs of at
 // most fill that Sort-Tile-Recursive packs into nodes: sort by x-centre,
 // cut into ⌈√⌈n/fill⌉⌉ slices of equal count, sort each by y-centre and
 // cut it into runs. run gets each run's item indexes, slice by slice,
 // and must not keep them. No items make one empty run: a tree always
 // has a root.
-func STRRuns(n, fill int, env func(i int) geom.Envelope, run func(idx []int32)) {
+func strRuns(n, fill int, env func(i int) geom.Envelope, run func(idx []int32)) {
 	centers := make([]geom.Point, n)
 	idx := make([]int32, n)
 	for i := range idx {

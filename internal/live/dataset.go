@@ -1,7 +1,30 @@
+// Package live implements mutable datasets: records keyed by int64 ID
+// that take inserts, upserts and deletes in batches while queries
+// stream a consistent snapshot, wired into the engine, the statistics
+// layer and the planner.
+//
+// Each partition is an LSM-tree of one level (after O'Neil et al.): an
+// immutable base, its rows laid out in the leaf order of a packed
+// index.RTree with one attr.Index per registered field, and an
+// append-only delta of the rows written since the base was packed.
+// Every row carries delGen, the generation that tombstoned it (0 while
+// live); a delta slot also carries addGen, the generation that added
+// it, and a base row was added at or before the generation its base
+// was published at. A reader pinned at generation g keeps a row when
+// addGen <= g and (delGen == 0 || delGen > g).
+//
+// Concurrency contract: any number of readers, ONE writer at a time
+// (the Dataset serialises batches with a mutex), and no latch. A view
+// pins each partition's base and delta length; the writer appends
+// slots past every pinned length and stores delGen atomically, and
+// readers load it atomically. When a partition's delta outgrows its
+// base, or its tombstones outnumber its live rows, the writer packs the
+// live rows of both into a new base that only the next view sees.
 package live
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -12,10 +35,6 @@ import (
 	"stark/internal/stats"
 	"stark/internal/stobject"
 )
-
-// vacuumFloor is the minimum tombstone count before a partition tree
-// is considered for rebuilding.
-const vacuumFloor = 64
 
 // Record is one mutable-dataset record: a caller-chosen ID, the
 // spatio-temporal key, and the payload.
@@ -82,20 +101,24 @@ type BatchResult struct {
 }
 
 // viewState is the published, immutable snapshot state: the
-// generation, the partition trees as of that generation, and the
-// statistics summary. Swapped atomically as one value so a reader can
-// never pair the generation of one batch with the trees or stats of
-// another.
+// generation, each partition's base and delta as of that generation,
+// the fields the bases index and the statistics summary. Swapped
+// atomically as one value so a reader can never pair the generation of
+// one batch with the rows or stats of another.
 type viewState[V any] struct {
-	gen   uint64
-	trees []*tree[V]
-	attrs []*partAttrs[V] // nil slots until SetAttrFields
-	stats *stats.Summary
+	gen    uint64
+	parts  []part[V]
+	fields []attr.Field[V]
+	stats  *stats.Summary
 }
 
+// loc addresses a live record: partition part, position pos (base
+// positions first, then the delta's).
+type loc struct{ part, pos int32 }
+
 // Dataset is a mutable spatio-temporal dataset: records keyed by
-// int64 ID, spatially partitioned, each partition indexed by a
-// concurrent R-link tree. Mutations arrive in batches; each batch
+// int64 ID, spatially partitioned, each partition a packed base plus
+// an append-only delta. Mutations arrive in batches; each batch
 // publishes a new generation atomically, and Snapshot pins a
 // generation so readers stream a consistent view while later batches
 // land.
@@ -105,15 +128,13 @@ type Dataset[V any] struct {
 	sp    partition.SpatialPartitioner // nil = single partition
 	order int
 
-	mu     sync.Mutex // serialises writer batches and vacuum
-	trees  []*tree[V]
-	partOf map[int64]int // live ID -> partition; writer-only
+	mu     sync.Mutex // serialises writer batches and repacks
+	parts  []part[V]
+	partOf map[int64]loc // live ID -> its row; writer-only
 	inc    *stats.Incremental
 
-	// attrFields and attrs are the maintained attribute postings (see
-	// postings.go); attrs slots stay nil until SetAttrFields.
+	// attrFields are the fields each base indexes (see postings.go).
 	attrFields []attr.Field[V]
-	attrs      []*partAttrs[V]
 
 	// onCommit, when set, runs inside Apply's critical section after
 	// validation and before any mutation — the write-ahead point: an
@@ -126,8 +147,8 @@ type Dataset[V any] struct {
 }
 
 // NewDataset returns an empty mutable dataset. sp selects the spatial
-// layout (nil = one partition); order is the live-tree node capacity
-// (<= 0 selects defaultOrder).
+// layout (nil = one partition); order is the node capacity of the
+// bases' trees (<= 0 selects defaultOrder).
 func NewDataset[V any](ctx *engine.Context, name string, sp partition.SpatialPartitioner, order int) *Dataset[V] {
 	if order <= 0 {
 		order = defaultOrder
@@ -141,22 +162,21 @@ func NewDataset[V any](ctx *engine.Context, name string, sp partition.SpatialPar
 		ctx:    ctx,
 		sp:     sp,
 		order:  order,
-		trees:  make([]*tree[V], n),
-		attrs:  make([]*partAttrs[V], n),
-		partOf: make(map[int64]int),
+		parts:  make([]part[V], n),
+		partOf: make(map[int64]loc),
 		inc:    stats.NewIncremental(n, 0),
 	}
-	for i := range d.trees {
-		d.trees[i] = newTree[V](order, nil)
+	for p := range d.parts {
+		d.parts[p].base = newBase[V](order, nil, 0, nil)
 	}
-	d.view.Store(&viewState[V]{gen: 0, trees: append([]*tree[V](nil), d.trees...), stats: d.inc.Summary()})
+	d.publish(0)
 	return d
 }
 
 // Name returns the dataset name.
 func (d *Dataset[V]) Name() string { return d.name }
 
-// Order returns the live-tree node capacity.
+// Order returns the node capacity of the bases' trees.
 func (d *Dataset[V]) Order() int { return d.order }
 
 // Generation returns the latest published generation.
@@ -250,7 +270,11 @@ func (d *Dataset[V]) applyLocked(ops []Op[V], hook bool) (BatchResult, error) {
 		}
 	}
 
-	d.vacuum()
+	for p := range d.parts {
+		if d.parts[p].due() {
+			d.repack(p, gen)
+		}
+	}
 	d.publish(gen)
 
 	rec := d.ctx.Recorder()
@@ -261,58 +285,37 @@ func (d *Dataset[V]) applyLocked(ops []Op[V], hook bool) (BatchResult, error) {
 
 func (d *Dataset[V]) applyInsert(rec Record[V], gen uint64) {
 	p := d.partitionFor(rec.Key)
-	d.trees[p].insert(entry[V]{ID: rec.ID, Key: rec.Key, Value: rec.Value, addGen: gen})
-	d.attrInsert(p, rec, gen)
-	d.partOf[rec.ID] = p
+	pt := &d.parts[p]
+	d.partOf[rec.ID] = loc{int32(p), int32(len(pt.base.rows) + len(pt.delta))}
+	pt.delta = append(pt.delta, slot[V]{rec: rec, addGen: gen})
+	pt.live++
 	d.inc.ApplyInsert(p, rec.Key)
 }
 
 func (d *Dataset[V]) applyDelete(id int64, gen uint64) bool {
-	p, ok := d.partOf[id]
+	l, ok := d.partOf[id]
 	if !ok {
 		return false
 	}
-	old, ok := d.trees[p].delete(id, gen)
-	if ok {
-		d.inc.ApplyDelete(p, old.Key)
-	}
-	d.attrDelete(p, id, gen)
+	pt := &d.parts[l.part]
+	rec, _, del := pt.row(int(l.pos))
+	del.Store(gen)
+	pt.live--
+	pt.dead++
+	d.inc.ApplyDelete(int(l.part), rec.Key)
 	delete(d.partOf, id)
-	return ok
+	return true
 }
 
-// vacuum reloads each partition whose tombstones outnumber its live
-// entries (past a floor) from those entries, addGen kept. The new
-// structures reach only the writer's working set and the NEXT view:
-// snapshots keep reading what they pinned, and no later one can need a
-// dropped tombstone (delGen <= published gen).
-func (d *Dataset[V]) vacuum() {
-	for p, t := range d.trees {
-		if t.dead >= vacuumFloor && t.dead > t.live {
-			d.load(p, t.liveEntries())
-		}
-	}
-}
-
-// load builds partition p from es (live, addGen stamped), tree and
-// postings together, so the two always count the same tombstones. The
-// caller holds d.mu or, in Restore, is partition p's task.
-func (d *Dataset[V]) load(p int, es []entry[V]) {
-	d.trees[p] = newTree(d.order, es)
-	if len(d.attrFields) > 0 {
-		d.attrs[p] = newPartAttrs(d.attrFields, es)
-	}
-}
-
-// publish swaps in the new view: generation, tree set, attribute
-// postings and a deep-copied stats summary, as one atomic pointer
-// store.
+// publish swaps in the new view: generation, partitions (each delta
+// pinned at its current length), fields and a deep-copied stats
+// summary, as one atomic pointer store.
 func (d *Dataset[V]) publish(gen uint64) {
 	d.view.Store(&viewState[V]{
-		gen:   gen,
-		trees: append([]*tree[V](nil), d.trees...),
-		attrs: append([]*partAttrs[V](nil), d.attrs...),
-		stats: d.inc.Summary(),
+		gen:    gen,
+		parts:  slices.Clone(d.parts),
+		fields: d.attrFields,
+		stats:  d.inc.Summary(),
 	})
 }
 
@@ -344,16 +347,16 @@ func (d *Dataset[V]) ReplayBatch(gen uint64, ops []Op[V]) (applied bool, err err
 // Restore loads any record set into an empty dataset and publishes it
 // at gen (a checkpoint's, so that ReplayBatch lines up; 1 for seed
 // records). It validates the whole set first, then packs each
-// partition (see load) as a task of one engine job; the statistics
-// equal those of inserting recs in order.
+// partition's base as a task of one engine job; the statistics equal
+// those of inserting recs in order.
 func (d *Dataset[V]) Restore(gen uint64, recs []Record[V]) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if v := d.view.Load(); v.gen != 0 || len(d.partOf) != 0 {
 		return fmt.Errorf("live: Restore into non-empty dataset %q (generation %d)", d.name, v.gen)
 	}
-	partOf, inc := make(map[int64]int, len(recs)), stats.NewIncremental(len(d.trees), 0)
-	parts := make([][]entry[V], len(d.trees))
+	partOf, inc := make(map[int64]loc, len(recs)), stats.NewIncremental(len(d.parts), 0)
+	parts := make([][]Record[V], len(d.parts))
 	for i, rec := range recs {
 		if rec.Key.IsEmpty() {
 			return fmt.Errorf("live: restore record %d (id=%d): empty geometry", i, rec.ID)
@@ -362,17 +365,21 @@ func (d *Dataset[V]) Restore(gen uint64, recs []Record[V]) error {
 			return fmt.Errorf("live: restore record %d: duplicate id %d", i, rec.ID)
 		}
 		p := d.partitionFor(rec.Key)
-		partOf[rec.ID] = p
+		partOf[rec.ID] = loc{part: int32(p)}
 		inc.ApplyInsert(p, rec.Key)
-		parts[p] = append(parts[p], entry[V]{ID: rec.ID, Key: rec.Key, Value: rec.Value, addGen: gen})
+		parts[p] = append(parts[p], rec)
 	}
+	bases := make([]*base[V], len(parts))
 	if err := d.ctx.RunJob(engine.AllPartitions(len(parts)), func(p int) error {
-		d.load(p, parts[p])
+		bases[p] = newBase(d.order, d.attrFields, gen, parts[p])
 		return nil
 	}); err != nil {
 		return fmt.Errorf("live: restore %q: %w", d.name, err)
 	}
 	d.partOf, d.inc = partOf, inc
+	for p, b := range bases {
+		d.install(p, b)
+	}
 	d.publish(gen)
 	return nil
 }
@@ -382,7 +389,7 @@ func (d *Dataset[V]) Restore(gen uint64, recs []Record[V]) error {
 // Snapshot is a pinned, immutable view of the dataset at one
 // generation. Reads through a snapshot are repeatable: batches
 // published after the pin are invisible, including structural
-// replacement by vacuum.
+// replacement by repacks.
 type Snapshot[V any] struct {
 	d *Dataset[V]
 	v *viewState[V]
@@ -415,7 +422,7 @@ func (s *Snapshot[V]) Gen() uint64 { return s.v.gen }
 func (s *Snapshot[V]) Count() int64 { return s.v.stats.Count }
 
 // NumPartitions returns the partition count.
-func (s *Snapshot[V]) NumPartitions() int { return len(s.v.trees) }
+func (s *Snapshot[V]) NumPartitions() int { return len(s.v.parts) }
 
 // Stats returns the statistics summary as of the pinned generation.
 // The summary is immutable once published; callers must not modify
@@ -428,47 +435,39 @@ func (s *Snapshot[V]) Stats() *stats.Summary { return s.v.stats }
 // IDs, without which a restored dataset could not take deletes.
 func (s *Snapshot[V]) Each(fn func(Record[V]) bool) {
 	v := s.v
-	for _, t := range v.trees {
-		more := true
-		t.search(everything, v.gen, true, func(e entry[V]) bool {
-			more = fn(Record[V]{ID: e.ID, Key: e.Key, Value: e.Value})
-			return more
-		})
-		if !more {
+	for p := range v.parts {
+		if !v.parts[p].scan(nil, v.gen, func(r *Record[V]) bool { return fn(*r) }) {
 			return
 		}
 	}
 }
 
-// everything is an envelope no finite envelope fails to intersect.
-var everything = geom.Envelope{MinX: -1e308, MinY: -1e308, MaxX: 1e308, MaxY: 1e308}
-
 // Tuples materialises the snapshot as a streaming engine dataset: one
-// partition per tree, each scanned through the pinned generation
-// filter. Every call creates a NEW engine dataset (fresh lineage ID),
-// which is what turns generation bumps into plan-fingerprint changes;
-// callers that want a stable fingerprint for an unchanged generation
-// must memoise the result per generation (the public DSL does).
+// partition per live partition, its base rows in leaf order, then its
+// delta, through the pinned generation filter. Every call creates a
+// NEW engine dataset (fresh lineage ID), which is what turns generation
+// bumps into plan-fingerprint changes; callers that want a stable
+// fingerprint for an unchanged generation must memoise the result per
+// generation (the public DSL does).
 func (s *Snapshot[V]) Tuples() *engine.Dataset[engine.Pair[stobject.STObject, V]] {
 	v := s.v
 	name := fmt.Sprintf("%s@g%d", s.d.name, v.gen)
-	return engine.NewStream(s.d.ctx, name, len(v.trees), func(p int, yield func(engine.Pair[stobject.STObject, V]) bool) error {
-		v.trees[p].search(everything, v.gen, true, func(e entry[V]) bool {
-			return yield(engine.NewPair(e.Key, e.Value))
+	return engine.NewStream(s.d.ctx, name, len(v.parts), func(p int, yield func(engine.Pair[stobject.STObject, V]) bool) error {
+		v.parts[p].scan(nil, v.gen, func(r *Record[V]) bool {
+			return yield(engine.NewPair(r.Key, r.Value))
 		})
 		return nil
 	})
 }
 
-// Probe returns the R-link tree probe as a lazy stream shaped like
-// Tuples: partition p searches its tree with env under the pinned
-// generation and yields the candidates that pass keep. Candidates are
-// copied out of a leaf under its read latch and refined and yielded
-// after its release, and a consumer that stops early stops the
-// search. It is the live counterpart of the persistent index probe
-// and charges the same metrics to rec (nil selects the context's root
-// recorder): one index probe per partition searched, every candidate
-// tested as a candidate refined.
+// Probe returns the index probe as a lazy stream shaped like Tuples:
+// partition p walks the leaf ranges its base's tree finds for env, then
+// its pinned delta, and yields the rows visible at the pinned
+// generation whose envelope meets env and that pass keep; a consumer
+// that stops early stops the walk. It is the live counterpart of the
+// persistent index probe and charges the same metrics to rec (nil
+// selects the context's root recorder): one index probe per partition
+// searched, every row whose envelope meets env as a candidate refined.
 func (s *Snapshot[V]) Probe(
 	rec *engine.Recorder,
 	env geom.Envelope,
@@ -479,11 +478,11 @@ func (s *Snapshot[V]) Probe(
 		rec = s.d.ctx.Recorder()
 	}
 	name := fmt.Sprintf("%s@g%d.probe", s.d.name, v.gen)
-	return engine.NewStream(s.d.ctx, name, len(v.trees), func(p int, yield func(engine.Pair[stobject.STObject, V]) bool) error {
+	return engine.NewStream(s.d.ctx, name, len(v.parts), func(p int, yield func(engine.Pair[stobject.STObject, V]) bool) error {
 		var refined int64
-		v.trees[p].search(env, v.gen, false, func(e entry[V]) bool {
+		v.parts[p].scan(&env, v.gen, func(r *Record[V]) bool {
 			refined++
-			kv := engine.NewPair(e.Key, e.Value)
+			kv := engine.NewPair(r.Key, r.Value)
 			return !keep(kv) || yield(kv)
 		})
 		rec.Add(engine.IndexProbes, 1)

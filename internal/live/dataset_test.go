@@ -131,8 +131,8 @@ func TestSnapshotPinsGenerationAcrossVacuum(t *testing.T) {
 	if _, err := d.Apply(ops); err != nil {
 		t.Fatal(err)
 	}
-	if tr := d.view.Load().trees[0]; tr.dead != 0 {
-		t.Fatalf("expected vacuum to rebuild (dead=%d live=%d)", tr.dead, tr.live)
+	if pa := d.view.Load().parts[0]; pa.dead != 0 {
+		t.Fatalf("expected vacuum to rebuild (dead=%d live=%d)", pa.dead, pa.live)
 	}
 
 	if got := collectTuples(t, pinned); len(got) != 300 {

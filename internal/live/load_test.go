@@ -208,15 +208,15 @@ func TestRestoreEqualsInsert(t *testing.T) {
 							live[id] = true
 						}
 					}
-					before := slices.Clone(loaded.trees)
+					before := bases(loaded)
 					for _, d := range []*Dataset[reading]{loaded, inserted} {
 						if _, err := d.Apply(batch); err != nil {
 							t.Fatal(err)
 						}
 					}
 					vacuumed := false
-					for p := range before {
-						if loaded.trees[p] != before[p] {
+					for p, b := range bases(loaded) {
+						if b != before[p] {
 							vacuums++
 							vacuumed = true
 						}

@@ -30,26 +30,23 @@ func readingFields() []attr.Field[reading] {
 		Fields()
 }
 
-// checkPartitions runs the invariant checkers over every partition:
-// the tree's, and the postings' when fields are registered.
+// checkPartitions runs the invariant checker over every partition.
 func checkPartitions[V any](t testing.TB, d *Dataset[V]) {
 	t.Helper()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for p, tr := range d.trees {
-		if err := tr.check(); err != nil {
-			t.Fatalf("generation %d, partition %d tree: %v", d.view.Load().gen, p, err)
-		}
-		if len(d.attrFields) == 0 {
-			continue
-		}
-		if d.attrs[p] == nil {
-			t.Fatalf("partition %d: no postings", p)
-		}
-		if err := d.attrs[p].check(tr); err != nil {
-			t.Fatalf("generation %d, partition %d postings: %v", d.view.Load().gen, p, err)
-		}
+	if err := d.check(); err != nil {
+		t.Fatal(err)
 	}
+}
+
+// bases returns the base of every partition of d's latest view.
+func bases[V any](d *Dataset[V]) []*base[V] {
+	var bs []*base[V]
+	for _, pa := range d.view.Load().parts {
+		bs = append(bs, pa.base)
+	}
+	return bs
 }
 
 // probeIDs answers p from the snapshot's postings over every
@@ -100,10 +97,10 @@ func scanIDs(recs []Record[reading], f attr.Field[reading], p attr.Pred) []int64
 	return ids
 }
 
-// TestPostingsDifferentialBattery drives the ordered postings through
-// random insert/upsert/delete batches with id reuse, large enough that
-// chunks split many times (over 5,000 distinct seq values in every
-// partition) and a shrink phase that forces vacuum rebuilds. After
+// TestPostingsDifferentialBattery drives the postings through random
+// insert/upsert/delete batches with id reuse, large enough that every
+// partition's base indexes over 5,000 distinct seq values, and a
+// shrink phase that forces vacuum rebuilds. After
 // every batch it runs the invariant checker and compares every
 // operator on one of the fields (they take turns), as id sets, against
 // a brute-force filter over Snapshot.Each; a snapshot pinned before the
@@ -121,8 +118,8 @@ func TestPostingsDifferentialBattery(t *testing.T) {
 	d.SetAttrFields(fields)
 
 	model := make(map[int64]Record[reading])
-	// Seq values arrive in random order, so new values go into the
-	// middle of chunks, not only onto the end.
+	// Seq values arrive in random order, so a delta's values fall
+	// between the base's, not only above them.
 	fresh := func(id int64) (stobject.STObject, reading) {
 		r := reading{
 			ID:   id,
@@ -202,15 +199,15 @@ func TestPostingsDifferentialBattery(t *testing.T) {
 			}
 		}
 	}
-	rebuilt := make(map[int]bool) // partitions whose postings a vacuum replaced
+	rebuilt := make(map[int]bool) // partitions whose base a repack replaced
 	apply := func(ops []Op[reading]) {
 		t.Helper()
-		before := append([]*partAttrs[reading](nil), d.attrs...)
+		before := bases(d)
 		if _, err := d.Apply(ops); err != nil {
 			t.Fatal(err)
 		}
-		for p := range before {
-			if d.attrs[p] != before[p] {
+		for p, b := range bases(d) {
+			if b != before[p] {
 				rebuilt[p] = true
 			}
 		}
@@ -226,17 +223,15 @@ func TestPostingsDifferentialBattery(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		apply(batch(2000, 0.2, 1))
 	}
-	d.mu.Lock()
-	for p, pa := range d.attrs {
+	for p, b := range bases(d) {
 		distinct := 0
-		for range pa.field("seq").All() {
+		for range b.posts[0].All() {
 			distinct++
 		}
 		if distinct < 5000 {
 			t.Fatalf("partition %d holds %d distinct seq values, want at least 5000", p, distinct)
 		}
 	}
-	d.mu.Unlock()
 
 	// Pin, then shrink until every partition's postings have been
 	// rebuilt; the pinned snapshot keeps the objects the vacuums replaced.
@@ -341,68 +336,5 @@ func TestPostingsFieldInTheKey(t *testing.T) {
 				t.Fatalf("%s: postings give %d ids, scan gives %d", p, len(got), len(want))
 			}
 		}
-	}
-}
-
-// TestPostingsCheckCatchesDamage makes sure the entry-level half of
-// the invariant checker is not vacuous: each kind of damage it is there
-// for must be reported. The structural half (order, capacity, empty
-// chunks) is attr.Postings.Check, tested in internal/attr.
-func TestPostingsCheckCatchesDamage(t *testing.T) {
-	fields := readingFields()
-	build := func() *Dataset[reading] {
-		d := NewDataset[reading](engine.NewContext(1), "damage", nil, 8)
-		d.SetAttrFields(fields)
-		ops := make([]Op[reading], 200) // seq spans several chunks
-		for i := range ops {
-			ops[i] = Insert(int64(i), pt(float64(i%100), 1), reading{ID: int64(i), Seq: int64(i), Cat: "c", Temp: 1})
-		}
-		if _, err := d.Apply(ops); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := d.Apply([]Op[reading]{Delete[reading](7)}); err != nil {
-			t.Fatal(err)
-		}
-		return d
-	}
-	checkPartitions(t, build())
-
-	// nth returns the entries of the field's k-th value: the postings'
-	// own list, so writing to it damages them.
-	nth := func(pa *partAttrs[reading], field string, k int) []*postEntry[reading] {
-		for _, list := range pa.field(field).All() {
-			if k == 0 {
-				return list
-			}
-			k--
-		}
-		t.Fatalf("field %q holds fewer values", field)
-		return nil
-	}
-	for name, damage := range map[string]func(pa *partAttrs[reading]){
-		"misfiled": func(pa *partAttrs[reading]) { nth(pa, "seq", 3)[0].val.Seq = 2 },
-		"counter":  func(pa *partAttrs[reading]) { pa.dead++ },
-		"byID":     func(pa *partAttrs[reading]) { e := *pa.byID[5]; pa.byID[5] = &e },
-		"lost": func(pa *partAttrs[reading]) {
-			cat := slices.IndexFunc(pa.fields, func(f attr.Field[reading]) bool { return f.Name == "cat" })
-			rest := &attr.Postings[*postEntry[reading]]{}
-			for _, e := range nth(pa, "cat", 0)[1:] {
-				rest.Insert(attr.String(e.val.Cat), e)
-			}
-			pa.posts[cat] = rest
-		},
-		"twice":      func(pa *partAttrs[reading]) { l := nth(pa, "cat", 0); l[1] = l[0] },
-		"generation": func(pa *partAttrs[reading]) { nth(pa, "seq", 7)[0].delGen = 1 },
-	} {
-		d := build()
-		damage(d.attrs[0])
-		if err := d.attrs[0].check(d.trees[0]); err == nil {
-			t.Errorf("%s: damage not reported", name)
-		}
-	}
-	d := build()
-	d.trees[0].delete(5, 3)
-	if err := d.attrs[0].check(d.trees[0]); err == nil {
-		t.Error("a record live in the postings and deleted in the tree: not reported")
 	}
 }

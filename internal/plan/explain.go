@@ -261,7 +261,7 @@ func NaiveAttrNodes(preds []attr.Pred) []*Node {
 func LiveScanNode(name string, gen uint64, partitions, order int, rows int64) *Node {
 	n := NewNode("LiveScan", fmt.Sprintf("%s gen=%d", name, gen))
 	n.EstRows = float64(rows)
-	n.Prop("access=concurrent R-link tree (order=%d), snapshot-pinned", order)
+	n.Prop("access=packed R-tree base (order=%d) + append-only delta, snapshot-pinned", order)
 	n.Prop("partitions=%d live_rows=%d", partitions, rows)
 	return n
 }

@@ -567,11 +567,12 @@ func buildLiveLayout(spec DatasetSpec, keys []stark.STObject) (stark.SpatialPart
 	return sp, nil
 }
 
-// parseLiveOrder extracts the concurrent-tree node order from a
-// mutable dataset's index recipe. Only "" / "none" (default order)
-// and "live[:order]" are valid: a mutable dataset's partition trees
-// are always its live index, and "persistent" (bulk-loaded STR,
-// immutable by construction) cannot back one.
+// parseLiveOrder extracts the node order of the partitions' packed
+// trees from a mutable dataset's index recipe. Only "" / "none"
+// (default order) and "live[:order]" are valid: a mutable dataset's
+// partition trees are always its live index, repacked as batches
+// land, and "persistent" (saved once, immutable by construction)
+// cannot back one.
 func parseLiveOrder(spec DatasetSpec) (int, error) {
 	kind, arg, _ := strings.Cut(strings.ToLower(strings.TrimSpace(spec.Index)), ":")
 	switch kind {

@@ -69,7 +69,7 @@ type MutableDataset[V any] struct {
 // NewMutableDataset returns an empty mutable dataset. sp fixes the
 // spatial layout up front (nil = a single partition) — a mutable
 // dataset cannot derive its layout from data it does not have yet.
-// order is the node capacity of the concurrent partition trees
+// order is the node capacity of the partitions' packed trees
 // (<= 0 selects the default).
 func NewMutableDataset[V any](ctx *Context, name string, sp SpatialPartitioner, order int) *MutableDataset[V] {
 	return &MutableDataset[V]{ctx: ctx, d: live.NewDataset[V](ctx, name, sp, order)}
@@ -166,10 +166,10 @@ func (m *MutableDataset[V]) EachRecord(fn func(LiveRecord[V]) bool) uint64 {
 
 // Snapshot pins the latest published generation as an ordinary
 // Dataset: actions stream a consistent view (later batches are
-// invisible, including structural replacement by vacuum), filters
-// compile through the cost-based planner with the incrementally
-// maintained statistics, and index-eligible predicates probe the
-// concurrent partition trees directly. Snapshots of the same
+// invisible, including repacks), filters compile through the
+// cost-based planner with the incrementally maintained statistics,
+// and index-eligible predicates probe the partitions' packed trees and
+// deltas directly. Snapshots of the same
 // generation share one view, so their plan fingerprints are stable;
 // a new generation yields a fresh view and fresh fingerprints.
 func (m *MutableDataset[V]) Snapshot() *Dataset[V] {

@@ -127,7 +127,7 @@ func TestMutableDatasetExplainShowsGenerationAndLivePath(t *testing.T) {
 	}
 	for _, want := range []string{
 		"LiveScan[live-ds gen=1]",
-		"concurrent R-link tree",
+		"packed R-tree base (order=8) + append-only delta",
 		"index=probe (existing partition trees)",
 	} {
 		if !strings.Contains(out, want) {
