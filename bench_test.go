@@ -164,6 +164,34 @@ func BenchmarkPartitionByBSP(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
 }
 
+// BenchmarkBuildColumnar times the columnar sidecar of a dataset
+// registered under bsp:20000 with a persistent index: every partition's
+// envelope and interval columns in Hilbert order, over 1M skewed
+// points. A dataset builds its sidecar once, so each iteration lays out
+// a fresh index with the timer stopped and times only the Columnar
+// step. ns/row is the layer figure to compare across changes.
+func BenchmarkBuildColumnar(b *testing.B) {
+	const n = 1_000_000
+	ctx := stark.NewContext(0)
+	parted := stark.Parallelize(ctx, benchTuples(b, n), ctx.Parallelism()).PartitionBy(stark.BSP(20000))
+	if err := parted.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for range b.N {
+		b.StopTimer()
+		indexed := parted.Index(stark.Persistent(0))
+		if err := indexed.Run(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := indexed.Columnar().Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+}
+
 // ---- E2: indexing modes (range filter) — the unified Index(mode)
 // surface, one sub-benchmark per mode. ----
 

@@ -101,7 +101,8 @@
 //
 // Dataset.Columnar builds a per-partition struct-of-arrays sidecar —
 // envelope bounds and time intervals as flat float64/int64 columns,
-// column rows sorted by the Hilbert key of their envelope — that
+// column rows sorted by the Hilbert key of their envelope's centre on
+// a curve fixed at 2^16 cells a side over the partition's MBR — that
 // branch-free kernels sweep in 4096-row batches, ANDing coarse
 // spatio-temporal survivors into a bitset; only survivors reach the
 // exact predicate, fetched from the dataset's own partition slice

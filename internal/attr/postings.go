@@ -4,9 +4,11 @@ import (
 	"cmp"
 	"fmt"
 	"iter"
-	"math"
+	"maps"
 	"slices"
 	"sort"
+
+	"stark/internal/geom"
 )
 
 // Index is a secondary index over one field of one partition: the
@@ -26,13 +28,14 @@ type Index struct {
 // place, not copied, and the index keeps neither it nor field and
 // kind.
 func BuildIndex(field string, kind Kind, column []Value) *Index {
-	rows := make([]int32, len(column))
-	for i := range rows {
-		rows[i] = int32(i)
-	}
+	var rows []int32
 	if keys := orderKeys(column); keys != nil {
-		rows = radixSort(rows, keys)
+		rows = geom.OrderByKey(keys)
 	} else {
+		rows = make([]int32, len(column))
+		for i := range rows {
+			rows[i] = int32(i)
+		}
 		slices.SortFunc(rows, func(a, b int32) int { return cmp.Or(column[a].Compare(column[b]), cmp.Compare(a, b)) })
 	}
 	ix := &Index{rows: rows}
@@ -49,73 +52,55 @@ func BuildIndex(field string, kind Kind, column []Value) *Index {
 	return ix
 }
 
-// orderKeys maps a column of numbers or booleans to unsigned keys that
-// order as Compare orders the values. It returns nil for strings and
+// orderKeys maps a column of one kind to unsigned keys that order as
+// Compare orders the values: a string is the rank of its text among
+// the column's distinct texts. It returns nil for an empty column and
 // for a column of mixed kinds.
 func orderKeys(column []Value) []uint64 {
-	if len(column) == 0 || column[0].Kind == KindString {
+	if len(column) == 0 {
 		return nil
 	}
+	kind := column[0].Kind
 	keys := make([]uint64, len(column))
+	var ids map[string]uint64 // a string's first-seen id
+	if kind == KindString {
+		ids = make(map[string]uint64)
+	}
 	for i, v := range column {
-		if v.Kind != column[0].Kind {
+		if v.Kind != kind {
 			return nil
 		}
-		switch v.Kind {
+		switch kind {
 		case KindInt64:
 			keys[i] = uint64(v.I) ^ 1<<63
 		case KindFloat64:
-			keys[i] = floatKey(v.F)
+			keys[i] = geom.FloatKey(v.F)
 		case KindBool:
 			if v.B {
 				keys[i] = 1
 			}
+		case KindString:
+			id, ok := ids[v.S]
+			if !ok {
+				id = uint64(len(ids))
+				ids[v.S] = id
+			}
+			keys[i] = id
 		default:
 			return nil
 		}
 	}
+	if ids != nil {
+		texts := slices.Sorted(maps.Keys(ids))
+		rank := make([]uint64, len(texts))
+		for r, s := range texts {
+			rank[ids[s]] = uint64(r)
+		}
+		for i, id := range keys {
+			keys[i] = rank[id]
+		}
+	}
 	return keys
-}
-
-// floatKey orders float64s as Compare does: every NaN lowest, -0 equal
-// to +0.
-func floatKey(f float64) uint64 {
-	switch b := math.Float64bits(f); {
-	case f != f:
-		return 0
-	case f == 0:
-		return 1 << 63
-	case b>>63 == 1: // negative: the larger the magnitude, the smaller
-		return ^b
-	default:
-		return b | 1<<63
-	}
-}
-
-// radixSort orders rows by keys[row] a byte at a time, from the least
-// significant; each pass is stable, so rows with equal keys keep their
-// order.
-func radixSort(rows []int32, keys []uint64) []int32 {
-	tmp := make([]int32, len(rows))
-	for shift := 0; shift < 64 && len(rows) > 0; shift += 8 {
-		var at [257]int
-		for _, r := range rows {
-			at[keys[r]>>shift&0xff+1]++
-		}
-		if at[keys[rows[0]]>>shift&0xff+1] == len(rows) {
-			continue // every key has this byte
-		}
-		for d := 1; d < len(at); d++ {
-			at[d] += at[d-1]
-		}
-		for _, r := range rows {
-			d := keys[r] >> shift & 0xff
-			tmp[at[d]] = r
-			at[d]++
-		}
-		rows, tmp = tmp, rows
-	}
-	return rows
 }
 
 // seek returns the index of the first value >= v, or of the first

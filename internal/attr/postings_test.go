@@ -236,3 +236,68 @@ func FuzzPostings(f *testing.F) {
 		}
 	})
 }
+
+// oracleIndex is BuildIndex with every column comparison-sorted, as
+// strings and mixed kinds are: the order the radix keys must reproduce.
+func oracleIndex(column []Value) *Index {
+	rows := make([]int32, len(column))
+	for i := range rows {
+		rows[i] = int32(i)
+	}
+	slices.SortStableFunc(rows, func(a, b int32) int { return column[a].Compare(column[b]) })
+	ix := &Index{rows: rows}
+	for k, r := range rows {
+		if k == 0 || column[r].Compare(column[rows[k-1]]) != 0 {
+			ix.at = append(ix.at, int32(k))
+			ix.vals = append(ix.vals, column[r])
+		}
+	}
+	ix.at = append(ix.at, int32(len(rows)))
+	return ix
+}
+
+// sameBits reports whether two values are the same bit for bit, so
+// that NaN equals NaN and −0 differs from +0.
+func sameBits(a, b Value) bool {
+	return a.Kind == b.Kind && a.I == b.I && math.Float64bits(a.F) == math.Float64bits(b.F) && a.S == b.S && a.B == b.B
+}
+
+// TestBuildIndexEqualsComparisonSort holds the radix-sorted postings
+// (numbers, booleans, and strings by rank) to the comparison sort: the
+// same rows, cuts and values, each value the bits of its first row.
+// Float columns carry NaNs and both zeros; one column mixes kinds.
+func TestBuildIndexEqualsComparisonSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	mixed := drawFor(rng, KindInt64, 5)
+	cols := []struct {
+		name string
+		kind Kind
+		draw func() Value
+	}{
+		{"int", KindInt64, drawFor(rng, KindInt64, 300)},
+		{"float", KindFloat64, drawFor(rng, KindFloat64, 40)},
+		{"string", KindString, drawFor(rng, KindString, 30)},
+		{"bool", KindBool, drawFor(rng, KindBool, 2)},
+		{"mixed", KindString, func() Value {
+			if rng.Intn(2) == 0 {
+				return String("x")
+			}
+			return mixed()
+		}},
+	}
+	for _, c := range cols {
+		for _, n := range []int{0, 1, 2, 1000, 20_000} {
+			col := make([]Value, n)
+			for i := range col {
+				col[i] = c.draw()
+			}
+			name, got, want := c.name, BuildIndex("f", c.kind, col), oracleIndex(col)
+			if !slices.Equal(got.rows, want.rows) || !slices.Equal(got.at, want.at) {
+				t.Fatalf("%s, %d rows: rows or cuts differ from the comparison sort", name, n)
+			}
+			if !slices.EqualFunc(got.vals, want.vals, sameBits) {
+				t.Fatalf("%s, %d rows: values %v, want %v", name, n, got.vals, want.vals)
+			}
+		}
+	}
+}

@@ -9,9 +9,10 @@
 // spatial-first, attribute-first, and candidate-set-intersection
 // access paths.
 //
-// The package is deliberately leaf-like: it imports only the standard
-// library, so internal/stats, internal/plan, and internal/core can
-// all depend on it without cycles.
+// The package is deliberately leaf-like: beside the standard library it
+// imports only internal/geom (the shared sort) and internal/stobject,
+// so internal/stats, internal/plan, and internal/core can all depend
+// on it without cycles.
 package attr
 
 import (

@@ -26,7 +26,6 @@ import (
 	"sync"
 
 	"stark/internal/geom"
-	"stark/internal/partition"
 )
 
 // chunkRows is the kernel batch size: 64 bitset words per chunk, small
@@ -134,21 +133,116 @@ func (b *Builder) Finish(hilbert bool) (p *Partition, perm []int32) {
 }
 
 // hilbertOrder returns the rows in the order of the Hilbert keys of
-// their envelope centres over the partition's MBR.
+// their envelope centres over the partition's MBR, equal keys in
+// insertion order so the order is deterministic for differential tests.
 func (b *Builder) hilbertOrder() []int32 {
-	enc := partition.NewHilbertEncoder(b.mbr, 0)
+	enc := newHilbertEncoder(b.mbr)
 	keys := make([]uint64, b.p.n)
-	perm := make([]int32, b.p.n)
-	for i := range perm {
-		env := geom.Envelope{MinX: b.p.MinX[i], MinY: b.p.MinY[i], MaxX: b.p.MaxX[i], MaxY: b.p.MaxY[i]}
-		keys[i] = enc.KeyEnvelope(env)
-		perm[i] = int32(i)
+	for i := range keys {
+		keys[i] = enc.key(geom.Envelope{MinX: b.p.MinX[i], MinY: b.p.MinY[i], MaxX: b.p.MaxX[i], MaxY: b.p.MaxY[i]})
 	}
-	// Stable on the insertion index so equal keys keep their relative
-	// order — the sort is then deterministic for differential tests.
-	sortPermByKey(perm, keys)
-	return perm
+	return geom.OrderByKey(keys)
 }
+
+// hilbertSide is the side of the grid of cells the Hilbert curve
+// visits: 2^16 cells per dimension, fine enough that distinct
+// coordinates in any realistic data space land in distinct cells, while
+// a key needs 32 bits.
+const hilbertSide = 1 << 16
+
+// hilbertEncoder maps envelope centres to the Hilbert keys of their
+// cells over a data space. Coordinates are scaled into the grid and
+// clamped into range, so a centre on the space's MaxX or MaxY edge
+// snaps into the last cell, as Grid's cells snap the data-space edge.
+// An empty space degenerates to a single cell (every key is 0), which
+// keeps the encoder total over empty partitions.
+type hilbertEncoder struct {
+	minX, minY   float64
+	cellW, cellH float64
+}
+
+func newHilbertEncoder(space geom.Envelope) hilbertEncoder {
+	h := hilbertEncoder{minX: space.MinX, minY: space.MinY}
+	if !space.IsEmpty() {
+		h.cellW = space.Width() / hilbertSide
+		h.cellH = space.Height() / hilbertSide
+	}
+	return h
+}
+
+// key returns the Hilbert key of the envelope's centre; the empty
+// envelope keys to 0.
+func (h hilbertEncoder) key(e geom.Envelope) uint64 {
+	if e.IsEmpty() {
+		return 0
+	}
+	c := e.Center()
+	return hilbertKey(hilbertCell(c.X, h.minX, h.cellW), hilbertCell(c.Y, h.minY, h.cellH))
+}
+
+// hilbertCell returns the clamped cell of coordinate v. A non-finite
+// coordinate (the centre of an unbounded envelope) or a zero-width
+// space clamps to cell 0.
+func hilbertCell(v, origin, cell float64) uint32 {
+	if cell <= 0 {
+		return 0
+	}
+	c := (v - origin) / cell
+	if c != c || c < 0 {
+		return 0
+	}
+	if c >= hilbertSide {
+		return hilbertSide - 1
+	}
+	return uint32(c)
+}
+
+// hilbertKey returns the distance of cell (x, y) along the Hilbert
+// curve over the 2^16 × 2^16 grid, four bits of each coordinate at a
+// time through hilbertTable: Lam & Shapiro's state machine ("A class of
+// fast algorithms for the Peano-Hilbert space-filling curve", ICIP
+// 1994).
+func hilbertKey(x, y uint32) uint64 {
+	var d uint64
+	var state uint16
+	for shift := 12; shift >= 0; shift -= 4 {
+		e := hilbertTable[state&3][byte(x>>shift&15)<<4|byte(y>>shift&15)]
+		d = d<<8 | uint64(e&0xff)
+		state = e >> 8
+	}
+	return d
+}
+
+// hilbertTable[state][x<<4|y], for 4-bit x and y, holds the 8 key bits
+// those four levels of the curve add (the low byte) and the state they
+// leave (above it). A state is the transform the levels above apply to
+// the cell's remaining bits: bit 0 swaps x and y, bit 1 complements
+// both. The entries follow the per-bit rule: at each level the
+// transformed bits (rx, ry) add the digit (3·rx) xor ry, and a level
+// with ry = 0 swaps the quadrant, complementing it first when rx = 1.
+var hilbertTable = func() (t [4][256]uint16) {
+	for state := range t {
+		for xy := range t[state] {
+			s := uint16(state)
+			var d uint16
+			for bit := 3; bit >= 0; bit-- {
+				rx, ry := uint16(xy>>(4+bit)&1), uint16(xy>>bit&1)
+				if s&2 != 0 {
+					rx, ry = rx^1, ry^1
+				}
+				if s&1 != 0 {
+					rx, ry = ry, rx
+				}
+				d = d<<2 | (3*rx ^ ry)
+				if ry == 0 {
+					s ^= 1 | rx<<1
+				}
+			}
+			t[state][xy] = s<<8 | d
+		}
+	}
+	return t
+}()
 
 // gather returns src in perm order (src itself when perm is nil).
 func gather[T any](src []T, perm []int32) []T {
@@ -160,39 +254,6 @@ func gather[T any](src []T, perm []int32) []T {
 		dst[i] = src[old]
 	}
 	return dst
-}
-
-// sortPermByKey stable-sorts perm by keys[perm[i]] — a bottom-up merge
-// sort on int32 indexes, allocation-bounded and key-cached.
-func sortPermByKey(perm []int32, keys []uint64) {
-	n := len(perm)
-	buf := make([]int32, n)
-	for width := 1; width < n; width *= 2 {
-		for lo := 0; lo < n; lo += 2 * width {
-			mid := lo + width
-			if mid >= n {
-				break
-			}
-			hi := mid + width
-			if hi > n {
-				hi = n
-			}
-			i, j, k := lo, mid, lo
-			for i < mid && j < hi {
-				if keys[perm[i]] <= keys[perm[j]] {
-					buf[k] = perm[i]
-					i++
-				} else {
-					buf[k] = perm[j]
-					j++
-				}
-				k++
-			}
-			copy(buf[k:], perm[i:mid])
-			copy(buf[k+(mid-i):], perm[j:hi])
-			copy(perm[lo:hi], buf[lo:hi])
-		}
-	}
 }
 
 // Bitset is a fixed-size survivor bitset the kernels AND into. Its reset

@@ -411,3 +411,343 @@ func TestFilterOverSharedColumnsEqualsSixColumns(t *testing.T) {
 		}
 	}
 }
+
+// hilbertXY2D is the per-bit Hilbert key the table in hilbertKey is
+// derived from, kept as its oracle: it maps cell (x, y) of a
+// 2^order × 2^order grid to its distance along the curve, one level
+// (one bit of each coordinate) at a time.
+func hilbertXY2D(order int, x, y uint32) uint64 {
+	var d uint64
+	for s := uint32(1) << (order - 1); s > 0; s >>= 1 {
+		var rx, ry uint32
+		if x&s > 0 {
+			rx = 1
+		}
+		if y&s > 0 {
+			ry = 1
+		}
+		d += uint64(s) * uint64(s) * uint64((3*rx)^ry)
+		x, y = hilbertRot(uint32(1)<<order, x, y, rx, ry)
+	}
+	return d
+}
+
+// hilbertRot rotates/flips a quadrant of side n.
+func hilbertRot(n, x, y, rx, ry uint32) (uint32, uint32) {
+	if ry == 0 {
+		if rx == 1 {
+			x = n - 1 - x
+			y = n - 1 - y
+		}
+		x, y = y, x
+	}
+	return x, y
+}
+
+// hilbertD2XY is the inverse of hilbertXY2D: it maps a distance along
+// the curve back to its cell.
+func hilbertD2XY(order int, d uint64) (x, y uint32) {
+	t := d
+	for s := uint32(1); s < uint32(1)<<order; s <<= 1 {
+		rx := uint32(1) & uint32(t/2)
+		ry := uint32(1) & (uint32(t) ^ rx)
+		x, y = hilbertRot(s, x, y, rx, ry)
+		x += s * rx
+		y += s * ry
+		t /= 4
+	}
+	return x, y
+}
+
+// TestHilbertRoundTrip pins d2xy as the exact inverse of xy2d:
+// exhaustively for small orders, sampled at order 16.
+func TestHilbertRoundTrip(t *testing.T) {
+	for order := 1; order <= 5; order++ {
+		side := uint32(1) << order
+		for x := uint32(0); x < side; x++ {
+			for y := uint32(0); y < side; y++ {
+				d := hilbertXY2D(order, x, y)
+				gx, gy := hilbertD2XY(order, d)
+				if gx != x || gy != y {
+					t.Fatalf("order %d: (%d,%d) -> %d -> (%d,%d)", order, x, y, d, gx, gy)
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 10000; i++ {
+		x, y := uint32(rng.Intn(hilbertSide)), uint32(rng.Intn(hilbertSide))
+		d := hilbertXY2D(16, x, y)
+		gx, gy := hilbertD2XY(16, d)
+		if gx != x || gy != y {
+			t.Fatalf("order 16: (%d,%d) -> %d -> (%d,%d)", x, y, d, gx, gy)
+		}
+	}
+}
+
+// TestHilbertKeysCoverCurve checks xy2d is a bijection onto
+// [0, 4^order) for small orders — no key collisions, no gaps.
+func TestHilbertKeysCoverCurve(t *testing.T) {
+	for order := 1; order <= 5; order++ {
+		side := uint32(1) << order
+		seen := make([]bool, int(side)*int(side))
+		for x := uint32(0); x < side; x++ {
+			for y := uint32(0); y < side; y++ {
+				d := hilbertXY2D(order, x, y)
+				if d >= uint64(len(seen)) {
+					t.Fatalf("order %d: key %d out of range", order, d)
+				}
+				if seen[d] {
+					t.Fatalf("order %d: key %d assigned twice", order, d)
+				}
+				seen[d] = true
+			}
+		}
+	}
+}
+
+// TestHilbertLocality is the locality property that makes the sort
+// worthwhile: cells adjacent on the curve (consecutive keys) are
+// adjacent in the grid (Manhattan distance exactly 1).
+func TestHilbertLocality(t *testing.T) {
+	for order := 1; order <= 6; order++ {
+		total := uint64(1) << uint(2*order)
+		px, py := hilbertD2XY(order, 0)
+		for d := uint64(1); d < total; d++ {
+			x, y := hilbertD2XY(order, d)
+			if manhattan(px, x)+manhattan(py, y) != 1 {
+				t.Fatalf("order %d: d=%d jumps from (%d,%d) to (%d,%d)", order, d, px, py, x, y)
+			}
+			px, py = x, y
+		}
+	}
+	// Sampled at order 16, where exhaustion is infeasible.
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 10000; i++ {
+		d := rng.Uint64() % (hilbertSide*hilbertSide - 1)
+		x0, y0 := hilbertD2XY(16, d)
+		x1, y1 := hilbertD2XY(16, d+1)
+		if manhattan(x0, x1)+manhattan(y0, y1) != 1 {
+			t.Fatalf("d=%d jumps from (%d,%d) to (%d,%d)", d, x0, y0, x1, y1)
+		}
+	}
+}
+
+func manhattan(a, b uint32) uint32 {
+	if a > b {
+		return a - b
+	}
+	return b - a
+}
+
+// TestHilbertKeyMatchesPerBit holds the table-driven key to the
+// per-bit one on 2^20 random cells, on every cell of the 256 × 256
+// lattice of stride 257 (which reaches both grid edges and every
+// nibble of both coordinates), and on the corner cells.
+func TestHilbertKeyMatchesPerBit(t *testing.T) {
+	check := func(x, y uint32) {
+		t.Helper()
+		if got, want := hilbertKey(x, y), hilbertXY2D(16, x, y); got != want {
+			t.Fatalf("cell (%d,%d): table key %d, per-bit key %d", x, y, got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(45))
+	for i := 0; i < 1<<20; i++ {
+		check(uint32(rng.Intn(hilbertSide)), uint32(rng.Intn(hilbertSide)))
+	}
+	for i := uint32(0); i < 256; i++ {
+		for j := uint32(0); j < 256; j++ {
+			check(i*257, j*257)
+		}
+	}
+	for _, c := range [][2]uint32{{0, 0}, {0, hilbertSide - 1}, {hilbertSide - 1, 0}, {hilbertSide - 1, hilbertSide - 1}} {
+		check(c[0], c[1])
+	}
+}
+
+// TestHilbertEncoderSnapping pins the encoder's cell assignment to the
+// same clamped data-space snapping as Grid's cells: edge coordinates
+// land in the last cell, out-of-range and non-finite coordinates
+// clamp, the empty and the degenerate space key everything to 0.
+func TestHilbertEncoderSnapping(t *testing.T) {
+	space := geom.Envelope{MinX: 0, MinY: 0, MaxX: 100, MaxY: 50}
+	enc := newHilbertEncoder(space)
+	const last = hilbertSide - 1
+	point := func(x, y float64) geom.Envelope { return geom.Envelope{MinX: x, MinY: y, MaxX: x, MaxY: y} }
+	cases := []struct {
+		name string
+		e    geom.Envelope
+		x, y uint32
+	}{
+		{"min corner", point(0, 0), 0, 0},
+		{"max corner snaps into last cell", point(100, 50), last, last},
+		{"max-x edge", point(100, 0), last, 0},
+		{"beyond max clamps", point(1e9, 1e9), last, last},
+		{"below min clamps", point(-5, -5), 0, 0},
+		{"centre of a box", geom.Envelope{MinX: 0, MinY: 0, MaxX: 50, MaxY: 25}, hilbertSide / 4, hilbertSide / 4},
+		{"unbounded box clamps to origin", geom.Envelope{MinX: math.Inf(-1), MinY: math.Inf(-1), MaxX: math.Inf(1), MaxY: math.Inf(1)}, 0, 0},
+	}
+	for _, tc := range cases {
+		if got, want := enc.key(tc.e), hilbertXY2D(16, tc.x, tc.y); got != want {
+			t.Errorf("%s: key(%v) = %d, want cell (%d,%d)'s %d", tc.name, tc.e, got, tc.x, tc.y, want)
+		}
+	}
+
+	// A point epsilon inside the max edge shares the last cell with
+	// the snapped edge point — the stability property: snapping never
+	// creates a key discontinuity at the data-space border.
+	if inside, edge := enc.key(point(math.Nextafter(100, 0), math.Nextafter(50, 0))), enc.key(point(100, 50)); inside != edge {
+		t.Fatalf("edge snapping unstable: inside key %d != edge key %d", inside, edge)
+	}
+	if k := enc.key(geom.EmptyEnvelope()); k != 0 {
+		t.Fatalf("empty envelope key = %d, want 0", k)
+	}
+	if k := enc.key(point(math.NaN(), math.NaN())); k != 0 {
+		t.Fatalf("NaN point key = %d, want 0", k)
+	}
+	if k := newHilbertEncoder(point(3, 4)).key(point(3, 4)); k != 0 {
+		t.Fatalf("degenerate-space key = %d, want 0", k)
+	}
+	if k := newHilbertEncoder(geom.EmptyEnvelope()).key(point(1, 2)); k != 0 {
+		t.Fatalf("empty-space key = %d, want 0", k)
+	}
+}
+
+// oracleOrder is the row order Finish(true) computed before the table
+// key and the radix sort: the per-bit key of each envelope centre's
+// cell over the rows' MBR, then a bottom-up merge sort of the row
+// indexes, stable on equal keys. Nil below two rows.
+func oracleOrder(rows []refRow) []int32 {
+	if len(rows) < 2 {
+		return nil
+	}
+	mbr := geom.EmptyEnvelope()
+	for _, r := range rows {
+		mbr = mbr.ExpandToInclude(r.env)
+	}
+	var cellW, cellH float64
+	if !mbr.IsEmpty() {
+		cellW, cellH = mbr.Width()/float64(hilbertSide), mbr.Height()/float64(hilbertSide)
+	}
+	cell := func(v, min, cell float64) uint32 {
+		if cell <= 0 {
+			return 0
+		}
+		c := (v - min) / cell
+		if math.IsNaN(c) || c < 0 {
+			return 0
+		}
+		if c >= float64(hilbertSide) {
+			return hilbertSide - 1
+		}
+		return uint32(c)
+	}
+	keys := make([]uint64, len(rows))
+	perm := make([]int32, len(rows))
+	for i, r := range rows {
+		perm[i] = int32(i)
+		if !r.env.IsEmpty() {
+			c := r.env.Center()
+			keys[i] = hilbertXY2D(16, cell(c.X, mbr.MinX, cellW), cell(c.Y, mbr.MinY, cellH))
+		}
+	}
+	n := len(perm)
+	buf := make([]int32, n)
+	for width := 1; width < n; width *= 2 {
+		for lo := 0; lo < n; lo += 2 * width {
+			mid, hi := lo+width, min(lo+2*width, n)
+			if mid >= n {
+				break
+			}
+			i, j, k := lo, mid, lo
+			for i < mid && j < hi {
+				if keys[perm[i]] <= keys[perm[j]] {
+					buf[k], i = perm[i], i+1
+				} else {
+					buf[k], j = perm[j], j+1
+				}
+				k++
+			}
+			copy(buf[k:], perm[i:mid])
+			copy(buf[k+(mid-i):], perm[j:hi])
+			copy(perm[lo:hi], buf[lo:hi])
+		}
+	}
+	return perm
+}
+
+// TestHilbertFinishEqualsOracle: the sidecar's permutation, columns
+// and timed bitset equal, bit for bit, those of the per-bit key and
+// the merge sort, over skewed points, duplicate cells, NaN, empty and
+// unbounded envelopes, a polygon, and partitions of 0 and 1 rows.
+func TestHilbertFinishEqualsOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	skewed := func(n int) []refRow {
+		rows := pointRows(rng, n)
+		for i := range rows {
+			c := float64(rng.Intn(5)) * 200
+			x, y := c+rng.NormFloat64()*6, c+rng.NormFloat64()*6
+			if rng.Intn(10) == 0 { // an outlier stretches the MBR
+				x, y = rng.Float64()*1000, rng.Float64()*1000
+			}
+			rows[i].env = geom.Envelope{MinX: x, MinY: y, MaxX: x, MaxY: y}
+		}
+		return rows
+	}
+	duplicates := pointRows(rng, 5000)
+	for i := range duplicates {
+		duplicates[i].env = duplicates[rng.Intn(20)].env // 20 distinct cells
+	}
+	special := pointRows(rng, 3000)
+	for i := range special {
+		switch i % 50 {
+		case 1:
+			special[i].env = geom.EmptyEnvelope()
+		case 2:
+			special[i].env = geom.Envelope{MinX: math.NaN(), MinY: 5, MaxX: math.NaN(), MaxY: 5}
+		case 3:
+			special[i].env = geom.Envelope{MinX: 10, MinY: 20, MaxX: 30, MaxY: 25} // a polygon's box
+		}
+	}
+	unbounded := pointRows(rng, 200)
+	unbounded[7].env = geom.Envelope{MinX: math.Inf(-1), MinY: 0, MaxX: math.Inf(1), MaxY: 1}
+	cases := []struct {
+		name string
+		rows []refRow
+	}{
+		{"100k skewed points", skewed(100_000)},
+		{"duplicate cells", duplicates},
+		{"NaN, empty and polygon envelopes", special},
+		{"an unbounded envelope", unbounded},
+		{"boxes", randRows(rng, 4097)},
+		{"one row", pointRows(rng, 1)},
+		{"no rows", nil},
+	}
+	for _, c := range cases {
+		p, perm := buildPartition(c.rows, true)
+		want := oracleOrder(c.rows)
+		if !slices.Equal(perm, want) {
+			t.Fatalf("%s: permutation differs from the oracle's", c.name)
+		}
+		if p.Len() != len(c.rows) {
+			t.Fatalf("%s: %d rows, want %d", c.name, p.Len(), len(c.rows))
+		}
+		timed := make([]uint64, (len(c.rows)+63)/64)
+		for row := range c.rows {
+			r := c.rows[row]
+			if want != nil {
+				r = c.rows[want[row]]
+			}
+			env := geom.Envelope{MinX: p.MinX[row], MinY: p.MinY[row], MaxX: p.MaxX[row], MaxY: p.MaxY[row]}
+			if envBits(env) != envBits(r.env) || p.TStart[row] != r.ts || p.TEnd[row] != r.te {
+				t.Fatalf("%s, row %d: %v [%d, %d], want %v [%d, %d]", c.name, row, env, p.TStart[row], p.TEnd[row], r.env, r.ts, r.te)
+			}
+			if r.timed {
+				timed[row/64] |= 1 << uint(row%64)
+			}
+		}
+		if !slices.Equal(p.timed, timed) {
+			t.Fatalf("%s: timed bitset differs from the oracle's", c.name)
+		}
+	}
+}

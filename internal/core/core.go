@@ -18,7 +18,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 
@@ -179,82 +178,30 @@ func (s *SpatialDataset[V]) PartitionBy(sp partition.SpatialPartitioner) (*Spati
 // in row order. It leaves rows as they are and reports false when a key
 // is not a point.
 func orderByX[V any](rows []Tuple[V]) bool {
-	keys := make([]xKey, len(rows))
+	keys := make([]uint64, len(rows))
 	for i := range rows {
 		p, ok := rows[i].Key.Point()
 		if !ok {
 			return false
 		}
-		keys[i] = xKey{xBits(p.X), i}
+		keys[i] = geom.FloatKey(p.X)
 	}
-	keys = radixSort(keys, make([]xKey, len(keys)))
-	// Row keys[d].i goes to d: move the rows along each cycle of that
-	// permutation, marking a filled place with i = -1.
-	for d := range keys {
-		if keys[d].i < 0 {
+	order := geom.OrderByKey(keys)
+	// Row order[d] goes to d: move the rows along each cycle of that
+	// permutation, marking a filled place with -1.
+	for d := range order {
+		if order[d] < 0 {
 			continue
 		}
 		row, j := rows[d], d
-		for keys[j].i != d {
-			src := keys[j].i
-			rows[j], keys[j].i = rows[src], -1
+		for int(order[j]) != d {
+			src := int(order[j])
+			rows[j], order[j] = rows[src], -1
 			j = src
 		}
-		rows[j], keys[j].i = row, -1
+		rows[j], order[j] = row, -1
 	}
 	return true
-}
-
-// xKey is a row's x as xBits, and the row.
-type xKey struct {
-	bits uint64
-	i    int
-}
-
-// xBits maps x to a uint64 that orders as cmp.Compare orders floats: a
-// NaN is 0 and −0 is +0; a negative x has every bit flipped, any other
-// the sign bit set.
-func xBits(x float64) uint64 {
-	if x != x {
-		return 0
-	}
-	if x == 0 {
-		x = 0
-	}
-	b := math.Float64bits(x)
-	if b>>63 == 1 {
-		return ^b
-	}
-	return b | 1<<63
-}
-
-// radixSort sorts keys by bits, ties in their order: a least significant
-// digit radix sort over the eight bytes, counted in one pass, that skips
-// a byte all keys share. It sorts back and forth between keys and tmp
-// (as long as keys) and returns the one holding the result.
-func radixSort(keys, tmp []xKey) []xKey {
-	var counts [8][256]int
-	for _, k := range keys {
-		for d := range counts {
-			counts[d][byte(k.bits>>(8*d))]++
-		}
-	}
-	for d := range counts {
-		if len(keys) == 0 || counts[d][byte(keys[0].bits>>(8*d))] == len(keys) {
-			continue
-		}
-		next := 0
-		for b, c := range counts[d] {
-			counts[d][b], next = next, next+c
-		}
-		for _, k := range keys {
-			b := byte(k.bits >> (8 * d))
-			tmp[counts[d][b]] = k
-			counts[d][b]++
-		}
-		keys, tmp = tmp, keys
-	}
-	return keys
 }
 
 // Stats returns the planner statistics of the dataset — per-partition

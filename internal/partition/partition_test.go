@@ -71,11 +71,12 @@ func TestGridBasics(t *testing.T) {
 	// The cells tile the space.
 	total := 0.0
 	for i := 0; i < 16; i++ {
-		total += g.bounds(i).Area()
+		b := g.bounds(i)
+		total += b.Width() * b.Height()
 	}
 	space := dataEnvelope(objs)
-	if diff := total - space.Area(); diff > 1e-6 || diff < -1e-6 {
-		t.Errorf("cells area %v != space area %v", total, space.Area())
+	if area := space.Width() * space.Height(); total-area > 1e-6 || total-area < -1e-6 {
+		t.Errorf("cells area %v != space area %v", total, area)
 	}
 }
 

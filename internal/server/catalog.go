@@ -23,6 +23,7 @@ import (
 
 	"stark"
 	"stark/internal/engine"
+	"stark/internal/stobject"
 	"stark/internal/workload"
 )
 
@@ -414,7 +415,7 @@ func (spec DatasetSpec) rows(ctx *stark.Context) ([]stark.Tuple[eventValue], err
 		N: spec.N, Seed: spec.Seed, Dist: dist,
 		Width: spec.Width, Height: spec.Height, TimeRange: spec.TimeRange,
 	}, func(id int, p stark.Point, cat int, t int64) {
-		rows = append(rows, stark.NewTuple(stark.NewSTObjectWithTime(p, stark.Instant(t)), eventValue{ID: int64(id), cat: cats[cat]}))
+		rows = append(rows, stark.NewTuple(stobject.NewPointAt(p.X, p.Y, stobject.Instant(t)), eventValue{ID: int64(id), cat: cats[cat]}))
 	})
 	return rows, nil
 }

@@ -114,6 +114,12 @@ func NewWithTime(g geom.Geometry, t Instant) STObject {
 	return NewWithInterval(g, Interval{Start: t, End: t})
 }
 
+// NewPointAt returns the point (x, y) at the instant t: NewWithTime of
+// a geom.Point, without boxing the point into a geom.Geometry.
+func NewPointAt(x, y float64, t Instant) STObject {
+	return STObject{x: x, y: y, flags: isPoint | timed, time: Interval{Start: t, End: t}}
+}
+
 // FromWKT parses a WKT string into a spatial-only STObject.
 func FromWKT(wkt string) (STObject, error) {
 	g, err := geom.ParseWKT(wkt)

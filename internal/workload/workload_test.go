@@ -214,7 +214,7 @@ func TestRegions(t *testing.T) {
 		if !space.ContainsEnvelope(r.Envelope()) {
 			t.Fatalf("region %v escapes the space", r.Envelope())
 		}
-		if r.Envelope().Area() <= 0 {
+		if e := r.Envelope(); e.Width()*e.Height() <= 0 {
 			t.Fatal("degenerate region")
 		}
 	}
