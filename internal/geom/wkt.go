@@ -36,24 +36,23 @@ type wktParser struct {
 	pos int
 }
 
+// ParsePoint returns the point ParseWKT reads from s, without boxing
+// it in a Geometry, and true when s is a POINT that ParseWKT accepts;
+// it returns false for any other text.
+func ParsePoint(s string) (Point, bool) {
+	if p := (wktParser{src: s}); strings.EqualFold(p.ident(), "POINT") {
+		pt, err := p.pointBody()
+		return pt, err == nil
+	}
+	return Point{}, false
+}
+
 func (p *wktParser) parse() (Geometry, error) {
 	tag := strings.ToUpper(p.ident())
 	switch tag {
 	case "POINT":
-		if p.acceptEmpty() {
-			return Point{X: nan(), Y: nan()}, nil
-		}
-		if err := p.expect('('); err != nil {
-			return nil, err
-		}
-		pt, err := p.coord()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect(')'); err != nil {
-			return nil, err
-		}
-		return pt, p.end()
+		pt, err := p.pointBody()
+		return pt, err
 	case "MULTIPOINT":
 		if p.acceptEmpty() {
 			return MultiPoint{}, nil
@@ -107,6 +106,24 @@ func (p *wktParser) parse() (Geometry, error) {
 	default:
 		return nil, fmt.Errorf("unsupported geometry type %q", tag)
 	}
+}
+
+// pointBody parses what follows POINT: EMPTY, or "(x y)" ending the input.
+func (p *wktParser) pointBody() (Point, error) {
+	if p.acceptEmpty() {
+		return Point{X: nan(), Y: nan()}, nil
+	}
+	if err := p.expect('('); err != nil {
+		return Point{}, err
+	}
+	pt, err := p.coord()
+	if err == nil {
+		err = p.expect(')')
+	}
+	if err == nil {
+		err = p.end()
+	}
+	return pt, err
 }
 
 // multiPointBody parses either ((x y), (x y)) or (x y, x y).
@@ -271,11 +288,16 @@ func nan() float64 {
 
 // WKT implements Geometry for Point.
 func (p Point) WKT() string {
-	if p.IsEmpty() {
-		return "POINT EMPTY"
-	}
 	var buf [64]byte // "POINT (" and two ordinates of at most 24 bytes each
-	return string(append(appendCoord(append(buf[:0], "POINT ("...), p), ')'))
+	return string(p.AppendWKT(buf[:0]))
+}
+
+// AppendWKT appends the bytes of p.WKT() to dst.
+func (p Point) AppendWKT(dst []byte) []byte {
+	if p.IsEmpty() {
+		return append(dst, "POINT EMPTY"...)
+	}
+	return append(appendCoord(append(dst, "POINT ("...), p), ')')
 }
 
 // WKT implements Geometry for MultiPoint.

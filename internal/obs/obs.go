@@ -67,7 +67,7 @@ var defBuckets = func() []float64 {
 
 // Histogram is a fixed-bucket histogram of float64 observations
 // (typically seconds). Buckets are cumulative in exposition, as
-// Prometheus requires; Quantile estimates arbitrary quantiles by
+// Prometheus requires; quantile estimates arbitrary quantiles by
 // linear interpolation inside the bucket containing the rank.
 type Histogram struct {
 	bounds  []float64      // sorted upper bounds; observations > last go to +Inf
@@ -122,9 +122,9 @@ func (h *Histogram) cumulative() (bounds []float64, cum []int64) {
 	return h.bounds, cum
 }
 
-// Quantile estimates the q-quantile (0 <= q <= 1) of the observed
+// quantile estimates the q-quantile (0 <= q <= 1) of the observed
 // distribution. Returns 0 when the histogram is empty.
-func (h *Histogram) Quantile(q float64) float64 {
+func (h *Histogram) quantile(q float64) float64 {
 	bounds, cum := h.cumulative()
 	return quantileFromCumulative(bounds, cum, q)
 }

@@ -73,8 +73,8 @@ func TestHistogramQuantilesUniform(t *testing.T) {
 		{0.10, 10},
 		{1.00, 100},
 	} {
-		if got := h.Quantile(tc.q); math.Abs(got-tc.want) > 1e-9 {
-			t.Errorf("Quantile(%v) = %v, want %v", tc.q, got, tc.want)
+		if got := h.quantile(tc.q); math.Abs(got-tc.want) > 1e-9 {
+			t.Errorf("quantile(%v) = %v, want %v", tc.q, got, tc.want)
 		}
 	}
 }
@@ -90,11 +90,11 @@ func TestHistogramQuantilesSkewed(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.observe(1.0) // 1s
 	}
-	p50 := h.Quantile(0.50)
+	p50 := h.quantile(0.50)
 	if p50 <= 0.0008 || p50 > 0.0016 {
 		t.Errorf("p50 = %v, want inside the 1ms bucket (0.0008, 0.0016]", p50)
 	}
-	p99 := h.Quantile(0.99)
+	p99 := h.quantile(0.99)
 	if p99 <= 0.8192 || p99 > 1.6384 {
 		t.Errorf("p99 = %v, want inside the 1s bucket (0.8192, 1.6384]", p99)
 	}
@@ -111,8 +111,8 @@ func TestHistogramOverflowBucket(t *testing.T) {
 	h := newHistogram(bounds)
 	h.observe(100)
 	h.observe(200)
-	if got := h.Quantile(0.99); got != 2 {
-		t.Errorf("Quantile(0.99) with all mass in +Inf = %v, want last bound 2", got)
+	if got := h.quantile(0.99); got != 2 {
+		t.Errorf("quantile(0.99) with all mass in +Inf = %v, want last bound 2", got)
 	}
 	_, cum := h.cumulative()
 	if want := []int64{0, 0, 2}; len(cum) != 3 || cum[0] != want[0] || cum[1] != want[1] || cum[2] != want[2] {

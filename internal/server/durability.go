@@ -42,12 +42,14 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"stark"
+	"stark/internal/live"
 	"stark/internal/wal"
 )
 
@@ -71,11 +73,10 @@ type dropRecord struct {
 	Name string `json:"name"`
 }
 
-// batchRecord logs one applied ingest batch: the dataset, the
-// registration generation of the entry it applied to (so batches of
-// a later re-registration are never replayed into an earlier one),
-// the live generation the batch published, and the operations in
-// wire form.
+// batchRecord logs one applied ingest batch (encodeBatchRecord writes
+// it): the dataset, the registration generation of the entry it applied
+// to (so batches of a later re-registration are never replayed into an
+// earlier one), the live generation it published, and the operations.
 type batchRecord struct {
 	Dataset  string         `json:"dataset"`
 	EntryGen int64          `json:"entryGen"`
@@ -302,11 +303,37 @@ func (d *durability) logBatch(dataset string, entryGen int64, gen uint64, ops []
 	if d.recovering.Load() {
 		return nil
 	}
-	lines := make([]mutationLine, len(ops))
+	return d.log.Append(wal.Record{Type: walBatch, Payload: encodeBatchRecord(dataset, entryGen, gen, ops)})
+}
+
+// encodeBatchRecord returns the bytes json.Marshal writes for the
+// batchRecord of ops. An op's text and time are rendered from its key,
+// and parse back to it bit for bit (see catalogRow).
+func encodeBatchRecord(dataset string, entryGen int64, gen uint64, ops []stark.LiveOp[eventValue]) []byte {
+	dst := make([]byte, 0, 64+128*len(ops)) // a point upsert takes about 120 bytes
+	dst = appendJSONString(append(dst, `{"dataset":`...), dataset)
+	dst = strconv.AppendInt(append(dst, `,"entryGen":`...), entryGen, 10)
+	dst = strconv.AppendUint(append(dst, `,"gen":`...), gen, 10)
+	dst = append(dst, `,"ops":[`...)
 	for i, op := range ops {
-		lines[i] = opLine(op)
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(append(append(dst, `{"op":"`...), op.Kind.String()...), `","id":`...)
+		dst = strconv.AppendInt(dst, op.Rec.ID, 10)
+		if op.Kind == live.OpDelete {
+			dst = append(dst, `,"category":"","time":0,"wkt":""}`...)
+			continue
+		}
+		dst = appendJSONString(append(dst, `,"category":`...), op.Rec.Value.category())
+		dst = strconv.AppendInt(append(dst, `,"time":`...), eventTime(op.Rec.Key), 10)
+		if p, ok := op.Rec.Key.Point(); ok { // a point's WKT holds no byte JSON escapes
+			dst = append(p.AppendWKT(append(dst, `,"wkt":"`...)), `"}`...)
+		} else {
+			dst = append(appendJSONString(append(dst, `,"wkt":`...), keyWKT(op.Rec.Key)), '}')
+		}
 	}
-	return d.append(walBatch, batchRecord{Dataset: dataset, EntryGen: entryGen, Gen: gen, Ops: lines})
+	return append(dst, "]}"...)
 }
 
 // ---- checkpointing ----

@@ -4,19 +4,25 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unique"
 
+	"stark"
 	"stark/internal/engine"
 	"stark/internal/geom"
 	"stark/internal/index"
+	"stark/internal/live"
+	"stark/internal/stobject"
 	"stark/internal/wal"
 )
 
@@ -860,4 +866,95 @@ func TestWALBatchRecordFormat(t *testing.T) {
 		}
 	}
 	crash(t, s2)
+}
+
+// opLine renders an op in the wire form the WAL held before
+// encodeBatchRecord wrote it directly: the oracle of FuzzBatchRecord.
+func opLine(op stark.LiveOp[eventValue]) mutationLine {
+	id := op.Rec.ID
+	if op.Kind == live.OpDelete {
+		return mutationLine{Op: "delete", ID: &id}
+	}
+	name := "upsert"
+	if op.Kind == live.OpInsert {
+		name = "insert"
+	}
+	return mutationLine{Op: name, ID: &id, Category: op.Rec.Value.category(), Time: eventTime(op.Rec.Key), WKT: keyWKT(op.Rec.Key)}
+}
+
+// FuzzBatchRecord holds encodeBatchRecord to json.Marshal of the
+// batchRecord over opLine, byte for byte: a point, LineString or
+// Polygon key, or a delete, beside a fixed upsert and delete.
+func FuzzBatchRecord(f *testing.F) {
+	f.Add("fleet", "taxi", int64(1), int64(5), uint8(0), 2.5, 3.0)
+	f.Add("<a&b>", "a\"b\\c\x00  <>&", int64(-1), int64(-9), uint8(1), 1e-7, 1e21)
+	f.Add("f", "\xff\xfe", int64(math.MaxInt64), int64(math.MinInt64), uint8(2), -0.0, 123456.789)
+	f.Add("", "", int64(0), int64(0), uint8(3), math.NaN(), 0.0)
+	f.Add("d", "\t\n\r\b\f\x7f é\u2028\u2029", int64(7), int64(0), uint8(4), math.Inf(1), -1e-300)
+	f.Fuzz(func(t *testing.T, dataset, category string, id, tm int64, kind uint8, x, y float64) {
+		var key stark.STObject
+		switch kind % 4 {
+		case 0, 3:
+			key = stobject.NewPointAt(x, y, stobject.Instant(tm))
+		case 1:
+			ls, err := geom.NewLineString([]geom.Point{{X: x, Y: y}, {X: y, Y: x + 1}})
+			if err != nil {
+				t.Skip()
+			}
+			key = stobject.NewWithTime(ls, stobject.Instant(tm))
+		case 2:
+			poly, err := geom.NewPolygonFromPoints([]geom.Point{{X: x, Y: y}, {X: x + 1, Y: y}, {X: x + 1, Y: y + 1}, {X: x, Y: y + 1}})
+			if err != nil {
+				t.Skip()
+			}
+			key = stobject.NewWithTime(poly, stobject.Instant(tm))
+		}
+		op := stark.LiveUpsert(id, key, eventValue{ID: id, cat: unique.Make(category)})
+		switch {
+		case kind%4 == 3:
+			op = stark.LiveDelete[eventValue](id)
+		case kind&4 != 0:
+			op = stark.LiveInsert(id, key, eventValue{ID: id, cat: unique.Make(category)})
+		}
+		ops := []stark.LiveOp[eventValue]{
+			op,
+			stark.LiveUpsert(2, stobject.NewPointAt(1, 2, 3), eventValue{ID: 2, cat: unique.Make("c")}),
+			stark.LiveDelete[eventValue](3),
+		}
+		for _, ops := range [][]stark.LiveOp[eventValue]{nil, ops[:1], ops} {
+			lines := make([]mutationLine, len(ops))
+			for i, op := range ops {
+				lines[i] = opLine(op)
+			}
+			want, err := json.Marshal(batchRecord{Dataset: dataset, EntryGen: id, Gen: uint64(tm), Ops: lines})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := encodeBatchRecord(dataset, id, uint64(tm), ops); !bytes.Equal(got, want) {
+				t.Fatalf("appended\n%s\njson.Marshal\n%s", got, want)
+			}
+		}
+	})
+}
+
+// BenchmarkLogBatch encodes the WAL record of one 100-op batch of the
+// end-to-end benchmark's ingest pool: the encoding alone, no append and
+// no fsync.
+func BenchmarkLogBatch(b *testing.B) {
+	const n = 100
+	var ops []stark.LiveOp[eventValue]
+	for _, line := range bytes.Split(bytes.TrimSpace(ingestPoolBatch(n)), []byte("\n")) {
+		op, err := decodeMutation(line)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ops = append(ops, op)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for b.Loop() {
+		encodeBatchRecord("fleet", 1, 2, ops)
+	}
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N), "allocs/batch")
 }

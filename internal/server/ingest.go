@@ -11,12 +11,15 @@ package server
 //	{"op":"upsert","id":1,"category":"taxi","time":43,"wkt":"POINT (5 6)"}
 //	{"op":"delete","id":1}
 //
-// op defaults to upsert. The whole request is ONE atomic batch: it
-// either publishes one new generation with every line applied, or —
-// on the first malformed line, or any batch-level violation (duplicate
-// IDs, insert of a live ID) — rejects with HTTP 400 and changes
-// nothing. Batches pass through the same admission gate as queries,
-// so a burst of writers cannot starve readers of engine slots.
+// op defaults to upsert. A plain line like these (see scanMutation) is
+// scanned by hand; encoding/json decodes every other line, a malformed
+// one included, and the two agree on every answer and error text. The
+// whole request is ONE atomic batch: it either publishes one new
+// generation with every line applied, or — on the first malformed line,
+// or any batch-level violation (duplicate IDs, insert of a live ID) —
+// rejects with HTTP 400 and changes nothing. Batches pass through the
+// same admission gate as queries, so a burst of writers cannot starve
+// readers of engine slots.
 
 import (
 	"bufio"
@@ -30,7 +33,6 @@ import (
 	"strings"
 
 	"stark"
-	"stark/internal/live"
 	"stark/internal/workload"
 )
 
@@ -57,10 +59,19 @@ type mutationLine struct {
 // is the ingest decoder's trust boundary — everything after it deals
 // in validated ops — and the fuzz target FuzzDecodeMutation holds it
 // to: never panic, never emit an op with an empty geometry unless the
-// op is a delete, and never accept a line that holds anything after
-// its one JSON value (a second mutation there would be dropped while
-// the batch answers 200).
+// op is a delete, never accept a line that holds anything after its
+// one JSON value (a second mutation there would be dropped while the
+// batch answers 200), and answer as decodeMutationJSON does.
 func decodeMutation(line []byte) (stark.LiveOp[eventValue], error) {
+	if m, ok := scanMutation(line); ok {
+		return m.toOp()
+	}
+	return decodeMutationJSON(line)
+}
+
+// decodeMutationJSON decodes a line with encoding/json: the reference
+// scanMutation is held to, and the decoder of every line it declines.
+func decodeMutationJSON(line []byte) (stark.LiveOp[eventValue], error) {
 	var zero stark.LiveOp[eventValue]
 	var m mutationLine
 	dec := json.NewDecoder(bytes.NewReader(line))
@@ -72,6 +83,108 @@ func decodeMutation(line []byte) (stark.LiveOp[eventValue], error) {
 		return zero, errors.New("trailing data")
 	}
 	return m.toOp()
+}
+
+// scanMutation decodes a plain line without reflection: one JSON object
+// whose keys are distinct, exact-case names out of op, id, category,
+// time and wkt, whose strings are printable ASCII with no escapes, whose
+// id and time are integers that fit int64 with no fraction, exponent or
+// leading zero, with only JSON whitespace around its tokens. ok is false
+// for every other line.
+func scanMutation(line []byte) (m mutationLine, ok bool) {
+	sc := lineScanner{b: line}
+	if !sc.next('{') {
+		return m, false
+	}
+	for seen := uint8(0); !sc.next('}'); {
+		if seen != 0 && !sc.next(',') {
+			return m, false
+		}
+		key, _ := sc.str() // a bad key is nil and matches no case below
+		colon := sc.next(':')
+		var bit uint8
+		switch string(key) {
+		case "op":
+			bit, ok = 1, sc.text(&m.Op)
+		case "id":
+			m.ID = new(int64)
+			bit, ok = 2, sc.int(m.ID)
+		case "category":
+			bit, ok = 4, sc.text(&m.Category)
+		case "time":
+			bit, ok = 8, sc.int(&m.Time)
+		case "wkt":
+			bit, ok = 16, sc.text(&m.WKT)
+		}
+		if !colon || bit == 0 || !ok || seen&bit != 0 {
+			return m, false
+		}
+		seen |= bit
+	}
+	return m, len(bytes.TrimLeft(sc.b[sc.i:], " \t\n\r")) == 0
+}
+
+// lineScanner reads the tokens of a plain line (see scanMutation).
+type lineScanner struct {
+	b []byte
+	i int
+}
+
+// next consumes c, after JSON whitespace, if it comes next.
+func (sc *lineScanner) next(c byte) bool {
+	for sc.i < len(sc.b) && (sc.b[sc.i] == ' ' || sc.b[sc.i] == '\t' || sc.b[sc.i] == '\n' || sc.b[sc.i] == '\r') {
+		sc.i++
+	}
+	if sc.i < len(sc.b) && sc.b[sc.i] == c {
+		sc.i++
+		return true
+	}
+	return false
+}
+
+// str consumes a string of printable ASCII without escapes and returns
+// its bytes between the quotes.
+func (sc *lineScanner) str() ([]byte, bool) {
+	if !sc.next('"') {
+		return nil, false
+	}
+	s := sc.b[sc.i:]
+	n := bytes.IndexByte(s, '"')
+	if n < 0 {
+		return nil, false
+	}
+	for _, c := range s[:n] {
+		if c < ' ' || c > '~' || c == '\\' {
+			return nil, false
+		}
+	}
+	sc.i += n + 1
+	return s[:n], true
+}
+
+func (sc *lineScanner) text(dst *string) bool {
+	s, ok := sc.str()
+	*dst = string(s)
+	return ok
+}
+
+// int consumes an integer that fits int64, with no leading zero; a
+// fraction or an exponent after it fails the next token.
+func (sc *lineScanner) int(dst *int64) bool {
+	neg := sc.next('-')
+	start := sc.i
+	for sc.i < len(sc.b) && sc.b[sc.i]-'0' <= 9 {
+		sc.i++
+	}
+	if sc.i-start > 1 && sc.b[start] == '0' {
+		return false
+	}
+	if neg {
+		start--
+	}
+	v, err := strconv.ParseInt(string(sc.b[start:sc.i]), 10, 64)
+	*dst = v
+	return err == nil
 }
 
 // toOp validates a decoded mutation line and lifts it to a live op —
@@ -100,23 +213,6 @@ func (m mutationLine) toOp() (stark.LiveOp[eventValue], error) {
 		return stark.LiveInsert(*m.ID, row.Key, row.Value), nil
 	}
 	return stark.LiveUpsert(*m.ID, row.Key, row.Value), nil
-}
-
-// opLine renders a validated live op back to its wire form — how WAL
-// batch records serialise a batch. The op's text and time are in its
-// key (catalogRow), so the line's WKT and time are rendered from it;
-// the round trip through toOp is lossless because that rendering parses
-// back to the same coordinates bit for bit (see catalogRow).
-func opLine(op stark.LiveOp[eventValue]) mutationLine {
-	id := op.Rec.ID
-	if op.Kind == live.OpDelete {
-		return mutationLine{Op: "delete", ID: &id}
-	}
-	name := "upsert"
-	if op.Kind == live.OpInsert {
-		name = "insert"
-	}
-	return mutationLine{Op: name, ID: &id, Category: op.Rec.Value.category(), Time: eventTime(op.Rec.Key), WKT: keyWKT(op.Rec.Key)}
 }
 
 // keyWKT is key.Geo().WKT() without boxing a point key.
@@ -159,7 +255,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	defer s.adm.Release()
 
 	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 64*1024), maxIngestLineBytes)
+	sc.Buffer(nil, maxIngestLineBytes)
 	var ops []stark.LiveOp[eventValue]
 	lineNo := 0
 	for sc.Scan() {
@@ -231,15 +327,16 @@ func (s *Server) handleRecordDelete(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, ingestResponse(entry, res))
 }
 
-// ingestResponse is the JSON body of a successful mutation request.
-func ingestResponse(entry *catalogEntry, res stark.BatchResult) map[string]interface{} {
-	return map[string]interface{}{
-		"dataset":    entry.spec.Name,
-		"generation": res.Gen,
-		"inserted":   res.Inserted,
-		"replaced":   res.Replaced,
-		"deleted":    res.Deleted,
-		"missing":    res.Missing,
-		"count":      entry.mds.Count(),
-	}
+// ingestResponse is the JSON body of a successful mutation request: a
+// struct with its fields in name order, as json.Marshal writes a map's.
+func ingestResponse(entry *catalogEntry, res stark.BatchResult) any {
+	return struct {
+		Count      int64  `json:"count"`
+		Dataset    string `json:"dataset"`
+		Deleted    int    `json:"deleted"`
+		Generation uint64 `json:"generation"`
+		Inserted   int    `json:"inserted"`
+		Missing    int    `json:"missing"`
+		Replaced   int    `json:"replaced"`
+	}{entry.mds.Count(), entry.spec.Name, res.Deleted, res.Gen, res.Inserted, res.Missing, res.Replaced}
 }

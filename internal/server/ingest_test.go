@@ -5,8 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -95,6 +99,10 @@ func TestIngestRoundTrip(t *testing.T) {
 	rec := ingestNDJSON(t, s, "", b.String())
 	if rec.Code != http.StatusOK {
 		t.Fatalf("ingest status = %d: %s", rec.Code, rec.Body.String())
+	}
+	// The reply's bytes: its keys in name order, then a newline.
+	if want := `{"count":55,"dataset":"default","deleted":5,"generation":2,"inserted":10,"missing":0,"replaced":5}` + "\n"; rec.Body.String() != want {
+		t.Errorf("reply %q, want %q", rec.Body.String(), want)
 	}
 	var resp struct {
 		Dataset    string `json:"dataset"`
@@ -459,7 +467,11 @@ func seedEventsRange(lo, hi int) []workload.Event {
 // FuzzDecodeMutation holds the ingest decoder to its contract: never
 // panic on arbitrary input, and never emit a malformed op — a nil
 // error means a well-formed kind, a non-delete op carries a non-empty
-// geometry, and the line held exactly one JSON value.
+// geometry, and the line held exactly one JSON value. It is also the
+// differential oracle of the plain-line scanner: decodeMutation must
+// accept or reject as the encoding/json path does, with its error text,
+// and build the same op kind, id, key and category; a line the scanner
+// takes must decode to the mutationLine encoding/json fills.
 func FuzzDecodeMutation(f *testing.F) {
 	f.Add([]byte(`{"op":"insert","id":1,"category":"a","time":5,"wkt":"POINT (1 2)"}`))
 	f.Add([]byte(`{"op":"upsert","id":-9223372036854775808,"wkt":"POINT (0 0)"}`))
@@ -474,10 +486,55 @@ func FuzzDecodeMutation(f *testing.F) {
 	f.Add([]byte(`{"id":1,"wkt":"POINT (1 2)","extra":true}`))
 	f.Add([]byte(`{"op":"delete","id":1}{"op":"delete","id":2}`))
 	f.Add([]byte(`{"op":"delete","id":1} ]`))
+	// Each way a line falls off the plain shape the scanner takes.
+	for _, line := range []string{
+		`{"op":"upsert","id":1,"category":"a\"b","time":2,"wkt":"POINT (1 2)"}`,
+		`{"op":"upsert","id":1,"category":"\u0041","time":2,"wkt":"POINT (1 2)"}`,
+		`{"op":"upsert","id":1,"category":"café","time":2,"wkt":"POINT (1 2)"}`,
+		"{\"op\":\"upsert\",\"id\":1,\"category\":\"\xff\",\"time\":2,\"wkt\":\"POINT (1 2)\"}",
+		`{"op":"upsert","ID":1,"wkt":"POINT (1 2)"}`,
+		`{"op":"upsert","id":1,"id":2,"wkt":"POINT (1 2)"}`,
+		`{"op":"upsert","id":1.0,"wkt":"POINT (1 2)"}`,
+		`{"op":"upsert","id":1e2,"wkt":"POINT (1 2)"}`,
+		`{"op":"upsert","id":null,"wkt":"POINT (1 2)"}`,
+		`{"op":"upsert","id":1,"time":null,"wkt":"POINT (1 2)"}`,
+		`{"op":"upsert","id":01,"wkt":"POINT (1 2)"}`,
+		`{"op":"upsert","id":-0,"wkt":"POINT (1 2)"}`,
+		`{"op":"upsert","id":9223372036854775807,"time":-9223372036854775808,"wkt":"POINT (1 2)"}`,
+		`{"op":"upsert","id":9223372036854775808,"wkt":"POINT (1 2)"}`,
+		`{"op":"upsert","id":1,"time":-9223372036854775809,"wkt":"POINT (1 2)"}`,
+		"{\"op\":\"upsert\",\t\"id\":1,\r\"wkt\":\"POINT (1 2)\"}\t\r",
+		`{"op":"upsert","id":1,"wkt":"POINT (1 2)"}]`,
+		`{"op":"INSERT","id":3,"category":"<&>","time":0,"wkt":"point(1 2)"}`,
+		`{"op":"delete","id":3,"wkt":""}`,
+	} {
+		f.Add([]byte(line))
+	}
 	f.Fuzz(func(t *testing.T, line []byte) {
 		op, err := decodeMutation(line)
+		wantOp, wantErr := decodeMutationJSON(line)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("%q: error %v, encoding/json says %v", line, err, wantErr)
+		}
+		if m, ok := scanMutation(line); ok {
+			var want mutationLine
+			if err := json.Unmarshal(line, &want); err != nil {
+				t.Fatalf("scanned %q, which encoding/json rejects: %v", line, err)
+			}
+			if (m.ID == nil) != (want.ID == nil) || m.ID != nil && *m.ID != *want.ID {
+				t.Fatalf("%q: scanned id %v, encoding/json %v", line, m.ID, want.ID)
+			}
+			m.ID, want.ID = nil, nil
+			if m != want {
+				t.Fatalf("%q: scanned %+v, encoding/json %+v", line, m, want)
+			}
+		}
 		if err != nil {
 			return
+		}
+		if op.Kind != wantOp.Kind || op.Rec.ID != wantOp.Rec.ID || !sameKey(op.Rec.Key, wantOp.Rec.Key) ||
+			op.Rec.Value.category() != wantOp.Rec.Value.category() {
+			t.Fatalf("%q: decoded %+v, encoding/json %+v", line, op, wantOp)
 		}
 		dec := json.NewDecoder(bytes.NewReader(line))
 		var v json.RawMessage
@@ -497,4 +554,53 @@ func FuzzDecodeMutation(f *testing.F) {
 			t.Fatalf("decoded unknown op kind %d from %q", op.Kind, line)
 		}
 	})
+}
+
+// sameKey reports whether two keys hold the same instant and the same
+// point, bit for bit, or the same other geometry.
+func sameKey(a, b stark.STObject) bool {
+	at, _ := a.Time()
+	bt, _ := b.Time()
+	ap, aok := a.Point()
+	bp, bok := b.Point()
+	if at != bt || aok != bok {
+		return false
+	}
+	if aok {
+		return math.Float64bits(ap.X) == math.Float64bits(bp.X) && math.Float64bits(ap.Y) == math.Float64bits(bp.Y)
+	}
+	return a.IsEmpty() == b.IsEmpty() && (a.IsEmpty() || a.Geo().WKT() == b.Geo().WKT())
+}
+
+// ingestPoolBatch renders a batch of n point upserts as the end-to-end
+// benchmark's ingest pool does (bench/e2e/workload.go, ingestPool).
+func ingestPoolBatch(n int) []byte {
+	rng := rand.New(rand.NewSource(1))
+	var batch []byte
+	for j := range n {
+		x, y := rng.Float64()*1000, rng.Float64()*1000
+		batch = fmt.Appendf(batch, `{"op":"upsert","id":%d,"category":%q,"time":%d,"wkt":"POINT (%s %s)"}`+"\n",
+			j*7919%100_000, workload.Categories[rng.Intn(len(workload.Categories))], rng.Int63n(1_000_000),
+			strconv.FormatFloat(x, 'g', -1, 64), strconv.FormatFloat(y, 'g', -1, 64))
+	}
+	return batch
+}
+
+// BenchmarkDecodeBatch decodes a 100-line batch of the end-to-end
+// benchmark's ingest pool line by line, as handleIngest does.
+func BenchmarkDecodeBatch(b *testing.B) {
+	const n = 100
+	lines := bytes.Split(bytes.TrimSpace(ingestPoolBatch(n)), []byte("\n"))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for b.Loop() {
+		for _, line := range lines {
+			if _, err := decodeMutation(line); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/line")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*n), "allocs/line")
 }

@@ -129,8 +129,12 @@ func FromWKT(wkt string) (STObject, error) {
 	return New(g), nil
 }
 
-// FromWKTWithTime parses a WKT string and attaches the instant t.
+// FromWKTWithTime parses a WKT string and attaches the instant t. A
+// POINT becomes the key NewPointAt builds, with no geom.Geometry box.
 func FromWKTWithTime(wkt string, t Instant) (STObject, error) {
+	if p, ok := geom.ParsePoint(wkt); ok {
+		return NewPointAt(p.X, p.Y, t), nil
+	}
 	g, err := geom.ParseWKT(wkt)
 	if err != nil {
 		return STObject{}, err

@@ -1,6 +1,7 @@
 package stobject
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -517,5 +518,37 @@ func TestPropContainsIsUnionOfAllenRelations(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestFromWKTPointKeysMatchParseWKT: a POINT read by FromWKTWithTime
+// (geom.ParsePoint into NewPointAt, no box) gives the key ParseWKT and
+// NewWithTime give, bit for bit, for every spelling the parser accepts,
+// and the same error for every malformed one.
+func TestFromWKTPointKeysMatchParseWKT(t *testing.T) {
+	for _, wkt := range []string{
+		"POINT (1 2)", "point (1 2)", "Point(3.10 4.0)", "POINT(1 2)",
+		"  POINT  (  1e-7   -2.5e300 )  ", "POINT\t(\n-0 0\r)",
+		"POINT EMPTY", "point empty", "POINT EMPTY (1 2)",
+		"POINT (1)", "POINT (1 2", "POINT (1 2) 3", "POINT", "POINTS (1 2)", "POINT (1e400 0)",
+		"LINESTRING (0 0, 1 1)", "", "MULTIPOINT ((1 2))",
+	} {
+		got, err := FromWKTWithTime(wkt, 7)
+		g, wantErr := geom.ParseWKT(wkt)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Errorf("%q: error %v, ParseWKT %v", wkt, err, wantErr)
+			continue
+		}
+		if err != nil {
+			continue
+		}
+		want := NewWithTime(g, 7)
+		if math.Float64bits(got.x) != math.Float64bits(want.x) || math.Float64bits(got.y) != math.Float64bits(want.y) ||
+			got.flags != want.flags || got.time != want.time || (got.geo == nil) != (want.geo == nil) {
+			t.Errorf("%q: key %#v, ParseWKT + NewWithTime %#v", wkt, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = FromWKTWithTime("POINT (3.10 4.0)", 7) }); n != 0 {
+		t.Errorf("FromWKTWithTime of a point allocates %v times", n)
 	}
 }
