@@ -1,10 +1,9 @@
 package attr
 
 import (
-	"cmp"
 	"fmt"
 	"iter"
-	"maps"
+	"math"
 	"slices"
 	"sort"
 
@@ -14,13 +13,50 @@ import (
 // Index is a secondary index over one field of one partition: the
 // distinct values in ascending Compare order, each with the row ids
 // carrying it, ascending. A row id is the row's position in the
-// partition's row order. The index is built once and never changes,
-// so readers share it without locking.
+// partition's row order. A value is held as one 8-byte payload: an
+// int64 or a float64 keeps the bits of the value its first row
+// carries, a bool is 0 or 1, and a string is its rank in texts. The
+// values sort by kind first, so each kind is one run of them. The
+// index is built once and never changes, so readers share it without
+// locking.
 type Index struct {
-	vals []Value // distinct, ascending
+	vals []uint64 // payloads, distinct, ascending
+	// runs cuts vals by kind: kind k's values are vals[runs[k]:runs[k+1]].
+	runs  [KindBool + 2]int32
+	texts []string // the distinct strings, ascending
 	// at cuts rows by value: vals[k]'s rows are rows[at[k]:at[k+1]].
 	at   []int32
 	rows []int32
+}
+
+// payload returns v's 8-byte form; a string's is its rank, which only
+// the index knows, so it returns 0 for one.
+func payload(v Value) uint64 {
+	switch v.Kind {
+	case KindInt64:
+		return uint64(v.I)
+	case KindFloat64:
+		return math.Float64bits(v.F)
+	case KindBool:
+		if v.B {
+			return 1
+		}
+	}
+	return 0
+}
+
+// orderKey maps the payload of a value of kind k to an unsigned key
+// that orders as Compare orders the values of one kind: an int with its
+// sign bit flipped, a float through geom.FloatKey (NaN lowest, −0 =
+// +0), a bool or a string's rank as it is.
+func orderKey(k Kind, p uint64) uint64 {
+	switch k {
+	case KindInt64:
+		return p ^ 1<<63
+	case KindFloat64:
+		return geom.FloatKey(math.Float64frombits(p))
+	}
+	return p
 }
 
 // BuildIndex loads column (column[i] holds row i's value) into
@@ -28,106 +64,147 @@ type Index struct {
 // place, not copied, and the index keeps neither it nor field and
 // kind.
 func BuildIndex(field string, kind Kind, column []Value) *Index {
-	var rows []int32
-	if keys := orderKeys(column); keys != nil {
-		rows = geom.OrderByKey(keys)
+	ix := &Index{}
+	keys := make([]uint64, len(column))
+	mixed := false
+	var ids map[string]uint64 // a string's first-seen id
+	for i, v := range column {
+		mixed = mixed || v.Kind != column[0].Kind
+		if v.Kind != KindString {
+			keys[i] = orderKey(v.Kind, payload(v))
+			continue
+		}
+		if ids == nil {
+			ids = make(map[string]uint64)
+		}
+		id, ok := ids[v.S]
+		if !ok {
+			id = uint64(len(ids))
+			ids[v.S] = id
+		}
+		keys[i] = id
+	}
+	if ids != nil {
+		ix.texts = make([]string, 0, len(ids))
+		for s := range ids {
+			ix.texts = append(ix.texts, s)
+		}
+		slices.Sort(ix.texts)
+		rank := make([]uint64, len(ix.texts))
+		for r, s := range ix.texts {
+			rank[ids[s]] = uint64(r)
+		}
+		if !mixed {
+			for i, id := range keys {
+				keys[i] = rank[id]
+			}
+		}
+	}
+	if mixed { // the keys order values of one kind only
+		ix.rows = make([]int32, len(column))
+		for i := range ix.rows {
+			ix.rows[i] = int32(i)
+		}
+		slices.SortStableFunc(ix.rows, func(a, b int32) int { return column[a].Compare(column[b]) })
 	} else {
-		rows = make([]int32, len(column))
-		for i := range rows {
-			rows[i] = int32(i)
-		}
-		slices.SortFunc(rows, func(a, b int32) int { return cmp.Or(column[a].Compare(column[b]), cmp.Compare(a, b)) })
+		ix.rows = geom.OrderByKey(slices.Clone(keys))
 	}
-	ix := &Index{rows: rows}
+	// Within a kind, two values are equal exactly when their keys are.
+	rows := ix.rows
+	starts := func(k int) bool {
+		a, b := rows[k], rows[max(k-1, 0)]
+		return k == 0 || keys[a] != keys[b] || (mixed && column[a].Kind != column[b].Kind)
+	}
+	distinct := 0
+	for k := range rows {
+		if starts(k) {
+			distinct++
+		}
+	}
+	ix.vals = make([]uint64, 0, distinct)
+	ix.at = make([]int32, 0, distinct+1)
 	for k, r := range rows {
-		if k == 0 || column[r].Compare(column[rows[k-1]]) != 0 {
-			ix.at = append(ix.at, int32(k))
+		if !starts(k) {
+			continue
 		}
-	}
-	ix.vals = make([]Value, len(ix.at))
-	for i, k := range ix.at {
-		ix.vals[i] = column[rows[k]]
+		v, p := column[r], payload(column[r])
+		if v.Kind == KindString {
+			p = uint64(ix.runs[KindString+1]) // the texts arrive in rank order
+		}
+		ix.vals = append(ix.vals, p)
+		ix.at = append(ix.at, int32(k))
+		ix.runs[v.Kind+1]++
 	}
 	ix.at = append(ix.at, int32(len(rows)))
+	for k := 1; k < len(ix.runs); k++ {
+		ix.runs[k] += ix.runs[k-1]
+	}
 	return ix
 }
 
-// orderKeys maps a column of one kind to unsigned keys that order as
-// Compare orders the values: a string is the rank of its text among
-// the column's distinct texts. It returns nil for an empty column and
-// for a column of mixed kinds.
-func orderKeys(column []Value) []uint64 {
-	if len(column) == 0 {
-		return nil
+// run returns the bounds of kind k's values; a kind past KindBool sorts
+// after every value and has none.
+func (ix *Index) run(k Kind) (int, int) {
+	if k > KindBool {
+		return len(ix.vals), len(ix.vals)
 	}
-	kind := column[0].Kind
-	keys := make([]uint64, len(column))
-	var ids map[string]uint64 // a string's first-seen id
-	if kind == KindString {
-		ids = make(map[string]uint64)
+	return int(ix.runs[k]), int(ix.runs[k+1])
+}
+
+// value returns the k-th value, of kind kind.
+func (ix *Index) value(kind Kind, k int) Value {
+	p := ix.vals[k]
+	switch kind {
+	case KindInt64:
+		return intValue(int64(p))
+	case KindFloat64:
+		return floatValue(math.Float64frombits(p))
+	case KindString:
+		return String(ix.texts[p])
+	case KindBool:
+		return boolValue(p == 1)
 	}
-	for i, v := range column {
-		if v.Kind != kind {
-			return nil
-		}
-		switch kind {
-		case KindInt64:
-			keys[i] = uint64(v.I) ^ 1<<63
-		case KindFloat64:
-			keys[i] = geom.FloatKey(v.F)
-		case KindBool:
-			if v.B {
-				keys[i] = 1
-			}
-		case KindString:
-			id, ok := ids[v.S]
-			if !ok {
-				id = uint64(len(ids))
-				ids[v.S] = id
-			}
-			keys[i] = id
-		default:
-			return nil
-		}
-	}
-	if ids != nil {
-		texts := slices.Sorted(maps.Keys(ids))
-		rank := make([]uint64, len(texts))
-		for r, s := range texts {
-			rank[ids[s]] = uint64(r)
-		}
-		for i, id := range keys {
-			keys[i] = rank[id]
-		}
-	}
-	return keys
+	return Value{Kind: kind}
 }
 
 // seek returns the index of the first value >= v, or of the first
 // value > v when strict.
 func (ix *Index) seek(v Value, strict bool) int {
-	return sort.Search(len(ix.vals), func(k int) bool {
-		c := ix.vals[k].Compare(v)
-		return c > 0 || (c == 0 && !strict)
+	lo, hi := ix.run(v.Kind)
+	if v.Kind == KindString {
+		r := sort.SearchStrings(ix.texts, v.S)
+		if strict && r < len(ix.texts) && ix.texts[r] == v.S {
+			r++
+		}
+		return lo + r
+	}
+	want := orderKey(v.Kind, payload(v))
+	return lo + sort.Search(hi-lo, func(k int) bool {
+		got := orderKey(v.Kind, ix.vals[lo+k])
+		return got > want || (got == want && !strict)
 	})
 }
 
 // spans resolves p to half-open value ranges, one per OpIn set member,
-// at most one otherwise.
+// at most one otherwise. Like Matches, a range holds only values of its
+// operand's kind.
 func (ix *Index) spans(p Pred) [][2]int {
-	end := len(ix.vals)
+	lo, hi := ix.run(p.Lo.Kind)
 	switch p.Op {
 	case OpEq:
 		return [][2]int{{ix.seek(p.Lo, false), ix.seek(p.Lo, true)}}
 	case OpLt:
-		return [][2]int{{0, ix.seek(p.Lo, false)}}
+		return [][2]int{{lo, ix.seek(p.Lo, false)}}
 	case OpLe:
-		return [][2]int{{0, ix.seek(p.Lo, true)}}
+		return [][2]int{{lo, ix.seek(p.Lo, true)}}
 	case OpGt:
-		return [][2]int{{ix.seek(p.Lo, true), end}}
+		return [][2]int{{ix.seek(p.Lo, true), hi}}
 	case OpGe:
-		return [][2]int{{ix.seek(p.Lo, false), end}}
+		return [][2]int{{ix.seek(p.Lo, false), hi}}
 	case OpBetween:
+		if p.Lo.Kind != p.Hi.Kind {
+			return nil
+		}
 		return [][2]int{{ix.seek(p.Lo, false), ix.seek(p.Hi, true)}}
 	case OpIn:
 		spans := make([][2]int, 0, len(p.Set))
@@ -162,32 +239,47 @@ func (ix *Index) Postings(p Pred, yield func(int32)) int {
 // ids in ascending order. The lists are the index's own.
 func (ix *Index) All() iter.Seq2[Value, []int32] {
 	return func(yield func(Value, []int32) bool) {
-		for k, v := range ix.vals {
-			if !yield(v, ix.rows[ix.at[k]:ix.at[k+1]]) {
-				return
+		for kind := KindInvalid; kind <= KindBool; kind++ {
+			lo, hi := ix.run(kind)
+			for k := lo; k < hi; k++ {
+				if !yield(ix.value(kind, k), ix.rows[ix.at[k]:ix.at[k+1]]) {
+					return
+				}
 			}
 		}
 	}
 }
 
-// Check verifies the index against its invariants: the values strictly
-// ascending, every value with at least one row, the rows of a value
-// ascending, and the cuts tiling the rows.
+// Check verifies the index against its invariants: the cuts tiling
+// the rows, the kind runs tiling the values, one text per string value
+// with its rank in place, the values of a kind strictly ascending, each
+// with at least one row, and the rows of a value ascending.
 func (ix *Index) Check() error {
-	if len(ix.at) != len(ix.vals)+1 || ix.at[0] != 0 || int(ix.at[len(ix.vals)]) != len(ix.rows) {
-		return fmt.Errorf("%d cuts over %d values and %d rows", len(ix.at), len(ix.vals), len(ix.rows))
+	n := len(ix.vals)
+	if len(ix.at) != n+1 || ix.at[0] != 0 || int(ix.at[n]) != len(ix.rows) {
+		return fmt.Errorf("%d cuts over %d values and %d rows", len(ix.at), n, len(ix.rows))
 	}
-	for k, v := range ix.vals {
-		if k > 0 && ix.vals[k-1].Compare(v) >= 0 {
-			return fmt.Errorf("value %d: %s does not ascend from %s", k, v, ix.vals[k-1])
+	if lo, hi := ix.run(KindString); ix.runs[0] != 0 || int(ix.runs[len(ix.runs)-1]) != n || hi-lo != len(ix.texts) {
+		return fmt.Errorf("kind runs %v over %d values and %d texts", ix.runs, n, len(ix.texts))
+	}
+	for kind := KindInvalid; kind <= KindBool; kind++ {
+		lo, hi := ix.run(kind)
+		if lo > hi {
+			return fmt.Errorf("kind runs %v: %s ends before it starts", ix.runs, kind)
 		}
-		lo, hi := ix.at[k], ix.at[k+1]
-		if lo >= hi {
-			return fmt.Errorf("value %d: %s has no rows", k, v)
-		}
-		for i := lo + 1; i < hi; i++ {
-			if ix.rows[i-1] >= ix.rows[i] {
-				return fmt.Errorf("value %d: %s lists row %d after row %d", k, v, ix.rows[i], ix.rows[i-1])
+		for k := lo; k < hi; k++ {
+			switch p := ix.vals[k]; {
+			case kind == KindString && p != uint64(k-lo), kind == KindBool && p > 1, kind == KindInvalid && p != 0:
+				return fmt.Errorf("value %d: %s payload %d out of place", k, kind, p)
+			case k > lo && ix.value(kind, k-1).Compare(ix.value(kind, k)) >= 0:
+				return fmt.Errorf("value %d: %s does not ascend from %s", k, ix.value(kind, k), ix.value(kind, k-1))
+			case ix.at[k] >= ix.at[k+1]:
+				return fmt.Errorf("value %d: %s has no rows", k, ix.value(kind, k))
+			}
+			for i := ix.at[k] + 1; i < ix.at[k+1]; i++ {
+				if ix.rows[i-1] >= ix.rows[i] {
+					return fmt.Errorf("value %d: %s lists row %d after row %d", k, ix.value(kind, k), ix.rows[i], ix.rows[i-1])
+				}
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 // scanPostings answers p by brute force over col through Pred.Matches,
@@ -174,17 +175,40 @@ func TestPostingsCheckCatchesDamage(t *testing.T) {
 		}
 		return BuildIndex("f", KindInt64, col)
 	}
-	if err := build().Check(); err != nil {
-		t.Fatal(err)
-	}
-	for name, damage := range map[string]func(ix *Index){
+	expectCaught(t, build, map[string]func(ix *Index){
 		"order":  func(ix *Index) { ix.vals[3], ix.vals[4] = ix.vals[4], ix.vals[3] },
 		"repeat": func(ix *Index) { ix.vals[5] = ix.vals[4] },
 		"bare":   func(ix *Index) { ix.at[6] = ix.at[7] },
 		"rows":   func(ix *Index) { r := ix.rows[ix.at[2]:]; r[0], r[1] = r[1], r[0] },
 		"cut":    func(ix *Index) { ix.at = ix.at[:len(ix.at)-1] },
 		"lost":   func(ix *Index) { ix.rows = ix.rows[:len(ix.rows)-1] },
-	} {
+	})
+	// An int run ahead of 20 texts, for the damage only kinds and texts
+	// can take.
+	mixed := func() *Index {
+		col := make([]Value, 60)
+		for i := range col {
+			col[i] = String(fmt.Sprintf("s%02d", i%20))
+		}
+		col[7] = intValue(1)
+		return BuildIndex("f", KindString, col)
+	}
+	expectCaught(t, mixed, map[string]func(ix *Index){
+		"texts": func(ix *Index) { ix.texts[3], ix.texts[4] = ix.texts[4], ix.texts[3] },
+		"rank":  func(ix *Index) { ix.vals[len(ix.vals)-1] = uint64(len(ix.texts)) },
+		"runs":  func(ix *Index) { ix.runs[KindInt64+1]++ },
+		"kinds": func(ix *Index) { ix.runs[len(ix.runs)-1]-- },
+	})
+}
+
+// expectCaught damages a fresh index from build in each way and
+// expects Check to report every one.
+func expectCaught(t *testing.T, build func() *Index, damages map[string]func(ix *Index)) {
+	t.Helper()
+	if err := build().Check(); err != nil {
+		t.Fatal(err)
+	}
+	for name, damage := range damages {
 		ix := build()
 		damage(ix)
 		if err := ix.Check(); err == nil {
@@ -193,28 +217,73 @@ func TestPostingsCheckCatchesDamage(t *testing.T) {
 	}
 }
 
+// held is the bytes ix keeps, from its slices' capacities: the payloads,
+// the cuts, the row ids and the texts with their bytes.
+func held(ix *Index) int {
+	n := int(unsafe.Sizeof(*ix))
+	n += cap(ix.vals)*int(unsafe.Sizeof(ix.vals[0])) + 4*cap(ix.at) + 4*cap(ix.rows) + cap(ix.texts)*int(unsafe.Sizeof(""))
+	for _, s := range ix.texts {
+		n += len(s)
+	}
+	return n
+}
+
+// TestPostingsSize bounds what an index holds a row: about 16 B for an
+// all-distinct number field (a payload, a cut and a row id), about 4 B
+// for a field of few texts (the row id).
+func TestPostingsSize(t *testing.T) {
+	const n = 100_000
+	rng := rand.New(rand.NewSource(47))
+	for _, c := range []struct {
+		name  string
+		value func(i int) Value
+		limit float64 // bytes a row
+	}{
+		{"distinct int64", func(i int) Value { return intValue(int64(i) * 7919) }, 17},
+		{"distinct float64", func(i int) Value { return floatValue(float64(i) + 0.5) }, 17},
+		{"10 texts", func(int) Value { return String(fmt.Sprintf("category-%d", rng.Intn(10))) }, 4.1},
+	} {
+		col := make([]Value, n)
+		for i, j := range rng.Perm(n) {
+			col[i] = c.value(j)
+		}
+		ix := build(t, col)
+		if got := float64(held(ix)) / n; got > c.limit {
+			t.Errorf("%s: %.2f B a row, limit %.1f", c.name, got, c.limit)
+		}
+	}
+}
+
 // FuzzPostings drives the index from raw bytes: the first picks the
 // kind, the second seeds the operand draws, each later byte is one
-// value (small ranges, so values repeat; 0xff is NaN in a float
-// column).
+// value (small ranges, so values repeat; in a float column 0xff is NaN
+// and 0xfe is −0). A first byte of 4 mod 5 mixes kinds: each later pair
+// of bytes is a kind and a value, and the operands are drawn of every
+// kind, so the kind runs and cross-kind operands meet Matches.
 func FuzzPostings(f *testing.F) {
 	f.Add([]byte{0, 3, 1, 2, 1, 9, 9, 0})
 	f.Add([]byte{1, 2, 0xff, 4, 0xff, 7, 0, 0x80})
 	f.Add([]byte{2, 0, 'a', 'b', 'a', 'z'})
 	f.Add([]byte{3, 1, 0, 1, 1, 0})
+	f.Add([]byte{1, 5, 0xfe, 0x80, 0xfe, 0x80, 0x84, 0x7c})         // −0 next to +0
+	f.Add([]byte{1, 6, 0xff, 0x80, 0xfe, 3, 0xff, 0xc0})            // NaN first
+	f.Add([]byte{4, 7, 0, 9, 1, 0xfe, 1, 0x80, 2, 'a', 3, 1, 0, 9}) // every kind
+	f.Add([]byte{4, 8, 1, 0xff, 0, 0x80, 1, 0x80, 1, 0xff, 2, 'b'}) // NaN first, beside ints and strings
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
 		}
 		data = data[:min(len(data), 138)] // the checks are quadratic
-		kind := Kind(data[0]%4) + KindInt64
-		value := func(b byte) Value {
+		value := func(kind Kind, b byte) Value {
 			switch kind {
 			case KindInt64:
 				return intValue(int64(b) - 128)
 			case KindFloat64:
-				if b == 0xff {
+				switch b {
+				case 0xff:
 					return floatValue(math.NaN())
+				case 0xfe:
+					return floatValue(math.Copysign(0, -1))
 				}
 				return floatValue(float64(int(b)-128) / 4)
 			case KindString:
@@ -222,12 +291,22 @@ func FuzzPostings(f *testing.F) {
 			}
 			return boolValue(b%2 == 0)
 		}
-		col := make([]Value, len(data)-2)
-		for i, b := range data[2:] {
-			col[i] = value(b)
-		}
+		kindOf := func(b byte) Kind { return Kind(b%4) + KindInt64 }
 		rng := rand.New(rand.NewSource(int64(data[1])))
-		draw := func() Value { return value(byte(rng.Intn(256))) }
+		var col []Value
+		var draw func() Value
+		if data[0]%5 == 4 {
+			for i := 2; i+1 < len(data); i += 2 {
+				col = append(col, value(kindOf(data[i]), data[i+1]))
+			}
+			draw = func() Value { return value(kindOf(byte(rng.Intn(4))), byte(rng.Intn(256))) }
+		} else {
+			kind := kindOf(data[0] % 5)
+			for _, b := range data[2:] {
+				col = append(col, value(kind, b))
+			}
+			draw = func() Value { return value(kind, byte(rng.Intn(256))) }
+		}
 		ix := build(t, col)
 		comparePostings(t, col, ix, predsOver(rng, col, draw))
 		// The first values as bounds, so Eq hits whatever the column holds.
@@ -237,15 +316,23 @@ func FuzzPostings(f *testing.F) {
 	})
 }
 
-// oracleIndex is BuildIndex with every column comparison-sorted, as
-// strings and mixed kinds are: the order the radix keys must reproduce.
-func oracleIndex(column []Value) *Index {
+// oracle is what an index must hold, in the layout the postings had
+// before their values became payloads: the distinct values, the cuts
+// and the rows.
+type oracle struct {
+	vals     []Value
+	at, rows []int32
+}
+
+// oracleIndex is BuildIndex by a comparison sort of the values: the
+// order the radix keys and the kind runs must reproduce.
+func oracleIndex(column []Value) oracle {
 	rows := make([]int32, len(column))
 	for i := range rows {
 		rows[i] = int32(i)
 	}
 	slices.SortStableFunc(rows, func(a, b int32) int { return column[a].Compare(column[b]) })
-	ix := &Index{rows: rows}
+	ix := oracle{rows: rows}
 	for k, r := range rows {
 		if k == 0 || column[r].Compare(column[rows[k-1]]) != 0 {
 			ix.at = append(ix.at, int32(k))
@@ -265,10 +352,12 @@ func sameBits(a, b Value) bool {
 // TestBuildIndexEqualsComparisonSort holds the radix-sorted postings
 // (numbers, booleans, and strings by rank) to the comparison sort: the
 // same rows, cuts and values, each value the bits of its first row.
-// Float columns carry NaNs and both zeros; one column mixes kinds.
+// Float columns carry NaNs and both zeros; two columns mix kinds, one of
+// them all four.
 func TestBuildIndexEqualsComparisonSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	mixed := drawFor(rng, KindInt64, 5)
+	kinds := []func() Value{mixed, drawFor(rng, KindFloat64, 8), drawFor(rng, KindString, 6), drawFor(rng, KindBool, 2)}
 	cols := []struct {
 		name string
 		kind Kind
@@ -284,6 +373,7 @@ func TestBuildIndexEqualsComparisonSort(t *testing.T) {
 			}
 			return mixed()
 		}},
+		{"all kinds", KindFloat64, func() Value { return kinds[rng.Intn(len(kinds))]() }},
 	}
 	for _, c := range cols {
 		for _, n := range []int{0, 1, 2, 1000, 20_000} {
@@ -295,8 +385,12 @@ func TestBuildIndexEqualsComparisonSort(t *testing.T) {
 			if !slices.Equal(got.rows, want.rows) || !slices.Equal(got.at, want.at) {
 				t.Fatalf("%s, %d rows: rows or cuts differ from the comparison sort", name, n)
 			}
-			if !slices.EqualFunc(got.vals, want.vals, sameBits) {
-				t.Fatalf("%s, %d rows: values %v, want %v", name, n, got.vals, want.vals)
+			var vals []Value
+			for v := range got.All() {
+				vals = append(vals, v)
+			}
+			if !slices.EqualFunc(vals, want.vals, sameBits) {
+				t.Fatalf("%s, %d rows: values %v, want %v", name, n, vals, want.vals)
 			}
 		}
 	}

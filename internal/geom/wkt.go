@@ -55,7 +55,7 @@ func (p *wktParser) parse() (Geometry, error) {
 		return pt, err
 	case "MULTIPOINT":
 		if p.acceptEmpty() {
-			return MultiPoint{}, nil
+			return MultiPoint{}, p.end()
 		}
 		pts, err := p.multiPointBody()
 		if err != nil {
@@ -64,7 +64,7 @@ func (p *wktParser) parse() (Geometry, error) {
 		return NewMultiPoint(pts), p.end()
 	case "LINESTRING":
 		if p.acceptEmpty() {
-			return LineString{}, nil
+			return LineString{}, p.end()
 		}
 		pts, err := p.coordList()
 		if err != nil {
@@ -77,7 +77,7 @@ func (p *wktParser) parse() (Geometry, error) {
 		return ls, p.end()
 	case "POLYGON":
 		if p.acceptEmpty() {
-			return Polygon{}, nil
+			return Polygon{}, p.end()
 		}
 		if err := p.expect('('); err != nil {
 			return nil, err
@@ -111,7 +111,7 @@ func (p *wktParser) parse() (Geometry, error) {
 // pointBody parses what follows POINT: EMPTY, or "(x y)" ending the input.
 func (p *wktParser) pointBody() (Point, error) {
 	if p.acceptEmpty() {
-		return Point{X: nan(), Y: nan()}, nil
+		return Point{X: nan(), Y: nan()}, p.end()
 	}
 	if err := p.expect('('); err != nil {
 		return Point{}, err

@@ -170,7 +170,7 @@ func FuzzWKTRoundTrip(f *testing.F) {
 		"MULTIPOINT ((10 40), (40 30))", "MULTIPOINT (10 40, 40 30, 20 20)",
 		"POINT (-0 5e-324)", "POINT (1e-7 1e21)", "POINT (-1e300 0.30000000000000004)", "POINT (1e-400 -1e-400)",
 		"", "CIRCLE (0 0)", "POINT (30)", "POINT (30 10", "POINT (a b)", "LINESTRING (0 0)",
-		"POLYGON ((0 0, 1 1))", "POINT (1 2) trailing", "POINT (1e999 0)",
+		"POLYGON ((0 0, 1 1))", "POINT (1 2) trailing", "POINT (1e999 0)", "POINT EMPTY (1 2)", "LINESTRING EMPTY junk",
 	} {
 		f.Add(s)
 	}

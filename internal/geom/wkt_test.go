@@ -130,6 +130,27 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseEmptyEndsTheInput: nothing may follow EMPTY, for every kind
+// and for ParsePoint too.
+func TestParseEmptyEndsTheInput(t *testing.T) {
+	for _, s := range []string{
+		"POINT EMPTY (1 2)", "point empty x", "LINESTRING EMPTY junk", "POLYGON EMPTY ((0 0, 1 0, 1 1, 0 0))",
+		"MULTIPOINT EMPTY,", "POINT EMPTY EMPTY",
+	} {
+		if _, err := ParseWKT(s); err == nil || !strings.Contains(err.Error(), "trailing input") {
+			t.Errorf("%q: error %v, want trailing input", s, err)
+		}
+		if _, ok := ParsePoint(s); ok {
+			t.Errorf("%q: ParsePoint accepts it", s)
+		}
+	}
+	for _, s := range []string{"POINT EMPTY", " point  empty \n", "LINESTRING EMPTY", "POLYGON EMPTY", "MULTIPOINT EMPTY "} {
+		if _, err := ParseWKT(s); err != nil {
+			t.Errorf("%q: %v", s, err)
+		}
+	}
+}
+
 func TestWKTRoundTrip(t *testing.T) {
 	inputs := []string{
 		"POINT (30 10)",

@@ -531,7 +531,7 @@ func TestFromWKTPointKeysMatchParseWKT(t *testing.T) {
 		"  POINT  (  1e-7   -2.5e300 )  ", "POINT\t(\n-0 0\r)",
 		"POINT EMPTY", "point empty", "POINT EMPTY (1 2)",
 		"POINT (1)", "POINT (1 2", "POINT (1 2) 3", "POINT", "POINTS (1 2)", "POINT (1e400 0)",
-		"LINESTRING (0 0, 1 1)", "", "MULTIPOINT ((1 2))",
+		"LINESTRING (0 0, 1 1)", "", "MULTIPOINT ((1 2))", "LINESTRING EMPTY", "LINESTRING EMPTY junk",
 	} {
 		got, err := FromWKTWithTime(wkt, 7)
 		g, wantErr := geom.ParseWKT(wkt)
@@ -546,6 +546,11 @@ func TestFromWKTPointKeysMatchParseWKT(t *testing.T) {
 		if math.Float64bits(got.x) != math.Float64bits(want.x) || math.Float64bits(got.y) != math.Float64bits(want.y) ||
 			got.flags != want.flags || got.time != want.time || (got.geo == nil) != (want.geo == nil) {
 			t.Errorf("%q: key %#v, ParseWKT + NewWithTime %#v", wkt, got, want)
+		}
+	}
+	for _, wkt := range []string{"POINT EMPTY (1 2)", "LINESTRING EMPTY junk"} {
+		if _, err := FromWKTWithTime(wkt, 7); err == nil || !strings.Contains(err.Error(), "trailing input") {
+			t.Errorf("%q: error %v, want trailing input", wkt, err)
 		}
 	}
 	if n := testing.AllocsPerRun(100, func() { _, _ = FromWKTWithTime("POINT (3.10 4.0)", 7) }); n != 0 {

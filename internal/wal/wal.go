@@ -191,16 +191,15 @@ func (l *Log) Stats() Stats {
 // and every subsequent Append or Rotate fails until the process
 // restarts and recovers.
 func (l *Log) Append(rec Record) error {
-	body := make([]byte, 1+len(rec.Payload))
-	body[0] = rec.Type
-	copy(body[1:], rec.Payload)
-	if len(body) > maxRecordBytes {
-		return fmt.Errorf("wal: record of %d bytes exceeds MaxRecordBytes", len(body))
+	n := 1 + len(rec.Payload) // the body: type byte and payload
+	if n > maxRecordBytes {
+		return fmt.Errorf("wal: record of %d bytes exceeds MaxRecordBytes", n)
 	}
-	frame := make([]byte, frameHeaderSize+len(body))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(body)))
-	binary.LittleEndian.PutUint32(frame[4:8], Checksum(body))
-	copy(frame[frameHeaderSize:], body)
+	frame := make([]byte, frameHeaderSize+n)
+	frame[frameHeaderSize] = rec.Type
+	copy(frame[frameHeaderSize+1:], rec.Payload)
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(n))
+	binary.LittleEndian.PutUint32(frame[4:8], Checksum(frame[frameHeaderSize:]))
 
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -379,6 +379,37 @@ func TestFsyncFailurePoisonsLog(t *testing.T) {
 	}
 }
 
+// TestAppendAllocatesOnce: Append builds the frame in place, type byte
+// included, so the frame is its one allocation, and the bytes on disk
+// are the length, the CRC32C of the body and the body.
+func TestAppendAllocatesOnce(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	l.fsync = func(*os.File) error { return nil }
+	rec := Record{Type: 3, Payload: bytes.Repeat([]byte("batch "), 200)}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Errorf("Append allocates %v times, want at most 1", n)
+	}
+	data, err := os.ReadFile(segmentPath(dir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := append([]byte{rec.Type}, rec.Payload...)
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(body)))
+	frame = binary.LittleEndian.AppendUint32(frame, Checksum(body))
+	if frame = append(frame, body...); !bytes.Equal(data[:len(frame)], frame) {
+		t.Errorf("first frame on disk is % x..., want % x...", data[:16], frame[:16])
+	}
+}
+
 func TestAppendAfterCloseFails(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir)
