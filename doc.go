@@ -20,13 +20,13 @@
 // The paper's three indexing modes are one configuration instead of
 // three call paths: Index(stark.NoIndexing) scans,
 // Index(stark.Live(order)) builds transient per-partition R-trees on
-// every query, over a per-query copy of the rows laid out in leaf
-// order, and Index(stark.Persistent(order)) builds them once for reuse
-// — and SaveIndex/LoadIndex round-trip them through a directory of
-// checksummed files, reproducing the Figure-2 workflow. A persistent
-// index lays each partition's rows out in the leaf order of its tree,
-// whose leaves are ranges of those rows, so a probe returns rows in
-// leaf order.
+// every query, and Index(stark.Persistent(order)) builds them once for
+// reuse — SaveIndex/LoadIndex round-trip them through a directory of
+// checksummed files, reproducing the Figure-2 workflow. Either way a
+// partition is one laid-out type, shared with join build slots and
+// mutable bases: its rows in the leaf order of its tree, whose leaves
+// are ranges of those rows, so a probe returns rows in leaf order (a
+// live index lays out a copy per query).
 //
 // The user-facing vocabulary — STObject, Envelope, Interval, the
 // named predicates, partitioner recipes (Grid, BSP, Voronoi), joins
@@ -256,8 +256,8 @@
 // MutableDataset (backed by internal/live) lifts the
 // immutable-after-registration restriction: mutation batches (Apply,
 // Insert, Delete) land while queries run. Each partition is a packed
-// base — rows in the leaf order of an STR-packed R-tree, with
-// attribute postings — plus an append-only delta of newer rows; every
+// base — the same laid-out type as an index partition, with attribute
+// postings, beside the rows' ids — plus an append-only delta; every
 // row carries the generation that deleted it and every delta row the
 // one that added it, so a reader pinned to generation G sees exactly
 // the records live at G, without taking a lock.

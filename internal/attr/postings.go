@@ -185,54 +185,58 @@ func (ix *Index) seek(v Value, strict bool) int {
 	})
 }
 
-// spans resolves p to half-open value ranges, one per OpIn set member,
-// at most one otherwise. Like Matches, a range holds only values of its
+// span resolves p, an operator other than OpIn, to one half-open
+// value range. Like Matches, the range holds only values of its
 // operand's kind.
-func (ix *Index) spans(p Pred) [][2]int {
+func (ix *Index) span(p Pred) (int, int) {
 	lo, hi := ix.run(p.Lo.Kind)
 	switch p.Op {
 	case OpEq:
-		return [][2]int{{ix.seek(p.Lo, false), ix.seek(p.Lo, true)}}
+		return ix.seek(p.Lo, false), ix.seek(p.Lo, true)
 	case OpLt:
-		return [][2]int{{lo, ix.seek(p.Lo, false)}}
+		return lo, ix.seek(p.Lo, false)
 	case OpLe:
-		return [][2]int{{lo, ix.seek(p.Lo, true)}}
+		return lo, ix.seek(p.Lo, true)
 	case OpGt:
-		return [][2]int{{ix.seek(p.Lo, true), hi}}
+		return ix.seek(p.Lo, true), hi
 	case OpGe:
-		return [][2]int{{ix.seek(p.Lo, false), hi}}
+		return ix.seek(p.Lo, false), hi
 	case OpBetween:
-		if p.Lo.Kind != p.Hi.Kind {
-			return nil
+		if p.Lo.Kind == p.Hi.Kind {
+			return ix.seek(p.Lo, false), ix.seek(p.Hi, true)
 		}
-		return [][2]int{{ix.seek(p.Lo, false), ix.seek(p.Hi, true)}}
-	case OpIn:
-		spans := make([][2]int, 0, len(p.Set))
-		for _, v := range p.Set {
-			spans = append(spans, [2]int{ix.seek(v, false), ix.seek(v, true)})
-		}
-		return spans
 	}
-	return nil
+	return 0, 0
 }
 
 // Postings streams the row ids whose value matches p, in (value, row)
-// order, and returns how many there were. A nil yield just counts.
+// order, and returns how many there were. A nil yield just counts. It
+// allocates nothing.
 func (ix *Index) Postings(p Pred, yield func(int32)) int {
+	if p.Op != OpIn {
+		lo, hi := ix.span(p)
+		return ix.emit(lo, hi, yield)
+	}
 	total := 0
-	for _, sp := range ix.spans(p) {
-		if sp[0] >= sp[1] {
-			continue
-		}
-		rows := ix.rows[ix.at[sp[0]]:ix.at[sp[1]]]
-		total += len(rows)
-		if yield != nil {
-			for _, r := range rows {
-				yield(r)
-			}
-		}
+	for _, v := range p.Set {
+		total += ix.emit(ix.seek(v, false), ix.seek(v, true), yield)
 	}
 	return total
+}
+
+// emit streams the row ids of values [lo, hi) to yield, unless it is
+// nil, and returns how many there are.
+func (ix *Index) emit(lo, hi int, yield func(int32)) int {
+	if lo >= hi {
+		return 0
+	}
+	rows := ix.rows[ix.at[lo]:ix.at[hi]]
+	if yield != nil {
+		for _, r := range rows {
+			yield(r)
+		}
+	}
+	return len(rows)
 }
 
 // All walks the distinct values in ascending order, each with its row

@@ -228,6 +228,29 @@ func held(ix *Index) int {
 	return n
 }
 
+// TestPostingsAllocatesNothing: a probe with any operator but In
+// allocates nothing, whether it only counts or streams the rows.
+func TestPostingsAllocatesNothing(t *testing.T) {
+	col := make([]Value, 1000)
+	for i := range col {
+		col[i] = intValue(int64(i % 37))
+	}
+	ix := BuildIndex("n", KindInt64, col)
+	sum := int32(0)
+	stream := func(r int32) { sum += r }
+	for _, op := range []Op{OpEq, OpLt, OpLe, OpGt, OpGe, OpBetween} {
+		p := Pred{Field: "n", Op: op, Lo: intValue(5), Hi: intValue(20)}
+		for _, yield := range []func(int32){nil, stream} {
+			if n := testing.AllocsPerRun(100, func() { ix.Postings(p, yield) }); n != 0 {
+				t.Errorf("%s, streaming %t: %v allocations a probe, want 0", p, yield != nil, n)
+			}
+		}
+	}
+	if sum == 0 {
+		t.Fatal("no probe streamed a row")
+	}
+}
+
 // TestPostingsSize bounds what an index holds a row: about 16 B for an
 // all-distinct number field (a payload, a cut and a row id), about 4 B
 // for a field of few texts (the row id).

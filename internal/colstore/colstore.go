@@ -21,8 +21,8 @@
 package colstore
 
 import (
+	"math"
 	"math/bits"
-	"slices"
 	"sync"
 
 	"stark/internal/geom"
@@ -63,30 +63,42 @@ type Builder struct {
 }
 
 // NewBuilder returns a builder preallocated for capacity rows
-// (capacity <= 0 starts empty).
+// (capacity <= 0 starts empty). MaxX, MaxY and TEnd are not allocated
+// until a row needs them (see Add).
 func NewBuilder(capacity int) *Builder {
 	b := &Builder{mbr: geom.EmptyEnvelope()}
 	if capacity > 0 {
 		b.p.MinX = make([]float64, 0, capacity)
 		b.p.MinY = make([]float64, 0, capacity)
-		b.p.MaxX = make([]float64, 0, capacity)
-		b.p.MaxY = make([]float64, 0, capacity)
 		b.p.TStart = make([]int64, 0, capacity)
-		b.p.TEnd = make([]int64, 0, capacity)
 	}
 	return b
 }
 
 // Add appends one row: the record's envelope and, when timed, its
-// interval bounds.
+// interval bounds. While every row is a point, MaxX and MaxY stay nil,
+// and while every row is an instant TEnd does: the first row that is
+// not gives them their own arrays, which take a copy of the columns
+// they repeated so far. A NaN bound or an empty envelope's ±Inf
+// sentinels are no point.
 func (b *Builder) Add(env geom.Envelope, tstart, tend int64, timed bool) {
 	i := b.p.n
+	if b.p.MaxX == nil && !(sameBits(env.MinX, env.MaxX) && sameBits(env.MinY, env.MaxY)) {
+		b.p.MaxX, b.p.MaxY = own(b.p.MinX), own(b.p.MinY)
+	}
+	if b.p.TEnd == nil && tstart != tend {
+		b.p.TEnd = own(b.p.TStart)
+	}
 	b.p.MinX = append(b.p.MinX, env.MinX)
 	b.p.MinY = append(b.p.MinY, env.MinY)
-	b.p.MaxX = append(b.p.MaxX, env.MaxX)
-	b.p.MaxY = append(b.p.MaxY, env.MaxY)
+	if b.p.MaxX != nil {
+		b.p.MaxX = append(b.p.MaxX, env.MaxX)
+		b.p.MaxY = append(b.p.MaxY, env.MaxY)
+	}
 	b.p.TStart = append(b.p.TStart, tstart)
-	b.p.TEnd = append(b.p.TEnd, tend)
+	if b.p.TEnd != nil {
+		b.p.TEnd = append(b.p.TEnd, tend)
+	}
 	if i%64 == 0 {
 		b.p.timed = append(b.p.timed, 0)
 	}
@@ -105,9 +117,8 @@ func (b *Builder) Add(env geom.Envelope, tstart, tend int64, timed bool) {
 // sort) perm is nil and insertion order is kept. A column that repeats
 // another on every row is not kept twice: when every row is a point
 // MaxX and MaxY share MinX's and MinY's backing arrays, and when every
-// row is an instant TEnd shares TStart's. An empty envelope's ±Inf
-// sentinels and a NaN bound compare unequal, so such a partition keeps
-// all six columns. The builder must not be used afterwards.
+// row is an instant TEnd shares TStart's. The builder must not be used
+// afterwards.
 func (b *Builder) Finish(hilbert bool) (p *Partition, perm []int32) {
 	in := &b.p
 	if hilbert && in.n >= 2 {
@@ -115,10 +126,10 @@ func (b *Builder) Finish(hilbert bool) (p *Partition, perm []int32) {
 	}
 	p = &Partition{n: in.n, MinX: gather(in.MinX, perm), MinY: gather(in.MinY, perm), TStart: gather(in.TStart, perm), timed: in.timed}
 	p.MaxX, p.MaxY, p.TEnd = p.MinX, p.MinY, p.TStart
-	if !slices.Equal(in.MinX, in.MaxX) || !slices.Equal(in.MinY, in.MaxY) {
+	if in.MaxX != nil {
 		p.MaxX, p.MaxY = gather(in.MaxX, perm), gather(in.MaxY, perm)
 	}
-	if !slices.Equal(in.TStart, in.TEnd) {
+	if in.TEnd != nil {
 		p.TEnd = gather(in.TEnd, perm)
 	}
 	if perm != nil {
@@ -137,9 +148,13 @@ func (b *Builder) Finish(hilbert bool) (p *Partition, perm []int32) {
 // insertion order so the order is deterministic for differential tests.
 func (b *Builder) hilbertOrder() []int32 {
 	enc := newHilbertEncoder(b.mbr)
+	maxX, maxY := b.p.MaxX, b.p.MaxY
+	if maxX == nil {
+		maxX, maxY = b.p.MinX, b.p.MinY
+	}
 	keys := make([]uint64, b.p.n)
 	for i := range keys {
-		keys[i] = enc.key(geom.Envelope{MinX: b.p.MinX[i], MinY: b.p.MinY[i], MaxX: b.p.MaxX[i], MaxY: b.p.MaxY[i]})
+		keys[i] = enc.key(geom.Envelope{MinX: b.p.MinX[i], MinY: b.p.MinY[i], MaxX: maxX[i], MaxY: maxY[i]})
 	}
 	return geom.OrderByKey(keys)
 }
@@ -243,6 +258,14 @@ var hilbertTable = func() (t [4][256]uint16) {
 	}
 	return t
 }()
+
+// own returns a copy of col with col's capacity, for the column that
+// repeated col up to now.
+func own[T any](col []T) []T { return append(make([]T, 0, cap(col)), col...) }
+
+// sameBits reports whether a and b are one number bit for bit: NaN is
+// not, nor are −0 and +0.
+func sameBits(a, b float64) bool { return a == b && math.Float64bits(a) == math.Float64bits(b) }
 
 // gather returns src in perm order (src itself when perm is nil).
 func gather[T any](src []T, perm []int32) []T {

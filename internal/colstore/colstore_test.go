@@ -358,8 +358,10 @@ func TestFinishSharesRepeatedColumns(t *testing.T) {
 	}
 }
 
-// TestHilbertFinishAllocatesOnlyKeptColumns: sorting points at instants
-// allocates three fewer arrays than sorting rows that keep six.
+// TestHilbertFinishAllocatesOnlyKeptColumns: building and sorting
+// points at instants allocates six fewer arrays than rows that keep six
+// columns: three the builder never fills and three Finish never
+// gathers.
 func TestHilbertFinishAllocatesOnlyKeptColumns(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	points := pointRows(rng, 1000)
@@ -367,8 +369,8 @@ func TestHilbertFinishAllocatesOnlyKeptColumns(t *testing.T) {
 	allocs := func(rows []refRow) float64 {
 		return testing.AllocsPerRun(20, func() { buildPartition(rows, true) })
 	}
-	if a, b := allocs(points), allocs(boxes); b-a != 3 {
-		t.Errorf("points at instants allocate %v times, six columns %v: want 3 fewer", a, b)
+	if a, b := allocs(points), allocs(boxes); b-a != 6 {
+		t.Errorf("points at instants allocate %v times, six columns %v: want 6 fewer", a, b)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 
 	"stark/internal/engine"
 	"stark/internal/geom"
-	"stark/internal/index"
 	"stark/internal/partition"
 	"stark/internal/stobject"
 	"stark/internal/workload"
@@ -361,8 +360,8 @@ func TestClusterStopsWhenCancelled(t *testing.T) {
 				cancel()
 			} else {
 				var once sync.Once
-				testHookSlotBuilt = func(tree *index.RTree, env func(pos int) geom.Envelope) {
-					checked(tree, env)
+				testHookSlotBuilt = func(check func() error) {
+					checked(check)
 					once.Do(cancel)
 				}
 			}

@@ -5,6 +5,8 @@ import (
 
 	"stark/internal/engine"
 	"stark/internal/geom"
+	"stark/internal/index"
+	"stark/internal/partition"
 	"stark/internal/stobject"
 )
 
@@ -15,7 +17,7 @@ import (
 func (s *SpatialDataset[V]) Collect() ([]Tuple[V], error) { return s.ds.Collect() }
 
 // Partitioner returns the spatial partitioner, or nil.
-func (s *IndexedDataset[V]) Partitioner() sp { return s.sp }
+func (s *IndexedDataset[V]) Partitioner() partition.SpatialPartitioner { return s.sp }
 
 // Filter probes the index with pruneEnv (or q's envelope when empty)
 // over the partitions whose extent it touches, refines the candidates
@@ -33,7 +35,7 @@ func (s *IndexedDataset[V]) Filter(q stobject.STObject, pruneEnv geom.Envelope, 
 // Flat returns the records as a lazily flattened engine dataset,
 // preserving the partition structure.
 func (s *IndexedDataset[V]) Flat() *engine.Dataset[Tuple[V]] {
-	return engine.FlatMap(s.parts, func(ip indexedPartition[V]) []Tuple[V] { return ip.Items })
+	return engine.FlatMap(s.parts, func(l *index.Laid[V]) []Tuple[V] { return l.Rows })
 }
 
 // Collect returns all records of the indexed dataset.
@@ -69,4 +71,16 @@ func Join[V, W any](l *SpatialDataset[V], r *SpatialDataset[W], opts JoinOptions
 		return nil, err
 	}
 	return ds.CollectPartitions(visit)
+}
+
+// relevantPartitions mirrors SpatialDataset.relevantPartitions.
+func (s *IndexedDataset[V]) relevantPartitions(q geom.Envelope) []int {
+	if s.sp == nil {
+		return engine.AllPartitions(s.parts.NumPartitions())
+	}
+	visit := partition.PruneByEnvelope(s.sp, q)
+	if pruned := s.parts.NumPartitions() - len(visit); pruned > 0 {
+		s.recorder().Add(engine.TasksSkipped, int64(pruned))
+	}
+	return visit
 }

@@ -8,7 +8,7 @@ import (
 	"stark/internal/engine"
 	"stark/internal/geom"
 	"stark/internal/index"
-	"stark/internal/stobject"
+	"stark/internal/partition"
 )
 
 // This file implements STARK's three indexing modes on top of the
@@ -23,24 +23,17 @@ import (
 //     trees are built at most once, and can be saved to a directory of
 //     files and re-attached in later runs.
 //
-// Either way a tree's leaves are ranges of rows laid out in leaf order
-// (index.Pack): a live index lays out a copy per job, a persistent one
-// lays the rows out once and becomes their only copy.
+// Either way a partition is an index.Laid with no postings: the rows
+// laid out in the leaf order of the tree over them, built by index.Lay
+// (or index.LoadFile) and probed with its Search. A live index lays out
+// a copy per job; a persistent one lays the rows out once and becomes
+// their only copy.
 
-// indexedPartition is one partition of an IndexedDataset: the records
-// laid out in the leaf order of an R-tree over their envelopes, so a
-// leaf's position range is a run of Items. A join's build slot loads
-// into one too, with a nil Tree when the join does not index or the
-// slot has no records.
-type indexedPartition[V any] struct {
-	Items []Tuple[V]
-	Tree  *index.RTree
-}
-
-// IndexedDataset is a SpatialDataset whose partitions carry R-trees.
+// IndexedDataset is a SpatialDataset whose partitions are laid out
+// under R-trees, one index.Laid per partition.
 type IndexedDataset[V any] struct {
-	parts *engine.Dataset[indexedPartition[V]]
-	sp    sp
+	parts *engine.Dataset[*index.Laid[V]]
+	sp    partition.SpatialPartitioner
 	order int
 	// rec, when non-nil, routes metric attribution (see WithRecorder);
 	// nil selects the context's root recorder.
@@ -66,21 +59,13 @@ func (s *IndexedDataset[V]) WithRecorder(rec *engine.Recorder) *IndexedDataset[V
 	return &IndexedDataset[V]{parts: s.parts.WithRecorder(rec), sp: s.sp, order: s.order, rec: rec}
 }
 
-// sp aliases the partitioner interface locally to keep struct
-// definitions short.
-type sp = interface {
-	NumPartitions() int
-	PartitionFor(o stobject.STObject) int
-	Extent(i int) geom.Envelope
-}
-
 // LiveIndex returns an indexed view of the dataset with the given
 // R-tree order. When p is non-nil the dataset is repartitioned by p
 // first, mirroring liveIndex(order, partitioner). Each job lays every
 // partition it visits out in a transient copy, in the leaf order of a
 // tree it builds over it — the live mode trades index build time per
 // query for zero memory retention.
-func (s *SpatialDataset[V]) LiveIndex(order int, p sp) (*IndexedDataset[V], error) {
+func (s *SpatialDataset[V]) LiveIndex(order int, p partition.SpatialPartitioner) (*IndexedDataset[V], error) {
 	base := s
 	if p != nil {
 		repartitioned, err := s.PartitionBy(p)
@@ -89,8 +74,9 @@ func (s *SpatialDataset[V]) LiveIndex(order int, p sp) (*IndexedDataset[V], erro
 		}
 		base = repartitioned
 	}
-	parts := engine.MapPartitions(base.ds, func(_ int, in []Tuple[V]) ([]indexedPartition[V], error) {
-		return []indexedPartition[V]{buildIndexedPartition(in, order)}, nil
+	parts := engine.MapPartitions(base.ds, func(_ int, in []Tuple[V]) ([]*index.Laid[V], error) {
+		l, _ := index.Lay(order, in, nil)
+		return []*index.Laid[V]{l}, nil
 	})
 	return &IndexedDataset[V]{parts: parts, sp: base.sp, order: order, rec: base.rec}, nil
 }
@@ -101,8 +87,9 @@ func (s *SpatialDataset[V]) LiveIndex(order int, p sp) (*IndexedDataset[V], erro
 // partitioned as the receiver but not ordered by x, and the indexed
 // view over them. Neither refers to the receiver's rows.
 func (s *SpatialDataset[V]) Index(order int) (*SpatialDataset[V], *IndexedDataset[V], error) {
-	return s.layOut(order, func(_ int, in []Tuple[V]) (indexedPartition[V], error) {
-		return buildIndexedPartition(in, order), nil
+	return s.layOut(order, func(_ int, in []Tuple[V]) (*index.Laid[V], error) {
+		l, _ := index.Lay(order, in, nil)
+		return l, nil
 	})
 }
 
@@ -111,13 +98,13 @@ func (s *SpatialDataset[V]) Index(order int) (*SpatialDataset[V], *IndexedDatase
 // indexed view over it, both sourced from the new slices. The view
 // reports the order of the first partition's tree (order when there are
 // no partitions).
-func (s *SpatialDataset[V]) layOut(order int, build func(p int, in []Tuple[V]) (indexedPartition[V], error)) (*SpatialDataset[V], *IndexedDataset[V], error) {
+func (s *SpatialDataset[V]) layOut(order int, build func(p int, in []Tuple[V]) (*index.Laid[V], error)) (*SpatialDataset[V], *IndexedDataset[V], error) {
 	ctx, n := s.ds.Context(), s.ds.NumPartitions()
-	ips := make([]indexedPartition[V], n)
+	ls := make([]*index.Laid[V], n)
 	err := ctx.RunJobRecorder(nil, s.rec, engine.AllPartitions(n), func(p int) error {
 		in, err := s.ds.ComputePartition(p)
 		if err == nil {
-			ips[p], err = build(p, in)
+			ls[p], err = build(p, in)
 		}
 		return err
 	})
@@ -125,31 +112,15 @@ func (s *SpatialDataset[V]) layOut(order int, build func(p int, in []Tuple[V]) (
 		return nil, nil, err
 	}
 	if n > 0 {
-		order = ips[0].Tree.Order()
+		order = ls[0].Tree.Order()
 	}
 	rows := make([][]Tuple[V], n)
-	parts := make([][]indexedPartition[V], n)
-	for p := range ips {
-		rows[p], parts[p] = ips[p].Items, ips[p:p+1]
+	parts := make([][]*index.Laid[V], n)
+	for p := range ls {
+		rows[p], parts[p] = ls[p].Rows, ls[p:p+1]
 	}
 	laid := newSpatial(engine.FromPartitions(ctx, rows), s.sp, s.rec)
 	return laid, &IndexedDataset[V]{parts: engine.FromPartitions(ctx, parts), sp: s.sp, order: order, rec: s.rec}, nil
-}
-
-// buildIndexedPartition packs a tree over in and lays a copy of the rows
-// out in its leaf order.
-func buildIndexedPartition[V any](in []Tuple[V], order int) indexedPartition[V] {
-	tree, perm := index.Pack(order, len(in), func(i int) geom.Envelope { return in[i].Key.Envelope() })
-	return indexedPartition[V]{Items: permute(in, perm), Tree: tree}
-}
-
-// permute returns the rows in perm's order: row pos is in[perm[pos]].
-func permute[V any](in []Tuple[V], perm []int32) []Tuple[V] {
-	out := make([]Tuple[V], len(perm))
-	for pos, i := range perm {
-		out[pos] = in[i]
-	}
-	return out
 }
 
 // Order returns the R-tree order used for the partition indexes.
@@ -158,27 +129,10 @@ func (s *IndexedDataset[V]) Order() int { return s.order }
 // NumPartitions returns the partition count.
 func (s *IndexedDataset[V]) NumPartitions() int { return s.parts.NumPartitions() }
 
-// relevantPartitions mirrors SpatialDataset.relevantPartitions.
-func (s *IndexedDataset[V]) relevantPartitions(q geom.Envelope) []int {
-	if s.sp == nil {
-		return engine.AllPartitions(s.parts.NumPartitions())
-	}
-	var visit []int
-	for i := 0; i < s.sp.NumPartitions(); i++ {
-		if s.sp.Extent(i).Intersects(q) {
-			visit = append(visit, i)
-		}
-	}
-	if pruned := s.parts.NumPartitions() - len(visit); pruned > 0 {
-		s.recorder().Add(engine.TasksSkipped, int64(pruned))
-	}
-	return visit
-}
-
 // Probe returns the index probe as a lazy stream over the dataset's
-// own partitions: partition p searches its tree with env and reads the
-// rows of the leaves that meet it in place, in leaf order, yielding
-// those whose envelope meets env and that pass keep — the exact
+// own partitions: partition p walks its rows with index.Laid.Search,
+// in place and in leaf order, yielding those whose envelope meets env
+// and that pass keep — the exact
 // spatio-temporal predicate, whose temporal component is thereby
 // evaluated during candidate pruning exactly as the paper describes,
 // plus whatever else the caller refines with. Nothing runs until an
@@ -190,23 +144,13 @@ func (s *IndexedDataset[V]) Probe(env geom.Envelope, keep func(kv Tuple[V]) bool
 	rec, parts := s.recorder(), s.parts
 	out := engine.NewStream(s.parts.Context(), parts.Name()+".probe", parts.NumPartitions(),
 		func(p int, yield func(Tuple[V]) bool) error {
-			return parts.EachPartition(p, func(ip indexedPartition[V]) bool {
+			return parts.EachPartition(p, func(l *index.Laid[V]) bool {
 				rec.Add(engine.IndexProbes, 1)
 				var refined int64
-				more := true
-				ip.Tree.Search(env, func(lo, hi int) bool {
-					for i := lo; i < hi; i++ {
-						kv := &ip.Items[i]
-						if !kv.Key.EnvelopeIntersects(env) {
-							continue
-						}
-						refined++
-						if keep(*kv) && !yield(*kv) {
-							more = false
-							return false
-						}
-					}
-					return true
+				more := l.Search(env, 0, func(pos int) bool {
+					refined++
+					kv := &l.Rows[pos]
+					return !keep(*kv) || yield(*kv)
 				})
 				rec.Add(engine.CandidatesRefined, refined)
 				return more
@@ -234,8 +178,8 @@ func (s *IndexedDataset[V]) Persist(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("core: persisting index: %w", err)
 	}
-	for i, ip := range parts {
-		if err := ip.Tree.SaveFile(indexFile(dir, i), func(pos int) geom.Envelope { return ip.Items[pos].Key.Envelope() }); err != nil {
+	for i, l := range parts {
+		if err := l.SaveFile(indexFile(dir, i)); err != nil {
 			return err
 		}
 	}
@@ -247,11 +191,11 @@ func (s *IndexedDataset[V]) Persist(dir string) error {
 // they are found to be those of the partition's rows, and lays the rows
 // out by the result. It returns what Index returns.
 func LoadIndex[V any](s *SpatialDataset[V], dir string) (*SpatialDataset[V], *IndexedDataset[V], error) {
-	return s.layOut(index.DefaultOrder, func(p int, in []Tuple[V]) (indexedPartition[V], error) {
-		tree, perm, err := index.LoadFile(indexFile(dir, p), len(in), func(i int) geom.Envelope { return in[i].Key.Envelope() })
+	return s.layOut(index.DefaultOrder, func(p int, in []Tuple[V]) (*index.Laid[V], error) {
+		l, err := index.LoadFile(indexFile(dir, p), in)
 		if err != nil {
-			return indexedPartition[V]{}, fmt.Errorf("core: loading index partition %d: %w", p, err)
+			return nil, fmt.Errorf("core: loading index partition %d: %w", p, err)
 		}
-		return indexedPartition[V]{Items: permute(in, perm), Tree: tree}, nil
+		return l, nil
 	})
 }

@@ -10,7 +10,6 @@ import (
 
 	"stark/internal/engine"
 	"stark/internal/geom"
-	"stark/internal/index"
 	"stark/internal/partition"
 	"stark/internal/stobject"
 )
@@ -259,8 +258,8 @@ func checkTrees[V any](t *testing.T, idx *IndexedDataset[V]) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for p, ip := range parts {
-		if err := ip.Tree.Check(func(pos int) geom.Envelope { return ip.Items[pos].Key.Envelope() }); err != nil {
+	for p, l := range parts {
+		if err := l.Check(nil); err != nil {
 			t.Fatalf("partition %d: %v", p, err)
 		}
 	}
@@ -269,8 +268,8 @@ func checkTrees[V any](t *testing.T, idx *IndexedDataset[V]) {
 // TestMain checks every build slot a join of these tests lays out: a
 // slot whose tree fails the checker fails its task, and so its join.
 func TestMain(m *testing.M) {
-	testHookSlotBuilt = func(tree *index.RTree, env func(pos int) geom.Envelope) {
-		if err := tree.Check(env); err != nil {
+	testHookSlotBuilt = func(check func() error) {
+		if err := check(); err != nil {
 			panic(fmt.Sprintf("build slot: %v", err))
 		}
 	}

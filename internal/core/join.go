@@ -235,31 +235,31 @@ func JoinStream[V, W any](l *SpatialDataset[V], lvisit []int, r *SpatialDataset[
 
 // buildSlot is the loader of one unit of the build side: rows or, when
 // the join indexes and there are any, a copy of them laid out in the
-// leaf order of an R-tree over them. The load runs once, in the first
-// task that calls the slot; the others wait for it and share the
-// result.
-type buildSlot[B any] func() (indexedPartition[B], error)
+// leaf order of an R-tree over them (an index.Laid with a nil Tree
+// otherwise). The load runs once, in the first task that calls the
+// slot; the others wait for it and share the result.
+type buildSlot[B any] func() (*index.Laid[B], error)
 
 // newBuildSlot returns the slot over the rows fetch returns; a tree is
 // built when order > 0 and counted in built.
 func newBuildSlot[B any](order int, built *int64, fetch func() ([]Tuple[B], error)) buildSlot[B] {
-	return sync.OnceValues(func() (indexedPartition[B], error) {
+	return sync.OnceValues(func() (*index.Laid[B], error) {
 		items, err := fetch()
 		if err != nil || len(items) == 0 || order == 0 {
-			return indexedPartition[B]{Items: items}, err
+			return &index.Laid[B]{Rows: items}, err
 		}
 		atomic.AddInt64(built, 1)
-		ip := buildIndexedPartition(items, order)
+		l, _ := index.Lay(order, items, nil)
 		if testHookSlotBuilt != nil {
-			testHookSlotBuilt(ip.Tree, func(pos int) geom.Envelope { return ip.Items[pos].Key.Envelope() })
+			testHookSlotBuilt(func() error { return l.Check(nil) })
 		}
-		return ip, nil
+		return l, nil
 	})
 }
 
-// testHookSlotBuilt, set only by tests before they run, sees every
-// build slot a join lays out.
-var testHookSlotBuilt func(tree *index.RTree, env func(pos int) geom.Envelope)
+// testHookSlotBuilt, set only by tests before they run, sees the
+// checker of every build slot a join lays out.
+var testHookSlotBuilt func(check func() error)
 
 // joinStream is the join operator proper, with the build side settled
 // (strategy and orientation are in opts.Report): it assigns every
@@ -409,18 +409,18 @@ func joinStream[P, B, R any](probe *SpatialDataset[P], pvisit []int, build *Spat
 			bs, bErr := slots[b]() // first: task (p, p), which runs earlier, loads slot p
 			ps, pErr := slots[p]()
 			if loadErr = cmp.Or(bErr, pErr); loadErr == nil {
-				pRows, bRows := any(ps.Items).([]Tuple[P]), any(bs.Items).([]Tuple[P])
+				pRows, bRows := any(ps.Rows).([]Tuple[P]), any(bs.Rows).([]Tuple[P])
 				for i := range pRows {
 					a, from := &pRows[i], 0
 					if p == b {
 						from = i
 					}
-					if !candidates(&bs, a.Key.Envelope().ExpandBy(expand), from, &c, func(j int) bool {
-						o := &bs.Items[j]
+					if !candidates(bs, a.Key.Envelope().ExpandBy(expand), from, &c, func(j int) bool {
+						o := &bs.Rows[j]
 						if pred(a.Key, o.Key) && !yield(row(*a, *o)) {
 							return false
 						}
-						return (p == b && j == i) || !pred(o.Key, a.Key) || yield(row(bRows[j], ps.Items[i]))
+						return (p == b && j == i) || !pred(o.Key, a.Key) || yield(row(bRows[j], ps.Rows[i]))
 					}) {
 						break
 					}
@@ -438,12 +438,12 @@ func joinStream[P, B, R any](probe *SpatialDataset[P], pvisit []int, build *Spat
 						loadErr = err
 						return false
 					}
-					if len(s.Items) == 0 {
+					if len(s.Rows) == 0 {
 						continue
 					}
 					live = true
-					if !candidates(&s, env, 0, &c, func(j int) bool {
-						return !pred(pkv.Key, s.Items[j].Key) || yield(row(pkv, s.Items[j]))
+					if !candidates(s, env, 0, &c, func(j int) bool {
+						return !pred(pkv.Key, s.Rows[j].Key) || yield(row(pkv, s.Rows[j]))
 					}) {
 						return false
 					}
@@ -466,12 +466,12 @@ type probeCounts struct{ scanned, probes, refined int64 }
 // candidates calls match with the position of every row of s, from
 // position from on, that a record whose expanded envelope is env can
 // pair with: every row without a tree (a nested loop checks each pair
-// exactly), the tree's rows whose envelope meets env otherwise. It
-// returns false as soon as match does.
-func candidates[B any](s *indexedPartition[B], env geom.Envelope, from int, c *probeCounts, match func(j int) bool) bool {
+// exactly), the rows Search finds for env otherwise. It returns false
+// as soon as match does.
+func candidates[B any](s *index.Laid[B], env geom.Envelope, from int, c *probeCounts, match func(j int) bool) bool {
 	if s.Tree == nil {
-		c.scanned += int64(len(s.Items) - from)
-		for j := from; j < len(s.Items); j++ {
+		c.scanned += int64(len(s.Rows) - from)
+		for j := from; j < len(s.Rows); j++ {
 			if !match(j) {
 				return false
 			}
@@ -479,21 +479,10 @@ func candidates[B any](s *indexedPartition[B], env geom.Envelope, from int, c *p
 		return true
 	}
 	c.probes++
-	more := true
-	s.Tree.Search(env, func(lo, hi int) bool {
-		for j := max(lo, from); j < hi; j++ {
-			if !s.Items[j].Key.EnvelopeIntersects(env) {
-				continue
-			}
-			c.refined++
-			if !match(j) {
-				more = false
-				return false
-			}
-		}
-		return true
+	return s.Search(env, from, func(j int) bool {
+		c.refined++
+		return match(j)
 	})
-	return more
 }
 
 // JoinCount is Join restricted to counting: matching pairs stream into

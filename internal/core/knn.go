@@ -8,6 +8,7 @@ import (
 
 	"stark/internal/engine"
 	"stark/internal/geom"
+	"stark/internal/partition"
 	"stark/internal/stobject"
 )
 
@@ -43,17 +44,17 @@ type partDist struct {
 	dist float64
 }
 
-// knnOrder returns the non-empty partitions ordered ascending by the
+// knnOrder returns the non-empty partitions ordered ascending by their
 // extent's distance to the query envelope q, a lower bound of the
-// planar distance from any geometry inside q; with a nil extent func
-// (no partitioner) every partition sorts at distance 0.
-func knnOrder(extent func(i int) (geom.Envelope, bool), n int, q geom.Envelope) []partDist {
+// planar distance from any geometry inside q; with no partitioner every
+// partition sorts at distance 0.
+func knnOrder(sp partition.SpatialPartitioner, n int, q geom.Envelope) []partDist {
 	order := make([]partDist, 0, n)
 	for i := 0; i < n; i++ {
 		d := 0.0
-		if extent != nil {
-			ext, ok := extent(i)
-			if !ok {
+		if sp != nil {
+			ext := sp.Extent(i)
+			if ext.IsEmpty() {
 				continue // empty partition can never contribute
 			}
 			d = ext.Distance(q)
@@ -88,15 +89,16 @@ func drainHeap[V any](h *maxHeap[V]) []NeighborResult[V] {
 // partitions are scanned concurrently by scan (returning the
 // partition's local candidate list), and results merge into the heap
 // between rounds. canPrune reports whether pruning by the extent
-// lower bound is valid (Euclidean metric with a partitioner).
+// lower bound is valid (Euclidean metric with a partitioner). k must be
+// at least 1.
 func knnRounds[V any](ctx context.Context, ec *engine.Context, rec *engine.Recorder, order []partDist, k int,
 	canPrune bool, scan func(p int) ([]NeighborResult[V], error)) ([]NeighborResult[V], error) {
+	if k <= 0 {
+		return nil, fmt.Errorf("core: kNN needs k >= 1, got %d", k)
+	}
 	h := &maxHeap[V]{}
 	heap.Init(h)
-	width := ec.Parallelism()
-	if width < 1 {
-		width = 1
-	}
+	width := max(ec.Parallelism(), 1)
 	for start := 0; start < len(order); {
 		// Stop when even the extent lower bound of the next-nearest
 		// partition exceeds the current k-th distance: order is
@@ -105,19 +107,12 @@ func knnRounds[V any](ctx context.Context, ec *engine.Context, rec *engine.Recor
 			rec.Add(engine.TasksSkipped, int64(len(order)-start))
 			break
 		}
-		end := start + width
-		if end > len(order) {
-			end = len(order)
-		}
+		end := min(start+width, len(order))
 		round := order[start:end]
 		start = end
 
 		locals := make([][]NeighborResult[V], len(round))
-		idx := make([]int, len(round))
-		for i := range idx {
-			idx[i] = i
-		}
-		err := ec.RunJobRecorder(ctx, rec, idx, func(t int) error {
+		err := ec.RunJobRecorder(ctx, rec, engine.AllPartitions(len(round)), func(t int) error {
 			nbrs, err := scan(round[t].idx)
 			if err != nil {
 				return err
@@ -144,17 +139,7 @@ func knnRounds[V any](ctx context.Context, ec *engine.Context, rec *engine.Recor
 // no further partition is scheduled once ctx is done, and running
 // scans abort within knnCheckEvery records.
 func (s *SpatialDataset[V]) KNNContext(ctx context.Context, q stobject.STObject, k int, df geom.DistanceFunc) ([]NeighborResult[V], error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("core: kNN needs k >= 1, got %d", k)
-	}
-	var extent func(i int) (geom.Envelope, bool)
-	if s.sp != nil {
-		extent = func(i int) (geom.Envelope, bool) {
-			ext := s.sp.Extent(i)
-			return ext, !ext.IsEmpty()
-		}
-	}
-	order := knnOrder(extent, s.ds.NumPartitions(), q.Envelope())
+	order := knnOrder(s.sp, s.ds.NumPartitions(), q.Envelope())
 	rec := s.recorder()
 	canPrune := s.sp != nil && df == nil
 	return knnRounds(ctx, s.ds.Context(), rec, order, k, canPrune, func(p int) ([]NeighborResult[V], error) {
@@ -190,61 +175,44 @@ func (s *SpatialDataset[V]) KNNContext(ctx context.Context, q stobject.STObject,
 // merges the per-partition results. The same extent-distance pruning
 // as the scan version applies.
 func (s *IndexedDataset[V]) KNNContext(ctx context.Context, q stobject.STObject, k int, df geom.DistanceFunc) ([]NeighborResult[V], error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("core: kNN needs k >= 1, got %d", k)
-	}
 	qc := q.Centroid()
-	var extent func(i int) (geom.Envelope, bool)
-	if s.sp != nil {
-		extent = func(i int) (geom.Envelope, bool) {
-			ext := s.sp.Extent(i)
-			return ext, !ext.IsEmpty()
-		}
-	}
-	order := knnOrder(extent, s.parts.NumPartitions(), q.Envelope())
+	order := knnOrder(s.sp, s.parts.NumPartitions(), q.Envelope())
 	// The tree's branch-and-bound measures from a point, so it answers
 	// for a point reference under the planar distance only.
 	_, pointRef := q.Point()
 	rec := s.recorder()
 	canPrune := s.sp != nil && df == nil
 	return knnRounds(ctx, s.parts.Context(), rec, order, k, canPrune, func(p int) ([]NeighborResult[V], error) {
-		ips, err := s.parts.ComputePartition(p)
+		ls, err := s.parts.ComputePartition(p)
 		if err != nil {
 			return nil, err
 		}
 		lh := &maxHeap[V]{}
 		heap.Init(lh)
-		for _, ip := range ips {
+		for _, l := range ls {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 			rec.Add(engine.IndexProbes, 1)
-			var nbrs []neighborRaw
+			var refined int64
+			offer := func(pos int32, d float64) {
+				refined++
+				kv := &l.Rows[pos]
+				lh.offer(k, NeighborResult[V]{Key: kv.Key, Value: kv.Value, Distance: d})
+			}
 			if df == nil && pointRef {
-				dist := func(pos int32) float64 { return q.Distance(ip.Items[pos].Key, nil) }
-				for _, nb := range ip.Tree.KNN(qc.X, qc.Y, k, dist) {
-					nbrs = append(nbrs, neighborRaw{id: nb.Pos, dist: nb.Distance})
-				}
+				l.Tree.KNN(qc.X, qc.Y, k, func(pos int32) float64 { return q.Distance(l.Rows[pos].Key, nil) }, offer)
 			} else {
 				// Custom metric or a non-point reference: the tree's
 				// bound is not valid, scan the partition items.
-				for i, kv := range ip.Items {
-					nbrs = append(nbrs, neighborRaw{id: int32(i), dist: q.Distance(kv.Key, df)})
+				for i := range l.Rows {
+					offer(int32(i), q.Distance(l.Rows[i].Key, df))
 				}
 			}
-			rec.Add(engine.CandidatesRefined, int64(len(nbrs)))
-			for _, nb := range nbrs {
-				kv := ip.Items[nb.id]
-				lh.offer(k, NeighborResult[V]{Key: kv.Key, Value: kv.Value, Distance: nb.dist})
-			}
+			rec.Add(engine.CandidatesRefined, refined)
 		}
 		return *lh, nil
 	})
-}
-
-type neighborRaw struct {
-	id   int32
-	dist float64
 }
 
 // maxHeap keeps the k smallest distances with the largest on top.

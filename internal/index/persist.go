@@ -6,7 +6,9 @@ import (
 	"math"
 	"os"
 
+	"stark/internal/engine"
 	"stark/internal/geom"
+	"stark/internal/stobject"
 	"stark/internal/wal"
 )
 
@@ -111,44 +113,33 @@ func unmarshal(data []byte) (order int, envs []geom.Envelope, err error) {
 		minY := math.Float64frombits(binary.LittleEndian.Uint64(e[12:20]))
 		maxX := math.Float64frombits(binary.LittleEndian.Uint64(e[20:28]))
 		maxY := math.Float64frombits(binary.LittleEndian.Uint64(e[28:36]))
-		if math.IsNaN(minX) || math.IsNaN(minY) || math.IsNaN(maxX) || math.IsNaN(maxY) {
-			return 0, nil, fmt.Errorf("index: entry %d has NaN bounds", i)
-		}
 		envs[i] = geom.Envelope{MinX: minX, MinY: minY, MaxX: maxX, MaxY: maxY}
 	}
 	return order, envs, nil
 }
 
-// SaveFile writes the tree to a file with the crash-safe write-temp +
-// fsync + rename contract, replacing any previous index at that path:
-// a concurrent LoadFile sees the old index or the new one, never an
-// absent or partial file. env(pos) is the envelope of the row at
-// position pos.
-func (t *RTree) SaveFile(path string, env func(pos int) geom.Envelope) error {
-	return wal.WriteFileAtomic(path, t.marshal(env))
-}
-
 // LoadFile re-packs the items of a file SaveFile wrote, as Pack packs
-// them, once it has checked that the file holds n items and that item
-// i's envelope is env(i): a persisted index fits only the rows it was
-// saved from, in the order they had then.
-func LoadFile(path string, n int, env func(i int) geom.Envelope) (*RTree, []int32, error) {
+// them, once it has checked that the file holds one item per row and
+// that item i's envelope is rows[i]'s, and lays the rows out by the
+// result as Lay does, with no postings: a persisted index fits only the
+// rows it was saved from, in the order they had then.
+func LoadFile[V any](path string, rows []engine.Pair[stobject.STObject, V]) (*Laid[V], error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	order, envs, err := unmarshal(data)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if len(envs) != n {
-		return nil, nil, fmt.Errorf("index: file holds %d entries, data has %d", len(envs), n)
+	if len(envs) != len(rows) {
+		return nil, fmt.Errorf("index: file holds %d entries, data has %d", len(envs), len(rows))
 	}
 	for i, e := range envs {
-		if e != env(i) {
-			return nil, nil, fmt.Errorf("index: entry %d at %v does not fit the data's item at %v", i, e, env(i))
+		if want := rows[i].Key.Envelope(); !sameEnvelope(e, want) {
+			return nil, fmt.Errorf("index: entry %d at %v does not fit the data's item at %v", i, e, want)
 		}
 	}
-	t, perm := Pack(order, n, func(i int) geom.Envelope { return envs[i] })
-	return t, perm, nil
+	tree, perm := Pack(order, len(envs), func(i int) geom.Envelope { return envs[i] })
+	return layOut(tree, perm, rows, nil), nil
 }

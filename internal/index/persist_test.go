@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"stark/internal/geom"
+	"stark/internal/stobject"
 	"stark/internal/wal"
 )
 
@@ -69,37 +70,41 @@ func TestUnmarshalCountValidation(t *testing.T) {
 }
 
 func TestSaveFileLoadFileRoundTrip(t *testing.T) {
-	envs := randomEnvs(rand.New(rand.NewSource(15)), 100)
-	tr, perm := Pack(5, len(envs), func(i int) geom.Envelope { return envs[i] })
-	env := func(pos int) geom.Envelope { return envs[perm[pos]] }
+	rows := randomRows(rand.New(rand.NewSource(15)), 100)
+	l, perm := Lay(5, rows, nil)
 	path := filepath.Join(t.TempDir(), "part-0.idx")
-	if err := tr.SaveFile(path, env); err != nil {
+	if err := l.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
 	// Replacing an existing file must work (atomic rename semantics).
-	if err := tr.SaveFile(path, env); err != nil {
+	if err := l.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	got, gotPerm, err := LoadFile(path, len(envs), func(i int) geom.Envelope { return envs[i] })
+	got, err := LoadFile(path, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != 100 || !slices.Equal(gotPerm, perm) {
-		t.Fatalf("len = %d, perm equal: %v", got.Len(), slices.Equal(gotPerm, perm))
+	if got.Tree.len() != 100 || !slices.Equal(got.Tree.perm, perm) || got.Tree.Order() != 5 {
+		t.Fatalf("len = %d, order %d, perm equal: %v", got.Tree.len(), got.Tree.Order(), slices.Equal(got.Tree.perm, perm))
 	}
-	if err := got.Check(env); err != nil {
+	for pos := range got.Rows {
+		if got.Rows[pos].Value != l.Rows[pos].Value {
+			t.Fatalf("position %d holds row %d, the saved layout row %d", pos, got.Rows[pos].Value, l.Rows[pos].Value)
+		}
+	}
+	if err := got.Check(nil); err != nil {
 		t.Fatal(err)
 	}
 	// The file fits only the rows it was saved from.
-	moved := slices.Clone(envs)
-	moved[3] = moved[3].ExpandBy(1)
-	if _, _, err := LoadFile(path, len(moved), func(i int) geom.Envelope { return moved[i] }); err == nil || !strings.Contains(err.Error(), "entry 3") {
+	moved := slices.Clone(rows)
+	moved[3].Key = stobject.New(geom.NewPoint(-5, -5))
+	if _, err := LoadFile(path, moved); err == nil || !strings.Contains(err.Error(), "entry 3") {
 		t.Fatalf("a moved row: err = %v", err)
 	}
-	if _, _, err := LoadFile(path, 99, func(i int) geom.Envelope { return envs[i] }); err == nil {
+	if _, err := LoadFile(path, rows[:99]); err == nil {
 		t.Fatal("a row count mismatch must fail")
 	}
-	if _, _, err := LoadFile(filepath.Join(t.TempDir(), "missing"), 0, nil); err == nil {
+	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing"), rows[:0]); err == nil {
 		t.Fatal("loading a missing file must fail")
 	}
 }

@@ -1,19 +1,23 @@
-// Package index implements the Sort-Tile-Recursive (STR) packed
-// R-tree STARK uses for partition-local indexing — the from-scratch
-// replacement for the JTS STRtree.
+// Package index holds STARK's laid-out partition, Laid: a partition's
+// rows in the leaf order of a Sort-Tile-Recursive (STR) packed R-tree
+// over their key envelopes (the from-scratch replacement for the JTS
+// STRtree) and, optionally, one attribute postings index per field
+// over the same positions. Lay builds one and LoadFile re-attaches a
+// persisted tree. Laid.Search is the one leaf-range walk: it yields, in
+// position order, every position of a leaf that meets the query
+// envelope whose row's key envelope meets it too, and the caller
+// refines those rows with the exact predicate (the paper's "candidate
+// pruning step"). A Laid has three users, and nothing else builds or
+// walks one: a persistent index (core's IndexedDataset, the rows' only
+// copy) and a join's build slot, both without postings, and a live
+// partition's base (package live), with postings per registered field.
 //
-// The tree indexes positions, not entries. Pack sorts items into the
-// order of the leaves it cuts and returns that order as a permutation:
-// position pos holds item perm[pos], a leaf is a range of positions,
-// and the tree itself is one flat slice of node envelopes. A caller
-// that lays its rows out by perm owns the tree's leaves: Search hands
-// out position ranges whose rows it reads in place, one contiguous run
-// per leaf, and refines them with the exact predicate (the "candidate
-// pruning step" the paper describes). A persistent index lays a
-// partition's rows out so once, and its probes return rows in leaf
-// order; a live index lays out a copy for each query.
-// A best-first k nearest neighbour search is provided, and the packed
-// input serialises to a compact binary format for persistent indexing.
+// The tree indexes positions, not entries: Pack sorts items into the
+// order of the leaves it cuts and returns that order as a permutation
+// (position pos holds item perm[pos]), a leaf is a range of positions,
+// and the tree is one flat slice of node envelopes. A best-first k
+// nearest neighbour search is provided, and the packed input
+// serialises to a compact binary format for persistent indexing.
 package index
 
 import (
@@ -113,10 +117,9 @@ func Pack(order, n int, env func(i int) geom.Envelope) (t *RTree, perm []int32) 
 	return t, perm
 }
 
-// BuildFromEnvelopes packs a tree over envs — the "live indexing"
-// constructor: a partition's contents are put into an R-tree before
-// evaluating a predicate. Query answers in item numbers (slice indexes
-// of envs).
+// BuildFromEnvelopes packs a tree over envs for a caller that keeps its
+// items where they are: Query answers in item numbers (slice indexes of
+// envs).
 func BuildFromEnvelopes(order int, envs []geom.Envelope) *RTree {
 	t, _ := Pack(order, len(envs), func(i int) geom.Envelope { return envs[i] })
 	return t
@@ -160,14 +163,14 @@ func ascending(a, b float64) int {
 // Order returns the node capacity.
 func (t *RTree) Order() int { return t.order }
 
-// Len returns the number of indexed positions.
-func (t *RTree) Len() int { return len(t.perm) }
+// len returns the number of indexed positions.
+func (t *RTree) len() int { return len(t.perm) }
 
-// Search calls yield with the position ranges [lo, hi) of the leaves
+// search calls yield with the position ranges [lo, hi) of the leaves
 // whose MBR meets q, in position order, adjacent leaves merged into one
 // range, until yield returns false. Every position whose envelope meets
 // q lies in a range; the caller tests the rows themselves.
-func (t *RTree) Search(q geom.Envelope, yield func(lo, hi int) bool) {
+func (t *RTree) search(q geom.Envelope, yield func(lo, hi int) bool) {
 	if !t.nodes[0].env.Intersects(q) {
 		return
 	}
@@ -208,36 +211,30 @@ func (t *RTree) Search(q geom.Envelope, yield func(lo, hi int) bool) {
 // returns the extended slice: a candidate superset of the items whose
 // envelope intersects q, which callers refine with the exact predicate.
 func (t *RTree) Query(q geom.Envelope, dst []int32) []int32 {
-	t.Search(q, func(lo, hi int) bool {
+	t.search(q, func(lo, hi int) bool {
 		dst = append(dst, t.perm[lo:hi]...)
 		return true
 	})
 	return dst
 }
 
-// Neighbor is one kNN result: a position and its distance.
-type Neighbor struct {
-	Pos      int32
-	Distance float64
-}
-
-// KNN returns the k positions nearest to (x, y) by dist, ordered by
-// ascending distance, best-first over the node MBRs: a leaf popped from
-// the queue measures each of its positions with dist. dist must be at
-// least the planar distance from (x, y) to the position's envelope (the
-// distance from a point to a geometry is), or the search can miss a
-// nearer position.
-func (t *RTree) KNN(x, y float64, k int, dist func(pos int32) float64) []Neighbor {
+// KNN calls yield with the k positions nearest to (x, y) by dist and
+// their distances, by ascending distance, best-first over the node
+// MBRs: a leaf popped from the queue measures each of its positions
+// with dist. dist must be at least the planar distance from (x, y) to
+// the position's envelope (the distance from a point to a geometry
+// is), or the search can miss a nearer position.
+func (t *RTree) KNN(x, y float64, k int, dist func(pos int32) float64, yield func(pos int32, dist float64)) {
 	if k <= 0 || len(t.perm) == 0 {
-		return nil
+		return
 	}
 	pq := knnQueue{{dist: t.nodes[0].env.DistanceToPoint(x, y)}}
-	var out []Neighbor
-	for pq.Len() > 0 && len(out) < k {
+	for found := 0; pq.Len() > 0 && found < k; {
 		c := heap.Pop(&pq).(knnCandidate)
 		switch n := c.node; {
 		case n < 0:
-			out = append(out, Neighbor{Pos: c.pos, Distance: c.dist})
+			yield(c.pos, c.dist)
+			found++
 		case n < t.leaf:
 			for ch := t.nodes[n].lo; ch < t.nodes[n].hi; ch++ {
 				heap.Push(&pq, knnCandidate{dist: t.nodes[ch].env.DistanceToPoint(x, y), node: ch})
@@ -248,7 +245,6 @@ func (t *RTree) KNN(x, y float64, k int, dist func(pos int32) float64) []Neighbo
 			}
 		}
 	}
-	return out
 }
 
 // knnCandidate is a node of the tree, or with node -1 a measured
@@ -272,13 +268,13 @@ func (q *knnQueue) Pop() interface{} {
 	return item
 }
 
-// Check verifies the tree's invariants against env(pos), the envelope
+// check verifies the tree's invariants against env(pos), the envelope
 // of the row at each position: perm is a permutation, the leaves tile
 // the positions in order, every node's children tile the level below
 // in order, no node holds more than order entries, an inner node's
 // envelope is the union of its children's, and a leaf's envelope covers
 // each of its rows' envelopes.
-func (t *RTree) Check(env func(pos int) geom.Envelope) error {
+func (t *RTree) check(env func(pos int) geom.Envelope) error {
 	n := len(t.perm)
 	seen := make([]bool, n)
 	for pos, item := range t.perm {

@@ -48,7 +48,7 @@ func refined(tr *RTree, envs []geom.Envelope, q geom.Envelope) []int32 {
 func pack(t *testing.T, order int, envs []geom.Envelope) (*RTree, []int32) {
 	t.Helper()
 	tr, perm := Pack(order, len(envs), func(i int) geom.Envelope { return envs[i] })
-	if err := tr.Check(func(pos int) geom.Envelope { return envs[perm[pos]] }); err != nil {
+	if err := tr.check(func(pos int) geom.Envelope { return envs[perm[pos]] }); err != nil {
 		t.Fatalf("n=%d order=%d: %v", len(envs), order, err)
 	}
 	return tr, perm
@@ -59,7 +59,7 @@ func TestEmptyTree(t *testing.T) {
 	if got := tr.Query(geom.NewEnvelope(0, 0, 10, 10), nil); len(got) != 0 || len(perm) != 0 {
 		t.Errorf("empty query = %v, perm %v", got, perm)
 	}
-	if got := tr.KNN(0, 0, 3, func(int32) float64 { return 0 }); len(got) != 0 {
+	if got := knn(tr, 0, 0, 3, func(int32) float64 { return 0 }); len(got) != 0 {
 		t.Errorf("empty knn = %v", got)
 	}
 	if height(tr) != 1 {
@@ -102,7 +102,7 @@ func TestSearchYieldsLeafRanges(t *testing.T) {
 		q := geom.NewEnvelope(x, y, x+rng.Float64()*100, y+rng.Float64()*100)
 		var got []int32
 		last := -1
-		tr.Search(q, func(lo, hi int) bool {
+		tr.search(q, func(lo, hi int) bool {
 			if lo <= last || hi <= lo {
 				t.Fatalf("range [%d, %d) after one ending at %d", lo, hi, last)
 			}
@@ -120,7 +120,7 @@ func TestSearchYieldsLeafRanges(t *testing.T) {
 		}
 	}
 	calls := 0
-	tr.Search(geom.NewEnvelope(0, 0, 1000, 1000), func(lo, hi int) bool { calls++; return false })
+	tr.search(geom.NewEnvelope(0, 0, 1000, 1000), func(lo, hi int) bool { calls++; return false })
 	if calls != 1 {
 		t.Errorf("search went on after a false yield: %d calls", calls)
 	}
@@ -138,7 +138,7 @@ func TestKNNMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		qx, qy := rng.Float64()*100, rng.Float64()*100
 		k := 1 + rng.Intn(20)
-		got := tr.KNN(qx, qy, k, func(pos int32) float64 {
+		got := knn(tr, qx, qy, k, func(pos int32) float64 {
 			p := pts[perm[pos]]
 			return math.Hypot(p.X-qx, p.Y-qy)
 		})
@@ -170,7 +170,7 @@ func TestKNNWithExactRefinement(t *testing.T) {
 		}
 		return 3
 	}
-	got := tr.KNN(0, 0, 2, dist)
+	got := knn(tr, 0, 0, 2, dist)
 	if len(got) != 2 || perm[got[0].Pos] != 1 || perm[got[1].Pos] != 0 {
 		t.Errorf("got %v", got)
 	}
@@ -182,10 +182,10 @@ func TestKNNWithExactRefinement(t *testing.T) {
 func TestKNNEdgeCases(t *testing.T) {
 	tr, _ := pack(t, 4, []geom.Envelope{geom.NewPoint(1, 1).Envelope()})
 	dist := func(int32) float64 { return 1 }
-	if got := tr.KNN(0, 0, 0, dist); got != nil {
+	if got := knn(tr, 0, 0, 0, dist); got != nil {
 		t.Errorf("k=0 → %v", got)
 	}
-	if got := tr.KNN(0, 0, 10, dist); len(got) != 1 {
+	if got := knn(tr, 0, 0, 10, dist); len(got) != 1 {
 		t.Errorf("k beyond size → %d results", len(got))
 	}
 }
@@ -198,8 +198,8 @@ func TestTreeInvariantsAcrossSizes(t *testing.T) {
 	for _, order := range []int{2, 4, 16} {
 		for _, n := range []int{0, 1, order, order + 1, order*order + 1, 17, 100, 1234} {
 			tr, _ := pack(t, order, randomEnvs(rng, n))
-			if tr.Len() != n {
-				t.Errorf("n=%d: Len=%d", n, tr.Len())
+			if tr.len() != n {
+				t.Errorf("n=%d: Len=%d", n, tr.len())
 			}
 			if n == order*order+1 && height(tr) != 3 {
 				t.Errorf("n=%d order=%d: height %d, want 3", n, order, height(tr))
@@ -226,11 +226,24 @@ func TestCheckCatchesDamage(t *testing.T) {
 		envs := slices.Clone(envs)
 		tr, perm := Pack(4, len(envs), func(i int) geom.Envelope { return envs[i] })
 		tc.damage(tr, envs)
-		err := tr.Check(func(pos int) geom.Envelope { return envs[perm[pos]] })
+		err := tr.check(func(pos int) geom.Envelope { return envs[perm[pos]] })
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: check = %v, want %q", name, err, tc.want)
 		}
 	}
+}
+
+// neighbor is one KNN result: a position and its distance.
+type neighbor struct {
+	Pos      int32
+	Distance float64
+}
+
+// knn collects what KNN yields.
+func knn(tr *RTree, x, y float64, k int, dist func(pos int32) float64) []neighbor {
+	var out []neighbor
+	tr.KNN(x, y, k, dist, func(pos int32, d float64) { out = append(out, neighbor{pos, d}) })
+	return out
 }
 
 // height is the number of levels, found down the first children.

@@ -4,9 +4,10 @@
 // layer and the planner.
 //
 // Each partition is an LSM-tree of one level (after O'Neil et al.): an
-// immutable base, its rows laid out in the leaf order of a packed
-// index.RTree with one attr.Index per registered field, and an
-// append-only delta of the rows written since the base was packed.
+// immutable base and an append-only delta of the rows written since the
+// base was packed. A base is an index.Laid (its rows in the leaf order
+// of a packed R-tree, with one attr.Index per registered field) beside
+// each row's id and delGen; a delta slot holds an id and a row.
 // Every row carries delGen, the generation that tombstoned it (0 while
 // live); a delta slot also carries addGen, the generation that added
 // it, and a base row was added at or before the generation its base
@@ -167,7 +168,7 @@ func NewDataset[V any](ctx *engine.Context, name string, sp partition.SpatialPar
 		inc:    stats.NewIncremental(n, 0),
 	}
 	for p := range d.parts {
-		d.parts[p].base = newBase[V](order, nil, 0, nil)
+		d.parts[p].base = newBase[V](order, nil, 0, nil, nil)
 	}
 	d.publish(0)
 	return d
@@ -286,8 +287,8 @@ func (d *Dataset[V]) applyLocked(ops []Op[V], hook bool) (BatchResult, error) {
 func (d *Dataset[V]) applyInsert(rec Record[V], gen uint64) {
 	p := d.partitionFor(rec.Key)
 	pt := &d.parts[p]
-	d.partOf[rec.ID] = loc{int32(p), int32(len(pt.base.rows) + len(pt.delta))}
-	pt.delta = append(pt.delta, slot[V]{rec: rec, addGen: gen})
+	d.partOf[rec.ID] = loc{int32(p), int32(len(pt.base.ids) + len(pt.delta))}
+	pt.delta = append(pt.delta, slot[V]{id: rec.ID, kv: engine.NewPair(rec.Key, rec.Value), addGen: gen})
 	pt.live++
 	d.inc.ApplyInsert(p, rec.Key)
 }
@@ -298,11 +299,11 @@ func (d *Dataset[V]) applyDelete(id int64, gen uint64) bool {
 		return false
 	}
 	pt := &d.parts[l.part]
-	rec, _, del := pt.row(int(l.pos))
+	_, kv, _, del := pt.row(int(l.pos))
 	del.Store(gen)
 	pt.live--
 	pt.dead++
-	d.inc.ApplyDelete(int(l.part), rec.Key)
+	d.inc.ApplyDelete(int(l.part), kv.Key)
 	delete(d.partOf, id)
 	return true
 }
@@ -356,7 +357,7 @@ func (d *Dataset[V]) Restore(gen uint64, recs []Record[V]) error {
 		return fmt.Errorf("live: Restore into non-empty dataset %q (generation %d)", d.name, v.gen)
 	}
 	partOf, inc := make(map[int64]loc, len(recs)), stats.NewIncremental(len(d.parts), 0)
-	parts := make([][]Record[V], len(d.parts))
+	ids, rows := make([][]int64, len(d.parts)), make([][]engine.Pair[stobject.STObject, V], len(d.parts))
 	for i, rec := range recs {
 		if rec.Key.IsEmpty() {
 			return fmt.Errorf("live: restore record %d (id=%d): empty geometry", i, rec.ID)
@@ -367,11 +368,11 @@ func (d *Dataset[V]) Restore(gen uint64, recs []Record[V]) error {
 		p := d.partitionFor(rec.Key)
 		partOf[rec.ID] = loc{part: int32(p)}
 		inc.ApplyInsert(p, rec.Key)
-		parts[p] = append(parts[p], rec)
+		ids[p], rows[p] = append(ids[p], rec.ID), append(rows[p], engine.NewPair(rec.Key, rec.Value))
 	}
-	bases := make([]*base[V], len(parts))
-	if err := d.ctx.RunJob(engine.AllPartitions(len(parts)), func(p int) error {
-		bases[p] = newBase(d.order, d.attrFields, gen, parts[p])
+	bases := make([]*base[V], len(d.parts))
+	if err := d.ctx.RunJob(engine.AllPartitions(len(d.parts)), func(p int) error {
+		bases[p] = newBase(d.order, d.attrFields, gen, ids[p], rows[p])
 		return nil
 	}); err != nil {
 		return fmt.Errorf("live: restore %q: %w", d.name, err)
@@ -436,7 +437,9 @@ func (s *Snapshot[V]) Stats() *stats.Summary { return s.v.stats }
 func (s *Snapshot[V]) Each(fn func(Record[V]) bool) {
 	v := s.v
 	for p := range v.parts {
-		if !v.parts[p].scan(nil, v.gen, func(r *Record[V]) bool { return fn(*r) }) {
+		if !v.parts[p].scan(nil, v.gen, func(id int64, kv *engine.Pair[stobject.STObject, V]) bool {
+			return fn(Record[V]{ID: id, Key: kv.Key, Value: kv.Value})
+		}) {
 			return
 		}
 	}
@@ -453,9 +456,7 @@ func (s *Snapshot[V]) Tuples() *engine.Dataset[engine.Pair[stobject.STObject, V]
 	v := s.v
 	name := fmt.Sprintf("%s@g%d", s.d.name, v.gen)
 	return engine.NewStream(s.d.ctx, name, len(v.parts), func(p int, yield func(engine.Pair[stobject.STObject, V]) bool) error {
-		v.parts[p].scan(nil, v.gen, func(r *Record[V]) bool {
-			return yield(engine.NewPair(r.Key, r.Value))
-		})
+		v.parts[p].scan(nil, v.gen, func(_ int64, kv *engine.Pair[stobject.STObject, V]) bool { return yield(*kv) })
 		return nil
 	})
 }
@@ -480,10 +481,9 @@ func (s *Snapshot[V]) Probe(
 	name := fmt.Sprintf("%s@g%d.probe", s.d.name, v.gen)
 	return engine.NewStream(s.d.ctx, name, len(v.parts), func(p int, yield func(engine.Pair[stobject.STObject, V]) bool) error {
 		var refined int64
-		v.parts[p].scan(&env, v.gen, func(r *Record[V]) bool {
+		v.parts[p].scan(&env, v.gen, func(_ int64, kv *engine.Pair[stobject.STObject, V]) bool {
 			refined++
-			kv := engine.NewPair(r.Key, r.Value)
-			return !keep(kv) || yield(kv)
+			return !keep(*kv) || yield(*kv)
 		})
 		rec.Add(engine.IndexProbes, 1)
 		rec.Add(engine.CandidatesRefined, refined)

@@ -5,8 +5,10 @@ import (
 	"sync/atomic"
 
 	"stark/internal/attr"
+	"stark/internal/engine"
 	"stark/internal/geom"
 	"stark/internal/index"
+	"stark/internal/stobject"
 )
 
 // defaultOrder is the default node capacity of a base's tree.
@@ -24,20 +26,21 @@ const (
 	vacuumFloor = 64
 )
 
-// base is a partition's packed, immutable part: rows in the leaf order
-// of tree, and posts[i] over their positions for the dataset's i-th
-// field. Only dels changes once the base is published.
+// base is a partition's packed, immutable part: an index.Laid (rows in
+// the leaf order of its tree, and Posts[i] over their positions for the
+// dataset's i-th field), the id of the row at each position, and its
+// delGen. Only dels changes once the base is published.
 type base[V any] struct {
-	gen   uint64 // the generation the base was published at
-	rows  []Record[V]
-	dels  []atomic.Uint64 // delGen per row
-	tree  *index.RTree
-	posts []*attr.Index
+	gen uint64 // the generation the base was published at
+	*index.Laid[V]
+	ids  []int64
+	dels []atomic.Uint64 // delGen per row
 }
 
 // slot is one delta row.
 type slot[V any] struct {
-	rec    Record[V]
+	id     int64
+	kv     engine.Pair[stobject.STObject, V]
 	addGen uint64
 	delGen atomic.Uint64
 }
@@ -50,20 +53,13 @@ type part[V any] struct {
 	live, dead int // writer-side counts of live rows and tombstones
 }
 
-// newBase lays recs (live, added at or before gen) out in the leaf
-// order of a packed tree and indexes them under fields.
-func newBase[V any](order int, fields []attr.Field[V], gen uint64, recs []Record[V]) *base[V] {
-	tree, perm := index.Pack(order, len(recs), func(i int) geom.Envelope { return recs[i].Key.Envelope() })
-	b := &base[V]{gen: gen, rows: make([]Record[V], len(recs)), dels: make([]atomic.Uint64, len(recs)), tree: tree}
+// newBase lays rows (live, added at or before gen; ids[i] is row i's)
+// out with index.Lay and the ids beside them.
+func newBase[V any](order int, fields []attr.Field[V], gen uint64, ids []int64, rows []engine.Pair[stobject.STObject, V]) *base[V] {
+	l, perm := index.Lay(order, rows, fields)
+	b := &base[V]{gen: gen, Laid: l, ids: make([]int64, len(perm)), dels: make([]atomic.Uint64, len(perm))}
 	for pos, i := range perm {
-		b.rows[pos] = recs[i]
-	}
-	col := make([]attr.Value, len(recs))
-	for _, f := range fields {
-		for pos := range b.rows {
-			col[pos] = f.Get(b.rows[pos].Key, b.rows[pos].Value)
-		}
-		b.posts = append(b.posts, attr.BuildIndex(f.Name, f.Kind, col))
+		b.ids[pos] = ids[i]
 	}
 	return b
 }
@@ -71,15 +67,15 @@ func newBase[V any](order int, fields []attr.Field[V], gen uint64, recs []Record
 // install makes b partition p's base, with an empty delta, and points
 // partOf at its rows. The caller holds d.mu.
 func (d *Dataset[V]) install(p int, b *base[V]) {
-	d.parts[p] = part[V]{base: b, live: len(b.rows)}
-	for pos := range b.rows {
-		d.partOf[b.rows[pos].ID] = loc{int32(p), int32(pos)}
+	d.parts[p] = part[V]{base: b, live: len(b.ids)}
+	for pos, id := range b.ids {
+		d.partOf[id] = loc{int32(p), int32(pos)}
 	}
 }
 
 // due reports whether the partition should be repacked.
 func (pt *part[V]) due() bool {
-	return len(pt.delta) >= max(deltaFloor, len(pt.base.rows)/deltaShare) ||
+	return len(pt.delta) >= max(deltaFloor, len(pt.base.ids)/deltaShare) ||
 		(pt.dead >= vacuumFloor && pt.dead > pt.live)
 }
 
@@ -89,22 +85,22 @@ func (pt *part[V]) due() bool {
 // caller holds d.mu.
 func (d *Dataset[V]) repack(p int, gen uint64) {
 	pt := &d.parts[p]
-	recs := make([]Record[V], 0, pt.live)
-	pt.scan(nil, gen, func(r *Record[V]) bool {
-		recs = append(recs, *r)
+	ids, rows := make([]int64, 0, pt.live), make([]engine.Pair[stobject.STObject, V], 0, pt.live)
+	pt.scan(nil, gen, func(id int64, kv *engine.Pair[stobject.STObject, V]) bool {
+		ids, rows = append(ids, id), append(rows, *kv)
 		return true
 	})
-	d.install(p, newBase(d.order, d.attrFields, gen, recs))
+	d.install(p, newBase(d.order, d.attrFields, gen, ids, rows))
 }
 
-// row returns the record at position pos, the generation it was added
-// at (its base's, for a base row) and its delGen.
-func (pt *part[V]) row(pos int) (*Record[V], uint64, *atomic.Uint64) {
-	if nb := len(pt.base.rows); pos >= nb {
+// row returns the id and the pair at position pos, the generation the
+// row was added at (its base's, for a base row) and its delGen.
+func (pt *part[V]) row(pos int) (int64, *engine.Pair[stobject.STObject, V], uint64, *atomic.Uint64) {
+	if nb := len(pt.base.ids); pos >= nb {
 		s := &pt.delta[pos-nb]
-		return &s.rec, s.addGen, &s.delGen
+		return s.id, &s.kv, s.addGen, &s.delGen
 	}
-	return &pt.base.rows[pos], pt.base.gen, &pt.base.dels[pos]
+	return pt.base.ids[pos], &pt.base.Rows[pos], pt.base.gen, &pt.base.dels[pos]
 }
 
 // visibleAt reports whether a row added at addGen with the given
@@ -117,30 +113,28 @@ func visibleAt(addGen uint64, del *atomic.Uint64, gen uint64) bool {
 	return dg == 0 || dg > gen
 }
 
-// scan calls fn with every row visible at gen whose envelope meets
-// *env (every visible row, when env is nil), the base's first in leaf
-// order, then the delta's, until fn returns false; it reports whether
-// it ran to the end. The base rows come from the leaf ranges its tree
-// finds for *env.
-func (pt *part[V]) scan(env *geom.Envelope, gen uint64, fn func(*Record[V]) bool) bool {
+// scan calls fn with the id and the pair of every row visible at gen
+// whose envelope meets *env (every visible row, when env is nil), the
+// base's first in leaf order, then the delta's, until fn returns false;
+// it reports whether it ran to the end. The base rows come from the
+// base's Search for *env.
+func (pt *part[V]) scan(env *geom.Envelope, gen uint64, fn func(id int64, kv *engine.Pair[stobject.STObject, V]) bool) bool {
 	b, more := pt.base, true
-	rows := func(lo, hi int) bool {
-		for i := lo; i < hi && more; i++ {
-			if visibleAt(b.gen, &b.dels[i], gen) && (env == nil || b.rows[i].Key.EnvelopeIntersects(*env)) {
-				more = fn(&b.rows[i])
+	if env == nil {
+		for pos := 0; pos < len(b.ids) && more; pos++ {
+			if visibleAt(b.gen, &b.dels[pos], gen) {
+				more = fn(b.ids[pos], &b.Rows[pos])
 			}
 		}
-		return more
-	}
-	if env == nil {
-		rows(0, len(b.rows))
 	} else {
-		b.tree.Search(*env, rows)
+		more = b.Search(*env, 0, func(pos int) bool {
+			return !visibleAt(b.gen, &b.dels[pos], gen) || fn(b.ids[pos], &b.Rows[pos])
+		})
 	}
 	for i := 0; i < len(pt.delta) && more; i++ {
 		s := &pt.delta[i]
-		if visibleAt(s.addGen, &s.delGen, gen) && (env == nil || s.rec.Key.EnvelopeIntersects(*env)) {
-			more = fn(&s.rec)
+		if visibleAt(s.addGen, &s.delGen, gen) && (env == nil || s.kv.Key.EnvelopeIntersects(*env)) {
+			more = fn(s.id, &s.kv)
 		}
 	}
 	return more
@@ -165,29 +159,29 @@ func (d *Dataset[V]) check() error {
 }
 
 // checkPart verifies partition p, of whose ids partOf files owned:
-// the base's tree over its rows (index.RTree.Check); partOf and the
-// live rows naming each other; every tombstone stamped after its row
-// was added; every field's postings equal to a projection of the base
-// rows; and the live and dead counters equal to a walk.
+// the base's laid-out rows, tree and postings (index.Laid.Check, under
+// the dataset's fields); partOf and the live rows naming each other;
+// every tombstone stamped after its row was added; and the live and
+// dead counters equal to a walk.
 func (d *Dataset[V]) checkPart(p, owned int) error {
 	pt := &d.parts[p]
 	b := pt.base
-	if len(b.dels) != len(b.rows) {
-		return fmt.Errorf("%d rows, %d delGens", len(b.rows), len(b.dels))
+	if len(b.ids) != len(b.Rows) || len(b.dels) != len(b.Rows) {
+		return fmt.Errorf("%d rows, %d ids, %d delGens", len(b.Rows), len(b.ids), len(b.dels))
 	}
-	if err := b.tree.Check(func(pos int) geom.Envelope { return b.rows[pos].Key.Envelope() }); err != nil {
-		return fmt.Errorf("base tree: %w", err)
+	if err := b.Check(d.attrFields); err != nil {
+		return fmt.Errorf("base: %w", err)
 	}
 	live, dead := 0, 0
-	for pos := range len(b.rows) + len(pt.delta) {
-		rec, added, del := pt.row(pos)
+	for pos := range len(b.ids) + len(pt.delta) {
+		id, _, added, del := pt.row(pos)
 		switch dg := del.Load(); {
 		case dg != 0 && dg <= added:
-			return fmt.Errorf("id %d at position %d: added at %d, tombstoned at %d", rec.ID, pos, added, dg)
+			return fmt.Errorf("id %d at position %d: added at %d, tombstoned at %d", id, pos, added, dg)
 		case dg != 0:
 			dead++
-		case d.partOf[rec.ID] != loc{int32(p), int32(pos)}:
-			return fmt.Errorf("id %d live at position %d, partOf says %v", rec.ID, pos, d.partOf[rec.ID])
+		case d.partOf[id] != loc{int32(p), int32(pos)}:
+			return fmt.Errorf("id %d live at position %d, partOf says %v", id, pos, d.partOf[id])
 		default:
 			live++
 		}
@@ -197,29 +191,6 @@ func (d *Dataset[V]) checkPart(p, owned int) error {
 	}
 	if live != pt.live || dead != pt.dead {
 		return fmt.Errorf("walk counts %d live, %d dead; counters say %d, %d", live, dead, pt.live, pt.dead)
-	}
-	if len(b.posts) != len(d.attrFields) {
-		return fmt.Errorf("%d postings for %d fields", len(b.posts), len(d.attrFields))
-	}
-	for i, f := range d.attrFields {
-		if err := b.posts[i].Check(); err != nil {
-			return fmt.Errorf("field %q: %w", f.Name, err)
-		}
-		filed := 0
-		for val, list := range b.posts[i].All() {
-			for _, pos := range list {
-				if int(pos) >= len(b.rows) {
-					return fmt.Errorf("field %q files position %d of %d", f.Name, pos, len(b.rows))
-				}
-				if r := &b.rows[pos]; f.Get(r.Key, r.Value).Compare(val) != 0 {
-					return fmt.Errorf("field %q: id %d valued %s filed under %s", f.Name, r.ID, f.Get(r.Key, r.Value), val)
-				}
-			}
-			filed += len(list)
-		}
-		if filed != len(b.rows) {
-			return fmt.Errorf("field %q files %d positions of %d", f.Name, filed, len(b.rows))
-		}
 	}
 	return nil
 }

@@ -22,8 +22,8 @@ var everything = geom.Envelope{MinX: -1e308, MinY: -1e308, MaxX: 1e308, MaxY: 1e
 // meets *q, or all of them when q is nil — into an ID multiset.
 func collectIDs(v *viewState[int], q *geom.Envelope, gen uint64) map[int64]int {
 	out := make(map[int64]int)
-	v.parts[0].scan(q, gen, func(r *Record[int]) bool {
-		out[r.ID]++
+	v.parts[0].scan(q, gen, func(id int64, _ *engine.Pair[stobject.STObject, int]) bool {
+		out[id]++
 		return true
 	})
 	return out
@@ -58,8 +58,8 @@ func TestTreeSearchMatchesBruteForce(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := d.view.Load()
-	if len(v.parts[0].base.rows) != 1800 || len(v.parts[0].delta) != 200 {
-		t.Fatalf("base holds %d rows, delta %d, want 1800 and 200", len(v.parts[0].base.rows), len(v.parts[0].delta))
+	if len(v.parts[0].base.Rows) != 1800 || len(v.parts[0].delta) != 200 {
+		t.Fatalf("base holds %d rows, delta %d, want 1800 and 200", len(v.parts[0].base.Rows), len(v.parts[0].delta))
 	}
 	for trial := 0; trial < 50; trial++ {
 		x1, y1 := rng.Float64()*100, rng.Float64()*100
@@ -175,9 +175,9 @@ func TestTreeRebuildDropsTombstones(t *testing.T) {
 		t.Fatal(err)
 	}
 	nv := d.view.Load()
-	if np := nv.parts[0]; np.live != old.parts[0].live || np.dead != 0 || len(np.delta) != 0 || len(np.base.rows) != np.live {
+	if np := nv.parts[0]; np.live != old.parts[0].live || np.dead != 0 || len(np.delta) != 0 || len(np.base.Rows) != np.live {
 		t.Fatalf("repacked live/dead = %d/%d with %d base rows and %d delta slots, want %d/0, all in the base",
-			np.live, np.dead, len(np.base.rows), len(np.delta), old.parts[0].live)
+			np.live, np.dead, len(np.base.Rows), len(np.delta), old.parts[0].live)
 	}
 	want, got := collectIDs(old, nil, 3), collectIDs(nv, nil, 3)
 	if len(got) != len(want) || len(got) != 133 {
@@ -253,8 +253,8 @@ func TestTreeCheckCatchesDamage(t *testing.T) {
 	// find returns the first position of the base (or of the delta)
 	// whose row is a tombstone, or live.
 	find := func(pa *part[reading], inDelta, tombstone bool) int {
-		for pos := range len(pa.base.rows) + len(pa.delta) {
-			if _, _, del := pa.row(pos); (del.Load() != 0) == tombstone && (pos >= len(pa.base.rows)) == inDelta {
+		for pos := range len(pa.base.Rows) + len(pa.delta) {
+			if _, _, _, del := pa.row(pos); (del.Load() != 0) == tombstone && (pos >= len(pa.base.Rows)) == inDelta {
 				return pos
 			}
 		}
@@ -262,9 +262,9 @@ func TestTreeCheckCatchesDamage(t *testing.T) {
 		return 0
 	}
 	expectDamageReported(t, build, map[string]func(d *Dataset[reading], pa *part[reading]){
-		"tree": func(_ *Dataset[reading], pa *part[reading]) { pa.base.rows[5].Key = pt(1e6, 1e6) },
+		"tree": func(_ *Dataset[reading], pa *part[reading]) { pa.base.Rows[5].Key = pt(1e6, 1e6) },
 		"stale partOf": func(d *Dataset[reading], pa *part[reading]) {
-			d.partOf[pa.base.rows[find(pa, false, false)].ID] = loc{0, int32(find(pa, false, true))}
+			d.partOf[pa.base.ids[find(pa, false, false)]] = loc{0, int32(find(pa, false, true))}
 		},
 		"extra partOf": func(d *Dataset[reading], _ *part[reading]) { d.partOf[1<<40] = loc{0, 1} },
 		"lost partOf":  func(d *Dataset[reading], _ *part[reading]) { delete(d.partOf, 1) },
@@ -272,7 +272,7 @@ func TestTreeCheckCatchesDamage(t *testing.T) {
 			pa.base.dels[find(pa, false, true)].Store(pa.base.gen)
 		},
 		"delta generation": func(_ *Dataset[reading], pa *part[reading]) {
-			s := &pa.delta[find(pa, true, true)-len(pa.base.rows)]
+			s := &pa.delta[find(pa, true, true)-len(pa.base.Rows)]
 			s.delGen.Store(s.addGen)
 		},
 		"counter": func(_ *Dataset[reading], pa *part[reading]) { pa.dead++ },
@@ -287,11 +287,11 @@ func TestTreeCheckCatchesDamage(t *testing.T) {
 // attr.Postings.Check, tested in internal/attr.
 func TestPostingsCheckCatchesDamage(t *testing.T) {
 	expectDamageReported(t, damagedPart(t), map[string]func(d *Dataset[reading], pa *part[reading]){
-		"misfiled": func(_ *Dataset[reading], pa *part[reading]) { pa.base.rows[9].Value.Seq = 1 << 20 },
+		"misfiled": func(_ *Dataset[reading], pa *part[reading]) { pa.base.Rows[9].Value.Seq = 1 << 20 },
 		"postings": func(_ *Dataset[reading], pa *part[reading]) {
-			pa.base.posts[1] = attr.BuildIndex("cat", attr.KindString, []attr.Value{attr.String("c")})
+			pa.base.Posts[1] = attr.BuildIndex("cat", attr.KindString, []attr.Value{attr.String("c")})
 		},
-		"fields": func(_ *Dataset[reading], pa *part[reading]) { pa.base.posts = pa.base.posts[:2] },
+		"fields": func(_ *Dataset[reading], pa *part[reading]) { pa.base.Posts = pa.base.Posts[:2] },
 	})
 }
 

@@ -70,19 +70,18 @@ func (s *Snapshot[V]) AttrProbe(
 		pt := &v.parts[part]
 		b := pt.base
 		more := true
-		emit := func(r *Record[V]) {
-			kv := engine.NewPair(r.Key, r.Value)
-			more = !keep(kv) || yield(kv)
+		emit := func(kv *engine.Pair[stobject.STObject, V]) {
+			more = !keep(*kv) || yield(*kv)
 		}
-		refined := int64(b.posts[fi].Postings(p, func(pos int32) {
+		refined := int64(b.Posts[fi].Postings(p, func(pos int32) {
 			if more && visibleAt(b.gen, &b.dels[pos], v.gen) {
-				emit(&b.rows[pos])
+				emit(&b.Rows[pos])
 			}
 		}))
 		for i := 0; i < len(pt.delta) && more; i++ {
-			if sl := &pt.delta[i]; visibleAt(sl.addGen, &sl.delGen, v.gen) && p.Matches(f.Get(sl.rec.Key, sl.rec.Value)) {
+			if sl := &pt.delta[i]; visibleAt(sl.addGen, &sl.delGen, v.gen) && p.Matches(f.Get(sl.kv.Key, sl.kv.Value)) {
 				refined++
-				emit(&sl.rec)
+				emit(&sl.kv)
 			}
 		}
 		rec.Add(engine.IndexProbes, 1)

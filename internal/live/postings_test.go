@@ -225,7 +225,7 @@ func TestPostingsDifferentialBattery(t *testing.T) {
 	}
 	for p, b := range bases(d) {
 		distinct := 0
-		for range b.posts[0].All() {
+		for range b.Posts[0].All() {
 			distinct++
 		}
 		if distinct < 5000 {

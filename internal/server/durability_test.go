@@ -618,17 +618,17 @@ func addTreeFiles(t *testing.T, dir string, seq int) {
 		if err := json.Unmarshal(rows, &recs); err != nil {
 			t.Fatal(err)
 		}
-		envs := make([]geom.Envelope, len(recs))
+		keys := make([]engine.Pair[stobject.STObject, struct{}], len(recs))
 		for j, r := range recs {
 			g, err := geom.ParseWKT(r.WKT)
 			if err != nil {
 				t.Fatal(err)
 			}
-			envs[j] = g.Envelope()
+			keys[j].Key = stobject.New(g)
 		}
 		name := fmt.Sprintf("ckpt-%08d-%03d.idx", seq, i)
-		tree, perm := index.Pack(0, len(envs), func(i int) geom.Envelope { return envs[i] })
-		if err := tree.SaveFile(filepath.Join(dir, name), func(pos int) geom.Envelope { return envs[perm[pos]] }); err != nil {
+		laid, _ := index.Lay(0, keys, nil)
+		if err := laid.SaveFile(filepath.Join(dir, name)); err != nil {
 			t.Fatal(err)
 		}
 		md["index"] = name
