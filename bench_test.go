@@ -164,32 +164,43 @@ func BenchmarkPartitionByBSP(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
 }
 
-// BenchmarkBuildColumnar times the columnar sidecar of a dataset
-// registered under bsp:20000 with a persistent index: every partition's
-// envelope and interval columns in Hilbert order, over 1M skewed
-// points. A dataset builds its sidecar once, so each iteration lays out
-// a fresh index with the timer stopped and times only the Columnar
-// step. ns/row is the layer figure to compare across changes.
+// BenchmarkBuildColumnar times the columnar sidecar of 1M skewed points
+// under bsp:20000, the Columnar step alone. indexed is a dataset
+// registered with a persistent index: its columns follow the leaf order
+// the index laid the rows out in. unindexed has no tree, so Columnar
+// lays its rows out in Hilbert order first. A dataset builds its
+// sidecar once, so each iteration lays out a fresh dataset with the
+// timer stopped. ns/row is the layer figure to compare across changes.
 func BenchmarkBuildColumnar(b *testing.B) {
 	const n = 1_000_000
 	ctx := stark.NewContext(0)
-	parted := stark.Parallelize(ctx, benchTuples(b, n), ctx.Parallelism()).PartitionBy(stark.BSP(20000))
-	if err := parted.Run(); err != nil {
-		b.Fatal(err)
+	tuples := benchTuples(b, n)
+	parted := func() *stark.Dataset[int] {
+		return stark.Parallelize(ctx, tuples, ctx.Parallelism()).PartitionBy(stark.BSP(20000))
 	}
-	b.ResetTimer()
-	for range b.N {
-		b.StopTimer()
-		indexed := parted.Index(stark.Persistent(0))
-		if err := indexed.Run(); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if err := indexed.Columnar().Run(); err != nil {
-			b.Fatal(err)
-		}
+	indexed := parted()
+	for _, c := range []struct {
+		name  string
+		fresh func() *stark.Dataset[int]
+	}{
+		{"indexed", func() *stark.Dataset[int] { return indexed.Index(stark.Persistent(0)) }},
+		{"unindexed", parted},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for range b.N {
+				b.StopTimer()
+				ds := c.fresh()
+				if err := ds.Run(); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if err := ds.Columnar().Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
 }
 
 // ---- E2: indexing modes (range filter) — the unified Index(mode)
@@ -489,9 +500,10 @@ func gateSide[V any](b *testing.B, name string, q *stark.Dataset[V]) int64 {
 	return want
 }
 
-// BenchmarkLayoutGate: the columnar kernels over Hilbert-sorted columns
-// against the row scan, unindexed clustered data under a tight window
-// centred on a record (so it hits a cluster, not empty sea).
+// BenchmarkLayoutGate: the columnar kernels against the row scan,
+// unindexed clustered data under a tight window centred on a record (so
+// it hits a cluster, not empty sea). Without a tree, Columnar lays the
+// rows out in Hilbert order and the columns follow them.
 func BenchmarkLayoutGate(b *testing.B) {
 	tuples := workload.SpatialTuples(workload.Config{
 		N: gateN, Seed: 42, Dist: workload.Skewed,

@@ -66,9 +66,10 @@ type state[V any] struct {
 	base *plan.Node
 	// live, when set, fills in the probe source from the packed bases
 	// and deltas of a mutable-dataset snapshot (see
-	// MutableDataset.Snapshot) instead of from sds and
-	// idx. It describes the UNFILTERED snapshot, so flush drops it as
-	// soon as a predicate is folded into the lineage.
+	// MutableDataset.Snapshot) instead of from sds and idx; sds keeps
+	// the postings of the fields the snapshot does not maintain. It
+	// describes the UNFILTERED snapshot, so flush drops it as soon as a
+	// predicate is folded into the lineage.
 	live func(rec *engine.Recorder) probeSource[V]
 }
 
@@ -90,16 +91,26 @@ type probeSource[V any] struct {
 }
 
 // source returns the chain's probe source, charging probes to rec: the
-// one a live snapshot fills in, or the partition trees of idx and the
-// sidecar postings of sds (both already recorder views, see
-// withRecorder).
+// partition trees of idx and the sidecar postings of sds (both already
+// recorder views, see withRecorder), or, on a live snapshot, its trees
+// and the postings of its maintained fields, sds serving the others.
 func (st *state[V]) source(rec *engine.Recorder) probeSource[V] {
-	if st.live != nil {
-		return st.live(rec)
-	}
 	src := probeSource[V]{hasPostings: st.sds.HasAttrIndex, postings: st.sds.AttrFilter}
 	if st.idx != nil {
 		src.trees = st.idx.Probe
+	}
+	if st.live == nil {
+		return src
+	}
+	live, own := st.live(rec), src.postings
+	src.trees, src.hasPostings = live.trees, live.hasPostings
+	src.postings = func(first attr.Pred, keep func(Tuple[V]) bool) (*engine.Dataset[Tuple[V]], error) {
+		if !live.hasPostings(first.Field) {
+			// Not a maintained field: the sidecar postings of the
+			// chain's rows, built on first use.
+			return own(first, keep)
+		}
+		return live.postings(first, keep)
 	}
 	return src
 }
@@ -336,11 +347,13 @@ func applyMode[V any](st state[V]) (state[V], error) {
 
 // laidOut makes sds, the rows a persistent index laid out in leaf
 // order, the chain's dataset and idx its index, so the rows they were
-// copied from are garbage once the chain resolves. A columnar sidecar
-// of the chain's dataset is rebuilt over the laid-out rows.
+// copied from are garbage once the chain resolves. A columnar chain
+// keeps its sidecar: it is built again over the laid-out rows, whose
+// leaf order the columns then follow.
 func (st state[V]) laidOut(sds *core.SpatialDataset[V], idx *core.IndexedDataset[V]) (state[V], error) {
 	if st.sds.HasColumnar() {
-		if err := sds.BuildColumnar(); err != nil {
+		var err error
+		if sds, err = sds.Columnar(); err != nil {
 			return state[V]{}, err
 		}
 	}
@@ -364,9 +377,12 @@ func (d *Dataset[V]) Cache() *Dataset[V] {
 // Columnar extracts per-partition SoA envelope/interval columns so
 // subsequent filters can run as batched coarse kernels with exact
 // refinement of survivors only — the ColumnarScan access path in
-// EXPLAIN, chosen by cost. Each partition's columns are ordered along
-// a Hilbert curve of the envelope centers, making survivors of
-// small-window queries contiguous in memory.
+// EXPLAIN, chosen by cost. The columns follow the rows: rows a
+// persistent index laid out keep its leaf order, and any other rows are
+// laid out once along a Hilbert curve of their envelope centres, a copy
+// the chain adopts in place of the rows it had (as Index(Persistent)
+// adopts its leaf order), so survivors of small-window queries are
+// contiguous in memory.
 //
 // Like Cache, the sidecar describes the dataset at this point in the
 // chain: pending filters are folded first, and later transformations
@@ -379,8 +395,13 @@ func (d *Dataset[V]) Columnar() *Dataset[V] {
 		if err != nil {
 			return state[V]{}, err
 		}
-		if err := st.sds.BuildColumnar(); err != nil {
+		if st.sds, err = st.sds.Columnar(); err != nil {
 			return state[V]{}, err
+		}
+		if st.mode.kind == modeLive {
+			// A live index lays out a copy of the rows per job: read the
+			// adopted ones, so the old rows are garbage.
+			return applyMode(st)
 		}
 		return st, nil
 	})

@@ -100,13 +100,15 @@
 // # Columnar scan engine
 //
 // Dataset.Columnar builds a per-partition struct-of-arrays sidecar —
-// envelope bounds and time intervals as flat float64/int64 columns,
-// column rows sorted by the Hilbert key of their envelope's centre on
-// a curve fixed at 2^16 cells a side over the partition's MBR — that
-// branch-free kernels sweep in 4096-row batches, ANDing coarse
-// spatio-temporal survivors into a bitset; only survivors reach the
-// exact predicate, fetched from the dataset's own partition slice
-// through the sort's permutation (the sidecar copies no row).
+// envelope bounds and time intervals as flat float64/int64 columns in
+// the order of the rows — that branch-free kernels sweep in 4096-row
+// batches, ANDing coarse spatio-temporal survivors into a bitset; only
+// survivors reach the exact predicate, column row i being the
+// partition's row i (the sidecar copies no row and keeps no
+// permutation). Rows a persistent index laid out keep its leaf order;
+// any other rows are laid out once by the Hilbert key of their
+// envelope's centre on a curve fixed at 2^16 cells a side over the
+// partition's MBR, and the chain adopts that copy.
 // Like Cache, it marks a point in the chain and materialises at the
 // first action, and transformations return fresh instances without
 // the sidecar, so it can never describe stale data (mutable datasets
@@ -383,8 +385,8 @@
 //     log and the checksummed/atomic file-write primitives under the
 //     durability layer;
 //   - internal/colstore  — the columnar scan sidecar: SoA
-//     envelope/interval columns, Hilbert row order, batched
-//     branch-free filter kernels over survivor bitsets;
+//     envelope/interval columns in row order, the Hilbert row layout,
+//     batched branch-free filter kernels over survivor bitsets;
 //   - internal/live      — the mutable-dataset substrate: packed bases
 //     plus append-only deltas, generation-tagged visibility, snapshots
 //     and batch application;

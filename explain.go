@@ -276,7 +276,7 @@ func compile[V any](rec *engine.Recorder, st state[V]) (compiled[V], error) {
 
 	case dec.AttrStrategy == plan.AttrIntersect:
 		kps, scan := columnar()
-		ds, err := st.sds.ColumnarFilterIntersect(kps, attrPreds)
+		ds, err := st.sds.ColumnarFilter(kps, attrPreds)
 		if err != nil {
 			return compiled[V]{}, fmt.Errorf("stark: plan: attr intersect: %w", err)
 		}
@@ -287,9 +287,9 @@ func compile[V any](rec *engine.Recorder, st state[V]) (compiled[V], error) {
 		// sweep the sidecar columns in planned predicate order, and only
 		// the surviving rows are refined with the exact predicates.
 		kps, scan := columnar()
-		ds := st.sds.ColumnarFilter(kps)
-		if ds == nil {
-			return compiled[V]{}, fmt.Errorf("stark: plan: columnar sidecar vanished")
+		ds, err := st.sds.ColumnarFilter(kps, nil)
+		if err != nil {
+			return compiled[V]{}, fmt.Errorf("stark: plan: columnar: %w", err)
 		}
 		if len(attrPreds) > 0 {
 			ds = ds.Filter(func(kv Tuple[V]) bool { return attrAll(kv.Key, kv.Value) })

@@ -74,7 +74,8 @@ func (m IndexMode) validate() error {
 // replaced) — the persistent half of the paper's Figure-2 workflow.
 // The dataset must have an index configured (Live or Persistent); the
 // data itself is not written, only the trees, so re-attaching via
-// LoadIndex requires the same data partitioned the same way.
+// LoadIndex requires the same data partitioned the same way (and laid
+// out by Columnar when the saved chain was).
 func (d *Dataset[V]) SaveIndex(dir string) error {
 	st, err := d.forceFlushed()
 	if err != nil {

@@ -1,9 +1,13 @@
 // Package colstore implements the columnar sidecar of the scan
 // engine: per-partition structure-of-arrays columns holding every
-// record's envelope bounds and temporal interval, Hilbert-sorted so
-// spatially-near records are cache-near, plus branch-free batched
-// kernels that evaluate the coarse (envelope/interval) part of a
-// spatio-temporal predicate over column chunks into a survivor bitset.
+// record's envelope bounds and temporal interval in the order of the
+// rows they describe, plus branch-free batched kernels that evaluate
+// the coarse (envelope/interval) part of a spatio-temporal predicate
+// over column chunks into a survivor bitset. Column row i is the
+// partition's row i, so a survivor bit is a row position. The rows
+// come spatially compact: in an R-tree's leaf order, or laid out along
+// a Hilbert curve (HilbertOrder) when no tree laid them out, so
+// spatially-near records are cache-near.
 // A partition of points at instants holds three arrays, 24 B a row:
 // its max bounds and ends share the arrays of its min bounds and
 // starts.
@@ -33,9 +37,9 @@ import (
 // partition of points) stay L1/L2-resident while the kernel sweeps them.
 const chunkRows = 4096
 
-// Partition holds the SoA columns of one partition, in Hilbert (or
-// insertion) row order. The row index of every column refers to the
-// reordered row slice the builder returns alongside.
+// Partition holds the SoA columns of one partition, in the order the
+// rows were added: the row index of every column is the position of
+// the row it describes.
 type Partition struct {
 	n int
 	// Envelope bounds, one entry per row. Empty envelopes keep their
@@ -58,15 +62,14 @@ func (p *Partition) Len() int { return p.n }
 // Builder accumulates rows and finishes into a Partition. Not safe for
 // concurrent use; build one per partition task.
 type Builder struct {
-	p   Partition
-	mbr geom.Envelope
+	p Partition
 }
 
 // NewBuilder returns a builder preallocated for capacity rows
 // (capacity <= 0 starts empty). MaxX, MaxY and TEnd are not allocated
 // until a row needs them (see Add).
 func NewBuilder(capacity int) *Builder {
-	b := &Builder{mbr: geom.EmptyEnvelope()}
+	b := &Builder{}
 	if capacity > 0 {
 		b.p.MinX = make([]float64, 0, capacity)
 		b.p.MinY = make([]float64, 0, capacity)
@@ -105,56 +108,60 @@ func (b *Builder) Add(env geom.Envelope, tstart, tend int64, timed bool) {
 	if timed {
 		b.p.timed[i/64] |= 1 << uint(i%64)
 	}
-	b.mbr = b.mbr.ExpandToInclude(env)
 	b.p.n++
 }
 
-// Finish seals the builder into a Partition. With hilbert true the
-// rows are sorted by the Hilbert key of their envelope centers over
-// the partition's MBR, and perm maps the new row order back to the
-// insertion order (perm[newRow] = oldRow) so the caller can reorder
-// its record slice identically; with hilbert false (or nothing to
-// sort) perm is nil and insertion order is kept. A column that repeats
+// Finish seals the builder into a Partition, its rows in insertion
+// order: column row i is the i-th row added. A column that repeats
 // another on every row is not kept twice: when every row is a point
 // MaxX and MaxY share MinX's and MinY's backing arrays, and when every
-// row is an instant TEnd shares TStart's. The builder must not be used
+// row is an instant TEnd shares TStart's. With hilbert true (and two
+// rows or more) the columns are instead built again in HilbertOrder,
+// and perm maps the new row order back to the insertion order
+// (perm[newRow] = oldRow); a caller that keeps rows beside the columns
+// lays the rows out first and builds their columns as they are, so
+// that column row i is its row i. The builder must not be used
 // afterwards.
 func (b *Builder) Finish(hilbert bool) (p *Partition, perm []int32) {
-	in := &b.p
-	if hilbert && in.n >= 2 {
-		perm = b.hilbertOrder()
+	p = &b.p
+	if p.MaxX == nil {
+		p.MaxX, p.MaxY = p.MinX, p.MinY
 	}
-	p = &Partition{n: in.n, MinX: gather(in.MinX, perm), MinY: gather(in.MinY, perm), TStart: gather(in.TStart, perm), timed: in.timed}
-	p.MaxX, p.MaxY, p.TEnd = p.MinX, p.MinY, p.TStart
-	if in.MaxX != nil {
-		p.MaxX, p.MaxY = gather(in.MaxX, perm), gather(in.MaxY, perm)
+	if p.TEnd == nil {
+		p.TEnd = p.TStart
 	}
-	if in.TEnd != nil {
-		p.TEnd = gather(in.TEnd, perm)
+	if !hilbert || p.n < 2 {
+		return p, nil
 	}
-	if perm != nil {
-		p.timed = make([]uint64, len(in.timed))
-		for newRow, oldRow := range perm {
-			if in.timed[oldRow/64]&(1<<uint(oldRow%64)) != 0 {
-				p.timed[newRow/64] |= 1 << uint(newRow%64)
-			}
-		}
+	perm = HilbertOrder(p.n, p.envelope)
+	sorted := NewBuilder(p.n)
+	for _, i := range perm {
+		sorted.Add(p.envelope(int(i)), p.TStart[i], p.TEnd[i], p.timed[i/64]&(1<<uint(i%64)) != 0)
 	}
+	p, _ = sorted.Finish(false)
 	return p, perm
 }
 
-// hilbertOrder returns the rows in the order of the Hilbert keys of
-// their envelope centres over the partition's MBR, equal keys in
-// insertion order so the order is deterministic for differential tests.
-func (b *Builder) hilbertOrder() []int32 {
-	enc := newHilbertEncoder(b.mbr)
-	maxX, maxY := b.p.MaxX, b.p.MaxY
-	if maxX == nil {
-		maxX, maxY = b.p.MinX, b.p.MinY
+// envelope returns row i's envelope.
+func (p *Partition) envelope(i int) geom.Envelope {
+	return geom.Envelope{MinX: p.MinX[i], MinY: p.MinY[i], MaxX: p.MaxX[i], MaxY: p.MaxY[i]}
+}
+
+// HilbertOrder returns the order of n rows along a Hilbert curve of
+// their envelope centres over the rows' MBR (order[i] is the row that
+// goes i-th), equal keys in row order so the order is deterministic
+// for differential tests. env is called twice per row. Rows that no
+// R-tree laid out are laid out in this order before their columns are
+// built, so the survivors of a small window are contiguous.
+func HilbertOrder(n int, env func(i int) geom.Envelope) []int32 {
+	mbr := geom.EmptyEnvelope()
+	for i := range n {
+		mbr = mbr.ExpandToInclude(env(i))
 	}
-	keys := make([]uint64, b.p.n)
+	enc := newHilbertEncoder(mbr)
+	keys := make([]uint64, n)
 	for i := range keys {
-		keys[i] = enc.key(geom.Envelope{MinX: b.p.MinX[i], MinY: b.p.MinY[i], MaxX: maxX[i], MaxY: maxY[i]})
+		keys[i] = enc.key(env(i))
 	}
 	return geom.OrderByKey(keys)
 }
@@ -266,18 +273,6 @@ func own[T any](col []T) []T { return append(make([]T, 0, cap(col)), col...) }
 // sameBits reports whether a and b are one number bit for bit: NaN is
 // not, nor are −0 and +0.
 func sameBits(a, b float64) bool { return a == b && math.Float64bits(a) == math.Float64bits(b) }
-
-// gather returns src in perm order (src itself when perm is nil).
-func gather[T any](src []T, perm []int32) []T {
-	if perm == nil {
-		return src
-	}
-	dst := make([]T, len(perm))
-	for i, old := range perm {
-		dst[i] = src[old]
-	}
-	return dst
-}
 
 // Bitset is a fixed-size survivor bitset the kernels AND into. Its reset
 // initialises every row bit to 1 (and the tail of the last word to 0),

@@ -15,85 +15,83 @@ import (
 // use and bound to the dataset instance — any transformation returns
 // a fresh instance, so stale postings can never be served.
 //
-// Two access paths execute here:
+// Two access paths read the postings:
 //
 //   - AttrFilter: attribute-first. The most selective attribute
 //     predicate's postings enumerate candidate rows directly, and the
 //     remaining predicates (attribute and spatial) refine them — the
 //     analogue of the R-tree probe with the roles of spatial and
 //     attribute predicates swapped.
-//   - ColumnarFilterIntersect: candidate-set intersection. The coarse
-//     spatial kernels sweep the columnar sidecar into a survivor
-//     bitset, each attribute predicate's postings are materialised as
-//     a bitset over the same row order, and the conjunction is a
-//     word-wise AND; only rows surviving every set are refined with
-//     the exact spatial predicates (attribute postings are exact, so
-//     they need no refinement).
+//   - ColumnarFilter with attribute predicates (columnar.go):
+//     candidate-set intersection. The coarse spatial kernels sweep the
+//     columnar sidecar into a survivor bitset, each attribute
+//     predicate's postings are materialised as a bitset over the same
+//     positions, and the conjunction is a word-wise AND; only rows
+//     surviving every set are refined with the exact spatial
+//     predicates.
 //
-// For the intersection to be sound the postings and the kernel bitset
-// must index the same row order, so when the columnar sidecar exists
-// the attribute indexes are built over its (possibly Hilbert-sorted)
-// kernel row order and marked aligned; a sidecar built later
-// invalidates unaligned postings, which silently rebuild on next use.
+// Postings file positions in the dataset's own partition slices, the
+// rows the columnar sidecar's columns describe too, so the two bitsets
+// AND without translation.
 
-// attrSidecar holds the lazily built attribute postings: the rows the
-// postings index into, addressed and not copied (the columnar
-// sidecar's kernel order when one exists, the dataset's own partition
-// slices otherwise), plus one per-partition index slice per field.
-type attrSidecar[V any] struct {
-	rows []kernelRows[V]
-	// aligned marks rows as the columnar sidecar's row order, making
-	// postings bitsets AND-compatible with kernel survivor bitsets.
-	aligned bool
-	idx     map[string][]*attr.Index
+// partitions returns every partition's rows, the one place both
+// sidecars read them from: the columns' rows and the postings' row ids
+// are positions in these slices. A dataset that holds its partitions
+// hands out its own slices; any other is materialised once and kept.
+// Like the other auxiliary passes it charges StatsRecords, not scan
+// counters.
+func (s *SpatialDataset[V]) partitions() ([][]Tuple[V], error) {
+	s.aux.rowsMu.Lock()
+	defer s.aux.rowsMu.Unlock()
+	if s.aux.rows != nil {
+		return s.aux.rows, nil
+	}
+	n := s.ds.NumPartitions()
+	rows := make([][]Tuple[V], n)
+	rec := s.ds.Context().Recorder()
+	err := s.ds.Context().RunJob(engine.AllPartitions(n), func(p int) error {
+		out, err := s.ds.ComputePartition(p)
+		rows[p] = out
+		rec.Add(engine.StatsRecords, int64(len(out)))
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	s.aux.rows = rows
+	return rows, nil
 }
 
-// ensureAttrIndex returns the per-partition postings for the given
-// fields (building missing ones) plus the rows they index.
-func (s *SpatialDataset[V]) ensureAttrIndex(fields []string) (map[string][]*attr.Index, []kernelRows[V], error) {
-	col := s.columnar()
+// postings returns the per-partition postings of each of fields, in
+// that order, building the missing ones, plus the rows they index. The
+// slices are handed out, not the map: a concurrent first use of another
+// field writes it.
+func (s *SpatialDataset[V]) postings(fields []string) ([][]*attr.Index, [][]Tuple[V], error) {
+	rows, err := s.partitions()
+	if err != nil {
+		return nil, nil, err
+	}
 	s.aux.attrMu.Lock()
 	defer s.aux.attrMu.Unlock()
-	sch := s.aux.schema
-	if sch == nil {
-		return nil, nil, fmt.Errorf("core: no attribute schema registered")
-	}
-	side := s.aux.attrSide
-	if side != nil && !side.aligned && col != nil {
-		// A columnar sidecar appeared after the postings were built
-		// over a plain collect: rebuild over the kernel row order so
-		// intersection stays available.
-		side = nil
-	}
-	if side == nil {
-		side = &attrSidecar[V]{idx: make(map[string][]*attr.Index)}
-		if col != nil {
-			side.rows = col.rows
-			side.aligned = true
-		} else {
-			rows, err := s.collectAttrRows()
-			if err != nil {
-				return nil, nil, err
-			}
-			side.rows = rows
-		}
-		s.aux.attrSide = side
-	}
+	out := make([][]*attr.Index, len(fields))
 	rec := s.ds.Context().Recorder()
-	for _, name := range fields {
-		if _, ok := side.idx[name]; ok {
+	for i, name := range fields {
+		if ixs, ok := s.aux.posts[name]; ok {
+			out[i] = ixs
 			continue
 		}
-		fld, ok := sch.Field(name)
+		if s.aux.schema == nil {
+			return nil, nil, fmt.Errorf("core: no attribute schema registered")
+		}
+		fld, ok := s.aux.schema.Field(name)
 		if !ok {
 			return nil, nil, fmt.Errorf("core: no field %q in attribute schema", name)
 		}
-		ixs := make([]*attr.Index, len(side.rows))
-		err := s.ds.Context().RunJob(engine.AllPartitions(len(side.rows)), func(p int) error {
-			rows := side.rows[p]
-			column := make([]attr.Value, len(rows.rows))
-			for i := range column {
-				column[i] = fld.Get(rows.at(i).Key, rows.at(i).Value)
+		ixs := make([]*attr.Index, len(rows))
+		err := s.ds.Context().RunJob(engine.AllPartitions(len(rows)), func(p int) error {
+			column := make([]attr.Value, len(rows[p]))
+			for j := range column {
+				column[j] = fld.Get(rows[p][j].Key, rows[p][j].Value)
 			}
 			ixs[p] = attr.BuildIndex(fld.Name, fld.Kind, column)
 			rec.Add(engine.StatsRecords, int64(len(column)))
@@ -102,27 +100,12 @@ func (s *SpatialDataset[V]) ensureAttrIndex(fields []string) (map[string][]*attr
 		if err != nil {
 			return nil, nil, err
 		}
-		side.idx[name] = ixs
+		if s.aux.posts == nil {
+			s.aux.posts = make(map[string][]*attr.Index)
+		}
+		s.aux.posts[name], out[i] = ixs, ixs
 	}
-	return side.idx, side.rows, nil
-}
-
-// collectAttrRows takes every partition's rows for postings to index —
-// the fallback row order when no columnar sidecar exists: the dataset's
-// own slices when it holds them (read-only), one materialisation
-// otherwise. Like the other auxiliary passes it charges StatsRecords,
-// not scan counters.
-func (s *SpatialDataset[V]) collectAttrRows() ([]kernelRows[V], error) {
-	n := s.ds.NumPartitions()
-	rows := make([]kernelRows[V], n)
-	rec := s.ds.Context().Recorder()
-	err := s.ds.Context().RunJob(engine.AllPartitions(n), func(p int) error {
-		out, err := s.ds.ComputePartition(p)
-		rows[p].rows = out
-		rec.Add(engine.StatsRecords, int64(len(out)))
-		return err
-	})
-	return rows, err
+	return out, rows, nil
 }
 
 // HasAttrIndex reports whether postings for the field are already
@@ -130,10 +113,7 @@ func (s *SpatialDataset[V]) collectAttrRows() ([]kernelRows[V], error) {
 func (s *SpatialDataset[V]) HasAttrIndex(field string) bool {
 	s.aux.attrMu.Lock()
 	defer s.aux.attrMu.Unlock()
-	if s.aux.attrSide == nil {
-		return false
-	}
-	_, ok := s.aux.attrSide.idx[field]
+	_, ok := s.aux.posts[field]
 	return ok
 }
 
@@ -154,7 +134,7 @@ func (s *SpatialDataset[V]) BuildAttrIndex(fields ...string) error {
 		}
 		fields = sch.Names()
 	}
-	_, _, err := s.ensureAttrIndex(fields)
+	_, _, err := s.postings(fields)
 	return err
 }
 
@@ -166,16 +146,16 @@ func (s *SpatialDataset[V]) BuildAttrIndex(fields ...string) error {
 // R-tree probe: one IndexProbes per partition, candidates charged to
 // CandidatesRefined.
 func (s *SpatialDataset[V]) AttrFilter(first attr.Pred, keep func(Tuple[V]) bool) (*engine.Dataset[Tuple[V]], error) {
-	idxs, rows, err := s.ensureAttrIndex([]string{first.Field})
+	idxs, rows, err := s.postings([]string{first.Field})
 	if err != nil {
 		return nil, err
 	}
-	ix := idxs[first.Field]
+	ix := idxs[0]
 	rec := s.recorder()
 	out := engine.NewStream(s.ds.Context(), s.ds.Name()+".attrScan", len(rows),
 		func(p int, yield func(Tuple[V]) bool) error {
 			part := rows[p]
-			if len(part.rows) == 0 {
+			if len(part) == 0 {
 				return nil
 			}
 			rec.Add(engine.IndexProbes, 1)
@@ -186,7 +166,7 @@ func (s *SpatialDataset[V]) AttrFilter(first attr.Pred, keep func(Tuple[V]) bool
 					return
 				}
 				cands++
-				if kv := part.at(int(row)); keep(*kv) && !yield(*kv) {
+				if kv := &part[row]; keep(*kv) && !yield(*kv) {
 					stop = true
 				}
 			})
@@ -194,32 +174,4 @@ func (s *SpatialDataset[V]) AttrFilter(first attr.Pred, keep func(Tuple[V]) bool
 			return nil
 		})
 	return out.WithRecorder(s.rec), nil
-}
-
-// ColumnarFilterIntersect builds the candidate-set-intersection stage:
-// the spatial kernel sweep and the attribute postings each produce a
-// bitset over the partition's kernel row order, the bitsets are ANDed,
-// and only rows surviving the conjunction are refined with the exact
-// spatial predicates. Requires the columnar sidecar and postings built
-// over its row order.
-func (s *SpatialDataset[V]) ColumnarFilterIntersect(preds []KernelPred, attrPreds []attr.Pred) (*engine.Dataset[Tuple[V]], error) {
-	fields := make([]string, len(attrPreds))
-	for i, ap := range attrPreds {
-		fields[i] = ap.Field // a repeated field is built once
-	}
-	idxs, _, err := s.ensureAttrIndex(fields)
-	if err != nil {
-		return nil, err
-	}
-	side := s.columnar()
-	if side == nil {
-		return nil, fmt.Errorf("core: columnar sidecar not built")
-	}
-	s.aux.attrMu.Lock()
-	aligned := s.aux.attrSide != nil && s.aux.attrSide.aligned
-	s.aux.attrMu.Unlock()
-	if !aligned {
-		return nil, fmt.Errorf("core: attribute postings not aligned with columnar row order")
-	}
-	return s.kernelScan(".colAttrScan", side, preds, attrPreds, idxs), nil
 }

@@ -1,104 +1,86 @@
 package core
 
 import (
+	"fmt"
+
 	"stark/internal/attr"
 	"stark/internal/colstore"
 	"stark/internal/engine"
+	"stark/internal/geom"
 	"stark/internal/stobject"
 )
 
-// This file wires the colstore sidecar into the scan path. BuildColumnar
-// extracts per-partition SoA envelope/interval columns, Hilbert-sorts
-// each partition's columns, and keeps the permutation
-// that leads from a column row back to the dataset's own row;
-// ColumnarFilter then streams a conjunctive predicate chain as a
-// coarse batched kernel sweep per partition followed by exact
-// refinement of the survivors only. The sidecar is bound to the
-// SpatialDataset instance, so any transformation (which returns a new
-// instance) drops it by construction and can never serve stale columns.
+// This file wires the colstore sidecar into the scan path. Columnar
+// extracts per-partition SoA envelope/interval columns in the order of
+// the rows they describe, laying the rows out along a Hilbert curve
+// first when no R-tree laid them out; ColumnarFilter then streams a
+// conjunctive predicate chain as a coarse batched kernel sweep per
+// partition followed by exact refinement of the survivors only. Column
+// row i is the partition's row i, so the sidecar holds no permutation,
+// and attribute postings (attr.go) address the same positions. The
+// sidecar is bound to the SpatialDataset instance Columnar returns, so
+// any transformation (which returns a new instance) drops it by
+// construction and can never serve stale columns.
 
-// kernelRows addresses one partition's rows in kernel row order without
-// holding a copy of them: rows is the dataset's own partition slice
-// (read-only), and perm maps a Hilbert-sorted kernel row to its position
-// in that slice. A nil perm (postings built without a columnar sidecar)
-// means kernel order is slice order.
-type kernelRows[V any] struct {
-	rows []Tuple[V]
-	perm []int32
-}
-
-// at returns kernel row i.
-func (k kernelRows[V]) at(i int) *Tuple[V] {
-	if k.perm != nil {
-		i = int(k.perm[i])
-	}
-	return &k.rows[i]
-}
-
-// columnarSidecar holds the per-partition columns plus the rows they
-// index: 48 B of columns (24 B for points at instants, see
-// colstore.Builder.Finish) and 4 B of permutation per row, no row copy.
-type columnarSidecar[V any] struct {
-	parts []*colstore.Partition
-	rows  []kernelRows[V]
-}
-
-// BuildColumnar materialises the columnar sidecar: one streaming pass
-// over every partition extracting envelope and interval columns, each
-// partition's columns sorted along a Hilbert curve of the envelope
-// centres so the survivors of a small window are contiguous. Building
-// is memoised per dataset instance: a sidecar, once built, is never
-// replaced, so postings built over its row order stay aligned with it.
-// The pass runs one task per partition through the engine's pool and
-// charges the rows it reads to StatsRecords — it is a statistics-like
-// auxiliary pass, not a query.
-func (s *SpatialDataset[V]) BuildColumnar() error {
+// Columnar returns the dataset with its columnar sidecar: one pass over
+// every partition extracting envelope and interval columns, so that the
+// survivors of a small window are contiguous. Rows an R-tree laid out
+// (Index, LoadIndex) are spatially compact already; their columns
+// follow leaf order and the returned dataset shares them. Any other
+// rows are laid out once in the Hilbert order of their envelope centres
+// over the partition's MBR, and the returned dataset holds that copy in
+// place of the receiver's rows. Statistics and schema carry over; the
+// postings do not, the positions being new. A dataset that has its
+// sidecar returns itself. The pass runs one task per partition through
+// the engine's pool and charges the rows it reads to StatsRecords — it
+// is a statistics-like auxiliary pass, not a query.
+func (s *SpatialDataset[V]) Columnar() (*SpatialDataset[V], error) {
 	if s.HasColumnar() {
-		return nil
+		return s, nil
 	}
-
-	n := s.ds.NumPartitions()
-	side := &columnarSidecar[V]{
-		parts: make([]*colstore.Partition, n),
-		rows:  make([]kernelRows[V], n),
-	}
-	rec := s.ds.Context().Recorder()
-	err := s.ds.Context().RunJob(engine.AllPartitions(n), func(p int) error {
-		// The dataset's own slice when it holds one: rows are read-only,
-		// and a Hilbert sort reorders the columns, not the rows.
-		rows, err := s.ds.ComputePartition(p)
+	ctx, n := s.ds.Context(), s.ds.NumPartitions()
+	rows := make([][]Tuple[V], n)
+	cols := make([]*colstore.Partition, n)
+	rec := ctx.Recorder()
+	err := ctx.RunJob(engine.AllPartitions(n), func(p int) error {
+		in, err := s.ds.ComputePartition(p)
 		if err != nil {
 			return err
 		}
-		b := colstore.NewBuilder(len(rows))
-		for i := range rows {
-			iv, timed := rows[i].Key.Time()
-			b.Add(rows[i].Key.Envelope(), int64(iv.Start), int64(iv.End), timed)
+		if !s.laid {
+			order := colstore.HilbertOrder(len(in), func(i int) geom.Envelope { return in[i].Key.Envelope() })
+			laid := make([]Tuple[V], len(in))
+			for d, i := range order {
+				laid[d] = in[i]
+			}
+			in = laid
 		}
-		cols, perm := b.Finish(true)
-		side.parts[p] = cols
-		side.rows[p] = kernelRows[V]{rows: rows, perm: perm}
-		rec.Add(engine.StatsRecords, int64(len(rows)))
+		b := colstore.NewBuilder(len(in))
+		for i := range in {
+			iv, timed := in[i].Key.Time()
+			b.Add(in[i].Key.Envelope(), int64(iv.Start), int64(iv.End), timed)
+		}
+		cols[p], _ = b.Finish(false)
+		rows[p] = in
+		rec.Add(engine.StatsRecords, int64(len(in)))
 		return nil
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	s.aux.colMu.Lock()
-	s.aux.col = side
-	s.aux.colMu.Unlock()
-	return nil
+	out := newSpatial(engine.FromPartitions(ctx, rows), s.sp, s.rec)
+	out.aux.rows, out.aux.col = rows, cols
+	s.aux.statsMu.Lock()
+	out.aux.stats, out.aux.statsSeeded = s.aux.stats, s.aux.statsSeeded
+	s.aux.statsMu.Unlock()
+	s.aux.attrMu.Lock()
+	out.aux.schema = s.aux.schema
+	s.aux.attrMu.Unlock()
+	return out, nil
 }
 
-// columnar returns the sidecar, nil when none is built.
-func (s *SpatialDataset[V]) columnar() *columnarSidecar[V] {
-	s.aux.colMu.Lock()
-	defer s.aux.colMu.Unlock()
-	return s.aux.col
-}
-
-// HasColumnar reports whether the sidecar is built.
-func (s *SpatialDataset[V]) HasColumnar() bool { return s.columnar() != nil }
+// HasColumnar reports whether the dataset has its columnar sidecar.
+func (s *SpatialDataset[V]) HasColumnar() bool { return s.aux.col != nil }
 
 // KernelPred is one predicate of a conjunctive chain in the form the
 // columnar scan needs: the compiled coarse kernel query plus the exact
@@ -153,48 +135,48 @@ func KernelPrune(pruneMinX, pruneMinY, pruneMaxX, pruneMaxY float64, mode colsto
 
 // ColumnarFilter builds the fused columnar scanning stage for a
 // conjunctive predicate chain: per partition, every kernel query is
-// swept over the columns into one survivor bitset, then only the
-// surviving rows are refined with the exact predicates (in the given
-// order) and yielded. Metrics: every row is charged to
-// ElementsScanned (the kernels DID consider it — this keeps the
+// swept over the columns into one survivor bitset, each attribute
+// predicate's postings are materialised as a bitset over the same
+// positions and ANDed in (candidate-set intersection; attribute
+// postings are exact, so they need no refinement), then only the
+// surviving rows are refined with the exact spatial predicates (in the
+// given order) and yielded, in row order. Metrics: every row is charged
+// to ElementsScanned (the kernels DID consider it — this keeps the
 // counter comparable with the row scan), swept chunks to
-// KernelBatches, and post-kernel rows to KernelSurvivors; survivors
-// are additionally charged to CandidatesRefined, mirroring the index
-// path's coarse/exact split. Returns nil when no sidecar is built.
-func (s *SpatialDataset[V]) ColumnarFilter(preds []KernelPred) *engine.Dataset[Tuple[V]] {
-	side := s.columnar()
-	if side == nil || len(preds) == 0 {
-		return nil
+// KernelBatches, post-kernel rows to KernelSurvivors, one IndexProbes
+// per attribute predicate and partition; survivors are additionally
+// charged to CandidatesRefined, mirroring the index path's coarse/exact
+// split. Requires the sidecar (Columnar).
+func (s *SpatialDataset[V]) ColumnarFilter(preds []KernelPred, attrPreds []attr.Pred) (*engine.Dataset[Tuple[V]], error) {
+	cols := s.aux.col
+	if cols == nil {
+		return nil, fmt.Errorf("core: columnar sidecar not built")
 	}
-	return s.kernelScan(".colScan", side, preds, nil, nil)
-}
-
-// kernelScan is the one columnar stream behind ColumnarFilter and
-// ColumnarFilterIntersect: sweep the kernels into a survivor bitset,
-// AND in the postings bitset of every attribute predicate (idxs holds
-// their fields' postings, built over the sidecar's kernel row order),
-// then fetch, refine and yield the survivors in kernel row order.
-func (s *SpatialDataset[V]) kernelScan(name string, side *columnarSidecar[V], preds []KernelPred,
-	attrPreds []attr.Pred, idxs map[string][]*attr.Index) *engine.Dataset[Tuple[V]] {
+	name, fields := ".colScan", make([]string, len(attrPreds))
+	for i, ap := range attrPreds {
+		name, fields[i] = ".colAttrScan", ap.Field // a repeated field is built once
+	}
+	idxs, rows, err := s.postings(fields)
+	if err != nil {
+		return nil, err
+	}
 	rec := s.recorder()
-	out := engine.NewStream(s.ds.Context(), s.ds.Name()+name, len(side.parts),
+	out := engine.NewStream(s.ds.Context(), s.ds.Name()+name, len(cols),
 		func(p int, yield func(Tuple[V]) bool) error {
-			cols := side.parts[p]
-			rows := side.rows[p]
-			n := cols.Len()
+			n, part := cols[p].Len(), rows[p]
 			if n == 0 {
 				return nil
 			}
 			bs := colstore.GetBitset(n)
 			var batches int64
 			for _, kp := range preds {
-				batches += int64(colstore.Filter(cols, kp.Query, bs))
+				batches += int64(colstore.Filter(cols[p], kp.Query, bs))
 			}
 			if len(attrPreds) > 0 {
 				ab := colstore.GetBitset(n)
-				for _, ap := range attrPreds {
+				for i, ap := range attrPreds {
 					ab.ClearAll(n)
-					idxs[ap.Field][p].Postings(ap, func(row int32) { ab.Set(int(row)) })
+					idxs[i][p].Postings(ap, func(row int32) { ab.Set(int(row)) })
 					rec.Add(engine.IndexProbes, 1)
 					bs.And(ab)
 				}
@@ -202,9 +184,7 @@ func (s *SpatialDataset[V]) kernelScan(name string, side *columnarSidecar[V], pr
 			}
 			survivors := int64(bs.Count())
 			bs.Visit(func(row int) bool {
-				kv := rows.at(row)
-				// Attribute postings are exact; only the coarse spatial
-				// kernels need exact refinement.
+				kv := &part[row]
 				for i := range preds {
 					if !preds[i].Pred(kv.Key, preds[i].Q) {
 						return true
@@ -219,5 +199,5 @@ func (s *SpatialDataset[V]) kernelScan(name string, side *columnarSidecar[V], pr
 			rec.Add(engine.CandidatesRefined, survivors)
 			return nil
 		})
-	return out.WithRecorder(s.rec)
+	return out.WithRecorder(s.rec), nil
 }

@@ -22,6 +22,7 @@ import (
 	"sync"
 
 	"stark/internal/attr"
+	"stark/internal/colstore"
 	"stark/internal/engine"
 	"stark/internal/geom"
 	"stark/internal/partition"
@@ -47,6 +48,11 @@ type SpatialDataset[V any] struct {
 	// misses its prune envelope.
 	xOrdered bool
 
+	// laid marks rows an R-tree laid out in leaf order (Index,
+	// LoadIndex), spatially compact already: Columnar builds their
+	// columns as they are.
+	laid bool
+
 	// rec, when non-nil, is the recorder the dataset's operators
 	// charge their metrics to (see WithRecorder); nil selects the
 	// context's root recorder.
@@ -71,15 +77,22 @@ type spatialAux[V any] struct {
 	stats       *stats.Summary
 	statsSeeded bool
 
-	// col is the columnar sidecar built by BuildColumnar.
-	colMu sync.Mutex
-	col   *columnarSidecar[V]
+	// rows are the partition slices the sidecars address by position
+	// (see partitions), set once.
+	rowsMu sync.Mutex
+	rows   [][]Tuple[V]
 
-	// schema is the registered attribute schema; attrSide holds the
-	// lazily built per-partition attribute postings (see attr.go).
-	attrMu   sync.Mutex
-	schema   *attr.Schema[V]
-	attrSide *attrSidecar[V]
+	// col is the columnar sidecar, each partition's columns over rows;
+	// Columnar sets it on the dataset it returns, before anyone else
+	// sees that dataset.
+	col []*colstore.Partition
+
+	// schema is the registered attribute schema; posts holds the lazily
+	// built per-partition attribute postings of each field (see
+	// attr.go).
+	attrMu sync.Mutex
+	schema *attr.Schema[V]
+	posts  map[string][]*attr.Index
 }
 
 // newSpatial builds a SpatialDataset with a fresh aux.
@@ -124,7 +137,7 @@ func (s *SpatialDataset[V]) WithRecorder(rec *engine.Recorder) *SpatialDataset[V
 	if rec == nil || s.rec == rec {
 		return s
 	}
-	return &SpatialDataset[V]{ds: s.ds.WithRecorder(rec), sp: s.sp, xOrdered: s.xOrdered, rec: rec, aux: s.aux}
+	return &SpatialDataset[V]{ds: s.ds.WithRecorder(rec), sp: s.sp, xOrdered: s.xOrdered, laid: s.laid, rec: rec, aux: s.aux}
 }
 
 // Dataset returns the underlying engine dataset.

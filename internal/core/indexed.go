@@ -94,10 +94,10 @@ func (s *SpatialDataset[V]) Index(order int) (*SpatialDataset[V], *IndexedDatase
 }
 
 // layOut runs build over every partition of the receiver in one job and
-// wraps the laid-out partitions it returns as a rows dataset and the
-// indexed view over it, both sourced from the new slices. The view
-// reports the order of the first partition's tree (order when there are
-// no partitions).
+// wraps the laid-out partitions it returns as a rows dataset, marked
+// laid so that its columns follow leaf order, and the indexed view over
+// it, both sourced from the new slices. The view reports the order of
+// the first partition's tree (order when there are no partitions).
 func (s *SpatialDataset[V]) layOut(order int, build func(p int, in []Tuple[V]) (*index.Laid[V], error)) (*SpatialDataset[V], *IndexedDataset[V], error) {
 	ctx, n := s.ds.Context(), s.ds.NumPartitions()
 	ls := make([]*index.Laid[V], n)
@@ -120,6 +120,7 @@ func (s *SpatialDataset[V]) layOut(order int, build func(p int, in []Tuple[V]) (
 		rows[p], parts[p] = ls[p].Rows, ls[p:p+1]
 	}
 	laid := newSpatial(engine.FromPartitions(ctx, rows), s.sp, s.rec)
+	laid.laid = true
 	return laid, &IndexedDataset[V]{parts: engine.FromPartitions(ctx, parts), sp: s.sp, order: order, rec: s.rec}, nil
 }
 

@@ -267,12 +267,13 @@ func LiveScanNode(name string, gen uint64, partitions, order int, rows int64) *N
 }
 
 // ColumnarScanNode builds the EXPLAIN leaf of a columnar-sidecar
-// scan: batched envelope/interval kernels over SoA columns, with the
-// actual kernel counters attached after execution.
+// scan: batched envelope/interval kernels over SoA columns that follow
+// the row order (an index's leaf order, a Hilbert layout otherwise),
+// with the actual kernel counters attached after execution.
 func ColumnarScanNode(partitions int, rows int64, child *Node) *Node {
 	n := NewNode("ColumnarScan", fmt.Sprintf("partitions=%d rows=%d", partitions, rows))
 	n.EstRows = float64(rows)
-	n.Prop("layout=SoA envelope/interval columns, hilbert_sorted=true")
+	n.Prop("layout=SoA envelope/interval columns in row order")
 	return n.Add(child)
 }
 

@@ -56,8 +56,9 @@ type DatasetSpec struct {
 	// are loaded as its generation 1. The "persistent" index recipe is
 	// rejected — bulk-loaded STR trees are immutable.
 	Mutable bool `json:"mutable,omitempty"`
-	// Columnar builds the Hilbert-sorted columnar scan sidecar: at
-	// staging time for immutable datasets, lazily per snapshot
+	// Columnar builds the columnar scan sidecar, its columns in the
+	// rows' order (an index's leaf order, a Hilbert layout otherwise):
+	// at staging time for immutable datasets, lazily per snapshot
 	// generation for mutable ones (the first query after each ingest
 	// batch pays the rebuild).
 	Columnar bool `json:"columnar,omitempty"`

@@ -85,8 +85,8 @@ func TestCatalogRowsCarryNoText(t *testing.T) {
 
 // TestIndexedColumnarRowsHoldNoRepeats pins the resident form of an
 // indexed columnar dataset of points at instants: the laid-out rows,
-// three columns (24 B a row: the max bounds and end share the arrays of
-// the min bounds and start), the sidecar's and the tree's permutations
+// three columns in their leaf order (24 B a row: the max bounds and end
+// share the arrays of the min bounds and start), the tree's permutation
 // and the tree's nodes, nothing per row beside them.
 func TestIndexedColumnarRowsHoldNoRepeats(t *testing.T) {
 	const n = 100_000
@@ -100,7 +100,7 @@ func TestIndexedColumnarRowsHoldNoRepeats(t *testing.T) {
 	held := heapHeld() - base
 	const (
 		columns = 3 * 8 // MinX, MinY, TStart
-		perms   = 2 * 4 // the sidecar's Hilbert order and the tree's leaf order
+		perms   = 4     // the tree's leaf order
 	)
 	// A packed tree of order k has fewer than 2n/k nodes, each an
 	// envelope and a child or position range.
@@ -110,7 +110,7 @@ func TestIndexedColumnarRowsHoldNoRepeats(t *testing.T) {
 	}{}) * 2 / index.DefaultOrder
 	perRow := uint64(unsafe.Sizeof(stark.Tuple[eventValue]{}) + columns + perms + nodes)
 	if limit := n * perRow * 11 / 10; held > limit {
-		t.Errorf("registered dataset holds %.1f MB (%d B a row), its rows, columns, permutations and tree are %.1f MB (limit 1.1×)",
+		t.Errorf("registered dataset holds %.1f MB (%d B a row), its rows, columns, permutation and tree are %.1f MB (limit 1.1×)",
 			float64(held)/(1<<20), held/n, float64(n*perRow)/(1<<20))
 	}
 	runtime.KeepAlive(s)

@@ -55,11 +55,10 @@ func TestShuffledDatasetIsTheOnlyCopy(t *testing.T) {
 	}
 }
 
-// TestColumnarHoldsNoSecondCopy pins that the columnar sidecar addresses
-// the dataset's rows and does not copy them: beside the one copy of the
-// rows it holds six 8-byte columns and a 4-byte Hilbert permutation per
-// row. The windows check that kernel row i still leads to the right
-// row.
+// TestColumnarHoldsNoSecondCopy pins that a columnar dataset holds one
+// copy of its rows, the one Columnar laid out in Hilbert order, and
+// beside it six 8-byte columns per row at most, no permutation. The
+// windows check that column row i is still the dataset's row i.
 func TestColumnarHoldsNoSecondCopy(t *testing.T) {
 	const n = 300_000
 	ctx := stark.NewContext(2)
@@ -78,11 +77,11 @@ func TestColumnarHoldsNoSecondCopy(t *testing.T) {
 	}
 	rows = nil
 	held := heapAlloc() - base
-	limit := oneCopy + n*(6*8+4)
+	limit := oneCopy + n*6*8
 	limit += limit / 10
 	if held > limit {
-		t.Errorf("columnar dataset holds %.1f MB; its rows are %.1f MB, columns and permutation %.1f MB (limit %.1f MB)",
-			float64(held)/(1<<20), float64(oneCopy)/(1<<20), float64(n*(6*8+4))/(1<<20), float64(limit)/(1<<20))
+		t.Errorf("columnar dataset holds %.1f MB; its rows are %.1f MB, columns %.1f MB (limit %.1f MB)",
+			float64(held)/(1<<20), float64(oneCopy)/(1<<20), float64(n*6*8)/(1<<20), float64(limit)/(1<<20))
 	}
 
 	q := stark.NewSTObject(stark.NewEnvelope(100, 100, 300, 250).ToPolygon())

@@ -199,11 +199,6 @@ func newLiveView[V any](ctx *Context, name string, order int, snap *live.Snapsho
 				},
 				hasPostings: snap.HasAttrField,
 				postings: func(first attr.Pred, keep func(Tuple[V]) bool) (*engine.Dataset[Tuple[V]], error) {
-					if !snap.HasAttrField(first.Field) {
-						// Not a maintained field: the sidecar postings of
-						// this generation's view, built on first use.
-						return sds.WithRecorder(rec).AttrFilter(first, keep)
-					}
 					return snap.AttrProbe(rec, first, keep)
 				},
 			}
