@@ -34,12 +34,12 @@ import (
 )
 
 // state is the resolved form of a Dataset: the engine-level spatial
-// dataset, the optional partition indexes, the configured index mode,
-// the scan filters still awaiting compilation, and the pruning
-// envelopes of filters already folded into the lineage.
+// dataset (its partitions under their trees when the mode is
+// persistent), the configured index mode, the scan filters still
+// awaiting compilation, and the pruning envelopes of filters already
+// folded into the lineage.
 type state[V any] struct {
 	sds  *core.SpatialDataset[V] // always set on success
-	idx  *core.IndexedDataset[V] // set when mode is live/persistent
 	mode IndexMode
 	// pruneEnvs are the envelopes of folded scan filters; a partition
 	// whose extent misses any of them cannot contribute to the
@@ -66,7 +66,7 @@ type state[V any] struct {
 	base *plan.Node
 	// live, when set, fills in the probe source from the packed bases
 	// and deltas of a mutable-dataset snapshot (see
-	// MutableDataset.Snapshot) instead of from sds and idx; sds keeps
+	// MutableDataset.Snapshot) instead of from sds; sds keeps
 	// the postings of the fields the snapshot does not maintain. It
 	// describes the UNFILTERED snapshot, so flush drops it as soon as a
 	// predicate is folded into the lineage.
@@ -91,13 +91,17 @@ type probeSource[V any] struct {
 }
 
 // source returns the chain's probe source, charging probes to rec: the
-// partition trees of idx and the sidecar postings of sds (both already
-// recorder views, see withRecorder), or, on a live snapshot, its trees
-// and the postings of its maintained fields, sds serving the others.
+// partition trees and the postings of sds (already a recorder view, see
+// withRecorder) — kept trees under a persistent index, transient ones
+// under a live index —, or, on a live snapshot, its trees and the
+// postings of its maintained fields, sds serving the others.
 func (st *state[V]) source(rec *engine.Recorder) probeSource[V] {
-	src := probeSource[V]{hasPostings: st.sds.HasAttrIndex, postings: st.sds.AttrFilter}
-	if st.idx != nil {
-		src.trees = st.idx.Probe
+	sds, order := st.sds, st.mode.order
+	src := probeSource[V]{hasPostings: sds.HasAttrIndex, postings: sds.AttrFilter}
+	if st.mode.kind != modeNone {
+		src.trees = func(env geom.Envelope, keep func(Tuple[V]) bool) *engine.Dataset[Tuple[V]] {
+			return sds.Probe(order, env, keep)
+		}
 	}
 	if st.live == nil {
 		return src
@@ -115,16 +119,13 @@ func (st *state[V]) source(rec *engine.Recorder) probeSource[V] {
 	return src
 }
 
-// withRecorder returns the state with recorder views of its spatial
-// and indexed datasets, so every metric the chain's operators charge
-// lands on rec (in addition to the context totals). The views share
-// partitions, caches, statistics and sidecars with the originals.
+// withRecorder returns the state with a recorder view of its spatial
+// dataset, so every metric the chain's operators charge lands on rec
+// (in addition to the context totals). The view shares partitions,
+// trees, caches, statistics and columns with the original.
 func (st state[V]) withRecorder(rec *engine.Recorder) state[V] {
 	if st.sds != nil {
 		st.sds = st.sds.WithRecorder(rec)
-	}
-	if st.idx != nil {
-		st.idx = st.idx.WithRecorder(rec)
 	}
 	return st
 }
@@ -324,40 +325,20 @@ func (d *Dataset[V]) Index(m IndexMode) *Dataset[V] {
 	})
 }
 
-// applyMode (re)builds the partition indexes demanded by st.mode.
+// applyMode builds the partition trees a persistent st.mode keeps: the
+// rows laid out under them become the chain's dataset (its columns, if
+// it had them, in leaf order), so the rows they were copied from are
+// garbage once the chain resolves. A live index keeps nothing: each job
+// lays out a copy of what it visits.
 func applyMode[V any](st state[V]) (state[V], error) {
-	switch st.mode.kind {
-	case modeNone:
-		st.idx = nil
-	case modeLive:
-		idx, err := st.sds.LiveIndex(st.mode.order, nil)
-		if err != nil {
-			return state[V]{}, err
-		}
-		st.idx = idx
-	case modePersistent:
-		sds, idx, err := st.sds.Index(st.mode.order)
-		if err != nil {
-			return state[V]{}, err
-		}
-		return st.laidOut(sds, idx)
+	if st.mode.kind != modePersistent {
+		return st, nil
 	}
-	return st, nil
-}
-
-// laidOut makes sds, the rows a persistent index laid out in leaf
-// order, the chain's dataset and idx its index, so the rows they were
-// copied from are garbage once the chain resolves. A columnar chain
-// keeps its sidecar: it is built again over the laid-out rows, whose
-// leaf order the columns then follow.
-func (st state[V]) laidOut(sds *core.SpatialDataset[V], idx *core.IndexedDataset[V]) (state[V], error) {
-	if st.sds.HasColumnar() {
-		var err error
-		if sds, err = sds.Columnar(); err != nil {
-			return state[V]{}, err
-		}
+	sds, err := st.sds.Index(st.mode.order)
+	if err != nil {
+		return state[V]{}, err
 	}
-	st.sds, st.idx = sds, idx
+	st.sds = sds
 	return st, nil
 }
 
@@ -397,11 +378,6 @@ func (d *Dataset[V]) Columnar() *Dataset[V] {
 		}
 		if st.sds, err = st.sds.Columnar(); err != nil {
 			return state[V]{}, err
-		}
-		if st.mode.kind == modeLive {
-			// A live index lays out a copy of the rows per job: read the
-			// adopted ones, so the old rows are garbage.
-			return applyMode(st)
 		}
 		return st, nil
 	})
@@ -502,22 +478,21 @@ func (st state[V]) flush() (state[V], error) {
 			ap := *p.attr
 			st.sds = st.sds.WhereRows(func(key STObject, v V) bool { return ap.Matches(fld.Get(key, v)) })
 			st.mode = NoIndexing
-			st.idx = nil
 			st.base = plan.NewNode("AttrFilter", ap.String()).Add(st.base)
 			continue
 		}
 		pruneEnv := p.info.PruneEnv()
 		node := plan.NewNode("Filter", p.info.String()).Add(st.base)
-		if st.idx != nil {
+		if st.mode.kind != modeNone {
 			// Indexed probe + exact refinement. Like the Scala DSL, an
 			// indexed operator yields an unindexed RDD.
-			probed, err := core.WrapPartitioned(st.idx.Probe(pruneEnv, func(kv Tuple[V]) bool {
+			probed, err := core.WrapPartitioned(st.sds.Probe(st.mode.order, pruneEnv, func(kv Tuple[V]) bool {
 				return p.pred(kv.Key, p.q)
 			}), st.sds.Partitioner())
 			if err != nil {
 				return state[V]{}, fmt.Errorf("stark: %s: %w", p.name, err)
 			}
-			st.sds, st.idx = probed, nil
+			st.sds = probed
 			node.Prop("index=probe (existing partition trees)")
 		} else {
 			st.sds = st.sds.Where(p.q, pruneEnv, p.pred)
@@ -578,7 +553,6 @@ func (d *Dataset[V]) Sample(fraction float64, seed int64) *Dataset[V] {
 		}
 		st.sds = sampled
 		st.mode = NoIndexing
-		st.idx = nil
 		st.base = plan.NewNode("Sample", fmt.Sprintf("fraction=%g seed=%d", fraction, seed)).Add(st.base)
 		return st, nil
 	})
@@ -818,12 +792,7 @@ func (d *Dataset[V]) KNNContext(ctx context.Context, q STObject, k int, df ...Di
 		return nil, err
 	}
 	m := d.beginPhase()
-	var nbrs []Neighbor[V]
-	if st.idx != nil {
-		nbrs, err = st.idx.KNNContext(ctx, q, k, dist)
-	} else {
-		nbrs, err = st.sds.KNNContext(ctx, q, k, dist)
-	}
+	nbrs, err := st.sds.KNNContext(ctx, q, k, dist, st.mode.order)
 	d.endPhase("knn", m, int64(len(nbrs)))
 	if err != nil {
 		return nil, fmt.Errorf("stark: kNN: %w", err)

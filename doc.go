@@ -26,7 +26,9 @@
 // partition is one laid-out type, shared with join build slots and
 // mutable bases: its rows in the leaf order of its tree, whose leaves
 // are ranges of those rows, so a probe returns rows in leaf order (a
-// live index lays out a copy per query).
+// live index lays out a copy per query), and the columnar scan's
+// columns over the same rows. A persistent index keeps the trees in
+// the dataset's own partitions.
 //
 // The user-facing vocabulary — STObject, Envelope, Interval, the
 // named predicates, partitioner recipes (Grid, BSP, Voronoi), joins
@@ -379,8 +381,9 @@
 //     spatio-temporal predicate semantics;
 //   - internal/partition — grid, cost-based BSP, tile and Voronoi
 //     spatial partitioners with extent bookkeeping;
-//   - internal/index     — the STR-packed R-tree with kNN and
-//     persistence;
+//   - internal/index     — the laid-out partition: rows in the leaf
+//     order of an STR-packed R-tree (with kNN and persistence), with
+//     their columns and postings;
 //   - internal/wal       — the append-only CRC32C-framed write-ahead
 //     log and the checksummed/atomic file-write primitives under the
 //     durability layer;

@@ -302,17 +302,14 @@ func compile[V any](rec *engine.Recorder, st state[V]) (compiled[V], error) {
 		// priced build+probe below the scan. The trees are probed with
 		// the most selective predicate's envelope and candidates are
 		// refined with every predicate, cheapest-surviving order.
-		probe := src.trees
-		if probe == nil {
-			live, err := st.sds.LiveIndex(dec.IndexOrder, nil)
-			if err != nil {
-				return compiled[V]{}, fmt.Errorf("stark: plan: live index: %w", err)
-			}
-			probe = live.Probe
+		keep := func(kv Tuple[V]) bool { return attrAll(kv.Key, kv.Value) && refineSpatial(kv.Key) }
+		env := spatial[dec.Order[0]].info.PruneEnv()
+		var ds *engine.Dataset[Tuple[V]]
+		if src.trees != nil {
+			ds = src.trees(env, keep)
+		} else {
+			ds = st.sds.Probe(dec.IndexOrder, env, keep)
 		}
-		ds := probe(spatial[dec.Order[0]].info.PruneEnv(), func(kv Tuple[V]) bool {
-			return attrAll(kv.Key, kv.Value) && refineSpatial(kv.Key)
-		})
 		return done(ds, st.base, indexed)
 	}
 

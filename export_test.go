@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 
+	"stark/internal/attr"
 	"stark/internal/engine"
 )
 
@@ -45,8 +46,14 @@ func (d *Dataset[V]) AttrIndex(fields ...string) *Dataset[V] {
 			return state[V]{}, err
 		}
 		st.sds.SetSchema(st.schema)
-		if err := st.sds.BuildAttrIndex(fields...); err != nil {
-			return state[V]{}, err
+		if len(fields) == 0 {
+			fields = st.schema.Names()
+		}
+		for _, f := range fields {
+			// AttrFilter builds the field's postings when it is called.
+			if _, err := st.sds.AttrFilter(attr.Pred{Field: f}, nil); err != nil {
+				return state[V]{}, err
+			}
 		}
 		return st, nil
 	})

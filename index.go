@@ -81,10 +81,10 @@ func (d *Dataset[V]) SaveIndex(dir string) error {
 	if err != nil {
 		return err
 	}
-	if st.idx == nil {
+	if st.mode.kind == modeNone {
 		return fmt.Errorf("stark: saveIndex: no index configured; call Index(Live(n)) or Index(Persistent(n)) first")
 	}
-	if err := st.idx.Persist(dir); err != nil {
+	if err := st.sds.Persist(dir, st.mode.order); err != nil {
 		return fmt.Errorf("stark: saveIndex: %w", err)
 	}
 	return nil
@@ -102,12 +102,11 @@ func LoadIndex[V any](d *Dataset[V], dir string) *Dataset[V] {
 		if err != nil {
 			return state[V]{}, err
 		}
-		sds, idx, err := core.LoadIndex(st.sds, dir)
-		if err != nil {
+		if st.sds, err = core.LoadIndex(st.sds, dir); err != nil {
 			return state[V]{}, err
 		}
-		st.mode = Persistent(idx.Order())
+		st.mode = Persistent(st.sds.Order())
 		st.base = plan.NewNode("Index", st.mode.String()+" loaded").Add(st.base)
-		return st.laidOut(sds, idx)
+		return st, nil
 	})
 }

@@ -5,15 +5,16 @@ import (
 
 	"stark/internal/attr"
 	"stark/internal/engine"
+	"stark/internal/index"
 )
 
 // This file wires the attr package's typed predicates and postings
-// indexes into the scan engine. The attribute sidecar is the third
-// memoised aux member (after the statistics cache and the columnar
-// sidecar): per-partition sorted postings indexes over the payload
-// fields of the registered schema, built lazily per field on first
-// use and bound to the dataset instance — any transformation returns
-// a fresh instance, so stale postings can never be served.
+// indexes into the scan engine. The postings are the third memoised
+// aux member (after the statistics cache and the partitions):
+// per-partition sorted postings indexes over the payload fields of the
+// registered schema, built lazily per field on first use and bound to
+// the dataset instance — any transformation returns a fresh instance,
+// so stale postings can never be served.
 //
 // Two access paths read the postings:
 //
@@ -24,50 +25,57 @@ import (
 //     attribute predicates swapped.
 //   - ColumnarFilter with attribute predicates (columnar.go):
 //     candidate-set intersection. The coarse spatial kernels sweep the
-//     columnar sidecar into a survivor bitset, each attribute
-//     predicate's postings are materialised as a bitset over the same
-//     positions, and the conjunction is a word-wise AND; only rows
-//     surviving every set are refined with the exact spatial
-//     predicates.
+//     columns into a survivor bitset, each attribute predicate's
+//     postings are materialised as a bitset over the same positions,
+//     and the conjunction is a word-wise AND; only rows surviving every
+//     set are refined with the exact spatial predicates.
 //
-// Postings file positions in the dataset's own partition slices, the
-// rows the columnar sidecar's columns describe too, so the two bitsets
-// AND without translation.
+// Postings file positions in the rows of the dataset's partitions, the
+// rows their columns describe too, so the two bitsets AND without
+// translation.
 
-// partitions returns every partition's rows, the one place both
-// sidecars read them from: the columns' rows and the postings' row ids
-// are positions in these slices. A dataset that holds its partitions
-// hands out its own slices; any other is materialised once and kept.
-// Like the other auxiliary passes it charges StatsRecords, not scan
-// counters.
-func (s *SpatialDataset[V]) partitions() ([][]Tuple[V], error) {
-	s.aux.rowsMu.Lock()
-	defer s.aux.rowsMu.Unlock()
-	if s.aux.rows != nil {
-		return s.aux.rows, nil
+// partitions returns every partition as a Laid, the one place both
+// the columns and the postings read the rows from: the columns' rows
+// and the postings' row ids are positions in Laid.Rows. A laid-out
+// dataset hands out its own Laids; any other is materialised once, as
+// Laids without a tree, and kept. Like the other auxiliary passes it
+// charges StatsRecords, not scan counters.
+func (s *SpatialDataset[V]) partitions() ([]*index.Laid[V], error) {
+	s.aux.layMu.Lock()
+	defer s.aux.layMu.Unlock()
+	if s.aux.laid != nil {
+		return s.aux.laid, nil
 	}
 	n := s.ds.NumPartitions()
-	rows := make([][]Tuple[V], n)
+	laid := make([]*index.Laid[V], n)
 	rec := s.ds.Context().Recorder()
 	err := s.ds.Context().RunJob(engine.AllPartitions(n), func(p int) error {
-		out, err := s.ds.ComputePartition(p)
-		rows[p] = out
-		rec.Add(engine.StatsRecords, int64(len(out)))
+		rows, err := s.ds.ComputePartition(p)
+		laid[p] = &index.Laid[V]{Rows: rows}
+		rec.Add(engine.StatsRecords, int64(len(rows)))
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	s.aux.rows = rows
-	return rows, nil
+	s.aux.laid = laid
+	return laid, nil
+}
+
+// resident returns the partitions if they are materialised, nil
+// otherwise; unlike partitions it never materialises them.
+func (s *SpatialDataset[V]) resident() []*index.Laid[V] {
+	s.aux.layMu.Lock()
+	defer s.aux.layMu.Unlock()
+	return s.aux.laid
 }
 
 // postings returns the per-partition postings of each of fields, in
-// that order, building the missing ones, plus the rows they index. The
-// slices are handed out, not the map: a concurrent first use of another
-// field writes it.
-func (s *SpatialDataset[V]) postings(fields []string) ([][]*attr.Index, [][]Tuple[V], error) {
-	rows, err := s.partitions()
+// that order, building the missing ones, plus the partitions they
+// index. The slices are handed out, not the map: a concurrent first use
+// of another field writes it.
+func (s *SpatialDataset[V]) postings(fields []string) ([][]*attr.Index, []*index.Laid[V], error) {
+	laid, err := s.partitions()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -87,11 +95,12 @@ func (s *SpatialDataset[V]) postings(fields []string) ([][]*attr.Index, [][]Tupl
 		if !ok {
 			return nil, nil, fmt.Errorf("core: no field %q in attribute schema", name)
 		}
-		ixs := make([]*attr.Index, len(rows))
-		err := s.ds.Context().RunJob(engine.AllPartitions(len(rows)), func(p int) error {
-			column := make([]attr.Value, len(rows[p]))
+		ixs := make([]*attr.Index, len(laid))
+		err := s.ds.Context().RunJob(engine.AllPartitions(len(laid)), func(p int) error {
+			rows := laid[p].Rows
+			column := make([]attr.Value, len(rows))
 			for j := range column {
-				column[j] = fld.Get(rows[p][j].Key, rows[p][j].Value)
+				column[j] = fld.Get(rows[j].Key, rows[j].Value)
 			}
 			ixs[p] = attr.BuildIndex(fld.Name, fld.Kind, column)
 			rec.Add(engine.StatsRecords, int64(len(column)))
@@ -105,7 +114,7 @@ func (s *SpatialDataset[V]) postings(fields []string) ([][]*attr.Index, [][]Tupl
 		}
 		s.aux.posts[name], out[i] = ixs, ixs
 	}
-	return out, rows, nil
+	return out, laid, nil
 }
 
 // HasAttrIndex reports whether postings for the field are already
@@ -117,27 +126,6 @@ func (s *SpatialDataset[V]) HasAttrIndex(field string) bool {
 	return ok
 }
 
-// BuildAttrIndex eagerly builds the per-partition postings for the
-// named fields (all schema fields when none are given). The postings
-// build lazily on first probe anyway; building them up front removes
-// the build cost from the planner's attribute-index pricing, so
-// repeated selective queries pick the postings probe instead of
-// re-scanning inline — the knob a long-lived service turns once per
-// hot field.
-func (s *SpatialDataset[V]) BuildAttrIndex(fields ...string) error {
-	if len(fields) == 0 {
-		s.aux.attrMu.Lock()
-		sch := s.aux.schema
-		s.aux.attrMu.Unlock()
-		if sch == nil {
-			return fmt.Errorf("core: no attribute schema registered")
-		}
-		fields = sch.Names()
-	}
-	_, _, err := s.postings(fields)
-	return err
-}
-
 // AttrFilter builds the attribute-first scanning stage: per partition,
 // the postings of first enumerate candidate rows, and keep (the fused
 // remaining-predicate check — other attribute predicates plus the
@@ -146,15 +134,15 @@ func (s *SpatialDataset[V]) BuildAttrIndex(fields ...string) error {
 // R-tree probe: one IndexProbes per partition, candidates charged to
 // CandidatesRefined.
 func (s *SpatialDataset[V]) AttrFilter(first attr.Pred, keep func(Tuple[V]) bool) (*engine.Dataset[Tuple[V]], error) {
-	idxs, rows, err := s.postings([]string{first.Field})
+	idxs, laid, err := s.postings([]string{first.Field})
 	if err != nil {
 		return nil, err
 	}
 	ix := idxs[0]
 	rec := s.recorder()
-	out := engine.NewStream(s.ds.Context(), s.ds.Name()+".attrScan", len(rows),
+	out := engine.NewStream(s.ds.Context(), s.ds.Name()+".attrScan", len(laid),
 		func(p int, yield func(Tuple[V]) bool) error {
-			part := rows[p]
+			part := laid[p].Rows
 			if len(part) == 0 {
 				return nil
 			}

@@ -7,69 +7,65 @@ import (
 	"stark/internal/colstore"
 	"stark/internal/engine"
 	"stark/internal/geom"
+	"stark/internal/index"
 	"stark/internal/stobject"
 )
 
-// This file wires the colstore sidecar into the scan path. Columnar
+// This file wires the colstore columns into the scan path. Columnar
 // extracts per-partition SoA envelope/interval columns in the order of
 // the rows they describe, laying the rows out along a Hilbert curve
 // first when no R-tree laid them out; ColumnarFilter then streams a
 // conjunctive predicate chain as a coarse batched kernel sweep per
 // partition followed by exact refinement of the survivors only. Column
-// row i is the partition's row i, so the sidecar holds no permutation,
+// row i is the partition's row i, so the columns hold no permutation,
 // and attribute postings (attr.go) address the same positions. The
-// sidecar is bound to the SpatialDataset instance Columnar returns, so
-// any transformation (which returns a new instance) drops it by
-// construction and can never serve stale columns.
+// columns live in the partitions' Laids, which only the dataset
+// Columnar returns holds, so any transformation (which returns a new
+// instance) drops them by construction and can never serve stale
+// columns.
 
-// Columnar returns the dataset with its columnar sidecar: one pass over
-// every partition extracting envelope and interval columns, so that the
+// Columnar returns the dataset with its columns: one pass over every
+// partition extracting envelope and interval columns, so that the
 // survivors of a small window are contiguous. Rows an R-tree laid out
 // (Index, LoadIndex) are spatially compact already; their columns
-// follow leaf order and the returned dataset shares them. Any other
-// rows are laid out once in the Hilbert order of their envelope centres
-// over the partition's MBR, and the returned dataset holds that copy in
-// place of the receiver's rows. Statistics and schema carry over; the
-// postings do not, the positions being new. A dataset that has its
-// sidecar returns itself. The pass runs one task per partition through
-// the engine's pool and charges the rows it reads to StatsRecords — it
-// is a statistics-like auxiliary pass, not a query.
+// follow leaf order, and the returned dataset's partitions share their
+// rows and tree. Any other rows are laid out once in the Hilbert order
+// of their envelope centres over the partition's MBR, and the returned
+// dataset holds that copy in place of the receiver's rows. Statistics
+// and schema carry over; the postings do not, the positions being new.
+// A dataset that has its columns returns itself. The pass runs one task
+// per partition through the engine's pool and charges the rows it reads
+// to StatsRecords — it is a statistics-like auxiliary pass, not a query.
 func (s *SpatialDataset[V]) Columnar() (*SpatialDataset[V], error) {
 	if s.HasColumnar() {
 		return s, nil
 	}
 	ctx, n := s.ds.Context(), s.ds.NumPartitions()
-	rows := make([][]Tuple[V], n)
-	cols := make([]*colstore.Partition, n)
-	rec := ctx.Recorder()
+	resident := s.resident()
+	laid := make([]*index.Laid[V], n)
 	err := ctx.RunJob(engine.AllPartitions(n), func(p int) error {
-		in, err := s.ds.ComputePartition(p)
+		if resident != nil && resident[p].Tree != nil {
+			l := *resident[p]
+			l.Cols = columns(ctx.Recorder(), l.Rows)
+			laid[p] = &l
+			return nil
+		}
+		in, err := s.rowsOf(resident, p)
 		if err != nil {
 			return err
 		}
-		if !s.laid {
-			order := colstore.HilbertOrder(len(in), func(i int) geom.Envelope { return in[i].Key.Envelope() })
-			laid := make([]Tuple[V], len(in))
-			for d, i := range order {
-				laid[d] = in[i]
-			}
-			in = laid
+		order := colstore.HilbertOrder(len(in), func(i int) geom.Envelope { return in[i].Key.Envelope() })
+		rows := make([]Tuple[V], len(in))
+		for d, i := range order {
+			rows[d] = in[i]
 		}
-		b := colstore.NewBuilder(len(in))
-		for i := range in {
-			iv, timed := in[i].Key.Time()
-			b.Add(in[i].Key.Envelope(), int64(iv.Start), int64(iv.End), timed)
-		}
-		cols[p], _ = b.Finish(false)
-		rows[p] = in
-		rec.Add(engine.StatsRecords, int64(len(in)))
+		laid[p] = &index.Laid[V]{Rows: rows, Cols: columns(ctx.Recorder(), rows)}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := newSpatial(engine.FromPartitions(ctx, rows), s.sp, s.rec)
-	out.aux.rows, out.aux.col = rows, cols
+	out := newLaid(ctx, laid, s.sp, s.rec)
 	s.aux.statsMu.Lock()
 	out.aux.stats, out.aux.statsSeeded = s.aux.stats, s.aux.statsSeeded
 	s.aux.statsMu.Unlock()
@@ -79,8 +75,24 @@ func (s *SpatialDataset[V]) Columnar() (*SpatialDataset[V], error) {
 	return out, nil
 }
 
-// HasColumnar reports whether the dataset has its columnar sidecar.
-func (s *SpatialDataset[V]) HasColumnar() bool { return s.aux.col != nil }
+// columns extracts the envelope and interval columns of rows, charging
+// them to StatsRecords.
+func columns[V any](rec *engine.Recorder, rows []Tuple[V]) *colstore.Partition {
+	b := colstore.NewBuilder(len(rows))
+	for i := range rows {
+		iv, timed := rows[i].Key.Time()
+		b.Add(rows[i].Key.Envelope(), int64(iv.Start), int64(iv.End), timed)
+	}
+	cols, _ := b.Finish(false)
+	rec.Add(engine.StatsRecords, int64(len(rows)))
+	return cols
+}
+
+// HasColumnar reports whether the dataset has its columns.
+func (s *SpatialDataset[V]) HasColumnar() bool {
+	laid := s.resident()
+	return len(laid) > 0 && laid[0].Cols != nil
+}
 
 // KernelPred is one predicate of a conjunctive chain in the form the
 // columnar scan needs: the compiled coarse kernel query plus the exact
@@ -146,31 +158,31 @@ func KernelPrune(pruneMinX, pruneMinY, pruneMaxX, pruneMaxY float64, mode colsto
 // KernelBatches, post-kernel rows to KernelSurvivors, one IndexProbes
 // per attribute predicate and partition; survivors are additionally
 // charged to CandidatesRefined, mirroring the index path's coarse/exact
-// split. Requires the sidecar (Columnar).
+// split. Requires the columns (Columnar).
 func (s *SpatialDataset[V]) ColumnarFilter(preds []KernelPred, attrPreds []attr.Pred) (*engine.Dataset[Tuple[V]], error) {
-	cols := s.aux.col
-	if cols == nil {
-		return nil, fmt.Errorf("core: columnar sidecar not built")
+	if !s.HasColumnar() {
+		return nil, fmt.Errorf("core: no columns built")
 	}
 	name, fields := ".colScan", make([]string, len(attrPreds))
 	for i, ap := range attrPreds {
 		name, fields[i] = ".colAttrScan", ap.Field // a repeated field is built once
 	}
-	idxs, rows, err := s.postings(fields)
+	idxs, laid, err := s.postings(fields)
 	if err != nil {
 		return nil, err
 	}
 	rec := s.recorder()
-	out := engine.NewStream(s.ds.Context(), s.ds.Name()+name, len(cols),
+	out := engine.NewStream(s.ds.Context(), s.ds.Name()+name, len(laid),
 		func(p int, yield func(Tuple[V]) bool) error {
-			n, part := cols[p].Len(), rows[p]
+			cols, part := laid[p].Cols, laid[p].Rows
+			n := cols.Len()
 			if n == 0 {
 				return nil
 			}
 			bs := colstore.GetBitset(n)
 			var batches int64
 			for _, kp := range preds {
-				batches += int64(colstore.Filter(cols[p], kp.Query, bs))
+				batches += int64(colstore.Filter(cols, kp.Query, bs))
 			}
 			if len(attrPreds) > 0 {
 				ab := colstore.GetBitset(n)

@@ -5,10 +5,12 @@
 // the Scala original relies on an implicit conversion from
 // RDD[(STObject, V)], Go code wraps explicitly:
 //
-//	events := core.Wrap(pairs)                  // RDD[(STObject, V)] → SpatialDataset
-//	inside := events.Where(query, stobject.ContainedBy) // spatio-temporal filter, lazy
-//	idx, _ := events.LiveIndex(5, partitioner)  // live indexing, order 5
-//	hits, _ := idx.Filter(query, query.Envelope(), stobject.Intersects)
+//	events := core.Wrap(pairs)                   // RDD[(STObject, V)] → SpatialDataset
+//	inside := events.Where(q, q.Envelope(), stobject.ContainedBy) // spatio-temporal filter, lazy
+//	parted, _ := events.PartitionBy(partitioner) // spatial partitioning
+//	hits := parted.Probe(5, q.Envelope(), keep)  // live indexing, order 5
+//	idx, _ := parted.Index(5)                    // persistent indexing: the trees are kept
+//	again := idx.Probe(0, q.Envelope(), keep)    // probes the kept trees
 //
 // Operators honour spatial partitioning when present: a filter first
 // prunes partitions whose extent cannot overlap the query envelope
@@ -22,9 +24,9 @@ import (
 	"sync"
 
 	"stark/internal/attr"
-	"stark/internal/colstore"
 	"stark/internal/engine"
 	"stark/internal/geom"
+	"stark/internal/index"
 	"stark/internal/partition"
 	"stark/internal/stats"
 	"stark/internal/stobject"
@@ -47,11 +49,6 @@ type SpatialDataset[V any] struct {
 	// partition, all keys points: a scan skips each batch whose x range
 	// misses its prune envelope.
 	xOrdered bool
-
-	// laid marks rows an R-tree laid out in leaf order (Index,
-	// LoadIndex), spatially compact already: Columnar builds their
-	// columns as they are.
-	laid bool
 
 	// rec, when non-nil, is the recorder the dataset's operators
 	// charge their metrics to (see WithRecorder); nil selects the
@@ -77,15 +74,14 @@ type spatialAux[V any] struct {
 	stats       *stats.Summary
 	statsSeeded bool
 
-	// rows are the partition slices the sidecars address by position
-	// (see partitions), set once.
-	rowsMu sync.Mutex
-	rows   [][]Tuple[V]
-
-	// col is the columnar sidecar, each partition's columns over rows;
-	// Columnar sets it on the dataset it returns, before anyone else
-	// sees that dataset.
-	col []*colstore.Partition
+	// laid holds the materialised partitions, set once: the rows the
+	// postings and the columns address by position, with the tree
+	// (Index, LoadIndex) and the columns (Columnar) over them. The
+	// constructors of a laid-out dataset set it before anyone else sees
+	// the dataset; on any other it is materialised at first use (see
+	// partitions).
+	layMu sync.Mutex
+	laid  []*index.Laid[V]
 
 	// schema is the registered attribute schema; posts holds the lazily
 	// built per-partition attribute postings of each field (see
@@ -130,14 +126,14 @@ func (s *SpatialDataset[V]) recorder() *engine.Recorder {
 // WithRecorder returns a view of the dataset whose operators charge
 // their metrics (tasks, scanned elements, probes, kernel counters) to
 // rec instead of the context's root recorder. The view shares the
-// receiver's partitions, cache state, statistics and columnar sidecar
+// receiver's partitions, cache state, statistics, trees and columns
 // — it is an attribution overlay, not a new dataset. A nil rec
 // returns the receiver unchanged.
 func (s *SpatialDataset[V]) WithRecorder(rec *engine.Recorder) *SpatialDataset[V] {
 	if rec == nil || s.rec == rec {
 		return s
 	}
-	return &SpatialDataset[V]{ds: s.ds.WithRecorder(rec), sp: s.sp, xOrdered: s.xOrdered, laid: s.laid, rec: rec, aux: s.aux}
+	return &SpatialDataset[V]{ds: s.ds.WithRecorder(rec), sp: s.sp, xOrdered: s.xOrdered, rec: rec, aux: s.aux}
 }
 
 // Dataset returns the underlying engine dataset.

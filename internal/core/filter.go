@@ -14,7 +14,7 @@ import (
 // the dataset is spatially partitioned.
 
 // scanFiltered builds the fused scanning-filter stage: the records of s
-// satisfying pred against q, on the contract of IndexedDataset.Probe:
+// satisfying pred against q, on the contract of SpatialDataset.Probe:
 // the candidates are the rows whose key envelope meets pruneEnv, the
 // exact predicate refines them. A row outside pruneEnv is rejected
 // inside the batch loop and never reaches pred; an empty pruneEnv means

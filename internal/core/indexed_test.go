@@ -17,13 +17,7 @@ import (
 func TestLiveIndexFilterMatchesScan(t *testing.T) {
 	ctx := engine.NewContext(4)
 	s, tuples := makeDataset(t, ctx, 1500, 6, 20)
-	idx, err := s.LiveIndex(5, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idx.Order() != 5 {
-		t.Errorf("order = %d", idx.Order())
-	}
+	idx := indexed[int]{s, 5}
 	q := queryPolygon(15, 25, 55, 65)
 	got, err := idx.Filter(q, q.Envelope(), stobject.Intersects)
 	if err != nil {
@@ -58,11 +52,12 @@ func TestLiveIndexWithRepartitioning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// liveIndex(order, partitioner): repartition + index in one step.
-	idx, err := s.LiveIndex(5, g)
+	// liveIndex(order, partitioner): repartition, then index live.
+	ps, err := s.PartitionBy(g)
 	if err != nil {
 		t.Fatal(err)
 	}
+	idx := indexed[int]{ps, 5}
 	if idx.NumPartitions() != 9 {
 		t.Errorf("partitions = %d", idx.NumPartitions())
 	}
@@ -91,7 +86,7 @@ func TestLiveIndexWithRepartitioning(t *testing.T) {
 func TestIndexCountAndCollect(t *testing.T) {
 	ctx := engine.NewContext(4)
 	s, tuples := makeDataset(t, ctx, 500, 4, 22)
-	_, idx, err := s.Index(8)
+	idx, err := s.Index(8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +99,7 @@ func TestIndexCountAndCollect(t *testing.T) {
 	if err != nil || len(all) != len(tuples) {
 		t.Fatalf("collect = %d err=%v", len(all), err)
 	}
-	if idx.parts.Context() != ctx {
+	if idx.ds.Context() != ctx {
 		t.Error("context mismatch")
 	}
 }
@@ -120,17 +115,17 @@ func TestPersistentIndexRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, idx, err := ps.Index(6)
+	idx, err := ps.Index(6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkTrees(t, idx)
 	dir := filepath.Join(t.TempDir(), "indexes", "events")
-	if err := idx.Persist(dir); err != nil {
+	if err := idx.Persist(dir, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Persisting again replaces the files and leaves no temporaries.
-	if err := idx.Persist(dir); err != nil {
+	if err := idx.Persist(dir, 0); err != nil {
 		t.Fatal(err)
 	}
 	files, err := os.ReadDir(dir)
@@ -142,7 +137,7 @@ func TestPersistentIndexRoundTrip(t *testing.T) {
 	}
 	// "Another program": same data, same partitioning, load the index
 	// instead of rebuilding.
-	_, loaded, err := LoadIndex(ps, dir)
+	loaded, err := LoadIndex(ps, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +146,7 @@ func TestPersistentIndexRoundTrip(t *testing.T) {
 		t.Errorf("loaded order = %d", loaded.Order())
 	}
 	q := queryPolygon(30, 30, 70, 70)
-	got, err := loaded.Filter(q, q.Envelope(), stobject.Intersects)
+	got, err := indexed[int]{loaded, 0}.Filter(q, q.Envelope(), stobject.Intersects)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,17 +159,17 @@ func TestPersistentIndexRoundTrip(t *testing.T) {
 func TestLoadIndexValidatesLayout(t *testing.T) {
 	ctx := engine.NewContext(2)
 	s, _ := makeDataset(t, ctx, 100, 2, 24)
-	_, idx, err := s.Index(4)
+	idx, err := s.Index(4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if err := idx.Persist(dir); err != nil {
+	if err := idx.Persist(dir, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Different dataset (different sizes) must be rejected.
 	other, _ := makeDataset(t, ctx, 60, 2, 25)
-	if _, _, err := LoadIndex(other, dir); err == nil {
+	if _, err := LoadIndex(other, dir); err == nil {
 		t.Error("mismatched layout must fail")
 	}
 	// The same sizes in another row order must be rejected too: the file
@@ -185,18 +180,18 @@ func TestLoadIndexValidatesLayout(t *testing.T) {
 	}
 	slices.Reverse(rows[:50])
 	slices.Reverse(rows[50:])
-	if _, _, err := LoadIndex(Wrap(engine.Parallelize(ctx, rows, 2)), dir); err == nil || !strings.Contains(err.Error(), "does not fit") {
+	if _, err := LoadIndex(Wrap(engine.Parallelize(ctx, rows, 2)), dir); err == nil || !strings.Contains(err.Error(), "does not fit") {
 		t.Errorf("rows in another order: err = %v", err)
 	}
 	// Missing files must be reported.
-	if _, _, err := LoadIndex(s, filepath.Join(dir, "nothing")); err == nil {
+	if _, err := LoadIndex(s, filepath.Join(dir, "nothing")); err == nil {
 		t.Error("missing index must fail")
 	}
 	// One partition's file gone: the error names the partition.
 	if err := os.Remove(filepath.Join(dir, "part-1.idx")); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = LoadIndex(s, dir)
+	_, err = LoadIndex(s, dir)
 	if err == nil || !strings.Contains(err.Error(), "index partition 1") {
 		t.Errorf("directory missing part-1.idx: err = %v, want it to name partition 1", err)
 	}
@@ -211,10 +206,7 @@ func TestIndexedTemporalRefinement(t *testing.T) {
 		engine.NewPair(stobject.NewWithTime(geom.NewPoint(5, 5), 900), 2),
 	}
 	s := Wrap(engine.Parallelize(ctx, tuples, 1))
-	idx, err := s.LiveIndex(4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	idx := indexed[int]{s, 4}
 	q := stobject.NewWithInterval(
 		geom.NewEnvelope(0, 0, 10, 10).ToPolygon(),
 		stobject.MustInterval(0, 200))
@@ -233,10 +225,11 @@ func TestIndexReusedAcrossQueries(t *testing.T) {
 	// dataset must return identical results across repeated queries.
 	ctx := engine.NewContext(2)
 	s, tuples := makeDataset(t, ctx, 400, 4, 26)
-	_, idx, err := s.Index(5)
+	laid, err := s.Index(5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	idx := indexed[int]{laid, 0}
 	q := queryPolygon(10, 10, 90, 50)
 	want := bruteFilter(tuples, q, stobject.Intersects)
 	for i := 0; i < 3; i++ {
@@ -250,15 +243,14 @@ func TestIndexReusedAcrossQueries(t *testing.T) {
 	}
 }
 
-// checkTrees runs the tree checker over every partition of idx, against
-// the rows the partition laid out.
-func checkTrees[V any](t *testing.T, idx *IndexedDataset[V]) {
+// checkTrees runs the tree checker over every partition of s, against
+// the rows the partition laid out, each of which must be under a tree.
+func checkTrees[V any](t *testing.T, s *SpatialDataset[V]) {
 	t.Helper()
-	parts, err := idx.parts.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p, l := range parts {
+	for p, l := range s.resident() {
+		if l.Tree == nil {
+			t.Fatalf("partition %d has no tree", p)
+		}
 		if err := l.Check(nil); err != nil {
 			t.Fatalf("partition %d: %v", p, err)
 		}

@@ -249,7 +249,7 @@ func newBuildSlot[B any](order int, built *int64, fetch func() ([]Tuple[B], erro
 			return &index.Laid[B]{Rows: items}, err
 		}
 		atomic.AddInt64(built, 1)
-		l, _ := index.Lay(order, items, nil)
+		l, _ := index.Lay(order, items, nil, false)
 		if testHookSlotBuilt != nil {
 			testHookSlotBuilt(func() error { return l.Check(nil) })
 		}

@@ -332,10 +332,7 @@ func TestKNNIndexedMatchesScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := s.LiveIndex(6, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	idx := indexed[int]{s, 6}
 	fast, err := idx.KNN(q, 15, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -379,7 +376,7 @@ func TestKNNPersistentMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, idx, err := ps.Index(5)
+		idx, err := ps.Index(5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -431,11 +428,7 @@ func TestKNNCustomDistance(t *testing.T) {
 		t.Errorf("euclidean nearest = %d, want 1", got[0].Value)
 	}
 	// Indexed with custom metric falls back to scan but stays correct.
-	idx, err := s.LiveIndex(4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotIdx, err := idx.KNN(q, 1, manhattan)
+	gotIdx, err := indexed[int]{s, 4}.KNN(q, 1, manhattan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,14 +454,10 @@ func TestKNNContextCancelled(t *testing.T) {
 	s, _ := makeDataset(t, ctx, 2000, 8, 45)
 	cctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.KNNContext(cctx, mustFromWKT("POINT (50 50)"), 5, nil); !errors.Is(err, context.Canceled) {
+	if _, err := s.KNNContext(cctx, mustFromWKT("POINT (50 50)"), 5, nil, 0); !errors.Is(err, context.Canceled) {
 		t.Errorf("scan kNN with cancelled ctx: err = %v", err)
 	}
-	idx, err := s.LiveIndex(6, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := idx.KNNContext(cctx, mustFromWKT("POINT (50 50)"), 5, nil); !errors.Is(err, context.Canceled) {
+	if _, err := s.KNNContext(cctx, mustFromWKT("POINT (50 50)"), 5, nil, 6); !errors.Is(err, context.Canceled) {
 		t.Errorf("indexed kNN with cancelled ctx: err = %v", err)
 	}
 }

@@ -23,8 +23,8 @@ import (
 // through the engine's task pool: within a round the per-partition
 // scans (or index probes) run concurrently, and between rounds the
 // merged heap re-checks the distance bound, preserving the pruning
-// guarantee. Both variants take a context and stop mid-scan once it
-// is cancelled, so an abandoned /api query stops burning executors.
+// guarantee. The search takes a context and stops mid-scan once it is
+// cancelled, so an abandoned /api query stops burning executors.
 
 // knnCheckEvery is how many records a kNN partition scan processes
 // between context cancellation checks.
@@ -135,18 +135,47 @@ func knnRounds[V any](ctx context.Context, ec *engine.Context, rec *engine.Recor
 // KNNContext returns the k records nearest to q under df (nil selects
 // the planar distance between q's geometry and each record's
 // geometry), sorted by ascending distance; fewer than k when the
-// dataset is smaller. Per-partition scans run through the task pool,
-// no further partition is scheduled once ctx is done, and running
-// scans abort within knnCheckEvery records.
-func (s *SpatialDataset[V]) KNNContext(ctx context.Context, q stobject.STObject, k int, df geom.DistanceFunc) ([]NeighborResult[V], error) {
-	order := knnOrder(s.sp, s.ds.NumPartitions(), q.Envelope())
-	rec := s.recorder()
+// dataset is smaller. For a point reference under the planar distance,
+// a partition under its resident tree, or else, when order > 0 (live
+// indexing), under a transient tree of that order, is searched with the
+// tree's branch-and-bound; any other partition, and any other
+// reference or metric, is scanned. Per-partition searches run through
+// the task pool, no further partition is scheduled once ctx is done,
+// and running scans abort within knnCheckEvery records.
+func (s *SpatialDataset[V]) KNNContext(ctx context.Context, q stobject.STObject, k int, df geom.DistanceFunc, order int) ([]NeighborResult[V], error) {
+	parts := knnOrder(s.sp, s.ds.NumPartitions(), q.Envelope())
+	// The tree's branch-and-bound measures from a point, so it answers
+	// for a point reference under the planar distance only.
+	_, pointRef := q.Point()
+	qc := q.Centroid()
+	rec, laid := s.recorder(), s.resident()
 	canPrune := s.sp != nil && df == nil
-	return knnRounds(ctx, s.ds.Context(), rec, order, k, canPrune, func(p int) ([]NeighborResult[V], error) {
-		// Stream the partition through a local heap — the filter
-		// chain upstream (if any) fuses into this scan.
+	return knnRounds(ctx, s.ds.Context(), rec, parts, k, canPrune, func(p int) ([]NeighborResult[V], error) {
 		lh := &maxHeap[V]{}
 		heap.Init(lh)
+		if df == nil && pointRef {
+			l, err := s.tree(laid, p, order, false)
+			if err != nil {
+				return nil, err
+			}
+			if l != nil {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
+				rec.Add(engine.IndexProbes, 1)
+				var refined int64
+				l.Tree.KNN(qc.X, qc.Y, k, func(pos int32) float64 { return q.Distance(l.Rows[pos].Key, nil) },
+					func(pos int32, d float64) {
+						refined++
+						kv := &l.Rows[pos]
+						lh.offer(k, NeighborResult[V]{Key: kv.Key, Value: kv.Value, Distance: d})
+					})
+				rec.Add(engine.CandidatesRefined, refined)
+				return *lh, nil
+			}
+		}
+		// Stream the partition through the local heap — the filter
+		// chain upstream (if any) fuses into this scan.
 		var scanned int64
 		var ctxErr error
 		err := s.ds.EachPartition(p, func(kv Tuple[V]) bool {
@@ -165,51 +194,6 @@ func (s *SpatialDataset[V]) KNNContext(ctx context.Context, q stobject.STObject,
 		}
 		if err != nil {
 			return nil, err
-		}
-		return *lh, nil
-	})
-}
-
-// KNNContext on an indexed dataset probes each relevant partition's
-// R-tree with branch-and-bound, in the task pool and under ctx, and
-// merges the per-partition results. The same extent-distance pruning
-// as the scan version applies.
-func (s *IndexedDataset[V]) KNNContext(ctx context.Context, q stobject.STObject, k int, df geom.DistanceFunc) ([]NeighborResult[V], error) {
-	qc := q.Centroid()
-	order := knnOrder(s.sp, s.parts.NumPartitions(), q.Envelope())
-	// The tree's branch-and-bound measures from a point, so it answers
-	// for a point reference under the planar distance only.
-	_, pointRef := q.Point()
-	rec := s.recorder()
-	canPrune := s.sp != nil && df == nil
-	return knnRounds(ctx, s.parts.Context(), rec, order, k, canPrune, func(p int) ([]NeighborResult[V], error) {
-		ls, err := s.parts.ComputePartition(p)
-		if err != nil {
-			return nil, err
-		}
-		lh := &maxHeap[V]{}
-		heap.Init(lh)
-		for _, l := range ls {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			rec.Add(engine.IndexProbes, 1)
-			var refined int64
-			offer := func(pos int32, d float64) {
-				refined++
-				kv := &l.Rows[pos]
-				lh.offer(k, NeighborResult[V]{Key: kv.Key, Value: kv.Value, Distance: d})
-			}
-			if df == nil && pointRef {
-				l.Tree.KNN(qc.X, qc.Y, k, func(pos int32) float64 { return q.Distance(l.Rows[pos].Key, nil) }, offer)
-			} else {
-				// Custom metric or a non-point reference: the tree's
-				// bound is not valid, scan the partition items.
-				for i := range l.Rows {
-					offer(int32(i), q.Distance(l.Rows[i].Key, df))
-				}
-			}
-			rec.Add(engine.CandidatesRefined, refined)
 		}
 		return *lh, nil
 	})

@@ -2,7 +2,7 @@
 // runs on. It is a from-scratch, in-process stand-in for the Apache
 // Spark core the paper builds on: immutable, lazily evaluated,
 // partitioned datasets with lineage; narrow transformations (map,
-// filter, flatMap, mapPartitions) that run partition-local; a wide
+// filter, flatMap) that run partition-local; a wide
 // PartitionBy transformation that shuffles records between partitions
 // according to a Partitioner; and a task scheduler that executes one
 // task per partition on a pool of simulated executors (goroutines).

@@ -21,8 +21,8 @@ import (
 // when it survives, into a pooled scratch batch. A chain of them is one
 // fused pass per row range with no intermediate partition, and a row
 // range (a morsel) is the task of the parallel stream actions. Fusion
-// breaks only at explicit materialisation points: Cache, shuffles
-// (PartitionBy), and MapPartitions, which needs the whole partition.
+// breaks only at explicit materialisation points: Cache and shuffles
+// (PartitionBy).
 //
 // A batch is read-only and valid only until yield returns; yield
 // returning false stops the plan. An operator hands on what an input
@@ -32,7 +32,7 @@ import (
 // most one scratch batch more from a sourced partition.
 //
 // Transformations that change the element type are package functions
-// (Map, FlatMap, MapPartitions) because Go methods cannot introduce
+// (Map, FlatMap) because Go methods cannot introduce
 // type parameters; same-type transformations (Filter, Sample) are
 // methods.
 type Dataset[T any] struct {
@@ -437,27 +437,6 @@ func FlatMap[T, U any](d *Dataset[T], f func(T) []U) *Dataset[U] {
 		_, span = d.partitionSize(p)
 		return -1, span
 	}
-	return m
-}
-
-// MapPartitions transforms whole partitions at once; idx is the
-// partition index (Spark's mapPartitionsWithIndex). It is a
-// materialisation point: the parent partition is computed into a
-// slice before f runs (f needs random access), and fusion restarts
-// downstream of the result.
-func MapPartitions[T, U any](d *Dataset[T], f func(idx int, in []T) ([]U, error)) *Dataset[U] {
-	m := newPlan(d.ctx, d.name+".mapPartitions", d.numPart, func(p, _, _ int, yield func([]U) bool) error {
-		in, err := d.ComputePartition(p)
-		if err != nil {
-			return err
-		}
-		out, err := f(p, in)
-		if err == nil && len(out) > 0 {
-			yield(out)
-		}
-		return err
-	})
-	m.rec = d.rec
 	return m
 }
 

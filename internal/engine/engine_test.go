@@ -92,19 +92,6 @@ func TestFlatMap(t *testing.T) {
 	}
 }
 
-func TestMapPartitionsIndex(t *testing.T) {
-	ctx := NewContext(2)
-	d := Parallelize(ctx, intRange(8), 4)
-	idxOnly := MapPartitions(d, func(idx int, in []int) ([]int, error) {
-		return []int{idx}, nil
-	})
-	got, _ := idxOnly.Collect()
-	sort.Ints(got)
-	if fmt.Sprint(got) != "[0 1 2 3]" {
-		t.Errorf("got %v", got)
-	}
-}
-
 func TestCount(t *testing.T) {
 	ctx := NewContext(4)
 	n, err := Parallelize(ctx, intRange(101), 7).Count()

@@ -4,28 +4,37 @@ import (
 	"fmt"
 
 	"stark/internal/attr"
+	"stark/internal/colstore"
 	"stark/internal/engine"
 	"stark/internal/geom"
 	"stark/internal/stobject"
 	"stark/internal/wal"
 )
 
-// Laid is one laid-out partition: its rows in the leaf order of the
-// tree packed over their key envelopes, so that a leaf is a run of
-// rows, and Posts[i] over the rows' positions for the i-th field it was
-// laid out with. Nothing changes it once it is built.
+// Laid is one laid-out partition: its rows, in the leaf order of the
+// tree packed over their key envelopes so that a leaf is a run of rows
+// (a nil Tree: rows in their own order, under no tree), and, over the
+// rows' positions, Posts[i] for the i-th field it was laid out with and
+// Cols, the envelope and interval columns of the columnar scan (nil:
+// none). Nothing changes it once it is built.
 type Laid[V any] struct {
 	Rows  []engine.Pair[stobject.STObject, V]
 	Tree  *RTree
 	Posts []*attr.Index
+	Cols  *colstore.Partition
 }
 
 // Lay packs a tree of the given order (order < 2 selects DefaultOrder)
 // over the rows' key envelopes, lays a copy of the rows out in its leaf
 // order and indexes each of fields over the positions. It returns the
-// layout too: position pos holds rows[perm[pos]].
-func Lay[V any](order int, rows []engine.Pair[stobject.STObject, V], fields []attr.Field[V]) (l *Laid[V], perm []int32) {
+// layout too: position pos holds rows[perm[pos]]. The tree keeps the
+// layout, 4 B a row, only when saveable is set: SaveFile needs it and
+// nothing else reads it.
+func Lay[V any](order int, rows []engine.Pair[stobject.STObject, V], fields []attr.Field[V], saveable bool) (l *Laid[V], perm []int32) {
 	tree, perm := Pack(order, len(rows), func(i int) geom.Envelope { return rows[i].Key.Envelope() })
+	if !saveable {
+		tree.perm = nil
+	}
 	return layOut(tree, perm, rows, fields), perm
 }
 
@@ -67,7 +76,8 @@ func (l *Laid[V]) Search(env geom.Envelope, from int, fn func(pos int) bool) boo
 	return more
 }
 
-// Check verifies the tree over the rows (see RTree.check) and, for each
+// Check verifies the tree over the rows (see RTree.check, which checks
+// the layout too where the tree keeps it) and, for each
 // of fields, that Posts holds a well-formed index (attr.Index.Check)
 // that files every position once, under the field's value of the row
 // there.
@@ -108,7 +118,11 @@ func (l *Laid[V]) Check(fields []attr.Field[V]) error {
 // fsync + rename contract, replacing any previous index at that path:
 // a concurrent LoadFile sees the old index or the new one, never an
 // absent or partial file. The file holds the rows' envelopes in the
-// order the rows had before they were laid out.
+// order the rows had before they were laid out, so only a Laid whose
+// tree keeps its layout (Lay with saveable, LoadFile) can be saved.
 func (l *Laid[V]) SaveFile(path string) error {
+	if l.Tree.perm == nil {
+		return fmt.Errorf("index: a tree laid out without its layout cannot be saved")
+	}
 	return wal.WriteFileAtomic(path, l.Tree.marshal(func(pos int) geom.Envelope { return l.Rows[pos].Key.Envelope() }))
 }

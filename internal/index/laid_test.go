@@ -104,7 +104,7 @@ func TestLaidSearchMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
 	for order := 2; order <= 16; order++ {
 		rows := randomRows(rng, rng.Intn(600))
-		l, _ := Lay(order, rows, nil)
+		l, _ := Lay(order, rows, nil, false)
 		if err := l.Check(nil); err != nil {
 			t.Fatalf("order %d: %v", order, err)
 		}
@@ -121,7 +121,7 @@ func TestLaidSearchMatchesBruteForce(t *testing.T) {
 // past the end included.
 func TestLaidSearchEveryFrom(t *testing.T) {
 	rng := rand.New(rand.NewSource(49))
-	l, _ := Lay(3, randomRows(rng, 40), nil)
+	l, _ := Lay(3, randomRows(rng, 40), nil, false)
 	for i := 0; i < 10; i++ {
 		env := randomWindow(rng)
 		for from := 0; from <= len(l.Rows)+1; from++ {
@@ -135,7 +135,7 @@ func TestLaidSearchEveryFrom(t *testing.T) {
 // TestLaidSearchStopsAtFalse: fn is not called again once it returned
 // false, and Search reports that it stopped.
 func TestLaidSearchStopsAtFalse(t *testing.T) {
-	l, _ := Lay(4, randomRows(rand.New(rand.NewSource(50)), 500), nil)
+	l, _ := Lay(4, randomRows(rand.New(rand.NewSource(50)), 500), nil, false)
 	all := geom.NewEnvelope(-1e9, -1e9, 1e9, 1e9)
 	hits := brute(l, all, 0)
 	for _, stop := range []int{1, 2, len(hits) / 2, len(hits)} {
@@ -158,7 +158,7 @@ func TestLaidCheckCatchesDamage(t *testing.T) {
 		return attr.String(string(rune('a' + v%7)))
 	}}}
 	build := func() *Laid[int] {
-		l, _ := Lay(4, randomRows(rand.New(rand.NewSource(51)), 200), fields)
+		l, _ := Lay(4, randomRows(rand.New(rand.NewSource(51)), 200), fields, true)
 		if err := l.Check(fields); err != nil {
 			t.Fatal(err)
 		}
@@ -172,11 +172,32 @@ func TestLaidCheckCatchesDamage(t *testing.T) {
 		"rows cut short": {func(l *Laid[int]) { l.Rows = l.Rows[:len(l.Rows)-1] }, "a tree over 200 positions"},
 		"misfiled":       {func(l *Laid[int]) { l.Rows[7].Value++ }, "filed under"},
 		"no postings":    {func(l *Laid[int]) { l.Posts = nil }, "0 postings for 1 fields"},
+		"layout repeats": {func(l *Laid[int]) { l.Tree.perm[1] = l.Tree.perm[0] }, "not part of a permutation"},
 	} {
 		l := build()
 		tc.damage(l)
 		if err := l.Check(fields); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: check = %v, want %q", name, err, tc.want)
+		}
+	}
+}
+
+// TestLayKeepsLayoutOnlyToSave: a tree laid out to be saved keeps its
+// layout, one that is not keeps none and refuses to be saved, and both
+// pass the checker.
+func TestLayKeepsLayoutOnlyToSave(t *testing.T) {
+	rows := randomRows(rand.New(rand.NewSource(52)), 300)
+	dir := t.TempDir()
+	for _, saveable := range []bool{false, true} {
+		l, perm := Lay(6, rows, nil, saveable)
+		if len(perm) != len(rows) || (l.Tree.perm != nil) != saveable {
+			t.Fatalf("saveable %t: %d of %d returned, tree keeps layout: %t", saveable, len(perm), len(rows), l.Tree.perm != nil)
+		}
+		if err := l.Check(nil); err != nil {
+			t.Fatalf("saveable %t: %v", saveable, err)
+		}
+		if err := l.SaveFile(dir + "/part-0.idx"); (err == nil) != saveable {
+			t.Fatalf("saveable %t: save = %v", saveable, err)
 		}
 	}
 }

@@ -71,7 +71,7 @@ func TestUnmarshalCountValidation(t *testing.T) {
 
 func TestSaveFileLoadFileRoundTrip(t *testing.T) {
 	rows := randomRows(rand.New(rand.NewSource(15)), 100)
-	l, perm := Lay(5, rows, nil)
+	l, perm := Lay(5, rows, nil, true)
 	path := filepath.Join(t.TempDir(), "part-0.idx")
 	if err := l.SaveFile(path); err != nil {
 		t.Fatal(err)

@@ -8,9 +8,10 @@
 // envelope whose row's key envelope meets it too, and the caller
 // refines those rows with the exact predicate (the paper's "candidate
 // pruning step"). A Laid has three users, and nothing else builds or
-// walks one: a persistent index (core's IndexedDataset, the rows' only
-// copy) and a join's build slot, both without postings, and a live
-// partition's base (package live), with postings per registered field.
+// walks one: a partition of core's SpatialDataset (under a tree when
+// persistently indexed, the rows' only copy, with columns when
+// columnar), a join's build slot, and a live partition's base (package
+// live), with postings per registered field.
 //
 // The tree indexes positions, not entries: Pack sorts items into the
 // order of the leaves it cuts and returns that order as a permutation
@@ -42,7 +43,8 @@ type RTree struct {
 	// order.
 	nodes []node
 	leaf  int32
-	// perm[pos] is the item at position pos.
+	// perm[pos] is the item at position pos; nil when the tree does not
+	// keep its layout (see Lay).
 	perm []int32
 }
 
@@ -163,8 +165,8 @@ func ascending(a, b float64) int {
 // Order returns the node capacity.
 func (t *RTree) Order() int { return t.order }
 
-// len returns the number of indexed positions.
-func (t *RTree) len() int { return len(t.perm) }
+// len returns the number of indexed positions: the last leaf ends there.
+func (t *RTree) len() int { return int(t.nodes[len(t.nodes)-1].hi) }
 
 // search calls yield with the position ranges [lo, hi) of the leaves
 // whose MBR meets q, in position order, adjacent leaves merged into one
@@ -210,6 +212,7 @@ func (t *RTree) search(q geom.Envelope, yield func(lo, hi int) bool) {
 // Query appends to dst the items of every leaf whose MBR meets q and
 // returns the extended slice: a candidate superset of the items whose
 // envelope intersects q, which callers refine with the exact predicate.
+// It reads the layout, which a tree from Pack keeps.
 func (t *RTree) Query(q geom.Envelope, dst []int32) []int32 {
 	t.search(q, func(lo, hi int) bool {
 		dst = append(dst, t.perm[lo:hi]...)
@@ -225,7 +228,7 @@ func (t *RTree) Query(q geom.Envelope, dst []int32) []int32 {
 // the position's envelope (the distance from a point to a geometry
 // is), or the search can miss a nearer position.
 func (t *RTree) KNN(x, y float64, k int, dist func(pos int32) float64, yield func(pos int32, dist float64)) {
-	if k <= 0 || len(t.perm) == 0 {
+	if k <= 0 || t.len() == 0 {
 		return
 	}
 	pq := knnQueue{{dist: t.nodes[0].env.DistanceToPoint(x, y)}}
@@ -269,22 +272,28 @@ func (q *knnQueue) Pop() interface{} {
 }
 
 // check verifies the tree's invariants against env(pos), the envelope
-// of the row at each position: perm is a permutation, the leaves tile
+// of the row at each position: perm, where the tree keeps it, is a
+// permutation of the positions, the leaves tile
 // the positions in order, every node's children tile the level below
 // in order, no node holds more than order entries, an inner node's
 // envelope is the union of its children's, and a leaf's envelope covers
 // each of its rows' envelopes.
 func (t *RTree) check(env func(pos int) geom.Envelope) error {
-	n := len(t.perm)
-	seen := make([]bool, n)
-	for pos, item := range t.perm {
-		if item < 0 || int(item) >= n || seen[item] {
-			return fmt.Errorf("perm[%d] = %d is not part of a permutation of 0..%d", pos, item, n-1)
-		}
-		seen[item] = true
-	}
 	if len(t.nodes) == 0 || t.leaf < 0 || int(t.leaf) >= len(t.nodes) {
 		return fmt.Errorf("%d nodes, leaves from %d", len(t.nodes), t.leaf)
+	}
+	n := t.len()
+	if t.perm != nil {
+		if len(t.perm) != n {
+			return fmt.Errorf("the leaves cover positions up to %d of the layout's %d", n, len(t.perm))
+		}
+		seen := make([]bool, n)
+		for pos, item := range t.perm {
+			if item < 0 || int(item) >= n || seen[item] {
+				return fmt.Errorf("perm[%d] = %d is not part of a permutation of 0..%d", pos, item, n-1)
+			}
+			seen[item] = true
+		}
 	}
 	child, pos := int32(1), int32(0) // the next node and position due
 	for i, nd := range t.nodes {
@@ -317,9 +326,6 @@ func (t *RTree) check(env func(pos int) geom.Envelope) error {
 	}
 	if int(child) != len(t.nodes) {
 		return fmt.Errorf("the inner nodes have children up to %d of %d nodes", child, len(t.nodes))
-	}
-	if int(pos) != n {
-		return fmt.Errorf("the leaves cover positions up to %d of %d", pos, n)
 	}
 	return nil
 }

@@ -56,7 +56,7 @@ type part[V any] struct {
 // newBase lays rows (live, added at or before gen; ids[i] is row i's)
 // out with index.Lay and the ids beside them.
 func newBase[V any](order int, fields []attr.Field[V], gen uint64, ids []int64, rows []engine.Pair[stobject.STObject, V]) *base[V] {
-	l, perm := index.Lay(order, rows, fields)
+	l, perm := index.Lay(order, rows, fields, false)
 	b := &base[V]{gen: gen, Laid: l, ids: make([]int64, len(perm)), dels: make([]atomic.Uint64, len(perm))}
 	for pos, i := range perm {
 		b.ids[pos] = ids[i]

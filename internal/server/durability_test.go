@@ -627,7 +627,7 @@ func addTreeFiles(t *testing.T, dir string, seq int) {
 			keys[j].Key = stobject.New(g)
 		}
 		name := fmt.Sprintf("ckpt-%08d-%03d.idx", seq, i)
-		laid, _ := index.Lay(0, keys, nil)
+		laid, _ := index.Lay(0, keys, nil, true)
 		if err := laid.SaveFile(filepath.Join(dir, name)); err != nil {
 			t.Fatal(err)
 		}

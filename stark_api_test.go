@@ -7,6 +7,8 @@ package stark_test
 
 import (
 	"context"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -154,6 +156,96 @@ func TestIndexModesAgree(t *testing.T) {
 	for id := range none {
 		if !live[id] || !persistent[id] {
 			t.Fatalf("record %d missing from an indexed mode", id)
+		}
+	}
+}
+
+// TestIndexModesAgreeOnKNNAndSave runs kNN under all three indexing
+// modes, over a grid and a BSP layout, and demands the brute-force
+// distances for a point reference (the tree's branch-and-bound), a line
+// reference and a custom metric (both scanned). It then saves the trees
+// of a live and of a persistent chain and demands that each, loaded
+// back onto the same partitioning, answers a window like a scan.
+func TestIndexModesAgreeOnKNNAndSave(t *testing.T) {
+	ctx := stark.NewContext(4)
+	tuples := apiSpatialTuples(t, 4_000)
+	manhattan := func(a, b stark.Point) float64 { return math.Abs(a.X-b.X) + math.Abs(a.Y-b.Y) }
+	line, err := stark.FromWKT("LINESTRING (100 900, 450 520, 800 610)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs := []struct {
+		name string
+		q    stark.STObject
+		df   stark.DistanceFunc
+	}{
+		{"point", stark.NewSTObject(stark.NewPoint(410, 380)), nil},
+		{"linestring", line, nil},
+		{"custom", stark.NewSTObject(stark.NewPoint(410, 380)), manhattan},
+	}
+	const k = 25
+	bruteForce := func(q stark.STObject, df stark.DistanceFunc) []float64 {
+		ds := make([]float64, len(tuples))
+		for i, kv := range tuples {
+			ds[i] = q.Distance(kv.Key, df)
+		}
+		slices.Sort(ds)
+		return ds[:k]
+	}
+	window := stark.NewSTObject(stark.NewEnvelope(350, 350, 650, 650).ToPolygon())
+	ids := func(rows []stark.Tuple[int], err error) []int {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]int, len(rows))
+		for i, kv := range rows {
+			out[i] = kv.Value
+		}
+		slices.Sort(out)
+		return out
+	}
+	for _, part := range []stark.Partitioner{stark.Grid(4), stark.BSP(200)} {
+		base := stark.Parallelize(ctx, tuples, 8).PartitionBy(part).Cache()
+		for _, mode := range []stark.IndexMode{stark.NoIndexing, stark.Live(8), stark.Persistent(8)} {
+			indexed := base.Index(mode)
+			for _, ref := range refs {
+				var dfs []stark.DistanceFunc
+				if ref.df != nil {
+					dfs = append(dfs, ref.df)
+				}
+				nbrs, err := indexed.KNN(ref.q, k, dfs...)
+				if err != nil {
+					t.Fatalf("%s %v %s: %v", part, mode, ref.name, err)
+				}
+				got := make([]float64, len(nbrs))
+				for i, nb := range nbrs {
+					got[i] = nb.Distance
+					if d := ref.q.Distance(nb.Key, ref.df); d != nb.Distance {
+						t.Fatalf("%s %v %s: neighbour %d reports distance %v, is at %v", part, mode, ref.name, i, nb.Distance, d)
+					}
+				}
+				if want := bruteForce(ref.q, ref.df); !slices.Equal(got, want) {
+					t.Fatalf("%s %v %s: distances %v, brute force %v", part, mode, ref.name, got, want)
+				}
+			}
+		}
+		want := ids(base.Intersects(window).Collect())
+		if len(want) == 0 {
+			t.Fatal("degenerate window")
+		}
+		for _, mode := range []stark.IndexMode{stark.Live(8), stark.Persistent(8)} {
+			dir := t.TempDir()
+			if err := base.Index(mode).SaveIndex(dir); err != nil {
+				t.Fatalf("%s %v: save: %v", part, mode, err)
+			}
+			loaded := stark.LoadIndex(base, dir)
+			if got := ids(loaded.Intersects(window).Collect()); !slices.Equal(got, want) {
+				t.Fatalf("%s %v: the loaded index finds %d rows, a scan %d", part, mode, len(got), len(want))
+			}
+			if plan, err := loaded.Intersects(window).Explain(); err != nil || !strings.Contains(plan, "persistent(8) loaded") {
+				t.Fatalf("%s %v: loaded plan %q (%v), want the persisted order", part, mode, plan, err)
+			}
 		}
 	}
 }
